@@ -1,9 +1,10 @@
 # Tier-1 verification lives here so CI and humans run the same thing:
 #   make ci        — build + tests + race pass + vet + coverage gate + fuzz smoke
+#                    + bench regression record + the bench/ module's own checks
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-race vet cover fuzz bench bench-smoke bench-diff ci
+.PHONY: build test test-race vet cover fuzz bench bench-smoke bench-diff bench-check ci
 
 build:
 	$(GO) build ./...
@@ -53,9 +54,13 @@ cover:
 # checks push-only, pull-only, and adaptive BFS agree with the plain
 # kernel; FuzzDeltaExpand replays adversarial (delete-heavy) ingest batches
 # through the retained-state planners against the full-recompute oracle.
+# FuzzAdjDecode hands arbitrary page bytes under arbitrary field widths to
+# the bulk adjacency decoder and to the byte-loop decode it replaced: same
+# VIDs, or the same failure, and no read past the page.
 # Go allows one -fuzz target per invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzStoreRead$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzAdjDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzPageValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bufpool -run '^$$' -fuzz '^FuzzPoolOps$$' -fuzztime $(FUZZTIME)
@@ -80,4 +85,14 @@ bench-smoke: build
 bench-diff: bench-smoke
 	$(GO) run ./cmd/gtsbench -diff
 
-ci: build test test-race vet cover fuzz bench-diff
+# bench/ is a Go module of its own (repro/bench, replace repro => ../): the
+# root `go build ./...` and `go test ./...` never compile it, yet it imports
+# repro/internal/..., so a change to an internal API can break the
+# repository's benchmark without any lane above noticing. This lane vets and
+# tests that module and runs one workload end to end at smoke scale (the
+# run verifies every result it times and exits non-zero on a mismatch).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke -workload scan-mem
+
+ci: build test test-race vet cover fuzz bench-diff bench-check

@@ -82,10 +82,13 @@ func (k *maxLabel) RunLP(a *gts.KernelArgs) gts.KernelResult {
 	return res
 }
 
+// push visits one record's neighbors. a.Neighbors resolves the record's
+// physical IDs to vertex IDs in one bulk pass into scratch the engine owns
+// (this kernel has no gather half, hence the nil Deferred), so the loop
+// below sees plain VIDs and allocates nothing.
 func (k *maxLabel) push(a *gts.KernelArgs, s *maxState, vid uint64, adj slottedpage.AdjView, res *gts.KernelResult) {
 	cv := s.prev[vid]
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, nil) {
 		res.Edges++
 		res.Cycles += 40
 		if nvid >= a.OwnedLo && nvid < a.OwnedHi && cv > s.next[nvid] {

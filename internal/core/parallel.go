@@ -65,6 +65,7 @@ func (r *run) kernelArgs(gpuIdx int, pid slottedpage.PageID, level int32, local 
 		OwnedHi:  r.owned[gpuIdx][1],
 		Tech:     r.eng.opts.Technique,
 		NextPIDs: local,
+		Scratch:  &r.adjScratch,
 	}
 }
 

@@ -88,7 +88,10 @@ func benchRun(tb testing.TB, sp *slottedpage.Graph, k kernels.Kernel, workers in
 // phase (which populates the deferred pool, the gather scratch, and the
 // result map), a steady-state computeKernels phase must stay within a
 // small fixed allocation budget — the serial path allocation-free, the
-// parallel path paying only its per-wave goroutine launches.
+// parallel path paying only its per-wave goroutine launches. The gather
+// half is pinned on its own too, per page: once a Deferred has grown its op
+// buffer and its adjacency-decode scratch, gathering a page into it
+// allocates nothing.
 func TestGatherApplyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation perturbs allocation counts")
@@ -119,5 +122,29 @@ func TestGatherApplyAllocBudget(t *testing.T) {
 	// per-page or per-op allocation (which would be thousands).
 	if got := measure(8); got > 128 {
 		t.Errorf("parallel phase allocates %.1f objects/run, want <= 128", got)
+	}
+
+	// The goroutine launches above would hide one object per page on a
+	// graph this small, so gather every page into one warmed Deferred with
+	// no pool and no goroutine in the way: a decode that stopped reusing
+	// the Deferred's scratch costs at least one object per record.
+	for _, k := range []kernels.GatherKernel{kernels.NewPageRank(sp, 0.85, 5), kernels.NewCC(sp)} {
+		r, jobs, locals := benchRun(t, sp, k, 1)
+		d := new(kernels.Deferred)
+		gatherAll := func() {
+			for _, job := range jobs {
+				r.argScratch = r.kernelArgs(job.gpu, job.pid, 0, locals[job.gpu])
+				d.Reset()
+				if sp.Kind(job.pid) == slottedpage.LargePage {
+					k.GatherLP(&r.argScratch, d)
+				} else {
+					k.GatherSP(&r.argScratch, d)
+				}
+			}
+		}
+		gatherAll()
+		if got := testing.AllocsPerRun(20, gatherAll) / float64(len(jobs)); got > 0 {
+			t.Errorf("%s: a steady-state gather allocates %.2f objects/page, want 0 (decode scratch not reused?)", k.Name(), got)
+		}
 	}
 }

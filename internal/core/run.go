@@ -59,8 +59,11 @@ type run struct {
 	pidPool        sync.Pool
 	hostKernelWall time.Duration
 	// argScratch backs the serial paths' kernels.Args so passing &args to
-	// an interface method does not heap-allocate once per page.
+	// an interface method does not heap-allocate once per page; adjScratch
+	// is the adjacency decode buffer those Args point at (gathers decode
+	// into their Deferred instead, so the worker pool never shares it).
 	argScratch kernels.Args
+	adjScratch kernels.AdjScratch
 
 	// Fault injection and recovery. The sim scheduler runs one process at
 	// a time, so these need no locking. abort latches the first

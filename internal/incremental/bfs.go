@@ -268,15 +268,13 @@ func (k *IncBFS) runLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
 // the condition only flips monotonically as applies commit cur+1 writes.
 func (k *IncBFS) expand(a *kernels.Args, s *incBFSState, adj slottedpage.AdjView, res *kernels.Result, d *kernels.Deferred) {
 	nl := k.cur + 1
-	for i := 0; i < adj.Len(); i++ {
-		rid := adj.At(i)
-		nvid := k.g.VIDOf(rid)
+	for i, nvid := range a.Neighbors(adj, d) {
 		if nvid < a.OwnedLo || nvid >= a.OwnedHi {
 			continue
 		}
 		if s.lv[nvid] == unvisited || s.lv[nvid] > nl {
 			if d != nil {
-				d.Push(kernels.Op{Idx: nvid, Val: uint64(uint16(nl)), PID: int32(rid.PID)})
+				d.Push(kernels.Op{Idx: nvid, Val: uint64(uint16(nl)), PID: int32(adj.PID(i))})
 				continue
 			}
 			s.lv[nvid] = nl

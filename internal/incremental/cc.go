@@ -215,8 +215,7 @@ func (k *IncCC) runLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
 
 func (k *IncCC) propagate(a *kernels.Args, s *incCCState, vid uint64, adj slottedpage.AdjView, res *kernels.Result, d *kernels.Deferred) {
 	cv := s.prev[vid]
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		if nvid >= a.OwnedLo && nvid < a.OwnedHi && cv < s.next[nvid] {
 			if d != nil {
 				d.Push(kernels.Op{Idx: nvid, Val: uint64(cv)})

@@ -294,8 +294,7 @@ func (k *IncPR) runLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
 }
 
 func (k *IncPR) scatter(a *kernels.Args, s *incPRState, adj slottedpage.AdjView, contrib float32, res *kernels.Result, d *kernels.Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		if !k.cand.Get(int(nvid)) {
 			continue
 		}

@@ -149,21 +149,19 @@ func (k *BC) runLP(a *Args, d *Deferred) Result {
 }
 
 func (k *BC) forward(a *Args, s *bcState, vid uint64, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		rid := adj.At(i)
-		nvid := k.g.VIDOf(rid)
+	for i, nvid := range a.Neighbors(adj, d) {
 		if !a.owns(nvid) {
 			continue
 		}
 		if d != nil {
 			if s.dist[nvid] == unvisited || s.dist[nvid] == level+1 {
-				d.push(Op{Idx: nvid, Val: math.Float64bits(s.sigma[vid]), PID: int32(rid.PID)})
+				d.push(Op{Idx: nvid, Val: math.Float64bits(s.sigma[vid]), PID: int32(adj.PID(i))})
 			}
 			continue
 		}
 		if s.dist[nvid] == unvisited {
 			s.dist[nvid] = level + 1
-			a.NextPIDs.Set(int(rid.PID))
+			a.NextPIDs.Set(int(adj.PID(i)))
 			res.Active = true
 		}
 		if s.dist[nvid] == level+1 {
@@ -216,7 +214,7 @@ func (k *BC) runSPBack(a *Args, d *Deferred) Result {
 		}
 		adj := pg.Adj(slot)
 		lanes.add(adj.Len())
-		k.backward(s, vid, adj, level, &res, d)
+		k.backward(a, s, vid, adj, level, &res, d)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -238,16 +236,15 @@ func (k *BC) runLPBack(a *Args, d *Deferred) Result {
 	if s.dist[vid] == int16(a.Level) && a.owns(vid) {
 		adj := a.Page.Adj(0)
 		lanes.add(adj.Len())
-		k.backward(s, vid, adj, int16(a.Level), &res, d)
+		k.backward(a, s, vid, adj, int16(a.Level), &res, d)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-func (k *BC) backward(s *bcState, vid uint64, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+func (k *BC) backward(a *Args, s *bcState, vid uint64, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
+	for _, nvid := range a.Neighbors(adj, d) {
 		if s.dist[nvid] == level+1 && s.sigma[nvid] > 0 {
 			if d != nil {
 				d.push(Op{Idx: vid, Val: math.Float64bits(s.sigma[vid] / s.sigma[nvid] * (1 + s.delta[nvid]))})

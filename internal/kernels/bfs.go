@@ -114,19 +114,17 @@ func (k *BFS) runLP(a *Args, d *Deferred) Result {
 // the discoveries are deferred instead of committed: unvisited-at-gather is
 // a superset of unvisited-at-apply, and Apply re-tests.
 func (k *BFS) expand(a *Args, s *bfsState, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		rid := adj.At(i)
-		nvid := k.g.VIDOf(rid)
+	for i, nvid := range a.Neighbors(adj, d) {
 		if !a.owns(nvid) {
 			continue
 		}
 		if s.lv[nvid] == unvisited {
 			if d != nil {
-				d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: int32(rid.PID)})
+				d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: int32(adj.PID(i))})
 				continue
 			}
 			s.lv[nvid] = level + 1
-			a.NextPIDs.Set(int(rid.PID))
+			a.NextPIDs.Set(int(adj.PID(i)))
 			res.Updates++
 			res.Active = true
 		}

@@ -110,8 +110,7 @@ func (k *CC) runLP(a *Args, d *Deferred) Result {
 
 func (k *CC) propagate(a *Args, s *ccState, vid uint64, adj slottedpage.AdjView, res *Result, d *Deferred) {
 	cv := s.prev[vid]
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		if a.owns(nvid) && cv < s.next[nvid] {
 			if d != nil {
 				d.push(Op{Idx: nvid, Val: uint64(cv)})

@@ -66,10 +66,13 @@ type Op struct {
 }
 
 // Deferred buffers one page's deferred writes between its Gather and its
-// Apply. Buffers are reusable (Reset) and are recycled by the framework
-// through a sync.Pool, so steady-state gathers allocate nothing.
+// Apply, and carries the gather's adjacency decode scratch (Args.Neighbors).
+// Buffers are reusable (Reset keeps both capacities) and are recycled by
+// the framework through a sync.Pool, so steady-state gathers allocate
+// nothing.
 type Deferred struct {
 	Ops []Op
+	adj AdjScratch
 }
 
 // Reset empties the buffer, keeping capacity.

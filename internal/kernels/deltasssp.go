@@ -184,8 +184,7 @@ func (k *DeltaSSSP) runLP(a *Args, d *Deferred) Result {
 // differs in when it runs (here against live dist, or re-run in Apply).
 func (k *DeltaSSSP) relax(a *Args, s *deltaState, vid uint64, adj slottedpage.AdjView, res *Result, d *Deferred) {
 	base := k.base[vid]
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		if !a.owns(nvid) {
 			continue
 		}

@@ -29,10 +29,13 @@ import (
 // Result.Cycles still prices the work actually executed: early-exiting
 // pull scans cost only the lanes they touched.
 type DirBFS struct {
-	g    *slottedpage.Graph
-	rev  *revAdj
-	cost costParams
-	mode DirMode
+	g *slottedpage.Graph
+	// outDeg prices frontiers and coverage in both directions; rev serves
+	// pull scans only and is built at the first level that plans pull.
+	outDeg []int32
+	rev    revAdj
+	cost   costParams
+	mode   DirMode
 	// dir is the current level's planned direction. PlanLevel writes it
 	// between supersteps; page kernels only read it, so the gather pool
 	// never races it.
@@ -42,11 +45,14 @@ type DirBFS struct {
 }
 
 // NewDirBFS returns a direction-optimizing BFS kernel over g, planning in
-// DirAuto mode. Construction builds the host-side reverse CSR pull scans.
+// DirAuto mode. Construction reads the out-degrees off the pages; the
+// host-side reverse CSR waits for the first pull level, so a traversal that
+// only ever pushes never pays for it.
 func NewDirBFS(g *slottedpage.Graph) *DirBFS {
 	return &DirBFS{
 		g:              g,
-		rev:            buildRevAdj(g),
+		outDeg:         outDegrees(g),
+		rev:            revAdj{g: g},
 		cost:           costParams{laneCycles: 40, slotCycles: 10},
 		denseThreshold: int64(g.NumEdges() / 20),
 	}
@@ -98,7 +104,7 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 	for v, l := range s.lv {
 		if l == lv {
 			empty = false
-			frontierEdges += int64(k.rev.outDeg[v])
+			frontierEdges += int64(k.outDeg[v])
 		}
 	}
 	if empty {
@@ -115,6 +121,9 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 		}
 	}
 	k.dir = dir
+	if dir == DirPull {
+		k.rev.ensure()
+	}
 	if dir == DirPush {
 		for v, l := range s.lv {
 			if l == lv {
@@ -202,8 +211,7 @@ func (k *DirBFS) pushLP(a *Args, d *Deferred) Result {
 // owned neighbors. Coverage (out-degree of the discovery) accrues at
 // commit; deferred ops re-test and accrue in Apply.
 func (k *DirBFS) expand(a *Args, s *bfsState, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		if !a.owns(nvid) {
 			continue
 		}
@@ -213,7 +221,7 @@ func (k *DirBFS) expand(a *Args, s *bfsState, adj slottedpage.AdjView, level int
 				continue
 			}
 			s.lv[nvid] = level + 1
-			res.Edges += int64(k.rev.outDeg[nvid])
+			res.Edges += int64(k.outDeg[nvid])
 			res.Updates++
 			res.Active = true
 		}
@@ -277,7 +285,7 @@ func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes
 		return
 	}
 	s.lv[vid] = level + 1
-	res.Edges += int64(k.rev.outDeg[vid])
+	res.Edges += int64(k.outDeg[vid])
 	res.Updates++
 	res.Active = true
 }
@@ -292,7 +300,7 @@ func (k *DirBFS) Apply(a *Args, d *Deferred, res *Result) {
 			continue
 		}
 		s.lv[op.Idx] = int16(op.Val)
-		res.Edges += int64(k.rev.outDeg[op.Idx])
+		res.Edges += int64(k.outDeg[op.Idx])
 		res.Updates++
 		res.Active = true
 	}

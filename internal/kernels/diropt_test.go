@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/graphgen"
 	"repro/internal/slottedpage"
 	"repro/internal/verify"
 )
 
 // TestDriverDirBFS drives the direction-optimizing BFS through the
 // package-local framework loop in every mode, on the serial and the
-// gather/apply path, against the float-free reference.
+// gather/apply path, against the float-free reference. The reverse index
+// must exist after a run exactly when some level pulled: a push-only
+// traversal never builds it.
 func TestDriverDirBFS(t *testing.T) {
 	g, sp := driverGraph(t)
 	want := verify.BFS(g, 0)
@@ -24,6 +27,9 @@ func TestDriverDirBFS(t *testing.T) {
 			if k.Mode() != mode {
 				t.Fatalf("Mode() = %v after SetMode(%v)", k.Mode(), mode)
 			}
+			if k.rev.offsets != nil {
+				t.Fatalf("mode=%v: NewDirBFS built the reverse index", mode)
+			}
 			st := driveMode(t, k, sp, 0, gather)
 			got := k.Levels(st)
 			for v := range want {
@@ -31,6 +37,9 @@ func TestDriverDirBFS(t *testing.T) {
 					t.Fatalf("mode=%v gather=%v: vertex %d level = %d, want %d",
 						mode, gather, v, got[v], want[v])
 				}
+			}
+			if built := k.rev.offsets != nil; built != (mode != DirForcePush) {
+				t.Fatalf("mode=%v gather=%v: reverse index built = %v", mode, gather, built)
 			}
 		}
 	}
@@ -108,15 +117,24 @@ func TestDirectionString(t *testing.T) {
 }
 
 // TestRevAdj checks the host-side reverse CSR against a transpose built
-// straight from the CSR source: same in-neighbor multisets, sorted by
-// source VID, and out-degrees matching the forward graph.
+// straight from the CSR source — same in-neighbor multisets, sorted by
+// source VID — and against the index the per-vertex NeighborsOf walk used
+// to build, entry for entry; out-degrees read off ADJLIST_SZ must match the
+// forward graph.
 func TestRevAdj(t *testing.T) {
 	g, sp := driverGraph(t)
-	rev := buildRevAdj(sp)
+	rev := revAdj{g: sp}
+	rev.ensure()
+	outDeg := outDegrees(sp)
 	tr := g.Transpose()
-	for v := uint64(0); v < g.NumVertices(); v++ {
-		if int(rev.outDeg[v]) != g.Degree(v) {
-			t.Fatalf("vertex %d outDeg = %d, want %d", v, rev.outDeg[v], g.Degree(v))
+	n := g.NumVertices()
+	old := make([][]uint32, n)
+	for v := uint64(0); v < n; v++ {
+		sp.NeighborsOf(v, func(dst uint64) { old[dst] = append(old[dst], uint32(v)) })
+	}
+	for v := uint64(0); v < n; v++ {
+		if int(outDeg[v]) != g.Degree(v) {
+			t.Fatalf("vertex %d outDeg = %d, want %d", v, outDeg[v], g.Degree(v))
 		}
 		got := append([]uint32(nil), rev.in(v)...)
 		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
@@ -126,6 +144,29 @@ func TestRevAdj(t *testing.T) {
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("vertex %d in-neighbors = %v, want %v", v, got, want)
+		}
+		if !reflect.DeepEqual(got, old[v]) {
+			t.Fatalf("vertex %d in-neighbors = %v, NeighborsOf-built index has %v", v, got, old[v])
+		}
+	}
+}
+
+// BenchmarkBuildRevAdj prices the reverse index every pulling DirBFS run
+// and every incremental CC/PageRank plan builds: two page-sequential passes
+// over the bulk decoder, two allocations (offsets, targets) plus the decode
+// scratch's growth.
+func BenchmarkBuildRevAdj(b *testing.B) {
+	d, _ := graphgen.ByName("RMAT27")
+	sp, err := slottedpage.Build(d.MustGenerate(11), slottedpage.ScaledConfig(2, 2, 4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		offsets, targets := buildRevAdj(sp)
+		if uint64(len(targets)) != sp.NumEdges() || offsets[sp.NumVertices()] != int64(len(targets)) {
+			b.Fatalf("index holds %d edges, graph has %d", len(targets), sp.NumEdges())
 		}
 	}
 }

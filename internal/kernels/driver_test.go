@@ -74,6 +74,7 @@ func driveMode(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64, gath
 				OwnedLo: 0, OwnedHi: g.NumVertices(),
 				Tech:     EdgeCentric,
 				NextPIDs: local,
+				Scratch:  new(AdjScratch),
 			}
 			var res Result
 			isLP := g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage
@@ -360,7 +361,7 @@ func TestDriverTechniquesAgree(t *testing.T) {
 		local := bitset.New(sp.NumPages())
 		home := sp.HomeOf(0)
 		a := &Args{Graph: sp, PID: home.PID, Page: sp.Page(home.PID), State: st,
-			OwnedLo: 0, OwnedHi: sp.NumVertices(), Tech: tech, NextPIDs: local}
+			OwnedLo: 0, OwnedHi: sp.NumVertices(), Tech: tech, NextPIDs: local, Scratch: new(AdjScratch)}
 		res := k.RunSP(a)
 		if res.Cycles <= 0 {
 			t.Errorf("%v: no cycles", tech)

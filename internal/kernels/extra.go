@@ -147,8 +147,7 @@ func (k *RWR) runLP(a *Args, d *Deferred) Result {
 }
 
 func (k *RWR) scatter(a *Args, s *rwrState, adj slottedpage.AdjView, contrib float32, res *Result, d *Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		if !a.owns(nvid) {
 			continue
 		}
@@ -486,8 +485,7 @@ func (k *KCore) runLP(a *Args, d *Deferred) Result {
 }
 
 func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, adj slottedpage.AdjView, res *Result, d *Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		if s.alive[vid] && a.owns(nvid) {
 			if d != nil {
 				d.push(Op{Idx: nvid})

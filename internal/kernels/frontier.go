@@ -13,6 +13,8 @@ package kernels
 // (delta-stepping SSSP with bucketed frontiers).
 
 import (
+	"sync"
+
 	"repro/internal/bitset"
 	"repro/internal/slottedpage"
 )
@@ -77,47 +79,83 @@ type FrontierKernel interface {
 	PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 }
 
-// revAdj is a host-side reverse CSR over the slotted pages, built once per
-// kernel: pull-direction kernels scan in(v) instead of streaming every
-// frontier page, and the out-degree array prices frontiers and coverage
-// without re-decoding pages.
+// revAdj is a host-side reverse CSR over the slotted pages: pull-direction
+// kernels scan in(v) instead of streaming every frontier page. It is built
+// on first need (ensure) and lives as long as the kernel that owns it — not
+// on the Graph or the System, where an index the size of the topology would
+// stay on the heap for runs that never pull.
 type revAdj struct {
+	g       *slottedpage.Graph
+	once    sync.Once
 	offsets []int64
 	targets []uint32
-	outDeg  []int32
 }
 
-// buildRevAdj decodes the graph's adjacency twice (count, then fill) into a
-// reverse CSR. In-neighbors of each vertex end up sorted by source VID, so
-// pull scans are deterministic.
-func buildRevAdj(g *slottedpage.Graph) *revAdj {
+// ensure builds the index if no earlier call has. DirBFS calls it from
+// PlanLevel (single-threaded, between supersteps) at the first level that
+// plans pull, so the page kernels' in() calls only ever read.
+func (r *revAdj) ensure() {
+	r.once.Do(func() { r.offsets, r.targets = buildRevAdj(r.g) })
+}
+
+// in returns v's in-neighbors (sources of edges into v), ascending by
+// source VID. ensure must have run.
+func (r *revAdj) in(v uint64) []uint32 { return r.targets[r.offsets[v]:r.offsets[v+1]] }
+
+// buildRevAdj builds the reverse CSR in two page-sequential passes over the
+// bulk decoder: count in-degrees, prefix-sum them into offsets, then place
+// each edge's source at its target's cursor. The cursor is the offsets
+// array itself, shifted back into place afterwards. Pages hold vertices in
+// VID order, so every in-list comes out ascending by source VID and pull
+// scans are deterministic.
+func buildRevAdj(g *slottedpage.Graph) (offsets []int64, targets []uint32) {
 	n := g.NumVertices()
-	r := &revAdj{offsets: make([]int64, n+1), outDeg: make([]int32, n)}
-	for v := uint64(0); v < n; v++ {
-		d := int32(0)
-		g.NeighborsOf(v, func(dst uint64) {
-			r.offsets[dst+1]++
-			d++
-		})
-		r.outDeg[v] = d
+	offsets = make([]int64, n+1)
+	var dsts []uint64
+	for pid := 0; pid < g.NumPages(); pid++ {
+		pg := g.Page(slottedpage.PageID(pid))
+		for slot, slots := 0, pg.NumSlots(); slot < slots; slot++ {
+			dsts = g.AdjVIDs(pg.Adj(slot), dsts)
+			for _, dst := range dsts {
+				offsets[dst+1]++
+			}
+		}
 	}
 	for i := uint64(0); i < n; i++ {
-		r.offsets[i+1] += r.offsets[i]
+		offsets[i+1] += offsets[i]
 	}
-	r.targets = make([]uint32, r.offsets[n])
-	fill := make([]int64, n)
-	copy(fill, r.offsets[:n])
-	for v := uint64(0); v < n; v++ {
-		g.NeighborsOf(v, func(dst uint64) {
-			r.targets[fill[dst]] = uint32(v)
-			fill[dst]++
-		})
+	targets = make([]uint32, offsets[n])
+	for pid := 0; pid < g.NumPages(); pid++ {
+		pg := g.Page(slottedpage.PageID(pid))
+		for slot, slots := 0, pg.NumSlots(); slot < slots; slot++ {
+			src, _ := pg.Slot(slot)
+			dsts = g.AdjVIDs(pg.Adj(slot), dsts)
+			for _, dst := range dsts {
+				targets[offsets[dst]] = uint32(src)
+				offsets[dst]++
+			}
+		}
 	}
-	return r
+	// offsets[v] now marks the end of v's list, which is the start of
+	// v+1's: shift right by one to restore the starts.
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
+	return offsets, targets
 }
 
-// in returns v's in-neighbors (sources of edges into v).
-func (r *revAdj) in(v uint64) []uint32 { return r.targets[r.offsets[v]:r.offsets[v+1]] }
+// outDegrees reads every vertex's out-degree off its records' ADJLIST_SZ
+// fields (a large vertex's run pages sum); no adjacency entry is decoded.
+func outDegrees(g *slottedpage.Graph) []int32 {
+	deg := make([]int32, g.NumVertices())
+	for pid := 0; pid < g.NumPages(); pid++ {
+		pg := g.Page(slottedpage.PageID(pid))
+		for slot, slots := 0, pg.NumSlots(); slot < slots; slot++ {
+			vid, _ := pg.Slot(slot)
+			deg[vid] += int32(pg.Adj(slot).Len())
+		}
+	}
+	return deg
+}
 
 // markVertexPages sets the pages that must stream for vertex v: its home
 // page, plus — when expandLP is set and v is a large vertex — the whole LP

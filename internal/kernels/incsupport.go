@@ -22,17 +22,19 @@ func (d *Deferred) Push(op Op) { d.push(op) }
 // index. Incremental kernels use it to find which vertices can feed a
 // dirty target: CC rescans in(changed), PageRank marks the pages of
 // in(candidate) so every contribution a candidate receives is recomputed.
+// The index is built by the first In call, so a plan that resolves without
+// consulting it never decodes the topology.
 type RevCSR struct{ r *revAdj }
 
-// NewRevCSR builds the reverse-CSR index for g (in-neighbor lists sorted
-// by source VID).
-func NewRevCSR(g *slottedpage.Graph) RevCSR { return RevCSR{r: buildRevAdj(g)} }
+// NewRevCSR returns the (not yet built) reverse-CSR index for g.
+func NewRevCSR(g *slottedpage.Graph) RevCSR { return RevCSR{r: &revAdj{g: g}} }
 
-// In returns v's in-neighbors, ascending by source VID.
-func (r RevCSR) In(v uint64) []uint32 { return r.r.in(v) }
-
-// OutDeg returns v's out-degree as counted by the reverse-CSR build pass.
-func (r RevCSR) OutDeg(v uint64) int32 { return r.r.outDeg[v] }
+// In returns v's in-neighbors, ascending by source VID. Safe from any
+// goroutine.
+func (r RevCSR) In(v uint64) []uint32 {
+	r.r.ensure()
+	return r.r.in(v)
+}
 
 // MarkVertexPages marks the page(s) that must stream for vertex v to be
 // scanned: its home page, plus the whole LP run when v is a large vertex

@@ -153,10 +153,33 @@ type Args struct {
 	// NextPIDs is this GPU's local nextPIDSet; BFS-like kernels set bits
 	// for pages to visit at the next level. Nil for PageRank-like runs.
 	NextPIDs *bitset.Set
+	// Scratch is where the serial kernels decode adjacency; it must be set.
+	// The engine points every Args it assembles at one buffer it keeps for
+	// the run, so steady state allocates nothing.
+	Scratch *AdjScratch
 }
 
 // owns reports whether vertex v's attribute entry belongs to this GPU.
 func (a *Args) owns(v uint64) bool { return v >= a.OwnedLo && v < a.OwnedHi }
+
+// AdjScratch is a reusable decode buffer for one record's neighbor VIDs.
+// Whoever runs the kernel owns it — the engine's run on the serial path,
+// the page's Deferred on the gather path — never the kernel, which is
+// shared by every worker.
+type AdjScratch struct{ vids []uint64 }
+
+// Neighbors resolves adj — a record of a.Page — to its neighbors' logical
+// VIDs in one bulk pass (slottedpage.Graph.AdjVIDs), into d's scratch on
+// the gather path and a.Scratch on the serial path (d nil). The slice is
+// valid until the next Neighbors call with the same d or a.
+func (a *Args) Neighbors(adj slottedpage.AdjView, d *Deferred) []uint64 {
+	s := a.Scratch
+	if d != nil {
+		s = &d.adj
+	}
+	s.vids = a.Graph.AdjVIDs(adj, s.vids)
+	return s.vids
+}
 
 // Result reports one page-kernel execution.
 type Result struct {

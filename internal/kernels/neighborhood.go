@@ -94,9 +94,7 @@ func (k *Neighborhood) runLP(a *Args, d *Deferred) Result {
 }
 
 func (k *Neighborhood) expand(a *Args, s *bfsState, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		rid := adj.At(i)
-		nvid := k.g.VIDOf(rid)
+	for i, nvid := range a.Neighbors(adj, d) {
 		if !a.owns(nvid) {
 			continue
 		}
@@ -104,7 +102,7 @@ func (k *Neighborhood) expand(a *Args, s *bfsState, adj slottedpage.AdjView, lev
 			if d != nil {
 				pid := int32(-1)
 				if level+1 < k.maxHops {
-					pid = int32(rid.PID)
+					pid = int32(adj.PID(i))
 				}
 				d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: pid})
 				continue
@@ -114,7 +112,7 @@ func (k *Neighborhood) expand(a *Args, s *bfsState, adj slottedpage.AdjView, lev
 			res.Active = true
 			if level+1 < k.maxHops {
 				// Only propose further expansion inside the ball.
-				a.NextPIDs.Set(int(rid.PID))
+				a.NextPIDs.Set(int(adj.PID(i)))
 			}
 		}
 	}
@@ -264,8 +262,8 @@ func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, adj slottedpage.A
 		return
 	}
 	vs := k.side(vid)
-	for i := 0; i < adj.Len(); i++ {
-		if k.side(k.g.VIDOf(adj.At(i))) != vs {
+	for _, nvid := range a.Neighbors(adj, d) {
+		if k.side(nvid) != vs {
 			if d != nil {
 				d.push(Op{Idx: vid})
 				continue

@@ -146,8 +146,7 @@ func (k *PageRank) runLP(a *Args, d *Deferred) Result {
 // scatter performs the atomicAdd loop shared by both kernels; with d
 // non-nil the adds are deferred in adjacency order.
 func (k *PageRank) scatter(a *Args, s *prState, adj slottedpage.AdjView, contrib float32, res *Result, d *Deferred) {
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		if !a.owns(nvid) {
 			continue
 		}

@@ -164,8 +164,7 @@ func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, adj slottedpage.Adj
 		return
 	}
 	base := int(vid) * s.k
-	for i := 0; i < adj.Len(); i++ {
-		nvid := k.g.VIDOf(adj.At(i))
+	for _, nvid := range a.Neighbors(adj, d) {
 		nb := int(nvid) * s.k
 		for j := 0; j < s.k; j++ {
 			old := s.next[base+j]

@@ -123,9 +123,7 @@ func (k *SSSP) RunLP(a *Args) Result {
 
 func (k *SSSP) relax(a *Args, s *ssspState, vid uint64, adj slottedpage.AdjView, res *Result) {
 	base := s.dist[vid]
-	for i := 0; i < adj.Len(); i++ {
-		rid := adj.At(i)
-		nvid := k.g.VIDOf(rid)
+	for i, nvid := range a.Neighbors(adj, nil) {
 		if !a.owns(nvid) {
 			continue
 		}
@@ -133,7 +131,7 @@ func (k *SSSP) relax(a *Args, s *ssspState, vid uint64, adj slottedpage.AdjView,
 		if nd < s.dist[nvid] {
 			s.dist[nvid] = nd
 			s.active[nvid] = a.Level + 1
-			a.NextPIDs.Set(int(rid.PID))
+			a.NextPIDs.Set(int(adj.PID(i)))
 			res.Updates++
 			res.Active = true
 		}

@@ -106,7 +106,6 @@ func Build(src Source, cfg Config) (*Graph, error) {
 		g.homeSlot[vid] = uint32(cur.slots)
 		cur.slots++
 		curUsed += need
-		_ = ridSz
 	}
 	closeCur()
 
@@ -119,19 +118,26 @@ func Build(src Source, cfg Config) (*Graph, error) {
 	g.pages = make([][]byte, len(metas))
 	g.rvt = make([]RVTEntry, len(metas))
 	g.kinds = make([]Kind, len(metas))
-	writeEntries := func(entries []byte, vid uint64, skip, take int) {
-		i, written := 0, 0
-		src.Neighbors(vid, func(dst uint64) {
-			if i >= skip && written < take {
-				p := written * ridSz
-				putUint(entries[p:], cfg.PIDBytes, uint64(g.homePID[dst]))
-				putUint(entries[p+cfg.PIDBytes:], cfg.SlotBytes, uint64(g.homeSlot[dst]))
-				written++
-			}
-			i++
-		})
-		if written != take {
-			panic(fmt.Sprintf("slottedpage: vertex %d yielded %d neighbors, expected %d", vid, written, take))
+	// emit is the one closure every Neighbors call receives: it writes the
+	// entries from the skip-th on into out until out is full. Its cursor
+	// lives out here so that a vertex costs no closure allocation.
+	var (
+		out           []byte
+		seen, skip, n int
+	)
+	emit := func(dst uint64) {
+		if seen >= skip && n < len(out) {
+			putRID(out[n:], &g.cfg, uint64(g.homePID[dst]), uint64(g.homeSlot[dst]))
+			n += ridSz
+		}
+		seen++
+	}
+	writeEntries := func(entries []byte, vid uint64, from int) {
+		out, seen, skip, n = entries, 0, from, 0
+		src.Neighbors(vid, emit)
+		if n != len(out) {
+			panic(fmt.Sprintf("slottedpage: vertex %d yielded %d neighbors, expected %d",
+				vid, n/ridSz, len(out)/ridSz))
 		}
 	}
 	for pid, m := range metas {
@@ -140,14 +146,14 @@ func Build(src Source, cfg Config) (*Graph, error) {
 		w := newPageWriter(&g.cfg, m.kind)
 		if m.kind == LargePage {
 			_, entries := w.addVertex(m.startVID, m.lpDeg)
-			writeEntries(entries, m.startVID, int(m.lpSeq)*perLP, m.lpDeg)
+			writeEntries(entries, m.startVID, int(m.lpSeq)*perLP)
 			g.lpIDs = append(g.lpIDs, PageID(pid))
 		} else {
 			for s := 0; s < m.slots; s++ {
 				vid := m.startVID + uint64(s)
 				d := src.Degree(vid)
 				_, entries := w.addVertex(vid, d)
-				writeEntries(entries, vid, 0, d)
+				writeEntries(entries, vid, 0)
 			}
 			g.spIDs = append(g.spIDs, PageID(pid))
 		}
@@ -211,31 +217,49 @@ func (g *Graph) HomeOf(v uint64) RID {
 
 // NeighborsOf decodes vertex v's adjacency list back out of the page bytes,
 // calling fn with each neighbor's logical VID. For a large vertex this walks
-// the whole LP run. It is the inverse of Build and is used by the
-// verification layer; engines stream pages instead.
+// the whole LP run. It is the inverse of Build: the per-vertex form of the
+// decode the engines run page by page, for planners and checkers that need
+// a few vertices' lists rather than a scan (a scan over every vertex should
+// walk pages and call AdjVIDs itself).
 func (g *Graph) NeighborsOf(v uint64, fn func(dst uint64)) {
 	home := g.HomeOf(v)
 	if g.kinds[home.PID] == SmallPage {
-		pg := g.Page(home.PID)
-		adj := pg.Adj(int(home.Slot))
-		for i := 0; i < adj.Len(); i++ {
-			fn(g.VIDOf(adj.At(i)))
-		}
+		g.eachNeighbor(g.Page(home.PID).Adj(int(home.Slot)), fn)
 		return
 	}
-	for pid := home.PID; int(pid) < len(g.pages) && g.kinds[pid] == LargePage && g.rvt[pid].StartVID == v; pid++ {
-		adj := g.Page(pid).Adj(0)
-		for i := 0; i < adj.Len(); i++ {
-			fn(g.VIDOf(adj.At(i)))
+	for pid := home.PID; g.inLPRun(pid, v); pid++ {
+		g.eachNeighbor(g.Page(pid).Adj(0), fn)
+	}
+}
+
+// eachNeighbor bulk-decodes adj a chunk at a time through a buffer on its
+// own stack, so the walk allocates nothing whatever the degree.
+func (g *Graph) eachNeighbor(adj AdjView, fn func(dst uint64)) {
+	var chunk [64]uint64
+	for lo := 0; lo < adj.n; lo += len(chunk) {
+		for _, dst := range g.AdjVIDs(adj.slice(lo, min(lo+len(chunk), adj.n)), chunk[:]) {
+			fn(dst)
 		}
 	}
 }
 
+// inLPRun reports whether pid is one of the large pages holding vertex v's
+// adjacency list.
+func (g *Graph) inLPRun(pid PageID, v uint64) bool {
+	return int(pid) < len(g.pages) && g.kinds[pid] == LargePage && g.rvt[pid].StartVID == v
+}
+
 // DegreeOf reports vertex v's out-degree by summing its records' ADJLIST_SZ
-// fields.
+// fields; no adjacency entry is decoded.
 func (g *Graph) DegreeOf(v uint64) int {
+	home := g.HomeOf(v)
+	if g.kinds[home.PID] == SmallPage {
+		return g.Page(home.PID).Adj(int(home.Slot)).Len()
+	}
 	d := 0
-	g.NeighborsOf(v, func(uint64) { d++ })
+	for pid := home.PID; g.inLPRun(pid, v); pid++ {
+		d += g.Page(pid).Adj(0).Len()
+	}
 	return d
 }
 

@@ -126,17 +126,28 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("%w: vertex %d home RID (%d,%d) out of range", ErrInvalidPage, v, pid, g.homeSlot[v])
 		}
 	}
-	// Every adjacency entry must resolve to a real record.
+	// Every adjacency entry must resolve to a real record: a page the
+	// graph has (decodeVIDs stops at the first that is not), and a slot —
+	// the decoded VID less the page's StartVID — that page holds.
+	var vids []uint64
 	for pid := range g.pages {
 		pg := g.Page(PageID(pid))
 		for s := 0; s < pg.NumSlots(); s++ {
 			adj := pg.Adj(s)
-			for i := 0; i < adj.Len(); i++ {
-				r := adj.At(i)
-				if uint64(r.PID) >= uint64(n) || uint64(r.Slot) >= slotCount[r.PID] {
-					return fmt.Errorf("%w: page %d slot %d entry %d targets RID (%d,%d) out of range",
-						ErrInvalidPage, pid, s, i, r.PID, r.Slot)
+			vids = sized(vids, adj.Len())
+			bad := decodeVIDs(adj, g.rvt, vids)
+			if bad < 0 {
+				for i, vid := range vids {
+					if t := adj.PID(i); vid-g.rvt[t].StartVID >= slotCount[t] {
+						bad = i
+						break
+					}
 				}
+			}
+			if bad >= 0 {
+				r := adj.At(bad)
+				return fmt.Errorf("%w: page %d slot %d entry %d targets RID (%d,%d) out of range",
+					ErrInvalidPage, pid, s, bad, r.PID, r.Slot)
 			}
 		}
 	}

@@ -139,8 +139,13 @@ func (c Config) MaxTheoreticalPageSize() uint64 {
 }
 
 // MaxAddressableVertices is the theoretical vertex capacity of the whole
-// store: every page filled with the maximum slot count.
+// store: every page filled with the maximum slot count (saturating at the
+// maximum uint64 once p+q reaches 8 bytes, where the product is 2^64 or
+// more).
 func (c Config) MaxAddressableVertices() uint64 {
+	if c.PIDBytes+c.SlotBytes >= 8 {
+		return ^uint64(0)
+	}
 	return c.MaxPages() * c.MaxSlotNumber()
 }
 

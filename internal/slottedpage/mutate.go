@@ -62,18 +62,38 @@ func (s mirrorSource) Neighbors(v uint64, fn func(dst uint64)) {
 // mutated elsewhere; its page buffers may be adopted (shared) by successor
 // snapshots.
 func NewMutable(g *Graph) *Mutable {
-	adj := make([][]uint64, g.NumVertices())
-	for v := uint64(0); v < g.NumVertices(); v++ {
-		deg := g.DegreeOf(v)
-		if deg > 0 {
-			row := make([]uint64, 0, deg)
-			g.NeighborsOf(v, func(dst uint64) { row = append(row, dst) })
-			adj[v] = row
-		}
-	}
-	m := &Mutable{adj: adj, edges: g.NumEdges(), latches: make([]sync.Mutex, g.NumPages())}
+	m := &Mutable{adj: decodeRows(g), edges: g.NumEdges(), latches: make([]sync.Mutex, g.NumPages())}
 	m.cur.Store(g)
 	return m
+}
+
+// decodeRows decodes g's adjacency into one row per vertex, walking the
+// pages in order and each record once. A small page's record is decoded
+// straight into its row; a large vertex's row is sized from its records'
+// ADJLIST_SZ at the first page of its run and appended to page by page.
+// Rows of degree 0 stay nil.
+func decodeRows(g *Graph) [][]uint64 {
+	rows := make([][]uint64, g.NumVertices())
+	var run []uint64
+	for pid := range g.pages {
+		pg := g.Page(PageID(pid))
+		if g.kinds[pid] == LargePage {
+			v := g.rvt[pid].StartVID
+			if rows[v] == nil {
+				rows[v] = make([]uint64, 0, g.DegreeOf(v))
+			}
+			run = g.AdjVIDs(pg.Adj(0), run)
+			rows[v] = append(rows[v], run...)
+			continue
+		}
+		for s, n := 0, pg.NumSlots(); s < n; s++ {
+			v, _ := pg.Slot(s)
+			if adj := pg.Adj(s); adj.Len() > 0 {
+				rows[v] = g.AdjVIDs(adj, make([]uint64, adj.Len()))
+			}
+		}
+	}
+	return rows
 }
 
 // Snapshot returns the current immutable graph. The snapshot stays valid

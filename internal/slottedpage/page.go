@@ -1,6 +1,9 @@
 package slottedpage
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Kind distinguishes small pages (many vertices) from large pages (one
 // vertex's adjacency spilled across several pages).
@@ -32,7 +35,26 @@ type RID struct {
 }
 
 // getUint reads a little-endian unsigned integer of the given byte width.
+// The widths the shipped presets use — 2, 3 and 4 for ADJ_PID/ADJ_OFF, 4 for
+// OFF and ADJLIST_SZ, 6 for VID — are fixed-width loads; every other width
+// takes getUintGeneric.
 func getUint(b []byte, width int) uint64 {
+	switch width {
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 3:
+		return uint64(binary.LittleEndian.Uint16(b)) | uint64(b[2])<<16
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 6:
+		return uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint16(b[4:]))<<32
+	}
+	return getUintGeneric(b, width)
+}
+
+// getUintGeneric is the any-width byte loop: the fallback for widths without
+// a fixed-width load, and the oracle the codec tests hold the rest to.
+func getUintGeneric(b []byte, width int) uint64 {
 	var v uint64
 	for i := width - 1; i >= 0; i-- {
 		v = v<<8 | uint64(b[i])
@@ -40,16 +62,29 @@ func getUint(b []byte, width int) uint64 {
 	return v
 }
 
-// putUint writes a little-endian unsigned integer of the given byte width.
-// It panics if v does not fit, which indicates a builder bug or a graph too
-// large for the configuration.
+// putUint writes a little-endian unsigned integer of the given byte width,
+// with the same fixed-width cases as getUint. It panics if v does not fit,
+// which indicates a builder bug or a graph too large for the configuration.
 func putUint(b []byte, width int, v uint64) {
 	if width < 8 && v > maxUint(width) {
 		panic(fmt.Sprintf("slottedpage: value %d overflows %d-byte field", v, width))
 	}
-	for i := 0; i < width; i++ {
-		b[i] = byte(v)
-		v >>= 8
+	switch width {
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 3:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+		b[2] = byte(v >> 16)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 6:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+		binary.LittleEndian.PutUint16(b[4:], uint16(v>>32))
+	default:
+		for i := 0; i < width; i++ {
+			b[i] = byte(v)
+			v >>= 8
+		}
 	}
 }
 
@@ -102,13 +137,15 @@ func (pg Page) Adj(i int) AdjView {
 }
 
 // AdjView is a zero-copy view over an adjacency list's physical record IDs.
+// Graph.AdjVIDs resolves the whole list to logical vertex IDs in one pass;
+// At and PID read single entries.
 type AdjView struct {
 	buf []byte
 	cfg *Config
 	n   int
 }
 
-// Len is the number of adjacency entries.
+// Len is the number of adjacency entries (the record's ADJLIST_SZ).
 func (a AdjView) Len() int { return a.n }
 
 // At decodes entry i into a physical record ID.
@@ -117,6 +154,18 @@ func (a AdjView) At(i int) RID {
 	pid := getUint(a.buf[p:], a.cfg.PIDBytes)
 	slot := getUint(a.buf[p+a.cfg.PIDBytes:], a.cfg.SlotBytes)
 	return RID{PID: PageID(pid), Slot: uint32(slot)}
+}
+
+// PID is entry i's ADJ_PID alone: the page a traversal kernel proposes in
+// its nextPIDSet when entry i discovers a vertex.
+func (a AdjView) PID(i int) PageID {
+	return PageID(getUint(a.buf[i*a.cfg.RIDBytes():], a.cfg.PIDBytes))
+}
+
+// slice is the view over entries [lo, hi).
+func (a AdjView) slice(lo, hi int) AdjView {
+	w := a.cfg.RIDBytes()
+	return AdjView{buf: a.buf[lo*w : hi*w], cfg: a.cfg, n: hi - lo}
 }
 
 // pageWriter builds one page in place.

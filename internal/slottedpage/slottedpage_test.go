@@ -57,6 +57,39 @@ func TestTable2Configurations(t *testing.T) {
 	}
 }
 
+// TestMaxAddressableVerticesSaturates: pages × slots is 2^(8(p+q)), which
+// wraps to 0 (or to a small number) in a uint64 once p+q reaches 8 bytes;
+// Build and Mutable's vertex growth compare vertex counts against it, so it
+// must saturate the way MaxPages and MaxSlotNumber do.
+func TestMaxAddressableVerticesSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		p, q int
+		want uint64
+	}{
+		{2, 2, 1 << 32},
+		{3, 3, 1 << 48},
+		{4, 3, 1 << 56},
+		{4, 4, ^uint64(0)}, // 2^64: wrapped to 0
+		{5, 4, ^uint64(0)},
+		{8, 1, ^uint64(0)}, // (2^64-1)·2^8: wrapped to 2^64-256
+		{8, 8, ^uint64(0)}, // (2^64-1)²: wrapped to 1
+	} {
+		cfg := ScaledConfig(tc.p, tc.q, 512)
+		if got := cfg.MaxAddressableVertices(); got != tc.want {
+			t.Errorf("(p=%d,q=%d) MaxAddressableVertices = %d, want %d", tc.p, tc.q, got, tc.want)
+		}
+	}
+	// What the overflow broke: a (4,4) graph could not be built at all, and
+	// a mutable one could not grow by a single vertex.
+	g, err := Build(adjSource{adj: [][]uint64{{1}, {0}}}, ScaledConfig(4, 4, 512))
+	if err != nil {
+		t.Fatalf("building a 2-vertex (4,4) graph: %v", err)
+	}
+	if _, err := NewMutable(g).ApplyBatch([]EdgeOp{{Src: 2, Dst: 0}}); err != nil {
+		t.Fatalf("growing a (4,4) graph to vertex 2: %v", err)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Config22()
 	if err := good.Validate(); err != nil {
@@ -78,13 +111,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestPutGetUintRoundTrip also holds the fixed-width loads and stores to the
+// byte loop: what putUint wrote, getUintGeneric must read back.
 func TestPutGetUintRoundTrip(t *testing.T) {
 	f := func(v uint64, w uint8) bool {
 		width := int(w%8) + 1
 		v &= maxUint(width)
 		buf := make([]byte, 8)
 		putUint(buf, width, v)
-		return getUint(buf, width) == v
+		return getUint(buf, width) == v && getUintGeneric(buf, width) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
