@@ -12,31 +12,34 @@ build:
 test: build
 	$(GO) test ./...
 
-# The concurrency-bearing packages (the gtsd service layer, the shared
-# trace recorder and histograms, the host-parallel kernel path in
-# internal/core, the shared host page pool, the write-ahead log's group
-# commit, the hardware model, and the root package's System/SystemPool
-# guards) must stay clean under the race detector. The chaos tests
+# The concurrency-bearing packages (the simulation core, whose processes
+# hand control to one another goroutine to goroutine, the gtsd service
+# layer, the shared trace recorder and histograms, the host-parallel kernel
+# path in internal/core, the shared host page pool, the write-ahead log's
+# group commit, the hardware model, and the root package's
+# System/SystemPool guards) must stay clean under the race detector. The chaos tests
 # (fault-injected gtsd under concurrent clients; two Systems hammering one
 # BufferPool under storage faults + device OOM; trace export racing live
 # span emission; randomized ingest crashes under concurrent queries in
 # TestChaosIngestRecovery) run here too.
 test-race:
-	$(GO) test -race ./internal/bufpool/... ./internal/core/... ./internal/incremental/... ./internal/kernels/... ./internal/sched/... ./internal/service/... ./internal/trace/... ./internal/hw/... ./internal/obs/... ./internal/wal/...
+	$(GO) test -race ./internal/sim/... ./internal/bufpool/... ./internal/core/... ./internal/incremental/... ./internal/kernels/... ./internal/sched/... ./internal/service/... ./internal/trace/... ./internal/hw/... ./internal/obs/... ./internal/wal/...
 	$(GO) test -race -run 'System|Pool|Open|Concurrent|Chaos|Ingest' .
 
 vet:
 	$(GO) vet ./...
 
-# Coverage gate over the observability stack, the wave-group scheduler,
-# the shared host page pool, and the kernel operator layer: the trace
+# Coverage gate over the simulation core (dispatcher, primitives and
+# their failure paths; measures ~94), the observability stack, the
+# wave-group scheduler, the shared host page pool, and the kernel operator
+# layer: the trace
 # recorder and exporters, the histogram math, the service job path, the
 # multi-query stream scheduler, the bufpool pin/eviction machinery, and
 # the kernels package (direction-optimizing BFS and delta-stepping SSSP
 # included). Floors sit a few points under the measured baseline so real
 # regressions fail while small refactors don't.
 cover:
-	@set -e; for spec in ./internal/trace=85 ./internal/obs=90 ./internal/service=80 ./internal/sched=60 ./internal/bufpool=85 ./internal/kernels=85 ./internal/wal=85 ./internal/incremental=85; do \
+	@set -e; for spec in ./internal/sim=90 ./internal/trace=85 ./internal/obs=90 ./internal/service=80 ./internal/sched=60 ./internal/bufpool=85 ./internal/kernels=85 ./internal/wal=85 ./internal/incremental=85; do \
 		pkg=$${spec%=*}; floor=$${spec#*=}; \
 		$(GO) test -coverprofile=coverage.tmp.out $$pkg >/dev/null; \
 		pct=$$($(GO) tool cover -func=coverage.tmp.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \

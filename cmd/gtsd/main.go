@@ -62,7 +62,7 @@ func main() {
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	gpus := flag.Int("gpus", 1, "GPUs per pooled engine")
 	streams := flag.Int("streams", 0, "GPU streams per engine (0 = default 32)")
-	hostWorkers := flag.Int("host-workers", 0, "host goroutines executing kernel work per run (0 = GOMAXPROCS, 1 = serial; results identical at every setting)")
+	hostWorkers := flag.Int("host-workers", 0, "upper bound on host goroutines executing kernel work per run (0 = GOMAXPROCS; below 4 kernels run inline; results identical at every setting)")
 	strategy := flag.String("strategy", "p", "multi-GPU strategy: p (performance) | s (scalability)")
 	shareStreams := flag.Bool("share-streams", false, "coalesce concurrent jobs per graph into shared topology stream wave groups (results identical to solo runs)")
 	directionOpt := flag.Bool("direction-opt", false, "serve bfs/sssp with the direction-optimizing frontier kernels (push/pull BFS, delta-stepping SSSP; result values identical to the plain kernels)")

@@ -113,9 +113,11 @@ type Config struct {
 	// byte-identical to a fault-free run — and returns an error wrapping
 	// ErrHardwareFault when a fault persists beyond the retry budget.
 	Faults *FaultPlan
-	// HostWorkers sizes the host goroutine pool executing the functional
-	// kernel work. 0 = GOMAXPROCS, 1 = serial. Results are byte-identical
-	// at every setting (see core.Options.HostWorkers).
+	// HostWorkers is the upper bound on host goroutines executing a run's
+	// functional kernel work. 0 = GOMAXPROCS; below 4 the kernels run
+	// inline, since the parallel path only pays from four workers up.
+	// Results are byte-identical at every setting (see
+	// core.Options.HostWorkers).
 	HostWorkers int
 	// DirectionOpt swaps BFS and SSSP onto the direction-optimizing
 	// frontier kernels (kernels.DirBFS / kernels.DeltaSSSP): BFS switches

@@ -96,13 +96,15 @@ type Options struct {
 	// perturb the simulated hardware, a recovered run's results are
 	// byte-identical to a fault-free run's.
 	Faults *fault.Plan
-	// HostWorkers sizes the pool of host goroutines that execute the
-	// functional kernel work of each phase (mirroring the simulated stream
-	// slots). 0 (the default) uses GOMAXPROCS; 1 forces the serial path.
-	// Results are byte-identical at every setting: pages gather in parallel
-	// against phase-start state and their deferred writes are applied in the
-	// same deterministic (GPU, page) order the serial path uses. Kernels
-	// that cannot gather safely (SSSP) always run serially.
+	// HostWorkers is the upper bound on the host goroutines that execute
+	// the functional kernel work of each phase. 0 (the default) uses
+	// GOMAXPROCS. Below 4 (minGatherWorkers, the measured break-even of the
+	// parallel path) the kernels run inline on the calling goroutine; from
+	// 4 up, pages gather in parallel against phase-start state and their
+	// deferred writes are applied in the same deterministic (GPU, page)
+	// order the inline loop mutates state in. Results are byte-identical at
+	// every setting. Kernels that cannot gather safely (SSSP) always run
+	// inline.
 	HostWorkers int
 	// HostPool, when non-nil, replaces the run-private main-memory buffer
 	// with a shared, ref-counted host page pool for storage-backed runs:

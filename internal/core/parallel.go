@@ -9,13 +9,30 @@ import (
 	"repro/internal/slottedpage"
 )
 
-// This file implements the host-parallel side of the tentpole: the
-// functional kernel work phase() precomputes is fanned out to a pool of
-// HostWorkers goroutines using the kernels' gather/apply contract
+// This file is the host side of a phase's functional kernel work, which
+// phase() precomputes before the streams start. Below minGatherWorkers the
+// kernels run inline, page by page; at or above it the work fans out to a
+// pool of HostWorkers goroutines through the kernels' gather/apply contract
 // (internal/kernels/deferred.go), with deferred writes applied in the same
-// deterministic (GPU, page) order the serial path uses. The simulation
-// itself stays single-threaded — the pool runs between sim events, so
-// virtual time, traces, and fault schedules are untouched by parallelism.
+// deterministic (GPU, page) order the inline loop mutates state in. The
+// simulation itself stays single-threaded — the pool runs between sim
+// events, so virtual time, traces, and fault schedules are untouched by
+// parallelism, and results are byte-identical on either path.
+
+// minGatherWorkers is the gather/apply path's break-even: the smallest
+// HostWorkers at which fanning a phase out beats running its kernels
+// inline. Gathering defers every write into per-page buffers and replays
+// them serially afterwards, so it does more total work than the inline
+// kernel and only pays once enough cores split the gather half. Per
+// 1 M-edge PageRank phase at the benchmark's size (RMAT27@11;
+// BenchmarkSuperstepWorkers is the sweep) the inline kernel takes
+// 4.6–5.8 ms. The gather is 5.9 ms of CPU and the serial apply 1.5 ms on
+// one warm core, 6.7 and 2.3 ms inside the pool where the deferred buffers
+// cross cores: 9.0–9.2 ms when the workers share one core (what a 2-vCPU
+// box gives them about half the time), ≈ 5.7 ms on two real cores, ≈ 4.0 ms
+// on four. Two or three workers lose or tie; four — four cores, when the
+// count is the GOMAXPROCS default — is the first that wins outright.
+const minGatherWorkers = 4
 
 // waveFactor sizes gather waves as workers*waveFactor pages: large enough
 // to amortize the barrier, small enough to bound deferred-buffer memory
@@ -69,22 +86,23 @@ func (r *run) kernelArgs(gpuIdx int, pid slottedpage.PageID, level int32, local 
 	}
 }
 
-// computeKernels runs the phase's (GPU, page) jobs and memoizes their
-// results into r.kres. With a gatherable kernel and >1 worker it proceeds
-// in waves: each wave's pages gather concurrently (work-stealing off an
-// atomic cursor) against the state left by all previously applied pages,
-// then the wave's deferred writes are applied serially in job order.
-// Otherwise it falls back to the serial loop. Both paths accrue the real
-// wall-clock spent into r.hostKernelWall.
+// computeKernels runs the phase's (GPU, page) jobs and appends their
+// results to r.kres in job order (the caller truncates r.kres when a new
+// phase or wave begins). With a gatherable kernel and at least
+// minGatherWorkers workers it proceeds in waves: each wave's pages gather
+// concurrently (work-stealing off an atomic cursor) against the state left
+// by all previously applied pages, then the wave's deferred writes are
+// applied serially in job order. Otherwise the kernels run inline. Both
+// paths accrue the real wall-clock spent into r.hostKernelWall.
 func (r *run) computeKernels(jobs []pageKey, level int32, locals []pidSet, backward bool) {
 	t0 := time.Now()
 
-	// Decide the serial fallback before resolving gather entry points:
-	// binding method values allocates, and the serial hot path must not.
+	// Decide the inline path before resolving gather entry points: binding
+	// method values allocates, and the inline hot path must not.
 	// (gatherPhase is a separate method for the same reason — its goroutine
 	// closure captures locals that would otherwise be heap-allocated even on
-	// serial calls.)
-	if r.workers >= 2 && len(jobs) >= 2 {
+	// inline calls.)
+	if r.workers >= minGatherWorkers && len(jobs) >= 2 {
 		if gf, ok := gatherFor(r.k, backward); ok {
 			r.gatherPhase(jobs, level, locals, gf)
 			r.hostKernelWall += time.Since(t0)
@@ -92,7 +110,7 @@ func (r *run) computeKernels(jobs []pageKey, level int32, locals []pidSet, backw
 		}
 	}
 	for _, job := range jobs {
-		r.kres[job] = r.runKernel(job.gpu, job.pid, level, locals[job.gpu], backward)
+		r.kres = append(r.kres, r.runKernel(job.gpu, job.pid, level, locals[job.gpu], backward))
 	}
 	r.hostKernelWall += time.Since(t0)
 }
@@ -158,7 +176,7 @@ func (r *run) gatherPhase(jobs []pageKey, level int32, locals []pidSet, gf gathe
 			r.argScratch = r.kernelArgs(job.gpu, job.pid, level, locals[job.gpu])
 			kr := res[i]
 			gf.apply(&r.argScratch, defs[i], &kr)
-			r.kres[job] = kr
+			r.kres = append(r.kres, kr)
 			defs[i].Reset()
 			deferredPool.Put(defs[i])
 			defs[i] = nil

@@ -3,39 +3,44 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/fault"
+	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/slottedpage"
 )
 
-// BenchmarkSuperstepWorkers measures a full engine run per iteration at a
-// sweep of host worker-pool sizes — wall-clock ns/op is the quantity
-// HostWorkers shrinks on a multi-core host (on a single-core runner the
-// sweep degenerates but stays honest). allocs/op tracks the pooled hot
-// path; "hkw-ms" reports the host kernel wall-clock alone.
+// BenchmarkSuperstepWorkers is the sweep behind minGatherWorkers: a full
+// engine run per iteration at the repository benchmark's size (RMAT27@11:
+// 65 536 vertices, ≈ 1 M edges) for its two scan kernels, at host
+// worker-pool sizes on both sides of the break-even — 1 and 2 run the
+// kernels inline, 4 and 8 take the gather/apply path. "hkw-ms" is the host
+// kernel wall-clock alone, the quantity the rule decides on; ns/op adds the
+// simulation around it, allocs/op tracks the pooled hot path. What the
+// parallel points show depends on how many real cores the runner has.
 func BenchmarkSuperstepWorkers(b *testing.B) {
-	g := rmatGraph(&testing.T{})
-	sp, err := slottedpage.Build(g, testConfig())
+	d, _ := graphgen.ByName("RMAT27")
+	sp, err := slottedpage.Build(d.MustGenerate(11), testConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, algo := range []string{"BFS", "PageRank"} {
+	for _, algo := range []string{"PageRank", "CC"} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", algo, workers), func(b *testing.B) {
 				b.ReportAllocs()
-				var wall float64
+				var wall time.Duration
 				for i := 0; i < b.N; i++ {
 					var k kernels.Kernel
-					if algo == "BFS" {
-						k = kernels.NewBFS(sp)
+					if algo == "PageRank" {
+						k = kernels.NewPageRank(sp, 0.85, 10)
 					} else {
-						k = kernels.NewPageRank(sp, 0.85, 5)
+						k = kernels.NewCC(sp)
 					}
-					e, err := New(hw.Workstation(1, 0), sp, Options{Source: 0, HostWorkers: workers})
+					e, err := New(hw.Workstation(1, 0), sp, Options{HostWorkers: workers})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -43,9 +48,9 @@ func BenchmarkSuperstepWorkers(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					wall = float64(rep.HostKernelWall.Microseconds()) / 1000
+					wall += rep.HostKernelWall
 				}
-				b.ReportMetric(wall, "hkw-ms")
+				b.ReportMetric(float64(wall.Microseconds())/1000/float64(b.N), "hkw-ms")
 			})
 		}
 	}
@@ -80,15 +85,15 @@ func benchRun(tb testing.TB, sp *slottedpage.Graph, k kernels.Kernel, workers in
 		jobs = append(jobs, pageKey{0, slottedpage.PageID(pid)})
 	}
 	locals := []pidSet{bitset.New(numPages)}
-	r.kres = make(map[pageKey]kernels.Result, len(jobs))
 	return r, jobs, locals
 }
 
 // TestGatherApplyAllocBudget pins the pooled hot path: after one warm-up
 // phase (which populates the deferred pool, the gather scratch, and the
-// result map), a steady-state computeKernels phase must stay within a
-// small fixed allocation budget — the serial path allocation-free, the
-// parallel path paying only its per-wave goroutine launches. The gather
+// result slice), a steady-state computeKernels phase must stay within a
+// small fixed allocation budget — the inline path allocation-free, which
+// is also how a worker count below minGatherWorkers shows it ran inline,
+// the parallel path paying only its per-wave goroutine launches. The gather
 // half is pinned on its own too, per page: once a Deferred has grown its op
 // buffer and its adjacency-decode scratch, gathering a page into it
 // allocates nothing.
@@ -103,9 +108,7 @@ func TestGatherApplyAllocBudget(t *testing.T) {
 		k := kernels.NewPageRank(sp, 0.85, 5)
 		r, jobs, locals := benchRun(t, sp, k, workers)
 		phase := func() {
-			for key := range r.kres {
-				delete(r.kres, key)
-			}
+			r.kres = r.kres[:0]
 			locals[0].Reset()
 			r.computeKernels(jobs, 0, locals, false)
 		}
@@ -113,15 +116,21 @@ func TestGatherApplyAllocBudget(t *testing.T) {
 		return testing.AllocsPerRun(20, phase)
 	}
 
-	if got := measure(1); got > 0 {
-		t.Errorf("serial phase allocates %.1f objects/run, want 0 (pooled hot path regressed)", got)
+	for workers := 1; workers < minGatherWorkers; workers++ {
+		if got := measure(workers); got > 0 {
+			t.Errorf("workers=%d: phase allocates %.1f objects/run, want 0 (not inline, or the pooled hot path regressed)", workers, got)
+		}
 	}
 	// The parallel path launches up to `workers` goroutines per wave; with
 	// 8 workers, waveFactor 8 and this graph's page count that is a few
 	// dozen closures. 128 leaves headroom without masking a regression to
 	// per-page or per-op allocation (which would be thousands).
-	if got := measure(8); got > 128 {
-		t.Errorf("parallel phase allocates %.1f objects/run, want <= 128", got)
+	for _, workers := range []int{minGatherWorkers, 8} {
+		if got := measure(workers); got > 128 {
+			t.Errorf("workers=%d: parallel phase allocates %.1f objects/run, want <= 128", workers, got)
+		} else if got == 0 {
+			t.Errorf("workers=%d: phase allocates nothing, so it did not take the gather/apply path", workers)
+		}
 	}
 
 	// The goroutine launches above would hide one object per page on a

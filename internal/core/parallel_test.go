@@ -206,7 +206,7 @@ func TestParallelMatchesSerialAllKernels(t *testing.T) {
 		t.Run(kc.name, func(t *testing.T) {
 			base := Options{Source: 0, HostWorkers: 1}
 			wantBytes, wantRep := runDigest(t, sp, kc, base, 1, 0)
-			for _, workers := range []int{2, 8} {
+			for _, workers := range []int{2, minGatherWorkers, 8} {
 				opts := base
 				opts.HostWorkers = workers
 				gotBytes, gotRep := runDigest(t, sp, kc, opts, 1, 0)

@@ -44,8 +44,13 @@ type run struct {
 	inMemory bool // whole graph resident in main memory
 	inflight map[slottedpage.PageID]*sim.Signal
 	// kres memoizes the current phase's functional kernel results, computed
-	// in deterministic (GPU, page) order before the streams start (see phase).
-	kres map[pageKey]kernels.Result
+	// in deterministic (GPU, page) order before the streams start (see
+	// phase): kres[i] is the result of the phase's i-th job. sps, lps and
+	// parts are the superstep's page lists and the phase's per-GPU
+	// partition; all four keep their backing arrays across supersteps.
+	kres     []kernels.Result
+	sps, lps []slottedpage.PageID
+	parts    [][]slottedpage.PageID
 
 	// Host worker pool (see parallel.go). workers is Options.HostWorkers
 	// after defaulting; jobs, gatherRes and gatherDefs are per-phase scratch

@@ -126,10 +126,22 @@ type groupMember struct {
 	stepActive  bool
 	beforePages int64
 	beforeBytes int64
-	// parts[phase][gpu] is this wave's page partition (phase 0 = small
-	// pages, 1 = large pages), in the same order a solo phase() builds.
-	parts [2][][]slottedpage.PageID
-	done  bool
+	// lists[phase] is this wave's page list (phase 0 = small pages, 1 =
+	// large pages) and parts[phase][gpu] its partition, in the same order a
+	// solo phase() builds; resBase[phase][gpu] is where that partition's
+	// kernel results start in r.kres. All keep their backing arrays across
+	// waves.
+	lists   [2][]slottedpage.PageID
+	parts   [2][][]slottedpage.PageID
+	resBase [2][]int
+	done    bool
+}
+
+// demand is one member's claim on a (GPU, page) of the running wave: the
+// member and the index of its precomputed kernel result in m.r.kres.
+type demand struct {
+	m   *groupMember
+	res int
 }
 
 // waveLevel is the superstep index the current wave runs at for this
@@ -431,50 +443,22 @@ func (d *sharedDriver) beginWave(m *groupMember) {
 	if m.backward {
 		pages = m.levelSets[m.backIdx]
 	}
-	g := r.eng.graph
-	var sps, lps []slottedpage.PageID
-	pages.ForEach(func(pid int) {
-		if g.Kind(slottedpage.PageID(pid)) == slottedpage.SmallPage {
-			sps = append(sps, slottedpage.PageID(pid))
-		} else {
-			lps = append(lps, slottedpage.PageID(pid))
-		}
-	})
 	nGPU := len(d.machine.GPUs)
-	r.kres = make(map[pageKey]kernels.Result, nGPU*(len(sps)+len(lps)))
-	for phase, list := range [2][]slottedpage.PageID{0: sps, 1: lps} {
-		m.parts[phase] = d.partition(list)
-		jobs := r.jobs[:0]
-		for i, part := range m.parts[phase] {
-			for _, pid := range part {
-				jobs = append(jobs, pageKey{i, pid})
-			}
+	m.lists[0], m.lists[1] = r.eng.splitByKind(pages, m.lists[0][:0], m.lists[1][:0])
+	r.kres = r.kres[:0]
+	for phase, list := range m.lists {
+		m.parts[phase] = r.eng.partition(m.parts[phase], list, nGPU)
+		m.resBase[phase] = m.resBase[phase][:0]
+		base := len(r.kres)
+		for _, part := range m.parts[phase] {
+			m.resBase[phase] = append(m.resBase[phase], base)
+			base += len(part)
 		}
-		r.jobs = jobs
-		if len(jobs) > 0 {
-			r.computeKernels(jobs, lvl, m.locals, m.backward)
+		r.jobs = appendJobs(r.jobs[:0], m.parts[phase])
+		if len(r.jobs) > 0 {
+			r.computeKernels(r.jobs, lvl, m.locals, m.backward)
 		}
 	}
-}
-
-// partition splits a page list across GPUs exactly as a solo phase() does:
-// page j to GPU j mod N under multi-GPU Strategy-P, every page to every GPU
-// otherwise.
-func (d *sharedDriver) partition(pages []slottedpage.PageID) [][]slottedpage.PageID {
-	nGPU := len(d.machine.GPUs)
-	parts := make([][]slottedpage.PageID, nGPU)
-	for i := 0; i < nGPU; i++ {
-		parts[i] = pages
-		if d.eng.opts.Strategy == StrategyP && nGPU > 1 {
-			parts[i] = nil
-			for _, pid := range pages {
-				if int(pid)%nGPU == i {
-					parts[i] = append(parts[i], pid)
-				}
-			}
-		}
-	}
-	return parts
 }
 
 // streamPhase streams one phase's union page demand to the GPUs. Per GPU,
@@ -485,17 +469,17 @@ func (d *sharedDriver) streamPhase(p *sim.Proc, phase int) {
 	streams := d.eng.opts.Streams
 	grp := sim.NewGroup(d.env)
 	for i := 0; i < nGPU; i++ {
-		byPid := make(map[slottedpage.PageID][]*groupMember)
+		byPid := make(map[slottedpage.PageID][]demand)
 		var pids []slottedpage.PageID
 		for _, m := range d.active {
 			if m.r.abort != nil {
 				continue
 			}
-			for _, pid := range m.parts[phase][i] {
+			for j, pid := range m.parts[phase][i] {
 				if byPid[pid] == nil {
 					pids = append(pids, pid)
 				}
-				byPid[pid] = append(byPid[pid], m)
+				byPid[pid] = append(byPid[pid], demand{m, m.resBase[phase][i] + j})
 			}
 		}
 		sort.Slice(pids, func(a, b int) bool { return pids[a] < pids[b] })
@@ -506,7 +490,7 @@ func (d *sharedDriver) streamPhase(p *sim.Proc, phase int) {
 		for s := 0; s < n; s++ {
 			i, s := i, s
 			grp.Add(1)
-			d.env.Process(fmt.Sprintf("gpu%d/stream%d", i, s), func(p *sim.Proc) {
+			d.env.Process(streamProcName(i, s), func(p *sim.Proc) {
 				for idx := s; idx < len(pids); idx += streams {
 					d.processDemand(p, i, s, pids[idx], byPid[pids[idx]])
 				}
@@ -522,16 +506,16 @@ func (d *sharedDriver) streamPhase(p *sim.Proc, phase int) {
 // first live demander is the issuer; if its fault budget exhausts, the next
 // takes over with a fresh budget), then serve every live member's RA copy
 // and kernel launch in join order.
-func (d *sharedDriver) processDemand(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, dem []*groupMember) {
+func (d *sharedDriver) processDemand(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, dem []demand) {
 	gpu := d.machine.GPUs[gpuIdx]
 	g := d.eng.graph
 	pageSize := int64(g.Config().PageSize)
 	_, count := g.VertexRange(pid)
 
-	live := make([]*groupMember, 0, len(dem))
-	for _, m := range dem {
-		if m.r.abort == nil {
-			live = append(live, m)
+	live := make([]demand, 0, len(dem))
+	for _, dm := range dem {
+		if dm.m.r.abort == nil {
+			live = append(live, dm)
 		}
 	}
 	if len(live) == 0 {
@@ -548,13 +532,13 @@ func (d *sharedDriver) processDemand(p *sim.Proc, gpuIdx, stream int, pid slotte
 	var release func()
 	var copyStart, copyEnd sim.Time
 	if resident {
-		for _, m := range live {
-			m.r.cacheHits++
+		for _, dm := range live {
+			dm.m.r.cacheHits++
 		}
 	} else {
 		rest := live
 		for len(rest) > 0 {
-			m := rest[0]
+			m := rest[0].m
 			raBytes := int64(count) * m.r.raPerV
 			copyStart = d.env.Now()
 			rel, err := d.copyPageFor(p, m, gpuIdx, stream, pid, pageSize+raBytes)
@@ -575,9 +559,9 @@ func (d *sharedDriver) processDemand(p *sim.Proc, gpuIdx, stream int, pid slotte
 		d.stats.PageCopies++
 		d.stats.PageBytesStreamed += pageSize
 		alive := live[:0]
-		for _, m := range live {
-			if m.r.abort == nil {
-				alive = append(alive, m)
+		for _, dm := range live {
+			if dm.m.r.abort == nil {
+				alive = append(alive, dm)
 			}
 		}
 		live = alive
@@ -593,8 +577,8 @@ func (d *sharedDriver) processDemand(p *sim.Proc, gpuIdx, stream int, pid slotte
 	}
 	d.stats.Servings += int64(len(live))
 
-	for _, m := range live {
-		r := m.r
+	for _, dm := range live {
+		m, r := dm.m, dm.m.r
 		if r.abort != nil {
 			continue
 		}
@@ -613,7 +597,7 @@ func (d *sharedDriver) processDemand(p *sim.Proc, gpuIdx, stream int, pid slotte
 				}
 			}
 		}
-		res := r.kres[pageKey{gpuIdx, pid}]
+		res := r.kres[dm.res]
 		t0 := d.env.Now()
 		if err := r.launchKernel(p, gpuIdx, stream, pid, res.Cycles); err != nil {
 			r.fail(err)

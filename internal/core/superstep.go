@@ -16,18 +16,10 @@ import (
 // between the two kernel variants (paper §3.2). It reports whether any
 // kernel changed state.
 func (r *run) superstep(p *sim.Proc, set pidSet, level int32, locals []pidSet, backward bool) bool {
-	g := r.eng.graph
-	var sps, lps []slottedpage.PageID
-	set.ForEach(func(pid int) {
-		if g.Kind(slottedpage.PageID(pid)) == slottedpage.SmallPage {
-			sps = append(sps, slottedpage.PageID(pid))
-		} else {
-			lps = append(lps, slottedpage.PageID(pid))
-		}
-	})
+	r.sps, r.lps = r.eng.splitByKind(set, r.sps[:0], r.lps[:0])
 	r.levelUpdates = 0
 	active := false
-	for _, pages := range [][]slottedpage.PageID{sps, lps} {
+	for _, pages := range [][]slottedpage.PageID{r.sps, r.lps} {
 		if len(pages) == 0 {
 			continue
 		}
@@ -38,15 +30,87 @@ func (r *run) superstep(p *sim.Proc, set pidSet, level int32, locals []pidSet, b
 	return active
 }
 
+// splitByKind appends set's pages, in page-ID order, to sps or lps by page
+// kind and returns the grown slices.
+func (e *Engine) splitByKind(set pidSet, sps, lps []slottedpage.PageID) ([]slottedpage.PageID, []slottedpage.PageID) {
+	g := e.graph
+	set.ForEach(func(pid int) {
+		if g.Kind(slottedpage.PageID(pid)) == slottedpage.SmallPage {
+			sps = append(sps, slottedpage.PageID(pid))
+		} else {
+			lps = append(lps, slottedpage.PageID(pid))
+		}
+	})
+	return sps, lps
+}
+
+// partition splits one phase's page list across the GPUs into parts, whose
+// backing arrays are reused: under Strategy-P with multiple GPUs, page j
+// goes to GPU h(j) = j mod N (§4.1) and parts[i] is a list of its own;
+// under Strategy-S, or with one GPU, every page goes to every GPU (§4.2)
+// and parts[i] aliases pages. Which of the two applies is fixed for an
+// engine, so a reused parts[i] is never appended to while it aliases.
+func (e *Engine) partition(parts [][]slottedpage.PageID, pages []slottedpage.PageID, nGPU int) [][]slottedpage.PageID {
+	if parts == nil {
+		parts = make([][]slottedpage.PageID, nGPU)
+	}
+	split := e.opts.Strategy == StrategyP && nGPU > 1
+	for i := range parts {
+		if !split {
+			parts[i] = pages
+			continue
+		}
+		parts[i] = parts[i][:0]
+		for _, pid := range pages {
+			if int(pid)%nGPU == i {
+				parts[i] = append(parts[i], pid)
+			}
+		}
+	}
+	return parts
+}
+
 // pageKey addresses one (GPU, page) kernel execution within a phase.
 type pageKey struct {
 	gpu int
 	pid slottedpage.PageID
 }
 
-// phase fans one page list out to every GPU's streams and joins. Under
-// Strategy-P with multiple GPUs, page j goes to GPU h(j) = j mod N (§4.1);
-// under Strategy-S every page goes to every GPU (§4.2).
+// appendJobs appends parts' (GPU, page) jobs in the deterministic order the
+// kernels run in: GPU by GPU, each GPU's pages in list order. The job for
+// parts[i][j] therefore sits len(parts[0]) + … + len(parts[i-1]) + j past
+// the first one appended.
+func appendJobs(jobs []pageKey, parts [][]slottedpage.PageID) []pageKey {
+	for i, part := range parts {
+		for _, pid := range part {
+			jobs = append(jobs, pageKey{i, pid})
+		}
+	}
+	return jobs
+}
+
+// streamProcNames holds the names of the per-(GPU, stream) processes every
+// phase starts. A name only ever surfaces in a panic message, so the common
+// ones are built once rather than formatted on every phase.
+var streamProcNames [8][32]string
+
+func init() {
+	for i := range streamProcNames {
+		for s := range streamProcNames[i] {
+			streamProcNames[i][s] = fmt.Sprintf("gpu%d/stream%d", i, s)
+		}
+	}
+}
+
+func streamProcName(gpu, stream int) string {
+	if gpu < len(streamProcNames) && stream < len(streamProcNames[gpu]) {
+		return streamProcNames[gpu][stream]
+	}
+	return fmt.Sprintf("gpu%d/stream%d", gpu, stream)
+}
+
+// phase fans one page list out to every GPU's streams and joins (see
+// partition for who gets which page).
 //
 // The kernels' functional work runs up front in deterministic (GPU, page)
 // order and is memoized; the stream processes then only model when each
@@ -60,27 +124,10 @@ func (r *run) phase(p *sim.Proc, pages []slottedpage.PageID, level int32, locals
 	grp := sim.NewGroup(r.env)
 	r.phaseConsumed = 0
 
-	parts := make([][]slottedpage.PageID, nGPU)
-	for i := 0; i < nGPU; i++ {
-		parts[i] = pages
-		if r.eng.opts.Strategy == StrategyP && nGPU > 1 {
-			parts[i] = nil
-			for _, pid := range pages {
-				if int(pid)%nGPU == i {
-					parts[i] = append(parts[i], pid)
-				}
-			}
-		}
-	}
-	r.kres = make(map[pageKey]kernels.Result, nGPU*len(pages))
-	jobs := r.jobs[:0]
-	for i := 0; i < nGPU; i++ {
-		for _, pid := range parts[i] {
-			jobs = append(jobs, pageKey{i, pid})
-		}
-	}
-	r.jobs = jobs
-	r.computeKernels(jobs, level, locals, backward)
+	r.parts = r.eng.partition(r.parts, pages, nGPU)
+	r.jobs = appendJobs(r.jobs[:0], r.parts)
+	r.kres = r.kres[:0]
+	r.computeKernels(r.jobs, level, locals, backward)
 
 	if r.eng.opts.Prefetch && !r.inMemory {
 		grp.Add(1)
@@ -89,21 +136,24 @@ func (r *run) phase(p *sim.Proc, pages []slottedpage.PageID, level int32, locals
 			grp.Done()
 		})
 	}
+	base := 0 // index of GPU i's first job in r.kres
 	for i := 0; i < nGPU; i++ {
-		mine := parts[i]
+		mine := r.parts[i]
+		res := r.kres[base : base+len(mine)]
+		base += len(mine)
 		streams := r.eng.opts.Streams
 		if streams > len(mine) {
 			streams = len(mine)
 		}
 		for s := 0; s < streams; s++ {
-			i, s, mine := i, s, mine
+			i, s := i, s
 			grp.Add(1)
-			r.env.Process(fmt.Sprintf("gpu%d/stream%d", i, s), func(p *sim.Proc) {
+			r.env.Process(streamProcName(i, s), func(p *sim.Proc) {
 				for idx := s; idx < len(mine); idx += r.eng.opts.Streams {
 					if r.abort != nil {
 						break // an unrecoverable fault ended the run
 					}
-					if r.page(p, i, s, mine[idx], level, locals[i], backward) {
+					if r.page(p, i, s, mine[idx], res[idx], level) {
 						active = true
 					}
 				}
@@ -140,8 +190,8 @@ func (r *run) runKernel(gpuIdx int, pid slottedpage.PageID, level int32, local p
 
 // page handles one page on one GPU stream: the cache / main-memory-buffer /
 // storage decision chain of Algorithm 1 lines 16-26, the streaming copy,
-// and the kernel call.
-func (r *run) page(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, level int32, local pidSet, backward bool) bool {
+// and the kernel call, whose functional result res phase already computed.
+func (r *run) page(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, res kernels.Result, level int32) bool {
 	e, g := r.eng, r.eng.graph
 	gpu := r.machine.GPUs[gpuIdx]
 	pageSize := int64(g.Config().PageSize)
@@ -191,7 +241,6 @@ func (r *run) page(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, leve
 	// The functional work already ran in deterministic order at phase start
 	// (see phase); here its memoized cycle count occupies the simulated SM
 	// pool at whatever virtual time this stream reached the page.
-	res := r.kres[pageKey{gpuIdx, pid}]
 	t0 := r.env.Now()
 	if err := r.launchKernel(p, gpuIdx, stream, pid, res.Cycles); err != nil {
 		// The functional mutation already ran exactly once above; only the
@@ -250,11 +299,13 @@ func (r *run) prefetch(p *sim.Proc, pages []slottedpage.PageID) {
 // retry, recording trace and transfer accounting.
 func (r *run) streamCopy(p *sim.Proc, gpu *hw.GPU, gpuIdx, stream int, pid slottedpage.PageID, n int64) error {
 	t0 := r.env.Now()
-	err := r.withRetry(p, gpuIdx, stream, fmt.Sprintf("stream copy of page %d", pid), func() error {
+	err := r.withRetry(p, gpuIdx, stream, "stream copy", func() error {
 		return gpu.CopyStreamIn(p, n)
 	})
 	if err != nil {
-		return err
+		// Name the page here: this runs once per streamed page, and only a
+		// failure needs the name.
+		return fmt.Errorf("page %d: %w", pid, err)
 	}
 	r.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.CopyPage, Page: int64(pid), Level: r.curLevel, Start: t0, End: r.env.Now()})
 	r.bytesToGPU += n

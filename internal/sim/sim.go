@@ -1,17 +1,24 @@
 // Package sim provides a deterministic discrete-event simulation core.
 //
 // It follows the process-interaction style (as in SimPy): model entities are
-// goroutines that block on virtual-time delays and resource acquisitions. The
-// scheduler runs exactly one process goroutine at a time and orders events by
-// (virtual time, insertion sequence), so a simulation is reproducible
-// bit-for-bit regardless of host scheduling.
+// goroutines that block on virtual-time delays and resource acquisitions.
+// Exactly one goroutine runs at a time and events fire in (virtual time,
+// insertion sequence) order, so a simulation is reproducible bit-for-bit
+// regardless of host scheduling.
+//
+// There is no scheduler goroutine. Whichever goroutine is about to stop
+// running — a process blocking in Delay/Wait/Acquire, a process that just
+// returned, or Run's caller at the start — dispatches the event queue itself
+// (see Env.dispatch) until an event hands control to someone: its own
+// wake-up costs no goroutine switch at all, another process's wake-up costs
+// one channel send, and Schedule callbacks run inline on whichever goroutine
+// is dispatching.
 //
 // All of the hardware models in internal/hw (GPUs, PCI-E links, SSDs) and the
 // cluster interconnect model in internal/cluster are built on this package.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -45,26 +52,65 @@ func ByteTime(n int64, bytesPerSec float64) Time {
 	return Seconds(float64(n) / bytesPerSec)
 }
 
-// event is a scheduled callback. Events with equal time fire in insertion
-// order (seq), which is what makes the simulation deterministic.
+// event is one entry of the queue: a Schedule callback (fn) or a process
+// start/wake-up (p). Events with equal time fire in insertion order (seq),
+// which is what makes the simulation deterministic. Events live by value in
+// the heap, so queueing a wake-up allocates nothing.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+	p   *Proc
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// eventHeap is a binary min-heap of events ordered by (at, seq).
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // drop the vacated slot's fn/p references
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
 
 // Env is a simulation environment: a virtual clock plus an event queue.
 // Create one with NewEnv, start processes with Process, then call Run.
@@ -73,27 +119,36 @@ type Env struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	yield   chan struct{} // signalled when the running process blocks or ends
-	failure error         // first panic captured from a process
+	idle    chan struct{} // hands control back to Run: queue drained or a failure
+	failure error         // first panic captured from a process or callback
 	nprocs  int           // live processes, for leak detection
 }
 
 // NewEnv returns an empty environment at virtual time zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{idle: make(chan struct{}, 1)}
 }
 
 // Now reports the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
+// enqueue adds ev at absolute virtual time at, stamped with the next
+// insertion sequence number.
+func (e *Env) enqueue(at Time, ev event) {
+	e.seq++
+	ev.at, ev.seq = at, e.seq
+	e.events.push(ev)
+}
+
 // Schedule registers fn to run at absolute virtual time at. Scheduling in the
-// past (at < Now) panics: it would make the clock run backwards.
+// past (at < Now) panics: it would make the clock run backwards. fn runs
+// inline on whichever goroutine is dispatching at that instant and must not
+// block on virtual time; a panic in fn ends the simulation as Run's error.
 func (e *Env) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
-	e.seq++
-	heap.Push(&e.events, &event{at: at, seq: e.seq, fn: fn})
+	e.enqueue(at, event{fn: fn})
 }
 
 // After registers fn to run d from now.
@@ -102,9 +157,17 @@ func (e *Env) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 // Proc is the handle a process goroutine uses to interact with virtual time.
 // A Proc is only valid inside the function passed to Process.
 type Proc struct {
-	env    *Env
-	name   string
+	env  *Env
+	name string
+	// resume carries the one wake-up a blocked process is owed when another
+	// goroutine pops it. Buffered, so the sender never waits for the
+	// receiver to park.
 	resume chan struct{}
+	// fn and done are the body and the completion signal; fn is cleared
+	// when the start event fires, which is how dispatch tells a start from
+	// a wake-up.
+	fn   func(p *Proc)
+	done *Signal
 }
 
 // Env returns the environment this process runs in.
@@ -124,43 +187,82 @@ func (h *Handle) Done() *Signal { return h.done }
 // Process starts fn as a simulation process at the current virtual time.
 // fn runs in its own goroutine but only while no other process is running.
 func (e *Env) Process(name string, fn func(p *Proc)) *Handle {
-	h := &Handle{done: NewSignal(e)}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name, resume: make(chan struct{}, 1), fn: fn, done: NewSignal(e)}
 	e.nprocs++
-	e.After(0, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil && e.failure == nil {
-					e.failure = fmt.Errorf("sim: process %q panicked: %v", name, r)
-				}
-				e.nprocs--
-				h.done.Fire()
-				e.yield <- struct{}{}
-			}()
-			<-p.resume
-			fn(p)
-		}()
-		// Hand control to the new process and wait for it to block or end.
-		p.resume <- struct{}{}
-		<-e.yield
-	})
-	return h
+	e.enqueue(e.now, event{p: p})
+	return &Handle{done: p.done}
 }
 
-// block suspends the calling process until something resumes it, returning
-// control to the scheduler.
+// run is a process goroutine's body. It is started holding control (its
+// start event was just popped) and, once fn returns or panics, dispatches
+// one last time to pass control on before the goroutine exits.
+func (p *Proc) run(fn func(p *Proc)) {
+	e := p.env
+	defer func() {
+		if r := recover(); r != nil && e.failure == nil {
+			e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+		}
+		e.nprocs--
+		p.done.Fire()
+		e.dispatch(nil)
+	}()
+	fn(p)
+}
+
+// dispatch runs the event loop on the calling goroutine, which must be the
+// one goroutine currently allowed to run. It pops events in (at, seq) order
+// until one of them gives control to a goroutine: true means that goroutine
+// is the caller itself (self's own wake-up — no switch happened), false
+// means control went elsewhere — to another process, or back to Run because
+// the queue drained or something failed — and the caller must touch no
+// simulation state until it is resumed. self is nil for a caller that is
+// not a blocked process (Run, or a process that has finished).
+func (e *Env) dispatch(self *Proc) bool {
+	for len(e.events) > 0 && e.failure == nil {
+		ev := e.events.pop()
+		e.now = ev.at
+		switch p := ev.p; {
+		case p == nil:
+			e.call(ev.fn)
+		case p == self:
+			return true
+		case p.fn != nil:
+			fn := p.fn
+			p.fn = nil
+			go p.run(fn)
+			return false
+		default:
+			p.resume <- struct{}{}
+			return false
+		}
+	}
+	e.idle <- struct{}{}
+	return false
+}
+
+// call runs a Schedule callback, turning a panic into the simulation's
+// failure: the callback may be running on any process's goroutine, so
+// letting the panic unwind would kill the program instead of failing Run.
+func (e *Env) call(fn func()) {
+	defer func() {
+		if r := recover(); r != nil && e.failure == nil {
+			e.failure = fmt.Errorf("sim: scheduled callback panicked: %v", r)
+		}
+	}()
+	fn()
+}
+
+// block suspends the calling process until its wake-up event fires. The
+// process dispatches the queue itself meanwhile, and only parks if control
+// went to another goroutine first.
 func (p *Proc) block() {
-	p.env.yield <- struct{}{}
-	<-p.resume
+	if !p.env.dispatch(p) {
+		<-p.resume
+	}
 }
 
-// wake schedules the process to resume at absolute time at.
-func (p *Proc) wakeAt(at Time) {
-	p.env.Schedule(at, func() {
-		p.resume <- struct{}{}
-		<-p.env.yield
-	})
-}
+// wakeAt schedules the process to resume at absolute time at.
+func (p *Proc) wakeAt(at Time) { p.env.enqueue(at, event{p: p}) }
 
 // wakeNow schedules the process to resume at the current time, after events
 // already queued for this instant.
@@ -180,16 +282,15 @@ func (p *Proc) Delay(d Time) {
 func (p *Proc) Yield() { p.Delay(0) }
 
 // Run executes events until the queue drains, then returns the final virtual
-// time. It returns an error if any process panicked or if processes are still
-// blocked when the queue empties (a deadlock).
+// time. It returns an error if any process or callback panicked or if
+// processes are still blocked when the queue empties (a deadlock). Run's
+// goroutine is only the first dispatcher; it gets control back when the
+// queue drains or the simulation fails.
 func (e *Env) Run() (Time, error) {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.at
-		ev.fn()
-		if e.failure != nil {
-			return e.now, e.failure
-		}
+	e.dispatch(nil)
+	<-e.idle
+	if e.failure != nil {
+		return e.now, e.failure
 	}
 	if e.nprocs > 0 {
 		return e.now, fmt.Errorf("sim: deadlock: %d process(es) still blocked at %v", e.nprocs, e.now)
@@ -318,8 +419,12 @@ func (r *Resource) Acquire(p *Proc) {
 func (r *Resource) Release() {
 	r.account()
 	if len(r.queue) > 0 {
+		// Pop by copying down: re-slicing from the front would strand the
+		// head of the backing array and make every later append reallocate.
 		next := r.queue[0]
-		r.queue = r.queue[1:]
+		n := copy(r.queue, r.queue[1:])
+		r.queue[n] = nil
+		r.queue = r.queue[:n]
 		// Server ownership transfers directly; inUse is unchanged.
 		next.wakeNow()
 		return
