@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-race vet cover fuzz bench bench-smoke bench-diff bench-check ci
+.PHONY: build test test-race vet cover fuzz bench bench-smoke bench-diff bench-check loc ci
 
 build:
 	$(GO) build ./...
@@ -97,5 +97,16 @@ bench-diff: bench-smoke
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke -workload scan-mem
+
+# loc prints the non-test Go lines (wc -l: code, comments and blanks) of
+# every package of the root module, the total, and the sum ROADMAP's
+# "one engine, one execute path" item is measured on.
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		printf '%6d %s\n' $$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+	@printf '%6d internal/core + internal/service + internal/sched + gts.go + cmd/gtsd/main.go\n' \
+		$$( { ls internal/core/*.go internal/service/*.go internal/sched/*.go | grep -v '_test\.go$$'; echo gts.go cmd/gtsd/main.go; } | xargs cat | wc -l)
 
 ci: build test test-race vet cover fuzz bench-diff bench-check

@@ -282,7 +282,7 @@ func measureKernel(g *gts.Graph, name string, cfg gts.Config, run func(*gts.Syst
 // `runs` times and reports the sharing economics: aggregate throughput,
 // amortized traffic per member, and the bytes the group avoided streaming.
 func measureMultiJob(g *gts.Graph, jobs, runs int) (multiJobEntry, error) {
-	sys, err := gts.NewSystem(g, gts.Config{ShareStreams: true})
+	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		return multiJobEntry{}, err
 	}

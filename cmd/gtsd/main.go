@@ -64,7 +64,6 @@ func main() {
 	streams := flag.Int("streams", 0, "GPU streams per engine (0 = default 32)")
 	hostWorkers := flag.Int("host-workers", 0, "upper bound on host goroutines executing kernel work per run (0 = GOMAXPROCS; below 4 kernels run inline; results identical at every setting)")
 	strategy := flag.String("strategy", "p", "multi-GPU strategy: p (performance) | s (scalability)")
-	shareStreams := flag.Bool("share-streams", false, "coalesce concurrent jobs per graph into shared topology stream wave groups (results identical to solo runs)")
 	directionOpt := flag.Bool("direction-opt", false, "serve bfs/sssp with the direction-optimizing frontier kernels (push/pull BFS, delta-stepping SSSP; result values identical to the plain kernels)")
 	storage := flag.String("storage", "mem", "graph placement: mem (all in main memory) | ssd | hdd (stream pages from simulated storage)")
 	poolBytes := flag.Int64("pool-bytes", 0, "shared host page-pool budget per graph in bytes — one pinned buffer ALL of a graph's engines stream through, so hot pages occupy host memory once however many jobs run (0 with -pool-policy set = 20% of the topology; 0 alone = classic private buffer per run; needs -storage ssd|hdd)")
@@ -83,7 +82,7 @@ func main() {
 	flag.Parse()
 
 	engineCfg := gts.Config{
-		GPUs: *gpus, Streams: *streams, HostWorkers: *hostWorkers, ShareStreams: *shareStreams,
+		GPUs: *gpus, Streams: *streams, HostWorkers: *hostWorkers,
 		DirectionOpt: *directionOpt,
 		PoolBytes:    *poolBytes, PoolPolicy: *poolPolicy, PoolSeed: *poolSeed,
 	}
@@ -121,9 +120,6 @@ func main() {
 	if plan.Enabled() {
 		engineCfg.Faults = &plan
 		log.Printf("gtsd: fault injection armed (seed %d)", plan.Seed)
-	}
-	if *shareStreams {
-		log.Printf("gtsd: multi-query topology stream sharing enabled")
 	}
 	if *directionOpt {
 		log.Printf("gtsd: direction-optimizing frontier kernels enabled for bfs/sssp")

@@ -128,13 +128,6 @@ type Config struct {
 	// schedules, data movement, and MTEPS accounting differ. Per-level
 	// directions surface in Metrics.LevelDirs and on Superstep trace spans.
 	DirectionOpt bool
-	// ShareStreams opts the serving layer into multi-query topology
-	// sharing: concurrently admitted jobs on the same graph coalesce into
-	// wave groups that stream each topology page once per superstep and
-	// fan the resident bytes out to every member's kernels (see
-	// System.RunShared and internal/sched). Results stay byte-identical to
-	// solo runs; only virtual timing and data-movement accounting change.
-	ShareStreams bool
 	// PoolBytes opts storage-backed runs into the shared host page pool
 	// (internal/bufpool): a single pinned, ref-counted buffer replaces the
 	// per-run private MMBuf, so every System sharing the pool keeps at
@@ -331,18 +324,6 @@ func (s *System) Graph() *Graph { return s.graph }
 // HostPool returns the shared host page pool backing this System's
 // storage-backed runs, or nil when the classic private buffer is in use.
 func (s *System) HostPool() *BufferPool { return s.cfg.HostPool }
-
-// SetTrace swaps the recorder subsequent runs emit spans into and returns
-// the previous one, serialized against in-flight runs by the same mutex
-// that guards them. It is how a pooled System is retargeted to record a
-// request-scoped trace for one job and restored afterwards.
-func (s *System) SetTrace(rec *trace.Recorder) *trace.Recorder {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	prev := s.cfg.Trace
-	s.cfg.Trace = rec
-	return prev
-}
 
 func (c Config) options() core.Options {
 	return core.Options{

@@ -82,7 +82,7 @@ type Options struct {
 	// setting). Ignored when the machine has no storage (fully in-memory).
 	MMBufBytes int64
 	// Prefetch enables a read-ahead process for storage-backed runs: it
-	// fetches the superstep's pages into the main-memory buffer in page-ID
+	// fetches the wave's pages into the main-memory buffer in page-ID
 	// order ahead of the GPU streams, turning the devices' access pattern
 	// sequential (which spinning disks in particular reward). The paper's
 	// Algorithm 1 fetches on demand (line 23); this is an extension.
@@ -168,7 +168,9 @@ type Report struct {
 	// KernelTime summed kernel execution — their ratio is Table 1.
 	TransferTime sim.Time
 	KernelTime   sim.Time
-	// StorageBytes is total bytes fetched from SSDs/HDDs.
+	// StorageBytes is the bytes the SSDs/HDDs served this run: one page per
+	// read the devices completed, so a page that arrived corrupt and was
+	// re-read counts twice, and a read that failed outright not at all.
 	StorageBytes int64
 	// WABytes is the device-resident attribute footprint (Table 4).
 	WABytes int64
@@ -205,7 +207,8 @@ type Report struct {
 }
 
 // Engine runs kernels over one graph on one machine specification. Each Run
-// builds a fresh simulation, so runs are independent and deterministic.
+// or RunShared builds a fresh simulation, so runs are independent and
+// deterministic.
 type Engine struct {
 	spec  hw.MachineSpec
 	graph *slottedpage.Graph
@@ -234,9 +237,6 @@ func New(spec hw.MachineSpec, graph *slottedpage.Graph, opts Options) (*Engine, 
 
 // Graph returns the engine's graph.
 func (e *Engine) Graph() *slottedpage.Graph { return e.graph }
-
-// ceilDiv is integer division rounding up.
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // expandLPRun adds every page of the LP run starting at pid (kernels mark
 // only a large vertex's first page — its home RID).

@@ -2,14 +2,20 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 
+	"repro/internal/csr"
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/kernels"
+	"repro/internal/sim"
 	"repro/internal/slottedpage"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 // sharedEngine builds an engine for RunShared (the engine-level Source is
@@ -28,21 +34,59 @@ func mustRunShared(t *testing.T, e *Engine, jobs []SharedJob, admit func() []Sha
 	return outs, stats
 }
 
-// TestSharedMatchesSoloAllKernels is the tentpole's acceptance test: a
-// mixed wave group running every built-in kernel at once must leave each
-// member's final state byte-identical to its solo run — topology sharing
-// perturbs virtual timing only, never results.
+// Engine.Run is itself a wave group of one, so "matches the solo run" would
+// compare the engine with itself. The group tests below take their expected
+// results from oracles that share no code with the engine: the checked-in
+// golden.json digests (pinned before the engines were merged) and the
+// sequential references in internal/verify.
+
+// wantGolden asserts state encodes to the kernel's clean golden.json digest
+// (seeded RMAT27 proxy, source 0, one in-memory GPU).
+func wantGolden(t *testing.T, kc kernelCase, k kernels.Kernel, st kernels.State) {
+	t.Helper()
+	sum := sha256.Sum256(kc.enc(k, st))
+	if got, want := hex.EncodeToString(sum[:]), readGolden(t)[kc.name].Clean; got != want {
+		t.Errorf("%s: state digest %s, golden %s", kc.name, got, want)
+	}
+}
+
+// wantBFS asserts got equals the reference traversal from src.
+func wantBFS(t *testing.T, label string, g *csr.Graph, src uint64, got []int16) {
+	t.Helper()
+	for v, want := range verify.BFS(g, uint32(src)) {
+		if got[v] != want {
+			t.Fatalf("%s (source %d): vertex %d level = %d, reference %d", label, src, v, got[v], want)
+		}
+	}
+}
+
+// wantPageRank asserts got matches the float64 reference within the
+// tolerance the per-configuration engine tests use.
+func wantPageRank(t *testing.T, label string, g *csr.Graph, iterations int, got []float32) {
+	t.Helper()
+	for v, want := range verify.PageRank(g, 0.85, iterations) {
+		if math.Abs(float64(got[v])-want) > 1e-4*math.Max(want, 1e-9)+1e-7 {
+			t.Fatalf("%s: vertex %d rank = %v, reference %v", label, v, got[v], want)
+		}
+	}
+}
+
+// TestSharedMatchesSoloAllKernels is the engine's acceptance test: a mixed
+// wave group running every built-in kernel at once must leave each member's
+// final state byte-identical to the kernel's pinned digest, and do exactly
+// the functional work the kernel does alone — topology sharing perturbs
+// virtual timing only, never results.
 func TestSharedMatchesSoloAllKernels(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	cases := kernelCases()
-	opts := Options{Source: 7}
+	opts := Options{Source: 0}
 
 	var jobs []SharedJob
 	made := make([]kernels.Kernel, len(cases))
 	for i, kc := range cases {
 		made[i] = kc.make(sp)
-		jobs = append(jobs, SharedJob{Kernel: made[i], Source: 7})
+		jobs = append(jobs, SharedJob{Kernel: made[i], Source: 0})
 	}
 	outs, stats := mustRunShared(t, sharedEngine(t, sp, opts, 1, 0), jobs, nil)
 	if stats.Members != len(cases) {
@@ -55,11 +99,8 @@ func TestSharedMatchesSoloAllKernels(t *testing.T) {
 		if outs[i].Err != nil || outs[i].Declined {
 			t.Fatalf("%s: outcome err=%v declined=%v", kc.name, outs[i].Err, outs[i].Declined)
 		}
-		soloDigest, soloRep := runDigest(t, sp, kc, opts, 1, 0)
-		got := kc.enc(made[i], outs[i].Report.State)
-		if !bytes.Equal(got, soloDigest) {
-			t.Errorf("%s: shared state differs from solo", kc.name)
-		}
+		wantGolden(t, kc, made[i], outs[i].Report.State)
+		_, soloRep := runDigest(t, sp, kc, opts, 1, 0)
 		if outs[i].Report.Levels != soloRep.Levels {
 			t.Errorf("%s: Levels = %d, solo %d", kc.name, outs[i].Report.Levels, soloRep.Levels)
 		}
@@ -95,25 +136,19 @@ func bfsSources(n int, nV uint64) []uint64 {
 	return src
 }
 
-// TestShared32BFSAmortizesBytes is the ISSUE's headline acceptance: 32
+// TestShared32BFSAmortizesBytes is sharing's headline acceptance: 32
 // concurrent BFS jobs from distinct sources on one graph must stream at
-// most 2x the topology bytes of one solo run, record shared copies, and
-// leave every member byte-identical to its solo counterpart.
+// most 2x the topology bytes of one of them run alone, record shared
+// copies, and leave every member equal to the reference traversal.
 func TestShared32BFSAmortizesBytes(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	pageSize := int64(sp.Config().PageSize)
 	sources := bfsSources(32, sp.NumVertices())
 
-	solo := make(map[uint64][]int16)
 	var soloBytes int64
 	for _, s := range sources {
-		if _, ok := solo[s]; ok {
-			continue
-		}
-		k := kernels.NewBFS(sp)
-		rep := mustRun(t, newEngine(t, sp, Options{Source: s}, 1, 0), k)
-		solo[s] = append([]int16(nil), k.Levels(rep.State)...)
+		rep := mustRun(t, newEngine(t, sp, Options{Source: s}, 1, 0), kernels.NewBFS(sp))
 		if b := rep.PagesStreamed * pageSize; b > soloBytes {
 			soloBytes = b
 		}
@@ -131,13 +166,7 @@ func TestShared32BFSAmortizesBytes(t *testing.T) {
 		if outs[i].Err != nil || outs[i].Declined {
 			t.Fatalf("job %d: err=%v declined=%v", i, outs[i].Err, outs[i].Declined)
 		}
-		got := made[i].Levels(outs[i].Report.State)
-		want := solo[s]
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("job %d (source %d): vertex %d level = %d, solo %d", i, s, v, got[v], want[v])
-			}
-		}
+		wantBFS(t, "group member", g, s, made[i].Levels(outs[i].Report.State))
 	}
 	if stats.SharedPageCopies == 0 {
 		t.Error("32-way BFS group recorded no shared page copies")
@@ -155,7 +184,8 @@ func TestShared32BFSAmortizesBytes(t *testing.T) {
 }
 
 // TestSharedFaultedMatchesClean: members with per-member chaos plans must
-// produce results byte-identical to a clean shared run and to solo runs.
+// produce results byte-identical to a clean shared run, and both must equal
+// the reference traversals.
 func TestSharedFaultedMatchesClean(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
@@ -196,18 +226,14 @@ func TestSharedFaultedMatchesClean(t *testing.T) {
 		}
 	}
 	for i, s := range sources {
-		k := kernels.NewBFS(sp)
-		rep := mustRun(t, newEngine(t, sp, Options{Source: s}, 1, 1), k)
-		if !bytes.Equal(encodeVec(k.Levels(rep.State)), encodeVec(clean[i])) {
-			t.Errorf("member %d: shared run differs from solo", i)
-		}
+		wantBFS(t, "clean group member", g, s, clean[i])
 	}
 }
 
 // TestSharedFaultedMemberDoesNotStallGroup: a member whose storage reads
 // always corrupt exhausts its retry budget and aborts, but the next live
 // demander of each page takes over the copy with a fresh budget, so the
-// rest of the group completes and matches solo.
+// rest of the group completes and matches the reference.
 func TestSharedFaultedMemberDoesNotStallGroup(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
@@ -234,12 +260,7 @@ func TestSharedFaultedMemberDoesNotStallGroup(t *testing.T) {
 		}
 	}
 	for i, src := range []uint64{0, 512} {
-		k := kernels.NewBFS(sp)
-		rep := mustRun(t, newEngine(t, sp, Options{Source: src}, 1, 1), k)
-		got := jobs[i+1].Kernel.(*kernels.BFS).Levels(outs[i+1].Report.State)
-		if !bytes.Equal(encodeVec(got), encodeVec(k.Levels(rep.State))) {
-			t.Errorf("survivor %d differs from solo", i+1)
-		}
+		wantBFS(t, "survivor", g, src, jobs[i+1].Kernel.(*kernels.BFS).Levels(outs[i+1].Report.State))
 	}
 	if stats.Elapsed <= 0 {
 		t.Error("group made no progress")
@@ -247,7 +268,8 @@ func TestSharedFaultedMemberDoesNotStallGroup(t *testing.T) {
 }
 
 // TestSharedAdmitJoinsAtWaveBoundary: a job handed to the admit callback
-// mid-run joins at the next wave boundary and still matches its solo run.
+// mid-run joins at the next wave boundary and still lands on its pinned
+// result.
 func TestSharedAdmitJoinsAtWaveBoundary(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
@@ -276,20 +298,14 @@ func TestSharedAdmitJoinsAtWaveBoundary(t *testing.T) {
 			t.Fatalf("outcome %d: err=%v declined=%v", i, o.Err, o.Declined)
 		}
 	}
-	soloBFS := kernels.NewBFS(sp)
-	repB := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 0), soloBFS)
-	if !bytes.Equal(encodeVec(bfs.Levels(outs[0].Report.State)), encodeVec(soloBFS.Levels(repB.State))) {
-		t.Error("initial BFS member differs from solo")
-	}
-	soloPR := kernels.NewPageRank(sp, 0.85, 5)
-	repP := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 0), soloPR)
-	if !bytes.Equal(encodeVec(pr.Ranks(outs[1].Report.State)), encodeVec(soloPR.Ranks(repP.State))) {
-		t.Error("late-joining PageRank member differs from solo")
-	}
+	cases := kernelCases()
+	wantGolden(t, cases[0], bfs, outs[0].Report.State) // BFS
+	wantGolden(t, cases[2], pr, outs[1].Report.State)  // PageRank(0.85, 5), the late joiner
 }
 
-// TestSharedMultiGPUStrategies: wave groups must stay byte-identical to
-// solo under both placement strategies with multiple GPUs and storage.
+// TestSharedMultiGPUStrategies: under both placement strategies with
+// multiple GPUs and storage, a wave group's members must match the
+// references, and a member's bytes must not depend on who shares its waves.
 func TestSharedMultiGPUStrategies(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
@@ -312,24 +328,20 @@ func TestSharedMultiGPUStrategies(t *testing.T) {
 					t.Fatalf("outcome %d: err=%v declined=%v", i, o.Err, o.Declined)
 				}
 			}
-			soloBFS := kernels.NewBFS(sp)
-			opts.Source = 0
-			repB := mustRun(t, newEngine(t, sp, opts, cfg.gpus, cfg.ssds), soloBFS)
-			if !bytes.Equal(encodeVec(bfs.Levels(outs[0].Report.State)), encodeVec(soloBFS.Levels(repB.State))) {
-				t.Error("BFS differs from solo")
-			}
-			soloPR := kernels.NewPageRank(sp, 0.85, 5)
-			repP := mustRun(t, newEngine(t, sp, opts, cfg.gpus, cfg.ssds), soloPR)
-			if !bytes.Equal(encodeVec(pr.Ranks(outs[1].Report.State)), encodeVec(soloPR.Ranks(repP.State))) {
-				t.Error("PageRank differs from solo")
+			wantBFS(t, "BFS member", g, 0, bfs.Levels(outs[0].Report.State))
+			wantPageRank(t, "PageRank member", g, 5, pr.Ranks(outs[1].Report.State))
+			alone := kernels.NewPageRank(sp, 0.85, 5)
+			rep := mustRun(t, newEngine(t, sp, opts, cfg.gpus, cfg.ssds), alone)
+			if !bytes.Equal(encodeVec(pr.Ranks(outs[1].Report.State)), encodeVec(alone.Ranks(rep.State))) {
+				t.Error("PageRank's bytes changed with the company it kept")
 			}
 		})
 	}
 }
 
-// TestSharedDeclineWhenWAWontFit: when a joiner's WA cannot fit even after
-// the cache is gone, it is declined (solo fallback) rather than sinking the
-// group.
+// TestSharedDeclineWhenWAWontFit: when a member's WA cannot fit even after
+// the cache is gone, it is declined (to be re-run on a machine of its own)
+// rather than sinking the group.
 func TestSharedDeclineWhenWAWontFit(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
@@ -340,7 +352,7 @@ func TestSharedDeclineWhenWAWontFit(t *testing.T) {
 	probe.Init(st, 0)
 	wa := st.WABytes()
 
-	raBuf := int64(sp.Config().MaxSlotsPerPage()) * sharedRABudget
+	raBuf := int64(sp.Config().MaxSlotsPerPage()) * probe.RAPerVertex()
 	bufBytes := 1 * (2*pageSize + raBuf) // Streams: 1 below
 	spec := hw.Workstation(1, 0)
 	spec.GPUs[0].DeviceMemory = bufBytes + 2*wa + wa/2 // room for two WAs, not three
@@ -390,7 +402,7 @@ func TestSharedDeterminism(t *testing.T) {
 	}
 }
 
-// TestSharedEmitsWaveSpans: per-member recorders carry the new Wave and
+// TestSharedEmitsWaveSpans: per-member recorders carry the Wave and
 // SharedCopy span kinds.
 func TestSharedEmitsWaveSpans(t *testing.T) {
 	g := rmatGraph(t)
@@ -424,5 +436,127 @@ func TestSharedEmitsWaveSpans(t *testing.T) {
 	}
 	if count(rec0, trace.Run) != 1 {
 		t.Errorf("member 0 Run spans = %d, want 1", count(rec0, trace.Run))
+	}
+}
+
+// TestClosedRosterMemoryLayout pins the roster-first device-memory layout: a
+// run whose roster is closed (no admit callback) allocates its WA and stream
+// buffers first and gives all the rest to the page cache. With device memory
+// of half the topology plus 256 KB that cache holds the graph's 42 pages, so
+// each streams once and every revisit hits; holding back half of the free
+// memory as joiner headroom — right only when admit can bring joiners —
+// would leave PageRank a cache too small for its cyclic scan (210 streamed,
+// 0 hits).
+func TestClosedRosterMemoryLayout(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	spec := hw.Workstation(1, 0)
+	spec.GPUs[0].DeviceMemory = sp.TopologyBytes()/2 + 256<<10
+	for _, tc := range []struct {
+		name           string
+		k              kernels.Kernel
+		streamed, hits int64
+	}{
+		{"PageRank", kernels.NewPageRank(sp, 0.85, 5), 42, 168},
+		{"BFS", kernels.NewBFS(sp), 42, 70},
+	} {
+		e, err := New(spec, sp, Options{Source: 7, Streams: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := mustRun(t, e, tc.k)
+		if rep.PagesStreamed != tc.streamed || rep.CacheHits != tc.hits {
+			t.Errorf("%s: streamed %d pages with %d cache hits, want %d and %d",
+				tc.name, rep.PagesStreamed, rep.CacheHits, tc.streamed, tc.hits)
+		}
+	}
+}
+
+// TestPrefetchInGroups: Options.Prefetch reads ahead for a wave group as it
+// does for a single run — on spinning disks with one stream the group
+// finishes sooner with it than without — and never changes a result.
+func TestPrefetchInGroups(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	cases := kernelCases()
+	run := func(prefetch bool) sim.Time {
+		e, err := New(hw.WorkstationHDD(1, 2), sp, Options{
+			CacheBytes: CacheDisabled,
+			MMBufBytes: int64(sp.Config().PageSize) * 8,
+			Streams:    1,
+			Prefetch:   prefetch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bfs, pr := kernels.NewBFS(sp), kernels.NewPageRank(sp, 0.85, 5)
+		outs, stats := mustRunShared(t, e, []SharedJob{{Kernel: bfs}, {Kernel: pr}}, nil)
+		for i, o := range outs {
+			if o.Err != nil || o.Declined {
+				t.Fatalf("prefetch=%v outcome %d: err=%v declined=%v", prefetch, i, o.Err, o.Declined)
+			}
+		}
+		wantGolden(t, cases[0], bfs, outs[0].Report.State)
+		wantGolden(t, cases[2], pr, outs[1].Report.State)
+		return stats.Elapsed
+	}
+	if demand, ahead := run(false), run(true); ahead >= demand {
+		t.Errorf("group with prefetch (%v) not faster than on-demand (%v) on HDDs", ahead, demand)
+	}
+}
+
+// TestWaveAllocBudget pins the cost of the union demand: once a warm-up
+// wave has grown the driver's demand table and the members' result slices,
+// merging a GPU's demand and processing a page of it allocate nothing —
+// for a group of one, which is every Engine.Run, and for a group of eight.
+func TestWaveAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation perturbs allocation counts")
+	}
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	for _, members := range []int{1, 8} {
+		// No device cache, so every wave takes the copy path, RA included.
+		e := newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 1, 0)
+		var jobs []SharedJob
+		for i := 0; i < members; i++ {
+			jobs = append(jobs, SharedJob{Kernel: kernels.NewPageRank(sp, 0.85, 5)})
+		}
+		d, roster, err := e.newDriver(jobs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var allocs float64
+		d.env.Process("alloc-budget", func(p *sim.Proc) {
+			for _, m := range roster {
+				d.beginMember(p, m)
+			}
+			for _, m := range d.active {
+				d.beginWave(m)
+			}
+			d.streamPhase(p, 0)
+			d.streamPhase(p, 1)
+			for _, m := range d.active {
+				d.endWave(p, m)
+			}
+			for _, m := range d.active {
+				d.beginWave(m)
+			}
+			allocs = testing.AllocsPerRun(20, func() {
+				d.pids, d.off, d.dem = d.pids[:0], d.off[:0], d.dem[:0]
+				d.mergeDemand(0, 0)
+				d.off = append(d.off, len(d.dem))
+				d.processDemand(p, 0, 0, 0)
+			})
+		})
+		if _, err := d.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.active) != members || len(d.dem) != members*len(d.pids) {
+			t.Fatalf("%d members: %d active, %d claims on %d pages", members, len(d.active), len(d.dem), len(d.pids))
+		}
+		if allocs > 0 {
+			t.Errorf("%d members: merging the demand and processing a page allocate %.1f objects, want 0", members, allocs)
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"repro/internal/slottedpage"
 )
 
-// This file is the host side of a phase's functional kernel work, which
-// phase() precomputes before the streams start. Below minGatherWorkers the
+// This file is the host side of a wave's functional kernel work, which
+// beginWave precomputes before the streams start. Below minGatherWorkers the
 // kernels run inline, page by page; at or above it the work fans out to a
 // pool of HostWorkers goroutines through the kernels' gather/apply contract
 // (internal/kernels/deferred.go), with deferred writes applied in the same

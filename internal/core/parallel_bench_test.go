@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bitset"
-	"repro/internal/fault"
 	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
@@ -66,20 +65,15 @@ func benchRun(tb testing.TB, sp *slottedpage.Graph, k kernels.Kernel, workers in
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r := &run{eng: e, k: k, env: sim.NewEnv(), inflight: map[slottedpage.PageID]*sim.Signal{}}
-	r.workers = e.opts.HostWorkers
-	numPages := e.graph.NumPages()
-	r.pidPool.New = func() any { return bitset.New(numPages) }
-	r.inj = fault.NewInjector(nil)
-	m, err := hw.NewMachine(r.env, e.spec, int64(e.graph.Config().PageSize))
+	env := sim.NewEnv()
+	m, err := hw.NewMachine(env, e.spec, int64(e.graph.Config().PageSize))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r.machine = m
-	m.InjectFaults(r.inj)
-	if err := r.setup(); err != nil {
-		tb.Fatal(err)
-	}
+	r := &run{plant: &plant{env: env, machine: m}, eng: e, k: k, workers: e.opts.HostWorkers}
+	numPages := e.graph.NumPages()
+	r.pidPool.New = func() any { return bitset.New(numPages) }
+	r.setupStates()
 	var jobs []pageKey
 	for pid := 0; pid < numPages; pid++ {
 		jobs = append(jobs, pageKey{0, slottedpage.PageID(pid)})

@@ -22,8 +22,9 @@ const (
 	retryBackoff = 100 * sim.Microsecond
 )
 
-// fail latches the first unrecoverable error. Streams poll r.abort and
-// wind down; the framework surfaces it as the run's error.
+// fail latches the member's first unrecoverable error. The streams skip an
+// aborted member's demands and the group retires it at the wave boundary
+// with the error as its outcome.
 func (r *run) fail(err error) {
 	if r.abort == nil {
 		r.abort = err
@@ -39,10 +40,15 @@ func (r *run) traceMark(kind trace.Kind, gpu, stream int, page int64) {
 // withRetry runs fn until it succeeds or the attempt budget is exhausted,
 // backing off exponentially in virtual time between attempts. Exhaustion
 // wraps the last error in ErrHardwareFault.
+//
+// Like launchKernel and readPage it arms the machine's fault injectors with
+// this member's immediately before every attempt. The sim scheduler runs one
+// process at a time and the hw models read their injector synchronously at
+// call entry, so arming here cannot race a sibling member's operation.
 func (r *run) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() error) error {
 	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
-		r.armFaults()
+		r.machine.InjectFaults(r.inj)
 		err := fn()
 		if err == nil {
 			if attempt > 1 {
@@ -73,7 +79,7 @@ func (r *run) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.Page
 	gpu := r.machine.GPUs[gpuIdx]
 	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
-		r.armFaults()
+		r.machine.InjectFaults(r.inj)
 		err := gpu.LaunchKernel(p, cycles, nil)
 		if err == nil {
 			if attempt > 1 {
@@ -152,16 +158,21 @@ func (r *run) regrowCache(gpuIdx int) {
 // readPage reads pid from the storage array with recovery: failed reads
 // retry with backoff, and pages that arrive corrupt are caught by the
 // per-page CRC (slottedpage.VerifyPageBytes) and re-read. The caller
-// inserts into the main-memory buffer on success.
+// inserts into the main-memory buffer on success. Every page the devices
+// serve — a corrupt one that is then re-read included — counts toward the
+// member's Report.StorageBytes.
 func (r *run) readPage(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) error {
 	g := r.eng.graph
 	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
-		r.armFaults()
+		r.machine.InjectFaults(r.inj)
 		t0 := r.env.Now()
 		corrupt, err := r.machine.Storage.ReadPage(p, uint64(pid))
 		r.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.StorageIO,
 			Page: int64(pid), Level: r.curLevel, Start: t0, End: r.env.Now()})
+		if err == nil {
+			r.storageRead += int64(g.Config().PageSize)
+		}
 		if err == nil && corrupt {
 			// The injector damaged the bytes in flight. Run the real
 			// verification machinery against a corrupted copy of the page

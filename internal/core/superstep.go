@@ -11,25 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// superstep streams the page set to the GPUs and runs the kernels against
-// it: all small pages first, then all large pages, to avoid switching
-// between the two kernel variants (paper §3.2). It reports whether any
-// kernel changed state.
-func (r *run) superstep(p *sim.Proc, set pidSet, level int32, locals []pidSet, backward bool) bool {
-	r.sps, r.lps = r.eng.splitByKind(set, r.sps[:0], r.lps[:0])
-	r.levelUpdates = 0
-	active := false
-	for _, pages := range [][]slottedpage.PageID{r.sps, r.lps} {
-		if len(pages) == 0 {
-			continue
-		}
-		if r.phase(p, pages, level, locals, backward) {
-			active = true
-		}
-	}
-	return active
-}
-
 // splitByKind appends set's pages, in page-ID order, to sps or lps by page
 // kind and returns the grown slices.
 func (e *Engine) splitByKind(set pidSet, sps, lps []slottedpage.PageID) ([]slottedpage.PageID, []slottedpage.PageID) {
@@ -90,7 +71,7 @@ func appendJobs(jobs []pageKey, parts [][]slottedpage.PageID) []pageKey {
 }
 
 // streamProcNames holds the names of the per-(GPU, stream) processes every
-// phase starts. A name only ever surfaces in a panic message, so the common
+// wave phase starts. A name only ever surfaces in a panic message, so the common
 // ones are built once rather than formatted on every phase.
 var streamProcNames [8][32]string
 
@@ -107,62 +88,6 @@ func streamProcName(gpu, stream int) string {
 		return streamProcNames[gpu][stream]
 	}
 	return fmt.Sprintf("gpu%d/stream%d", gpu, stream)
-}
-
-// phase fans one page list out to every GPU's streams and joins (see
-// partition for who gets which page).
-//
-// The kernels' functional work runs up front in deterministic (GPU, page)
-// order and is memoized; the stream processes then only model when each
-// execution happens on the hardware. Decoupling "what the kernels compute"
-// from "when the simulation schedules them" makes results bit-identical
-// across stream interleavings — including interleavings perturbed by
-// injected faults and their retries.
-func (r *run) phase(p *sim.Proc, pages []slottedpage.PageID, level int32, locals []pidSet, backward bool) bool {
-	nGPU := len(r.machine.GPUs)
-	active := false
-	grp := sim.NewGroup(r.env)
-	r.phaseConsumed = 0
-
-	r.parts = r.eng.partition(r.parts, pages, nGPU)
-	r.jobs = appendJobs(r.jobs[:0], r.parts)
-	r.kres = r.kres[:0]
-	r.computeKernels(r.jobs, level, locals, backward)
-
-	if r.eng.opts.Prefetch && !r.inMemory {
-		grp.Add(1)
-		r.env.Process("prefetcher", func(p *sim.Proc) {
-			r.prefetch(p, pages)
-			grp.Done()
-		})
-	}
-	base := 0 // index of GPU i's first job in r.kres
-	for i := 0; i < nGPU; i++ {
-		mine := r.parts[i]
-		res := r.kres[base : base+len(mine)]
-		base += len(mine)
-		streams := r.eng.opts.Streams
-		if streams > len(mine) {
-			streams = len(mine)
-		}
-		for s := 0; s < streams; s++ {
-			i, s := i, s
-			grp.Add(1)
-			r.env.Process(streamProcName(i, s), func(p *sim.Proc) {
-				for idx := s; idx < len(mine); idx += r.eng.opts.Streams {
-					if r.abort != nil {
-						break // an unrecoverable fault ended the run
-					}
-					if r.page(p, i, s, mine[idx], res[idx], level) {
-						active = true
-					}
-				}
-				grp.Done()
-			})
-		}
-	}
-	grp.Wait(p)
-	return active
 }
 
 // runKernel executes one (GPU, page) kernel functionally, mutating the
@@ -186,113 +111,6 @@ func (r *run) runKernel(gpuIdx int, pid slottedpage.PageID, level int32, local p
 		return r.k.RunLP(args)
 	}
 	return r.k.RunSP(args)
-}
-
-// page handles one page on one GPU stream: the cache / main-memory-buffer /
-// storage decision chain of Algorithm 1 lines 16-26, the streaming copy,
-// and the kernel call, whose functional result res phase already computed.
-func (r *run) page(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, res kernels.Result, level int32) bool {
-	e, g := r.eng, r.eng.graph
-	gpu := r.machine.GPUs[gpuIdx]
-	pageSize := int64(g.Config().PageSize)
-	_, count := g.VertexRange(pid)
-	raBytes := int64(count) * r.raPerV
-
-	cache := r.caches[gpuIdx]
-	if cache != nil && cache.Contains(uint64(pid)) {
-		// Algorithm 1 line 16: the page is already in device memory.
-		r.cacheHits++
-		if raBytes > 0 {
-			if err := r.streamCopy(p, gpu, gpuIdx, stream, pid, raBytes); err != nil {
-				r.fail(err)
-				return false
-			}
-		}
-	} else {
-		var release func()
-		if r.inMemory {
-			r.buffer.Contains(uint64(pid)) // counts the MMBuf hit
-		} else {
-			rel, err := r.fetchPin(p, pid, gpuIdx, stream)
-			if err != nil {
-				r.fail(err)
-				return false
-			}
-			release = rel
-		}
-		// The pin (when pooled) spans the streaming copy so eviction cannot
-		// reclaim the host frame mid-transfer.
-		err := r.streamCopy(p, gpu, gpuIdx, stream, pid, pageSize+raBytes)
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			r.fail(err)
-			return false
-		}
-		r.pagesStreamed++
-		// Re-read the cache: an OOM spill on a sibling stream may have
-		// dropped it since the lookup above.
-		if cache := r.caches[gpuIdx]; cache != nil {
-			cache.Insert(uint64(pid))
-		}
-	}
-
-	// The functional work already ran in deterministic order at phase start
-	// (see phase); here its memoized cycle count occupies the simulated SM
-	// pool at whatever virtual time this stream reached the page.
-	t0 := r.env.Now()
-	if err := r.launchKernel(p, gpuIdx, stream, pid, res.Cycles); err != nil {
-		// The functional mutation already ran exactly once above; only the
-		// simulated launch failed, so abandoning the run stays consistent.
-		r.fail(err)
-		return false
-	}
-	e.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.Kernel, Page: int64(pid), Level: level, Start: t0, End: r.env.Now()})
-	r.edgesTraversed += res.Edges
-	r.updates += res.Updates
-	r.levelUpdates += res.Updates
-	r.phaseConsumed++
-	return res.Active
-}
-
-// prefetch reads the phase's pages into the main-memory buffer in page-ID
-// order, staying a bounded window ahead of the GPU streams so it cannot
-// evict pages before they are consumed.
-func (r *run) prefetch(p *sim.Proc, pages []slottedpage.PageID) {
-	capPages := 0
-	if r.pool != nil {
-		capPages = r.pool.Capacity()
-	} else {
-		capPages = r.buffer.Capacity()
-	}
-	window := int64(capPages / 2)
-	if window < 8 {
-		window = 8
-	}
-	pause := r.eng.spec.PCIe.Latency + sim.ByteTime(int64(r.eng.graph.Config().PageSize), r.eng.spec.PCIe.StreamRate)
-	if pause <= 0 {
-		pause = sim.Microsecond
-	}
-	for i, pid := range pages {
-		for int64(i) > r.phaseConsumed+window {
-			if r.abort != nil {
-				return
-			}
-			p.Delay(pause)
-		}
-		release, err := r.fetchPin(p, pid, -1, -1)
-		if err != nil {
-			// Stop prefetching; the on-demand path retries with its own
-			// budget and surfaces the error if the fault is persistent.
-			return
-		}
-		// Release immediately: the page stays resident (just evictable)
-		// and the demand path re-pins it.
-		if release != nil {
-			release()
-		}
-	}
 }
 
 // streamCopy moves n bytes to the GPU in streaming mode with bounded
@@ -333,7 +151,6 @@ func (r *run) fetch(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) err
 		err := r.readPage(p, pid, gpuIdx, stream)
 		if err == nil {
 			r.buffer.Insert(uint64(pid))
-			r.storageRead += int64(r.eng.graph.Config().PageSize)
 		}
 		delete(r.inflight, pid)
 		sig.Fire()
@@ -361,7 +178,6 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 	if r.pool == nil {
 		return noRelease, r.fetch(p, pid, gpuIdx, stream)
 	}
-	pageSize := int64(r.eng.graph.Config().PageSize)
 	for {
 		if sig, ok := r.inflight[pid]; ok {
 			sig.Wait(p)
@@ -384,7 +200,6 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 			}
 			r.pool.Ready(uint64(pid))
 			r.poolLoads++
-			r.storageRead += pageSize
 			r.traceMark(trace.PoolLoad, gpuIdx, stream, int64(pid))
 			return func() { r.pool.Unpin(uint64(pid)) }, nil
 		default: // Busy in another env, or no evictable frame: bypass.
@@ -393,7 +208,6 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 			if err := r.readPage(p, pid, gpuIdx, stream); err != nil {
 				return nil, err
 			}
-			r.storageRead += pageSize
 			return noRelease, nil
 		}
 	}
@@ -440,7 +254,7 @@ func (r *run) stateFor(i int) kernels.State {
 
 // sync performs the end-of-superstep attribute synchronization across GPUs
 // (Fig. 5 steps 3-4). With one GPU there is nothing to merge; full-scan
-// iteration sync to the host is handled by the framework loop.
+// iteration sync to the host is handled by endWave.
 func (r *run) sync(p *sim.Proc, level int32, bfsLike bool) {
 	nGPU := len(r.machine.GPUs)
 	if nGPU < 2 {
@@ -483,57 +297,4 @@ func (r *run) sync(p *sim.Proc, level int32, bfsLike bool) {
 			})
 		}
 	}
-}
-
-// report assembles the final Report.
-func (r *run) report(elapsed sim.Time) *Report {
-	var kernelTime sim.Time
-	for _, g := range r.machine.GPUs {
-		kernelTime += g.Stats().KernelTime
-	}
-	var hits, misses int64
-	for _, c := range r.caches {
-		if c != nil {
-			hits += c.Hits()
-			misses += c.Misses()
-		}
-	}
-	cacheRate := 0.0
-	if hits+misses > 0 {
-		cacheRate = float64(hits) / float64(hits+misses)
-	}
-	var storageBytes int64
-	if r.machine.Storage != nil {
-		storageBytes = r.machine.Storage.BytesRead()
-	}
-	rep := &Report{
-		State:          r.states[0],
-		Elapsed:        elapsed,
-		Levels:         r.levels,
-		PagesStreamed:  r.pagesStreamed,
-		CacheHits:      r.cacheHits,
-		BytesToGPU:     r.bytesToGPU,
-		EdgesTraversed: r.edgesTraversed,
-		Updates:        r.updates,
-		CacheHitRate:   cacheRate,
-		BufferHitRate:  r.bufferHitRate(),
-		TransferTime:   r.transferTime,
-		KernelTime:     kernelTime,
-		StorageBytes:   storageBytes,
-		WABytes:        r.states[0].WABytes(),
-		LevelPages:     r.levelPages,
-		LevelBytes:     r.levelBytes,
-		LevelDirs:      r.dirs,
-		HostWorkers:    r.workers,
-		HostKernelWall: r.hostKernelWall,
-		PoolHits:       r.poolHits,
-		PoolLoads:      r.poolLoads,
-		PoolWaits:      r.poolWaits,
-	}
-	// Injection counts come from the injector, recovery counts from the
-	// run's policy; fstats' injection fields are zero, so Add merges cleanly.
-	rep.Faults = r.inj.Stats()
-	rep.Faults.Add(r.fstats)
-	rep.MTEPS = trace.MTEPS(r.edgesTraversed, elapsed)
-	return rep
 }

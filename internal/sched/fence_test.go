@@ -18,7 +18,7 @@ func TestSchedulerFenceSplitsGenerations(t *testing.T) {
 	g := testGraph(t)
 	// A long hold window so both generations are queued before any group
 	// forms — without the fence they would coalesce into a single group.
-	s := newSched(t, g, gts.Config{ShareStreams: true}, sched.Config{Hold: 60 * time.Millisecond})
+	s := newSched(t, g, gts.Config{}, sched.Config{Hold: 60 * time.Millisecond})
 
 	const perGen = 4
 	var wg sync.WaitGroup

@@ -4,7 +4,8 @@
 // superstep and serves every member's kernels.
 //
 // One Scheduler fronts one graph (the service layer keeps one per
-// graphEntry). Submissions batch for a short hold window, then launch as a
+// graphEntry, and runs every job through it; a job with no company is a
+// group of one). Submissions batch for a short hold window, then launch as a
 // wave group on a System claimed from the pool; jobs that arrive while a
 // group is running join it at the next wave boundary through the group's
 // admit callback, so a busy scheduler keeps one group open continuously
@@ -13,10 +14,10 @@
 // fall back to a private single-member run so they still honor per-job
 // fault plans and trace recorders.
 //
-// Results are byte-identical to solo runs by construction — the engine
-// precomputes each member's functional kernel work in its solo order and
-// only shares the simulated data movement (see internal/core's shared-run
-// commentary).
+// Results do not depend on a job's company by construction — the engine
+// precomputes each member's functional kernel work against the member's own
+// state and only shares the simulated data movement (see the commentary in
+// internal/core/group.go).
 package sched
 
 import (

@@ -9,9 +9,11 @@ import (
 	"time"
 
 	gts "repro"
+	"repro/internal/graphgen"
 	"repro/internal/kernels"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 func testGraph(t *testing.T) *gts.Graph {
@@ -35,10 +37,12 @@ func newSched(t *testing.T, g *gts.Graph, cfg gts.Config, scfg sched.Config) *sc
 }
 
 // TestSchedulerGroupsConcurrentJobs: N concurrent submissions coalesce into
-// wave groups and every result matches the solo run.
+// wave groups and every result matches the sequential reference (a direct
+// gts.System call would be no oracle: it runs the same engine, as a group
+// of one).
 func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{ShareStreams: true}, sched.Config{Hold: 20 * time.Millisecond})
+	s := newSched(t, g, gts.Config{}, sched.Config{Hold: 20 * time.Millisecond})
 
 	const n = 16
 	results := make([]sched.Result, n)
@@ -59,10 +63,8 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 	}
 	wg.Wait()
 
-	sys, err := gts.NewSystem(g, gts.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, _ := graphgen.ByName("RMAT27")
+	raw := d.MustGenerate(27 - 11) // testGraph's edge list
 	sharedCount := 0
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -71,12 +73,8 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 		if results[i].Shared {
 			sharedCount++
 		}
-		solo, err := sys.BFS(uint64(i * 128))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(kerns[i].Levels(results[i].State), solo.Levels) {
-			t.Errorf("job %d differs from solo", i)
+		if !reflect.DeepEqual(kerns[i].Levels(results[i].State), verify.BFS(raw, uint32(i*128))) {
+			t.Errorf("job %d differs from the reference traversal", i)
 		}
 	}
 	if sharedCount == 0 {
@@ -98,7 +96,7 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 // complete (across several groups).
 func TestSchedulerMaxGroupSplits(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{ShareStreams: true}, sched.Config{MaxGroup: 3, Hold: 20 * time.Millisecond})
+	s := newSched(t, g, gts.Config{}, sched.Config{MaxGroup: 3, Hold: 20 * time.Millisecond})
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -125,7 +123,7 @@ func TestSchedulerMaxGroupSplits(t *testing.T) {
 // TestSchedulerPerJobTrace: a job's recorder receives its wave spans.
 func TestSchedulerPerJobTrace(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{ShareStreams: true}, sched.Config{})
+	s := newSched(t, g, gts.Config{}, sched.Config{})
 
 	rec := trace.NewWithID("job-1")
 	if _, err := s.Run(context.Background(), sched.Job{Kernel: kernels.NewBFS(g), Source: 0, Trace: rec}); err != nil {
@@ -146,7 +144,7 @@ func TestSchedulerPerJobTrace(t *testing.T) {
 // sinking the scheduler.
 func TestSchedulerContextCancel(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{ShareStreams: true}, sched.Config{Hold: 50 * time.Millisecond})
+	s := newSched(t, g, gts.Config{}, sched.Config{Hold: 50 * time.Millisecond})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -163,7 +161,7 @@ func TestSchedulerContextCancel(t *testing.T) {
 // submissions fail with ErrClosed.
 func TestSchedulerCloseDrains(t *testing.T) {
 	g := testGraph(t)
-	pool, err := gts.NewSystemPool(g, gts.Config{ShareStreams: true}, 2)
+	pool, err := gts.NewSystemPool(g, gts.Config{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +193,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 // TestSchedulerNoKernel: malformed jobs are rejected up front.
 func TestSchedulerNoKernel(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{ShareStreams: true}, sched.Config{})
+	s := newSched(t, g, gts.Config{}, sched.Config{})
 	if _, err := s.Run(context.Background(), sched.Job{}); err == nil {
 		t.Fatal("nil kernel accepted")
 	}

@@ -30,40 +30,30 @@ type Params struct {
 	MaxHops  int `json:"maxhops,omitempty"`
 }
 
-// algorithm binds a name to its parameter normalization and its run paths.
+// algorithm binds a name to its parameter normalization and its kernel.
 type algorithm struct {
 	// normalize fills defaults and zeroes unused fields, returning the
 	// canonical Params that key the result cache.
 	normalize func(Params) Params
-	// run executes on a (serialized) System; output is the public result
-	// struct the matching gts.System method returns.
-	run func(*gts.System, Params) (output any, m gts.Metrics, err error)
-	// shared builds the job's kernel for a wave-group run plus a decoder
-	// that assembles the same public result struct from the group outcome.
-	// The decoder is bound to the kernel instance it is returned with. cfg
-	// is the graph's registered Config, so kernel-variant switches
-	// (DirectionOpt) apply on the shared path exactly as on the solo path.
-	shared func(g *gts.Graph, cfg gts.Config, p Params) (k gts.Kernel, source uint64, decode func(gts.KernelState, gts.Metrics) any)
+	// kernel builds the job's kernel plus a decoder that assembles the
+	// public result struct the matching gts.System method returns. The
+	// decoder is bound to the kernel instance it is returned with. cfg is
+	// the graph's registered Config, so kernel-variant switches
+	// (DirectionOpt) apply exactly as they do on a gts.System.
+	kernel func(g *gts.Graph, cfg gts.Config, p Params) (k gts.Kernel, source uint64, decode func(gts.KernelState, gts.Metrics) any)
 }
 
 var algorithms = map[string]algorithm{
 	"bfs": {
 		normalize: func(p Params) Params { return Params{Source: p.Source} },
-		run: func(s *gts.System, p Params) (any, gts.Metrics, error) {
-			r, err := s.BFS(p.Source)
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, cfg gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, cfg gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+			var k interface {
+				gts.Kernel
+				Levels(gts.KernelState) []int16
+			} = kernels.NewBFS(g)
 			if cfg.DirectionOpt {
-				k := kernels.NewDirBFS(g)
-				return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
-					return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
-				}
+				k = kernels.NewDirBFS(g)
 			}
-			k := kernels.NewBFS(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
 			}
@@ -80,14 +70,7 @@ var algorithms = map[string]algorithm{
 			}
 			return out
 		},
-		run: func(s *gts.System, p Params) (any, gts.Metrics, error) {
-			r, err := s.PageRank(p.Damping, p.Iterations)
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewPageRank(g, p.Damping, p.Iterations)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.PageRankResult{Metrics: m, Ranks: k.Ranks(st)}
@@ -96,21 +79,14 @@ var algorithms = map[string]algorithm{
 	},
 	"sssp": {
 		normalize: func(p Params) Params { return Params{Source: p.Source} },
-		run: func(s *gts.System, p Params) (any, gts.Metrics, error) {
-			r, err := s.SSSP(p.Source)
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, cfg gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, cfg gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+			var k interface {
+				gts.Kernel
+				Distances(gts.KernelState) []float32
+			} = kernels.NewSSSP(g)
 			if cfg.DirectionOpt {
-				k := kernels.NewDeltaSSSP(g)
-				return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
-					return &gts.SSSPResult{Metrics: m, Dist: k.Distances(st)}
-				}
+				k = kernels.NewDeltaSSSP(g)
 			}
-			k := kernels.NewSSSP(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.SSSPResult{Metrics: m, Dist: k.Distances(st)}
 			}
@@ -118,14 +94,7 @@ var algorithms = map[string]algorithm{
 	},
 	"cc": {
 		normalize: func(Params) Params { return Params{} },
-		run: func(s *gts.System, _ Params) (any, gts.Metrics, error) {
-			r, err := s.CC()
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, _ gts.Config, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ gts.Config, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewCC(g)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
@@ -134,14 +103,7 @@ var algorithms = map[string]algorithm{
 	},
 	"bc": {
 		normalize: func(p Params) Params { return Params{Source: p.Source} },
-		run: func(s *gts.System, p Params) (any, gts.Metrics, error) {
-			r, err := s.BC(p.Source)
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewBC(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.BCResult{Metrics: m, Scores: k.Centrality(st, p.Source)}
@@ -159,14 +121,7 @@ var algorithms = map[string]algorithm{
 			}
 			return out
 		},
-		run: func(s *gts.System, p Params) (any, gts.Metrics, error) {
-			r, err := s.RWR(p.Source, p.Restart, p.Iterations)
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewRWR(g, p.Restart, p.Iterations)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.RWRResult{Metrics: m, Scores: k.Scores(st)}
@@ -175,14 +130,7 @@ var algorithms = map[string]algorithm{
 	},
 	"degree": {
 		normalize: func(Params) Params { return Params{} },
-		run: func(s *gts.System, _ Params) (any, gts.Metrics, error) {
-			r, err := s.DegreeDistribution()
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, _ gts.Config, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ gts.Config, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewDegreeDist(g)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.DegreeResult{Metrics: m, Degrees: k.Degrees(st), Histogram: k.Histogram(st)}
@@ -197,14 +145,7 @@ var algorithms = map[string]algorithm{
 			}
 			return out
 		},
-		run: func(s *gts.System, p Params) (any, gts.Metrics, error) {
-			r, err := s.KCore(p.K)
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewKCore(g, p.K)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.KCoreResult{Metrics: m, InCore: k.InCore(st)}
@@ -222,14 +163,7 @@ var algorithms = map[string]algorithm{
 			}
 			return out
 		},
-		run: func(s *gts.System, p Params) (any, gts.Metrics, error) {
-			r, err := s.Radius(p.Sketches, p.MaxHops)
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewRadius(g, p.Sketches, p.MaxHops)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.RadiusResult{Metrics: m, Radii: k.Radii(st), EffectiveDiameter: k.EffectiveDiameter(st, 0.9)}
@@ -244,14 +178,7 @@ var algorithms = map[string]algorithm{
 			}
 			return out
 		},
-		run: func(s *gts.System, p Params) (any, gts.Metrics, error) {
-			r, err := s.Neighborhood(p.Source, p.Hops)
-			if err != nil {
-				return nil, gts.Metrics{}, err
-			}
-			return r, r.Metrics, nil
-		},
-		shared: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewNeighborhood(g, p.Hops)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.NeighborhoodResult{Metrics: m, Hops: k.Members(st)}

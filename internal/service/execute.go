@@ -1,0 +1,160 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	gts "repro"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// plan is one resolved execution: the kernel to run and the decoder that
+// assembles the algorithm's public result struct from the finished state
+// (bound to that kernel instance). The remaining fields are set only by the
+// incremental planner (incremental.go).
+type plan struct {
+	kernel gts.Kernel
+	source uint64
+	decode func(gts.KernelState, gts.Metrics) any
+	// capture, when non-nil, retains the completed run (its decoded output
+	// and metrics) for later incremental requests.
+	capture func(output any, m gts.Metrics)
+	// hit marks a delta-expansion run; seeds is its seed count (for the
+	// incseed span) and priorFull the retained from-scratch page cost.
+	hit       bool
+	seeds     int
+	priorFull int64
+	// fallback carries the reason an incremental request could not be
+	// served from retained state ("" when not requested or when hit).
+	fallback string
+}
+
+// execute takes one dequeued job to a terminal state. Every job, whatever
+// its algorithm or graph, goes through the same five stages: deadline and
+// cache peek, kernel resolution, the run on the graph's wave-group
+// scheduler, error classification, and accounting.
+func (s *Server) execute(job *Job) {
+	defer job.cancel()
+	defer s.clearInflight(job)
+	s.met.observeQueueWait(time.Since(job.submitted))
+	if job.ctx.Err() != nil {
+		s.met.addTimedOut()
+		job.fail(fmt.Errorf("%w (queued %v)", ErrTimeout, time.Since(job.submitted).Round(time.Microsecond)), JobTimedOut)
+		return
+	}
+	// Second chance: an identical job may have populated the cache while
+	// this one queued. Peek without touching the hit/miss counters — the
+	// admission-time lookup already counted this job's miss.
+	if res, ok := s.cache.peek(job.key); ok {
+		s.answer(job, res, true)
+		return
+	}
+
+	entry := job.entry
+	pl := resolve(job)
+
+	// Request-scoped tracing: the job's spans go to a recorder of its own,
+	// which is stored even for failed runs — a timeline that ends mid-fault
+	// is the one worth looking at.
+	sj := sched.Job{Kernel: pl.kernel, Source: pl.source}
+	if s.traces != nil {
+		sj.Trace = trace.NewWithID(job.id)
+		if pl.hit {
+			sj.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncSeed, Page: int64(pl.seeds), Level: -1})
+		} else if pl.fallback != "" {
+			sj.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncFallback, Page: -1, Level: -1})
+		}
+	}
+	job.setRunning()
+	s.met.runStarted()
+	start := time.Now()
+	out, err := entry.sched.Run(job.ctx, sj)
+	wall := time.Since(start)
+	s.met.runFinished()
+	s.met.observeRunWall(wall)
+	if sj.Trace != nil {
+		s.traces.put(job.id, sj.Trace)
+	}
+
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			s.met.addTimedOut()
+			job.fail(fmt.Errorf("%w (in wave group)", ErrTimeout), JobTimedOut)
+			return
+		}
+		s.met.addFailed()
+		if errors.Is(err, gts.ErrHardwareFault) {
+			s.met.addHWFailure()
+		}
+		job.fail(err, JobFailed)
+		return
+	}
+
+	// Incremental accounting: a hit saved (from-scratch pages - streamed
+	// pages); a fallback on an explicit incremental request counts against
+	// it.
+	m := out.Metrics
+	if pl.hit {
+		saved := pl.priorFull - m.PagesStreamed
+		s.met.addIncHit(saved)
+		entry.inc.AddHit(saved)
+	} else if pl.fallback != "" {
+		s.met.addIncFallback()
+		entry.inc.AddFallback()
+	}
+	res := &Result{
+		Graph:   job.req.Graph,
+		Algo:    job.req.Algo,
+		Params:  job.req.Params,
+		Metrics: m,
+		Output:  pl.decode(out.State, m),
+		Wall:    wall,
+	}
+	if pl.capture != nil {
+		pl.capture(res.Output, m)
+	}
+	s.met.addFaults(m.Faults)
+	s.cache.put(job.key, res)
+	s.answer(job, res, false)
+}
+
+// resolve picks the kernel a job runs. On a graph with a retained-state
+// store the incremental planner handles BFS/CC/PageRank: it may substitute a
+// delta-expansion kernel seeded from retained state, and otherwise runs the
+// full kernel with a capture hook, so fresh state is retained either way.
+// Everything else gets the algorithm's own constructor.
+func resolve(job *Job) plan {
+	entry, req := job.entry, job.req
+	g, cfg := entry.pool.Graph(), entry.pool.Config()
+	retained := entry.inc != nil && incSupported(req.Algo)
+	if retained && cfg.GPUs <= 1 {
+		return planIncremental(entry, g, cfg, job.algo, req)
+	}
+	k, source, decode := job.algo.kernel(g, cfg, req.Params)
+	pl := plan{kernel: k, source: source, decode: decode}
+	if retained && req.Incremental {
+		// Multi-GPU replicas merge state in ways the delta planners do not
+		// model: refuse, and retain nothing.
+		pl.fallback = "multi-gpu"
+	}
+	return pl
+}
+
+// answer records a successfully answered job in the metrics and then
+// releases its waiters — in that order, so a caller that reads Stats right
+// after Run returns finds the job counted. Cached answers carry no compute
+// cost of their own.
+func (s *Server) answer(job *Job, res *Result, cached bool) {
+	var wall time.Duration
+	var virtual sim.Time
+	if !cached {
+		wall, virtual = res.Wall, res.Metrics.Elapsed
+	}
+	now := time.Now()
+	s.met.jobCompleted(job.req.Algo, now.Sub(job.submitted), wall, virtual)
+	job.complete(res, cached, now)
+}

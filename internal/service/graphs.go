@@ -1,0 +1,358 @@
+package service
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"runtime"
+	"sort"
+	"sync/atomic"
+
+	gts "repro"
+	"repro/internal/incremental"
+	"repro/internal/sched"
+)
+
+// GraphState is a registered graph's serving condition, reported by
+// /healthz and gating /readyz.
+type GraphState int32
+
+// Graph states.
+const (
+	// GraphLoading: the base graph is being opened/generated and its engine
+	// pool built.
+	GraphLoading GraphState = iota
+	// GraphRecovering: the WAL's committed batches are being replayed onto
+	// the base graph.
+	GraphRecovering
+	// GraphServing: queries are admitted.
+	GraphServing
+	// GraphDegraded: an ingest crash (or a failed pool rebuild) left the
+	// graph read-only-at-best; reload to recover.
+	GraphDegraded
+)
+
+// String names the state for /healthz JSON.
+func (g GraphState) String() string {
+	switch g {
+	case GraphLoading:
+		return "loading"
+	case GraphRecovering:
+		return "recovering"
+	case GraphServing:
+		return "serving"
+	default:
+		return "degraded"
+	}
+}
+
+// graphEntry is one registered graph with its engine pool. Entries are
+// immutable after publication except for state; a mutation publishes a
+// whole new entry (new pool over the new snapshot, same MutableGraph), so
+// jobs holding an old entry keep computing against the consistent old
+// snapshot.
+type graphEntry struct {
+	name  string
+	gen   uint64 // load generation, part of the cache key
+	epoch uint64 // mutation epoch (last applied WAL LSN), part of the cache key
+	pool  *gts.SystemPool
+	// sched runs the graph's jobs, coalescing concurrent ones into shared
+	// wave groups (nil only on a placeholder entry that is still loading).
+	sched *sched.Scheduler
+	// mg is the mutable backing (nil for immutable graphs).
+	mg *gts.MutableGraph
+	// inc is the retained-state store for incremental recompute (nil
+	// unless Config.Incremental and the graph is mutable). It is carried
+	// across ingest republishes — the commit hook migrates its chain — and
+	// rebuilt from scratch on graph reload, so crash recovery can never
+	// resurrect pre-crash state.
+	inc   *incremental.Store
+	state atomicState
+}
+
+// atomicState is a small typed wrapper over the entry's state word.
+type atomicState struct{ v int32 }
+
+func (a *atomicState) load() GraphState { return GraphState(atomic.LoadInt32(&a.v)) }
+func (a *atomicState) store(s GraphState) {
+	atomic.StoreInt32(&a.v, int32(s))
+}
+
+// GraphInfo describes a registered graph for listings.
+type GraphInfo struct {
+	Name     string `json:"name"`
+	Vertices uint64 `json:"vertices"`
+	Edges    uint64 `json:"edges"`
+	Pool     int    `json:"pool"`
+	// HostWorkers is the effective host worker-pool size this graph's
+	// engines execute kernels with (the engine's HostWorkers after
+	// defaulting 0 to GOMAXPROCS).
+	HostWorkers int `json:"host_workers"`
+	// PoolPolicy and PoolBytes describe the graph's shared host page pool
+	// — the single pinned buffer all pooled Systems stream through.
+	// Empty/zero when the graph serves from the classic per-run buffer.
+	PoolPolicy string `json:"pool_policy,omitempty"`
+	PoolBytes  int64  `json:"pool_bytes,omitempty"`
+	// State is the serving state ("loading"/"recovering"/"serving"/
+	// "degraded"); Mutable and Epoch describe WAL-backed graphs.
+	State   string `json:"state"`
+	Mutable bool   `json:"mutable,omitempty"`
+	Epoch   uint64 `json:"epoch,omitempty"`
+}
+
+// effectiveHostWorkers resolves a pool's HostWorkers setting the way the
+// engine does: 0 means one worker per CPU.
+func effectiveHostWorkers(cfg gts.Config) int {
+	if cfg.HostWorkers > 0 {
+		return cfg.HostWorkers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// AddGraph registers a pre-built engine pool under name. The pool's graph
+// must not be mutated afterwards (slotted-page graphs are immutable once
+// built). Re-registering a name replaces the previous graph and, via the
+// generation in the cache key, implicitly invalidates its cached results.
+// Every graph gets a wave-group scheduler: concurrent jobs on it coalesce
+// into shared topology streams.
+func (s *Server) AddGraph(name string, pool *gts.SystemPool) error {
+	if name == "" || pool == nil {
+		return fmt.Errorf("service: AddGraph needs a name and a pool")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrShuttingDown
+	}
+	s.nextGen++
+	entry := &graphEntry{name: name, gen: s.nextGen, pool: pool, sched: sched.New(pool, sched.Config{})}
+	entry.state.store(GraphServing)
+	if old := s.graphs[name]; old != nil && old.sched != nil {
+		// Drain the replaced graph's scheduler off the lock; in-flight jobs
+		// against the old entry still complete through it.
+		go old.sched.Close()
+	}
+	s.graphs[name] = entry
+	return nil
+}
+
+// LoadMutableGraph opens spec as a crash-recoverable mutable graph whose
+// mutation history lives in the WAL at walPath (created if absent,
+// replayed if present), builds a poolSize-wide engine pool over the
+// recovered snapshot, and registers it under name. While the load runs the
+// graph is visible to Health in the "loading" (fresh WAL) or "recovering"
+// (non-empty WAL) state and rejects jobs with ErrGraphNotReady; it flips
+// to "serving" when the pool is up.
+func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Config, poolSize int) error {
+	if name == "" || spec == "" || walPath == "" {
+		return fmt.Errorf("service: LoadMutableGraph needs a name, a spec and a WAL path")
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrShuttingDown
+	}
+	s.nextGen++
+	placeholder := &graphEntry{name: name, gen: s.nextGen}
+	if fi, err := os.Stat(walPath); err == nil && fi.Size() > 0 {
+		placeholder.state.store(GraphRecovering)
+	} else {
+		placeholder.state.store(GraphLoading)
+	}
+	prev := s.graphs[name]
+	s.graphs[name] = placeholder
+	s.mu.Unlock()
+	if prev != nil && prev.sched != nil {
+		go prev.sched.Close()
+	}
+
+	fail := func(err error) error {
+		s.mu.Lock()
+		if s.graphs[name] == placeholder {
+			delete(s.graphs, name)
+		}
+		s.mu.Unlock()
+		return err
+	}
+	mg, err := gts.OpenMutable(spec, walPath, gts.MutableOptions{Faults: engineCfg.Faults})
+	if err != nil {
+		return fail(err)
+	}
+	// Per-job fault plans still apply through requests; the graph-level
+	// plan was consumed by the WAL/ingest injector above. Keeping it on the
+	// engines too would double-inject every storage fault.
+	pool, err := gts.NewSystemPool(mg.Snapshot(), engineCfg, poolSize)
+	if err != nil {
+		mg.Close()
+		return fail(err)
+	}
+	entry := &graphEntry{name: name, gen: placeholder.gen, epoch: mg.Epoch(), pool: pool, mg: mg, sched: sched.New(pool, sched.Config{})}
+	if s.cfg.Incremental {
+		// A fresh store per load: recovery discards every pre-crash entry
+		// by construction (epoch-mismatch safety without trusting the
+		// recovered LSN counter). The commit hook runs under the ingest
+		// lock, so the chain records commits in order.
+		inc := incremental.NewStore(mg.Epoch())
+		mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, old, _ *gts.Graph) {
+			inc.Commit(prev, epoch, ops, old)
+		})
+		entry.inc = inc
+	}
+	entry.state.store(GraphServing)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		mg.Close()
+		entry.sched.Close()
+		return ErrShuttingDown
+	}
+	if s.graphs[name] == placeholder {
+		s.graphs[name] = entry
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// Ingest commits one batch of edge mutations against a mutable graph:
+// WAL-append + fsync, apply, then republish the graph at its new epoch —
+// a fresh engine pool over the new snapshot sharing the old host page pool
+// (stale frames invalidated via AdvanceEpoch), a fresh wave-group
+// scheduler (the old one is fenced and drained), and a new cache-key
+// epoch so no stale result or old-epoch leader can serve new-epoch jobs.
+func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error) {
+	s.mu.Lock()
+	entry, ok := s.graphs[name]
+	s.mu.Unlock()
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownGraph, name)
+	}
+	if entry.mg == nil {
+		return 0, fmt.Errorf("%w: %q", ErrImmutableGraph, name)
+	}
+	if st := entry.state.load(); st != GraphServing {
+		return 0, fmt.Errorf("%w: %q is %s", ErrGraphNotReady, name, st)
+	}
+	epoch, err = entry.mg.Ingest(ops)
+	if err != nil {
+		s.met.addIngestFailure()
+		if errors.Is(err, gts.ErrCrashed) {
+			entry.state.store(GraphDegraded)
+		}
+		return 0, err
+	}
+	s.met.addIngested(int64(len(ops)))
+
+	// Fence the running scheduler so no pre-mutation wave group admits a
+	// post-mutation job, invalidate the shared host pool's superseded
+	// frames, and publish a new entry over the new snapshot.
+	entry.sched.Fence()
+	cfg := entry.pool.Config()
+	if hp := entry.pool.HostPool(); hp != nil {
+		hp.AdvanceEpoch()
+		cfg.HostPool = hp // keep sharing the same pool across the rebuild
+	}
+	pool, perr := gts.NewSystemPool(entry.mg.Snapshot(), cfg, entry.pool.Size())
+	if perr != nil {
+		entry.state.store(GraphDegraded)
+		return epoch, fmt.Errorf("service: batch %d committed but pool rebuild failed: %w", epoch, perr)
+	}
+	next := &graphEntry{name: name, gen: entry.gen, epoch: epoch, pool: pool, mg: entry.mg, inc: entry.inc, sched: sched.New(pool, sched.Config{})}
+	next.state.store(GraphServing)
+	s.mu.Lock()
+	if s.graphs[name] == entry {
+		s.graphs[name] = next
+	}
+	s.mu.Unlock()
+	// Jobs already inside the old scheduler finish against the old snapshot
+	// (their results are keyed to the old epoch and stay correct); Close
+	// drains them off the lock.
+	go entry.sched.Close()
+	return epoch, nil
+}
+
+// GraphHealth is one graph's /healthz row.
+type GraphHealth struct {
+	Name  string `json:"name"`
+	State string `json:"state"`
+	Epoch uint64 `json:"epoch"`
+	// Mutable reports whether the graph accepts ingest.
+	Mutable bool `json:"mutable"`
+	// ReplayedBatches is how many committed WAL batches the load replayed.
+	ReplayedBatches int `json:"replayed_batches,omitempty"`
+	// Incremental reports whether the graph retains state for incremental
+	// recompute; RetainedEntries is the live retained-entry count.
+	Incremental     bool `json:"incremental,omitempty"`
+	RetainedEntries int  `json:"retained_entries,omitempty"`
+}
+
+// Health reports every registered graph's serving state, sorted by name.
+func (s *Server) Health() []GraphHealth {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]GraphHealth, 0, len(s.graphs))
+	for _, e := range s.graphs {
+		h := GraphHealth{Name: e.name, State: e.state.load().String(), Epoch: e.epoch, Mutable: e.mg != nil}
+		if e.mg != nil {
+			h.Epoch = e.mg.Epoch()
+			h.ReplayedBatches = e.mg.ReplayedBatches()
+		}
+		if e.inc != nil {
+			h.Incremental = true
+			h.RetainedEntries = e.inc.Len()
+		}
+		out = append(out, h)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// Ready reports whether every registered graph is serving (readiness: a
+// server with no graphs is ready; one mid-recovery or degraded is not).
+func (s *Server) Ready() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.graphs {
+		if e.state.load() != GraphServing {
+			return false
+		}
+	}
+	return true
+}
+
+// LoadGraph opens a graph spec (see gts.Open: a .gts store file or
+// "dataset[@shrink]"), builds a poolSize-wide engine pool with engineCfg,
+// and registers it under name.
+func (s *Server) LoadGraph(name, spec string, engineCfg gts.Config, poolSize int) error {
+	g, err := gts.Open(spec)
+	if err != nil {
+		return err
+	}
+	pool, err := gts.NewSystemPool(g, engineCfg, poolSize)
+	if err != nil {
+		return err
+	}
+	return s.AddGraph(name, pool)
+}
+
+// Graphs lists the registered graphs, sorted by name.
+func (s *Server) Graphs() []GraphInfo {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]GraphInfo, 0, len(s.graphs))
+	for _, e := range s.graphs {
+		info := GraphInfo{Name: e.name, State: e.state.load().String(), Mutable: e.mg != nil, Epoch: e.epoch}
+		if e.pool != nil { // placeholder entries mid-load have no pool yet
+			g := e.pool.Graph()
+			info.Vertices, info.Edges = g.NumVertices(), g.NumEdges()
+			info.Pool = e.pool.Size()
+			info.HostWorkers = effectiveHostWorkers(e.pool.Config())
+			if hp := e.pool.HostPool(); hp != nil {
+				info.PoolPolicy = hp.Policy()
+				info.PoolBytes = hp.Budget()
+			}
+		}
+		out = append(out, info)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}

@@ -106,10 +106,6 @@ type loadRequest struct {
 	// Faults arms deterministic fault injection on every engine in this
 	// graph's pool (chaos testing; see gts.FaultPlan).
 	Faults *gts.FaultPlan `json:"faults,omitempty"`
-	// ShareStreams opts this graph into multi-query topology sharing:
-	// concurrent jobs coalesce into wave groups that stream each page once
-	// (see gts.Config.ShareStreams).
-	ShareStreams bool `json:"share_streams,omitempty"`
 	// WAL, when set, loads the graph as mutable: the file at this path is
 	// the graph's write-ahead log (created if absent, replayed if present)
 	// and the graph accepts POST /v1/graphs/{name}/ingest.
@@ -131,7 +127,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg := gts.Config{GPUs: req.GPUs, Streams: req.Streams, HostWorkers: req.HostWorkers, Faults: req.Faults, ShareStreams: req.ShareStreams}
+	cfg := gts.Config{GPUs: req.GPUs, Streams: req.Streams, HostWorkers: req.HostWorkers, Faults: req.Faults}
 	if strings.EqualFold(req.Strategy, "s") {
 		cfg.Strategy = gts.StrategyS
 	}

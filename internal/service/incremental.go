@@ -1,27 +1,21 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"time"
 
 	gts "repro"
 	"repro/internal/incremental"
-	"repro/internal/kernels"
-	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
-// This file is the service half of incremental recompute: it resolves a
-// job against the graph's retained-state store (hit, fallback, or plain
-// capture), runs the chosen kernel through the solo or wave-group path,
-// and captures fresh state on completion. Results are byte-identical to
-// the normal path by the incremental package's exactness contract, so
-// they share the same result cache and single-flight keys.
+// This file is the incremental planner: it resolves a job against the
+// graph's retained-state store into a plan (delta-expansion hit, fallback,
+// or plain full run) whose capture hook retains fresh state on completion.
+// The plan runs through the same pipeline as every other job (execute.go).
+// Results are byte-identical to the normal path by the incremental
+// package's exactness contract, so they share the same result cache and
+// single-flight keys.
 
-// incAlgos is the set of algorithms with a retained-state representation.
+// incSupported reports whether algo has a retained-state representation.
 func incSupported(algo string) bool {
 	return algo == "bfs" || algo == "cc" || algo == "pagerank"
 }
@@ -34,304 +28,109 @@ func incKey(algo string, p Params) string {
 	return algo + "?" + string(buf)
 }
 
-// incPlan is one resolved incremental-path execution: the kernel to run,
-// the result decoder, and the state capture to perform on success.
-type incPlan struct {
-	kernel  gts.Kernel
-	source  uint64
-	decode  func(gts.KernelState, gts.Metrics) any
-	capture func(gts.KernelState, gts.Metrics)
-	// hit marks a delta-expansion run; seeds is its seed count (for the
-	// incseed span) and priorFull the retained from-scratch page cost.
-	hit       bool
-	seeds     int
-	priorFull int64
-	// fallback carries the reason an incremental request could not be
-	// served from retained state ("" when not requested or when hit).
-	fallback string
-}
-
-// executeIncremental serves one dequeued job through the incremental
-// path. It returns false — leaving the job untouched — when the graph has
-// no retained-state store, the algorithm has no incremental form, or the
-// configuration is outside the supported envelope (multi-GPU replicas
-// merge state in ways the delta planners do not model).
-func (s *Server) executeIncremental(job *Job) bool {
-	entry := job.entry
-	if entry.inc == nil || !incSupported(job.req.Algo) {
-		return false
-	}
-	cfg := entry.pool.Config()
-	if cfg.GPUs > 1 {
-		if job.req.Incremental {
-			s.met.addIncFallback()
-			entry.inc.AddFallback()
-		}
-		return false
-	}
-	g := entry.pool.Graph()
-	plan := s.planIncremental(entry, g, cfg, job.req)
-	if plan.kernel == nil {
-		return false
-	}
-
-	var rec *trace.Recorder
-	if s.traces != nil {
-		rec = trace.NewWithID(job.id)
-		if plan.hit {
-			rec.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncSeed, Page: int64(plan.seeds), Level: -1})
-		} else if plan.fallback != "" {
-			rec.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncFallback, Page: -1, Level: -1})
-		}
-	}
-
-	var out gts.KernelState
-	var m gts.Metrics
-	var err error
-	var wall time.Duration
-	if entry.sched != nil {
-		job.setRunning()
-		s.met.runStarted()
-		start := time.Now()
-		res, serr := entry.sched.Run(job.ctx, sched.Job{Kernel: plan.kernel, Source: plan.source, Trace: rec})
-		wall = time.Since(start)
-		s.met.runFinished()
-		s.met.observeRunWall(wall)
-		if serr != nil {
-			err = serr
-		} else {
-			out, m = res.State, res.Metrics
-		}
-	} else {
-		sys, aerr := entry.pool.Acquire(job.ctx)
-		if aerr != nil {
-			s.met.addTimedOut()
-			job.fail(fmt.Errorf("%w (waiting for an engine)", ErrTimeout), JobTimedOut)
-			if rec != nil {
-				s.traces.put(job.id, rec)
-			}
-			return true
-		}
-		job.setRunning()
-		var prevRec *trace.Recorder
-		if rec != nil {
-			prevRec = sys.SetTrace(rec)
-		}
-		s.met.runStarted()
-		start := time.Now()
-		out, m, err = sys.RunKernel(plan.kernel, plan.source)
-		wall = time.Since(start)
-		s.met.runFinished()
-		s.met.observeRunWall(wall)
-		if rec != nil {
-			sys.SetTrace(prevRec)
-		}
-		entry.pool.Release(sys)
-	}
-	if rec != nil {
-		s.traces.put(job.id, rec)
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.met.addTimedOut()
-			job.fail(fmt.Errorf("%w (incremental run)", ErrTimeout), JobTimedOut)
-			return true
-		}
-		s.met.addFailed()
-		if errors.Is(err, gts.ErrHardwareFault) {
-			s.met.addHWFailure()
-		}
-		job.fail(err, JobFailed)
-		return true
-	}
-
-	// Accounting: a hit saved (from-scratch pages - streamed pages); a
-	// fallback on an explicit incremental request counts against it.
-	if plan.hit {
-		saved := plan.priorFull - m.PagesStreamed
-		s.met.addIncHit(saved)
-		entry.inc.AddHit(saved)
-	} else if plan.fallback != "" {
-		s.met.addIncFallback()
-		entry.inc.AddFallback()
-	}
-	plan.capture(out, m)
-
-	s.met.addFaults(m.Faults)
-	res := &Result{
-		Graph:   job.req.Graph,
-		Algo:    job.req.Algo,
-		Params:  job.req.Params,
-		Metrics: m,
-		Output:  plan.decode(out, m),
-		Wall:    wall,
-	}
-	s.cache.put(job.key, res)
-	job.complete(res, false)
-	s.met.jobCompleted(job.req.Algo, job.Latency(), wall, m.Elapsed)
-	return true
-}
-
 // planIncremental resolves how to run the job: delta-expansion from a
 // retained entry when requested and safe, otherwise a full run that
 // captures fresh state.
-func (s *Server) planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, req Request) incPlan {
+func planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, a algorithm, req Request) plan {
 	p := req.Params
 	key := incKey(req.Algo, p)
 	fallback := ""
 	if req.Incremental {
 		if prior, delta, ok := entry.inc.Lookup(key); ok {
-			plan, reason := buildIncKernel(entry, g, key, req.Algo, p, prior, delta)
+			pl, reason := deltaPlan(entry, g, key, req.Algo, p, prior, delta)
 			if reason == "" {
-				return plan
+				return pl
 			}
 			fallback = reason
 		} else {
 			fallback = "no-retained-state"
 		}
 	}
-	plan := buildFullCapture(entry, g, cfg, key, req.Algo, p)
-	plan.fallback = fallback
-	return plan
+
+	// The from-scratch run: the algorithm's own kernel, except that
+	// PageRank records its per-iteration trajectory for later patching.
+	pl := plan{fallback: fallback}
+	var traj func() [][]float32
+	if req.Algo == "pagerank" {
+		rk := incremental.NewRecordingPageRank(g, p.Damping, p.Iterations)
+		pl.kernel = rk
+		pl.decode = func(st gts.KernelState, m gts.Metrics) any {
+			return &gts.PageRankResult{Metrics: m, Ranks: rk.Ranks(st)}
+		}
+		traj = func() [][]float32 { return rk.Traj }
+	} else {
+		pl.kernel, pl.source, pl.decode = a.kernel(g, cfg, p)
+	}
+	pl.capture = retain(entry, key, req.Algo, p, -1, traj)
+	return pl
 }
 
-// buildIncKernel plans a delta-expansion kernel for one algorithm, or
-// reports why it cannot be exact.
-func buildIncKernel(entry *graphEntry, g *gts.Graph, key, algo string, p Params, prior *incremental.Entry, delta incremental.Delta) (incPlan, string) {
-	epoch := entry.epoch
-	inc := entry.inc
+// deltaPlan plans a delta-expansion kernel for one algorithm, or reports
+// why it cannot be exact.
+func deltaPlan(entry *graphEntry, g *gts.Graph, key, algo string, p Params, prior *incremental.Entry, delta incremental.Delta) (plan, string) {
+	pl := plan{source: p.Source, hit: true, priorFull: prior.FullPages}
+	var traj func() [][]float32
 	switch algo {
 	case "bfs":
 		if prior.Source != p.Source {
-			return incPlan{}, "source-mismatch"
+			return plan{}, "source-mismatch"
 		}
 		k, reason := incremental.PlanBFS(g, prior, delta)
 		if reason != "" {
-			return incPlan{}, reason
+			return plan{}, reason
 		}
-		return incPlan{
-			kernel:    k,
-			source:    p.Source,
-			hit:       true,
-			seeds:     k.Seeds,
-			priorFull: prior.FullPages,
-			decode: func(st gts.KernelState, m gts.Metrics) any {
-				return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
-			},
-			capture: func(st gts.KernelState, m gts.Metrics) {
-				inc.Capture(key, &incremental.Entry{
-					Kind: incremental.KindBFS, Epoch: epoch, Source: p.Source,
-					Levels:    append([]int16(nil), k.Levels(st)...),
-					FullPages: prior.FullPages,
-				})
-			},
-		}, ""
+		pl.kernel, pl.seeds = k, k.Seeds
+		pl.decode = func(st gts.KernelState, m gts.Metrics) any {
+			return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
+		}
 	case "cc":
 		k, reason := incremental.PlanCC(g, prior, delta)
 		if reason != "" {
-			return incPlan{}, reason
+			return plan{}, reason
 		}
-		return incPlan{
-			kernel:    k,
-			hit:       true,
-			seeds:     k.Seeds,
-			priorFull: prior.FullPages,
-			decode: func(st gts.KernelState, m gts.Metrics) any {
-				return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
-			},
-			capture: func(st gts.KernelState, m gts.Metrics) {
-				inc.Capture(key, &incremental.Entry{
-					Kind: incremental.KindCC, Epoch: epoch,
-					Labels:    append([]uint32(nil), k.Components(st)...),
-					FullPages: prior.FullPages,
-				})
-			},
-		}, ""
+		pl.kernel, pl.seeds = k, k.Seeds
+		pl.decode = func(st gts.KernelState, m gts.Metrics) any {
+			return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
+		}
 	case "pagerank":
 		k, reason := incremental.PlanPageRank(g, prior, delta, p.Damping, p.Iterations)
 		if reason != "" {
-			return incPlan{}, reason
+			return plan{}, reason
 		}
-		return incPlan{
-			kernel:    k,
-			hit:       true,
-			seeds:     k.Seeds,
-			priorFull: prior.FullPages,
-			decode: func(st gts.KernelState, m gts.Metrics) any {
-				return &gts.PageRankResult{Metrics: m, Ranks: k.Ranks(st)}
-			},
-			capture: func(st gts.KernelState, m gts.Metrics) {
-				inc.Capture(key, &incremental.Entry{
-					Kind: incremental.KindPageRank, Epoch: epoch,
-					Traj: k.Trajectory(), Damping: p.Damping, Iterations: p.Iterations,
-					FullPages: prior.FullPages,
-				})
-			},
-		}, ""
+		pl.kernel, pl.seeds = k, k.Seeds
+		pl.decode = func(st gts.KernelState, m gts.Metrics) any {
+			return &gts.PageRankResult{Metrics: m, Ranks: k.Ranks(st)}
+		}
+		traj = k.Trajectory
+	default:
+		return plan{}, "unsupported"
 	}
-	return incPlan{}, "unsupported"
+	pl.capture = retain(entry, key, algo, p, prior.FullPages, traj)
+	return pl, ""
 }
 
-// buildFullCapture builds the from-scratch kernel for one algorithm plus
-// the capture that retains its completed state for later incremental runs.
-func buildFullCapture(entry *graphEntry, g *gts.Graph, cfg gts.Config, key, algo string, p Params) incPlan {
-	epoch := entry.epoch
-	inc := entry.inc
-	switch algo {
-	case "bfs":
-		var k interface {
-			gts.Kernel
-			Levels(gts.KernelState) []int16
+// retain returns the capture hook that stores a completed run as the
+// graph's retained entry for key, at the epoch the job ran on. fullPages is
+// the from-scratch page cost the entry remembers: a delta run inherits its
+// prior entry's, a full run (fullPages < 0) records its own. traj supplies
+// PageRank's per-iteration trajectory once the run is over.
+func retain(entry *graphEntry, key, algo string, p Params, fullPages int64, traj func() [][]float32) func(any, gts.Metrics) {
+	return func(output any, m gts.Metrics) {
+		e := &incremental.Entry{Epoch: entry.epoch, FullPages: fullPages}
+		if fullPages < 0 {
+			e.FullPages = m.PagesStreamed
 		}
-		if cfg.DirectionOpt {
-			k = kernels.NewDirBFS(g)
-		} else {
-			k = kernels.NewBFS(g)
+		switch algo {
+		case "bfs":
+			e.Kind, e.Source = incremental.KindBFS, p.Source
+			e.Levels = append([]int16(nil), output.(*gts.BFSResult).Levels...)
+		case "cc":
+			e.Kind = incremental.KindCC
+			e.Labels = append([]uint32(nil), output.(*gts.CCResult).Labels...)
+		case "pagerank":
+			e.Kind, e.Traj = incremental.KindPageRank, traj()
+			e.Damping, e.Iterations = p.Damping, p.Iterations
 		}
-		return incPlan{
-			kernel: k,
-			source: p.Source,
-			decode: func(st gts.KernelState, m gts.Metrics) any {
-				return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
-			},
-			capture: func(st gts.KernelState, m gts.Metrics) {
-				inc.Capture(key, &incremental.Entry{
-					Kind: incremental.KindBFS, Epoch: epoch, Source: p.Source,
-					Levels:    append([]int16(nil), k.Levels(st)...),
-					FullPages: m.PagesStreamed,
-				})
-			},
-		}
-	case "cc":
-		k := kernels.NewCC(g)
-		return incPlan{
-			kernel: k,
-			decode: func(st gts.KernelState, m gts.Metrics) any {
-				return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
-			},
-			capture: func(st gts.KernelState, m gts.Metrics) {
-				inc.Capture(key, &incremental.Entry{
-					Kind: incremental.KindCC, Epoch: epoch,
-					Labels:    append([]uint32(nil), k.Components(st)...),
-					FullPages: m.PagesStreamed,
-				})
-			},
-		}
-	case "pagerank":
-		k := incremental.NewRecordingPageRank(g, p.Damping, p.Iterations)
-		return incPlan{
-			kernel: k,
-			decode: func(st gts.KernelState, m gts.Metrics) any {
-				return &gts.PageRankResult{Metrics: m, Ranks: k.Ranks(st)}
-			},
-			capture: func(st gts.KernelState, m gts.Metrics) {
-				inc.Capture(key, &incremental.Entry{
-					Kind: incremental.KindPageRank, Epoch: epoch,
-					Traj: k.Traj, Damping: p.Damping, Iterations: p.Iterations,
-					FullPages: m.PagesStreamed,
-				})
-			},
-		}
+		entry.inc.Capture(key, e)
 	}
-	return incPlan{}
 }

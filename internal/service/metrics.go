@@ -160,7 +160,7 @@ func summarize(h *obs.Histogram) LatencySummary {
 }
 
 // SharingStats aggregates the per-graph wave-group schedulers' lifetime
-// counters (zero when no graph serves with ShareStreams).
+// counters: every graph runs its jobs through one.
 type SharingStats struct {
 	// WaveGroups is how many shared groups ran; GroupJobs how many jobs they
 	// served; SoloFallbacks how many declined jobs re-ran privately.
@@ -209,8 +209,7 @@ type Stats struct {
 	HostWorkers int            `json:"host_workers"`
 	Faults      gts.FaultStats `json:"faults"`
 	HWFailures  uint64         `json:"hw_failures"`
-	// Sharing aggregates wave-group activity across graphs serving with
-	// ShareStreams.
+	// Sharing aggregates wave-group activity across the loaded graphs.
 	Sharing SharingStats `json:"sharing"`
 	// Pool holds each pooled graph's shared host page-pool snapshot, keyed
 	// by graph name (nil when no graph uses a BufferPool).
@@ -279,7 +278,7 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	counter("gtsd_fault_degradations_total", "Device-OOM spills from the cached to the streaming path.", uint64(s.Faults.Degradations))
 	counter("gtsd_hw_failures_total", "Jobs abandoned after the engine's retry budget was exhausted.", s.HWFailures)
 	counter("gtsd_jobs_coalesced_total", "Submissions deduplicated onto an identical in-flight job.", s.Coalesced)
-	counter("gtsd_wave_groups_total", "Shared wave groups run across ShareStreams graphs.", uint64(s.Sharing.WaveGroups))
+	counter("gtsd_wave_groups_total", "Wave groups run across the loaded graphs.", uint64(s.Sharing.WaveGroups))
 	counter("gtsd_wave_group_jobs_total", "Jobs served inside shared wave groups.", uint64(s.Sharing.GroupJobs))
 	counter("gtsd_solo_fallbacks_total", "Declined wave-group members re-run privately.", uint64(s.Sharing.SoloFallbacks))
 	counter("gtsd_waves_total", "Superstep waves across shared groups.", uint64(s.Sharing.Waves))
@@ -400,4 +399,93 @@ func (m *metrics) snapshotPerAlgo() map[string]AlgoStats {
 		out[name] = st
 	}
 	return out
+}
+
+// Stats snapshots the server's counters.
+func (s *Server) Stats() Stats {
+	hits, misses, size := s.cache.stats()
+	s.mu.Lock()
+	graphs := len(s.graphs)
+	hostWorkers := 0
+	var sharing SharingStats
+	var pools map[string]gts.PoolStats
+	var walStats map[string]gts.WALStats
+	var epochs map[string]uint64
+	var retained map[string]int
+	for _, e := range s.graphs {
+		if e.inc != nil {
+			if retained == nil {
+				retained = make(map[string]int)
+			}
+			retained[e.name] = e.inc.Len()
+		}
+		if e.mg != nil {
+			if walStats == nil {
+				walStats = make(map[string]gts.WALStats)
+				epochs = make(map[string]uint64)
+			}
+			walStats[e.name] = e.mg.WALStats()
+			epochs[e.name] = e.mg.Epoch()
+		}
+		if e.pool == nil { // placeholder entry mid-load
+			continue
+		}
+		if hw := effectiveHostWorkers(e.pool.Config()); hw > hostWorkers {
+			hostWorkers = hw
+		}
+		if hp := e.pool.HostPool(); hp != nil {
+			if pools == nil {
+				pools = make(map[string]gts.PoolStats)
+			}
+			pools[e.name] = hp.Stats()
+		}
+		ss := e.sched.Stats()
+		sharing.WaveGroups += ss.Groups
+		sharing.GroupJobs += ss.GroupJobs
+		sharing.SoloFallbacks += ss.SoloRuns
+		sharing.Waves += ss.Waves
+		sharing.PageCopies += ss.PageCopies
+		sharing.SharedPageCopies += ss.SharedPageCopies
+		sharing.BytesSaved += ss.BytesSaved
+		sharing.BytesToGPU += ss.BytesToGPU
+	}
+	s.mu.Unlock()
+	m := s.met
+	m.mu.Lock()
+	st := Stats{
+		QueueDepth:  len(s.queue),
+		QueueCap:    cap(s.queue),
+		InFlight:    m.inFlight,
+		Submitted:   m.submitted,
+		Completed:   m.completed,
+		Failed:      m.failed,
+		Rejected:    m.rejected,
+		TimedOut:    m.timedOut,
+		Coalesced:   m.coalesced,
+		CacheHits:   hits,
+		CacheMisses: misses,
+		CacheSize:   size,
+		Graphs:      graphs,
+		HostWorkers: hostWorkers,
+		Faults:      m.faults,
+		HWFailures:  m.hwFailures,
+		Sharing:     sharing,
+		Pool:        pools,
+
+		IngestBatches:  m.ingestBatches,
+		IngestEdges:    m.ingestEdges,
+		IngestFailures: m.ingestFailures,
+		WAL:            walStats,
+		Epochs:         epochs,
+
+		IncrementalHits:            m.incHits,
+		IncrementalFallbacks:       m.incFallbacks,
+		IncrementalSavedSupersteps: m.incSaved,
+		Retained:                   retained,
+	}
+	m.mu.Unlock()
+	st.QueueWait = summarize(&m.queueWait)
+	st.RunWall = summarize(&m.runWall)
+	st.PerAlgo = m.snapshotPerAlgo()
+	return st
 }

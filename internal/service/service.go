@@ -12,26 +12,28 @@
 // and consults the cache — a hit completes the job immediately; a miss
 // enqueues it or, if the queue is full, rejects it with ErrOverloaded.
 // A worker dequeues the job, re-checks its deadline (a job whose deadline
-// expired while queued times out without running), claims a System from
-// the graph's pool, and runs the algorithm. Runs are not preempted: a
-// deadline that expires mid-run does not cancel the engine, it only
-// bounds queue and pool wait.
+// expired while queued times out without running), and takes it through
+// the one execute pipeline (execute.go): cache peek, kernel resolution,
+// the graph's wave-group scheduler, then error classification and
+// accounting. Runs are not preempted: a deadline that expires mid-run does
+// not cancel the engine, it only bounds queue and scheduler wait.
+//
+// The package is laid out along that path: service.go (admission: Submit,
+// single-flight, the worker pool, Shutdown), job.go (the Job handle),
+// graphs.go (the graph registry: load, ingest, health), execute.go (the
+// pipeline), incremental.go and algos.go (kernel resolution), cache.go,
+// metrics.go, tracestore.go and http.go.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	gts "repro"
-	"repro/internal/incremental"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Typed errors; the HTTP layer maps each to a status code.
@@ -138,224 +140,6 @@ type Result struct {
 	Wall time.Duration `json:"wall"`
 }
 
-// JobState is a job's lifecycle position.
-type JobState int32
-
-// Job states.
-const (
-	JobQueued JobState = iota
-	JobRunning
-	JobDone
-	JobFailed
-	JobTimedOut
-)
-
-// String names the state for JSON and logs.
-func (s JobState) String() string {
-	switch s {
-	case JobQueued:
-		return "queued"
-	case JobRunning:
-		return "running"
-	case JobDone:
-		return "done"
-	case JobFailed:
-		return "failed"
-	default:
-		return "timedout"
-	}
-}
-
-// Job tracks one submission through the queue. All accessors are safe for
-// concurrent use.
-type Job struct {
-	id        string
-	req       Request // normalized params
-	key       string
-	entry     *graphEntry
-	algo      algorithm
-	ctx       context.Context
-	cancel    context.CancelFunc
-	submitted time.Time
-
-	mu       sync.Mutex
-	state    JobState
-	cached   bool
-	result   *Result
-	err      error
-	finished time.Time
-	done     chan struct{}
-}
-
-// ID returns the job's server-unique identifier.
-func (j *Job) ID() string { return j.id }
-
-// Request returns the submission with normalized parameters.
-func (j *Job) Request() Request { return j.req }
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// State returns the current lifecycle position.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Cached reports whether the answer came from the result cache.
-func (j *Job) Cached() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cached
-}
-
-// Result returns the answer (nil until done) and the terminal error, if
-// any.
-func (j *Job) Result() (*Result, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result, j.err
-}
-
-// Err returns the terminal error (nil while running or on success).
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Latency returns submission-to-finish wall time (0 until done).
-func (j *Job) Latency() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.finished.IsZero() {
-		return 0
-	}
-	return j.finished.Sub(j.submitted)
-}
-
-func (j *Job) setRunning() {
-	j.mu.Lock()
-	j.state = JobRunning
-	j.mu.Unlock()
-}
-
-func (j *Job) complete(res *Result, cached bool) {
-	j.mu.Lock()
-	j.state = JobDone
-	j.result = res
-	j.cached = cached
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *Job) fail(err error, state JobState) {
-	j.mu.Lock()
-	j.state = state
-	j.err = err
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// GraphState is a registered graph's serving condition, reported by
-// /healthz and gating /readyz.
-type GraphState int32
-
-// Graph states.
-const (
-	// GraphLoading: the base graph is being opened/generated and its engine
-	// pool built.
-	GraphLoading GraphState = iota
-	// GraphRecovering: the WAL's committed batches are being replayed onto
-	// the base graph.
-	GraphRecovering
-	// GraphServing: queries are admitted.
-	GraphServing
-	// GraphDegraded: an ingest crash (or a failed pool rebuild) left the
-	// graph read-only-at-best; reload to recover.
-	GraphDegraded
-)
-
-// String names the state for /healthz JSON.
-func (g GraphState) String() string {
-	switch g {
-	case GraphLoading:
-		return "loading"
-	case GraphRecovering:
-		return "recovering"
-	case GraphServing:
-		return "serving"
-	default:
-		return "degraded"
-	}
-}
-
-// graphEntry is one registered graph with its engine pool. Entries are
-// immutable after publication except for state; a mutation publishes a
-// whole new entry (new pool over the new snapshot, same MutableGraph), so
-// jobs holding an old entry keep computing against the consistent old
-// snapshot.
-type graphEntry struct {
-	name  string
-	gen   uint64 // load generation, part of the cache key
-	epoch uint64 // mutation epoch (last applied WAL LSN), part of the cache key
-	pool  *gts.SystemPool
-	// sched coalesces concurrent jobs into shared wave groups; nil unless
-	// the pool was configured with ShareStreams.
-	sched *sched.Scheduler
-	// mg is the mutable backing (nil for immutable graphs).
-	mg *gts.MutableGraph
-	// inc is the retained-state store for incremental recompute (nil
-	// unless Config.Incremental and the graph is mutable). It is carried
-	// across ingest republishes — the commit hook migrates its chain — and
-	// rebuilt from scratch on graph reload, so crash recovery can never
-	// resurrect pre-crash state.
-	inc   *incremental.Store
-	state atomicState
-}
-
-// atomicState is a small typed wrapper over the entry's state word.
-type atomicState struct{ v int32 }
-
-func (a *atomicState) load() GraphState { return GraphState(atomic.LoadInt32(&a.v)) }
-func (a *atomicState) store(s GraphState) {
-	atomic.StoreInt32(&a.v, int32(s))
-}
-
-// GraphInfo describes a registered graph for listings.
-type GraphInfo struct {
-	Name     string `json:"name"`
-	Vertices uint64 `json:"vertices"`
-	Edges    uint64 `json:"edges"`
-	Pool     int    `json:"pool"`
-	// HostWorkers is the effective host worker-pool size this graph's
-	// engines execute kernels with (the engine's HostWorkers after
-	// defaulting 0 to GOMAXPROCS).
-	HostWorkers int `json:"host_workers"`
-	// PoolPolicy and PoolBytes describe the graph's shared host page pool
-	// — the single pinned buffer all pooled Systems stream through.
-	// Empty/zero when the graph serves from the classic per-run buffer.
-	PoolPolicy string `json:"pool_policy,omitempty"`
-	PoolBytes  int64  `json:"pool_bytes,omitempty"`
-	// State is the serving state ("loading"/"recovering"/"serving"/
-	// "degraded"); Mutable and Epoch describe WAL-backed graphs.
-	State   string `json:"state"`
-	Mutable bool   `json:"mutable,omitempty"`
-	Epoch   uint64 `json:"epoch,omitempty"`
-}
-
-// effectiveHostWorkers resolves a pool's HostWorkers setting the way the
-// engine does: 0 means one worker per CPU.
-func effectiveHostWorkers(cfg gts.Config) int {
-	if cfg.HostWorkers > 0 {
-		return cfg.HostWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Server is the concurrent analytics service. Create with New, populate
 // with AddGraph/LoadGraph, submit with Submit (async) or Run (sync), and
 // stop with Shutdown.
@@ -401,281 +185,6 @@ func New(cfg Config) *Server {
 		go s.worker()
 	}
 	return s
-}
-
-// AddGraph registers a pre-built engine pool under name. The pool's graph
-// must not be mutated afterwards (slotted-page graphs are immutable once
-// built). Re-registering a name replaces the previous graph and, via the
-// generation in the cache key, implicitly invalidates its cached results.
-// Pools configured with gts.Config.ShareStreams get a wave-group scheduler:
-// concurrent jobs on the graph coalesce into shared topology streams.
-func (s *Server) AddGraph(name string, pool *gts.SystemPool) error {
-	if name == "" || pool == nil {
-		return fmt.Errorf("service: AddGraph needs a name and a pool")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrShuttingDown
-	}
-	s.nextGen++
-	entry := &graphEntry{name: name, gen: s.nextGen, pool: pool}
-	entry.state.store(GraphServing)
-	if pool.Config().ShareStreams {
-		entry.sched = sched.New(pool, sched.Config{})
-	}
-	if old := s.graphs[name]; old != nil && old.sched != nil {
-		// Drain the replaced graph's scheduler off the lock; in-flight jobs
-		// against the old entry still complete through it.
-		go old.sched.Close()
-	}
-	s.graphs[name] = entry
-	return nil
-}
-
-// LoadMutableGraph opens spec as a crash-recoverable mutable graph whose
-// mutation history lives in the WAL at walPath (created if absent,
-// replayed if present), builds a poolSize-wide engine pool over the
-// recovered snapshot, and registers it under name. While the load runs the
-// graph is visible to Health in the "loading" (fresh WAL) or "recovering"
-// (non-empty WAL) state and rejects jobs with ErrGraphNotReady; it flips
-// to "serving" when the pool is up.
-func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Config, poolSize int) error {
-	if name == "" || spec == "" || walPath == "" {
-		return fmt.Errorf("service: LoadMutableGraph needs a name, a spec and a WAL path")
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrShuttingDown
-	}
-	s.nextGen++
-	placeholder := &graphEntry{name: name, gen: s.nextGen}
-	if fi, err := os.Stat(walPath); err == nil && fi.Size() > 0 {
-		placeholder.state.store(GraphRecovering)
-	} else {
-		placeholder.state.store(GraphLoading)
-	}
-	prev := s.graphs[name]
-	s.graphs[name] = placeholder
-	s.mu.Unlock()
-	if prev != nil && prev.sched != nil {
-		go prev.sched.Close()
-	}
-
-	fail := func(err error) error {
-		s.mu.Lock()
-		if s.graphs[name] == placeholder {
-			delete(s.graphs, name)
-		}
-		s.mu.Unlock()
-		return err
-	}
-	mg, err := gts.OpenMutable(spec, walPath, gts.MutableOptions{Faults: engineCfg.Faults})
-	if err != nil {
-		return fail(err)
-	}
-	// Per-job fault plans still apply through requests; the graph-level
-	// plan was consumed by the WAL/ingest injector above. Keeping it on the
-	// engines too would double-inject every storage fault.
-	pool, err := gts.NewSystemPool(mg.Snapshot(), engineCfg, poolSize)
-	if err != nil {
-		mg.Close()
-		return fail(err)
-	}
-	entry := &graphEntry{name: name, gen: placeholder.gen, epoch: mg.Epoch(), pool: pool, mg: mg}
-	if s.cfg.Incremental {
-		// A fresh store per load: recovery discards every pre-crash entry
-		// by construction (epoch-mismatch safety without trusting the
-		// recovered LSN counter). The commit hook runs under the ingest
-		// lock, so the chain records commits in order.
-		inc := incremental.NewStore(mg.Epoch())
-		mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, old, _ *gts.Graph) {
-			inc.Commit(prev, epoch, ops, old)
-		})
-		entry.inc = inc
-	}
-	entry.state.store(GraphServing)
-	if pool.Config().ShareStreams {
-		entry.sched = sched.New(pool, sched.Config{})
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		mg.Close()
-		if entry.sched != nil {
-			entry.sched.Close()
-		}
-		return ErrShuttingDown
-	}
-	if s.graphs[name] == placeholder {
-		s.graphs[name] = entry
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// Ingest commits one batch of edge mutations against a mutable graph:
-// WAL-append + fsync, apply, then republish the graph at its new epoch —
-// a fresh engine pool over the new snapshot sharing the old host page pool
-// (stale frames invalidated via AdvanceEpoch), a fresh wave-group
-// scheduler (the old one is fenced and drained), and a new cache-key
-// epoch so no stale result or old-epoch leader can serve new-epoch jobs.
-func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error) {
-	s.mu.Lock()
-	entry, ok := s.graphs[name]
-	s.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownGraph, name)
-	}
-	if entry.mg == nil {
-		return 0, fmt.Errorf("%w: %q", ErrImmutableGraph, name)
-	}
-	if st := entry.state.load(); st != GraphServing {
-		return 0, fmt.Errorf("%w: %q is %s", ErrGraphNotReady, name, st)
-	}
-	epoch, err = entry.mg.Ingest(ops)
-	if err != nil {
-		s.met.addIngestFailure()
-		if errors.Is(err, gts.ErrCrashed) {
-			entry.state.store(GraphDegraded)
-		}
-		return 0, err
-	}
-	s.met.addIngested(int64(len(ops)))
-
-	// Fence the running scheduler so no pre-mutation wave group admits a
-	// post-mutation job, invalidate the shared host pool's superseded
-	// frames, and publish a new entry over the new snapshot.
-	if entry.sched != nil {
-		entry.sched.Fence()
-	}
-	cfg := entry.pool.Config()
-	if hp := entry.pool.HostPool(); hp != nil {
-		hp.AdvanceEpoch()
-		cfg.HostPool = hp // keep sharing the same pool across the rebuild
-	}
-	pool, perr := gts.NewSystemPool(entry.mg.Snapshot(), cfg, entry.pool.Size())
-	if perr != nil {
-		entry.state.store(GraphDegraded)
-		return epoch, fmt.Errorf("service: batch %d committed but pool rebuild failed: %w", epoch, perr)
-	}
-	next := &graphEntry{name: name, gen: entry.gen, epoch: epoch, pool: pool, mg: entry.mg, inc: entry.inc}
-	next.state.store(GraphServing)
-	if cfg.ShareStreams {
-		next.sched = sched.New(pool, sched.Config{})
-	}
-	s.mu.Lock()
-	if s.graphs[name] == entry {
-		s.graphs[name] = next
-	}
-	s.mu.Unlock()
-	if entry.sched != nil {
-		// Jobs already inside the old scheduler finish against the old
-		// snapshot (their results are keyed to the old epoch and stay
-		// correct); Close drains them off the lock.
-		go entry.sched.Close()
-	}
-	return epoch, nil
-}
-
-// GraphHealth is one graph's /healthz row.
-type GraphHealth struct {
-	Name  string `json:"name"`
-	State string `json:"state"`
-	Epoch uint64 `json:"epoch"`
-	// Mutable reports whether the graph accepts ingest.
-	Mutable bool `json:"mutable"`
-	// ReplayedBatches is how many committed WAL batches the load replayed.
-	ReplayedBatches int `json:"replayed_batches,omitempty"`
-	// Incremental reports whether the graph retains state for incremental
-	// recompute; RetainedEntries is the live retained-entry count.
-	Incremental     bool `json:"incremental,omitempty"`
-	RetainedEntries int  `json:"retained_entries,omitempty"`
-}
-
-// Health reports every registered graph's serving state, sorted by name.
-func (s *Server) Health() []GraphHealth {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]GraphHealth, 0, len(s.graphs))
-	for _, e := range s.graphs {
-		h := GraphHealth{Name: e.name, State: e.state.load().String(), Epoch: e.epoch, Mutable: e.mg != nil}
-		if e.mg != nil {
-			h.Epoch = e.mg.Epoch()
-			h.ReplayedBatches = e.mg.ReplayedBatches()
-		}
-		if e.inc != nil {
-			h.Incremental = true
-			h.RetainedEntries = e.inc.Len()
-		}
-		out = append(out, h)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// Ready reports whether every registered graph is serving (readiness: a
-// server with no graphs is ready; one mid-recovery or degraded is not).
-func (s *Server) Ready() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.graphs {
-		if e.state.load() != GraphServing {
-			return false
-		}
-	}
-	return true
-}
-
-// LoadGraph opens a graph spec (see gts.Open: a .gts store file or
-// "dataset[@shrink]"), builds a poolSize-wide engine pool with engineCfg,
-// and registers it under name.
-func (s *Server) LoadGraph(name, spec string, engineCfg gts.Config, poolSize int) error {
-	g, err := gts.Open(spec)
-	if err != nil {
-		return err
-	}
-	pool, err := gts.NewSystemPool(g, engineCfg, poolSize)
-	if err != nil {
-		return err
-	}
-	return s.AddGraph(name, pool)
-}
-
-// Graphs lists the registered graphs, sorted by name.
-func (s *Server) Graphs() []GraphInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]GraphInfo, 0, len(s.graphs))
-	for _, e := range s.graphs {
-		info := GraphInfo{Name: e.name, State: e.state.load().String(), Mutable: e.mg != nil, Epoch: e.epoch}
-		if e.pool != nil { // placeholder entries mid-load have no pool yet
-			g := e.pool.Graph()
-			info.Vertices, info.Edges = g.NumVertices(), g.NumEdges()
-			info.Pool = e.pool.Size()
-			info.HostWorkers = effectiveHostWorkers(e.pool.Config())
-			if hp := e.pool.HostPool(); hp != nil {
-				info.PoolPolicy = hp.Policy()
-				info.PoolBytes = hp.Budget()
-			}
-		}
-		out = append(out, info)
-	}
-	sortGraphInfo(out)
-	return out
-}
-
-func sortGraphInfo(infos []GraphInfo) {
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].Name < infos[j-1].Name; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
 }
 
 // Submit validates req and either answers it from the cache (the returned
@@ -730,8 +239,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	if res, ok := s.cache.get(job.key); ok {
 		s.met.addSubmitted()
 		job.cancel()
-		job.complete(res, true)
-		s.met.jobCompleted(req.Algo, job.Latency(), 0, 0)
+		s.answer(job, res, true)
 		s.remember(job)
 		return job, nil
 	}
@@ -791,8 +299,7 @@ func (s *Server) mirror(job, leader *Job) {
 		job.fail(fmt.Errorf("coalesced behind %s: %w", leader.id, err), JobFailed)
 		return
 	}
-	job.complete(res, true)
-	s.met.jobCompleted(job.req.Algo, job.Latency(), 0, 0)
+	s.answer(job, res, true)
 }
 
 // clearInflight drops the single-flight registration once the leader
@@ -865,97 +372,6 @@ func (s *Server) rememberLocked(job *Job) {
 	}
 }
 
-// Stats snapshots the server's counters.
-func (s *Server) Stats() Stats {
-	hits, misses, size := s.cache.stats()
-	s.mu.Lock()
-	graphs := len(s.graphs)
-	hostWorkers := 0
-	var sharing SharingStats
-	var pools map[string]gts.PoolStats
-	var walStats map[string]gts.WALStats
-	var epochs map[string]uint64
-	var retained map[string]int
-	for _, e := range s.graphs {
-		if e.inc != nil {
-			if retained == nil {
-				retained = make(map[string]int)
-			}
-			retained[e.name] = e.inc.Len()
-		}
-		if e.mg != nil {
-			if walStats == nil {
-				walStats = make(map[string]gts.WALStats)
-				epochs = make(map[string]uint64)
-			}
-			walStats[e.name] = e.mg.WALStats()
-			epochs[e.name] = e.mg.Epoch()
-		}
-		if e.pool == nil { // placeholder entry mid-load
-			continue
-		}
-		if hw := effectiveHostWorkers(e.pool.Config()); hw > hostWorkers {
-			hostWorkers = hw
-		}
-		if hp := e.pool.HostPool(); hp != nil {
-			if pools == nil {
-				pools = make(map[string]gts.PoolStats)
-			}
-			pools[e.name] = hp.Stats()
-		}
-		if e.sched != nil {
-			ss := e.sched.Stats()
-			sharing.WaveGroups += ss.Groups
-			sharing.GroupJobs += ss.GroupJobs
-			sharing.SoloFallbacks += ss.SoloRuns
-			sharing.Waves += ss.Waves
-			sharing.PageCopies += ss.PageCopies
-			sharing.SharedPageCopies += ss.SharedPageCopies
-			sharing.BytesSaved += ss.BytesSaved
-			sharing.BytesToGPU += ss.BytesToGPU
-		}
-	}
-	s.mu.Unlock()
-	m := s.met
-	m.mu.Lock()
-	st := Stats{
-		QueueDepth:  len(s.queue),
-		QueueCap:    cap(s.queue),
-		InFlight:    m.inFlight,
-		Submitted:   m.submitted,
-		Completed:   m.completed,
-		Failed:      m.failed,
-		Rejected:    m.rejected,
-		TimedOut:    m.timedOut,
-		Coalesced:   m.coalesced,
-		CacheHits:   hits,
-		CacheMisses: misses,
-		CacheSize:   size,
-		Graphs:      graphs,
-		HostWorkers: hostWorkers,
-		Faults:      m.faults,
-		HWFailures:  m.hwFailures,
-		Sharing:     sharing,
-		Pool:        pools,
-
-		IngestBatches:  m.ingestBatches,
-		IngestEdges:    m.ingestEdges,
-		IngestFailures: m.ingestFailures,
-		WAL:            walStats,
-		Epochs:         epochs,
-
-		IncrementalHits:            m.incHits,
-		IncrementalFallbacks:       m.incFallbacks,
-		IncrementalSavedSupersteps: m.incSaved,
-		Retained:                   retained,
-	}
-	m.mu.Unlock()
-	st.QueueWait = summarize(&m.queueWait)
-	st.RunWall = summarize(&m.runWall)
-	st.PerAlgo = m.snapshotPerAlgo()
-	return st
-}
-
 // Shutdown stops admissions, drains queued and in-flight jobs, and waits
 // for the workers to exit or ctx to expire. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -1003,134 +419,4 @@ func (s *Server) worker() {
 	for job := range s.queue {
 		s.execute(job)
 	}
-}
-
-// execute runs one dequeued job to a terminal state.
-func (s *Server) execute(job *Job) {
-	defer job.cancel()
-	defer s.clearInflight(job)
-	s.met.observeQueueWait(time.Since(job.submitted))
-	if job.ctx.Err() != nil {
-		s.met.addTimedOut()
-		job.fail(fmt.Errorf("%w (queued %v)", ErrTimeout, time.Since(job.submitted).Round(time.Microsecond)), JobTimedOut)
-		return
-	}
-	// Second chance: an identical job may have populated the cache while
-	// this one queued. Peek without touching the hit/miss counters — the
-	// admission-time lookup already counted this job's miss.
-	if res, ok := s.cache.peek(job.key); ok {
-		job.complete(res, true)
-		s.met.jobCompleted(job.req.Algo, job.Latency(), 0, 0)
-		return
-	}
-	// Graphs with a retained-state store route BFS/CC/PageRank through the
-	// incremental path: it serves `incremental: true` requests by
-	// delta-expansion when safe and captures fresh state either way. It
-	// reuses the wave-group scheduler when the graph has one.
-	if s.executeIncremental(job) {
-		return
-	}
-	// Graphs serving with ShareStreams route through the wave-group
-	// scheduler so concurrent jobs coalesce onto shared topology streams.
-	if job.entry.sched != nil && job.algo.shared != nil {
-		s.executeShared(job)
-		return
-	}
-	sys, err := job.entry.pool.Acquire(job.ctx)
-	if err != nil {
-		s.met.addTimedOut()
-		job.fail(fmt.Errorf("%w (waiting for an engine)", ErrTimeout), JobTimedOut)
-		return
-	}
-	job.setRunning()
-	// Request-scoped tracing: retarget the pooled System's recorder to this
-	// job for the duration of the run, then export and restore. The trace
-	// is stored even for failed runs — a timeline that ends mid-fault is
-	// the one worth looking at.
-	var rec *trace.Recorder
-	var prevRec *trace.Recorder
-	if s.traces != nil {
-		rec = trace.NewWithID(job.id)
-		prevRec = sys.SetTrace(rec)
-	}
-	s.met.runStarted()
-	start := time.Now()
-	out, m, err := job.algo.run(sys, job.req.Params)
-	wall := time.Since(start)
-	s.met.runFinished()
-	s.met.observeRunWall(wall)
-	if rec != nil {
-		sys.SetTrace(prevRec)
-		s.traces.put(job.id, rec)
-	}
-	job.entry.pool.Release(sys)
-	if err != nil {
-		s.met.addFailed()
-		if errors.Is(err, gts.ErrHardwareFault) {
-			s.met.addHWFailure()
-		}
-		job.fail(err, JobFailed)
-		return
-	}
-	s.met.addFaults(m.Faults)
-	res := &Result{
-		Graph:   job.req.Graph,
-		Algo:    job.req.Algo,
-		Params:  job.req.Params,
-		Metrics: m,
-		Output:  out,
-		Wall:    wall,
-	}
-	s.cache.put(job.key, res)
-	job.complete(res, false)
-	s.met.jobCompleted(job.req.Algo, job.Latency(), wall, m.Elapsed)
-}
-
-// executeShared serves one job through its graph's wave-group scheduler.
-// The result is byte-identical to the solo path (the engine's shared-run
-// invariant); only the data-movement accounting and virtual timing reflect
-// the sharing.
-func (s *Server) executeShared(job *Job) {
-	k, source, decode := job.algo.shared(job.entry.pool.Graph(), job.entry.pool.Config(), job.req.Params)
-	sj := sched.Job{Kernel: k, Source: source}
-	var rec *trace.Recorder
-	if s.traces != nil {
-		rec = trace.NewWithID(job.id)
-		sj.Trace = rec
-	}
-	job.setRunning()
-	s.met.runStarted()
-	start := time.Now()
-	out, err := job.entry.sched.Run(job.ctx, sj)
-	wall := time.Since(start)
-	s.met.runFinished()
-	s.met.observeRunWall(wall)
-	if rec != nil {
-		s.traces.put(job.id, rec)
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.met.addTimedOut()
-			job.fail(fmt.Errorf("%w (in wave group)", ErrTimeout), JobTimedOut)
-			return
-		}
-		s.met.addFailed()
-		if errors.Is(err, gts.ErrHardwareFault) {
-			s.met.addHWFailure()
-		}
-		job.fail(err, JobFailed)
-		return
-	}
-	s.met.addFaults(out.Metrics.Faults)
-	res := &Result{
-		Graph:   job.req.Graph,
-		Algo:    job.req.Algo,
-		Params:  job.req.Params,
-		Metrics: out.Metrics,
-		Output:  decode(out.State, out.Metrics),
-		Wall:    wall,
-	}
-	s.cache.put(job.key, res)
-	job.complete(res, false)
-	s.met.jobCompleted(job.req.Algo, job.Latency(), wall, out.Metrics.Elapsed)
 }

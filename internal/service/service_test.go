@@ -6,12 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	gts "repro"
+	"repro/internal/csr"
+	"repro/internal/graphgen"
+	"repro/internal/kernels"
 	"repro/internal/service"
+	"repro/internal/verify"
 )
 
 // testGraphs caches the two tiny proxy graphs every test shares.
@@ -36,6 +41,63 @@ func testGraphPair(t *testing.T) (*gts.Graph, *gts.Graph) {
 		t.Fatal("graph generation failed in an earlier test")
 	}
 	return graphA, graphB
+}
+
+// rawGraph returns the edge-list form of a test graph ("social" or, by
+// default, the first of the pair; "web" the second) for the sequential
+// references in internal/verify.
+func rawGraph(t *testing.T, name string) *csr.Graph {
+	t.Helper()
+	dataset, shrink := "RMAT27", 16
+	if name == "web" {
+		dataset, shrink = "RMAT26", 15
+	}
+	d, ok := graphgen.ByName(dataset)
+	if !ok {
+		t.Fatalf("no dataset %q", dataset)
+	}
+	return d.MustGenerate(shrink)
+}
+
+// wantReference checks a result's payload against internal/verify — an
+// oracle that shares no code with the engine. (A direct gts.System call is
+// not one: it runs the same wave-group engine the service does, as a group
+// of one.) p is the job's normalized Params. Algorithms without a check here
+// are compared against gts.System only.
+func wantReference(t *testing.T, raw *csr.Graph, p service.Params, output any) {
+	t.Helper()
+	switch r := output.(type) {
+	case *gts.BFSResult:
+		for v, want := range verify.BFS(raw, uint32(p.Source)) {
+			if r.Levels[v] != want {
+				t.Fatalf("bfs from %d: vertex %d level = %d, reference %d", p.Source, v, r.Levels[v], want)
+			}
+		}
+	case *gts.PageRankResult:
+		for v, want := range verify.PageRank(raw, p.Damping, p.Iterations) {
+			if math.Abs(float64(r.Ranks[v])-want) > 1e-4*math.Max(want, 1e-9)+1e-7 {
+				t.Fatalf("pagerank(%d): vertex %d rank = %v, reference %v", p.Iterations, v, r.Ranks[v], want)
+			}
+		}
+	case *gts.SSSPResult:
+		for v, want := range verify.SSSP(raw, uint32(p.Source), kernels.Weight) {
+			if !math.IsInf(want, 1) && float64(r.Dist[v]) != want {
+				t.Fatalf("sssp from %d: vertex %d dist = %v, reference %v", p.Source, v, r.Dist[v], want)
+			}
+		}
+	case *gts.CCResult:
+		for v, want := range verify.WCC(raw) {
+			if r.Labels[v] != want {
+				t.Fatalf("cc: vertex %d label = %d, reference %d", v, r.Labels[v], want)
+			}
+		}
+	case *gts.KCoreResult:
+		for v, want := range verify.KCore(raw, p.K) {
+			if r.InCore[v] != want {
+				t.Fatalf("kcore(%d): vertex %d = %v, reference %v", p.K, v, r.InCore[v], want)
+			}
+		}
+	}
 }
 
 // twoGraphServer builds a server with graphs "social" and "web" registered
@@ -101,8 +163,10 @@ func directOutput(t *testing.T, req service.Request) []byte {
 }
 
 // TestServiceEndToEnd is the acceptance test from ISSUE 1: ≥16 concurrent
-// jobs across 2 graphs and 5 algorithms, byte-identical to direct System
-// calls, with the cache serving repeats and consistent counters.
+// jobs across 2 graphs and 5 algorithms, each answer equal to the
+// sequential reference and its payload byte-identical to a direct System
+// call (the metrics differ: concurrent jobs share wave groups), with the
+// cache serving repeats and consistent counters.
 func TestServiceEndToEnd(t *testing.T) {
 	srv := twoGraphServer(t, service.Config{Workers: 4, QueueDepth: 64})
 
@@ -157,9 +221,10 @@ func TestServiceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := directOutput(t, reqs[i]); !bytes.Equal(got, want) {
+		if want := directOutput(t, reqs[i]); !sameOutput(got, want) {
 			t.Errorf("%s/%s #%d: service result not byte-identical to direct run", reqs[i].Graph, reqs[i].Algo, i)
 		}
+		wantReference(t, rawGraph(t, reqs[i].Graph), job.Request().Params, res.Output)
 		if res.Metrics.Elapsed <= 0 {
 			t.Errorf("job %d: no virtual time recorded", i)
 		}

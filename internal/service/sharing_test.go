@@ -95,15 +95,16 @@ func TestCoalesceIdenticalSubmissions(t *testing.T) {
 
 // TestChaosSharedWaveGroups is the service-level acceptance test for
 // multi-query stream sharing: 32 concurrent jobs (16 BFS sources + 16
-// PageRank iteration counts) on one ShareStreams graph under an absorbable
-// fault plan. Every answer must be byte-identical to a clean solo run, the
-// wave-group counters must show pages were shared, and /metrics must expose
-// the new series. Run under -race via `make test-race`.
+// PageRank iteration counts) on one graph under an absorbable fault plan.
+// Every answer must equal the sequential reference and be byte-identical to
+// the same job run alone on a fault-free System, the wave-group counters
+// must show pages were shared, and /metrics must expose the sharing series.
+// Run under -race via `make test-race`.
 func TestChaosSharedWaveGroups(t *testing.T) {
 	g, _ := testGraphPair(t)
 	srv := service.New(service.Config{Workers: 32, QueueDepth: 64})
 	plan := &gts.FaultPlan{Seed: 21, TransferErrorRate: 0.05, TransferStallRate: 0.05}
-	pool, err := gts.NewSystemPool(g, gts.Config{ShareStreams: true, Faults: plan}, 2)
+	pool, err := gts.NewSystemPool(g, gts.Config{Faults: plan}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,10 @@ func TestChaosSharedWaveGroups(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
-	// Clean solo references on an unshared, fault-free system.
+	// The same jobs, each alone on a fault-free System: faults and company
+	// must not move a byte. wantReference below supplies the independent
+	// oracle.
+	raw := rawGraph(t, "social")
 	clean, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +176,7 @@ func TestChaosSharedWaveGroups(t *testing.T) {
 				t.Errorf("PageRank job %d differs from clean solo run", i)
 			}
 		}
+		wantReference(t, raw, jobs[i].Request().Params, res.Output)
 	}
 
 	st := srv.Stats()
@@ -232,12 +237,13 @@ func equalRanks(a, b []float32) bool {
 	return true
 }
 
-// TestSharedGraphServesSoloAlgorithms: a ShareStreams graph still answers
-// every registered algorithm correctly through the scheduler path.
+// TestSharedGraphServesSoloAlgorithms: every registered algorithm's kernel
+// constructor and decoder produce the payload the matching gts.System method
+// does, and the reference answer where internal/verify has one.
 func TestSharedGraphServesSoloAlgorithms(t *testing.T) {
 	g, _ := testGraphPair(t)
 	srv := service.New(service.Config{Workers: 4})
-	pool, err := gts.NewSystemPool(g, gts.Config{ShareStreams: true}, 2)
+	pool, err := gts.NewSystemPool(g, gts.Config{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +302,9 @@ func TestSharedGraphServesSoloAlgorithms(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameOutput(got, wantJSON) {
-			t.Errorf("%s via shared path differs from clean solo run", algo)
+			t.Errorf("%s through the service differs from the gts.System call", algo)
 		}
+		wantReference(t, rawGraph(t, "social"), job.Request().Params, res.Output)
 	}
 }
 

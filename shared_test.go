@@ -1,18 +1,22 @@
 package gts
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/graphgen"
 	"repro/internal/kernels"
+	"repro/internal/verify"
 )
 
 // TestSystemRunShared exercises the public wave-group entry point: a mixed
-// BFS + PageRank group must match the solo algorithm results exactly and
-// report group-level sharing stats.
+// BFS + PageRank group must match the sequential references (System.BFS is
+// itself a wave group of one, so it is no independent oracle) and report
+// group-level sharing stats.
 func TestSystemRunShared(t *testing.T) {
 	g := smallGraph(t)
-	sys, err := NewSystem(g, Config{ShareStreams: true})
+	sys, err := NewSystem(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,24 +49,30 @@ func TestSystemRunShared(t *testing.T) {
 		t.Errorf("AmortizedBytesPerJob = %v", stats.AmortizedBytesPerJob())
 	}
 
-	// BFS members decode against solo runs. The kernel instance is shared
-	// between the two BFS jobs on purpose: kernels are stateless decoders,
-	// all per-job data lives in the outcome's State.
+	// The kernel instance is shared between the two BFS jobs on purpose:
+	// kernels are stateless decoders, all per-job data lives in the
+	// outcome's State.
+	d, _ := graphgen.ByName("RMAT27")
+	raw := d.MustGenerate(27 - 11) // smallGraph's edge list
 	for i, src := range []uint64{0, 512} {
-		solo, err := sys.BFS(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(bfsK.Levels(outs[i].State), solo.Levels) {
-			t.Errorf("BFS member %d (source %d) differs from solo", i, src)
+		if !reflect.DeepEqual(bfsK.Levels(outs[i].State), verify.BFS(raw, uint32(src))) {
+			t.Errorf("BFS member %d (source %d) differs from the reference", i, src)
 		}
 	}
-	soloPR, err := sys.PageRank(0.85, 5)
+	ranks := prK.Ranks(outs[2].State)
+	for v, want := range verify.PageRank(raw, 0.85, 5) {
+		if math.Abs(float64(ranks[v])-want) > 1e-5 {
+			t.Fatalf("PageRank member: vertex %d rank = %v, reference %v", v, ranks[v], want)
+		}
+	}
+	// Company must not move a byte: the same kernel alone gives the same
+	// ranks.
+	alone, err := sys.PageRank(0.85, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(prK.Ranks(outs[2].State), soloPR.Ranks) {
-		t.Error("PageRank member differs from solo")
+	if !reflect.DeepEqual(ranks, alone.Ranks) {
+		t.Error("PageRank member's ranks changed with the company it kept")
 	}
 }
 
@@ -71,7 +81,7 @@ func TestSystemRunShared(t *testing.T) {
 func TestSystemRunSharedInheritsFaults(t *testing.T) {
 	g := smallGraph(t)
 	plan := &FaultPlan{Seed: 11, TransferErrorRate: 0.05, TransferStallRate: 0.05}
-	sys, err := NewSystem(g, Config{Faults: plan, ShareStreams: true})
+	sys, err := NewSystem(g, Config{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +97,8 @@ func TestSystemRunSharedInheritsFaults(t *testing.T) {
 		t.Error("inherited fault plan injected nothing")
 	}
 
-	clean, err := NewSystem(g, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := clean.BFS(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(k.Levels(outs[0].State), solo.Levels) {
-		t.Error("faulted shared run differs from clean solo")
+	d, _ := graphgen.ByName("RMAT27")
+	if !reflect.DeepEqual(k.Levels(outs[0].State), verify.BFS(d.MustGenerate(27-11), 0)) {
+		t.Error("faulted shared run differs from the reference traversal")
 	}
 }
