@@ -29,11 +29,11 @@ func chaosFaultPlan() *FaultPlan {
 // PCI-E errors and a device OOM fire on every run. The OS-level
 // interleaving of the two simulation environments is nondeterministic, so
 // the pool's eviction history differs run to run; every result must STILL
-// be byte-identical to the quiet solo baselines, for each eviction policy.
+// be byte-identical to the quiet solo baselines.
 func TestChaosSharedPoolConcurrent(t *testing.T) {
 	g := smallGraph(t)
 
-	// Quiet, unpooled baselines.
+	// Quiet baselines, each run on a private buffer.
 	base, err := NewSystem(g, Config{Storage: SSDs, Devices: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -51,107 +51,102 @@ func TestChaosSharedPoolConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, policy := range PoolPolicies() {
-		policy := policy
-		t.Run(policy, func(t *testing.T) {
-			// Half the topology: small enough that eviction happens, large
-			// enough that the two environments contend for frames.
-			cfg := Config{
-				Storage: SSDs, Devices: 1, Faults: chaosFaultPlan(),
-				PoolPolicy: policy, PoolBytes: g.TopologyBytes() / 2, PoolSeed: 3,
-			}
-			pool, err := NewHostPool(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.HostPool = pool
-			sysA, err := NewSystem(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sysB, err := NewSystem(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+	// Half the topology: small enough that eviction happens, large
+	// enough that the two environments contend for frames.
+	cfg := Config{
+		Storage: SSDs, Devices: 1, Faults: chaosFaultPlan(),
+		PoolBytes: g.TopologyBytes() / 2,
+	}
+	pool, err := NewHostPool(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.HostPool = pool
+	sysA, err := NewSystem(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysB, err := NewSystem(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			// 16-job wave group on sysA: 8 BFS (alternating sources) + 8
-			// PageRank, all inheriting the system's fault plan.
-			jobs := make([]SharedJob, 16)
-			bfsK := kernels.NewBFS(g)
-			prK := kernels.NewPageRank(g, 0.85, 5)
-			for i := range jobs {
-				switch {
-				case i < 8 && i%2 == 0:
-					jobs[i] = SharedJob{Kernel: bfsK, Source: 0}
-				case i < 8:
-					jobs[i] = SharedJob{Kernel: bfsK, Source: 512}
-				default:
-					jobs[i] = SharedJob{Kernel: prK}
-				}
-			}
+	// 16-job wave group on sysA: 8 BFS (alternating sources) + 8
+	// PageRank, all inheriting the system's fault plan.
+	jobs := make([]SharedJob, 16)
+	bfsK := kernels.NewBFS(g)
+	prK := kernels.NewPageRank(g, 0.85, 5)
+	for i := range jobs {
+		switch {
+		case i < 8 && i%2 == 0:
+			jobs[i] = SharedJob{Kernel: bfsK, Source: 0}
+		case i < 8:
+			jobs[i] = SharedJob{Kernel: bfsK, Source: 512}
+		default:
+			jobs[i] = SharedJob{Kernel: prK}
+		}
+	}
 
-			var wg sync.WaitGroup
-			var outs []SharedOutcome
-			var groupErr error
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				outs, _, groupErr = sysA.RunShared(jobs, nil)
-			}()
-			var soloBFS *BFSResult
-			var soloPR *PageRankResult
-			var errBFS, errPR error
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				soloBFS, errBFS = sysB.BFS(0)
-				soloPR, errPR = sysB.PageRank(0.85, 5)
-			}()
-			wg.Wait()
+	var wg sync.WaitGroup
+	var outs []SharedOutcome
+	var groupErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		outs, _, groupErr = sysA.RunShared(jobs, nil)
+	}()
+	var soloBFS *BFSResult
+	var soloPR *PageRankResult
+	var errBFS, errPR error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		soloBFS, errBFS = sysB.BFS(0)
+		soloPR, errPR = sysB.PageRank(0.85, 5)
+	}()
+	wg.Wait()
 
-			if groupErr != nil {
-				t.Fatalf("RunShared: %v", groupErr)
+	if groupErr != nil {
+		t.Fatalf("RunShared: %v", groupErr)
+	}
+	if errBFS != nil || errPR != nil {
+		t.Fatalf("solo runs: bfs=%v pr=%v", errBFS, errPR)
+	}
+	for i, o := range outs {
+		if o.Err != nil || o.Declined {
+			t.Fatalf("member %d: err=%v declined=%v", i, o.Err, o.Declined)
+		}
+		switch {
+		case i < 8 && i%2 == 0:
+			if !reflect.DeepEqual(bfsK.Levels(o.State), bfs0.Levels) {
+				t.Fatalf("member %d (BFS from 0) diverged under the shared pool + faults", i)
 			}
-			if errBFS != nil || errPR != nil {
-				t.Fatalf("solo runs: bfs=%v pr=%v", errBFS, errPR)
+		case i < 8:
+			if !reflect.DeepEqual(bfsK.Levels(o.State), bfs512.Levels) {
+				t.Fatalf("member %d (BFS from 512) diverged under the shared pool + faults", i)
 			}
-			for i, o := range outs {
-				if o.Err != nil || o.Declined {
-					t.Fatalf("member %d: err=%v declined=%v", i, o.Err, o.Declined)
-				}
-				switch {
-				case i < 8 && i%2 == 0:
-					if !reflect.DeepEqual(bfsK.Levels(o.State), bfs0.Levels) {
-						t.Fatalf("member %d (BFS from 0) diverged under %s pool + faults", i, policy)
-					}
-				case i < 8:
-					if !reflect.DeepEqual(bfsK.Levels(o.State), bfs512.Levels) {
-						t.Fatalf("member %d (BFS from 512) diverged under %s pool + faults", i, policy)
-					}
-				default:
-					if !reflect.DeepEqual(prK.Ranks(o.State), pr.Ranks) {
-						t.Fatalf("member %d (PageRank) diverged under %s pool + faults", i, policy)
-					}
-				}
+		default:
+			if !reflect.DeepEqual(prK.Ranks(o.State), pr.Ranks) {
+				t.Fatalf("member %d (PageRank) diverged under the shared pool + faults", i)
 			}
-			if !reflect.DeepEqual(soloBFS.Levels, bfs0.Levels) {
-				t.Fatalf("concurrent solo BFS diverged under %s pool + faults", policy)
-			}
-			if !reflect.DeepEqual(soloPR.Ranks, pr.Ranks) {
-				t.Fatalf("concurrent solo PageRank diverged under %s pool + faults", policy)
-			}
+		}
+	}
+	if !reflect.DeepEqual(soloBFS.Levels, bfs0.Levels) {
+		t.Fatalf("concurrent solo BFS diverged under the shared pool + faults")
+	}
+	if !reflect.DeepEqual(soloPR.Ranks, pr.Ranks) {
+		t.Fatalf("concurrent solo PageRank diverged under the shared pool + faults")
+	}
 
-			if err := pool.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			st := pool.Stats()
-			if st.Pinned != 0 {
-				t.Fatalf("chaos runs finished with %d pages still pinned", st.Pinned)
-			}
-			if st.Loads == 0 {
-				t.Fatal("no pool loads recorded — the runs bypassed the pool entirely")
-			}
-		})
+	if err := pool.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	st := pool.Stats()
+	if st.Pinned != 0 {
+		t.Fatalf("chaos runs finished with %d pages still pinned", st.Pinned)
+	}
+	if st.Loads == 0 {
+		t.Fatal("no pool loads recorded — the runs bypassed the pool entirely")
 	}
 }
 
@@ -164,7 +159,7 @@ func TestChaosWarmPoolNoDoubleBuffer(t *testing.T) {
 	g := smallGraph(t)
 	cfg := Config{
 		Storage: SSDs, Devices: 1, Faults: chaosFaultPlan(),
-		PoolPolicy: "lru", PoolBytes: g.TopologyBytes(),
+		PoolBytes: g.TopologyBytes(),
 	}
 	pool, err := NewHostPool(g, cfg)
 	if err != nil {

@@ -1,14 +1,12 @@
 // Command gtsbench regenerates the paper's tables and figures over the
-// scaled-down proxy datasets.
+// scaled-down proxy datasets. (The repository's benchmark is bench/; this
+// command measures nothing on the host clock.)
 //
 // Usage:
 //
 //	gtsbench -exp all                 # every experiment, paper order
 //	gtsbench -exp fig6 -shrink 13     # one experiment at a given scale
 //	gtsbench -exp fig9 -csv out/      # also write CSV files
-//	gtsbench -json -shrink 16         # write BENCH_<rev>.json regression record
-//	gtsbench -json -shrink 16 -jobs 32  # ... with a 32-job sharing measurement
-//	gtsbench -diff                    # fail on >10% MTEPS regression vs baseline
 //	gtsbench -trace out.json          # one traced BFS run -> Chrome trace JSON
 //	gtsbench -trace pr.jsonl -trace-algo pagerank
 package main
@@ -29,12 +27,7 @@ func main() {
 	iters := flag.Int("iters", 10, "PageRank iterations (paper: 10)")
 	csvDir := flag.String("csv", "", "directory to additionally write per-experiment CSV files to")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonMode := flag.Bool("json", false, "run the per-kernel regression suite and write BENCH_<rev>.json instead of experiments")
-	benchDataset := flag.String("bench-dataset", "RMAT27", "dataset for -json mode")
-	benchRuns := flag.Int("bench-runs", 3, "measured runs per kernel in -json mode")
-	benchOut := flag.String("bench-out", ".", "directory BENCH_<rev>.json is written to")
-	benchJobs := flag.Int("jobs", 8, "concurrent distinct-source BFS jobs for -json's wave-group sharing record (0 disables)")
-	diffMode := flag.Bool("diff", false, "compare this revision's BENCH_<rev>.json against the previous record and fail on >10% MTEPS regressions (GTSBENCH_BLESS=1 downgrades to warnings)")
+	benchDataset := flag.String("bench-dataset", "RMAT27", "dataset for -trace")
 	traceOut := flag.String("trace", "", "write one traced run to this file (Chrome trace JSON, or JSONL if it ends in .jsonl) and exit")
 	traceAlgo := flag.String("trace-algo", "bfs", "algorithm for -trace ("+strings.Join(traceAlgoNames, ", ")+")")
 	traceWorkers := flag.Int("trace-workers", 0, "host workers for -trace (0 = GOMAXPROCS; the trace is byte-identical at every setting)")
@@ -45,24 +38,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gtsbench: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *diffMode {
-		if err := runDiff(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "gtsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonMode {
-		path, err := runBenchJSON(*benchDataset, *shrink, *benchRuns, *benchJobs, *benchOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gtsbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("gtsbench: wrote %s\n", path)
 		return
 	}
 

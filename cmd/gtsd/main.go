@@ -7,7 +7,7 @@
 //
 //	gtsd -listen :8090 -load social=Twitter@12 -load web=UK2007@12
 //	gtsd -listen :8090 -load big=rmat30.gts -pool 8 -workers 8 -gpus 2
-//	gtsd -listen :8090 -load big=rmat30.gts -storage ssd -pool-policy 2q -pool-bytes 268435456
+//	gtsd -listen :8090 -load big=rmat30.gts -storage ssd -pool-bytes 268435456
 //	gtsd -listen :8090 -load social=Twitter@12 -pprof -trace-jobs 16
 //
 //	curl -X POST localhost:8090/v1/graphs/social/pagerank -d '{"iterations":10}'
@@ -66,9 +66,7 @@ func main() {
 	strategy := flag.String("strategy", "p", "multi-GPU strategy: p (performance) | s (scalability)")
 	directionOpt := flag.Bool("direction-opt", false, "serve bfs/sssp with the direction-optimizing frontier kernels (push/pull BFS, delta-stepping SSSP; result values identical to the plain kernels)")
 	storage := flag.String("storage", "mem", "graph placement: mem (all in main memory) | ssd | hdd (stream pages from simulated storage)")
-	poolBytes := flag.Int64("pool-bytes", 0, "shared host page-pool budget per graph in bytes — one pinned buffer ALL of a graph's engines stream through, so hot pages occupy host memory once however many jobs run (0 with -pool-policy set = 20% of the topology; 0 alone = classic private buffer per run; needs -storage ssd|hdd)")
-	poolPolicy := flag.String("pool-policy", "", "host page-pool eviction policy: lru | clock | 2q (setting it opts into the shared pool)")
-	poolSeed := flag.Int64("pool-seed", 0, "host page-pool eviction tiebreak seed (replayable)")
+	poolBytes := flag.Int64("pool-bytes", 0, "shared host page-pool budget per graph in bytes — one pinned LRU buffer ALL of a graph's engines stream through, so hot pages occupy host memory once however many jobs run and stay warm between jobs (0 = a fresh private buffer of 20% of the topology per run; needs -storage ssd|hdd)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault-injection seed (chaos testing; replayable)")
 	faultTransfer := flag.Float64("fault-transfer", 0, "probability of a PCI-E transfer error per DMA [0,1]")
 	faultStall := flag.Float64("fault-stall", 0, "probability of a PCI-E transfer stall per DMA [0,1]")
@@ -84,7 +82,7 @@ func main() {
 	engineCfg := gts.Config{
 		GPUs: *gpus, Streams: *streams, HostWorkers: *hostWorkers,
 		DirectionOpt: *directionOpt,
-		PoolBytes:    *poolBytes, PoolPolicy: *poolPolicy, PoolSeed: *poolSeed,
+		PoolBytes:    *poolBytes,
 	}
 	if strings.EqualFold(*strategy, "s") {
 		engineCfg.Strategy = gts.StrategyS
@@ -98,14 +96,10 @@ func main() {
 	default:
 		log.Fatalf("gtsd: bad -storage %q (want mem, ssd, or hdd)", *storage)
 	}
-	if engineCfg.Storage != gts.InMemory && (engineCfg.PoolBytes > 0 || engineCfg.PoolPolicy != "") {
-		policy := engineCfg.PoolPolicy
-		if policy == "" {
-			policy = "lru"
-		}
-		log.Printf("gtsd: shared host page pool enabled (policy %s) — each graph's hot pages buffer in host memory once, shared by its whole engine pool", policy)
-	} else if engineCfg.PoolBytes > 0 || engineCfg.PoolPolicy != "" {
-		log.Printf("gtsd: ignoring -pool-bytes/-pool-policy: graphs are in-memory (set -storage ssd or hdd)")
+	if engineCfg.PoolBytes > 0 && engineCfg.Storage != gts.InMemory {
+		log.Printf("gtsd: shared host page pool enabled — each graph's hot pages buffer in host memory once, shared by its whole engine pool")
+	} else if engineCfg.PoolBytes > 0 {
+		log.Printf("gtsd: ignoring -pool-bytes: graphs are in-memory (set -storage ssd or hdd)")
 	}
 	plan := gts.FaultPlan{
 		Seed:              *faultSeed,
@@ -177,7 +171,9 @@ func main() {
 		handler = service.WithPprof(handler)
 		log.Printf("gtsd: pprof enabled on /debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: *listen, Handler: handler}
+	// Request bodies are bounded by the handler; the header timeout bounds
+	// what a client can hold open before it has sent a request at all.
+	httpSrv := &http.Server{Addr: *listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("gtsd: serving %d graphs, %d algorithms on %s", len(srv.Graphs()), len(service.Algorithms()), *listen)

@@ -95,12 +95,6 @@ type Config struct {
 	Tech     Technique
 	// CacheBytes: 0 = all free device memory, gts.CacheDisabled = off.
 	CacheBytes int64
-	// MMBufBytes bounds the main-memory page buffer for storage-backed
-	// runs; 0 = 20% of the topology (the paper's setting).
-	MMBufBytes int64
-	// Prefetch enables sequential read-ahead from storage into the
-	// main-memory buffer (an extension; see core.Options.Prefetch).
-	Prefetch bool
 	// ScaleFactor divides all memory capacities (device + host), used to
 	// run scaled-down datasets against proportionally scaled hardware.
 	// 0 or 1 means the paper's full-size machine.
@@ -128,59 +122,48 @@ type Config struct {
 	// schedules, data movement, and MTEPS accounting differ. Per-level
 	// directions surface in Metrics.LevelDirs and on Superstep trace spans.
 	DirectionOpt bool
-	// PoolBytes opts storage-backed runs into the shared host page pool
-	// (internal/bufpool): a single pinned, ref-counted buffer replaces the
-	// per-run private MMBuf, so every System sharing the pool keeps at
-	// most one host copy of each hot page. > 0 sets the pool budget in
-	// bytes; 0 with a non-empty PoolPolicy uses 20% of the topology (the
-	// paper's MMBuf sizing); 0 with an empty PoolPolicy keeps the classic
-	// private buffer. Ignored for in-memory graphs. Results are
-	// byte-identical with and without the pool.
+	// PoolBytes sizes the host page buffer storage-backed runs stream
+	// through (internal/bufpool, the paper's MMBuf). 0 gives every run a
+	// fresh private buffer of 20% of the topology (the paper's setting).
+	// > 0 builds one pinned, ref-counted pool of that many bytes that lives
+	// as long as the System or SystemPool: pages stay warm from run to run,
+	// and every pooled System keeps at most one host copy of each hot page.
+	// Ignored for in-memory graphs. Results are byte-identical either way.
 	PoolBytes int64
-	// PoolPolicy selects the pool's eviction policy: "lru" (default),
-	// "clock", or "2q". Setting it (with PoolBytes == 0) is enough to opt
-	// into pooling.
-	PoolPolicy string
-	// PoolSeed seeds policy tiebreaks (the CLOCK hand's initial position).
-	// Equal seeds replay identical eviction sequences.
-	PoolSeed int64
 	// HostPool, when non-nil, is used directly instead of building a pool
-	// from PoolBytes/PoolPolicy — the way several Systems (or a
-	// SystemPool, which does this automatically) share one pool.
+	// from PoolBytes — the way several Systems (or a SystemPool, which
+	// does this automatically) share one pool.
 	HostPool *BufferPool
 }
 
-// BufferPool is the shared, pinned host page pool (see internal/bufpool).
-// Build one with NewHostPool and hand it to every Config that should share
-// it via Config.HostPool.
+// BufferPool is the pinned host page pool (see internal/bufpool). Build one
+// with NewHostPool and hand it to every Config that should share it via
+// Config.HostPool.
 type BufferPool = bufpool.Pool
 
 // PoolStats is a point-in-time snapshot of a BufferPool's counters.
 type PoolStats = bufpool.Stats
 
-// PoolPolicies lists the eviction policies Config.PoolPolicy accepts.
-func PoolPolicies() []string { return bufpool.Policies() }
-
-// wantsPool reports whether the Config opts into the shared host pool.
-func (c Config) wantsPool() bool {
-	return c.HostPool != nil || c.PoolBytes > 0 || c.PoolPolicy != ""
-}
-
-// NewHostPool builds a shared host page pool for g from cfg's
-// PoolBytes/PoolPolicy/PoolSeed (PoolBytes <= 0 defaults to 20% of the
-// topology, mirroring the paper's MMBuf sizing; empty PoolPolicy means
-// LRU). The returned pool may back any number of Systems over g.
+// NewHostPool builds a host page pool for g of cfg.PoolBytes bytes
+// (PoolBytes <= 0 defaults to 20% of the topology, mirroring the paper's
+// MMBuf sizing). The returned pool may back any number of Systems over g.
 func NewHostPool(g *Graph, cfg Config) (*BufferPool, error) {
 	bytes := cfg.PoolBytes
 	if bytes <= 0 {
 		bytes = g.TopologyBytes() / 5
 	}
-	return bufpool.New(bufpool.Config{
-		PageSize: int64(g.Config().PageSize),
-		Bytes:    bytes,
-		Policy:   cfg.PoolPolicy,
-		Seed:     cfg.PoolSeed,
-	})
+	return bufpool.New(bufpool.Config{PageSize: int64(g.Config().PageSize), Bytes: bytes})
+}
+
+// withSharedPool resolves PoolBytes > 0 on a storage-backed Config into the
+// HostPool its runs will share, unless one was supplied.
+func (c Config) withSharedPool(g *Graph) (Config, error) {
+	if c.Storage == InMemory || c.HostPool != nil || c.PoolBytes <= 0 {
+		return c, nil
+	}
+	pool, err := NewHostPool(g, c)
+	c.HostPool = pool
+	return c, err
 }
 
 // FaultPlan is a deterministic, seedable fault-injection plan (see
@@ -299,17 +282,14 @@ type System struct {
 	runMu sync.Mutex
 }
 
-// NewSystem validates the configuration against the graph. A Config that
-// opts into the shared host pool (PoolBytes/PoolPolicy) without supplying
-// Config.HostPool gets a private pool of its own; pass the same
-// NewHostPool result to several Systems (or use a SystemPool) to share.
+// NewSystem validates the configuration against the graph. A Config with
+// PoolBytes > 0 and no Config.HostPool gets a System-lifetime pool of its
+// own; pass the same NewHostPool result to several Systems (or use a
+// SystemPool) to share.
 func NewSystem(g *Graph, cfg Config) (*System, error) {
-	if cfg.Storage != InMemory && cfg.HostPool == nil && cfg.wantsPool() {
-		pool, err := NewHostPool(g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.HostPool = pool
+	cfg, err := cfg.withSharedPool(g)
+	if err != nil {
+		return nil, err
 	}
 	// Construct an engine once to surface configuration errors eagerly.
 	if _, err := core.New(cfg.machineSpec(), g, cfg.options()); err != nil {
@@ -321,8 +301,9 @@ func NewSystem(g *Graph, cfg Config) (*System, error) {
 // Graph returns the system's graph.
 func (s *System) Graph() *Graph { return s.graph }
 
-// HostPool returns the shared host page pool backing this System's
-// storage-backed runs, or nil when the classic private buffer is in use.
+// HostPool returns the System-lifetime host page pool its storage-backed
+// runs stream through, or nil when every run builds a fresh private one (or
+// the graph is in memory).
 func (s *System) HostPool() *BufferPool { return s.cfg.HostPool }
 
 func (c Config) options() core.Options {
@@ -331,8 +312,6 @@ func (c Config) options() core.Options {
 		Streams:     c.Streams,
 		Technique:   c.Tech,
 		CacheBytes:  c.CacheBytes,
-		MMBufBytes:  c.MMBufBytes,
-		Prefetch:    c.Prefetch,
 		Trace:       c.Trace,
 		Faults:      c.Faults,
 		HostWorkers: c.HostWorkers,
@@ -374,10 +353,10 @@ type Metrics struct {
 	// wall-clock observation, not part of the deterministic result.
 	HostWorkers    int           `json:",omitempty"`
 	HostKernelWall time.Duration `json:"-"`
-	// PoolHits, PoolLoads and PoolWaits are this run's shared host-pool
-	// traffic (all zero unless the System uses a BufferPool): pins served
-	// from a resident page, pins that paid a storage read, and pins that
-	// fell back to an uncached bypass read.
+	// PoolHits, PoolLoads and PoolWaits are this run's host page buffer
+	// traffic (all zero for an in-memory graph): pins served from a resident
+	// page, pins that paid a storage read, and pins that fell back to an
+	// uncached bypass read. BufferHitRate is PoolHits over their sum.
 	PoolHits  int64 `json:",omitempty"`
 	PoolLoads int64 `json:",omitempty"`
 	PoolWaits int64 `json:",omitempty"`

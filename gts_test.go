@@ -123,6 +123,42 @@ func TestStorageConfigs(t *testing.T) {
 	}
 }
 
+// TestZeroConfigStorageRunUsesHostPool: with nothing configured, a
+// storage-backed run still streams through the one host page buffer — a
+// private pool built for the run — and its metrics and trace say so.
+func TestZeroConfigStorageRunUsesHostPool(t *testing.T) {
+	g := smallGraph(t)
+	rec := trace.New()
+	sys, err := NewSystem(g, Config{Storage: SSDs, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.HostPool() != nil {
+		t.Fatal("zero Config built a System-lifetime pool")
+	}
+	res, err := sys.PageRank(0.85, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every storage read is a pin that missed: a load, or — this graph's 20%
+	// is fewer frames than the run has streams — a bypass.
+	if res.PoolLoads == 0 || (res.PoolLoads+res.PoolWaits)*int64(g.Config().PageSize) != res.StorageBytes {
+		t.Errorf("PoolLoads = %d, PoolWaits = %d with %d storage bytes", res.PoolLoads, res.PoolWaits, res.StorageBytes)
+	}
+	if want := float64(res.PoolHits) / float64(res.PoolHits+res.PoolLoads+res.PoolWaits); res.BufferHitRate != want {
+		t.Errorf("BufferHitRate = %v, want the run's own pin outcomes %v", res.BufferHitRate, want)
+	}
+	var marks int64
+	for _, s := range rec.Spans() {
+		if s.Kind == trace.PoolLoad {
+			marks++
+		}
+	}
+	if marks != res.PoolLoads {
+		t.Errorf("trace carries %d poolload marks, metrics report %d loads", marks, res.PoolLoads)
+	}
+}
+
 func TestScaledHardware(t *testing.T) {
 	g := smallGraph(t)
 	sys, err := NewSystem(g, Config{ScaleFactor: 1 << 12, Streams: 8})

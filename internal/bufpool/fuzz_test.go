@@ -2,28 +2,26 @@ package bufpool
 
 import "testing"
 
-// decodeScript turns fuzz bytes into a (policy, seed, capacity, ops)
-// tuple: byte 0 selects the policy, byte 1 the tiebreak seed, byte 2 the
-// capacity in pages; the rest decode pairwise into ops. Every byte string
-// is a valid script — the harness interprets args modulo current state —
-// so the fuzzer can mutate freely.
-func decodeScript(data []byte) (policy string, seed int64, capPages int, ops []scriptOp) {
-	policies := Policies()
-	policy = policies[int(data[0])%len(policies)]
-	seed = int64(data[1])
+// decodeScript turns fuzz bytes into a (capacity, ops) pair: byte 2 is the
+// capacity in pages and the rest decode pairwise into ops. Bytes 0 and 1
+// once selected a policy and a tiebreak seed; they stay skipped so that the
+// corpus replays the op scripts it always did. Every byte string is a valid
+// script — the harness interprets args modulo current state — so the fuzzer
+// can mutate freely.
+func decodeScript(data []byte) (capPages int, ops []scriptOp) {
 	capPages = int(data[2]%7) + 1
 	body := data[3:]
 	for i := 0; i+1 < len(body); i += 2 {
 		ops = append(ops, scriptOp{kind: int(body[i]) % numOpKinds, arg: uint64(body[i+1])})
 	}
-	return policy, seed, capPages, ops
+	return capPages, ops
 }
 
 // FuzzPoolOps cross-checks the pool against the reference oracle on
 // fuzzer-generated op scripts. Wired into `make fuzz`.
 func FuzzPoolOps(f *testing.F) {
-	// Seed corpus: one script per policy exercising pin/unpin/evict,
-	// loading holds, aborts, and resizes.
+	// Seed corpus: scripts exercising pin/unpin/evict, loading holds,
+	// aborts, and resizes.
 	f.Add([]byte{0, 1, 2, 0, 1, 0, 2, 0, 3, 2, 0, 0, 4, 3, 1, 5, 2, 2, 0})
 	f.Add([]byte{1, 42, 1, 0, 7, 0, 8, 2, 0, 0, 9, 3, 0, 0, 7, 2, 1})
 	f.Add([]byte{2, 9, 3, 0, 1, 0, 2, 0, 3, 0, 4, 2, 0, 2, 0, 0, 1, 0, 2, 4, 5, 5, 1})
@@ -31,12 +29,12 @@ func FuzzPoolOps(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		policy, seed, capPages, ops := decodeScript(data)
+		capPages, ops := decodeScript(data)
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
-		if err := runScript(policy, seed, capPages, ops); err != nil {
-			t.Fatalf("policy %s seed %d cap %d: %v", policy, seed, capPages, err)
+		if err := runScript(capPages, ops); err != nil {
+			t.Fatalf("cap %d: %v", capPages, err)
 		}
 	})
 }

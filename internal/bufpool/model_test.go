@@ -3,6 +3,7 @@ package bufpool
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // through the same randomized op scripts and asserts identical observable
 // state after every op: the PinState returned, the resident page set, and
 // the counter snapshot. The oracle reimplements the pool spec with plain
-// slices and linear searches — no index maps, no container/list — so a
+// slices and linear searches — no index maps, no linked list — so a
 // bookkeeping bug in either implementation shows up as a divergence.
 // Failing scripts are shrunk to a minimal reproducer before reporting.
 
@@ -24,37 +25,16 @@ type modelFrame struct {
 	loading bool
 }
 
-type modelPolicy interface {
-	insert(pid uint64)
-	remove(pid uint64)
-	victim() (uint64, bool)
-}
-
 type model struct {
 	capacity int
 	frames   map[uint64]*modelFrame
-	pol      modelPolicy
+	pol      modelLRU
 
 	hits, loads, evictions, pinWaits int64
 }
 
-func newModel(policy string, capPages int, seed int64) *model {
-	var pol modelPolicy
-	switch policy {
-	case "lru":
-		pol = &modelLRU{}
-	case "clock":
-		pol = &modelClock{seed: uint64(seed)}
-	case "2q":
-		gc := capPages
-		if gc < 16 {
-			gc = 16
-		}
-		pol = &model2Q{ghostCap: gc, hot: map[uint64]bool{}}
-	default:
-		panic("unknown policy " + policy)
-	}
-	return &model{capacity: capPages, frames: map[uint64]*modelFrame{}, pol: pol}
+func newModel(capPages int) *model {
+	return &model{capacity: capPages, frames: map[uint64]*modelFrame{}}
 }
 
 func (m *model) pin(pid uint64) PinState {
@@ -122,7 +102,8 @@ func (m *model) resident() []uint64 {
 	for pid := range m.frames {
 		out = append(out, pid)
 	}
-	return sortPIDs(out)
+	slices.Sort(out)
+	return out
 }
 
 // modelLRU: index 0 is the LRU end.
@@ -148,175 +129,6 @@ func (l *modelLRU) victim() (uint64, bool) {
 	}
 	pid := l.order[0]
 	l.order = l.order[1:]
-	return pid, true
-}
-
-// modelClock: the same second-chance spec as the real replacer, written
-// naively over a plain slice with linear search.
-type modelClock struct {
-	ring []struct {
-		pid uint64
-		ref bool
-	}
-	hand   int
-	seed   uint64
-	seeded bool
-}
-
-func (c *modelClock) normalize() {
-	if len(c.ring) == 0 {
-		c.hand = 0
-	} else if c.hand >= len(c.ring) || c.hand < 0 {
-		c.hand = ((c.hand % len(c.ring)) + len(c.ring)) % len(c.ring)
-	}
-}
-
-func (c *modelClock) insert(pid uint64) {
-	for i := range c.ring {
-		if c.ring[i].pid == pid {
-			c.ring[i].ref = true
-			return
-		}
-	}
-	pos := c.hand
-	if pos > len(c.ring) {
-		pos = len(c.ring)
-	}
-	c.ring = append(c.ring, struct {
-		pid uint64
-		ref bool
-	}{})
-	copy(c.ring[pos+1:], c.ring[pos:])
-	c.ring[pos].pid, c.ring[pos].ref = pid, true
-	c.hand = pos + 1
-	c.normalize()
-}
-
-func (c *modelClock) remove(pid uint64) {
-	for i := range c.ring {
-		if c.ring[i].pid == pid {
-			if i < c.hand {
-				c.hand--
-			}
-			c.ring = append(c.ring[:i], c.ring[i+1:]...)
-			c.normalize()
-			return
-		}
-	}
-}
-
-func (c *modelClock) victim() (uint64, bool) {
-	if len(c.ring) == 0 {
-		return 0, false
-	}
-	if !c.seeded {
-		c.hand = int(Splitmix64(c.seed) % uint64(len(c.ring)))
-		c.seeded = true
-	}
-	c.normalize()
-	for {
-		if c.ring[c.hand].ref {
-			c.ring[c.hand].ref = false
-			c.hand = (c.hand + 1) % len(c.ring)
-			continue
-		}
-		pid := c.ring[c.hand].pid
-		c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-		c.normalize()
-		return pid, true
-	}
-}
-
-// model2Q: probation FIFO + main LRU + ghost list over plain slices.
-type model2Q struct {
-	a1in     []uint64 // index 0 = oldest
-	am       []uint64 // index 0 = MRU
-	ghost    []uint64 // index 0 = oldest
-	ghostCap int
-	hot      map[uint64]bool
-}
-
-func (q *model2Q) ghostRemove(pid uint64) {
-	for i, p := range q.ghost {
-		if p == pid {
-			q.ghost = append(q.ghost[:i], q.ghost[i+1:]...)
-			return
-		}
-	}
-}
-
-func (q *model2Q) ghostPush(pid uint64) {
-	q.ghostRemove(pid)
-	q.ghost = append(q.ghost, pid)
-	for len(q.ghost) > q.ghostCap {
-		q.ghost = q.ghost[1:]
-	}
-}
-
-func (q *model2Q) inGhost(pid uint64) bool {
-	for _, p := range q.ghost {
-		if p == pid {
-			return true
-		}
-	}
-	return false
-}
-
-func (q *model2Q) insert(pid uint64) {
-	for i, p := range q.am {
-		if p == pid {
-			q.am = append(q.am[:i], q.am[i+1:]...)
-			q.am = append([]uint64{pid}, q.am...)
-			return
-		}
-	}
-	for _, p := range q.a1in {
-		if p == pid {
-			return
-		}
-	}
-	if q.hot[pid] {
-		q.am = append([]uint64{pid}, q.am...)
-		return
-	}
-	if q.inGhost(pid) {
-		q.ghostRemove(pid)
-		q.hot[pid] = true
-		q.am = append([]uint64{pid}, q.am...)
-		return
-	}
-	q.a1in = append(q.a1in, pid)
-}
-
-func (q *model2Q) remove(pid uint64) {
-	for i, p := range q.a1in {
-		if p == pid {
-			q.a1in = append(q.a1in[:i], q.a1in[i+1:]...)
-			return
-		}
-	}
-	for i, p := range q.am {
-		if p == pid {
-			q.am = append(q.am[:i], q.am[i+1:]...)
-			return
-		}
-	}
-}
-
-func (q *model2Q) victim() (uint64, bool) {
-	total := len(q.a1in) + len(q.am)
-	if total == 0 {
-		return 0, false
-	}
-	if len(q.a1in) > 0 && (len(q.am) == 0 || len(q.a1in)*4 > total) {
-		pid := q.a1in[0]
-		q.a1in = q.a1in[1:]
-		q.ghostPush(pid)
-		return pid, true
-	}
-	pid := q.am[len(q.am)-1]
-	q.am = q.am[:len(q.am)-1]
-	delete(q.hot, pid)
 	return pid, true
 }
 
@@ -348,12 +160,12 @@ func (o scriptOp) String() string {
 
 // runScript replays ops against a real pool and the oracle, returning a
 // description of the first divergence or invariant violation.
-func runScript(policy string, seed int64, capPages int, ops []scriptOp) error {
-	pool, err := New(Config{PageSize: modelPageSize, Bytes: int64(capPages) * modelPageSize, Policy: policy, Seed: seed})
+func runScript(capPages int, ops []scriptOp) error {
+	pool, err := New(Config{PageSize: modelPageSize, Bytes: int64(capPages) * modelPageSize})
 	if err != nil {
 		return err
 	}
-	oracle := newModel(policy, capPages, seed)
+	oracle := newModel(capPages)
 
 	var outstanding []uint64 // pids with a tracked pin (ready frames)
 	var held []uint64        // pids held in loading state
@@ -488,70 +300,62 @@ func genScript(r *rand.Rand, n, pidSpace int) []scriptOp {
 	return ops
 }
 
-// TestPoolModel is the main property test: for every policy, seeded
-// random scripts replayed against the oracle, with shrink-on-failure.
+// TestPoolModel is the main property test: seeded random scripts replayed
+// against the oracle, with shrink-on-failure.
 func TestPoolModel(t *testing.T) {
-	for _, policy := range Policies() {
-		policy := policy
-		t.Run(policy, func(t *testing.T) {
-			for seed := int64(1); seed <= 12; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				capPages := 1 + r.Intn(6)
-				pidSpace := 4 + r.Intn(28)
-				ops := genScript(r, 500, pidSpace)
-				if err := runScript(policy, seed, capPages, ops); err != nil {
-					min := minimizeScript(ops, func(cand []scriptOp) bool {
-						return runScript(policy, seed, capPages, cand) != nil
-					})
-					t.Fatalf("seed %d cap %d: %v\nminimized to %d ops: %v\nminimized failure: %v",
-						seed, capPages, err, len(min), min,
-						runScript(policy, seed, capPages, min))
-				}
-			}
-		})
+	for seed := int64(1); seed <= 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		capPages := 1 + r.Intn(6)
+		pidSpace := 4 + r.Intn(28)
+		ops := genScript(r, 500, pidSpace)
+		if err := runScript(capPages, ops); err != nil {
+			min := minimizeScript(ops, func(cand []scriptOp) bool {
+				return runScript(capPages, cand) != nil
+			})
+			t.Fatalf("seed %d cap %d: %v\nminimized to %d ops: %v\nminimized failure: %v",
+				seed, capPages, err, len(min), min, runScript(capPages, min))
+		}
 	}
 }
 
-// TestPoolModelDeterminism pins that identical (policy, seed, script)
-// inputs produce identical eviction decisions: two independent pools end
-// with identical resident sets and counters.
+// TestPoolModelDeterminism pins that identical scripts produce identical
+// eviction decisions: two independent pools end with identical resident sets
+// and counters.
 func TestPoolModelDeterminism(t *testing.T) {
-	for _, policy := range Policies() {
-		r := rand.New(rand.NewSource(99))
-		ops := genScript(r, 300, 24)
-		run := func() (res []uint64, st Stats) {
-			pool, err := New(Config{PageSize: modelPageSize, Bytes: 4 * modelPageSize, Policy: policy, Seed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var outstanding []uint64
-			for _, op := range ops {
-				switch op.kind {
-				case opPinReady, opPinHold, opPinAbort:
-					switch pool.Pin(op.arg) {
-					case Load:
-						pool.Ready(op.arg)
-						outstanding = append(outstanding, op.arg)
-					case Hit:
-						outstanding = append(outstanding, op.arg)
-					}
-				case opUnpin:
-					if len(outstanding) > 0 {
-						idx := int(op.arg) % len(outstanding)
-						pool.Unpin(outstanding[idx])
-						outstanding = append(outstanding[:idx], outstanding[idx+1:]...)
-					}
+	r := rand.New(rand.NewSource(99))
+	ops := genScript(r, 300, 24)
+	run := func() (res []uint64, st Stats) {
+		pool, err := New(Config{PageSize: modelPageSize, Bytes: 4 * modelPageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var outstanding []uint64
+		for _, op := range ops {
+			switch op.kind {
+			case opPinReady, opPinHold, opPinAbort:
+				switch pool.Pin(op.arg) {
+				case Load:
+					pool.Ready(op.arg)
+					outstanding = append(outstanding, op.arg)
+				case Hit:
+					outstanding = append(outstanding, op.arg)
+				}
+			case opUnpin:
+				if len(outstanding) > 0 {
+					idx := int(op.arg) % len(outstanding)
+					pool.Unpin(outstanding[idx])
+					outstanding = append(outstanding[:idx], outstanding[idx+1:]...)
 				}
 			}
-			return pool.ResidentPIDs(), pool.Stats()
 		}
-		resA, stA := run()
-		resB, stB := run()
-		if !equalPIDs(resA, resB) {
-			t.Fatalf("%s: nondeterministic resident set: %v vs %v", policy, resA, resB)
-		}
-		if stA != stB {
-			t.Fatalf("%s: nondeterministic stats: %+v vs %+v", policy, stA, stB)
-		}
+		return pool.ResidentPIDs(), pool.Stats()
+	}
+	resA, stA := run()
+	resB, stB := run()
+	if !equalPIDs(resA, resB) {
+		t.Fatalf("nondeterministic resident set: %v vs %v", resA, resB)
+	}
+	if stA != stB {
+		t.Fatalf("nondeterministic stats: %+v vs %+v", stA, stB)
 	}
 }

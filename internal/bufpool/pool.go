@@ -5,11 +5,12 @@
 //
 // The pool mirrors the paper's main-memory buffer (GTS §3.3, Algorithm 1
 // lines 18–26) but is reference-counted so concurrent runs can hold pages
-// across a stream without racing eviction. Eviction policy is pluggable
-// (Replacer: LRU, CLOCK, 2Q) and deterministic under a seeded tiebreak,
-// which keeps golden result digests byte-stable across policies: the pool
-// only ever affects *which* reads hit memory, never what a kernel
-// computes.
+// across a stream without racing eviction. It is the only host-side page
+// residency structure: a storage-backed run that is handed no pool builds a
+// private one (internal/core). Replacement is LRU — the victim is the least
+// recently unpinned page — and a pure function of the operation sequence,
+// and the pool only ever affects *which* reads hit memory, never what a
+// kernel computes.
 //
 // Pin never blocks. The caller contract is:
 //
@@ -34,6 +35,7 @@ package bufpool
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -76,18 +78,13 @@ type Config struct {
 	// Bytes is the pool budget. The page capacity is Bytes/PageSize,
 	// floored, with a minimum of one page.
 	Bytes int64
-	// Policy selects the eviction policy: "lru" (default), "clock", "2q".
-	Policy string
-	// Seed drives the deterministic eviction tiebreak.
-	Seed int64
 }
 
 // Stats is a point-in-time snapshot of pool counters.
 type Stats struct {
-	Policy        string
 	Hits          int64 // Pin calls answered from a resident page
 	Loads         int64 // Pin calls granted a Load frame (storage reads through the pool)
-	Evictions     int64 // pages evicted (replacer victims + over-budget unpins)
+	Evictions     int64 // pages evicted (LRU victims + over-budget unpins)
 	PinWaits      int64 // Pin calls denied (Busy or NoFrame) — bypass reads
 	Invalidations int64 // frames discarded because a graph mutation superseded their epoch
 	Resident      int   // resident pages (loading frames included)
@@ -98,9 +95,13 @@ type Stats struct {
 }
 
 type frame struct {
+	pid     uint64
 	refs    int
 	loading bool
 	epoch   uint64 // pool epoch the frame's contents belong to
+	// prev and next link the frame into the pool's LRU list while it is
+	// evictable (resident, unpinned, current epoch); both nil otherwise.
+	prev, next *frame
 }
 
 // Pool is a ref-counted host page buffer pool. All methods are safe for
@@ -112,11 +113,14 @@ type Pool struct {
 	mu       sync.Mutex
 	pageSize int64
 	capacity int // page budget; resident may exceed it transiently when pins outlive a shrink
-	policy   string
-	seed     int64
 	frames   map[uint64]*frame
-	rep      Replacer
-	epoch    uint64 // current graph version; frames from older epochs are stale
+	// lru is the sentinel of the circular list of evictable frames, ordered
+	// by when each was last unpinned: lru.next is the most recent, lru.prev
+	// the least recent and so the next victim. A page pinned again leaves
+	// the list and re-enters at the recent end at its final Unpin, so the
+	// order is total and needs no tiebreak.
+	lru   frame
+	epoch uint64 // current graph version; frames from older epochs are stale
 
 	hits, loads, evictions, pinWaits, invalidations int64
 }
@@ -131,22 +135,35 @@ func New(cfg Config) (*Pool, error) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	policy := cfg.Policy
-	if policy == "" {
-		policy = "lru"
+	p := &Pool{pageSize: cfg.PageSize, capacity: capacity, frames: make(map[uint64]*frame)}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p, nil
+}
+
+// markEvictable links f in at the recent end of the LRU list.
+func (p *Pool) markEvictable(f *frame) {
+	f.prev, f.next = &p.lru, p.lru.next
+	f.next.prev = f
+	p.lru.next = f
+}
+
+// unlink withdraws f from the LRU list: it was pinned, or is being evicted.
+func (p *Pool) unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// evictLRU evicts the least recently unpinned page; false means no page is
+// evictable.
+func (p *Pool) evictLRU() bool {
+	f := p.lru.prev
+	if f == &p.lru {
+		return false
 	}
-	rep, err := NewReplacer(policy, capacity, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Pool{
-		pageSize: cfg.PageSize,
-		capacity: capacity,
-		policy:   policy,
-		seed:     cfg.Seed,
-		frames:   make(map[uint64]*frame),
-		rep:      rep,
-	}, nil
+	p.unlink(f)
+	delete(p.frames, f.pid)
+	p.evictions++
+	return true
 }
 
 // Pin requests the page. See the package comment for the state contract.
@@ -162,7 +179,7 @@ func (p *Pool) Pin(pid uint64) PinState {
 			return Busy
 		}
 		if f.refs == 0 {
-			p.rep.Remove(pid)
+			p.unlink(f)
 		}
 		f.refs++
 		p.hits++
@@ -170,15 +187,12 @@ func (p *Pool) Pin(pid uint64) PinState {
 	}
 	// Make room for a new frame.
 	for len(p.frames) >= p.capacity {
-		v, ok := p.rep.Victim()
-		if !ok {
+		if !p.evictLRU() {
 			p.pinWaits++
 			return NoFrame
 		}
-		delete(p.frames, v)
-		p.evictions++
 	}
-	p.frames[pid] = &frame{refs: 1, loading: true, epoch: p.epoch}
+	p.frames[pid] = &frame{pid: pid, refs: 1, loading: true, epoch: p.epoch}
 	p.loads++
 	return Load
 }
@@ -233,7 +247,7 @@ func (p *Pool) Unpin(pid uint64) {
 		p.evictions++
 		return
 	}
-	p.rep.Insert(pid)
+	p.markEvictable(f)
 }
 
 // AdvanceEpoch declares a new graph version: every resident frame from the
@@ -251,7 +265,7 @@ func (p *Pool) AdvanceEpoch() int {
 		if f.refs > 0 || f.loading {
 			continue
 		}
-		p.rep.Remove(pid)
+		p.unlink(f)
 		delete(p.frames, pid)
 		p.evictions++
 		p.invalidations++
@@ -280,13 +294,7 @@ func (p *Pool) Resize(bytes int64) int {
 	}
 	p.capacity = capacity
 	evicted := 0
-	for len(p.frames) > p.capacity {
-		v, ok := p.rep.Victim()
-		if !ok {
-			break
-		}
-		delete(p.frames, v)
-		p.evictions++
+	for len(p.frames) > p.capacity && p.evictLRU() {
 		evicted++
 	}
 	return evicted
@@ -294,12 +302,6 @@ func (p *Pool) Resize(bytes int64) int {
 
 // PageSize reports the configured page size in bytes.
 func (p *Pool) PageSize() int64 { return p.pageSize }
-
-// Policy reports the eviction policy name.
-func (p *Pool) Policy() string { return p.policy }
-
-// Seed reports the deterministic-tiebreak seed.
-func (p *Pool) Seed() int64 { return p.seed }
 
 // Capacity reports the current page budget.
 func (p *Pool) Capacity() int {
@@ -326,7 +328,6 @@ func (p *Pool) Stats() Stats {
 		}
 	}
 	return Stats{
-		Policy:        p.policy,
 		Hits:          p.hits,
 		Loads:         p.loads,
 		Evictions:     p.evictions,
@@ -349,30 +350,36 @@ func (p *Pool) ResidentPIDs() []uint64 {
 	for pid := range p.frames {
 		out = append(out, pid)
 	}
-	return sortPIDs(out)
+	slices.Sort(out)
+	return out
 }
 
 // CheckInvariants verifies the pool's structural invariants:
 // every refcount is non-negative, loading frames are exclusively pinned,
-// the replacer's evictable set is exactly the resident unpinned set
+// the LRU list is well linked and holds exactly the resident unpinned set
 // (pinned ∉ evictable), and the pool is only over budget when the excess
 // is entirely pinned (resident ≤ budget modulo pins). Stress tests call
 // it after every operation.
 func (p *Pool) CheckInvariants() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	evictable := make(map[uint64]struct{})
-	for _, pid := range p.rep.PIDs() {
-		if _, dup := evictable[pid]; dup {
-			return fmt.Errorf("replacer lists page %d twice", pid)
+	listed := 0
+	for f := p.lru.next; f != &p.lru; f = f.next {
+		if f == nil || f.next == nil || f.next.prev != f {
+			return fmt.Errorf("LRU list broken after %d frames", listed)
 		}
-		evictable[pid] = struct{}{}
+		if p.frames[f.pid] != f {
+			return fmt.Errorf("LRU list tracks non-resident page %d", f.pid)
+		}
+		if listed++; listed > len(p.frames) {
+			return fmt.Errorf("LRU list longer than the %d resident frames", len(p.frames))
+		}
 	}
-	if len(evictable) != p.rep.Len() {
-		return fmt.Errorf("replacer Len %d != PIDs count %d", p.rep.Len(), len(evictable))
-	}
-	wantEvictable := 0
+	evictable := 0
 	for pid, f := range p.frames {
+		if f.pid != pid {
+			return fmt.Errorf("frame of page %d filed under %d", f.pid, pid)
+		}
 		if f.refs < 0 {
 			return fmt.Errorf("page %d refcount %d < 0", pid, f.refs)
 		}
@@ -385,29 +392,24 @@ func (p *Pool) CheckInvariants() error {
 		if f.loading && f.refs != 1 {
 			return fmt.Errorf("loading page %d has refcount %d, want 1", pid, f.refs)
 		}
-		_, inRep := evictable[pid]
+		inList := f.next != nil
 		if f.refs > 0 || f.loading {
-			if inRep {
+			if inList {
 				return fmt.Errorf("pinned page %d is in the evictable set", pid)
 			}
 			continue
 		}
-		wantEvictable++
-		if !inRep {
+		evictable++
+		if !inList {
 			return fmt.Errorf("unpinned resident page %d missing from the evictable set", pid)
 		}
 	}
-	for pid := range evictable {
-		if _, ok := p.frames[pid]; !ok {
-			return fmt.Errorf("replacer tracks non-resident page %d", pid)
-		}
+	if evictable != listed {
+		return fmt.Errorf("evictable set size %d, want %d", listed, evictable)
 	}
-	if wantEvictable != len(evictable) {
-		return fmt.Errorf("evictable set size %d, want %d", len(evictable), wantEvictable)
-	}
-	if len(p.frames) > p.capacity && wantEvictable > 0 {
+	if len(p.frames) > p.capacity && evictable > 0 {
 		return fmt.Errorf("pool over budget (%d resident, capacity %d) with %d evictable pages",
-			len(p.frames), p.capacity, wantEvictable)
+			len(p.frames), p.capacity, evictable)
 	}
 	return nil
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func mustPool(t *testing.T, pages int, policy string, seed int64) *Pool {
+func mustPool(t *testing.T, pages int) *Pool {
 	t.Helper()
-	p, err := New(Config{PageSize: modelPageSize, Bytes: int64(pages) * modelPageSize, Policy: policy, Seed: seed})
+	p, err := New(Config{PageSize: modelPageSize, Bytes: int64(pages) * modelPageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,18 +31,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{PageSize: 0, Bytes: 1}); err == nil {
 		t.Fatal("want error for zero page size")
 	}
-	if _, err := New(Config{PageSize: 64, Bytes: 64, Policy: "fifo"}); err == nil {
-		t.Fatal("want error for unknown policy")
-	}
 	p, err := New(Config{PageSize: 64, Bytes: 0}) // budget below one page: clamped
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Capacity() != 1 {
 		t.Fatalf("Capacity() = %d, want clamp to 1", p.Capacity())
-	}
-	if p.Policy() != "lru" {
-		t.Fatalf("default policy = %q, want lru", p.Policy())
 	}
 }
 
@@ -57,7 +51,7 @@ func TestPinStateString(t *testing.T) {
 // TestLRUOrder pins the LRU eviction order: the least recently unpinned
 // page goes first.
 func TestLRUOrder(t *testing.T) {
-	p := mustPool(t, 3, "lru", 0)
+	p := mustPool(t, 3)
 	for pid := uint64(1); pid <= 3; pid++ {
 		pinReady(t, p, pid)
 	}
@@ -71,100 +65,10 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
-// TestClockSecondChance: pages re-pinned while evictable get their
-// reference bit back and survive one sweep.
-func TestClockSecondChance(t *testing.T) {
-	p := mustPool(t, 2, "clock", 0)
-	pinReady(t, p, 1)
-	pinReady(t, p, 2)
-	p.Unpin(1)
-	p.Unpin(2)
-	// Re-reference 1 while it sits on the ring: ref bit set again.
-	pinReady(t, p, 1)
-	p.Unpin(1)
-	pinReady(t, p, 3) // must evict 2 or 1 deterministically; run twice below
-	if err := p.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Evictions != 1 || st.Resident != 2 {
-		t.Fatalf("stats after clock eviction: %+v", st)
-	}
-}
-
-// TestClockSeededHand: different seeds may choose different victims, the
-// same seed always chooses the same one.
-func TestClockSeededHand(t *testing.T) {
-	evictOrder := func(seed int64) []uint64 {
-		p := mustPool(t, 4, "clock", seed)
-		for pid := uint64(1); pid <= 4; pid++ {
-			pinReady(t, p, pid)
-			p.Unpin(pid)
-		}
-		var order []uint64
-		for pid := uint64(5); pid <= 8; pid++ {
-			before := p.ResidentPIDs()
-			pinReady(t, p, pid)
-			after := p.ResidentPIDs()
-			for _, b := range before {
-				found := false
-				for _, a := range after {
-					if a == b {
-						found = true
-					}
-				}
-				if !found {
-					order = append(order, b)
-				}
-			}
-			p.Unpin(pid)
-		}
-		return order
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		a, b := evictOrder(seed), evictOrder(seed)
-		if !equalPIDs(a, b) {
-			t.Fatalf("seed %d: eviction order not deterministic: %v vs %v", seed, a, b)
-		}
-	}
-}
-
-// TestTwoQScanResistance: a one-shot scan over cold pages must not evict
-// the hot set once it has been promoted to Am.
-func TestTwoQScanResistance(t *testing.T) {
-	p := mustPool(t, 4, "2q", 0)
-	// Establish 1 and 2 as hot: load, unpin (→A1in), evict through
-	// probation into the ghost list, then re-load (→Am).
-	for _, pid := range []uint64{1, 2, 3, 4, 5, 6} {
-		pinReady(t, p, pid)
-		p.Unpin(pid)
-	}
-	// 1 and 2 went through A1in and (for the earliest) into the ghost list.
-	pinReady(t, p, 1)
-	p.Unpin(1)
-	pinReady(t, p, 2)
-	p.Unpin(2)
-	hot := map[uint64]bool{1: true, 2: true}
-	// Scan 20 cold pages; the hot set must survive.
-	for pid := uint64(100); pid < 120; pid++ {
-		pinReady(t, p, pid)
-		p.Unpin(pid)
-		if err := p.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, pid := range p.ResidentPIDs() {
-		delete(hot, pid)
-	}
-	if len(hot) != 0 {
-		t.Fatalf("scan evicted hot pages %v (resident %v)", hot, p.ResidentPIDs())
-	}
-}
-
 // TestPinnedNeverEvicted: with every frame pinned, new pins get NoFrame
 // and the pinned set survives a shrink to one page.
 func TestPinnedNeverEvicted(t *testing.T) {
-	p := mustPool(t, 3, "lru", 0)
+	p := mustPool(t, 3)
 	for pid := uint64(1); pid <= 3; pid++ {
 		pinReady(t, p, pid)
 	}
@@ -195,7 +99,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 // TestBusyAndAbort: a loading frame answers Busy to other pinners; Abort
 // releases it without residency.
 func TestBusyAndAbort(t *testing.T) {
-	p := mustPool(t, 2, "clock", 1)
+	p := mustPool(t, 2)
 	if s := p.Pin(7); s != Load {
 		t.Fatalf("first Pin = %v, want Load", s)
 	}
@@ -222,7 +126,7 @@ func TestBusyAndAbort(t *testing.T) {
 
 // TestResizeGrow: growing the budget stops evictions.
 func TestResizeGrow(t *testing.T) {
-	p := mustPool(t, 2, "lru", 0)
+	p := mustPool(t, 2)
 	p.Resize(8 * modelPageSize)
 	if p.Capacity() != 8 || p.Budget() != 8*modelPageSize {
 		t.Fatalf("Capacity/Budget after grow: %d/%d", p.Capacity(), p.Budget())
@@ -251,7 +155,7 @@ func TestUnpinPanics(t *testing.T) {
 		"unpin-loading":  func(p *Pool) { p.Pin(2); p.Unpin(2) },
 		"ready-resident": func(p *Pool) { pinReady(t, p, 3); p.Ready(3) },
 	} {
-		p := mustPool(t, 2, "lru", 0)
+		p := mustPool(t, 2)
 		func() {
 			defer func() {
 				if r := recover(); r == nil {
@@ -262,50 +166,5 @@ func TestUnpinPanics(t *testing.T) {
 			}()
 			fn(p)
 		}()
-	}
-}
-
-func TestReplacerDirect(t *testing.T) {
-	if _, err := NewReplacer("nope", 4, 0); err == nil {
-		t.Fatal("want error for unknown replacer")
-	}
-	for _, policy := range Policies() {
-		r, err := NewReplacer(policy, 4, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Name() != policy {
-			t.Fatalf("Name() = %q, want %q", r.Name(), policy)
-		}
-		if _, ok := r.Victim(); ok {
-			t.Fatalf("%s: Victim() on empty replacer returned ok", policy)
-		}
-		r.Remove(99) // no-op on absent pid
-		r.Insert(1)
-		r.Insert(2)
-		r.Insert(1) // duplicate insert is a refresh, not a dup entry
-		if r.Len() != 2 {
-			t.Fatalf("%s: Len() = %d, want 2", policy, r.Len())
-		}
-		if got := sortPIDs(r.PIDs()); !equalPIDs(got, []uint64{1, 2}) {
-			t.Fatalf("%s: PIDs() = %v", policy, got)
-		}
-		r.Remove(1)
-		v, ok := r.Victim()
-		if !ok || v != 2 {
-			t.Fatalf("%s: Victim() = %d,%v, want 2,true", policy, v, ok)
-		}
-		if r.Len() != 0 {
-			t.Fatalf("%s: Len() = %d after drain", policy, r.Len())
-		}
-	}
-}
-
-func TestSplitmix64(t *testing.T) {
-	if Splitmix64(0) == Splitmix64(1) {
-		t.Fatal("Splitmix64 collision on 0/1")
-	}
-	if Splitmix64(42) != Splitmix64(42) {
-		t.Fatal("Splitmix64 not deterministic")
 	}
 }

@@ -8,7 +8,7 @@
 // (replicated attribute data, partitioned topology, peer-to-peer merge,
 // §4.1) and Strategy-S (partitioned attribute data, broadcast topology,
 // §4.2). Spare device memory becomes an LRU topology-page cache (§3.3), and
-// a main-memory buffer pool front-ends the SSD array (bufferPIDMap).
+// a host page buffer (internal/bufpool, bufferPIDMap) front-ends the SSDs.
 package core
 
 import (
@@ -77,16 +77,6 @@ type Options struct {
 	// uses all free device memory as the paper's §3.3 does, CacheDisabled
 	// turns caching off, and a positive value sets the exact byte budget.
 	CacheBytes int64
-	// MMBufBytes bounds the main-memory page buffer when streaming from
-	// storage; 0 defaults to 20% of the topology (the paper's RMAT31/32
-	// setting). Ignored when the machine has no storage (fully in-memory).
-	MMBufBytes int64
-	// Prefetch enables a read-ahead process for storage-backed runs: it
-	// fetches the wave's pages into the main-memory buffer in page-ID
-	// order ahead of the GPU streams, turning the devices' access pattern
-	// sequential (which spinning disks in particular reward). The paper's
-	// Algorithm 1 fetches on demand (line 23); this is an extension.
-	Prefetch bool
 	// Trace, when non-nil, records per-stream spans for Figure 4.
 	Trace *trace.Recorder
 	// Faults, when non-nil, injects hardware failures from a seeded plan:
@@ -106,14 +96,14 @@ type Options struct {
 	// every setting. Kernels that cannot gather safely (SSSP) always run
 	// inline.
 	HostWorkers int
-	// HostPool, when non-nil, replaces the run-private main-memory buffer
-	// with a shared, ref-counted host page pool for storage-backed runs:
-	// every engine and wave group handed the same pool keeps at most one
-	// host copy of each hot page. The pool's page size must match the
-	// graph's. MMBufBytes is ignored when a pool is set (the pool's own
-	// budget governs). Ignored for fully in-memory runs. Since the pool
-	// only decides which reads hit host memory — never what a kernel
-	// computes — results are byte-identical with and without it.
+	// HostPool is the host page buffer of a storage-backed run (the paper's
+	// MMBuf, Algorithm 1 lines 18-26). Nil gives every run a fresh private
+	// pool of 20% of the topology (the paper's RMAT31/32 setting); a pool
+	// handed to several engines or wave groups is shared by them, so they
+	// keep at most one host copy of each hot page. Its page size must match
+	// the graph's. Ignored for fully in-memory runs. The pool only decides
+	// which reads hit host memory — never what a kernel computes — so
+	// results are byte-identical whichever pool serves a run.
 	HostPool *bufpool.Pool
 }
 
@@ -162,7 +152,8 @@ type Report struct {
 	Updates int64
 	// CacheHitRate is the device page-cache hit fraction (Fig. 11).
 	CacheHitRate float64
-	// BufferHitRate is the main-memory buffer hit fraction.
+	// BufferHitRate is the host page buffer's hit fraction over this run's
+	// own pins, PoolHits / (PoolHits + PoolLoads + PoolWaits); 1 in memory.
 	BufferHitRate float64
 	// TransferTime is summed service time of streaming page copies and
 	// KernelTime summed kernel execution — their ratio is Table 1.
@@ -196,11 +187,10 @@ type Report struct {
 	// spent in functional kernel execution — the quantity HostWorkers
 	// parallelism shrinks. Measured around each phase's precompute.
 	HostKernelWall time.Duration
-	// PoolHits, PoolLoads and PoolWaits are this run's shared host-pool
-	// traffic when Options.HostPool is set (all zero otherwise): pins
-	// served from a resident page, pins that paid a storage read, and pins
-	// denied (frame busy in another run, or every frame pinned) that fell
-	// back to a bypass read.
+	// PoolHits, PoolLoads and PoolWaits are this run's host page buffer
+	// traffic (all zero for an in-memory run): pins served from a resident
+	// page, pins that paid a storage read, and pins denied (frame busy in
+	// another run, or every frame pinned) that fell back to a bypass read.
 	PoolHits  int64
 	PoolLoads int64
 	PoolWaits int64

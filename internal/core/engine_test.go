@@ -311,7 +311,7 @@ func TestStorageHierarchyOrdering(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	mk := func(spec hw.MachineSpec) *Report {
-		e, err := New(spec, sp, Options{CacheBytes: CacheDisabled, MMBufBytes: int64(sp.Config().PageSize)})
+		e, err := New(spec, sp, Options{CacheBytes: CacheDisabled, HostPool: newTestPool(t, sp, int64(sp.Config().PageSize))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestTwoSSDsFasterThanOne(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	mk := func(ssds int) *Report {
-		e, err := New(hw.Workstation(1, ssds), sp, Options{CacheBytes: CacheDisabled, MMBufBytes: int64(sp.Config().PageSize)})
+		e, err := New(hw.Workstation(1, ssds), sp, Options{CacheBytes: CacheDisabled, HostPool: newTestPool(t, sp, int64(sp.Config().PageSize))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,41 +571,6 @@ func TestIsolatedVerticesDontPerturbBFS(t *testing.T) {
 		if b[v] != -1 {
 			t.Fatalf("isolated vertex %d reached (level %d)", v, b[v])
 		}
-	}
-}
-
-func TestPrefetchCorrectAndHelpsOnHDD(t *testing.T) {
-	// With a single stream, on-demand fetches serialize against copies and
-	// kernels; the prefetcher overlaps storage I/O with them. (With many
-	// streams the engine already overlaps I/O via concurrency, and
-	// prefetching is a wash — which the ablation experiment shows.)
-	g := rmatGraph(t)
-	sp := buildPages(t, g)
-	want := verify.PageRank(g, 0.85, 3)
-	mk := func(prefetch bool) *Report {
-		e, err := New(hw.WorkstationHDD(1, 2), sp, Options{
-			CacheBytes: CacheDisabled,
-			MMBufBytes: int64(sp.Config().PageSize) * 8,
-			Streams:    1,
-			Prefetch:   prefetch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := kernels.NewPageRank(sp, 0.85, 3)
-		rep := mustRun(t, e, k)
-		got := k.Ranks(rep.State)
-		for v := range want {
-			if math.Abs(float64(got[v])-want[v]) > 1e-4*math.Max(want[v], 1e-9)+1e-7 {
-				t.Fatalf("prefetch=%v: vertex %d rank mismatch", prefetch, v)
-			}
-		}
-		return rep
-	}
-	demand := mk(false)
-	ahead := mk(true)
-	if ahead.Elapsed >= demand.Elapsed {
-		t.Errorf("prefetch (%v) not faster than on-demand (%v) on HDDs", ahead.Elapsed, demand.Elapsed)
 	}
 }
 

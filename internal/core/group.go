@@ -149,16 +149,6 @@ func (m *groupMember) waveLevel() int32 {
 	return m.level
 }
 
-// demandList is the member's sorted page list for one GPU of a phase and
-// the index of that list's first kernel result; gpu < 0 selects the phase's
-// list before partitioning.
-func (m *groupMember) demandList(phase, gpu int) ([]slottedpage.PageID, int) {
-	if gpu < 0 {
-		return m.lists[phase], 0
-	}
-	return m.parts[phase][gpu], m.resBase[phase][gpu]
-}
-
 // driver owns one run of the engine: the plant and the member roster.
 type driver struct {
 	*plant
@@ -182,9 +172,6 @@ type driver struct {
 	off  []int
 	dem  []demand
 	cur  []int
-	// phaseConsumed counts (GPU, page) demands served in the running phase,
-	// which throttles the prefetcher's lead.
-	phaseConsumed int64
 }
 
 // Run executes kernel k to completion and reports timing and metrics: a
@@ -498,8 +485,7 @@ func sized[T any](s []T, n int) []T {
 // mergeDemand appends one GPU's union page demand for the phase to the
 // demand table: a k-way merge of the live members' sorted page lists, so
 // pages come out in ascending ID order with each page's demanders in join
-// order. gpu < 0 merges the lists before partitioning — the phase's whole
-// page set, which is what the prefetcher reads ahead.
+// order.
 func (d *driver) mergeDemand(phase, gpu int) {
 	d.cur = d.cur[:0]
 	for range d.active {
@@ -512,7 +498,7 @@ func (d *driver) mergeDemand(phase, gpu int) {
 			if m.r.abort != nil {
 				continue
 			}
-			list, _ := m.demandList(phase, gpu)
+			list := m.parts[phase][gpu]
 			if c := d.cur[i]; c < len(list) && (!found || list[c] < next) {
 				next, found = list[c], true
 			}
@@ -526,7 +512,7 @@ func (d *driver) mergeDemand(phase, gpu int) {
 			if m.r.abort != nil {
 				continue
 			}
-			list, base := m.demandList(phase, gpu)
+			list, base := m.parts[phase][gpu], m.resBase[phase][gpu]
 			if c := d.cur[i]; c < len(list) && list[c] == next {
 				d.dem = append(d.dem, demand{m, base + c})
 				d.cur[i]++
@@ -542,29 +528,14 @@ func (d *driver) mergeDemand(phase, gpu int) {
 func (d *driver) streamPhase(p *sim.Proc, phase int) {
 	streams := d.eng.opts.Streams
 	grp := sim.NewGroup(d.env)
-	prefetch := d.eng.opts.Prefetch && !d.inMemory
 	// Size the demand table once, to the sum of the lists it merges.
 	n := 0
 	for _, m := range d.active {
 		for _, part := range m.parts[phase] {
 			n += len(part)
 		}
-		if prefetch {
-			n += len(m.lists[phase])
-		}
 	}
 	d.pids, d.off, d.dem = sized(d.pids, n), sized(d.off, n+1), sized(d.dem, n)
-	d.phaseConsumed = 0
-	if prefetch {
-		d.mergeDemand(phase, -1)
-		if hi := len(d.pids); hi > 0 {
-			grp.Add(1)
-			d.env.Process("prefetcher", func(p *sim.Proc) {
-				d.prefetch(p, hi)
-				grp.Done()
-			})
-		}
-	}
 	for i := range d.machine.GPUs {
 		lo := len(d.pids)
 		d.mergeDemand(phase, i)
@@ -575,7 +546,6 @@ func (d *driver) streamPhase(p *sim.Proc, phase int) {
 			d.env.Process(streamProcName(i, s), func(p *sim.Proc) {
 				for j := lo + s; j < hi; j += streams {
 					d.processDemand(p, i, s, j)
-					d.phaseConsumed++
 				}
 				grp.Done()
 			})
@@ -583,49 +553,6 @@ func (d *driver) streamPhase(p *sim.Proc, phase int) {
 	}
 	d.off = append(d.off, len(d.dem))
 	grp.Wait(p)
-}
-
-// prefetch reads the phase's pages — the first n entries of the demand
-// table — into the host buffer in page-ID order, staying a bounded window
-// ahead of the GPU streams so it cannot evict pages before they are
-// consumed. Each read is issued for the page's first live demander, with
-// that member's fault plan and accounting.
-func (d *driver) prefetch(p *sim.Proc, n int) {
-	capPages := 0
-	if d.pool != nil {
-		capPages = d.pool.Capacity()
-	} else {
-		capPages = d.buffer.Capacity()
-	}
-	window := int64(capPages / 2)
-	if window < 8 {
-		window = 8
-	}
-	spec := d.eng.spec
-	pause := spec.PCIe.Latency + sim.ByteTime(int64(d.eng.graph.Config().PageSize), spec.PCIe.StreamRate)
-	if pause <= 0 {
-		pause = sim.Microsecond
-	}
-	for j := 0; j < n; j++ {
-		for int64(j) > d.phaseConsumed+window {
-			p.Delay(pause)
-		}
-		for _, dm := range d.dem[d.off[j]:d.off[j+1]] {
-			if dm.m.r.abort != nil {
-				continue
-			}
-			release, err := dm.m.r.fetchPin(p, d.pids[j], -1, -1)
-			if err != nil {
-				// Stop prefetching; the on-demand path retries with its own
-				// budget and surfaces the error if the fault is persistent.
-				return
-			}
-			// Release immediately: the page stays resident (just evictable)
-			// and the demand path re-pins it.
-			release()
-			break
-		}
-	}
 }
 
 // processDemand handles the union demand for one page on one GPU stream —
@@ -657,11 +584,11 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	// Algorithm 1 line 16: is the page already in device memory?
 	resident := cache != nil && cache.Contains(uint64(pid))
 	var payer *groupMember
-	// release drops the payer's host-pool pin. The whole wave group shares
-	// that single pin: it is held from the payer's fetch until every
-	// member's serving is done, so the host frame cannot be evicted while
-	// any member still consumes the page.
-	var release func()
+	// pinned: the payer's fetch took a host-pool pin. The whole wave group
+	// shares that single pin: it is held until every member's serving is
+	// done, so the host frame cannot be evicted while any member still
+	// consumes the page.
+	var pinned bool
 	var copyStart, copyEnd sim.Time
 	if resident {
 		for _, dm := range live {
@@ -673,13 +600,12 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 			m := rest[0].m
 			raBytes := int64(count) * m.r.raPerV
 			copyStart = d.env.Now()
-			rel, err := d.copyPageFor(p, m, gpuIdx, stream, pid, pageSize+raBytes)
-			if err != nil {
+			var err error
+			if pinned, err = d.copyPageFor(p, m, gpuIdx, stream, pid, pageSize+raBytes); err != nil {
 				m.r.fail(err)
 				rest = rest[1:]
 				continue
 			}
-			release = rel
 			copyEnd = d.env.Now()
 			m.r.pagesStreamed++
 			payer = m
@@ -749,34 +675,31 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 			m.stepActive = true
 		}
 	}
-	if release != nil {
-		release()
+	if pinned {
+		d.pool.Unpin(uint64(pid))
 	}
 }
 
-// copyPageFor fetches pid into host residency (the shared pool or the
-// main-memory buffer) and streams n bytes to the GPU on behalf of member
-// m, with m's retry budget and fault attribution. On success it returns
-// the release func for the host-pool pin the fetch took (a no-op without
-// a pool); processDemand holds it until every member has been served, so
-// eviction cannot reclaim the host frame mid-transfer.
-func (d *driver) copyPageFor(p *sim.Proc, m *groupMember, gpuIdx, stream int, pid slottedpage.PageID, n int64) (func(), error) {
+// copyPageFor fetches pid into the host page buffer and streams n bytes to
+// the GPU on behalf of member m, with m's retry budget and fault
+// attribution. On success pinned reports whether the fetch left a host-pool
+// pin (not in memory, nor after a bypass read); processDemand holds it until
+// every member has been served, so eviction cannot reclaim the host frame
+// mid-transfer.
+func (d *driver) copyPageFor(p *sim.Proc, m *groupMember, gpuIdx, stream int, pid slottedpage.PageID, n int64) (pinned bool, err error) {
 	r := m.r
-	release := noRelease
 	if d.inMemory {
 		d.hostLookups++
-	} else {
-		rel, err := r.fetchPin(p, pid, gpuIdx, stream)
-		if err != nil {
-			return nil, err
-		}
-		release = rel
+	} else if pinned, err = r.fetchPin(p, pid, gpuIdx, stream); err != nil {
+		return false, err
 	}
 	if err := r.streamCopy(p, d.machine.GPUs[gpuIdx], gpuIdx, stream, pid, n); err != nil {
-		release()
-		return nil, err
+		if pinned {
+			d.pool.Unpin(uint64(pid))
+		}
+		return false, err
 	}
-	return release, nil
+	return pinned, nil
 }
 
 // endWave finishes one member's superstep: cross-GPU sync, frontier merge

@@ -472,39 +472,6 @@ func TestClosedRosterMemoryLayout(t *testing.T) {
 	}
 }
 
-// TestPrefetchInGroups: Options.Prefetch reads ahead for a wave group as it
-// does for a single run — on spinning disks with one stream the group
-// finishes sooner with it than without — and never changes a result.
-func TestPrefetchInGroups(t *testing.T) {
-	g := rmatGraph(t)
-	sp := buildPages(t, g)
-	cases := kernelCases()
-	run := func(prefetch bool) sim.Time {
-		e, err := New(hw.WorkstationHDD(1, 2), sp, Options{
-			CacheBytes: CacheDisabled,
-			MMBufBytes: int64(sp.Config().PageSize) * 8,
-			Streams:    1,
-			Prefetch:   prefetch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bfs, pr := kernels.NewBFS(sp), kernels.NewPageRank(sp, 0.85, 5)
-		outs, stats := mustRunShared(t, e, []SharedJob{{Kernel: bfs}, {Kernel: pr}}, nil)
-		for i, o := range outs {
-			if o.Err != nil || o.Declined {
-				t.Fatalf("prefetch=%v outcome %d: err=%v declined=%v", prefetch, i, o.Err, o.Declined)
-			}
-		}
-		wantGolden(t, cases[0], bfs, outs[0].Report.State)
-		wantGolden(t, cases[2], pr, outs[1].Report.State)
-		return stats.Elapsed
-	}
-	if demand, ahead := run(false), run(true); ahead >= demand {
-		t.Errorf("group with prefetch (%v) not faster than on-demand (%v) on HDDs", ahead, demand)
-	}
-}
-
 // TestWaveAllocBudget pins the cost of the union demand: once a warm-up
 // wave has grown the driver's demand table and the members' result slices,
 // merging a GPU's demand and processing a page of it allocate nothing —

@@ -1,61 +1,123 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/bufpool"
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/kernels"
+	"repro/internal/slottedpage"
 )
 
-// newTestPool builds a host pool matching the test graph's page size.
-func newTestPool(t *testing.T, sp interface{ TopologyBytes() int64 }, pageSize int64, bytes int64, policy string) *bufpool.Pool {
+// newTestPool builds a host pool of the given budget (0 = the whole
+// topology) over the test graph's page size.
+func newTestPool(t *testing.T, sp *slottedpage.Graph, bytes int64) *bufpool.Pool {
 	t.Helper()
 	if bytes == 0 {
 		bytes = sp.TopologyBytes()
 	}
-	p, err := bufpool.New(bufpool.Config{PageSize: pageSize, Bytes: bytes, Policy: policy, Seed: 1})
+	p, err := bufpool.New(bufpool.Config{PageSize: int64(sp.Config().PageSize), Bytes: bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-// TestPooledRunByteIdentical: a storage-backed run through the shared host
-// pool produces results byte-identical to the private-buffer run, for
-// every eviction policy, and leaves no pins behind.
+// TestPooledRunByteIdentical: a storage-backed run through a handed-in
+// host pool produces results byte-identical to the reference traversal and
+// leaves no pins behind.
 func TestPooledRunByteIdentical(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	pageSize := int64(sp.Config().PageSize)
+	pool := newTestPool(t, sp, sp.TopologyBytes()/4)
+	k := kernels.NewBFS(sp)
+	rep := mustRun(t, newEngine(t, sp, Options{Source: 0, HostPool: pool}, 1, 1), k)
+	wantBFS(t, "pooled", g, 0, k.Levels(rep.State))
+	if rep.PoolLoads == 0 {
+		t.Fatal("pooled storage run reports zero pool loads")
+	}
+	if err := pool.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Stats(); st.Pinned != 0 {
+		t.Fatalf("run finished with %d pages still pinned", st.Pinned)
+	}
+}
 
-	base := kernels.NewBFS(sp)
-	baseRep := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 1), base)
-	want := append([]int16(nil), base.Levels(baseRep.State)...)
-
-	for _, policy := range bufpool.Policies() {
-		policy := policy
-		t.Run(policy, func(t *testing.T) {
-			pool := newTestPool(t, sp, pageSize, sp.TopologyBytes()/4, policy)
-			k := kernels.NewBFS(sp)
-			rep := mustRun(t, newEngine(t, sp, Options{Source: 0, HostPool: pool}, 1, 1), k)
-			got := k.Levels(rep.State)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("vertex %d level = %d with %s pool, want %d", v, got[v], policy, want[v])
-				}
+// TestPrivatePoolMatchesExplicitPool pins what "HostPool == nil" means: the
+// run builds itself a pool of 20% of the topology, so it is
+// indistinguishable — virtual time, data movement, pin outcomes, result
+// bytes — from the same run handed a fresh pool of that size.
+func TestPrivatePoolMatchesExplicitPool(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	cases := kernelCases()
+	bfs, pr := cases[0], cases[2]
+	type outcome struct {
+		rep    *Report
+		digest [sha256.Size]byte
+	}
+	// run executes the workload once and returns every member's outcome.
+	run := func(t *testing.T, spec hw.MachineSpec, kcs []kernelCase, faulted bool, pool *bufpool.Pool) []outcome {
+		e, err := New(spec, sp, Options{HostPool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs []SharedJob
+		for i, kc := range kcs {
+			job := SharedJob{Kernel: kc.make(sp), Source: uint64(i * 7)}
+			if faulted {
+				job.Faults = chaosPlan()
 			}
-			if rep.PoolLoads == 0 {
-				t.Fatal("pooled storage run reports zero pool loads")
+			jobs = append(jobs, job)
+		}
+		outs, _ := mustRunShared(t, e, jobs, nil)
+		var res []outcome
+		for i, o := range outs {
+			if o.Err != nil || o.Declined {
+				t.Fatalf("member %d: err=%v declined=%v", i, o.Err, o.Declined)
 			}
-			if err := pool.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			res = append(res, outcome{o.Report, sha256.Sum256(kcs[i].enc(jobs[i].Kernel, o.Report.State))})
+		}
+		return res
+	}
+	workloads := []struct {
+		name string
+		kcs  []kernelCase
+	}{
+		{"BFS", []kernelCase{bfs}},
+		{"PageRank", []kernelCase{pr}},
+		{"wave8", []kernelCase{bfs, bfs, bfs, bfs, bfs, bfs, bfs, bfs}},
+	}
+	specs := []struct {
+		name string
+		spec hw.MachineSpec
+	}{{"ssd", hw.Workstation(1, 2)}, {"hdd", hw.WorkstationHDD(1, 2)}}
+	for _, w := range workloads {
+		for _, s := range specs {
+			for _, faulted := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/faulted=%v", w.name, s.name, faulted), func(t *testing.T) {
+					private := run(t, s.spec, w.kcs, faulted, nil)
+					explicit := run(t, s.spec, w.kcs, faulted, newTestPool(t, sp, sp.TopologyBytes()/5))
+					var loads int64
+					for i := range private {
+						a, b := private[i].rep, explicit[i].rep
+						if a.Elapsed != b.Elapsed || a.PagesStreamed != b.PagesStreamed || a.StorageBytes != b.StorageBytes ||
+							a.PoolHits != b.PoolHits || a.PoolLoads != b.PoolLoads || a.PoolWaits != b.PoolWaits ||
+							a.BufferHitRate != b.BufferHitRate || private[i].digest != explicit[i].digest {
+							t.Errorf("member %d: private pool %+v\nexplicit pool %+v", i, *a, *b)
+						}
+						loads += a.PoolLoads
+					}
+					if loads == 0 {
+						t.Error("no pool loads on a storage-backed run")
+					}
+				})
 			}
-			if st := pool.Stats(); st.Pinned != 0 {
-				t.Fatalf("run finished with %d pages still pinned", st.Pinned)
-			}
-		})
+		}
 	}
 }
 
@@ -66,8 +128,7 @@ func TestPooledRunByteIdentical(t *testing.T) {
 func TestWarmPoolServesSecondRun(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	pageSize := int64(sp.Config().PageSize)
-	pool := newTestPool(t, sp, pageSize, 0, "lru") // whole topology fits
+	pool := newTestPool(t, sp, 0) // whole topology fits
 
 	k1 := kernels.NewBFS(sp)
 	rep1 := mustRun(t, newEngine(t, sp, Options{Source: 0, HostPool: pool}, 1, 1), k1)
@@ -100,8 +161,7 @@ func TestWarmPoolServesSecondRun(t *testing.T) {
 func TestPooledSharedGroup(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	pageSize := int64(sp.Config().PageSize)
-	pool := newTestPool(t, sp, pageSize, 0, "2q")
+	pool := newTestPool(t, sp, 0)
 
 	solo := kernels.NewBFS(sp)
 	soloRep := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 1), solo)

@@ -37,34 +37,49 @@ func (r *run) traceMark(kind trace.Kind, gpu, stream int, page int64) {
 	r.eng.opts.Trace.Add(trace.Span{GPU: gpu, Stream: stream, Kind: kind, Page: page, Level: r.curLevel, Start: now, End: now})
 }
 
-// withRetry runs fn until it succeeds or the attempt budget is exhausted,
-// backing off exponentially in virtual time between attempts. Exhaustion
-// wraps the last error in ErrHardwareFault.
+// retry is the one recovery loop: it runs attempt until it succeeds or the
+// attempt budget is exhausted, marking each failure and each granted retry
+// on the trace at page and backing off exponentially in virtual time in
+// between, and returns the attempts made and the last one's error. onErr,
+// when non-nil, sees every error that will be retried; true means it has
+// removed the cause, so the next attempt starts at once.
 //
-// Like launchKernel and readPage it arms the machine's fault injectors with
-// this member's immediately before every attempt. The sim scheduler runs one
-// process at a time and the hw models read their injector synchronously at
-// call entry, so arming here cannot race a sibling member's operation.
-func (r *run) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() error) error {
+// Each attempt first arms the machine's fault injectors with this member's.
+// The sim scheduler runs one process at a time and the hw models read their
+// injector synchronously at call entry, so arming here cannot race a sibling
+// member's operation.
+func (r *run) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() error, onErr func(error) bool) (int, error) {
 	backoff := retryBackoff
-	for attempt := 1; ; attempt++ {
+	for n := 1; ; n++ {
 		r.machine.InjectFaults(r.inj)
-		err := fn()
+		err := attempt()
 		if err == nil {
-			if attempt > 1 {
+			if n > 1 {
 				r.fstats.Recoveries++
 			}
-			return nil
+			return n, nil
 		}
-		r.traceMark(trace.Fault, gpu, stream, -1)
-		if attempt >= maxAttempts {
-			return fmt.Errorf("%w: %s failed %d times: %v", ErrHardwareFault, what, attempt, err)
+		r.traceMark(trace.Fault, gpu, stream, page)
+		if n >= maxAttempts {
+			return n, err
 		}
 		r.fstats.Retries++
-		r.traceMark(trace.Retry, gpu, stream, -1)
+		r.traceMark(trace.Retry, gpu, stream, page)
+		if onErr != nil && onErr(err) {
+			continue
+		}
 		p.Delay(backoff)
 		backoff *= 2
 	}
+}
+
+// withRetry runs a transfer under the recovery loop. Exhaustion wraps the
+// last error in ErrHardwareFault.
+func (r *run) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() error) error {
+	if n, err := r.retry(p, gpu, stream, -1, fn, nil); err != nil {
+		return fmt.Errorf("%w: %s failed %d times: %v", ErrHardwareFault, what, n, err)
+	}
+	return nil
 }
 
 // launchKernel launches one kernel with recovery. A device-OOM failure
@@ -77,32 +92,24 @@ func (r *run) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() err
 // floor is it dropped entirely. Other failures retry with backoff.
 func (r *run) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, cycles float64) error {
 	gpu := r.machine.GPUs[gpuIdx]
-	backoff := retryBackoff
-	for attempt := 1; ; attempt++ {
-		r.machine.InjectFaults(r.inj)
-		err := gpu.LaunchKernel(p, cycles, nil)
-		if err == nil {
-			if attempt > 1 {
-				r.fstats.Recoveries++
-				r.regrowCache(gpuIdx)
+	n, err := r.retry(p, gpuIdx, stream, int64(pid),
+		func() error { return gpu.LaunchKernel(p, cycles, nil) },
+		func(err error) bool {
+			if !errors.Is(err, hw.ErrOutOfDeviceMemory) || r.caches[gpuIdx] == nil {
+				return false
 			}
-			return nil
-		}
-		r.traceMark(trace.Fault, gpuIdx, stream, int64(pid))
-		if attempt >= maxAttempts {
-			return fmt.Errorf("%w: kernel launch for page %d on GPU%d failed %d times: %v",
-				ErrHardwareFault, pid, gpuIdx, attempt, err)
-		}
-		r.fstats.Retries++
-		r.traceMark(trace.Retry, gpuIdx, stream, int64(pid))
-		if errors.Is(err, hw.ErrOutOfDeviceMemory) && r.caches[gpuIdx] != nil {
 			r.shrinkCache(gpuIdx)
 			r.fstats.Degradations++
-			continue // relaunch immediately with the freed memory
-		}
-		p.Delay(backoff)
-		backoff *= 2
+			return true // relaunch immediately with the freed memory
+		})
+	if err != nil {
+		return fmt.Errorf("%w: kernel launch for page %d on GPU%d failed %d times: %v",
+			ErrHardwareFault, pid, gpuIdx, n, err)
 	}
+	if n > 1 {
+		r.regrowCache(gpuIdx)
+	}
+	return nil
 }
 
 // shrinkCache halves GPU gpuIdx's page-cache byte budget, evicting LRU
@@ -158,43 +165,33 @@ func (r *run) regrowCache(gpuIdx int) {
 // readPage reads pid from the storage array with recovery: failed reads
 // retry with backoff, and pages that arrive corrupt are caught by the
 // per-page CRC (slottedpage.VerifyPageBytes) and re-read. The caller
-// inserts into the main-memory buffer on success. Every page the devices
-// serve — a corrupt one that is then re-read included — counts toward the
-// member's Report.StorageBytes.
+// readies the page's pool frame on success. Every page the devices serve —
+// a corrupt one that is then re-read included — counts toward the member's
+// Report.StorageBytes.
 func (r *run) readPage(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) error {
 	g := r.eng.graph
-	backoff := retryBackoff
-	for attempt := 1; ; attempt++ {
-		r.machine.InjectFaults(r.inj)
+	n, err := r.retry(p, gpuIdx, stream, int64(pid), func() error {
 		t0 := r.env.Now()
 		corrupt, err := r.machine.Storage.ReadPage(p, uint64(pid))
 		r.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.StorageIO,
 			Page: int64(pid), Level: r.curLevel, Start: t0, End: r.env.Now()})
-		if err == nil {
-			r.storageRead += int64(g.Config().PageSize)
+		if err != nil {
+			return err
 		}
-		if err == nil && corrupt {
-			// The injector damaged the bytes in flight. Run the real
-			// verification machinery against a corrupted copy of the page
-			// so detection exercises the same checksum path a production
-			// read would.
-			buf := append([]byte(nil), g.PageBytes(pid)...)
-			buf[int(uint64(pid))%len(buf)] ^= 0xA5
-			err = g.VerifyPageBytes(pid, buf)
-		}
-		if err == nil {
-			if attempt > 1 {
-				r.fstats.Recoveries++
-			}
+		r.storageRead += int64(g.Config().PageSize)
+		if !corrupt {
 			return nil
 		}
-		r.traceMark(trace.Fault, gpuIdx, stream, int64(pid))
-		if attempt >= maxAttempts {
-			return fmt.Errorf("%w: reading page %d failed %d times: %v", ErrHardwareFault, pid, attempt, err)
-		}
-		r.fstats.Retries++
-		r.traceMark(trace.Retry, gpuIdx, stream, int64(pid))
-		p.Delay(backoff)
-		backoff *= 2
+		// The injector damaged the bytes in flight. Run the real
+		// verification machinery against a corrupted copy of the page so
+		// detection exercises the same checksum path a production read
+		// would.
+		buf := append([]byte(nil), g.PageBytes(pid)...)
+		buf[int(uint64(pid))%len(buf)] ^= 0xA5
+		return g.VerifyPageBytes(pid, buf)
+	}, nil)
+	if err != nil {
+		return fmt.Errorf("%w: reading page %d failed %d times: %v", ErrHardwareFault, pid, n, err)
 	}
+	return nil
 }

@@ -18,11 +18,10 @@ import (
 type pidSet = *bitset.Set
 
 // plant is the simulated machine and what every member of a wave group
-// shares on it: the per-GPU page caches, the host-side page residency (the
-// main-memory buffer or the shared host pool) and the table of storage
-// reads in flight. The sim scheduler runs one process at a time, so none of
-// it needs locking; a cache dropped or shrunk on behalf of one member is
-// dropped for all.
+// shares on it: the per-GPU page caches, the host page buffer and the table
+// of storage reads in flight. The sim scheduler runs one process at a time,
+// so none of it needs locking; a cache dropped or shrunk on behalf of one
+// member is dropped for all.
 type plant struct {
 	env     *sim.Env
 	machine *hw.Machine
@@ -30,12 +29,12 @@ type plant struct {
 	caches      []*hw.BufferPool // per-GPU page caches; nil = disabled
 	cacheBytes  []int64          // device bytes held by each cache (for OOM spill)
 	cacheTarget []int64          // each cache's configured byte budget (re-grow goal after an OOM shrink)
-	buffer      *hw.BufferPool   // main-memory page buffer (bufferPIDMap); nil when pooled or in memory
-	// pool, when non-nil, is the shared host page pool that replaces the
-	// private main-memory buffer for storage-backed runs (Options.HostPool).
-	// It may be shared with concurrently executing runs in other simulation
-	// environments, so every interaction goes through its non-blocking
-	// pin/unpin API (see fetchPin).
+	// pool is the host page buffer of a storage-backed run (the paper's
+	// MMBuf with its bufferPIDMap; nil in memory): Options.HostPool, or a
+	// private pool built for this run. A handed-in pool may be shared with
+	// concurrently executing runs in other simulation environments, so
+	// every interaction goes through its non-blocking pin/unpin API (see
+	// fetchPin).
 	pool *bufpool.Pool
 	// inMemory means the whole graph is resident in main memory: every host
 	// lookup hits, so there is no buffer to consult and hostLookups only
@@ -127,7 +126,7 @@ type run struct {
 	sharedPagesIn  int64
 	storageRead    int64
 	kernelBusy     sim.Time
-	// Shared host-pool accounting (zero when r.pool is nil).
+	// Host page buffer accounting (zero when r.pool is nil).
 	poolHits  int64
 	poolLoads int64
 	poolWaits int64
@@ -202,37 +201,27 @@ func (pl *plant) setup(e *Engine, headroom bool) error {
 		}
 	}
 
-	// Host side: everything resident when there is no storage; otherwise
-	// the shared host pool when one is configured, or a group-private
-	// bounded buffer front-ending the SSD/HDD array.
+	// Host side: everything resident when there is no storage; otherwise a
+	// page buffer front-ending the SSD/HDD array — the configured host pool,
+	// or one private to this run.
 	if m.Storage == nil {
 		pl.inMemory = true
 		if err := m.Host.Alloc(e.graph.TopologyBytes()); err != nil {
 			return fmt.Errorf("core: graph does not fit in main memory and no storage is configured: %w", err)
 		}
-	} else if e.opts.HostPool != nil {
-		// The pool's pages live in host memory once, however many machines
-		// share it; each machine still accounts the full budget so a
-		// configuration that could not actually hold the pool fails here.
-		pl.pool = e.opts.HostPool
-		if err := m.Host.Alloc(pl.pool.Budget()); err != nil {
-			return err
-		}
-	} else {
-		mmBytes := e.opts.MMBufBytes
-		if mmBytes == 0 {
-			mmBytes = e.graph.TopologyBytes() / 5 // the paper's 20% buffer
-		}
-		pages := mmBytes / pageSize
-		if pages < 1 {
-			pages = 1
-		}
-		if err := m.Host.Alloc(pages * pageSize); err != nil {
-			return err
-		}
-		pl.buffer = hw.NewBufferPool(int(pages))
+		return nil
 	}
-	return nil
+	pl.pool = e.opts.HostPool
+	if pl.pool == nil {
+		var err error // the paper's 20% MMBuf
+		if pl.pool, err = bufpool.New(bufpool.Config{PageSize: pageSize, Bytes: e.graph.TopologyBytes() / 5}); err != nil {
+			return err
+		}
+	}
+	// A shared pool's pages live in host memory once, however many machines
+	// share it; each machine still accounts the full budget so a
+	// configuration that could not actually hold the pool fails here.
+	return m.Host.Alloc(pl.pool.Budget())
 }
 
 // planLevel asks a FrontierKernel to plan the coming level — rebuilding
@@ -247,25 +236,21 @@ func (r *run) planLevel(level int32, next pidSet) {
 }
 
 // bufferHitRate is the host-side page residency hit fraction: 1 for an
-// in-memory graph (0 before any lookup), the main-memory buffer's when the
-// group owns one, or the member's own pool pin outcomes when it shares a
-// host pool (the pool's global rate blends every run's traffic; a member
+// in-memory graph (0 before any lookup), otherwise the member's own pin
+// outcomes (the pool's global rate blends every run's traffic; a member
 // report wants only its own).
 func (r *run) bufferHitRate() float64 {
-	switch {
-	case r.inMemory:
+	if r.inMemory {
 		if r.hostLookups == 0 {
 			return 0
 		}
 		return 1
-	case r.pool != nil:
-		total := r.poolHits + r.poolLoads + r.poolWaits
-		if total == 0 {
-			return 0
-		}
-		return float64(r.poolHits) / float64(total)
 	}
-	return r.buffer.HitRate()
+	total := r.poolHits + r.poolLoads + r.poolWaits
+	if total == 0 {
+		return 0
+	}
+	return float64(r.poolHits) / float64(total)
 }
 
 // parallelGPUs runs fn once per GPU concurrently and joins.

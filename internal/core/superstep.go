@@ -131,53 +131,21 @@ func (r *run) streamCopy(p *sim.Proc, gpu *hw.GPU, gpuIdx, stream int, pid slott
 	return nil
 }
 
-// fetch ensures pid is resident in the main-memory buffer, reading it from
-// the storage array on a miss. Concurrent requests for the same page (all
-// GPUs want it under Strategy-S) coalesce onto one storage read. A waiter
-// re-checks after the reader finishes: if the read failed, the waiter
-// takes over with its own retry budget rather than trusting a page that
-// never arrived.
-func (r *run) fetch(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) error {
-	for {
-		if r.buffer.Contains(uint64(pid)) {
-			return nil
-		}
-		if sig, ok := r.inflight[pid]; ok {
-			sig.Wait(p)
-			continue
-		}
-		sig := sim.NewSignal(r.env)
-		r.inflight[pid] = sig
-		err := r.readPage(p, pid, gpuIdx, stream)
-		if err == nil {
-			r.buffer.Insert(uint64(pid))
-		}
-		delete(r.inflight, pid)
-		sig.Fire()
-		return err
-	}
-}
-
-// noRelease is fetchPin's release func for paths that pin nothing.
-func noRelease() {}
-
-// fetchPin is the pooled counterpart of fetch: it ensures pid is resident
-// on the host and returns a release func the caller must invoke once the
-// page's streaming copy is done. Without a pool it delegates to fetch
-// (the release is a no-op).
+// fetchPin ensures pid is resident in the host page buffer, reading it from
+// the storage array on a miss (Algorithm 1 lines 18-26). pinned reports a
+// pool pin the caller must Unpin once the page's streaming copy is done.
 //
 // Pin never blocks the simulation: same-env duplicate loads (sibling
-// streams, wave-group members) coalesce on the run's inflight table
-// before the pool is consulted, exactly like the private-buffer path. A
-// frame busy in a different env (another System loading the same page
-// concurrently) or a pool with every frame pinned yields a bypass read —
-// the page streams from a transient host buffer without entering the
-// pool. A real cross-env wait could deadlock two cooperative schedulers
-// loading each other's pages, so the pool's API never offers one.
-func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) (func(), error) {
-	if r.pool == nil {
-		return noRelease, r.fetch(p, pid, gpuIdx, stream)
-	}
+// streams, wave-group members, every GPU under Strategy-S) coalesce on the
+// plant's inflight table before the pool is consulted, and a waiter re-pins
+// after the reader finishes — if the read failed it takes over with its own
+// retry budget. A frame busy in a different env (another System loading the
+// same page) or a pool with every frame pinned (a private pool of fewer
+// frames than streams) yields a bypass read — the page streams from a
+// transient host buffer without entering the pool. A real cross-env wait
+// could deadlock two cooperative schedulers loading each other's pages, so
+// the pool's API never offers one.
+func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) (pinned bool, err error) {
 	for {
 		if sig, ok := r.inflight[pid]; ok {
 			sig.Wait(p)
@@ -187,7 +155,7 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 		case bufpool.Hit:
 			r.poolHits++
 			r.traceMark(trace.PoolHit, gpuIdx, stream, int64(pid))
-			return func() { r.pool.Unpin(uint64(pid)) }, nil
+			return true, nil
 		case bufpool.Load:
 			sig := sim.NewSignal(r.env)
 			r.inflight[pid] = sig
@@ -196,19 +164,16 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 			sig.Fire()
 			if err != nil {
 				r.pool.Abort(uint64(pid))
-				return nil, err
+				return false, err
 			}
 			r.pool.Ready(uint64(pid))
 			r.poolLoads++
 			r.traceMark(trace.PoolLoad, gpuIdx, stream, int64(pid))
-			return func() { r.pool.Unpin(uint64(pid)) }, nil
+			return true, nil
 		default: // Busy in another env, or no evictable frame: bypass.
 			r.poolWaits++
 			r.traceMark(trace.PoolWait, gpuIdx, stream, int64(pid))
-			if err := r.readPage(p, pid, gpuIdx, stream); err != nil {
-				return nil, err
-			}
-			return noRelease, nil
+			return false, r.readPage(p, pid, gpuIdx, stream)
 		}
 	}
 }

@@ -281,50 +281,7 @@ func (r *Runner) ablations() (*Table, error) {
 			fmt.Sprintf("-%.0f%% memory", 100*(1-float64(comp)/float64(plain))),
 		})
 	}
-	// 4. Read-ahead prefetching (an engine extension): fetch the
-	// superstep's pages into the buffer ahead of the streams.
-	{
-		const ds = "RMAT30"
-		g, err := r.pagesOf(ds)
-		if err != nil {
-			return nil, err
-		}
-		factor := r.hwFactor(ds)
-		run := func(streams int, prefetch bool) (sim.Time, error) {
-			spec := hw.WorkstationHDD(1, 2).Scale(factor)
-			eng, err := core.New(spec, g, core.Options{
-				Streams:    streams,
-				Prefetch:   prefetch,
-				CacheBytes: core.CacheDisabled,
-			})
-			if err != nil {
-				return 0, err
-			}
-			rep, err := eng.Run(kernels.NewPageRank(g, 0.85, r.opts.PRIterations))
-			if err != nil {
-				return 0, err
-			}
-			return rep.Elapsed, nil
-		}
-		for _, streams := range []int{1, 16} {
-			off, err := run(streams, false)
-			if err != nil {
-				return nil, err
-			}
-			on, err := run(streams, true)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("read-ahead prefetch (HDD, %d streams)", streams), ds,
-				fmtTime(extrapolate(off, r.factor(ds))),
-				fmtTime(extrapolate(on, r.factor(ds))),
-				fmt.Sprintf("%+.0f%%", 100*(on.Seconds()/off.Seconds()-1)),
-			})
-		}
-	}
 	t.Notes = append(t.Notes,
-		"read-ahead prefetch (extension): a large win when stream concurrency cannot hide storage latency; a wash at 16 streams, where on-demand fetches already overlap",
 		"thermal model: sustained kernel load down-clocks the GPUs to 50% — the paper's explanation for RMAT32 PageRank exceeding linear scaling (7.2); the streaming overlap hides much of the slowdown, so the end-to-end effect is smaller than the clock drop",
 		"combiner and compression ablations quantify why those mechanisms exist in the respective baselines")
 	return t, nil

@@ -44,15 +44,14 @@ func (h *Host) Free(n int64) {
 func (h *Host) Used() int64     { return h.used }
 func (h *Host) Capacity() int64 { return h.capacity }
 
-// BufferPool is the main-memory page buffer (the paper's MMBuf with its
-// bufferPIDMap, Algorithm 1 lines 18-26): pages fetched from storage are
-// kept, LRU-evicted when full, so re-accessed pages skip the SSD.
+// BufferPool is the device-memory topology page cache (paper §3.3, Algorithm
+// 1 line 16): pages streamed to a GPU are kept in its spare memory,
+// LRU-evicted when full, so re-accessed pages skip the PCI-E copy. (The
+// host-side page buffer is internal/bufpool.)
 type BufferPool struct {
 	capacity int // in pages; 0 means unbounded (whole graph fits)
 	entries  map[uint64]*list.Element
 	lru      *list.List // front = most recently used; values are page IDs
-	hits     int64
-	misses   int64
 }
 
 // NewBufferPool returns a pool holding at most capacity pages
@@ -61,16 +60,13 @@ func NewBufferPool(capacity int) *BufferPool {
 	return &BufferPool{capacity: capacity, entries: make(map[uint64]*list.Element), lru: list.New()}
 }
 
-// Contains reports whether pid is buffered, updating recency and hit/miss
-// counters.
+// Contains reports whether pid is buffered, updating recency.
 func (b *BufferPool) Contains(pid uint64) bool {
-	if e, ok := b.entries[pid]; ok {
+	e, ok := b.entries[pid]
+	if ok {
 		b.lru.MoveToFront(e)
-		b.hits++
-		return true
 	}
-	b.misses++
-	return false
+	return ok
 }
 
 // Insert adds pid, evicting the least recently used page if full.
@@ -117,22 +113,6 @@ func (b *BufferPool) Grow(newCap int) {
 
 // Len reports the buffered page count.
 func (b *BufferPool) Len() int { return b.lru.Len() }
-
-// Capacity reports the page limit (0 = unbounded).
-func (b *BufferPool) Capacity() int { return b.capacity }
-
-// HitRate reports hits/(hits+misses), or 0 before any lookup.
-func (b *BufferPool) HitRate() float64 {
-	total := b.hits + b.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(b.hits) / float64(total)
-}
-
-// Hits and Misses report raw lookup counters.
-func (b *BufferPool) Hits() int64   { return b.hits }
-func (b *BufferPool) Misses() int64 { return b.misses }
 
 // Machine assembles a full workstation bound to one simulation environment.
 type Machine struct {

@@ -88,11 +88,10 @@ type GraphInfo struct {
 	// engines execute kernels with (the engine's HostWorkers after
 	// defaulting 0 to GOMAXPROCS).
 	HostWorkers int `json:"host_workers"`
-	// PoolPolicy and PoolBytes describe the graph's shared host page pool
-	// — the single pinned buffer all pooled Systems stream through.
-	// Empty/zero when the graph serves from the classic per-run buffer.
-	PoolPolicy string `json:"pool_policy,omitempty"`
-	PoolBytes  int64  `json:"pool_bytes,omitempty"`
+	// PoolBytes is the budget of the graph's shared host page pool — the
+	// single pinned buffer all pooled Systems stream through. Zero when
+	// every run builds a private buffer (or the graph is in memory).
+	PoolBytes int64 `json:"pool_bytes,omitempty"`
 	// State is the serving state ("loading"/"recovering"/"serving"/
 	// "degraded"); Mutable and Epoch describe WAL-backed graphs.
 	State   string `json:"state"`
@@ -246,10 +245,9 @@ func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error)
 	// post-mutation job, invalidate the shared host pool's superseded
 	// frames, and publish a new entry over the new snapshot.
 	entry.sched.Fence()
-	cfg := entry.pool.Config()
-	if hp := entry.pool.HostPool(); hp != nil {
-		hp.AdvanceEpoch()
-		cfg.HostPool = hp // keep sharing the same pool across the rebuild
+	cfg := entry.pool.Config() // carries the shared host pool, if any, across the rebuild
+	if cfg.HostPool != nil {
+		cfg.HostPool.AdvanceEpoch()
 	}
 	pool, perr := gts.NewSystemPool(entry.mg.Snapshot(), cfg, entry.pool.Size())
 	if perr != nil {
@@ -347,7 +345,6 @@ func (s *Server) Graphs() []GraphInfo {
 			info.Pool = e.pool.Size()
 			info.HostWorkers = effectiveHostWorkers(e.pool.Config())
 			if hp := e.pool.HostPool(); hp != nil {
-				info.PoolPolicy = hp.Policy()
 				info.PoolBytes = hp.Budget()
 			}
 		}

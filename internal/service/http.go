@@ -33,7 +33,8 @@ import (
 //
 // Typed service errors map to statuses: ErrOverloaded → 429, unknown
 // graph/algorithm/job → 404, ErrTimeout → 504, ErrShuttingDown and
-// ErrGraphNotReady → 503, ErrImmutableGraph → 409.
+// ErrGraphNotReady → 503, ErrImmutableGraph → 409. A body that does not
+// parse is 400; one longer than maxBodyBytes is 413, refused unread.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -90,6 +91,21 @@ func WithPprof(h http.Handler) http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds every request body the service decodes. The largest
+// legitimate one is an ingest batch: an edge is at most ~70 bytes of JSON
+// (two 20-digit IDs and a del flag), so 8 MiB carries over 100 000 edges.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes of it, and reports the status a failure is answered with.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 // loadRequest is the PUT /v1/graphs/{name} body.
 type loadRequest struct {
 	// Spec is a gts.Open graph spec: a .gts store file or "dataset[@shrink]".
@@ -115,8 +131,8 @@ type loadRequest struct {
 func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad load request: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		httpError(w, status, fmt.Errorf("bad load request: %w", err))
 		return
 	}
 	if req.Spec == "" {
@@ -160,8 +176,8 @@ type ingestRequest struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad ingest request: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		httpError(w, status, fmt.Errorf("bad ingest request: %w", err))
 		return
 	}
 	if len(req.Edges) == 0 {
@@ -190,8 +206,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Params
 		Incremental bool `json:"incremental,omitempty"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad params: %w", err))
+	if status, err := decodeBody(w, r, &body); err != nil && !errors.Is(err, io.EOF) {
+		httpError(w, status, fmt.Errorf("bad params: %w", err))
 		return
 	}
 	req.Params = body.Params

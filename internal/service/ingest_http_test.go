@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -279,5 +280,44 @@ func TestIngestEpochNoCrossEpochCoalescing(t *testing.T) {
 	}
 	if st.IngestBatches != 1 || st.IngestEdges != 2 || st.Epochs["mut"] != 1 {
 		t.Fatalf("ingest stats = batches %d edges %d epoch %d", st.IngestBatches, st.IngestEdges, st.Epochs["mut"])
+	}
+}
+
+// TestHTTPOversizedBodyRejected: every handler that decodes a body stops
+// reading at the service's body limit and answers 413 — an ingest with an
+// arbitrarily long "edges" array is refused before it is parsed, and commits
+// nothing. The handler is driven directly (no socket), so the assertion does
+// not depend on how a client sees a connection the server stops reading.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	srv := service.New(service.Config{})
+	defer srv.Close()
+	if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Ingest("mut", []gts.EdgeOp{{Src: 1, Dst: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	// ~9 MiB of well-formed JSON: only its length is wrong.
+	edges := `{"edges":[` + strings.Repeat(`{"src":1,"dst":2},`, 500_000) + `{"src":1,"dst":2}]}`
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/graphs/mut/ingest", edges},
+		{http.MethodPost, "/v1/graphs/mut/bfs", `{"source":0,"pad":"` + strings.Repeat("x", 9<<20) + `"}`},
+		{http.MethodPut, "/v1/graphs/other", `{"spec":"` + strings.Repeat("x", 9<<20) + `"}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with a %d-byte body: status %d, want 413", tc.method, tc.path, len(tc.body), rec.Code)
+		}
+	}
+	if st := srv.Stats(); st.Epochs["mut"] != 1 || st.IngestBatches != 1 {
+		t.Errorf("oversized ingest moved the graph: epoch %d after %d batches, want 1 and 1", st.Epochs["mut"], st.IngestBatches)
+	}
+	// The limit is on length alone: the same edge in a small body commits.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/mut/ingest", strings.NewReader(`{"edges":[{"src":1,"dst":2}]}`)))
+	if rec.Code != http.StatusOK || srv.Stats().Epochs["mut"] != 2 {
+		t.Errorf("small ingest after the oversized one: status %d, epoch %d", rec.Code, srv.Stats().Epochs["mut"])
 	}
 }

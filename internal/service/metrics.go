@@ -324,26 +324,20 @@ func (m *metrics) write(w io.Writer, s Stats) {
 			graphs = append(graphs, name)
 		}
 		sort.Strings(graphs)
-		poolCounter := func(name, help string, v func(gts.PoolStats) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		series := func(kind, name, help string, v func(gts.PoolStats) int64) {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 			for _, g := range graphs {
-				fmt.Fprintf(w, "%s{graph=%q,policy=%q} %d\n", name, g, s.Pool[g].Policy, v(s.Pool[g]))
+				fmt.Fprintf(w, "%s{graph=%q} %d\n", name, g, v(s.Pool[g]))
 			}
 		}
-		poolGauge := func(name, help string, v func(gts.PoolStats) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-			for _, g := range graphs {
-				fmt.Fprintf(w, "%s{graph=%q,policy=%q} %d\n", name, g, s.Pool[g].Policy, v(s.Pool[g]))
-			}
-		}
-		poolCounter("gtsd_pool_hits_total", "Host page-pool pins served from a resident page.", func(p gts.PoolStats) int64 { return p.Hits })
-		poolCounter("gtsd_pool_loads_total", "Host page-pool pins that paid a storage read.", func(p gts.PoolStats) int64 { return p.Loads })
-		poolCounter("gtsd_pool_evictions_total", "Pages evicted from the host page pool.", func(p gts.PoolStats) int64 { return p.Evictions })
-		poolCounter("gtsd_pool_pin_waits_total", "Pins denied (frame busy or all frames pinned) that bypassed the pool.", func(p gts.PoolStats) int64 { return p.PinWaits })
-		poolGauge("gtsd_pool_resident_pages", "Pages currently resident in the host page pool.", func(p gts.PoolStats) int64 { return int64(p.Resident) })
-		poolGauge("gtsd_pool_pinned_pages", "Resident pages currently pinned by a run.", func(p gts.PoolStats) int64 { return int64(p.Pinned) })
-		poolGauge("gtsd_pool_resident_bytes", "Host bytes the pool's resident pages occupy.", func(p gts.PoolStats) int64 { return p.ResidentBytes })
-		poolGauge("gtsd_pool_budget_bytes", "Configured host page-pool budget.", func(p gts.PoolStats) int64 { return p.BudgetBytes })
+		series("counter", "gtsd_pool_hits_total", "Host page-pool pins served from a resident page.", func(p gts.PoolStats) int64 { return p.Hits })
+		series("counter", "gtsd_pool_loads_total", "Host page-pool pins that paid a storage read.", func(p gts.PoolStats) int64 { return p.Loads })
+		series("counter", "gtsd_pool_evictions_total", "Pages evicted from the host page pool.", func(p gts.PoolStats) int64 { return p.Evictions })
+		series("counter", "gtsd_pool_pin_waits_total", "Pins denied (frame busy or all frames pinned) that bypassed the pool.", func(p gts.PoolStats) int64 { return p.PinWaits })
+		series("gauge", "gtsd_pool_resident_pages", "Pages currently resident in the host page pool.", func(p gts.PoolStats) int64 { return int64(p.Resident) })
+		series("gauge", "gtsd_pool_pinned_pages", "Resident pages currently pinned by a run.", func(p gts.PoolStats) int64 { return int64(p.Pinned) })
+		series("gauge", "gtsd_pool_resident_bytes", "Host bytes the pool's resident pages occupy.", func(p gts.PoolStats) int64 { return p.ResidentBytes })
+		series("gauge", "gtsd_pool_budget_bytes", "Configured host page-pool budget.", func(p gts.PoolStats) int64 { return p.BudgetBytes })
 	}
 
 	fmt.Fprintf(w, "# HELP gtsd_job_queue_wait_seconds Admission-queue wait per dequeued job.\n# TYPE gtsd_job_queue_wait_seconds histogram\n")

@@ -23,20 +23,16 @@ type SystemPool struct {
 
 // NewSystemPool builds size Systems over g with cfg. size <= 0 defaults
 // to 4. The configuration is validated once, the same way NewSystem does.
-// A Config that opts into the shared host pool (PoolBytes/PoolPolicy)
-// gets ONE BufferPool built up front and shared by every pooled System:
-// however many Systems run concurrently, the graph's hot pages occupy
-// host memory once.
+// A Config with PoolBytes > 0 gets ONE BufferPool built up front and shared
+// by every pooled System: however many Systems run concurrently, the
+// graph's hot pages occupy host memory once.
 func NewSystemPool(g *Graph, cfg Config, size int) (*SystemPool, error) {
 	if size <= 0 {
 		size = 4
 	}
-	if cfg.Storage != InMemory && cfg.HostPool == nil && cfg.wantsPool() {
-		pool, err := NewHostPool(g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.HostPool = pool
+	cfg, err := cfg.withSharedPool(g)
+	if err != nil {
+		return nil, err
 	}
 	p := &SystemPool{graph: g, cfg: cfg, free: make(chan *System, size), size: size}
 	for i := 0; i < size; i++ {
@@ -59,7 +55,7 @@ func (p *SystemPool) Config() Config { return p.cfg }
 func (p *SystemPool) Size() int { return p.size }
 
 // HostPool returns the BufferPool every pooled System shares, or nil when
-// the configuration did not opt into pooling.
+// the configuration set none (every run then builds a private one).
 func (p *SystemPool) HostPool() *BufferPool { return p.cfg.HostPool }
 
 // Idle returns how many Systems are currently unclaimed. It is inherently
