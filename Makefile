@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-race vet cover fuzz bench bench-check loc ci
+.PHONY: build test test-race vet cover fuzz bench bench-check loc loc-check ci
 
 build:
 	$(GO) build ./...
@@ -102,4 +102,26 @@ loc:
 	@printf '%6d gts.Config fields\n' \
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' gts.go)
 
-ci: build test test-race vet cover fuzz bench-check
+# loc-check fails when a count `make loc` prints exceeds the ceiling written
+# here. The ceilings are the results of the last PR that moved them (PR 17),
+# so a count can only go down, and a PR that has to raise one says so by
+# editing the number beside it.
+LOC_MAX_TOTAL = 21555
+LOC_MAX_ENGINE_AND_API = 5536
+LOC_MAX_ENGINE = 4732
+LOC_MAX_GTSD_FLAGS = 25
+LOC_MAX_CONFIG_FIELDS = 14
+loc-check:
+	@$(MAKE) -s loc | awk ' \
+		function check(what, got, max) { \
+			printf "%6d %s (ceiling %d)\n", got, what, max; seen++; \
+			if (got > max) { printf "FAIL: %s: %d is over the ceiling of %d in the Makefile\n", what, got, max; bad = 1 } \
+		} \
+		$$2 == "total" { check("non-test Go lines", $$1, $(LOC_MAX_TOTAL)) } \
+		/sched \+ gts.go \+ cmd\/gtsd\/main.go$$/ { check("core + service + sched + gts.go + gtsd main", $$1, $(LOC_MAX_ENGINE_AND_API)) } \
+		/\+ internal\/sched$$/ { check("core + service + sched", $$1, $(LOC_MAX_ENGINE)) } \
+		$$2 == "gtsd" { check("gtsd flags", $$1, $(LOC_MAX_GTSD_FLAGS)) } \
+		$$2 == "gts.Config" { check("gts.Config fields", $$1, $(LOC_MAX_CONFIG_FIELDS)) } \
+		END { if (seen != 5) { print "FAIL: make loc printed " seen+0 " of the 5 counted lines"; bad = 1 }; exit bad }'
+
+ci: build test test-race vet cover fuzz bench-check loc-check

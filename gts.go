@@ -20,7 +20,6 @@ package gts
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
@@ -28,7 +27,6 @@ import (
 	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
-	"repro/internal/sim"
 	"repro/internal/slottedpage"
 	"repro/internal/trace"
 )
@@ -268,18 +266,16 @@ func LoadGraph(path string) (*Graph, error) { return slottedpage.ReadFile(path) 
 // algorithm call (BFS, PageRank, RunKernel, ...) takes an internal mutex
 // for the duration of the run, so concurrent calls are safe but serialize
 // — the second caller blocks until the first run finishes. The serialized
-// section covers the engine build and the simulation, whose shared state
-// (the Config.Trace recorder, the modeled machine) must not interleave
-// between runs. Callers that need true parallelism should run each
-// concurrent request on its own System over the same *Graph — a Graph is
-// immutable after BuildGraph and safe to share — which is what SystemPool
-// packages up.
+// section is the simulation, whose shared state (the Config.Trace recorder)
+// must not interleave between runs. Callers that need true parallelism
+// should run each concurrent request on its own System over the same *Graph
+// — a Graph is immutable after BuildGraph and safe to share — which is what
+// SystemPool packages up.
 type System struct {
 	graph *Graph
 	cfg   Config
-
-	// runMu serializes algorithm runs (see the type comment).
-	runMu sync.Mutex
+	eng   *core.Engine // stateless between runs: each builds a fresh simulation
+	runMu sync.Mutex   // serializes algorithm runs (see the type comment)
 }
 
 // NewSystem validates the configuration against the graph. A Config with
@@ -291,11 +287,22 @@ func NewSystem(g *Graph, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Construct an engine once to surface configuration errors eagerly.
-	if _, err := core.New(cfg.machineSpec(), g, cfg.options()); err != nil {
+	// The engine built here surfaces configuration errors eagerly and then
+	// serves every run.
+	eng, err := core.New(cfg.machineSpec(), g, core.Options{
+		Strategy:    cfg.Strategy,
+		Streams:     cfg.Streams,
+		Technique:   cfg.Tech,
+		CacheBytes:  cfg.CacheBytes,
+		Trace:       cfg.Trace,
+		Faults:      cfg.Faults,
+		HostWorkers: cfg.HostWorkers,
+		HostPool:    cfg.HostPool,
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &System{graph: g, cfg: cfg}, nil
+	return &System{graph: g, cfg: cfg, eng: eng}, nil
 }
 
 // Graph returns the system's graph.
@@ -306,101 +313,14 @@ func (s *System) Graph() *Graph { return s.graph }
 // the graph is in memory).
 func (s *System) HostPool() *BufferPool { return s.cfg.HostPool }
 
-func (c Config) options() core.Options {
-	return core.Options{
-		Strategy:    c.Strategy,
-		Streams:     c.Streams,
-		Technique:   c.Tech,
-		CacheBytes:  c.CacheBytes,
-		Trace:       c.Trace,
-		Faults:      c.Faults,
-		HostWorkers: c.HostWorkers,
-		HostPool:    c.HostPool,
-	}
-}
-
-// Metrics carries the run-level measurements shared by all results.
-type Metrics struct {
-	// Elapsed is virtual wall-clock time on the modeled hardware.
-	Elapsed sim.Time
-	// Levels is traversal depth (BFS-like) or iterations (PageRank-like).
-	Levels int32
-	// PagesStreamed, CacheHitRate, BufferHitRate, BytesToGPU, StorageBytes
-	// describe the data movement; TransferTime vs KernelTime is Table 1's
-	// ratio; MTEPS is millions of traversed edges per second.
-	PagesStreamed int64
-	CacheHitRate  float64
-	BufferHitRate float64
-	BytesToGPU    int64
-	StorageBytes  int64
-	TransferTime  sim.Time
-	KernelTime    sim.Time
-	WABytes       int64
-	MTEPS         float64
-	// LevelPages and LevelBytes record per-level streaming volume (the
-	// inputs of the paper's Eq. 2).
-	LevelPages []int64
-	LevelBytes []int64
-	// LevelDirs records each traversal level's planned direction ("push" /
-	// "pull") when Config.DirectionOpt is on; empty otherwise.
-	LevelDirs []string `json:",omitempty"`
-	// Faults counts injected hardware faults and recovery work (all zero
-	// unless Config.Faults is set).
-	Faults FaultStats
-	// HostWorkers is the host worker-pool size the run executed with, and
-	// HostKernelWall the real (not virtual) time spent in functional kernel
-	// execution on the host. HostKernelWall is excluded from JSON: it is a
-	// wall-clock observation, not part of the deterministic result.
-	HostWorkers    int           `json:",omitempty"`
-	HostKernelWall time.Duration `json:"-"`
-	// PoolHits, PoolLoads and PoolWaits are this run's host page buffer
-	// traffic (all zero for an in-memory graph): pins served from a resident
-	// page, pins that paid a storage read, and pins that fell back to an
-	// uncached bypass read. BufferHitRate is PoolHits over their sum.
-	PoolHits  int64 `json:",omitempty"`
-	PoolLoads int64 `json:",omitempty"`
-	PoolWaits int64 `json:",omitempty"`
-}
-
-func metricsOf(r *core.Report) Metrics {
-	var dirs []string
-	for _, d := range r.LevelDirs {
-		dirs = append(dirs, d.String())
-	}
-	return Metrics{
-		Elapsed:        r.Elapsed,
-		Levels:         r.Levels,
-		PagesStreamed:  r.PagesStreamed,
-		CacheHitRate:   r.CacheHitRate,
-		BufferHitRate:  r.BufferHitRate,
-		BytesToGPU:     r.BytesToGPU,
-		StorageBytes:   r.StorageBytes,
-		TransferTime:   r.TransferTime,
-		KernelTime:     r.KernelTime,
-		WABytes:        r.WABytes,
-		MTEPS:          r.MTEPS,
-		LevelPages:     r.LevelPages,
-		LevelBytes:     r.LevelBytes,
-		LevelDirs:      dirs,
-		Faults:         r.Faults,
-		HostWorkers:    r.HostWorkers,
-		HostKernelWall: r.HostKernelWall,
-		PoolHits:       r.PoolHits,
-		PoolLoads:      r.PoolLoads,
-		PoolWaits:      r.PoolWaits,
-	}
-}
+// Metrics carries the run-level measurements shared by all results (see
+// core.Metrics, the one declaration).
+type Metrics = core.Metrics
 
 func (s *System) run(k kernels.Kernel, source uint64) (*core.Report, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	opts := s.cfg.options()
-	opts.Source = source
-	eng, err := core.New(s.cfg.machineSpec(), s.graph, opts)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(k)
+	return s.eng.RunJob(core.SharedJob{Kernel: k, Source: source})
 }
 
 // BFSResult holds per-vertex traversal levels (-1 = unreachable).
@@ -412,20 +332,18 @@ type BFSResult struct {
 // BFS runs breadth-first search from source. With Config.DirectionOpt it
 // uses the direction-optimizing kernel; levels are identical either way.
 func (s *System) BFS(source uint64) (*BFSResult, error) {
+	var k interface {
+		Kernel
+		Levels(KernelState) []int16
+	} = kernels.NewBFS(s.graph)
 	if s.cfg.DirectionOpt {
-		k := kernels.NewDirBFS(s.graph)
-		rep, err := s.run(k, source)
-		if err != nil {
-			return nil, err
-		}
-		return &BFSResult{Metrics: metricsOf(rep), Levels: k.Levels(rep.State)}, nil
+		k = kernels.NewDirBFS(s.graph)
 	}
-	k := kernels.NewBFS(s.graph)
 	rep, err := s.run(k, source)
 	if err != nil {
 		return nil, err
 	}
-	return &BFSResult{Metrics: metricsOf(rep), Levels: k.Levels(rep.State)}, nil
+	return &BFSResult{Metrics: rep.Metrics, Levels: k.Levels(rep.State)}, nil
 }
 
 // PageRankResult holds the final rank vector.
@@ -441,7 +359,7 @@ func (s *System) PageRank(df float64, iterations int) (*PageRankResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PageRankResult{Metrics: metricsOf(rep), Ranks: k.Ranks(rep.State)}, nil
+	return &PageRankResult{Metrics: rep.Metrics, Ranks: k.Ranks(rep.State)}, nil
 }
 
 // SSSPResult holds distances (math.MaxFloat32 = unreachable) under the
@@ -455,20 +373,18 @@ type SSSPResult struct {
 // Config.DirectionOpt it uses the delta-stepping kernel (parallel
 // gather/apply path); distances are bitwise identical either way.
 func (s *System) SSSP(source uint64) (*SSSPResult, error) {
+	var k interface {
+		Kernel
+		Distances(KernelState) []float32
+	} = kernels.NewSSSP(s.graph)
 	if s.cfg.DirectionOpt {
-		k := kernels.NewDeltaSSSP(s.graph)
-		rep, err := s.run(k, source)
-		if err != nil {
-			return nil, err
-		}
-		return &SSSPResult{Metrics: metricsOf(rep), Dist: k.Distances(rep.State)}, nil
+		k = kernels.NewDeltaSSSP(s.graph)
 	}
-	k := kernels.NewSSSP(s.graph)
 	rep, err := s.run(k, source)
 	if err != nil {
 		return nil, err
 	}
-	return &SSSPResult{Metrics: metricsOf(rep), Dist: k.Distances(rep.State)}, nil
+	return &SSSPResult{Metrics: rep.Metrics, Dist: k.Distances(rep.State)}, nil
 }
 
 // CCResult holds weakly-connected-component labels (minimum vertex ID per
@@ -485,7 +401,7 @@ func (s *System) CC() (*CCResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CCResult{Metrics: metricsOf(rep), Labels: k.Components(rep.State)}, nil
+	return &CCResult{Metrics: rep.Metrics, Labels: k.Components(rep.State)}, nil
 }
 
 // BCResult holds single-source betweenness scores.
@@ -501,7 +417,7 @@ func (s *System) BC(source uint64) (*BCResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BCResult{Metrics: metricsOf(rep), Scores: k.Centrality(rep.State, source)}, nil
+	return &BCResult{Metrics: rep.Metrics, Scores: k.Centrality(rep.State, source)}, nil
 }
 
 // RWRResult holds Random-Walk-with-Restart proximity scores.
@@ -518,7 +434,7 @@ func (s *System) RWR(source uint64, c float64, iterations int) (*RWRResult, erro
 	if err != nil {
 		return nil, err
 	}
-	return &RWRResult{Metrics: metricsOf(rep), Scores: k.Scores(rep.State)}, nil
+	return &RWRResult{Metrics: rep.Metrics, Scores: k.Scores(rep.State)}, nil
 }
 
 // DegreeResult holds per-vertex out-degrees and their histogram.
@@ -536,7 +452,7 @@ func (s *System) DegreeDistribution() (*DegreeResult, error) {
 		return nil, err
 	}
 	return &DegreeResult{
-		Metrics:   metricsOf(rep),
+		Metrics:   rep.Metrics,
 		Degrees:   k.Degrees(rep.State),
 		Histogram: k.Histogram(rep.State),
 	}, nil
@@ -555,7 +471,7 @@ func (s *System) KCore(k int) (*KCoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KCoreResult{Metrics: metricsOf(rep), InCore: kern.InCore(rep.State)}, nil
+	return &KCoreResult{Metrics: rep.Metrics, InCore: kern.InCore(rep.State)}, nil
 }
 
 // RadiusResult holds per-vertex eccentricity estimates and the sketch state
@@ -579,7 +495,7 @@ func (s *System) Radius(sketches, maxHops int) (*RadiusResult, error) {
 		return nil, err
 	}
 	return &RadiusResult{
-		Metrics:           metricsOf(rep),
+		Metrics:           rep.Metrics,
 		Radii:             k.Radii(rep.State),
 		EffectiveDiameter: k.EffectiveDiameter(rep.State, 0.9),
 	}, nil
@@ -601,7 +517,7 @@ func (s *System) Neighborhood(source uint64, hops int) (*NeighborhoodResult, err
 	if err != nil {
 		return nil, err
 	}
-	return &NeighborhoodResult{Metrics: metricsOf(rep), Hops: k.Members(rep.State)}, nil
+	return &NeighborhoodResult{Metrics: rep.Metrics, Hops: k.Members(rep.State)}, nil
 }
 
 // CrossEdgesResult holds a bipartition's crossing-edge count.
@@ -618,7 +534,7 @@ func (s *System) CrossEdges(side func(v uint64) bool) (*CrossEdgesResult, error)
 	if err != nil {
 		return nil, err
 	}
-	return &CrossEdgesResult{Metrics: metricsOf(rep), Total: k.Total(rep.State)}, nil
+	return &CrossEdgesResult{Metrics: rep.Metrics, Total: k.Total(rep.State)}, nil
 }
 
 // Kernel is the user-defined algorithm interface of the paper's framework:
@@ -638,8 +554,11 @@ type KernelResult = kernels.Result
 // KernelState is an algorithm's attribute data (the paper's WA).
 type KernelState = kernels.State
 
-// Kernel classes (see kernels.Class): traversals stream only frontier
-// pages; full scans stream everything per iteration.
+// KernelClass separates traversal kernels, which stream only frontier pages,
+// from full-scan kernels, which stream everything per iteration.
+type KernelClass = kernels.Class
+
+// Kernel classes.
 const (
 	BFSLike      = kernels.BFSLike
 	PageRankLike = kernels.PageRankLike
@@ -652,31 +571,16 @@ func (s *System) RunKernel(k Kernel, source uint64) (KernelState, Metrics, error
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	return rep.State, metricsOf(rep), nil
+	return rep.State, rep.Metrics, nil
 }
-
-// KernelClass separates traversal kernels from full-scan kernels.
-type KernelClass = kernels.Class
 
 // SharedJob is one member of a RunShared wave group. A nil Faults inherits
 // the system's Config.Faults; a nil Trace inherits Config.Trace.
-type SharedJob struct {
-	Kernel Kernel
-	Source uint64
-	Faults *FaultPlan
-	Trace  *trace.Recorder
-}
+type SharedJob = core.SharedJob
 
-// SharedOutcome is one member's result from RunShared. Exactly one of
-// State/Metrics, Err, or Declined is meaningful: Declined members did not
-// fit the shared machine (their WA would not fit even after dropping the
-// page cache) and should be re-run solo.
-type SharedOutcome struct {
-	State    KernelState
-	Metrics  Metrics
-	Err      error
-	Declined bool
-}
+// SharedOutcome is one member's result from RunShared: its State and
+// Metrics, or an Err, or Declined (see core.SharedOutcome).
+type SharedOutcome = core.SharedOutcome
 
 // SharedStats aggregates a wave group's accounting (shared page copies,
 // bytes saved, amortized traffic per member); see core.SharedStats.
@@ -692,35 +596,5 @@ type SharedStats = core.SharedStats
 func (s *System) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	eng, err := core.New(s.cfg.machineSpec(), s.graph, s.cfg.options())
-	if err != nil {
-		return nil, SharedStats{}, err
-	}
-	convert := func(in []SharedJob) []core.SharedJob {
-		out := make([]core.SharedJob, len(in))
-		for i, j := range in {
-			out[i] = core.SharedJob{Kernel: j.Kernel, Source: j.Source, Faults: j.Faults, Trace: j.Trace}
-			if out[i].Faults == nil {
-				out[i].Faults = s.cfg.Faults
-			}
-		}
-		return out
-	}
-	var coreAdmit func() []core.SharedJob
-	if admit != nil {
-		coreAdmit = func() []core.SharedJob { return convert(admit()) }
-	}
-	outs, stats, err := eng.RunShared(convert(jobs), coreAdmit)
-	if err != nil {
-		return nil, SharedStats{}, err
-	}
-	res := make([]SharedOutcome, len(outs))
-	for i, o := range outs {
-		res[i] = SharedOutcome{Err: o.Err, Declined: o.Declined}
-		if o.Report != nil {
-			res[i].State = o.Report.State
-			res[i].Metrics = metricsOf(o.Report)
-		}
-	}
-	return res, stats, nil
+	return s.eng.RunShared(jobs, admit)
 }

@@ -130,70 +130,78 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Report summarizes a finished run.
-type Report struct {
-	// State is the merged final attribute state; decode it with the
-	// kernel's accessor (e.g. (*kernels.BFS).Levels).
-	State kernels.State
-	// Elapsed is the virtual wall-clock time of the run.
+// Metrics carries the run-level measurements every result shares: the one
+// declaration of a run's metrics, which gts.Metrics aliases and gtsd serves
+// (the field order and JSON tags are the served bytes).
+type Metrics struct {
+	// Elapsed is virtual wall-clock time on the modeled hardware.
 	Elapsed sim.Time
-	// Levels counts traversal levels (BFS-like) or iterations
-	// (PageRank-like).
+	// Levels is traversal depth (BFS-like) or iterations (PageRank-like).
 	Levels int32
-	// PagesStreamed counts page copies into GPUs (cache hits excluded).
+	// PagesStreamed counts page copies into GPUs (cache hits excluded);
+	// CacheHitRate is the device page-cache hit fraction (Fig. 11) and
+	// BufferHitRate the host page buffer's over this run's own pins,
+	// PoolHits / (PoolHits + PoolLoads + PoolWaits), 1 in memory. BytesToGPU
+	// is total host-to-device traffic. StorageBytes is the bytes the
+	// SSDs/HDDs served this run: one page per read the devices completed, so
+	// a page that arrived corrupt and was re-read counts twice, and a read
+	// that failed outright not at all.
 	PagesStreamed int64
-	// CacheHits counts pages served from the device-memory page cache.
-	CacheHits int64
-	// BytesToGPU is total host-to-device traffic.
-	BytesToGPU int64
-	// EdgesTraversed counts adjacency entries the kernels scanned.
-	EdgesTraversed int64
-	// Updates counts attribute writes.
-	Updates int64
-	// CacheHitRate is the device page-cache hit fraction (Fig. 11).
-	CacheHitRate float64
-	// BufferHitRate is the host page buffer's hit fraction over this run's
-	// own pins, PoolHits / (PoolHits + PoolLoads + PoolWaits); 1 in memory.
+	CacheHitRate  float64
 	BufferHitRate float64
+	BytesToGPU    int64
+	StorageBytes  int64
 	// TransferTime is summed service time of streaming page copies and
-	// KernelTime summed kernel execution — their ratio is Table 1.
+	// KernelTime summed kernel execution — their ratio is Table 1. WABytes
+	// is the device-resident attribute footprint (Table 4); MTEPS is
+	// millions of traversed edges per second of elapsed time.
 	TransferTime sim.Time
 	KernelTime   sim.Time
-	// StorageBytes is the bytes the SSDs/HDDs served this run: one page per
-	// read the devices completed, so a page that arrived corrupt and was
-	// re-read counts twice, and a read that failed outright not at all.
-	StorageBytes int64
-	// WABytes is the device-resident attribute footprint (Table 4).
-	WABytes int64
-	// MTEPS is millions of traversed edges per second of elapsed time.
-	MTEPS float64
+	WABytes      int64
+	MTEPS        float64
 	// LevelPages and LevelBytes record, per traversal level (BFS-like) or
 	// iteration (PageRank-like), how many pages and bytes streamed to the
 	// GPUs — the per-level quantities Eq. 2 consumes.
 	LevelPages []int64
 	LevelBytes []int64
 	// LevelDirs records, per forward traversal level, the direction a
-	// FrontierKernel planned (push or pull). Nil for kernels without
+	// FrontierKernel planned ("push" / "pull"). Empty for kernels without
 	// direction optimization.
-	LevelDirs []kernels.Direction
+	LevelDirs []string `json:",omitempty"`
 	// Faults counts injected hardware faults and the recovery work
 	// (retries, recoveries, degradations) the run performed. All zero
-	// when Options.Faults is nil.
+	// unless a fault plan is set.
 	Faults fault.Stats
 	// HostWorkers is the host worker-pool size the run executed with
-	// (Options.HostWorkers after defaulting).
-	HostWorkers int
-	// HostKernelWall is the real (not virtual) wall-clock time the host
-	// spent in functional kernel execution — the quantity HostWorkers
-	// parallelism shrinks. Measured around each phase's precompute.
-	HostKernelWall time.Duration
+	// (Options.HostWorkers after defaulting), and HostKernelWall the real
+	// (not virtual) time the host spent in functional kernel execution,
+	// measured around each phase's precompute. HostKernelWall is excluded
+	// from JSON: it is a wall-clock observation, not part of the
+	// deterministic result.
+	HostWorkers    int           `json:",omitempty"`
+	HostKernelWall time.Duration `json:"-"`
 	// PoolHits, PoolLoads and PoolWaits are this run's host page buffer
 	// traffic (all zero for an in-memory run): pins served from a resident
 	// page, pins that paid a storage read, and pins denied (frame busy in
 	// another run, or every frame pinned) that fell back to a bypass read.
-	PoolHits  int64
-	PoolLoads int64
-	PoolWaits int64
+	PoolHits  int64 `json:",omitempty"`
+	PoolLoads int64 `json:",omitempty"`
+	PoolWaits int64 `json:",omitempty"`
+}
+
+// Report summarizes a finished run: its Metrics, the final state and the
+// counters only the engine's own callers read.
+type Report struct {
+	Metrics
+	// State is the merged final attribute state; decode it with the
+	// kernel's accessor (e.g. (*kernels.BFS).Levels).
+	State kernels.State
+	// CacheHits counts pages served from the device-memory page cache.
+	CacheHits int64
+	// EdgesTraversed counts adjacency entries the kernels scanned.
+	EdgesTraversed int64
+	// Updates counts attribute writes.
+	Updates int64
 }
 
 // Engine runs kernels over one graph on one machine specification. Each Run

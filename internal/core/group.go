@@ -37,9 +37,10 @@ import (
 	"repro/internal/trace"
 )
 
-// SharedJob describes one member of a shared run. Faults and Trace are
-// per-member: each member draws from its own injector and emits spans into
-// its own recorder (nil Trace falls back to the engine's recorder).
+// SharedJob describes one member of a shared run — the one declaration of a
+// job every layer above aliases. Faults and Trace are per-member: each
+// member draws from its own injector and emits spans into its own recorder;
+// nil inherits the engine's Options.Faults or Options.Trace.
 type SharedJob struct {
 	Kernel kernels.Kernel
 	Source uint64
@@ -47,11 +48,12 @@ type SharedJob struct {
 	Trace  *trace.Recorder
 }
 
-// SharedOutcome is one member's result. Exactly one of Report, Err, or
+// SharedOutcome is one member's result. Exactly one of the Report, Err, or
 // Declined is meaningful: Declined means the member could not be admitted
-// (its WA did not fit the shared machine) and should be re-run alone.
+// (its WA did not fit the shared machine even after dropping the page
+// cache) and should be re-run alone.
 type SharedOutcome struct {
-	Report   *Report
+	Report
 	Err      error
 	Declined bool
 }
@@ -100,53 +102,11 @@ func (s SharedStats) AggregateMTEPS() float64 {
 	return trace.MTEPS(s.EdgesTraversed, s.Elapsed)
 }
 
-// groupMember is one job's per-wave traversal state inside a group.
-type groupMember struct {
-	r   *run
-	idx int // index into driver.outcomes
-
-	bfsLike      bool
-	wantBackward bool
-	backKernel   kernels.BackwardKernel
-
-	next      pidSet   // current frontier (BFS-like) or the full set (scans)
-	locals    []pidSet // per-GPU next-page accumulation for the running wave
-	levelSets []pidSet // recorded forward frontiers for the backward sweep
-	level     int32
-	backward  bool
-	backIdx   int
-
-	joinedAt    sim.Time
-	stepStart   sim.Time
-	stepActive  bool
-	beforePages int64
-	beforeBytes int64
-	// lists[phase] is this wave's page list (phase 0 = small pages, 1 =
-	// large pages: all small pages stream first, then all large ones, to
-	// avoid switching between the two kernel variants, paper §3.2) and
-	// parts[phase][gpu] its partition; resBase[phase][gpu] is where that
-	// partition's kernel results start in r.kres. All keep their backing
-	// arrays across waves.
-	lists   [2][]slottedpage.PageID
-	parts   [2][][]slottedpage.PageID
-	resBase [2][]int
-	done    bool
-}
-
 // demand is one member's claim on a (GPU, page) of the running wave: the
-// member and the index of its precomputed kernel result in m.r.kres.
+// member and the index of its precomputed kernel result in m.kres.
 type demand struct {
-	m   *groupMember
+	m   *member
 	res int
-}
-
-// waveLevel is the superstep index the current wave runs at for this
-// member: the traversal level forward, the replayed level backward.
-func (m *groupMember) waveLevel() int32 {
-	if m.backward {
-		return int32(m.backIdx)
-	}
-	return m.level
 }
 
 // driver owns one run of the engine: the plant and the member roster.
@@ -157,7 +117,7 @@ type driver struct {
 	// group has admitted.
 	raPerV int64
 
-	active   []*groupMember
+	active   []*member
 	admit    func() []SharedJob
 	outcomes []SharedOutcome
 	stats    SharedStats
@@ -174,11 +134,16 @@ type driver struct {
 	cur  []int
 }
 
-// Run executes kernel k to completion and reports timing and metrics: a
+// Run executes kernel k from Options.Source; see RunJob.
+func (e *Engine) Run(k kernels.Kernel) (*Report, error) {
+	return e.RunJob(SharedJob{Kernel: k, Source: e.opts.Source})
+}
+
+// RunJob executes one job to completion and reports timing and metrics: a
 // wave group of one, on a machine whose spare device memory is all page
 // cache.
-func (e *Engine) Run(k kernels.Kernel) (*Report, error) {
-	outs, _, err := e.RunShared([]SharedJob{{Kernel: k, Source: e.opts.Source, Faults: e.opts.Faults}}, nil)
+func (e *Engine) RunJob(job SharedJob) (*Report, error) {
+	outs, _, err := e.RunShared([]SharedJob{job}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +154,10 @@ func (e *Engine) Run(k kernels.Kernel) (*Report, error) {
 		}
 		return nil, fmt.Errorf("%w: WA does not fit beside the stream buffers (%s)", ErrWontFit, hint)
 	}
-	return outs[0].Report, outs[0].Err
+	if outs[0].Err != nil {
+		return nil, outs[0].Err
+	}
+	return &outs[0].Report, nil
 }
 
 // streamBufBytes is one GPU's streaming-buffer footprint: SPBuf + LPBuf per
@@ -226,7 +194,7 @@ func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]Shared
 // roster's widest kernel needs; each initial member's WA; and the page cache
 // in whatever device memory is left (§3.3). It returns the initial members
 // that fit.
-func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, []*groupMember, error) {
+func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, []*member, error) {
 	env := sim.NewEnv()
 	machine, err := hw.NewMachine(env, e.spec, int64(e.graph.Config().PageSize))
 	if err != nil {
@@ -263,7 +231,7 @@ func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver,
 // loop is Algorithm 1's repeat-until loop, run as the controlling CPU
 // thread: admit at every wave boundary, then run waves until the roster
 // empties.
-func (d *driver) loop(p *sim.Proc, roster []*groupMember) {
+func (d *driver) loop(p *sim.Proc, roster []*member) {
 	for _, m := range roster {
 		d.beginMember(p, m)
 	}
@@ -293,8 +261,8 @@ func (d *driver) loop(p *sim.Proc, roster []*groupMember) {
 // enroll gives every job its outcome slot and turns the ones that fit into
 // members with their WA allocated. Jobs whose WA cannot fit are declined;
 // malformed jobs get an error outcome.
-func (d *driver) enroll(jobs []SharedJob) []*groupMember {
-	var members []*groupMember
+func (d *driver) enroll(jobs []SharedJob) []*member {
+	var members []*member
 	for _, job := range jobs {
 		idx := len(d.outcomes)
 		d.outcomes = append(d.outcomes, SharedOutcome{})
@@ -316,7 +284,7 @@ func (d *driver) enroll(jobs []SharedJob) []*groupMember {
 // newMember builds the member's run over the shared plant and allocates its
 // per-GPU WA. The member clones the engine options with its own source,
 // fault plan and recorder.
-func (d *driver) newMember(job SharedJob, idx int) (*groupMember, error) {
+func (d *driver) newMember(job SharedJob, idx int) (*member, error) {
 	if job.Kernel == nil {
 		return nil, fmt.Errorf("core: shared job has no kernel")
 	}
@@ -326,27 +294,31 @@ func (d *driver) newMember(job SharedJob, idx int) (*groupMember, error) {
 	e := d.eng
 	opts := e.opts
 	opts.Source = job.Source
-	opts.Faults = job.Faults
+	if job.Faults != nil {
+		opts.Faults = job.Faults
+	}
 	if job.Trace != nil {
 		opts.Trace = job.Trace
 	}
-	r := &run{
+	m := &member{
 		plant:    d.plant,
 		eng:      &Engine{spec: e.spec, graph: e.graph, opts: opts},
 		k:        job.Kernel,
+		idx:      idx,
+		locals:   make([]pidSet, len(d.machine.GPUs)),
 		workers:  opts.HostWorkers,
 		inj:      fault.NewInjector(opts.Faults),
 		curLevel: -1,
 	}
 	numPages := e.graph.NumPages()
-	r.pidPool.New = func() any { return bitset.New(numPages) }
-	r.setupStates()
+	m.pidPool.New = func() any { return bitset.New(numPages) }
+	m.setupStates()
 
 	// Device allocation: the member's WA, plus the RABuf's growth when a
 	// joiner's RA is wider than any the group has seen. If it does not fit,
 	// drop that GPU's page cache (the same degradation an OOM launch
 	// performs) and retry; still no fit means decline.
-	need := r.perGPUWA + e.streamBufBytes(max(d.raPerV, r.raPerV)) - e.streamBufBytes(d.raPerV)
+	need := m.perGPUWA + e.streamBufBytes(max(d.raPerV, m.raPerV)) - e.streamBufBytes(d.raPerV)
 	for i, g := range d.machine.GPUs {
 		if g.Alloc(need) == nil {
 			continue
@@ -363,16 +335,16 @@ func (d *driver) newMember(job SharedJob, idx int) (*groupMember, error) {
 		for j := 0; j < i; j++ {
 			d.machine.GPUs[j].Free(need)
 		}
-		return nil, fmt.Errorf("%w: member WA %d on %s", ErrWontFit, r.perGPUWA, g.Spec.Name)
+		return nil, fmt.Errorf("%w: member WA %d on %s", ErrWontFit, m.perGPUWA, g.Spec.Name)
 	}
-	d.raPerV = max(d.raPerV, r.raPerV)
-	return &groupMember{r: r, idx: idx, locals: make([]pidSet, len(d.machine.GPUs))}, nil
+	d.raPerV = max(d.raPerV, m.raPerV)
+	return m, nil
 }
 
 // freeMemberWA releases a member's per-GPU WA reservation.
-func (d *driver) freeMemberWA(m *groupMember) {
+func (d *driver) freeMemberWA(m *member) {
 	for _, g := range d.machine.GPUs {
-		g.Free(m.r.perGPUWA)
+		g.Free(m.perGPUWA)
 	}
 }
 
@@ -380,39 +352,38 @@ func (d *driver) freeMemberWA(m *groupMember) {
 // step 1), seeds its frontier and puts it on the roster — the member's half
 // of Algorithm 1's initialization, at join time. A member that faults out
 // during the upload gets an error outcome instead.
-func (d *driver) beginMember(p *sim.Proc, m *groupMember) {
-	r := m.r
+func (d *driver) beginMember(p *sim.Proc, m *member) {
 	m.joinedAt = d.env.Now()
-	r.parallelGPUs(p, func(p *sim.Proc, i int) {
+	m.parallelGPUs(p, func(p *sim.Proc, i int) {
 		t0 := d.env.Now()
-		err := r.withRetry(p, i, -1, "WA upload", func() error {
-			return d.machine.GPUs[i].CopyChunkIn(p, r.perGPUWA)
+		err := m.withRetry(p, i, -1, "WA upload", func() error {
+			return d.machine.GPUs[i].CopyChunkIn(p, m.perGPUWA)
 		})
 		if err != nil {
-			r.fail(err)
+			m.fail(err)
 			return
 		}
-		r.bytesToGPU += r.perGPUWA
-		r.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.CopyWA, Page: -1, Level: -1, Start: t0, End: d.env.Now()})
+		m.bytesToGPU += m.perGPUWA
+		m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.CopyWA, Page: -1, Level: -1, Start: t0, End: d.env.Now()})
 	})
-	if r.abort != nil {
+	if m.abort != nil {
 		d.freeMemberWA(m)
-		d.outcomes[m.idx] = SharedOutcome{Err: r.abort}
+		d.outcomes[m.idx] = SharedOutcome{Err: m.abort}
 		return
 	}
-	g := r.eng.graph
-	m.bfsLike = r.k.Class() == kernels.BFSLike
-	m.backKernel, m.wantBackward = r.k.(kernels.BackwardKernel)
-	m.next = r.getPidSet()
+	g := m.eng.graph
+	m.bfsLike = m.k.Class() == kernels.BFSLike
+	m.backKernel, m.wantBackward = m.k.(kernels.BackwardKernel)
+	m.next = m.getPidSet()
 	if m.bfsLike {
-		home := g.HomeOf(r.eng.opts.Source)
+		home := g.HomeOf(m.eng.opts.Source)
 		m.next.Set(int(home.PID))
 		if g.Kind(home.PID) == slottedpage.LargePage {
-			r.eng.expandLPRun(m.next, home.PID)
+			m.eng.expandLPRun(m.next, home.PID)
 		}
 		// A planning kernel owns its frontier: replace the seed with the
 		// level-0 plan (direction choice + exact page set).
-		r.planLevel(0, m.next)
+		m.planLevel(0, m.next)
 	} else {
 		for pid := 0; pid < g.NumPages(); pid++ {
 			m.next.Set(pid)
@@ -426,28 +397,27 @@ func (d *driver) beginMember(p *sim.Proc, m *groupMember) {
 // large-page jobs, each GPU by GPU. Streaming never touches functional
 // state, so the stream processes that follow only model when each
 // execution happens on the hardware.
-func (d *driver) beginWave(m *groupMember) {
-	r := m.r
-	if r.abort != nil {
+func (d *driver) beginWave(m *member) {
+	if m.abort != nil {
 		return
 	}
 	if !m.backward && m.level > 32000 {
-		r.fail(fmt.Errorf("core: traversal exceeded 32000 levels (level vectors are int16)"))
+		m.fail(fmt.Errorf("core: traversal exceeded 32000 levels (level vectors are int16)"))
 		return
 	}
 	lvl := m.waveLevel()
-	r.curLevel = lvl
+	m.curLevel = lvl
 	m.stepStart = d.env.Now()
-	m.beforePages = r.pagesStreamed
-	m.beforeBytes = r.bytesToGPU
+	m.beforePages = m.pagesStreamed
+	m.beforeBytes = m.bytesToGPU
 	m.stepActive = false
-	r.levelUpdates = 0
-	if r.fk != nil && !m.backward {
-		r.dirs = append(r.dirs, r.curDir)
+	m.levelUpdates = 0
+	if m.fk != nil && !m.backward {
+		m.dirs = append(m.dirs, m.curDir.String())
 	}
-	r.k.BeginLevel(r.states, lvl)
+	m.k.BeginLevel(m.states, lvl)
 	for i := range m.locals {
-		m.locals[i] = r.getPidSet()
+		m.locals[i] = m.getPidSet()
 	}
 
 	pages := m.next
@@ -455,21 +425,21 @@ func (d *driver) beginWave(m *groupMember) {
 		pages = m.levelSets[m.backIdx]
 	}
 	nGPU := len(d.machine.GPUs)
-	m.lists[0], m.lists[1] = r.eng.splitByKind(pages, m.lists[0][:0], m.lists[1][:0])
+	m.lists[0], m.lists[1] = m.eng.splitByKind(pages, m.lists[0][:0], m.lists[1][:0])
 	nJobs := 0
 	for phase, list := range m.lists {
-		m.parts[phase] = r.eng.partition(m.parts[phase], list, nGPU)
+		m.parts[phase] = m.eng.partition(m.parts[phase], list, nGPU)
 		m.resBase[phase] = m.resBase[phase][:0]
 		for _, part := range m.parts[phase] {
 			m.resBase[phase] = append(m.resBase[phase], nJobs)
 			nJobs += len(part)
 		}
 	}
-	r.kres = sized(r.kres, nJobs)
+	m.kres = sized(m.kres, nJobs)
 	for phase := range m.lists {
-		r.jobs = appendJobs(sized(r.jobs, nJobs), m.parts[phase])
-		if len(r.jobs) > 0 {
-			r.computeKernels(r.jobs, lvl, m.locals, m.backward)
+		m.jobs = appendJobs(sized(m.jobs, nJobs), m.parts[phase])
+		if len(m.jobs) > 0 {
+			m.computeKernels(m.jobs, lvl, m.locals, m.backward)
 		}
 	}
 }
@@ -495,7 +465,7 @@ func (d *driver) mergeDemand(phase, gpu int) {
 		var next slottedpage.PageID
 		found := false
 		for i, m := range d.active {
-			if m.r.abort != nil {
+			if m.abort != nil {
 				continue
 			}
 			list := m.parts[phase][gpu]
@@ -509,7 +479,7 @@ func (d *driver) mergeDemand(phase, gpu int) {
 		d.pids = append(d.pids, next)
 		d.off = append(d.off, len(d.dem))
 		for i, m := range d.active {
-			if m.r.abort != nil {
+			if m.abort != nil {
 				continue
 			}
 			list, base := m.parts[phase][gpu], m.resBase[phase][gpu]
@@ -572,7 +542,7 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	dem := d.dem[d.off[j]:d.off[j+1]]
 	live := dem[:0]
 	for _, dm := range dem {
-		if dm.m.r.abort == nil {
+		if dm.m.abort == nil {
 			live = append(live, dm)
 		}
 	}
@@ -583,7 +553,7 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	cache := d.caches[gpuIdx]
 	// Algorithm 1 line 16: is the page already in device memory?
 	resident := cache != nil && cache.Contains(uint64(pid))
-	var payer *groupMember
+	var payer *member
 	// pinned: the payer's fetch took a host-pool pin. The whole wave group
 	// shares that single pin: it is held until every member's serving is
 	// done, so the host frame cannot be evicted while any member still
@@ -592,22 +562,22 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	var copyStart, copyEnd sim.Time
 	if resident {
 		for _, dm := range live {
-			dm.m.r.cacheHits++
+			dm.m.cacheHits++
 		}
 	} else {
 		rest := live
 		for len(rest) > 0 {
 			m := rest[0].m
-			raBytes := int64(count) * m.r.raPerV
+			raBytes := int64(count) * m.raPerV
 			copyStart = d.env.Now()
 			var err error
 			if pinned, err = d.copyPageFor(p, m, gpuIdx, stream, pid, pageSize+raBytes); err != nil {
-				m.r.fail(err)
+				m.fail(err)
 				rest = rest[1:]
 				continue
 			}
 			copyEnd = d.env.Now()
-			m.r.pagesStreamed++
+			m.pagesStreamed++
 			payer = m
 			break
 		}
@@ -618,7 +588,7 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 		d.stats.PageBytesStreamed += pageSize
 		alive := live[:0]
 		for _, dm := range live {
-			if dm.m.r.abort == nil {
+			if dm.m.abort == nil {
 				alive = append(alive, dm)
 			}
 		}
@@ -636,21 +606,21 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	d.stats.Servings += int64(len(live))
 
 	for _, dm := range live {
-		m, r := dm.m, dm.m.r
-		if r.abort != nil {
+		m := dm.m
+		if m.abort != nil {
 			continue
 		}
 		if m != payer {
 			if !resident {
-				r.sharedPagesIn++
-				r.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.SharedCopy,
-					Page: int64(pid), Level: r.curLevel, Start: copyStart, End: copyEnd})
+				m.sharedPagesIn++
+				m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.SharedCopy,
+					Page: int64(pid), Level: m.curLevel, Start: copyStart, End: copyEnd})
 			}
 			// RA is member-specific attribute data and always streams per
 			// member — only the topology bytes are shared.
-			if raBytes := int64(count) * r.raPerV; raBytes > 0 {
-				if err := r.streamCopy(p, gpu, gpuIdx, stream, pid, raBytes); err != nil {
-					r.fail(err)
+			if raBytes := int64(count) * m.raPerV; raBytes > 0 {
+				if err := m.streamCopy(p, gpu, gpuIdx, stream, pid, raBytes); err != nil {
+					m.fail(err)
 					continue
 				}
 			}
@@ -659,18 +629,18 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 		// beginWave); here its memoized cycle count occupies the simulated SM
 		// pool at whatever virtual time this stream reached the page, so a
 		// failed launch leaves the member's state consistent.
-		res := r.kres[dm.res]
+		res := m.kres[dm.res]
 		t0 := d.env.Now()
-		if err := r.launchKernel(p, gpuIdx, stream, pid, res.Cycles); err != nil {
-			r.fail(err)
+		if err := m.launchKernel(p, gpuIdx, stream, pid, res.Cycles); err != nil {
+			m.fail(err)
 			continue
 		}
-		r.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.Kernel,
-			Page: int64(pid), Level: r.curLevel, Start: t0, End: d.env.Now()})
-		r.kernelBusy += gpu.KernelTime(res.Cycles)
-		r.edgesTraversed += res.Edges
-		r.updates += res.Updates
-		r.levelUpdates += res.Updates
+		m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.Kernel,
+			Page: int64(pid), Level: m.curLevel, Start: t0, End: d.env.Now()})
+		m.kernelBusy += gpu.KernelTime(res.Cycles)
+		m.edgesTraversed += res.Edges
+		m.updates += res.Updates
+		m.levelUpdates += res.Updates
 		if res.Active {
 			m.stepActive = true
 		}
@@ -686,14 +656,13 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 // pin (not in memory, nor after a bypass read); processDemand holds it until
 // every member has been served, so eviction cannot reclaim the host frame
 // mid-transfer.
-func (d *driver) copyPageFor(p *sim.Proc, m *groupMember, gpuIdx, stream int, pid slottedpage.PageID, n int64) (pinned bool, err error) {
-	r := m.r
+func (d *driver) copyPageFor(p *sim.Proc, m *member, gpuIdx, stream int, pid slottedpage.PageID, n int64) (pinned bool, err error) {
 	if d.inMemory {
 		d.hostLookups++
-	} else if pinned, err = r.fetchPin(p, pid, gpuIdx, stream); err != nil {
+	} else if pinned, err = m.fetchPin(p, pid, gpuIdx, stream); err != nil {
 		return false, err
 	}
-	if err := r.streamCopy(p, d.machine.GPUs[gpuIdx], gpuIdx, stream, pid, n); err != nil {
+	if err := m.streamCopy(p, d.machine.GPUs[gpuIdx], gpuIdx, stream, pid, n); err != nil {
 		if pinned {
 			d.pool.Unpin(uint64(pid))
 		}
@@ -705,34 +674,33 @@ func (d *driver) copyPageFor(p *sim.Proc, m *groupMember, gpuIdx, stream int, pi
 // endWave finishes one member's superstep: cross-GPU sync, frontier merge
 // (BFS-like) or iteration bookkeeping (scans), backward-sweep stepping, and
 // completion.
-func (d *driver) endWave(p *sim.Proc, m *groupMember) {
-	r := m.r
+func (d *driver) endWave(p *sim.Proc, m *member) {
 	release := func() {
 		for i := range m.locals {
-			r.putPidSet(m.locals[i])
+			m.putPidSet(m.locals[i])
 			m.locals[i] = nil
 		}
 	}
-	if r.abort != nil {
+	if m.abort != nil {
 		release()
 		return
 	}
 	lvl := m.waveLevel()
-	r.sync(p, lvl, m.bfsLike)
+	m.sync(p, lvl, m.bfsLike)
 	// The Superstep container span: one traversal level / iteration
 	// including its cross-GPU sync, on the framework track; Dir carries the
 	// planned traversal direction (0 for plain kernels). The Wave span
 	// beside it names the group wave that carried the superstep.
 	now := d.env.Now()
-	r.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Superstep, Page: -1, Level: lvl, Dir: int8(r.curDir), Start: m.stepStart, End: now})
-	r.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: d.wave, Level: lvl, Start: m.stepStart, End: now})
-	if r.abort != nil {
+	m.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Superstep, Page: -1, Level: lvl, Dir: int8(m.curDir), Start: m.stepStart, End: now})
+	m.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: d.wave, Level: lvl, Start: m.stepStart, End: now})
+	if m.abort != nil {
 		release()
 		return
 	}
 	if !m.backward {
-		r.levelPages = append(r.levelPages, r.pagesStreamed-m.beforePages)
-		r.levelBytes = append(r.levelBytes, r.bytesToGPU-m.beforeBytes)
+		m.levelPages = append(m.levelPages, m.pagesStreamed-m.beforePages)
+		m.levelBytes = append(m.levelBytes, m.bytesToGPU-m.beforeBytes)
 	}
 
 	if m.backward {
@@ -747,31 +715,31 @@ func (d *driver) endWave(p *sim.Proc, m *groupMember) {
 		if m.wantBackward {
 			m.levelSets = append(m.levelSets, m.next.Clone())
 		}
-		merged := r.getPidSet()
+		merged := m.getPidSet()
 		for _, l := range m.locals {
 			merged.Or(l)
 		}
 		// Expand LP runs: kernels mark a large vertex's first page.
-		g := r.eng.graph
+		g := m.eng.graph
 		merged.ForEach(func(pid int) {
 			if g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage {
-				r.eng.expandLPRun(merged, slottedpage.PageID(pid))
+				m.eng.expandLPRun(merged, slottedpage.PageID(pid))
 			}
 		})
 		// A planning kernel rebuilds the next frontier itself — this must
 		// run before the emptiness test, because bucketed kernels
 		// (DeltaSSSP) carry pending work in attribute state even when no
 		// page kernel marked a next page.
-		r.planLevel(m.level+1, merged)
+		m.planLevel(m.level+1, merged)
 		release()
-		r.putPidSet(m.next)
+		m.putPidSet(m.next)
 		m.next = merged
 		m.level++
 		if !m.next.Any() {
 			if m.wantBackward && len(m.levelSets) > 0 {
 				// Backward sweep (Betweenness Centrality): replay the
 				// recorded levels in reverse, deepest first.
-				m.backKernel.BeginBackward(r.states, m.level-1)
+				m.backKernel.BeginBackward(m.states, m.level-1)
 				m.backward = true
 				m.backIdx = len(m.levelSets) - 1
 			} else {
@@ -785,28 +753,26 @@ func (d *driver) endWave(p *sim.Proc, m *groupMember) {
 	m.level++
 	active := m.stepActive
 	release()
-	if !r.k.EndIteration(r.states, active) {
+	if !m.k.EndIteration(m.states, active) {
 		d.finishMember(p, m)
 		return
 	}
 	// Per-iteration WA sync: the updated vector streams back so the host
 	// can feed it as next iteration's RA (Eq. 1's 2|WA|).
-	r.copyWAOut(p)
+	m.copyWAOut(p)
 }
 
 // finishMember performs the member's final WA copy-back (data
 // synchronization, Fig. 2 step 3) and closes its Run span, which covers the
 // whole execution on the framework track — the run → superstep → stream
 // hierarchy. The member retires from the roster at the wave boundary.
-func (d *driver) finishMember(p *sim.Proc, m *groupMember) {
-	r := m.r
-	r.curLevel = -1
-	r.copyWAOut(p)
-	if r.abort != nil {
+func (d *driver) finishMember(p *sim.Proc, m *member) {
+	m.curLevel = -1
+	m.copyWAOut(p)
+	if m.abort != nil {
 		return
 	}
-	r.levels = m.level
-	r.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Run, Page: -1, Level: -1,
+	m.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Run, Page: -1, Level: -1,
 		Start: m.joinedAt, End: d.env.Now()})
 	m.done = true
 }
@@ -816,63 +782,62 @@ func (d *driver) finishMember(p *sim.Proc, m *groupMember) {
 func (d *driver) retireFinished() {
 	alive := d.active[:0]
 	for _, m := range d.active {
-		r := m.r
-		if !m.done && r.abort == nil {
+		if !m.done && m.abort == nil {
 			alive = append(alive, m)
 			continue
 		}
 		d.freeMemberWA(m)
-		if r.abort != nil {
-			d.outcomes[m.idx] = SharedOutcome{Err: r.abort}
+		if m.abort != nil {
+			d.outcomes[m.idx] = SharedOutcome{Err: m.abort}
 		} else {
 			d.outcomes[m.idx] = SharedOutcome{Report: d.memberReport(m)}
 		}
-		d.stats.BytesToGPU += r.bytesToGPU
-		d.stats.StorageBytes += r.storageRead
-		d.stats.EdgesTraversed += r.edgesTraversed
+		d.stats.BytesToGPU += m.bytesToGPU
+		d.stats.StorageBytes += m.storageRead
+		d.stats.EdgesTraversed += m.edgesTraversed
 	}
 	d.active = alive
 }
 
 // memberReport assembles a member's Report from its own accumulators (the
 // machine's GPU and storage counters aggregate every member).
-func (d *driver) memberReport(m *groupMember) *Report {
-	r := m.r
+func (d *driver) memberReport(m *member) Report {
 	elapsed := d.env.Now() - m.joinedAt
-	hits := r.cacheHits
-	misses := r.pagesStreamed + r.sharedPagesIn
 	cacheRate := 0.0
-	if hits+misses > 0 {
-		cacheRate = float64(hits) / float64(hits+misses)
-	}
-	rep := &Report{
-		State:          r.states[0],
-		Elapsed:        elapsed,
-		Levels:         r.levels,
-		PagesStreamed:  r.pagesStreamed,
-		CacheHits:      r.cacheHits,
-		BytesToGPU:     r.bytesToGPU,
-		EdgesTraversed: r.edgesTraversed,
-		Updates:        r.updates,
-		CacheHitRate:   cacheRate,
-		BufferHitRate:  r.bufferHitRate(),
-		TransferTime:   r.transferTime,
-		KernelTime:     r.kernelBusy,
-		StorageBytes:   r.storageRead,
-		WABytes:        r.states[0].WABytes(),
-		LevelPages:     r.levelPages,
-		LevelBytes:     r.levelBytes,
-		LevelDirs:      r.dirs,
-		HostWorkers:    r.workers,
-		HostKernelWall: r.hostKernelWall,
-		PoolHits:       r.poolHits,
-		PoolLoads:      r.poolLoads,
-		PoolWaits:      r.poolWaits,
+	if lookups := m.cacheHits + m.pagesStreamed + m.sharedPagesIn; lookups > 0 {
+		cacheRate = float64(m.cacheHits) / float64(lookups)
 	}
 	// Injection counts come from the injector, recovery counts from the
-	// run's policy; fstats' injection fields are zero, so Add merges cleanly.
-	rep.Faults = r.inj.Stats()
-	rep.Faults.Add(r.fstats)
-	rep.MTEPS = trace.MTEPS(r.edgesTraversed, elapsed)
-	return rep
+	// member's policy; fstats' injection fields are zero, so Add merges
+	// cleanly.
+	faults := m.inj.Stats()
+	faults.Add(m.fstats)
+	return Report{
+		Metrics: Metrics{
+			Elapsed:        elapsed,
+			Levels:         m.level,
+			PagesStreamed:  m.pagesStreamed,
+			CacheHitRate:   cacheRate,
+			BufferHitRate:  m.bufferHitRate(),
+			BytesToGPU:     m.bytesToGPU,
+			StorageBytes:   m.storageRead,
+			TransferTime:   m.transferTime,
+			KernelTime:     m.kernelBusy,
+			WABytes:        m.states[0].WABytes(),
+			MTEPS:          trace.MTEPS(m.edgesTraversed, elapsed),
+			LevelPages:     m.levelPages,
+			LevelBytes:     m.levelBytes,
+			LevelDirs:      m.dirs,
+			Faults:         faults,
+			HostWorkers:    m.workers,
+			HostKernelWall: m.hostKernelWall,
+			PoolHits:       m.poolHits,
+			PoolLoads:      m.poolLoads,
+			PoolWaits:      m.poolWaits,
+		},
+		State:          m.states[0],
+		CacheHits:      m.cacheHits,
+		EdgesTraversed: m.edgesTraversed,
+		Updates:        m.updates,
+	}
 }

@@ -43,83 +43,71 @@ const waveFactor = 8
 // runs so steady-state gathers allocate nothing.
 var deferredPool = sync.Pool{New: func() any { return new(kernels.Deferred) }}
 
-// gatherFuncs binds one direction (forward or backward) of a kernel's
-// gather/apply contract.
-type gatherFuncs struct {
-	sp    func(*kernels.Args, *kernels.Deferred) kernels.Result
-	lp    func(*kernels.Args, *kernels.Deferred) kernels.Result
-	apply func(*kernels.Args, *kernels.Deferred, *kernels.Result)
-}
-
-// gatherFor resolves the gather/apply entry points for k in the given
-// direction; ok is false when the kernel only supports the serial path
-// (SSSP, or any future kernel that opts out).
-func gatherFor(k kernels.Kernel, backward bool) (gatherFuncs, bool) {
-	if backward {
-		gb, ok := k.(kernels.GatherBackwardKernel)
-		if !ok {
-			return gatherFuncs{}, false
-		}
-		return gatherFuncs{sp: gb.GatherSPBack, lp: gb.GatherLPBack, apply: gb.ApplyBack}, true
-	}
-	gk, ok := k.(kernels.GatherKernel)
-	if !ok {
-		return gatherFuncs{}, false
-	}
-	return gatherFuncs{sp: gk.GatherSP, lp: gk.GatherLP, apply: gk.Apply}, true
-}
-
 // kernelArgs assembles the kernels.Args for one (GPU, page) execution.
-func (r *run) kernelArgs(gpuIdx int, pid slottedpage.PageID, level int32, local pidSet) kernels.Args {
-	g := r.eng.graph
+func (m *member) kernelArgs(gpuIdx int, pid slottedpage.PageID, level int32, local pidSet) kernels.Args {
+	g := m.eng.graph
 	return kernels.Args{
 		Graph:    g,
 		PID:      pid,
 		Page:     g.Page(pid),
-		State:    r.stateFor(gpuIdx),
+		State:    m.stateFor(gpuIdx),
 		Level:    level,
-		OwnedLo:  r.owned[gpuIdx][0],
-		OwnedHi:  r.owned[gpuIdx][1],
-		Tech:     r.eng.opts.Technique,
+		OwnedLo:  m.owned[gpuIdx][0],
+		OwnedHi:  m.owned[gpuIdx][1],
+		Tech:     m.eng.opts.Technique,
 		NextPIDs: local,
-		Scratch:  &r.adjScratch,
+		Scratch:  &m.adjScratch,
 	}
 }
 
+// canGather reports whether k's page kernels honour Args.Deferred in the
+// given direction; false means the kernel only supports the serial path
+// (SSSP, or any future kernel that opts out).
+func canGather(k kernels.Kernel, backward bool) bool {
+	if backward {
+		_, ok := k.(kernels.GatherBackwardKernel)
+		return ok
+	}
+	_, ok := k.(kernels.GatherKernel)
+	return ok
+}
+
 // computeKernels runs the phase's (GPU, page) jobs and appends their
-// results to r.kres in job order (the caller truncates r.kres when a new
+// results to m.kres in job order (the caller truncates m.kres when a new
 // phase or wave begins). With a gatherable kernel and at least
 // minGatherWorkers workers it proceeds in waves: each wave's pages gather
 // concurrently (work-stealing off an atomic cursor) against the state left
 // by all previously applied pages, then the wave's deferred writes are
 // applied serially in job order. Otherwise the kernels run inline. Both
-// paths accrue the real wall-clock spent into r.hostKernelWall.
-func (r *run) computeKernels(jobs []pageKey, level int32, locals []pidSet, backward bool) {
+// paths accrue the real wall-clock spent into m.hostKernelWall.
+func (m *member) computeKernels(jobs []pageKey, level int32, locals []pidSet, backward bool) {
 	t0 := time.Now()
-
-	// Decide the inline path before resolving gather entry points: binding
-	// method values allocates, and the inline hot path must not.
-	// (gatherPhase is a separate method for the same reason — its goroutine
-	// closure captures locals that would otherwise be heap-allocated even on
-	// inline calls.)
-	if r.workers >= minGatherWorkers && len(jobs) >= 2 {
-		if gf, ok := gatherFor(r.k, backward); ok {
-			r.gatherPhase(jobs, level, locals, gf)
-			r.hostKernelWall += time.Since(t0)
-			return
+	// gatherPhase is a separate method because its goroutine closure captures
+	// locals that would otherwise be heap-allocated even on inline calls, and
+	// the inline hot path must not allocate.
+	if m.workers >= minGatherWorkers && len(jobs) >= 2 && canGather(m.k, backward) {
+		m.gatherPhase(jobs, level, locals, backward)
+	} else {
+		for _, job := range jobs {
+			// argScratch lives on the (already heap-allocated) member so the
+			// serial hot loop performs zero allocations per page.
+			m.argScratch = m.kernelArgs(job.gpu, job.pid, level, locals[job.gpu])
+			m.kres = append(m.kres, runKernel(m.k, &m.argScratch, backward))
 		}
 	}
-	for _, job := range jobs {
-		r.kres = append(r.kres, r.runKernel(job.gpu, job.pid, level, locals[job.gpu], backward))
-	}
-	r.hostKernelWall += time.Since(t0)
+	m.hostKernelWall += time.Since(t0)
 }
 
 // gatherPhase is computeKernels' parallel body: wave-sized batches gather
 // concurrently, then apply serially in job order.
-func (r *run) gatherPhase(jobs []pageKey, level int32, locals []pidSet, gf gatherFuncs) {
-	g := r.eng.graph
-	wave := r.workers * waveFactor
+func (m *member) gatherPhase(jobs []pageKey, level int32, locals []pidSet, backward bool) {
+	var apply func(*kernels.Args, *kernels.Deferred, *kernels.Result)
+	if backward {
+		apply = m.k.(kernels.GatherBackwardKernel).ApplyBack
+	} else {
+		apply = m.k.(kernels.GatherKernel).Apply
+	}
+	wave := m.workers * waveFactor
 	for start := 0; start < len(jobs); start += wave {
 		end := start + wave
 		if end > len(jobs) {
@@ -127,19 +115,19 @@ func (r *run) gatherPhase(jobs []pageKey, level int32, locals []pidSet, gf gathe
 		}
 		batch := jobs[start:end]
 
-		if cap(r.gatherRes) < len(batch) {
-			r.gatherRes = make([]kernels.Result, len(batch))
-			r.gatherDefs = make([]*kernels.Deferred, len(batch))
+		if cap(m.gatherRes) < len(batch) {
+			m.gatherRes = make([]kernels.Result, len(batch))
+			m.gatherDefs = make([]*kernels.Deferred, len(batch))
 		}
-		res := r.gatherRes[:len(batch)]
-		defs := r.gatherDefs[:len(batch)]
+		res := m.gatherRes[:len(batch)]
+		defs := m.gatherDefs[:len(batch)]
 		for i := range defs {
 			d := deferredPool.Get().(*kernels.Deferred)
 			d.Reset()
 			defs[i] = d
 		}
 
-		workers := r.workers
+		workers := m.workers
 		if workers > len(batch) {
 			workers = len(batch)
 		}
@@ -159,12 +147,9 @@ func (r *run) gatherPhase(jobs []pageKey, level int32, locals []pidSet, gf gathe
 						return
 					}
 					job := batch[i]
-					args = r.kernelArgs(job.gpu, job.pid, level, locals[job.gpu])
-					if g.Kind(job.pid) == slottedpage.LargePage {
-						res[i] = gf.lp(&args, defs[i])
-					} else {
-						res[i] = gf.sp(&args, defs[i])
-					}
+					args = m.kernelArgs(job.gpu, job.pid, level, locals[job.gpu])
+					args.Deferred = defs[i]
+					res[i] = runKernel(m.k, &args, backward)
 				}
 			}()
 		}
@@ -173,10 +158,10 @@ func (r *run) gatherPhase(jobs []pageKey, level int32, locals []pidSet, gf gathe
 		// Deterministic merge: commit each page's deferred writes in job
 		// order — exactly the order the serial loop mutates state in.
 		for i, job := range batch {
-			r.argScratch = r.kernelArgs(job.gpu, job.pid, level, locals[job.gpu])
+			m.argScratch = m.kernelArgs(job.gpu, job.pid, level, locals[job.gpu])
 			kr := res[i]
-			gf.apply(&r.argScratch, defs[i], &kr)
-			r.kres = append(r.kres, kr)
+			apply(&m.argScratch, defs[i], &kr)
+			m.kres = append(m.kres, kr)
 			defs[i].Reset()
 			deferredPool.Put(defs[i])
 			defs[i] = nil
@@ -185,15 +170,15 @@ func (r *run) gatherPhase(jobs []pageKey, level int32, locals []pidSet, gf gathe
 }
 
 // getPidSet takes a cleared page-ID bitset from the run's pool.
-func (r *run) getPidSet() pidSet {
-	s := r.pidPool.Get().(pidSet)
+func (m *member) getPidSet() pidSet {
+	s := m.pidPool.Get().(pidSet)
 	s.Reset()
 	return s
 }
 
 // putPidSet returns a bitset to the pool. nil is ignored.
-func (r *run) putPidSet(s pidSet) {
+func (m *member) putPidSet(s pidSet) {
 	if s != nil {
-		r.pidPool.Put(s)
+		m.pidPool.Put(s)
 	}
 }

@@ -59,7 +59,7 @@ func BenchmarkSuperstepWorkers(b *testing.B) {
 // compute path can be exercised (and its allocations counted) in
 // isolation: computeKernels never touches the sim, so this is exactly the
 // state it sees mid-phase.
-func benchRun(tb testing.TB, sp *slottedpage.Graph, k kernels.Kernel, workers int) (*run, []pageKey, []pidSet) {
+func benchRun(tb testing.TB, sp *slottedpage.Graph, k kernels.Kernel, workers int) (*member, []pageKey, []pidSet) {
 	tb.Helper()
 	e, err := New(hw.Workstation(1, 0), sp, Options{Source: 0, HostWorkers: workers})
 	if err != nil {
@@ -70,7 +70,7 @@ func benchRun(tb testing.TB, sp *slottedpage.Graph, k kernels.Kernel, workers in
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r := &run{plant: &plant{env: env, machine: m}, eng: e, k: k, workers: e.opts.HostWorkers}
+	r := &member{plant: &plant{env: env, machine: m}, eng: e, k: k, workers: e.opts.HostWorkers}
 	numPages := e.graph.NumPages()
 	r.pidPool.New = func() any { return bitset.New(numPages) }
 	r.setupStates()
@@ -138,11 +138,8 @@ func TestGatherApplyAllocBudget(t *testing.T) {
 			for _, job := range jobs {
 				r.argScratch = r.kernelArgs(job.gpu, job.pid, 0, locals[job.gpu])
 				d.Reset()
-				if sp.Kind(job.pid) == slottedpage.LargePage {
-					k.GatherLP(&r.argScratch, d)
-				} else {
-					k.GatherSP(&r.argScratch, d)
-				}
+				r.argScratch.Deferred = d
+				runKernel(k, &r.argScratch, false)
 			}
 		}
 		gatherAll()

@@ -251,7 +251,7 @@ func TestParallelMatchesSerialAcrossConfigs(t *testing.T) {
 }
 
 // TestBCBackwardParallelMatchesSerial pins the backward-sweep gather path
-// (GatherSPBack/ApplyBack) specifically, under faults, where the forward
+// (RunSPBack with Args.Deferred, then ApplyBack) specifically, under faults, where the forward
 // level sets replay in reverse.
 func TestBCBackwardParallelMatchesSerial(t *testing.T) {
 	g := rmatGraph(t)

@@ -80,7 +80,7 @@ func TestPrivatePoolMatchesExplicitPool(t *testing.T) {
 			if o.Err != nil || o.Declined {
 				t.Fatalf("member %d: err=%v declined=%v", i, o.Err, o.Declined)
 			}
-			res = append(res, outcome{o.Report, sha256.Sum256(kcs[i].enc(jobs[i].Kernel, o.Report.State))})
+			res = append(res, outcome{&outs[i].Report, sha256.Sum256(kcs[i].enc(jobs[i].Kernel, o.Report.State))})
 		}
 		return res
 	}

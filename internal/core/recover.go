@@ -25,16 +25,16 @@ const (
 // fail latches the member's first unrecoverable error. The streams skip an
 // aborted member's demands and the group retires it at the wave boundary
 // with the error as its outcome.
-func (r *run) fail(err error) {
-	if r.abort == nil {
-		r.abort = err
+func (m *member) fail(err error) {
+	if m.abort == nil {
+		m.abort = err
 	}
 }
 
 // traceMark records a zero-duration marker span (fault/retry instants).
-func (r *run) traceMark(kind trace.Kind, gpu, stream int, page int64) {
-	now := r.env.Now()
-	r.eng.opts.Trace.Add(trace.Span{GPU: gpu, Stream: stream, Kind: kind, Page: page, Level: r.curLevel, Start: now, End: now})
+func (m *member) traceMark(kind trace.Kind, gpu, stream int, page int64) {
+	now := m.env.Now()
+	m.eng.opts.Trace.Add(trace.Span{GPU: gpu, Stream: stream, Kind: kind, Page: page, Level: m.curLevel, Start: now, End: now})
 }
 
 // retry is the one recovery loop: it runs attempt until it succeeds or the
@@ -48,23 +48,23 @@ func (r *run) traceMark(kind trace.Kind, gpu, stream int, page int64) {
 // The sim scheduler runs one process at a time and the hw models read their
 // injector synchronously at call entry, so arming here cannot race a sibling
 // member's operation.
-func (r *run) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() error, onErr func(error) bool) (int, error) {
+func (m *member) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() error, onErr func(error) bool) (int, error) {
 	backoff := retryBackoff
 	for n := 1; ; n++ {
-		r.machine.InjectFaults(r.inj)
+		m.machine.InjectFaults(m.inj)
 		err := attempt()
 		if err == nil {
 			if n > 1 {
-				r.fstats.Recoveries++
+				m.fstats.Recoveries++
 			}
 			return n, nil
 		}
-		r.traceMark(trace.Fault, gpu, stream, page)
+		m.traceMark(trace.Fault, gpu, stream, page)
 		if n >= maxAttempts {
 			return n, err
 		}
-		r.fstats.Retries++
-		r.traceMark(trace.Retry, gpu, stream, page)
+		m.fstats.Retries++
+		m.traceMark(trace.Retry, gpu, stream, page)
 		if onErr != nil && onErr(err) {
 			continue
 		}
@@ -75,8 +75,8 @@ func (r *run) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() err
 
 // withRetry runs a transfer under the recovery loop. Exhaustion wraps the
 // last error in ErrHardwareFault.
-func (r *run) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() error) error {
-	if n, err := r.retry(p, gpu, stream, -1, fn, nil); err != nil {
+func (m *member) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() error) error {
+	if n, err := m.retry(p, gpu, stream, -1, fn, nil); err != nil {
 		return fmt.Errorf("%w: %s failed %d times: %v", ErrHardwareFault, what, n, err)
 	}
 	return nil
@@ -90,16 +90,16 @@ func (r *run) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() err
 // its configured target — the run gets slower, not wrong, and caching
 // survives the fault. Only when the cache is already at its one-page
 // floor is it dropped entirely. Other failures retry with backoff.
-func (r *run) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, cycles float64) error {
-	gpu := r.machine.GPUs[gpuIdx]
-	n, err := r.retry(p, gpuIdx, stream, int64(pid),
+func (m *member) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, cycles float64) error {
+	gpu := m.machine.GPUs[gpuIdx]
+	n, err := m.retry(p, gpuIdx, stream, int64(pid),
 		func() error { return gpu.LaunchKernel(p, cycles, nil) },
 		func(err error) bool {
-			if !errors.Is(err, hw.ErrOutOfDeviceMemory) || r.caches[gpuIdx] == nil {
+			if !errors.Is(err, hw.ErrOutOfDeviceMemory) || m.caches[gpuIdx] == nil {
 				return false
 			}
-			r.shrinkCache(gpuIdx)
-			r.fstats.Degradations++
+			m.shrinkCache(gpuIdx)
+			m.fstats.Degradations++
 			return true // relaunch immediately with the freed memory
 		})
 	if err != nil {
@@ -107,7 +107,7 @@ func (r *run) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.Page
 			ErrHardwareFault, pid, gpuIdx, n, err)
 	}
 	if n > 1 {
-		r.regrowCache(gpuIdx)
+		m.regrowCache(gpuIdx)
 	}
 	return nil
 }
@@ -115,20 +115,20 @@ func (r *run) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.Page
 // shrinkCache halves GPU gpuIdx's page-cache byte budget, evicting LRU
 // pages beyond the new capacity and freeing the device memory for the
 // failed launch. A cache already at one page is dropped entirely.
-func (r *run) shrinkCache(gpuIdx int) {
-	gpu := r.machine.GPUs[gpuIdx]
-	pageSize := int64(r.eng.graph.Config().PageSize)
-	cur := r.cacheBytes[gpuIdx]
+func (m *member) shrinkCache(gpuIdx int) {
+	gpu := m.machine.GPUs[gpuIdx]
+	pageSize := int64(m.eng.graph.Config().PageSize)
+	cur := m.cacheBytes[gpuIdx]
 	newPages := cur / 2 / pageSize
 	if newPages < 1 {
 		gpu.Free(cur)
-		r.caches[gpuIdx] = nil
-		r.cacheBytes[gpuIdx] = 0
+		m.caches[gpuIdx] = nil
+		m.cacheBytes[gpuIdx] = 0
 		return
 	}
-	r.caches[gpuIdx].Shrink(int(newPages))
+	m.caches[gpuIdx].Shrink(int(newPages))
 	gpu.Free(cur - newPages*pageSize)
-	r.cacheBytes[gpuIdx] = newPages * pageSize
+	m.cacheBytes[gpuIdx] = newPages * pageSize
 }
 
 // regrowCache re-allocates device memory toward the cache's configured
@@ -136,17 +136,17 @@ func (r *run) shrinkCache(gpuIdx int) {
 // OOM has passed, so the budget an earlier shrinkCache surrendered comes
 // back (as far as free device memory allows). Evicted pages are not
 // restored — they re-enter through normal streaming.
-func (r *run) regrowCache(gpuIdx int) {
-	if r.caches[gpuIdx] == nil || r.cacheTarget == nil {
+func (m *member) regrowCache(gpuIdx int) {
+	if m.caches[gpuIdx] == nil || m.cacheTarget == nil {
 		return
 	}
-	target := r.cacheTarget[gpuIdx]
-	cur := r.cacheBytes[gpuIdx]
+	target := m.cacheTarget[gpuIdx]
+	cur := m.cacheBytes[gpuIdx]
 	if cur >= target {
 		return
 	}
-	gpu := r.machine.GPUs[gpuIdx]
-	pageSize := int64(r.eng.graph.Config().PageSize)
+	gpu := m.machine.GPUs[gpuIdx]
+	pageSize := int64(m.eng.graph.Config().PageSize)
 	want := target - cur
 	if free := gpu.MemFree(); want > free {
 		want = free
@@ -158,8 +158,8 @@ func (r *run) regrowCache(gpuIdx int) {
 	if gpu.Alloc(pages*pageSize) != nil {
 		return
 	}
-	r.cacheBytes[gpuIdx] = cur + pages*pageSize
-	r.caches[gpuIdx].Grow(int(r.cacheBytes[gpuIdx] / pageSize))
+	m.cacheBytes[gpuIdx] = cur + pages*pageSize
+	m.caches[gpuIdx].Grow(int(m.cacheBytes[gpuIdx] / pageSize))
 }
 
 // readPage reads pid from the storage array with recovery: failed reads
@@ -168,17 +168,17 @@ func (r *run) regrowCache(gpuIdx int) {
 // readies the page's pool frame on success. Every page the devices serve —
 // a corrupt one that is then re-read included — counts toward the member's
 // Report.StorageBytes.
-func (r *run) readPage(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) error {
-	g := r.eng.graph
-	n, err := r.retry(p, gpuIdx, stream, int64(pid), func() error {
-		t0 := r.env.Now()
-		corrupt, err := r.machine.Storage.ReadPage(p, uint64(pid))
-		r.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.StorageIO,
-			Page: int64(pid), Level: r.curLevel, Start: t0, End: r.env.Now()})
+func (m *member) readPage(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) error {
+	g := m.eng.graph
+	n, err := m.retry(p, gpuIdx, stream, int64(pid), func() error {
+		t0 := m.env.Now()
+		corrupt, err := m.machine.Storage.ReadPage(p, uint64(pid))
+		m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.StorageIO,
+			Page: int64(pid), Level: m.curLevel, Start: t0, End: m.env.Now()})
 		if err != nil {
 			return err
 		}
-		r.storageRead += int64(g.Config().PageSize)
+		m.storageRead += int64(g.Config().PageSize)
 		if !corrupt {
 			return nil
 		}

@@ -44,18 +44,50 @@ type plant struct {
 	inflight    map[slottedpage.PageID]*sim.Signal
 }
 
-// run carries one member's mutable context: its kernel, attribute states,
-// fault injector and accounting. A solo run is a group with one member.
-type run struct {
+// member is one job inside a wave group: its kernel, attribute states, fault
+// injector and accounting, and its per-wave traversal state. A solo run is a
+// group with one member.
+type member struct {
 	*plant
-	eng *Engine
+	eng *Engine // the group's engine with this member's source, fault plan and recorder
 	k   kernels.Kernel
+	idx int // index into driver.outcomes
 
 	// states holds one replica per GPU under Strategy-P, or a single
 	// shared state under Strategy-S.
 	states []kernels.State
 	// owned[i] is GPU i's attribute ownership range [lo, hi).
 	owned [][2]uint64
+
+	// Traversal state: next is the current frontier (BFS-like) or the full
+	// set (scans), locals the per-GPU next-page accumulation for the running
+	// wave, levelSets the recorded forward frontiers for the backward sweep.
+	// level counts the forward supersteps done (the report's Levels).
+	bfsLike      bool
+	wantBackward bool
+	backKernel   kernels.BackwardKernel
+	next         pidSet
+	locals       []pidSet
+	levelSets    []pidSet
+	level        int32
+	backward     bool
+	backIdx      int
+	done         bool
+
+	joinedAt    sim.Time
+	stepStart   sim.Time
+	stepActive  bool
+	beforePages int64
+	beforeBytes int64
+	// lists[phase] is this wave's page list (phase 0 = small pages, 1 =
+	// large pages: all small pages stream first, then all large ones, to
+	// avoid switching between the two kernel variants, paper §3.2) and
+	// parts[phase][gpu] its partition; resBase[phase][gpu] is where that
+	// partition's kernel results start in kres. All keep their backing
+	// arrays across waves.
+	lists   [2][]slottedpage.PageID
+	parts   [2][][]slottedpage.PageID
+	resBase [2][]int
 
 	// kres memoizes the current wave's functional kernel results, computed
 	// in deterministic (GPU, page) order before the streams start (see
@@ -93,7 +125,6 @@ type run struct {
 	perGPUWA    int64
 	raPerV      int64
 	waPerVertex int64
-	levels      int32
 
 	// Direction-optimized traversal (kernels.FrontierKernel): fk is the
 	// kernel's planning interface (nil otherwise), curDir the direction the
@@ -102,10 +133,10 @@ type run struct {
 	// waves on the framework process, so none of this needs locking.
 	fk     kernels.FrontierKernel
 	curDir kernels.Direction
-	dirs   []kernels.Direction
+	dirs   []string
 
 	// curLevel is the superstep currently executing, stamped onto every
-	// span the run emits; -1 outside any superstep (WA upload, final
+	// span the member emits; -1 outside any superstep (WA upload, final
 	// copy-back). Host workers never emit spans, so no locking is needed.
 	curLevel int32
 
@@ -126,46 +157,55 @@ type run struct {
 	sharedPagesIn  int64
 	storageRead    int64
 	kernelBusy     sim.Time
-	// Host page buffer accounting (zero when r.pool is nil).
+	// Host page buffer accounting (zero when the plant has no pool).
 	poolHits  int64
 	poolLoads int64
 	poolWaits int64
+}
+
+// waveLevel is the superstep index the current wave runs at for this
+// member: the traversal level forward, the replayed level backward.
+func (m *member) waveLevel() int32 {
+	if m.backward {
+		return int32(m.backIdx)
+	}
+	return m.level
 }
 
 // setupStates derives the member's half of Algorithm 1's initialization
 // from the strategy: the kernel's attribute states (one replica per GPU
 // under Strategy-P, a single shared state under Strategy-S), the per-GPU
 // ownership ranges, and the WA/RA sizing. It performs no device allocation.
-func (r *run) setupStates() {
-	e, k := r.eng, r.k
-	nGPU := len(r.machine.GPUs)
+func (m *member) setupStates() {
+	e, k := m.eng, m.k
+	nGPU := len(m.machine.GPUs)
 	nV := e.graph.NumVertices()
-	r.fk, _ = k.(kernels.FrontierKernel)
+	m.fk, _ = k.(kernels.FrontierKernel)
 
 	proto := k.NewState()
 	k.Init(proto, e.opts.Source)
 	waBytes := proto.WABytes()
-	r.raPerV = k.RAPerVertex()
+	m.raPerV = k.RAPerVertex()
 	if nV > 0 {
-		r.waPerVertex = waBytes / int64(nV)
+		m.waPerVertex = waBytes / int64(nV)
 	}
 
-	r.states = []kernels.State{proto}
+	m.states = []kernels.State{proto}
 	if e.opts.Strategy == StrategyS {
-		r.perGPUWA = (waBytes + int64(nGPU) - 1) / int64(nGPU)
+		m.perGPUWA = (waBytes + int64(nGPU) - 1) / int64(nGPU)
 		chunk := (nV + uint64(nGPU) - 1) / uint64(nGPU)
 		for i := 0; i < nGPU; i++ {
 			lo := min(uint64(i)*chunk, nV)
-			r.owned = append(r.owned, [2]uint64{lo, min(lo+chunk, nV)})
+			m.owned = append(m.owned, [2]uint64{lo, min(lo+chunk, nV)})
 		}
 		return
 	}
-	r.perGPUWA = waBytes
+	m.perGPUWA = waBytes
 	for i := 0; i < nGPU; i++ {
 		if i > 0 {
-			r.states = append(r.states, proto.Clone())
+			m.states = append(m.states, proto.Clone())
 		}
-		r.owned = append(r.owned, [2]uint64{0, nV})
+		m.owned = append(m.owned, [2]uint64{0, nV})
 	}
 }
 
@@ -228,38 +268,38 @@ func (pl *plant) setup(e *Engine, headroom bool) error {
 // next as the exact page set its chosen direction streams — and records
 // the direction for the superstep's span and the report. No-op for plain
 // kernels, whose page kernels marked next themselves.
-func (r *run) planLevel(level int32, next pidSet) {
-	if r.fk == nil {
+func (m *member) planLevel(level int32, next pidSet) {
+	if m.fk == nil {
 		return
 	}
-	r.curDir = r.fk.PlanLevel(r.states, level, next)
+	m.curDir = m.fk.PlanLevel(m.states, level, next)
 }
 
 // bufferHitRate is the host-side page residency hit fraction: 1 for an
 // in-memory graph (0 before any lookup), otherwise the member's own pin
 // outcomes (the pool's global rate blends every run's traffic; a member
 // report wants only its own).
-func (r *run) bufferHitRate() float64 {
-	if r.inMemory {
-		if r.hostLookups == 0 {
+func (m *member) bufferHitRate() float64 {
+	if m.inMemory {
+		if m.hostLookups == 0 {
 			return 0
 		}
 		return 1
 	}
-	total := r.poolHits + r.poolLoads + r.poolWaits
+	total := m.poolHits + m.poolLoads + m.poolWaits
 	if total == 0 {
 		return 0
 	}
-	return float64(r.poolHits) / float64(total)
+	return float64(m.poolHits) / float64(total)
 }
 
 // parallelGPUs runs fn once per GPU concurrently and joins.
-func (r *run) parallelGPUs(p *sim.Proc, fn func(p *sim.Proc, i int)) {
-	grp := sim.NewGroup(r.env)
-	grp.Add(len(r.machine.GPUs))
-	for i := range r.machine.GPUs {
+func (m *member) parallelGPUs(p *sim.Proc, fn func(p *sim.Proc, i int)) {
+	grp := sim.NewGroup(m.env)
+	grp.Add(len(m.machine.GPUs))
+	for i := range m.machine.GPUs {
 		i := i
-		r.env.Process(fmt.Sprintf("gpu%d", i), func(p *sim.Proc) {
+		m.env.Process(fmt.Sprintf("gpu%d", i), func(p *sim.Proc) {
 			fn(p, i)
 			grp.Done()
 		})

@@ -90,34 +90,31 @@ func streamProcName(gpu, stream int) string {
 	return fmt.Sprintf("gpu%d/stream%d", gpu, stream)
 }
 
-// runKernel executes one (GPU, page) kernel functionally, mutating the
-// GPU's attribute state and next-page set. Called only from computeKernels'
-// deterministic serial path.
-func (r *run) runKernel(gpuIdx int, pid slottedpage.PageID, level int32, local pidSet, backward bool) kernels.Result {
-	g := r.eng.graph
-	// argScratch lives on the (already heap-allocated) run so the serial
-	// hot loop performs zero allocations per page.
-	r.argScratch = r.kernelArgs(gpuIdx, pid, level, local)
-	args := &r.argScratch
-	isLP := g.Kind(pid) == slottedpage.LargePage
+// runKernel is the one dispatch of a page-kernel execution onto k's four
+// entry points, by a.Page's kind and the sweep direction. With a.Deferred
+// nil the kernel mutates the GPU's attribute state and next-page set (the
+// deterministic serial path); with it set the call is a gather and mutates
+// neither (see kernels.GatherKernel).
+func runKernel(k kernels.Kernel, a *kernels.Args, backward bool) kernels.Result {
+	isLP := a.Graph.Kind(a.PID) == slottedpage.LargePage
 	if backward {
-		bk := r.k.(kernels.BackwardKernel)
+		bk := k.(kernels.BackwardKernel)
 		if isLP {
-			return bk.RunLPBack(args)
+			return bk.RunLPBack(a)
 		}
-		return bk.RunSPBack(args)
+		return bk.RunSPBack(a)
 	}
 	if isLP {
-		return r.k.RunLP(args)
+		return k.RunLP(a)
 	}
-	return r.k.RunSP(args)
+	return k.RunSP(a)
 }
 
 // streamCopy moves n bytes to the GPU in streaming mode with bounded
 // retry, recording trace and transfer accounting.
-func (r *run) streamCopy(p *sim.Proc, gpu *hw.GPU, gpuIdx, stream int, pid slottedpage.PageID, n int64) error {
-	t0 := r.env.Now()
-	err := r.withRetry(p, gpuIdx, stream, "stream copy", func() error {
+func (m *member) streamCopy(p *sim.Proc, gpu *hw.GPU, gpuIdx, stream int, pid slottedpage.PageID, n int64) error {
+	t0 := m.env.Now()
+	err := m.withRetry(p, gpuIdx, stream, "stream copy", func() error {
 		return gpu.CopyStreamIn(p, n)
 	})
 	if err != nil {
@@ -125,9 +122,9 @@ func (r *run) streamCopy(p *sim.Proc, gpu *hw.GPU, gpuIdx, stream int, pid slott
 		// failure needs the name.
 		return fmt.Errorf("page %d: %w", pid, err)
 	}
-	r.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.CopyPage, Page: int64(pid), Level: r.curLevel, Start: t0, End: r.env.Now()})
-	r.bytesToGPU += n
-	r.transferTime += r.eng.spec.PCIe.Latency + sim.ByteTime(n, r.eng.spec.PCIe.StreamRate)
+	m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.CopyPage, Page: int64(pid), Level: m.curLevel, Start: t0, End: m.env.Now()})
+	m.bytesToGPU += n
+	m.transferTime += m.eng.spec.PCIe.Latency + sim.ByteTime(n, m.eng.spec.PCIe.StreamRate)
 	return nil
 }
 
@@ -145,35 +142,35 @@ func (r *run) streamCopy(p *sim.Proc, gpu *hw.GPU, gpuIdx, stream int, pid slott
 // transient host buffer without entering the pool. A real cross-env wait
 // could deadlock two cooperative schedulers loading each other's pages, so
 // the pool's API never offers one.
-func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) (pinned bool, err error) {
+func (m *member) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) (pinned bool, err error) {
 	for {
-		if sig, ok := r.inflight[pid]; ok {
+		if sig, ok := m.inflight[pid]; ok {
 			sig.Wait(p)
 			continue
 		}
-		switch r.pool.Pin(uint64(pid)) {
+		switch m.pool.Pin(uint64(pid)) {
 		case bufpool.Hit:
-			r.poolHits++
-			r.traceMark(trace.PoolHit, gpuIdx, stream, int64(pid))
+			m.poolHits++
+			m.traceMark(trace.PoolHit, gpuIdx, stream, int64(pid))
 			return true, nil
 		case bufpool.Load:
-			sig := sim.NewSignal(r.env)
-			r.inflight[pid] = sig
-			err := r.readPage(p, pid, gpuIdx, stream)
-			delete(r.inflight, pid)
+			sig := sim.NewSignal(m.env)
+			m.inflight[pid] = sig
+			err := m.readPage(p, pid, gpuIdx, stream)
+			delete(m.inflight, pid)
 			sig.Fire()
 			if err != nil {
-				r.pool.Abort(uint64(pid))
+				m.pool.Abort(uint64(pid))
 				return false, err
 			}
-			r.pool.Ready(uint64(pid))
-			r.poolLoads++
-			r.traceMark(trace.PoolLoad, gpuIdx, stream, int64(pid))
+			m.pool.Ready(uint64(pid))
+			m.poolLoads++
+			m.traceMark(trace.PoolLoad, gpuIdx, stream, int64(pid))
 			return true, nil
 		default: // Busy in another env, or no evictable frame: bypass.
-			r.poolWaits++
-			r.traceMark(trace.PoolWait, gpuIdx, stream, int64(pid))
-			return false, r.readPage(p, pid, gpuIdx, stream)
+			m.poolWaits++
+			m.traceMark(trace.PoolWait, gpuIdx, stream, int64(pid))
+			return false, m.readPage(p, pid, gpuIdx, stream)
 		}
 	}
 }
@@ -182,82 +179,82 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 // the replicas were already peer-merged into the master GPU, so only it
 // copies the full WA out (Fig. 5 step 4); under Strategy-S every GPU ships
 // its disjoint chunk concurrently. Persistent transfer failure aborts the
-// run via r.fail.
-func (r *run) copyWAOut(p *sim.Proc) {
-	if r.eng.opts.Strategy == StrategyP {
-		t0 := r.env.Now()
-		err := r.withRetry(p, 0, -1, "WA copy-out", func() error {
-			return r.machine.GPUs[0].CopyOut(p, r.perGPUWA)
+// run via m.fail.
+func (m *member) copyWAOut(p *sim.Proc) {
+	if m.eng.opts.Strategy == StrategyP {
+		t0 := m.env.Now()
+		err := m.withRetry(p, 0, -1, "WA copy-out", func() error {
+			return m.machine.GPUs[0].CopyOut(p, m.perGPUWA)
 		})
 		if err != nil {
-			r.fail(err)
+			m.fail(err)
 			return
 		}
-		r.eng.opts.Trace.Add(trace.Span{GPU: 0, Stream: -1, Kind: trace.Sync, Page: -1, Level: r.curLevel, Start: t0, End: r.env.Now()})
+		m.eng.opts.Trace.Add(trace.Span{GPU: 0, Stream: -1, Kind: trace.Sync, Page: -1, Level: m.curLevel, Start: t0, End: m.env.Now()})
 		return
 	}
-	r.parallelGPUs(p, func(p *sim.Proc, i int) {
-		t0 := r.env.Now()
-		err := r.withRetry(p, i, -1, "WA copy-out", func() error {
-			return r.machine.GPUs[i].CopyOut(p, r.perGPUWA)
+	m.parallelGPUs(p, func(p *sim.Proc, i int) {
+		t0 := m.env.Now()
+		err := m.withRetry(p, i, -1, "WA copy-out", func() error {
+			return m.machine.GPUs[i].CopyOut(p, m.perGPUWA)
 		})
 		if err != nil {
-			r.fail(err)
+			m.fail(err)
 			return
 		}
-		r.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: r.curLevel, Start: t0, End: r.env.Now()})
+		m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: m.curLevel, Start: t0, End: m.env.Now()})
 	})
 }
 
 // stateFor returns the attribute state GPU i operates on.
-func (r *run) stateFor(i int) kernels.State {
-	if r.eng.opts.Strategy == StrategyP {
-		return r.states[i]
+func (m *member) stateFor(i int) kernels.State {
+	if m.eng.opts.Strategy == StrategyP {
+		return m.states[i]
 	}
-	return r.states[0]
+	return m.states[0]
 }
 
 // sync performs the end-of-superstep attribute synchronization across GPUs
 // (Fig. 5 steps 3-4). With one GPU there is nothing to merge; full-scan
 // iteration sync to the host is handled by endWave.
-func (r *run) sync(p *sim.Proc, level int32, bfsLike bool) {
-	nGPU := len(r.machine.GPUs)
+func (m *member) sync(p *sim.Proc, level int32, bfsLike bool) {
+	nGPU := len(m.machine.GPUs)
 	if nGPU < 2 {
 		return
 	}
-	switch r.eng.opts.Strategy {
+	switch m.eng.opts.Strategy {
 	case StrategyP:
 		// Peer-to-peer merge into the master GPU. Full-scan algorithms
 		// move the whole WA; traversal algorithms move only the entries
 		// they touched, which is why the paper's Eq. 2 has no sync term.
-		bytes := r.perGPUWA
+		bytes := m.perGPUWA
 		if bfsLike {
-			bytes = r.levelUpdates * r.waPerVertex
+			bytes = m.levelUpdates * m.waPerVertex
 		}
 		for i := 1; i < nGPU; i++ {
-			t0 := r.env.Now()
+			t0 := m.env.Now()
 			i := i
-			err := r.withRetry(p, i, -1, "peer WA merge", func() error {
-				return r.machine.GPUs[i].CopyPeer(p, r.machine.GPUs[0], bytes)
+			err := m.withRetry(p, i, -1, "peer WA merge", func() error {
+				return m.machine.GPUs[i].CopyPeer(p, m.machine.GPUs[0], bytes)
 			})
 			if err != nil {
-				r.fail(err)
+				m.fail(err)
 				return
 			}
-			r.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: level, Start: t0, End: r.env.Now()})
+			m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: level, Start: t0, End: m.env.Now()})
 		}
-		r.k.MergeStates(r.states)
+		m.k.MergeStates(m.states)
 	case StrategyS:
 		// WA chunks are disjoint; each GPU ships its local nextPIDSet (a
 		// page-count bit vector) back to the host for the global merge.
 		if bfsLike {
-			small := int64(r.eng.graph.NumPages()/8 + 1)
-			r.parallelGPUs(p, func(p *sim.Proc, i int) {
-				err := r.withRetry(p, i, -1, "nextPIDSet copy-out", func() error {
-					return r.machine.GPUs[i].CopyOut(p, small)
+			small := int64(m.eng.graph.NumPages()/8 + 1)
+			m.parallelGPUs(p, func(p *sim.Proc, i int) {
+				err := m.withRetry(p, i, -1, "nextPIDSet copy-out", func() error {
+					return m.machine.GPUs[i].CopyOut(p, small)
 				})
 				if err != nil {
-					r.fail(err)
+					m.fail(err)
 				}
 			})
 		}

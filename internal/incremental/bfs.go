@@ -211,16 +211,8 @@ func (k *IncBFS) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kerne
 }
 
 // RunSP implements the small-page kernel: expand pending frontier slots.
-func (k *IncBFS) RunSP(a *kernels.Args) kernels.Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: the frontier (this plan's pending
-// vertices at level cur) is phase-stable — applies this phase only write
-// level cur+1, which can never put a vertex onto the current frontier.
-func (k *IncBFS) GatherSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
-	return k.runSP(a, d)
-}
-
-func (k *IncBFS) runSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
+func (k *IncBFS) RunSP(a *kernels.Args) kernels.Result {
+	d := a.Deferred
 	s := a.State.(*incBFSState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -241,14 +233,8 @@ func (k *IncBFS) runSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
 }
 
 // RunLP implements the large-page kernel.
-func (k *IncBFS) RunLP(a *kernels.Args) kernels.Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *IncBFS) GatherLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
-	return k.runLP(a, d)
-}
-
-func (k *IncBFS) runLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
+func (k *IncBFS) RunLP(a *kernels.Args) kernels.Result {
+	d := a.Deferred
 	s := a.State.(*incBFSState)
 	vid, _ := a.Page.Slot(0)
 	var res kernels.Result
@@ -285,7 +271,9 @@ func (k *IncBFS) expand(a *kernels.Args, s *incBFSState, adj slottedpage.AdjView
 }
 
 // Apply implements GatherKernel: re-test and commit lowered levels in
-// recorded order.
+// recorded order. The frontier (this plan's pending vertices at level cur)
+// is phase-stable — applies this phase only write level cur+1, which can
+// never put a vertex onto the current frontier.
 func (k *IncBFS) Apply(a *kernels.Args, d *kernels.Deferred, res *kernels.Result) {
 	s := a.State.(*incBFSState)
 	for _, op := range d.Ops {

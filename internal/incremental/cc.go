@@ -161,16 +161,8 @@ func (k *IncCC) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernel
 
 // RunSP relaxes labels for scan-set slots, both directions, exactly as the
 // full CC's propagate does.
-func (k *IncCC) RunSP(a *kernels.Args) kernels.Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: candidates read prev (published at
-// plan time, stable all phase); min-writes to next are conditional-
-// monotone, so Apply's re-test reproduces the serial order.
-func (k *IncCC) GatherSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
-	return k.runSP(a, d)
-}
-
-func (k *IncCC) runSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
+func (k *IncCC) RunSP(a *kernels.Args) kernels.Result {
+	d := a.Deferred
 	s := a.State.(*incCCState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -191,14 +183,8 @@ func (k *IncCC) runSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
 }
 
 // RunLP relaxes one large vertex's page-local adjacency.
-func (k *IncCC) RunLP(a *kernels.Args) kernels.Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *IncCC) GatherLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
-	return k.runLP(a, d)
-}
-
-func (k *IncCC) runLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
+func (k *IncCC) RunLP(a *kernels.Args) kernels.Result {
+	d := a.Deferred
 	s := a.State.(*incCCState)
 	vid, _ := a.Page.Slot(0)
 	var res kernels.Result
@@ -238,6 +224,9 @@ func (k *IncCC) propagate(a *kernels.Args, s *incCCState, vid uint64, adj slotte
 }
 
 // Apply implements GatherKernel: commit still-smaller labels in order.
+// Candidates read prev (published at plan time, stable all phase) and the
+// min-writes to next are conditional-monotone, so the re-test here
+// reproduces the serial order.
 func (k *IncCC) Apply(a *kernels.Args, d *kernels.Deferred, res *kernels.Result) {
 	s := a.State.(*incCCState)
 	for _, op := range d.Ops {

@@ -41,8 +41,9 @@ func buildLPSpec(t testing.TB) string {
 
 // TestLargePageDeltaExpansion runs the full differential check on a graph
 // with large-page vertices: a bridge insert pulls hub B onto every
-// kernel's frontier, so the LP streaming paths (RunLP at one worker,
-// GatherLP under the parallel gather) execute for all three algorithms.
+// kernel's frontier, so the LP streaming paths (RunLP inline at one worker,
+// RunLP as a gather under the parallel path) execute for all three
+// algorithms.
 func TestLargePageDeltaExpansion(t *testing.T) {
 	spec := buildLPSpec(t)
 	h := newHarness(t, spec)

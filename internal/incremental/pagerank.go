@@ -238,15 +238,8 @@ func (k *IncPR) finishIteration(sts []kernels.State) {
 
 // RunSP scatters contributions from every slot of a marked page into
 // candidate accumulators, reading the patched input vector.
-func (k *IncPR) RunSP(a *kernels.Args) kernels.Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: contributions read only cur (stable
-// for the whole superstep) and the adds defer in adjacency order.
-func (k *IncPR) GatherSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
-	return k.runSP(a, d)
-}
-
-func (k *IncPR) runSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
+func (k *IncPR) RunSP(a *kernels.Args) kernels.Result {
+	d := a.Deferred
 	s := a.State.(*incPRState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -272,14 +265,8 @@ func (k *IncPR) runSP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
 
 // RunLP scatters one large vertex's page-local adjacency, dividing by the
 // vertex's total degree.
-func (k *IncPR) RunLP(a *kernels.Args) kernels.Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *IncPR) GatherLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
-	return k.runLP(a, d)
-}
-
-func (k *IncPR) runLP(a *kernels.Args, d *kernels.Deferred) kernels.Result {
+func (k *IncPR) RunLP(a *kernels.Args) kernels.Result {
+	d := a.Deferred
 	s := a.State.(*incPRState)
 	vid, _ := a.Page.Slot(0)
 	adj := a.Page.Adj(0)
@@ -311,6 +298,8 @@ func (k *IncPR) scatter(a *kernels.Args, s *incPRState, adj slottedpage.AdjView,
 }
 
 // Apply implements GatherKernel: replay the deferred adds in order.
+// Contributions read only cur (stable for the whole superstep) and were
+// deferred in adjacency order.
 func (k *IncPR) Apply(a *kernels.Args, d *kernels.Deferred, res *kernels.Result) {
 	s := a.State.(*incPRState)
 	for _, op := range d.Ops {

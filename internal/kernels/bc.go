@@ -96,17 +96,8 @@ func (k *BC) BeginBackward([]State, int32) {}
 
 // RunSP is the forward kernel: discover neighbors and accumulate shortest-
 // path counts across frontier edges.
-func (k *BC) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: the frontier check reads dist at the
-// current level and sigma adds read sigma of frontier vertices — neither is
-// mutated by same-phase applies (writes touch level+1 vertices only). A
-// neighbor's dist is in {unvisited, level+1} at gather iff it is at apply
-// (the only same-phase transition is unvisited→level+1), so Apply can
-// re-run the serial discover-then-accumulate pair exactly.
-func (k *BC) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *BC) runSP(a *Args, d *Deferred) Result {
+func (k *BC) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*bcState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -128,12 +119,8 @@ func (k *BC) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP is the forward kernel for a large vertex's page-local adjacency.
-func (k *BC) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *BC) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *BC) runLP(a *Args, d *Deferred) Result {
+func (k *BC) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*bcState)
 	vid, _ := a.Page.Slot(0)
 	var lanes laneAcc
@@ -172,7 +159,12 @@ func (k *BC) forward(a *Args, s *bcState, vid uint64, adj slottedpage.AdjView, l
 }
 
 // Apply implements GatherKernel: replay the serial discover/accumulate pair
-// per deferred edge against live state.
+// per deferred edge against live state. The gather is exact because the
+// frontier check reads dist at the current level and sigma adds read sigma
+// of frontier vertices — neither is mutated by same-phase applies (writes
+// touch level+1 vertices only) — and a neighbor's dist is in {unvisited,
+// level+1} at gather iff it is at apply (the only same-phase transition is
+// unvisited→level+1).
 func (k *BC) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*bcState)
 	level := int16(a.Level)
@@ -192,15 +184,8 @@ func (k *BC) Apply(a *Args, d *Deferred, res *Result) {
 // RunSPBack is the backward kernel: vertices at the current level pull
 // dependencies from their successors one level deeper (Brandes'
 // delta(v) = sum over successors w of sigma(v)/sigma(w) * (1 + delta(w))).
-func (k *BC) RunSPBack(a *Args) Result { return k.runSPBack(a, nil) }
-
-// GatherSPBack implements GatherBackwardKernel: the backward sweep reads
-// dist/sigma (frozen after the forward pass) and delta of level+1 vertices,
-// while it writes delta of level vertices — reads and writes are on
-// disjoint levels, so every term is phase-stable and defers exactly.
-func (k *BC) GatherSPBack(a *Args, d *Deferred) Result { return k.runSPBack(a, d) }
-
-func (k *BC) runSPBack(a *Args, d *Deferred) Result {
+func (k *BC) RunSPBack(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*bcState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -223,12 +208,8 @@ func (k *BC) runSPBack(a *Args, d *Deferred) Result {
 
 // RunLPBack is the backward kernel for a large vertex's page-local
 // adjacency.
-func (k *BC) RunLPBack(a *Args) Result { return k.runLPBack(a, nil) }
-
-// GatherLPBack implements GatherBackwardKernel.
-func (k *BC) GatherLPBack(a *Args, d *Deferred) Result { return k.runLPBack(a, d) }
-
-func (k *BC) runLPBack(a *Args, d *Deferred) Result {
+func (k *BC) RunLPBack(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*bcState)
 	vid, _ := a.Page.Slot(0)
 	var lanes laneAcc
@@ -258,7 +239,10 @@ func (k *BC) backward(a *Args, s *bcState, vid uint64, adj slottedpage.AdjView, 
 }
 
 // ApplyBack implements GatherBackwardKernel: replay the dependency adds in
-// recorded order.
+// recorded order. The backward sweep reads dist/sigma (frozen after the
+// forward pass) and delta of level+1 vertices while it writes delta of level
+// vertices — reads and writes are on disjoint levels, so every term is
+// phase-stable and defers exactly.
 func (k *BC) ApplyBack(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*bcState)
 	for _, op := range d.Ops {

@@ -59,14 +59,8 @@ func (k *BFS) BeginLevel([]State, int32) {}
 // RunSP implements K_BFS_SP (Algorithm 2): each warp takes one slot; if the
 // vertex is on the current frontier its adjacency expands, discovering
 // unvisited neighbors and marking their pages in the local nextPIDSet.
-func (k *BFS) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: the frontier check (lv == level) and
-// lane counts are phase-stable (same-phase writes only move vertices from
-// unvisited to level+1), so cycles and edges are exact; discoveries defer.
-func (k *BFS) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *BFS) runSP(a *Args, d *Deferred) Result {
+func (k *BFS) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*bfsState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -89,12 +83,8 @@ func (k *BFS) runSP(a *Args, d *Deferred) Result {
 
 // RunLP implements K_BFS_LP (Algorithm 3): the page holds one frontier
 // vertex's partial adjacency, expanded by many warps together.
-func (k *BFS) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *BFS) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *BFS) runLP(a *Args, d *Deferred) Result {
+func (k *BFS) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*bfsState)
 	vid, _ := a.Page.Slot(0)
 	var res Result
@@ -132,7 +122,9 @@ func (k *BFS) expand(a *Args, s *bfsState, adj slottedpage.AdjView, level int16,
 }
 
 // Apply implements GatherKernel: commit still-unvisited discoveries in
-// recorded order.
+// recorded order. The gathered cycles and edges are exact because the
+// frontier check (lv == level) and lane counts are phase-stable: same-phase
+// writes only move vertices from unvisited to level+1.
 func (k *BFS) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*bfsState)
 	for _, op := range d.Ops {

@@ -64,15 +64,8 @@ func (k *CC) BeginLevel([]State, int32) {}
 // RunSP propagates labels across each edge in both directions: the
 // neighbor inherits the vertex's label and vice versa, whichever is
 // smaller.
-func (k *CC) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: candidate labels read only prev
-// (stable per iteration); the min-writes to next are conditional-monotone,
-// so gather-time candidates are a superset of serial writes and Apply
-// re-tests against live state.
-func (k *CC) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *CC) runSP(a *Args, d *Deferred) Result {
+func (k *CC) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*ccState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -90,12 +83,8 @@ func (k *CC) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP propagates labels for one large vertex's page-local adjacency.
-func (k *CC) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *CC) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *CC) runLP(a *Args, d *Deferred) Result {
+func (k *CC) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*ccState)
 	vid, _ := a.Page.Slot(0)
 	adj := a.Page.Adj(0)
@@ -133,6 +122,9 @@ func (k *CC) propagate(a *Args, s *ccState, vid uint64, adj slottedpage.AdjView,
 }
 
 // Apply implements GatherKernel: commit the still-smaller labels in order.
+// Candidate labels read only prev (stable per iteration) and the min-writes
+// to next are conditional-monotone, so gather-time candidates are a superset
+// of the serial writes and the re-test here reproduces the serial decision.
 func (k *CC) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*ccState)
 	for _, op := range d.Ops {

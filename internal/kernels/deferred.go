@@ -12,12 +12,13 @@ package kernels
 //
 // The contract splits one page-kernel execution into two halves:
 //
-//   - Gather: compute the page against phase-start state WITHOUT mutating
-//     anything, recording intended attribute writes as Ops in a Deferred
-//     buffer. Gathers for different pages are independent and run
-//     concurrently. A gather must only read quantities that are stable for
-//     the whole phase (frontier membership, the read-only prev/RA vectors,
-//     lane counts) or emit candidate writes that Apply re-validates.
+//   - Gather (the page kernel called with Args.Deferred set): compute the
+//     page against phase-start state WITHOUT mutating anything, recording
+//     intended attribute writes as Ops in that Deferred buffer. Gathers for
+//     different pages are independent and run concurrently. A gather must
+//     only read quantities that are stable for the whole phase (frontier
+//     membership, the read-only prev/RA vectors, lane counts) or emit
+//     candidate writes that Apply re-validates.
 //   - Apply: commit one page's Ops in their recorded order, mutating state
 //     and NextPIDs exactly as the serial kernel would have, and
 //     accumulating the order-dependent Result fields (Updates, Active).
@@ -88,17 +89,18 @@ func (d *Deferred) push(op Op) { d.Ops = append(d.Ops, op) }
 // concurrently against phase-start state and commit through a deterministic
 // serial apply. The framework falls back to fully serial execution for
 // kernels that do not implement it.
+//
+// There is one entry per page kind: RunSP and RunLP are the gather when
+// Args.Deferred is set and the inline kernel when it is nil. As a gather
+// they must not mutate State or NextPIDs, appending deferred writes to
+// a.Deferred instead. The returned Result carries the phase-stable
+// quantities (Cycles, Edges where it counts scanned adjacency, and Active
+// where the serial kernel sets it unconditionally); Updates — and, for
+// kernels whose Edges follow the coverage convention (DirBFS) —
+// commit-gated Edges stay zero until Apply. Each kernel's Apply comment says
+// why its gather is stable.
 type GatherKernel interface {
 	Kernel
-	// GatherSP and GatherLP are the concurrent halves of RunSP/RunLP: they
-	// must not mutate State or NextPIDs, appending deferred writes to d
-	// instead. The returned Result carries the phase-stable quantities
-	// (Cycles, Edges where it counts scanned adjacency, and Active where
-	// the serial kernel sets it unconditionally); Updates — and, for
-	// kernels whose Edges follow the coverage convention (DirBFS) —
-	// commit-gated Edges stay zero until Apply.
-	GatherSP(a *Args, d *Deferred) Result
-	GatherLP(a *Args, d *Deferred) Result
 	// Apply commits one page's deferred writes in recorded order, mutating
 	// State and NextPIDs exactly as the serial kernel would, and
 	// accumulating Updates/Active into res.
@@ -106,11 +108,10 @@ type GatherKernel interface {
 }
 
 // GatherBackwardKernel extends the contract to a BackwardKernel's reverse
-// sweep (Betweenness Centrality's dependency accumulation).
+// sweep (Betweenness Centrality's dependency accumulation): RunSPBack and
+// RunLPBack honour Args.Deferred the same way.
 type GatherBackwardKernel interface {
 	BackwardKernel
-	GatherSPBack(a *Args, d *Deferred) Result
-	GatherLPBack(a *Args, d *Deferred) Result
 	ApplyBack(a *Args, d *Deferred, res *Result)
 }
 

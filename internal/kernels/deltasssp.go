@@ -131,13 +131,8 @@ func (k *DeltaSSSP) PlanLevel(sts []State, level int32, next *bitset.Set) Direct
 
 // RunSP relaxes the out-edges of the page's frontier vertices against the
 // plan's distance snapshot.
-func (k *DeltaSSSP) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: frontier flags and base distances are
-// frozen for the phase, so cycles and edges are exact; relaxations defer.
-func (k *DeltaSSSP) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *DeltaSSSP) runSP(a *Args, d *Deferred) Result {
+func (k *DeltaSSSP) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*deltaState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -158,12 +153,8 @@ func (k *DeltaSSSP) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP relaxes the page-local portion of one frontier vertex's adjacency.
-func (k *DeltaSSSP) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *DeltaSSSP) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *DeltaSSSP) runLP(a *Args, d *Deferred) Result {
+func (k *DeltaSSSP) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*deltaState)
 	vid, _ := a.Page.Slot(0)
 	var lanes laneAcc
@@ -206,7 +197,9 @@ func (k *DeltaSSSP) relax(a *Args, s *deltaState, vid uint64, adj slottedpage.Ad
 }
 
 // Apply implements GatherKernel: re-test each proposed distance against
-// live state and commit improvements in recorded order.
+// live state and commit improvements in recorded order. Frontier flags and
+// base distances are frozen for the phase, so the gathered cycles and edges
+// are exact.
 func (k *DeltaSSSP) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*deltaState)
 	for _, op := range d.Ops {

@@ -141,16 +141,8 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 }
 
 // RunSP implements Kernel, dispatching on the planned direction.
-func (k *DirBFS) RunSP(a *Args) Result { return k.dispatchSP(a, nil) }
-
-// GatherSP implements GatherKernel. Both directions are phase-stable: push
-// reads the frontier (this level's vertices, which no same-phase apply
-// writes); pull additionally reads each page-local vertex's own unvisited
-// flag, which only that page's apply flips — and each page gathers once
-// per phase.
-func (k *DirBFS) GatherSP(a *Args, d *Deferred) Result { return k.dispatchSP(a, d) }
-
-func (k *DirBFS) dispatchSP(a *Args, d *Deferred) Result {
+func (k *DirBFS) RunSP(a *Args) Result {
+	d := a.Deferred
 	if k.dir == DirPull {
 		return k.pullSP(a, d)
 	}
@@ -158,12 +150,8 @@ func (k *DirBFS) dispatchSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP implements Kernel.
-func (k *DirBFS) RunLP(a *Args) Result { return k.dispatchLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *DirBFS) GatherLP(a *Args, d *Deferred) Result { return k.dispatchLP(a, d) }
-
-func (k *DirBFS) dispatchLP(a *Args, d *Deferred) Result {
+func (k *DirBFS) RunLP(a *Args) Result {
+	d := a.Deferred
 	if k.dir == DirPull {
 		return k.pullLP(a, d)
 	}
@@ -292,7 +280,10 @@ func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes
 
 // Apply implements GatherKernel: commit still-unvisited discoveries in
 // recorded order, accruing coverage edges exactly as the serial commit
-// does.
+// does. Both directions gather phase-stable: push reads the frontier (this
+// level's vertices, which no same-phase apply writes); pull additionally
+// reads each page-local vertex's own unvisited flag, which only that page's
+// apply flips — and each page gathers once per phase.
 func (k *DirBFS) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*bfsState)
 	for _, op := range d.Ops {

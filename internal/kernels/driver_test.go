@@ -76,37 +76,35 @@ func driveMode(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64, gath
 				NextPIDs: local,
 				Scratch:  new(AdjScratch),
 			}
+			// One entry per page kind: the same call is the gather when
+			// Args.Deferred is set and the inline kernel when it is not.
+			gathering := gather && gk != nil
+			if backward {
+				gathering = gather && bgk != nil
+			}
+			if gathering {
+				d.Reset()
+				a.Deferred = d
+			}
 			var res Result
 			isLP := g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage
-			if backward {
-				if gather && bgk != nil {
-					d.Reset()
-					if isLP {
-						res = bgk.GatherLPBack(a, d)
-					} else {
-						res = bgk.GatherSPBack(a, d)
-					}
+			switch {
+			case backward && isLP:
+				res = k.(BackwardKernel).RunLPBack(a)
+			case backward:
+				res = k.(BackwardKernel).RunSPBack(a)
+			case isLP:
+				res = k.RunLP(a)
+			default:
+				res = k.RunSP(a)
+			}
+			if gathering {
+				a.Deferred = nil
+				if backward {
 					bgk.ApplyBack(a, d, &res)
 				} else {
-					bk := k.(BackwardKernel)
-					if isLP {
-						res = bk.RunLPBack(a)
-					} else {
-						res = bk.RunSPBack(a)
-					}
+					gk.Apply(a, d, &res)
 				}
-			} else if gather && gk != nil {
-				d.Reset()
-				if isLP {
-					res = gk.GatherLP(a, d)
-				} else {
-					res = gk.GatherSP(a, d)
-				}
-				gk.Apply(a, d, &res)
-			} else if isLP {
-				res = k.RunLP(a)
-			} else {
-				res = k.RunSP(a)
 			}
 			if res.Active {
 				active = true

@@ -93,13 +93,8 @@ func (k *RWR) Init(st State, source uint64) {
 func (k *RWR) BeginLevel([]State, int32) {}
 
 // RunSP scatters (1-c) * prev[v]/deg(v) along out-edges.
-func (k *RWR) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: contributions read only prev (stable
-// for the iteration); Apply replays the float32 adds in serial order.
-func (k *RWR) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *RWR) runSP(a *Args, d *Deferred) Result {
+func (k *RWR) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*rwrState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -124,12 +119,8 @@ func (k *RWR) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP scatters one large vertex's page-local portion.
-func (k *RWR) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *RWR) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *RWR) runLP(a *Args, d *Deferred) Result {
+func (k *RWR) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*rwrState)
 	vid, _ := a.Page.Slot(0)
 	adj := a.Page.Adj(0)
@@ -160,7 +151,9 @@ func (k *RWR) scatter(a *Args, s *rwrState, adj slottedpage.AdjView, contrib flo
 	}
 }
 
-// Apply implements GatherKernel.
+// Apply implements GatherKernel: contributions read only prev (stable for
+// the iteration), so they defer exactly; the float32 adds replay here in
+// serial order.
 func (k *RWR) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*rwrState)
 	for _, op := range d.Ops {
@@ -260,13 +253,8 @@ const (
 )
 
 // RunSP records each slot's ADJLIST_SZ.
-func (k *DegreeDist) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: degrees come straight from topology, so
-// every write defers unconditionally.
-func (k *DegreeDist) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *DegreeDist) runSP(a *Args, d *Deferred) Result {
+func (k *DegreeDist) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*degState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -290,12 +278,8 @@ func (k *DegreeDist) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP accumulates an LP run's page-local counts.
-func (k *DegreeDist) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *DegreeDist) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *DegreeDist) runLP(a *Args, d *Deferred) Result {
+func (k *DegreeDist) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*degState)
 	vid, _ := a.Page.Slot(0)
 	var res Result
@@ -313,7 +297,8 @@ func (k *DegreeDist) runLP(a *Args, d *Deferred) Result {
 	return res
 }
 
-// Apply implements GatherKernel.
+// Apply implements GatherKernel: degrees come straight from topology, so
+// every write defers unconditionally.
 func (k *DegreeDist) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*degState)
 	for _, op := range d.Ops {
@@ -440,13 +425,8 @@ func (k *KCore) BeginLevel(sts []State, _ int32) {
 }
 
 // RunSP counts alive neighbors across each edge in both directions.
-func (k *KCore) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: alive flags only change in
-// EndIteration, never mid-phase, so the tallies defer unconditionally.
-func (k *KCore) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *KCore) runSP(a *Args, d *Deferred) Result {
+func (k *KCore) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*kcoreState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -465,12 +445,8 @@ func (k *KCore) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP counts one large vertex's page-local adjacency.
-func (k *KCore) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *KCore) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *KCore) runLP(a *Args, d *Deferred) Result {
+func (k *KCore) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*kcoreState)
 	vid, _ := a.Page.Slot(0)
 	adj := a.Page.Adj(0)
@@ -505,7 +481,8 @@ func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, adj slottedpage.AdjVie
 	}
 }
 
-// Apply implements GatherKernel.
+// Apply implements GatherKernel: alive flags only change in EndIteration,
+// never mid-phase, so the tallies defer unconditionally.
 func (k *KCore) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*kcoreState)
 	for _, op := range d.Ops {

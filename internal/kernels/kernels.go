@@ -157,6 +157,12 @@ type Args struct {
 	// The engine points every Args it assembles at one buffer it keeps for
 	// the run, so steady state allocates nothing.
 	Scratch *AdjScratch
+	// Deferred, when non-nil, makes the call a gather (see deferred.go): a
+	// GatherKernel's page kernel then leaves State and NextPIDs alone and
+	// appends its intended writes here, decoding adjacency into this
+	// buffer's own scratch. Nil runs the kernel inline. The engine sets it
+	// only for kernels that implement GatherKernel.
+	Deferred *Deferred
 }
 
 // owns reports whether vertex v's attribute entry belongs to this GPU.

@@ -45,13 +45,8 @@ func (k *Neighborhood) BeginLevel([]State, int32) {}
 
 // RunSP expands frontier vertices but stops proposing pages once the next
 // level would exceed the hop cap.
-func (k *Neighborhood) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: same stability argument as BFS; the hop
-// cap is a constant, baked into the op's PID (-1 = outside the ball).
-func (k *Neighborhood) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *Neighborhood) runSP(a *Args, d *Deferred) Result {
+func (k *Neighborhood) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*bfsState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -73,12 +68,8 @@ func (k *Neighborhood) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP expands one large frontier vertex's page-local adjacency.
-func (k *Neighborhood) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *Neighborhood) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *Neighborhood) runLP(a *Args, d *Deferred) Result {
+func (k *Neighborhood) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*bfsState)
 	vid, _ := a.Page.Slot(0)
 	var lanes laneAcc
@@ -118,7 +109,8 @@ func (k *Neighborhood) expand(a *Args, s *bfsState, adj slottedpage.AdjView, lev
 	}
 }
 
-// Apply implements GatherKernel.
+// Apply implements GatherKernel: same stability argument as BFS; the hop
+// cap is a constant, baked into the op's PID (-1 = outside the ball).
 func (k *Neighborhood) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*bfsState)
 	for _, op := range d.Ops {
@@ -213,13 +205,8 @@ func (k *CrossEdges) Init(st State, _ uint64) {
 func (k *CrossEdges) BeginLevel([]State, int32) {}
 
 // RunSP tallies crossing edges for the page's vertices.
-func (k *CrossEdges) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: the bipartition predicate is pure, so
-// the tally is a function of topology alone — every increment defers.
-func (k *CrossEdges) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *CrossEdges) runSP(a *Args, d *Deferred) Result {
+func (k *CrossEdges) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*crossState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -238,12 +225,8 @@ func (k *CrossEdges) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP tallies one large vertex's page-local adjacency.
-func (k *CrossEdges) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *CrossEdges) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *CrossEdges) runLP(a *Args, d *Deferred) Result {
+func (k *CrossEdges) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*crossState)
 	vid, _ := a.Page.Slot(0)
 	adj := a.Page.Adj(0)
@@ -274,7 +257,8 @@ func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, adj slottedpage.A
 	}
 }
 
-// Apply implements GatherKernel.
+// Apply implements GatherKernel: the bipartition predicate is pure, so the
+// tally is a function of topology alone — every increment defers.
 func (k *CrossEdges) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*crossState)
 	for _, op := range d.Ops {

@@ -89,14 +89,8 @@ func (k *PageRank) BeginLevel([]State, int32) {}
 // RunSP implements K_PR_SP (Algorithm 4): each frontier-free full scan; a
 // warp takes one slot and atomically adds df*prevPR[v]/deg(v) to every
 // out-neighbor's nextPR.
-func (k *PageRank) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: contributions read only prevPR (stable
-// for the whole iteration), so they defer exactly; Apply replays the adds
-// in serial order, keeping float32 accumulation bit-identical.
-func (k *PageRank) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *PageRank) runSP(a *Args, d *Deferred) Result {
+func (k *PageRank) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*prState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -123,12 +117,8 @@ func (k *PageRank) runSP(a *Args, d *Deferred) Result {
 // RunLP implements K_PR_LP (Algorithm 5): the page holds part of one
 // vertex's adjacency; the contribution divides by the vertex's *total*
 // degree, not the page-local count.
-func (k *PageRank) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *PageRank) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *PageRank) runLP(a *Args, d *Deferred) Result {
+func (k *PageRank) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*prState)
 	vid, _ := a.Page.Slot(0)
 	adj := a.Page.Adj(0)
@@ -159,7 +149,9 @@ func (k *PageRank) scatter(a *Args, s *prState, adj slottedpage.AdjView, contrib
 	}
 }
 
-// Apply implements GatherKernel: replay the deferred adds in order.
+// Apply implements GatherKernel: replay the deferred adds in serial order,
+// keeping float32 accumulation bit-identical. Contributions read only prevPR
+// (stable for the whole iteration), so they defer exactly.
 func (k *PageRank) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*prState)
 	for _, op := range d.Ops {

@@ -115,15 +115,8 @@ func (k *Radius) Init(st State, _ uint64) {
 func (k *Radius) BeginLevel([]State, int32) {}
 
 // RunSP ORs each vertex's out-neighbors' sketches into its own.
-func (k *Radius) RunSP(a *Args) Result { return k.runSP(a, nil) }
-
-// GatherSP implements GatherKernel: the OR-in source (prev) is stable; the
-// "did the sketch grow" condition against next is conditional-monotone
-// (bits only set), so gather-time candidates are a superset of serial
-// writes and Apply recomputes the merge against live state.
-func (k *Radius) GatherSP(a *Args, d *Deferred) Result { return k.runSP(a, d) }
-
-func (k *Radius) runSP(a *Args, d *Deferred) Result {
+func (k *Radius) RunSP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*radiusState)
 	pg := a.Page
 	n := pg.NumSlots()
@@ -141,12 +134,8 @@ func (k *Radius) runSP(a *Args, d *Deferred) Result {
 }
 
 // RunLP handles one large vertex's page-local adjacency.
-func (k *Radius) RunLP(a *Args) Result { return k.runLP(a, nil) }
-
-// GatherLP implements GatherKernel.
-func (k *Radius) GatherLP(a *Args, d *Deferred) Result { return k.runLP(a, d) }
-
-func (k *Radius) runLP(a *Args, d *Deferred) Result {
+func (k *Radius) RunLP(a *Args) Result {
+	d := a.Deferred
 	s := a.State.(*radiusState)
 	vid, _ := a.Page.Slot(0)
 	adj := a.Page.Adj(0)
@@ -182,7 +171,10 @@ func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, adj slottedpage.Adj
 	}
 }
 
-// Apply implements GatherKernel: redo the merge against live sketches.
+// Apply implements GatherKernel: redo the merge against live sketches. The
+// OR-in source (prev) is stable; the "did the sketch grow" condition against
+// next is conditional-monotone (bits only set), so gather-time candidates
+// are a superset of the serial writes.
 func (k *Radius) Apply(a *Args, d *Deferred, res *Result) {
 	s := a.State.(*radiusState)
 	for _, op := range d.Ops {

@@ -46,10 +46,10 @@ func TestSchedulerFenceSplitsGenerations(t *testing.T) {
 	if st.Fences != 1 {
 		t.Fatalf("Fences = %d, want 1", st.Fences)
 	}
-	if st.Groups < 2 {
-		t.Fatalf("Groups = %d, want >= 2 (fence must split the generations)", st.Groups)
+	if st.WaveGroups < 2 {
+		t.Fatalf("WaveGroups = %d, want >= 2 (fence must split the generations)", st.WaveGroups)
 	}
-	if st.GroupJobs+st.SoloRuns != 2*perGen {
-		t.Fatalf("served %d jobs, want %d", st.GroupJobs+st.SoloRuns, 2*perGen)
+	if st.GroupJobs != 2*perGen {
+		t.Fatalf("served %d jobs, want %d", st.GroupJobs, 2*perGen)
 	}
 }

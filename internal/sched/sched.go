@@ -9,10 +9,10 @@
 // wave group on a System claimed from the pool; jobs that arrive while a
 // group is running join it at the next wave boundary through the group's
 // admit callback, so a busy scheduler keeps one group open continuously
-// instead of queueing convoy-style behind it. Members the shared machine
-// cannot fit (their WA would not fit even after dropping the page cache)
-// fall back to a private single-member run so they still honor per-job
-// fault plans and trace recorders.
+// instead of queueing convoy-style behind it. There is one run path: a
+// member the shared machine cannot fit (its WA would not fit even after
+// dropping the page cache) goes back to the head of the queue marked alone,
+// and the next group is that member by itself on a whole machine.
 //
 // Results do not depend on a job's company by construction — the engine
 // precomputes each member's functional kernel work against the member's own
@@ -27,30 +27,16 @@ import (
 	"time"
 
 	gts "repro"
-	"repro/internal/trace"
+	"repro/internal/core"
 )
 
 // ErrClosed reports a submission to a scheduler that has shut down.
 var ErrClosed = errors.New("sched: scheduler closed")
 
-// Job is one algorithm execution to coalesce into a wave group.
-type Job struct {
-	Kernel gts.Kernel
-	Source uint64
-	// Faults overrides the system's fault plan for this job (nil inherits).
-	Faults *gts.FaultPlan
-	// Trace, when non-nil, receives this job's spans (wave, copy, kernel).
-	Trace *trace.Recorder
-}
-
-// Result is a completed job's output.
-type Result struct {
-	State   gts.KernelState
-	Metrics gts.Metrics
-	// Shared reports whether the job ran inside a wave group (false: it was
-	// declined by the shared machine and ran as a private fallback).
-	Shared bool
-}
+// Job is one algorithm execution to coalesce into a wave group: the engine's
+// own job type. Faults overrides the system's fault plan for this job (nil
+// inherits); Trace, when non-nil, receives this job's spans.
+type Job = gts.SharedJob
 
 // Config tunes a Scheduler.
 type Config struct {
@@ -76,27 +62,50 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts a scheduler's lifetime activity. All byte figures come from
-// the engine's group accounting.
+// Stats is the sharing tally: a scheduler's lifetime activity, and (summed
+// with Add) a server's. All byte figures come from the engine's group
+// accounting.
 type Stats struct {
-	// Groups is how many wave groups ran; GroupJobs how many jobs they
-	// served; SoloRuns how many declined jobs fell back to private runs.
-	Groups    int64
-	GroupJobs int64
-	SoloRuns  int64
-	// Waves, PageCopies, SharedPageCopies, BytesSaved and BytesToGPU
-	// aggregate the groups' SharedStats.
-	Waves            int64
-	PageCopies       int64
-	SharedPageCopies int64
-	BytesSaved       int64
-	BytesToGPU       int64
+	// WaveGroups is how many wave groups ran and GroupJobs how many jobs
+	// they served. SoloFallbacks is how many members a group declined and the
+	// scheduler re-ran alone; each such re-run is itself a wave group of one.
+	WaveGroups    int64 `json:"wave_groups"`
+	GroupJobs     int64 `json:"group_jobs"`
+	SoloFallbacks int64 `json:"solo_fallbacks"`
+	// Waves counts superstep waves across groups; PageCopies host-to-device
+	// page transfers; SharedPageCopies the copies that served more than one
+	// member (the sharing win); BytesSaved and BytesToGPU the traffic
+	// avoided and paid.
+	Waves            int64 `json:"waves"`
+	PageCopies       int64 `json:"page_copies"`
+	SharedPageCopies int64 `json:"shared_page_copies"`
+	BytesSaved       int64 `json:"bytes_saved"`
+	BytesToGPU       int64 `json:"bytes_to_gpu"`
 	// Fences counts mutation boundaries declared via Fence.
-	Fences int64
+	Fences int64 `json:"-"`
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.WaveGroups += o.WaveGroups
+	s.GroupJobs += o.GroupJobs
+	s.SoloFallbacks += o.SoloFallbacks
+	s.Waves += o.Waves
+	s.PageCopies += o.PageCopies
+	s.SharedPageCopies += o.SharedPageCopies
+	s.BytesSaved += o.BytesSaved
+	s.BytesToGPU += o.BytesToGPU
+	s.Fences += o.Fences
+}
+
+// add folds one finished wave group's accounting into the tally.
+func (s *Stats) add(g gts.SharedStats) {
+	s.Add(Stats{WaveGroups: 1, GroupJobs: int64(g.Members), Waves: g.Waves, PageCopies: g.PageCopies,
+		SharedPageCopies: g.SharedPageCopies, BytesSaved: g.BytesSaved, BytesToGPU: g.BytesToGPU})
 }
 
 // AmortizedBytesPerJob is the mean host-to-device traffic per group-served
-// job across the scheduler's lifetime.
+// job.
 func (s Stats) AmortizedBytesPerJob() float64 {
 	if s.GroupJobs == 0 {
 		return 0
@@ -106,11 +115,13 @@ func (s Stats) AmortizedBytesPerJob() float64 {
 
 // pending is a submitted job waiting for (or riding in) a group.
 type pending struct {
-	job  Job
-	gen  uint64 // fence generation at submission
-	done chan struct{}
-	res  Result
-	err  error
+	job Job
+	ctx context.Context // the waiter's; once done nobody reads the result
+	gen uint64          // fence generation at submission
+	// alone marks a member a group declined: it runs next, by itself.
+	alone bool
+	done  chan struct{}
+	out   gts.SharedOutcome
 }
 
 // Scheduler coalesces jobs for one graph into wave groups over a
@@ -127,7 +138,6 @@ type Scheduler struct {
 	stats  Stats
 
 	dispatcher sync.WaitGroup // the dispatcher goroutine
-	solo       sync.WaitGroup // in-flight declined-job fallbacks
 }
 
 // New starts a scheduler over pool. Close must be called to stop it.
@@ -142,18 +152,19 @@ func New(pool *gts.SystemPool, cfg Config) *Scheduler {
 	return s
 }
 
-// Run submits job and blocks until it completes or ctx is done. A context
-// expiry abandons only the wait: the group keeps running its remaining
-// members and the abandoned job's result is discarded.
-func (s *Scheduler) Run(ctx context.Context, job Job) (Result, error) {
+// Run submits job and blocks until it completes or ctx is done. A job whose
+// context is done while it is still queued never runs; one already riding in
+// a group is only abandoned — the group keeps running its remaining members
+// and the abandoned job's result is discarded.
+func (s *Scheduler) Run(ctx context.Context, job Job) (*core.Report, error) {
 	if job.Kernel == nil {
-		return Result{}, errors.New("sched: job has no kernel")
+		return nil, errors.New("sched: job has no kernel")
 	}
-	p := &pending{job: job, done: make(chan struct{})}
+	p := &pending{job: job, ctx: ctx, done: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return Result{}, ErrClosed
+		return nil, ErrClosed
 	}
 	p.gen = s.gen
 	s.queue = append(s.queue, p)
@@ -162,9 +173,12 @@ func (s *Scheduler) Run(ctx context.Context, job Job) (Result, error) {
 
 	select {
 	case <-p.done:
-		return p.res, p.err
+		if p.out.Err != nil {
+			return nil, p.out.Err
+		}
+		return &p.out.Report, nil
 	case <-ctx.Done():
-		return Result{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -179,17 +193,10 @@ func (s *Scheduler) Stats() Stats {
 // with ErrClosed. Safe to call more than once.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.dispatcher.Wait()
-		s.solo.Wait()
-		return
-	}
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.dispatcher.Wait()
-	s.solo.Wait()
 }
 
 // dispatch is the scheduler's single control loop. While a group runs, new
@@ -201,18 +208,19 @@ func (s *Scheduler) dispatch() {
 		for len(s.queue) == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		if len(s.queue) == 0 && s.closed {
+		if len(s.queue) == 0 { // closed and drained
 			s.mu.Unlock()
 			return
 		}
-		closed := s.closed
-		s.mu.Unlock()
-
 		// Batch window: give concurrent submitters a moment to pile on so
-		// the group forms as large as possible. Skipped when draining.
-		if s.cfg.Hold > 0 && !closed {
-			time.Sleep(s.cfg.Hold)
+		// the group forms as large as possible. Skipped when draining, and
+		// for a declined member, which takes no company.
+		hold := s.cfg.Hold
+		if s.closed || s.queue[0].alone {
+			hold = 0
 		}
+		s.mu.Unlock()
+		time.Sleep(hold)
 		s.runGroup()
 	}
 }
@@ -229,17 +237,23 @@ func (s *Scheduler) Fence() {
 	s.mu.Unlock()
 }
 
-// takeHead removes up to n queued jobs of the head job's generation and
-// reports that generation. A fence in the middle of the queue cuts the
-// batch short; the later-generation jobs form their own group next round.
-func (s *Scheduler) takeHead(n int) ([]*pending, uint64) {
+// takeHead removes the next group's initial members from the queue: the
+// head job by itself when a group declined it, otherwise up to n jobs of the
+// head job's generation (a fence in the middle of the queue cuts the batch
+// short; the later-generation jobs form their own group next round).
+func (s *Scheduler) takeHead(n int) (batch []*pending, gen uint64, alone bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.dropAbandonedLocked()
 	if len(s.queue) == 0 {
-		return nil, 0
+		return nil, 0, false
 	}
-	gen := s.queue[0].gen
-	return s.takeLocked(n, gen), gen
+	head := s.queue[0]
+	if head.alone {
+		s.queue = s.queue[1:]
+		return []*pending{head}, head.gen, true
+	}
+	return s.takeLocked(n, head.gen), head.gen, false
 }
 
 // take removes up to n queued jobs matching generation gen — the admission
@@ -247,125 +261,103 @@ func (s *Scheduler) takeHead(n int) ([]*pending, uint64) {
 func (s *Scheduler) take(n int, gen uint64) []*pending {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.dropAbandonedLocked()
 	return s.takeLocked(n, gen)
 }
 
+// dropAbandonedLocked removes the queued jobs whose waiter has gone: Run has
+// returned their context's error, so streaming a run for them would serve
+// nobody. Callers hold s.mu.
+func (s *Scheduler) dropAbandonedLocked() {
+	live := s.queue[:0]
+	for _, p := range s.queue {
+		if p.ctx.Err() == nil {
+			live = append(live, p)
+		}
+	}
+	clear(s.queue[len(live):])
+	s.queue = live
+}
+
 // takeLocked removes the longest prefix (≤ n) of the queue whose jobs all
-// carry generation gen. Callers hold s.mu.
+// carry generation gen and were not declined by a group (those take no
+// company). Callers hold s.mu.
 func (s *Scheduler) takeLocked(n int, gen uint64) []*pending {
 	k := 0
-	for k < len(s.queue) && k < n && s.queue[k].gen == gen {
+	for k < len(s.queue) && k < n && s.queue[k].gen == gen && !s.queue[k].alone {
 		k++
-	}
-	if k == 0 {
-		return nil
 	}
 	batch := s.queue[:k:k]
 	s.queue = append([]*pending(nil), s.queue[k:]...)
 	return batch
 }
 
+// jobsOf lists the engine jobs of ps, in order.
+func jobsOf(ps []*pending) []Job {
+	jobs := make([]Job, len(ps))
+	for i, p := range ps {
+		jobs[i] = p.job
+	}
+	return jobs
+}
+
 // runGroup claims a System and runs one wave group to completion, admitting
-// late arrivals at wave boundaries. Declined members re-run privately.
+// late arrivals at wave boundaries. A member the group declined goes back to
+// the head of the queue to run alone; one declined even alone fails with
+// ErrWontFit.
 func (s *Scheduler) runGroup() {
-	members, gen := s.takeHead(s.cfg.MaxGroup)
+	members, gen, alone := s.takeHead(s.cfg.MaxGroup)
 	if len(members) == 0 {
 		return
 	}
+	// A lone declined member gets no admit callback: the engine then holds
+	// no device memory back for joiners.
+	var admit func() []Job
+	if !alone {
+		admit = func() []Job {
+			joiners := s.take(s.cfg.MaxGroup-len(members), gen)
+			members = append(members, joiners...)
+			return jobsOf(joiners)
+		}
+	}
+	var outs []gts.SharedOutcome
+	var group gts.SharedStats
 	sys, err := s.pool.Acquire(context.Background())
-	if err != nil { // pool context is never cancelled; defensive
-		for _, p := range members {
-			p.err = err
-			close(p.done)
-		}
-		return
+	if err == nil { // the pool's context is never cancelled; defensive
+		outs, group, err = sys.RunShared(jobsOf(members), admit)
+		s.pool.Release(sys)
 	}
-
-	jobs := make([]gts.SharedJob, len(members))
-	for i, p := range members {
-		jobs[i] = gts.SharedJob{Kernel: p.job.Kernel, Source: p.job.Source, Faults: p.job.Faults, Trace: p.job.Trace}
-	}
-	admit := func() []gts.SharedJob {
-		joiners := s.take(s.cfg.MaxGroup-len(members), gen)
-		if len(joiners) == 0 {
-			return nil
-		}
-		members = append(members, joiners...)
-		out := make([]gts.SharedJob, len(joiners))
-		for i, p := range joiners {
-			out[i] = gts.SharedJob{Kernel: p.job.Kernel, Source: p.job.Source, Faults: p.job.Faults, Trace: p.job.Trace}
-		}
-		return out
-	}
-	outs, stats, err := sys.RunShared(jobs, admit)
-	s.pool.Release(sys)
-
 	if err != nil {
 		for _, p := range members {
-			p.err = err
+			p.out.Err = err
 			close(p.done)
 		}
 		return
 	}
-
-	s.mu.Lock()
-	s.stats.Groups++
-	s.stats.GroupJobs += int64(stats.Members)
-	s.stats.Waves += stats.Waves
-	s.stats.PageCopies += stats.PageCopies
-	s.stats.SharedPageCopies += stats.SharedPageCopies
-	s.stats.BytesSaved += stats.BytesSaved
-	s.stats.BytesToGPU += stats.BytesToGPU
-	s.mu.Unlock()
 
 	// Outcomes pair with members by admission order (RunShared's contract).
+	var declined []*pending
+	finished := members[:0]
 	for i, p := range members {
-		o := outs[i]
-		switch {
-		case o.Declined:
-			s.solo.Add(1)
-			go func(p *pending) {
-				defer s.solo.Done()
-				s.runSolo(p)
-			}(p)
-		case o.Err != nil:
-			p.err = o.Err
-			close(p.done)
-		default:
-			p.res = Result{State: o.State, Metrics: o.Metrics, Shared: true}
-			close(p.done)
+		p.out = outs[i]
+		if p.out.Declined && !alone {
+			p.alone = true
+			declined = append(declined, p)
+			continue
 		}
+		if p.out.Declined {
+			p.out.Err = gts.ErrWontFit
+		}
+		finished = append(finished, p)
 	}
-}
-
-// runSolo serves one declined job on its own System as a single-member
-// group: a group of one shares nothing but keeps the per-job fault and
-// trace semantics, and its WA gets the whole machine to itself.
-func (s *Scheduler) runSolo(p *pending) {
-	defer close(p.done)
+	// Count the group before releasing its waiters, so a caller that reads
+	// Stats right after Run returns finds its job counted.
 	s.mu.Lock()
-	s.stats.SoloRuns++
+	s.stats.add(group)
+	s.stats.SoloFallbacks += int64(len(declined))
+	s.queue = append(declined, s.queue...)
 	s.mu.Unlock()
-	sys, err := s.pool.Acquire(context.Background())
-	if err != nil {
-		p.err = err
-		return
-	}
-	defer s.pool.Release(sys)
-	outs, _, err := sys.RunShared([]gts.SharedJob{{
-		Kernel: p.job.Kernel, Source: p.job.Source, Faults: p.job.Faults, Trace: p.job.Trace,
-	}}, nil)
-	if err != nil {
-		p.err = err
-		return
-	}
-	o := outs[0]
-	switch {
-	case o.Declined:
-		p.err = gts.ErrWontFit
-	case o.Err != nil:
-		p.err = o.Err
-	default:
-		p.res = Result{State: o.State, Metrics: o.Metrics}
+	for _, p := range finished {
+		close(p.done)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	gts "repro"
+	"repro/internal/core"
 	"repro/internal/graphgen"
 	"repro/internal/kernels"
 	"repro/internal/sched"
@@ -45,7 +46,7 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 	s := newSched(t, g, gts.Config{}, sched.Config{Hold: 20 * time.Millisecond})
 
 	const n = 16
-	results := make([]sched.Result, n)
+	results := make([]*core.Report, n)
 	errs := make([]error, n)
 	kerns := make([]*kernels.BFS, n)
 	var wg sync.WaitGroup
@@ -65,23 +66,16 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 
 	d, _ := graphgen.ByName("RMAT27")
 	raw := d.MustGenerate(27 - 11) // testGraph's edge list
-	sharedCount := 0
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("job %d: %v", i, errs[i])
-		}
-		if results[i].Shared {
-			sharedCount++
 		}
 		if !reflect.DeepEqual(kerns[i].Levels(results[i].State), verify.BFS(raw, uint32(i*128))) {
 			t.Errorf("job %d differs from the reference traversal", i)
 		}
 	}
-	if sharedCount == 0 {
-		t.Error("no job was served by a wave group")
-	}
 	st := s.Stats()
-	if st.Groups == 0 || st.GroupJobs == 0 {
+	if st.WaveGroups == 0 || st.GroupJobs != n || st.SoloFallbacks != 0 {
 		t.Errorf("stats = %+v, want grouped work", st)
 	}
 	if st.GroupJobs > 1 && st.SharedPageCopies == 0 {
@@ -141,7 +135,7 @@ func TestSchedulerPerJobTrace(t *testing.T) {
 }
 
 // TestSchedulerContextCancel: an expired context abandons the wait without
-// sinking the scheduler.
+// sinking the scheduler, and a job abandoned while still queued never runs.
 func TestSchedulerContextCancel(t *testing.T) {
 	g := testGraph(t)
 	s := newSched(t, g, gts.Config{}, sched.Config{Hold: 50 * time.Millisecond})
@@ -154,6 +148,11 @@ func TestSchedulerContextCancel(t *testing.T) {
 	// The scheduler still serves later jobs.
 	if _, err := s.Run(context.Background(), sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); err != nil {
 		t.Fatal(err)
+	}
+	// Close drains the queue, so whatever was going to run has run.
+	s.Close()
+	if st := s.Stats(); st.GroupJobs != 1 {
+		t.Errorf("GroupJobs = %d, want 1: a whole run was streamed for the cancelled waiter", st.GroupJobs)
 	}
 }
 

@@ -12,13 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
-// plan is one resolved execution: the kernel to run and the decoder that
-// assembles the algorithm's public result struct from the finished state
-// (bound to that kernel instance). The remaining fields are set only by the
-// incremental planner (incremental.go).
+// plan is one resolved execution: the scheduler job (kernel and source; the
+// pipeline adds the recorder) and the decoder that assembles the algorithm's
+// public result struct from the finished state (bound to that kernel
+// instance). The remaining fields are set only by the incremental planner
+// (incremental.go).
 type plan struct {
-	kernel gts.Kernel
-	source uint64
+	job    sched.Job
 	decode func(gts.KernelState, gts.Metrics) any
 	// capture, when non-nil, retains the completed run (its decoded output
 	// and metrics) for later incremental requests.
@@ -60,7 +60,7 @@ func (s *Server) execute(job *Job) {
 	// Request-scoped tracing: the job's spans go to a recorder of its own,
 	// which is stored even for failed runs — a timeline that ends mid-fault
 	// is the one worth looking at.
-	sj := sched.Job{Kernel: pl.kernel, Source: pl.source}
+	sj := pl.job
 	if s.traces != nil {
 		sj.Trace = trace.NewWithID(job.id)
 		if pl.hit {
@@ -134,8 +134,8 @@ func resolve(job *Job) plan {
 	if retained && cfg.GPUs <= 1 {
 		return planIncremental(entry, g, cfg, job.algo, req)
 	}
-	k, source, decode := job.algo.kernel(g, cfg, req.Params)
-	pl := plan{kernel: k, source: source, decode: decode}
+	var pl plan
+	pl.job.Kernel, pl.job.Source, pl.decode = job.algo.kernel(g, cfg, req.Params)
 	if retained && req.Incremental {
 		// Multi-GPU replicas merge state in ways the delta planners do not
 		// model: refuse, and retain nothing.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	gts "repro"
@@ -59,8 +60,11 @@ type graphEntry struct {
 	// sched runs the graph's jobs, coalescing concurrent ones into shared
 	// wave groups (nil only on a placeholder entry that is still loading).
 	sched *sched.Scheduler
-	// mg is the mutable backing (nil for immutable graphs).
-	mg *gts.MutableGraph
+	// mg is the mutable backing (nil for immutable graphs). commit, carried
+	// with it from entry to entry, serializes ingest's commit + republish:
+	// the registry's epoch and the WAL's advance together.
+	mg     *gts.MutableGraph
+	commit *sync.Mutex
 	// inc is the retained-state store for incremental recompute (nil
 	// unless Config.Incremental and the graph is mutable). It is carried
 	// across ingest republishes — the commit hook migrates its chain — and
@@ -108,6 +112,42 @@ func effectiveHostWorkers(cfg gts.Config) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// publish puts next, which must have its pool, into service: it gets a
+// wave-group scheduler, becomes the entry under its name, and the entry it
+// replaces has its scheduler drained off the lock (jobs already inside it
+// finish against the old entry; Shutdown waits for the drain). With old
+// non-nil the swap happens only while old is still the registered entry.
+func (s *Server) publish(next, old *graphEntry) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrShuttingDown
+	}
+	prev := s.graphs[next.name]
+	if old != nil && prev != old {
+		return fmt.Errorf("%w: %q was reloaded meanwhile", ErrGraphNotReady, next.name)
+	}
+	next.sched = sched.New(next.pool, sched.Config{})
+	next.state.store(GraphServing)
+	s.graphs[next.name] = next
+	s.retire(prev)
+	return nil
+}
+
+// retire drains a replaced entry's scheduler in the background. Callers hold
+// s.mu and have checked !s.closed, which is what lets Shutdown wait on
+// retiring without racing an Add.
+func (s *Server) retire(e *graphEntry) {
+	if e == nil || e.sched == nil {
+		return
+	}
+	s.retiring.Add(1)
+	go func() {
+		defer s.retiring.Done()
+		e.sched.Close()
+	}()
+}
+
 // AddGraph registers a pre-built engine pool under name. The pool's graph
 // must not be mutated afterwards (slotted-page graphs are immutable once
 // built). Re-registering a name replaces the previous graph and, via the
@@ -119,20 +159,10 @@ func (s *Server) AddGraph(name string, pool *gts.SystemPool) error {
 		return fmt.Errorf("service: AddGraph needs a name and a pool")
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrShuttingDown
-	}
 	s.nextGen++
-	entry := &graphEntry{name: name, gen: s.nextGen, pool: pool, sched: sched.New(pool, sched.Config{})}
-	entry.state.store(GraphServing)
-	if old := s.graphs[name]; old != nil && old.sched != nil {
-		// Drain the replaced graph's scheduler off the lock; in-flight jobs
-		// against the old entry still complete through it.
-		go old.sched.Close()
-	}
-	s.graphs[name] = entry
-	return nil
+	gen := s.nextGen
+	s.mu.Unlock()
+	return s.publish(&graphEntry{name: name, gen: gen, pool: pool}, nil)
 }
 
 // LoadMutableGraph opens spec as a crash-recoverable mutable graph whose
@@ -158,12 +188,9 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 	} else {
 		placeholder.state.store(GraphLoading)
 	}
-	prev := s.graphs[name]
+	s.retire(s.graphs[name])
 	s.graphs[name] = placeholder
 	s.mu.Unlock()
-	if prev != nil && prev.sched != nil {
-		go prev.sched.Close()
-	}
 
 	fail := func(err error) error {
 		s.mu.Lock()
@@ -185,7 +212,7 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 		mg.Close()
 		return fail(err)
 	}
-	entry := &graphEntry{name: name, gen: placeholder.gen, epoch: mg.Epoch(), pool: pool, mg: mg, sched: sched.New(pool, sched.Config{})}
+	entry := &graphEntry{name: name, gen: placeholder.gen, epoch: mg.Epoch(), pool: pool, mg: mg, commit: new(sync.Mutex)}
 	if s.cfg.Incremental {
 		// A fresh store per load: recovery discards every pre-crash entry
 		// by construction (epoch-mismatch safety without trusting the
@@ -197,18 +224,10 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 		})
 		entry.inc = inc
 	}
-	entry.state.store(GraphServing)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if err := s.publish(entry, placeholder); err != nil {
 		mg.Close()
-		entry.sched.Close()
-		return ErrShuttingDown
+		return fail(err)
 	}
-	if s.graphs[name] == placeholder {
-		s.graphs[name] = entry
-	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -218,18 +237,23 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 // (stale frames invalidated via AdvanceEpoch), a fresh wave-group
 // scheduler (the old one is fenced and drained), and a new cache-key
 // epoch so no stale result or old-epoch leader can serve new-epoch jobs.
+// Concurrent ingests on one graph take turns through commit + republish, so
+// every acknowledged batch is in the published snapshot.
 func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error) {
-	s.mu.Lock()
-	entry, ok := s.graphs[name]
-	s.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownGraph, name)
+	entry, err := s.ingestTarget(name)
+	if err != nil {
+		return 0, err
 	}
-	if entry.mg == nil {
-		return 0, fmt.Errorf("%w: %q", ErrImmutableGraph, name)
+	// Take the graph's commit lock, then read the entry again: the one read
+	// above may have been republished by the ingest that held the lock.
+	commit := entry.commit
+	commit.Lock()
+	defer commit.Unlock()
+	if entry, err = s.ingestTarget(name); err != nil {
+		return 0, err
 	}
-	if st := entry.state.load(); st != GraphServing {
-		return 0, fmt.Errorf("%w: %q is %s", ErrGraphNotReady, name, st)
+	if entry.commit != commit {
+		return 0, fmt.Errorf("%w: %q was reloaded meanwhile", ErrGraphNotReady, name)
 	}
 	epoch, err = entry.mg.Ingest(ops)
 	if err != nil {
@@ -254,18 +278,30 @@ func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error)
 		entry.state.store(GraphDegraded)
 		return epoch, fmt.Errorf("service: batch %d committed but pool rebuild failed: %w", epoch, perr)
 	}
-	next := &graphEntry{name: name, gen: entry.gen, epoch: epoch, pool: pool, mg: entry.mg, inc: entry.inc, sched: sched.New(pool, sched.Config{})}
-	next.state.store(GraphServing)
-	s.mu.Lock()
-	if s.graphs[name] == entry {
-		s.graphs[name] = next
+	next := &graphEntry{name: name, gen: entry.gen, epoch: epoch, pool: pool, mg: entry.mg, commit: commit, inc: entry.inc}
+	// A server that closed meanwhile serves no more queries; the batch is
+	// durable all the same, so the ingest still succeeded.
+	if err := s.publish(next, entry); err != nil && !errors.Is(err, ErrShuttingDown) {
+		return epoch, fmt.Errorf("service: batch %d committed but not published: %w", epoch, err)
 	}
-	s.mu.Unlock()
-	// Jobs already inside the old scheduler finish against the old snapshot
-	// (their results are keyed to the old epoch and stay correct); Close
-	// drains them off the lock.
-	go entry.sched.Close()
 	return epoch, nil
+}
+
+// ingestTarget looks up the entry an ingest on name would commit against.
+func (s *Server) ingestTarget(name string) (*graphEntry, error) {
+	s.mu.Lock()
+	entry, ok := s.graphs[name]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownGraph, name)
+	}
+	if entry.mg == nil {
+		return nil, fmt.Errorf("%w: %q", ErrImmutableGraph, name)
+	}
+	if st := entry.state.load(); st != GraphServing {
+		return nil, fmt.Errorf("%w: %q is %s", ErrGraphNotReady, name, st)
+	}
+	return entry, nil
 }
 
 // GraphHealth is one graph's /healthz row.

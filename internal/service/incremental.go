@@ -5,6 +5,7 @@ import (
 
 	gts "repro"
 	"repro/internal/incremental"
+	"repro/internal/sched"
 )
 
 // This file is the incremental planner: it resolves a job against the
@@ -53,13 +54,13 @@ func planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, a algorith
 	var traj func() [][]float32
 	if req.Algo == "pagerank" {
 		rk := incremental.NewRecordingPageRank(g, p.Damping, p.Iterations)
-		pl.kernel = rk
+		pl.job.Kernel = rk
 		pl.decode = func(st gts.KernelState, m gts.Metrics) any {
 			return &gts.PageRankResult{Metrics: m, Ranks: rk.Ranks(st)}
 		}
 		traj = func() [][]float32 { return rk.Traj }
 	} else {
-		pl.kernel, pl.source, pl.decode = a.kernel(g, cfg, p)
+		pl.job.Kernel, pl.job.Source, pl.decode = a.kernel(g, cfg, p)
 	}
 	pl.capture = retain(entry, key, req.Algo, p, -1, traj)
 	return pl
@@ -68,7 +69,7 @@ func planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, a algorith
 // deltaPlan plans a delta-expansion kernel for one algorithm, or reports
 // why it cannot be exact.
 func deltaPlan(entry *graphEntry, g *gts.Graph, key, algo string, p Params, prior *incremental.Entry, delta incremental.Delta) (plan, string) {
-	pl := plan{source: p.Source, hit: true, priorFull: prior.FullPages}
+	pl := plan{job: sched.Job{Source: p.Source}, hit: true, priorFull: prior.FullPages}
 	var traj func() [][]float32
 	switch algo {
 	case "bfs":
@@ -79,7 +80,7 @@ func deltaPlan(entry *graphEntry, g *gts.Graph, key, algo string, p Params, prio
 		if reason != "" {
 			return plan{}, reason
 		}
-		pl.kernel, pl.seeds = k, k.Seeds
+		pl.job.Kernel, pl.seeds = k, k.Seeds
 		pl.decode = func(st gts.KernelState, m gts.Metrics) any {
 			return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
 		}
@@ -88,7 +89,7 @@ func deltaPlan(entry *graphEntry, g *gts.Graph, key, algo string, p Params, prio
 		if reason != "" {
 			return plan{}, reason
 		}
-		pl.kernel, pl.seeds = k, k.Seeds
+		pl.job.Kernel, pl.seeds = k, k.Seeds
 		pl.decode = func(st gts.KernelState, m gts.Metrics) any {
 			return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
 		}
@@ -97,7 +98,7 @@ func deltaPlan(entry *graphEntry, g *gts.Graph, key, algo string, p Params, prio
 		if reason != "" {
 			return plan{}, reason
 		}
-		pl.kernel, pl.seeds = k, k.Seeds
+		pl.job.Kernel, pl.seeds = k, k.Seeds
 		pl.decode = func(st gts.KernelState, m gts.Metrics) any {
 			return &gts.PageRankResult{Metrics: m, Ranks: k.Ranks(st)}
 		}

@@ -2,12 +2,15 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -281,6 +284,68 @@ func TestIngestEpochNoCrossEpochCoalescing(t *testing.T) {
 	if st.IngestBatches != 1 || st.IngestEdges != 2 || st.Epochs["mut"] != 1 {
 		t.Fatalf("ingest stats = batches %d edges %d epoch %d", st.IngestBatches, st.IngestEdges, st.Epochs["mut"])
 	}
+}
+
+// TestConcurrentIngestPublishesEveryBatch: N ingests racing on one graph all
+// succeed, and every one of them is then in the snapshot queries run against
+// — the registry's epoch has advanced with the WAL's, each acknowledged edge
+// is one hop from its source — and the schedulers of the epochs they replaced
+// are gone once the server has closed.
+func TestConcurrentIngestPublishesEveryBatch(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	srv := service.New(service.Config{Workers: 2})
+	if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "race.wal"), gts.Config{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	bfs := func(src uint64) []int16 {
+		t.Helper()
+		job, err := srv.Run(context.Background(), service.Request{Graph: "mut", Algo: "bfs", Params: service.Params{Source: src}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := job.Result()
+		return res.Output.(*gts.BFSResult).Levels
+	}
+	// One new edge per ingester: from its own source to a vertex that source
+	// does not reach in one hop today.
+	const n = 4
+	ops := make([]gts.EdgeOp, n)
+	for i := range ops {
+		ops[i].Src = uint64(10 * (i + 1))
+		for v, lv := range bfs(ops[i].Src) {
+			if lv != 0 && lv != 1 {
+				ops[i].Dst = uint64(v)
+				break
+			}
+		}
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = srv.Ingest("mut", ops[i:i+1])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	if published, wal := srv.Graphs()[0].Epoch, srv.Health()[0].Epoch; published != n || wal != n {
+		t.Errorf("published epoch %d, WAL epoch %d, want both %d", published, wal, n)
+	}
+	for i, op := range ops {
+		if lv := bfs(op.Src)[op.Dst]; lv != 1 {
+			t.Errorf("ingest %d was acknowledged but BFS from %d puts %d at level %d, want 1", i, op.Src, op.Dst, lv)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= goroutines }, "the replaced epochs' schedulers to stop")
 }
 
 // TestHTTPOversizedBodyRejected: every handler that decodes a body stops

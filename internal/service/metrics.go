@@ -9,6 +9,7 @@ import (
 
 	gts "repro"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -20,40 +21,15 @@ type algoMetrics struct {
 	latency obs.Histogram // per-job wall latency, cache hits included
 }
 
-// metrics is the server's observability state. The counters are guarded by
-// one mutex (observation paths are short and the contention is dwarfed by
-// the runs themselves); the latency distributions live in mergeable
-// log-bucketed obs.Histograms, which carry their own locks.
+// metrics is the server's observability state. The counters live in one
+// Stats value — the same one a snapshot copies — guarded by one mutex
+// (observation paths are short and the contention is dwarfed by the runs
+// themselves); the latency distributions live in mergeable log-bucketed
+// obs.Histograms, which carry their own locks.
 type metrics struct {
-	mu        sync.Mutex
-	submitted uint64
-	completed uint64
-	failed    uint64
-	rejected  uint64
-	timedOut  uint64
-	// coalesced counts submissions answered by piggybacking on an identical
-	// in-flight job (single-flight dedup) instead of computing again.
-	coalesced uint64
-	inFlight  int64
-	// faults accumulates the engine's fault-injection and recovery
-	// counters across runs; hwFailures counts jobs abandoned because a
-	// hardware fault persisted beyond the engine's retry budget.
-	faults     gts.FaultStats
-	hwFailures uint64
-	// ingestBatches/ingestEdges count committed mutation batches and the
-	// edge ops they carried; ingestFailures counts batches that errored
-	// (including injected crashes).
-	ingestBatches  uint64
-	ingestEdges    uint64
-	ingestFailures uint64
-	// incHits/incFallbacks count requests served from retained epoch state
-	// vs. requests that asked for incremental but fell back to a full run;
-	// incSaved accumulates page-scans avoided relative to from-scratch
-	// cost.
-	incHits      uint64
-	incFallbacks uint64
-	incSaved     uint64
-	perAlgo      map[string]*algoMetrics
+	mu      sync.Mutex
+	st      Stats // the counter fields only; Server.Stats fills in the gauges
+	perAlgo map[string]*algoMetrics
 
 	// queueWait is dequeue-time minus submission for every job that went
 	// through the queue; runWall the engine compute time of computed jobs.
@@ -74,14 +50,14 @@ func (m *metrics) algo(name string) *algoMetrics {
 	return a
 }
 
-func (m *metrics) addSubmitted() { m.mu.Lock(); m.submitted++; m.mu.Unlock() }
-func (m *metrics) addRejected()  { m.mu.Lock(); m.rejected++; m.mu.Unlock() }
-func (m *metrics) addTimedOut()  { m.mu.Lock(); m.timedOut++; m.mu.Unlock() }
-func (m *metrics) addFailed()    { m.mu.Lock(); m.failed++; m.mu.Unlock() }
-func (m *metrics) addCoalesced() { m.mu.Lock(); m.coalesced++; m.mu.Unlock() }
+func (m *metrics) addSubmitted() { m.mu.Lock(); m.st.Submitted++; m.mu.Unlock() }
+func (m *metrics) addRejected()  { m.mu.Lock(); m.st.Rejected++; m.mu.Unlock() }
+func (m *metrics) addTimedOut()  { m.mu.Lock(); m.st.TimedOut++; m.mu.Unlock() }
+func (m *metrics) addFailed()    { m.mu.Lock(); m.st.Failed++; m.mu.Unlock() }
+func (m *metrics) addCoalesced() { m.mu.Lock(); m.st.Coalesced++; m.mu.Unlock() }
 
-func (m *metrics) runStarted()  { m.mu.Lock(); m.inFlight++; m.mu.Unlock() }
-func (m *metrics) runFinished() { m.mu.Lock(); m.inFlight--; m.mu.Unlock() }
+func (m *metrics) runStarted()  { m.mu.Lock(); m.st.InFlight++; m.mu.Unlock() }
+func (m *metrics) runFinished() { m.mu.Lock(); m.st.InFlight--; m.mu.Unlock() }
 
 func (m *metrics) observeQueueWait(d time.Duration) { m.queueWait.ObserveDuration(d) }
 func (m *metrics) observeRunWall(d time.Duration)   { m.runWall.ObserveDuration(d) }
@@ -89,43 +65,43 @@ func (m *metrics) observeRunWall(d time.Duration)   { m.runWall.ObserveDuration(
 // addFaults folds one run's fault/recovery counters into the totals.
 func (m *metrics) addFaults(fs gts.FaultStats) {
 	m.mu.Lock()
-	m.faults.Add(fs)
+	m.st.Faults.Add(fs)
 	m.mu.Unlock()
 }
 
-func (m *metrics) addHWFailure() { m.mu.Lock(); m.hwFailures++; m.mu.Unlock() }
+func (m *metrics) addHWFailure() { m.mu.Lock(); m.st.HWFailures++; m.mu.Unlock() }
 
 // addIngested records one committed ingest batch of edges edge ops.
 func (m *metrics) addIngested(edges int64) {
 	m.mu.Lock()
-	m.ingestBatches++
-	m.ingestEdges += uint64(edges)
+	m.st.IngestBatches++
+	m.st.IngestEdges += uint64(edges)
 	m.mu.Unlock()
 }
 
-func (m *metrics) addIngestFailure() { m.mu.Lock(); m.ingestFailures++; m.mu.Unlock() }
+func (m *metrics) addIngestFailure() { m.mu.Lock(); m.st.IngestFailures++; m.mu.Unlock() }
 
 // addIncHit records one job served from retained epoch state and the
 // page-scans it saved relative to a from-scratch run.
 func (m *metrics) addIncHit(savedPages int64) {
 	m.mu.Lock()
-	m.incHits++
+	m.st.IncrementalHits++
 	if savedPages > 0 {
-		m.incSaved += uint64(savedPages)
+		m.st.IncrementalSavedSupersteps += uint64(savedPages)
 	}
 	m.mu.Unlock()
 }
 
 // addIncFallback records one incremental request that fell back to a full
 // recompute.
-func (m *metrics) addIncFallback() { m.mu.Lock(); m.incFallbacks++; m.mu.Unlock() }
+func (m *metrics) addIncFallback() { m.mu.Lock(); m.st.IncrementalFallbacks++; m.mu.Unlock() }
 
 // jobCompleted records one successfully answered job. For computed jobs,
 // wall and virtual carry the run's cost; for cache hits both are zero and
 // only the end-to-end latency lands in the histogram.
 func (m *metrics) jobCompleted(algo string, latency, wall time.Duration, virtual sim.Time) {
 	m.mu.Lock()
-	m.completed++
+	m.st.Completed++
 	a := m.algo(algo)
 	a.jobs++
 	a.wall += wall
@@ -160,31 +136,9 @@ func summarize(h *obs.Histogram) LatencySummary {
 }
 
 // SharingStats aggregates the per-graph wave-group schedulers' lifetime
-// counters: every graph runs its jobs through one.
-type SharingStats struct {
-	// WaveGroups is how many shared groups ran; GroupJobs how many jobs they
-	// served; SoloFallbacks how many declined jobs re-ran privately.
-	WaveGroups    int64 `json:"wave_groups"`
-	GroupJobs     int64 `json:"group_jobs"`
-	SoloFallbacks int64 `json:"solo_fallbacks"`
-	// Waves counts superstep waves across groups; PageCopies host-to-device
-	// page transfers; SharedPageCopies the member servings satisfied by a
-	// page another member already paid to stream (the sharing win).
-	Waves            int64 `json:"waves"`
-	PageCopies       int64 `json:"page_copies"`
-	SharedPageCopies int64 `json:"shared_page_copies"`
-	BytesSaved       int64 `json:"bytes_saved"`
-	BytesToGPU       int64 `json:"bytes_to_gpu"`
-}
-
-// AmortizedBytesPerJob is the mean host-to-device traffic per group-served
-// job.
-func (s SharingStats) AmortizedBytesPerJob() float64 {
-	if s.GroupJobs == 0 {
-		return 0
-	}
-	return float64(s.BytesToGPU) / float64(s.GroupJobs)
-}
+// counters (every graph runs its jobs through one): the scheduler's own
+// tally type, summed.
+type SharingStats = sched.Stats
 
 // Stats is a point-in-time snapshot of the server's counters, exposed both
 // programmatically and (rendered) at /metrics.
@@ -397,87 +351,42 @@ func (m *metrics) snapshotPerAlgo() map[string]AlgoStats {
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
-	hits, misses, size := s.cache.stats()
+	m := s.met
+	m.mu.Lock()
+	st := m.st
+	m.mu.Unlock()
+	st.QueueDepth, st.QueueCap = len(s.queue), cap(s.queue)
+	st.CacheHits, st.CacheMisses, st.CacheSize = s.cache.stats()
 	s.mu.Lock()
-	graphs := len(s.graphs)
-	hostWorkers := 0
-	var sharing SharingStats
-	var pools map[string]gts.PoolStats
-	var walStats map[string]gts.WALStats
-	var epochs map[string]uint64
-	var retained map[string]int
+	st.Graphs = len(s.graphs)
 	for _, e := range s.graphs {
 		if e.inc != nil {
-			if retained == nil {
-				retained = make(map[string]int)
+			if st.Retained == nil {
+				st.Retained = make(map[string]int)
 			}
-			retained[e.name] = e.inc.Len()
+			st.Retained[e.name] = e.inc.Len()
 		}
 		if e.mg != nil {
-			if walStats == nil {
-				walStats = make(map[string]gts.WALStats)
-				epochs = make(map[string]uint64)
+			if st.WAL == nil {
+				st.WAL = make(map[string]gts.WALStats)
+				st.Epochs = make(map[string]uint64)
 			}
-			walStats[e.name] = e.mg.WALStats()
-			epochs[e.name] = e.mg.Epoch()
+			st.WAL[e.name] = e.mg.WALStats()
+			st.Epochs[e.name] = e.mg.Epoch()
 		}
 		if e.pool == nil { // placeholder entry mid-load
 			continue
 		}
-		if hw := effectiveHostWorkers(e.pool.Config()); hw > hostWorkers {
-			hostWorkers = hw
-		}
+		st.HostWorkers = max(st.HostWorkers, effectiveHostWorkers(e.pool.Config()))
 		if hp := e.pool.HostPool(); hp != nil {
-			if pools == nil {
-				pools = make(map[string]gts.PoolStats)
+			if st.Pool == nil {
+				st.Pool = make(map[string]gts.PoolStats)
 			}
-			pools[e.name] = hp.Stats()
+			st.Pool[e.name] = hp.Stats()
 		}
-		ss := e.sched.Stats()
-		sharing.WaveGroups += ss.Groups
-		sharing.GroupJobs += ss.GroupJobs
-		sharing.SoloFallbacks += ss.SoloRuns
-		sharing.Waves += ss.Waves
-		sharing.PageCopies += ss.PageCopies
-		sharing.SharedPageCopies += ss.SharedPageCopies
-		sharing.BytesSaved += ss.BytesSaved
-		sharing.BytesToGPU += ss.BytesToGPU
+		st.Sharing.Add(e.sched.Stats())
 	}
 	s.mu.Unlock()
-	m := s.met
-	m.mu.Lock()
-	st := Stats{
-		QueueDepth:  len(s.queue),
-		QueueCap:    cap(s.queue),
-		InFlight:    m.inFlight,
-		Submitted:   m.submitted,
-		Completed:   m.completed,
-		Failed:      m.failed,
-		Rejected:    m.rejected,
-		TimedOut:    m.timedOut,
-		Coalesced:   m.coalesced,
-		CacheHits:   hits,
-		CacheMisses: misses,
-		CacheSize:   size,
-		Graphs:      graphs,
-		HostWorkers: hostWorkers,
-		Faults:      m.faults,
-		HWFailures:  m.hwFailures,
-		Sharing:     sharing,
-		Pool:        pools,
-
-		IngestBatches:  m.ingestBatches,
-		IngestEdges:    m.ingestEdges,
-		IngestFailures: m.ingestFailures,
-		WAL:            walStats,
-		Epochs:         epochs,
-
-		IncrementalHits:            m.incHits,
-		IncrementalFallbacks:       m.incFallbacks,
-		IncrementalSavedSupersteps: m.incSaved,
-		Retained:                   retained,
-	}
-	m.mu.Unlock()
 	st.QueueWait = summarize(&m.queueWait)
 	st.RunWall = summarize(&m.runWall)
 	st.PerAlgo = m.snapshotPerAlgo()

@@ -63,6 +63,9 @@ var (
 	ErrImmutableGraph = errors.New("service: graph is immutable (loaded without a WAL)")
 )
 
+// jobHistory bounds how many finished jobs remain queryable by ID.
+const jobHistory = 1024
+
 // Config sizes a Server. The zero value is serviceable: 4 workers, a
 // 64-deep queue, a 256-entry result cache, no default deadline.
 type Config struct {
@@ -76,9 +79,6 @@ type Config struct {
 	// DefaultTimeout applies to requests without an explicit deadline;
 	// 0 means no deadline.
 	DefaultTimeout time.Duration
-	// JobHistory bounds how many finished jobs remain queryable by ID
-	// (default 1024).
-	JobHistory int
 	// TraceJobs, when positive, records a request-scoped engine trace for
 	// each computed job and retains the Chrome trace_event JSON of the most
 	// recent TraceJobs jobs, served at /debug/trace/{id}. 0 disables
@@ -101,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
-	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 1024
 	}
 	return c
 }
@@ -163,6 +160,7 @@ type Server struct {
 
 	workers   sync.WaitGroup
 	followers sync.WaitGroup // coalesced-job mirror goroutines
+	retiring  sync.WaitGroup // replaced graphs' schedulers draining (see retire)
 }
 
 // New starts a Server with cfg's worker pool running.
@@ -353,7 +351,7 @@ func (s *Server) remember(job *Job) {
 func (s *Server) rememberLocked(job *Job) {
 	s.jobs[job.id] = job
 	s.jobOrder = append(s.jobOrder, job)
-	for len(s.jobs) > s.cfg.JobHistory {
+	for len(s.jobs) > jobHistory {
 		evicted := false
 		for i, old := range s.jobOrder {
 			select {
@@ -400,6 +398,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for _, sc := range scheds {
 			sc.Close()
 		}
+		s.retiring.Wait()
 		close(drained)
 	}()
 	select {
