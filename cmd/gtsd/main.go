@@ -66,7 +66,7 @@ func main() {
 	strategy := flag.String("strategy", "p", "multi-GPU strategy: p (performance) | s (scalability)")
 	directionOpt := flag.Bool("direction-opt", false, "serve bfs/sssp with the direction-optimizing frontier kernels (push/pull BFS, delta-stepping SSSP; result values identical to the plain kernels)")
 	storage := flag.String("storage", "mem", "graph placement: mem (all in main memory) | ssd | hdd (stream pages from simulated storage)")
-	poolBytes := flag.Int64("pool-bytes", 0, "shared host page-pool budget per graph in bytes — one pinned LRU buffer ALL of a graph's engines stream through, so hot pages occupy host memory once however many jobs run and stay warm between jobs (0 = a fresh private buffer of 20% of the topology per run; needs -storage ssd|hdd)")
+	poolBytes := flag.Int64("pool-bytes", 0, "shared host page-pool budget per graph in bytes — one pinned buffer (victim: the page most recently released, which a cyclic scan reuses last) ALL of a graph's engines stream through, so hot pages occupy host memory once however many jobs run and stay warm between jobs (0 = a fresh private buffer of 20% of the topology per run; needs -storage ssd|hdd)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault-injection seed (chaos testing; replayable)")
 	faultTransfer := flag.Float64("fault-transfer", 0, "probability of a PCI-E transfer error per DMA [0,1]")
 	faultStall := flag.Float64("fault-stall", 0, "probability of a PCI-E transfer stall per DMA [0,1]")

@@ -28,7 +28,7 @@ type modelFrame struct {
 type model struct {
 	capacity int
 	frames   map[uint64]*modelFrame
-	pol      modelLRU
+	pol      modelEvictable
 
 	hits, loads, evictions, pinWaits int64
 }
@@ -106,15 +106,16 @@ func (m *model) resident() []uint64 {
 	return out
 }
 
-// modelLRU: index 0 is the LRU end.
-type modelLRU struct{ order []uint64 }
+// modelEvictable lists the unpinned pages by when each was last unpinned,
+// oldest first; the victim is the newest.
+type modelEvictable struct{ order []uint64 }
 
-func (l *modelLRU) insert(pid uint64) {
+func (l *modelEvictable) insert(pid uint64) {
 	l.remove(pid)
 	l.order = append(l.order, pid)
 }
 
-func (l *modelLRU) remove(pid uint64) {
+func (l *modelEvictable) remove(pid uint64) {
 	for i, p := range l.order {
 		if p == pid {
 			l.order = append(l.order[:i], l.order[i+1:]...)
@@ -123,12 +124,12 @@ func (l *modelLRU) remove(pid uint64) {
 	}
 }
 
-func (l *modelLRU) victim() (uint64, bool) {
+func (l *modelEvictable) victim() (uint64, bool) {
 	if len(l.order) == 0 {
 		return 0, false
 	}
-	pid := l.order[0]
-	l.order = l.order[1:]
+	pid := l.order[len(l.order)-1]
+	l.order = l.order[:len(l.order)-1]
 	return pid, true
 }
 

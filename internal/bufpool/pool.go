@@ -7,10 +7,15 @@
 // lines 18–26) but is reference-counted so concurrent runs can hold pages
 // across a stream without racing eviction. It is the only host-side page
 // residency structure: a storage-backed run that is handed no pool builds a
-// private one (internal/core). Replacement is LRU — the victim is the least
-// recently unpinned page — and a pure function of the operation sequence,
-// and the pool only ever affects *which* reads hit memory, never what a
-// kernel computes.
+// private one (internal/core). The victim is the *most* recently unpinned
+// page: the pool's traffic is cyclic scans (PageRank iterations,
+// level-synchronous traversals), under which the least recently used page is
+// the next one wanted, while the page just released is the one whose reuse is
+// farthest away — so what the pool holds survives to the next scan and the
+// hit rate is the paper's B/(S+L) (§3.3), where LRU's is zero. Pins protect
+// every page in use, so the victim is never one a stream still reads.
+// Replacement is a pure function of the operation sequence, and the pool only
+// ever affects *which* reads hit memory, never what a kernel computes.
 //
 // Pin never blocks. The caller contract is:
 //
@@ -84,7 +89,7 @@ type Config struct {
 type Stats struct {
 	Hits          int64 // Pin calls answered from a resident page
 	Loads         int64 // Pin calls granted a Load frame (storage reads through the pool)
-	Evictions     int64 // pages evicted (LRU victims + over-budget unpins)
+	Evictions     int64 // pages evicted (victims to make room + over-budget unpins)
 	PinWaits      int64 // Pin calls denied (Busy or NoFrame) — bypass reads
 	Invalidations int64 // frames discarded because a graph mutation superseded their epoch
 	Resident      int   // resident pages (loading frames included)
@@ -99,7 +104,7 @@ type frame struct {
 	refs    int
 	loading bool
 	epoch   uint64 // pool epoch the frame's contents belong to
-	// prev and next link the frame into the pool's LRU list while it is
+	// prev and next link the frame into the pool's evictable list while it is
 	// evictable (resident, unpinned, current epoch); both nil otherwise.
 	prev, next *frame
 }
@@ -114,13 +119,13 @@ type Pool struct {
 	pageSize int64
 	capacity int // page budget; resident may exceed it transiently when pins outlive a shrink
 	frames   map[uint64]*frame
-	// lru is the sentinel of the circular list of evictable frames, ordered
-	// by when each was last unpinned: lru.next is the most recent, lru.prev
-	// the least recent and so the next victim. A page pinned again leaves
-	// the list and re-enters at the recent end at its final Unpin, so the
-	// order is total and needs no tiebreak.
-	lru   frame
-	epoch uint64 // current graph version; frames from older epochs are stale
+	// evictable is the sentinel of the circular list of evictable frames,
+	// ordered by when each was last unpinned: evictable.next is the most
+	// recent and so the next victim. A page pinned again leaves the list and
+	// re-enters at the recent end at its final Unpin, so the order is total
+	// and needs no tiebreak.
+	evictable frame
+	epoch     uint64 // current graph version; frames from older epochs are stale
 
 	hits, loads, evictions, pinWaits, invalidations int64
 }
@@ -136,28 +141,28 @@ func New(cfg Config) (*Pool, error) {
 		capacity = 1
 	}
 	p := &Pool{pageSize: cfg.PageSize, capacity: capacity, frames: make(map[uint64]*frame)}
-	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	p.evictable.prev, p.evictable.next = &p.evictable, &p.evictable
 	return p, nil
 }
 
-// markEvictable links f in at the recent end of the LRU list.
+// markEvictable links f in at the recent end of the evictable list.
 func (p *Pool) markEvictable(f *frame) {
-	f.prev, f.next = &p.lru, p.lru.next
+	f.prev, f.next = &p.evictable, p.evictable.next
 	f.next.prev = f
-	p.lru.next = f
+	p.evictable.next = f
 }
 
-// unlink withdraws f from the LRU list: it was pinned, or is being evicted.
+// unlink withdraws f from the evictable list: it was pinned, or is being evicted.
 func (p *Pool) unlink(f *frame) {
 	f.prev.next, f.next.prev = f.next, f.prev
 	f.prev, f.next = nil, nil
 }
 
-// evictLRU evicts the least recently unpinned page; false means no page is
+// evict evicts the most recently unpinned page; false means no page is
 // evictable.
-func (p *Pool) evictLRU() bool {
-	f := p.lru.prev
-	if f == &p.lru {
+func (p *Pool) evict() bool {
+	f := p.evictable.next
+	if f == &p.evictable {
 		return false
 	}
 	p.unlink(f)
@@ -187,7 +192,7 @@ func (p *Pool) Pin(pid uint64) PinState {
 	}
 	// Make room for a new frame.
 	for len(p.frames) >= p.capacity {
-		if !p.evictLRU() {
+		if !p.evict() {
 			p.pinWaits++
 			return NoFrame
 		}
@@ -294,7 +299,7 @@ func (p *Pool) Resize(bytes int64) int {
 	}
 	p.capacity = capacity
 	evicted := 0
-	for len(p.frames) > p.capacity && p.evictLRU() {
+	for len(p.frames) > p.capacity && p.evict() {
 		evicted++
 	}
 	return evicted
@@ -356,7 +361,7 @@ func (p *Pool) ResidentPIDs() []uint64 {
 
 // CheckInvariants verifies the pool's structural invariants:
 // every refcount is non-negative, loading frames are exclusively pinned,
-// the LRU list is well linked and holds exactly the resident unpinned set
+// the evictable list is well linked and holds exactly the resident unpinned set
 // (pinned ∉ evictable), and the pool is only over budget when the excess
 // is entirely pinned (resident ≤ budget modulo pins). Stress tests call
 // it after every operation.
@@ -364,15 +369,15 @@ func (p *Pool) CheckInvariants() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	listed := 0
-	for f := p.lru.next; f != &p.lru; f = f.next {
+	for f := p.evictable.next; f != &p.evictable; f = f.next {
 		if f == nil || f.next == nil || f.next.prev != f {
-			return fmt.Errorf("LRU list broken after %d frames", listed)
+			return fmt.Errorf("evictable list broken after %d frames", listed)
 		}
 		if p.frames[f.pid] != f {
-			return fmt.Errorf("LRU list tracks non-resident page %d", f.pid)
+			return fmt.Errorf("evictable list tracks non-resident page %d", f.pid)
 		}
 		if listed++; listed > len(p.frames) {
-			return fmt.Errorf("LRU list longer than the %d resident frames", len(p.frames))
+			return fmt.Errorf("evictable list longer than the %d resident frames", len(p.frames))
 		}
 	}
 	evictable := 0

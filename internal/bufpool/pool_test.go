@@ -48,20 +48,28 @@ func TestPinStateString(t *testing.T) {
 	}
 }
 
-// TestLRUOrder pins the LRU eviction order: the least recently unpinned
-// page goes first.
-func TestLRUOrder(t *testing.T) {
+// TestVictimOrder pins the eviction order: the most recently unpinned page
+// goes first, then the one unpinned before it, and a page pinned again
+// re-enters at the recent end.
+func TestVictimOrder(t *testing.T) {
 	p := mustPool(t, 3)
 	for pid := uint64(1); pid <= 3; pid++ {
 		pinReady(t, p, pid)
 	}
 	p.Unpin(2)
 	p.Unpin(1)
-	p.Unpin(3) // LRU order now: 2, 1, 3
+	p.Unpin(3) // unpin order, oldest first: 2, 1, 3
 	pinReady(t, p, 4)
-	want := []uint64{1, 3, 4}
-	if got := p.ResidentPIDs(); !equalPIDs(got, want) {
-		t.Fatalf("resident after evicting LRU = %v, want %v", got, want)
+	if got, want := p.ResidentPIDs(), []uint64{1, 2, 4}; !equalPIDs(got, want) {
+		t.Fatalf("resident after the first eviction = %v, want %v", got, want)
+	}
+	if s := p.Pin(2); s != Hit {
+		t.Fatalf("Pin(2) = %v, want Hit", s)
+	}
+	p.Unpin(2) // oldest first: 1, 2 (4 is pinned)
+	pinReady(t, p, 5)
+	if got, want := p.ResidentPIDs(), []uint64{1, 4, 5}; !equalPIDs(got, want) {
+		t.Fatalf("resident after the second eviction = %v, want %v", got, want)
 	}
 }
 

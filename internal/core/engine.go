@@ -7,7 +7,7 @@
 // Multi-GPU execution follows the paper's two schemes: Strategy-P
 // (replicated attribute data, partitioned topology, peer-to-peer merge,
 // §4.1) and Strategy-S (partitioned attribute data, broadcast topology,
-// §4.2). Spare device memory becomes an LRU topology-page cache (§3.3), and
+// §4.2). Spare device memory becomes a topology-page cache (§3.3), and
 // a host page buffer (internal/bufpool, bufferPIDMap) front-ends the SSDs.
 package core
 

@@ -96,12 +96,6 @@ func (s SharedStats) AmortizedBytesPerJob() float64 {
 	return float64(s.BytesToGPU) / float64(s.Members)
 }
 
-// AggregateMTEPS is the group's combined traversal throughput over its
-// virtual makespan.
-func (s SharedStats) AggregateMTEPS() float64 {
-	return trace.MTEPS(s.EdgesTraversed, s.Elapsed)
-}
-
 // demand is one member's claim on a (GPU, page) of the running wave: the
 // member and the index of its precomputed kernel result in m.kres.
 type demand struct {
@@ -205,7 +199,7 @@ func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver,
 		env:         env,
 		machine:     machine,
 		inflight:    map[slottedpage.PageID]*sim.Signal{},
-		caches:      make([]*hw.BufferPool, nGPU),
+		caches:      make([]*hw.PageCache, nGPU),
 		cacheBytes:  make([]int64, nGPU),
 		cacheTarget: make([]int64, nGPU),
 	}}
@@ -493,10 +487,9 @@ func (d *driver) mergeDemand(phase, gpu int) {
 
 // streamPhase streams one phase's union page demand to the GPUs: under
 // Strategy-P with several GPUs each streams its own share of the pages,
-// otherwise every GPU streams all of them (see partition), fanned out over
-// the GPU's stream processes.
+// otherwise every GPU streams all of them (see partition), handed out in
+// page order to the GPU's stream processes.
 func (d *driver) streamPhase(p *sim.Proc, phase int) {
-	streams := d.eng.opts.Streams
 	grp := sim.NewGroup(d.env)
 	// Size the demand table once, to the sum of the lists it merges.
 	n := 0
@@ -507,14 +500,19 @@ func (d *driver) streamPhase(p *sim.Proc, phase int) {
 	}
 	d.pids, d.off, d.dem = sized(d.pids, n), sized(d.off, n+1), sized(d.dem, n)
 	for i := range d.machine.GPUs {
-		lo := len(d.pids)
+		// The GPU's streams share one cursor and each takes the next page when
+		// it goes idle (one process runs at a time, so no lock): requests reach
+		// each storage device's FIFO in page order, where a fixed stride per
+		// stream scrambles them and turns a sequential scan into random reads.
+		next := len(d.pids)
 		d.mergeDemand(phase, i)
 		hi := len(d.pids)
-		for s := 0; s < streams && s < hi-lo; s++ {
-			i, s := i, s
+		for s := range min(d.eng.opts.Streams, hi-next) {
 			grp.Add(1)
 			d.env.Process(streamProcName(i, s), func(p *sim.Proc) {
-				for j := lo + s; j < hi; j += streams {
+				for next < hi {
+					j := next
+					next++
 					d.processDemand(p, i, s, j)
 				}
 				grp.Done()

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/csr"
 	"repro/internal/fault"
+	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
 	"repro/internal/sim"
@@ -524,6 +525,53 @@ func TestWaveAllocBudget(t *testing.T) {
 		}
 		if allocs > 0 {
 			t.Errorf("%d members: merging the demand and processing a page allocate %.1f objects, want 0", members, allocs)
+		}
+	}
+}
+
+// TestStreamsAskStorageInPageOrder pins idle-stream dispatch: a GPU's streams
+// take its demand in page order, so a storage-bound scan reaches each device
+// as the ascending read §4.1's striping is laid out for (a fixed stride per
+// stream left 16 % of these reads sequential) — and how many streams or host
+// workers share the scan never reaches the result bytes.
+func TestStreamsAskStorageInPageOrder(t *testing.T) {
+	ds, _ := graphgen.ByName("RMAT27")
+	sp := buildPages(t, ds.MustGenerate(12)) // 705 pages: ~22 per stream
+	kc := kernelCases()[2]                   // PageRank
+	run := func(opts Options) []byte {
+		// Fixed latencies scaled away, as on the benchmark's machine, so the
+		// SSDs are the bottleneck and their queues stay full.
+		opts.CacheBytes = sp.TopologyBytes() * 2 / 5
+		e, err := New(hw.Workstation(1, 2).Scale(1024), sp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := SharedJob{Kernel: kc.make(sp)}
+		d, roster, err := e.newDriver([]SharedJob{job}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.env.Process("gts-framework", func(p *sim.Proc) { d.loop(p, roster) })
+		if _, err := d.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if d.outcomes[0].Err != nil {
+			t.Fatal(d.outcomes[0].Err)
+		}
+		var reads, seq int64
+		for _, dev := range d.machine.Storage.Devices {
+			r, s := dev.Reads()
+			reads, seq = reads+r, seq+s
+		}
+		if reads == 0 || seq*10 < reads*7 {
+			t.Errorf("streams=%d: %d of %d storage reads sequential, want >= 70%%", opts.Streams, seq, reads)
+		}
+		return kc.enc(job.Kernel, d.outcomes[0].State)
+	}
+	want := run(Options{Streams: 32, HostWorkers: 1})
+	for _, opts := range []Options{{Streams: 32, HostWorkers: 8}, {Streams: 1, HostWorkers: 1}} {
+		if got := run(opts); !bytes.Equal(got, want) {
+			t.Errorf("streams=%d workers=%d: state differs from the 32-stream serial run", opts.Streams, opts.HostWorkers)
 		}
 	}
 }

@@ -26,6 +26,40 @@ func newTestPool(t *testing.T, sp *slottedpage.Graph, bytes int64) *bufpool.Pool
 	return p
 }
 
+// TestCyclicScanHitRates pins §3.3's hit-rate model at both residency
+// levels: k scans of N pages through B slots hit (k-1)·B times in the device
+// cache, which keeps what it holds, and at least (k-1)·(B-1) times in the host
+// pool, whose victim is the page just released. LRU scores zero on both.
+func TestCyclicScanHitRates(t *testing.T) {
+	const n, k = 64, 4
+	for _, b := range []int{n / 4, n / 2, 3 * n / 4} {
+		cache := hw.NewPageCache(b)
+		pool, err := bufpool.New(bufpool.Config{PageSize: 1, Bytes: int64(b)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cacheHits := 0
+		for scan := 0; scan < k; scan++ {
+			for pid := uint64(0); pid < n; pid++ {
+				if cache.Contains(pid) {
+					cacheHits++
+				}
+				cache.Insert(pid)
+				if pool.Pin(pid) == bufpool.Load {
+					pool.Ready(pid)
+				}
+				pool.Unpin(pid)
+			}
+		}
+		if want := (k - 1) * b; cacheHits != want {
+			t.Errorf("B=%d: device cache hit %d times, want %d", b, cacheHits, want)
+		}
+		if st, want := pool.Stats(), int64((k-1)*(b-1)); st.Hits < want || st.PinWaits != 0 {
+			t.Errorf("B=%d: host pool hit %d times (%d bypasses), want >= %d and none", b, st.Hits, st.PinWaits, want)
+		}
+	}
+}
+
 // TestPooledRunByteIdentical: a storage-backed run through a handed-in
 // host pool produces results byte-identical to the reference traversal and
 // leaves no pins behind.

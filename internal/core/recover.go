@@ -85,7 +85,7 @@ func (m *member) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() 
 // launchKernel launches one kernel with recovery. A device-OOM failure
 // degrades gracefully by shrinking the GPU's page cache budget in half
 // (freeing the difference for the launch) rather than abandoning caching:
-// the cache keeps serving its hottest half while the transient memory
+// the cache keeps serving its older half while the transient memory
 // pressure lasts, and once a retry succeeds the budget re-grows toward
 // its configured target — the run gets slower, not wrong, and caching
 // survives the fault. Only when the cache is already at its one-page
@@ -112,9 +112,9 @@ func (m *member) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.P
 	return nil
 }
 
-// shrinkCache halves GPU gpuIdx's page-cache byte budget, evicting LRU
-// pages beyond the new capacity and freeing the device memory for the
-// failed launch. A cache already at one page is dropped entirely.
+// shrinkCache halves GPU gpuIdx's page-cache byte budget, dropping the most
+// recently admitted pages beyond the new capacity and freeing the device
+// memory for the failed launch. A cache already at one page is dropped entirely.
 func (m *member) shrinkCache(gpuIdx int) {
 	gpu := m.machine.GPUs[gpuIdx]
 	pageSize := int64(m.eng.graph.Config().PageSize)
@@ -126,7 +126,7 @@ func (m *member) shrinkCache(gpuIdx int) {
 		m.cacheBytes[gpuIdx] = 0
 		return
 	}
-	m.caches[gpuIdx].Shrink(int(newPages))
+	m.caches[gpuIdx].Resize(int(newPages))
 	gpu.Free(cur - newPages*pageSize)
 	m.cacheBytes[gpuIdx] = newPages * pageSize
 }
@@ -137,7 +137,7 @@ func (m *member) shrinkCache(gpuIdx int) {
 // back (as far as free device memory allows). Evicted pages are not
 // restored — they re-enter through normal streaming.
 func (m *member) regrowCache(gpuIdx int) {
-	if m.caches[gpuIdx] == nil || m.cacheTarget == nil {
+	if m.caches[gpuIdx] == nil {
 		return
 	}
 	target := m.cacheTarget[gpuIdx]
@@ -159,7 +159,7 @@ func (m *member) regrowCache(gpuIdx int) {
 		return
 	}
 	m.cacheBytes[gpuIdx] = cur + pages*pageSize
-	m.caches[gpuIdx].Grow(int(m.cacheBytes[gpuIdx] / pageSize))
+	m.caches[gpuIdx].Resize(int(m.cacheBytes[gpuIdx] / pageSize))
 }
 
 // readPage reads pid from the storage array with recovery: failed reads

@@ -26,9 +26,9 @@ type plant struct {
 	env     *sim.Env
 	machine *hw.Machine
 
-	caches      []*hw.BufferPool // per-GPU page caches; nil = disabled
-	cacheBytes  []int64          // device bytes held by each cache (for OOM spill)
-	cacheTarget []int64          // each cache's configured byte budget (re-grow goal after an OOM shrink)
+	caches      []*hw.PageCache // per-GPU page caches; nil = disabled
+	cacheBytes  []int64         // device bytes held by each cache (for OOM spill)
+	cacheTarget []int64         // each cache's configured byte budget (re-grow goal after an OOM shrink)
 	// pool is the host page buffer of a storage-backed run (the paper's
 	// MMBuf with its bufferPIDMap; nil in memory): Options.HostPool, or a
 	// private pool built for this run. A handed-in pool may be shared with
@@ -235,7 +235,7 @@ func (pl *plant) setup(e *Engine, headroom bool) error {
 			if err := g.Alloc(pages * pageSize); err != nil {
 				return err
 			}
-			pl.caches[i] = hw.NewBufferPool(int(pages))
+			pl.caches[i] = hw.NewPageCache(int(pages))
 			pl.cacheBytes[i] = pages * pageSize
 			pl.cacheTarget[i] = pages * pageSize
 		}
@@ -298,7 +298,6 @@ func (m *member) parallelGPUs(p *sim.Proc, fn func(p *sim.Proc, i int)) {
 	grp := sim.NewGroup(m.env)
 	grp.Add(len(m.machine.GPUs))
 	for i := range m.machine.GPUs {
-		i := i
 		m.env.Process(fmt.Sprintf("gpu%d", i), func(p *sim.Proc) {
 			fn(p, i)
 			grp.Done()

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testRunner uses tiny proxies so the full suite stays fast.
@@ -175,5 +177,55 @@ func TestHarnessDeterministic(t *testing.T) {
 	}
 	if bufA.String() != bufB.String() {
 		t.Error("same options produced different tables")
+	}
+}
+
+// TestStoragePathFigureShapes pins, at the scale results/gtsbench.txt is
+// published at, the two paper shapes that depend on the storage path keeping
+// what it holds and asking the disks in order: Fig. 11's hit rate grows with
+// the cache from its second size on and falls as graphs grow, and Fig. 9's
+// strategies converge once two HDDs are the bottleneck.
+func TestStoragePathFigureShapes(t *testing.T) {
+	r := New(Options{Shrink: 13, PRIterations: 10})
+	fig11, err := r.Run("fig11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: cache size, then (time, hit%) per dataset, smallest graph first.
+	hit := func(row, ds int) int {
+		n, err := strconv.Atoi(strings.TrimSuffix(fig11.Rows[row][2+2*ds], "%"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for row := range fig11.Rows {
+		for ds := 0; ds < 4; ds++ {
+			if row > 0 && hit(row, ds) < hit(row-1, ds) {
+				t.Errorf("fig11 %s: hit rate falls from %d%% to %d%% as the cache grows to %s MB",
+					fig11.Header[1+2*ds], hit(row-1, ds), hit(row, ds), fig11.Rows[row][0])
+			}
+			if ds > 0 && hit(row, ds) > hit(row, ds-1) {
+				t.Errorf("fig11 at %s MB: %s hits %d%%, more than the smaller graph's %d%%",
+					fig11.Rows[row][0], fig11.Header[1+2*ds], hit(row, ds), hit(row, ds-1))
+			}
+		}
+	}
+	if hit(1, 0) == 0 {
+		t.Error("fig11 RMAT26: no cache hits at the second-smallest cache")
+	}
+
+	fig9, err := r.Run("fig9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdd := fig9.Rows[3] // 2 HDDs: BFS P, BFS S, PageRank P, PageRank S
+	p, errP := time.ParseDuration(hdd[1])
+	s, errS := time.ParseDuration(hdd[2])
+	if errP != nil || errS != nil {
+		t.Fatalf("fig9 2-HDD BFS cells %q, %q: %v, %v", hdd[1], hdd[2], errP, errS)
+	}
+	if diff := (p - s).Abs(); diff*20 > min(p, s) {
+		t.Errorf("fig9 2 HDDs: BFS Strategy-P %v and Strategy-S %v are more than 5%% apart", p, s)
 	}
 }

@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -44,75 +43,55 @@ func (h *Host) Free(n int64) {
 func (h *Host) Used() int64     { return h.used }
 func (h *Host) Capacity() int64 { return h.capacity }
 
-// BufferPool is the device-memory topology page cache (paper §3.3, Algorithm
-// 1 line 16): pages streamed to a GPU are kept in its spare memory,
-// LRU-evicted when full, so re-accessed pages skip the PCI-E copy. (The
+// PageCache is the device-memory topology page cache (paper §3.3, Algorithm
+// 1 line 16): pages streamed to a GPU are admitted into its spare memory
+// while there is room, so re-accessed pages skip the PCI-E copy. A full cache
+// keeps what it holds: it has no pins, so an eviction could reclaim a slot a
+// sibling stream's kernel is still reading, and under the cyclic scans that
+// supersteps are, evicting by recency drops every page just before its reuse.
+// A miss on a full cache streams through the SPBuf/LPBuf instead, so k scans
+// of N pages through B slots hit (k-1)·B times — §3.3's B/(S+L). (The
 // host-side page buffer is internal/bufpool.)
-type BufferPool struct {
-	capacity int // in pages; 0 means unbounded (whole graph fits)
-	entries  map[uint64]*list.Element
-	lru      *list.List // front = most recently used; values are page IDs
+type PageCache struct {
+	capacity int // in pages
+	resident map[uint64]struct{}
+	order    []uint64 // the resident pages, oldest admission first
 }
 
-// NewBufferPool returns a pool holding at most capacity pages
-// (0 = unbounded).
-func NewBufferPool(capacity int) *BufferPool {
-	return &BufferPool{capacity: capacity, entries: make(map[uint64]*list.Element), lru: list.New()}
+// NewPageCache returns a cache holding at most capacity pages.
+func NewPageCache(capacity int) *PageCache {
+	return &PageCache{capacity: capacity, resident: make(map[uint64]struct{})}
 }
 
-// Contains reports whether pid is buffered, updating recency.
-func (b *BufferPool) Contains(pid uint64) bool {
-	e, ok := b.entries[pid]
-	if ok {
-		b.lru.MoveToFront(e)
-	}
+// Contains reports whether pid is cached.
+func (c *PageCache) Contains(pid uint64) bool {
+	_, ok := c.resident[pid]
 	return ok
 }
 
-// Insert adds pid, evicting the least recently used page if full.
-func (b *BufferPool) Insert(pid uint64) {
-	if e, ok := b.entries[pid]; ok {
-		b.lru.MoveToFront(e)
+// Insert admits pid if it is new and there is room.
+func (c *PageCache) Insert(pid uint64) {
+	if len(c.order) >= c.capacity || c.Contains(pid) {
 		return
 	}
-	if b.capacity > 0 && b.lru.Len() >= b.capacity {
-		old := b.lru.Back()
-		b.lru.Remove(old)
-		delete(b.entries, old.Value.(uint64))
-	}
-	b.entries[pid] = b.lru.PushFront(pid)
+	c.resident[pid] = struct{}{}
+	c.order = append(c.order, pid)
 }
 
-// Shrink lowers the page limit to newCap (minimum 1 — use nil to disable
-// a cache entirely), evicting LRU pages beyond it, and returns how many
-// pages it evicted. Used by the device-OOM degradation path, which halves
-// the page cache instead of abandoning it.
-func (b *BufferPool) Shrink(newCap int) int {
-	if newCap < 1 {
-		newCap = 1
-	}
-	b.capacity = newCap
-	evicted := 0
-	for b.lru.Len() > b.capacity {
-		old := b.lru.Back()
-		b.lru.Remove(old)
-		delete(b.entries, old.Value.(uint64))
-		evicted++
-	}
-	return evicted
-}
-
-// Grow raises the page limit to newCap (no-op if the pool is already at
-// least that large). Used when the OOM degradation's transient memory
-// pressure has passed and the cache budget is restored.
-func (b *BufferPool) Grow(newCap int) {
-	if newCap > b.capacity {
-		b.capacity = newCap
+// Resize sets the page limit, dropping the most recently admitted pages
+// beyond it. The device-OOM degradation path halves the cache with it instead
+// of abandoning it, and restores the budget once the pressure has passed.
+func (c *PageCache) Resize(capacity int) {
+	c.capacity = capacity
+	for len(c.order) > capacity {
+		last := len(c.order) - 1
+		delete(c.resident, c.order[last])
+		c.order = c.order[:last]
 	}
 }
 
-// Len reports the buffered page count.
-func (b *BufferPool) Len() int { return b.lru.Len() }
+// Len reports the cached page count.
+func (c *PageCache) Len() int { return len(c.order) }
 
 // Machine assembles a full workstation bound to one simulation environment.
 type Machine struct {

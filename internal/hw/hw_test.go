@@ -335,47 +335,47 @@ func TestHostAccounting(t *testing.T) {
 	}
 }
 
-func TestBufferPoolLRU(t *testing.T) {
-	b := NewBufferPool(2)
-	if b.Contains(1) {
-		t.Error("empty pool hit")
+// TestPageCacheKeepsWhatItHolds pins the cache's policy: it admits while
+// there is room, a full cache turns newcomers away instead of evicting, a
+// lookup does not reorder anything, and Resize drops the most recently
+// admitted pages first.
+func TestPageCacheKeepsWhatItHolds(t *testing.T) {
+	c := NewPageCache(3)
+	if c.Contains(1) {
+		t.Error("empty cache hit")
 	}
-	b.Insert(1)
-	b.Insert(2)
-	if !b.Contains(1) { // 1 becomes MRU
-		t.Error("miss on buffered page")
+	for pid := uint64(1); pid <= 4; pid++ {
+		c.Insert(pid)
 	}
-	b.Insert(3) // evicts 2 (LRU)
-	if b.Contains(2) {
-		t.Error("evicted page still present")
+	if !c.Contains(1) || !c.Contains(2) || !c.Contains(3) || c.Contains(4) || c.Len() != 3 {
+		t.Errorf("full cache must hold 1-3 and turn 4 away: 1=%v 2=%v 3=%v 4=%v len=%d",
+			c.Contains(1), c.Contains(2), c.Contains(3), c.Contains(4), c.Len())
 	}
-	if !b.Contains(3) || !b.Contains(1) {
-		t.Error("wrong page evicted")
+	c.Contains(3) // must not make 3 any older or newer
+	c.Resize(1)
+	if !c.Contains(1) || c.Contains(2) || c.Contains(3) || c.Len() != 1 {
+		t.Errorf("Resize(1) must keep only the first admitted page: 1=%v 2=%v 3=%v len=%d",
+			c.Contains(1), c.Contains(2), c.Contains(3), c.Len())
 	}
-	if b.Len() != 2 {
-		t.Errorf("Len = %d", b.Len())
+	c.Insert(5)
+	if c.Contains(5) {
+		t.Error("shrunk cache admitted past its new limit")
+	}
+	c.Resize(2)
+	c.Insert(5)
+	c.Insert(6)
+	if !c.Contains(1) || !c.Contains(5) || c.Contains(6) || c.Len() != 2 {
+		t.Errorf("regrown cache must admit up to its limit: 1=%v 5=%v 6=%v len=%d",
+			c.Contains(1), c.Contains(5), c.Contains(6), c.Len())
 	}
 }
 
-func TestBufferPoolUnbounded(t *testing.T) {
-	b := NewBufferPool(0)
-	for i := uint64(0); i < 1000; i++ {
-		b.Insert(i)
-	}
-	if b.Len() != 1000 {
-		t.Errorf("Len = %d", b.Len())
-	}
-	if !b.Contains(0) {
-		t.Error("unbounded pool evicted")
-	}
-}
-
-func TestBufferPoolReinsertIsNoop(t *testing.T) {
-	b := NewBufferPool(2)
-	b.Insert(1)
-	b.Insert(1)
-	if b.Len() != 1 {
-		t.Errorf("Len = %d after duplicate insert", b.Len())
+func TestPageCacheReinsertIsNoop(t *testing.T) {
+	c := NewPageCache(2)
+	c.Insert(1)
+	c.Insert(1)
+	if c.Len() != 1 {
+		t.Errorf("Len = %d after duplicate insert", c.Len())
 	}
 }
 
