@@ -59,7 +59,9 @@ cover:
 # through the retained-state planners against the full-recompute oracle.
 # FuzzAdjDecode hands arbitrary page bytes under arbitrary field widths to
 # the bulk adjacency decoder and to the byte-loop decode it replaced: same
-# VIDs, or the same failure, and no read past the page.
+# VIDs, or the same failure, and no read past the page. FuzzVectorJSON
+# feeds arbitrary element bits of every result-vector kind to gtsd's job
+# encoder and to encoding/json: the same bytes, or both refuse.
 # Go allows one -fuzz target per invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzStoreRead$$' -fuzztime $(FUZZTIME)
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDirectionSwitch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/incremental -run '^$$' -fuzz '^FuzzDeltaExpand$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzVectorJSON$$' -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -111,12 +114,13 @@ loc:
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' gts.go)
 
 # loc-check fails when a count `make loc` prints exceeds the ceiling written
-# here. The ceilings are the results of the last PR that moved them (PR 18),
-# so a count can only go down, and a PR that has to raise one says so by
-# editing the number beside it.
-LOC_MAX_TOTAL = 21536
-LOC_MAX_ENGINE_AND_API = 5533
-LOC_MAX_ENGINE = 4729
+# here. The ceilings are the results of the last PR that moved them (PR 19,
+# which raised the three line counts by the 179 lines its job-response
+# encoder added to internal/service), so a count can only go down, and a PR
+# that has to raise one says so by editing the number beside it.
+LOC_MAX_TOTAL = 21715
+LOC_MAX_ENGINE_AND_API = 5712
+LOC_MAX_ENGINE = 4908
 LOC_MAX_GTSD_FLAGS = 25
 LOC_MAX_CONFIG_FIELDS = 14
 loc-check:

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	gts "repro"
@@ -240,7 +241,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobJSON(job, true))
+	writeJob(w, job)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -249,35 +250,25 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobJSON(job, true))
+	writeJob(w, job)
 }
 
-// jobJSON renders a job's status document; withResult includes the full
-// output payload (result vectors can be large).
-func jobJSON(job *Job, withResult bool) map[string]any {
-	req := job.Request()
-	doc := map[string]any{
-		"id":     job.ID(),
-		"graph":  req.Graph,
-		"algo":   req.Algo,
-		"params": req.Params,
-		"state":  job.State().String(),
+// respBufs recycles job-document buffers between responses. maxPooledResp
+// keeps one outsized answer from pinning its buffer for the pool's lifetime.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 4 << 20
+
+// writeJob answers 200 with job's status document, encoded into a pooled
+// buffer (see appendJobJSON) and written once.
+func writeJob(w http.ResponseWriter, job *Job) {
+	buf := respBufs.Get().(*[]byte)
+	b, err := appendJobJSON((*buf)[:0], job)
+	writeBody(w, http.StatusOK, b, err)
+	if cap(b) <= maxPooledResp {
+		*buf = b
+		respBufs.Put(buf)
 	}
-	res, err := job.Result()
-	if err != nil {
-		doc["error"] = err.Error()
-	}
-	if res != nil {
-		doc["cached"] = job.Cached()
-		doc["latency_ms"] = float64(job.Latency().Microseconds()) / 1000
-		doc["wall_ms"] = float64(res.Wall.Microseconds()) / 1000
-		doc["virtual_seconds"] = res.Metrics.Elapsed.Seconds()
-		doc["mteps"] = res.Metrics.MTEPS
-		if withResult {
-			doc["result"] = res.Output
-		}
-	}
-	return doc
 }
 
 // statusOf maps service errors to HTTP statuses.
@@ -305,11 +296,21 @@ func statusOf(err error) int {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	writeBody(w, status, append(b, '\n'), err)
+}
+
+// writeBody answers with an encoded document. The status is committed only
+// once there is a body for it: a document that failed to encode is a 500
+// with the error, never a 200 cut short.
+func writeBody(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a client that went away is not the server's error
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

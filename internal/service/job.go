@@ -35,12 +35,14 @@ func (s JobState) String() string {
 }
 
 // Job tracks one submission through the queue. All accessors are safe for
-// concurrent use.
+// concurrent use. A finished job owns its result, not its graph: the job
+// history outlives many ingest epochs, and an entry kept here would keep its
+// whole snapshot alive with it.
 type Job struct {
 	id        string
 	req       Request // normalized params
 	key       string
-	entry     *graphEntry
+	entry     *graphEntry // what execute runs against; nil once finished
 	algo      algorithm
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -115,6 +117,7 @@ func (j *Job) complete(res *Result, cached bool, at time.Time) {
 	j.result = res
 	j.cached = cached
 	j.finished = at
+	j.entry = nil
 	j.mu.Unlock()
 	close(j.done)
 }
@@ -124,6 +127,7 @@ func (j *Job) fail(err error, state JobState) {
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
+	j.entry = nil
 	j.mu.Unlock()
 	close(j.done)
 }

@@ -52,13 +52,10 @@ func fillDistinct(v reflect.Value, n *int) {
 	}
 }
 
-// TestServedBytesGolden pins the JSON a client receives: the run metrics on
-// their own, and one service.Result per public result struct. The literals
-// were taken before gts.Metrics moved to internal/core (PR 17) and must not
-// change when a type moves, is aliased or gains an embedding; a deliberate
-// response change edits the literal in the same commit.
-func TestServedBytesGolden(t *testing.T) {
-	outputs := map[string]any{
+// resultStructs returns one empty instance of every public result struct the
+// service serves, by algorithm name.
+func resultStructs() map[string]any {
+	return map[string]any{
 		"bfs":          &gts.BFSResult{},
 		"pagerank":     &gts.PageRankResult{},
 		"sssp":         &gts.SSSPResult{},
@@ -71,6 +68,15 @@ func TestServedBytesGolden(t *testing.T) {
 		"neighborhood": &gts.NeighborhoodResult{},
 		"crossedges":   &gts.CrossEdgesResult{},
 	}
+}
+
+// TestServedBytesGolden pins the JSON a client receives: the run metrics on
+// their own, and one service.Result per public result struct. The literals
+// were taken before gts.Metrics moved to internal/core (PR 17) and must not
+// change when a type moves, is aliased or gains an embedding; a deliberate
+// response change edits the literal in the same commit.
+func TestServedBytesGolden(t *testing.T) {
+	outputs := resultStructs()
 	got := map[string]string{}
 	marshal := func(name string, v any) {
 		n := 0
