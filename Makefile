@@ -58,8 +58,9 @@ cover:
 # kernel; FuzzDeltaExpand replays adversarial (delete-heavy) ingest batches
 # through the retained-state planners against the full-recompute oracle.
 # FuzzAdjDecode hands arbitrary page bytes under arbitrary field widths to
-# the bulk adjacency decoder and to the byte-loop decode it replaced: same
-# VIDs, or the same failure, and no read past the page. FuzzVectorJSON
+# the page Decoder (Record + VID, what every kernel reads pages through) and
+# to the field-by-field byte-loop decode: same VIDs, or the same failure,
+# and no read past the page. FuzzVectorJSON
 # feeds arbitrary element bits of every result-vector kind to gtsd's job
 # encoder and to encoding/json: the same bytes, or both refuse.
 # Go allows one -fuzz target per invocation, hence the separate runs.
@@ -74,8 +75,11 @@ fuzz:
 	$(GO) test ./internal/incremental -run '^$$' -fuzz '^FuzzDeltaExpand$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzVectorJSON$$' -fuzztime $(FUZZTIME)
 
+# The root package's end-to-end benchmarks, then the two layers under every
+# host-clock number: the page kernels (BenchmarkPageKernels: ns/edge per
+# kernel; BenchmarkBuildRevAdj) and the page decoder (BenchmarkAdjDecode).
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) test -bench=. -benchmem -run '^$$' . ./internal/kernels ./internal/slottedpage
 
 # bench/ is a Go module of its own (repro/bench, replace repro => ../): the
 # root `go build ./...` and `go test ./...` never compile it, yet it imports
@@ -114,13 +118,13 @@ loc:
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' gts.go)
 
 # loc-check fails when a count `make loc` prints exceeds the ceiling written
-# here. The ceilings are the results of the last PR that moved them (PR 19,
-# which raised the three line counts by the 179 lines its job-response
-# encoder added to internal/service), so a count can only go down, and a PR
+# here. The ceilings are the results of the last PR that moved them (PR 20,
+# which lowered the three line counts: the decode scratch plumbing left
+# internal/core and internal/kernels), so a count can only go down, and a PR
 # that has to raise one says so by editing the number beside it.
-LOC_MAX_TOTAL = 21715
-LOC_MAX_ENGINE_AND_API = 5712
-LOC_MAX_ENGINE = 4908
+LOC_MAX_TOTAL = 21706
+LOC_MAX_ENGINE_AND_API = 5708
+LOC_MAX_ENGINE = 4904
 LOC_MAX_GTSD_FLAGS = 25
 LOC_MAX_CONFIG_FIELDS = 14
 loc-check:

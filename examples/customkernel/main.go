@@ -58,37 +58,41 @@ func (k *maxLabel) Init(st gts.KernelState, _ uint64) {
 func (k *maxLabel) BeginLevel([]gts.KernelState, int32) {}
 
 // RunSP is the small-page kernel: one warp per slot, pushing labels along
-// the page's adjacency entries in both directions.
+// the page's adjacency entries in both directions. Slot i of a small page
+// is vertex StartVID + i.
 func (k *maxLabel) RunSP(a *gts.KernelArgs) gts.KernelResult {
 	s := a.State.(*maxState)
-	pg := a.Page
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	var res gts.KernelResult
-	for slot := 0; slot < pg.NumSlots(); slot++ {
-		vid, _ := pg.Slot(slot)
+	for slot, vid := 0, dec.StartVID(a.PID); slot < a.Page.NumSlots(); slot, vid = slot+1, vid+1 {
 		res.Cycles += 20
-		k.push(a, s, vid, pg.Adj(slot), &res)
+		pos, end, _ := dec.Record(buf, slot)
+		k.push(a, s, vid, pos, end, &res)
 	}
 	return res
 }
 
 // RunLP is the large-page kernel: the page holds one hub's partial
-// adjacency.
+// adjacency in its only slot.
 func (k *maxLabel) RunLP(a *gts.KernelArgs) gts.KernelResult {
 	s := a.State.(*maxState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
 	var res gts.KernelResult
 	res.Cycles += 20
-	k.push(a, s, vid, a.Page.Adj(0), &res)
+	pos, end, _ := dec.Record(a.Page.Bytes(), 0)
+	k.push(a, s, dec.StartVID(a.PID), pos, end, &res)
 	return res
 }
 
-// push visits one record's neighbors. a.Neighbors resolves the record's
-// physical IDs to vertex IDs in one bulk pass into scratch the engine owns
-// (this kernel has no gather half, hence the nil Deferred), so the loop
-// below sees plain VIDs and allocates nothing.
-func (k *maxLabel) push(a *gts.KernelArgs, s *maxState, vid uint64, adj slottedpage.AdjView, res *gts.KernelResult) {
+// push visits one record's neighbors: its entries lie at [pos, end) of the
+// page bytes, dec.Width() apart, and dec.VID resolves each physical ID to
+// the neighbor's vertex ID right where the loop uses it — nothing is
+// decoded ahead, so the kernel allocates nothing.
+func (k *maxLabel) push(a *gts.KernelArgs, s *maxState, vid uint64, pos, end int, res *gts.KernelResult) {
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	cv := s.prev[vid]
-	for _, nvid := range a.Neighbors(adj, nil) {
+	for ; pos < end; pos += dec.Width() {
+		nvid, _ := dec.VID(buf, pos)
 		res.Edges++
 		res.Cycles += 40
 		if nvid >= a.OwnedLo && nvid < a.OwnedHi && cv > s.next[nvid] {

@@ -56,7 +56,6 @@ func (m *member) kernelArgs(gpuIdx int, pid slottedpage.PageID, level int32, loc
 		OwnedHi:  m.owned[gpuIdx][1],
 		Tech:     m.eng.opts.Technique,
 		NextPIDs: local,
-		Scratch:  &m.adjScratch,
 	}
 }
 

@@ -87,10 +87,11 @@ func benchRun(tb testing.TB, sp *slottedpage.Graph, k kernels.Kernel, workers in
 // result slice), a steady-state computeKernels phase must stay within a
 // small fixed allocation budget — the inline path allocation-free, which
 // is also how a worker count below minGatherWorkers shows it ran inline,
-// the parallel path paying only its per-wave goroutine launches. The gather
-// half is pinned on its own too, per page: once a Deferred has grown its op
-// buffer and its adjacency-decode scratch, gathering a page into it
-// allocates nothing.
+// the parallel path paying only its per-wave goroutine launches. A whole
+// inline BFS, every level, is held to the same zero: a page kernel decodes
+// at the point of use and owns no buffer. The gather half is pinned on its
+// own too, per page: once a Deferred has grown its op buffer, gathering a
+// page into it allocates nothing.
 func TestGatherApplyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation perturbs allocation counts")
@@ -115,6 +116,22 @@ func TestGatherApplyAllocBudget(t *testing.T) {
 			t.Errorf("workers=%d: phase allocates %.1f objects/run, want 0 (not inline, or the pooled hot path regressed)", workers, got)
 		}
 	}
+	bfs := kernels.NewBFS(sp)
+	r, jobs, locals := benchRun(t, sp, bfs, 1)
+	levels := int32(0)
+	traverse := func() {
+		bfs.Init(r.stateFor(0), 0)
+		for levels = 0; levels == 0 || locals[0].Any(); levels++ {
+			r.kres = r.kres[:0]
+			locals[0].Reset()
+			r.computeKernels(jobs, levels, locals, false)
+		}
+	}
+	traverse() // warm the result slice
+	if got := testing.AllocsPerRun(5, traverse); got > 0 || levels < 3 {
+		t.Errorf("inline BFS: %d levels allocate %.1f objects/run, want a traversal of 3+ levels and 0", levels, got)
+	}
+
 	// The parallel path launches up to `workers` goroutines per wave; with
 	// 8 workers, waveFactor 8 and this graph's page count that is a few
 	// dozen closures. 128 leaves headroom without masking a regression to
@@ -129,8 +146,8 @@ func TestGatherApplyAllocBudget(t *testing.T) {
 
 	// The goroutine launches above would hide one object per page on a
 	// graph this small, so gather every page into one warmed Deferred with
-	// no pool and no goroutine in the way: a decode that stopped reusing
-	// the Deferred's scratch costs at least one object per record.
+	// no pool and no goroutine in the way: a decode that materialised a
+	// record's neighbours would cost at least one object per record.
 	for _, k := range []kernels.GatherKernel{kernels.NewPageRank(sp, 0.85, 5), kernels.NewCC(sp)} {
 		r, jobs, locals := benchRun(t, sp, k, 1)
 		d := new(kernels.Deferred)
@@ -144,7 +161,7 @@ func TestGatherApplyAllocBudget(t *testing.T) {
 		}
 		gatherAll()
 		if got := testing.AllocsPerRun(20, gatherAll) / float64(len(jobs)); got > 0 {
-			t.Errorf("%s: a steady-state gather allocates %.2f objects/page, want 0 (decode scratch not reused?)", k.Name(), got)
+			t.Errorf("%s: a steady-state gather allocates %.2f objects/page, want 0 (is something decoded ahead of use?)", k.Name(), got)
 		}
 	}
 }

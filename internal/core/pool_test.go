@@ -33,7 +33,7 @@ func newTestPool(t *testing.T, sp *slottedpage.Graph, bytes int64) *bufpool.Pool
 func TestCyclicScanHitRates(t *testing.T) {
 	const n, k = 64, 4
 	for _, b := range []int{n / 4, n / 2, 3 * n / 4} {
-		cache := hw.NewPageCache(b)
+		cache := hw.NewPageCache(b, n)
 		pool, err := bufpool.New(bufpool.Config{PageSize: 1, Bytes: int64(b)})
 		if err != nil {
 			t.Fatal(err)

@@ -107,11 +107,8 @@ type member struct {
 	pidPool        sync.Pool
 	hostKernelWall time.Duration
 	// argScratch backs the serial paths' kernels.Args so passing &args to
-	// an interface method does not heap-allocate once per page; adjScratch
-	// is the adjacency decode buffer those Args point at (gathers decode
-	// into their Deferred instead, so the worker pool never shares it).
+	// an interface method does not heap-allocate once per page.
 	argScratch kernels.Args
-	adjScratch kernels.AdjScratch
 
 	// Fault injection and recovery. Every hardware operation attempt first
 	// points the machine's injectors at this member's (see withRetry), so
@@ -235,7 +232,7 @@ func (pl *plant) setup(e *Engine, headroom bool) error {
 			if err := g.Alloc(pages * pageSize); err != nil {
 				return err
 			}
-			pl.caches[i] = hw.NewPageCache(int(pages))
+			pl.caches[i] = hw.NewPageCache(int(pages), e.graph.NumPages())
 			pl.cacheBytes[i] = pages * pageSize
 			pl.cacheTarget[i] = pages * pageSize
 		}

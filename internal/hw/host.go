@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -53,28 +54,30 @@ func (h *Host) Capacity() int64 { return h.capacity }
 // of N pages through B slots hit (k-1)·B times — §3.3's B/(S+L). (The
 // host-side page buffer is internal/bufpool.)
 type PageCache struct {
-	capacity int // in pages
-	resident map[uint64]struct{}
-	order    []uint64 // the resident pages, oldest admission first
+	capacity int         // in pages
+	resident *bitset.Set // over the graph's page IDs, which are dense
+	order    []uint64    // the resident pages, oldest admission first
 }
 
-// NewPageCache returns a cache holding at most capacity pages.
-func NewPageCache(capacity int) *PageCache {
-	return &PageCache{capacity: capacity, resident: make(map[uint64]struct{})}
+// NewPageCache returns a cache holding at most capacity of a graph's
+// numPages pages (page IDs in [0, numPages)).
+func NewPageCache(capacity, numPages int) *PageCache {
+	return &PageCache{
+		capacity: capacity,
+		resident: bitset.New(numPages),
+		order:    make([]uint64, 0, min(capacity, numPages)),
+	}
 }
 
 // Contains reports whether pid is cached.
-func (c *PageCache) Contains(pid uint64) bool {
-	_, ok := c.resident[pid]
-	return ok
-}
+func (c *PageCache) Contains(pid uint64) bool { return c.resident.Get(int(pid)) }
 
 // Insert admits pid if it is new and there is room.
 func (c *PageCache) Insert(pid uint64) {
 	if len(c.order) >= c.capacity || c.Contains(pid) {
 		return
 	}
-	c.resident[pid] = struct{}{}
+	c.resident.Set(int(pid))
 	c.order = append(c.order, pid)
 }
 
@@ -85,7 +88,7 @@ func (c *PageCache) Resize(capacity int) {
 	c.capacity = capacity
 	for len(c.order) > capacity {
 		last := len(c.order) - 1
-		delete(c.resident, c.order[last])
+		c.resident.Clear(int(c.order[last]))
 		c.order = c.order[:last]
 	}
 }

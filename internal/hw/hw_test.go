@@ -340,7 +340,7 @@ func TestHostAccounting(t *testing.T) {
 // lookup does not reorder anything, and Resize drops the most recently
 // admitted pages first.
 func TestPageCacheKeepsWhatItHolds(t *testing.T) {
-	c := NewPageCache(3)
+	c := NewPageCache(3, 8)
 	if c.Contains(1) {
 		t.Error("empty cache hit")
 	}
@@ -371,7 +371,7 @@ func TestPageCacheKeepsWhatItHolds(t *testing.T) {
 }
 
 func TestPageCacheReinsertIsNoop(t *testing.T) {
-	c := NewPageCache(2)
+	c := NewPageCache(2, 8)
 	c.Insert(1)
 	c.Insert(1)
 	if c.Len() != 1 {

@@ -212,20 +212,18 @@ func (k *IncBFS) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kerne
 
 // RunSP implements the small-page kernel: expand pending frontier slots.
 func (k *IncBFS) RunSP(a *kernels.Args) kernels.Result {
-	d := a.Deferred
 	s := a.State.(*incBFSState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var res kernels.Result
 	var edges int64
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if !k.front.Get(int(vid)) {
+	for slot, vid := 0, int(dec.StartVID(a.PID)); slot < n; slot, vid = slot+1, vid+1 {
+		if !k.front.Get(vid) {
 			continue
 		}
-		adj := pg.Adj(slot)
-		edges += int64(adj.Len())
-		k.expand(a, s, adj, &res, d)
+		pos, end, deg := dec.Record(buf, slot)
+		edges += int64(deg)
+		k.expand(a, s, pos, end, &res)
 	}
 	res.Edges = edges
 	res.Cycles = k.cost.cycles(int64(n), edges)
@@ -234,33 +232,35 @@ func (k *IncBFS) RunSP(a *kernels.Args) kernels.Result {
 
 // RunLP implements the large-page kernel.
 func (k *IncBFS) RunLP(a *kernels.Args) kernels.Result {
-	d := a.Deferred
 	s := a.State.(*incBFSState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
 	var res kernels.Result
 	var edges int64
-	if k.front.Get(int(vid)) {
-		adj := a.Page.Adj(0)
-		edges = int64(adj.Len())
-		k.expand(a, s, adj, &res, d)
+	if k.front.Get(int(dec.StartVID(a.PID))) {
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		edges = int64(deg)
+		k.expand(a, s, pos, end, &res)
 	}
 	res.Edges = edges
 	res.Cycles = k.cost.cycles(1, edges)
 	return res
 }
 
-// expand relaxes one frontier vertex's adjacency: neighbors improve to
-// cur+1 when that lowers (or first sets) their level. Superset+recheck:
-// the condition only flips monotonically as applies commit cur+1 writes.
-func (k *IncBFS) expand(a *kernels.Args, s *incBFSState, adj slottedpage.AdjView, res *kernels.Result, d *kernels.Deferred) {
+// expand relaxes one frontier vertex's adjacency, the record at [pos, end):
+// neighbors improve to cur+1 when that lowers (or first sets) their level.
+// Superset+recheck: the condition only flips monotonically as applies
+// commit cur+1 writes.
+func (k *IncBFS) expand(a *kernels.Args, s *incBFSState, pos, end int, res *kernels.Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
 	nl := k.cur + 1
-	for i, nvid := range a.Neighbors(adj, d) {
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, npid := dec.VID(buf, pos)
 		if nvid < a.OwnedLo || nvid >= a.OwnedHi {
 			continue
 		}
 		if s.lv[nvid] == unvisited || s.lv[nvid] > nl {
 			if d != nil {
-				d.Push(kernels.Op{Idx: nvid, Val: uint64(uint16(nl)), PID: int32(adj.PID(i))})
+				d.Push(kernels.Op{Idx: nvid, Val: uint64(uint16(nl)), PID: int32(npid)})
 				continue
 			}
 			s.lv[nvid] = nl

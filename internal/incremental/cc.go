@@ -162,20 +162,18 @@ func (k *IncCC) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernel
 // RunSP relaxes labels for scan-set slots, both directions, exactly as the
 // full CC's propagate does.
 func (k *IncCC) RunSP(a *kernels.Args) kernels.Result {
-	d := a.Deferred
 	s := a.State.(*incCCState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var res kernels.Result
 	var edges int64
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
+	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
 		if !k.scan.Get(int(vid)) {
 			continue
 		}
-		adj := pg.Adj(slot)
-		edges += int64(adj.Len())
-		k.propagate(a, s, vid, adj, &res, d)
+		pos, end, deg := dec.Record(buf, slot)
+		edges += int64(deg)
+		k.propagate(a, s, vid, pos, end, &res)
 	}
 	res.Edges = edges
 	res.Cycles = k.cost.cycles(int64(n), edges)
@@ -184,24 +182,26 @@ func (k *IncCC) RunSP(a *kernels.Args) kernels.Result {
 
 // RunLP relaxes one large vertex's page-local adjacency.
 func (k *IncCC) RunLP(a *kernels.Args) kernels.Result {
-	d := a.Deferred
 	s := a.State.(*incCCState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
 	var res kernels.Result
 	var edges int64
 	if k.scan.Get(int(vid)) {
-		adj := a.Page.Adj(0)
-		edges = int64(adj.Len())
-		k.propagate(a, s, vid, adj, &res, d)
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		edges = int64(deg)
+		k.propagate(a, s, vid, pos, end, &res)
 	}
 	res.Edges = edges
 	res.Cycles = k.cost.cycles(1, edges)
 	return res
 }
 
-func (k *IncCC) propagate(a *kernels.Args, s *incCCState, vid uint64, adj slottedpage.AdjView, res *kernels.Result, d *kernels.Deferred) {
-	cv := s.prev[vid]
-	for _, nvid := range a.Neighbors(adj, d) {
+func (k *IncCC) propagate(a *kernels.Args, s *incCCState, vid uint64, pos, end int, res *kernels.Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	cv, ownsV := s.prev[vid], vid >= a.OwnedLo && vid < a.OwnedHi
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
 		if nvid >= a.OwnedLo && nvid < a.OwnedHi && cv < s.next[nvid] {
 			if d != nil {
 				d.Push(kernels.Op{Idx: nvid, Val: uint64(cv)})
@@ -211,7 +211,7 @@ func (k *IncCC) propagate(a *kernels.Args, s *incCCState, vid uint64, adj slotte
 				res.Active = true
 			}
 		}
-		if cn := s.prev[nvid]; vid >= a.OwnedLo && vid < a.OwnedHi && cn < s.next[vid] {
+		if cn := s.prev[nvid]; ownsV && cn < s.next[vid] {
 			if d != nil {
 				d.Push(kernels.Op{Idx: vid, Val: uint64(cn)})
 			} else {

@@ -330,7 +330,7 @@ func TestOwnershipBounds(t *testing.T) {
 		next.ForEach(func(i int) {
 			pid := slottedpage.PageID(i)
 			args := kernels.Args{Graph: g, PID: pid, Page: g.Page(pid), State: st,
-				OwnedLo: 0, OwnedHi: 0, Scratch: new(kernels.AdjScratch)}
+				OwnedLo: 0, OwnedHi: 0}
 			var res kernels.Result
 			if g.Kind(pid) == slottedpage.LargePage {
 				res = k.RunLP(&args)

@@ -239,23 +239,19 @@ func (k *IncPR) finishIteration(sts []kernels.State) {
 // RunSP scatters contributions from every slot of a marked page into
 // candidate accumulators, reading the patched input vector.
 func (k *IncPR) RunSP(a *kernels.Args) kernels.Result {
-	d := a.Deferred
 	s := a.State.(*incPRState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var res kernels.Result
 	var edges int64
 	df := float32(k.damping)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		adj := pg.Adj(slot)
-		deg := adj.Len()
+	for slot, pr := range k.cur[dec.StartVID(a.PID):][:n] {
+		pos, end, deg := dec.Record(buf, slot)
 		edges += int64(deg)
 		if deg == 0 {
 			continue
 		}
-		contrib := df * k.cur[vid] / float32(deg)
-		k.scatter(a, s, adj, contrib, &res, d)
+		k.scatter(a, s, pos, end, df*pr/float32(deg), &res)
 	}
 	res.Edges = edges
 	res.Cycles = k.cost.cycles(int64(n), edges)
@@ -266,22 +262,22 @@ func (k *IncPR) RunSP(a *kernels.Args) kernels.Result {
 // RunLP scatters one large vertex's page-local adjacency, dividing by the
 // vertex's total degree.
 func (k *IncPR) RunLP(a *kernels.Args) kernels.Result {
-	d := a.Deferred
 	s := a.State.(*incPRState)
-	vid, _ := a.Page.Slot(0)
-	adj := a.Page.Adj(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
+	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
 	var res kernels.Result
-	edges := int64(adj.Len())
-	contrib := float32(k.damping) * k.cur[vid] / float32(k.lpDeg[vid])
-	k.scatter(a, s, adj, contrib, &res, d)
-	res.Edges = edges
-	res.Cycles = k.cost.cycles(1, edges)
+	k.scatter(a, s, pos, end, float32(k.damping)*k.cur[vid]/float32(k.lpDeg[vid]), &res)
+	res.Edges = int64(deg)
+	res.Cycles = k.cost.cycles(1, int64(deg))
 	res.Active = true
 	return res
 }
 
-func (k *IncPR) scatter(a *kernels.Args, s *incPRState, adj slottedpage.AdjView, contrib float32, res *kernels.Result, d *kernels.Deferred) {
-	for _, nvid := range a.Neighbors(adj, d) {
+func (k *IncPR) scatter(a *kernels.Args, s *incPRState, pos, end int, contrib float32, res *kernels.Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
 		if !k.cand.Get(int(nvid)) {
 			continue
 		}

@@ -97,21 +97,20 @@ func (k *BC) BeginBackward([]State, int32) {}
 // RunSP is the forward kernel: discover neighbors and accumulate shortest-
 // path counts across frontier edges.
 func (k *BC) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*bcState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
+	start := dec.StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if s.dist[vid] != level {
+	for slot, l := range s.dist[start:][:n] {
+		if l != level {
 			continue
 		}
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.forward(a, s, vid, adj, level, &res, d)
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.forward(a, s, start+uint64(slot), pos, end, level, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -120,35 +119,37 @@ func (k *BC) RunSP(a *Args) Result {
 
 // RunLP is the forward kernel for a large vertex's page-local adjacency.
 func (k *BC) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*bcState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
 	if s.dist[vid] == int16(a.Level) {
-		adj := a.Page.Adj(0)
-		lanes.add(adj.Len())
-		k.forward(a, s, vid, adj, int16(a.Level), &res, d)
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		lanes.add(deg)
+		k.forward(a, s, vid, pos, end, int16(a.Level), &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-func (k *BC) forward(a *Args, s *bcState, vid uint64, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for i, nvid := range a.Neighbors(adj, d) {
+func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, npid := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
 		if d != nil {
 			if s.dist[nvid] == unvisited || s.dist[nvid] == level+1 {
-				d.push(Op{Idx: nvid, Val: math.Float64bits(s.sigma[vid]), PID: int32(adj.PID(i))})
+				d.push(Op{Idx: nvid, Val: math.Float64bits(s.sigma[vid]), PID: int32(npid)})
 			}
 			continue
 		}
 		if s.dist[nvid] == unvisited {
 			s.dist[nvid] = level + 1
-			a.NextPIDs.Set(int(adj.PID(i)))
+			a.NextPIDs.Set(int(npid))
 			res.Active = true
 		}
 		if s.dist[nvid] == level+1 {
@@ -185,21 +186,21 @@ func (k *BC) Apply(a *Args, d *Deferred, res *Result) {
 // dependencies from their successors one level deeper (Brandes'
 // delta(v) = sum over successors w of sigma(v)/sigma(w) * (1 + delta(w))).
 func (k *BC) RunSPBack(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*bcState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
+	start := dec.StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if s.dist[vid] != level || !a.owns(vid) {
+	for slot, l := range s.dist[start:][:n] {
+		vid := start + uint64(slot)
+		if l != level || !a.owns(vid) {
 			continue
 		}
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.backward(a, s, vid, adj, level, &res, d)
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.backward(a, s, vid, pos, end, level, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -209,23 +210,25 @@ func (k *BC) RunSPBack(a *Args) Result {
 // RunLPBack is the backward kernel for a large vertex's page-local
 // adjacency.
 func (k *BC) RunLPBack(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*bcState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
 	if s.dist[vid] == int16(a.Level) && a.owns(vid) {
-		adj := a.Page.Adj(0)
-		lanes.add(adj.Len())
-		k.backward(a, s, vid, adj, int16(a.Level), &res, d)
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		lanes.add(deg)
+		k.backward(a, s, vid, pos, end, int16(a.Level), &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-func (k *BC) backward(a *Args, s *bcState, vid uint64, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for _, nvid := range a.Neighbors(adj, d) {
+func (k *BC) backward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
 		if s.dist[nvid] == level+1 && s.sigma[nvid] > 0 {
 			if d != nil {
 				d.push(Op{Idx: vid, Val: math.Float64bits(s.sigma[vid] / s.sigma[nvid] * (1 + s.delta[nvid]))})

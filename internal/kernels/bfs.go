@@ -60,21 +60,19 @@ func (k *BFS) BeginLevel([]State, int32) {}
 // vertex is on the current frontier its adjacency expands, discovering
 // unvisited neighbors and marking their pages in the local nextPIDSet.
 func (k *BFS) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*bfsState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if s.lv[vid] != level {
+	for slot, l := range s.lv[dec.StartVID(a.PID):][:n] {
+		if l != level {
 			continue
 		}
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.expand(a, s, adj, level, &res, d)
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.expand(a, s, pos, end, level, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -84,40 +82,40 @@ func (k *BFS) RunSP(a *Args) Result {
 // RunLP implements K_BFS_LP (Algorithm 3): the page holds one frontier
 // vertex's partial adjacency, expanded by many warps together.
 func (k *BFS) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*bfsState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
 	var res Result
 	var lanes laneAcc
-	if s.lv[vid] == int16(a.Level) {
-		adj := a.Page.Adj(0)
-		lanes.add(adj.Len())
-		k.expand(a, s, adj, int16(a.Level), &res, d)
+	if s.lv[dec.StartVID(a.PID)] == int16(a.Level) {
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		lanes.add(deg)
+		k.expand(a, s, pos, end, int16(a.Level), &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-// expand is the expand_warp device routine: visit every adjacency entry,
-// set LV and the next page set for undiscovered neighbors. With d non-nil
-// the discoveries are deferred instead of committed: unvisited-at-gather is
-// a superset of unvisited-at-apply, and Apply re-tests.
-func (k *BFS) expand(a *Args, s *bfsState, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for i, nvid := range a.Neighbors(adj, d) {
-		if !a.owns(nvid) {
+// expand is the expand_warp device routine: visit every adjacency entry of
+// the record at [pos, end), set LV and the next page set for undiscovered
+// neighbors. As a gather the discoveries are deferred instead of committed:
+// unvisited-at-gather is a superset of unvisited-at-apply, and Apply
+// re-tests.
+func (k *BFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, npid := dec.VID(buf, pos)
+		if !a.owns(nvid) || s.lv[nvid] != unvisited {
 			continue
 		}
-		if s.lv[nvid] == unvisited {
-			if d != nil {
-				d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: int32(adj.PID(i))})
-				continue
-			}
-			s.lv[nvid] = level + 1
-			a.NextPIDs.Set(int(adj.PID(i)))
-			res.Updates++
-			res.Active = true
+		if d != nil {
+			d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: int32(npid)})
+			continue
 		}
+		s.lv[nvid] = level + 1
+		a.NextPIDs.Set(int(npid))
+		res.Updates++
+		res.Active = true
 	}
 }
 

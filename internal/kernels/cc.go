@@ -65,17 +65,15 @@ func (k *CC) BeginLevel([]State, int32) {}
 // neighbor inherits the vertex's label and vice versa, whichever is
 // smaller.
 func (k *CC) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*ccState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.propagate(a, s, vid, adj, &res, d)
+	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.propagate(a, s, vid, pos, end, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -84,22 +82,23 @@ func (k *CC) RunSP(a *Args) Result {
 
 // RunLP propagates labels for one large vertex's page-local adjacency.
 func (k *CC) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*ccState)
-	vid, _ := a.Page.Slot(0)
-	adj := a.Page.Adj(0)
+	dec := a.Graph.Decoder()
+	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
 	var lanes laneAcc
-	lanes.add(adj.Len())
+	lanes.add(deg)
 	var res Result
-	k.propagate(a, s, vid, adj, &res, d)
+	k.propagate(a, s, dec.StartVID(a.PID), pos, end, &res)
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-func (k *CC) propagate(a *Args, s *ccState, vid uint64, adj slottedpage.AdjView, res *Result, d *Deferred) {
-	cv := s.prev[vid]
-	for _, nvid := range a.Neighbors(adj, d) {
+func (k *CC) propagate(a *Args, s *ccState, vid uint64, pos, end int, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	cv, ownsV := s.prev[vid], a.owns(vid)
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
 		if a.owns(nvid) && cv < s.next[nvid] {
 			if d != nil {
 				d.push(Op{Idx: nvid, Val: uint64(cv)})
@@ -109,7 +108,7 @@ func (k *CC) propagate(a *Args, s *ccState, vid uint64, adj slottedpage.AdjView,
 				res.Active = true
 			}
 		}
-		if cn := s.prev[nvid]; a.owns(vid) && cn < s.next[vid] {
+		if cn := s.prev[nvid]; ownsV && cn < s.next[vid] {
 			if d != nil {
 				d.push(Op{Idx: vid, Val: uint64(cn)})
 			} else {

@@ -67,13 +67,11 @@ type Op struct {
 }
 
 // Deferred buffers one page's deferred writes between its Gather and its
-// Apply, and carries the gather's adjacency decode scratch (Args.Neighbors).
-// Buffers are reusable (Reset keeps both capacities) and are recycled by
+// Apply. Buffers are reusable (Reset keeps the capacity) and are recycled by
 // the framework through a sync.Pool, so steady-state gathers allocate
 // nothing.
 type Deferred struct {
 	Ops []Op
-	adj AdjScratch
 }
 
 // Reset empties the buffer, keeping capacity.

@@ -132,20 +132,19 @@ func (k *DeltaSSSP) PlanLevel(sts []State, level int32, next *bitset.Set) Direct
 // RunSP relaxes the out-edges of the page's frontier vertices against the
 // plan's distance snapshot.
 func (k *DeltaSSSP) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*deltaState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
+	start := dec.StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if !k.frontier[vid] {
+	for slot, on := range k.frontier[start:][:n] {
+		if !on {
 			continue
 		}
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.relax(a, s, vid, adj, &res, d)
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.relax(a, s, start+uint64(slot), pos, end, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -154,28 +153,31 @@ func (k *DeltaSSSP) RunSP(a *Args) Result {
 
 // RunLP relaxes the page-local portion of one frontier vertex's adjacency.
 func (k *DeltaSSSP) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*deltaState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
 	if k.frontier[vid] {
-		adj := a.Page.Adj(0)
-		lanes.add(adj.Len())
-		k.relax(a, s, vid, adj, &res, d)
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		lanes.add(deg)
+		k.relax(a, s, vid, pos, end, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-// relax proposes nd = base[vid] + w(vid, n) for each owned out-neighbor.
-// The serial commit and the deferred path both evaluate nd from the
-// snapshot, so their proposed values are identical; only the accept test
-// differs in when it runs (here against live dist, or re-run in Apply).
-func (k *DeltaSSSP) relax(a *Args, s *deltaState, vid uint64, adj slottedpage.AdjView, res *Result, d *Deferred) {
+// relax proposes nd = base[vid] + w(vid, n) for each owned out-neighbor in
+// the record at [pos, end). The serial commit and the deferred path both
+// evaluate nd from the snapshot, so their proposed values are identical;
+// only the accept test differs in when it runs (here against live dist, or
+// re-run in Apply).
+func (k *DeltaSSSP) relax(a *Args, s *deltaState, vid uint64, pos, end int, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
 	base := k.base[vid]
-	for _, nvid := range a.Neighbors(adj, d) {
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}

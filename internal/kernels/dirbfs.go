@@ -142,95 +142,92 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 
 // RunSP implements Kernel, dispatching on the planned direction.
 func (k *DirBFS) RunSP(a *Args) Result {
-	d := a.Deferred
 	if k.dir == DirPull {
-		return k.pullSP(a, d)
+		return k.pullSP(a)
 	}
-	return k.pushSP(a, d)
+	return k.pushSP(a)
 }
 
 // RunLP implements Kernel.
 func (k *DirBFS) RunLP(a *Args) Result {
-	d := a.Deferred
 	if k.dir == DirPull {
-		return k.pullLP(a, d)
+		return k.pullLP(a)
 	}
-	return k.pushLP(a, d)
+	return k.pushLP(a)
 }
 
 // pushSP is K_BFS_SP with fused filtering: discoveries are committed (or
 // deferred) without marking NextPIDs.
-func (k *DirBFS) pushSP(a *Args, d *Deferred) Result {
+func (k *DirBFS) pushSP(a *Args) Result {
 	s := a.State.(*bfsState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if s.lv[vid] != level {
+	for slot, l := range s.lv[dec.StartVID(a.PID):][:n] {
+		if l != level {
 			continue
 		}
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.expand(a, s, adj, level, &res, d)
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.expand(a, s, pos, end, level, &res)
 	}
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
 	return res
 }
 
 // pushLP is K_BFS_LP with the same fused filtering.
-func (k *DirBFS) pushLP(a *Args, d *Deferred) Result {
+func (k *DirBFS) pushLP(a *Args) Result {
 	s := a.State.(*bfsState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
 	var lanes laneAcc
 	var res Result
-	if s.lv[vid] == int16(a.Level) {
-		adj := a.Page.Adj(0)
-		lanes.add(adj.Len())
-		k.expand(a, s, adj, int16(a.Level), &res, d)
+	if s.lv[dec.StartVID(a.PID)] == int16(a.Level) {
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		lanes.add(deg)
+		k.expand(a, s, pos, end, int16(a.Level), &res)
 	}
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-// expand visits one frontier vertex's adjacency, discovering unvisited
-// owned neighbors. Coverage (out-degree of the discovery) accrues at
-// commit; deferred ops re-test and accrue in Apply.
-func (k *DirBFS) expand(a *Args, s *bfsState, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for _, nvid := range a.Neighbors(adj, d) {
-		if !a.owns(nvid) {
+// expand visits one frontier vertex's adjacency, the record at [pos, end),
+// discovering unvisited owned neighbors. Coverage (out-degree of the
+// discovery) accrues at commit; deferred ops re-test and accrue in Apply.
+func (k *DirBFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
+		if !a.owns(nvid) || s.lv[nvid] != unvisited {
 			continue
 		}
-		if s.lv[nvid] == unvisited {
-			if d != nil {
-				d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: -1})
-				continue
-			}
-			s.lv[nvid] = level + 1
-			res.Edges += int64(k.outDeg[nvid])
-			res.Updates++
-			res.Active = true
+		if d != nil {
+			d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: -1})
+			continue
 		}
+		s.lv[nvid] = level + 1
+		res.Edges += int64(k.outDeg[nvid])
+		res.Updates++
+		res.Active = true
 	}
 }
 
 // pullSP scans each unvisited owned vertex's in-edges, early-exiting at the
 // first parent on the frontier. Lane costs count only the scanned prefix.
-func (k *DirBFS) pullSP(a *Args, d *Deferred) Result {
+// It reads the level vector and the reverse CSR, never the page's bytes
+// beyond its slot count.
+func (k *DirBFS) pullSP(a *Args) Result {
 	s := a.State.(*bfsState)
-	pg := a.Page
-	n := pg.NumSlots()
+	n := a.Page.NumSlots()
+	start := a.Graph.Decoder().StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if s.lv[vid] != unvisited || !a.owns(vid) {
-			continue
+	for slot, l := range s.lv[start:][:n] {
+		if vid := start + uint64(slot); l == unvisited && a.owns(vid) {
+			k.pullVertex(a, s, vid, level, &lanes, &res)
 		}
-		k.pullVertex(a, s, vid, level, &lanes, &res, d)
 	}
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
 	return res
@@ -239,13 +236,13 @@ func (k *DirBFS) pullSP(a *Args, d *Deferred) Result {
 // pullLP handles a large vertex: only its home page is planned in pull
 // mode (the scan reads the reverse CSR, not the page's out-edges), so the
 // LP run's continuation pages never stream.
-func (k *DirBFS) pullLP(a *Args, d *Deferred) Result {
+func (k *DirBFS) pullLP(a *Args) Result {
 	s := a.State.(*bfsState)
-	vid, _ := a.Page.Slot(0)
+	vid := a.Graph.Decoder().StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
 	if s.lv[vid] == unvisited && a.owns(vid) {
-		k.pullVertex(a, s, vid, int16(a.Level), &lanes, &res, d)
+		k.pullVertex(a, s, vid, int16(a.Level), &lanes, &res)
 	}
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
@@ -254,7 +251,7 @@ func (k *DirBFS) pullLP(a *Args, d *Deferred) Result {
 // pullVertex scans vid's in-neighbors for a frontier parent. The frontier
 // test (lv == level) is phase-stable: same-phase applies only move
 // vertices from unvisited to level+1, never onto the current frontier.
-func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes *laneAcc, res *Result, d *Deferred) {
+func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes *laneAcc, res *Result) {
 	scanned := 0
 	found := false
 	for _, u := range k.rev.in(vid) {
@@ -268,7 +265,7 @@ func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes
 	if !found {
 		return
 	}
-	if d != nil {
+	if d := a.Deferred; d != nil {
 		d.push(Op{Idx: vid, Val: uint64(level + 1), PID: -1})
 		return
 	}

@@ -153,8 +153,7 @@ func TestRevAdj(t *testing.T) {
 
 // BenchmarkBuildRevAdj prices the reverse index every pulling DirBFS run
 // and every incremental CC/PageRank plan builds: two page-sequential passes
-// over the bulk decoder, two allocations (offsets, targets) plus the decode
-// scratch's growth.
+// through the decoder, two allocations (offsets, targets).
 func BenchmarkBuildRevAdj(b *testing.B) {
 	d, _ := graphgen.ByName("RMAT27")
 	sp, err := slottedpage.Build(d.MustGenerate(11), slottedpage.ScaledConfig(2, 2, 4096))

@@ -15,7 +15,7 @@ import (
 // (Algorithm 1) with no hardware model: it exists so the kernels are tested
 // independently of internal/core — two separate drivers agreeing with the
 // references pins both.
-func drive(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64) State {
+func drive(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) State {
 	return driveMode(t, k, g, source, false)
 }
 
@@ -26,8 +26,15 @@ func drive(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64) State {
 // FrontierKernels get their PlanLevel hook called exactly where the engine
 // calls it: after seeding and after each level's merge, before the
 // emptiness test.
-func driveMode(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64, gather bool) State {
+func driveMode(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64, gather bool) State {
+	st, _ := driveCount(t, k, g, source, gather)
+	return st
+}
+
+// driveCount is driveMode that also returns the run's summed Result.Edges.
+func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64, gather bool) (State, int64) {
 	t.Helper()
+	var edges int64
 	st := k.NewState()
 	k.Init(st, source)
 	sts := []State{st}
@@ -74,7 +81,6 @@ func driveMode(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64, gath
 				OwnedLo: 0, OwnedHi: g.NumVertices(),
 				Tech:     EdgeCentric,
 				NextPIDs: local,
-				Scratch:  new(AdjScratch),
 			}
 			// One entry per page kind: the same call is the gather when
 			// Args.Deferred is set and the inline kernel when it is not.
@@ -109,6 +115,7 @@ func driveMode(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64, gath
 			if res.Active {
 				active = true
 			}
+			edges += res.Edges
 			if res.Cycles < 0 {
 				t.Fatalf("negative cycles from %s on page %d", k.Name(), pid)
 			}
@@ -163,7 +170,7 @@ func driveMode(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64, gath
 			runSet(levelSets[l], int32(l), true)
 		}
 	}
-	return st
+	return st, edges
 }
 
 func driverGraph(t *testing.T) (*csr.Graph, *slottedpage.Graph) {
@@ -359,7 +366,7 @@ func TestDriverTechniquesAgree(t *testing.T) {
 		local := bitset.New(sp.NumPages())
 		home := sp.HomeOf(0)
 		a := &Args{Graph: sp, PID: home.PID, Page: sp.Page(home.PID), State: st,
-			OwnedLo: 0, OwnedHi: sp.NumVertices(), Tech: tech, NextPIDs: local, Scratch: new(AdjScratch)}
+			OwnedLo: 0, OwnedHi: sp.NumVertices(), Tech: tech, NextPIDs: local}
 		res := k.RunSP(a)
 		if res.Cycles <= 0 {
 			t.Errorf("%v: no cycles", tech)

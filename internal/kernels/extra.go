@@ -94,23 +94,19 @@ func (k *RWR) BeginLevel([]State, int32) {}
 
 // RunSP scatters (1-c) * prev[v]/deg(v) along out-edges.
 func (k *RWR) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*rwrState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
 	walk := float32(1 - k.restart)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		adj := pg.Adj(slot)
-		deg := adj.Len()
+	for slot, pr := range s.prev[dec.StartVID(a.PID):][:n] {
+		pos, end, deg := dec.Record(buf, slot)
 		lanes.add(deg)
-		if deg == 0 || s.prev[vid] == 0 {
+		if deg == 0 || pr == 0 {
 			continue
 		}
-		contrib := walk * s.prev[vid] / float32(deg)
-		k.scatter(a, s, adj, contrib, &res, d)
+		k.scatter(a, s, pos, end, walk*pr/float32(deg), &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -120,16 +116,15 @@ func (k *RWR) RunSP(a *Args) Result {
 
 // RunLP scatters one large vertex's page-local portion.
 func (k *RWR) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*rwrState)
-	vid, _ := a.Page.Slot(0)
-	adj := a.Page.Adj(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
+	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
 	var lanes laneAcc
-	lanes.add(adj.Len())
+	lanes.add(deg)
 	var res Result
 	if s.prev[vid] != 0 {
-		contrib := float32(1-k.restart) * s.prev[vid] / float32(k.lpDeg[vid])
-		k.scatter(a, s, adj, contrib, &res, d)
+		k.scatter(a, s, pos, end, float32(1-k.restart)*s.prev[vid]/float32(k.lpDeg[vid]), &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
@@ -137,8 +132,10 @@ func (k *RWR) RunLP(a *Args) Result {
 	return res
 }
 
-func (k *RWR) scatter(a *Args, s *rwrState, adj slottedpage.AdjView, contrib float32, res *Result, d *Deferred) {
-	for _, nvid := range a.Neighbors(adj, d) {
+func (k *RWR) scatter(a *Args, s *rwrState, pos, end int, contrib float32, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
@@ -256,19 +253,19 @@ const (
 func (k *DegreeDist) RunSP(a *Args) Result {
 	d := a.Deferred
 	s := a.State.(*degState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var res Result
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
+	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
 		if !a.owns(vid) {
 			continue
 		}
+		_, _, deg := dec.Record(buf, slot)
 		if d != nil {
-			d.push(Op{Idx: vid, Val: uint64(pg.Adj(slot).Len()), Kind: degOpSet})
+			d.push(Op{Idx: vid, Val: uint64(deg), Kind: degOpSet})
 			continue
 		}
-		s.deg[vid] = int32(pg.Adj(slot).Len())
+		s.deg[vid] = int32(deg)
 		res.Updates++
 	}
 	var lanes laneAcc
@@ -281,13 +278,15 @@ func (k *DegreeDist) RunSP(a *Args) Result {
 func (k *DegreeDist) RunLP(a *Args) Result {
 	d := a.Deferred
 	s := a.State.(*degState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
 	var res Result
 	if a.owns(vid) {
+		_, _, deg := dec.Record(a.Page.Bytes(), 0)
 		if d != nil {
-			d.push(Op{Idx: vid, Val: uint64(a.Page.Adj(0).Len()), Kind: degOpAdd})
+			d.push(Op{Idx: vid, Val: uint64(deg), Kind: degOpAdd})
 		} else {
-			s.deg[vid] += int32(a.Page.Adj(0).Len())
+			s.deg[vid] += int32(deg)
 			res.Updates++
 		}
 	}
@@ -426,17 +425,15 @@ func (k *KCore) BeginLevel(sts []State, _ int32) {
 
 // RunSP counts alive neighbors across each edge in both directions.
 func (k *KCore) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*kcoreState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.tally(a, s, vid, adj, &res, d)
+	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.tally(a, s, vid, pos, end, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -446,23 +443,25 @@ func (k *KCore) RunSP(a *Args) Result {
 
 // RunLP counts one large vertex's page-local adjacency.
 func (k *KCore) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*kcoreState)
-	vid, _ := a.Page.Slot(0)
-	adj := a.Page.Adj(0)
+	dec := a.Graph.Decoder()
+	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
 	var lanes laneAcc
-	lanes.add(adj.Len())
+	lanes.add(deg)
 	var res Result
-	k.tally(a, s, vid, adj, &res, d)
+	k.tally(a, s, dec.StartVID(a.PID), pos, end, &res)
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	res.Active = true
 	return res
 }
 
-func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, adj slottedpage.AdjView, res *Result, d *Deferred) {
-	for _, nvid := range a.Neighbors(adj, d) {
-		if s.alive[vid] && a.owns(nvid) {
+func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, pos, end int, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	aliveV, ownsV := s.alive[vid], a.owns(vid)
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
+		if aliveV && a.owns(nvid) {
 			if d != nil {
 				d.push(Op{Idx: nvid})
 			} else {
@@ -470,7 +469,7 @@ func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, adj slottedpage.AdjVie
 				res.Updates++
 			}
 		}
-		if s.alive[nvid] && a.owns(vid) {
+		if s.alive[nvid] && ownsV {
 			if d != nil {
 				d.push(Op{Idx: vid})
 			} else {

@@ -102,21 +102,21 @@ func (r *revAdj) ensure() {
 // source VID. ensure must have run.
 func (r *revAdj) in(v uint64) []uint32 { return r.targets[r.offsets[v]:r.offsets[v+1]] }
 
-// buildRevAdj builds the reverse CSR in two page-sequential passes over the
-// bulk decoder: count in-degrees, prefix-sum them into offsets, then place
-// each edge's source at its target's cursor. The cursor is the offsets
+// buildRevAdj builds the reverse CSR in two page-sequential passes through
+// the graph's decoder: count in-degrees, prefix-sum them into offsets, then
+// place each edge's source at its target's cursor. The cursor is the offsets
 // array itself, shifted back into place afterwards. Pages hold vertices in
 // VID order, so every in-list comes out ascending by source VID and pull
 // scans are deterministic.
 func buildRevAdj(g *slottedpage.Graph) (offsets []int64, targets []uint32) {
 	n := g.NumVertices()
 	offsets = make([]int64, n+1)
-	var dsts []uint64
-	for pid := 0; pid < g.NumPages(); pid++ {
-		pg := g.Page(slottedpage.PageID(pid))
-		for slot, slots := 0, pg.NumSlots(); slot < slots; slot++ {
-			dsts = g.AdjVIDs(pg.Adj(slot), dsts)
-			for _, dst := range dsts {
+	dec, w := g.Decoder(), g.Decoder().Width()
+	for pid := slottedpage.PageID(0); int(pid) < g.NumPages(); pid++ {
+		buf := g.PageBytes(pid)
+		for slot, slots := 0, g.Page(pid).NumSlots(); slot < slots; slot++ {
+			for pos, end, _ := dec.Record(buf, slot); pos < end; pos += w {
+				dst, _ := dec.VID(buf, pos)
 				offsets[dst+1]++
 			}
 		}
@@ -125,13 +125,13 @@ func buildRevAdj(g *slottedpage.Graph) (offsets []int64, targets []uint32) {
 		offsets[i+1] += offsets[i]
 	}
 	targets = make([]uint32, offsets[n])
-	for pid := 0; pid < g.NumPages(); pid++ {
-		pg := g.Page(slottedpage.PageID(pid))
-		for slot, slots := 0, pg.NumSlots(); slot < slots; slot++ {
-			src, _ := pg.Slot(slot)
-			dsts = g.AdjVIDs(pg.Adj(slot), dsts)
-			for _, dst := range dsts {
-				targets[offsets[dst]] = uint32(src)
+	for pid := slottedpage.PageID(0); int(pid) < g.NumPages(); pid++ {
+		buf := g.PageBytes(pid)
+		src := uint32(dec.StartVID(pid))
+		for slot, slots := 0, g.Page(pid).NumSlots(); slot < slots; slot, src = slot+1, src+1 {
+			for pos, end, _ := dec.Record(buf, slot); pos < end; pos += w {
+				dst, _ := dec.VID(buf, pos)
+				targets[offsets[dst]] = src
 				offsets[dst]++
 			}
 		}
@@ -146,15 +146,17 @@ func buildRevAdj(g *slottedpage.Graph) (offsets []int64, targets []uint32) {
 // outDegrees reads every vertex's out-degree off its records' ADJLIST_SZ
 // fields (a large vertex's run pages sum); no adjacency entry is decoded.
 func outDegrees(g *slottedpage.Graph) []int32 {
-	deg := make([]int32, g.NumVertices())
-	for pid := 0; pid < g.NumPages(); pid++ {
-		pg := g.Page(slottedpage.PageID(pid))
-		for slot, slots := 0, pg.NumSlots(); slot < slots; slot++ {
-			vid, _ := pg.Slot(slot)
-			deg[vid] += int32(pg.Adj(slot).Len())
+	out := make([]int32, g.NumVertices())
+	dec := g.Decoder()
+	for pid := slottedpage.PageID(0); int(pid) < g.NumPages(); pid++ {
+		buf := g.PageBytes(pid)
+		vid := dec.StartVID(pid)
+		for slot, slots := 0, g.Page(pid).NumSlots(); slot < slots; slot, vid = slot+1, vid+1 {
+			_, _, deg := dec.Record(buf, slot)
+			out[vid] += int32(deg)
 		}
 	}
-	return deg
+	return out
 }
 
 // markVertexPages sets the pages that must stream for vertex v: its home

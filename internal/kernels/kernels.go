@@ -138,6 +138,15 @@ func (c costParams) cycles(slots int64, l *laneAcc, tech Technique) float64 {
 
 // Args carries one page-kernel invocation's inputs (paper Algorithm 1
 // lines 16-26).
+//
+// A page kernel reads Page through Graph's decoder (slottedpage.Decoder) at
+// the point of use. A small page's slot i is vertex dec.StartVID(PID) + i —
+// the slot's VID field is never read — and a large page's only slot is
+// StartVID itself; dec.Record(buf, slot) gives the record's entries as
+// [pos, end) in steps of dec.Width(), and dec.VID(buf, pos) resolves one
+// entry to the neighbor's VID and home page inside the loop that uses them.
+// Nothing is decoded ahead of use, so a kernel call allocates nothing and a
+// frontier kernel touches page bytes only for frontier vertices.
 type Args struct {
 	Graph *slottedpage.Graph
 	PID   slottedpage.PageID
@@ -153,39 +162,15 @@ type Args struct {
 	// NextPIDs is this GPU's local nextPIDSet; BFS-like kernels set bits
 	// for pages to visit at the next level. Nil for PageRank-like runs.
 	NextPIDs *bitset.Set
-	// Scratch is where the serial kernels decode adjacency; it must be set.
-	// The engine points every Args it assembles at one buffer it keeps for
-	// the run, so steady state allocates nothing.
-	Scratch *AdjScratch
 	// Deferred, when non-nil, makes the call a gather (see deferred.go): a
 	// GatherKernel's page kernel then leaves State and NextPIDs alone and
-	// appends its intended writes here, decoding adjacency into this
-	// buffer's own scratch. Nil runs the kernel inline. The engine sets it
-	// only for kernels that implement GatherKernel.
+	// appends its intended writes here. Nil runs the kernel inline. The
+	// engine sets it only for kernels that implement GatherKernel.
 	Deferred *Deferred
 }
 
 // owns reports whether vertex v's attribute entry belongs to this GPU.
 func (a *Args) owns(v uint64) bool { return v >= a.OwnedLo && v < a.OwnedHi }
-
-// AdjScratch is a reusable decode buffer for one record's neighbor VIDs.
-// Whoever runs the kernel owns it — the engine's run on the serial path,
-// the page's Deferred on the gather path — never the kernel, which is
-// shared by every worker.
-type AdjScratch struct{ vids []uint64 }
-
-// Neighbors resolves adj — a record of a.Page — to its neighbors' logical
-// VIDs in one bulk pass (slottedpage.Graph.AdjVIDs), into d's scratch on
-// the gather path and a.Scratch on the serial path (d nil). The slice is
-// valid until the next Neighbors call with the same d or a.
-func (a *Args) Neighbors(adj slottedpage.AdjView, d *Deferred) []uint64 {
-	s := a.Scratch
-	if d != nil {
-		s = &d.adj
-	}
-	s.vids = a.Graph.AdjVIDs(adj, s.vids)
-	return s.vids
-}
 
 // Result reports one page-kernel execution.
 type Result struct {
@@ -262,9 +247,10 @@ type BackwardKernel interface {
 // the vertex's full degree (Appendix B, K_PR_LP).
 func lpDegrees(g *slottedpage.Graph) map[uint64]int {
 	m := make(map[uint64]int)
+	dec := g.Decoder()
 	for _, pid := range g.LPIDs() {
-		adj := g.Page(pid).Adj(0)
-		m[g.RVT(pid).StartVID] += adj.Len()
+		_, _, deg := dec.Record(g.PageBytes(pid), 0)
+		m[dec.StartVID(pid)] += deg
 	}
 	return m
 }

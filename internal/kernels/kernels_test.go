@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitset"
 	"repro/internal/graphgen"
 	"repro/internal/slottedpage"
 )
@@ -175,4 +176,31 @@ func TestLPDegrees(t *testing.T) {
 			t.Errorf("LP vertex %d degree %d, want %d", v, d, got)
 		}
 	}
+}
+
+// TestKernelPanicsOnBadPageID: a page kernel must not turn an adjacency
+// entry naming a page the graph does not have into some vertex — it panics,
+// as the per-entry RVT index always did (Graph.Validate reports the same
+// damage as ErrInvalidPage before a kernel ever sees it).
+func TestKernelPanicsOnBadPageID(t *testing.T) {
+	_, sp := driverGraph(t)
+	cfg, dec, pid := sp.Config(), sp.Decoder(), sp.SPIDs()[0]
+	buf := append([]byte(nil), sp.PageBytes(pid)...)
+	slot, pos, deg := 0, 0, 0
+	for ; deg == 0; slot++ { // the first vertex of the page with an out-edge
+		pos, _, deg = dec.Record(buf, slot)
+	}
+	source := dec.StartVID(pid) + uint64(slot-1)
+	buf[pos], buf[pos+1] = byte(sp.NumPages()), byte(sp.NumPages()>>8) // ADJ_PID := NumPages, one past the last
+	k := NewBFS(sp)
+	st := k.NewState()
+	k.Init(st, source)
+	a := &Args{Graph: sp, PID: pid, Page: slottedpage.NewPage(buf, &cfg), State: st,
+		OwnedHi: sp.NumVertices(), NextPIDs: bitset.New(sp.NumPages())}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BFS expanded an entry naming a page the graph does not have")
+		}
+	}()
+	k.RunSP(a)
 }

@@ -23,7 +23,6 @@ func splitDrive(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64, n i
 			a := &Args{
 				Graph: g, PID: pid, Page: g.Page(pid), State: st,
 				OwnedLo: 0, OwnedHi: g.NumVertices(), Tech: EdgeCentric, NextPIDs: local,
-				Scratch: new(AdjScratch),
 			}
 			if g.Kind(pid) == slottedpage.LargePage {
 				k.RunLP(a)

@@ -46,21 +46,19 @@ func (k *Neighborhood) BeginLevel([]State, int32) {}
 // RunSP expands frontier vertices but stops proposing pages once the next
 // level would exceed the hop cap.
 func (k *Neighborhood) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*bfsState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if s.lv[vid] != level {
+	for slot, l := range s.lv[dec.StartVID(a.PID):][:n] {
+		if l != level {
 			continue
 		}
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.expand(a, s, adj, level, &res, d)
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.expand(a, s, pos, end, level, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -69,42 +67,42 @@ func (k *Neighborhood) RunSP(a *Args) Result {
 
 // RunLP expands one large frontier vertex's page-local adjacency.
 func (k *Neighborhood) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*bfsState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
 	var lanes laneAcc
 	var res Result
-	if s.lv[vid] == int16(a.Level) {
-		adj := a.Page.Adj(0)
-		lanes.add(adj.Len())
-		k.expand(a, s, adj, int16(a.Level), &res, d)
+	if s.lv[dec.StartVID(a.PID)] == int16(a.Level) {
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		lanes.add(deg)
+		k.expand(a, s, pos, end, int16(a.Level), &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-func (k *Neighborhood) expand(a *Args, s *bfsState, adj slottedpage.AdjView, level int16, res *Result, d *Deferred) {
-	for i, nvid := range a.Neighbors(adj, d) {
-		if !a.owns(nvid) {
+func (k *Neighborhood) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	// Only propose further expansion inside the ball.
+	inside := level+1 < k.maxHops
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, npid := dec.VID(buf, pos)
+		if !a.owns(nvid) || s.lv[nvid] != unvisited {
 			continue
 		}
-		if s.lv[nvid] == unvisited {
-			if d != nil {
-				pid := int32(-1)
-				if level+1 < k.maxHops {
-					pid = int32(adj.PID(i))
-				}
-				d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: pid})
-				continue
+		if d != nil {
+			pid := int32(-1)
+			if inside {
+				pid = int32(npid)
 			}
-			s.lv[nvid] = level + 1
-			res.Updates++
-			res.Active = true
-			if level+1 < k.maxHops {
-				// Only propose further expansion inside the ball.
-				a.NextPIDs.Set(int(adj.PID(i)))
-			}
+			d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: pid})
+			continue
+		}
+		s.lv[nvid] = level + 1
+		res.Updates++
+		res.Active = true
+		if inside {
+			a.NextPIDs.Set(int(npid))
 		}
 	}
 }
@@ -206,17 +204,15 @@ func (k *CrossEdges) BeginLevel([]State, int32) {}
 
 // RunSP tallies crossing edges for the page's vertices.
 func (k *CrossEdges) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*crossState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.tally(a, s, vid, adj, &res, d)
+	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.tally(a, s, vid, pos, end, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -226,27 +222,27 @@ func (k *CrossEdges) RunSP(a *Args) Result {
 
 // RunLP tallies one large vertex's page-local adjacency.
 func (k *CrossEdges) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*crossState)
-	vid, _ := a.Page.Slot(0)
-	adj := a.Page.Adj(0)
+	dec := a.Graph.Decoder()
+	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
 	var lanes laneAcc
-	lanes.add(adj.Len())
+	lanes.add(deg)
 	var res Result
-	k.tally(a, s, vid, adj, &res, d)
+	k.tally(a, s, dec.StartVID(a.PID), pos, end, &res)
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	res.Active = true
 	return res
 }
 
-func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, adj slottedpage.AdjView, res *Result, d *Deferred) {
+func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, pos, end int, res *Result) {
 	if !a.owns(vid) {
 		return
 	}
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
 	vs := k.side(vid)
-	for _, nvid := range a.Neighbors(adj, d) {
-		if k.side(nvid) != vs {
+	for w := dec.Width(); pos < end; pos += w {
+		if nvid, _ := dec.VID(buf, pos); k.side(nvid) != vs {
 			if d != nil {
 				d.push(Op{Idx: vid})
 				continue

@@ -90,23 +90,19 @@ func (k *PageRank) BeginLevel([]State, int32) {}
 // warp takes one slot and atomically adds df*prevPR[v]/deg(v) to every
 // out-neighbor's nextPR.
 func (k *PageRank) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*prState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
 	df := float32(k.damping)
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		adj := pg.Adj(slot)
-		deg := adj.Len()
+	for slot, pr := range s.prevPR[dec.StartVID(a.PID):][:n] {
+		pos, end, deg := dec.Record(buf, slot)
 		lanes.add(deg)
 		if deg == 0 {
 			continue
 		}
-		contrib := df * s.prevPR[vid] / float32(deg)
-		k.scatter(a, s, adj, contrib, &res, d)
+		k.scatter(a, s, pos, end, df*pr/float32(deg), &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -118,25 +114,27 @@ func (k *PageRank) RunSP(a *Args) Result {
 // vertex's adjacency; the contribution divides by the vertex's *total*
 // degree, not the page-local count.
 func (k *PageRank) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*prState)
-	vid, _ := a.Page.Slot(0)
-	adj := a.Page.Adj(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
+	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
 	var lanes laneAcc
-	lanes.add(adj.Len())
+	lanes.add(deg)
 	var res Result
-	contrib := float32(k.damping) * s.prevPR[vid] / float32(k.lpDeg[vid])
-	k.scatter(a, s, adj, contrib, &res, d)
+	k.scatter(a, s, pos, end, float32(k.damping)*s.prevPR[vid]/float32(k.lpDeg[vid]), &res)
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	res.Active = true
 	return res
 }
 
-// scatter performs the atomicAdd loop shared by both kernels; with d
-// non-nil the adds are deferred in adjacency order.
-func (k *PageRank) scatter(a *Args, s *prState, adj slottedpage.AdjView, contrib float32, res *Result, d *Deferred) {
-	for _, nvid := range a.Neighbors(adj, d) {
+// scatter performs the atomicAdd loop shared by both kernels over the
+// record at [pos, end); as a gather the adds are deferred in adjacency
+// order.
+func (k *PageRank) scatter(a *Args, s *prState, pos, end int, contrib float32, res *Result) {
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}

@@ -116,17 +116,15 @@ func (k *Radius) BeginLevel([]State, int32) {}
 
 // RunSP ORs each vertex's out-neighbors' sketches into its own.
 func (k *Radius) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*radiusState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
 	var lanes laneAcc
 	var res Result
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.absorb(a, s, vid, adj, &res, d)
+	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.absorb(a, s, vid, pos, end, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -135,25 +133,26 @@ func (k *Radius) RunSP(a *Args) Result {
 
 // RunLP handles one large vertex's page-local adjacency.
 func (k *Radius) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*radiusState)
-	vid, _ := a.Page.Slot(0)
-	adj := a.Page.Adj(0)
+	dec := a.Graph.Decoder()
+	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
 	var lanes laneAcc
-	lanes.add(adj.Len())
+	lanes.add(deg)
 	var res Result
-	k.absorb(a, s, vid, adj, &res, d)
+	k.absorb(a, s, dec.StartVID(a.PID), pos, end, &res)
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, adj slottedpage.AdjView, res *Result, d *Deferred) {
+func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, pos, end int, res *Result) {
 	if !a.owns(vid) {
 		return
 	}
+	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
 	base := int(vid) * s.k
-	for _, nvid := range a.Neighbors(adj, d) {
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, _ := dec.VID(buf, pos)
 		nb := int(nvid) * s.k
 		for j := 0; j < s.k; j++ {
 			old := s.next[base+j]

@@ -87,18 +87,18 @@ func (k *SSSP) BeginLevel([]State, int32) {}
 // the current level.
 func (k *SSSP) RunSP(a *Args) Result {
 	s := a.State.(*ssspState)
-	pg := a.Page
-	n := pg.NumSlots()
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	n := a.Page.NumSlots()
+	start := dec.StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
-	for slot := 0; slot < n; slot++ {
-		vid, _ := pg.Slot(slot)
-		if s.active[vid] != a.Level {
+	for slot, at := range s.active[start:][:n] {
+		if at != a.Level {
 			continue
 		}
-		adj := pg.Adj(slot)
-		lanes.add(adj.Len())
-		k.relax(a, s, vid, adj, &res)
+		pos, end, deg := dec.Record(buf, slot)
+		lanes.add(deg)
+		k.relax(a, s, start+uint64(slot), pos, end, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
@@ -108,22 +108,25 @@ func (k *SSSP) RunSP(a *Args) Result {
 // RunLP relaxes the page-local portion of one active vertex's adjacency.
 func (k *SSSP) RunLP(a *Args) Result {
 	s := a.State.(*ssspState)
-	vid, _ := a.Page.Slot(0)
+	dec := a.Graph.Decoder()
+	vid := dec.StartVID(a.PID)
 	var lanes laneAcc
 	var res Result
 	if s.active[vid] == a.Level {
-		adj := a.Page.Adj(0)
-		lanes.add(adj.Len())
-		k.relax(a, s, vid, adj, &res)
+		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
+		lanes.add(deg)
+		k.relax(a, s, vid, pos, end, &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
-func (k *SSSP) relax(a *Args, s *ssspState, vid uint64, adj slottedpage.AdjView, res *Result) {
+func (k *SSSP) relax(a *Args, s *ssspState, vid uint64, pos, end int, res *Result) {
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	base := s.dist[vid]
-	for i, nvid := range a.Neighbors(adj, nil) {
+	for w := dec.Width(); pos < end; pos += w {
+		nvid, npid := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
@@ -131,7 +134,7 @@ func (k *SSSP) relax(a *Args, s *ssspState, vid uint64, adj slottedpage.AdjView,
 		if nd < s.dist[nvid] {
 			s.dist[nvid] = nd
 			s.active[nvid] = a.Level + 1
-			a.NextPIDs.Set(int(adj.PID(i)))
+			a.NextPIDs.Set(int(npid))
 			res.Updates++
 			res.Active = true
 		}

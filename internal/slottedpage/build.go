@@ -29,6 +29,7 @@ type Graph struct {
 	pages       [][]byte
 	sums        []uint32 // per-page CRC-32, parallel to pages
 	rvt         []RVTEntry
+	dec         Decoder // built once from cfg and rvt; see ridcodec.go
 	kinds       []Kind
 	spIDs       []PageID
 	lpIDs       []PageID
@@ -159,6 +160,7 @@ func Build(src Source, cfg Config) (*Graph, error) {
 		}
 		g.pages[pid] = w.finish()
 	}
+	g.dec = newDecoder(&g.cfg, g.rvt)
 	g.computeChecksums()
 	return g, nil
 }
@@ -204,6 +206,10 @@ func (g *Graph) Kind(pid PageID) Kind { return g.kinds[pid] }
 // RVT returns the RID-to-VID mapping entry for page pid.
 func (g *Graph) RVT(pid PageID) RVTEntry { return g.rvt[pid] }
 
+// Decoder returns the graph's record and adjacency-entry decoder, the form
+// page kernels and topology scans read page bytes through.
+func (g *Graph) Decoder() *Decoder { return &g.dec }
+
 // VIDOf translates a physical record ID to a logical vertex ID via the RVT:
 // StartVID + slot. For large pages the slot is always 0, so this yields the
 // owning vertex.
@@ -220,26 +226,24 @@ func (g *Graph) HomeOf(v uint64) RID {
 // the whole LP run. It is the inverse of Build: the per-vertex form of the
 // decode the engines run page by page, for planners and checkers that need
 // a few vertices' lists rather than a scan (a scan over every vertex should
-// walk pages and call AdjVIDs itself).
+// walk pages through the Decoder itself).
 func (g *Graph) NeighborsOf(v uint64, fn func(dst uint64)) {
 	home := g.HomeOf(v)
 	if g.kinds[home.PID] == SmallPage {
-		g.eachNeighbor(g.Page(home.PID).Adj(int(home.Slot)), fn)
+		g.eachNeighbor(home.PID, int(home.Slot), fn)
 		return
 	}
 	for pid := home.PID; g.inLPRun(pid, v); pid++ {
-		g.eachNeighbor(g.Page(pid).Adj(0), fn)
+		g.eachNeighbor(pid, 0, fn)
 	}
 }
 
-// eachNeighbor bulk-decodes adj a chunk at a time through a buffer on its
-// own stack, so the walk allocates nothing whatever the degree.
-func (g *Graph) eachNeighbor(adj AdjView, fn func(dst uint64)) {
-	var chunk [64]uint64
-	for lo := 0; lo < adj.n; lo += len(chunk) {
-		for _, dst := range g.AdjVIDs(adj.slice(lo, min(lo+len(chunk), adj.n)), chunk[:]) {
-			fn(dst)
-		}
+// eachNeighbor calls fn with the VID of every entry of one record.
+func (g *Graph) eachNeighbor(pid PageID, slot int, fn func(dst uint64)) {
+	buf := g.pages[pid]
+	for pos, end, _ := g.dec.Record(buf, slot); pos < end; pos += g.dec.w {
+		dst, _ := g.dec.VID(buf, pos)
+		fn(dst)
 	}
 }
 

@@ -79,7 +79,9 @@ func ValidatePage(buf []byte, cfg *Config) error {
 
 // Validate cross-checks the whole graph: every page structurally valid and
 // consistent with its side tables, every home RID and every adjacency
-// entry pointing at a real record, every slot VID in range. A graph that
+// entry pointing at a real record, every slot holding the VID its position
+// implies (a small page's slot i is vertex StartVID + i — the Decoder's
+// callers take the vertex from there, never from the slot). A graph that
 // passes can be traversed (NeighborsOf, engine kernels) without panics no
 // matter where its bytes came from. Read calls this, so a decoded store is
 // safe by construction.
@@ -127,27 +129,18 @@ func (g *Graph) Validate() error {
 		}
 	}
 	// Every adjacency entry must resolve to a real record: a page the
-	// graph has (decodeVIDs stops at the first that is not), and a slot —
-	// the decoded VID less the page's StartVID — that page holds.
-	var vids []uint64
+	// graph has and a slot that page holds. Entries are read one by one
+	// through AdjView.At — the form the Decoder is tested against, so the
+	// check shares no code with what it protects.
 	for pid := range g.pages {
 		pg := g.Page(PageID(pid))
 		for s := 0; s < pg.NumSlots(); s++ {
 			adj := pg.Adj(s)
-			vids = sized(vids, adj.Len())
-			bad := decodeVIDs(adj, g.rvt, vids)
-			if bad < 0 {
-				for i, vid := range vids {
-					if t := adj.PID(i); vid-g.rvt[t].StartVID >= slotCount[t] {
-						bad = i
-						break
-					}
+			for i := 0; i < adj.Len(); i++ {
+				if r := adj.At(i); uint64(r.PID) >= uint64(n) || uint64(r.Slot) >= slotCount[r.PID] {
+					return fmt.Errorf("%w: page %d slot %d entry %d targets RID (%d,%d) out of range",
+						ErrInvalidPage, pid, s, i, r.PID, r.Slot)
 				}
-			}
-			if bad >= 0 {
-				r := adj.At(bad)
-				return fmt.Errorf("%w: page %d slot %d entry %d targets RID (%d,%d) out of range",
-					ErrInvalidPage, pid, s, bad, r.PID, r.Slot)
 			}
 		}
 	}

@@ -74,23 +74,30 @@ func NewMutable(g *Graph) *Mutable {
 // Rows of degree 0 stay nil.
 func decodeRows(g *Graph) [][]uint64 {
 	rows := make([][]uint64, g.NumVertices())
-	var run []uint64
-	for pid := range g.pages {
-		pg := g.Page(PageID(pid))
+	dec := &g.dec
+	for pid, buf := range g.pages {
+		v := dec.startVID[pid]
 		if g.kinds[pid] == LargePage {
-			v := g.rvt[pid].StartVID
 			if rows[v] == nil {
 				rows[v] = make([]uint64, 0, g.DegreeOf(v))
 			}
-			run = g.AdjVIDs(pg.Adj(0), run)
-			rows[v] = append(rows[v], run...)
+			for pos, end, _ := dec.Record(buf, 0); pos < end; pos += dec.w {
+				dst, _ := dec.VID(buf, pos)
+				rows[v] = append(rows[v], dst)
+			}
 			continue
 		}
-		for s, n := 0, pg.NumSlots(); s < n; s++ {
-			v, _ := pg.Slot(s)
-			if adj := pg.Adj(s); adj.Len() > 0 {
-				rows[v] = g.AdjVIDs(adj, make([]uint64, adj.Len()))
+		for s, n := 0, g.Page(PageID(pid)).NumSlots(); s < n; s, v = s+1, v+1 {
+			pos, _, deg := dec.Record(buf, s)
+			if deg == 0 {
+				continue
 			}
+			row := make([]uint64, deg)
+			for i := range row {
+				row[i], _ = dec.VID(buf, pos)
+				pos += dec.w
+			}
+			rows[v] = row
 		}
 	}
 	return rows

@@ -136,9 +136,9 @@ func (pg Page) Adj(i int) AdjView {
 	return AdjView{buf: pg.buf[start : start+n*pg.cfg.RIDBytes()], cfg: pg.cfg, n: n}
 }
 
-// AdjView is a zero-copy view over an adjacency list's physical record IDs.
-// Graph.AdjVIDs resolves the whole list to logical vertex IDs in one pass;
-// At and PID read single entries.
+// AdjView is a zero-copy view over an adjacency list's physical record IDs,
+// read one entry at a time: the per-entry form the Decoder (ridcodec.go),
+// which kernels and scans use, is tested against.
 type AdjView struct {
 	buf []byte
 	cfg *Config
@@ -154,18 +154,6 @@ func (a AdjView) At(i int) RID {
 	pid := getUint(a.buf[p:], a.cfg.PIDBytes)
 	slot := getUint(a.buf[p+a.cfg.PIDBytes:], a.cfg.SlotBytes)
 	return RID{PID: PageID(pid), Slot: uint32(slot)}
-}
-
-// PID is entry i's ADJ_PID alone: the page a traversal kernel proposes in
-// its nextPIDSet when entry i discovers a vertex.
-func (a AdjView) PID(i int) PageID {
-	return PageID(getUint(a.buf[i*a.cfg.RIDBytes():], a.cfg.PIDBytes))
-}
-
-// slice is the view over entries [lo, hi).
-func (a AdjView) slice(lo, hi int) AdjView {
-	w := a.cfg.RIDBytes()
-	return AdjView{buf: a.buf[lo*w : hi*w], cfg: a.cfg, n: hi - lo}
 }
 
 // pageWriter builds one page in place.

@@ -1,24 +1,34 @@
 package slottedpage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 )
 
-// oracleRecord decodes slot s of pg the way the code did before the bulk
-// decoder existed — byte loops only, one entry at a time, the RVT indexed
-// per entry — and is what every fixed-width path is held to. It returns the
-// slot's VID, the neighbors' VIDs and the entries' page IDs.
+// oracleRecord decodes slot s of pg field by field — byte loops only, one
+// entry at a time, the RVT indexed per entry — and is what the Decoder is
+// held to. It returns the slot's stored VID, the neighbors' VIDs and the
+// entries' page IDs, and panics on a record the page cannot hold: one that
+// starts inside the page header, counts a negative number of entries, or
+// reaches into slot 0 — the page's last SlotSize bytes — or beyond.
 func oracleRecord(g *Graph, pg Page, s int) (vid uint64, vids []uint64, pids []PageID) {
 	c := pg.cfg
 	p := c.PageSize - (s+1)*(c.VIDBytes+c.OffBytes)
 	vid = getUintGeneric(pg.buf[p:], c.VIDBytes)
 	off := int(getUintGeneric(pg.buf[p+c.VIDBytes:], c.OffBytes))
+	if off < headerSize {
+		panic("record inside the page header")
+	}
 	n := int(getUintGeneric(pg.buf[off:], c.SizeBytes))
 	start := off + c.SizeBytes
 	w := c.PIDBytes + c.SlotBytes
+	if limit := c.PageSize - c.SlotSize(); n < 0 || start > limit || n > (limit-start)/w {
+		panic("record past the record area")
+	}
 	rec := pg.buf[start : start+n*w]
 	for i := 0; i < n; i++ {
 		pid := getUintGeneric(rec[i*w:], c.PIDBytes)
@@ -29,59 +39,65 @@ func oracleRecord(g *Graph, pg Page, s int) (vid uint64, vids []uint64, pids []P
 	return vid, vids, pids
 }
 
-// bulkRecord is the same through the code under test.
-func bulkRecord(g *Graph, pg Page, s int) (vid uint64, vids []uint64, pids []PageID) {
-	vid, _ = pg.Slot(s)
-	adj := pg.Adj(s)
-	vids = g.AdjVIDs(adj, nil)
-	for i := range vids {
-		pids = append(pids, adj.PID(i))
+// decoderRecord is the same through the code under test, the way a page
+// kernel drives it. The Decoder never reads a slot's VID field.
+func decoderRecord(g *Graph, pg Page, s int) (vids []uint64, pids []PageID) {
+	dec, buf := g.Decoder(), pg.Bytes()
+	pos, end, deg := dec.Record(buf, s)
+	if end-pos != deg*dec.Width() {
+		panic(fmt.Sprintf("Record: [%d,%d) is not %d entries of %d bytes", pos, end, deg, dec.Width()))
 	}
-	return vid, vids, pids
+	for ; pos < end; pos += dec.Width() {
+		vid, pid := dec.VID(buf, pos)
+		vids, pids = append(vids, vid), append(pids, pid)
+	}
+	return vids, pids
 }
 
-// outcome runs one of the two decoders and folds a panic into a flag: a
-// hostile page must fail in both or in neither.
-func outcome(dec func(*Graph, Page, int) (uint64, []uint64, []PageID), g *Graph, pg Page, s int) (vid uint64, vids []uint64, pids []PageID, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			vid, vids, pids, panicked = 0, nil, nil, true
-		}
-	}()
-	vid, vids, pids = dec(g, pg, s)
-	return vid, vids, pids, false
-}
-
-// sameOutcome compares the two decoders on slot s — and, where they decode,
-// At + VIDOf with them — and reports whether they decoded rather than
-// panicked.
-func sameOutcome(t *testing.T, g *Graph, pg Page, s int, label string) bool {
+// sameOutcome compares the two decoders on slot s, a panic counting as an
+// outcome: a hostile page must fail in both or in neither. Where they
+// decode, At + VIDOf are compared with them too. It returns the slot's
+// stored VID and whether the record decoded.
+func sameOutcome(t *testing.T, g *Graph, pg Page, s int, label string) (vid uint64, ok bool) {
 	t.Helper()
-	wv, wn, wp, wpanic := outcome(oracleRecord, g, pg, s)
-	gv, gn, gp, gpanic := outcome(bulkRecord, g, pg, s)
-	if wpanic != gpanic {
-		t.Fatalf("%s slot %d: byte-loop decode panicked=%v, bulk decode panicked=%v", label, s, wpanic, gpanic)
+	var wn, gn []uint64
+	var wp, gp []PageID
+	wpanic := panics(func() { vid, wn, wp = oracleRecord(g, pg, s) })
+	gpanic := panics(func() { gn, gp = decoderRecord(g, pg, s) })
+	if wpanic != nil || gpanic != nil {
+		if (wpanic == nil) != (gpanic == nil) {
+			t.Fatalf("%s slot %d: field-by-field decode panicked with %v, Decoder with %v", label, s, wpanic, gpanic)
+		}
+		return 0, false
 	}
-	if gv != wv || !slices.Equal(gn, wn) || !slices.Equal(gp, wp) {
-		t.Fatalf("%s slot %d:\n bulk      VID %d neighbors %v pages %v\n byte-loop VID %d neighbors %v pages %v",
-			label, s, gv, gn, gp, wv, wn, wp)
-	}
-	if gpanic {
-		return false
+	if !slices.Equal(gn, wn) || !slices.Equal(gp, wp) {
+		t.Fatalf("%s slot %d:\n Decoder        neighbors %v pages %v\n field by field neighbors %v pages %v",
+			label, s, gn, gp, wn, wp)
 	}
 	adj := pg.Adj(s)
+	if adj.Len() != len(wn) {
+		t.Fatalf("%s slot %d: Adj has %d entries, want %d", label, s, adj.Len(), len(wn))
+	}
 	for i := range wn {
 		if r := adj.At(i); r.PID != wp[i] || g.VIDOf(r) != wn[i] {
 			t.Fatalf("%s slot %d: At(%d) = %+v resolves to VID %d, want page %d VID %d", label, s, i, r, g.VIDOf(r), wp[i], wn[i])
 		}
 	}
-	return true
+	return vid, true
 }
 
-// codecConfigs is every (p,q) the decoder specialises plus every other pair
-// of widths 1–8, each with the standard slot widths and with odd ones.
+// panics runs f and returns what it panicked with, nil if it returned.
+func panics(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// codecConfigs is the four shipped (p,q) presets and every other pair of
+// widths 1–8 (so entries of 2 to 16 bytes), each with the standard slot and
+// record fields and, for a third of them, odd ones; and tinyFields.
 func codecConfigs() []Config {
-	var cfgs []Config
+	cfgs := []Config{tinyFields}
 	for p := 1; p <= 8; p++ {
 		for q := 1; q <= 8; q++ {
 			cfgs = append(cfgs, ScaledConfig(p, q, 512))
@@ -93,6 +109,13 @@ func codecConfigs() []Config {
 	}
 	return cfgs
 }
+
+// tinyFields is the narrowest layout Config.Validate admits: 2-byte
+// entries before 3-byte slots, w + SlotSize < 8. An 8-byte load at a
+// record's last entry can run off the page's end here — a page's last
+// record may end 3 bytes before it — so the Decoder must have chosen its
+// other path, as it must for an entry wider than 8 bytes.
+var tinyFields = Config{PageSize: 512, PIDBytes: 1, SlotBytes: 1, VIDBytes: 1, OffBytes: 2, SizeBytes: 2}
 
 // codecSource has what the decoder must get right at the edges: empty
 // records, a record that fills a small page exactly, a large vertex whose
@@ -119,10 +142,12 @@ func codecSource(cfg Config, r *rand.Rand) adjSource {
 	return adjSource{adj: adj}
 }
 
-// TestAdjDecodeDifferential holds the bulk decoder, Slot, Adj, PID,
-// NeighborsOf and DegreeOf to the byte-loop decode over every preset and
-// every other width pair, on small and large pages, empty and page-filling
-// records; then damages pages and requires the same failure from both.
+// TestAdjDecodeDifferential holds the Decoder (Record + VID), Slot, Adj,
+// At, NeighborsOf and DegreeOf to the field-by-field decode over every
+// preset and every other width pair, on small and large pages, empty and
+// page-filling records; checks that a slot's stored VID is the one its
+// position implies; then damages pages and requires the same failure from
+// both.
 func TestAdjDecodeDifferential(t *testing.T) {
 	for _, cfg := range codecConfigs() {
 		label := fmt.Sprintf("(p=%d,q=%d,vid=%d,off=%d,sz=%d)", cfg.PIDBytes, cfg.SlotBytes, cfg.VIDBytes, cfg.OffBytes, cfg.SizeBytes)
@@ -138,13 +163,44 @@ func TestAdjDecodeDifferential(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: built graph fails Validate: %v", label, err)
 		}
+		// The two edges of the record area: a record right behind the
+		// header (the 8 bytes ending with its ADJLIST_SZ reach back into it)
+		// and one that fills its page up to the slot directory (full) —
+		// where, under tinyFields, an 8-byte load forward from the last
+		// entry would leave the page.
+		var empty, atHeader, full, offPage int
+		dec := g.Decoder()
+		if want := cfg.RIDBytes() <= 8 && cfg.RIDBytes()+cfg.SlotSize() >= 8; dec.word != want {
+			t.Fatalf("%s: decoder reads an entry as one word: %v, want %v", label, dec.word, want)
+		}
 		for pid := 0; pid < g.NumPages(); pid++ {
 			pg := g.Page(PageID(pid))
 			for s := 0; s < pg.NumSlots(); s++ {
-				if !sameOutcome(t, g, pg, s, label) {
+				vid, ok := sameOutcome(t, g, pg, s, label)
+				if !ok {
 					t.Fatalf("%s page %d slot %d: valid page did not decode", label, pid, s)
 				}
+				if want := dec.StartVID(PageID(pid)) + uint64(s); vid != want {
+					t.Fatalf("%s page %d slot %d stores VID %d, its position says %d", label, pid, s, vid, want)
+				}
+				pos, end, deg := dec.Record(pg.Bytes(), s)
+				if deg == 0 {
+					empty++
+				}
+				if pos == headerSize+cfg.SizeBytes {
+					atHeader++
+				}
+				if deg > 0 && end+cfg.RIDBytes() > cfg.PageSize-pg.NumSlots()*cfg.SlotSize() {
+					full++
+				}
+				if deg > 0 && end-cfg.RIDBytes()+8 > cfg.PageSize {
+					offPage++
+				}
 			}
+		}
+		if empty == 0 || atHeader != g.NumPages() || full < g.NumLP()-1 || (cfg == tinyFields && offPage == 0) {
+			t.Fatalf("%s: %d empty records, %d of %d pages' first records behind the header, %d full records (%d LPs), %d whose last entry is under 8 bytes from the page's end",
+				label, empty, atHeader, g.NumPages(), full, g.NumLP(), offPage)
 		}
 		checkRoundTrip(t, g, src)
 		for v, row := range src.adj {
@@ -171,8 +227,20 @@ func TestAdjDecodeDifferential(t *testing.T) {
 			damage(pid, "ADJLIST_SZ past the page", func(_ Page, buf []byte) {
 				putUint(buf[off:], cfg.SizeBytes, min(maxUint(cfg.SizeBytes), uint64(cfg.PageSize)))
 			})
+			damage(pid, "ADJLIST_SZ all ones", func(_ Page, buf []byte) {
+				putUint(buf[off:], cfg.SizeBytes, maxUint(cfg.SizeBytes))
+			})
+			damage(pid, "ADJLIST_SZ with only its top bit", func(_ Page, buf []byte) {
+				putUint(buf[off:], cfg.SizeBytes, 1<<(8*cfg.SizeBytes-1))
+			})
 			damage(pid, "record offset at the page's last byte", func(pg Page, buf []byte) {
 				putUint(buf[pg.slotPos(0)+cfg.VIDBytes:], cfg.OffBytes, uint64(cfg.PageSize-1))
+			})
+			damage(pid, "record offset inside the header", func(pg Page, buf []byte) {
+				putUint(buf[pg.slotPos(0)+cfg.VIDBytes:], cfg.OffBytes, headerSize-1)
+			})
+			damage(pid, "record offset all ones", func(pg Page, buf []byte) {
+				putUint(buf[pg.slotPos(0)+cfg.VIDBytes:], cfg.OffBytes, maxUint(cfg.OffBytes))
 			})
 			damage(pid, "entry naming a page the graph lacks", func(_ Page, buf []byte) {
 				if uint64(g.NumPages()) <= maxUint(cfg.PIDBytes) {
@@ -188,11 +256,39 @@ func TestAdjDecodeDifferential(t *testing.T) {
 	}
 }
 
+// TestDecoderRefusesBadPage: the failures kernels rely on. An entry naming
+// a page the graph does not have panics in VID; a record that overruns its
+// page panics in Record, before any entry is handed out.
+func TestDecoderRefusesBadPage(t *testing.T) {
+	for _, cfg := range []Config{ScaledConfig(2, 2, 512), ScaledConfig(3, 3, 512), ScaledConfig(8, 8, 512), tinyFields} {
+		g, err := Build(codecSource(cfg, rand.New(rand.NewSource(1))), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, pid := g.Decoder(), g.SPIDs()[0]
+		buf := append([]byte(nil), g.PageBytes(pid)...)
+		pos, _, deg := dec.Record(buf, 0)
+		if deg == 0 {
+			t.Fatalf("(p=%d,q=%d): slot 0 of the first small page is empty", cfg.PIDBytes, cfg.SlotBytes)
+		}
+		if uint64(g.NumPages()) <= maxUint(cfg.PIDBytes) {
+			putUint(buf[pos:], cfg.PIDBytes, uint64(g.NumPages()))
+			if panics(func() { dec.VID(buf, pos) }) == nil {
+				t.Errorf("(p=%d,q=%d): VID resolved an entry naming page %d of %d", cfg.PIDBytes, cfg.SlotBytes, g.NumPages(), g.NumPages())
+			}
+		}
+		putUint(buf[pos-cfg.SizeBytes:], cfg.SizeBytes, uint64(cfg.PageSize/cfg.RIDBytes()))
+		if panics(func() { dec.Record(buf, 0) }) == nil {
+			t.Errorf("(p=%d,q=%d): Record located a record longer than its page", cfg.PIDBytes, cfg.SlotBytes)
+		}
+	}
+}
+
 // TestValidateRejectsBadAdjacency: Validate must report — not panic on —
 // an entry naming a page the graph lacks or a slot its page lacks, with the
-// bulk decoder underneath it.
+// Decoder underneath it.
 func TestValidateRejectsBadAdjacency(t *testing.T) {
-	for _, cfg := range []Config{ScaledConfig(2, 2, 512), ScaledConfig(3, 3, 512), ScaledConfig(5, 1, 512)} {
+	for _, cfg := range []Config{ScaledConfig(2, 2, 512), ScaledConfig(3, 3, 512), ScaledConfig(5, 1, 512), ScaledConfig(6, 7, 512)} {
 		for _, field := range []string{"page", "slot"} {
 			g, err := Build(codecSource(cfg, rand.New(rand.NewSource(1))), cfg)
 			if err != nil {
@@ -206,15 +302,45 @@ func TestValidateRejectsBadAdjacency(t *testing.T) {
 			} else {
 				putUint(entry[cfg.PIDBytes:], cfg.SlotBytes, maxUint(cfg.SlotBytes))
 			}
-			if err := g.Validate(); err == nil {
-				t.Errorf("(p=%d,q=%d): Validate accepted an entry with a bad %s", cfg.PIDBytes, cfg.SlotBytes, field)
+			if err := g.Validate(); !errors.Is(err, ErrInvalidPage) {
+				t.Errorf("(p=%d,q=%d): Validate of an entry with a bad %s: %v, want ErrInvalidPage", cfg.PIDBytes, cfg.SlotBytes, field, err)
 			}
 		}
 	}
 }
 
-// TestNeighborsOfDoesNotAllocate: the per-vertex walk decodes through a
-// stack buffer, large vertices included.
+// TestValidateRejectsMisnumberedSlot: kernels take a small page's vertex
+// from StartVID + slot and never read the slot's VID field, so a store
+// whose field disagrees must not load. One slot's VID is changed in an
+// otherwise intact graph; Validate, and ReadFile on the store written from
+// it (whole-file CRC intact), must both answer ErrInvalidPage.
+func TestValidateRejectsMisnumberedSlot(t *testing.T) {
+	g, err := Build(figure1Graph(600), tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := g.SPIDs()[0]
+	pg := g.Page(pid)
+	s := pg.NumSlots() - 1
+	if s < 1 {
+		t.Fatalf("first small page has %d slots, want at least 2", s+1)
+	}
+	vid, _ := pg.Slot(s)
+	putUint(g.pages[pid][pg.slotPos(s):], g.cfg.VIDBytes, vid-1) // a VID the page does hold, one slot early
+	if err := g.Validate(); !errors.Is(err, ErrInvalidPage) {
+		t.Fatalf("Validate with slot %d renumbered %d -> %d: %v, want ErrInvalidPage", s, vid, vid-1, err)
+	}
+	path := filepath.Join(t.TempDir(), "misnumbered.gts")
+	if err := g.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path); !errors.Is(err, ErrInvalidPage) {
+		t.Fatalf("ReadFile of the misnumbered store: %v, want ErrInvalidPage", err)
+	}
+}
+
+// TestNeighborsOfDoesNotAllocate: the per-vertex walk hands each entry to
+// fn as it decodes it, large vertices included.
 func TestNeighborsOfDoesNotAllocate(t *testing.T) {
 	g, err := Build(figure1Graph(600), tinyConfig())
 	if err != nil {
@@ -232,9 +358,10 @@ func TestNeighborsOfDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzAdjDecode hands the two decoders arbitrary page bytes under arbitrary
-// widths: they must agree on every slot — same VIDs and pages, or both
-// fail — and, the page's capacity being clipped, neither may read past it.
+// FuzzAdjDecode hands the Decoder and the field-by-field decode arbitrary
+// page bytes under arbitrary widths: they must agree on every slot that
+// fits behind the page header — same VIDs and pages, or both fail — and,
+// the page's capacity being clipped, neither may read past it.
 func FuzzAdjDecode(f *testing.F) {
 	for _, cfg := range []Config{Config22(), Config33(), Config24(), Config42(), ScaledConfig(1, 5, 0), ScaledConfig(7, 2, 0)} {
 		cfg.PageSize = 256
@@ -264,8 +391,9 @@ func FuzzAdjDecode(f *testing.F) {
 		for i := range g.rvt {
 			g.rvt[i].StartVID = uint64(i) * 1000003
 		}
+		g.dec = newDecoder(&g.cfg, g.rvt)
 		pg := NewPage(buf, &g.cfg)
-		for s := 0; s < min(pg.NumSlots(), cfg.PageSize/cfg.SlotSize()); s++ {
+		for s := 0; s < min(pg.NumSlots(), (cfg.PageSize-headerSize)/cfg.SlotSize()); s++ {
 			sameOutcome(t, g, pg, s, fmt.Sprintf("(p=%d,q=%d,vid=%d,off=%d,sz=%d)",
 				cfg.PIDBytes, cfg.SlotBytes, cfg.VIDBytes, cfg.OffBytes, cfg.SizeBytes))
 		}
@@ -273,55 +401,50 @@ func FuzzAdjDecode(f *testing.F) {
 }
 
 // BenchmarkAdjDecode prices one adjacency entry's RID→VID decode on each
-// preset: through the per-entry form every kernel used to loop over (At +
-// VIDOf), through a bulk pass on the byte loops alone (what a width without
-// a fixed-width load pays), and through the bulk decoder.
+// preset and on an entry wider than 8 bytes: through the per-entry form
+// (At + VIDOf: a width switch per field) and through the Decoder, each
+// summing the VIDs of a whole graph the way a scan would.
 func BenchmarkAdjDecode(b *testing.B) {
-	scan := func(b *testing.B, g *Graph, decode func(adj AdjView, vids []uint64) []uint64) {
+	scan := func(b *testing.B, g *Graph, record func(pg Page, s int) uint64) {
 		b.ReportAllocs()
-		var vids []uint64
 		var sum uint64
 		for i := 0; i < b.N; i++ {
 			for pid := 0; pid < g.NumPages(); pid++ {
 				pg := g.Page(PageID(pid))
 				for s, n := 0, pg.NumSlots(); s < n; s++ {
-					vids = decode(pg.Adj(s), vids)
-					for _, v := range vids {
-						sum += v
-					}
+					sum += record(pg, s)
 				}
 			}
 		}
 		adjDecodeSink = sum
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(g.NumEdges())*float64(b.N)), "ns/edge")
 	}
-	for _, cfg := range []Config{ScaledConfig(2, 2, 4096), ScaledConfig(3, 3, 4096), ScaledConfig(2, 4, 4096), ScaledConfig(4, 2, 4096)} {
+	for _, cfg := range []Config{ScaledConfig(2, 2, 4096), ScaledConfig(3, 3, 4096), ScaledConfig(2, 4, 4096), ScaledConfig(4, 2, 4096), ScaledConfig(5, 5, 4096)} {
 		g, err := Build(randomGraph(rand.New(rand.NewSource(7)), 4096, 32, 600), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		name := fmt.Sprintf("p%dq%d", cfg.PIDBytes, cfg.SlotBytes)
 		b.Run(name+"/per-entry", func(b *testing.B) {
-			scan(b, g, func(adj AdjView, vids []uint64) []uint64 {
-				vids = vids[:0]
+			scan(b, g, func(pg Page, s int) (sum uint64) {
+				adj := pg.Adj(s)
 				for e := 0; e < adj.Len(); e++ {
-					vids = append(vids, g.VIDOf(adj.At(e)))
+					sum += g.VIDOf(adj.At(e))
 				}
-				return vids
+				return sum
 			})
 		})
-		b.Run(name+"/generic", func(b *testing.B) {
-			scan(b, g, func(adj AdjView, vids []uint64) []uint64 {
-				vids = sized(vids, adj.Len())
-				buf, p, q := adj.buf, cfg.PIDBytes, cfg.SlotBytes
-				for e := range vids {
-					vids[e] = g.rvt[getUintGeneric(buf, p)].StartVID + getUintGeneric(buf[p:], q)
-					buf = buf[p+q:]
+		b.Run(name+"/decoder", func(b *testing.B) {
+			dec := g.Decoder()
+			scan(b, g, func(pg Page, s int) (sum uint64) {
+				buf := pg.Bytes()
+				for pos, end, _ := dec.Record(buf, s); pos < end; pos += dec.Width() {
+					vid, _ := dec.VID(buf, pos)
+					sum += vid
 				}
-				return vids
+				return sum
 			})
 		})
-		b.Run(name+"/specialised", func(b *testing.B) { scan(b, g, g.AdjVIDs) })
 	}
 }
 

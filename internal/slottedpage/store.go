@@ -232,6 +232,7 @@ func Read(r io.Reader) (*Graph, error) {
 	if got != want {
 		return nil, ErrChecksum
 	}
+	g.dec = newDecoder(&g.cfg, g.rvt)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
