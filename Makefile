@@ -13,7 +13,7 @@ test: build
 	$(GO) test ./...
 
 # The concurrency-bearing packages (the simulation core, whose processes
-# hand control to one another goroutine to goroutine, the gtsd service
+# are coroutines Run's goroutine switches between, the gtsd service
 # layer, the shared trace recorder and histograms, the host-parallel kernel
 # path in internal/core, the shared host page pool, the write-ahead log's
 # group commit, the hardware model, and the root package's
@@ -75,11 +75,12 @@ fuzz:
 	$(GO) test ./internal/incremental -run '^$$' -fuzz '^FuzzDeltaExpand$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzVectorJSON$$' -fuzztime $(FUZZTIME)
 
-# The root package's end-to-end benchmarks, then the two layers under every
+# The root package's end-to-end benchmarks, then the three layers under every
 # host-clock number: the page kernels (BenchmarkPageKernels: ns/edge per
-# kernel; BenchmarkBuildRevAdj) and the page decoder (BenchmarkAdjDecode).
+# kernel; BenchmarkBuildRevAdj), the page decoder (BenchmarkAdjDecode) and
+# the simulator's turn-taking (BenchmarkSimHandoff: ns per blocking call).
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' . ./internal/kernels ./internal/slottedpage
+	$(GO) test -bench=. -benchmem -run '^$$' . ./internal/kernels ./internal/slottedpage ./internal/sim
 
 # bench/ is a Go module of its own (repro/bench, replace repro => ../): the
 # root `go build ./...` and `go test ./...` never compile it, yet it imports
@@ -118,11 +119,13 @@ loc:
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' gts.go)
 
 # loc-check fails when a count `make loc` prints exceeds the ceiling written
-# here. The ceilings are the results of the last PR that moved them (PR 20,
-# which lowered the three line counts: the decode scratch plumbing left
-# internal/core and internal/kernels), so a count can only go down, and a PR
-# that has to raise one says so by editing the number beside it.
-LOC_MAX_TOTAL = 21706
+# here. The ceilings are the results of the last PR that moved them (PR 20
+# lowered the three line counts: the decode scratch plumbing left
+# internal/core and internal/kernels; PR 21 the total: internal/sim 493 →
+# 486 with coroutines in and Handle, resume and idle out), so a count can
+# only go down, and a PR that has to raise one says so by editing the number
+# beside it.
+LOC_MAX_TOTAL = 21699
 LOC_MAX_ENGINE_AND_API = 5708
 LOC_MAX_ENGINE = 4904
 LOC_MAX_GTSD_FLAGS = 25

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -52,6 +54,89 @@ func BenchmarkSuperstepWorkers(b *testing.B) {
 				b.ReportMetric(float64(wall.Microseconds())/1000/float64(b.N), "hkw-ms")
 			})
 		}
+	}
+}
+
+// BenchmarkHostParallelCeiling measures what a second goroutine can buy on
+// this host at all, before any HostWorkers setting is judged: the same fixed
+// work — a memory-bound sweep (an edge list read in order with a random read
+// of a small attribute vector per edge, as the repository benchmark's
+// calibrator does) and an ALU-bound loop — run twice back to back and once
+// each on two goroutines. "speedup" is serial over parallel: 2 on two idle
+// cores, 1 where there is one core to run on, whatever runtime.NumCPU says.
+// No product code reads it; EXPERIMENTS.md records it beside the sweep above.
+func BenchmarkHostParallelCeiling(b *testing.B) {
+	const vertices, edges = 1 << 16, 1 << 20
+	r := rand.New(rand.NewSource(42))
+	list, attr := make([]uint32, edges), make([]float32, vertices)
+	for i := range list {
+		list[i] = uint32(r.Intn(vertices))
+	}
+	for i := range attr {
+		attr[i] = r.Float32()
+	}
+	var sinks [2]float64 // one slot per goroutine, written once
+	works := []struct {
+		name string
+		work func(slot int)
+	}{
+		{"memory", func(slot int) {
+			var acc float32
+			for _, e := range list {
+				acc += attr[e]
+			}
+			sinks[slot] = float64(acc)
+		}},
+		{"alu", func(slot int) {
+			x := uint64(slot + 1)
+			for i := 0; i < 1<<21; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+			sinks[slot] = float64(x)
+		}},
+	}
+	for _, w := range works {
+		b.Run(w.name, func(b *testing.B) {
+			var serial, parallel time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				w.work(0)
+				w.work(1)
+				t1 := time.Now()
+				var wg sync.WaitGroup
+				wg.Add(2)
+				for slot := 0; slot < 2; slot++ {
+					go func() {
+						defer wg.Done()
+						w.work(slot)
+					}()
+				}
+				wg.Wait()
+				serial += t1.Sub(t0)
+				parallel += time.Since(t1)
+			}
+			b.ReportMetric(float64(serial)/float64(parallel), "speedup")
+		})
+	}
+}
+
+// TestRunAllocBudget pins the objects a whole run allocates — PageRank(10)
+// on the test graph: 42 pages, up to 32 stream processes per phase per
+// wave. It measures 982; with a Proc, a channel, a completion
+// Signal, a Handle and a goroutine per process the parent commit's run
+// allocated 2217, and coroutines that exited with their bodies would cost
+// more than that (iter.Pull is several objects), so the bound fails if
+// internal/sim stops reusing them.
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation perturbs allocation counts")
+	}
+	sp := buildPages(t, rmatGraph(t))
+	e := newEngine(t, sp, Options{}, 1, 0)
+	run := func() { mustRun(t, e, kernels.NewPageRank(sp, 0.85, 10)) }
+	run() // warm the engine's pools
+	if got := testing.AllocsPerRun(10, run); got > 1200 {
+		t.Errorf("a PageRank(10) run allocates %.0f objects, want <= 1200", got)
 	}
 }
 

@@ -52,15 +52,10 @@ func (s *script) note(who string) {
 	s.log = append(s.log, resumeRec{s.w.now(), s.w.stamp(), who})
 }
 
-// spawn starts the next numbered process; after, when non-nil, runs as the
-// last thing the process does.
+// spawn starts the next numbered process on a random body; after, when
+// non-nil, runs as the last thing the process does.
 func (s *script) spawn(depth int, after func()) waiter {
-	id := s.nprocs
-	s.nprocs++
-	name := fmt.Sprintf("p%d", id)
-	rng := rand.New(rand.NewSource(s.seed*1000003 + int64(id)))
-	return s.w.spawn(name, func(p proc) {
-		s.note(name)
+	return s.start(func(p proc, name string, rng *rand.Rand) {
 		s.body(p, name, rng, depth)
 		if after != nil {
 			after()
@@ -68,13 +63,25 @@ func (s *script) spawn(depth int, after func()) waiter {
 	})
 }
 
+// start numbers, names and seeds the next process and starts it on body.
+func (s *script) start(body func(p proc, name string, rng *rand.Rand)) waiter {
+	id := s.nprocs
+	s.nprocs++
+	name := fmt.Sprintf("p%d", id)
+	rng := rand.New(rand.NewSource(s.seed*1000003 + int64(id)))
+	return s.w.spawn(name, func(p proc) {
+		s.note(name)
+		body(p, name, rng)
+	})
+}
+
 func (s *script) body(p proc, name string, rng *rand.Rand, depth int) {
 	canSpawn := func() bool { return depth < 3 && s.nprocs < scriptMaxProcs }
 	for step, steps := 0, 2+rng.Intn(6); step < steps; step++ {
-		switch rng.Intn(9) {
+		switch rng.Intn(10) {
 		case 0: // Delay, often of zero: ties at one instant are the hard case
 			p.delay(Time(rng.Intn(4)))
-		case 1: // Yield
+		case 1: // a Delay of zero: to the back of this instant's queue
 			p.delay(0)
 		case 2: // a fresh signal, fired by a callback, published for others
 			sig := s.w.signal()
@@ -125,8 +132,8 @@ func (s *script) body(p proc, name string, rng *rand.Rand, depth int) {
 
 // TestDispatchMatchesOracle is the dispatcher's differential test: seeded
 // random scripts over every primitive must resume the same process at the
-// same (time, seq), step for step, under direct handoff as under the
-// central two-hop scheduler it replaced.
+// same (time, seq), step for step, on reused coroutines switched by Run as
+// under the central channel-per-hop scheduler of goroutines it replaced.
 func TestDispatchMatchesOracle(t *testing.T) {
 	seeds := 1500
 	if testing.Short() {
@@ -179,7 +186,7 @@ func TestDeadlockCountsBlockedProcesses(t *testing.T) {
 
 // A callback runs on whichever goroutine is dispatching, so its panic has to
 // come back as Run's error whether that goroutine is Run's own (no process
-// is blocked yet) or a blocked process's.
+// has started yet) or a blocking process's.
 func TestCallbackPanicIsRunError(t *testing.T) {
 	for _, withProc := range []bool{false, true} {
 		env := NewEnv()
@@ -223,8 +230,8 @@ func goroutineID() string {
 
 // TestBlockedProcessDispatches pins who runs what: while a process sleeps
 // alone, the callbacks that fall inside its Delay run on its own goroutine,
-// and it then takes its own wake-up without ever parking — no other
-// goroutine is involved until the queue drains.
+// and it then takes its own wake-up without ever switching away — Run's
+// goroutine is not involved until the queue drains, and runs no body.
 func TestBlockedProcessDispatches(t *testing.T) {
 	env := NewEnv()
 	var procID, callbackID string
@@ -247,32 +254,147 @@ func TestBlockedProcessDispatches(t *testing.T) {
 	}
 }
 
+// TestRunLeavesNoGoroutines: Run owns the coroutines it starts and stops
+// every one before it returns — parked on the idle list after a clean run,
+// and still blocked in the middle of a body after a failed one (the bodies
+// unwind: their deferred calls run, and the unwinding is not the run's error).
 func TestRunLeavesNoGoroutines(t *testing.T) {
+	// queued starts 16 processes on a one-server resource nobody releases:
+	// one holds it, 15 sit in its queue.
+	queued := func(env *Env, unwound *int, holder func(p *Proc)) {
+		r := NewResource(env, 1)
+		for i := 0; i < 16; i++ {
+			env.Process("peer", func(p *Proc) {
+				defer func() { *unwound++ }()
+				r.Acquire(p)
+				holder(p)
+			})
+		}
+	}
+	cases := []struct {
+		name    string
+		build   func(env *Env, unwound *int)
+		wantErr string // "" for a clean run
+		unwound int    // deferred calls that must have run by the time Run returns
+	}{
+		{"clean", func(env *Env, _ *int) {
+			r := NewResource(env, 2)
+			g := NewGroup(env)
+			g.Add(40)
+			for i := 0; i < 40; i++ {
+				env.Process("w", func(p *Proc) {
+					for j := 0; j < 5; j++ {
+						r.Use(p, Time(1+i%3))
+					}
+					g.Done()
+				})
+			}
+			env.Process("join", func(p *Proc) { g.Wait(p) })
+		}, "", 0},
+		{"deadlock", func(env *Env, unwound *int) {
+			queued(env, unwound, func(p *Proc) { NewSignal(env).Wait(p) })
+		}, "deadlock: 16 process(es) still blocked", 16},
+		{"process panic", func(env *Env, unwound *int) {
+			queued(env, unwound, func(p *Proc) {
+				p.Delay(Second)
+				panic("kaboom")
+			})
+		}, `process "peer" panicked: kaboom`, 16},
+		{"callback panic", func(env *Env, unwound *int) {
+			queued(env, unwound, func(p *Proc) { p.Delay(2 * Second) })
+			env.Schedule(Second, func() { panic("cb-boom") })
+		}, "scheduled callback panicked: cb-boom", 16},
+	}
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		env := NewEnv()
+		unwound := 0
+		tc.build(env, &unwound)
+		_, err := env.Run()
+		if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if unwound != tc.unwound {
+			t.Errorf("%s: %d bodies had returned or unwound when Run returned, want %d", tc.name, unwound, tc.unwound)
+		}
+		// A stopped coroutine's goroutine is on its way out when stop
+		// returns; give the runtime a moment to retire it.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines after Run, %d before", tc.name, n, before)
+		}
+	}
+}
+
+// TestProcessReusesCoroutines: a coroutine outlives its body, so ten
+// back-to-back phases of 16 processes cost 16 coroutines, not 160, and a warm
+// phase allocates next to nothing. Each phase is started by a callback the
+// last process to finish leaves behind, which runs inside that process's
+// final dispatch — so all 16 parked coroutines are taken again, the
+// dispatching one included (it finds its own restart in the queue).
+func TestProcessReusesCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv()
 	r := NewResource(env, 2)
-	g := NewGroup(env)
-	g.Add(40)
-	for i := 0; i < 40; i++ {
-		env.Process("w", func(p *Proc) {
-			for j := 0; j < 5; j++ {
-				r.Use(p, Time(1+i%3))
-			}
-			g.Done()
-		})
+	work := func(p *Proc) {
+		for j := 0; j < 3; j++ {
+			r.Use(p, 1)
+		}
 	}
-	env.Process("join", func(p *Proc) { g.Wait(p) })
+	peak, left, phases := 0, 0, 0
+	var phase func()
+	body := func(p *Proc) {
+		work(p)
+		peak = max(peak, runtime.NumGoroutine()-before)
+		if left--; left == 0 && phases < 10 {
+			env.After(0, phase)
+		}
+	}
+	phase = func() {
+		phases++
+		left = 16
+		for i := 0; i < 16; i++ {
+			env.Process("w", body)
+		}
+	}
+	phase()
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// The last process hands control to Run and only then returns from its
-	// goroutine, so give the runtime a moment to retire it.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if phases != 10 || peak > 16 {
+		t.Errorf("%d phases raised the goroutine count by up to %d, want 10 phases and at most 16", phases, peak)
 	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines after Run, %d before", n, before)
+
+	// The same phase, joined by a process so it can be measured from inside
+	// the run. What is left is the Group's waiter list, one slice a phase
+	// (0.06 objects per process); the Process this replaced allocated a
+	// Proc, a channel, a Signal and a Handle and started a goroutine: 5.06.
+	env = NewEnv()
+	g := NewGroup(env)
+	joined := func(p *Proc) {
+		work(p)
+		g.Done()
+	}
+	var perProc float64
+	env.Process("driver", func(p *Proc) {
+		run := func() {
+			g.Add(16)
+			for i := 0; i < 16; i++ {
+				env.Process("w", joined)
+			}
+			g.Wait(p)
+		}
+		run()
+		perProc = testing.AllocsPerRun(50, run) / 16
+	})
+	if _, err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if perProc > 0.25 {
+		t.Errorf("a warm phase allocates %.2f objects per process, want <= 0.25", perProc)
 	}
 }
 
@@ -338,12 +460,12 @@ func TestResourceQueueDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkSimHandoff times one blocking operation in the three shapes the
-// engine produces, on the dispatcher and on the oracle scheduler it
-// replaced: a process waking itself (a stream's Delay with nothing else due:
-// no goroutine switch against the oracle's two), two processes alternating
-// (every wake-up belongs to the other one: one switch against two), and 16
-// processes queueing on a one-server Resource (the PCI-E engine: two
-// blocking operations per op).
+// engine produces, on the dispatcher and on the oracle scheduler: a process
+// waking itself (a stream's Delay with nothing else due: no switch at all
+// against the oracle's two channel hops), two processes alternating (every
+// wake-up belongs to the other one: two coroutine switches through Run
+// against two channel hops through the scheduler), and 16 processes queueing
+// on a one-server Resource (the PCI-E engine: two blocking operations per op).
 func BenchmarkSimHandoff(b *testing.B) {
 	cases := []struct {
 		name  string

@@ -240,7 +240,14 @@ func (w realWorld) now() Time                   { return w.e.now }
 func (w realWorld) stamp() uint64               { return w.e.seq }
 func (w realWorld) schedule(at Time, fn func()) { w.e.Schedule(at, fn) }
 func (w realWorld) spawn(name string, fn func(p proc)) waiter {
-	return realSignal{w.e.Process(name, func(p *Proc) { fn(realProc{p}) }).Done()}
+	// Process returns nothing to join on: the completion is a signal the
+	// wrapped body fires last, where the oracle's Process fires its own.
+	done := NewSignal(w.e)
+	w.e.Process(name, func(p *Proc) {
+		fn(realProc{p})
+		done.Fire()
+	})
+	return realSignal{done}
 }
 func (w realWorld) signal() signal          { return realSignal{NewSignal(w.e)} }
 func (w realWorld) group() group            { return realGroup{NewGroup(w.e)} }

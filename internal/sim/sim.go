@@ -1,18 +1,21 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation core.
 //
 // It follows the process-interaction style (as in SimPy): model entities are
-// goroutines that block on virtual-time delays and resource acquisitions.
-// Exactly one goroutine runs at a time and events fire in (virtual time,
+// processes that block on virtual-time delays and resource acquisitions.
+// Exactly one of them runs at a time and events fire in (virtual time,
 // insertion sequence) order, so a simulation is reproducible bit-for-bit
 // regardless of host scheduling.
 //
-// There is no scheduler goroutine. Whichever goroutine is about to stop
-// running — a process blocking in Delay/Wait/Acquire, a process that just
-// returned, or Run's caller at the start — dispatches the event queue itself
-// (see Env.dispatch) until an event hands control to someone: its own
-// wake-up costs no goroutine switch at all, another process's wake-up costs
-// one channel send, and Schedule callbacks run inline on whichever goroutine
-// is dispatching.
+// A process is a coroutine (iter.Pull) and Run's goroutine the one dispatcher:
+// it resumes whichever process the next event names, a direct switch that
+// never enters the Go scheduler. A blocking process first drains the queue
+// itself (Proc.block): callbacks run inline on it and its own wake-up costs no
+// switch. A coroutine outlives its body — it parks on the Env's idle list for
+// Process to hand it the next one — and Run stops them all before it returns.
+// (The build constraint selects nothing: iter is newer than go.mod's go line,
+// and that line is what lets vet accept the import.)
 //
 // All of the hardware models in internal/hw (GPUs, PCI-E links, SSDs) and the
 // cluster interconnect model in internal/cluster are built on this package.
@@ -20,6 +23,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 )
 
@@ -119,15 +123,14 @@ type Env struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	idle    chan struct{} // hands control back to Run: queue drained or a failure
-	failure error         // first panic captured from a process or callback
-	nprocs  int           // live processes, for leak detection
+	failure error   // first panic captured from a process or callback
+	nprocs  int     // processes whose body has not returned, for deadlock detection
+	procs   []*Proc // every coroutine Run has started, for it to stop
+	idle    []*Proc // processes whose body has returned, for Process to reuse
 }
 
 // NewEnv returns an empty environment at virtual time zero.
-func NewEnv() *Env {
-	return &Env{idle: make(chan struct{}, 1)}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now reports the current virtual time.
 func (e *Env) Now() Time { return e.now }
@@ -154,95 +157,87 @@ func (e *Env) Schedule(at Time, fn func()) {
 // After registers fn to run d from now.
 func (e *Env) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 
-// Proc is the handle a process goroutine uses to interact with virtual time.
-// A Proc is only valid inside the function passed to Process.
+// Proc is the handle a process uses to interact with virtual time. A Proc is
+// only valid inside the function passed to Process: once that returns, the
+// Proc and its coroutine go to the next process started.
 type Proc struct {
 	env  *Env
-	name string
-	// resume carries the one wake-up a blocked process is owed when another
-	// goroutine pops it. Buffered, so the sender never waits for the
-	// receiver to park.
-	resume chan struct{}
-	// fn and done are the body and the completion signal; fn is cleared
-	// when the start event fires, which is how dispatch tells a start from
-	// a wake-up.
-	fn   func(p *Proc)
-	done *Signal
+	name string        // for a panic's message
+	fn   func(p *Proc) // the body, run by the resume that follows Process
+	// The coroutine. It yields the process to resume after it, nil when the
+	// queue drained or the simulation failed. Only Run calls next and stop.
+	next  func() (*Proc, bool)
+	stop  func()
+	yield func(*Proc) bool
 }
 
-// Env returns the environment this process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name given to Process.
-func (p *Proc) Name() string { return p.name }
-
-// Handle tracks a started process and lets other processes join on it.
-type Handle struct {
-	done *Signal
-}
-
-// Done returns a one-shot signal fired when the process function returns.
-func (h *Handle) Done() *Signal { return h.done }
-
-// Process starts fn as a simulation process at the current virtual time.
-// fn runs in its own goroutine but only while no other process is running.
-func (e *Env) Process(name string, fn func(p *Proc)) *Handle {
-	p := &Proc{env: e, name: name, resume: make(chan struct{}, 1), fn: fn, done: NewSignal(e)}
+// Process starts fn as a simulation process at the current virtual time. fn
+// runs on a coroutine, only while no other process is running.
+func (e *Env) Process(name string, fn func(p *Proc)) {
+	var p *Proc
+	if n := len(e.idle); n > 0 {
+		p, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		p = &Proc{env: e}
+	}
+	p.name, p.fn = name, fn
 	e.nprocs++
 	e.enqueue(e.now, event{p: p})
-	return &Handle{done: p.done}
 }
 
-// run is a process goroutine's body. It is started holding control (its
-// start event was just popped) and, once fn returns or panics, dispatches
-// one last time to pass control on before the goroutine exits.
-func (p *Proc) run(fn func(p *Proc)) {
+// stopped is what unwinds a blocked process's body when Run stops it.
+type stopped struct{}
+
+// loop is the coroutine: it runs one body after another, parked on the idle
+// list in between, until Run stops it.
+func (p *Proc) loop(yield func(*Proc) bool) {
+	p.yield = yield
 	e := p.env
-	defer func() {
-		if r := recover(); r != nil && e.failure == nil {
-			e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-		}
+	for !p.run(p.fn) {
 		e.nprocs--
-		p.done.Fire()
-		e.dispatch(nil)
-	}()
-	fn(p)
-}
-
-// dispatch runs the event loop on the calling goroutine, which must be the
-// one goroutine currently allowed to run. It pops events in (at, seq) order
-// until one of them gives control to a goroutine: true means that goroutine
-// is the caller itself (self's own wake-up — no switch happened), false
-// means control went elsewhere — to another process, or back to Run because
-// the queue drained or something failed — and the caller must touch no
-// simulation state until it is resumed. self is nil for a caller that is
-// not a blocked process (Run, or a process that has finished).
-func (e *Env) dispatch(self *Proc) bool {
-	for len(e.events) > 0 && e.failure == nil {
-		ev := e.events.pop()
-		e.now = ev.at
-		switch p := ev.p; {
-		case p == nil:
-			e.call(ev.fn)
-		case p == self:
-			return true
-		case p.fn != nil:
-			fn := p.fn
-			p.fn = nil
-			go p.run(fn)
-			return false
-		default:
-			p.resume <- struct{}{}
-			return false
+		e.idle = append(e.idle, p)
+		if !yield(e.dispatch()) {
+			return
 		}
 	}
-	e.idle <- struct{}{}
+}
+
+// run runs one body. Its panic is the simulation's failure, unless it is the
+// one block unwinds a stopped body with, which run reports instead.
+func (p *Proc) run(fn func(p *Proc)) (wasStopped bool) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case stopped:
+			wasStopped = true
+		default:
+			if p.env.failure == nil {
+				p.env.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+			}
+		}
+	}()
+	fn(p)
 	return false
 }
 
+// dispatch runs the event loop on the calling goroutine, which must be the
+// one allowed to run: it pops events in (at, seq) order, callbacks inline,
+// up to the first that starts or wakes a process (the two look the same) and
+// returns that process, or nil when the queue drained or something failed.
+func (e *Env) dispatch() *Proc {
+	for len(e.events) > 0 && e.failure == nil {
+		ev := e.events.pop()
+		e.now = ev.at
+		if ev.p != nil {
+			return ev.p
+		}
+		e.call(ev.fn)
+	}
+	return nil
+}
+
 // call runs a Schedule callback, turning a panic into the simulation's
-// failure: the callback may be running on any process's goroutine, so
-// letting the panic unwind would kill the program instead of failing Run.
+// failure rather than unwinding whichever process happens to be dispatching.
 func (e *Env) call(fn func()) {
 	defer func() {
 		if r := recover(); r != nil && e.failure == nil {
@@ -252,12 +247,13 @@ func (e *Env) call(fn func()) {
 	fn()
 }
 
-// block suspends the calling process until its wake-up event fires. The
-// process dispatches the queue itself meanwhile, and only parks if control
-// went to another goroutine first.
+// block suspends the calling process until its wake-up event fires. It
+// dispatches the queue itself and only switches away — to Run, naming who is
+// next — if that is somebody else. yield is false once Run has stopped the
+// coroutine, and the body unwinds.
 func (p *Proc) block() {
-	if !p.env.dispatch(p) {
-		<-p.resume
+	if next := p.env.dispatch(); next != p && !p.yield(next) {
+		panic(stopped{})
 	}
 }
 
@@ -278,24 +274,27 @@ func (p *Proc) Delay(d Time) {
 	p.block()
 }
 
-// Yield gives other events scheduled at the current instant a chance to run.
-func (p *Proc) Yield() { p.Delay(0) }
-
 // Run executes events until the queue drains, then returns the final virtual
 // time. It returns an error if any process or callback panicked or if
-// processes are still blocked when the queue empties (a deadlock). Run's
-// goroutine is only the first dispatcher; it gets control back when the
-// queue drains or the simulation fails.
+// processes are still blocked when the queue empties (a deadlock). No
+// goroutine outlives it either way: a body still blocked unwinds.
 func (e *Env) Run() (Time, error) {
-	e.dispatch(nil)
-	<-e.idle
-	if e.failure != nil {
-		return e.now, e.failure
+	for p := e.dispatch(); p != nil; {
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.loop)
+			e.procs = append(e.procs, p)
+		}
+		p, _ = p.next()
 	}
-	if e.nprocs > 0 {
-		return e.now, fmt.Errorf("sim: deadlock: %d process(es) still blocked at %v", e.nprocs, e.now)
+	err := e.failure
+	if err == nil && e.nprocs > 0 {
+		err = fmt.Errorf("sim: deadlock: %d process(es) still blocked at %v", e.nprocs, e.now)
 	}
-	return e.now, nil
+	for _, p := range e.procs {
+		p.stop()
+	}
+	e.procs, e.idle = nil, nil
+	return e.now, err
 }
 
 // MustRun is Run for simulations that are bugs-only-fail: it panics on error.
@@ -442,9 +441,6 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
-// InUse reports the number of servers currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // QueueLen reports the number of processes waiting.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
@@ -485,9 +481,6 @@ func (pp *Pipe) TransferTime(n int64) Time { return pp.latency + ByteTime(n, pp.
 
 // Transferred reports total bytes moved through the pipe.
 func (pp *Pipe) Transferred() int64 { return pp.transferred }
-
-// BytesPerSec reports the per-channel bandwidth.
-func (pp *Pipe) BytesPerSec() float64 { return pp.bytesPerSec }
 
 // BusyTime reports accumulated channel-seconds of utilization.
 func (pp *Pipe) BusyTime() Time { return pp.res.BusyTime() }

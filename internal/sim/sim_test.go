@@ -182,22 +182,6 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 }
 
-func TestHandleDoneJoin(t *testing.T) {
-	env := NewEnv()
-	h := env.Process("worker", func(p *Proc) { p.Delay(2 * Second) })
-	var joined Time
-	env.Process("joiner", func(p *Proc) {
-		h.Done().Wait(p)
-		joined = env.Now()
-	})
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if joined != 2*Second {
-		t.Errorf("joined at %v, want 2s", joined)
-	}
-}
-
 func TestGroupJoin(t *testing.T) {
 	env := NewEnv()
 	g := NewGroup(env)
