@@ -62,9 +62,8 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown storage %q", *storage))
 	}
-	if strings.EqualFold(*strategy, "s") {
-		cfg.Strategy = gts.StrategyS
-	}
+	cfg.Strategy, err = gts.ParseStrategy(*strategy)
+	fail(err)
 	switch strings.ToLower(*tech) {
 	case "vertex":
 		cfg.Tech = gts.VertexCentric

@@ -30,11 +30,10 @@ func main() {
 	benchDataset := flag.String("bench-dataset", "RMAT27", "dataset for -trace")
 	traceOut := flag.String("trace", "", "write one traced run to this file (Chrome trace JSON, or JSONL if it ends in .jsonl) and exit")
 	traceAlgo := flag.String("trace-algo", "bfs", "algorithm for -trace ("+strings.Join(traceAlgoNames, ", ")+")")
-	traceWorkers := flag.Int("trace-workers", 0, "host workers for -trace (0 = GOMAXPROCS; the trace is byte-identical at every setting)")
 	flag.Parse()
 
 	if *traceOut != "" {
-		if err := runTrace(*benchDataset, *shrink, *traceAlgo, *iters, *traceWorkers, *traceOut); err != nil {
+		if err := runTrace(*benchDataset, *shrink, *traceAlgo, *iters, *traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "gtsbench: %v\n", err)
 			os.Exit(1)
 		}

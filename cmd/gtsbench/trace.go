@@ -35,9 +35,9 @@ var traceAlgoNames = []string{"bfs", "pagerank", "cc", "bc"}
 // runTrace executes one traced run of an algorithm over a generated dataset
 // and writes the recorder to out — Chrome trace_event JSON (Perfetto /
 // chrome://tracing loadable), or span-per-line JSONL when out ends in
-// ".jsonl". The engine is deterministic and host workers never emit spans,
-// so the file is byte-identical across reruns and -trace-workers settings.
-func runTrace(dataset string, shrink int, algo string, iters, workers int, out string) error {
+// ".jsonl". The engine is deterministic, so the file is byte-identical across
+// reruns.
+func runTrace(dataset string, shrink int, algo string, iters int, out string) error {
 	run, ok := traceAlgos[algo]
 	if !ok {
 		return fmt.Errorf("unknown -trace-algo %q (want %s)", algo, strings.Join(traceAlgoNames, "|"))
@@ -47,7 +47,7 @@ func runTrace(dataset string, shrink int, algo string, iters, workers int, out s
 		return err
 	}
 	rec := trace.NewWithID(fmt.Sprintf("%s-%s@%d", algo, dataset, shrink))
-	sys, err := gts.NewSystem(g, gts.Config{Trace: rec, HostWorkers: workers})
+	sys, err := gts.NewSystem(g, gts.Config{Trace: rec})
 	if err != nil {
 		return err
 	}

@@ -16,9 +16,9 @@ import (
 var gtsdFlags = []string{
 	"cache", "direction-opt", "draintimeout", "fault-corrupt", "fault-oom",
 	"fault-seed", "fault-stall", "fault-storage", "fault-transfer", "gpus",
-	"host-workers", "incremental", "listen", "load", "pool", "pool-bytes",
-	"pprof", "queue", "storage", "strategy", "streams", "timeout",
-	"trace-jobs", "wal-dir", "workers",
+	"incremental", "listen", "load", "pool", "pool-bytes", "pprof", "queue",
+	"storage", "strategy", "streams", "timeout", "trace-jobs", "wal-dir",
+	"workers",
 }
 
 var flagLine = regexp.MustCompile(`(?m)^  -([a-z-]+)`)
@@ -41,9 +41,15 @@ func TestFlagSurface(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(gtsdFlags, " ") {
 		t.Errorf("gtsd -h lists %d flags:\n  %v\nwant %d:\n  %v", len(got), got, len(gtsdFlags), gtsdFlags)
 	}
-	// A deleted knob is gone, not ignored.
-	out, err := exec.Command(bin, "-pool-policy", "lru").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "flag provided but not defined") {
-		t.Errorf("gtsd -pool-policy lru: err=%v, output:\n%s", err, out)
+	// A deleted knob is gone, not ignored, and a value no strategy has is
+	// refused the way a bad -storage is.
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-pool-policy", "lru", "flag provided but not defined"},
+		{"-strategy", "q", `bad -strategy: gts: unknown strategy "q"`},
+	} {
+		out, err := exec.Command(bin, tc.flag, tc.value).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("gtsd %s %s: err=%v, want %q in output:\n%s", tc.flag, tc.value, err, tc.want, out)
+		}
 	}
 }

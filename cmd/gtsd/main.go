@@ -62,7 +62,6 @@ func main() {
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	gpus := flag.Int("gpus", 1, "GPUs per pooled engine")
 	streams := flag.Int("streams", 0, "GPU streams per engine (0 = default 32)")
-	hostWorkers := flag.Int("host-workers", 0, "upper bound on host goroutines executing kernel work per run (0 = GOMAXPROCS; below 4 kernels run inline; results identical at every setting)")
 	strategy := flag.String("strategy", "p", "multi-GPU strategy: p (performance) | s (scalability)")
 	directionOpt := flag.Bool("direction-opt", false, "serve bfs/sssp with the direction-optimizing frontier kernels (push/pull BFS, delta-stepping SSSP; result values identical to the plain kernels)")
 	storage := flag.String("storage", "mem", "graph placement: mem (all in main memory) | ssd | hdd (stream pages from simulated storage)")
@@ -79,13 +78,14 @@ func main() {
 	traceJobs := flag.Int("trace-jobs", 0, "retain Chrome trace JSON for the N most recent computed jobs at /debug/trace/{id} (0 = off)")
 	flag.Parse()
 
+	strat, err := gts.ParseStrategy(*strategy)
+	if err != nil {
+		log.Fatalf("gtsd: bad -strategy: %v", err)
+	}
 	engineCfg := gts.Config{
-		GPUs: *gpus, Streams: *streams, HostWorkers: *hostWorkers,
+		GPUs: *gpus, Streams: *streams, Strategy: strat,
 		DirectionOpt: *directionOpt,
 		PoolBytes:    *poolBytes,
-	}
-	if strings.EqualFold(*strategy, "s") {
-		engineCfg.Strategy = gts.StrategyS
 	}
 	switch strings.ToLower(*storage) {
 	case "", "mem", "memory":

@@ -19,6 +19,7 @@ package gts
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/bufpool"
@@ -55,6 +56,18 @@ const (
 	// WA across GPUs (§4.2).
 	StrategyS = core.StrategyS
 )
+
+// ParseStrategy reads a strategy as the commands and the load endpoint
+// spell it: "p" or "s" in either case, "" meaning the default Strategy-P.
+func ParseStrategy(s string) (Strategy, error) {
+	switch strings.ToLower(s) {
+	case "", "p":
+		return StrategyP, nil
+	case "s":
+		return StrategyS, nil
+	}
+	return StrategyP, fmt.Errorf("gts: unknown strategy %q (want p or s)", s)
+}
 
 // Technique selects the micro-level parallel scheme of §6.2.
 type Technique = kernels.Technique
@@ -105,20 +118,14 @@ type Config struct {
 	// byte-identical to a fault-free run — and returns an error wrapping
 	// ErrHardwareFault when a fault persists beyond the retry budget.
 	Faults *FaultPlan
-	// HostWorkers is the upper bound on host goroutines executing a run's
-	// functional kernel work. 0 = GOMAXPROCS; below 4 the kernels run
-	// inline, since the parallel path only pays from four workers up.
-	// Results are byte-identical at every setting (see
-	// core.Options.HostWorkers).
-	HostWorkers int
 	// DirectionOpt swaps BFS and SSSP onto the direction-optimizing
 	// frontier kernels (kernels.DirBFS / kernels.DeltaSSSP): BFS switches
 	// per level between sparse push and dense pull on frontier-edge
-	// density, and SSSP runs delta-stepping bucketed frontiers on the
-	// HostWorkers parallel path. Result values are identical to the plain
-	// kernels (BFS levels exactly; SSSP distances bitwise); traversal
-	// schedules, data movement, and MTEPS accounting differ. Per-level
-	// directions surface in Metrics.LevelDirs and on Superstep trace spans.
+	// density, and SSSP runs delta-stepping bucketed frontiers. Result
+	// values are identical to the plain kernels (BFS levels exactly; SSSP
+	// distances bitwise); traversal schedules, data movement, and MTEPS
+	// accounting differ. Per-level directions surface in Metrics.LevelDirs
+	// and on Superstep trace spans.
 	DirectionOpt bool
 	// PoolBytes sizes the host page buffer storage-backed runs stream
 	// through (internal/bufpool, the paper's MMBuf). 0 gives every run a
@@ -290,14 +297,13 @@ func NewSystem(g *Graph, cfg Config) (*System, error) {
 	// The engine built here surfaces configuration errors eagerly and then
 	// serves every run.
 	eng, err := core.New(cfg.machineSpec(), g, core.Options{
-		Strategy:    cfg.Strategy,
-		Streams:     cfg.Streams,
-		Technique:   cfg.Tech,
-		CacheBytes:  cfg.CacheBytes,
-		Trace:       cfg.Trace,
-		Faults:      cfg.Faults,
-		HostWorkers: cfg.HostWorkers,
-		HostPool:    cfg.HostPool,
+		Strategy:   cfg.Strategy,
+		Streams:    cfg.Streams,
+		Technique:  cfg.Tech,
+		CacheBytes: cfg.CacheBytes,
+		Trace:      cfg.Trace,
+		Faults:     cfg.Faults,
+		HostPool:   cfg.HostPool,
 	})
 	if err != nil {
 		return nil, err
@@ -370,8 +376,8 @@ type SSSPResult struct {
 }
 
 // SSSP runs single-source shortest paths from source. With
-// Config.DirectionOpt it uses the delta-stepping kernel (parallel
-// gather/apply path); distances are bitwise identical either way.
+// Config.DirectionOpt it uses the delta-stepping kernel; distances are
+// bitwise identical either way.
 func (s *System) SSSP(source uint64) (*SSSPResult, error) {
 	var k interface {
 		Kernel

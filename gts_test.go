@@ -207,6 +207,28 @@ func TestInvalidConfigRejected(t *testing.T) {
 	}
 }
 
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Strategy
+		ok   bool
+	}{
+		{"", StrategyP, true},
+		{"p", StrategyP, true},
+		{"P", StrategyP, true},
+		{"s", StrategyS, true},
+		{"S", StrategyS, true},
+		{"q", StrategyP, false},
+		{"performance", StrategyP, false},
+		{" s", StrategyP, false},
+	} {
+		got, err := ParseStrategy(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestExtensionAlgorithmsThroughAPI(t *testing.T) {
 	d, _ := graphgen.ByName("RMAT27")
 	raw := d.MustGenerate(27 - 11)

@@ -89,24 +89,22 @@ func FuzzDirectionSwitch(f *testing.F) {
 		}
 
 		plain := kernels.NewBFS(sp)
-		rep := mustRun(t, newEngine(t, sp, Options{Source: source, HostWorkers: 1}, 1, 0), plain)
+		rep := mustRun(t, newEngine(t, sp, Options{Source: source}, 1, 0), plain)
 		want := encodeVec(plain.Levels(rep.State))
 
 		for _, mode := range []kernels.DirMode{kernels.DirAuto, kernels.DirForcePush, kernels.DirForcePull} {
-			for _, workers := range []int{1, 4} {
-				k := kernels.NewDirBFS(sp)
-				k.SetMode(mode)
-				drep := mustRun(t, newEngine(t, sp, Options{Source: source, HostWorkers: workers}, 1, 0), k)
-				if got := encodeVec(k.Levels(drep.State)); !bytes.Equal(got, want) {
-					t.Errorf("mode=%v workers=%d: levels diverge from plain BFS (graph %d vertices, %d edges, source %d)",
-						mode, workers, g.NumVertices(), g.NumEdges(), source)
-				}
-				// Superstep count is a schedule metric, not a value: pull
-				// levels with no unvisited vertices left plan zero pages and
-				// skip the trailing no-op superstep push executes, so depth
-				// may come in one under the plain kernel's. Only the level
-				// vector is pinned.
+			k := kernels.NewDirBFS(sp)
+			k.SetMode(mode)
+			drep := mustRun(t, newEngine(t, sp, Options{Source: source}, 1, 0), k)
+			if got := encodeVec(k.Levels(drep.State)); !bytes.Equal(got, want) {
+				t.Errorf("mode=%v: levels diverge from plain BFS (graph %d vertices, %d edges, source %d)",
+					mode, g.NumVertices(), g.NumEdges(), source)
 			}
+			// Superstep count is a schedule metric, not a value: pull
+			// levels with no unvisited vertices left plan zero pages and
+			// skip the trailing no-op superstep push executes, so depth
+			// may come in one under the plain kernel's. Only the level
+			// vector is pinned.
 		}
 	})
 }

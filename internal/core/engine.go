@@ -14,7 +14,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/bufpool"
@@ -86,16 +85,6 @@ type Options struct {
 	// perturb the simulated hardware, a recovered run's results are
 	// byte-identical to a fault-free run's.
 	Faults *fault.Plan
-	// HostWorkers is the upper bound on the host goroutines that execute
-	// the functional kernel work of each phase. 0 (the default) uses
-	// GOMAXPROCS. Below 4 (minGatherWorkers, the measured break-even of the
-	// parallel path) the kernels run inline on the calling goroutine; from
-	// 4 up, pages gather in parallel against phase-start state and their
-	// deferred writes are applied in the same deterministic (GPU, page)
-	// order the inline loop mutates state in. Results are byte-identical at
-	// every setting. Kernels that cannot gather safely (SSSP) always run
-	// inline.
-	HostWorkers int
 	// HostPool is the host page buffer of a storage-backed run (the paper's
 	// MMBuf, Algorithm 1 lines 18-26). Nil gives every run a fresh private
 	// pool of 20% of the topology (the paper's RMAT31/32 setting); a pool
@@ -111,18 +100,12 @@ func (o Options) withDefaults() Options {
 	if o.Streams == 0 {
 		o.Streams = 32
 	}
-	if o.HostWorkers == 0 {
-		o.HostWorkers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
 func (o Options) validate() error {
 	if o.Streams < 1 || o.Streams > 32 {
 		return fmt.Errorf("core: %d streams out of range [1,32]", o.Streams)
-	}
-	if o.HostWorkers < 1 || o.HostWorkers > 1024 {
-		return fmt.Errorf("core: %d host workers out of range [1,1024]", o.HostWorkers)
 	}
 	if err := o.Faults.Validate(); err != nil {
 		return err
@@ -172,13 +155,10 @@ type Metrics struct {
 	// (retries, recoveries, degradations) the run performed. All zero
 	// unless a fault plan is set.
 	Faults fault.Stats
-	// HostWorkers is the host worker-pool size the run executed with
-	// (Options.HostWorkers after defaulting), and HostKernelWall the real
-	// (not virtual) time the host spent in functional kernel execution,
-	// measured around each phase's precompute. HostKernelWall is excluded
-	// from JSON: it is a wall-clock observation, not part of the
-	// deterministic result.
-	HostWorkers    int           `json:",omitempty"`
+	// HostKernelWall is the real (not virtual) time the host spent in
+	// functional kernel execution, measured around each phase's
+	// precompute. It is excluded from JSON: it is a wall-clock
+	// observation, not part of the deterministic result.
 	HostKernelWall time.Duration `json:"-"`
 	// PoolHits, PoolLoads and PoolWaits are this run's host page buffer
 	// traffic (all zero for an in-memory run): pins served from a resident

@@ -383,6 +383,9 @@ func TestReportMetricsSane(t *testing.T) {
 	if rep.EdgesTraversed == 0 {
 		t.Error("no edges traversed")
 	}
+	if rep.HostKernelWall <= 0 {
+		t.Errorf("HostKernelWall = %v, want > 0", rep.HostKernelWall)
+	}
 }
 
 func TestOptionsValidation(t *testing.T) {

@@ -35,21 +35,21 @@ func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incremental.Store) {
 	st := incremental.NewStore(0)
 
 	bfs := kernels.NewBFS(sp)
-	rep := mustRun(t, newEngine(t, sp, Options{Source: 0, HostWorkers: 1}, 1, 0), bfs)
+	rep := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 0), bfs)
 	st.Capture("bfs", &incremental.Entry{
 		Kind: incremental.KindBFS, Epoch: 0, Source: 0,
 		Levels:    append([]int16(nil), bfs.Levels(rep.State)...),
 		FullPages: rep.PagesStreamed,
 	})
 	cc := kernels.NewCC(sp)
-	rep = mustRun(t, newEngine(t, sp, Options{HostWorkers: 1}, 1, 0), cc)
+	rep = mustRun(t, newEngine(t, sp, Options{}, 1, 0), cc)
 	st.Capture("cc", &incremental.Entry{
 		Kind: incremental.KindCC, Epoch: 0,
 		Labels:    append([]uint32(nil), cc.Components(rep.State)...),
 		FullPages: rep.PagesStreamed,
 	})
 	pr := incremental.NewRecordingPageRank(sp, 0.85, 5)
-	rep = mustRun(t, newEngine(t, sp, Options{HostWorkers: 1}, 1, 0), pr)
+	rep = mustRun(t, newEngine(t, sp, Options{}, 1, 0), pr)
 	st.Capture("pagerank", &incremental.Entry{
 		Kind: incremental.KindPageRank, Epoch: 0,
 		Traj: pr.Traj, Damping: 0.85, Iterations: 5,
@@ -98,10 +98,10 @@ func incGoldenKernel(t *testing.T, g *slottedpage.Graph, st *incremental.Store, 
 	return nil, nil, 0
 }
 
-func incGoldenDigest(t *testing.T, g *slottedpage.Graph, st *incremental.Store, algo string, workers int, faulted bool) string {
+func incGoldenDigest(t *testing.T, g *slottedpage.Graph, st *incremental.Store, algo string, faulted bool) string {
 	t.Helper()
 	k, enc, _ := incGoldenKernel(t, g, st, algo)
-	opts := Options{Source: 0, HostWorkers: workers}
+	opts := Options{Source: 0}
 	if faulted {
 		opts.Faults = chaosPlan()
 	}
@@ -113,8 +113,7 @@ func incGoldenDigest(t *testing.T, g *slottedpage.Graph, st *incremental.Store, 
 // TestGoldenIncremental pins the incremental-path result digests beside
 // the full-kernel ones in golden.json, under "inc-" keys: each retained
 // algorithm re-executed by delta expansion over the fixed batch must
-// reproduce its checked-in digest at serial and parallel worker counts,
-// fault-free and under the chaos plan. By the exactness contract these
+// reproduce its checked-in digest, fault-free and under the chaos plan. By the exactness contract these
 // digests equal a from-scratch digest on the post-commit graph — which is
 // asserted directly, so a drift in either path is caught even when the
 // golden file is being rewritten.
@@ -133,7 +132,7 @@ func TestGoldenIncremental(t *testing.T) {
 		}
 	}
 	fromScratch := func(algo string) string {
-		raw, _ := runDigest(t, g, full[algo], Options{Source: 0, HostWorkers: 1}, 1, 0)
+		raw, _ := runDigest(t, g, full[algo], Options{Source: 0}, 1, 0)
 		sum := sha256.Sum256(raw)
 		return hex.EncodeToString(sum[:])
 	}
@@ -146,13 +145,13 @@ func TestGoldenIncremental(t *testing.T) {
 			}
 		}
 		for _, algo := range algos {
-			clean := incGoldenDigest(t, g, st, algo, 1, false)
+			clean := incGoldenDigest(t, g, st, algo, false)
 			if clean != fromScratch(algo) {
 				t.Fatalf("%s: incremental digest being pinned differs from from-scratch recompute", algo)
 			}
 			m["inc-"+algo] = goldenEntry{
 				Clean:   clean,
-				Faulted: incGoldenDigest(t, g, st, algo, 1, true),
+				Faulted: incGoldenDigest(t, g, st, algo, true),
 			}
 		}
 		raw, err := json.MarshalIndent(m, "", "  ")
@@ -181,13 +180,11 @@ func TestGoldenIncremental(t *testing.T) {
 			if seeds == 0 {
 				t.Errorf("delta plan has no seeds — the batch did not exercise delta expansion")
 			}
-			for _, workers := range []int{1, 4, 8} {
-				if got := incGoldenDigest(t, g, st, algo, workers, false); got != want.Clean {
-					t.Errorf("workers=%d clean digest = %s, want %s", workers, got, want.Clean)
-				}
-				if got := incGoldenDigest(t, g, st, algo, workers, true); got != want.Faulted {
-					t.Errorf("workers=%d faulted digest = %s, want %s", workers, got, want.Faulted)
-				}
+			if got := incGoldenDigest(t, g, st, algo, false); got != want.Clean {
+				t.Errorf("clean digest = %s, want %s", got, want.Clean)
+			}
+			if got := incGoldenDigest(t, g, st, algo, true); got != want.Faulted {
+				t.Errorf("faulted digest = %s, want %s", got, want.Faulted)
 			}
 		})
 	}
@@ -198,12 +195,12 @@ const incTraceName = "inc_bfs_clean"
 // incTraceExports runs the incremental BFS plan with the service-shaped
 // recorder — the incseed marker span first, then the engine timeline on a
 // 1-GPU/1-SSD machine — and returns both export encodings.
-func incTraceExports(t *testing.T, g *slottedpage.Graph, st *incremental.Store, workers int) (chrome, jsonl []byte, seeds int) {
+func incTraceExports(t *testing.T, g *slottedpage.Graph, st *incremental.Store) (chrome, jsonl []byte, seeds int) {
 	t.Helper()
 	k, _, seeds := incGoldenKernel(t, g, st, "bfs")
 	rec := trace.NewWithID(incTraceName)
 	rec.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncSeed, Page: int64(seeds), Level: -1})
-	mustRun(t, newEngine(t, g, Options{Source: 0, HostWorkers: workers, Trace: rec}, 1, 1), k)
+	mustRun(t, newEngine(t, g, Options{Source: 0, Trace: rec}, 1, 1), k)
 	var cb, jb bytes.Buffer
 	if err := rec.WriteChrome(&cb); err != nil {
 		t.Fatal(err)
@@ -216,15 +213,15 @@ func incTraceExports(t *testing.T, g *slottedpage.Graph, st *incremental.Store, 
 
 // TestGoldenIncrementalTrace pins a trace fixture for the incremental
 // path: an incseed marker followed by the delta-expansion BFS timeline.
-// Both exports must be byte-identical across worker counts and reruns,
-// must survive the parser with the incseed span (and its seed count)
-// intact, and the pre-existing fixtures stay untouched — this case writes
-// only its own pair of files.
+// Both exports must be byte-identical across reruns, must survive the
+// parser with the incseed span (and its seed count) intact, and the
+// pre-existing fixtures stay untouched — this case writes only its own pair
+// of files.
 func TestGoldenIncrementalTrace(t *testing.T) {
 	g, st := incGoldenSetup(t)
 
 	if *updateGolden {
-		chrome, jsonl, _ := incTraceExports(t, g, st, 1)
+		chrome, jsonl, _ := incTraceExports(t, g, st)
 		if err := os.WriteFile(traceGoldenPath(incTraceName, "json"), chrome, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -243,16 +240,12 @@ func TestGoldenIncrementalTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden (run -update-golden to create): %v", err)
 	}
-	var wantSeeds int
-	for _, workers := range []int{1, 8} {
-		chrome, jsonl, seeds := incTraceExports(t, g, st, workers)
-		wantSeeds = seeds
-		if !bytes.Equal(chrome, wantChrome) {
-			t.Errorf("workers=%d: Chrome export differs from golden (%d vs %d bytes)", workers, len(chrome), len(wantChrome))
-		}
-		if !bytes.Equal(jsonl, wantJSONL) {
-			t.Errorf("workers=%d: JSONL export differs from golden (%d vs %d bytes)", workers, len(jsonl), len(wantJSONL))
-		}
+	chrome, jsonl, wantSeeds := incTraceExports(t, g, st)
+	if !bytes.Equal(chrome, wantChrome) {
+		t.Errorf("Chrome export differs from golden (%d vs %d bytes)", len(chrome), len(wantChrome))
+	}
+	if !bytes.Equal(jsonl, wantJSONL) {
+		t.Errorf("JSONL export differs from golden (%d vs %d bytes)", len(jsonl), len(wantJSONL))
 	}
 	for _, enc := range [][]byte{wantChrome, wantJSONL} {
 		rec, err := trace.Parse(enc)

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite internal/core/testdata/golden.json from the serial path")
+var updateGolden = flag.Bool("update-golden", false, "rewrite internal/core/testdata/golden.json")
 
 // goldenEntry pins one kernel's expected result digests: SHA-256 over the
 // kernel's encoded final state for a fault-free run and for a run under the
@@ -28,11 +28,11 @@ const goldenPath = "testdata/golden.json"
 // fixture is fixed: the seeded RMAT27 proxy graph (2048 vertices), source
 // 0, one in-memory GPU — every quantity on that path is deterministic, so
 // the digests are stable across machines and Go versions.
-func goldenDigest(t *testing.T, kc kernelCase, workers int, faulted bool) string {
+func goldenDigest(t *testing.T, kc kernelCase, faulted bool) string {
 	t.Helper()
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	opts := Options{Source: 0, HostWorkers: workers}
+	opts := Options{Source: 0}
 	if faulted {
 		opts.Faults = chaosPlan()
 	}
@@ -55,11 +55,10 @@ func readGolden(t *testing.T) map[string]goldenEntry {
 }
 
 // TestGoldenResults asserts every kernel (the direction-optimizing
-// variants included) reproduces its checked-in result digest on the
-// serial (HostWorkers=1) and parallel (HostWorkers=4 and 8) paths,
-// fault-free and under the chaos plan. A digest change means the
-// functional results drifted — either a kernel bug or an intentional
-// change that must be re-pinned with -update-golden.
+// variants included) reproduces its checked-in result digest, fault-free
+// and under the chaos plan. A digest change means the functional results
+// drifted — either a kernel bug or an intentional change that must be
+// re-pinned with -update-golden.
 func TestGoldenResults(t *testing.T) {
 	if *updateGolden {
 		// Keep the incremental-path entries (TestGoldenIncremental re-pins
@@ -77,8 +76,8 @@ func TestGoldenResults(t *testing.T) {
 		}
 		for _, kc := range kernelCases() {
 			m[kc.name] = goldenEntry{
-				Clean:   goldenDigest(t, kc, 1, false),
-				Faulted: goldenDigest(t, kc, 1, true),
+				Clean:   goldenDigest(t, kc, false),
+				Faulted: goldenDigest(t, kc, true),
 			}
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -120,13 +119,11 @@ func TestGoldenResults(t *testing.T) {
 		}
 		want := golden[name]
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 4, 8} {
-				if got := goldenDigest(t, kc, workers, false); got != want.Clean {
-					t.Errorf("workers=%d clean digest = %s, want %s", workers, got, want.Clean)
-				}
-				if got := goldenDigest(t, kc, workers, true); got != want.Faulted {
-					t.Errorf("workers=%d faulted digest = %s, want %s", workers, got, want.Faulted)
-				}
+			if got := goldenDigest(t, kc, false); got != want.Clean {
+				t.Errorf("clean digest = %s, want %s", got, want.Clean)
+			}
+			if got := goldenDigest(t, kc, true); got != want.Faulted {
+				t.Errorf("faulted digest = %s, want %s", got, want.Faulted)
 			}
 		})
 	}

@@ -7,8 +7,8 @@ package core
 // then the union of the members' page demands streams to the GPUs once —
 // the first live demander of a page pays the PCI-E copy and every other
 // demander's kernel consumes the resident bytes for free. Member writes stay
-// separated because each member owns its attribute states and the kernels'
-// gather/apply contract defers writes into those states only.
+// separated because each member owns its attribute states and a page kernel
+// writes into those states only.
 //
 // Decoupling "what the kernels compute" from "when the simulation schedules
 // them" makes results bit-identical across stream interleavings — including
@@ -300,7 +300,6 @@ func (d *driver) newMember(job SharedJob, idx int) (*member, error) {
 		k:        job.Kernel,
 		idx:      idx,
 		locals:   make([]pidSet, len(d.machine.GPUs)),
-		workers:  opts.HostWorkers,
 		inj:      fault.NewInjector(opts.Faults),
 		curLevel: -1,
 	}
@@ -827,7 +826,6 @@ func (d *driver) memberReport(m *member) Report {
 			LevelBytes:     m.levelBytes,
 			LevelDirs:      m.dirs,
 			Faults:         faults,
-			HostWorkers:    m.workers,
 			HostKernelWall: m.hostKernelWall,
 			PoolHits:       m.poolHits,
 			PoolLoads:      m.poolLoads,

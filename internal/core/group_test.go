@@ -532,8 +532,8 @@ func TestWaveAllocBudget(t *testing.T) {
 // TestStreamsAskStorageInPageOrder pins idle-stream dispatch: a GPU's streams
 // take its demand in page order, so a storage-bound scan reaches each device
 // as the ascending read §4.1's striping is laid out for (a fixed stride per
-// stream left 16 % of these reads sequential) — and how many streams or host
-// workers share the scan never reaches the result bytes.
+// stream left 16 % of these reads sequential) — and how many streams share
+// the scan never reaches the result bytes.
 func TestStreamsAskStorageInPageOrder(t *testing.T) {
 	ds, _ := graphgen.ByName("RMAT27")
 	sp := buildPages(t, ds.MustGenerate(12)) // 705 pages: ~22 per stream
@@ -568,10 +568,7 @@ func TestStreamsAskStorageInPageOrder(t *testing.T) {
 		}
 		return kc.enc(job.Kernel, d.outcomes[0].State)
 	}
-	want := run(Options{Streams: 32, HostWorkers: 1})
-	for _, opts := range []Options{{Streams: 32, HostWorkers: 8}, {Streams: 1, HostWorkers: 1}} {
-		if got := run(opts); !bytes.Equal(got, want) {
-			t.Errorf("streams=%d workers=%d: state differs from the 32-stream serial run", opts.Streams, opts.HostWorkers)
-		}
+	if want, got := run(Options{Streams: 32}), run(Options{Streams: 1}); !bytes.Equal(got, want) {
+		t.Error("streams=1: state differs from the 32-stream run")
 	}
 }

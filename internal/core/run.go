@@ -95,19 +95,15 @@ type member struct {
 	// backing array across waves.
 	kres []kernels.Result
 
-	// Host worker pool (see parallel.go). workers is Options.HostWorkers
-	// after defaulting; jobs, gatherRes and gatherDefs are per-phase scratch
+	// Host kernel execution (computeKernels). jobs is per-phase scratch
 	// reused across waves; pidPool recycles page-ID bitsets (nextPIDSet
 	// locals and level frontiers); hostKernelWall accrues the real time
 	// spent in functional kernel execution.
-	workers        int
 	jobs           []pageKey
-	gatherRes      []kernels.Result
-	gatherDefs     []*kernels.Deferred
 	pidPool        sync.Pool
 	hostKernelWall time.Duration
-	// argScratch backs the serial paths' kernels.Args so passing &args to
-	// an interface method does not heap-allocate once per page.
+	// argScratch backs computeKernels' kernels.Args so passing &args to an
+	// interface method does not heap-allocate once per page.
 	argScratch kernels.Args
 
 	// Fault injection and recovery. Every hardware operation attempt first
@@ -134,7 +130,7 @@ type member struct {
 
 	// curLevel is the superstep currently executing, stamped onto every
 	// span the member emits; -1 outside any superstep (WA upload, final
-	// copy-back). Host workers never emit spans, so no locking is needed.
+	// copy-back).
 	curLevel int32
 
 	// Accumulators for the report. The machine's GPU and storage counters

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/hw"
@@ -90,11 +91,41 @@ func streamProcName(gpu, stream int) string {
 	return fmt.Sprintf("gpu%d/stream%d", gpu, stream)
 }
 
+// kernelArgs assembles the kernels.Args for one (GPU, page) execution.
+func (m *member) kernelArgs(gpuIdx int, pid slottedpage.PageID, level int32, local pidSet) kernels.Args {
+	g := m.eng.graph
+	return kernels.Args{
+		Graph:    g,
+		PID:      pid,
+		Page:     g.Page(pid),
+		State:    m.stateFor(gpuIdx),
+		Level:    level,
+		OwnedLo:  m.owned[gpuIdx][0],
+		OwnedHi:  m.owned[gpuIdx][1],
+		Tech:     m.eng.opts.Technique,
+		NextPIDs: local,
+	}
+}
+
+// computeKernels is the host side of a wave's functional kernel work, which
+// beginWave precomputes before the streams start: it runs the phase's (GPU,
+// page) jobs inline, in job order, and appends their results to m.kres (the
+// caller truncates m.kres when a new wave begins). The kernels execute
+// between sim events, so virtual time, traces and fault schedules do not
+// depend on how long they take; the wall-clock spent accrues into
+// m.hostKernelWall.
+func (m *member) computeKernels(jobs []pageKey, level int32, locals []pidSet, backward bool) {
+	t0 := time.Now()
+	for _, job := range jobs {
+		m.argScratch = m.kernelArgs(job.gpu, job.pid, level, locals[job.gpu])
+		m.kres = append(m.kres, runKernel(m.k, &m.argScratch, backward))
+	}
+	m.hostKernelWall += time.Since(t0)
+}
+
 // runKernel is the one dispatch of a page-kernel execution onto k's four
-// entry points, by a.Page's kind and the sweep direction. With a.Deferred
-// nil the kernel mutates the GPU's attribute state and next-page set (the
-// deterministic serial path); with it set the call is a gather and mutates
-// neither (see kernels.GatherKernel).
+// entry points, by a.Page's kind and the sweep direction. The kernel mutates
+// the GPU's attribute state and next-page set.
 func runKernel(k kernels.Kernel, a *kernels.Args, backward bool) kernels.Result {
 	isLP := a.Graph.Kind(a.PID) == slottedpage.LargePage
 	if backward {
@@ -258,5 +289,19 @@ func (m *member) sync(p *sim.Proc, level int32, bfsLike bool) {
 				}
 			})
 		}
+	}
+}
+
+// getPidSet takes a cleared page-ID bitset from the run's pool.
+func (m *member) getPidSet() pidSet {
+	s := m.pidPool.Get().(pidSet)
+	s.Reset()
+	return s
+}
+
+// putPidSet returns a bitset to the pool. nil is ignored.
+func (m *member) putPidSet(s pidSet) {
+	if s != nil {
+		m.pidPool.Put(s)
 	}
 }

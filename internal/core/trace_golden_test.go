@@ -38,12 +38,12 @@ func traceGoldenCases() []traceGoldenCase {
 	}
 }
 
-// traceExports runs one case at the given worker count and returns the two
-// export encodings: Chrome trace_event JSON and gts-trace JSONL.
-func traceExports(t *testing.T, sp *slottedpage.Graph, tc traceGoldenCase, workers int) (chrome, jsonl []byte) {
+// traceExports runs one case and returns the two export encodings: Chrome
+// trace_event JSON and gts-trace JSONL.
+func traceExports(t *testing.T, sp *slottedpage.Graph, tc traceGoldenCase) (chrome, jsonl []byte) {
 	t.Helper()
 	rec := trace.NewWithID(tc.name)
-	opts := Options{Source: 0, HostWorkers: workers, Trace: rec}
+	opts := Options{Source: 0, Trace: rec}
 	if tc.faulted {
 		opts.Faults = chaosPlan()
 	}
@@ -63,9 +63,8 @@ func traceGoldenPath(name, ext string) string {
 }
 
 // TestGoldenTraces pins the exported timelines byte-for-byte: the virtual
-// machine is deterministic and host workers never emit spans, so both the
-// Chrome JSON and the JSONL exports must be identical across reruns AND
-// across HostWorkers settings — clean and mid-fault alike. A diff means the
+// machine is deterministic, so both the Chrome JSON and the JSONL exports
+// must be identical across reruns — clean and mid-fault alike. A diff means the
 // observable execution schedule changed; if intentional, re-pin with
 // `go test ./internal/core/ -run GoldenTraces -update-golden`.
 func TestGoldenTraces(t *testing.T) {
@@ -74,7 +73,7 @@ func TestGoldenTraces(t *testing.T) {
 
 	if *updateGolden {
 		for _, tc := range traceGoldenCases() {
-			chrome, jsonl := traceExports(t, sp, tc, 1)
+			chrome, jsonl := traceExports(t, sp, tc)
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -99,14 +98,12 @@ func TestGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reading golden (run -update-golden to create): %v", err)
 			}
-			for _, workers := range []int{1, 8} {
-				chrome, jsonl := traceExports(t, sp, tc, workers)
-				if !bytes.Equal(chrome, wantChrome) {
-					t.Errorf("workers=%d: Chrome export differs from golden (%d vs %d bytes)", workers, len(chrome), len(wantChrome))
-				}
-				if !bytes.Equal(jsonl, wantJSONL) {
-					t.Errorf("workers=%d: JSONL export differs from golden (%d vs %d bytes)", workers, len(jsonl), len(wantJSONL))
-				}
+			chrome, jsonl := traceExports(t, sp, tc)
+			if !bytes.Equal(chrome, wantChrome) {
+				t.Errorf("Chrome export differs from golden (%d vs %d bytes)", len(chrome), len(wantChrome))
+			}
+			if !bytes.Equal(jsonl, wantJSONL) {
+				t.Errorf("JSONL export differs from golden (%d vs %d bytes)", len(jsonl), len(wantJSONL))
 			}
 			// The pinned bytes must round-trip through the parser: spans
 			// survive both encodings with identical kind/level structure.
@@ -192,7 +189,7 @@ func TestTraceRenderDeterministic(t *testing.T) {
 	tc := traceGoldenCases()[0]
 	var first string
 	for i := 0; i < 2; i++ {
-		chrome, _ := traceExports(t, sp, tc, 1+i*7)
+		chrome, _ := traceExports(t, sp, tc)
 		rec, err := trace.Parse(chrome)
 		if err != nil {
 			t.Fatal(err)

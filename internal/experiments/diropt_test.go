@@ -16,10 +16,10 @@ import (
 // TestDirOptRandomGraphsDifferential sweeps the direction-optimizing
 // kernels over random R-MAT graphs with the same seed-rotated engine
 // matrix as TestRandomGraphsDifferential: BFS under Config.DirectionOpt
-// must reproduce the plain serial kernel's levels exactly (and agree with
-// the Ligra CPU baseline), and delta-stepping SSSP must reproduce plain
-// SSSP bitwise and the float64 reference oracle, at serial and parallel
-// worker counts, clean and with fault injection armed (seed 2).
+// must reproduce the plain kernel's levels exactly (and agree with the
+// Ligra CPU baseline), and delta-stepping SSSP must reproduce plain SSSP
+// bitwise and the float64 reference oracle, clean and with fault injection
+// armed (seed 2).
 func TestDirOptRandomGraphsDifferential(t *testing.T) {
 	ws := cpu.Paper()
 	for _, seed := range []int64{1, 2, 3, 4} {
@@ -49,11 +49,9 @@ func TestDirOptRandomGraphsDifferential(t *testing.T) {
 			}
 			src := uint64(seed*31) % g.NumVertices()
 
-			// Serial plain kernels are the ground truth the direction-
+			// The plain kernels are the ground truth the direction-
 			// optimizing runs must match byte-for-byte.
-			plainCfg := cfg
-			plainCfg.HostWorkers = 1
-			plainSys, err := gts.NewSystem(sp, plainCfg)
+			plainSys, err := gts.NewSystem(sp, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,56 +69,51 @@ func TestDirOptRandomGraphsDifferential(t *testing.T) {
 			}
 			wantD := verify.SSSP(g, uint32(src), kernels.Weight)
 
-			var injected int64
-			for _, workers := range []int{1, 8} {
-				dirCfg := cfg
-				dirCfg.DirectionOpt = true
-				dirCfg.HostWorkers = workers
-				sys, err := gts.NewSystem(sp, dirCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				bres, err := sys.BFS(src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range plainBFS.Levels {
-					if bres.Levels[v] != plainBFS.Levels[v] {
-						t.Fatalf("workers=%d BFS: vertex %d level = %d, plain kernel %d",
-							workers, v, bres.Levels[v], plainBFS.Levels[v])
-					}
-					if bres.Levels[v] != lig.Levels[v] {
-						t.Fatalf("workers=%d BFS: vertex %d level = %d, Ligra %d",
-							workers, v, bres.Levels[v], lig.Levels[v])
-					}
-				}
-				if len(bres.LevelDirs) == 0 {
-					t.Errorf("workers=%d BFS: no direction schedule recorded", workers)
-				}
-
-				sres, err := sys.SSSP(src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range plainSSSP.Dist {
-					if sres.Dist[v] != plainSSSP.Dist[v] {
-						t.Fatalf("workers=%d SSSP: vertex %d dist = %v, plain kernel %v",
-							workers, v, sres.Dist[v], plainSSSP.Dist[v])
-					}
-					if math.IsInf(wantD[v], 1) {
-						if sres.Dist[v] != math.MaxFloat32 {
-							t.Fatalf("workers=%d SSSP: vertex %d reachable (%v), want unreachable",
-								workers, v, sres.Dist[v])
-						}
-					} else if float64(sres.Dist[v]) != wantD[v] {
-						t.Fatalf("workers=%d SSSP: vertex %d dist = %v, reference %v",
-							workers, v, sres.Dist[v], wantD[v])
-					}
-				}
-				injected += bres.Faults.Injected() + sres.Faults.Injected()
+			dirCfg := cfg
+			dirCfg.DirectionOpt = true
+			sys, err := gts.NewSystem(sp, dirCfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if seed == 2 && injected == 0 {
+
+			bres, err := sys.BFS(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range plainBFS.Levels {
+				if bres.Levels[v] != plainBFS.Levels[v] {
+					t.Fatalf("BFS: vertex %d level = %d, plain kernel %d",
+						v, bres.Levels[v], plainBFS.Levels[v])
+				}
+				if bres.Levels[v] != lig.Levels[v] {
+					t.Fatalf("BFS: vertex %d level = %d, Ligra %d",
+						v, bres.Levels[v], lig.Levels[v])
+				}
+			}
+			if len(bres.LevelDirs) == 0 {
+				t.Errorf("BFS: no direction schedule recorded")
+			}
+
+			sres, err := sys.SSSP(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range plainSSSP.Dist {
+				if sres.Dist[v] != plainSSSP.Dist[v] {
+					t.Fatalf("SSSP: vertex %d dist = %v, plain kernel %v",
+						v, sres.Dist[v], plainSSSP.Dist[v])
+				}
+				if math.IsInf(wantD[v], 1) {
+					if sres.Dist[v] != math.MaxFloat32 {
+						t.Fatalf("SSSP: vertex %d reachable (%v), want unreachable",
+							v, sres.Dist[v])
+					}
+				} else if float64(sres.Dist[v]) != wantD[v] {
+					t.Fatalf("SSSP: vertex %d dist = %v, reference %v",
+						v, sres.Dist[v], wantD[v])
+				}
+			}
+			if injected := bres.Faults.Injected() + sres.Faults.Injected(); seed == 2 && injected == 0 {
 				t.Error("fault-armed seed injected nothing across direction-opt runs")
 			}
 		})

@@ -12,8 +12,7 @@ const unvisited = -1
 // Incremental kernels reuse the frontier machinery but report a simple
 // edge-proportional cycle cost instead of the full SIMT lane model: their
 // virtual time is never compared against full-kernel goldens (only their
-// output vectors are), and the simple model keeps the gather halves
-// trivially phase-stable.
+// output vectors are).
 type incCost struct{ lane, slot float64 }
 
 func (c incCost) cycles(slots, edges int64) float64 {
@@ -248,42 +247,19 @@ func (k *IncBFS) RunLP(a *kernels.Args) kernels.Result {
 
 // expand relaxes one frontier vertex's adjacency, the record at [pos, end):
 // neighbors improve to cur+1 when that lowers (or first sets) their level.
-// Superset+recheck: the condition only flips monotonically as applies
-// commit cur+1 writes.
 func (k *IncBFS) expand(a *kernels.Args, s *incBFSState, pos, end int, res *kernels.Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	nl := k.cur + 1
 	for w := dec.Width(); pos < end; pos += w {
-		nvid, npid := dec.VID(buf, pos)
+		nvid, _ := dec.VID(buf, pos)
 		if nvid < a.OwnedLo || nvid >= a.OwnedHi {
 			continue
 		}
 		if s.lv[nvid] == unvisited || s.lv[nvid] > nl {
-			if d != nil {
-				d.Push(kernels.Op{Idx: nvid, Val: uint64(uint16(nl)), PID: int32(npid)})
-				continue
-			}
 			s.lv[nvid] = nl
 			res.Updates++
 			res.Active = true
 		}
-	}
-}
-
-// Apply implements GatherKernel: re-test and commit lowered levels in
-// recorded order. The frontier (this plan's pending vertices at level cur)
-// is phase-stable — applies this phase only write level cur+1, which can
-// never put a vertex onto the current frontier.
-func (k *IncBFS) Apply(a *kernels.Args, d *kernels.Deferred, res *kernels.Result) {
-	s := a.State.(*incBFSState)
-	for _, op := range d.Ops {
-		nl := int16(uint16(op.Val))
-		if s.lv[op.Idx] != unvisited && s.lv[op.Idx] <= nl {
-			continue
-		}
-		s.lv[op.Idx] = nl
-		res.Updates++
-		res.Active = true
 	}
 }
 

@@ -198,40 +198,17 @@ func (k *IncCC) RunLP(a *kernels.Args) kernels.Result {
 }
 
 func (k *IncCC) propagate(a *kernels.Args, s *incCCState, vid uint64, pos, end int, res *kernels.Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	cv, ownsV := s.prev[vid], vid >= a.OwnedLo && vid < a.OwnedHi
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
 		if nvid >= a.OwnedLo && nvid < a.OwnedHi && cv < s.next[nvid] {
-			if d != nil {
-				d.Push(kernels.Op{Idx: nvid, Val: uint64(cv)})
-			} else {
-				s.next[nvid] = cv
-				res.Updates++
-				res.Active = true
-			}
+			s.next[nvid] = cv
+			res.Updates++
+			res.Active = true
 		}
 		if cn := s.prev[nvid]; ownsV && cn < s.next[vid] {
-			if d != nil {
-				d.Push(kernels.Op{Idx: vid, Val: uint64(cn)})
-			} else {
-				s.next[vid] = cn
-				res.Updates++
-				res.Active = true
-			}
-		}
-	}
-}
-
-// Apply implements GatherKernel: commit still-smaller labels in order.
-// Candidates read prev (published at plan time, stable all phase) and the
-// min-writes to next are conditional-monotone, so the re-test here
-// reproduces the serial order.
-func (k *IncCC) Apply(a *kernels.Args, d *kernels.Deferred, res *kernels.Result) {
-	s := a.State.(*incCCState)
-	for _, op := range d.Ops {
-		if c := uint32(op.Val); c < s.next[op.Idx] {
-			s.next[op.Idx] = c
+			s.next[vid] = cn
 			res.Updates++
 			res.Active = true
 		}

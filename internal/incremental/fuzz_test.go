@@ -38,7 +38,7 @@ func decodeFuzzOps(data []byte, n uint64) []gts.EdgeOp {
 func FuzzDeltaExpand(f *testing.F) {
 	base := openBase(f)
 	n := base.NumVertices()
-	o := computeOracle(f, base, 1, nil)
+	o := computeOracle(f, base, nil)
 
 	f.Add([]byte{})                                   // empty: requery at the same epoch
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6})          // insert-only
@@ -72,11 +72,11 @@ func FuzzDeltaExpand(f *testing.F) {
 			epoch++
 		}
 		g := mut.Snapshot()
-		want := computeOracle(t, g, 1, nil)
+		want := computeOracle(t, g, nil)
 
 		if prior, delta, ok := st.Lookup("bfs"); ok {
 			if k, reason := incremental.PlanBFS(g, prior, delta); reason == "" {
-				res, _ := runKernel(t, g, k, bfsSource, 1, nil)
+				res, _ := runKernel(t, g, k, bfsSource, nil)
 				if i := cmpLevels(want.levels, k.Levels(res)); i >= 0 {
 					t.Fatalf("bfs diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
 				}
@@ -84,7 +84,7 @@ func FuzzDeltaExpand(f *testing.F) {
 		}
 		if prior, delta, ok := st.Lookup("cc"); ok {
 			if k, reason := incremental.PlanCC(g, prior, delta); reason == "" {
-				res, _ := runKernel(t, g, k, 0, 1, nil)
+				res, _ := runKernel(t, g, k, 0, nil)
 				if i := cmpLabels(want.labels, k.Components(res)); i >= 0 {
 					t.Fatalf("cc diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
 				}
@@ -92,7 +92,7 @@ func FuzzDeltaExpand(f *testing.F) {
 		}
 		if prior, delta, ok := st.Lookup("pagerank"); ok {
 			if k, reason := incremental.PlanPageRank(g, prior, delta, prDamping, prIters); reason == "" {
-				res, _ := runKernel(t, g, k, 0, 1, nil)
+				res, _ := runKernel(t, g, k, 0, nil)
 				if i := cmpRanks(want.ranks, k.Ranks(res)); i >= 0 {
 					t.Fatalf("pagerank diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
 				}

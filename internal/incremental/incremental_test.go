@@ -19,11 +19,6 @@ const (
 	bfsSource = uint64(0)
 )
 
-// differentialWorkers is the HostWorkers sweep every incremental run is
-// checked at: serialized and racy-parallel must both be byte-identical to
-// the oracle.
-var differentialWorkers = []int{1, 8}
-
 // chaosPlan is the fault plan the faulted differential lane runs under.
 func chaosPlan() *gts.FaultPlan {
 	return &gts.FaultPlan{Seed: 7, TransferErrorRate: 0.05, TransferStallRate: 0.05,
@@ -52,9 +47,9 @@ func newHarness(t testing.TB, spec string) *harness {
 	return &harness{mg: mg, st: st}
 }
 
-func runKernel(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64, workers int, faults *gts.FaultPlan) (gts.KernelState, gts.Metrics) {
+func runKernel(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64, faults *gts.FaultPlan) (gts.KernelState, gts.Metrics) {
 	t.Helper()
-	sys, err := gts.NewSystem(g, gts.Config{HostWorkers: workers, Faults: faults})
+	sys, err := gts.NewSystem(g, gts.Config{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,19 +71,19 @@ type oracle struct {
 	prPages  int64
 }
 
-func computeOracle(t testing.TB, g *gts.Graph, workers int, faults *gts.FaultPlan) *oracle {
+func computeOracle(t testing.TB, g *gts.Graph, faults *gts.FaultPlan) *oracle {
 	t.Helper()
 	var o oracle
 	bk := kernels.NewBFS(g)
-	st, m := runKernel(t, g, bk, bfsSource, workers, faults)
+	st, m := runKernel(t, g, bk, bfsSource, faults)
 	o.levels = append([]int16(nil), bk.Levels(st)...)
 	o.bfsPages = m.PagesStreamed
 	ck := kernels.NewCC(g)
-	st, m = runKernel(t, g, ck, 0, workers, faults)
+	st, m = runKernel(t, g, ck, 0, faults)
 	o.labels = append([]uint32(nil), ck.Components(st)...)
 	o.ccPages = m.PagesStreamed
 	pk := incremental.NewRecordingPageRank(g, prDamping, prIters)
-	st, m = runKernel(t, g, pk, 0, workers, faults)
+	st, m = runKernel(t, g, pk, 0, faults)
 	o.ranks = append([]float32(nil), pk.Ranks(st)...)
 	o.traj = pk.Traj
 	o.prPages = m.PagesStreamed
@@ -156,7 +151,7 @@ func newTally() *tally {
 
 // replayCheck replays sc on a fresh harness and verifies, after every
 // batch, that every plannable incremental run is byte-identical to the
-// from-scratch oracle at every worker count. It returns "" on full
+// from-scratch oracle. It returns "" on full
 // equivalence or a description of the first divergence (engine errors
 // still fail t directly). State is captured from the oracle after each
 // epoch, so each incremental run spans exactly one commit unless
@@ -170,7 +165,7 @@ func replayCheck(t testing.TB, sc script, faults *gts.FaultPlan, captureEvery in
 		tl = newTally()
 	}
 	h := newHarness(t, sc.spec)
-	o := computeOracle(t, h.mg.Snapshot(), 8, faults)
+	o := computeOracle(t, h.mg.Snapshot(), faults)
 	h.capture(t, o)
 
 	for bi, ops := range sc.batches {
@@ -178,20 +173,18 @@ func replayCheck(t testing.TB, sc script, faults *gts.FaultPlan, captureEvery in
 			t.Fatalf("batch %d: %v", bi, err)
 		}
 		snap := h.mg.Snapshot()
-		o = computeOracle(t, snap, 8, faults)
+		o = computeOracle(t, snap, faults)
 
 		if prior, delta, ok := h.st.Lookup("bfs"); ok {
 			if _, reason := incremental.PlanBFS(snap, prior, delta); reason != "" {
 				tl.fallbacks["bfs"]++
 			} else {
 				tl.hits["bfs"]++
-				for _, w := range differentialWorkers {
-					k, _ := incremental.PlanBFS(snap, prior, delta)
-					st, _ := runKernel(t, snap, k, bfsSource, w, faults)
-					if i := cmpLevels(o.levels, k.Levels(st)); i >= 0 {
-						return fmt.Sprintf("batch %d: bfs diverges at vertex %d (workers=%d): full=%d inc=%d",
-							bi, i, w, o.levels[i], k.Levels(st)[i])
-					}
+				k, _ := incremental.PlanBFS(snap, prior, delta)
+				st, _ := runKernel(t, snap, k, bfsSource, faults)
+				if i := cmpLevels(o.levels, k.Levels(st)); i >= 0 {
+					return fmt.Sprintf("batch %d: bfs diverges at vertex %d: full=%d inc=%d",
+						bi, i, o.levels[i], k.Levels(st)[i])
 				}
 			}
 		}
@@ -200,13 +193,11 @@ func replayCheck(t testing.TB, sc script, faults *gts.FaultPlan, captureEvery in
 				tl.fallbacks["cc"]++
 			} else {
 				tl.hits["cc"]++
-				for _, w := range differentialWorkers {
-					k, _ := incremental.PlanCC(snap, prior, delta)
-					st, _ := runKernel(t, snap, k, 0, w, faults)
-					if i := cmpLabels(o.labels, k.Components(st)); i >= 0 {
-						return fmt.Sprintf("batch %d: cc diverges at vertex %d (workers=%d): full=%d inc=%d",
-							bi, i, w, o.labels[i], k.Components(st)[i])
-					}
+				k, _ := incremental.PlanCC(snap, prior, delta)
+				st, _ := runKernel(t, snap, k, 0, faults)
+				if i := cmpLabels(o.labels, k.Components(st)); i >= 0 {
+					return fmt.Sprintf("batch %d: cc diverges at vertex %d: full=%d inc=%d",
+						bi, i, o.labels[i], k.Components(st)[i])
 				}
 			}
 		}
@@ -215,13 +206,11 @@ func replayCheck(t testing.TB, sc script, faults *gts.FaultPlan, captureEvery in
 				tl.fallbacks["pagerank"]++
 			} else {
 				tl.hits["pagerank"]++
-				for _, w := range differentialWorkers {
-					k, _ := incremental.PlanPageRank(snap, prior, delta, prDamping, prIters)
-					st, _ := runKernel(t, snap, k, 0, w, faults)
-					if i := cmpRanks(o.ranks, k.Ranks(st)); i >= 0 {
-						return fmt.Sprintf("batch %d: pagerank diverges at vertex %d (workers=%d): full=%x inc=%x",
-							bi, i, w, math.Float32bits(o.ranks[i]), math.Float32bits(k.Ranks(st)[i]))
-					}
+				k, _ := incremental.PlanPageRank(snap, prior, delta, prDamping, prIters)
+				st, _ := runKernel(t, snap, k, 0, faults)
+				if i := cmpRanks(o.ranks, k.Ranks(st)); i >= 0 {
+					return fmt.Sprintf("batch %d: pagerank diverges at vertex %d: full=%x inc=%x",
+						bi, i, math.Float32bits(o.ranks[i]), math.Float32bits(k.Ranks(st)[i]))
 				}
 			}
 		}
@@ -301,9 +290,9 @@ func genScript(t testing.TB, spec string, seed int64, batches, opsPerBatch int, 
 }
 
 // TestDifferentialRandomScripts is the equivalence suite: randomized
-// ingest scripts, incremental vs from-scratch for BFS/CC/PageRank, at
-// HostWorkers 1 and 8, clean and fault-injected. A divergence is
-// delta-debugged down to a minimal failing script before reporting.
+// ingest scripts, incremental vs from-scratch for BFS/CC/PageRank, clean
+// and fault-injected. A divergence is delta-debugged down to a minimal
+// failing script before reporting.
 func TestDifferentialRandomScripts(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -363,60 +352,58 @@ func TestSameEpochRequery(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := h.mg.Snapshot()
-	o := computeOracle(t, snap, 8, nil)
+	o := computeOracle(t, snap, nil)
 	h.capture(t, o)
 
-	for _, w := range differentialWorkers {
-		prior, delta, ok := h.st.Lookup("bfs")
-		if !ok {
-			t.Fatal("bfs entry missing")
-		}
-		k, reason := incremental.PlanBFS(snap, prior, delta)
-		if reason != "" {
-			t.Fatalf("empty-delta bfs fell back: %s", reason)
-		}
-		st, m := runKernel(t, snap, k, bfsSource, w, nil)
-		if i := cmpLevels(o.levels, k.Levels(st)); i >= 0 {
-			t.Fatalf("bfs requery diverges at %d", i)
-		}
-		if m.PagesStreamed != 0 {
-			t.Fatalf("empty-delta bfs streamed %d pages, want 0", m.PagesStreamed)
-		}
+	prior, delta, ok := h.st.Lookup("bfs")
+	if !ok {
+		t.Fatal("bfs entry missing")
+	}
+	k, reason := incremental.PlanBFS(snap, prior, delta)
+	if reason != "" {
+		t.Fatalf("empty-delta bfs fell back: %s", reason)
+	}
+	st, m := runKernel(t, snap, k, bfsSource, nil)
+	if i := cmpLevels(o.levels, k.Levels(st)); i >= 0 {
+		t.Fatalf("bfs requery diverges at %d", i)
+	}
+	if m.PagesStreamed != 0 {
+		t.Fatalf("empty-delta bfs streamed %d pages, want 0", m.PagesStreamed)
+	}
 
-		cprior, cdelta, _ := h.st.Lookup("cc")
-		ck, reason := incremental.PlanCC(snap, cprior, cdelta)
-		if reason != "" {
-			t.Fatalf("empty-delta cc fell back: %s", reason)
-		}
-		st, m = runKernel(t, snap, ck, 0, w, nil)
-		if i := cmpLabels(o.labels, ck.Components(st)); i >= 0 {
-			t.Fatalf("cc requery diverges at %d", i)
-		}
-		if m.PagesStreamed != 0 {
-			t.Fatalf("empty-delta cc streamed %d pages, want 0", m.PagesStreamed)
-		}
+	cprior, cdelta, _ := h.st.Lookup("cc")
+	ck, reason := incremental.PlanCC(snap, cprior, cdelta)
+	if reason != "" {
+		t.Fatalf("empty-delta cc fell back: %s", reason)
+	}
+	st, m = runKernel(t, snap, ck, 0, nil)
+	if i := cmpLabels(o.labels, ck.Components(st)); i >= 0 {
+		t.Fatalf("cc requery diverges at %d", i)
+	}
+	if m.PagesStreamed != 0 {
+		t.Fatalf("empty-delta cc streamed %d pages, want 0", m.PagesStreamed)
+	}
 
-		pprior, pdelta, _ := h.st.Lookup("pagerank")
-		pk, reason := incremental.PlanPageRank(snap, pprior, pdelta, prDamping, prIters)
-		if reason != "" {
-			t.Fatalf("empty-delta pagerank fell back: %s", reason)
-		}
-		st, m = runKernel(t, snap, pk, 0, w, nil)
-		if i := cmpRanks(o.ranks, pk.Ranks(st)); i >= 0 {
-			t.Fatalf("pagerank requery diverges at %d", i)
-		}
-		if m.PagesStreamed != 0 {
-			t.Fatalf("empty-delta pagerank streamed %d pages, want 0", m.PagesStreamed)
-		}
+	pprior, pdelta, _ := h.st.Lookup("pagerank")
+	pk, reason := incremental.PlanPageRank(snap, pprior, pdelta, prDamping, prIters)
+	if reason != "" {
+		t.Fatalf("empty-delta pagerank fell back: %s", reason)
+	}
+	st, m = runKernel(t, snap, pk, 0, nil)
+	if i := cmpRanks(o.ranks, pk.Ranks(st)); i >= 0 {
+		t.Fatalf("pagerank requery diverges at %d", i)
+	}
+	if m.PagesStreamed != 0 {
+		t.Fatalf("empty-delta pagerank streamed %d pages, want 0", m.PagesStreamed)
 	}
 }
 
 // runStreaming executes a kernel in the paper's streaming-topology mode
 // (device page cache off), where per-superstep page scans are visible in
 // Metrics.PagesStreamed instead of being absorbed by the cache.
-func runStreaming(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64, workers int) (gts.KernelState, gts.Metrics) {
+func runStreaming(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64) (gts.KernelState, gts.Metrics) {
 	t.Helper()
-	sys, err := gts.NewSystem(g, gts.Config{HostWorkers: workers, CacheBytes: gts.CacheDisabled})
+	sys, err := gts.NewSystem(g, gts.Config{CacheBytes: gts.CacheDisabled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +437,7 @@ func lowDegreeTail(g *gts.Graph, want int) []uint64 {
 func TestIncrementalPageRankSavesPages(t *testing.T) {
 	h := newHarness(t, "RMAT27@16")
 	snap := h.mg.Snapshot()
-	o := computeOracle(t, snap, 8, nil)
+	o := computeOracle(t, snap, nil)
 	h.capture(t, o)
 	tail := lowDegreeTail(snap, 2)
 	if len(tail) < 2 {
@@ -461,7 +448,7 @@ func TestIncrementalPageRankSavesPages(t *testing.T) {
 	}
 	snap = h.mg.Snapshot()
 	fullK := kernels.NewPageRank(snap, prDamping, prIters)
-	fst, fm := runStreaming(t, snap, fullK, 0, 8)
+	fst, fm := runStreaming(t, snap, fullK, 0)
 	fullRanks := fullK.Ranks(fst)
 	prior, delta, ok := h.st.Lookup("pagerank")
 	if !ok {
@@ -471,7 +458,7 @@ func TestIncrementalPageRankSavesPages(t *testing.T) {
 	if reason != "" {
 		t.Fatalf("single-insert pagerank fell back: %s", reason)
 	}
-	st, m := runStreaming(t, snap, k, 0, 8)
+	st, m := runStreaming(t, snap, k, 0)
 	if i := cmpRanks(fullRanks, k.Ranks(st)); i >= 0 {
 		t.Fatalf("pagerank diverges at %d: full=%x inc=%x", i,
 			math.Float32bits(fullRanks[i]), math.Float32bits(k.Ranks(st)[i]))

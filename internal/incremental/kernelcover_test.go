@@ -1,7 +1,6 @@
 package incremental_test
 
 import (
-	"math"
 	"path/filepath"
 	"testing"
 
@@ -41,9 +40,8 @@ func buildLPSpec(t testing.TB) string {
 
 // TestLargePageDeltaExpansion runs the full differential check on a graph
 // with large-page vertices: a bridge insert pulls hub B onto every
-// kernel's frontier, so the LP streaming paths (RunLP inline at one worker,
-// RunLP as a gather under the parallel path) execute for all three
-// algorithms.
+// kernel's frontier, so the LP streaming paths (RunLP) execute for all
+// three algorithms.
 func TestLargePageDeltaExpansion(t *testing.T) {
 	spec := buildLPSpec(t)
 	h := newHarness(t, spec)
@@ -51,54 +49,52 @@ func TestLargePageDeltaExpansion(t *testing.T) {
 	if lp := kernels.LPDegrees(g0); len(lp) < 2 {
 		t.Fatalf("expected both hubs as large vertices, got %v", lp)
 	}
-	o := computeOracle(t, g0, 8, nil)
+	o := computeOracle(t, g0, nil)
 	h.capture(t, o)
 
 	if _, err := h.mg.Ingest([]gts.EdgeOp{{Src: 1, Dst: 1600}}); err != nil {
 		t.Fatal(err)
 	}
 	g := h.mg.Snapshot()
-	want := computeOracle(t, g, 8, nil)
+	want := computeOracle(t, g, nil)
 
-	for _, workers := range differentialWorkers {
-		prior, delta, ok := h.st.Lookup("bfs")
-		if !ok {
-			t.Fatal("bfs entry not replayable")
-		}
-		kb, reason := incremental.PlanBFS(g, prior, delta)
-		if reason != "" {
-			t.Fatalf("bfs fallback %q on insert-only bridge", reason)
-		}
-		st, _ := runKernel(t, g, kb, bfsSource, workers, nil)
-		if i := cmpLevels(want.levels, kb.Levels(st)); i >= 0 {
-			t.Fatalf("bfs diverges at vertex %d (workers=%d)", i, workers)
-		}
+	prior, delta, ok := h.st.Lookup("bfs")
+	if !ok {
+		t.Fatal("bfs entry not replayable")
+	}
+	kb, reason := incremental.PlanBFS(g, prior, delta)
+	if reason != "" {
+		t.Fatalf("bfs fallback %q on insert-only bridge", reason)
+	}
+	st, _ := runKernel(t, g, kb, bfsSource, nil)
+	if i := cmpLevels(want.levels, kb.Levels(st)); i >= 0 {
+		t.Fatalf("bfs diverges at vertex %d", i)
+	}
 
-		prior, delta, ok = h.st.Lookup("cc")
-		if !ok {
-			t.Fatal("cc entry not replayable")
-		}
-		kc, reason := incremental.PlanCC(g, prior, delta)
-		if reason != "" {
-			t.Fatalf("cc fallback %q on insert-only bridge", reason)
-		}
-		st, _ = runKernel(t, g, kc, 0, workers, nil)
-		if i := cmpLabels(want.labels, kc.Components(st)); i >= 0 {
-			t.Fatalf("cc diverges at vertex %d (workers=%d)", i, workers)
-		}
+	prior, delta, ok = h.st.Lookup("cc")
+	if !ok {
+		t.Fatal("cc entry not replayable")
+	}
+	kc, reason := incremental.PlanCC(g, prior, delta)
+	if reason != "" {
+		t.Fatalf("cc fallback %q on insert-only bridge", reason)
+	}
+	st, _ = runKernel(t, g, kc, 0, nil)
+	if i := cmpLabels(want.labels, kc.Components(st)); i >= 0 {
+		t.Fatalf("cc diverges at vertex %d", i)
+	}
 
-		prior, delta, ok = h.st.Lookup("pagerank")
-		if !ok {
-			t.Fatal("pagerank entry not replayable")
-		}
-		kp, reason := incremental.PlanPageRank(g, prior, delta, prDamping, prIters)
-		if reason != "" {
-			t.Fatalf("pagerank fallback %q on insert-only bridge", reason)
-		}
-		st, _ = runKernel(t, g, kp, 0, workers, nil)
-		if i := cmpRanks(want.ranks, kp.Ranks(st)); i >= 0 {
-			t.Fatalf("pagerank diverges at vertex %d (workers=%d)", i, workers)
-		}
+	prior, delta, ok = h.st.Lookup("pagerank")
+	if !ok {
+		t.Fatal("pagerank entry not replayable")
+	}
+	kp, reason := incremental.PlanPageRank(g, prior, delta, prDamping, prIters)
+	if reason != "" {
+		t.Fatalf("pagerank fallback %q on insert-only bridge", reason)
+	}
+	st, _ = runKernel(t, g, kp, 0, nil)
+	if i := cmpRanks(want.ranks, kp.Ranks(st)); i >= 0 {
+		t.Fatalf("pagerank diverges at vertex %d", i)
 	}
 }
 
@@ -126,10 +122,10 @@ func planFixpoint(t testing.TB, g *gts.Graph, o *oracle) (*incremental.IncBFS, *
 
 // TestKernelSurface pins the parts of the Kernel contract the engine only
 // exercises in specific configurations: state cloning, multi-replica
-// merges, the deferred-apply re-test, and the metadata accessors.
+// merges, and the metadata accessors.
 func TestKernelSurface(t *testing.T) {
 	g := openBase(t)
-	o := computeOracle(t, g, 1, nil)
+	o := computeOracle(t, g, nil)
 	kb, kc, kp := planFixpoint(t, g, o)
 
 	for _, k := range []gts.Kernel{kb, kc, kp} {
@@ -209,41 +205,6 @@ func TestKernelSurface(t *testing.T) {
 	kp.Init(pa, 0)
 	kp.MergeStates([]kernels.State{pa, pb, pb.Clone()})
 	kp.MergeStates([]kernels.State{pa})
-
-	// Deferred apply re-tests each op: a superseded (higher) BFS level and
-	// a superseded (higher) CC label must not overwrite the better value.
-	kb.Init(st, bfsSource)
-	lv := kb.Levels(st)
-	lv[1] = unvisitedLevel
-	var d kernels.Deferred
-	d.Push(kernels.Op{Idx: 1, Val: uint64(uint16(3))})
-	d.Push(kernels.Op{Idx: 1, Val: uint64(uint16(7))})
-	var res kernels.Result
-	kb.Apply(&kernels.Args{State: st}, &d, &res)
-	if lv[1] != 3 || res.Updates != 1 {
-		t.Fatalf("bfs apply: level %d after %d updates, want 3 after 1", lv[1], res.Updates)
-	}
-
-	kc.Init(cs, 0)
-	labels := kc.Components(cs)
-	labels[2] = 50
-	d.Reset()
-	d.Push(kernels.Op{Idx: 2, Val: 40})
-	d.Push(kernels.Op{Idx: 2, Val: 45})
-	res = kernels.Result{}
-	kc.Apply(&kernels.Args{State: cs}, &d, &res)
-	if labels[2] != 40 || res.Updates != 1 {
-		t.Fatalf("cc apply: label %d after %d updates, want 40 after 1", labels[2], res.Updates)
-	}
-
-	ps := kp.NewState()
-	d.Reset()
-	d.Push(kernels.Op{Idx: 0, Val: uint64(math.Float32bits(0.25))})
-	res = kernels.Result{}
-	kp.Apply(&kernels.Args{State: ps}, &d, &res)
-	if res.Updates != 1 {
-		t.Fatalf("pagerank apply: %d updates, want 1", res.Updates)
-	}
 }
 
 // TestEmptyDeltaTrajectory checks that an empty-delta PageRank run reuses
@@ -252,9 +213,9 @@ func TestKernelSurface(t *testing.T) {
 // requery free.
 func TestEmptyDeltaTrajectory(t *testing.T) {
 	g := openBase(t)
-	o := computeOracle(t, g, 1, nil)
+	o := computeOracle(t, g, nil)
 	_, _, kp := planFixpoint(t, g, o)
-	st, m := runKernel(t, g, kp, 0, 1, nil)
+	st, m := runKernel(t, g, kp, 0, nil)
 	if m.PagesStreamed != 0 {
 		t.Fatalf("empty delta streamed %d pages", m.PagesStreamed)
 	}
@@ -277,7 +238,7 @@ func TestEmptyDeltaTrajectory(t *testing.T) {
 // every attribute entry: no update may land.
 func TestOwnershipBounds(t *testing.T) {
 	g := openBase(t)
-	o := computeOracle(t, g, 1, nil)
+	o := computeOracle(t, g, nil)
 	n := g.NumVertices()
 
 	// A fabricated stale entry plus an op over an existing edge gives each

@@ -275,7 +275,7 @@ func (k *IncPR) RunLP(a *kernels.Args) kernels.Result {
 }
 
 func (k *IncPR) scatter(a *kernels.Args, s *incPRState, pos, end int, contrib float32, res *kernels.Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
 		if !k.cand.Get(int(nvid)) {
@@ -284,22 +284,7 @@ func (k *IncPR) scatter(a *kernels.Args, s *incPRState, pos, end int, contrib fl
 		if nvid < a.OwnedLo || nvid >= a.OwnedHi {
 			continue
 		}
-		if d != nil {
-			d.Push(kernels.Op{Idx: nvid, Val: uint64(math.Float32bits(contrib))})
-			continue
-		}
 		s.acc[nvid] += contrib
-		res.Updates++
-	}
-}
-
-// Apply implements GatherKernel: replay the deferred adds in order.
-// Contributions read only cur (stable for the whole superstep) and were
-// deferred in adjacency order.
-func (k *IncPR) Apply(a *kernels.Args, d *kernels.Deferred, res *kernels.Result) {
-	s := a.State.(*incPRState)
-	for _, op := range d.Ops {
-		s.acc[op.Idx] += math.Float32frombits(uint32(op.Val))
 		res.Updates++
 	}
 }
@@ -331,9 +316,7 @@ func (k *IncPR) Trajectory() [][]float32 { return k.newTraj }
 
 // RecordingPageRank wraps the full PageRank kernel and snapshots the rank
 // vector after every iteration, building the trajectory a later
-// incremental run resumes from. The embedded kernel's gather/apply
-// methods promote, so the wrapper still satisfies GatherKernel and runs on
-// the parallel path; only EndIteration is intercepted.
+// incremental run resumes from. Only EndIteration is intercepted.
 type RecordingPageRank struct {
 	*kernels.PageRank
 	Traj [][]float32

@@ -2,10 +2,10 @@
 // epochs and re-executes BFS, CC, and PageRank from the delta instead of
 // from scratch. The contract is exactness, not approximation: every
 // incremental run must produce output byte-identical to a from-scratch
-// recompute on the new snapshot, at any HostWorkers count, clean or
-// faulted. Where that cannot be guaranteed (tight deletes under BFS, any
-// delete under CC, vertex growth under PageRank, ...) the planner refuses
-// and the caller falls back to a full run.
+// recompute on the new snapshot, clean or faulted. Where that cannot be
+// guaranteed (tight deletes under BFS, any delete under CC, vertex growth
+// under PageRank, ...) the planner refuses and the caller falls back to a
+// full run.
 //
 // The machinery has three parts:
 //

@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"math"
-
-	"repro/internal/slottedpage"
-)
+import "repro/internal/slottedpage"
 
 // BC implements single-source betweenness centrality (Brandes) as the paper
 // evaluates it in Appendix D ("the single node mode"): a forward
@@ -135,16 +131,10 @@ func (k *BC) RunLP(a *Args) Result {
 }
 
 func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, npid := dec.VID(buf, pos)
 		if !a.owns(nvid) {
-			continue
-		}
-		if d != nil {
-			if s.dist[nvid] == unvisited || s.dist[nvid] == level+1 {
-				d.push(Op{Idx: nvid, Val: math.Float64bits(s.sigma[vid]), PID: int32(npid)})
-			}
 			continue
 		}
 		if s.dist[nvid] == unvisited {
@@ -154,29 +144,6 @@ func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16,
 		}
 		if s.dist[nvid] == level+1 {
 			s.sigma[nvid] += s.sigma[vid]
-			res.Updates++
-		}
-	}
-}
-
-// Apply implements GatherKernel: replay the serial discover/accumulate pair
-// per deferred edge against live state. The gather is exact because the
-// frontier check reads dist at the current level and sigma adds read sigma
-// of frontier vertices — neither is mutated by same-phase applies (writes
-// touch level+1 vertices only) — and a neighbor's dist is in {unvisited,
-// level+1} at gather iff it is at apply (the only same-phase transition is
-// unvisited→level+1).
-func (k *BC) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*bcState)
-	level := int16(a.Level)
-	for _, op := range d.Ops {
-		if s.dist[op.Idx] == unvisited {
-			s.dist[op.Idx] = level + 1
-			a.NextPIDs.Set(int(op.PID))
-			res.Active = true
-		}
-		if s.dist[op.Idx] == level+1 {
-			s.sigma[op.Idx] += math.Float64frombits(op.Val)
 			res.Updates++
 		}
 	}
@@ -226,32 +193,14 @@ func (k *BC) RunLPBack(a *Args) Result {
 }
 
 func (k *BC) backward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
 		if s.dist[nvid] == level+1 && s.sigma[nvid] > 0 {
-			if d != nil {
-				d.push(Op{Idx: vid, Val: math.Float64bits(s.sigma[vid] / s.sigma[nvid] * (1 + s.delta[nvid]))})
-				continue
-			}
 			s.delta[vid] += s.sigma[vid] / s.sigma[nvid] * (1 + s.delta[nvid])
 			res.Updates++
 			res.Active = true
 		}
-	}
-}
-
-// ApplyBack implements GatherBackwardKernel: replay the dependency adds in
-// recorded order. The backward sweep reads dist/sigma (frozen after the
-// forward pass) and delta of level+1 vertices while it writes delta of level
-// vertices — reads and writes are on disjoint levels, so every term is
-// phase-stable and defers exactly.
-func (k *BC) ApplyBack(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*bcState)
-	for _, op := range d.Ops {
-		s.delta[op.Idx] += math.Float64frombits(op.Val)
-		res.Updates++
-		res.Active = true
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 // BenchmarkPageKernels prices every page kernel on the repository
 // benchmark's graph (RMAT27@11: 65 536 vertices, ≈ 1 M edges, small pages
 // and large-page runs both): one whole run per iteration through the
-// package's own sequential driver, inline (no gather), so the time is the
-// kernels' — slot scan, record lookup, entry decode, lane accounting — and
-// nothing of the engine's. ns/edge divides by the adjacency entries the run
-// reported traversing (Result.Edges); DegreeDist decodes none and reports
-// ns/vertex.
+// package's own sequential driver, so the time is the kernels' — slot scan,
+// record lookup, entry decode, lane accounting — and nothing of the
+// engine's. ns/edge divides by the adjacency entries the run reported
+// traversing (Result.Edges); DegreeDist decodes none and reports ns/vertex.
 func BenchmarkPageKernels(b *testing.B) {
 	d, _ := graphgen.ByName("RMAT27")
 	sp, err := slottedpage.Build(d.MustGenerate(11), slottedpage.ScaledConfig(2, 2, 4096))
@@ -46,7 +45,7 @@ func BenchmarkPageKernels(b *testing.B) {
 				b.StopTimer()
 				k := mk() // DirBFS reads out-degrees here; not a page kernel's cost
 				b.StartTimer()
-				_, n := driveCount(b, k, sp, 0, false)
+				_, n := driveCount(b, k, sp, 0)
 				edges += n
 			}
 			if edges > 0 {

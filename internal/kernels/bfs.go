@@ -98,39 +98,16 @@ func (k *BFS) RunLP(a *Args) Result {
 
 // expand is the expand_warp device routine: visit every adjacency entry of
 // the record at [pos, end), set LV and the next page set for undiscovered
-// neighbors. As a gather the discoveries are deferred instead of committed:
-// unvisited-at-gather is a superset of unvisited-at-apply, and Apply
-// re-tests.
+// neighbors.
 func (k *BFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, npid := dec.VID(buf, pos)
 		if !a.owns(nvid) || s.lv[nvid] != unvisited {
 			continue
 		}
-		if d != nil {
-			d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: int32(npid)})
-			continue
-		}
 		s.lv[nvid] = level + 1
 		a.NextPIDs.Set(int(npid))
-		res.Updates++
-		res.Active = true
-	}
-}
-
-// Apply implements GatherKernel: commit still-unvisited discoveries in
-// recorded order. The gathered cycles and edges are exact because the
-// frontier check (lv == level) and lane counts are phase-stable: same-phase
-// writes only move vertices from unvisited to level+1.
-func (k *BFS) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*bfsState)
-	for _, op := range d.Ops {
-		if s.lv[op.Idx] != unvisited {
-			continue
-		}
-		s.lv[op.Idx] = int16(op.Val)
-		a.NextPIDs.Set(int(op.PID))
 		res.Updates++
 		res.Active = true
 	}

@@ -95,40 +95,17 @@ func (k *CC) RunLP(a *Args) Result {
 }
 
 func (k *CC) propagate(a *Args, s *ccState, vid uint64, pos, end int, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	cv, ownsV := s.prev[vid], a.owns(vid)
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
 		if a.owns(nvid) && cv < s.next[nvid] {
-			if d != nil {
-				d.push(Op{Idx: nvid, Val: uint64(cv)})
-			} else {
-				s.next[nvid] = cv
-				res.Updates++
-				res.Active = true
-			}
+			s.next[nvid] = cv
+			res.Updates++
+			res.Active = true
 		}
 		if cn := s.prev[nvid]; ownsV && cn < s.next[vid] {
-			if d != nil {
-				d.push(Op{Idx: vid, Val: uint64(cn)})
-			} else {
-				s.next[vid] = cn
-				res.Updates++
-				res.Active = true
-			}
-		}
-	}
-}
-
-// Apply implements GatherKernel: commit the still-smaller labels in order.
-// Candidate labels read only prev (stable per iteration) and the min-writes
-// to next are conditional-monotone, so gather-time candidates are a superset
-// of the serial writes and the re-test here reproduces the serial decision.
-func (k *CC) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*ccState)
-	for _, op := range d.Ops {
-		if c := uint32(op.Val); c < s.next[op.Idx] {
-			s.next[op.Idx] = c
+			s.next[vid] = cn
 			res.Updates++
 			res.Active = true
 		}

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"math"
-
 	"repro/internal/bitset"
 	"repro/internal/slottedpage"
 )
@@ -17,20 +15,14 @@ const ssspDelta = 8
 // FrontierKernel: pending vertices sit in distance buckets of width
 // ssspDelta, and each superstep relaxes exactly the lowest non-empty
 // bucket. The plan snapshots the distance vector before the phase, and
-// every relaxation — serial or gathered — reads source distances from that
-// snapshot, which is what makes the classic SSSP stability problem
-// disappear: plain SSSP's frontier check (active == level) could be
-// re-marked by an earlier page of the same phase, but DeltaSSSP's frontier
-// flags and base distances are frozen at plan time, so gathers depend on
-// nothing a same-phase apply mutates. Improvements found mid-phase simply
-// re-pend the vertex for a later bucket round. That satisfies the gather
-// contract's stability requirement (deferred.go property 1), and the
-// superset+recheck property 2 holds because "nd < base distance" at gather
-// time is implied by "nd < live distance" at apply time (live only
-// decreases within a phase). The result is byte-identical to the serial
-// path at every worker count — pinned by the differential and golden
-// suites — and bitwise equal to plain SSSP's fixpoint: both converge to
-// the same minimum over float32 path sums evaluated source→v.
+// every relaxation reads source distances from that snapshot: the frontier
+// flags and base distances are frozen at plan time, so which vertices a
+// phase relaxes — and therefore its pages, lanes and simulated cycles — is
+// decided before its first page kernel runs, where plain SSSP's frontier
+// check (active == level) can be re-marked by an earlier page of the same
+// phase. Improvements found mid-phase simply re-pend the vertex for a later
+// bucket round. The result is bitwise equal to plain SSSP's fixpoint: both
+// converge to the same minimum over float32 path sums evaluated source→v.
 type DeltaSSSP struct {
 	g    *slottedpage.Graph
 	cost costParams
@@ -169,12 +161,10 @@ func (k *DeltaSSSP) RunLP(a *Args) Result {
 }
 
 // relax proposes nd = base[vid] + w(vid, n) for each owned out-neighbor in
-// the record at [pos, end). The serial commit and the deferred path both
-// evaluate nd from the snapshot, so their proposed values are identical;
-// only the accept test differs in when it runs (here against live dist, or
-// re-run in Apply).
+// the record at [pos, end), from the snapshot, and accepts it against the
+// live distance.
 func (k *DeltaSSSP) relax(a *Args, s *deltaState, vid uint64, pos, end int, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	base := k.base[vid]
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
@@ -182,33 +172,9 @@ func (k *DeltaSSSP) relax(a *Args, s *deltaState, vid uint64, pos, end int, res 
 			continue
 		}
 		nd := base + Weight(vid, nvid)
-		if d != nil {
-			// Superset test against the snapshot; Apply re-tests live.
-			if nd < k.base[nvid] {
-				d.push(Op{Idx: nvid, Val: uint64(math.Float32bits(nd)), PID: -1})
-			}
-			continue
-		}
 		if nd < s.dist[nvid] {
 			s.dist[nvid] = nd
 			s.pend[nvid] = true
-			res.Updates++
-			res.Active = true
-		}
-	}
-}
-
-// Apply implements GatherKernel: re-test each proposed distance against
-// live state and commit improvements in recorded order. Frontier flags and
-// base distances are frozen for the phase, so the gathered cycles and edges
-// are exact.
-func (k *DeltaSSSP) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*deltaState)
-	for _, op := range d.Ops {
-		nd := math.Float32frombits(uint32(op.Val))
-		if nd < s.dist[op.Idx] {
-			s.dist[op.Idx] = nd
-			s.pend[op.Idx] = true
 			res.Updates++
 			res.Active = true
 		}

@@ -37,8 +37,7 @@ type DirBFS struct {
 	cost   costParams
 	mode   DirMode
 	// dir is the current level's planned direction. PlanLevel writes it
-	// between supersteps; page kernels only read it, so the gather pool
-	// never races it.
+	// between supersteps; page kernels only read it.
 	dir Direction
 	// denseThreshold is Ligra's |E|/20 switch point.
 	denseThreshold int64
@@ -156,8 +155,8 @@ func (k *DirBFS) RunLP(a *Args) Result {
 	return k.pushLP(a)
 }
 
-// pushSP is K_BFS_SP with fused filtering: discoveries are committed (or
-// deferred) without marking NextPIDs.
+// pushSP is K_BFS_SP with fused filtering: discoveries are committed
+// without marking NextPIDs.
 func (k *DirBFS) pushSP(a *Args) Result {
 	s := a.State.(*bfsState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
@@ -194,16 +193,12 @@ func (k *DirBFS) pushLP(a *Args) Result {
 
 // expand visits one frontier vertex's adjacency, the record at [pos, end),
 // discovering unvisited owned neighbors. Coverage (out-degree of the
-// discovery) accrues at commit; deferred ops re-test and accrue in Apply.
+// discovery) accrues with each discovery.
 func (k *DirBFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) || s.lv[nvid] != unvisited {
-			continue
-		}
-		if d != nil {
-			d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: -1})
 			continue
 		}
 		s.lv[nvid] = level + 1
@@ -249,7 +244,7 @@ func (k *DirBFS) pullLP(a *Args) Result {
 }
 
 // pullVertex scans vid's in-neighbors for a frontier parent. The frontier
-// test (lv == level) is phase-stable: same-phase applies only move
+// test (lv == level) does not depend on page order: a phase only moves
 // vertices from unvisited to level+1, never onto the current frontier.
 func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes *laneAcc, res *Result) {
 	scanned := 0
@@ -265,33 +260,10 @@ func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes
 	if !found {
 		return
 	}
-	if d := a.Deferred; d != nil {
-		d.push(Op{Idx: vid, Val: uint64(level + 1), PID: -1})
-		return
-	}
 	s.lv[vid] = level + 1
 	res.Edges += int64(k.outDeg[vid])
 	res.Updates++
 	res.Active = true
-}
-
-// Apply implements GatherKernel: commit still-unvisited discoveries in
-// recorded order, accruing coverage edges exactly as the serial commit
-// does. Both directions gather phase-stable: push reads the frontier (this
-// level's vertices, which no same-phase apply writes); pull additionally
-// reads each page-local vertex's own unvisited flag, which only that page's
-// apply flips — and each page gathers once per phase.
-func (k *DirBFS) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*bfsState)
-	for _, op := range d.Ops {
-		if s.lv[op.Idx] != unvisited {
-			continue
-		}
-		s.lv[op.Idx] = int16(op.Val)
-		res.Edges += int64(k.outDeg[op.Idx])
-		res.Updates++
-		res.Active = true
-	}
 }
 
 // MergeStates implements Kernel: same min-merge as plain BFS.

@@ -13,97 +13,53 @@ import (
 )
 
 // TestDriverDirBFS drives the direction-optimizing BFS through the
-// package-local framework loop in every mode, on the serial and the
-// gather/apply path, against the float-free reference. The reverse index
-// must exist after a run exactly when some level pulled: a push-only
-// traversal never builds it.
+// package-local framework loop in every mode against the float-free
+// reference. The reverse index must exist after a run exactly when some
+// level pulled: a push-only traversal never builds it.
 func TestDriverDirBFS(t *testing.T) {
 	g, sp := driverGraph(t)
 	want := verify.BFS(g, 0)
 	for _, mode := range []DirMode{DirAuto, DirForcePush, DirForcePull} {
-		for _, gather := range []bool{false, true} {
-			k := NewDirBFS(sp)
-			k.SetMode(mode)
-			if k.Mode() != mode {
-				t.Fatalf("Mode() = %v after SetMode(%v)", k.Mode(), mode)
+		k := NewDirBFS(sp)
+		k.SetMode(mode)
+		if k.Mode() != mode {
+			t.Fatalf("Mode() = %v after SetMode(%v)", k.Mode(), mode)
+		}
+		if k.rev.offsets != nil {
+			t.Fatalf("mode=%v: NewDirBFS built the reverse index", mode)
+		}
+		st := drive(t, k, sp, 0)
+		got := k.Levels(st)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("mode=%v: vertex %d level = %d, want %d", mode, v, got[v], want[v])
 			}
-			if k.rev.offsets != nil {
-				t.Fatalf("mode=%v: NewDirBFS built the reverse index", mode)
-			}
-			st := driveMode(t, k, sp, 0, gather)
-			got := k.Levels(st)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("mode=%v gather=%v: vertex %d level = %d, want %d",
-						mode, gather, v, got[v], want[v])
-				}
-			}
-			if built := k.rev.offsets != nil; built != (mode != DirForcePush) {
-				t.Fatalf("mode=%v gather=%v: reverse index built = %v", mode, gather, built)
-			}
+		}
+		if built := k.rev.offsets != nil; built != (mode != DirForcePush) {
+			t.Fatalf("mode=%v: reverse index built = %v", mode, built)
 		}
 	}
 }
 
-// TestDriverDeltaSSSP drives delta-stepping SSSP on both paths against the
-// float64 reference (exact: the synthetic weights and float32 adds make
-// every path sum deterministic).
+// TestDriverDeltaSSSP drives delta-stepping SSSP against the float64
+// reference (exact: the synthetic weights and float32 adds make every path
+// sum deterministic).
 func TestDriverDeltaSSSP(t *testing.T) {
 	g, sp := driverGraph(t)
 	want := verify.SSSP(g, 0, Weight)
-	for _, gather := range []bool{false, true} {
-		k := NewDeltaSSSP(sp)
-		st := driveMode(t, k, sp, 0, gather)
-		got := k.Distances(st)
-		for v := range want {
-			if math.IsInf(want[v], 1) {
-				if got[v] != float32(math.MaxFloat32) {
-					t.Fatalf("gather=%v: vertex %d should be unreachable, got %v", gather, v, got[v])
-				}
-				continue
+	k := NewDeltaSSSP(sp)
+	st := drive(t, k, sp, 0)
+	got := k.Distances(st)
+	for v := range want {
+		if math.IsInf(want[v], 1) {
+			if got[v] != float32(math.MaxFloat32) {
+				t.Fatalf("vertex %d should be unreachable, got %v", v, got[v])
 			}
-			if float64(got[v]) != want[v] {
-				t.Fatalf("gather=%v: vertex %d dist = %v, want %v", gather, v, got[v], want[v])
-			}
+			continue
 		}
-	}
-}
-
-// TestDriverGatherMatchesSerial runs every gatherable kernel through both
-// driver paths and requires identical final state — the package-local
-// statement of the stability + superset/recheck contract, independent of
-// internal/core's engine.
-func TestDriverGatherMatchesSerial(t *testing.T) {
-	_, sp := driverGraph(t)
-	cases := []struct {
-		name string
-		make func() Kernel
-		src  uint64
-	}{
-		{"BFS", func() Kernel { return NewBFS(sp) }, 0},
-		{"DirBFS", func() Kernel { return NewDirBFS(sp) }, 0},
-		{"DeltaSSSP", func() Kernel { return NewDeltaSSSP(sp) }, 0},
-		{"PageRank", func() Kernel { return NewPageRank(sp, 0.85, 4) }, 0},
-		{"CC", func() Kernel { return NewCC(sp) }, 0},
-		{"BC", func() Kernel { return NewBC(sp) }, 0},
-		{"Neighborhood", func() Kernel { return NewNeighborhood(sp, 2) }, 0},
-		{"CrossEdges", func() Kernel { return NewCrossEdges(sp, func(v uint64) bool { return v%2 == 0 }) }, 0},
-		{"RWR", func() Kernel { return NewRWR(sp, 0.15, 4) }, 9},
-		{"DegreeDist", func() Kernel { return NewDegreeDist(sp) }, 0},
-		{"KCore", func() Kernel { return NewKCore(sp, 4) }, 0},
-		{"Radius", func() Kernel { return NewRadius(sp, 4, 16) }, 0},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			serialK := tc.make()
-			serial := driveMode(t, serialK, sp, tc.src, false)
-			gatherK := tc.make()
-			gathered := driveMode(t, gatherK, sp, tc.src, true)
-			if !reflect.DeepEqual(serial, gathered) {
-				t.Errorf("%s: gather/apply state differs from serial state", tc.name)
-			}
-		})
+		if float64(got[v]) != want[v] {
+			t.Fatalf("vertex %d dist = %v, want %v", v, got[v], want[v])
+		}
 	}
 }
 

@@ -15,24 +15,17 @@ import (
 // (Algorithm 1) with no hardware model: it exists so the kernels are tested
 // independently of internal/core — two separate drivers agreeing with the
 // references pins both.
-func drive(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) State {
-	return driveMode(t, k, g, source, false)
-}
-
-// driveMode is drive with the execution path selectable: gather=true routes
-// every page through the kernel's Gather/Apply halves (applied immediately,
-// which a serial wave of size one makes equivalent) so the deferred-write
-// contract is exercised by this driver too, not only by internal/core.
+//
 // FrontierKernels get their PlanLevel hook called exactly where the engine
 // calls it: after seeding and after each level's merge, before the
 // emptiness test.
-func driveMode(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64, gather bool) State {
-	st, _ := driveCount(t, k, g, source, gather)
+func drive(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) State {
+	st, _ := driveCount(t, k, g, source)
 	return st
 }
 
-// driveCount is driveMode that also returns the run's summed Result.Edges.
-func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64, gather bool) (State, int64) {
+// driveCount is drive that also returns the run's summed Result.Edges.
+func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (State, int64) {
 	t.Helper()
 	var edges int64
 	st := k.NewState()
@@ -65,9 +58,6 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64, gat
 		next = all()
 	}
 
-	gk, _ := k.(GatherKernel)
-	bgk, _ := k.(GatherBackwardKernel)
-	d := &Deferred{}
 	runSet := func(set *bitset.Set, level int32, backward bool) (*bitset.Set, bool) {
 		local := bitset.New(numPages)
 		active := false
@@ -82,16 +72,6 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64, gat
 				Tech:     EdgeCentric,
 				NextPIDs: local,
 			}
-			// One entry per page kind: the same call is the gather when
-			// Args.Deferred is set and the inline kernel when it is not.
-			gathering := gather && gk != nil
-			if backward {
-				gathering = gather && bgk != nil
-			}
-			if gathering {
-				d.Reset()
-				a.Deferred = d
-			}
 			var res Result
 			isLP := g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage
 			switch {
@@ -103,14 +83,6 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64, gat
 				res = k.RunLP(a)
 			default:
 				res = k.RunSP(a)
-			}
-			if gathering {
-				a.Deferred = nil
-				if backward {
-					bgk.ApplyBack(a, d, &res)
-				} else {
-					gk.Apply(a, d, &res)
-				}
 			}
 			if res.Active {
 				active = true

@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"math"
-
-	"repro/internal/slottedpage"
-)
+import "repro/internal/slottedpage"
 
 // This file implements the further algorithms the paper's §3.3 lists in its
 // two classes beyond the evaluated five: Random Walk with Restart and
@@ -133,28 +129,13 @@ func (k *RWR) RunLP(a *Args) Result {
 }
 
 func (k *RWR) scatter(a *Args, s *rwrState, pos, end int, contrib float32, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
-		if d != nil {
-			d.push(Op{Idx: nvid, Val: uint64(math.Float32bits(contrib))})
-			continue
-		}
 		s.next[nvid] += contrib
-		res.Updates++
-	}
-}
-
-// Apply implements GatherKernel: contributions read only prev (stable for
-// the iteration), so they defer exactly; the float32 adds replay here in
-// serial order.
-func (k *RWR) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*rwrState)
-	for _, op := range d.Ops {
-		s.next[op.Idx] += math.Float32frombits(uint32(op.Val))
 		res.Updates++
 	}
 }
@@ -241,17 +222,8 @@ func (k *DegreeDist) Init(st State, _ uint64) {
 // BeginLevel implements Kernel.
 func (k *DegreeDist) BeginLevel([]State, int32) {}
 
-// degOpSet and degOpAdd discriminate DegreeDist's two deferred writes: SP
-// pages set a small vertex's degree outright; LP pages accumulate one large
-// vertex's page-local partial counts.
-const (
-	degOpSet OpKind = iota
-	degOpAdd
-)
-
 // RunSP records each slot's ADJLIST_SZ.
 func (k *DegreeDist) RunSP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*degState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -261,10 +233,6 @@ func (k *DegreeDist) RunSP(a *Args) Result {
 			continue
 		}
 		_, _, deg := dec.Record(buf, slot)
-		if d != nil {
-			d.push(Op{Idx: vid, Val: uint64(deg), Kind: degOpSet})
-			continue
-		}
 		s.deg[vid] = int32(deg)
 		res.Updates++
 	}
@@ -276,38 +244,19 @@ func (k *DegreeDist) RunSP(a *Args) Result {
 
 // RunLP accumulates an LP run's page-local counts.
 func (k *DegreeDist) RunLP(a *Args) Result {
-	d := a.Deferred
 	s := a.State.(*degState)
 	dec := a.Graph.Decoder()
 	vid := dec.StartVID(a.PID)
 	var res Result
 	if a.owns(vid) {
 		_, _, deg := dec.Record(a.Page.Bytes(), 0)
-		if d != nil {
-			d.push(Op{Idx: vid, Val: uint64(deg), Kind: degOpAdd})
-		} else {
-			s.deg[vid] += int32(deg)
-			res.Updates++
-		}
+		s.deg[vid] += int32(deg)
+		res.Updates++
 	}
 	var lanes laneAcc
 	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	res.Active = true
 	return res
-}
-
-// Apply implements GatherKernel: degrees come straight from topology, so
-// every write defers unconditionally.
-func (k *DegreeDist) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*degState)
-	for _, op := range d.Ops {
-		if op.Kind == degOpAdd {
-			s.deg[op.Idx] += int32(op.Val)
-		} else {
-			s.deg[op.Idx] = int32(op.Val)
-		}
-		res.Updates++
-	}
 }
 
 // MergeStates implements Kernel: each replica touched disjoint pages, so
@@ -457,36 +406,18 @@ func (k *KCore) RunLP(a *Args) Result {
 }
 
 func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, pos, end int, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	aliveV, ownsV := s.alive[vid], a.owns(vid)
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
 		if aliveV && a.owns(nvid) {
-			if d != nil {
-				d.push(Op{Idx: nvid})
-			} else {
-				s.count[nvid]++
-				res.Updates++
-			}
+			s.count[nvid]++
+			res.Updates++
 		}
 		if s.alive[nvid] && ownsV {
-			if d != nil {
-				d.push(Op{Idx: vid})
-			} else {
-				s.count[vid]++
-				res.Updates++
-			}
+			s.count[vid]++
+			res.Updates++
 		}
-	}
-}
-
-// Apply implements GatherKernel: alive flags only change in EndIteration,
-// never mid-phase, so the tallies defer unconditionally.
-func (k *KCore) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*kcoreState)
-	for _, op := range d.Ops {
-		s.count[op.Idx]++
-		res.Updates++
 	}
 }
 

@@ -79,6 +79,11 @@ type FrontierKernel interface {
 	PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 }
 
+var (
+	_ FrontierKernel = (*DirBFS)(nil)
+	_ FrontierKernel = (*DeltaSSSP)(nil)
+)
+
 // revAdj is a host-side reverse CSR over the slotted pages: pull-direction
 // kernels scan in(v) instead of streaming every frontier page. It is built
 // on first need (ensure) and lives as long as the kernel that owns it — not

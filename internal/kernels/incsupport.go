@@ -12,12 +12,6 @@ import (
 // machinery the frontier kernels already use, so incremental and full
 // kernels share one implementation of each invariant.
 
-// Push appends a deferred write outside the kernels package. Incremental
-// kernels live in internal/incremental but follow the same gather/apply
-// contract as the kernels here: gathers push ops, Apply replays them in
-// deterministic (GPU, page) order.
-func (d *Deferred) Push(op Op) { d.push(op) }
-
 // RevCSR is an exported handle on the reverse adjacency (in-neighbors)
 // index. Incremental kernels use it to find which vertices can feed a
 // dirty target: CC rescans in(changed), PageRank marks the pages of

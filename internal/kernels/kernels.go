@@ -162,11 +162,6 @@ type Args struct {
 	// NextPIDs is this GPU's local nextPIDSet; BFS-like kernels set bits
 	// for pages to visit at the next level. Nil for PageRank-like runs.
 	NextPIDs *bitset.Set
-	// Deferred, when non-nil, makes the call a gather (see deferred.go): a
-	// GatherKernel's page kernel then leaves State and NextPIDs alone and
-	// appends its intended writes here. Nil runs the kernel inline. The
-	// engine sets it only for kernels that implement GatherKernel.
-	Deferred *Deferred
 }
 
 // owns reports whether vertex v's attribute entry belongs to this GPU.

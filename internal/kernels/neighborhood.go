@@ -82,7 +82,7 @@ func (k *Neighborhood) RunLP(a *Args) Result {
 }
 
 func (k *Neighborhood) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	// Only propose further expansion inside the ball.
 	inside := level+1 < k.maxHops
 	for w := dec.Width(); pos < end; pos += w {
@@ -90,36 +90,11 @@ func (k *Neighborhood) expand(a *Args, s *bfsState, pos, end int, level int16, r
 		if !a.owns(nvid) || s.lv[nvid] != unvisited {
 			continue
 		}
-		if d != nil {
-			pid := int32(-1)
-			if inside {
-				pid = int32(npid)
-			}
-			d.push(Op{Idx: nvid, Val: uint64(level + 1), PID: pid})
-			continue
-		}
 		s.lv[nvid] = level + 1
 		res.Updates++
 		res.Active = true
 		if inside {
 			a.NextPIDs.Set(int(npid))
-		}
-	}
-}
-
-// Apply implements GatherKernel: same stability argument as BFS; the hop
-// cap is a constant, baked into the op's PID (-1 = outside the ball).
-func (k *Neighborhood) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*bfsState)
-	for _, op := range d.Ops {
-		if s.lv[op.Idx] != unvisited {
-			continue
-		}
-		s.lv[op.Idx] = int16(op.Val)
-		res.Updates++
-		res.Active = true
-		if op.PID >= 0 {
-			a.NextPIDs.Set(int(op.PID))
 		}
 	}
 }
@@ -239,27 +214,13 @@ func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, pos, end int, res
 	if !a.owns(vid) {
 		return
 	}
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	vs := k.side(vid)
 	for w := dec.Width(); pos < end; pos += w {
 		if nvid, _ := dec.VID(buf, pos); k.side(nvid) != vs {
-			if d != nil {
-				d.push(Op{Idx: vid})
-				continue
-			}
 			s.count[vid]++
 			res.Updates++
 		}
-	}
-}
-
-// Apply implements GatherKernel: the bipartition predicate is pure, so the
-// tally is a function of topology alone — every increment defers.
-func (k *CrossEdges) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*crossState)
-	for _, op := range d.Ops {
-		s.count[op.Idx]++
-		res.Updates++
 	}
 }
 

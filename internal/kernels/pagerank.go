@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"math"
-
-	"repro/internal/slottedpage"
-)
+import "repro/internal/slottedpage"
 
 // PageRank implements the paper's K_PR_SP and K_PR_LP kernels (Algorithms 4
 // and 5). Per the paper's split, nextPR is the read/write attribute vector
@@ -129,31 +125,15 @@ func (k *PageRank) RunLP(a *Args) Result {
 }
 
 // scatter performs the atomicAdd loop shared by both kernels over the
-// record at [pos, end); as a gather the adds are deferred in adjacency
-// order.
+// record at [pos, end).
 func (k *PageRank) scatter(a *Args, s *prState, pos, end int, contrib float32, res *Result) {
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
-		if d != nil {
-			d.push(Op{Idx: nvid, Val: uint64(math.Float32bits(contrib))})
-			continue
-		}
 		s.nextPR[nvid] += contrib
-		res.Updates++
-	}
-}
-
-// Apply implements GatherKernel: replay the deferred adds in serial order,
-// keeping float32 accumulation bit-identical. Contributions read only prevPR
-// (stable for the whole iteration), so they defer exactly.
-func (k *PageRank) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*prState)
-	for _, op := range d.Ops {
-		s.nextPR[op.Idx] += math.Float32frombits(uint32(op.Val))
 		res.Updates++
 	}
 }

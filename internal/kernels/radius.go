@@ -149,7 +149,7 @@ func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, pos, end int, res *
 	if !a.owns(vid) {
 		return
 	}
-	dec, buf, d := a.Graph.Decoder(), a.Page.Bytes(), a.Deferred
+	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	base := int(vid) * s.k
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, _ := dec.VID(buf, pos)
@@ -158,31 +158,10 @@ func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, pos, end int, res *
 			old := s.next[base+j]
 			merged := old | s.prev[nb+j]
 			if merged != old {
-				if d != nil {
-					d.push(Op{Idx: uint64(base + j), Val: uint64(s.prev[nb+j])})
-					continue
-				}
 				s.next[base+j] = merged
 				res.Updates++
 				res.Active = true
 			}
-		}
-	}
-}
-
-// Apply implements GatherKernel: redo the merge against live sketches. The
-// OR-in source (prev) is stable; the "did the sketch grow" condition against
-// next is conditional-monotone (bits only set), so gather-time candidates
-// are a superset of the serial writes.
-func (k *Radius) Apply(a *Args, d *Deferred, res *Result) {
-	s := a.State.(*radiusState)
-	for _, op := range d.Ops {
-		old := s.next[op.Idx]
-		merged := old | uint32(op.Val)
-		if merged != old {
-			s.next[op.Idx] = merged
-			res.Updates++
-			res.Active = true
 		}
 	}
 }

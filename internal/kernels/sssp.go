@@ -14,20 +14,15 @@ import (
 // Edge weights come from kernels.Weight (deterministic, derived from the
 // endpoints) because the slotted page format carries topology only.
 //
-// This plain formulation deliberately does NOT implement GatherKernel (see
-// deferred.go): a relaxation can improve a vertex that is *on the current
-// frontier* (re-marking it active for this very level via
-// active[nvid] = Level+1 while dist keeps improving), so a later page's
-// frontier check — and with it the page's simulated cycle/edge counts —
-// depends on earlier pages' same-phase writes, violating the gather
-// contract's stability requirement. It therefore always runs on the serial
-// path and survives as the reference oracle. DeltaSSSP (deltasssp.go) is
-// the parallelizable restatement: the frontier becomes the lowest
-// non-empty delta-stepping distance bucket, frozen — together with a
+// A relaxation can improve a vertex that is *on the current frontier*
+// (re-marking it active for this very level via active[nvid] = Level+1
+// while dist keeps improving), so a later page's frontier check — and with
+// it the page's simulated cycle/edge counts — depends on earlier pages'
+// same-phase writes. This plain formulation is the reference oracle.
+// DeltaSSSP (deltasssp.go) is the frontier-planned one: the frontier is the
+// lowest non-empty delta-stepping distance bucket, frozen — together with a
 // distance snapshot every relaxation reads — by PlanLevel before the phase
-// starts, so gathers depend on nothing a same-phase apply mutates and the
-// kernel rides the HostWorkers gather/apply path with byte-identical
-// results.
+// starts, and it reaches the same distances bit for bit.
 type SSSP struct {
 	g    *slottedpage.Graph
 	cost costParams

@@ -17,10 +17,7 @@ import (
 
 // chaosServer hosts two pools over the same graph: "chaos" runs under a
 // moderate fault plan the engine's retry budget can absorb, and "doomed"
-// under a persistent transfer fault that exhausts it on every run. Both
-// pools run the host-parallel kernel path (HostWorkers=8) so the byte
-// comparisons against the serial fault-free reference also pin the
-// deterministic merge under faults and concurrency.
+// under a persistent transfer fault that exhausts it on every run.
 func chaosServer(t *testing.T) (*httptest.Server, *gts.Graph) {
 	t.Helper()
 	g, _ := testGraphPair(t)
@@ -28,7 +25,7 @@ func chaosServer(t *testing.T) (*httptest.Server, *gts.Graph) {
 
 	absorb := &gts.FaultPlan{Seed: 7, TransferErrorRate: 0.05, TransferStallRate: 0.05,
 		StorageErrorRate: 0.05, CorruptionRate: 0.05}
-	chaosPool, err := gts.NewSystemPool(g, gts.Config{Faults: absorb, HostWorkers: 8}, 2)
+	chaosPool, err := gts.NewSystemPool(g, gts.Config{Faults: absorb}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +33,7 @@ func chaosServer(t *testing.T) (*httptest.Server, *gts.Graph) {
 		t.Fatal(err)
 	}
 	doomed := &gts.FaultPlan{Seed: 7, TransferErrorRate: 1}
-	doomedPool, err := gts.NewSystemPool(g, gts.Config{Faults: doomed, HostWorkers: 8}, 2)
+	doomedPool, err := gts.NewSystemPool(g, gts.Config{Faults: doomed}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +53,9 @@ func chaosServer(t *testing.T) (*httptest.Server, *gts.Graph) {
 func TestChaosConcurrentClients(t *testing.T) {
 	ts, g := chaosServer(t)
 
-	// Fault-free references for every request shape the clients send,
-	// computed on the serial path: the service's HostWorkers=8 pools must
-	// reproduce these bytes exactly.
-	clean, err := gts.NewSystem(g, gts.Config{HostWorkers: 1})
+	// Fault-free references for every request shape the clients send: the
+	// service's faulted pools must reproduce these bytes exactly.
+	clean, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +213,6 @@ func TestChaosConcurrentClients(t *testing.T) {
 			t.Errorf("/metrics missing %s", want)
 		}
 	}
-	// Both pools were configured with HostWorkers=8; the gauge must say so.
-	if !strings.Contains(string(metrics), "gtsd_host_workers 8") {
-		t.Error("/metrics missing gtsd_host_workers 8")
-	}
 	if !metricAbove(string(metrics), "gtsd_faults_injected_total", 0) {
 		t.Error("gtsd_faults_injected_total is zero after a chaos run")
 	}
@@ -230,7 +222,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 }
 
 // TestChaosTraceExportMidFault proves the recorder is race-free under
-// concurrent span emission: while a fault-injected HostWorkers=8 engine is
+// concurrent span emission: while a fault-injected engine is
 // mid-run (streams emitting copy/kernel/fault spans), a second goroutine
 // continuously exports the live recorder in both encodings and aggregates
 // it. Run under -race via `make test-race`. The final export must still be
@@ -239,7 +231,7 @@ func TestChaosTraceExportMidFault(t *testing.T) {
 	g, _ := testGraphPair(t)
 	rec := trace.New()
 	rec.SetID("chaos-mid-fault")
-	sys, err := gts.NewSystem(g, gts.Config{HostWorkers: 8, Trace: rec,
+	sys, err := gts.NewSystem(g, gts.Config{Trace: rec,
 		Faults: &gts.FaultPlan{Seed: 7, TransferErrorRate: 0.05, TransferStallRate: 0.05,
 			StorageErrorRate: 0.05, CorruptionRate: 0.05}})
 	if err != nil {
@@ -247,6 +239,7 @@ func TestChaosTraceExportMidFault(t *testing.T) {
 	}
 
 	done := make(chan struct{})
+	started := make(chan struct{})
 	exported := make(chan int)
 	go func() {
 		n := 0
@@ -256,6 +249,9 @@ func TestChaosTraceExportMidFault(t *testing.T) {
 				exported <- n
 				return
 			default:
+			}
+			if n == 0 {
+				close(started) // past the done check: this export overlaps the runs
 			}
 			if err := rec.WriteChrome(io.Discard); err != nil {
 				t.Errorf("mid-run WriteChrome: %v", err)
@@ -267,6 +263,7 @@ func TestChaosTraceExportMidFault(t *testing.T) {
 			n++
 		}
 	}()
+	<-started
 	for i := 0; i < 3; i++ {
 		if _, err := sys.BFS(uint64(i)); err != nil {
 			t.Fatalf("BFS(%d) under absorbable faults: %v", i, err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,10 +87,6 @@ type GraphInfo struct {
 	Vertices uint64 `json:"vertices"`
 	Edges    uint64 `json:"edges"`
 	Pool     int    `json:"pool"`
-	// HostWorkers is the effective host worker-pool size this graph's
-	// engines execute kernels with (the engine's HostWorkers after
-	// defaulting 0 to GOMAXPROCS).
-	HostWorkers int `json:"host_workers"`
 	// PoolBytes is the budget of the graph's shared host page pool — the
 	// single pinned buffer all pooled Systems stream through. Zero when
 	// every run builds a private buffer (or the graph is in memory).
@@ -101,15 +96,6 @@ type GraphInfo struct {
 	State   string `json:"state"`
 	Mutable bool   `json:"mutable,omitempty"`
 	Epoch   uint64 `json:"epoch,omitempty"`
-}
-
-// effectiveHostWorkers resolves a pool's HostWorkers setting the way the
-// engine does: 0 means one worker per CPU.
-func effectiveHostWorkers(cfg gts.Config) int {
-	if cfg.HostWorkers > 0 {
-		return cfg.HostWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // publish puts next, which must have its pool, into service: it gets a
@@ -379,7 +365,6 @@ func (s *Server) Graphs() []GraphInfo {
 			g := e.pool.Graph()
 			info.Vertices, info.Edges = g.NumVertices(), g.NumEdges()
 			info.Pool = e.pool.Size()
-			info.HostWorkers = effectiveHostWorkers(e.pool.Config())
 			if hp := e.pool.HostPool(); hp != nil {
 				info.PoolBytes = hp.Budget()
 			}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"time"
 
@@ -117,9 +116,6 @@ type loadRequest struct {
 	GPUs     int    `json:"gpus,omitempty"`
 	Strategy string `json:"strategy,omitempty"`
 	Streams  int    `json:"streams,omitempty"`
-	// HostWorkers sizes the host kernel worker pool per engine
-	// (0 = GOMAXPROCS, 1 = serial; results identical at every setting).
-	HostWorkers int `json:"host_workers,omitempty"`
 	// Faults arms deterministic fault injection on every engine in this
 	// graph's pool (chaos testing; see gts.FaultPlan).
 	Faults *gts.FaultPlan `json:"faults,omitempty"`
@@ -144,10 +140,12 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg := gts.Config{GPUs: req.GPUs, Streams: req.Streams, HostWorkers: req.HostWorkers, Faults: req.Faults}
-	if strings.EqualFold(req.Strategy, "s") {
-		cfg.Strategy = gts.StrategyS
+	strategy, err := gts.ParseStrategy(req.Strategy)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
+	cfg := gts.Config{GPUs: req.GPUs, Streams: req.Streams, Strategy: strategy, Faults: req.Faults}
 	load := func() error { return s.LoadGraph(name, req.Spec, cfg, req.Pool) }
 	if req.WAL != "" {
 		load = func() error { return s.LoadMutableGraph(name, req.Spec, req.WAL, cfg, req.Pool) }

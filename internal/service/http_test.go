@@ -122,8 +122,10 @@ func TestHTTPAsyncFlow(t *testing.T) {
 func TestHTTPGraphLoadAndList(t *testing.T) {
 	_, ts, _ := httpServer(t, service.Config{})
 
+	// "host_workers" was a load field until the host-parallel kernel path was
+	// deleted; bodies that still carry it must keep loading.
 	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/tiny",
-		strings.NewReader(`{"spec":"RMAT26@15","pool":1}`))
+		strings.NewReader(`{"spec":"RMAT26@15","pool":1,"host_workers":8}`))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +176,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		{"POST", "/v1/graphs/social/bfs?timeout=banana", "", http.StatusBadRequest},
 		{"PUT", "/v1/graphs/bad", `{"spec":"NotADataset"}`, http.StatusInternalServerError},
 		{"PUT", "/v1/graphs/bad", `{}`, http.StatusBadRequest},
+		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT26@15","strategy":"q"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))

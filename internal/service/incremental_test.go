@@ -176,37 +176,6 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 	}
 }
 
-// TestServiceIncrementalWorkerWidths repeats the differential check at
-// serial and wide host-parallel engine configurations: the service path
-// must stay byte-identical to the from-scratch oracle at every width.
-func TestServiceIncrementalWorkerWidths(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		inc := service.New(service.Config{Incremental: true, CacheEntries: -1})
-		orc := service.New(service.Config{CacheEntries: -1})
-		cfg := gts.Config{HostWorkers: workers}
-		if err := inc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "inc.wal"), cfg, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := orc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "orc.wal"), cfg, 2); err != nil {
-			t.Fatal(err)
-		}
-		checkIncEpoch(t, inc, orc, "cold")
-		batch := []gts.EdgeOp{{Src: 3, Dst: 17}, {Src: 17, Dst: 29}}
-		if _, err := inc.Ingest("mut", batch); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := orc.Ingest("mut", batch); err != nil {
-			t.Fatal(err)
-		}
-		checkIncEpoch(t, inc, orc, "warm")
-		if st := inc.Stats(); st.IncrementalHits < 3 {
-			t.Errorf("workers=%d: hits = %d, want >= 3", workers, st.IncrementalHits)
-		}
-		inc.Close()
-		orc.Close()
-	}
-}
-
 // TestHTTPIncremental drives the incremental path over the wire: the
 // `"incremental": true` body field must reach the job (it rides beside
 // the params but never enters the cache key), fallbacks and hits must

@@ -153,14 +153,11 @@ type Stats struct {
 	TimedOut   uint64 `json:"timed_out"`
 	// Coalesced counts submissions deduplicated onto an identical in-flight
 	// job (single-flight).
-	Coalesced   uint64 `json:"coalesced"`
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	CacheSize   int    `json:"cache_size"`
-	Graphs      int    `json:"graphs"`
-	// HostWorkers is the largest effective engine host worker-pool size
-	// across the loaded graphs (0 when no graph is loaded).
-	HostWorkers int            `json:"host_workers"`
+	Coalesced   uint64         `json:"coalesced"`
+	CacheHits   uint64         `json:"cache_hits"`
+	CacheMisses uint64         `json:"cache_misses"`
+	CacheSize   int            `json:"cache_size"`
+	Graphs      int            `json:"graphs"`
 	Faults      gts.FaultStats `json:"faults"`
 	HWFailures  uint64         `json:"hw_failures"`
 	// Sharing aggregates wave-group activity across the loaded graphs.
@@ -216,7 +213,6 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	gauge("gtsd_queue_capacity", "Admission queue capacity.", s.QueueCap)
 	gauge("gtsd_inflight_jobs", "Jobs currently executing on an engine.", s.InFlight)
 	gauge("gtsd_graphs_loaded", "Graphs in the registry.", s.Graphs)
-	gauge("gtsd_host_workers", "Largest effective engine host worker-pool size across loaded graphs.", s.HostWorkers)
 	counter("gtsd_jobs_submitted_total", "Jobs admitted to the queue or served from cache.", s.Submitted)
 	counter("gtsd_jobs_completed_total", "Jobs answered successfully (computed or cached).", s.Completed)
 	counter("gtsd_jobs_failed_total", "Jobs that errored during execution.", s.Failed)
@@ -377,7 +373,6 @@ func (s *Server) Stats() Stats {
 		if e.pool == nil { // placeholder entry mid-load
 			continue
 		}
-		st.HostWorkers = max(st.HostWorkers, effectiveHostWorkers(e.pool.Config()))
 		if hp := e.pool.HostPool(); hp != nil {
 			if st.Pool == nil {
 				st.Pool = make(map[string]gts.PoolStats)

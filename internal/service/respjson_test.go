@@ -166,7 +166,7 @@ func TestJobJSONMatchesEncoder(t *testing.T) {
 	bfs.Metrics.Levels = 2
 	checkSameBytes(t, "shadowed Levels, omitempty absent", doneJob(&Result{Output: bfs}, false))
 	bfs.LevelDirs = []string{"push", "pull"}
-	bfs.HostWorkers, bfs.PoolHits, bfs.PoolLoads, bfs.PoolWaits = 4, 9, 8, 7
+	bfs.PoolHits, bfs.PoolLoads, bfs.PoolWaits = 9, 8, 7
 	checkSameBytes(t, "shadowed Levels, omitempty present", doneJob(&Result{Metrics: bfs.Metrics, Output: bfs}, false))
 
 	// Strings that look like the document's own structure arrive escaped.
@@ -208,17 +208,19 @@ func TestJobJSONMatchesEncoder(t *testing.T) {
 }
 
 // bfsBodySHA256 is the SHA-256 of the body gtsd answered POST
-// /v1/graphs/social/bfs {"source":1} with on RMAT27@16 (one host worker) at
-// the commit before appendJobJSON existed, with the two wall-clock fields
-// zeroed. The encoder's contract is that this never moves.
-const bfsBodySHA256 = "316906b1e2decd2a4d37830fb4041369914ed421367ae07b4aa24a2c547114bd"
+// /v1/graphs/social/bfs {"source":1} with on RMAT27@16 at the commit before
+// appendJobJSON existed, with the two wall-clock fields zeroed and the one
+// line holding the metrics' host worker count removed (the field went with
+// the host-parallel kernel path; that commit's hash was 316906b1…114bd).
+// The encoder's contract is that this never moves.
+const bfsBodySHA256 = "12e0433924348d3128dfc66a675b7bb12b252b407628dfcb7a3bab9ce3bbea22"
 
 func TestHTTPJobBodyGolden(t *testing.T) {
 	g, err := gts.Open("RMAT27@16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := gts.NewSystemPool(g, gts.Config{HostWorkers: 1}, 1)
+	pool, err := gts.NewSystemPool(g, gts.Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,7 +323,7 @@ func sameOutput(a, b []byte) bool {
 		"Elapsed": true, "PagesStreamed": true, "CacheHitRate": true,
 		"BufferHitRate": true, "BytesToGPU": true, "StorageBytes": true,
 		"TransferTime": true, "KernelTime": true, "WABytes": true, "MTEPS": true,
-		"LevelPages": true, "LevelBytes": true, "Faults": true, "HostWorkers": true,
+		"LevelPages": true, "LevelBytes": true, "Faults": true,
 	}
 	for k := range metricsFields {
 		delete(ma, k)

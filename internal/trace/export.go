@@ -26,8 +26,8 @@ import (
 //     format (Recorder.StreamTo) and the cheapest form to grep or diff.
 //
 // Both writers emit spans in insertion order with hand-formatted fields,
-// so a deterministic simulation exports byte-identical files across runs
-// and host-worker counts. Parse reads either format back into a Recorder.
+// so a deterministic simulation exports byte-identical files across runs.
+// Parse reads either format back into a Recorder.
 
 // jsonlHeaderFormat identifies the JSONL flavor in the header line.
 const jsonlHeaderFormat = "gts-trace/1"
