@@ -61,7 +61,10 @@ cover:
 # to the field-by-field byte-loop decode: same VIDs, or the same failure,
 # and no read past the page. FuzzVectorJSON
 # feeds arbitrary element bits of every result-vector kind to gtsd's job
-# encoder and to encoding/json: the same bytes, or both refuse.
+# encoder and to encoding/json: the same bytes, or both refuse. FuzzBFSGroup
+# derives a graph, a group of 2-20 plain-BFS members, their sources and join
+# waves from a seed and runs them in lock step through the group page kernel
+# and through one solo kernel each: every (wave, lane, page) Result equal.
 # Go allows one -fuzz target per invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzStoreRead$$' -fuzztime $(FUZZTIME)
@@ -69,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzPageValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzStoreRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bufpool -run '^$$' -fuzz '^FuzzPoolOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kernels -run '^$$' -fuzz '^FuzzBFSGroup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDirectionSwitch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/incremental -run '^$$' -fuzz '^FuzzDeltaExpand$$' -fuzztime $(FUZZTIME)
@@ -85,11 +89,14 @@ bench:
 # root `go build ./...` and `go test ./...` never compile it, yet it imports
 # repro/internal/..., so a change to an internal API can break the
 # repository's benchmark without any lane above noticing. This lane vets and
-# tests that module and runs one workload end to end at smoke scale (the
-# run verifies every result it times and exits non-zero on a mismatch).
+# tests that module and runs two workloads end to end at smoke scale (the
+# run verifies every result it times and exits non-zero on a mismatch):
+# scan-mem, and stream-ssd for its 8-member BFS wave group — the only place a
+# CI lane runs a group through storage, pool and the group page kernel.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke -workload scan-mem
+	bash bench/run.sh -smoke -workload stream-ssd
 
 # results-check regenerates results/ (deterministic, ~40 s) into a temporary
 # directory and fails on any difference from the committed files, so a PR
@@ -118,13 +125,14 @@ loc:
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' gts.go)
 
 # loc-check fails when a count `make loc` prints exceeds the ceiling written
-# here. The ceilings are the results of the last PR that moved them (PR 22
-# lowered all five: the host-parallel gather/apply path, its flag and its
-# Config field are gone), so a count can only go down, and a PR that has to
-# raise one says so by editing the number beside it.
-LOC_MAX_TOTAL = 20998
+# here. The ceilings are the results of the last PR that moved them (PR 23
+# raised the total by 155 for the group BFS page kernel and lowered the
+# engine's by 3: page-major compute came out smaller than the member-major
+# code it replaced), so a count can only go down, and a PR that has to raise
+# one says so by editing the number beside it.
+LOC_MAX_TOTAL = 21153
 LOC_MAX_ENGINE_AND_API = 5528
-LOC_MAX_ENGINE = 4718
+LOC_MAX_ENGINE = 4715
 LOC_MAX_GTSD_FLAGS = 24
 LOC_MAX_CONFIG_FIELDS = 13
 loc-check:

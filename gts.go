@@ -186,6 +186,9 @@ var ErrHardwareFault = core.ErrHardwareFault
 // buffers) exceeds the machine's device memory.
 var ErrWontFit = core.ErrWontFit
 
+// ErrSourceOutOfRange reports a run from a vertex the graph does not have.
+var ErrSourceOutOfRange = core.ErrSourceOutOfRange
+
 // CacheDisabled turns the device page cache off (Config.CacheBytes).
 const CacheDisabled = core.CacheDisabled
 

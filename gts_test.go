@@ -1,8 +1,10 @@
 package gts
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graphgen"
@@ -39,6 +41,34 @@ func TestPageConfigFor(t *testing.T) {
 	}
 	if cfg := PageConfigFor("Twitter", 30); cfg.PageSize != 4096 {
 		t.Errorf("page size floor = %d", cfg.PageSize)
+	}
+}
+
+// TestSourceOutOfRangeIsAnError: every algorithm that starts from a vertex
+// refuses one the graph does not have, naming the vertex count, where the
+// kernels' Init used to index past their vectors.
+func TestSourceOutOfRangeIsAnError(t *testing.T) {
+	g := smallGraph(t)
+	bad := g.NumVertices() + 5
+	for _, cfg := range []Config{{}, {DirectionOpt: true}} {
+		sys, err := NewSystem(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, run := range map[string]func() error{
+			"BFS":  func() error { _, err := sys.BFS(bad); return err },
+			"SSSP": func() error { _, err := sys.SSSP(bad); return err },
+			"BC":   func() error { _, err := sys.BC(bad); return err },
+			"RWR":  func() error { _, err := sys.RWR(bad, 0.15, 3); return err },
+		} {
+			err := run()
+			if !errors.Is(err, ErrSourceOutOfRange) || !strings.Contains(err.Error(), "2048 vertices") {
+				t.Errorf("%s(%d) with DirectionOpt=%v: err = %v, want ErrSourceOutOfRange naming 2048 vertices", name, bad, cfg.DirectionOpt, err)
+			}
+		}
+		if _, err := sys.BFS(bad - 6); err != nil {
+			t.Errorf("BFS from the last vertex: %v", err)
+		}
 	}
 }
 

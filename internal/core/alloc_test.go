@@ -1,10 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
-	"repro/internal/bitset"
-	"repro/internal/hw"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/slottedpage"
@@ -30,68 +29,98 @@ func TestRunAllocBudget(t *testing.T) {
 	}
 }
 
-// benchRun assembles a run context outside the simulation loop so the
-// compute path can be exercised (and its allocations counted) in
-// isolation: computeKernels never touches the sim, so this is exactly the
-// state it sees mid-phase.
-func benchRun(tb testing.TB, sp *slottedpage.Graph, k kernels.Kernel) (*member, []pageKey, []pidSet) {
-	tb.Helper()
-	e, err := New(hw.Workstation(1, 0), sp, Options{Source: 0})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	env := sim.NewEnv()
-	m, err := hw.NewMachine(env, e.spec, int64(e.graph.Config().PageSize))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	r := &member{plant: &plant{env: env, machine: m}, eng: e, k: k}
-	numPages := e.graph.NumPages()
-	r.pidPool.New = func() any { return bitset.New(numPages) }
-	r.setupStates()
-	var jobs []pageKey
-	for pid := 0; pid < numPages; pid++ {
-		jobs = append(jobs, pageKey{0, slottedpage.PageID(pid)})
-	}
-	locals := []pidSet{bitset.New(numPages)}
-	return r, jobs, locals
+// mallocs reads the process's allocation count the way testing.AllocsPerRun
+// does, for code that cannot be run twice (a kernel moves its state).
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
-// TestComputeKernelsAllocBudget pins the host kernel loop: after one warm-up
-// phase (which grows the result slice), a steady-state computeKernels phase
-// allocates 0 objects, and so does a whole BFS, every level — a page kernel
-// decodes at the point of use and owns no buffer.
+// TestComputeKernelsAllocBudget pins the host kernel loop, planPhase: the
+// demand merge and every page kernel of a phase. With the driver's tables at
+// the size the widest wave needs, a PageRank phase allocates 0 objects, and so
+// does every phase of a whole BFS and of a whole 8-member BFS group — a page
+// kernel decodes at the point of use and owns no buffer — except that the
+// group's first shared page brings the BFSGroup's mask array (and the three
+// small slices around it) into being, once per run.
 func TestComputeKernelsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation perturbs allocation counts")
 	}
-	g := rmatGraph(t)
-	sp := buildPages(t, g)
-
-	r, jobs, locals := benchRun(t, sp, kernels.NewPageRank(sp, 0.85, 5))
-	phase := func() {
-		r.kres = r.kres[:0]
-		locals[0].Reset()
-		r.computeKernels(jobs, 0, locals, false)
-	}
-	phase() // warm the result slice
-	if got := testing.AllocsPerRun(20, phase); got > 0 {
-		t.Errorf("PageRank phase allocates %.1f objects/run, want 0", got)
-	}
-
-	bfs := kernels.NewBFS(sp)
-	r, jobs, locals = benchRun(t, sp, bfs)
-	levels := int32(0)
-	traverse := func() {
-		bfs.Init(r.stateFor(0), 0)
-		for levels = 0; levels == 0 || locals[0].Any(); levels++ {
-			r.kres = r.kres[:0]
-			locals[0].Reset()
-			r.computeKernels(jobs, levels, locals, false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sp := buildPages(t, rmatGraph(t))
+	// inDriver runs body as the framework process of a group of jobs that has
+	// begun its members and grown its demand tables.
+	inDriver := func(jobs []SharedJob, body func(p *sim.Proc, d *driver)) {
+		d, roster, err := newEngine(t, sp, Options{}, 1, 0).newDriver(jobs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(jobs) * sp.NumPages()
+		d.pids, d.off, d.dem = make([]slottedpage.PageID, 0, n), make([]int, 0, n+1), make([]demand, 0, n)
+		d.cur, d.gpuEnd, d.lanes = make([]int, 0, len(jobs)), make([]int, 0, 1), make([]kernels.BFSLane, 0, len(jobs))
+		d.env.Process("alloc-budget", func(p *sim.Proc) {
+			for _, m := range roster {
+				d.beginMember(p, m)
+			}
+			body(p, d)
+		})
+		if _, err := d.env.Run(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	traverse() // warm the result slice
-	if got := testing.AllocsPerRun(5, traverse); got > 0 || levels < 3 {
-		t.Errorf("BFS: %d levels allocate %.1f objects/run, want a traversal of 3+ levels and 0", levels, got)
+
+	inDriver([]SharedJob{{Kernel: kernels.NewPageRank(sp, 0.85, 5)}}, func(p *sim.Proc, d *driver) {
+		d.beginWave(d.active[0])
+		if got := testing.AllocsPerRun(20, func() { d.planPhase(0) }); got > 0 {
+			t.Errorf("PageRank phase allocates %.1f objects/run, want 0", got)
+		}
+	})
+
+	for _, members := range []int{1, 8} {
+		var jobs []SharedJob
+		for _, src := range bfsSources(members, sp.NumVertices()) {
+			jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: src})
+		}
+		inDriver(jobs, func(p *sim.Proc, d *driver) {
+			var perWave []uint64
+			for len(d.active) > 0 {
+				for _, m := range d.active {
+					d.beginWave(m)
+				}
+				var n uint64
+				for phase := 0; phase < 2; phase++ {
+					before := mallocs()
+					d.planPhase(phase)
+					n += mallocs() - before
+					d.streamDemand(p)
+				}
+				perWave = append(perWave, n)
+				for _, m := range d.active {
+					d.endWave(p, m)
+				}
+				d.retireFinished()
+			}
+			var total uint64
+			allocating := 0
+			for _, n := range perWave {
+				total += n
+				if n > 0 {
+					allocating++
+				}
+			}
+			budget := uint64(0)
+			if members > 1 {
+				budget = 5 // the mask array, the two slices that index it, the frontier mask, once
+			}
+			if len(perWave) < 3 || total > budget || allocating > 1 {
+				t.Errorf("%d BFS: %d waves allocate %v objects in planPhase, want 3+ waves and at most %d objects, all in one wave",
+					members, len(perWave), perWave, budget)
+			}
+			if members > 1 && total == 0 {
+				t.Error("8 BFS: no wave met a shared page")
+			}
+		})
 	}
 }

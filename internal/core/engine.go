@@ -54,6 +54,10 @@ const CacheDisabled int64 = -1
 // memory; the message says which strategy or resource was exceeded.
 var ErrWontFit = errors.New("core: working set exceeds device memory")
 
+// ErrSourceOutOfRange reports a job whose source is not a vertex of the
+// graph. It is the job's error alone: the rest of its group carries on.
+var ErrSourceOutOfRange = errors.New("core: source vertex out of range")
+
 // ErrHardwareFault reports that an injected (or modeled) hardware fault
 // persisted beyond the engine's retry budget and the run was abandoned.
 // Recoverable faults never surface this error — they cost virtual time and
@@ -156,9 +160,9 @@ type Metrics struct {
 	// unless a fault plan is set.
 	Faults fault.Stats
 	// HostKernelWall is the real (not virtual) time the host spent in
-	// functional kernel execution, measured around each phase's
-	// precompute. It is excluded from JSON: it is a wall-clock
-	// observation, not part of the deterministic result.
+	// functional kernel execution: each phase's compute is timed once and
+	// divided among the group's live members by their kernel jobs in it, so
+	// the members' values sum to the wall actually spent. Not in the JSON.
 	HostKernelWall time.Duration `json:"-"`
 	// PoolHits, PoolLoads and PoolWaits are this run's host page buffer
 	// traffic (all zero for an in-memory run): pins served from a resident

@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/csr"
 	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
+	"repro/internal/sim"
 	"repro/internal/slottedpage"
 	"repro/internal/trace"
 	"repro/internal/verify"
@@ -385,6 +387,54 @@ func TestReportMetricsSane(t *testing.T) {
 	}
 	if rep.HostKernelWall <= 0 {
 		t.Errorf("HostKernelWall = %v, want > 0", rep.HostKernelWall)
+	}
+
+	// A group's kernels run page-major, so no member has a loop of its own to
+	// time: the members' HostKernelWall must still add up to the wall the
+	// group's phases took computing (planPhase).
+	ds, _ := graphgen.ByName("RMAT27")
+	big := buildPages(t, ds.MustGenerate(27-13))
+	jobs := []SharedJob{{Kernel: kernels.NewPageRank(big, 0.85, 3)}, {Kernel: kernels.NewSSSP(big), Source: 1}}
+	for _, src := range bfsSources(8, big.NumVertices()) {
+		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(big), Source: src})
+	}
+	d, roster, err := newEngine(t, big, Options{}, 1, 0).newDriver(jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outer time.Duration
+	d.env.Process("timed-waves", func(p *sim.Proc) {
+		for _, m := range roster {
+			d.beginMember(p, m)
+		}
+		for len(d.active) > 0 {
+			for _, m := range d.active {
+				d.beginWave(m)
+			}
+			for phase := 0; phase < 2; phase++ {
+				t0 := time.Now()
+				d.planPhase(phase)
+				outer += time.Since(t0)
+				d.streamDemand(p)
+			}
+			for _, m := range d.active {
+				d.endWave(p, m)
+			}
+			d.retireFinished()
+		}
+	})
+	if _, err := d.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var sum time.Duration
+	for i, o := range d.outcomes {
+		if o.Err != nil || o.HostKernelWall <= 0 {
+			t.Fatalf("member %d: err %v, HostKernelWall %v", i, o.Err, o.HostKernelWall)
+		}
+		sum += o.HostKernelWall
+	}
+	if sum > outer || sum < outer-outer/20 {
+		t.Errorf("members' HostKernelWall sum to %v, the group's phases took %v: want within 5%% below", sum, outer)
 	}
 }
 

@@ -2,10 +2,12 @@ package core
 
 // The superstep engine. Every run is a "wave group": one or more kernels
 // over the same graph executing inside one simulation — Engine.Run is a
-// group of one. Every superstep the group runs one wave: each member's
-// functional kernel work is precomputed in deterministic (GPU, page) order,
-// then the union of the members' page demands streams to the GPUs once —
-// the first live demander of a page pays the PCI-E copy and every other
+// group of one. Every superstep the group runs one wave, in two phases (small
+// pages, then large): the members' page demands merge into one table, the
+// functional kernel work runs over it page by page — each member sees its
+// pages in the order it would alone, and a page's plain-BFS demanders share
+// one execution of it — and then the table streams to the GPUs once: the
+// first live demander of a page pays the PCI-E copy and every other
 // demander's kernel consumes the resident bytes for free. Member writes stay
 // separated because each member owns its attribute states and a page kernel
 // writes into those states only.
@@ -27,6 +29,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/fault"
@@ -96,11 +99,11 @@ func (s SharedStats) AmortizedBytesPerJob() float64 {
 	return float64(s.BytesToGPU) / float64(s.Members)
 }
 
-// demand is one member's claim on a (GPU, page) of the running wave: the
-// member and the index of its precomputed kernel result in m.kres.
+// demand is one member's claim on a (GPU, page) of the running phase: the
+// member and, once planPhase has run the page, its kernel's result.
 type demand struct {
 	m   *member
-	res int
+	res kernels.Result
 }
 
 // driver owns one run of the engine: the plant and the member roster.
@@ -118,14 +121,21 @@ type driver struct {
 	wave     int64
 
 	// The running phase's union demand (see mergeDemand): pids lists each
-	// GPU's demanded pages back to back, and dem[off[j]:off[j+1]] are the
-	// claims on pids[j]. cur is the merge's per-member cursor. All four keep
-	// their backing arrays, so a wave allocates nothing here once they have
-	// grown to the sum of the members' lists.
-	pids []slottedpage.PageID
-	off  []int
-	dem  []demand
-	cur  []int
+	// GPU's demanded pages back to back (GPU i's end at gpuEnd[i]), and
+	// dem[off[j]:off[j+1]] are the claims on pids[j]. cur is the merge's
+	// per-member cursor. All keep their backing arrays, so a wave allocates
+	// nothing here once they have grown to the sum of the members' lists.
+	pids   []slottedpage.PageID
+	off    []int
+	dem    []demand
+	cur    []int
+	gpuEnd []int
+
+	// bfs runs a page once for its plain-BFS demanders (lanes); args backs
+	// every kernel call, so none allocates its Args.
+	bfs   kernels.BFSGroup
+	lanes []kernels.BFSLane
+	args  kernels.Args
 }
 
 // Run executes kernel k from Options.Source; see RunJob.
@@ -243,8 +253,10 @@ func (d *driver) loop(p *sim.Proc, roster []*member) {
 		for _, m := range d.active {
 			d.beginWave(m)
 		}
-		d.streamPhase(p, 0) // small pages
-		d.streamPhase(p, 1) // large pages
+		for phase := range 2 { // small pages, then large
+			d.planPhase(phase)
+			d.streamDemand(p)
+		}
 		for _, m := range d.active {
 			d.endWave(p, m)
 		}
@@ -286,6 +298,10 @@ func (d *driver) newMember(job SharedJob, idx int) (*member, error) {
 		return nil, err
 	}
 	e := d.eng
+	// Kernels index their attribute vectors by the source without a check.
+	if nV := e.graph.NumVertices(); job.Source >= nV {
+		return nil, fmt.Errorf("%w: source %d on a graph of %d vertices", ErrSourceOutOfRange, job.Source, nV)
+	}
 	opts := e.opts
 	opts.Source = job.Source
 	if job.Faults != nil {
@@ -302,6 +318,7 @@ func (d *driver) newMember(job SharedJob, idx int) (*member, error) {
 		locals:   make([]pidSet, len(d.machine.GPUs)),
 		inj:      fault.NewInjector(opts.Faults),
 		curLevel: -1,
+		lane:     -1,
 	}
 	numPages := e.graph.NumPages()
 	m.pidPool.New = func() any { return bitset.New(numPages) }
@@ -382,14 +399,14 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 			m.next.Set(pid)
 		}
 	}
+	if bfs, ok := m.k.(*kernels.BFS); ok {
+		m.lane = d.bfs.Join(bfs)
+	}
 	d.active = append(d.active, m)
 }
 
-// beginWave precomputes one member's functional kernel work for the wave in
-// deterministic order: BeginLevel, then the small-page jobs, then the
-// large-page jobs, each GPU by GPU. Streaming never touches functional
-// state, so the stream processes that follow only model when each
-// execution happens on the hardware.
+// beginWave opens one member's superstep: level bookkeeping, BeginLevel, and
+// this wave's pages split by kind and GPU for planPhase to merge and run.
 func (d *driver) beginWave(m *member) {
 	if m.abort != nil {
 		return
@@ -419,21 +436,8 @@ func (d *driver) beginWave(m *member) {
 	}
 	nGPU := len(d.machine.GPUs)
 	m.lists[0], m.lists[1] = m.eng.splitByKind(pages, m.lists[0][:0], m.lists[1][:0])
-	nJobs := 0
 	for phase, list := range m.lists {
 		m.parts[phase] = m.eng.partition(m.parts[phase], list, nGPU)
-		m.resBase[phase] = m.resBase[phase][:0]
-		for _, part := range m.parts[phase] {
-			m.resBase[phase] = append(m.resBase[phase], nJobs)
-			nJobs += len(part)
-		}
-	}
-	m.kres = sized(m.kres, nJobs)
-	for phase := range m.lists {
-		m.jobs = appendJobs(sized(m.jobs, nJobs), m.parts[phase])
-		if len(m.jobs) > 0 {
-			m.computeKernels(m.jobs, lvl, m.locals, m.backward)
-		}
 	}
 }
 
@@ -470,42 +474,98 @@ func (d *driver) mergeDemand(phase, gpu int) {
 			return
 		}
 		d.pids = append(d.pids, next)
-		d.off = append(d.off, len(d.dem))
 		for i, m := range d.active {
 			if m.abort != nil {
 				continue
 			}
-			list, base := m.parts[phase][gpu], m.resBase[phase][gpu]
+			list := m.parts[phase][gpu]
 			if c := d.cur[i]; c < len(list) && list[c] == next {
-				d.dem = append(d.dem, demand{m, base + c})
+				d.dem = append(d.dem, demand{m: m})
 				d.cur[i]++
 			}
 		}
+		d.off = append(d.off, len(d.dem))
 	}
 }
 
-// streamPhase streams one phase's union page demand to the GPUs: under
-// Strategy-P with several GPUs each streams its own share of the pages,
-// otherwise every GPU streams all of them (see partition), handed out in
-// page order to the GPU's stream processes.
-func (d *driver) streamPhase(p *sim.Proc, phase int) {
-	grp := sim.NewGroup(d.env)
-	// Size the demand table once, to the sum of the lists it merges.
+// planPhase is the functional half of a phase: it builds the demand table and
+// runs every row's kernels, GPU by GPU and page by page. They execute between
+// sim events, so virtual time, traces and fault schedules do not depend on how
+// long they take; that wall-clock is measured once and divided among the live
+// members by their kernel jobs, so the members' hostKernelWall sum to it.
+func (d *driver) planPhase(phase int) {
+	t0 := time.Now()
+	// Size the table once, to the sum of the lists it merges.
 	n := 0
 	for _, m := range d.active {
 		for _, part := range m.parts[phase] {
 			n += len(part)
 		}
 	}
-	d.pids, d.off, d.dem = sized(d.pids, n), sized(d.off, n+1), sized(d.dem, n)
+	d.pids, d.dem, d.gpuEnd = sized(d.pids, n), sized(d.dem, n), d.gpuEnd[:0]
+	d.off = append(sized(d.off, n+1), 0)
 	for i := range d.machine.GPUs {
+		j := len(d.pids)
+		d.mergeDemand(phase, i)
+		d.gpuEnd = append(d.gpuEnd, len(d.pids))
+		for ; j < len(d.pids); j++ {
+			d.runPage(i, d.pids[j], d.dem[d.off[j]:d.off[j+1]])
+		}
+	}
+	wall := time.Since(t0)
+	for _, m := range d.active {
+		for _, part := range m.parts[phase] {
+			if m.abort == nil && len(part) > 0 {
+				m.hostKernelWall += wall * time.Duration(len(part)) / time.Duration(len(d.dem))
+			}
+		}
+	}
+}
+
+// runPage runs page pid of GPU gpu for its demanders, leaving each kernel's
+// result in its claim. Plain-BFS demanders are offered to the group kernel,
+// which takes two or more; every other claim — a lone demander, DirBFS, SSSP,
+// the scans, a backward sweep — runs as it does in a group of one.
+func (d *driver) runPage(gpu int, pid slottedpage.PageID, dem []demand) {
+	rep := 0 // the state replica this GPU works on: its own under Strategy-P
+	if d.eng.opts.Strategy == StrategyP {
+		rep = gpu
+	}
+	// The page, ownership range and technique are every member's.
+	g, owned := d.eng.graph, dem[0].m.owned[gpu]
+	d.args = kernels.Args{Graph: g, PID: pid, Page: g.Page(pid), OwnedLo: owned[0], OwnedHi: owned[1], Tech: d.eng.opts.Technique}
+	grouped := false
+	if len(dem) > 1 {
+		d.lanes = d.lanes[:0]
+		for i := range dem {
+			if m := dem[i].m; m.lane >= 0 {
+				d.lanes = append(d.lanes, kernels.BFSLane{Lane: m.lane, State: m.states[rep], Level: m.curLevel, NextPIDs: m.locals[gpu], Res: &dem[i].res})
+			}
+		}
+		grouped = d.bfs.Run(&d.args, gpu, d.lanes)
+	}
+	for i := range dem {
+		if m := dem[i].m; !grouped || m.lane < 0 {
+			d.args.State, d.args.Level, d.args.NextPIDs = m.states[rep], m.curLevel, m.locals[gpu]
+			dem[i].res = runKernel(m.k, &d.args, m.backward)
+		}
+	}
+}
+
+// streamDemand streams the demand table to the GPUs: under Strategy-P with
+// several GPUs each streams its own share of the pages, otherwise every GPU
+// streams all of them (see partition), handed out in page order to the GPU's
+// stream processes.
+func (d *driver) streamDemand(p *sim.Proc) {
+	grp := sim.NewGroup(d.env)
+	lo := 0
+	for i, hi := range d.gpuEnd {
 		// The GPU's streams share one cursor and each takes the next page when
 		// it goes idle (one process runs at a time, so no lock): requests reach
 		// each storage device's FIFO in page order, where a fixed stride per
 		// stream scrambles them and turns a sequential scan into random reads.
-		next := len(d.pids)
-		d.mergeDemand(phase, i)
-		hi := len(d.pids)
+		next := lo
+		lo = hi
 		for s := range min(d.eng.opts.Streams, hi-next) {
 			grp.Add(1)
 			d.env.Process(streamProcName(i, s), func(p *sim.Proc) {
@@ -518,7 +578,6 @@ func (d *driver) streamPhase(p *sim.Proc, phase int) {
 			})
 		}
 	}
-	d.off = append(d.off, len(d.dem))
 	grp.Wait(p)
 }
 
@@ -622,11 +681,11 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 				}
 			}
 		}
-		// The functional work already ran exactly once at wave start (see
-		// beginWave); here its memoized cycle count occupies the simulated SM
-		// pool at whatever virtual time this stream reached the page, so a
-		// failed launch leaves the member's state consistent.
-		res := m.kres[dm.res]
+		// The functional work already ran exactly once, before the phase's
+		// streams started (planPhase); here its memoized cycle count occupies
+		// the simulated SM pool at whatever virtual time this stream reached
+		// the page, so a failed launch leaves the member's state consistent.
+		res := dm.res
 		t0 := d.env.Now()
 		if err := m.launchKernel(p, gpuIdx, stream, pid, res.Cycles); err != nil {
 			m.fail(err)
@@ -784,6 +843,9 @@ func (d *driver) retireFinished() {
 			continue
 		}
 		d.freeMemberWA(m)
+		if m.lane >= 0 {
+			d.bfs.Leave(m.lane)
+		}
 		if m.abort != nil {
 			d.outcomes[m.idx] = SharedOutcome{Err: m.abort}
 		} else {

@@ -268,6 +268,43 @@ func TestSharedFaultedMemberDoesNotStallGroup(t *testing.T) {
 	}
 }
 
+// TestSharedSourceOutOfRangeFailsOnlyItsJob: a job whose source is not a
+// vertex gets an error outcome at enrolment (its kernel's Init would index
+// past the level vector and take the whole group down with it), and the jobs
+// on either side of it finish with the bytes they produce alone.
+func TestSharedSourceOutOfRangeFailsOnlyItsJob(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	nV := sp.NumVertices()
+	sources := []uint64{0, nV + 5, 512}
+	var jobs []SharedJob
+	for _, s := range sources {
+		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
+	}
+	outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0), jobs, nil)
+	if !errors.Is(outs[1].Err, ErrSourceOutOfRange) || outs[1].Declined {
+		t.Fatalf("out-of-range member: err=%v declined=%v, want ErrSourceOutOfRange", outs[1].Err, outs[1].Declined)
+	}
+	if stats.Members != 2 {
+		t.Errorf("Members = %d, want 2", stats.Members)
+	}
+	for _, i := range []int{0, 2} {
+		if outs[i].Err != nil || outs[i].Declined {
+			t.Fatalf("member %d: err=%v declined=%v", i, outs[i].Err, outs[i].Declined)
+		}
+		got := jobs[i].Kernel.(*kernels.BFS).Levels(outs[i].State)
+		wantBFS(t, "neighbour of the bad job", g, sources[i], got)
+		alone := kernels.NewBFS(sp)
+		rep := mustRun(t, newEngine(t, sp, Options{Source: sources[i]}, 1, 0), alone)
+		if !bytes.Equal(encodeVec(got), encodeVec(alone.Levels(rep.State))) {
+			t.Errorf("member %d's levels differ from its solo run's", i)
+		}
+	}
+	if _, err := newEngine(t, sp, Options{Source: nV}, 1, 0).Run(kernels.NewSSSP(sp)); !errors.Is(err, ErrSourceOutOfRange) {
+		t.Errorf("Run from vertex |V|: err = %v, want ErrSourceOutOfRange", err)
+	}
+}
+
 // TestSharedAdmitJoinsAtWaveBoundary: a job handed to the admit callback
 // mid-run joins at the next wave boundary and still lands on its pinned
 // result.
@@ -302,6 +339,47 @@ func TestSharedAdmitJoinsAtWaveBoundary(t *testing.T) {
 	cases := kernelCases()
 	wantGolden(t, cases[0], bfs, outs[0].Report.State) // BFS
 	wantGolden(t, cases[2], pr, outs[1].Report.State)  // PageRank(0.85, 5), the late joiner
+}
+
+// TestSharedLateJoinerTakesOverALane: the member from vertex 0 finishes in
+// four waves having reached most of the graph, and the joiners admitted before
+// wave 6 take over its lane in the group BFS kernel (and a fresh one) while
+// the seven-level member from 1836 is still running. They must land on the
+// reference levels with the work they do alone — they would skip every vertex
+// the lane's last owner reached if a lane kept its mask column across owners.
+func TestSharedLateJoinerTakesOverALane(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	sources := []uint64{0, 1836, 1734, 102, 204}
+	var jobs []SharedJob
+	for _, s := range sources {
+		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
+	}
+	polls := 0
+	admit := func() []SharedJob {
+		if polls++; polls == 6 {
+			return jobs[3:]
+		}
+		return nil
+	}
+	outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0), jobs[:3], admit)
+	if len(outs) != len(sources) || stats.Waves < 9 {
+		t.Fatalf("%d outcomes over %d waves, want %d joined at wave 6 of a longer run", len(outs), stats.Waves, len(sources))
+	}
+	if outs[0].Levels > 5 || outs[1].Levels < 6 {
+		t.Fatalf("members 0 and 1 ran %d and %d levels: the joiners would not find a freed lane beside a live member", outs[0].Levels, outs[1].Levels)
+	}
+	for i, src := range sources {
+		if outs[i].Err != nil || outs[i].Declined {
+			t.Fatalf("member %d: err=%v declined=%v", i, outs[i].Err, outs[i].Declined)
+		}
+		wantBFS(t, "member", g, src, jobs[i].Kernel.(*kernels.BFS).Levels(outs[i].State))
+		solo := mustRun(t, newEngine(t, sp, Options{Source: src}, 1, 0), kernels.NewBFS(sp))
+		if outs[i].Updates != solo.Updates || outs[i].EdgesTraversed != solo.EdgesTraversed || outs[i].KernelTime != solo.KernelTime {
+			t.Errorf("member %d (source %d): %d updates, %d edges, kernel time %d; alone %d, %d, %d", i, src,
+				outs[i].Updates, outs[i].EdgesTraversed, outs[i].KernelTime, solo.Updates, solo.EdgesTraversed, solo.KernelTime)
+		}
+	}
 }
 
 // TestSharedMultiGPUStrategies: under both placement strategies with
@@ -473,22 +551,32 @@ func TestClosedRosterMemoryLayout(t *testing.T) {
 	}
 }
 
-// TestWaveAllocBudget pins the cost of the union demand: once a warm-up
-// wave has grown the driver's demand table and the members' result slices,
-// merging a GPU's demand and processing a page of it allocate nothing —
-// for a group of one, which is every Engine.Run, and for a group of eight.
+// TestWaveAllocBudget pins the cost of a wave past its first: once a warm-up
+// has grown the driver's demand table and the members' result slices (and,
+// for BFS members, met the first shared page), planning a phase — merging
+// the demand and running every kernel — and processing a page of it allocate
+// nothing: for a group of one, which is every Engine.Run, for eight scans,
+// and for eight BFS twins sharing every page through the group kernel.
 func TestWaveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation perturbs allocation counts")
 	}
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	for _, members := range []int{1, 8} {
+	for _, tc := range []struct {
+		name    string
+		members int
+		kernel  func() kernels.Kernel
+	}{
+		{"1 PageRank", 1, func() kernels.Kernel { return kernels.NewPageRank(sp, 0.85, 5) }},
+		{"8 PageRank", 8, func() kernels.Kernel { return kernels.NewPageRank(sp, 0.85, 5) }},
+		{"8 BFS", 8, func() kernels.Kernel { return kernels.NewBFS(sp) }},
+	} {
 		// No device cache, so every wave takes the copy path, RA included.
 		e := newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 1, 0)
 		var jobs []SharedJob
-		for i := 0; i < members; i++ {
-			jobs = append(jobs, SharedJob{Kernel: kernels.NewPageRank(sp, 0.85, 5)})
+		for i := 0; i < tc.members; i++ {
+			jobs = append(jobs, SharedJob{Kernel: tc.kernel()})
 		}
 		d, roster, err := e.newDriver(jobs, nil)
 		if err != nil {
@@ -502,8 +590,10 @@ func TestWaveAllocBudget(t *testing.T) {
 			for _, m := range d.active {
 				d.beginWave(m)
 			}
-			d.streamPhase(p, 0)
-			d.streamPhase(p, 1)
+			for phase := range 2 {
+				d.planPhase(phase)
+				d.streamDemand(p)
+			}
 			for _, m := range d.active {
 				d.endWave(p, m)
 			}
@@ -511,20 +601,18 @@ func TestWaveAllocBudget(t *testing.T) {
 				d.beginWave(m)
 			}
 			allocs = testing.AllocsPerRun(20, func() {
-				d.pids, d.off, d.dem = d.pids[:0], d.off[:0], d.dem[:0]
-				d.mergeDemand(0, 0)
-				d.off = append(d.off, len(d.dem))
+				d.planPhase(0)
 				d.processDemand(p, 0, 0, 0)
 			})
 		})
 		if _, err := d.env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(d.active) != members || len(d.dem) != members*len(d.pids) {
-			t.Fatalf("%d members: %d active, %d claims on %d pages", members, len(d.active), len(d.dem), len(d.pids))
+		if len(d.active) != tc.members || len(d.pids) == 0 || len(d.dem) != tc.members*len(d.pids) {
+			t.Fatalf("%s: %d active, %d claims on %d pages", tc.name, len(d.active), len(d.dem), len(d.pids))
 		}
 		if allocs > 0 {
-			t.Errorf("%d members: merging the demand and processing a page allocate %.1f objects, want 0", members, allocs)
+			t.Errorf("%s: planning a phase and processing a page allocate %.1f objects, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -82,29 +82,18 @@ type member struct {
 	// lists[phase] is this wave's page list (phase 0 = small pages, 1 =
 	// large pages: all small pages stream first, then all large ones, to
 	// avoid switching between the two kernel variants, paper §3.2) and
-	// parts[phase][gpu] its partition; resBase[phase][gpu] is where that
-	// partition's kernel results start in kres. All keep their backing
-	// arrays across waves.
-	lists   [2][]slottedpage.PageID
-	parts   [2][][]slottedpage.PageID
-	resBase [2][]int
+	// parts[phase][gpu] its partition. Both keep their backing arrays across
+	// waves.
+	lists [2][]slottedpage.PageID
+	parts [2][][]slottedpage.PageID
 
-	// kres memoizes the current wave's functional kernel results, computed
-	// in deterministic (GPU, page) order before the streams start (see
-	// beginWave): kres[i] is the result of the wave's i-th job. It keeps its
-	// backing array across waves.
-	kres []kernels.Result
-
-	// Host kernel execution (computeKernels). jobs is per-phase scratch
-	// reused across waves; pidPool recycles page-ID bitsets (nextPIDSet
-	// locals and level frontiers); hostKernelWall accrues the real time
-	// spent in functional kernel execution.
-	jobs           []pageKey
+	// pidPool recycles page-ID bitsets (nextPIDSet locals and level
+	// frontiers). hostKernelWall accrues this member's share of the real time
+	// the group's page kernels took (planPhase). lane is the member's lane in
+	// driver.bfs; -1 unless its kernel is a plain *kernels.BFS.
 	pidPool        sync.Pool
 	hostKernelWall time.Duration
-	// argScratch backs computeKernels' kernels.Args so passing &args to an
-	// interface method does not heap-allocate once per page.
-	argScratch kernels.Args
+	lane           int
 
 	// Fault injection and recovery. Every hardware operation attempt first
 	// points the machine's injectors at this member's (see withRetry), so

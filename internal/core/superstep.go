@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/hw"
@@ -52,25 +51,6 @@ func (e *Engine) partition(parts [][]slottedpage.PageID, pages []slottedpage.Pag
 	return parts
 }
 
-// pageKey addresses one (GPU, page) kernel execution within a phase.
-type pageKey struct {
-	gpu int
-	pid slottedpage.PageID
-}
-
-// appendJobs appends parts' (GPU, page) jobs in the deterministic order the
-// kernels run in: GPU by GPU, each GPU's pages in list order. The job for
-// parts[i][j] therefore sits len(parts[0]) + … + len(parts[i-1]) + j past
-// the first one appended.
-func appendJobs(jobs []pageKey, parts [][]slottedpage.PageID) []pageKey {
-	for i, part := range parts {
-		for _, pid := range part {
-			jobs = append(jobs, pageKey{i, pid})
-		}
-	}
-	return jobs
-}
-
 // streamProcNames holds the names of the per-(GPU, stream) processes every
 // wave phase starts. A name only ever surfaces in a panic message, so the common
 // ones are built once rather than formatted on every phase.
@@ -89,38 +69,6 @@ func streamProcName(gpu, stream int) string {
 		return streamProcNames[gpu][stream]
 	}
 	return fmt.Sprintf("gpu%d/stream%d", gpu, stream)
-}
-
-// kernelArgs assembles the kernels.Args for one (GPU, page) execution.
-func (m *member) kernelArgs(gpuIdx int, pid slottedpage.PageID, level int32, local pidSet) kernels.Args {
-	g := m.eng.graph
-	return kernels.Args{
-		Graph:    g,
-		PID:      pid,
-		Page:     g.Page(pid),
-		State:    m.stateFor(gpuIdx),
-		Level:    level,
-		OwnedLo:  m.owned[gpuIdx][0],
-		OwnedHi:  m.owned[gpuIdx][1],
-		Tech:     m.eng.opts.Technique,
-		NextPIDs: local,
-	}
-}
-
-// computeKernels is the host side of a wave's functional kernel work, which
-// beginWave precomputes before the streams start: it runs the phase's (GPU,
-// page) jobs inline, in job order, and appends their results to m.kres (the
-// caller truncates m.kres when a new wave begins). The kernels execute
-// between sim events, so virtual time, traces and fault schedules do not
-// depend on how long they take; the wall-clock spent accrues into
-// m.hostKernelWall.
-func (m *member) computeKernels(jobs []pageKey, level int32, locals []pidSet, backward bool) {
-	t0 := time.Now()
-	for _, job := range jobs {
-		m.argScratch = m.kernelArgs(job.gpu, job.pid, level, locals[job.gpu])
-		m.kres = append(m.kres, runKernel(m.k, &m.argScratch, backward))
-	}
-	m.hostKernelWall += time.Since(t0)
 }
 
 // runKernel is the one dispatch of a page-kernel execution onto k's four
@@ -235,14 +183,6 @@ func (m *member) copyWAOut(p *sim.Proc) {
 		}
 		m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: m.curLevel, Start: t0, End: m.env.Now()})
 	})
-}
-
-// stateFor returns the attribute state GPU i operates on.
-func (m *member) stateFor(i int) kernels.State {
-	if m.eng.opts.Strategy == StrategyP {
-		return m.states[i]
-	}
-	return m.states[0]
 }
 
 // sync performs the end-of-superstep attribute synchronization across GPUs

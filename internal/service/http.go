@@ -280,6 +280,8 @@ func statusOf(err error) int {
 		// A hardware fault that survived the engine's retry budget, like a
 		// graph still recovering, is a transient failure: 503 + Retry-After.
 		return http.StatusServiceUnavailable
+	case errors.Is(err, gts.ErrSourceOutOfRange):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrImmutableGraph), errors.Is(err, ErrDuplicateGraph):
 		return http.StatusConflict
 	case errors.Is(err, gts.ErrCrashed):

@@ -265,6 +265,42 @@ func waitForHTTP(t *testing.T, cond func() bool, what string) {
 
 // TestMetricsEndpointConsistency cross-checks the rendered exposition
 // against the Stats snapshot after a known workload.
+// TestHTTPSourceOutOfRangeIs400: a source the graph does not have is the
+// caller's mistake — 400 naming the vertex count — whether it arrives alone
+// or inside a burst that forms a wave group; the daemon (whose scheduler
+// goroutine a kernel's unchecked index used to panic) keeps answering, and
+// the burst's other jobs succeed.
+func TestHTTPSourceOutOfRangeIs400(t *testing.T) {
+	_, ts, _ := httpServer(t, service.Config{Workers: 4})
+	resp, doc := postJSON(t, ts.URL+"/v1/graphs/social/bfs", map[string]any{"source": uint64(1) << 40})
+	if msg, _ := doc["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "2048 vertices") {
+		t.Fatalf("bfs from 2^40 = %d %v, want 400 naming 2048 vertices", resp.StatusCode, doc)
+	}
+	type answer struct {
+		source uint64
+		status int
+	}
+	answers := make(chan answer, 3)
+	for _, src := range []uint64{7, 5000, 9} {
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/graphs/social/bfs", "application/json", strings.NewReader(fmt.Sprintf(`{"source":%d}`, src)))
+			if err != nil {
+				answers <- answer{src, 0}
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			answers <- answer{src, resp.StatusCode}
+		}()
+	}
+	for range 3 {
+		a := <-answers
+		if want := map[uint64]int{7: 200, 5000: 400, 9: 200}[a.source]; a.status != want {
+			t.Errorf("burst: bfs from %d = %d, want %d", a.source, a.status, want)
+		}
+	}
+}
+
 func TestMetricsEndpointConsistency(t *testing.T) {
 	srv, ts, _ := httpServer(t, service.Config{})
 	for i := 0; i < 3; i++ {
