@@ -81,9 +81,12 @@ fuzz:
 # The root package's end-to-end benchmarks, then the three layers under every
 # host-clock number: the page kernels (BenchmarkPageKernels: ns/edge per
 # kernel; BenchmarkBuildRevAdj), the page decoder (BenchmarkAdjDecode) and
-# the simulator's turn-taking (BenchmarkSimHandoff: ns per blocking call).
+# the simulator's turn-taking (BenchmarkSimHandoff: ns per blocking call);
+# and the service's two verdict benchmarks: BenchmarkJobResponse and
+# BenchmarkIncrementalVsFull (wall of a bfs/cc delta-expansion against a full
+# run of the same request; inc/full is the ratio ROADMAP item 4 (d) gates).
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' . ./internal/kernels ./internal/slottedpage ./internal/sim
+	$(GO) test -bench=. -benchmem -run '^$$' . ./internal/kernels ./internal/slottedpage ./internal/sim ./internal/service
 
 # bench/ is a Go module of its own (repro/bench, replace repro => ../): the
 # root `go build ./...` and `go test ./...` never compile it, yet it imports
@@ -125,14 +128,15 @@ loc:
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' gts.go)
 
 # loc-check fails when a count `make loc` prints exceeds the ceiling written
-# here. The ceilings are the results of the last PR that moved them (PR 23
-# raised the total by 155 for the group BFS page kernel and lowered the
-# engine's by 3: page-major compute came out smaller than the member-major
-# code it replaced), so a count can only go down, and a PR that has to raise
+# here. The ceilings are the results of the last PR that moved them (PR 24
+# lowered the total by 441 — incremental PageRank, the retained-state store's
+# counters and pre-image adjacency, kernels.LPDegrees — and the engine's by
+# 18: service's incSupported/deltaPlan/switch blocks became two hooks on its
+# algorithm table), so a count can only go down, and a PR that has to raise
 # one says so by editing the number beside it.
-LOC_MAX_TOTAL = 21153
-LOC_MAX_ENGINE_AND_API = 5528
-LOC_MAX_ENGINE = 4715
+LOC_MAX_TOTAL = 20712
+LOC_MAX_ENGINE_AND_API = 5510
+LOC_MAX_ENGINE = 4697
 LOC_MAX_GTSD_FLAGS = 24
 LOC_MAX_CONFIG_FIELDS = 13
 loc-check:

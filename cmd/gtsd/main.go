@@ -73,7 +73,7 @@ func main() {
 	faultCorrupt := flag.Float64("fault-corrupt", 0, "probability of page corruption per storage read [0,1]")
 	faultOOM := flag.Int64("fault-oom", 0, "kernel-launch ordinal that fails with device OOM (0 = never)")
 	walDir := flag.String("wal-dir", "", "directory for per-graph write-ahead logs; when set, every -load graph becomes mutable: its WAL at <wal-dir>/<name>.wal is replayed on startup (crash recovery) and POST /v1/graphs/{name}/ingest commits edge mutations")
-	incrementalFlag := flag.Bool("incremental", false, "retain completed bfs/cc/pagerank state on mutable graphs and serve `incremental: true` requests by delta-expansion across ingest epochs (results byte-identical to full recompute; unsafe deltas fall back automatically)")
+	incrementalFlag := flag.Bool("incremental", false, "retain completed bfs/cc state on mutable graphs and serve `incremental: true` requests by delta-expansion across ingest epochs (results byte-identical to full recompute; unsafe deltas fall back automatically)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (exposes stacks and heap contents)")
 	traceJobs := flag.Int("trace-jobs", 0, "retain Chrome trace JSON for the N most recent computed jobs at /debug/trace/{id} (0 = off)")
 	flag.Parse()

@@ -140,8 +140,8 @@ func (m *MutableGraph) OnCommit(fn func(epoch uint64, snapshot *Graph)) {
 // after every successfully applied batch, with the full commit context:
 // the epoch edge it spans, the applied ops, and both the pre-commit and
 // post-commit snapshots. The incremental-recompute layer uses this to
-// migrate retained state across the epoch fence — the pre-image snapshot
-// is what lets it compute which vertices *lost* an edge.
+// migrate retained state across the epoch fence; it reads the epochs and
+// the ops only.
 func (m *MutableGraph) OnCommitOps(fn func(prevEpoch, epoch uint64, ops []EdgeOp, old, snapshot *Graph)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

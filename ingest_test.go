@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -25,18 +24,17 @@ import (
 // silently miss that batch's effects.
 func incAttach(mg *gts.MutableGraph) *incremental.Store {
 	st := incremental.NewStore(mg.Epoch())
-	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, old, _ *gts.Graph) {
-		st.Commit(prev, epoch, ops, old)
+	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, _, _ *gts.Graph) {
+		st.Commit(prev, epoch, ops)
 	})
 	return st
 }
 
-// incCapture retains BFS levels and the PageRank trajectory for the
-// graph's current snapshot, as a completed full run would.
+// incCapture retains BFS levels for the graph's current snapshot, as a
+// completed full run would.
 func incCapture(t *testing.T, st *incremental.Store, mg *gts.MutableGraph) {
 	t.Helper()
-	g := mg.Snapshot()
-	sys, err := gts.NewSystem(g, gts.Config{})
+	sys, err := gts.NewSystem(mg.Snapshot(), gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,17 +46,9 @@ func incCapture(t *testing.T, st *incremental.Store, mg *gts.MutableGraph) {
 		Source: 0, Levels: bfs.Levels}) {
 		t.Fatalf("bfs capture rejected at epoch %d", mg.Epoch())
 	}
-	rec := incremental.NewRecordingPageRank(g, 0.85, 5)
-	if _, _, err := sys.RunKernel(rec, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Capture("pagerank", &incremental.Entry{Kind: incremental.KindPageRank, Epoch: mg.Epoch(),
-		Traj: rec.Traj, Damping: 0.85, Iterations: 5}) {
-		t.Fatalf("pagerank capture rejected at epoch %d", mg.Epoch())
-	}
 }
 
-// incCheck resolves the retained entries in st against g: every accepted
+// incCheck resolves the retained entry in st against g: an accepted
 // delta-expansion plan must produce results byte-identical to a full run
 // (a refusal with a reason is a legal fallback). Returns how many plans
 // were accepted.
@@ -83,25 +73,6 @@ func incCheck(t *testing.T, label string, st *incremental.Store, g *gts.Graph) i
 			for i := range full.Levels {
 				if full.Levels[i] != got[i] {
 					t.Fatalf("%s: incremental bfs diverges at vertex %d", label, i)
-				}
-			}
-			hits++
-		}
-	}
-	if e, d, ok := st.Lookup("pagerank"); ok {
-		if k, reason := incremental.PlanPageRank(g, e, d, 0.85, 5); reason == "" {
-			out, _, err := sys.RunKernel(k, 0)
-			if err != nil {
-				t.Fatalf("%s: incremental pagerank: %v", label, err)
-			}
-			full, err := sys.PageRank(0.85, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := k.Ranks(out)
-			for i := range full.Ranks {
-				if math.Float32bits(full.Ranks[i]) != math.Float32bits(got[i]) {
-					t.Fatalf("%s: incremental pagerank diverges at vertex %d", label, i)
 				}
 			}
 			hits++
@@ -357,10 +328,10 @@ func TestIngestCrashMatrix(t *testing.T) {
 				// Incremental recompute over the post-recovery suffix: every
 				// accepted plan must match a full run byte-for-byte; an empty
 				// suffix (recovery already held the whole history) must serve
-				// both algorithms incrementally.
+				// BFS incrementally.
 				hits := incCheck(t, "post-recovery", recSt, r.Snapshot())
-				if want == len(batches) && hits != 2 {
-					t.Fatalf("empty-suffix recovery served %d/2 incremental plans", hits)
+				if want == len(batches) && hits != 1 {
+					t.Fatalf("empty-suffix recovery served %d/1 incremental plans", hits)
 				}
 			})
 		}

@@ -48,20 +48,13 @@ func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incremental.Store) {
 		Labels:    append([]uint32(nil), cc.Components(rep.State)...),
 		FullPages: rep.PagesStreamed,
 	})
-	pr := incremental.NewRecordingPageRank(sp, 0.85, 5)
-	rep = mustRun(t, newEngine(t, sp, Options{}, 1, 0), pr)
-	st.Capture("pagerank", &incremental.Entry{
-		Kind: incremental.KindPageRank, Epoch: 0,
-		Traj: pr.Traj, Damping: 0.85, Iterations: 5,
-		FullPages: rep.PagesStreamed,
-	})
 
 	mut := slottedpage.NewMutable(sp)
 	g2, err := mut.ApplyBatch(incGoldenBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Commit(0, 1, incGoldenBatch(), sp)
+	st.Commit(0, 1, incGoldenBatch())
 	return g2, st
 }
 
@@ -87,12 +80,6 @@ func incGoldenKernel(t *testing.T, g *slottedpage.Graph, st *incremental.Store, 
 			t.Fatalf("cc plan refused: %s", reason)
 		}
 		return k, func(s kernels.State) []byte { return encodeVec(k.Components(s)) }, k.Seeds
-	case "pagerank":
-		k, reason := incremental.PlanPageRank(g, e, d, 0.85, 5)
-		if reason != "" {
-			t.Fatalf("pagerank plan refused: %s", reason)
-		}
-		return k, func(s kernels.State) []byte { return encodeVec(k.Ranks(s)) }, k.Seeds
 	}
 	t.Fatalf("unknown algo %q", algo)
 	return nil, nil, 0
@@ -119,7 +106,7 @@ func incGoldenDigest(t *testing.T, g *slottedpage.Graph, st *incremental.Store, 
 // golden file is being rewritten.
 func TestGoldenIncremental(t *testing.T) {
 	g, st := incGoldenSetup(t)
-	algos := []string{"bfs", "cc", "pagerank"}
+	algos := []string{"bfs", "cc"}
 	full := map[string]kernelCase{}
 	for _, kc := range kernelCases() {
 		switch kc.name {
@@ -127,8 +114,6 @@ func TestGoldenIncremental(t *testing.T) {
 			full["bfs"] = kc
 		case "CC":
 			full["cc"] = kc
-		case "PageRank":
-			full["pagerank"] = kc
 		}
 	}
 	fromScratch := func(algo string) string {

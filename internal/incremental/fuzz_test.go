@@ -54,8 +54,6 @@ func FuzzDeltaExpand(f *testing.F) {
 			Source: bfsSource, Levels: o.levels})
 		st.Capture("cc", &incremental.Entry{Kind: incremental.KindCC, Epoch: 0,
 			Labels: o.labels})
-		st.Capture("pagerank", &incremental.Entry{Kind: incremental.KindPageRank, Epoch: 0,
-			Traj: o.traj, Damping: prDamping, Iterations: prIters})
 
 		epoch := uint64(0)
 		for len(ops) > 0 {
@@ -64,11 +62,10 @@ func FuzzDeltaExpand(f *testing.F) {
 				batch = batch[:8]
 			}
 			ops = ops[len(batch):]
-			old := mut.Snapshot()
 			if _, err := mut.ApplyBatch(batch); err != nil {
 				t.Fatalf("batch rejected: %v", err)
 			}
-			st.Commit(epoch, epoch+1, batch, old)
+			st.Commit(epoch, epoch+1, batch)
 			epoch++
 		}
 		g := mut.Snapshot()
@@ -87,14 +84,6 @@ func FuzzDeltaExpand(f *testing.F) {
 				res, _ := runKernel(t, g, k, 0, nil)
 				if i := cmpLabels(want.labels, k.Components(res)); i >= 0 {
 					t.Fatalf("cc diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
-				}
-			}
-		}
-		if prior, delta, ok := st.Lookup("pagerank"); ok {
-			if k, reason := incremental.PlanPageRank(g, prior, delta, prDamping, prIters); reason == "" {
-				res, _ := runKernel(t, g, k, 0, nil)
-				if i := cmpRanks(want.ranks, k.Ranks(res)); i >= 0 {
-					t.Fatalf("pagerank diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package incremental_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -14,8 +13,6 @@ import (
 
 const (
 	testSpec  = "RMAT27@20" // 2^7 = 128 vertices, 4 KiB pages
-	prDamping = 0.85
-	prIters   = 10
 	bfsSource = uint64(0)
 )
 
@@ -27,7 +24,7 @@ func chaosPlan() *gts.FaultPlan {
 
 // harness couples a mutable graph with a retained-state store wired the
 // way the service wires them: every ingest commit extends the store's
-// chain with the batch and its pre-image adjacency.
+// chain with the batch.
 type harness struct {
 	mg *gts.MutableGraph
 	st *incremental.Store
@@ -41,8 +38,8 @@ func newHarness(t testing.TB, spec string) *harness {
 	}
 	t.Cleanup(func() { mg.Close() })
 	st := incremental.NewStore(mg.Epoch())
-	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, old, _ *gts.Graph) {
-		st.Commit(prev, epoch, ops, old)
+	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, _, _ *gts.Graph) {
+		st.Commit(prev, epoch, ops)
 	})
 	return &harness{mg: mg, st: st}
 }
@@ -60,15 +57,12 @@ func runKernel(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64, faults *
 	return st, m
 }
 
-// oracle is one epoch's from-scratch truth for all three algorithms.
+// oracle is one epoch's from-scratch truth for both algorithms.
 type oracle struct {
 	levels   []int16
 	labels   []uint32
-	ranks    []float32
-	traj     [][]float32
 	bfsPages int64
 	ccPages  int64
-	prPages  int64
 }
 
 func computeOracle(t testing.TB, g *gts.Graph, faults *gts.FaultPlan) *oracle {
@@ -82,11 +76,6 @@ func computeOracle(t testing.TB, g *gts.Graph, faults *gts.FaultPlan) *oracle {
 	st, m = runKernel(t, g, ck, 0, faults)
 	o.labels = append([]uint32(nil), ck.Components(st)...)
 	o.ccPages = m.PagesStreamed
-	pk := incremental.NewRecordingPageRank(g, prDamping, prIters)
-	st, m = runKernel(t, g, pk, 0, faults)
-	o.ranks = append([]float32(nil), pk.Ranks(st)...)
-	o.traj = pk.Traj
-	o.prPages = m.PagesStreamed
 	return &o
 }
 
@@ -103,10 +92,6 @@ func (h *harness) capture(t testing.TB, o *oracle) {
 		Labels: o.labels, FullPages: o.ccPages}) {
 		t.Fatalf("cc capture rejected at epoch %d", epoch)
 	}
-	if !h.st.Capture("pagerank", &incremental.Entry{Kind: incremental.KindPageRank, Epoch: epoch,
-		Traj: o.traj, Damping: prDamping, Iterations: prIters, FullPages: o.prPages}) {
-		t.Fatalf("pagerank capture rejected at epoch %d", epoch)
-	}
 }
 
 func cmpLevels(a, b []int16) int {
@@ -121,15 +106,6 @@ func cmpLevels(a, b []int16) int {
 func cmpLabels(a, b []uint32) int {
 	for i := range a {
 		if a[i] != b[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-func cmpRanks(a, b []float32) int {
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return i
 		}
 	}
@@ -198,19 +174,6 @@ func replayCheck(t testing.TB, sc script, faults *gts.FaultPlan, captureEvery in
 				if i := cmpLabels(o.labels, k.Components(st)); i >= 0 {
 					return fmt.Sprintf("batch %d: cc diverges at vertex %d: full=%d inc=%d",
 						bi, i, o.labels[i], k.Components(st)[i])
-				}
-			}
-		}
-		if prior, delta, ok := h.st.Lookup("pagerank"); ok {
-			if _, reason := incremental.PlanPageRank(snap, prior, delta, prDamping, prIters); reason != "" {
-				tl.fallbacks["pagerank"]++
-			} else {
-				tl.hits["pagerank"]++
-				k, _ := incremental.PlanPageRank(snap, prior, delta, prDamping, prIters)
-				st, _ := runKernel(t, snap, k, 0, faults)
-				if i := cmpRanks(o.ranks, k.Ranks(st)); i >= 0 {
-					return fmt.Sprintf("batch %d: pagerank diverges at vertex %d: full=%x inc=%x",
-						bi, i, math.Float32bits(o.ranks[i]), math.Float32bits(k.Ranks(st)[i]))
 				}
 			}
 		}
@@ -290,7 +253,7 @@ func genScript(t testing.TB, spec string, seed int64, batches, opsPerBatch int, 
 }
 
 // TestDifferentialRandomScripts is the equivalence suite: randomized
-// ingest scripts, incremental vs from-scratch for BFS/CC/PageRank, clean
+// ingest scripts, incremental vs from-scratch for BFS and CC, clean
 // and fault-injected. A divergence is delta-debugged down to a minimal
 // failing script before reporting.
 func TestDifferentialRandomScripts(t *testing.T) {
@@ -305,15 +268,15 @@ func TestDifferentialRandomScripts(t *testing.T) {
 		batches, perSize int
 	}{
 		{name: "clean-insert-only", seed: 1, delFrac: 0, grow: 0, captureEvery: 1,
-			wantHits: []string{"bfs", "cc", "pagerank"}, batches: 5, perSize: 8},
+			wantHits: []string{"bfs", "cc"}, batches: 5, perSize: 8},
 		{name: "clean-mixed-deletes", seed: 2, delFrac: 0.4, grow: 0, captureEvery: 1,
-			wantHits: []string{"pagerank"}, wantFallbacks: []string{"cc"}, batches: 5, perSize: 8},
+			wantFallbacks: []string{"cc"}, batches: 5, perSize: 8},
 		{name: "clean-growth", seed: 3, delFrac: 0.2, grow: 0.3, captureEvery: 1,
-			wantFallbacks: []string{"pagerank"}, batches: 4, perSize: 6},
+			batches: 4, perSize: 6},
 		{name: "clean-multi-commit-delta", seed: 4, delFrac: 0, grow: 0, captureEvery: 2,
-			wantHits: []string{"bfs", "cc", "pagerank"}, batches: 6, perSize: 5},
+			wantHits: []string{"bfs", "cc"}, batches: 6, perSize: 5},
 		{name: "faulted-insert-only", seed: 5, delFrac: 0, grow: 0, faults: chaosPlan(), captureEvery: 1,
-			wantHits: []string{"bfs", "cc", "pagerank"}, batches: 3, perSize: 8},
+			wantHits: []string{"bfs", "cc"}, batches: 3, perSize: 8},
 		{name: "faulted-mixed", seed: 6, delFrac: 0.4, grow: 0.1, faults: chaosPlan(), captureEvery: 1,
 			batches: 3, perSize: 8},
 	}
@@ -383,92 +346,6 @@ func TestSameEpochRequery(t *testing.T) {
 	if m.PagesStreamed != 0 {
 		t.Fatalf("empty-delta cc streamed %d pages, want 0", m.PagesStreamed)
 	}
-
-	pprior, pdelta, _ := h.st.Lookup("pagerank")
-	pk, reason := incremental.PlanPageRank(snap, pprior, pdelta, prDamping, prIters)
-	if reason != "" {
-		t.Fatalf("empty-delta pagerank fell back: %s", reason)
-	}
-	st, m = runKernel(t, snap, pk, 0, nil)
-	if i := cmpRanks(o.ranks, pk.Ranks(st)); i >= 0 {
-		t.Fatalf("pagerank requery diverges at %d", i)
-	}
-	if m.PagesStreamed != 0 {
-		t.Fatalf("empty-delta pagerank streamed %d pages, want 0", m.PagesStreamed)
-	}
-}
-
-// runStreaming executes a kernel in the paper's streaming-topology mode
-// (device page cache off), where per-superstep page scans are visible in
-// Metrics.PagesStreamed instead of being absorbed by the cache.
-func runStreaming(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64) (gts.KernelState, gts.Metrics) {
-	t.Helper()
-	sys, err := gts.NewSystem(g, gts.Config{CacheBytes: gts.CacheDisabled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, m, err := sys.RunKernel(k, source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st, m
-}
-
-// lowDegreeTail returns vertices with out-degree <= 1, scanning from the
-// high-ID end (R-MAT skew puts the periphery there).
-func lowDegreeTail(g *gts.Graph, want int) []uint64 {
-	var out []uint64
-	for v := g.NumVertices() - 1; v > 0 && len(out) < want; v-- {
-		deg := 0
-		g.NeighborsOf(v, func(uint64) { deg++ })
-		if deg <= 1 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// TestIncrementalPageRankSavesPages is the savings acceptance at kernel
-// level: in streaming mode, a single peripheral-edge batch on a
-// 2048-vertex graph must stream at least 5x fewer pages incrementally
-// than from scratch, while staying bitwise exact. (A hub edge saturates
-// the deviation cone and approaches full cost — the exactness contract
-// bounds how much a dense perturbation can be pruned.)
-func TestIncrementalPageRankSavesPages(t *testing.T) {
-	h := newHarness(t, "RMAT27@16")
-	snap := h.mg.Snapshot()
-	o := computeOracle(t, snap, nil)
-	h.capture(t, o)
-	tail := lowDegreeTail(snap, 2)
-	if len(tail) < 2 {
-		t.Skip("graph has no low-degree tail")
-	}
-	if _, err := h.mg.Ingest([]gts.EdgeOp{{Src: tail[0], Dst: tail[1]}}); err != nil {
-		t.Fatal(err)
-	}
-	snap = h.mg.Snapshot()
-	fullK := kernels.NewPageRank(snap, prDamping, prIters)
-	fst, fm := runStreaming(t, snap, fullK, 0)
-	fullRanks := fullK.Ranks(fst)
-	prior, delta, ok := h.st.Lookup("pagerank")
-	if !ok {
-		t.Fatal("pagerank entry missing")
-	}
-	k, reason := incremental.PlanPageRank(snap, prior, delta, prDamping, prIters)
-	if reason != "" {
-		t.Fatalf("single-insert pagerank fell back: %s", reason)
-	}
-	st, m := runStreaming(t, snap, k, 0)
-	if i := cmpRanks(fullRanks, k.Ranks(st)); i >= 0 {
-		t.Fatalf("pagerank diverges at %d: full=%x inc=%x", i,
-			math.Float32bits(fullRanks[i]), math.Float32bits(k.Ranks(st)[i]))
-	}
-	if m.PagesStreamed*5 > fm.PagesStreamed {
-		t.Fatalf("incremental pagerank streamed %d pages; want <= full/5 (full=%d)",
-			m.PagesStreamed, fm.PagesStreamed)
-	}
-	t.Logf("pagerank pages: full=%d incremental=%d (%.1fx)", fm.PagesStreamed, m.PagesStreamed,
-		float64(fm.PagesStreamed)/float64(m.PagesStreamed))
 }
 
 // minimizeScript delta-debugs a failing ingest script: first drop batch

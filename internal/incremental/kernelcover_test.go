@@ -40,14 +40,16 @@ func buildLPSpec(t testing.TB) string {
 
 // TestLargePageDeltaExpansion runs the full differential check on a graph
 // with large-page vertices: a bridge insert pulls hub B onto every
-// kernel's frontier, so the LP streaming paths (RunLP) execute for all
-// three algorithms.
+// kernel's frontier, so the LP streaming paths (RunLP) execute for both
+// algorithms.
 func TestLargePageDeltaExpansion(t *testing.T) {
 	spec := buildLPSpec(t)
 	h := newHarness(t, spec)
 	g0 := h.mg.Snapshot()
-	if lp := kernels.LPDegrees(g0); len(lp) < 2 {
-		t.Fatalf("expected both hubs as large vertices, got %v", lp)
+	for _, hub := range []uint64{0, 1600} {
+		if g0.Kind(g0.HomeOf(hub).PID) != slottedpage.LargePage {
+			t.Fatalf("expected hub %d as a large vertex", hub)
+		}
 	}
 	o := computeOracle(t, g0, nil)
 	h.capture(t, o)
@@ -83,24 +85,11 @@ func TestLargePageDeltaExpansion(t *testing.T) {
 	if i := cmpLabels(want.labels, kc.Components(st)); i >= 0 {
 		t.Fatalf("cc diverges at vertex %d", i)
 	}
-
-	prior, delta, ok = h.st.Lookup("pagerank")
-	if !ok {
-		t.Fatal("pagerank entry not replayable")
-	}
-	kp, reason := incremental.PlanPageRank(g, prior, delta, prDamping, prIters)
-	if reason != "" {
-		t.Fatalf("pagerank fallback %q on insert-only bridge", reason)
-	}
-	st, _ = runKernel(t, g, kp, 0, nil)
-	if i := cmpRanks(want.ranks, kp.Ranks(st)); i >= 0 {
-		t.Fatalf("pagerank diverges at vertex %d", i)
-	}
 }
 
-// planFixpoint plans all three kernels from a clean fixpoint with an empty
+// planFixpoint plans both kernels from a clean fixpoint with an empty
 // delta, failing the test on any fallback.
-func planFixpoint(t testing.TB, g *gts.Graph, o *oracle) (*incremental.IncBFS, *incremental.IncCC, *incremental.IncPR) {
+func planFixpoint(t testing.TB, g *gts.Graph, o *oracle) (*incremental.IncBFS, *incremental.IncCC) {
 	t.Helper()
 	kb, r := incremental.PlanBFS(g, &incremental.Entry{Kind: incremental.KindBFS,
 		Source: bfsSource, Levels: o.levels}, incremental.Delta{})
@@ -112,12 +101,7 @@ func planFixpoint(t testing.TB, g *gts.Graph, o *oracle) (*incremental.IncBFS, *
 	if r != "" {
 		t.Fatalf("cc plan: %q", r)
 	}
-	kp, r := incremental.PlanPageRank(g, &incremental.Entry{Kind: incremental.KindPageRank,
-		Traj: o.traj, Damping: prDamping, Iterations: prIters}, incremental.Delta{}, prDamping, prIters)
-	if r != "" {
-		t.Fatalf("pagerank plan: %q", r)
-	}
-	return kb, kc, kp
+	return kb, kc
 }
 
 // TestKernelSurface pins the parts of the Kernel contract the engine only
@@ -126,9 +110,9 @@ func planFixpoint(t testing.TB, g *gts.Graph, o *oracle) (*incremental.IncBFS, *
 func TestKernelSurface(t *testing.T) {
 	g := openBase(t)
 	o := computeOracle(t, g, nil)
-	kb, kc, kp := planFixpoint(t, g, o)
+	kb, kc := planFixpoint(t, g, o)
 
-	for _, k := range []gts.Kernel{kb, kc, kp} {
+	for _, k := range []gts.Kernel{kb, kc} {
 		if k.Name() == "" {
 			t.Fatal("empty kernel name")
 		}
@@ -198,39 +182,6 @@ func TestKernelSurface(t *testing.T) {
 		t.Fatalf("cc merge left replicas diverged at %d", i)
 	}
 	kc.MergeStates([]kernels.State{ca})
-
-	// PR replicas only ever exist singly (the service gates multi-GPU);
-	// the merge's copy semantics just have to hold together.
-	pa, pb := kp.NewState(), kp.NewState()
-	kp.Init(pa, 0)
-	kp.MergeStates([]kernels.State{pa, pb, pb.Clone()})
-	kp.MergeStates([]kernels.State{pa})
-}
-
-// TestEmptyDeltaTrajectory checks that an empty-delta PageRank run reuses
-// the retained trajectory verbatim: every level of Trajectory() must be
-// bitwise-equal to the prior entry's, making re-capture after a no-op
-// requery free.
-func TestEmptyDeltaTrajectory(t *testing.T) {
-	g := openBase(t)
-	o := computeOracle(t, g, nil)
-	_, _, kp := planFixpoint(t, g, o)
-	st, m := runKernel(t, g, kp, 0, nil)
-	if m.PagesStreamed != 0 {
-		t.Fatalf("empty delta streamed %d pages", m.PagesStreamed)
-	}
-	if i := cmpRanks(o.ranks, kp.Ranks(st)); i >= 0 {
-		t.Fatalf("ranks diverge at vertex %d", i)
-	}
-	traj := kp.Trajectory()
-	if len(traj) != prIters+1 {
-		t.Fatalf("trajectory has %d levels, want %d", len(traj), prIters+1)
-	}
-	for lvl := range traj {
-		if i := cmpRanks(o.traj[lvl], traj[lvl]); i >= 0 {
-			t.Fatalf("trajectory level %d diverges at vertex %d", lvl, i)
-		}
-	}
 }
 
 // TestOwnershipBounds drives each kernel's page function directly with an
@@ -239,7 +190,6 @@ func TestEmptyDeltaTrajectory(t *testing.T) {
 func TestOwnershipBounds(t *testing.T) {
 	g := openBase(t)
 	o := computeOracle(t, g, nil)
-	n := g.NumVertices()
 
 	// A fabricated stale entry plus an op over an existing edge gives each
 	// planner a genuine seed, so PlanLevel marks real pages.
@@ -254,8 +204,7 @@ func TestOwnershipBounds(t *testing.T) {
 		t.Skip("vertex 0 has no out-edges in the test graph")
 	}
 	op := gts.EdgeOp{Src: 0, Dst: dst}
-	delta := incremental.Delta{Ops: []gts.EdgeOp{op}, OldNumVertices: n,
-		OldAdj: map[uint64][]uint64{0: nil}}
+	delta := incremental.Delta{Ops: []gts.EdgeOp{op}}
 
 	staleLv := append([]int16(nil), o.levels...)
 	staleLv[dst] = unvisitedLevel
@@ -273,11 +222,6 @@ func TestOwnershipBounds(t *testing.T) {
 		Labels: staleLb}, delta)
 	if r != "" || kc.Seeds == 0 {
 		t.Fatalf("cc plan: reason %q, %d seeds", r, kc.Seeds)
-	}
-	kp, r := incremental.PlanPageRank(g, &incremental.Entry{Kind: incremental.KindPageRank,
-		Traj: o.traj, Damping: prDamping, Iterations: prIters}, delta, prDamping, prIters)
-	if r != "" || kp.Seeds == 0 {
-		t.Fatalf("pagerank plan: reason %q, %d seeds", r, kp.Seeds)
 	}
 
 	run := func(name string, k gts.Kernel) {
@@ -306,12 +250,10 @@ func TestOwnershipBounds(t *testing.T) {
 	}
 	run("bfs", kb)
 	run("cc", kc)
-	run("pagerank", kp)
 }
 
 // TestPlannerShapeFallbacks pins the remaining invalidation-matrix rows:
-// retained state over more vertices than the graph, and a delta whose
-// pre-image vertex count disagrees with the current graph.
+// retained state over more vertices than the graph.
 func TestPlannerShapeFallbacks(t *testing.T) {
 	g := openBase(t)
 	n := g.NumVertices()
@@ -324,18 +266,5 @@ func TestPlannerShapeFallbacks(t *testing.T) {
 	if _, r := incremental.PlanCC(g, &incremental.Entry{Kind: incremental.KindCC,
 		Labels: longLb}, incremental.Delta{}); r != "vertex-shrink" {
 		t.Fatalf("cc shrink reason = %q", r)
-	}
-	if _, r := incremental.PlanPageRank(g, &incremental.Entry{Kind: incremental.KindCC},
-		incremental.Delta{}, prDamping, prIters); r != "wrong-kind" {
-		t.Fatalf("pagerank wrong-kind reason = %q", r)
-	}
-	traj := make([][]float32, prIters+1)
-	for i := range traj {
-		traj[i] = make([]float32, n)
-	}
-	grown := incremental.Delta{Ops: []gts.EdgeOp{{Src: 1, Dst: 2}}, OldNumVertices: n - 1}
-	if _, r := incremental.PlanPageRank(g, &incremental.Entry{Kind: incremental.KindPageRank,
-		Traj: traj, Damping: prDamping, Iterations: prIters}, grown, prDamping, prIters); r != "vertex-growth" {
-		t.Fatalf("pagerank growth reason = %q", r)
 	}
 }

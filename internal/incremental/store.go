@@ -1,23 +1,26 @@
 // Package incremental retains per-graph algorithm state across ingest
-// epochs and re-executes BFS, CC, and PageRank from the delta instead of
-// from scratch. The contract is exactness, not approximation: every
-// incremental run must produce output byte-identical to a from-scratch
-// recompute on the new snapshot, clean or faulted. Where that cannot be
-// guaranteed (tight deletes under BFS, any delete under CC, vertex growth
-// under PageRank, ...) the planner refuses and the caller falls back to a
-// full run.
+// epochs and re-executes BFS and CC from the delta instead of from scratch.
+// The contract is exactness, not approximation: every incremental run must
+// produce output byte-identical to a from-scratch recompute on the new
+// snapshot, clean or faulted. Where that cannot be guaranteed (tight deletes
+// under BFS, any delete under CC) the planner refuses and the caller falls
+// back to a full run.
+//
+// Only plans that beat a full run on the clock a caller waits on live here:
+// BFS and CC delta-expansion cost 0.25-0.45 of a full run's wall; PageRank
+// trajectory patching cost 3.5x one at every random batch and was deleted
+// (EXPERIMENTS.md, incremental).
 //
 // The machinery has three parts:
 //
-//   - Store: retained entries from completed runs, keyed by
-//     (algo, params) and stamped with the epoch they were computed at,
-//     plus the chain of ingest commits (ops + pre-image adjacency of the
-//     touched sources) needed to replay any retained epoch forward to the
-//     current one.
+//   - Store: a bounded set of retained entries from completed runs, keyed
+//     by (algo, params) and stamped with the epoch they were computed at,
+//     plus the chain of ingest commits needed to replay any retained epoch
+//     forward to the current one.
 //   - Delta: the flattened difference between a retained entry's epoch and
 //     the current epoch, handed to a planner.
-//   - Planners (PlanBFS, PlanCC, PlanPageRank): decide safe vs fallback
-//     and build a FrontierKernel seeded from the delta.
+//   - Planners (PlanBFS, PlanCC): decide safe vs fallback and build a
+//     FrontierKernel seeded from the delta.
 package incremental
 
 import (
@@ -36,7 +39,6 @@ type Kind uint8
 const (
 	KindBFS Kind = iota
 	KindCC
-	KindPageRank
 )
 
 func (k Kind) String() string {
@@ -45,8 +47,6 @@ func (k Kind) String() string {
 		return "bfs"
 	case KindCC:
 		return "cc"
-	case KindPageRank:
-		return "pagerank"
 	}
 	return "unknown"
 }
@@ -54,8 +54,7 @@ func (k Kind) String() string {
 // Entry is the retained state of one completed run: the final attribute
 // arrays plus the convergence metadata a later incremental run needs.
 // Entries are immutable once stored; slices they hold must never be
-// written again (incremental PageRank shares unpatched trajectory levels
-// between successive entries on this basis).
+// written again.
 type Entry struct {
 	Kind  Kind
 	Epoch uint64 // snapshot epoch the run computed against
@@ -67,44 +66,27 @@ type Entry struct {
 	// CC: final component labels.
 	Labels []uint32
 
-	// PageRank: the full per-iteration trajectory, Traj[0] = uniform
-	// start vector, Traj[i] = ranks after iteration i, plus the params
-	// that produced it. Retaining the trajectory (not just the final
-	// ranks) is what makes incremental PageRank byte-exact: the delta
-	// cone re-derives only deviated entries per iteration and copies the
-	// rest bitwise.
-	Traj       [][]float32
-	Damping    float64
-	Iterations int
-
 	// FullPages is the page-scan cost of a from-scratch run of this
 	// (algo, params) — carried forward through incremental captures so
 	// saved-supersteps accounting always compares against full cost.
 	FullPages int64
+
+	seq uint64 // capture order within the store, for eviction
 }
 
 // Delta is the flattened edge difference between a retained entry's epoch
 // and the store's current epoch: every op of every intervening commit, in
-// commit order, plus the pre-image out-adjacency (at the entry's epoch)
-// of each touched source and the entry-epoch vertex count.
+// commit order.
 type Delta struct {
 	FromEpoch uint64
 	ToEpoch   uint64
 	Ops       []EdgeOp
-	// OldAdj maps each distinct op source to its out-neighbor list at
-	// FromEpoch (first-occurrence pre-image across the commit chain).
-	OldAdj map[uint64][]uint64
-	// OldNumVertices is the vertex count at FromEpoch.
-	OldNumVertices uint64
 }
 
-// commit is one applied ingest batch: the epoch edge it spans and enough
-// pre-image to extend any older delta across it.
+// commit is one applied ingest batch and the epoch edge it spans.
 type commit struct {
 	prev, epoch uint64
 	ops         []EdgeOp
-	oldAdj      map[uint64][]uint64 // pre-image adjacency of op sources at prev
-	oldNumVerts uint64
 }
 
 // Store holds the retained entries and the commit chain for one graph.
@@ -118,16 +100,20 @@ type Store struct {
 	chain    []commit // ascending by epoch, contiguous
 	maxChain int
 	entries  map[string]*Entry
-
-	hits      uint64
-	fallbacks uint64
-	saved     uint64
+	captures uint64 // entries ever captured; the next entry's seq
 }
 
 // DefaultMaxChain bounds how many ingest commits the store retains;
 // entries older than the chain can no longer be replayed forward and are
 // dropped.
 const DefaultMaxChain = 64
+
+// MaxEntries bounds how many (algo, params) keys the store retains. Every
+// BFS or CC run on an incremental graph captures one, |V| x 2-4 bytes each,
+// whether or not its request asked for incremental service, so without a
+// bound a BFS from each source retains |V| x |V| x 2 bytes. At the bound the
+// entry captured longest ago makes room.
+const MaxEntries = 64
 
 // NewStore builds an empty store anchored at the graph's current epoch.
 func NewStore(epoch uint64) *Store {
@@ -141,37 +127,17 @@ func (s *Store) Epoch() uint64 {
 	return s.epoch
 }
 
-// Commit records one applied ingest batch. old is the pre-commit snapshot
-// (the graph the retained entries at prev were computed against); the
-// store captures the out-adjacency of every op source from it so PageRank
-// deltas can find targets that lost an edge. If prev does not extend the
+// Commit records one applied ingest batch. If prev does not extend the
 // store's lineage (a commit was missed), all retained state is dropped —
 // never serve across a gap.
-func (s *Store) Commit(prev, epoch uint64, ops []EdgeOp, old *slottedpage.Graph) {
+func (s *Store) Commit(prev, epoch uint64, ops []EdgeOp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev != s.epoch {
 		s.chain = nil
 		s.entries = make(map[string]*Entry)
 	}
-	c := commit{
-		prev:        prev,
-		epoch:       epoch,
-		ops:         append([]EdgeOp(nil), ops...),
-		oldAdj:      make(map[uint64][]uint64),
-		oldNumVerts: old.NumVertices(),
-	}
-	for _, op := range ops {
-		if _, ok := c.oldAdj[op.Src]; ok {
-			continue
-		}
-		var row []uint64
-		if op.Src < old.NumVertices() {
-			old.NeighborsOf(op.Src, func(dst uint64) { row = append(row, dst) })
-		}
-		c.oldAdj[op.Src] = row
-	}
-	s.chain = append(s.chain, c)
+	s.chain = append(s.chain, commit{prev: prev, epoch: epoch, ops: append([]EdgeOp(nil), ops...)})
 	if len(s.chain) > s.maxChain {
 		s.chain = s.chain[len(s.chain)-s.maxChain:]
 	}
@@ -189,13 +155,24 @@ func (s *Store) Commit(prev, epoch uint64, ops []EdgeOp, old *slottedpage.Graph)
 // accepted only if it was computed at the store's current epoch — a run
 // that raced with an ingest commit is silently discarded (its epoch can
 // no longer be trusted as "latest", and Lookup would have to replay it
-// anyway).
+// anyway). A new key beyond MaxEntries evicts the entry captured longest ago.
 func (s *Store) Capture(key string, e *Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e.Epoch != s.epoch {
 		return false
 	}
+	if _, ok := s.entries[key]; !ok && len(s.entries) >= MaxEntries {
+		oldest, min := "", s.captures
+		for k, held := range s.entries {
+			if held.seq < min {
+				oldest, min = k, held.seq
+			}
+		}
+		delete(s.entries, oldest)
+	}
+	e.seq = s.captures
+	s.captures++
 	s.entries[key] = e
 	return true
 }
@@ -211,7 +188,7 @@ func (s *Store) Lookup(key string) (*Entry, Delta, bool) {
 	if e == nil {
 		return nil, Delta{}, false
 	}
-	d := Delta{FromEpoch: e.Epoch, ToEpoch: s.epoch, OldAdj: make(map[uint64][]uint64)}
+	d := Delta{FromEpoch: e.Epoch, ToEpoch: s.epoch}
 	if e.Epoch == s.epoch {
 		return e, d, true // empty delta: entry is current
 	}
@@ -227,26 +204,12 @@ func (s *Store) Lookup(key string) (*Entry, Delta, bool) {
 		return nil, Delta{}, false
 	}
 	at := e.Epoch
-	for first := true; i < len(s.chain); i++ {
+	for ; i < len(s.chain); i++ {
 		c := s.chain[i]
 		if c.prev != at {
 			return nil, Delta{}, false
 		}
-		if first {
-			d.OldNumVertices = c.oldNumVerts
-			first = false
-		}
 		d.Ops = append(d.Ops, c.ops...)
-		for src, row := range c.oldAdj {
-			// First occurrence wins: the pre-image at the entry's epoch is
-			// the earliest commit's pre-image for that source. A source
-			// first touched by a later commit kept its FromEpoch adjacency
-			// until then, so that commit's pre-image is still the FromEpoch
-			// view.
-			if _, ok := d.OldAdj[src]; !ok {
-				d.OldAdj[src] = row
-			}
-		}
 		at = c.epoch
 	}
 	if at != s.epoch {
@@ -255,42 +218,9 @@ func (s *Store) Lookup(key string) (*Entry, Delta, bool) {
 	return e, d, true
 }
 
-// Invalidate drops every retained entry and the commit chain.
-func (s *Store) Invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.chain = nil
-	s.entries = make(map[string]*Entry)
-}
-
 // Len reports how many entries are retained.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// AddHit records a served incremental run and the page-scans it saved
-// relative to from-scratch cost.
-func (s *Store) AddHit(savedPages int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hits++
-	if savedPages > 0 {
-		s.saved += uint64(savedPages)
-	}
-}
-
-// AddFallback records an incremental request that fell back to a full run.
-func (s *Store) AddFallback() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fallbacks++
-}
-
-// Counters returns (hits, fallbacks, saved page-scans).
-func (s *Store) Counters() (hits, fallbacks, saved uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.fallbacks, s.saved
 }

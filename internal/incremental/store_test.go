@@ -18,13 +18,12 @@ func openBase(t testing.TB) *gts.Graph {
 }
 
 func TestStoreCommitAndLookup(t *testing.T) {
-	g := openBase(t)
 	s := incremental.NewStore(0)
 	if !s.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0, Levels: []int16{0}}) {
 		t.Fatal("capture at current epoch rejected")
 	}
-	s.Commit(0, 1, []incremental.EdgeOp{{Src: 1, Dst: 2}}, g)
-	s.Commit(1, 2, []incremental.EdgeOp{{Del: true, Src: 3, Dst: 4}, {Src: 1, Dst: 5}}, g)
+	s.Commit(0, 1, []incremental.EdgeOp{{Src: 1, Dst: 2}})
+	s.Commit(1, 2, []incremental.EdgeOp{{Del: true, Src: 3, Dst: 4}, {Src: 1, Dst: 5}})
 
 	e, d, ok := s.Lookup("bfs")
 	if !ok {
@@ -36,45 +35,15 @@ func TestStoreCommitAndLookup(t *testing.T) {
 	if len(d.Ops) != 3 {
 		t.Fatalf("flattened ops = %d, want 3", len(d.Ops))
 	}
-	if d.OldNumVertices != g.NumVertices() {
-		t.Fatalf("OldNumVertices = %d, want %d", d.OldNumVertices, g.NumVertices())
-	}
-	// Pre-image adjacency captured for every distinct source.
-	for _, src := range []uint64{1, 3} {
-		if _, ok := d.OldAdj[src]; !ok {
-			t.Fatalf("missing pre-image adjacency for source %d", src)
-		}
-	}
-}
-
-func TestStoreOldAdjFirstOccurrenceWins(t *testing.T) {
-	g := openBase(t)
-	s := incremental.NewStore(0)
-	s.Capture("k", &incremental.Entry{Kind: incremental.KindPageRank, Epoch: 0})
-	// Source 7 is touched by both commits; the delta must carry its
-	// adjacency as of epoch 0 (the first commit's pre-image), captured from
-	// the graph state passed to the first commit.
-	s.Commit(0, 1, []incremental.EdgeOp{{Src: 7, Dst: 8}}, g)
-	var want []uint64
-	g.NeighborsOf(7, func(dst uint64) { want = append(want, dst) })
-	s.Commit(1, 2, []incremental.EdgeOp{{Src: 7, Dst: 9}}, g)
-	_, d, ok := s.Lookup("k")
-	if !ok {
-		t.Fatal("entry not replayable")
-	}
-	if fmt.Sprint(d.OldAdj[7]) != fmt.Sprint(want) {
-		t.Fatalf("OldAdj[7] = %v, want first-commit pre-image %v", d.OldAdj[7], want)
-	}
 }
 
 func TestStoreLineageBreakDropsEverything(t *testing.T) {
-	g := openBase(t)
 	s := incremental.NewStore(0)
 	s.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0})
-	s.Commit(0, 1, nil, g)
+	s.Commit(0, 1, nil)
 	// A commit whose prev does not extend the lineage (missed commit, or a
 	// recovered graph reusing LSNs) must wipe chain and entries.
-	s.Commit(5, 6, nil, g)
+	s.Commit(5, 6, nil)
 	if s.Len() != 0 {
 		t.Fatalf("entries survived a lineage break: %d", s.Len())
 	}
@@ -87,9 +56,8 @@ func TestStoreLineageBreakDropsEverything(t *testing.T) {
 }
 
 func TestStoreCaptureRejectsStaleEpoch(t *testing.T) {
-	g := openBase(t)
 	s := incremental.NewStore(0)
-	s.Commit(0, 1, nil, g)
+	s.Commit(0, 1, nil)
 	// A run that raced an ingest commit carries the pre-commit epoch and
 	// must be discarded.
 	if s.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0}) {
@@ -101,11 +69,10 @@ func TestStoreCaptureRejectsStaleEpoch(t *testing.T) {
 }
 
 func TestStoreChainTrimDropsUnreplayableEntries(t *testing.T) {
-	g := openBase(t)
 	s := incremental.NewStore(0)
 	s.Capture("old", &incremental.Entry{Kind: incremental.KindCC, Epoch: 0})
 	for i := 0; i < incremental.DefaultMaxChain+5; i++ {
-		s.Commit(uint64(i), uint64(i+1), nil, g)
+		s.Commit(uint64(i), uint64(i+1), nil)
 	}
 	if _, _, ok := s.Lookup("old"); ok {
 		t.Fatal("entry older than the chain window still served")
@@ -123,34 +90,44 @@ func TestStoreChainTrimDropsUnreplayableEntries(t *testing.T) {
 	}
 }
 
-func TestStoreInvalidate(t *testing.T) {
-	g := openBase(t)
+// TestStoreBoundsEntries: the store holds at most MaxEntries keys. Capturing
+// more without a commit in between (a BFS from every source of a graph nobody
+// ingests into) evicts the entries captured longest ago and keeps the newest.
+func TestStoreBoundsEntries(t *testing.T) {
 	s := incremental.NewStore(0)
-	s.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0})
-	s.Commit(0, 1, nil, g)
-	s.Invalidate()
-	if s.Len() != 0 {
-		t.Fatal("Invalidate left entries")
+	total := incremental.MaxEntries + 8
+	for i := 0; i < total; i++ {
+		if !s.Capture(fmt.Sprint("bfs?", i), &incremental.Entry{Kind: incremental.KindBFS, Source: uint64(i)}) {
+			t.Fatalf("capture %d rejected", i)
+		}
 	}
-	if _, _, ok := s.Lookup("bfs"); ok {
-		t.Fatal("Invalidate left a servable entry")
+	if s.Len() != incremental.MaxEntries {
+		t.Fatalf("Len() = %d after %d captures, want the bound %d", s.Len(), total, incremental.MaxEntries)
 	}
-}
-
-func TestStoreCounters(t *testing.T) {
-	s := incremental.NewStore(0)
-	s.AddHit(10)
-	s.AddHit(-3) // negative savings clamp to zero
-	s.AddFallback()
-	hits, falls, saved := s.Counters()
-	if hits != 2 || falls != 1 || saved != 10 {
-		t.Fatalf("counters = (%d,%d,%d), want (2,1,10)", hits, falls, saved)
+	for i := 0; i < total; i++ {
+		e, _, ok := s.Lookup(fmt.Sprint("bfs?", i))
+		if want := i >= 8; ok != want {
+			t.Fatalf("key %d retained = %v, want %v (the 8 oldest go)", i, ok, want)
+		}
+		if ok && e.Source != uint64(i) {
+			t.Fatalf("key %d holds source %d", i, e.Source)
+		}
+	}
+	// Re-capturing a held key replaces it in place and makes it the newest:
+	// nothing is evicted for it, and the next new key evicts key 9, not key 8.
+	s.Capture("bfs?8", &incremental.Entry{Kind: incremental.KindBFS, Source: 8})
+	s.Capture("bfs?new", &incremental.Entry{Kind: incremental.KindBFS})
+	if _, _, ok := s.Lookup("bfs?8"); !ok || s.Len() != incremental.MaxEntries {
+		t.Fatalf("re-captured key evicted (held %v, Len %d)", ok, s.Len())
+	}
+	if _, _, ok := s.Lookup("bfs?9"); ok {
+		t.Fatal("the oldest capture survived a new key at the bound")
 	}
 }
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[incremental.Kind]string{
-		incremental.KindBFS: "bfs", incremental.KindCC: "cc", incremental.KindPageRank: "pagerank",
+		incremental.KindBFS: "bfs", incremental.KindCC: "cc",
 	} {
 		if k.String() != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), want)
@@ -176,15 +153,9 @@ func TestPlannerFallbackReasons(t *testing.T) {
 	for i := range labels {
 		labels[i] = uint32(i)
 	}
-	traj := make([][]float32, prIters+1)
-	for i := range traj {
-		traj[i] = make([]float32, n)
-	}
 
 	bfsEntry := &incremental.Entry{Kind: incremental.KindBFS, Levels: lv, Source: 0}
 	ccEntry := &incremental.Entry{Kind: incremental.KindCC, Labels: labels}
-	prEntry := &incremental.Entry{Kind: incremental.KindPageRank, Traj: traj,
-		Damping: prDamping, Iterations: prIters}
 
 	var tight gts.EdgeOp
 	found := false
@@ -216,15 +187,6 @@ func TestPlannerFallbackReasons(t *testing.T) {
 			_, r := incremental.PlanCC(g, ccEntry, d)
 			return r
 		}, incremental.Delta{Ops: []gts.EdgeOp{{Del: true, Src: 1, Dst: 2}}}, "delete"},
-		{"pagerank-params-mismatch", func(d incremental.Delta) string {
-			_, r := incremental.PlanPageRank(g, prEntry, d, 0.5, prIters)
-			return r
-		}, incremental.Delta{}, "params-mismatch"},
-		{"pagerank-trajectory-shape", func(d incremental.Delta) string {
-			_, r := incremental.PlanPageRank(g, &incremental.Entry{Kind: incremental.KindPageRank,
-				Traj: traj[:2], Damping: prDamping, Iterations: prIters}, d, prDamping, prIters)
-			return r
-		}, incremental.Delta{}, "trajectory-shape"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,18 +6,16 @@ import (
 )
 
 // This file exports the small planning helpers that incremental kernels
-// (internal/incremental) need: reverse-CSR lookup, page marking for a
-// seeded frontier, and the LP out-degree map PageRank-style kernels divide
-// contributions by. They are thin wrappers over the package-private
+// (internal/incremental) need: reverse-CSR lookup and page marking for a
+// seeded frontier. They are thin wrappers over the package-private
 // machinery the frontier kernels already use, so incremental and full
 // kernels share one implementation of each invariant.
 
 // RevCSR is an exported handle on the reverse adjacency (in-neighbors)
 // index. Incremental kernels use it to find which vertices can feed a
-// dirty target: CC rescans in(changed), PageRank marks the pages of
-// in(candidate) so every contribution a candidate receives is recomputed.
-// The index is built by the first In call, so a plan that resolves without
-// consulting it never decodes the topology.
+// dirty target: CC rescans in(changed). The index is built by the first In
+// call, so a plan that resolves without consulting it never decodes the
+// topology.
 type RevCSR struct{ r *revAdj }
 
 // NewRevCSR returns the (not yet built) reverse-CSR index for g.
@@ -37,8 +35,3 @@ func (r RevCSR) In(v uint64) []uint32 {
 func MarkVertexPages(g *slottedpage.Graph, v uint64, next *bitset.Set, expandLP bool) {
 	markVertexPages(g, v, next, expandLP)
 }
-
-// LPDegrees returns the total out-degree of every large vertex, keyed by
-// VID — the divisor PageRank-style kernels must use for contributions
-// scattered from LP sub-pages.
-func LPDegrees(g *slottedpage.Graph) map[uint64]int { return lpDegrees(g) }

@@ -168,7 +168,7 @@ func TestKernelClassesAndRA(t *testing.T) {
 	}
 }
 
-func TestLPDegrees(t *testing.T) {
+func TestLargeVertexDegrees(t *testing.T) {
 	sp := buildTestGraph(t)
 	m := lpDegrees(sp)
 	for v, d := range m {

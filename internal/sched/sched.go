@@ -201,7 +201,9 @@ func (s *Scheduler) Close() {
 
 // dispatch is the scheduler's single control loop. While a group runs, new
 // arrivals are admitted into it at wave boundaries, so back-to-back load is
-// served by one continuously open group per pooled System.
+// served by one continuously open group. runGroup is synchronous, so this
+// loop holds at most one System of the pool at a time, whatever the pool's
+// size.
 func (s *Scheduler) dispatch() {
 	for {
 		s.mu.Lock()

@@ -5,7 +5,9 @@ import (
 	"sort"
 
 	gts "repro"
+	"repro/internal/incremental"
 	"repro/internal/kernels"
+	"repro/internal/sched"
 )
 
 // Params carries one algorithm request's inputs. Unset fields take
@@ -30,7 +32,11 @@ type Params struct {
 	MaxHops  int `json:"maxhops,omitempty"`
 }
 
-// algorithm binds a name to its parameter normalization and its kernel.
+// algorithm binds a name to its parameter normalization and its kernel,
+// and, for the algorithms that retain state for incremental recompute, to
+// what they keep and how they re-plan from it. This table is the only place
+// that says which algorithms those are: the ones whose delta-expansion beats
+// a full run on the clock a caller waits on (EXPERIMENTS.md, incremental).
 type algorithm struct {
 	// normalize fills defaults and zeroes unused fields, returning the
 	// canonical Params that key the result cache.
@@ -41,6 +47,14 @@ type algorithm struct {
 	// the graph's registered Config, so kernel-variant switches
 	// (DirectionOpt) apply exactly as they do on a gts.System.
 	kernel func(g *gts.Graph, cfg gts.Config, p Params) (k gts.Kernel, source uint64, decode func(gts.KernelState, gts.Metrics) any)
+	// retain, when set, fills e with what a later delta-expansion needs from a
+	// finished run's output; an algorithm without it has no retained state
+	// and always runs in full.
+	retain func(e *incremental.Entry, p Params, output any)
+	// replan, set together with retain, plans the delta-expansion of prior
+	// across d on g (the plan's kernel, seed count and decoder), or reports
+	// why that cannot be exact.
+	replan func(g *gts.Graph, p Params, prior *incremental.Entry, d incremental.Delta) (plan, string)
 }
 
 var algorithms = map[string]algorithm{
@@ -57,6 +71,22 @@ var algorithms = map[string]algorithm{
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
 			}
+		},
+		retain: func(e *incremental.Entry, p Params, output any) {
+			e.Kind, e.Source = incremental.KindBFS, p.Source
+			e.Levels = append([]int16(nil), output.(*gts.BFSResult).Levels...)
+		},
+		replan: func(g *gts.Graph, p Params, prior *incremental.Entry, d incremental.Delta) (plan, string) {
+			if prior.Source != p.Source {
+				return plan{}, "source-mismatch"
+			}
+			k, reason := incremental.PlanBFS(g, prior, d)
+			if reason != "" {
+				return plan{}, reason
+			}
+			return plan{job: sched.Job{Kernel: k}, seeds: k.Seeds, decode: func(st gts.KernelState, m gts.Metrics) any {
+				return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
+			}}, ""
 		},
 	},
 	"pagerank": {
@@ -99,6 +129,19 @@ var algorithms = map[string]algorithm{
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
 			}
+		},
+		retain: func(e *incremental.Entry, _ Params, output any) {
+			e.Kind = incremental.KindCC
+			e.Labels = append([]uint32(nil), output.(*gts.CCResult).Labels...)
+		},
+		replan: func(g *gts.Graph, _ Params, prior *incremental.Entry, d incremental.Delta) (plan, string) {
+			k, reason := incremental.PlanCC(g, prior, d)
+			if reason != "" {
+				return plan{}, reason
+			}
+			return plan{job: sched.Job{Kernel: k}, seeds: k.Seeds, decode: func(st gts.KernelState, m gts.Metrics) any {
+				return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
+			}}, ""
 		},
 	},
 	"bc": {

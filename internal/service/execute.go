@@ -15,8 +15,9 @@ import (
 // plan is one resolved execution: the scheduler job (kernel and source; the
 // pipeline adds the recorder) and the decoder that assembles the algorithm's
 // public result struct from the finished state (bound to that kernel
-// instance). The remaining fields are set only by the incremental planner
-// (incremental.go).
+// instance). The remaining fields are set only for jobs that retain state or
+// ask for incremental service (resolve, incremental.go and the replan hooks
+// of algos.go).
 type plan struct {
 	job    sched.Job
 	decode func(gts.KernelState, gts.Metrics) any
@@ -101,10 +102,8 @@ func (s *Server) execute(job *Job) {
 	if pl.hit {
 		saved := pl.priorFull - m.PagesStreamed
 		s.met.addIncHit(saved)
-		entry.inc.AddHit(saved)
 	} else if pl.fallback != "" {
 		s.met.addIncFallback()
-		entry.inc.AddFallback()
 	}
 	res := &Result{
 		Graph:   job.req.Graph,
@@ -122,24 +121,32 @@ func (s *Server) execute(job *Job) {
 	s.answer(job, res, false)
 }
 
-// resolve picks the kernel a job runs. On a graph with a retained-state
-// store the incremental planner handles BFS/CC/PageRank: it may substitute a
-// delta-expansion kernel seeded from retained state, and otherwise runs the
-// full kernel with a capture hook, so fresh state is retained either way.
-// Everything else gets the algorithm's own constructor.
+// resolve picks the kernel a job runs. An algorithm that retains state, on a
+// graph with a retained-state store, goes through the incremental planner: it
+// may substitute a delta-expansion kernel seeded from retained state, and
+// otherwise runs the full kernel with a capture hook, so fresh state is
+// retained either way. Everything else gets the algorithm's own constructor,
+// and an "incremental": true request among it is a fallback like any other.
 func resolve(job *Job) plan {
 	entry, req := job.entry, job.req
 	g, cfg := entry.pool.Graph(), entry.pool.Config()
-	retained := entry.inc != nil && incSupported(req.Algo)
-	if retained && cfg.GPUs <= 1 {
+	var reason string
+	switch {
+	case job.algo.retain == nil:
+		reason = "unsupported"
+	case entry.inc == nil:
+		reason = "not-retained"
+	case cfg.GPUs > 1:
+		// Multi-GPU replicas merge state in ways the delta planners do not
+		// model: refuse, and retain nothing.
+		reason = "multi-gpu"
+	default:
 		return planIncremental(entry, g, cfg, job.algo, req)
 	}
 	var pl plan
 	pl.job.Kernel, pl.job.Source, pl.decode = job.algo.kernel(g, cfg, req.Params)
-	if retained && req.Incremental {
-		// Multi-GPU replicas merge state in ways the delta planners do not
-		// model: refuse, and retain nothing.
-		pl.fallback = "multi-gpu"
+	if req.Incremental {
+		pl.fallback = reason
 	}
 	return pl
 }

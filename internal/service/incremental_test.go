@@ -34,7 +34,7 @@ func incServerPair(t *testing.T) (inc, orc *service.Server) {
 	return inc, orc
 }
 
-func runSync(t *testing.T, srv *service.Server, req service.Request) (*service.Result, string) {
+func runSync(t testing.TB, srv *service.Server, req service.Request) (*service.Result, string) {
 	t.Helper()
 	job, err := srv.Run(context.Background(), req)
 	if err != nil {
@@ -71,8 +71,9 @@ func bitEqualRanks(a, b []float32) bool {
 	return true
 }
 
-// checkIncEpoch runs all three retained algorithms on both servers at the
-// current epoch — incremental on inc, from-scratch on orc — and requires
+// checkIncEpoch runs the two retained algorithms, and pagerank (which retains
+// nothing: its incremental request is a counted full run), on both servers at
+// the current epoch — incremental on inc, from-scratch on orc — and requires
 // byte-identical outputs. It returns the inc-side job IDs keyed by algo.
 func checkIncEpoch(t *testing.T, inc, orc *service.Server, tag string) map[string]string {
 	t.Helper()
@@ -113,8 +114,7 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 	// back to (and capture) a full run.
 	ids0 := checkIncEpoch(t, inc, orc, "epoch0")
 
-	// An insert-only batch keeps all three algorithms on the delta-
-	// expansion path.
+	// An insert-only batch keeps BFS and CC on the delta-expansion path.
 	insertOnly := []gts.EdgeOp{{Src: 5, Dst: 9}, {Src: 9, Dst: 5}, {Src: 7, Dst: 11}}
 	if _, err := inc.Ingest("mut", insertOnly); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 	ids1 := checkIncEpoch(t, inc, orc, "epoch1")
 
 	// A delete invalidates CC's retained state (any delete may split a
-	// component); the other algorithms decide per the invalidation matrix.
+	// component); BFS decides per the invalidation matrix.
 	withDelete := []gts.EdgeOp{{Src: 5, Dst: 9, Del: true}, {Src: 12, Dst: 13}}
 	if _, err := inc.Ingest("mut", withDelete); err != nil {
 		t.Fatal(err)
@@ -136,23 +136,27 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 	checkIncEpoch(t, inc, orc, "epoch2")
 
 	st := inc.Stats()
-	if st.IncrementalHits < 3 {
-		t.Errorf("incremental hits = %d, want >= 3 (the insert-only epoch)", st.IncrementalHits)
+	if st.IncrementalHits < 2 {
+		t.Errorf("incremental hits = %d, want >= 2 (the insert-only epoch)", st.IncrementalHits)
 	}
-	// 3 cold-start fallbacks at epoch 0 plus at least CC's delete fallback.
-	if st.IncrementalFallbacks < 4 {
-		t.Errorf("incremental fallbacks = %d, want >= 4", st.IncrementalFallbacks)
+	// 2 cold-start fallbacks at epoch 0, pagerank's in all three epochs, plus
+	// at least CC's delete fallback.
+	if st.IncrementalFallbacks < 6 {
+		t.Errorf("incremental fallbacks = %d, want >= 6", st.IncrementalFallbacks)
 	}
-	if st.Retained["mut"] != 3 {
-		t.Errorf("retained entries = %d, want 3", st.Retained["mut"])
+	if st.IncrementalHits+st.IncrementalFallbacks != 9 {
+		t.Errorf("hits %d + fallbacks %d != the 9 incremental requests sent", st.IncrementalHits, st.IncrementalFallbacks)
+	}
+	if st.Retained["mut"] != 2 {
+		t.Errorf("retained entries = %d, want 2", st.Retained["mut"])
 	}
 
 	found := false
 	for _, h := range inc.Health() {
 		if h.Name == "mut" {
 			found = true
-			if !h.Incremental || h.RetainedEntries != 3 {
-				t.Errorf("health: incremental=%v retained=%d, want true/3", h.Incremental, h.RetainedEntries)
+			if !h.Incremental || h.RetainedEntries != 2 {
+				t.Errorf("health: incremental=%v retained=%d, want true/2", h.Incremental, h.RetainedEntries)
 			}
 		}
 	}
@@ -173,6 +177,58 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 	ost := orc.Stats()
 	if ost.IncrementalHits != 0 || ost.IncrementalFallbacks != 0 || len(ost.Retained) != 0 {
 		t.Errorf("oracle server reports incremental activity: %+v", ost)
+	}
+}
+
+// TestIncrementalRequestIsAHitOrACountedFallback: an "incremental": true
+// request the server cannot serve by delta-expansion — an algorithm with no
+// retained representation, or a server that retains nothing — is a full run
+// with one counted fallback and an incfallback span, never a silent one, and
+// it retains nothing.
+func TestIncrementalRequestIsAHitOrACountedFallback(t *testing.T) {
+	inc, orc := incServerPair(t)
+	// Warm, then ingest: were pagerank or sssp retained, this is where a
+	// delta-expansion would be on offer.
+	checkIncEpoch(t, inc, orc, "epoch0")
+	batch := []gts.EdgeOp{{Src: 5, Dst: 9}, {Src: 7, Dst: 11}}
+	for _, srv := range []*service.Server{inc, orc} {
+		if _, err := srv.Ingest("mut", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := inc.Stats()
+	for _, algo := range []string{"pagerank", "sssp"} {
+		got, id := runSync(t, inc, service.Request{Graph: "mut", Algo: algo, Incremental: true})
+		want, _ := runSync(t, orc, service.Request{Graph: "mut", Algo: algo})
+		switch out := got.Output.(type) {
+		case *gts.PageRankResult:
+			if !bitEqualRanks(want.Output.(*gts.PageRankResult).Ranks, out.Ranks) {
+				t.Errorf("pagerank with the flag differs from a plain server's")
+			}
+		case *gts.SSSPResult:
+			if !bitEqualRanks(want.Output.(*gts.SSSPResult).Dist, out.Dist) {
+				t.Errorf("sssp with the flag differs from a plain server's")
+			}
+		}
+		if got.Metrics.PagesStreamed != want.Metrics.PagesStreamed {
+			t.Errorf("%s with the flag streamed %d pages, the plain kernel %d", algo, got.Metrics.PagesStreamed, want.Metrics.PagesStreamed)
+		}
+		if b, err := inc.JobTrace(id); err != nil || !strings.Contains(string(b), "incfallback") {
+			t.Errorf("%s trace missing the incfallback span (err=%v)", algo, err)
+		}
+	}
+	after := inc.Stats()
+	if hits, falls := after.IncrementalHits-before.IncrementalHits, after.IncrementalFallbacks-before.IncrementalFallbacks; hits != 0 || falls != 2 {
+		t.Errorf("hits +%d, fallbacks +%d; want +0, +2", hits, falls)
+	}
+	if after.Retained["mut"] != before.Retained["mut"] {
+		t.Errorf("retained entries %d -> %d: an unsupported algorithm captured state", before.Retained["mut"], after.Retained["mut"])
+	}
+
+	// A server without Config.Incremental: the flag is still a fallback.
+	runSync(t, orc, service.Request{Graph: "mut", Algo: "bfs", Incremental: true})
+	if ost := orc.Stats(); ost.IncrementalHits != 0 || ost.IncrementalFallbacks != 1 || len(ost.Retained) != 0 {
+		t.Errorf("plain server: hits %d, fallbacks %d, retained %v; want 0, 1, none", ost.IncrementalHits, ost.IncrementalFallbacks, ost.Retained)
 	}
 }
 

@@ -84,11 +84,11 @@ type Config struct {
 	// recent TraceJobs jobs, served at /debug/trace/{id}. 0 disables
 	// tracing.
 	TraceJobs int
-	// Incremental, when true, retains completed BFS/CC/PageRank state on
-	// mutable graphs and serves `incremental: true` requests by
-	// delta-expansion from it (falling back to a full run whenever
-	// exactness cannot be guaranteed). Results are byte-identical to
-	// from-scratch recompute either way.
+	// Incremental, when true, retains completed BFS/CC state on mutable
+	// graphs and serves `incremental: true` requests by delta-expansion
+	// from it (falling back to a full run, and counting it, whenever
+	// exactness cannot be guaranteed or the algorithm retains nothing).
+	// Results are byte-identical to from-scratch recompute either way.
 	Incremental bool
 }
 
@@ -114,9 +114,10 @@ type Request struct {
 	// Config.DefaultTimeout, negative means no deadline.
 	Timeout time.Duration `json:"timeout,omitempty"`
 	// Incremental asks the server to answer from retained epoch state via
-	// delta-expansion when it can (Config.Incremental graphs only). The
-	// result is byte-identical to a full recompute; the flag only changes
-	// how much of the graph is re-streamed.
+	// delta-expansion when it can (bfs and cc on Config.Incremental graphs);
+	// a request it cannot serve that way is a full run counted as a
+	// fallback. The result is byte-identical to a full recompute; the flag
+	// only changes how much of the graph is re-streamed.
 	Incremental bool `json:"incremental,omitempty"`
 }
 
