@@ -34,9 +34,9 @@ vet:
 # layer: the trace
 # recorder and exporters, the histogram math, the service job path, the
 # multi-query stream scheduler, the bufpool pin/eviction machinery, and
-# the kernels package (direction-optimizing BFS and delta-stepping SSSP
-# included). Floors sit a few points under the measured baseline so real
-# regressions fail while small refactors don't.
+# the kernels package (direction-optimizing BFS included). Floors sit a
+# few points under the measured baseline so real regressions fail while
+# small refactors don't.
 cover:
 	@set -e; for spec in ./internal/sim=90 ./internal/trace=85 ./internal/obs=90 ./internal/service=80 ./internal/sched=60 ./internal/bufpool=85 ./internal/kernels=85 ./internal/wal=85 ./internal/incremental=85; do \
 		pkg=$${spec%=*}; floor=$${spec#*=}; \
@@ -128,15 +128,14 @@ loc:
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' gts.go)
 
 # loc-check fails when a count `make loc` prints exceeds the ceiling written
-# here. The ceilings are the results of the last PR that moved them (PR 24
-# lowered the total by 441 — incremental PageRank, the retained-state store's
-# counters and pre-image adjacency, kernels.LPDegrees — and the engine's by
-# 18: service's incSupported/deltaPlan/switch blocks became two hooks on its
-# algorithm table), so a count can only go down, and a PR that has to raise
-# one says so by editing the number beside it.
-LOC_MAX_TOTAL = 20712
-LOC_MAX_ENGINE_AND_API = 5510
-LOC_MAX_ENGINE = 4697
+# here. The ceilings are the results of the last PR that moved them (PR 25
+# lowered the total by 256 — delta-stepping kernels.DeltaSSSP,
+# MutableGraph.OnCommit, incremental.Entry.Source and the bfs hook's
+# unreachable source check — and the engine's by 8), so a count can only go
+# down, and a PR that has to raise one says so by editing the number beside it.
+LOC_MAX_TOTAL = 20456
+LOC_MAX_ENGINE_AND_API = 5493
+LOC_MAX_ENGINE = 4689
 LOC_MAX_GTSD_FLAGS = 24
 LOC_MAX_CONFIG_FIELDS = 13
 loc-check:

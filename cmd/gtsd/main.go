@@ -63,7 +63,7 @@ func main() {
 	gpus := flag.Int("gpus", 1, "GPUs per pooled engine")
 	streams := flag.Int("streams", 0, "GPU streams per engine (0 = default 32)")
 	strategy := flag.String("strategy", "p", "multi-GPU strategy: p (performance) | s (scalability)")
-	directionOpt := flag.Bool("direction-opt", false, "serve bfs/sssp with the direction-optimizing frontier kernels (push/pull BFS, delta-stepping SSSP; result values identical to the plain kernels)")
+	directionOpt := flag.Bool("direction-opt", false, "serve bfs with the direction-optimizing frontier kernel (per-level push/pull; levels identical to the plain kernel; every other algorithm, sssp included, runs its plain kernel)")
 	storage := flag.String("storage", "mem", "graph placement: mem (all in main memory) | ssd | hdd (stream pages from simulated storage)")
 	poolBytes := flag.Int64("pool-bytes", 0, "shared host page-pool budget per graph in bytes — one pinned buffer (victim: the page most recently released, which a cyclic scan reuses last) ALL of a graph's engines stream through, so hot pages occupy host memory once however many jobs run and stay warm between jobs (0 = a fresh private buffer of 20% of the topology per run; needs -storage ssd|hdd)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault-injection seed (chaos testing; replayable)")
@@ -116,7 +116,7 @@ func main() {
 		log.Printf("gtsd: fault injection armed (seed %d)", plan.Seed)
 	}
 	if *directionOpt {
-		log.Printf("gtsd: direction-optimizing frontier kernels enabled for bfs/sssp")
+		log.Printf("gtsd: direction-optimizing frontier kernel enabled for bfs")
 	}
 
 	if *incrementalFlag {

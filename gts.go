@@ -118,14 +118,13 @@ type Config struct {
 	// byte-identical to a fault-free run — and returns an error wrapping
 	// ErrHardwareFault when a fault persists beyond the retry budget.
 	Faults *FaultPlan
-	// DirectionOpt swaps BFS and SSSP onto the direction-optimizing
-	// frontier kernels (kernels.DirBFS / kernels.DeltaSSSP): BFS switches
-	// per level between sparse push and dense pull on frontier-edge
-	// density, and SSSP runs delta-stepping bucketed frontiers. Result
-	// values are identical to the plain kernels (BFS levels exactly; SSSP
-	// distances bitwise); traversal schedules, data movement, and MTEPS
+	// DirectionOpt runs BFS on the direction-optimizing frontier kernel
+	// (kernels.DirBFS), which switches per level between sparse push and
+	// dense pull on frontier-edge density. Levels are identical to the
+	// plain kernel's; traversal schedule, data movement and MTEPS
 	// accounting differ. Per-level directions surface in Metrics.LevelDirs
-	// and on Superstep trace spans.
+	// and on Superstep trace spans. Every other algorithm, SSSP included,
+	// runs its plain kernel either way.
 	DirectionOpt bool
 	// PoolBytes sizes the host page buffer storage-backed runs stream
 	// through (internal/bufpool, the paper's MMBuf). 0 gives every run a
@@ -378,17 +377,9 @@ type SSSPResult struct {
 	Dist []float32
 }
 
-// SSSP runs single-source shortest paths from source. With
-// Config.DirectionOpt it uses the delta-stepping kernel; distances are
-// bitwise identical either way.
+// SSSP runs single-source shortest paths from source.
 func (s *System) SSSP(source uint64) (*SSSPResult, error) {
-	var k interface {
-		Kernel
-		Distances(KernelState) []float32
-	} = kernels.NewSSSP(s.graph)
-	if s.cfg.DirectionOpt {
-		k = kernels.NewDeltaSSSP(s.graph)
-	}
+	k := kernels.NewSSSP(s.graph)
 	rep, err := s.run(k, source)
 	if err != nil {
 		return nil, err

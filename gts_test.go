@@ -72,6 +72,47 @@ func TestSourceOutOfRangeIsAnError(t *testing.T) {
 	}
 }
 
+// TestDirectionOptSSSPIsPlainSSSP: DirectionOpt selects DirBFS for BFS and
+// nothing else, so SSSP on such a System is the plain kernel's run — same
+// distances to the bit, same virtual time, depth and data movement, and no
+// direction schedule — clean and under the chaos fault plan.
+func TestDirectionOptSSSPIsPlainSSSP(t *testing.T) {
+	g := smallGraph(t)
+	for _, cfg := range []Config{{}, {Storage: SSDs, Faults: chaosFaultPlan()}} {
+		dirCfg := cfg
+		dirCfg.DirectionOpt = true
+		var res [2]*SSSPResult
+		for i, c := range []Config{cfg, dirCfg} {
+			sys, err := NewSystem(g, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i], err = sys.SSSP(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plain, dir := res[0], res[1]
+		faulted := cfg.Faults != nil
+		for v := range plain.Dist {
+			if math.Float32bits(dir.Dist[v]) != math.Float32bits(plain.Dist[v]) {
+				t.Fatalf("faulted=%v: vertex %d dist = %v, plain System %v", faulted, v, dir.Dist[v], plain.Dist[v])
+			}
+		}
+		if dir.Elapsed != plain.Elapsed || dir.Levels != plain.Levels ||
+			dir.PagesStreamed != plain.PagesStreamed || dir.BytesToGPU != plain.BytesToGPU {
+			t.Errorf("faulted=%v: DirectionOpt run (elapsed %v, %d levels, %d pages, %d B) differs from plain (%v, %d, %d, %d B)",
+				faulted, dir.Elapsed, dir.Levels, dir.PagesStreamed, dir.BytesToGPU,
+				plain.Elapsed, plain.Levels, plain.PagesStreamed, plain.BytesToGPU)
+		}
+		if len(dir.LevelDirs) != 0 {
+			t.Errorf("faulted=%v: LevelDirs = %v, want none", faulted, dir.LevelDirs)
+		}
+		if faulted && dir.Faults.Injected() == 0 {
+			t.Error("chaos plan injected nothing")
+		}
+	}
+}
+
 func TestEndToEndAllAlgorithms(t *testing.T) {
 	d, _ := graphgen.ByName("RMAT27")
 	raw := d.MustGenerate(27 - 11)

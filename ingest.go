@@ -45,8 +45,7 @@ type MutableGraph struct {
 	dead     atomic.Bool   // an injected crash killed the ingest path
 	replayed int           // batches replayed at open
 
-	onCommit    []func(epoch uint64, snapshot *Graph)
-	onCommitOps []func(prevEpoch, epoch uint64, ops []EdgeOp, old, snapshot *Graph)
+	onCommitOps []func(prevEpoch, epoch uint64, ops []EdgeOp)
 }
 
 // MutableOptions tunes OpenMutable.
@@ -127,22 +126,11 @@ func (m *MutableGraph) WALPath() string { return m.log.Path() }
 // Dead reports whether an injected crash killed the ingest path.
 func (m *MutableGraph) Dead() bool { return m.dead.Load() }
 
-// OnCommit registers fn to run (under the ingest lock, in commit order)
-// after every successfully applied batch. The service layer uses this to
-// fence schedulers and invalidate pools.
-func (m *MutableGraph) OnCommit(fn func(epoch uint64, snapshot *Graph)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onCommit = append(m.onCommit, fn)
-}
-
 // OnCommitOps registers fn to run (under the ingest lock, in commit order)
-// after every successfully applied batch, with the full commit context:
-// the epoch edge it spans, the applied ops, and both the pre-commit and
-// post-commit snapshots. The incremental-recompute layer uses this to
-// migrate retained state across the epoch fence; it reads the epochs and
-// the ops only.
-func (m *MutableGraph) OnCommitOps(fn func(prevEpoch, epoch uint64, ops []EdgeOp, old, snapshot *Graph)) {
+// after every successfully applied batch, with the epoch edge it spans and
+// the applied ops. The incremental-recompute layer uses this to migrate
+// retained state across the epoch fence.
+func (m *MutableGraph) OnCommitOps(fn func(prevEpoch, epoch uint64, ops []EdgeOp)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.onCommitOps = append(m.onCommitOps, fn)
@@ -199,12 +187,7 @@ func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 		return 0, fmt.Errorf("gts: crash during page swap (batch %d durable, not applied): %w", lsn, ErrCrashed)
 	}
 	prevEpoch := m.epoch.Load()
-	var old *Graph
-	if len(m.onCommitOps) > 0 {
-		old = m.mut.Snapshot()
-	}
-	snap, err := m.mut.ApplyBatch(ops)
-	if err != nil {
+	if _, err := m.mut.ApplyBatch(ops); err != nil {
 		// Unreachable for batches the pre-check admitted; if it happens the
 		// log holds a durable batch the apply path rejects, so fail loudly
 		// rather than diverge from what recovery would replay.
@@ -212,11 +195,8 @@ func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 		return 0, fmt.Errorf("gts: batch %d durable but unappliable: %w", lsn, err)
 	}
 	m.epoch.Store(lsn)
-	for _, fn := range m.onCommit {
-		fn(lsn, snap)
-	}
 	for _, fn := range m.onCommitOps {
-		fn(prevEpoch, lsn, ops, old, snap)
+		fn(prevEpoch, lsn, ops)
 	}
 	return lsn, nil
 }

@@ -24,7 +24,7 @@ import (
 // silently miss that batch's effects.
 func incAttach(mg *gts.MutableGraph) *incremental.Store {
 	st := incremental.NewStore(mg.Epoch())
-	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, _, _ *gts.Graph) {
+	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp) {
 		st.Commit(prev, epoch, ops)
 	})
 	return st
@@ -43,7 +43,7 @@ func incCapture(t *testing.T, st *incremental.Store, mg *gts.MutableGraph) {
 		t.Fatal(err)
 	}
 	if !st.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: mg.Epoch(),
-		Source: 0, Levels: bfs.Levels}) {
+		Levels: bfs.Levels}) {
 		t.Fatalf("bfs capture rejected at epoch %d", mg.Epoch())
 	}
 }

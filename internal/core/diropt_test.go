@@ -6,59 +6,51 @@ import (
 	"testing"
 )
 
-// TestDirOptMatchesPlainKernels pins the direction-optimizing kernels to
-// their plain counterparts: DirBFS in every mode must reproduce BFS's
-// levels byte-for-byte, and DeltaSSSP must reproduce SSSP's distances.
+// TestDirOptMatchesPlainKernels pins the direction-optimizing BFS to the
+// plain kernel: DirBFS in every mode must reproduce BFS's levels
+// byte-for-byte.
 func TestDirOptMatchesPlainKernels(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	cases := kernelCases()
-	pairs := []struct{ plain, diropt kernelCase }{
-		{cases[0], cases[11]}, // BFS vs BFS-diropt
-		{cases[0], cases[12]}, // BFS vs forced push
-		{cases[0], cases[13]}, // BFS vs forced pull
-		{cases[1], cases[14]}, // SSSP vs SSSP-delta
-	}
-	for _, p := range pairs {
-		t.Run(p.diropt.name, func(t *testing.T) {
-			want, _ := runDigest(t, sp, p.plain, Options{Source: 0}, 1, 0)
-			got, _ := runDigest(t, sp, p.diropt, Options{Source: 0}, 1, 0)
+	want, _ := runDigest(t, sp, cases[0], Options{Source: 0}, 1, 0)
+	for _, kc := range cases[11:14] { // BFS-diropt, forced push, forced pull
+		t.Run(kc.name, func(t *testing.T) {
+			got, _ := runDigest(t, sp, kc, Options{Source: 0}, 1, 0)
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s state differs from %s", p.diropt.name, p.plain.name)
+				t.Errorf("%s state differs from BFS", kc.name)
 			}
 		})
 	}
 }
 
-// TestDirOptUnderChaos runs the adaptive kernels through the chaos fault
+// TestDirOptUnderChaos runs the adaptive kernel through the chaos fault
 // plan: recovery replays must preserve both the values and the planned
 // direction schedule of a fault-free run, and replaying the plan must
 // reproduce the faulted run's report.
 func TestDirOptUnderChaos(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	cases := kernelCases()
-	for _, kc := range []kernelCase{cases[11], cases[14]} { // BFS-diropt, SSSP-delta
-		t.Run(kc.name, func(t *testing.T) {
-			cleanBytes, cleanRep := runDigest(t, sp, kc, Options{Source: 0}, 2, 2)
-			opts := Options{Source: 0, Faults: chaosPlan()}
-			wantBytes, wantRep := runDigest(t, sp, kc, opts, 2, 2)
-			gotBytes, gotRep := runDigest(t, sp, kc, opts, 2, 2)
-			if !bytes.Equal(wantBytes, cleanBytes) || !bytes.Equal(gotBytes, wantBytes) {
-				t.Error("state not byte-identical to the fault-free run under faults")
-			}
-			if fmt.Sprint(wantRep.LevelDirs) != fmt.Sprint(cleanRep.LevelDirs) {
-				t.Errorf("direction schedule differs from the fault-free run: %v vs %v", wantRep.LevelDirs, cleanRep.LevelDirs)
-			}
-			sameRun(t, kc.name+" replay", wantRep, gotRep)
-			if len(wantRep.LevelDirs) == 0 {
-				t.Error("LevelDirs empty for a direction-planning kernel")
-			}
-			if fmt.Sprint(wantRep.LevelDirs) != fmt.Sprint(gotRep.LevelDirs) {
-				t.Errorf("direction schedule differs: %v vs %v", wantRep.LevelDirs, gotRep.LevelDirs)
-			}
-		})
-	}
+	kc := kernelCases()[11] // BFS-diropt
+	t.Run(kc.name, func(t *testing.T) {
+		cleanBytes, cleanRep := runDigest(t, sp, kc, Options{Source: 0}, 2, 2)
+		opts := Options{Source: 0, Faults: chaosPlan()}
+		wantBytes, wantRep := runDigest(t, sp, kc, opts, 2, 2)
+		gotBytes, gotRep := runDigest(t, sp, kc, opts, 2, 2)
+		if !bytes.Equal(wantBytes, cleanBytes) || !bytes.Equal(gotBytes, wantBytes) {
+			t.Error("state not byte-identical to the fault-free run under faults")
+		}
+		if fmt.Sprint(wantRep.LevelDirs) != fmt.Sprint(cleanRep.LevelDirs) {
+			t.Errorf("direction schedule differs from the fault-free run: %v vs %v", wantRep.LevelDirs, cleanRep.LevelDirs)
+		}
+		sameRun(t, kc.name+" replay", wantRep, gotRep)
+		if len(wantRep.LevelDirs) == 0 {
+			t.Error("LevelDirs empty for a direction-planning kernel")
+		}
+		if fmt.Sprint(wantRep.LevelDirs) != fmt.Sprint(gotRep.LevelDirs) {
+			t.Errorf("direction schedule differs: %v vs %v", wantRep.LevelDirs, gotRep.LevelDirs)
+		}
+	})
 }
 
 // sameRun asserts the deterministic Report fields match between two

@@ -37,7 +37,7 @@ func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incremental.Store) {
 	bfs := kernels.NewBFS(sp)
 	rep := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 0), bfs)
 	st.Capture("bfs", &incremental.Entry{
-		Kind: incremental.KindBFS, Epoch: 0, Source: 0,
+		Kind: incremental.KindBFS, Epoch: 0,
 		Levels:    append([]int16(nil), bfs.Levels(rep.State)...),
 		FullPages: rep.PagesStreamed,
 	})

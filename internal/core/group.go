@@ -783,9 +783,9 @@ func (d *driver) endWave(p *sim.Proc, m *member) {
 			}
 		})
 		// A planning kernel rebuilds the next frontier itself — this must
-		// run before the emptiness test, because bucketed kernels
-		// (DeltaSSSP) carry pending work in attribute state even when no
-		// page kernel marked a next page.
+		// run before the emptiness test, because a kernel with pending work
+		// of its own (incremental.IncBFS's level buckets) can have some
+		// even when no page kernel marked a next page.
 		m.planLevel(m.level+1, merged)
 		release()
 		m.putPidSet(m.next)

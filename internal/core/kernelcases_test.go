@@ -68,9 +68,9 @@ func kernelCases() []kernelCase {
 		{"Radius",
 			func(sp *slottedpage.Graph) kernels.Kernel { return kernels.NewRadius(sp, 4, 8) },
 			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.Radius).Radii(st)) }},
-		// The direction-optimizing frontier kernels, in every direction mode:
-		// adaptive switching, forced push, and forced pull must each agree
-		// with the plain kernels above (TestDirOptMatchesPlainKernels).
+		// The direction-optimizing BFS, in every direction mode: adaptive
+		// switching, forced push, and forced pull must each agree with the
+		// plain BFS above (TestDirOptMatchesPlainKernels).
 		{"BFS-diropt",
 			func(sp *slottedpage.Graph) kernels.Kernel { return kernels.NewDirBFS(sp) },
 			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.DirBFS).Levels(st)) }},
@@ -88,11 +88,6 @@ func kernelCases() []kernelCase {
 				return k
 			},
 			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.DirBFS).Levels(st)) }},
-		{"SSSP-delta",
-			func(sp *slottedpage.Graph) kernels.Kernel { return kernels.NewDeltaSSSP(sp) },
-			func(k kernels.Kernel, st kernels.State) []byte {
-				return encodeVec(k.(*kernels.DeltaSSSP).Distances(st))
-			}},
 	}
 }
 

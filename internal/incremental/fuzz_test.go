@@ -51,7 +51,7 @@ func FuzzDeltaExpand(f *testing.F) {
 		mut := slottedpage.NewMutable(base)
 		st := incremental.NewStore(0)
 		st.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0,
-			Source: bfsSource, Levels: o.levels})
+			Levels: o.levels})
 		st.Capture("cc", &incremental.Entry{Kind: incremental.KindCC, Epoch: 0,
 			Labels: o.labels})
 

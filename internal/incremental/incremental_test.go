@@ -38,7 +38,7 @@ func newHarness(t testing.TB, spec string) *harness {
 	}
 	t.Cleanup(func() { mg.Close() })
 	st := incremental.NewStore(mg.Epoch())
-	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, _, _ *gts.Graph) {
+	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp) {
 		st.Commit(prev, epoch, ops)
 	})
 	return &harness{mg: mg, st: st}
@@ -85,7 +85,7 @@ func (h *harness) capture(t testing.TB, o *oracle) {
 	t.Helper()
 	epoch := h.mg.Epoch()
 	if !h.st.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: epoch,
-		Source: bfsSource, Levels: o.levels, FullPages: o.bfsPages}) {
+		Levels: o.levels, FullPages: o.bfsPages}) {
 		t.Fatalf("bfs capture rejected at epoch %d", epoch)
 	}
 	if !h.st.Capture("cc", &incremental.Entry{Kind: incremental.KindCC, Epoch: epoch,

@@ -92,7 +92,7 @@ func TestLargePageDeltaExpansion(t *testing.T) {
 func planFixpoint(t testing.TB, g *gts.Graph, o *oracle) (*incremental.IncBFS, *incremental.IncCC) {
 	t.Helper()
 	kb, r := incremental.PlanBFS(g, &incremental.Entry{Kind: incremental.KindBFS,
-		Source: bfsSource, Levels: o.levels}, incremental.Delta{})
+		Levels: o.levels}, incremental.Delta{})
 	if r != "" {
 		t.Fatalf("bfs plan: %q", r)
 	}
@@ -209,7 +209,7 @@ func TestOwnershipBounds(t *testing.T) {
 	staleLv := append([]int16(nil), o.levels...)
 	staleLv[dst] = unvisitedLevel
 	kb, r := incremental.PlanBFS(g, &incremental.Entry{Kind: incremental.KindBFS,
-		Source: bfsSource, Levels: staleLv}, delta)
+		Levels: staleLv}, delta)
 	if r != "" || kb.Seeds == 0 {
 		t.Fatalf("bfs plan: reason %q, %d seeds", r, kb.Seeds)
 	}

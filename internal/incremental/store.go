@@ -59,9 +59,8 @@ type Entry struct {
 	Kind  Kind
 	Epoch uint64 // snapshot epoch the run computed against
 
-	// BFS: final levels (-1 unreached) and the source vertex.
+	// BFS: final levels (-1 unreached). The source is in the store key.
 	Levels []int16
-	Source uint64
 
 	// CC: final component labels.
 	Labels []uint32

@@ -97,7 +97,7 @@ func TestStoreBoundsEntries(t *testing.T) {
 	s := incremental.NewStore(0)
 	total := incremental.MaxEntries + 8
 	for i := 0; i < total; i++ {
-		if !s.Capture(fmt.Sprint("bfs?", i), &incremental.Entry{Kind: incremental.KindBFS, Source: uint64(i)}) {
+		if !s.Capture(fmt.Sprint("bfs?", i), &incremental.Entry{Kind: incremental.KindBFS, FullPages: int64(i)}) {
 			t.Fatalf("capture %d rejected", i)
 		}
 	}
@@ -109,13 +109,13 @@ func TestStoreBoundsEntries(t *testing.T) {
 		if want := i >= 8; ok != want {
 			t.Fatalf("key %d retained = %v, want %v (the 8 oldest go)", i, ok, want)
 		}
-		if ok && e.Source != uint64(i) {
-			t.Fatalf("key %d holds source %d", i, e.Source)
+		if ok && e.FullPages != int64(i) {
+			t.Fatalf("key %d holds entry %d", i, e.FullPages)
 		}
 	}
 	// Re-capturing a held key replaces it in place and makes it the newest:
 	// nothing is evicted for it, and the next new key evicts key 9, not key 8.
-	s.Capture("bfs?8", &incremental.Entry{Kind: incremental.KindBFS, Source: 8})
+	s.Capture("bfs?8", &incremental.Entry{Kind: incremental.KindBFS, FullPages: 8})
 	s.Capture("bfs?new", &incremental.Entry{Kind: incremental.KindBFS})
 	if _, _, ok := s.Lookup("bfs?8"); !ok || s.Len() != incremental.MaxEntries {
 		t.Fatalf("re-captured key evicted (held %v, Len %d)", ok, s.Len())
@@ -154,7 +154,7 @@ func TestPlannerFallbackReasons(t *testing.T) {
 		labels[i] = uint32(i)
 	}
 
-	bfsEntry := &incremental.Entry{Kind: incremental.KindBFS, Levels: lv, Source: 0}
+	bfsEntry := &incremental.Entry{Kind: incremental.KindBFS, Levels: lv}
 	ccEntry := &incremental.Entry{Kind: incremental.KindCC, Labels: labels}
 
 	var tight gts.EdgeOp

@@ -39,7 +39,6 @@ func BenchmarkPageKernels(b *testing.B) {
 		func() Kernel { return NewBFS(sp) },
 		func() Kernel { return NewSSSP(sp) },
 		func() Kernel { return NewDirBFS(sp) },
-		func() Kernel { return NewDeltaSSSP(sp) },
 		func() Kernel { return NewPageRank(sp, 0.85, 1) },
 		func() Kernel { return NewCC(sp) },
 		func() Kernel { return NewBC(sp) },

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -37,28 +36,6 @@ func TestDriverDirBFS(t *testing.T) {
 		}
 		if built := k.rev.offsets != nil; built != (mode != DirForcePush) {
 			t.Fatalf("mode=%v: reverse index built = %v", mode, built)
-		}
-	}
-}
-
-// TestDriverDeltaSSSP drives delta-stepping SSSP against the float64
-// reference (exact: the synthetic weights and float32 adds make every path
-// sum deterministic).
-func TestDriverDeltaSSSP(t *testing.T) {
-	g, sp := driverGraph(t)
-	want := verify.SSSP(g, 0, Weight)
-	k := NewDeltaSSSP(sp)
-	st := drive(t, k, sp, 0)
-	got := k.Distances(st)
-	for v := range want {
-		if math.IsInf(want[v], 1) {
-			if got[v] != float32(math.MaxFloat32) {
-				t.Fatalf("vertex %d should be unreachable, got %v", v, got[v])
-			}
-			continue
-		}
-		if float64(got[v]) != want[v] {
-			t.Fatalf("vertex %d dist = %v, want %v", v, got[v], want[v])
 		}
 	}
 }
@@ -178,44 +155,9 @@ func TestDirOptKernelMetadata(t *testing.T) {
 	if bk.Name() != "BFS-diropt" || bk.Class() != BFSLike || bk.RAPerVertex() != 0 {
 		t.Errorf("DirBFS metadata: %q %v %d", bk.Name(), bk.Class(), bk.RAPerVertex())
 	}
-	sk := NewDeltaSSSP(sp)
-	if sk.Name() != "SSSP-delta" || sk.Class() != BFSLike || sk.RAPerVertex() != 0 {
-		t.Errorf("DeltaSSSP metadata: %q %v %d", sk.Name(), sk.Class(), sk.RAPerVertex())
-	}
-	// Termination belongs to PlanLevel for both.
-	if bk.EndIteration(nil, true) || sk.EndIteration(nil, true) {
+	// Termination belongs to PlanLevel.
+	if bk.EndIteration(nil, true) {
 		t.Error("frontier kernels must not extend runs via EndIteration")
 	}
 	bk.BeginLevel(nil, 0)
-	sk.BeginLevel(nil, 0)
-}
-
-// TestDeltaStateContract covers the delta-stepping state's size accounting
-// and replica cloning.
-func TestDeltaStateContract(t *testing.T) {
-	_, sp := driverGraph(t)
-	k := NewDeltaSSSP(sp)
-	st := k.NewState()
-	k.Init(st, 3)
-	if st.WABytes() <= 0 || st.RABytes() != 0 {
-		t.Errorf("WABytes=%d RABytes=%d", st.WABytes(), st.RABytes())
-	}
-	clone := st.Clone()
-	if !reflect.DeepEqual(st, clone) {
-		t.Error("clone differs from original")
-	}
-	// Mutating the clone must not alias the original.
-	k.Init(clone, 5)
-	if reflect.DeepEqual(st, clone) {
-		t.Error("clone aliases original state")
-	}
-	// Merge keeps the minimum distance and its pending flag.
-	a := st.(*deltaState)
-	b := st.Clone().(*deltaState)
-	a.dist[7], a.pend[7] = 4, false
-	b.dist[7], b.pend[7] = 2, true
-	k.MergeStates([]State{a, b})
-	if a.dist[7] != 2 || !a.pend[7] {
-		t.Errorf("merge kept dist=%v pend=%v, want 2/true", a.dist[7], a.pend[7])
-	}
 }

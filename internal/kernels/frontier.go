@@ -8,9 +8,11 @@ package kernels
 // live) so no dense per-level bitset of candidate pages is materialized and
 // then pruned: PlanLevel writes the exact page set in one pass over state.
 //
-// Two built-in kernels use the contract: DirBFS (direction-optimizing BFS,
-// push/pull switching on frontier-edge density) and DeltaSSSP
-// (delta-stepping SSSP with bucketed frontiers).
+// DirBFS (direction-optimizing BFS, push/pull switching on frontier-edge
+// density) uses the contract here; incremental.IncBFS and incremental.IncCC
+// use it to re-plan from retained state. SSSP does not plan its levels:
+// delta-stepping buckets streamed the same pages over 1.8× the levels
+// (EXPERIMENTS.md, "sssp").
 
 import (
 	"sync"
@@ -65,8 +67,9 @@ const (
 // FrontierKernel is a kernel that plans its own levels. The engine calls
 // PlanLevel after seeding and again after every superstep's merge, *before*
 // testing the frontier for emptiness: the plan owns termination (an empty
-// next set ends the run), which lets bucketed kernels keep running off
-// pending state even when no page kernel marked a next page.
+// next set ends the run), which lets a kernel that keeps pending work of its
+// own (IncBFS's per-level buckets) keep running even when no page kernel
+// marked a next page.
 //
 // PlanLevel must rebuild next from scratch (Reset, then mark), reading only
 // the merged attribute state — replicas are identical again when it runs —
@@ -79,10 +82,7 @@ type FrontierKernel interface {
 	PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 }
 
-var (
-	_ FrontierKernel = (*DirBFS)(nil)
-	_ FrontierKernel = (*DeltaSSSP)(nil)
-)
+var _ FrontierKernel = (*DirBFS)(nil)
 
 // revAdj is a host-side reverse CSR over the slotted pages: pull-direction
 // kernels scan in(v) instead of streaming every frontier page. It is built

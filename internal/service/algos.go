@@ -50,11 +50,12 @@ type algorithm struct {
 	// retain, when set, fills e with what a later delta-expansion needs from a
 	// finished run's output; an algorithm without it has no retained state
 	// and always runs in full.
-	retain func(e *incremental.Entry, p Params, output any)
+	retain func(e *incremental.Entry, output any)
 	// replan, set together with retain, plans the delta-expansion of prior
 	// across d on g (the plan's kernel, seed count and decoder), or reports
-	// why that cannot be exact.
-	replan func(g *gts.Graph, p Params, prior *incremental.Entry, d incremental.Delta) (plan, string)
+	// why that cannot be exact. prior was retained under the same
+	// normalized Params (the store key), so it needs none of its own.
+	replan func(g *gts.Graph, prior *incremental.Entry, d incremental.Delta) (plan, string)
 }
 
 var algorithms = map[string]algorithm{
@@ -72,14 +73,11 @@ var algorithms = map[string]algorithm{
 				return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
 			}
 		},
-		retain: func(e *incremental.Entry, p Params, output any) {
-			e.Kind, e.Source = incremental.KindBFS, p.Source
+		retain: func(e *incremental.Entry, output any) {
+			e.Kind = incremental.KindBFS
 			e.Levels = append([]int16(nil), output.(*gts.BFSResult).Levels...)
 		},
-		replan: func(g *gts.Graph, p Params, prior *incremental.Entry, d incremental.Delta) (plan, string) {
-			if prior.Source != p.Source {
-				return plan{}, "source-mismatch"
-			}
+		replan: func(g *gts.Graph, prior *incremental.Entry, d incremental.Delta) (plan, string) {
 			k, reason := incremental.PlanBFS(g, prior, d)
 			if reason != "" {
 				return plan{}, reason
@@ -109,14 +107,8 @@ var algorithms = map[string]algorithm{
 	},
 	"sssp": {
 		normalize: func(p Params) Params { return Params{Source: p.Source} },
-		kernel: func(g *gts.Graph, cfg gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
-			var k interface {
-				gts.Kernel
-				Distances(gts.KernelState) []float32
-			} = kernels.NewSSSP(g)
-			if cfg.DirectionOpt {
-				k = kernels.NewDeltaSSSP(g)
-			}
+		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+			k := kernels.NewSSSP(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.SSSPResult{Metrics: m, Dist: k.Distances(st)}
 			}
@@ -130,11 +122,11 @@ var algorithms = map[string]algorithm{
 				return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
 			}
 		},
-		retain: func(e *incremental.Entry, _ Params, output any) {
+		retain: func(e *incremental.Entry, output any) {
 			e.Kind = incremental.KindCC
 			e.Labels = append([]uint32(nil), output.(*gts.CCResult).Labels...)
 		},
-		replan: func(g *gts.Graph, _ Params, prior *incremental.Entry, d incremental.Delta) (plan, string) {
+		replan: func(g *gts.Graph, prior *incremental.Entry, d incremental.Delta) (plan, string) {
 			k, reason := incremental.PlanCC(g, prior, d)
 			if reason != "" {
 				return plan{}, reason

@@ -205,7 +205,7 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 		// recovered LSN counter). The commit hook runs under the ingest
 		// lock, so the chain records commits in order.
 		inc := incremental.NewStore(mg.Epoch())
-		mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp, _, _ *gts.Graph) {
+		mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp) {
 			inc.Commit(prev, epoch, ops)
 		})
 		entry.inc = inc

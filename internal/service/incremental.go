@@ -33,10 +33,10 @@ func planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, a algorith
 	fallback := ""
 	if req.Incremental {
 		if prior, delta, ok := entry.inc.Lookup(key); ok {
-			pl, reason := a.replan(g, p, prior, delta)
+			pl, reason := a.replan(g, prior, delta)
 			if reason == "" {
 				pl.job.Source, pl.hit, pl.priorFull = p.Source, true, prior.FullPages
-				pl.capture = retain(entry, key, a, p, prior.FullPages)
+				pl.capture = retain(entry, key, a, prior.FullPages)
 				return pl
 			}
 			fallback = reason
@@ -46,7 +46,7 @@ func planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, a algorith
 	}
 	pl := plan{fallback: fallback}
 	pl.job.Kernel, pl.job.Source, pl.decode = a.kernel(g, cfg, p)
-	pl.capture = retain(entry, key, a, p, -1)
+	pl.capture = retain(entry, key, a, -1)
 	return pl
 }
 
@@ -54,13 +54,13 @@ func planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, a algorith
 // graph's retained entry for key, at the epoch the job ran on. fullPages is
 // the from-scratch page cost the entry remembers: a delta run inherits its
 // prior entry's, a full run (fullPages < 0) records its own.
-func retain(entry *graphEntry, key string, a algorithm, p Params, fullPages int64) func(any, gts.Metrics) {
+func retain(entry *graphEntry, key string, a algorithm, fullPages int64) func(any, gts.Metrics) {
 	return func(output any, m gts.Metrics) {
 		e := &incremental.Entry{Epoch: entry.epoch, FullPages: fullPages}
 		if fullPages < 0 {
 			e.FullPages = m.PagesStreamed
 		}
-		a.retain(e, p, output)
+		a.retain(e, output)
 		entry.inc.Capture(key, e)
 	}
 }
