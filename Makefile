@@ -65,6 +65,9 @@ cover:
 # derives a graph, a group of 2-20 plain-BFS members, their sources and join
 # waves from a seed and runs them in lock step through the group page kernel
 # and through one solo kernel each: every (wave, lane, page) Result equal.
+# FuzzHTTPRequests sends gtsd's handler runs (any algorithm segment, timeout
+# and mode), ingest batches and graph loads with arbitrary bodies: no panic,
+# no 5xx but an expired deadline's 504, and every 2xx body valid JSON.
 # Go allows one -fuzz target per invocation, hence the separate runs.
 fuzz:
 	$(GO) test ./internal/slottedpage -run '^$$' -fuzz '^FuzzStoreRead$$' -fuzztime $(FUZZTIME)
@@ -77,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/incremental -run '^$$' -fuzz '^FuzzDeltaExpand$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzVectorJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzHTTPRequests$$' -fuzztime $(FUZZTIME)
 
 # The root package's end-to-end benchmarks, then the three layers under every
 # host-clock number: the page kernels (BenchmarkPageKernels: ns/edge per
@@ -128,14 +132,12 @@ loc:
 		$$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' gts.go)
 
 # loc-check fails when a count `make loc` prints exceeds the ceiling written
-# here. The ceilings are the results of the last PR that moved them (PR 25
-# lowered the total by 256 — delta-stepping kernels.DeltaSSSP,
-# MutableGraph.OnCommit, incremental.Entry.Source and the bfs hook's
-# unreachable source check — and the engine's by 8), so a count can only go
-# down, and a PR that has to raise one says so by editing the number beside it.
-LOC_MAX_TOTAL = 20456
-LOC_MAX_ENGINE_AND_API = 5493
-LOC_MAX_ENGINE = 4689
+# here. The ceilings are the counts of the last change that moved them, so a
+# count can only go down, and a change that has to raise one says so by
+# editing the number beside it and naming the lines in CHANGES.md.
+LOC_MAX_TOTAL = 20496
+LOC_MAX_ENGINE_AND_API = 5531
+LOC_MAX_ENGINE = 4688
 LOC_MAX_GTSD_FLAGS = 24
 LOC_MAX_CONFIG_FIELDS = 13
 loc-check:

@@ -18,7 +18,9 @@
 package gts
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -188,6 +190,11 @@ var ErrWontFit = core.ErrWontFit
 // ErrSourceOutOfRange reports a run from a vertex the graph does not have.
 var ErrSourceOutOfRange = core.ErrSourceOutOfRange
 
+// ErrInvalid reports input the system cannot take: an Open spec that names
+// no dataset or shrink, a Config NewSystem rejects, an ingested edge beyond
+// the graph's addressable vertices.
+var ErrInvalid = errors.New("gts: invalid input")
+
 // CacheDisabled turns the device page cache off (Config.CacheBytes).
 const CacheDisabled = core.CacheDisabled
 
@@ -287,10 +294,10 @@ type System struct {
 	runMu sync.Mutex   // serializes algorithm runs (see the type comment)
 }
 
-// NewSystem validates the configuration against the graph. A Config with
-// PoolBytes > 0 and no Config.HostPool gets a System-lifetime pool of its
-// own; pass the same NewHostPool result to several Systems (or use a
-// SystemPool) to share.
+// NewSystem validates the configuration against the graph (a rejected one
+// is ErrInvalid). A Config with PoolBytes > 0 and no Config.HostPool gets a
+// System-lifetime pool of its own; pass the same NewHostPool result to
+// several Systems (or use a SystemPool) to share.
 func NewSystem(g *Graph, cfg Config) (*System, error) {
 	cfg, err := cfg.withSharedPool(g)
 	if err != nil {
@@ -308,7 +315,7 @@ func NewSystem(g *Graph, cfg Config) (*System, error) {
 		HostPool:   cfg.HostPool,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	return &System{graph: g, cfg: cfg, eng: eng}, nil
 }
@@ -575,7 +582,8 @@ func (s *System) RunKernel(k Kernel, source uint64) (KernelState, Metrics, error
 }
 
 // SharedJob is one member of a RunShared wave group. A nil Faults inherits
-// the system's Config.Faults; a nil Trace inherits Config.Trace.
+// the system's Config.Faults; a nil Trace inherits Config.Trace. Done, when
+// set, receives the job's outcome as it leaves its group (see RunGroup).
 type SharedJob = core.SharedJob
 
 // SharedOutcome is one member's result from RunShared: its State and
@@ -583,18 +591,49 @@ type SharedJob = core.SharedJob
 type SharedOutcome = core.SharedOutcome
 
 // SharedStats aggregates a wave group's accounting (shared page copies,
-// bytes saved, amortized traffic per member); see core.SharedStats.
+// bytes saved, traffic paid); see core.SharedStats.
 type SharedStats = core.SharedStats
 
-// RunShared executes jobs as one wave group on a single simulated machine:
+// RunGroup executes jobs as one wave group on a single simulated machine:
 // every superstep, the union of the members' page demands streams to the
 // GPUs once and each resident page serves every demanding member's kernel.
 // Each member's final state is byte-identical to what its solo run would
 // produce. admit, when non-nil, is polled at wave boundaries for late
-// joiners; outcomes are indexed in admission order (initial jobs first).
+// joiners. Each job answers through its Done as it leaves the group, so one
+// that finishes early does not wait for the rest (core.Engine.RunShared).
 // Like all algorithm entry points it serializes on the System's run mutex.
-func (s *System) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
+func (s *System) RunGroup(jobs []SharedJob, admit func() []SharedJob) (SharedStats, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	return s.eng.RunShared(jobs, admit)
+}
+
+// RunShared is RunGroup returning every outcome at the end, in admission
+// order (the initial jobs, then each batch admit returned); a Done a job
+// carries is still called as the job leaves. The jobs are not modified.
+func (s *System) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
+	var outs []SharedOutcome
+	enlist := func(batch []SharedJob) []SharedJob {
+		batch = slices.Clone(batch)
+		for i := range batch {
+			idx, done := len(outs), batch[i].Done
+			outs = append(outs, SharedOutcome{})
+			batch[i].Done = func(o SharedOutcome) {
+				outs[idx] = o
+				if done != nil {
+					done(o)
+				}
+			}
+		}
+		return batch
+	}
+	var enlisted func() []SharedJob
+	if admit != nil {
+		enlisted = func() []SharedJob { return enlist(admit()) }
+	}
+	stats, err := s.RunGroup(enlist(jobs), enlisted)
+	if err != nil {
+		return nil, SharedStats{}, err
+	}
+	return outs, stats, nil
 }

@@ -165,7 +165,7 @@ func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 	limit := m.mut.Snapshot().Config().MaxAddressableVertices()
 	for _, op := range ops {
 		if op.Src >= limit || op.Dst >= limit {
-			return 0, fmt.Errorf("gts: edge %d->%d exceeds addressable capacity %d", op.Src, op.Dst, limit)
+			return 0, fmt.Errorf("%w: edge %d->%d exceeds addressable capacity %d", ErrInvalid, op.Src, op.Dst, limit)
 		}
 	}
 	wops := make([]wal.Op, len(ops))

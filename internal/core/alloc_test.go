@@ -53,7 +53,7 @@ func TestComputeKernelsAllocBudget(t *testing.T) {
 	// inDriver runs body as the framework process of a group of jobs that has
 	// begun its members and grown its demand tables.
 	inDriver := func(jobs []SharedJob, body func(p *sim.Proc, d *driver)) {
-		d, roster, err := newEngine(t, sp, Options{}, 1, 0).newDriver(jobs, nil)
+		d, err := newEngine(t, sp, Options{}, 1, 0).newDriver(jobs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestComputeKernelsAllocBudget(t *testing.T) {
 		d.pids, d.off, d.dem = make([]slottedpage.PageID, 0, n), make([]int, 0, n+1), make([]demand, 0, n)
 		d.cur, d.gpuEnd, d.lanes = make([]int, 0, len(jobs)), make([]int, 0, 1), make([]kernels.BFSLane, 0, len(jobs))
 		d.env.Process("alloc-budget", func(p *sim.Proc) {
-			for _, m := range roster {
+			for _, m := range d.active {
 				d.beginMember(p, m)
 			}
 			body(p, d)

@@ -398,13 +398,17 @@ func TestReportMetricsSane(t *testing.T) {
 	for _, src := range bfsSources(8, big.NumVertices()) {
 		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(big), Source: src})
 	}
-	d, roster, err := newEngine(t, big, Options{}, 1, 0).newDriver(jobs, nil)
+	var outs []SharedOutcome
+	for i := range jobs {
+		jobs[i].Done = func(o SharedOutcome) { outs = append(outs, o) }
+	}
+	d, err := newEngine(t, big, Options{}, 1, 0).newDriver(jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var outer time.Duration
 	d.env.Process("timed-waves", func(p *sim.Proc) {
-		for _, m := range roster {
+		for _, m := range d.active {
 			d.beginMember(p, m)
 		}
 		for len(d.active) > 0 {
@@ -427,7 +431,10 @@ func TestReportMetricsSane(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum time.Duration
-	for i, o := range d.outcomes {
+	if len(outs) != len(jobs) {
+		t.Fatalf("%d of %d jobs heard their outcome", len(outs), len(jobs))
+	}
+	for i, o := range outs {
 		if o.Err != nil || o.HostKernelWall <= 0 {
 			t.Fatalf("member %d: err %v, HostKernelWall %v", i, o.Err, o.HostKernelWall)
 		}

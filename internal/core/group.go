@@ -20,11 +20,12 @@ package core
 //
 // Membership changes at wave boundaries: the admit callback is polled
 // between waves, joiners upload their WA and enter the next wave, finished
-// members copy their WA out and retire. A member whose WA does not fit even
-// after dropping the shared page cache is declined (the caller re-runs it on
-// a machine of its own); a member whose fault budget is exhausted aborts
-// alone — the next live demander of each page it was serving takes over the
-// copy with a fresh retry budget, so a faulted member never stalls its group.
+// members copy their WA out, retire and answer through their job's Done. A
+// member whose WA does not fit even after dropping the shared page cache is
+// declined (the caller re-runs it on a machine of its own); a member whose
+// fault budget is exhausted aborts alone — the next live demander of each
+// page it was serving takes over the copy with a fresh retry budget, so a
+// faulted member never stalls its group.
 
 import (
 	"errors"
@@ -43,12 +44,14 @@ import (
 // SharedJob describes one member of a shared run — the one declaration of a
 // job every layer above aliases. Faults and Trace are per-member: each
 // member draws from its own injector and emits spans into its own recorder;
-// nil inherits the engine's Options.Faults or Options.Trace.
+// nil inherits the engine's Options.Faults or Options.Trace. Done, when
+// non-nil, is how the job's outcome leaves the group (see RunShared).
 type SharedJob struct {
 	Kernel kernels.Kernel
 	Source uint64
 	Faults *fault.Plan
 	Trace  *trace.Recorder
+	Done   func(SharedOutcome)
 }
 
 // SharedOutcome is one member's result. Exactly one of the Report, Err, or
@@ -63,11 +66,8 @@ type SharedOutcome struct {
 
 // SharedStats aggregates group-level accounting across the whole run.
 type SharedStats struct {
-	// Members admitted (excludes declined); Declined counts WA-won't-fit
-	// rejections; Waves is how many shared supersteps the group executed.
-	Members  int
-	Declined int
-	Waves    int64
+	// Waves is how many shared supersteps the group executed.
+	Waves int64
 	// PageCopies counts topology page copies paid over PCI-E;
 	// SharedPageCopies is how many of those served more than one member;
 	// Servings counts member-kernel consumptions of streamed pages (the
@@ -84,19 +84,9 @@ type SharedStats struct {
 	BytesToGPU        int64
 	StorageBytes      int64
 	// EdgesTraversed sums member edge work; Elapsed is the group's virtual
-	// makespan; CacheShrinks counts page-cache drops made to fit a joining
-	// member's WA.
+	// makespan.
 	EdgesTraversed int64
-	CacheShrinks   int64
 	Elapsed        sim.Time
-}
-
-// AmortizedBytesPerJob is the mean host-to-device traffic each member paid.
-func (s SharedStats) AmortizedBytesPerJob() float64 {
-	if s.Members == 0 {
-		return 0
-	}
-	return float64(s.BytesToGPU) / float64(s.Members)
 }
 
 // demand is one member's claim on a (GPU, page) of the running phase: the
@@ -114,11 +104,14 @@ type driver struct {
 	// group has admitted.
 	raPerV int64
 
-	active   []*member
-	admit    func() []SharedJob
-	outcomes []SharedOutcome
-	stats    SharedStats
-	wave     int64
+	// handed holds the jobs given to the group and not yet enrolled, active
+	// the members from enrolment until they leave: a failed run answers
+	// every job still on either (abandon).
+	handed []SharedJob
+	active []*member
+	admit  func() []SharedJob
+	stats  SharedStats
+	wave   int64
 
 	// The running phase's union demand (see mergeDemand): pids lists each
 	// GPU's demanded pages back to back (GPU i's end at gpuEnd[i]), and
@@ -145,23 +138,24 @@ func (e *Engine) Run(k kernels.Kernel) (*Report, error) {
 
 // RunJob executes one job to completion and reports timing and metrics: a
 // wave group of one, on a machine whose spare device memory is all page
-// cache.
+// cache. The job's Done is RunJob's own.
 func (e *Engine) RunJob(job SharedJob) (*Report, error) {
-	outs, _, err := e.RunShared([]SharedJob{job}, nil)
-	if err != nil {
+	var out SharedOutcome
+	job.Done = func(o SharedOutcome) { out = o }
+	if _, err := e.RunShared([]SharedJob{job}, nil); err != nil {
 		return nil, err
 	}
-	if outs[0].Declined {
+	if out.Declined {
 		hint := "use Strategy-S to spread WA across GPUs or add GPUs"
 		if e.opts.Strategy == StrategyS {
 			hint = "the graph's WA exceeds the machine's total device memory"
 		}
 		return nil, fmt.Errorf("%w: WA does not fit beside the stream buffers (%s)", ErrWontFit, hint)
 	}
-	if outs[0].Err != nil {
-		return nil, outs[0].Err
+	if out.Err != nil {
+		return nil, out.Err
 	}
-	return &outs[0].Report, nil
+	return &out.Report, nil
 }
 
 // streamBufBytes is one GPU's streaming-buffer footprint: SPBuf + LPBuf per
@@ -175,44 +169,48 @@ func (e *Engine) streamBufBytes(raPerV int64) int64 {
 // RunShared executes jobs as one wave group on a single simulated machine.
 // admit, when non-nil, is polled at every wave boundary for late joiners
 // (it must return quickly and never block on virtual time; return nil when
-// nothing is waiting). Outcomes are indexed by admission order: the initial
-// jobs first, then admitted batches in the order admit returned them.
-func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
+// nothing is waiting). Each job's Done is called once, before RunShared
+// returns, on the goroutine running the simulation, as the job leaves the
+// group: declined or malformed at enrolment, aborted in its WA upload,
+// finished or aborted at the wave it retires, or with the run's own error.
+func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) (SharedStats, error) {
 	if len(jobs) == 0 && admit == nil {
-		return nil, SharedStats{}, fmt.Errorf("core: RunShared needs at least one job or an admit callback")
+		return SharedStats{}, fmt.Errorf("core: RunShared needs at least one job or an admit callback")
 	}
-	d, roster, err := e.newDriver(jobs, admit)
+	d, err := e.newDriver(jobs, admit)
+	if err == nil {
+		d.env.Process("gts-framework", d.loop)
+		d.stats.Elapsed, err = d.env.Run()
+	}
 	if err != nil {
-		return nil, SharedStats{}, err
+		d.abandon(err)
+		return SharedStats{}, err
 	}
-	d.env.Process("gts-framework", func(p *sim.Proc) { d.loop(p, roster) })
-	if d.stats.Elapsed, err = d.env.Run(); err != nil {
-		return nil, SharedStats{}, err
-	}
-	return d.outcomes, d.stats, nil
+	return d.stats, nil
 }
 
 // newDriver performs Algorithm 1's initialization, roster first: a fresh
 // simulated machine; one set of stream buffers, which serves every member
 // (the wave protocol streams each page once), with an RABuf as wide as the
 // roster's widest kernel needs; each initial member's WA; and the page cache
-// in whatever device memory is left (§3.3). It returns the initial members
-// that fit.
-func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, []*member, error) {
+// in whatever device memory is left (§3.3). The driver comes back even on
+// error, for abandon.
+func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, error) {
 	env := sim.NewEnv()
+	d := &driver{eng: e, admit: admit, handed: jobs}
 	machine, err := hw.NewMachine(env, e.spec, int64(e.graph.Config().PageSize))
 	if err != nil {
-		return nil, nil, err
+		return d, err
 	}
 	nGPU := len(machine.GPUs)
-	d := &driver{eng: e, admit: admit, plant: &plant{
+	d.plant = &plant{
 		env:         env,
 		machine:     machine,
 		inflight:    map[slottedpage.PageID]*sim.Signal{},
 		caches:      make([]*hw.PageCache, nGPU),
 		cacheBytes:  make([]int64, nGPU),
 		cacheTarget: make([]int64, nGPU),
-	}}
+	}
 	for _, job := range jobs {
 		if job.Kernel != nil {
 			d.raPerV = max(d.raPerV, job.Kernel.RAPerVertex())
@@ -221,30 +219,53 @@ func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver,
 	bufBytes := e.streamBufBytes(d.raPerV)
 	for _, g := range machine.GPUs {
 		if err := g.Alloc(bufBytes); err != nil {
-			return nil, nil, fmt.Errorf("%w: stream buffers %d on %s: %v", ErrWontFit, bufBytes, g.Spec.Name, err)
+			return d, fmt.Errorf("%w: stream buffers %d on %s: %v", ErrWontFit, bufBytes, g.Spec.Name, err)
 		}
 	}
-	roster := d.enroll(jobs)
+	d.enroll()
 	// A closed roster's cache takes all of the remaining memory. When admit
 	// can bring joiners whose WA needs are unknown, half of it stays free as
 	// WA headroom; a joiner that outgrows the headroom still falls back to
 	// dropping the cache (see newMember).
-	return d, roster, d.setup(e, admit != nil)
+	return d, d.setup(e, admit != nil)
+}
+
+// abandon gives err to every job a failed run still owes an outcome.
+func (d *driver) abandon(err error) {
+	for _, job := range d.handed {
+		reply(job.Done, SharedOutcome{Err: err})
+	}
+	for _, m := range d.active {
+		m.deliver(SharedOutcome{Err: err})
+	}
+}
+
+// reply hands a job its outcome, if the job asked for it.
+func reply(done func(SharedOutcome), out SharedOutcome) {
+	if done != nil {
+		done(out)
+	}
+}
+
+// deliver replies to m's job, once: abandon may meet m after a Done panics.
+func (m *member) deliver(out SharedOutcome) {
+	done := m.reply
+	m.reply = nil
+	reply(done, out)
 }
 
 // loop is Algorithm 1's repeat-until loop, run as the controlling CPU
-// thread: admit at every wave boundary, then run waves until the roster
-// empties.
-func (d *driver) loop(p *sim.Proc, roster []*member) {
-	for _, m := range roster {
-		d.beginMember(p, m)
-	}
-	for {
+// thread: admit at every wave boundary, run waves until the roster empties.
+func (d *driver) loop(p *sim.Proc) {
+	for begun := 0; ; begun = len(d.active) { // active[begun:] are new members
 		if d.admit != nil {
-			for _, m := range d.enroll(d.admit()) {
-				d.beginMember(p, m)
-			}
+			d.handed = d.admit()
+			d.enroll()
 		}
+		for _, m := range d.active[begun:] {
+			d.beginMember(p, m)
+		}
+		d.retireFinished() // members whose upload faulted out
 		if len(d.active) == 0 {
 			return
 		}
@@ -264,33 +285,29 @@ func (d *driver) loop(p *sim.Proc, roster []*member) {
 	}
 }
 
-// enroll gives every job its outcome slot and turns the ones that fit into
-// members with their WA allocated. Jobs whose WA cannot fit are declined;
-// malformed jobs get an error outcome.
-func (d *driver) enroll(jobs []SharedJob) []*member {
-	var members []*member
-	for _, job := range jobs {
-		idx := len(d.outcomes)
-		d.outcomes = append(d.outcomes, SharedOutcome{})
-		m, err := d.newMember(job, idx)
+// enroll turns the handed jobs, in order, into members on active with
+// their WA allocated. A job whose WA cannot fit is declined and a malformed
+// one fails; either hears so at once.
+func (d *driver) enroll() {
+	for len(d.handed) > 0 {
+		job := d.handed[0]
+		m, err := d.newMember(job)
+		d.handed = d.handed[1:]
 		switch {
+		case err == nil:
+			d.active = append(d.active, m)
 		case errors.Is(err, ErrWontFit):
-			d.outcomes[idx] = SharedOutcome{Declined: true}
-			d.stats.Declined++
-		case err != nil:
-			d.outcomes[idx] = SharedOutcome{Err: err}
+			reply(job.Done, SharedOutcome{Declined: true})
 		default:
-			d.stats.Members++
-			members = append(members, m)
+			reply(job.Done, SharedOutcome{Err: err})
 		}
 	}
-	return members
 }
 
 // newMember builds the member's run over the shared plant and allocates its
 // per-GPU WA. The member clones the engine options with its own source,
 // fault plan and recorder.
-func (d *driver) newMember(job SharedJob, idx int) (*member, error) {
+func (d *driver) newMember(job SharedJob) (*member, error) {
 	if job.Kernel == nil {
 		return nil, fmt.Errorf("core: shared job has no kernel")
 	}
@@ -314,7 +331,7 @@ func (d *driver) newMember(job SharedJob, idx int) (*member, error) {
 		plant:    d.plant,
 		eng:      &Engine{spec: e.spec, graph: e.graph, opts: opts},
 		k:        job.Kernel,
-		idx:      idx,
+		reply:    job.Done,
 		locals:   make([]pidSet, len(d.machine.GPUs)),
 		inj:      fault.NewInjector(opts.Faults),
 		curLevel: -1,
@@ -337,7 +354,6 @@ func (d *driver) newMember(job SharedJob, idx int) (*member, error) {
 			g.Free(d.cacheBytes[i])
 			d.caches[i] = nil
 			d.cacheBytes[i] = 0
-			d.stats.CacheShrinks++
 			if g.Alloc(need) == nil {
 				continue
 			}
@@ -359,9 +375,9 @@ func (d *driver) freeMemberWA(m *member) {
 }
 
 // beginMember uploads the member's WA to every GPU concurrently (Fig. 5
-// step 1), seeds its frontier and puts it on the roster — the member's half
-// of Algorithm 1's initialization, at join time. A member that faults out
-// during the upload gets an error outcome instead.
+// step 1) and seeds its frontier — the member's half of Algorithm 1's
+// initialization, at join time. A member that faults out during the upload
+// is left aborted, for the retire that follows.
 func (d *driver) beginMember(p *sim.Proc, m *member) {
 	m.joinedAt = d.env.Now()
 	m.parallelGPUs(p, func(p *sim.Proc, i int) {
@@ -377,8 +393,6 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 		m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.CopyWA, Page: -1, Level: -1, Start: t0, End: d.env.Now()})
 	})
 	if m.abort != nil {
-		d.freeMemberWA(m)
-		d.outcomes[m.idx] = SharedOutcome{Err: m.abort}
 		return
 	}
 	g := m.eng.graph
@@ -402,7 +416,6 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 	if bfs, ok := m.k.(*kernels.BFS); ok {
 		m.lane = d.bfs.Join(bfs)
 	}
-	d.active = append(d.active, m)
 }
 
 // beginWave opens one member's superstep: level bookkeeping, BeginLevel, and
@@ -834,7 +847,7 @@ func (d *driver) finishMember(p *sim.Proc, m *member) {
 }
 
 // retireFinished removes finished and aborted members from the roster,
-// filling their outcomes and releasing their WA.
+// releasing their WA, and hands each its outcome.
 func (d *driver) retireFinished() {
 	alive := d.active[:0]
 	for _, m := range d.active {
@@ -846,15 +859,16 @@ func (d *driver) retireFinished() {
 		if m.lane >= 0 {
 			d.bfs.Leave(m.lane)
 		}
-		if m.abort != nil {
-			d.outcomes[m.idx] = SharedOutcome{Err: m.abort}
-		} else {
-			d.outcomes[m.idx] = SharedOutcome{Report: d.memberReport(m)}
-		}
 		d.stats.BytesToGPU += m.bytesToGPU
 		d.stats.StorageBytes += m.storageRead
 		d.stats.EdgesTraversed += m.edgesTraversed
+		if m.abort != nil {
+			m.deliver(SharedOutcome{Err: m.abort})
+		} else {
+			m.deliver(SharedOutcome{Report: d.memberReport(m)})
+		}
 	}
+	clear(d.active[len(alive):])
 	d.active = alive
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/csr"
@@ -26,11 +28,46 @@ func sharedEngine(t *testing.T, sp *slottedpage.Graph, opts Options, gpus, ssds 
 	return newEngine(t, sp, opts, gpus, ssds)
 }
 
+// runShared runs a group and collects each job's outcome from its Done, in
+// admission order (the initial jobs, then each admitted batch); heard[i]
+// counts how many times job i's Done was called. The caller's jobs are not
+// modified.
+func runShared(e *Engine, jobs []SharedJob, admit func() []SharedJob) (outs []SharedOutcome, heard []int, stats SharedStats, err error) {
+	enlist := func(batch []SharedJob) []SharedJob {
+		batch = slices.Clone(batch)
+		for i := range batch {
+			idx, done := len(outs), batch[i].Done
+			outs, heard = append(outs, SharedOutcome{}), append(heard, 0)
+			batch[i].Done = func(o SharedOutcome) {
+				outs[idx] = o
+				heard[idx]++
+				if done != nil {
+					done(o)
+				}
+			}
+		}
+		return batch
+	}
+	var enlisted func() []SharedJob
+	if admit != nil {
+		enlisted = func() []SharedJob { return enlist(admit()) }
+	}
+	stats, err = e.RunShared(enlist(jobs), enlisted)
+	return outs, heard, stats, err
+}
+
+// mustRunShared is runShared for a group that must run, and whose every job
+// must hear its outcome exactly once.
 func mustRunShared(t *testing.T, e *Engine, jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats) {
 	t.Helper()
-	outs, stats, err := e.RunShared(jobs, admit)
+	outs, heard, stats, err := runShared(e, jobs, admit)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, n := range heard {
+		if n != 1 {
+			t.Fatalf("job %d heard its outcome %d times, want once", i, n)
+		}
 	}
 	return outs, stats
 }
@@ -90,9 +127,6 @@ func TestSharedMatchesSoloAllKernels(t *testing.T) {
 		jobs = append(jobs, SharedJob{Kernel: made[i], Source: 0})
 	}
 	outs, stats := mustRunShared(t, sharedEngine(t, sp, opts, 1, 0), jobs, nil)
-	if stats.Members != len(cases) {
-		t.Fatalf("Members = %d, want %d", stats.Members, len(cases))
-	}
 	if stats.Waves == 0 {
 		t.Fatal("no waves executed")
 	}
@@ -175,8 +209,8 @@ func TestShared32BFSAmortizesBytes(t *testing.T) {
 	if stats.PageBytesStreamed > 2*soloBytes {
 		t.Errorf("group streamed %d topology bytes, want <= 2x solo (%d)", stats.PageBytesStreamed, 2*soloBytes)
 	}
-	if got := stats.AmortizedBytesPerJob(); got <= 0 {
-		t.Errorf("AmortizedBytesPerJob = %v", got)
+	if stats.BytesToGPU <= 0 {
+		t.Errorf("BytesToGPU = %v", stats.BytesToGPU)
 	}
 	// The whole point: each member paid far less than a solo run's traffic.
 	if stats.BytesSaved == 0 {
@@ -281,12 +315,9 @@ func TestSharedSourceOutOfRangeFailsOnlyItsJob(t *testing.T) {
 	for _, s := range sources {
 		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
 	}
-	outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0), jobs, nil)
+	outs, _ := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0), jobs, nil)
 	if !errors.Is(outs[1].Err, ErrSourceOutOfRange) || outs[1].Declined {
 		t.Fatalf("out-of-range member: err=%v declined=%v, want ErrSourceOutOfRange", outs[1].Err, outs[1].Declined)
-	}
-	if stats.Members != 2 {
-		t.Errorf("Members = %d, want 2", stats.Members)
 	}
 	for _, i := range []int{0, 2} {
 		if outs[i].Err != nil || outs[i].Declined {
@@ -322,14 +353,11 @@ func TestSharedAdmitJoinsAtWaveBoundary(t *testing.T) {
 		}
 		return nil
 	}
-	outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0),
+	outs, _ := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0),
 		[]SharedJob{{Kernel: bfs, Source: 0}}, admit)
 
 	if len(outs) != 2 {
 		t.Fatalf("outcomes = %d, want 2", len(outs))
-	}
-	if stats.Members != 2 {
-		t.Fatalf("Members = %d, want 2", stats.Members)
 	}
 	for i, o := range outs {
 		if o.Err != nil || o.Declined {
@@ -445,19 +473,115 @@ func TestSharedDeclineWhenWAWontFit(t *testing.T) {
 		{Kernel: kernels.NewPageRank(sp, 0.85, 5), Source: 0},
 		{Kernel: kernels.NewPageRank(sp, 0.85, 5), Source: 0},
 	}
-	outs, stats, err := e.RunShared(jobs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs, _ := mustRunShared(t, e, jobs, nil)
 	if outs[0].Err != nil || outs[1].Err != nil {
 		t.Fatalf("fitting members failed: %v / %v", outs[0].Err, outs[1].Err)
 	}
 	if !outs[2].Declined {
 		t.Fatalf("third member not declined: %+v", outs[2])
 	}
-	if stats.Declined != 1 || stats.Members != 2 {
-		t.Errorf("stats Declined=%d Members=%d, want 1/2", stats.Declined, stats.Members)
+}
+
+// panicsAt is a plain BFS whose kernel panics when its level-th superstep
+// begins.
+type panicsAt struct {
+	*kernels.BFS
+	level int32
+}
+
+func (k panicsAt) BeginLevel(sts []kernels.State, level int32) {
+	if level == k.level {
+		panic("kernel fault")
 	}
+	k.BFS.BeginLevel(sts, level)
+}
+
+// TestSharedDoneFiresOnce: however a job leaves its group — finished,
+// malformed at enrolment, aborted during its WA upload or on its fault budget
+// mid-run, declined, or still riding when the run itself fails — its Done is
+// called exactly once, and a run that fails tells only the jobs it had not
+// answered yet.
+func TestSharedDoneFiresOnce(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	bfs := func(src uint64) SharedJob { return SharedJob{Kernel: kernels.NewBFS(sp), Source: src} }
+	heardOnce := func(t *testing.T, heard []int) {
+		t.Helper()
+		for i, n := range heard {
+			if n != 1 {
+				t.Errorf("job %d heard its outcome %d times, want once", i, n)
+			}
+		}
+	}
+
+	t.Run("finished-malformed-aborted", func(t *testing.T) {
+		// The mid-run abort joins first, so it pays for the pages it reads.
+		midRun, upload := bfs(0), bfs(512)
+		midRun.Faults = &fault.Plan{Seed: 7, CorruptionRate: 1}
+		upload.Faults = &fault.Plan{Seed: 3, TransferErrorRate: 1}
+		jobs := []SharedJob{midRun, bfs(0), {Source: 1}, bfs(sp.NumVertices()), upload}
+		outs, heard, _, err := runShared(sharedEngine(t, sp, Options{}, 1, 1), jobs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heardOnce(t, heard)
+		if outs[1].Err != nil || outs[1].Levels == 0 {
+			t.Errorf("finished job: err %v after %d levels", outs[1].Err, outs[1].Levels)
+		}
+		if outs[2].Err == nil || !errors.Is(outs[3].Err, ErrSourceOutOfRange) {
+			t.Errorf("malformed jobs: %v, %v", outs[2].Err, outs[3].Err)
+		}
+		for _, i := range []int{0, 4} {
+			if !errors.Is(outs[i].Err, ErrHardwareFault) {
+				t.Errorf("job %d: err %v, want ErrHardwareFault", i, outs[i].Err)
+			}
+		}
+	})
+
+	t.Run("declined", func(t *testing.T) {
+		spec := hw.Workstation(1, 0)
+		// Stream buffers (BFS streams no RA) and room for one BFS WA, not two.
+		spec.GPUs[0].DeviceMemory = 32*2*int64(sp.Config().PageSize) + 3*int64(sp.NumVertices())
+		e, err := New(spec, sp, Options{CacheBytes: CacheDisabled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, heard, _, err := runShared(e, []SharedJob{bfs(0), bfs(512)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heardOnce(t, heard)
+		if outs[0].Err != nil || !outs[1].Declined {
+			t.Errorf("outcomes: err %v, declined %v", outs[0].Err, outs[1].Declined)
+		}
+	})
+
+	t.Run("run-fails-after-a-delivery", func(t *testing.T) {
+		// Source 0 finishes within five levels; the members from 1836 run
+		// seven, and one's kernel panics at its sixth.
+		jobs := []SharedJob{bfs(0), {Kernel: panicsAt{kernels.NewBFS(sp), 6}, Source: 1836}, bfs(1836)}
+		var order []int
+		for i := range jobs {
+			jobs[i].Done = func(SharedOutcome) { order = append(order, i) }
+		}
+		outs, heard, _, err := runShared(sharedEngine(t, sp, Options{}, 1, 0), jobs, nil)
+		if err == nil || !strings.Contains(err.Error(), "kernel fault") {
+			t.Fatalf("RunShared err = %v, want the kernel's panic", err)
+		}
+		heardOnce(t, heard)
+		if outs[0].Err != nil {
+			t.Errorf("the member that left before the failure heard %v", outs[0].Err)
+		}
+		wantBFS(t, "early leaver", g, 0, jobs[0].Kernel.(*kernels.BFS).Levels(outs[0].State))
+		for i := 1; i < 3; i++ {
+			if outs[i].Err != err {
+				t.Errorf("job %d heard %v, want the run's error", i, outs[i].Err)
+			}
+		}
+		if !slices.Equal(order, []int{0, 1, 2}) {
+			t.Errorf("jobs heard in order %v", order)
+		}
+	})
 }
 
 // TestSharedDeterminism: the same group replayed from scratch lands on the
@@ -578,13 +702,13 @@ func TestWaveAllocBudget(t *testing.T) {
 		for i := 0; i < tc.members; i++ {
 			jobs = append(jobs, SharedJob{Kernel: tc.kernel()})
 		}
-		d, roster, err := e.newDriver(jobs, nil)
+		d, err := e.newDriver(jobs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var allocs float64
 		d.env.Process("alloc-budget", func(p *sim.Proc) {
-			for _, m := range roster {
+			for _, m := range d.active {
 				d.beginMember(p, m)
 			}
 			for _, m := range d.active {
@@ -634,17 +758,18 @@ func TestStreamsAskStorageInPageOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		job := SharedJob{Kernel: kc.make(sp)}
-		d, roster, err := e.newDriver([]SharedJob{job}, nil)
+		var out SharedOutcome
+		job := SharedJob{Kernel: kc.make(sp), Done: func(o SharedOutcome) { out = o }}
+		d, err := e.newDriver([]SharedJob{job}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.env.Process("gts-framework", func(p *sim.Proc) { d.loop(p, roster) })
+		d.env.Process("gts-framework", d.loop)
 		if _, err := d.env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if d.outcomes[0].Err != nil {
-			t.Fatal(d.outcomes[0].Err)
+		if out.Err != nil {
+			t.Fatal(out.Err)
 		}
 		var reads, seq int64
 		for _, dev := range d.machine.Storage.Devices {
@@ -654,7 +779,7 @@ func TestStreamsAskStorageInPageOrder(t *testing.T) {
 		if reads == 0 || seq*10 < reads*7 {
 			t.Errorf("streams=%d: %d of %d storage reads sequential, want >= 70%%", opts.Streams, seq, reads)
 		}
-		return kc.enc(job.Kernel, d.outcomes[0].State)
+		return kc.enc(job.Kernel, out.State)
 	}
 	if want, got := run(Options{Streams: 32}), run(Options{Streams: 1}); !bytes.Equal(got, want) {
 		t.Error("streams=1: state differs from the 32-stream run")

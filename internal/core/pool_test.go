@@ -207,10 +207,7 @@ func TestPooledSharedGroup(t *testing.T) {
 		{Kernel: kernels.NewBFS(sp), Source: 0},
 		{Kernel: kernels.NewBFS(sp), Source: 0},
 	}
-	outs, _, err := e.RunShared(jobs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs, _ := mustRunShared(t, e, jobs, nil)
 	for i, out := range outs {
 		if out.Err != nil || out.Declined {
 			t.Fatalf("member %d: err=%v declined=%v", i, out.Err, out.Declined)

@@ -49,9 +49,9 @@ type plant struct {
 // group with one member.
 type member struct {
 	*plant
-	eng *Engine // the group's engine with this member's source, fault plan and recorder
-	k   kernels.Kernel
-	idx int // index into driver.outcomes
+	eng   *Engine // the group's engine with this member's source, fault plan and recorder
+	k     kernels.Kernel
+	reply func(SharedOutcome) // the job's Done; nil once deliver has called it
 
 	// states holds one replica per GPU under Strategy-P, or a single
 	// shared state under Strategy-S.

@@ -42,6 +42,7 @@ func TestSchedulerFenceSplitsGenerations(t *testing.T) {
 			t.Fatalf("job %d: %v", i, err)
 		}
 	}
+	s.Close() // the last group's counters are in once it has ended
 	st := s.Stats()
 	if st.Fences != 1 {
 		t.Fatalf("Fences = %d, want 1", st.Fences)

@@ -1,6 +1,6 @@
 // Package sched is the per-graph topology stream scheduler: it coalesces
 // concurrently submitted jobs against one graph into shared wave groups
-// (gts.System.RunShared) so each topology page streams to the GPUs once per
+// (gts.System.RunGroup) so each topology page streams to the GPUs once per
 // superstep and serves every member's kernels.
 //
 // One Scheduler fronts one graph (the service layer keeps one per
@@ -9,15 +9,17 @@
 // wave group on a System claimed from the pool; jobs that arrive while a
 // group is running join it at the next wave boundary through the group's
 // admit callback, so a busy scheduler keeps one group open continuously
-// instead of queueing convoy-style behind it. There is one run path: a
-// member the shared machine cannot fit (its WA would not fit even after
-// dropping the page cache) goes back to the head of the queue marked alone,
-// and the next group is that member by itself on a whole machine.
+// instead of queueing convoy-style behind it. A waiter is released when its
+// job leaves the group (its Done), not when the group ends; the job is
+// counted in GroupJobs just before, the group's own counters when it ends.
+// There is one run path: a member the shared machine cannot fit (its WA
+// would not fit even after dropping the page cache) goes back to the head of
+// the queue marked alone, and runs by itself on a whole machine next.
 //
-// Results do not depend on a job's company by construction — the engine
-// precomputes each member's functional kernel work against the member's own
-// state and only shares the simulated data movement (see the commentary in
-// internal/core/group.go).
+// Results do not depend on a job's company by construction — a wave's page
+// kernels run against each member's own state, and a page shared by several
+// members only shares the simulated data movement and, for plain BFS, one
+// pass over the page's bytes (see the commentary in internal/core/group.go).
 package sched
 
 import (
@@ -98,12 +100,6 @@ func (s *Stats) Add(o Stats) {
 	s.Fences += o.Fences
 }
 
-// add folds one finished wave group's accounting into the tally.
-func (s *Stats) add(g gts.SharedStats) {
-	s.Add(Stats{WaveGroups: 1, GroupJobs: int64(g.Members), Waves: g.Waves, PageCopies: g.PageCopies,
-		SharedPageCopies: g.SharedPageCopies, BytesSaved: g.BytesSaved, BytesToGPU: g.BytesToGPU})
-}
-
 // AmortizedBytesPerJob is the mean host-to-device traffic per group-served
 // job.
 func (s Stats) AmortizedBytesPerJob() float64 {
@@ -113,7 +109,8 @@ func (s Stats) AmortizedBytesPerJob() float64 {
 	return float64(s.BytesToGPU) / float64(s.GroupJobs)
 }
 
-// pending is a submitted job waiting for (or riding in) a group.
+// pending is a submitted job waiting for (or riding in) a group. Its job's
+// Done is deliver.
 type pending struct {
 	job Job
 	ctx context.Context // the waiter's; once done nobody reads the result
@@ -152,15 +149,17 @@ func New(pool *gts.SystemPool, cfg Config) *Scheduler {
 	return s
 }
 
-// Run submits job and blocks until it completes or ctx is done. A job whose
-// context is done while it is still queued never runs; one already riding in
-// a group is only abandoned — the group keeps running its remaining members
-// and the abandoned job's result is discarded.
+// Run submits job and blocks until it leaves its group or ctx is done. A
+// job whose context is done while it is still queued never runs; one
+// already riding in a group is only abandoned — the group keeps running its
+// remaining members and the abandoned job's result is discarded. The job's
+// Done is the scheduler's own.
 func (s *Scheduler) Run(ctx context.Context, job Job) (*core.Report, error) {
 	if job.Kernel == nil {
 		return nil, errors.New("sched: job has no kernel")
 	}
 	p := &pending{job: job, ctx: ctx, done: make(chan struct{})}
+	p.job.Done = func(out gts.SharedOutcome) { s.deliver(p, out) }
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -243,7 +242,7 @@ func (s *Scheduler) Fence() {
 // head job by itself when a group declined it, otherwise up to n jobs of the
 // head job's generation (a fence in the middle of the queue cuts the batch
 // short; the later-generation jobs form their own group next round).
-func (s *Scheduler) takeHead(n int) (batch []*pending, gen uint64, alone bool) {
+func (s *Scheduler) takeHead(n int) (batch []Job, gen uint64, alone bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropAbandonedLocked()
@@ -253,14 +252,14 @@ func (s *Scheduler) takeHead(n int) (batch []*pending, gen uint64, alone bool) {
 	head := s.queue[0]
 	if head.alone {
 		s.queue = s.queue[1:]
-		return []*pending{head}, head.gen, true
+		return []Job{head.job}, head.gen, true
 	}
 	return s.takeLocked(n, head.gen), head.gen, false
 }
 
 // take removes up to n queued jobs matching generation gen — the admission
 // path: a running group only admits joiners from its own generation.
-func (s *Scheduler) take(n int, gen uint64) []*pending {
+func (s *Scheduler) take(n int, gen uint64) []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropAbandonedLocked()
@@ -283,83 +282,64 @@ func (s *Scheduler) dropAbandonedLocked() {
 
 // takeLocked removes the longest prefix (≤ n) of the queue whose jobs all
 // carry generation gen and were not declined by a group (those take no
-// company). Callers hold s.mu.
-func (s *Scheduler) takeLocked(n int, gen uint64) []*pending {
+// company), and returns their engine jobs. Callers hold s.mu.
+func (s *Scheduler) takeLocked(n int, gen uint64) []Job {
 	k := 0
 	for k < len(s.queue) && k < n && s.queue[k].gen == gen && !s.queue[k].alone {
 		k++
 	}
-	batch := s.queue[:k:k]
+	batch := make([]Job, k)
+	for i, p := range s.queue[:k] {
+		batch[i] = p.job
+	}
 	s.queue = append([]*pending(nil), s.queue[k:]...)
 	return batch
 }
 
-// jobsOf lists the engine jobs of ps, in order.
-func jobsOf(ps []*pending) []Job {
-	jobs := make([]Job, len(ps))
-	for i, p := range ps {
-		jobs[i] = p.job
-	}
-	return jobs
-}
-
 // runGroup claims a System and runs one wave group to completion, admitting
-// late arrivals at wave boundaries. A member the group declined goes back to
-// the head of the queue to run alone; one declined even alone fails with
-// ErrWontFit.
+// late arrivals at wave boundaries; each member was answered as it left.
 func (s *Scheduler) runGroup() {
-	members, gen, alone := s.takeHead(s.cfg.MaxGroup)
-	if len(members) == 0 {
+	jobs, gen, alone := s.takeHead(s.cfg.MaxGroup)
+	if len(jobs) == 0 {
 		return
 	}
 	// A lone declined member gets no admit callback: the engine then holds
 	// no device memory back for joiners.
 	var admit func() []Job
 	if !alone {
+		n := len(jobs)
 		admit = func() []Job {
-			joiners := s.take(s.cfg.MaxGroup-len(members), gen)
-			members = append(members, joiners...)
-			return jobsOf(joiners)
+			joiners := s.take(s.cfg.MaxGroup-n, gen)
+			n += len(joiners)
+			return joiners
 		}
 	}
-	var outs []gts.SharedOutcome
-	var group gts.SharedStats
-	sys, err := s.pool.Acquire(context.Background())
-	if err == nil { // the pool's context is never cancelled; defensive
-		outs, group, err = sys.RunShared(jobsOf(members), admit)
-		s.pool.Release(sys)
-	}
-	if err != nil {
-		for _, p := range members {
-			p.out.Err = err
-			close(p.done)
-		}
+	sys, _ := s.pool.Acquire(context.Background()) // never fails: the context never ends
+	g, _ := sys.RunGroup(jobs, admit)
+	s.pool.Release(sys)
+	s.mu.Lock()
+	s.stats.Add(Stats{WaveGroups: 1, Waves: g.Waves, PageCopies: g.PageCopies,
+		SharedPageCopies: g.SharedPageCopies, BytesSaved: g.BytesSaved, BytesToGPU: g.BytesToGPU})
+	s.mu.Unlock()
+}
+
+// deliver is a pending job's Done, called on the group's goroutine as the job
+// leaves it. A declined job goes back to the head of the queue, alone, where
+// the running group cannot admit it; declined alone, it fails with
+// ErrWontFit. Any other outcome is counted, then its waiter released.
+func (s *Scheduler) deliver(p *pending, out gts.SharedOutcome) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if out.Declined && !p.alone {
+		p.alone = true
+		s.stats.SoloFallbacks++
+		s.queue = append([]*pending{p}, s.queue...)
 		return
 	}
-
-	// Outcomes pair with members by admission order (RunShared's contract).
-	var declined []*pending
-	finished := members[:0]
-	for i, p := range members {
-		p.out = outs[i]
-		if p.out.Declined && !alone {
-			p.alone = true
-			declined = append(declined, p)
-			continue
-		}
-		if p.out.Declined {
-			p.out.Err = gts.ErrWontFit
-		}
-		finished = append(finished, p)
+	if out.Declined {
+		out.Err = gts.ErrWontFit
 	}
-	// Count the group before releasing its waiters, so a caller that reads
-	// Stats right after Run returns finds its job counted.
-	s.mu.Lock()
-	s.stats.add(group)
-	s.stats.SoloFallbacks += int64(len(declined))
-	s.queue = append(declined, s.queue...)
-	s.mu.Unlock()
-	for _, p := range finished {
-		close(p.done)
-	}
+	p.out = out
+	s.stats.GroupJobs++
+	close(p.done)
 }

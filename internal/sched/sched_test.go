@@ -74,6 +74,9 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 			t.Errorf("job %d differs from the reference traversal", i)
 		}
 	}
+	// A waiter wakes when its job leaves the group; the group's own counters
+	// are in once it has ended, which Close waits for.
+	s.Close()
 	st := s.Stats()
 	if st.WaveGroups == 0 || st.GroupJobs != n || st.SoloFallbacks != 0 {
 		t.Errorf("stats = %+v, want grouped work", st)

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	gts "repro"
@@ -39,8 +42,9 @@ type Params struct {
 // a full run on the clock a caller waits on (EXPERIMENTS.md, incremental).
 type algorithm struct {
 	// normalize fills defaults and zeroes unused fields, returning the
-	// canonical Params that key the result cache.
-	normalize func(Params) Params
+	// canonical Params that key the result cache, or ErrBadParams for a
+	// value the kernel cannot take (checked before any kernel is built).
+	normalize func(Params) (Params, error)
 	// kernel builds the job's kernel plus a decoder that assembles the
 	// public result struct the matching gts.System method returns. The
 	// decoder is bound to the kernel instance it is returned with. cfg is
@@ -60,7 +64,7 @@ type algorithm struct {
 
 var algorithms = map[string]algorithm{
 	"bfs": {
-		normalize: func(p Params) Params { return Params{Source: p.Source} },
+		normalize: func(p Params) (Params, error) { return Params{Source: p.Source}, nil },
 		kernel: func(g *gts.Graph, cfg gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			var k interface {
 				gts.Kernel
@@ -88,15 +92,9 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"pagerank": {
-		normalize: func(p Params) Params {
-			out := Params{Damping: p.Damping, Iterations: p.Iterations}
-			if out.Damping == 0 {
-				out.Damping = 0.85
-			}
-			if out.Iterations == 0 {
-				out.Iterations = 10
-			}
-			return out
+		normalize: func(p Params) (Params, error) {
+			out := Params{Damping: cmp.Or(p.Damping, 0.85), Iterations: cmp.Or(p.Iterations, 10)}
+			return out, errors.Join(probability("damping", out.Damping), inRange("iterations", out.Iterations, math.MaxInt32))
 		},
 		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewPageRank(g, p.Damping, p.Iterations)
@@ -106,7 +104,7 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"sssp": {
-		normalize: func(p Params) Params { return Params{Source: p.Source} },
+		normalize: func(p Params) (Params, error) { return Params{Source: p.Source}, nil },
 		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewSSSP(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
@@ -115,7 +113,7 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"cc": {
-		normalize: func(Params) Params { return Params{} },
+		normalize: func(Params) (Params, error) { return Params{}, nil },
 		kernel: func(g *gts.Graph, _ gts.Config, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewCC(g)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
@@ -137,7 +135,7 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"bc": {
-		normalize: func(p Params) Params { return Params{Source: p.Source} },
+		normalize: func(p Params) (Params, error) { return Params{Source: p.Source}, nil },
 		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewBC(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
@@ -146,15 +144,9 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"rwr": {
-		normalize: func(p Params) Params {
-			out := Params{Source: p.Source, Restart: p.Restart, Iterations: p.Iterations}
-			if out.Restart == 0 {
-				out.Restart = 0.15
-			}
-			if out.Iterations == 0 {
-				out.Iterations = 10
-			}
-			return out
+		normalize: func(p Params) (Params, error) {
+			out := Params{Source: p.Source, Restart: cmp.Or(p.Restart, 0.15), Iterations: cmp.Or(p.Iterations, 10)}
+			return out, errors.Join(probability("restart", out.Restart), inRange("iterations", out.Iterations, math.MaxInt32))
 		},
 		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewRWR(g, p.Restart, p.Iterations)
@@ -164,7 +156,7 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"degree": {
-		normalize: func(Params) Params { return Params{} },
+		normalize: func(Params) (Params, error) { return Params{}, nil },
 		kernel: func(g *gts.Graph, _ gts.Config, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewDegreeDist(g)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
@@ -173,12 +165,9 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"kcore": {
-		normalize: func(p Params) Params {
-			out := Params{K: p.K}
-			if out.K == 0 {
-				out.K = 3
-			}
-			return out
+		normalize: func(p Params) (Params, error) {
+			out := Params{K: cmp.Or(p.K, 3)}
+			return out, inRange("k", out.K, math.MaxInt32)
 		},
 		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewKCore(g, p.K)
@@ -188,15 +177,9 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"radius": {
-		normalize: func(p Params) Params {
-			out := Params{Sketches: p.Sketches, MaxHops: p.MaxHops}
-			if out.Sketches == 0 {
-				out.Sketches = 8
-			}
-			if out.MaxHops == 0 {
-				out.MaxHops = 256
-			}
-			return out
+		normalize: func(p Params) (Params, error) {
+			out := Params{Sketches: cmp.Or(p.Sketches, 8), MaxHops: cmp.Or(p.MaxHops, 256)}
+			return out, errors.Join(inRange("sketches", out.Sketches, maxSketches), inRange("maxhops", out.MaxHops, math.MaxInt32))
 		},
 		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewRadius(g, p.Sketches, p.MaxHops)
@@ -206,12 +189,9 @@ var algorithms = map[string]algorithm{
 		},
 	},
 	"ball": {
-		normalize: func(p Params) Params {
-			out := Params{Source: p.Source, Hops: p.Hops}
-			if out.Hops == 0 {
-				out.Hops = 2
-			}
-			return out
+		normalize: func(p Params) (Params, error) {
+			out := Params{Source: p.Source, Hops: cmp.Or(p.Hops, 2)}
+			return out, inRange("hops", out.Hops, math.MaxInt16)
 		},
 		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewNeighborhood(g, p.Hops)
@@ -220,6 +200,26 @@ var algorithms = map[string]algorithm{
 			}
 		},
 	},
+}
+
+// maxSketches caps radius's state at 2 x 32 4-byte sketches per vertex.
+const maxSketches = 32
+
+// inRange checks a count parameter against [1, hi]; hi is what the kernel
+// field storing it can hold, or a cap on what it costs.
+func inRange(name string, v, hi int) error {
+	if v < 1 || v > hi {
+		return fmt.Errorf("%w: %s %d is outside [1, %d]", ErrBadParams, name, v, hi)
+	}
+	return nil
+}
+
+// probability checks a probability parameter against (0, 1).
+func probability(name string, v float64) error {
+	if !(v > 0 && v < 1) {
+		return fmt.Errorf("%w: %s %v is outside (0, 1)", ErrBadParams, name, v)
+	}
+	return nil
 }
 
 // Algorithms lists the service's algorithm names, sorted.

@@ -33,8 +33,9 @@ import (
 //
 // Typed service errors map to statuses: ErrOverloaded → 429, unknown
 // graph/algorithm/job → 404, ErrTimeout → 504, ErrShuttingDown and
-// ErrGraphNotReady → 503, ErrImmutableGraph → 409. A body that does not
-// parse is 400; one longer than maxBodyBytes is 413, refused unread.
+// ErrGraphNotReady → 503, ErrImmutableGraph → 409, ErrBadParams and
+// gts.ErrInvalid → 400, as is a body that does not parse; one longer than
+// maxBodyBytes is 413, refused unread.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +281,7 @@ func statusOf(err error) int {
 		// A hardware fault that survived the engine's retry budget, like a
 		// graph still recovering, is a transient failure: 503 + Retry-After.
 		return http.StatusServiceUnavailable
-	case errors.Is(err, gts.ErrSourceOutOfRange):
+	case errors.Is(err, gts.ErrSourceOutOfRange), errors.Is(err, ErrBadParams), errors.Is(err, gts.ErrInvalid):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrImmutableGraph), errors.Is(err, ErrDuplicateGraph):
 		return http.StatusConflict

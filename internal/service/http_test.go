@@ -174,9 +174,28 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		{"GET", "/v1/jobs/job-424242", "", http.StatusNotFound},
 		{"POST", "/v1/graphs/social/bfs", "{not json", http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/bfs?timeout=banana", "", http.StatusBadRequest},
-		{"PUT", "/v1/graphs/bad", `{"spec":"NotADataset"}`, http.StatusInternalServerError},
+		{"PUT", "/v1/graphs/bad", `{"spec":"NotADataset"}`, http.StatusBadRequest},
+		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT27@x"}`, http.StatusBadRequest},
+		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT27@16","streams":99}`, http.StatusBadRequest},
+		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT27@16","gpus":-1}`, http.StatusBadRequest},
 		{"PUT", "/v1/graphs/bad", `{}`, http.StatusBadRequest},
 		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT26@15","strategy":"q"}`, http.StatusBadRequest},
+		// Run parameters are checked before a kernel is built: a sketch count
+		// like this one used to panic the scheduler's goroutine while sizing
+		// the state, taking the process with it.
+		{"POST", "/v1/graphs/social/radius", `{"sketches":1099511627776}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/radius", `{"sketches":33}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/radius", `{"maxhops":-1}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/radius", `{"maxhops":2147483648}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/pagerank", `{"damping":1e308}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/pagerank", `{"damping":1}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/pagerank", `{"iterations":-3}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/pagerank", `{"iterations":2147483648}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/rwr", `{"restart":-0.5}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/rwr", `{"iterations":-1}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/kcore", `{"k":-2}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/ball", `{"hops":32768}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/ball", `{"hops":-1}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -187,8 +206,13 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
-			t.Errorf("%s %s = %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+			t.Errorf("%s %s %s = %d, want %d", c.method, c.path, c.body, resp.StatusCode, c.want)
 		}
+	}
+	// The process survived every case above: the largest legal radius
+	// request runs.
+	if resp, doc := postJSON(t, ts.URL+"/v1/graphs/social/radius", map[string]any{"sketches": 32}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("radius with 32 sketches = %d (%v)", resp.StatusCode, doc)
 	}
 
 	// Deterministic 429 and 504: hold the pool's engines so the single

@@ -121,12 +121,79 @@ func randomInserts(n int) func(epoch int) []gts.EdgeOp {
 	}
 }
 
+// measureBesideFull reads what company costs an incremental request: each
+// epoch times an incremental BFS from vertex 0 alone, then, one batch later,
+// the same request submitted together with a full BFS from another source,
+// so that both ride one wave group. It returns the medians of the
+// incremental request's wall alone and beside the full run, and of the full
+// run's own wall.
+func measureBesideFull(tb testing.TB, epochs int) (aloneMs, besideMs, fullMs float64) {
+	tb.Helper()
+	srv := service.New(service.Config{Incremental: true, CacheEntries: -1})
+	defer srv.Close()
+	if err := srv.LoadMutableGraph("g", incBenchSpec, filepath.Join(tb.TempDir(), "g.wal"), gts.Config{}, 1); err != nil {
+		tb.Fatal(err)
+	}
+	inc := service.Request{Graph: "g", Algo: "bfs", Incremental: true}
+	since := func(start time.Time) float64 { return float64(time.Since(start)) / float64(time.Millisecond) }
+	timed := func() float64 {
+		start := time.Now()
+		runSync(tb, srv, inc)
+		return since(start)
+	}
+	timed() // cold: captures the state the first epoch expands from
+	batch := randomInserts(8)
+	ingest := func(e int) {
+		if _, err := srv.Ingest("g", batch(e)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var cols [3][]float64
+	for e := 0; e < epochs; e++ {
+		hits := srv.Stats().IncrementalHits
+		ingest(e)
+		cols[0] = append(cols[0], timed())
+		ingest(e)
+		start := time.Now()
+		full, err := srv.Submit(service.Request{Graph: "g", Algo: "bfs", Params: service.Params{Source: uint64(e+1) * 4099}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cols[1] = append(cols[1], timed())
+		<-full.Done()
+		cols[2] = append(cols[2], since(start))
+		if srv.Stats().IncrementalHits != hits+2 {
+			tb.Fatalf("epoch %d: an incremental request was not a delta-expansion hit", e+1)
+		}
+	}
+	var med [3]float64
+	for i, c := range cols {
+		sort.Float64s(c)
+		med[i] = c[len(c)/2]
+	}
+	return med[0], med[1], med[2]
+}
+
 // BenchmarkIncrementalVsFull re-reads the verdict BFS and CC delta-expansion
 // stay on (EXPERIMENTS.md, incremental): the wall of an accepted incremental
 // plan against a full run of the same request, per batch size. inc/full must
 // stay under ROADMAP item 4 (d)'s 0.8; the virtual clock and the page counts
 // ride along because that table is about where they disagree with the wall.
+// bfs/beside-full puts the incremental BFS in a wave group with a full one:
+// beside/alone near 1 means it answered when it left the group, near
+// full_ms/alone_ms that it waited for the group to end.
 func BenchmarkIncrementalVsFull(b *testing.B) {
+	b.Run("bfs/beside-full", func(b *testing.B) {
+		var alone, beside, full float64
+		for i := 0; i < b.N; i++ {
+			alone, beside, full = measureBesideFull(b, 5)
+		}
+		b.ReportMetric(alone, "alone_ms")
+		b.ReportMetric(beside, "beside_ms")
+		b.ReportMetric(full, "full_ms")
+		b.ReportMetric(beside/alone, "beside/alone")
+		b.ReportMetric(0, "ns/op")
+	})
 	for _, algo := range []string{"bfs", "cc"} {
 		for _, n := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/batch%d", algo, n), func(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -158,6 +159,18 @@ func TestHTTPIngestAndEpochCache(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/graphs/nosuch/ingest", map[string]any{"edges": []map[string]any{{"src": 0, "dst": 1}}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("ingest on unknown graph status = %d, want 404", resp.StatusCode)
+	}
+	// An edge past the addressable vertices is the caller's mistake: 400,
+	// nothing committed.
+	resp, doc = postJSON(t, ts.URL+"/v1/graphs/mut/ingest", map[string]any{"edges": []map[string]any{{"src": 0, "dst": uint64(math.MaxUint64)}}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("ingest of an unaddressable edge = %d (%v), want 400", resp.StatusCode, doc)
+	}
+	_, doc = getJSON(t, ts.URL+"/healthz")
+	for _, g := range doc["graphs"].([]any) {
+		if row := g.(map[string]any); row["name"] == "mut" && row["epoch"] != float64(1) {
+			t.Errorf("the refused batch moved the graph: %v", row)
+		}
 	}
 }
 

@@ -61,6 +61,8 @@ var (
 	// ErrImmutableGraph reports an ingest against a graph loaded without a
 	// WAL (HTTP 409).
 	ErrImmutableGraph = errors.New("service: graph is immutable (loaded without a WAL)")
+	// ErrBadParams reports an algorithm parameter out of its range (400).
+	ErrBadParams = errors.New("service: parameter out of range")
 )
 
 // jobHistory bounds how many finished jobs remain queryable by ID.
@@ -195,7 +197,9 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	req.Params = algo.normalize(req.Params)
+	if req.Params, err = algo.normalize(req.Params); err != nil {
+		return nil, err
+	}
 
 	s.mu.Lock()
 	if s.closed {

@@ -179,6 +179,9 @@ func TestChaosSharedWaveGroups(t *testing.T) {
 		wantReference(t, raw, jobs[i].Request().Params, res.Output)
 	}
 
+	// A job answers when it leaves its wave group; the group's own counters
+	// are in once it has ended, which Close waits for.
+	srv.Close()
 	st := srv.Stats()
 	if st.Sharing.WaveGroups == 0 || st.Sharing.GroupJobs == 0 {
 		t.Errorf("no wave groups ran: %+v", st.Sharing)

@@ -23,9 +23,11 @@ const DefaultShrink = 12
 //	                      DefaultShrink; or
 //	dataset "@" shrink  — "RMAT27@12", generated at the given power-of-two
 //	                      down-scaling.
+//
+// A spec that cannot be generated is ErrInvalid.
 func Open(spec string) (*Graph, error) {
 	if spec == "" {
-		return nil, fmt.Errorf("gts: empty graph spec")
+		return nil, fmt.Errorf("%w: empty graph spec", ErrInvalid)
 	}
 	if strings.HasSuffix(spec, ".gts") {
 		return LoadGraph(spec)
@@ -37,13 +39,13 @@ func Open(spec string) (*Graph, error) {
 	if at := strings.LastIndexByte(spec, '@'); at >= 0 {
 		n, err := strconv.Atoi(spec[at+1:])
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("gts: bad shrink in graph spec %q (want dataset@N)", spec)
+			return nil, fmt.Errorf("%w: bad shrink in graph spec %q (want dataset@N)", ErrInvalid, spec)
 		}
 		dataset, shrink = spec[:at], n
 	}
 	g, err := Generate(dataset, shrink)
 	if err != nil {
-		return nil, fmt.Errorf("gts: opening spec %q: %w", spec, err)
+		return nil, fmt.Errorf("%w: opening spec %q: %w", ErrInvalid, spec, err)
 	}
 	return g, nil
 }

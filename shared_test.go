@@ -31,8 +31,8 @@ func TestSystemRunShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 3 || stats.Members != 3 {
-		t.Fatalf("outcomes=%d members=%d, want 3/3", len(outs), stats.Members)
+	if len(outs) != 3 {
+		t.Fatalf("%d outcomes, want 3", len(outs))
 	}
 	for i, o := range outs {
 		if o.Err != nil || o.Declined {
@@ -45,8 +45,8 @@ func TestSystemRunShared(t *testing.T) {
 	if stats.SharedPageCopies == 0 || stats.BytesSaved == 0 {
 		t.Errorf("no sharing recorded: %+v", stats)
 	}
-	if stats.AmortizedBytesPerJob() <= 0 {
-		t.Errorf("AmortizedBytesPerJob = %v", stats.AmortizedBytesPerJob())
+	if stats.BytesToGPU <= 0 {
+		t.Errorf("BytesToGPU = %v", stats.BytesToGPU)
 	}
 
 	// The kernel instance is shared between the two BFS jobs on purpose:
