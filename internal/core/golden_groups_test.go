@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -56,6 +57,8 @@ type groupCase struct {
 	// admitAt > 0 hands late to the group at the admitAt-th admit poll.
 	admitAt int
 	late    []SharedJob
+	// pulls asserts every member planned at least one pull level.
+	pulls bool
 }
 
 func groupCases(sp *slottedpage.Graph) []groupCase {
@@ -90,6 +93,15 @@ func groupCases(sp *slottedpage.Graph) []groupCase {
 
 	jobs, kc = bfsJobs([]uint64{0, 512, 1024, 9, 1300})
 	out = append(out, groupCase{name: "bfs3-admit2-at-wave2", gpus: 1, jobs: jobs[:3], kc: kc, admitAt: 2, late: jobs[3:]})
+
+	// Four direction-optimizing members from sources whose frontiers all
+	// cross the pull threshold, so they read one graph's reverse index.
+	jobs, kc = nil, nil
+	for _, s := range []uint64{0, 3, 700, 1300} {
+		jobs = append(jobs, SharedJob{Kernel: dirCase.make(sp), Source: s})
+		kc = append(kc, dirCase)
+	}
+	out = append(out, groupCase{name: "dirbfs4-1gpu", opts: partCache, gpus: 1, jobs: jobs, kc: kc, pulls: true})
 
 	// The 8-BFS group again, with its first member — the payer of every copy
 	// it demands — under transfer errors heavy enough to exhaust its retry
@@ -137,6 +149,9 @@ func runGroupCase(t *testing.T, sp *slottedpage.Graph, gc groupCase) groupPin {
 			}
 			pin.Members = append(pin.Members, memberPin{Err: o.Err.Error(), Waves: waves})
 			continue
+		}
+		if gc.pulls && !slices.Contains(o.LevelDirs, kernels.DirPull.String()) {
+			t.Fatalf("%s: member %d never pulled: %v", gc.name, i, o.LevelDirs)
 		}
 		sum := sha256.Sum256(gc.kc[i].enc(all[i].Kernel, o.State))
 		pin.Members = append(pin.Members, memberPin{
