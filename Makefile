@@ -15,14 +15,15 @@ test: build
 # The concurrency-bearing packages (the simulation core, whose processes
 # are coroutines Run's goroutine switches between, the gtsd service
 # layer, the shared trace recorder and histograms, the shared host page
-# pool, the write-ahead log's group commit, the hardware model, and the root package's
+# pool, the write-ahead log's group commit, the hardware model, the graph's
+# reverse-index holder, which concurrent runs share, and the root package's
 # System/SystemPool guards) must stay clean under the race detector. The chaos tests
 # (fault-injected gtsd under concurrent clients; two Systems hammering one
 # BufferPool under storage faults + device OOM; trace export racing live
 # span emission; randomized ingest crashes under concurrent queries in
 # TestChaosIngestRecovery) run here too.
 test-race:
-	$(GO) test -race ./internal/sim/... ./internal/bufpool/... ./internal/core/... ./internal/incremental/... ./internal/kernels/... ./internal/sched/... ./internal/service/... ./internal/trace/... ./internal/hw/... ./internal/obs/... ./internal/wal/...
+	$(GO) test -race ./internal/sim/... ./internal/slottedpage/... ./internal/bufpool/... ./internal/core/... ./internal/incremental/... ./internal/kernels/... ./internal/sched/... ./internal/service/... ./internal/trace/... ./internal/hw/... ./internal/obs/... ./internal/wal/...
 	$(GO) test -race -run 'System|Pool|Open|Concurrent|Chaos|Ingest' .
 
 vet:
@@ -84,7 +85,8 @@ fuzz:
 
 # The root package's end-to-end benchmarks, then the three layers under every
 # host-clock number: the page kernels (BenchmarkPageKernels: ns/edge per
-# kernel; BenchmarkBuildRevAdj), the page decoder (BenchmarkAdjDecode) and
+# kernel), the slotted pages (BenchmarkAdjDecode: the page decoder;
+# BenchmarkBuildReverse: the graph's reverse index) and
 # the simulator's turn-taking (BenchmarkSimHandoff: ns per blocking call);
 # and the service's two verdict benchmarks: BenchmarkJobResponse and
 # BenchmarkIncrementalVsFull (wall of a bfs/cc delta-expansion against a full
@@ -135,7 +137,7 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 20496
+LOC_MAX_TOTAL = 20492
 LOC_MAX_ENGINE_AND_API = 5531
 LOC_MAX_ENGINE = 4688
 LOC_MAX_GTSD_FLAGS = 24

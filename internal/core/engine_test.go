@@ -96,6 +96,23 @@ func TestBFSMatchesReferenceAcrossConfigs(t *testing.T) {
 	}
 }
 
+// TestBFSLevelBoundMatchesReference: the engine and verify.BFS share one
+// depth bound. Both answer a chain whose tail lies at level 32000, and the
+// engine refuses one vertex more (verify's own test pins its refusal).
+func TestBFSLevelBoundMatchesReference(t *testing.T) {
+	deepest := graphgen.Path(32001)
+	sp := buildPages(t, deepest)
+	k := kernels.NewBFS(sp)
+	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), k)
+	if got, want := k.Levels(rep.State)[32000], verify.BFS(deepest, 0)[32000]; got != want || got != 32000 {
+		t.Fatalf("tail at level %d, reference %d, want 32000", got, want)
+	}
+	sp = buildPages(t, graphgen.Path(32002))
+	if _, err := newEngine(t, sp, Options{}, 1, 0).Run(kernels.NewBFS(sp)); err == nil {
+		t.Fatal("the engine answered a 32002-vertex chain")
+	}
+}
+
 func TestPageRankMatchesReferenceAcrossConfigs(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)

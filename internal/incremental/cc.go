@@ -19,8 +19,10 @@ import (
 // round plus their in-neighbors (which might now pull the lowered label),
 // streaming just those vertices' pages.
 type IncCC struct {
-	g    *slottedpage.Graph
-	rev  kernels.RevCSR
+	g *slottedpage.Graph
+	// rev is the graph's reverse index, fetched at the first changed
+	// vertex, so a plan that changes none never builds it.
+	rev  *slottedpage.Reverse
 	init []uint32 // retained labels, extended, with seed relaxations applied
 	base []uint32 // retained labels, extended, pre-seed (first diff baseline)
 	cost incCost
@@ -88,7 +90,6 @@ func PlanCC(g *slottedpage.Graph, e *Entry, d Delta) (*IncCC, string) {
 	}
 	k := &IncCC{
 		g:     g,
-		rev:   kernels.NewRevCSR(g),
 		init:  init,
 		base:  base,
 		cost:  incCost{lane: 110, slot: 50},
@@ -136,6 +137,9 @@ func (k *IncCC) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernel
 	changed := false
 	for v, l := range s.next {
 		if l != k.snap[v] {
+			if k.rev == nil {
+				k.rev = k.g.Reverse()
+			}
 			changed = true
 			k.snap[v] = l
 			vid := uint64(v)

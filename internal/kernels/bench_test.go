@@ -105,7 +105,7 @@ func driveGroup(g *slottedpage.Graph, sources []uint64, grouped bool) (edges int
 		m := &member{k: NewBFS(g), next: bitset.New(numPages), local: bitset.New(numPages)}
 		m.st = m.k.NewState()
 		m.k.Init(m.st, src)
-		markVertexPages(g, src, m.next, true)
+		MarkVertexPages(g, src, m.next, true)
 		m.lane = group.Join(m.k)
 		active = append(active, m)
 	}
@@ -149,7 +149,7 @@ func driveGroup(g *slottedpage.Graph, sources []uint64, grouped bool) (edges int
 			m.local.ForEach(func(pid int) {
 				// A page kernel marks a large vertex's first page only; this
 				// adds the rest of its run (a small page is its StartVID's home).
-				markVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, m.next, true)
+				MarkVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, m.next, true)
 			})
 			m.local.Reset()
 			m.level++

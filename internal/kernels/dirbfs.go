@@ -31,9 +31,9 @@ import (
 type DirBFS struct {
 	g *slottedpage.Graph
 	// outDeg prices frontiers and coverage in both directions; rev serves
-	// pull scans only and is built at the first level that plans pull.
+	// pull scans only and is fetched at the first level that plans pull.
 	outDeg []int32
-	rev    revAdj
+	rev    *slottedpage.Reverse
 	cost   costParams
 	mode   DirMode
 	// dir is the current level's planned direction. PlanLevel writes it
@@ -45,13 +45,12 @@ type DirBFS struct {
 
 // NewDirBFS returns a direction-optimizing BFS kernel over g, planning in
 // DirAuto mode. Construction reads the out-degrees off the pages; the
-// host-side reverse CSR waits for the first pull level, so a traversal that
-// only ever pushes never pays for it.
+// graph's reverse index is fetched at the first pull level, so a traversal
+// that only ever pushes never builds it.
 func NewDirBFS(g *slottedpage.Graph) *DirBFS {
 	return &DirBFS{
 		g:              g,
 		outDeg:         outDegrees(g),
-		rev:            revAdj{g: g},
 		cost:           costParams{laneCycles: 40, slotCycles: 10},
 		denseThreshold: int64(g.NumEdges() / 20),
 	}
@@ -120,19 +119,19 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 		}
 	}
 	k.dir = dir
-	if dir == DirPull {
-		k.rev.ensure()
+	if dir == DirPull && k.rev == nil {
+		k.rev = k.g.Reverse()
 	}
 	if dir == DirPush {
 		for v, l := range s.lv {
 			if l == lv {
-				markVertexPages(k.g, uint64(v), next, true)
+				MarkVertexPages(k.g, uint64(v), next, true)
 			}
 		}
 	} else {
 		for v, l := range s.lv {
 			if l == unvisited {
-				markVertexPages(k.g, uint64(v), next, false)
+				MarkVertexPages(k.g, uint64(v), next, false)
 			}
 		}
 	}
@@ -249,7 +248,7 @@ func (k *DirBFS) pullLP(a *Args) Result {
 func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes *laneAcc, res *Result) {
 	scanned := 0
 	found := false
-	for _, u := range k.rev.in(vid) {
+	for _, u := range k.rev.In(vid) {
 		scanned++
 		if s.lv[u] == level {
 			found = true

@@ -1,20 +1,17 @@
 package kernels
 
 import (
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/graphgen"
 	"repro/internal/slottedpage"
 	"repro/internal/verify"
 )
 
 // TestDriverDirBFS drives the direction-optimizing BFS through the
 // package-local framework loop in every mode against the float-free
-// reference. The reverse index must exist after a run exactly when some
-// level pulled: a push-only traversal never builds it.
+// reference. The kernel must hold the graph's reverse index after a run
+// exactly when some level pulled: a push-only traversal never fetches it.
 func TestDriverDirBFS(t *testing.T) {
 	g, sp := driverGraph(t)
 	want := verify.BFS(g, 0)
@@ -24,8 +21,8 @@ func TestDriverDirBFS(t *testing.T) {
 		if k.Mode() != mode {
 			t.Fatalf("Mode() = %v after SetMode(%v)", k.Mode(), mode)
 		}
-		if k.rev.offsets != nil {
-			t.Fatalf("mode=%v: NewDirBFS built the reverse index", mode)
+		if k.rev != nil {
+			t.Fatalf("mode=%v: NewDirBFS fetched the reverse index", mode)
 		}
 		st := drive(t, k, sp, 0)
 		got := k.Levels(st)
@@ -34,8 +31,8 @@ func TestDriverDirBFS(t *testing.T) {
 				t.Fatalf("mode=%v: vertex %d level = %d, want %d", mode, v, got[v], want[v])
 			}
 		}
-		if built := k.rev.offsets != nil; built != (mode != DirForcePush) {
-			t.Fatalf("mode=%v: reverse index built = %v", mode, built)
+		if fetched := k.rev != nil; fetched != (mode != DirForcePush) {
+			t.Fatalf("mode=%v: reverse index fetched = %v", mode, fetched)
 		}
 	}
 }
@@ -49,56 +46,12 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-// TestRevAdj checks the host-side reverse CSR against a transpose built
-// straight from the CSR source — same in-neighbor multisets, sorted by
-// source VID — and against the index the per-vertex NeighborsOf walk used
-// to build, entry for entry; out-degrees read off ADJLIST_SZ must match the
-// forward graph.
-func TestRevAdj(t *testing.T) {
+// TestOutDegrees: out-degrees read off ADJLIST_SZ match the forward graph.
+func TestOutDegrees(t *testing.T) {
 	g, sp := driverGraph(t)
-	rev := revAdj{g: sp}
-	rev.ensure()
-	outDeg := outDegrees(sp)
-	tr := g.Transpose()
-	n := g.NumVertices()
-	old := make([][]uint32, n)
-	for v := uint64(0); v < n; v++ {
-		sp.NeighborsOf(v, func(dst uint64) { old[dst] = append(old[dst], uint32(v)) })
-	}
-	for v := uint64(0); v < n; v++ {
-		if int(outDeg[v]) != g.Degree(v) {
-			t.Fatalf("vertex %d outDeg = %d, want %d", v, outDeg[v], g.Degree(v))
-		}
-		got := append([]uint32(nil), rev.in(v)...)
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-			t.Fatalf("vertex %d in-neighbors not sorted: %v", v, got)
-		}
-		want := append([]uint32(nil), tr.Out(uint32(v))...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("vertex %d in-neighbors = %v, want %v", v, got, want)
-		}
-		if !reflect.DeepEqual(got, old[v]) {
-			t.Fatalf("vertex %d in-neighbors = %v, NeighborsOf-built index has %v", v, got, old[v])
-		}
-	}
-}
-
-// BenchmarkBuildRevAdj prices the reverse index every pulling DirBFS run
-// and every incremental CC/PageRank plan builds: two page-sequential passes
-// through the decoder, two allocations (offsets, targets).
-func BenchmarkBuildRevAdj(b *testing.B) {
-	d, _ := graphgen.ByName("RMAT27")
-	sp, err := slottedpage.Build(d.MustGenerate(11), slottedpage.ScaledConfig(2, 2, 4096))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		offsets, targets := buildRevAdj(sp)
-		if uint64(len(targets)) != sp.NumEdges() || offsets[sp.NumVertices()] != int64(len(targets)) {
-			b.Fatalf("index holds %d edges, graph has %d", len(targets), sp.NumEdges())
+	for v, d := range outDegrees(sp) {
+		if int(d) != g.Degree(uint64(v)) {
+			t.Fatalf("vertex %d outDeg = %d, want %d", v, d, g.Degree(uint64(v)))
 		}
 	}
 }
@@ -118,7 +71,7 @@ func TestMarkVertexPages(t *testing.T) {
 	}
 
 	set := bitset.New(sp.NumPages())
-	markVertexPages(sp, small, set, true)
+	MarkVertexPages(sp, small, set, true)
 	if !set.Get(int(sp.HomeOf(small).PID)) {
 		t.Fatalf("small vertex %d home page not marked", small)
 	}
@@ -136,12 +89,12 @@ func TestMarkVertexPages(t *testing.T) {
 		runLen++
 	}
 	expanded := bitset.New(sp.NumPages())
-	markVertexPages(sp, large, expanded, true)
+	MarkVertexPages(sp, large, expanded, true)
 	if got := expanded.Count(); got != runLen {
 		t.Errorf("expandLP marked %d pages of vertex %d's run, want %d", got, large, runLen)
 	}
 	homeOnly := bitset.New(sp.NumPages())
-	markVertexPages(sp, large, homeOnly, false)
+	MarkVertexPages(sp, large, homeOnly, false)
 	if got := homeOnly.Count(); got != 1 {
 		t.Errorf("home-only marking set %d pages, want 1", got)
 	}

@@ -13,10 +13,13 @@ package kernels
 // use it to re-plan from retained state. SSSP does not plan its levels:
 // delta-stepping buckets streamed the same pages over 1.8× the levels
 // (EXPERIMENTS.md, "sssp").
+//
+// Kernels that read in-neighbors (DirBFS's pull levels, IncCC's rescans)
+// do not own a reverse index: they fetch the graph's (Graph.Reverse) when
+// they first need it and hold it for the run, so every run on one graph
+// epoch shares one index while any of them holds it.
 
 import (
-	"sync"
-
 	"repro/internal/bitset"
 	"repro/internal/slottedpage"
 )
@@ -84,70 +87,6 @@ type FrontierKernel interface {
 
 var _ FrontierKernel = (*DirBFS)(nil)
 
-// revAdj is a host-side reverse CSR over the slotted pages: pull-direction
-// kernels scan in(v) instead of streaming every frontier page. It is built
-// on first need (ensure) and lives as long as the kernel that owns it — not
-// on the Graph or the System, where an index the size of the topology would
-// stay on the heap for runs that never pull.
-type revAdj struct {
-	g       *slottedpage.Graph
-	once    sync.Once
-	offsets []int64
-	targets []uint32
-}
-
-// ensure builds the index if no earlier call has. DirBFS calls it from
-// PlanLevel (single-threaded, between supersteps) at the first level that
-// plans pull, so the page kernels' in() calls only ever read.
-func (r *revAdj) ensure() {
-	r.once.Do(func() { r.offsets, r.targets = buildRevAdj(r.g) })
-}
-
-// in returns v's in-neighbors (sources of edges into v), ascending by
-// source VID. ensure must have run.
-func (r *revAdj) in(v uint64) []uint32 { return r.targets[r.offsets[v]:r.offsets[v+1]] }
-
-// buildRevAdj builds the reverse CSR in two page-sequential passes through
-// the graph's decoder: count in-degrees, prefix-sum them into offsets, then
-// place each edge's source at its target's cursor. The cursor is the offsets
-// array itself, shifted back into place afterwards. Pages hold vertices in
-// VID order, so every in-list comes out ascending by source VID and pull
-// scans are deterministic.
-func buildRevAdj(g *slottedpage.Graph) (offsets []int64, targets []uint32) {
-	n := g.NumVertices()
-	offsets = make([]int64, n+1)
-	dec, w := g.Decoder(), g.Decoder().Width()
-	for pid := slottedpage.PageID(0); int(pid) < g.NumPages(); pid++ {
-		buf := g.PageBytes(pid)
-		for slot, slots := 0, g.Page(pid).NumSlots(); slot < slots; slot++ {
-			for pos, end, _ := dec.Record(buf, slot); pos < end; pos += w {
-				dst, _ := dec.VID(buf, pos)
-				offsets[dst+1]++
-			}
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		offsets[i+1] += offsets[i]
-	}
-	targets = make([]uint32, offsets[n])
-	for pid := slottedpage.PageID(0); int(pid) < g.NumPages(); pid++ {
-		buf := g.PageBytes(pid)
-		src := uint32(dec.StartVID(pid))
-		for slot, slots := 0, g.Page(pid).NumSlots(); slot < slots; slot, src = slot+1, src+1 {
-			for pos, end, _ := dec.Record(buf, slot); pos < end; pos += w {
-				dst, _ := dec.VID(buf, pos)
-				targets[offsets[dst]] = src
-				offsets[dst]++
-			}
-		}
-	}
-	// offsets[v] now marks the end of v's list, which is the start of
-	// v+1's: shift right by one to restore the starts.
-	copy(offsets[1:], offsets[:n])
-	offsets[0] = 0
-	return offsets, targets
-}
-
 // outDegrees reads every vertex's out-degree off its records' ADJLIST_SZ
 // fields (a large vertex's run pages sum); no adjacency entry is decoded.
 func outDegrees(g *slottedpage.Graph) []int32 {
@@ -164,12 +103,13 @@ func outDegrees(g *slottedpage.Graph) []int32 {
 	return out
 }
 
-// markVertexPages sets the pages that must stream for vertex v: its home
+// MarkVertexPages sets the pages that must stream for vertex v: its home
 // page, plus — when expandLP is set and v is a large vertex — the whole LP
 // run, since push kernels expand the full adjacency. Pull kernels pass
 // false: they read v's record only to test it, never its page-resident
-// out-edges, so one page per vertex suffices.
-func markVertexPages(g *slottedpage.Graph, v uint64, next *bitset.Set, expandLP bool) {
+// out-edges, so one page per vertex suffices. The incremental kernels plan
+// their seeded frontiers with it too.
+func MarkVertexPages(g *slottedpage.Graph, v uint64, next *bitset.Set, expandLP bool) {
 	home := g.HomeOf(v)
 	next.Set(int(home.PID))
 	if !expandLP || g.Kind(home.PID) != slottedpage.LargePage {

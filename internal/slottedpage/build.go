@@ -1,6 +1,10 @@
 package slottedpage
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"weak"
+)
 
 // Source supplies a graph's topology in vertex-ID order. Vertex IDs must be
 // dense in [0, NumVertices).
@@ -35,6 +39,8 @@ type Graph struct {
 	lpIDs       []PageID
 	homePID     []uint32
 	homeSlot    []uint32
+	revMu       sync.Mutex
+	rev         weak.Pointer[Reverse] // see Reverse
 }
 
 // Build packs src into slotted pages under cfg. Vertices are placed in VID

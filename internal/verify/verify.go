@@ -6,13 +6,20 @@ package verify
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 
 	"repro/internal/csr"
 )
 
+// maxLevel is the deepest level an int16 level vector is trusted to hold:
+// the engine refuses a traversal that goes deeper (core's beginWave), and
+// so does BFS.
+const maxLevel = 32000
+
 // BFS returns per-vertex traversal levels from src; unreachable vertices
-// hold -1.
+// hold -1. Like the engine, it refuses — panics — when some vertex lies
+// deeper than level 32000.
 func BFS(g *csr.Graph, src uint32) []int16 {
 	lv := make([]int16, g.NumVertices())
 	for i := range lv {
@@ -21,6 +28,9 @@ func BFS(g *csr.Graph, src uint32) []int16 {
 	lv[src] = 0
 	frontier := []uint32{src}
 	for level := int16(0); len(frontier) > 0; level++ {
+		if level > maxLevel {
+			panic(fmt.Sprintf("verify: BFS exceeded %d levels (level vectors are int16)", maxLevel))
+		}
 		var next []uint32
 		for _, v := range frontier {
 			for _, n := range g.Out(v) {

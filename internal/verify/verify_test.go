@@ -18,6 +18,26 @@ func TestBFSOnPath(t *testing.T) {
 	}
 }
 
+// TestBFSRefusesPastTheEngineBound: a chain whose tail lies at level 32000
+// is the deepest the engine answers, and BFS answers it too; one vertex
+// more and both refuse. (BFS used to wrap its int16 levels: the tail of a
+// 33 000-vertex chain came back at level −32 537.)
+func TestBFSRefusesPastTheEngineBound(t *testing.T) {
+	if lv := BFS(graphgen.Path(maxLevel+1), 0); lv[maxLevel] != maxLevel {
+		t.Fatalf("tail of a %d-vertex chain at level %d, want %d", maxLevel+1, lv[maxLevel], maxLevel)
+	}
+	for _, n := range []int{maxLevel + 2, 33000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BFS answered on a %d-vertex chain", n)
+				}
+			}()
+			BFS(graphgen.Path(n), 0)
+		}()
+	}
+}
+
 func TestBFSOnStar(t *testing.T) {
 	g := graphgen.Star(6)
 	lv := BFS(g, 0)
