@@ -17,7 +17,7 @@ test: build
 # layer, the shared trace recorder and histograms, the shared host page
 # pool, the write-ahead log's group commit, the hardware model, the graph's
 # reverse-index holder, which concurrent runs share, and the root package's
-# System/SystemPool guards) must stay clean under the race detector. The chaos tests
+# System guards) must stay clean under the race detector. The chaos tests
 # (fault-injected gtsd under concurrent clients; two Systems hammering one
 # BufferPool under storage faults + device OOM; trace export racing live
 # span emission; randomized ingest crashes under concurrent queries in
@@ -137,10 +137,10 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 20492
-LOC_MAX_ENGINE_AND_API = 5531
+LOC_MAX_TOTAL = 20378
+LOC_MAX_ENGINE_AND_API = 5528
 LOC_MAX_ENGINE = 4688
-LOC_MAX_GTSD_FLAGS = 24
+LOC_MAX_GTSD_FLAGS = 11
 LOC_MAX_CONFIG_FIELDS = 13
 loc-check:
 	@$(MAKE) -s loc | awk ' \

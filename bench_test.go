@@ -143,11 +143,11 @@ func BenchmarkService(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			srv := service.New(service.Config{Workers: 8, QueueDepth: 1024, CacheEntries: -1})
-			pool, err := gts.NewSystemPool(g, gts.Config{}, 8)
+			sys, err := gts.NewSystem(g, gts.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := srv.AddGraph("bench", pool); err != nil {
+			if err := srv.AddGraph("bench", sys); err != nil {
 				b.Fatal(err)
 			}
 			defer srv.Close()

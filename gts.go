@@ -96,6 +96,26 @@ const (
 	HDDs
 )
 
+// ParseStorage reads a placement as the load document spells it: "mem",
+// "ssd" or "hdd" in either case, "" meaning the default InMemory.
+func ParseStorage(s string) (Storage, error) {
+	switch strings.ToLower(s) {
+	case "", "mem":
+		return InMemory, nil
+	case "ssd":
+		return SSDs, nil
+	case "hdd":
+		return HDDs, nil
+	}
+	return InMemory, fmt.Errorf("gts: unknown storage %q (want mem, ssd or hdd)", s)
+}
+
+// MaxDevices bounds Config.GPUs and Config.Devices. The paper's testbed has
+// two GPUs and two SSDs, and its figures sweep one to two of each; 16
+// leaves room to scale past that. Every run builds a model of each device,
+// so a count with no bound only costs: 2^20 GPUs made a 392 MB machine.
+const MaxDevices = 16
+
 // Config describes the machine and engine options for a System.
 // The zero value means: 1 GPU, in-memory graph, Strategy-P, 32 streams,
 // edge-centric kernels, page cache in all free device memory.
@@ -132,13 +152,12 @@ type Config struct {
 	// through (internal/bufpool, the paper's MMBuf). 0 gives every run a
 	// fresh private buffer of 20% of the topology (the paper's setting).
 	// > 0 builds one pinned, ref-counted pool of that many bytes that lives
-	// as long as the System or SystemPool: pages stay warm from run to run,
-	// and every pooled System keeps at most one host copy of each hot page.
-	// Ignored for in-memory graphs. Results are byte-identical either way.
+	// as long as the System: pages stay warm from run to run. It may not
+	// exceed the (scaled) machine's main memory. Ignored for in-memory
+	// graphs. Results are byte-identical either way.
 	PoolBytes int64
 	// HostPool, when non-nil, is used directly instead of building a pool
-	// from PoolBytes — the way several Systems (or a SystemPool, which
-	// does this automatically) share one pool.
+	// from PoolBytes — the way several Systems share one pool.
 	HostPool *BufferPool
 }
 
@@ -285,8 +304,7 @@ func LoadGraph(path string) (*Graph, error) { return slottedpage.ReadFile(path) 
 // section is the simulation, whose shared state (the Config.Trace recorder)
 // must not interleave between runs. Callers that need true parallelism
 // should run each concurrent request on its own System over the same *Graph
-// — a Graph is immutable after BuildGraph and safe to share — which is what
-// SystemPool packages up.
+// — a Graph is immutable after BuildGraph and safe to share.
 type System struct {
 	graph *Graph
 	cfg   Config
@@ -295,17 +313,26 @@ type System struct {
 }
 
 // NewSystem validates the configuration against the graph (a rejected one
-// is ErrInvalid). A Config with PoolBytes > 0 and no Config.HostPool gets a
-// System-lifetime pool of its own; pass the same NewHostPool result to
-// several Systems (or use a SystemPool) to share.
+// is ErrInvalid), refusing at load what no run could use: a GPU or device
+// count outside [0, MaxDevices], or a storage-backed host pool larger than
+// the machine's main memory. A Config with PoolBytes > 0 and no
+// Config.HostPool gets a System-lifetime pool of its own; pass the same
+// NewHostPool result to several Systems to share.
 func NewSystem(g *Graph, cfg Config) (*System, error) {
+	if cfg.GPUs < 0 || cfg.GPUs > MaxDevices || cfg.Devices < 0 || cfg.Devices > MaxDevices {
+		return nil, fmt.Errorf("%w: %d GPUs, %d storage devices: each count must be in [0,%d]", ErrInvalid, cfg.GPUs, cfg.Devices, MaxDevices)
+	}
 	cfg, err := cfg.withSharedPool(g)
 	if err != nil {
 		return nil, err
 	}
+	spec := cfg.machineSpec()
+	if cfg.Storage != InMemory && cfg.HostPool != nil && cfg.HostPool.Budget() > spec.MainMemory {
+		return nil, fmt.Errorf("%w: a host page pool of %d bytes exceeds the machine's %d bytes of main memory", ErrInvalid, cfg.HostPool.Budget(), spec.MainMemory)
+	}
 	// The engine built here surfaces configuration errors eagerly and then
 	// serves every run.
-	eng, err := core.New(cfg.machineSpec(), g, core.Options{
+	eng, err := core.New(spec, g, core.Options{
 		Strategy:   cfg.Strategy,
 		Streams:    cfg.Streams,
 		Technique:  cfg.Tech,
@@ -322,6 +349,10 @@ func NewSystem(g *Graph, cfg Config) (*System, error) {
 
 // Graph returns the system's graph.
 func (s *System) Graph() *Graph { return s.graph }
+
+// Config returns the system's configuration, with HostPool set to the pool
+// PoolBytes built, if any: a System built from it shares that pool.
+func (s *System) Config() Config { return s.cfg }
 
 // HostPool returns the System-lifetime host page pool its storage-backed
 // runs stream through, or nil when every run builds a fresh private one (or

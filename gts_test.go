@@ -3,8 +3,11 @@ package gts
 import (
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graphgen"
@@ -275,6 +278,141 @@ func TestInvalidConfigRejected(t *testing.T) {
 	g := smallGraph(t)
 	if _, err := NewSystem(g, Config{Streams: 99}); err == nil {
 		t.Error("99 streams accepted")
+	}
+}
+
+// TestNewSystemRefusesWhatCannotRun: a machine no run could use is
+// ErrInvalid at load — a device count past MaxDevices (which used to build
+// a model of every one), a negative one (which used to build an SSD machine
+// without devices), or a host pool larger than main memory (which used to
+// load, then fail every run out of main memory) — and the largest legal
+// values still load.
+func TestNewSystemRefusesWhatCannotRun(t *testing.T) {
+	g := smallGraph(t)
+	const scale = 1 << 10
+	mainMemory := Config{ScaleFactor: scale}.machineSpec().MainMemory
+	oversized, err := NewHostPool(g, Config{PoolBytes: 2 * mainMemory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{GPUs: MaxDevices + 1},
+		{GPUs: -1},
+		{Storage: SSDs, Devices: -1},
+		{Storage: HDDs, Devices: MaxDevices + 1},
+		{Storage: SSDs, PoolBytes: 1 << 40},
+		{Storage: SSDs, ScaleFactor: scale, PoolBytes: mainMemory + int64(g.Config().PageSize)},
+		{Storage: HDDs, ScaleFactor: scale, HostPool: oversized},
+	} {
+		if _, err := NewSystem(g, cfg); !errors.Is(err, ErrInvalid) {
+			t.Errorf("NewSystem(%+v) = %v, want ErrInvalid", cfg, err)
+		}
+	}
+	for _, cfg := range []Config{
+		{GPUs: MaxDevices, Streams: 1},
+		{Storage: SSDs, Devices: MaxDevices},
+		{Storage: SSDs, ScaleFactor: scale, PoolBytes: mainMemory},
+		{PoolBytes: 1 << 40}, // in memory: PoolBytes is ignored
+	} {
+		if _, err := NewSystem(g, cfg); err != nil {
+			t.Errorf("NewSystem(%+v) = %v, want a System", cfg, err)
+		}
+	}
+}
+
+func TestParseStorage(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Storage
+		ok   bool
+	}{
+		{"", InMemory, true},
+		{"mem", InMemory, true},
+		{"SSD", SSDs, true},
+		{"hdd", HDDs, true},
+		{"tape", InMemory, false},
+		{"ssds", InMemory, false},
+	} {
+		got, err := ParseStorage(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseStorage(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestSystemSerializesRuns exercises the System concurrency guard: many
+// goroutines hammering one System must produce exactly the sequential
+// results (run under -race via `make test-race`).
+func TestSystemSerializesRuns(t *testing.T) {
+	g := smallGraph(t)
+	sys, err := NewSystem(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.BFS(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := sys.BFS(0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got.Levels, want.Levels) || got.Elapsed != want.Elapsed {
+				t.Error("concurrent BFS on one System diverged from sequential result")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestOpenSpecs(t *testing.T) {
+	// Dataset with explicit shrink.
+	g, err := Open("RMAT27@16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 2048 {
+		t.Errorf("RMAT27@16: V = %d, want 2048", g.NumVertices())
+	}
+	// File round-trip.
+	path := filepath.Join(t.TempDir(), "g.gts")
+	if err := g.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
+		t.Error("file spec did not round-trip")
+	}
+	// Errors.
+	for _, bad := range []string{"", "RMAT27@-1", "RMAT27@x", "NotAGraph", "missing.gts"} {
+		if _, err := Open(bad); err == nil {
+			t.Errorf("Open(%q) succeeded, want error", bad)
+		}
+	}
+	// A dataset name without shrink must use DefaultShrink; RMAT26@12 is
+	// small enough to generate here.
+	if _, err := os.Stat("RMAT26"); err == nil {
+		t.Skip("a file named RMAT26 shadows the dataset")
+	}
+	g3, err := Open("RMAT26")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g4, err := Generate("RMAT26", DefaultShrink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g3.NumVertices() != g4.NumVertices() {
+		t.Errorf("Open default shrink: V = %d, want %d", g3.NumVertices(), g4.NumVertices())
 	}
 }
 

@@ -30,11 +30,11 @@ func TestDeclinedMemberRunsAlone(t *testing.T) {
 	const streams = 4
 	want := int64(streams*2*g.Config().PageSize) + 9*int64(g.NumVertices())
 	cfg := gts.Config{Streams: streams, ScaleFactor: (12 << 30) / want}
-	pool, err := gts.NewSystemPool(g, cfg, 1)
+	sys, err := gts.NewSystem(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Scheduler{pool: pool, cfg: Config{MaxGroup: 2}.withDefaults()}
+	s := &Scheduler{sys: sys, cfg: Config{MaxGroup: 2}.withDefaults()}
 	s.cond = sync.NewCond(&s.mu)
 
 	wide := kernels.NewCC(g)
@@ -91,10 +91,6 @@ func TestDeclinedMemberRunsAlone(t *testing.T) {
 		t.Errorf("drained: %+v, want 1 fallback, 3 groups ([BFS], [CC] alone, [BFS BFS]), 4 jobs", st)
 	}
 
-	sys, err := gts.NewSystem(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	solo, err := sys.CC()
 	if err != nil {
 		t.Fatal(err)

@@ -47,13 +47,13 @@ func TestShortMemberAnswersBeforeLongOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := gts.NewSystemPool(g, gts.Config{}, 1)
+	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Driven by hand, as in TestDeclinedMemberRunsAlone: both jobs queue
 	// before the one group forms.
-	s := &Scheduler{pool: pool, cfg: Config{}.withDefaults()}
+	s := &Scheduler{sys: sys, cfg: Config{}.withDefaults()}
 	s.cond = sync.NewCond(&s.mu)
 
 	type answer struct {

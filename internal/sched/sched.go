@@ -6,15 +6,15 @@
 // One Scheduler fronts one graph (the service layer keeps one per
 // graphEntry, and runs every job through it; a job with no company is a
 // group of one). Submissions batch for a short hold window, then launch as a
-// wave group on a System claimed from the pool; jobs that arrive while a
-// group is running join it at the next wave boundary through the group's
-// admit callback, so a busy scheduler keeps one group open continuously
-// instead of queueing convoy-style behind it. A waiter is released when its
-// job leaves the group (its Done), not when the group ends; the job is
-// counted in GroupJobs just before, the group's own counters when it ends.
-// There is one run path: a member the shared machine cannot fit (its WA
-// would not fit even after dropping the page cache) goes back to the head of
-// the queue marked alone, and runs by itself on a whole machine next.
+// wave group on the graph's System; jobs that arrive while a group is
+// running join it at the next wave boundary through the group's admit
+// callback, so a busy scheduler keeps one group open continuously instead
+// of queueing convoy-style behind it. A waiter is released when its job
+// leaves the group (its Done), not when the group ends; the job is counted
+// in GroupJobs just before, the group's own counters when it ends. There is
+// one run path: a member the shared machine cannot fit (its WA would not fit
+// even after dropping the page cache) goes back to the head of the queue
+// marked alone, and runs by itself on a whole machine next.
 //
 // Results do not depend on a job's company by construction — a wave's page
 // kernels run against each member's own state, and a page shared by several
@@ -121,11 +121,10 @@ type pending struct {
 	out   gts.SharedOutcome
 }
 
-// Scheduler coalesces jobs for one graph into wave groups over a
-// SystemPool.
+// Scheduler coalesces jobs for one graph into wave groups on its System.
 type Scheduler struct {
-	pool *gts.SystemPool
-	cfg  Config
+	sys *gts.System
+	cfg Config
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -137,9 +136,9 @@ type Scheduler struct {
 	dispatcher sync.WaitGroup // the dispatcher goroutine
 }
 
-// New starts a scheduler over pool. Close must be called to stop it.
-func New(pool *gts.SystemPool, cfg Config) *Scheduler {
-	s := &Scheduler{pool: pool, cfg: cfg.withDefaults()}
+// New starts a scheduler over sys. Close must be called to stop it.
+func New(sys *gts.System, cfg Config) *Scheduler {
+	s := &Scheduler{sys: sys, cfg: cfg.withDefaults()}
 	s.cond = sync.NewCond(&s.mu)
 	s.dispatcher.Add(1)
 	go func() {
@@ -200,9 +199,8 @@ func (s *Scheduler) Close() {
 
 // dispatch is the scheduler's single control loop. While a group runs, new
 // arrivals are admitted into it at wave boundaries, so back-to-back load is
-// served by one continuously open group. runGroup is synchronous, so this
-// loop holds at most one System of the pool at a time, whatever the pool's
-// size.
+// served by one continuously open group. runGroup is synchronous, so one
+// System serves the graph.
 func (s *Scheduler) dispatch() {
 	for {
 		s.mu.Lock()
@@ -296,7 +294,7 @@ func (s *Scheduler) takeLocked(n int, gen uint64) []Job {
 	return batch
 }
 
-// runGroup claims a System and runs one wave group to completion, admitting
+// runGroup runs one wave group to completion on the System, admitting
 // late arrivals at wave boundaries; each member was answered as it left.
 func (s *Scheduler) runGroup() {
 	jobs, gen, alone := s.takeHead(s.cfg.MaxGroup)
@@ -314,9 +312,7 @@ func (s *Scheduler) runGroup() {
 			return joiners
 		}
 	}
-	sys, _ := s.pool.Acquire(context.Background()) // never fails: the context never ends
-	g, _ := sys.RunGroup(jobs, admit)
-	s.pool.Release(sys)
+	g, _ := s.sys.RunGroup(jobs, admit)
 	s.mu.Lock()
 	s.stats.Add(Stats{WaveGroups: 1, Waves: g.Waves, PageCopies: g.PageCopies,
 		SharedPageCopies: g.SharedPageCopies, BytesSaved: g.BytesSaved, BytesToGPU: g.BytesToGPU})

@@ -28,11 +28,11 @@ func testGraph(t *testing.T) *gts.Graph {
 
 func newSched(t *testing.T, g *gts.Graph, cfg gts.Config, scfg sched.Config) *sched.Scheduler {
 	t.Helper()
-	pool, err := gts.NewSystemPool(g, cfg, 2)
+	sys, err := gts.NewSystem(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.New(pool, scfg)
+	s := sched.New(sys, scfg)
 	t.Cleanup(s.Close)
 	return s
 }
@@ -163,11 +163,11 @@ func TestSchedulerContextCancel(t *testing.T) {
 // submissions fail with ErrClosed.
 func TestSchedulerCloseDrains(t *testing.T) {
 	g := testGraph(t)
-	pool, err := gts.NewSystemPool(g, gts.Config{}, 2)
+	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.New(pool, sched.Config{Hold: 20 * time.Millisecond})
+	s := sched.New(sys, sched.Config{Hold: 20 * time.Millisecond})
 
 	var wg sync.WaitGroup
 	errs := make([]error, 4)

@@ -25,19 +25,19 @@ func chaosServer(t *testing.T) (*httptest.Server, *gts.Graph) {
 
 	absorb := &gts.FaultPlan{Seed: 7, TransferErrorRate: 0.05, TransferStallRate: 0.05,
 		StorageErrorRate: 0.05, CorruptionRate: 0.05}
-	chaosPool, err := gts.NewSystemPool(g, gts.Config{Faults: absorb}, 2)
+	chaosSys, err := gts.NewSystem(g, gts.Config{Faults: absorb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("chaos", chaosPool); err != nil {
+	if err := srv.AddGraph("chaos", chaosSys); err != nil {
 		t.Fatal(err)
 	}
 	doomed := &gts.FaultPlan{Seed: 7, TransferErrorRate: 1}
-	doomedPool, err := gts.NewSystemPool(g, gts.Config{Faults: doomed}, 2)
+	doomedSys, err := gts.NewSystem(g, gts.Config{Faults: doomed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("doomed", doomedPool); err != nil {
+	if err := srv.AddGraph("doomed", doomedSys); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

@@ -129,7 +129,7 @@ func (s *Server) execute(job *Job) {
 // and an "incremental": true request among it is a fallback like any other.
 func resolve(job *Job) plan {
 	entry, req := job.entry, job.req
-	g, cfg := entry.pool.Graph(), entry.pool.Config()
+	g, cfg := entry.sys.Graph(), entry.sys.Config()
 	var reason string
 	switch {
 	case job.algo.retain == nil:

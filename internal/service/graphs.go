@@ -19,15 +19,15 @@ type GraphState int32
 
 // Graph states.
 const (
-	// GraphLoading: the base graph is being opened/generated and its engine
-	// pool built.
+	// GraphLoading: the base graph is being opened/generated and its System
+	// built.
 	GraphLoading GraphState = iota
 	// GraphRecovering: the WAL's committed batches are being replayed onto
 	// the base graph.
 	GraphRecovering
 	// GraphServing: queries are admitted.
 	GraphServing
-	// GraphDegraded: an ingest crash (or a failed pool rebuild) left the
+	// GraphDegraded: an ingest crash (or a failed System rebuild) left the
 	// graph read-only-at-best; reload to recover.
 	GraphDegraded
 )
@@ -46,16 +46,16 @@ func (g GraphState) String() string {
 	}
 }
 
-// graphEntry is one registered graph with its engine pool. Entries are
-// immutable after publication except for state; a mutation publishes a
-// whole new entry (new pool over the new snapshot, same MutableGraph), so
-// jobs holding an old entry keep computing against the consistent old
-// snapshot.
+// graphEntry is one registered graph with the System that runs its jobs
+// (and carries its Config). Entries are immutable after publication except
+// for state; a mutation publishes a whole new entry (a new System over the
+// new snapshot, same MutableGraph), so jobs holding an old entry keep
+// computing against the consistent old snapshot.
 type graphEntry struct {
 	name  string
 	gen   uint64 // load generation, part of the cache key
 	epoch uint64 // mutation epoch (last applied WAL LSN), part of the cache key
-	pool  *gts.SystemPool
+	sys   *gts.System
 	// sched runs the graph's jobs, coalescing concurrent ones into shared
 	// wave groups (nil only on a placeholder entry that is still loading).
 	sched *sched.Scheduler
@@ -86,10 +86,9 @@ type GraphInfo struct {
 	Name     string `json:"name"`
 	Vertices uint64 `json:"vertices"`
 	Edges    uint64 `json:"edges"`
-	Pool     int    `json:"pool"`
 	// PoolBytes is the budget of the graph's shared host page pool — the
-	// single pinned buffer all pooled Systems stream through. Zero when
-	// every run builds a private buffer (or the graph is in memory).
+	// single pinned buffer its runs stream through. Zero when every run
+	// builds a private buffer (or the graph is in memory).
 	PoolBytes int64 `json:"pool_bytes,omitempty"`
 	// State is the serving state ("loading"/"recovering"/"serving"/
 	// "degraded"); Mutable and Epoch describe WAL-backed graphs.
@@ -98,7 +97,7 @@ type GraphInfo struct {
 	Epoch   uint64 `json:"epoch,omitempty"`
 }
 
-// publish puts next, which must have its pool, into service: it gets a
+// publish puts next, which must have its System, into service: it gets a
 // wave-group scheduler, becomes the entry under its name, and the entry it
 // replaces has its scheduler drained off the lock (jobs already inside it
 // finish against the old entry; Shutdown waits for the drain). With old
@@ -113,7 +112,7 @@ func (s *Server) publish(next, old *graphEntry) error {
 	if old != nil && prev != old {
 		return fmt.Errorf("%w: %q was reloaded meanwhile", ErrGraphNotReady, next.name)
 	}
-	next.sched = sched.New(next.pool, sched.Config{})
+	next.sched = sched.New(next.sys, sched.Config{})
 	next.state.store(GraphServing)
 	s.graphs[next.name] = next
 	s.retire(prev)
@@ -134,31 +133,32 @@ func (s *Server) retire(e *graphEntry) {
 	}()
 }
 
-// AddGraph registers a pre-built engine pool under name. The pool's graph
+// AddGraph registers a pre-built System under name. The System's graph
 // must not be mutated afterwards (slotted-page graphs are immutable once
 // built). Re-registering a name replaces the previous graph and, via the
 // generation in the cache key, implicitly invalidates its cached results.
 // Every graph gets a wave-group scheduler: concurrent jobs on it coalesce
 // into shared topology streams.
-func (s *Server) AddGraph(name string, pool *gts.SystemPool) error {
-	if name == "" || pool == nil {
-		return fmt.Errorf("service: AddGraph needs a name and a pool")
+func (s *Server) AddGraph(name string, sys *gts.System) error {
+	if name == "" || sys == nil {
+		return fmt.Errorf("service: AddGraph needs a name and a System")
 	}
 	s.mu.Lock()
 	s.nextGen++
 	gen := s.nextGen
 	s.mu.Unlock()
-	return s.publish(&graphEntry{name: name, gen: gen, pool: pool}, nil)
+	return s.publish(&graphEntry{name: name, gen: gen, sys: sys}, nil)
 }
 
 // LoadMutableGraph opens spec as a crash-recoverable mutable graph whose
-// mutation history lives in the WAL at walPath (created if absent,
-// replayed if present), builds a poolSize-wide engine pool over the
-// recovered snapshot, and registers it under name. While the load runs the
-// graph is visible to Health in the "loading" (fresh WAL) or "recovering"
-// (non-empty WAL) state and rejects jobs with ErrGraphNotReady; it flips
-// to "serving" when the pool is up.
-func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Config, poolSize int) error {
+// mutation history lives in the WAL at walPath (created if absent, replayed
+// if present), builds a System with engineCfg over the recovered snapshot,
+// and registers it under name. While the load runs the graph is visible to
+// Health as "loading" (fresh WAL) or "recovering" (non-empty WAL) and
+// rejects jobs with ErrGraphNotReady; it is "serving" once the System is up.
+// The trailing int, once an engine-pool width, is ignored: the benchmark
+// module still passes one.
+func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Config, _ int) error {
 	if name == "" || spec == "" || walPath == "" {
 		return fmt.Errorf("service: LoadMutableGraph needs a name, a spec and a WAL path")
 	}
@@ -190,15 +190,12 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 	if err != nil {
 		return fail(err)
 	}
-	// Per-job fault plans still apply through requests; the graph-level
-	// plan was consumed by the WAL/ingest injector above. Keeping it on the
-	// engines too would double-inject every storage fault.
-	pool, err := gts.NewSystemPool(mg.Snapshot(), engineCfg, poolSize)
+	sys, err := gts.NewSystem(mg.Snapshot(), engineCfg)
 	if err != nil {
 		mg.Close()
 		return fail(err)
 	}
-	entry := &graphEntry{name: name, gen: placeholder.gen, epoch: mg.Epoch(), pool: pool, mg: mg, commit: new(sync.Mutex)}
+	entry := &graphEntry{name: name, gen: placeholder.gen, epoch: mg.Epoch(), sys: sys, mg: mg, commit: new(sync.Mutex)}
 	if s.cfg.Incremental {
 		// A fresh store per load: recovery discards every pre-crash entry
 		// by construction (epoch-mismatch safety without trusting the
@@ -219,7 +216,7 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 
 // Ingest commits one batch of edge mutations against a mutable graph:
 // WAL-append + fsync, apply, then republish the graph at its new epoch —
-// a fresh engine pool over the new snapshot sharing the old host page pool
+// a fresh System over the new snapshot sharing the old host page pool
 // (stale frames invalidated via AdvanceEpoch), a fresh wave-group
 // scheduler (the old one is fenced and drained), and a new cache-key
 // epoch so no stale result or old-epoch leader can serve new-epoch jobs.
@@ -255,16 +252,16 @@ func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error)
 	// post-mutation job, invalidate the shared host pool's superseded
 	// frames, and publish a new entry over the new snapshot.
 	entry.sched.Fence()
-	cfg := entry.pool.Config() // carries the shared host pool, if any, across the rebuild
+	cfg := entry.sys.Config() // carries the shared host pool, if any, across the rebuild
 	if cfg.HostPool != nil {
 		cfg.HostPool.AdvanceEpoch()
 	}
-	pool, perr := gts.NewSystemPool(entry.mg.Snapshot(), cfg, entry.pool.Size())
-	if perr != nil {
+	sys, serr := gts.NewSystem(entry.mg.Snapshot(), cfg)
+	if serr != nil {
 		entry.state.store(GraphDegraded)
-		return epoch, fmt.Errorf("service: batch %d committed but pool rebuild failed: %w", epoch, perr)
+		return epoch, fmt.Errorf("service: batch %d committed but System rebuild failed: %w", epoch, serr)
 	}
-	next := &graphEntry{name: name, gen: entry.gen, epoch: epoch, pool: pool, mg: entry.mg, commit: commit, inc: entry.inc}
+	next := &graphEntry{name: name, gen: entry.gen, epoch: epoch, sys: sys, mg: entry.mg, commit: commit, inc: entry.inc}
 	// A server that closed meanwhile serves no more queries; the batch is
 	// durable all the same, so the ingest still succeeded.
 	if err := s.publish(next, entry); err != nil && !errors.Is(err, ErrShuttingDown) {
@@ -339,19 +336,64 @@ func (s *Server) Ready() bool {
 	return true
 }
 
-// LoadGraph opens a graph spec (see gts.Open: a .gts store file or
-// "dataset[@shrink]"), builds a poolSize-wide engine pool with engineCfg,
-// and registers it under name.
-func (s *Server) LoadGraph(name, spec string, engineCfg gts.Config, poolSize int) error {
-	g, err := gts.Open(spec)
+// LoadRequest is the one graph-configuration document: the PUT
+// /v1/graphs/{name} body, and what gtsd's -load name=@file.json decodes.
+// Unknown keys are ignored, so a body with a retired field ("pool",
+// "host_workers") still loads.
+type LoadRequest struct {
+	// Spec is a gts.Open graph spec: a .gts store file or "dataset[@shrink]".
+	Spec string `json:"spec"`
+	// GPUs, Strategy ("p"|"s"), Streams, Storage ("mem"|"ssd"|"hdd"),
+	// PoolBytes (a shared host page pool on storage; 0: a private one per
+	// run) and DirectionOpt are the gts.Config fields of the same names.
+	GPUs         int    `json:"gpus,omitempty"`
+	Strategy     string `json:"strategy,omitempty"`
+	Streams      int    `json:"streams,omitempty"`
+	Storage      string `json:"storage,omitempty"`
+	PoolBytes    int64  `json:"pool_bytes,omitempty"`
+	DirectionOpt bool   `json:"direction_opt,omitempty"`
+	// Faults arms fault injection on the graph's runs and WAL (chaos testing).
+	Faults *gts.FaultPlan `json:"faults,omitempty"`
+	// WAL, when set, loads the graph as mutable over the write-ahead log at
+	// this path (see LoadMutableGraph): it accepts POST .../ingest.
+	WAL string `json:"wal,omitempty"`
+}
+
+// config translates the document into the engine configuration it names; a
+// document with no spec, or a value its field cannot take, is gts.ErrInvalid.
+func (d LoadRequest) config() (gts.Config, error) {
+	strategy, serr := gts.ParseStrategy(d.Strategy)
+	storage, perr := gts.ParseStorage(d.Storage)
+	err := errors.Join(serr, perr, d.Faults.Validate())
+	if d.Spec == "" {
+		err = errors.Join(errors.New(`a load document needs a "spec"`), err)
+	}
+	if err != nil {
+		return gts.Config{}, fmt.Errorf("%w: %w", gts.ErrInvalid, err)
+	}
+	return gts.Config{GPUs: d.GPUs, Streams: d.Streams, Strategy: strategy, Storage: storage,
+		PoolBytes: d.PoolBytes, DirectionOpt: d.DirectionOpt, Faults: d.Faults}, nil
+}
+
+// Load builds the graph doc describes and registers it under name (mutable
+// when doc names a WAL). PUT /v1/graphs/{name} and gtsd's -load both use it.
+func (s *Server) Load(name string, doc LoadRequest) error {
+	cfg, err := doc.config()
 	if err != nil {
 		return err
 	}
-	pool, err := gts.NewSystemPool(g, engineCfg, poolSize)
+	if doc.WAL != "" {
+		return s.LoadMutableGraph(name, doc.Spec, doc.WAL, cfg, 0)
+	}
+	g, err := gts.Open(doc.Spec)
 	if err != nil {
 		return err
 	}
-	return s.AddGraph(name, pool)
+	sys, err := gts.NewSystem(g, cfg)
+	if err != nil {
+		return err
+	}
+	return s.AddGraph(name, sys)
 }
 
 // Graphs lists the registered graphs, sorted by name.
@@ -361,11 +403,10 @@ func (s *Server) Graphs() []GraphInfo {
 	out := make([]GraphInfo, 0, len(s.graphs))
 	for _, e := range s.graphs {
 		info := GraphInfo{Name: e.name, State: e.state.load().String(), Mutable: e.mg != nil, Epoch: e.epoch}
-		if e.pool != nil { // placeholder entries mid-load have no pool yet
-			g := e.pool.Graph()
+		if e.sys != nil { // placeholder entries mid-load have no System yet
+			g := e.sys.Graph()
 			info.Vertices, info.Edges = g.NumVertices(), g.NumEdges()
-			info.Pool = e.pool.Size()
-			if hp := e.pool.HostPool(); hp != nil {
+			if hp := e.sys.HostPool(); hp != nil {
 				info.PoolBytes = hp.Budget()
 			}
 		}

@@ -107,51 +107,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	return http.StatusBadRequest, err
 }
 
-// loadRequest is the PUT /v1/graphs/{name} body.
-type loadRequest struct {
-	// Spec is a gts.Open graph spec: a .gts store file or "dataset[@shrink]".
-	Spec string `json:"spec"`
-	// Pool is the engine-pool width (default 4).
-	Pool int `json:"pool,omitempty"`
-	// GPUs, Strategy ("p"|"s"), and Streams configure the pooled engines.
-	GPUs     int    `json:"gpus,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
-	Streams  int    `json:"streams,omitempty"`
-	// Faults arms deterministic fault injection on every engine in this
-	// graph's pool (chaos testing; see gts.FaultPlan).
-	Faults *gts.FaultPlan `json:"faults,omitempty"`
-	// WAL, when set, loads the graph as mutable: the file at this path is
-	// the graph's write-ahead log (created if absent, replayed if present)
-	// and the graph accepts POST /v1/graphs/{name}/ingest.
-	WAL string `json:"wal,omitempty"`
-}
-
 func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req loadRequest
-	if status, err := decodeBody(w, r, &req); err != nil {
+	var doc LoadRequest
+	if status, err := decodeBody(w, r, &doc); err != nil {
 		httpError(w, status, fmt.Errorf("bad load request: %w", err))
 		return
 	}
-	if req.Spec == "" {
-		httpError(w, http.StatusBadRequest, errors.New("load request needs a \"spec\""))
-		return
-	}
-	if err := req.Faults.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	strategy, err := gts.ParseStrategy(req.Strategy)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	cfg := gts.Config{GPUs: req.GPUs, Streams: req.Streams, Strategy: strategy, Faults: req.Faults}
-	load := func() error { return s.LoadGraph(name, req.Spec, cfg, req.Pool) }
-	if req.WAL != "" {
-		load = func() error { return s.LoadMutableGraph(name, req.Spec, req.WAL, cfg, req.Pool) }
-	}
-	if err := load(); err != nil {
+	if err := s.Load(name, doc); err != nil {
 		httpError(w, statusOf(err), err)
 		return
 	}

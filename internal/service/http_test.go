@@ -17,20 +17,20 @@ import (
 	"repro/internal/service"
 )
 
-func httpServer(t *testing.T, cfg service.Config) (*service.Server, *httptest.Server, *gts.SystemPool) {
+func httpServer(t *testing.T, cfg service.Config) (*service.Server, *httptest.Server, *gts.System) {
 	t.Helper()
 	g, _ := testGraphPair(t)
 	srv := service.New(cfg)
-	pool, err := gts.NewSystemPool(g, gts.Config{}, 2)
+	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("social", pool); err != nil {
+	if err := srv.AddGraph("social", sys); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return srv, ts, pool
+	return srv, ts, sys
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]any) {
@@ -122,8 +122,9 @@ func TestHTTPAsyncFlow(t *testing.T) {
 func TestHTTPGraphLoadAndList(t *testing.T) {
 	_, ts, _ := httpServer(t, service.Config{})
 
-	// "host_workers" was a load field until the host-parallel kernel path was
-	// deleted; bodies that still carry it must keep loading.
+	// "pool" (the width of a graph's engine pool) and "host_workers" (the
+	// host-parallel kernel path) were load fields until their features were
+	// deleted; bodies that still carry them must keep loading.
 	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/tiny",
 		strings.NewReader(`{"spec":"RMAT26@15","pool":1,"host_workers":8}`))
 	resp, err := http.DefaultClient.Do(req)
@@ -163,7 +164,7 @@ func TestHTTPGraphLoadAndList(t *testing.T) {
 }
 
 func TestHTTPErrorStatuses(t *testing.T) {
-	_, ts, pool := httpServer(t, service.Config{Workers: 1, QueueDepth: 1})
+	_, ts, sys := httpServer(t, service.Config{Workers: 1, QueueDepth: 1})
 
 	cases := []struct {
 		method, path, body string
@@ -180,6 +181,12 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT27@16","gpus":-1}`, http.StatusBadRequest},
 		{"PUT", "/v1/graphs/bad", `{}`, http.StatusBadRequest},
 		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT26@15","strategy":"q"}`, http.StatusBadRequest},
+		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT26@15","storage":"tape"}`, http.StatusBadRequest},
+		// A machine no run could use is refused at load: a GPU count that
+		// used to build a model of each GPU for every run, and a host pool
+		// larger than main memory that used to fail every run with a 500.
+		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT26@15","gpus":1048576}`, http.StatusBadRequest},
+		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT26@15","storage":"ssd","pool_bytes":1099511627776}`, http.StatusBadRequest},
 		// Run parameters are checked before a kernel is built: a sketch count
 		// like this one used to panic the scheduler's goroutine while sizing
 		// the state, taking the process with it.
@@ -215,13 +222,9 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		t.Fatalf("radius with 32 sketches = %d (%v)", resp.StatusCode, doc)
 	}
 
-	// Deterministic 429 and 504: hold the pool's engines so the single
+	// Deterministic 429 and 504: hold the graph's System so the single
 	// worker blocks, fill the queue, then overflow it.
-	s1, ok1 := pool.TryAcquire()
-	s2, ok2 := pool.TryAcquire()
-	if !ok1 || !ok2 {
-		t.Fatal("could not exhaust pool")
-	}
+	release := holdSystem(sys)
 
 	// First async job occupies the worker.
 	resp, doc := postJSON(t, ts.URL+"/v1/graphs/social/bfs?mode=async", map[string]any{"source": 50})
@@ -242,14 +245,13 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		t.Errorf("overflow = %d (%v), want 429", resp.StatusCode, doc)
 	}
 
-	// Sync request with a short deadline while the pool is exhausted: 504.
+	// Sync request with a short deadline while the System is held: 504.
 	resp, doc = postJSON(t, ts.URL+"/v1/graphs/social/pagerank?timeout=40ms", nil)
 	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("deadline run = %d (%v), want 504 (or 429 if the queue was still full)", resp.StatusCode, doc)
 	}
 
-	pool.Release(s1)
-	pool.Release(s2)
+	release()
 }
 
 // metricsValue scrapes one un-labeled numeric series from /metrics.

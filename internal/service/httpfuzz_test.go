@@ -30,8 +30,9 @@ const fuzzSpec = "RMAT27@16"
 // The harness keeps inputs that are legal but would let one iteration
 // allocate gigabytes, read arbitrary files or never finish out of the
 // server: a load body's spec is pinned to fuzzSpec unless Open would refuse
-// it without generating or reading anything, its wal is dropped and its pool
-// and gpus capped at 2; an ingest endpoint in [2^16, the graph's addressable
+// it without generating or reading anything, and its wal is dropped (its
+// gpus, devices and pool bytes need no cap: NewSystem refuses a machine no
+// run could use); an ingest endpoint in [2^16, the graph's addressable
 // capacity) skips the input (a larger one is refused before anything grows);
 // so does a run of more than 64 iterations.
 func FuzzHTTPRequests(f *testing.F) {
@@ -45,16 +46,18 @@ func FuzzHTTPRequests(f *testing.F) {
 	for _, body := range []string{
 		`{"spec":"NotADataset"}`, `{"spec":"RMAT27@x"}`, `{"spec":"RMAT27@16","streams":99}`,
 		`{"spec":"RMAT27@16","gpus":-1}`, `{"spec":"RMAT27@16","strategy":"s","gpus":2}`,
+		`{"spec":"RMAT27@16","storage":"tape"}`, `{"spec":"RMAT27@16","storage":"ssd","pool_bytes":1099511627776}`,
+		`{"spec":"RMAT27@16","gpus":1048576}`,
 	} {
 		f.Add(uint8(2), "", "", "", []byte(body))
 	}
 
 	srv := New(Config{Workers: 2, QueueDepth: 8, Incremental: true})
 	f.Cleanup(func() { srv.Close() })
-	if err := srv.LoadMutableGraph("g", fuzzSpec, filepath.Join(f.TempDir(), "g.wal"), gts.Config{}, 1); err != nil {
+	if err := srv.LoadMutableGraph("g", fuzzSpec, filepath.Join(f.TempDir(), "g.wal"), gts.Config{}, 0); err != nil {
 		f.Fatal(err)
 	}
-	capacity := srv.graphs["g"].pool.Graph().Config().MaxAddressableVertices()
+	capacity := srv.graphs["g"].sys.Graph().Config().MaxAddressableVertices()
 	h := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, route uint8, seg, timeout, mode string, body []byte) {
@@ -73,11 +76,10 @@ func FuzzHTTPRequests(f *testing.F) {
 			method, path = http.MethodPost, "/v1/graphs/g/ingest"
 		default:
 			method, path = http.MethodPut, "/v1/graphs/x"
-			var req loadRequest
-			if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
-				req.Spec, req.WAL = pinSpec(req.Spec), ""
-				req.Pool, req.GPUs = min(req.Pool, 2), min(req.GPUs, 2)
-				body, _ = json.Marshal(req)
+			var doc LoadRequest
+			if json.NewDecoder(bytes.NewReader(body)).Decode(&doc) == nil {
+				doc.Spec, doc.WAL = pinSpec(doc.Spec), ""
+				body, _ = json.Marshal(doc)
 			}
 		}
 		if route%3 == 1 {

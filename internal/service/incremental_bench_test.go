@@ -42,7 +42,7 @@ func measureIncVsFull(tb testing.TB, algo string, epochs int, batch func(epoch i
 	defer orc.Close()
 	dir := tb.TempDir()
 	for name, srv := range map[string]*service.Server{"inc.wal": inc, "orc.wal": orc} {
-		if err := srv.LoadMutableGraph("g", incBenchSpec, filepath.Join(dir, name), gts.Config{}, 1); err != nil {
+		if err := srv.LoadMutableGraph("g", incBenchSpec, filepath.Join(dir, name), gts.Config{}, 0); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func measureBesideFull(tb testing.TB, epochs int) (aloneMs, besideMs, fullMs flo
 	tb.Helper()
 	srv := service.New(service.Config{Incremental: true, CacheEntries: -1})
 	defer srv.Close()
-	if err := srv.LoadMutableGraph("g", incBenchSpec, filepath.Join(tb.TempDir(), "g.wal"), gts.Config{}, 1); err != nil {
+	if err := srv.LoadMutableGraph("g", incBenchSpec, filepath.Join(tb.TempDir(), "g.wal"), gts.Config{}, 0); err != nil {
 		tb.Fatal(err)
 	}
 	inc := service.Request{Graph: "g", Algo: "bfs", Incremental: true}

@@ -25,10 +25,10 @@ func incServerPair(t *testing.T) (inc, orc *service.Server) {
 	inc = service.New(service.Config{Incremental: true, CacheEntries: -1, TraceJobs: 16})
 	orc = service.New(service.Config{CacheEntries: -1})
 	t.Cleanup(func() { inc.Close(); orc.Close() })
-	if err := inc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "inc.wal"), gts.Config{}, 2); err != nil {
+	if err := inc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "inc.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := orc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "orc.wal"), gts.Config{}, 2); err != nil {
+	if err := orc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "orc.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return inc, orc
@@ -313,10 +313,10 @@ func TestServiceIncrementalMultiGPUGate(t *testing.T) {
 	orc := service.New(service.Config{CacheEntries: -1})
 	t.Cleanup(func() { inc.Close(); orc.Close() })
 	cfg := gts.Config{GPUs: 2}
-	if err := inc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "inc.wal"), cfg, 2); err != nil {
+	if err := inc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "inc.wal"), cfg, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := orc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "orc.wal"), cfg, 2); err != nil {
+	if err := orc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "orc.wal"), cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	checkIncEpoch(t, inc, orc, "multigpu")

@@ -208,7 +208,7 @@ func TestHTTPReadyzRecoveringTransition(t *testing.T) {
 
 	// Poll /readyz while the load replays the WAL in the background.
 	done := make(chan error, 1)
-	go func() { done <- srv.LoadMutableGraph("mut", mutSpec, walPath, gts.Config{}, 2) }()
+	go func() { done <- srv.LoadMutableGraph("mut", mutSpec, walPath, gts.Config{}, 0) }()
 	sawRecovering, sawNotReady := false, false
 poll:
 	for {
@@ -263,7 +263,7 @@ func TestIngestEpochNoCrossEpochCoalescing(t *testing.T) {
 	srv := service.New(service.Config{Workers: 2})
 	defer srv.Close()
 	walPath := filepath.Join(t.TempDir(), "coalesce.wal")
-	if err := srv.LoadMutableGraph("mut", mutSpec, walPath, gts.Config{}, 2); err != nil {
+	if err := srv.LoadMutableGraph("mut", mutSpec, walPath, gts.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -307,7 +307,7 @@ func TestIngestEpochNoCrossEpochCoalescing(t *testing.T) {
 func TestConcurrentIngestPublishesEveryBatch(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	srv := service.New(service.Config{Workers: 2})
-	if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "race.wal"), gts.Config{}, 2); err != nil {
+	if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "race.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	bfs := func(src uint64) []int16 {
@@ -369,7 +369,7 @@ func TestConcurrentIngestPublishesEveryBatch(t *testing.T) {
 func TestHTTPOversizedBodyRejected(t *testing.T) {
 	srv := service.New(service.Config{})
 	defer srv.Close()
-	if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 2); err != nil {
+	if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Ingest("mut", []gts.EdgeOp{{Src: 1, Dst: 2}}); err != nil {

@@ -14,12 +14,12 @@ import (
 // epoch and requires epoch 0's snapshot to be collected while its job is
 // still in the history and still answers GET /v1/jobs/{id} with the same
 // bytes. Before Job.complete dropped the entry, every finished job pinned
-// its graphEntry, engine pool and snapshot for as long as the 1 024-entry
+// its graphEntry, System and snapshot for as long as the 1 024-entry
 // history remembered it.
 func TestFinishedJobReleasesItsEpoch(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
-	if err := srv.LoadMutableGraph("mut", "RMAT26@15", filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 2); err != nil {
+	if err := srv.LoadMutableGraph("mut", "RMAT26@15", filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	fetch := func(method, url, body string) string {
@@ -30,7 +30,7 @@ func TestFinishedJobReleasesItsEpoch(t *testing.T) {
 	collected := make(chan struct{})
 	func() { // epoch 0's graph must not stay reachable from this frame
 		srv.mu.Lock()
-		g := srv.graphs["mut"].pool.Graph()
+		g := srv.graphs["mut"].sys.Graph()
 		srv.mu.Unlock()
 		runtime.SetFinalizer(g, func(*gts.Graph) { close(collected) })
 	}()

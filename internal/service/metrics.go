@@ -162,8 +162,8 @@ type Stats struct {
 	HWFailures  uint64         `json:"hw_failures"`
 	// Sharing aggregates wave-group activity across the loaded graphs.
 	Sharing SharingStats `json:"sharing"`
-	// Pool holds each pooled graph's shared host page-pool snapshot, keyed
-	// by graph name (nil when no graph uses a BufferPool).
+	// Pool holds the snapshot of each graph's shared host page pool, keyed
+	// by graph name (nil when no graph has one).
 	Pool map[string]gts.PoolStats `json:"pool,omitempty"`
 	// IngestBatches/IngestEdges count committed mutation batches and edge
 	// ops; IngestFailures counts batches that errored (including crashes).
@@ -370,10 +370,10 @@ func (s *Server) Stats() Stats {
 			st.WAL[e.name] = e.mg.WALStats()
 			st.Epochs[e.name] = e.mg.Epoch()
 		}
-		if e.pool == nil { // placeholder entry mid-load
+		if e.sys == nil { // placeholder entry mid-load
 			continue
 		}
-		if hp := e.pool.HostPool(); hp != nil {
+		if hp := e.sys.HostPool(); hp != nil {
 			if st.Pool == nil {
 				st.Pool = make(map[string]gts.PoolStats)
 			}

@@ -220,13 +220,13 @@ func TestHTTPJobBodyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := gts.NewSystemPool(g, gts.Config{}, 1)
+	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := New(Config{})
 	defer srv.Close()
-	if err := srv.AddGraph("social", pool); err != nil {
+	if err := srv.AddGraph("social", sys); err != nil {
 		t.Fatal(err)
 	}
 	wallClock := regexp.MustCompile(`"(latency_ms|wall_ms)": [0-9.e+-]+`)

@@ -1,6 +1,6 @@
 // Package service is the concurrent analytics layer over the GTS engine:
 // a long-lived Server that holds named, pre-loaded slotted-page graphs
-// (each fronted by a gts.SystemPool), admits algorithm jobs through a
+// (each run by one gts.System), admits algorithm jobs through a
 // bounded FIFO queue, executes them on a worker pool with per-job
 // deadlines, memoizes completed answers in an LRU result cache — the
 // service-level analogue of the engine's cachedPIDMap — and exports
@@ -112,7 +112,7 @@ type Request struct {
 	Graph  string `json:"graph"`
 	Algo   string `json:"algo"`
 	Params Params `json:"params"`
-	// Timeout bounds queueing + pool wait; 0 inherits
+	// Timeout bounds queueing + scheduler wait; 0 inherits
 	// Config.DefaultTimeout, negative means no deadline.
 	Timeout time.Duration `json:"timeout,omitempty"`
 	// Incremental asks the server to answer from retained epoch state via

@@ -101,23 +101,23 @@ func wantReference(t *testing.T, raw *csr.Graph, p service.Params, output any) {
 }
 
 // twoGraphServer builds a server with graphs "social" and "web" registered
-// over fresh pools.
+// over fresh Systems.
 func twoGraphServer(t *testing.T, cfg service.Config) *service.Server {
 	t.Helper()
 	ga, gb := testGraphPair(t)
 	srv := service.New(cfg)
-	poolA, err := gts.NewSystemPool(ga, gts.Config{}, 2)
+	sysA, err := gts.NewSystem(ga, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	poolB, err := gts.NewSystemPool(gb, gts.Config{GPUs: 2}, 2)
+	sysB, err := gts.NewSystem(gb, gts.Config{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("social", poolA); err != nil {
+	if err := srv.AddGraph("social", sysA); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("web", poolB); err != nil {
+	if err := srv.AddGraph("web", sysB); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
@@ -125,7 +125,7 @@ func twoGraphServer(t *testing.T, cfg service.Config) *service.Server {
 }
 
 // directOutput runs the request's algorithm on a standalone System with
-// the same engine config the named pool uses, returning the result's JSON.
+// the same engine config the named graph's uses, returning the result's JSON.
 func directOutput(t *testing.T, req service.Request) []byte {
 	t.Helper()
 	ga, gb := testGraphPair(t)
@@ -283,25 +283,36 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
+// holdSystem keeps sys from running anything until the returned release is
+// called: it holds the System's run lock in a wave group of no members whose
+// first admit poll waits for release.
+func holdSystem(sys *gts.System) (release func()) {
+	held, free := make(chan struct{}), make(chan struct{})
+	go sys.RunGroup(nil, func() []gts.SharedJob {
+		close(held)
+		<-free
+		return nil
+	})
+	<-held
+	return func() { close(free) }
+}
+
 // TestOverloadAndTimeout pins admission control and deadline outcomes
-// deterministically by exhausting a one-engine pool from the outside.
+// deterministically by holding the graph's System from the outside.
 func TestOverloadAndTimeout(t *testing.T) {
 	g, _ := testGraphPair(t)
 	srv := service.New(service.Config{Workers: 1, QueueDepth: 2})
-	pool, err := gts.NewSystemPool(g, gts.Config{}, 1)
+	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("g", pool); err != nil {
+	if err := srv.AddGraph("g", sys); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// Hold the only engine so every dequeued job blocks in Acquire.
-	held, ok := pool.TryAcquire()
-	if !ok {
-		t.Fatal("could not claim the pool's engine")
-	}
+	// Hold the System so every dequeued job blocks in its scheduler.
+	release := holdSystem(sys)
 
 	// Job A occupies the single worker once dequeued.
 	jobA, err := srv.Submit(service.Request{Graph: "g", Algo: "bfs"})
@@ -331,19 +342,16 @@ func TestOverloadAndTimeout(t *testing.T) {
 	}
 	_ = jobT
 
-	// Release the engine: A, B, C drain.
-	pool.Release(held)
+	// Release the System: A, B, C drain.
+	release()
 	<-jobA.Done()
 	if jobA.State() != service.JobDone {
 		t.Errorf("job A = %v (%v)", jobA.State(), jobA.Err())
 	}
 	waitFor(t, func() bool { return srv.Stats().Completed == 3 }, "queue to drain")
 
-	// Now exhaust the pool again for a deterministic timeout outcome.
-	held, ok = pool.TryAcquire()
-	if !ok {
-		t.Fatal("could not reclaim the engine")
-	}
+	// Now hold it again for a deterministic timeout outcome.
+	release = holdSystem(sys)
 	jobT, err = srv.Submit(service.Request{Graph: "g", Algo: "pagerank", Timeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +370,7 @@ func TestOverloadAndTimeout(t *testing.T) {
 	if srv.Stats().TimedOut != 1 {
 		t.Errorf("timedout counter = %d, want 1", srv.Stats().TimedOut)
 	}
-	pool.Release(held)
+	release()
 
 	// Final ledger: every admitted job reached exactly one terminal state.
 	st := srv.Stats()
@@ -453,11 +461,11 @@ func TestGraphReplaceInvalidatesCache(t *testing.T) {
 	ga, gb := testGraphPair(t)
 	srv := service.New(service.Config{})
 	defer srv.Close()
-	pool, err := gts.NewSystemPool(ga, gts.Config{}, 1)
+	sys, err := gts.NewSystem(ga, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("g", pool); err != nil {
+	if err := srv.AddGraph("g", sys); err != nil {
 		t.Fatal(err)
 	}
 	job1, err := srv.Run(context.Background(), service.Request{Graph: "g", Algo: "cc"})
@@ -466,11 +474,11 @@ func TestGraphReplaceInvalidatesCache(t *testing.T) {
 	}
 	res1, _ := job1.Result()
 
-	pool2, err := gts.NewSystemPool(gb, gts.Config{}, 1)
+	sys2, err := gts.NewSystem(gb, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("g", pool2); err != nil {
+	if err := srv.AddGraph("g", sys2); err != nil {
 		t.Fatal(err)
 	}
 	job2, err := srv.Run(context.Background(), service.Request{Graph: "g", Algo: "cc"})

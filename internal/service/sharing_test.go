@@ -21,21 +21,18 @@ import (
 func TestCoalesceIdenticalSubmissions(t *testing.T) {
 	g, _ := testGraphPair(t)
 	srv := service.New(service.Config{Workers: 1, QueueDepth: 8})
-	pool, err := gts.NewSystemPool(g, gts.Config{}, 1)
+	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("g", pool); err != nil {
+	if err := srv.AddGraph("g", sys); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// Hold the only engine so the leader cannot finish while the followers
+	// Hold the System so the leader cannot finish while the followers
 	// submit — the dedup window stays deterministically open.
-	held, ok := pool.TryAcquire()
-	if !ok {
-		t.Fatal("could not claim the pool's engine")
-	}
+	release := holdSystem(sys)
 
 	req := service.Request{Graph: "g", Algo: "bfs", Params: service.Params{Source: 7}}
 	leader, err := srv.Submit(req)
@@ -52,7 +49,7 @@ func TestCoalesceIdenticalSubmissions(t *testing.T) {
 		t.Errorf("coalesced = %d, want %d", got, len(followers))
 	}
 
-	pool.Release(held)
+	release()
 	<-leader.Done()
 	lres, err := leader.Result()
 	if err != nil {
@@ -104,11 +101,11 @@ func TestChaosSharedWaveGroups(t *testing.T) {
 	g, _ := testGraphPair(t)
 	srv := service.New(service.Config{Workers: 32, QueueDepth: 64})
 	plan := &gts.FaultPlan{Seed: 21, TransferErrorRate: 0.05, TransferStallRate: 0.05}
-	pool, err := gts.NewSystemPool(g, gts.Config{Faults: plan}, 2)
+	sys, err := gts.NewSystem(g, gts.Config{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("shared", pool); err != nil {
+	if err := srv.AddGraph("shared", sys); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -246,11 +243,11 @@ func equalRanks(a, b []float32) bool {
 func TestSharedGraphServesSoloAlgorithms(t *testing.T) {
 	g, _ := testGraphPair(t)
 	srv := service.New(service.Config{Workers: 4})
-	pool, err := gts.NewSystemPool(g, gts.Config{}, 2)
+	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddGraph("shared", pool); err != nil {
+	if err := srv.AddGraph("shared", sys); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()

@@ -101,8 +101,8 @@ func TestMTEPS(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording hammers one recorder from many goroutines — the
-// service layer shares a recorder across pooled engines — and checks
+// TestConcurrentRecording hammers one recorder from many goroutines — a
+// Config.Trace is shared by every System built from the Config — and checks
 // nothing is lost. Run under -race via `make test-race`.
 func TestConcurrentRecording(t *testing.T) {
 	r := New()
