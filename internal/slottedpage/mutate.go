@@ -3,8 +3,10 @@ package slottedpage
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // EdgeOp is one directed-edge mutation against a mutable graph: an insert
@@ -20,10 +22,11 @@ type EdgeOp struct {
 
 // Mutable wraps an immutable slotted-page Graph with a batched mutation
 // path. Readers take latch-free snapshots (an atomic pointer load) and run
-// against a fully immutable Graph; ApplyBatch builds the successor state
-// off to the side and publishes it with a single atomic swap, adopting
-// every page whose bytes did not change under a per-page latch — the
-// blink-tree discipline: readers never block, writers never tear a page.
+// against a fully immutable Graph; ApplyBatch edits the adjacency mirror in
+// place under an undo log, builds the successor from it off to the side and
+// publishes it with a single atomic swap, adopting every page whose bytes
+// did not change under a per-page latch — the blink-tree discipline:
+// readers never block, writers never tear a page.
 //
 // The successor is produced by re-packing the mutated adjacency mirror
 // through Build, so a mutated graph is byte-identical to a from-scratch
@@ -119,7 +122,8 @@ func (m *Mutable) NumEdges() uint64 {
 // returned Graph is the published successor snapshot, or no observable
 // state changes. The successor shares the byte buffers of every page the
 // batch did not disturb (adopted under that page's latch), so small batches
-// over big graphs copy only the pages they touch.
+// over big graphs copy only the pages they touch. If the predecessor's
+// reverse index is alive, the successor gets it patched by the batch.
 func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -127,54 +131,49 @@ func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 	old := m.cur.Load()
 	cfg := old.Config()
 
-	// Copy-on-write over the mirror: rows are copied the first time the
-	// batch touches them, so an error mid-batch leaves m.adj untouched.
-	adj := make([][]uint64, len(m.adj))
-	copy(adj, m.adj)
-	touched := make(map[uint64]bool)
-	edges := m.edges
-	grow := func(v uint64) error {
-		if v < uint64(len(adj)) {
-			return nil
-		}
-		if v >= cfg.MaxAddressableVertices() {
-			return fmt.Errorf("slottedpage: vertex %d exceeds addressable capacity %d", v, cfg.MaxAddressableVertices())
-		}
-		next := make([][]uint64, v+1)
-		copy(next, adj)
-		adj = next
-		return nil
-	}
+	// The vertex space grows once, to cover the batch's largest ID, and
+	// only if every ID is addressable: a batch that is not changes nothing.
+	n := uint64(len(m.adj))
 	for _, op := range ops {
-		if err := grow(op.Src); err != nil {
-			return nil, err
-		}
-		if err := grow(op.Dst); err != nil {
-			return nil, err
-		}
-		if !touched[op.Src] {
-			adj[op.Src] = append([]uint64(nil), adj[op.Src]...)
-			touched[op.Src] = true
-		}
-		if op.Del {
-			row := adj[op.Src]
-			kept := row[:0]
-			for _, d := range row {
-				if d == op.Dst {
-					edges--
-				} else {
-					kept = append(kept, d)
-				}
+		for _, v := range [2]uint64{op.Src, op.Dst} {
+			if v >= cfg.MaxAddressableVertices() {
+				return nil, fmt.Errorf("slottedpage: vertex %d exceeds addressable capacity %d", v, cfg.MaxAddressableVertices())
 			}
-			adj[op.Src] = kept
-		} else {
-			adj[op.Src] = append(adj[op.Src], op.Dst)
-			edges++
+			n = max(n, v+1)
 		}
 	}
 
-	next, err := Build(mirrorSource{adj: adj, edges: edges}, cfg)
+	// The mirror changes in place. A row is copied the first time the batch
+	// touches it and undo keeps the old one, so a failed build can put back
+	// every row and the table's old length.
+	oldN := len(m.adj)
+	m.adj = append(m.adj, make([][]uint64, n-uint64(oldN))...)
+	undo := make(map[uint64][]uint64)
+	edges := m.edges
+	for _, op := range ops {
+		row := m.adj[op.Src]
+		if _, ok := undo[op.Src]; !ok {
+			undo[op.Src] = row
+			row = append(make([]uint64, 0, len(row)+1), row...)
+		}
+		if op.Del {
+			kept := slices.DeleteFunc(row, func(d uint64) bool { return d == op.Dst })
+			edges -= uint64(len(row) - len(kept))
+			row = kept
+		} else {
+			row = append(row, op.Dst)
+			edges++
+		}
+		m.adj[op.Src] = row
+	}
+
+	next, err := Build(mirrorSource{adj: m.adj, edges: edges}, cfg)
 	if err != nil {
+		for v, row := range undo {
+			m.adj[v] = row
+		}
+		clear(m.adj[oldN:])
+		m.adj = m.adj[:oldN]
 		return nil, err
 	}
 
@@ -194,7 +193,13 @@ func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 		m.latches = grown
 	}
 
-	m.adj = adj
+	old.revMu.Lock()
+	rev := old.rev.Value()
+	old.revMu.Unlock()
+	if rev != nil {
+		next.rev = weak.Make(rev.patched(n, ops))
+	}
+
 	m.edges = edges
 	m.cur.Store(next)
 	return next, nil

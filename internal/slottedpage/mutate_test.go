@@ -3,6 +3,9 @@ package slottedpage
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -160,6 +163,83 @@ func TestApplyBatchFailureLeavesStateUntouched(t *testing.T) {
 	graphsIdentical(t, next, want, "after failed batch")
 }
 
+// TestApplyBatchFailureAfterGrowthRestoresMirror: a batch that touches
+// rows, grows the vertex space within capacity and then fails in Build
+// (5 001 vertices need more pages than a 1-byte page ID addresses) leaves
+// the mirror, Snapshot, NumEdges and the bytes of the next commits exactly
+// as a Mutable that never saw it has them.
+func TestApplyBatchFailureAfterGrowthRestoresMirror(t *testing.T) {
+	cfg := ScaledConfig(1, 1, 256)
+	base := adjSource{adj: [][]uint64{{1, 2}, {2}, {0}, {}, {4}, {0, 6, 0}, {}, {3}}}
+	g, err := Build(base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ref := NewMutable(g), NewMutable(g)
+	before := m.Snapshot()
+	bad := []EdgeOp{{Src: 0, Dst: 1}, {Del: true, Src: 5, Dst: 0}, {Src: 3, Dst: 3}, {Src: 5000, Dst: 7}, {Src: 9, Dst: 1}}
+	if _, err := m.ApplyBatch(bad); err == nil {
+		t.Fatal("a batch needing more pages than the config addresses committed")
+	}
+	if m.Snapshot() != before || m.NumEdges() != ref.NumEdges() {
+		t.Fatalf("failed batch moved the snapshot or the edge count (%d, want %d)", m.NumEdges(), ref.NumEdges())
+	}
+	if !reflect.DeepEqual(m.adj, ref.adj) {
+		t.Fatalf("failed batch left the mirror %v, want %v", m.adj, ref.adj)
+	}
+	for _, ops := range [][]EdgeOp{{{Src: 2, Dst: 6}, {Del: true, Src: 0, Dst: 2}}, {{Src: 12, Dst: 5}}} {
+		got, err := m.ApplyBatch(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.ApplyBatch(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphsIdentical(t, got, want, "after the failed batch")
+	}
+}
+
+// TestApplyBatchAllocBudget: with the predecessor's index held, a 64-edge
+// insert batch at RMAT27@11 allocates the successor's pages, its two home
+// tables, the index blocks holding a destination of the batch (about a
+// fifth of the index: 0.8-1.7 MB over seeds 1-8) and at most 512 KiB
+// besides. The mirror is edited in place, never copied whole (24 B × |V| =
+// 1.5 MiB here), and the index is patched, never rebuilt (4.3 MiB).
+func TestApplyBatchAllocBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the patched index is held weakly
+	_, sp := rmatPages(t, 11)
+	m := NewMutable(sp)
+	rev := sp.Reverse()
+	ops := randomInserts(rand.New(rand.NewSource(3)), 64, sp.NumVertices())
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	next, err := m.ApplyBatch(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	got := int64(ms.TotalAlloc - start)
+	touched := make(map[uint64]bool)
+	var blocks int64
+	for _, op := range ops {
+		if b := op.Dst / revBlockSize; !touched[b] {
+			touched[b] = true
+			blocks += 4 * int64(len(rev.blocks[b].offs)+len(rev.blocks[b].srcs))
+		}
+	}
+	budget := next.TopologyBytes() + 8*int64(next.NumVertices()) + blocks + 512<<10
+	if got > budget {
+		t.Fatalf("a 64-edge batch allocated %d bytes, budget %d (pages %d, touched index blocks %d)",
+			got, budget, next.TopologyBytes(), blocks)
+	}
+	if next.rev.Value() == nil {
+		t.Fatal("the commit did not patch the held index")
+	}
+	runtime.KeepAlive(rev)
+}
+
 func TestConcurrentSnapshotsDuringMutation(t *testing.T) {
 	cfg := tinyConfig()
 	adj := make([][]uint64, 64)
@@ -191,6 +271,10 @@ func TestConcurrentSnapshotsDuringMutation(t *testing.T) {
 				}
 				var n uint64
 				s.NeighborsOf(3, func(uint64) { n++ })
+				if in := s.Reverse().In(3); len(in) > int(s.NumEdges()) {
+					t.Errorf("vertex 3 has %d in-neighbors in a %d-edge snapshot", len(in), s.NumEdges())
+					return
+				}
 				_ = n
 			}
 		}()
