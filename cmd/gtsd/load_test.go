@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -22,14 +23,16 @@ import (
 // doc sets every field of the load document but wal, so a graph built from it
 // takes every translation the document has.
 const doc = `{"spec":"RMAT27@16","gpus":2,"strategy":"s","streams":8,
-	"storage":"ssd","pool_bytes":65536,"direction_opt":true,
+	"storage":"ssd","pool_bytes":65536,
 	"faults":{"seed":3,"transfer_stall_rate":0.05}}`
 
 // TestLoadDocumentOnFlagAndPUT: a graph loaded at startup with -load
 // name=@file.json and one PUT with the same document are the same graph — equal
 // GraphInfo but for the name, equal bfs bodies but for the wall-clock fields —
 // and a document one path refuses, the other refuses too: gtsd exits 1, PUT
-// answers 400.
+// answers 400. bfs is the direction-optimizing kernel with no option asking
+// for it, and a document naming every retired field (testdata/retired.json)
+// still loads.
 func TestLoadDocumentOnFlagAndPUT(t *testing.T) {
 	bin := buildGtsd(t)
 	dir := t.TempDir()
@@ -79,8 +82,16 @@ func TestLoadDocumentOnFlagAndPUT(t *testing.T) {
 	if bodyA != bodyB {
 		t.Errorf("bfs bodies differ:\n-load: %.400s\nPUT:   %.400s", bodyA, bodyB)
 	}
-	if !strings.Contains(bodyA, `"LevelDirs"`) {
-		t.Errorf("direction_opt did not reach the bfs kernel: %.400s", bodyA)
+	var res struct{ Result struct{ LevelDirs []string } }
+	if err := json.Unmarshal([]byte(bodyA), &res); err != nil || !slices.Contains(res.Result.LevelDirs, "pull") {
+		t.Errorf("bfs did not run the direction-optimizing kernel (LevelDirs %v, %v): %.400s", res.Result.LevelDirs, err, bodyA)
+	}
+	retired, err := os.ReadFile(filepath.Join("testdata", "retired.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := do(t, http.MethodPut, base+"/v1/graphs/c", string(retired)); code != http.StatusCreated {
+		t.Errorf("PUT %s = %d, want 201: %s", retired, code, body)
 	}
 
 	if code, body := do(t, http.MethodPut, base+"/v1/graphs/t", tape); code != http.StatusBadRequest {

@@ -20,6 +20,7 @@ package gts
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -140,14 +141,6 @@ type Config struct {
 	// byte-identical to a fault-free run — and returns an error wrapping
 	// ErrHardwareFault when a fault persists beyond the retry budget.
 	Faults *FaultPlan
-	// DirectionOpt runs BFS on the direction-optimizing frontier kernel
-	// (kernels.DirBFS), which switches per level between sparse push and
-	// dense pull on frontier-edge density. Levels are identical to the
-	// plain kernel's; traversal schedule, data movement and MTEPS
-	// accounting differ. Per-level directions surface in Metrics.LevelDirs
-	// and on Superstep trace spans. Every other algorithm, SSSP included,
-	// runs its plain kernel either way.
-	DirectionOpt bool
 	// PoolBytes sizes the host page buffer storage-backed runs stream
 	// through (internal/bufpool, the paper's MMBuf). 0 gives every run a
 	// fresh private buffer of 20% of the topology (the paper's setting).
@@ -375,16 +368,14 @@ type BFSResult struct {
 	Levels []int16
 }
 
-// BFS runs breadth-first search from source. With Config.DirectionOpt it
-// uses the direction-optimizing kernel; levels are identical either way.
+// BFS runs breadth-first search from source on the direction-optimizing
+// kernel (kernels.DirBFS), which switches per level between sparse push and
+// dense pull on frontier-edge density. Its levels are the paper's kernel's
+// (kernels.BFS, which RunKernel runs); its traversal schedule, data
+// movement and MTEPS accounting are its own. Per-level directions surface
+// in Metrics.LevelDirs and on Superstep trace spans.
 func (s *System) BFS(source uint64) (*BFSResult, error) {
-	var k interface {
-		Kernel
-		Levels(KernelState) []int16
-	} = kernels.NewBFS(s.graph)
-	if s.cfg.DirectionOpt {
-		k = kernels.NewDirBFS(s.graph)
-	}
+	k := kernels.NewDirBFS(s.graph)
 	rep, err := s.run(k, source)
 	if err != nil {
 		return nil, err
@@ -548,14 +539,17 @@ type NeighborhoodResult struct {
 
 // Neighborhood computes the k-hop out-neighborhood of source, streaming
 // only the pages inside the ball (the paper's 3.3 neighborhood/egonet
-// family).
+// family). hops outside [1, 32767] is ErrInvalid.
 func (s *System) Neighborhood(source uint64, hops int) (*NeighborhoodResult, error) {
+	if hops < 1 || hops > math.MaxInt16 {
+		return nil, fmt.Errorf("%w: %d hops is outside [1, %d]", ErrInvalid, hops, math.MaxInt16)
+	}
 	k := kernels.NewNeighborhood(s.graph, hops)
 	rep, err := s.run(k, source)
 	if err != nil {
 		return nil, err
 	}
-	return &NeighborhoodResult{Metrics: rep.Metrics, Hops: k.Members(rep.State)}, nil
+	return &NeighborhoodResult{Metrics: rep.Metrics, Hops: k.Levels(rep.State)}, nil
 }
 
 // CrossEdgesResult holds a bipartition's crossing-edge count.

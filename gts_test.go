@@ -53,66 +53,23 @@ func TestPageConfigFor(t *testing.T) {
 func TestSourceOutOfRangeIsAnError(t *testing.T) {
 	g := smallGraph(t)
 	bad := g.NumVertices() + 5
-	for _, cfg := range []Config{{}, {DirectionOpt: true}} {
-		sys, err := NewSystem(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, run := range map[string]func() error{
-			"BFS":  func() error { _, err := sys.BFS(bad); return err },
-			"SSSP": func() error { _, err := sys.SSSP(bad); return err },
-			"BC":   func() error { _, err := sys.BC(bad); return err },
-			"RWR":  func() error { _, err := sys.RWR(bad, 0.15, 3); return err },
-		} {
-			err := run()
-			if !errors.Is(err, ErrSourceOutOfRange) || !strings.Contains(err.Error(), "2048 vertices") {
-				t.Errorf("%s(%d) with DirectionOpt=%v: err = %v, want ErrSourceOutOfRange naming 2048 vertices", name, bad, cfg.DirectionOpt, err)
-			}
-		}
-		if _, err := sys.BFS(bad - 6); err != nil {
-			t.Errorf("BFS from the last vertex: %v", err)
+	sys, err := NewSystem(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"BFS":  func() error { _, err := sys.BFS(bad); return err },
+		"SSSP": func() error { _, err := sys.SSSP(bad); return err },
+		"BC":   func() error { _, err := sys.BC(bad); return err },
+		"RWR":  func() error { _, err := sys.RWR(bad, 0.15, 3); return err },
+	} {
+		err := run()
+		if !errors.Is(err, ErrSourceOutOfRange) || !strings.Contains(err.Error(), "2048 vertices") {
+			t.Errorf("%s(%d): err = %v, want ErrSourceOutOfRange naming 2048 vertices", name, bad, err)
 		}
 	}
-}
-
-// TestDirectionOptSSSPIsPlainSSSP: DirectionOpt selects DirBFS for BFS and
-// nothing else, so SSSP on such a System is the plain kernel's run — same
-// distances to the bit, same virtual time, depth and data movement, and no
-// direction schedule — clean and under the chaos fault plan.
-func TestDirectionOptSSSPIsPlainSSSP(t *testing.T) {
-	g := smallGraph(t)
-	for _, cfg := range []Config{{}, {Storage: SSDs, Faults: chaosFaultPlan()}} {
-		dirCfg := cfg
-		dirCfg.DirectionOpt = true
-		var res [2]*SSSPResult
-		for i, c := range []Config{cfg, dirCfg} {
-			sys, err := NewSystem(g, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res[i], err = sys.SSSP(0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		plain, dir := res[0], res[1]
-		faulted := cfg.Faults != nil
-		for v := range plain.Dist {
-			if math.Float32bits(dir.Dist[v]) != math.Float32bits(plain.Dist[v]) {
-				t.Fatalf("faulted=%v: vertex %d dist = %v, plain System %v", faulted, v, dir.Dist[v], plain.Dist[v])
-			}
-		}
-		if dir.Elapsed != plain.Elapsed || dir.Levels != plain.Levels ||
-			dir.PagesStreamed != plain.PagesStreamed || dir.BytesToGPU != plain.BytesToGPU {
-			t.Errorf("faulted=%v: DirectionOpt run (elapsed %v, %d levels, %d pages, %d B) differs from plain (%v, %d, %d, %d B)",
-				faulted, dir.Elapsed, dir.Levels, dir.PagesStreamed, dir.BytesToGPU,
-				plain.Elapsed, plain.Levels, plain.PagesStreamed, plain.BytesToGPU)
-		}
-		if len(dir.LevelDirs) != 0 {
-			t.Errorf("faulted=%v: LevelDirs = %v, want none", faulted, dir.LevelDirs)
-		}
-		if faulted && dir.Faults.Injected() == 0 {
-			t.Error("chaos plan injected nothing")
-		}
+	if _, err := sys.BFS(bad - 6); err != nil {
+		t.Errorf("BFS from the last vertex: %v", err)
 	}
 }
 
@@ -484,6 +441,32 @@ func TestExtensionAlgorithmsThroughAPI(t *testing.T) {
 		if kc.InCore[v] != wantKC[v] {
 			t.Fatalf("k-core vertex %d = %v, want %v", v, kc.InCore[v], wantKC[v])
 		}
+	}
+}
+
+// TestNeighborhoodRefusesHopsOutOfRange: a hop count below 1, or past what
+// the kernel's int16 cap holds, is ErrInvalid rather than a 1-hop ball; the
+// largest cap, 32767, gives the BFS levels.
+func TestNeighborhoodRefusesHopsOutOfRange(t *testing.T) {
+	sys, err := NewSystem(smallGraph(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hops := range []int{0, -1, 32768, 40000} {
+		if res, err := sys.Neighborhood(0, hops); !errors.Is(err, ErrInvalid) {
+			t.Errorf("Neighborhood(0, %d) = %v, %v; want ErrInvalid", hops, res != nil, err)
+		}
+	}
+	capped, err := sys.Neighborhood(0, 32767)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bfs, err := sys.BFS(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(capped.Hops, bfs.Levels) {
+		t.Error("a 32767-hop ball differs from the BFS levels")
 	}
 }
 

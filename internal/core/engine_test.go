@@ -738,7 +738,7 @@ func TestNeighborhoodMatchesCappedBFS(t *testing.T) {
 			e := newEngine(t, sp, Options{Strategy: cfg.strategy, Source: 0}, cfg.gpus, cfg.ssds)
 			k := kernels.NewNeighborhood(sp, hops)
 			rep := mustRun(t, e, k)
-			got := k.Members(rep.State)
+			got := k.Levels(rep.State)
 			for v := range full {
 				want := full[v]
 				if int(want) > hops {

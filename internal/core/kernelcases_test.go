@@ -49,7 +49,7 @@ func kernelCases() []kernelCase {
 		{"Neighborhood",
 			func(sp *slottedpage.Graph) kernels.Kernel { return kernels.NewNeighborhood(sp, 3) },
 			func(k kernels.Kernel, st kernels.State) []byte {
-				return encodeVec(k.(*kernels.Neighborhood).Members(st))
+				return encodeVec(k.(*kernels.BFS).Levels(st))
 			}},
 		{"CrossEdges",
 			func(sp *slottedpage.Graph) kernels.Kernel {

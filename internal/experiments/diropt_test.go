@@ -15,11 +15,10 @@ import (
 
 // TestDirOptRandomGraphsDifferential sweeps the direction-optimizing BFS
 // over random R-MAT graphs with the same seed-rotated engine matrix as
-// TestRandomGraphsDifferential: BFS under Config.DirectionOpt must reproduce
-// the plain kernel's levels exactly (and agree with the Ligra CPU
-// baseline), and SSSP — the plain kernel under either setting — must match
-// the float64 reference oracle, clean and with fault injection armed
-// (seed 2).
+// TestRandomGraphsDifferential: System.BFS must reproduce the paper's
+// kernel's levels (RunKernel of kernels.BFS) exactly and agree with the
+// Ligra CPU baseline, and SSSP must match the float64 reference oracle,
+// clean and with fault injection armed (seed 2).
 func TestDirOptRandomGraphsDifferential(t *testing.T) {
 	ws := cpu.Paper()
 	for _, seed := range []int64{1, 2, 3, 4} {
@@ -49,17 +48,19 @@ func TestDirOptRandomGraphsDifferential(t *testing.T) {
 			}
 			src := uint64(seed*31) % g.NumVertices()
 
-			// The plain kernels are the ground truth the direction-
-			// optimizing runs must match byte-for-byte.
-			plainSys, err := gts.NewSystem(sp, cfg)
+			sys, err := gts.NewSystem(sp, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plainBFS, err := plainSys.BFS(src)
+			// The paper's kernel is the ground truth the direction-
+			// optimizing run must match byte-for-byte.
+			plain := kernels.NewBFS(sp)
+			st, _, err := sys.RunKernel(plain, src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plainSSSP, err := plainSys.SSSP(src)
+			plainLevels := plain.Levels(st)
+			plainSSSP, err := sys.SSSP(src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,21 +70,14 @@ func TestDirOptRandomGraphsDifferential(t *testing.T) {
 			}
 			wantD := verify.SSSP(g, uint32(src), kernels.Weight)
 
-			dirCfg := cfg
-			dirCfg.DirectionOpt = true
-			sys, err := gts.NewSystem(sp, dirCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			bres, err := sys.BFS(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range plainBFS.Levels {
-				if bres.Levels[v] != plainBFS.Levels[v] {
+			for v := range plainLevels {
+				if bres.Levels[v] != plainLevels[v] {
 					t.Fatalf("BFS: vertex %d level = %d, plain kernel %d",
-						v, bres.Levels[v], plainBFS.Levels[v])
+						v, bres.Levels[v], plainLevels[v])
 				}
 				if bres.Levels[v] != lig.Levels[v] {
 					t.Fatalf("BFS: vertex %d level = %d, Ligra %d",

@@ -6,6 +6,7 @@ import (
 
 	gts "repro"
 	"repro/internal/graphgen"
+	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/slottedpage"
 	"repro/internal/trace"
@@ -191,11 +192,11 @@ func (r *Runner) fig14() (*Table, error) {
 				}
 				var el sim.Time
 				if algo == "BFS" {
-					res, err := sys.BFS(0)
+					_, m, err := sys.RunKernel(kernels.NewBFS(pages), 0)
 					if err != nil {
 						return nil, err
 					}
-					el = res.Elapsed
+					el = m.Elapsed
 				} else {
 					res, err := sys.PageRank(0.85, r.opts.PRIterations)
 					if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	gts "repro"
 	"repro/internal/hw"
+	"repro/internal/kernels"
 	"repro/internal/slottedpage"
 	"repro/internal/trace"
 )
@@ -58,11 +59,10 @@ func (r *Runner) gtsRun(name, algo string, cfg gts.Config) (gts.Metrics, error) 
 	}
 	switch algo {
 	case "BFS":
-		res, err := sys.BFS(0)
-		if err != nil {
-			return gts.Metrics{}, err
-		}
-		return res.Metrics, nil
+		// The paper's figures time the paper's kernel, not System.BFS's
+		// direction-optimizing one.
+		_, m, err := sys.RunKernel(kernels.NewBFS(g), 0)
+		return m, err
 	case "PageRank":
 		res, err := sys.PageRank(0.85, r.opts.PRIterations)
 		if err != nil {

@@ -42,7 +42,6 @@ func BenchmarkPageKernels(b *testing.B) {
 		func() Kernel { return NewPageRank(sp, 0.85, 1) },
 		func() Kernel { return NewCC(sp) },
 		func() Kernel { return NewBC(sp) },
-		func() Kernel { return NewNeighborhood(sp, 3) },
 		func() Kernel { return NewCrossEdges(sp, func(v uint64) bool { return v&1 == 0 }) },
 		func() Kernel { return NewRWR(sp, 0.15, 1) },
 		func() Kernel { return NewDegreeDist(sp) },
@@ -54,7 +53,7 @@ func BenchmarkPageKernels(b *testing.B) {
 			var edges int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				k := mk() // DirBFS reads out-degrees here; not a page kernel's cost
+				k := mk()
 				b.StartTimer()
 				_, n := driveCount(b, k, sp, 0)
 				edges += n
@@ -72,11 +71,11 @@ func BenchmarkPageKernels(b *testing.B) {
 // shared-BFS sources (bench/lib.go: the first vertex at or after j·|V|/8 + 1
 // with at least 8 out-edges).
 func groupSources(g *slottedpage.Graph, k int) []uint64 {
-	deg := outDegrees(g)
+	deg := g.OutDegrees()
 	src := make([]uint64, k)
 	for j := range src {
 		v := uint64(j)*g.NumVertices()/8 + 1
-		for deg[v] < 8 {
+		for deg.Of(v) < 8 {
 			v++
 		}
 		src[j] = v

@@ -4,9 +4,13 @@ import "repro/internal/slottedpage"
 
 // BFS implements the paper's K_BFS_SP and K_BFS_LP kernels (Algorithms 2
 // and 3): level-synchronous breadth-first search whose only attribute
-// vector is LV, the per-vertex traversal level.
+// vector is LV, the per-vertex traversal level. With a hop cap it is the
+// k-hop out-neighborhood of the source (the "neighborhood / egonet" family
+// of the paper's §3.3 BFS-like class): levels past the cap are not
+// explored, so only the pages within the ball stream.
 type BFS struct {
 	g    *slottedpage.Graph
+	hops int16 // the hop cap; 0 means none
 	cost costParams
 }
 
@@ -14,6 +18,19 @@ type BFS struct {
 func NewBFS(g *slottedpage.Graph) *BFS {
 	return &BFS{g: g, cost: costParams{laneCycles: 40, slotCycles: 10}}
 }
+
+// NewNeighborhood returns a BFS kernel over g capped at hops, which must be
+// in [1, 32767]: its levels are the hop distances inside the ball, -1
+// outside.
+func NewNeighborhood(g *slottedpage.Graph, hops int) *BFS {
+	k := NewBFS(g)
+	k.hops = int16(hops)
+	return k
+}
+
+// marks reports whether discoveries at level+1 mark their pages for the next
+// level: always, but at a capped run's last level.
+func (k *BFS) marks(level int16) bool { return k.hops == 0 || level+1 < k.hops }
 
 // unvisited marks a vertex not yet reached (the paper's NULL level).
 const unvisited = -1
@@ -97,29 +114,29 @@ func (k *BFS) RunLP(a *Args) Result {
 }
 
 // expand is the expand_warp device routine: visit every adjacency entry of
-// the record at [pos, end), set LV and the next page set for undiscovered
-// neighbors.
+// the record at [pos, end), set LV and, inside the hop cap, the next page
+// set for undiscovered neighbors.
 func (k *BFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	marks := k.marks(level)
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, npid := dec.VID(buf, pos)
 		if !a.owns(nvid) || s.lv[nvid] != unvisited {
 			continue
 		}
 		s.lv[nvid] = level + 1
-		a.NextPIDs.Set(int(npid))
+		if marks {
+			a.NextPIDs.Set(int(npid))
+		}
 		res.Updates++
 		res.Active = true
 	}
 }
 
 // MergeStates implements Kernel: levels merge by minimum (an earlier
-// discovery wins; unvisited is the identity).
-func (k *BFS) MergeStates(sts []State) { mergeLevelStates(sts) }
-
-// mergeLevelStates min-merges bfsState replicas and makes them identical
-// again; shared between BFS and DirBFS.
-func mergeLevelStates(sts []State) {
+// discovery wins; unvisited is the identity), and the replicas are made
+// identical again.
+func (k *BFS) MergeStates(sts []State) {
 	if len(sts) < 2 {
 		return
 	}
@@ -141,5 +158,6 @@ func mergeLevelStates(sts []State) {
 // not by iteration count.
 func (k *BFS) EndIteration([]State, bool) bool { return false }
 
-// Levels exposes the result vector of a finished run.
+// Levels exposes the result vector of a finished run (a capped run's hop
+// distances, -1 outside the ball).
 func (k *BFS) Levels(st State) []int16 { return st.(*bfsState).lv }

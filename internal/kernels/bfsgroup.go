@@ -8,15 +8,17 @@ import (
 )
 
 // BFSGroup runs one page for several plain-BFS members of a wave group at
-// once (MS-BFS; DESIGN §8 "One visit per edge per wave"): records and entries
-// are decoded once, and an entry whose neighbor every interested member has
-// reached costs one byte load, not a random level load per member. A member
-// holds a lane from Join to Leave; seen[v] has lane i's bit only if lane i's
-// level vector holds a level for v. It is a filter, never the truth — a clear
-// bit sends the lane to its own lv[v], the solo kernel's test — so the one
-// rule is that a lane's column is cleared before the lane has a new owner.
-// Each lane gets its own Result by BFS.RunSP/RunLP's arithmetic in the same
-// order, so its virtual time is what it is alone. The zero value is ready.
+// once, hop-capped ones included (MS-BFS; DESIGN §8 "One visit per edge per
+// wave"): records and entries are decoded once, and an entry whose neighbor
+// every interested member has reached costs one byte load, not a random
+// level load per member. A member holds a lane from Join to Leave; seen[v]
+// has lane i's bit only if lane i's level vector holds a level for v. It is
+// a filter, never the truth — a clear bit sends the lane to its own lv[v],
+// the solo kernel's test — so the one rule is that a lane's column is
+// cleared before the lane has a new owner. Each lane gets its own Result by
+// BFS.RunSP/RunLP's arithmetic in the same order, and marks pages as its
+// own kernel does, so its virtual time is what it is alone. The zero value
+// is ready.
 type BFSGroup struct {
 	owner []*BFS // lane -> the kernel holding it; nil = free
 	// seen[{block, gpu}] masks a block of laneBits lanes on one GPU (under
@@ -109,14 +111,20 @@ func (g *BFSGroup) pass(a *Args, seen []uint8, mask uint8) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	start, slots := dec.StartVID(a.PID), a.Page.NumSlots() // a large page has one slot: its vertex
 	// Which lanes have each slot's vertex on their frontier. (x-1)>>31 is 1
-	// exactly when the 16-bit x is 0: no branch to mispredict.
+	// exactly when the 16-bit x is 0: no branch to mispredict. marks holds
+	// the lanes whose discoveries mark pages (all but a capped lane's last
+	// level).
 	fmask := g.fmask[:slots]
 	clear(fmask)
+	var marks uint8
 	for m := mask; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros8(m)
 		level := uint16(g.in[b].Level)
 		for slot, l := range g.lv[b][start:][:slots] {
 			fmask[slot] |= uint8((uint32(uint16(l)^level)-1)>>31) << b
+		}
+		if g.owner[g.in[b].Lane].marks(int16(level)) {
+			marks |= 1 << b
 		}
 	}
 	for slot, f := range fmask {
@@ -140,7 +148,9 @@ func (g *BFSGroup) pass(a *Args, seen []uint8, mask uint8) {
 				b := bits.TrailingZeros8(d)
 				if g.lv[b][nvid] == unvisited {
 					g.lv[b][nvid] = int16(g.in[b].Level) + 1
-					g.in[b].NextPIDs.Set(int(npid))
+					if marks&(1<<b) != 0 {
+						g.in[b].NextPIDs.Set(int(npid))
+					}
 					g.in[b].Res.Updates++
 				}
 			}

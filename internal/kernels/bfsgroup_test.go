@@ -13,13 +13,15 @@ import (
 )
 
 // groupScript is one lock-step comparison: member i starts from sources[i]
-// at wave joinWave[i]; every page runs under tech with the ownership range
+// at wave joinWave[i], capped at hops[i] when hops is set and hops[i] > 0
+// (a k-hop ball); every page runs under tech with the ownership range
 // [ownedLo, ownedHi) on one of replicas GPUs, each with its own replica of
 // every member's state (page p on GPU p mod replicas, the replicas merged
 // after every wave, as Strategy-P does).
 type groupScript struct {
 	sources          []uint64
 	joinWave         []int
+	hops             []int
 	tech             Technique
 	ownedLo, ownedHi uint64
 	replicas         int
@@ -65,6 +67,9 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 				continue
 			}
 			m := &scriptMember{sep: NewBFS(g), grp: NewBFS(g)}
+			if i < len(sc.hops) && sc.hops[i] > 0 {
+				m.sep, m.grp = NewNeighborhood(g, sc.hops[i]), NewNeighborhood(g, sc.hops[i])
+			}
 			for _, side := range []struct {
 				k    *BFS
 				st   *[]State
@@ -102,9 +107,6 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 					}
 					var dem []*scriptMember
 					for _, m := range active {
-						if m.sepNext.Get(pid) != m.grpNext.Get(pid) {
-							t.Fatalf("wave %d: lane %d's frontiers disagree on page %d", wave, m.lane, pid)
-						}
 						if m.sepNext.Get(pid) {
 							dem = append(dem, m)
 						}
@@ -161,6 +163,11 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 			}
 			expandLPs(m.sepNext)
 			expandLPs(m.grpNext)
+			for pid := 0; pid < numPages; pid++ {
+				if m.sepNext.Get(pid) != m.grpNext.Get(pid) {
+					t.Fatalf("wave %d: lane %d's next-page sets disagree on page %d", wave, m.lane, pid)
+				}
+			}
 			for r := 0; r < sc.replicas; r++ {
 				if !slices.Equal(m.grp.Levels(m.grpSt[r]), m.sep.Levels(m.sepSt[r])) {
 					t.Fatalf("wave %d: lane %d's level vector (replica %d) differs from the solo run's", wave, m.lane, r)
@@ -282,8 +289,10 @@ func fuzzGraph(t testing.TB, r *rand.Rand) *slottedpage.Graph {
 }
 
 // FuzzBFSGroup derives a graph, a group size, sources, join waves, a
-// technique, an ownership range and a replica count from the seed and runs
-// the lock-step comparison on them.
+// technique, an ownership range, a replica count and hop caps (about half
+// the members are k-hop balls, k in 1-4) from the seed and runs the
+// lock-step comparison on them. The caps are drawn last, so a seed's graph,
+// sources and join waves are what they were before members had caps.
 func FuzzBFSGroup(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed)
@@ -300,6 +309,9 @@ func FuzzBFSGroup(f *testing.F) {
 		for i := 0; i < k; i++ {
 			sc.sources = append(sc.sources, uint64(r.Int63n(int64(nV))))
 			sc.joinWave = append(sc.joinWave, r.Intn(3)*r.Intn(5))
+		}
+		for range sc.sources {
+			sc.hops = append(sc.hops, r.Intn(2)*(1+r.Intn(4)))
 		}
 		runGroupScript(t, g, sc)
 	})

@@ -46,12 +46,17 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-// TestOutDegrees: out-degrees read off ADJLIST_SZ match the forward graph.
+// TestOutDegrees: the graph's out-degree table, read off ADJLIST_SZ,
+// matches the forward graph, and every DirBFS on the graph shares it.
 func TestOutDegrees(t *testing.T) {
 	g, sp := driverGraph(t)
-	for v, d := range outDegrees(sp) {
-		if int(d) != g.Degree(uint64(v)) {
-			t.Fatalf("vertex %d outDeg = %d, want %d", v, d, g.Degree(uint64(v)))
+	a, b := NewDirBFS(sp), NewDirBFS(sp)
+	if a.outDeg != b.outDeg {
+		t.Fatal("two DirBFS kernels on one graph built two out-degree tables")
+	}
+	for v := uint64(0); v < sp.NumVertices(); v++ {
+		if d := a.outDeg.Of(v); int(d) != g.Degree(v) {
+			t.Fatalf("vertex %d outDeg = %d, want %d", v, d, g.Degree(v))
 		}
 	}
 }

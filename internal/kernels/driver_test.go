@@ -270,7 +270,7 @@ func TestDriverNeighborhood(t *testing.T) {
 	k := NewNeighborhood(sp, 2)
 	st := drive(t, k, sp, 0)
 	full := verify.BFS(g, 0)
-	got := k.Members(st)
+	got := k.Levels(st)
 	for v := range full {
 		want := full[v]
 		if int(want) > 2 {

@@ -17,7 +17,8 @@ package kernels
 // Kernels that read in-neighbors (DirBFS's pull levels, IncCC's rescans)
 // do not own a reverse index: they fetch the graph's (Graph.Reverse) when
 // they first need it and hold it for the run, so every run on one graph
-// epoch shares one index while any of them holds it.
+// epoch shares one index while any of them holds it. DirBFS's out-degree
+// table is the graph's too (Graph.OutDegrees).
 
 import (
 	"repro/internal/bitset"
@@ -86,22 +87,6 @@ type FrontierKernel interface {
 }
 
 var _ FrontierKernel = (*DirBFS)(nil)
-
-// outDegrees reads every vertex's out-degree off its records' ADJLIST_SZ
-// fields (a large vertex's run pages sum); no adjacency entry is decoded.
-func outDegrees(g *slottedpage.Graph) []int32 {
-	out := make([]int32, g.NumVertices())
-	dec := g.Decoder()
-	for pid := slottedpage.PageID(0); int(pid) < g.NumPages(); pid++ {
-		buf := g.PageBytes(pid)
-		vid := dec.StartVID(pid)
-		for slot, slots := 0, g.Page(pid).NumSlots(); slot < slots; slot, vid = slot+1, vid+1 {
-			_, _, deg := dec.Record(buf, slot)
-			out[vid] += int32(deg)
-		}
-	}
-	return out
-}
 
 // MarkVertexPages sets the pages that must stream for vertex v: its home
 // page, plus — when expandLP is set and v is a large vertex — the whole LP

@@ -18,8 +18,8 @@ import (
 // (re-marking it active for this very level via active[nvid] = Level+1
 // while dist keeps improving), so a later page's frontier check — and with
 // it the page's simulated cycle/edge counts — depends on earlier pages'
-// same-phase writes. It is the one SSSP: the served kernel (with or
-// without Config.DirectionOpt) and the reference oracle. Freezing each
+// same-phase writes. It is the one SSSP: the served kernel and the
+// reference oracle. Freezing each
 // level's frontier to the lowest delta-stepping distance bucket reaches the
 // same distances over the same pages in 1.8× the levels, at 1.2–1.5× the
 // host wall (EXPERIMENTS.md, "sssp").

@@ -47,10 +47,8 @@ type algorithm struct {
 	normalize func(Params) (Params, error)
 	// kernel builds the job's kernel plus a decoder that assembles the
 	// public result struct the matching gts.System method returns. The
-	// decoder is bound to the kernel instance it is returned with. cfg is
-	// the graph's registered Config, so kernel-variant switches
-	// (DirectionOpt) apply exactly as they do on a gts.System.
-	kernel func(g *gts.Graph, cfg gts.Config, p Params) (k gts.Kernel, source uint64, decode func(gts.KernelState, gts.Metrics) any)
+	// decoder is bound to the kernel instance it is returned with.
+	kernel func(g *gts.Graph, p Params) (k gts.Kernel, source uint64, decode func(gts.KernelState, gts.Metrics) any)
 	// retain, when set, fills e with what a later delta-expansion needs from a
 	// finished run's output; an algorithm without it has no retained state
 	// and always runs in full.
@@ -65,14 +63,8 @@ type algorithm struct {
 var algorithms = map[string]algorithm{
 	"bfs": {
 		normalize: func(p Params) (Params, error) { return Params{Source: p.Source}, nil },
-		kernel: func(g *gts.Graph, cfg gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
-			var k interface {
-				gts.Kernel
-				Levels(gts.KernelState) []int16
-			} = kernels.NewBFS(g)
-			if cfg.DirectionOpt {
-				k = kernels.NewDirBFS(g)
-			}
+		kernel: func(g *gts.Graph, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+			k := kernels.NewDirBFS(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.BFSResult{Metrics: m, Levels: k.Levels(st)}
 			}
@@ -96,7 +88,7 @@ var algorithms = map[string]algorithm{
 			out := Params{Damping: cmp.Or(p.Damping, 0.85), Iterations: cmp.Or(p.Iterations, 10)}
 			return out, errors.Join(probability("damping", out.Damping), inRange("iterations", out.Iterations, math.MaxInt32))
 		},
-		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewPageRank(g, p.Damping, p.Iterations)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.PageRankResult{Metrics: m, Ranks: k.Ranks(st)}
@@ -105,7 +97,7 @@ var algorithms = map[string]algorithm{
 	},
 	"sssp": {
 		normalize: func(p Params) (Params, error) { return Params{Source: p.Source}, nil },
-		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewSSSP(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.SSSPResult{Metrics: m, Dist: k.Distances(st)}
@@ -114,7 +106,7 @@ var algorithms = map[string]algorithm{
 	},
 	"cc": {
 		normalize: func(Params) (Params, error) { return Params{}, nil },
-		kernel: func(g *gts.Graph, _ gts.Config, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewCC(g)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.CCResult{Metrics: m, Labels: k.Components(st)}
@@ -136,7 +128,7 @@ var algorithms = map[string]algorithm{
 	},
 	"bc": {
 		normalize: func(p Params) (Params, error) { return Params{Source: p.Source}, nil },
-		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewBC(g)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.BCResult{Metrics: m, Scores: k.Centrality(st, p.Source)}
@@ -148,7 +140,7 @@ var algorithms = map[string]algorithm{
 			out := Params{Source: p.Source, Restart: cmp.Or(p.Restart, 0.15), Iterations: cmp.Or(p.Iterations, 10)}
 			return out, errors.Join(probability("restart", out.Restart), inRange("iterations", out.Iterations, math.MaxInt32))
 		},
-		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewRWR(g, p.Restart, p.Iterations)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.RWRResult{Metrics: m, Scores: k.Scores(st)}
@@ -157,7 +149,7 @@ var algorithms = map[string]algorithm{
 	},
 	"degree": {
 		normalize: func(Params) (Params, error) { return Params{}, nil },
-		kernel: func(g *gts.Graph, _ gts.Config, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, _ Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewDegreeDist(g)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.DegreeResult{Metrics: m, Degrees: k.Degrees(st), Histogram: k.Histogram(st)}
@@ -169,7 +161,7 @@ var algorithms = map[string]algorithm{
 			out := Params{K: cmp.Or(p.K, 3)}
 			return out, inRange("k", out.K, math.MaxInt32)
 		},
-		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewKCore(g, p.K)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.KCoreResult{Metrics: m, InCore: k.InCore(st)}
@@ -181,7 +173,7 @@ var algorithms = map[string]algorithm{
 			out := Params{Sketches: cmp.Or(p.Sketches, 8), MaxHops: cmp.Or(p.MaxHops, 256)}
 			return out, errors.Join(inRange("sketches", out.Sketches, maxSketches), inRange("maxhops", out.MaxHops, math.MaxInt32))
 		},
-		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewRadius(g, p.Sketches, p.MaxHops)
 			return k, 0, func(st gts.KernelState, m gts.Metrics) any {
 				return &gts.RadiusResult{Metrics: m, Radii: k.Radii(st), EffectiveDiameter: k.EffectiveDiameter(st, 0.9)}
@@ -193,10 +185,10 @@ var algorithms = map[string]algorithm{
 			out := Params{Source: p.Source, Hops: cmp.Or(p.Hops, 2)}
 			return out, inRange("hops", out.Hops, math.MaxInt16)
 		},
-		kernel: func(g *gts.Graph, _ gts.Config, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
+		kernel: func(g *gts.Graph, p Params) (gts.Kernel, uint64, func(gts.KernelState, gts.Metrics) any) {
 			k := kernels.NewNeighborhood(g, p.Hops)
 			return k, p.Source, func(st gts.KernelState, m gts.Metrics) any {
-				return &gts.NeighborhoodResult{Metrics: m, Hops: k.Members(st)}
+				return &gts.NeighborhoodResult{Metrics: m, Hops: k.Levels(st)}
 			}
 		},
 	},

@@ -141,10 +141,10 @@ func resolve(job *Job) plan {
 		// model: refuse, and retain nothing.
 		reason = "multi-gpu"
 	default:
-		return planIncremental(entry, g, cfg, job.algo, req)
+		return planIncremental(entry, g, job.algo, req)
 	}
 	var pl plan
-	pl.job.Kernel, pl.job.Source, pl.decode = job.algo.kernel(g, cfg, req.Params)
+	pl.job.Kernel, pl.job.Source, pl.decode = job.algo.kernel(g, req.Params)
 	if req.Incremental {
 		pl.fallback = reason
 	}

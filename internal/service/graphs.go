@@ -338,20 +338,19 @@ func (s *Server) Ready() bool {
 
 // LoadRequest is the one graph-configuration document: the PUT
 // /v1/graphs/{name} body, and what gtsd's -load name=@file.json decodes.
-// Unknown keys are ignored, so a body with a retired field ("pool",
-// "host_workers") still loads.
+// Unknown keys are ignored, so a body with a retired field (such as "pool"
+// or "host_workers") still loads.
 type LoadRequest struct {
 	// Spec is a gts.Open graph spec: a .gts store file or "dataset[@shrink]".
 	Spec string `json:"spec"`
-	// GPUs, Strategy ("p"|"s"), Streams, Storage ("mem"|"ssd"|"hdd"),
+	// GPUs, Strategy ("p"|"s"), Streams, Storage ("mem"|"ssd"|"hdd") and
 	// PoolBytes (a shared host page pool on storage; 0: a private one per
-	// run) and DirectionOpt are the gts.Config fields of the same names.
-	GPUs         int    `json:"gpus,omitempty"`
-	Strategy     string `json:"strategy,omitempty"`
-	Streams      int    `json:"streams,omitempty"`
-	Storage      string `json:"storage,omitempty"`
-	PoolBytes    int64  `json:"pool_bytes,omitempty"`
-	DirectionOpt bool   `json:"direction_opt,omitempty"`
+	// run) are the gts.Config fields of the same names.
+	GPUs      int    `json:"gpus,omitempty"`
+	Strategy  string `json:"strategy,omitempty"`
+	Streams   int    `json:"streams,omitempty"`
+	Storage   string `json:"storage,omitempty"`
+	PoolBytes int64  `json:"pool_bytes,omitempty"`
 	// Faults arms fault injection on the graph's runs and WAL (chaos testing).
 	Faults *gts.FaultPlan `json:"faults,omitempty"`
 	// WAL, when set, loads the graph as mutable over the write-ahead log at
@@ -372,7 +371,7 @@ func (d LoadRequest) config() (gts.Config, error) {
 		return gts.Config{}, fmt.Errorf("%w: %w", gts.ErrInvalid, err)
 	}
 	return gts.Config{GPUs: d.GPUs, Streams: d.Streams, Strategy: strategy, Storage: storage,
-		PoolBytes: d.PoolBytes, DirectionOpt: d.DirectionOpt, Faults: d.Faults}, nil
+		PoolBytes: d.PoolBytes, Faults: d.Faults}, nil
 }
 
 // Load builds the graph doc describes and registers it under name (mutable

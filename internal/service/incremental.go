@@ -27,7 +27,7 @@ func incKey(algo string, p Params) string {
 // (a.retain and a.replan are set): delta-expansion from a retained entry when
 // requested and safe, otherwise a full run; either way the completed run is
 // captured as the key's fresh entry.
-func planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, a algorithm, req Request) plan {
+func planIncremental(entry *graphEntry, g *gts.Graph, a algorithm, req Request) plan {
 	p := req.Params
 	key := incKey(req.Algo, p)
 	fallback := ""
@@ -45,7 +45,7 @@ func planIncremental(entry *graphEntry, g *gts.Graph, cfg gts.Config, a algorith
 		}
 	}
 	pl := plan{fallback: fallback}
-	pl.job.Kernel, pl.job.Source, pl.decode = a.kernel(g, cfg, p)
+	pl.job.Kernel, pl.job.Source, pl.decode = a.kernel(g, p)
 	pl.capture = retain(entry, key, a, -1)
 	return pl
 }

@@ -41,6 +41,8 @@ type Graph struct {
 	homeSlot    []uint32
 	revMu       sync.Mutex
 	rev         weak.Pointer[Reverse] // see Reverse
+	degMu       sync.Mutex
+	deg         weak.Pointer[OutDegrees] // see OutDegrees
 }
 
 // Build packs src into slotted pages under cfg. Vertices are placed in VID
@@ -270,6 +272,36 @@ func (g *Graph) DegreeOf(v uint64) int {
 	for pid := home.PID; g.inLPRun(pid, v); pid++ {
 		d += g.Page(pid).Adj(0).Len()
 	}
+	return d
+}
+
+// OutDegrees is a graph's out-degree table, read off its records'
+// ADJLIST_SZ fields (a large vertex's run pages sum; no adjacency entry is
+// decoded). It is read only once built.
+type OutDegrees struct{ deg []int32 }
+
+// Of returns vertex v's out-degree.
+func (d *OutDegrees) Of(v uint64) int32 { return d.deg[v] }
+
+// OutDegrees returns g's out-degree table, building it if no live one
+// exists. The graph holds it weakly, as it holds its Reverse: every caller
+// shares one table while any holds it, a GC with no holder reclaims it, and
+// a graph no caller asks never builds it.
+func (g *Graph) OutDegrees() *OutDegrees {
+	g.degMu.Lock()
+	defer g.degMu.Unlock()
+	if d := g.deg.Value(); d != nil {
+		return d
+	}
+	d := &OutDegrees{deg: make([]int32, g.numVertices)}
+	for pid, buf := range g.pages {
+		vid := g.dec.StartVID(PageID(pid))
+		for slot, slots := 0, g.Page(PageID(pid)).NumSlots(); slot < slots; slot, vid = slot+1, vid+1 {
+			_, _, deg := g.dec.Record(buf, slot)
+			d.deg[vid] += int32(deg)
+		}
+	}
+	g.deg = weak.Make(d)
 	return d
 }
 

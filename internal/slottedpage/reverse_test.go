@@ -82,6 +82,39 @@ func TestReverseConcurrentCallersShareOne(t *testing.T) {
 	}
 }
 
+// TestOutDegreesSharedWhileHeld: first callers racing on a fresh graph all
+// get one out-degree table, equal to DegreeOf vertex by vertex; once no
+// caller holds it a collection reclaims it.
+func TestOutDegreesSharedWhileHeld(t *testing.T) {
+	_, sp := rmatPages(t, 16)
+	got := make([]*OutDegrees, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = sp.OutDegrees()
+		}()
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d != got[0] {
+			t.Fatalf("caller %d got table %p, caller 0 got %p", i, d, got[0])
+		}
+	}
+	for v := uint64(0); v < sp.NumVertices(); v++ {
+		if d := got[0].Of(v); int(d) != sp.DegreeOf(v) {
+			t.Fatalf("vertex %d out-degree = %d, DegreeOf says %d", v, d, sp.DegreeOf(v))
+		}
+	}
+	first := &got[0].deg[0] // the degrees stay alive; the table itself does not
+	got = nil
+	runtime.GC()
+	if &sp.OutDegrees().deg[0] == first {
+		t.Fatal("the table survived a collection with no holder")
+	}
+}
+
 // TestReverseRebuiltAfterGC: once no caller holds the index a collection
 // reclaims it, and the next call builds an equal one.
 func TestReverseRebuiltAfterGC(t *testing.T) {
