@@ -88,17 +88,20 @@ fuzz:
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzVectorJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzHTTPRequests$$' -fuzztime $(FUZZTIME)
 
-# The root package's end-to-end benchmarks, then the three layers under every
+# The root package's end-to-end benchmarks (BenchmarkOpenMutable: recovery
+# with 8 and 800 batches in the WAL), then the three layers under every
 # host-clock number: the page kernels (BenchmarkPageKernels: ns/edge per
 # kernel), the slotted pages (BenchmarkAdjDecode: the page decoder;
 # BenchmarkBuildReverse and BenchmarkPatchReverse: the graph's reverse index,
-# built fresh and patched by a 64-edge commit) and
+# built fresh and patched by a 64-edge commit; BenchmarkApplyBatch: the
+# commit itself, at -cpu 1 and 2, where a parallel Build would show) and
 # the simulator's turn-taking (BenchmarkSimHandoff: ns per blocking call);
 # and the service's two verdict benchmarks: BenchmarkJobResponse and
 # BenchmarkIncrementalVsFull (wall of a bfs/cc delta-expansion against a full
 # run of the same request; inc/full is the ratio ROADMAP item 4 (d) gates).
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' . ./internal/kernels ./internal/slottedpage ./internal/sim ./internal/service
+	$(GO) test -bench=. -benchmem -run '^$$' . ./internal/kernels ./internal/sim ./internal/service
+	$(GO) test -bench=. -benchmem -run '^$$' -cpu 1,2 ./internal/slottedpage
 
 # bench/ is a Go module of its own (repro/bench, replace repro => ../): the
 # root `go build ./...` and `go test ./...` never compile it, yet it imports
@@ -143,7 +146,7 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 20343
+LOC_MAX_TOTAL = 20320
 LOC_MAX_ENGINE_AND_API = 5513
 LOC_MAX_ENGINE = 4679
 LOC_MAX_GTSD_FLAGS = 11

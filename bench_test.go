@@ -11,6 +11,9 @@ package gts_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -21,6 +24,7 @@ import (
 	gts "repro"
 	"repro/internal/experiments"
 	"repro/internal/service"
+	"repro/internal/wal"
 )
 
 // benchRunner returns a fresh runner at bench scale. Graphs are cached
@@ -214,6 +218,48 @@ func BenchmarkSlottedPageBuild(b *testing.B) {
 		if _, err := gts.Generate("RMAT27", 15); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpenMutable prices recovery at RMAT27@11 with 8 and 800
+// committed batches of 64 random inserts in the WAL: generate the base
+// graph, read the log, replay it in one commit. ROADMAP item 2 (ii) asks
+// that 800 batches cost within 10 % of 8.
+func BenchmarkOpenMutable(b *testing.B) {
+	const spec = "RMAT27@11"
+	base, err := gts.Open(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := base.NumVertices()
+	for _, k := range []int{8, 800} {
+		b.Run(strconv.Itoa(k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var log []byte
+			for lsn := uint64(1); lsn <= uint64(k); lsn++ {
+				ops := make([]wal.Op, 64)
+				for i := range ops {
+					ops[i] = wal.Op{Src: uint64(rng.Int63n(int64(n))), Dst: uint64(rng.Int63n(int64(n)))}
+				}
+				log = wal.AppendFrame(log, lsn, ops)
+			}
+			walPath := filepath.Join(b.TempDir(), "history.wal")
+			if err := os.WriteFile(walPath, log, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := gts.OpenMutable(spec, walPath, gts.MutableOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.Epoch() != uint64(k) {
+					b.Fatalf("recovered epoch %d, want %d", m.Epoch(), k)
+				}
+				m.Close()
+			}
+		})
 	}
 }
 

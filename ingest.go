@@ -59,9 +59,11 @@ type MutableOptions struct {
 // OpenMutable opens spec (any gts.Open spec: a .gts file or a registry
 // dataset) as a mutable graph whose mutation history lives in the WAL at
 // walPath. A fresh walPath starts an empty history; an existing one is
-// replayed — committed batches are re-applied to the freshly loaded base
-// graph in LSN order, which by the rebuild-equivalence of the mutation
-// path recovers a snapshot byte-identical to the pre-crash state.
+// replayed — every committed batch's ops are applied to the freshly loaded
+// base graph in LSN order, in one commit. A graph's bytes are a function of
+// its edge list alone (the rebuild-equivalence of the mutation path), so
+// the one commit recovers the snapshot the batches' own commits published,
+// byte for byte, at the last batch's epoch.
 //
 // The base spec must be stable across reopens (same file or same
 // deterministic generator spec); the WAL records only the deltas.
@@ -81,27 +83,41 @@ func OpenMutable(spec, walPath string, opts MutableOptions) (*MutableGraph, erro
 	start := time.Now()
 	mut := slottedpage.NewMutable(base)
 	m := &MutableGraph{mut: mut, log: log, inj: inj, rec: opts.Trace, replayed: len(batches)}
+	var ops []EdgeOp
 	for _, b := range batches {
-		if _, err := mut.ApplyBatch(opsOf(b.Ops)); err != nil {
+		from := len(ops)
+		for _, op := range b.Ops {
+			ops = append(ops, EdgeOp{Del: op.Del, Src: op.Src, Dst: op.Dst})
+		}
+		if err := addressable(ops[from:], base.Config()); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("gts: replaying WAL batch %d: %w", b.LSN, err)
 		}
-		m.epoch.Store(b.LSN)
 	}
-	if len(batches) > 0 && opts.Trace != nil {
-		s, e := sim.Time(start.UnixNano()), sim.Time(time.Now().UnixNano())
-		opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.WALReplay, Page: -1, Level: -1, Start: s, End: e})
+	if len(batches) > 0 {
+		last := batches[len(batches)-1].LSN
+		if _, err := mut.ApplyBatch(ops); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("gts: replaying WAL batches 1-%d: %w", last, err)
+		}
+		m.epoch.Store(last)
+		if opts.Trace != nil {
+			s, e := sim.Time(start.UnixNano()), sim.Time(time.Now().UnixNano())
+			opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.WALReplay, Page: -1, Level: -1, Start: s, End: e})
+		}
 	}
 	return m, nil
 }
 
-// opsOf converts WAL ops to slotted-page edge ops.
-func opsOf(ops []wal.Op) []EdgeOp {
-	out := make([]EdgeOp, len(ops))
-	for i, op := range ops {
-		out[i] = EdgeOp{Del: op.Del, Src: op.Src, Dst: op.Dst}
+// addressable refuses ops naming a vertex cfg cannot address.
+func addressable(ops []EdgeOp, cfg slottedpage.Config) error {
+	limit := cfg.MaxAddressableVertices()
+	for _, op := range ops {
+		if op.Src >= limit || op.Dst >= limit {
+			return fmt.Errorf("%w: edge %d->%d exceeds addressable capacity %d", ErrInvalid, op.Src, op.Dst, limit)
+		}
 	}
-	return out
+	return nil
 }
 
 // Snapshot returns the current immutable graph snapshot. Snapshots stay
@@ -162,11 +178,8 @@ func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 	}
 	// Reject unappliable batches BEFORE they reach the log: a durable batch
 	// that cannot apply would poison every future replay.
-	limit := m.mut.Snapshot().Config().MaxAddressableVertices()
-	for _, op := range ops {
-		if op.Src >= limit || op.Dst >= limit {
-			return 0, fmt.Errorf("%w: edge %d->%d exceeds addressable capacity %d", ErrInvalid, op.Src, op.Dst, limit)
-		}
+	if err := addressable(ops, m.mut.Snapshot().Config()); err != nil {
+		return 0, err
 	}
 	wops := make([]wal.Op, len(ops))
 	for i, op := range ops {

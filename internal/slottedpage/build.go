@@ -1,6 +1,7 @@
 package slottedpage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"weak"
@@ -65,112 +66,119 @@ func Build(src Source, cfg Config) (*Graph, error) {
 		homeSlot:    make([]uint32, v),
 	}
 
-	// Pass 1: compute page boundaries and per-vertex home RIDs from degrees.
-	type pageMeta struct {
-		kind     Kind
-		startVID uint64
-		slots    int // for SP: vertex count; for LP: always 1
-		lpSeq    int32
-		lpDeg    int // for LP: adjacency entries stored in this page
-	}
-	var metas []pageMeta
-	maxSP := cfg.maxSPDegree()
-	perLP := cfg.lpEntriesPerPage()
-	slotSz, ridSz := cfg.SlotSize(), cfg.RIDBytes()
-
-	curOpen := false
-	var cur pageMeta
-	curUsed := 0
-	closeCur := func() {
-		if curOpen {
-			metas = append(metas, cur)
-			curOpen = false
-		}
-	}
+	// Pass 1: page boundaries (the RVT) and every vertex's home RID, from
+	// degrees alone. used is the open small page's fill; PageSize means no
+	// small page is open.
+	maxSP, perLP := cfg.maxSPDegree(), cfg.lpEntriesPerPage()
+	used, slots := cfg.PageSize, 0
 	for vid := uint64(0); vid < v; vid++ {
 		d := src.Degree(vid)
 		if d > maxSP {
-			// Large vertex: close the open SP (VIDs must stay consecutive
-			// within a page) and emit a run of LPs.
-			closeCur()
-			g.homePID[vid] = uint32(len(metas))
-			g.homeSlot[vid] = 0
-			for seq, rest := int32(0), d; rest > 0; seq, rest = seq+1, rest-perLP {
-				n := rest
-				if n > perLP {
-					n = perLP
-				}
-				metas = append(metas, pageMeta{kind: LargePage, startVID: vid, slots: 1, lpSeq: seq, lpDeg: n})
+			// Large vertex: a run of LPs, after which the next small vertex
+			// opens a new SP (VIDs stay consecutive within a page).
+			g.homePID[vid], g.homeSlot[vid] = uint32(len(g.rvt)), 0
+			for seq := 0; seq*perLP < d; seq++ {
+				g.lpIDs = append(g.lpIDs, PageID(len(g.rvt)))
+				g.rvt = append(g.rvt, RVTEntry{StartVID: vid, LPSeq: int32(seq)})
+				g.kinds = append(g.kinds, LargePage)
 			}
+			used = cfg.PageSize
 			continue
 		}
-		need := cfg.recordSize(d) + slotSz
-		if !curOpen || curUsed+need > cfg.PageSize || uint64(cur.slots) >= cfg.MaxSlotNumber() {
-			closeCur()
-			cur = pageMeta{kind: SmallPage, startVID: vid, lpSeq: -1}
-			curUsed = headerSize
-			curOpen = true
+		need := cfg.recordSize(d) + cfg.SlotSize()
+		if used+need > cfg.PageSize || uint64(slots) >= cfg.MaxSlotNumber() {
+			g.spIDs = append(g.spIDs, PageID(len(g.rvt)))
+			g.rvt = append(g.rvt, RVTEntry{StartVID: vid, LPSeq: -1})
+			g.kinds = append(g.kinds, SmallPage)
+			used, slots = headerSize, 0
 		}
-		g.homePID[vid] = uint32(len(metas))
-		g.homeSlot[vid] = uint32(cur.slots)
-		cur.slots++
-		curUsed += need
+		g.homePID[vid], g.homeSlot[vid] = uint32(len(g.rvt)-1), uint32(slots)
+		slots++
+		used += need
 	}
-	closeCur()
-
-	if uint64(len(metas)) > cfg.MaxPages() {
+	if uint64(len(g.rvt)) > cfg.MaxPages() {
 		return nil, fmt.Errorf("slottedpage: graph needs %d pages, (p=%d) addresses only %d",
-			len(metas), cfg.PIDBytes, cfg.MaxPages())
+			len(g.rvt), cfg.PIDBytes, cfg.MaxPages())
 	}
 
-	// Pass 2: materialize pages, translating neighbor VIDs to physical IDs.
-	g.pages = make([][]byte, len(metas))
-	g.rvt = make([]RVTEntry, len(metas))
-	g.kinds = make([]Kind, len(metas))
-	// emit is the one closure every Neighbors call receives: it writes the
-	// entries from the skip-th on into out until out is full. Its cursor
-	// lives out here so that a vertex costs no closure allocation.
-	var (
-		out           []byte
-		seen, skip, n int
-	)
-	emit := func(dst uint64) {
-		if seen >= skip && n < len(out) {
-			putRID(out[n:], &g.cfg, uint64(g.homePID[dst]), uint64(g.homeSlot[dst]))
-			n += ridSz
-		}
-		seen++
-	}
-	writeEntries := func(entries []byte, vid uint64, from int) {
-		out, seen, skip, n = entries, 0, from, 0
-		src.Neighbors(vid, emit)
-		if n != len(out) {
-			panic(fmt.Sprintf("slottedpage: vertex %d yielded %d neighbors, expected %d",
-				vid, n/ridSz, len(out)/ridSz))
-		}
-	}
-	for pid, m := range metas {
-		g.rvt[pid] = RVTEntry{StartVID: m.startVID, LPSeq: m.lpSeq}
-		g.kinds[pid] = m.kind
-		w := newPageWriter(&g.cfg, m.kind)
-		if m.kind == LargePage {
-			_, entries := w.addVertex(m.startVID, m.lpDeg)
-			writeEntries(entries, m.startVID, int(m.lpSeq)*perLP)
-			g.lpIDs = append(g.lpIDs, PageID(pid))
-		} else {
-			for s := 0; s < m.slots; s++ {
-				vid := m.startVID + uint64(s)
-				d := src.Degree(vid)
-				_, entries := w.addVertex(vid, d)
-				writeEntries(entries, vid, 0)
-			}
-			g.spIDs = append(g.spIDs, PageID(pid))
-		}
-		g.pages[pid] = w.finish()
-	}
+	// Pass 2: write the pages, each checksummed as it is finished.
+	g.pages, g.sums = make([][]byte, len(g.rvt)), make([]uint32, len(g.rvt))
+	g.writePages(src)
 	g.dec = newDecoder(&g.cfg, g.rvt)
-	g.computeChecksums()
 	return g, nil
+}
+
+// writePages is Build's pass 2. Pass 1 fixed every page's vertices and
+// every home RID, so a page is plain stores: per vertex its slot (VID,
+// OFF), its record's ADJLIST_SZ and its row's home RIDs; a large page holds
+// its run's share of its vertex's row.
+func (g *Graph) writePages(src Source) {
+	c := &g.cfg
+	rows := newRowReader(src)
+	perLP, w := c.lpEntriesPerPage(), c.RIDBytes()
+	for pid, e := range g.rvt {
+		end := g.numVertices
+		if e.LPSeq >= 0 {
+			end = e.StartVID + 1
+		} else if pid+1 < len(g.rvt) {
+			end = g.rvt[pid+1].StartVID
+		}
+		buf := make([]byte, c.PageSize)
+		binary.LittleEndian.PutUint32(buf, uint32(end-e.StartVID))
+		buf[4] = byte(g.kinds[pid])
+		rec, slot := headerSize, c.PageSize
+		for vid := e.StartVID; vid < end; vid++ {
+			row := rows.of(vid)
+			if e.LPSeq >= 0 {
+				from := int(e.LPSeq) * perLP
+				row = row[from:min(len(row), from+perLP)]
+			}
+			slot -= c.SlotSize()
+			putUint(buf[slot:], c.VIDBytes, vid)
+			putUint(buf[slot+c.VIDBytes:], c.OffBytes, uint64(rec))
+			putUint(buf[rec:], c.SizeBytes, uint64(len(row)))
+			rec += c.SizeBytes
+			putRow(buf[rec:], c, row, g.homePID, g.homeSlot)
+			rec += len(row) * w
+		}
+		g.pages[pid], g.sums[pid] = buf, PageChecksum(buf)
+	}
+}
+
+// rowReader hands writePages each vertex's row as a slice: the mutation
+// path's mirror row itself, or, from any other Source, a scratch row filled
+// through Neighbors and kept while a large vertex's pages ask again.
+type rowReader struct {
+	src    Source
+	mirror [][]uint64 // src's rows, when src is a mirrorSource
+	row    []uint64
+	v      uint64           // the vertex row holds; ^0 (never a VID) before the first
+	add    func(dst uint64) // appends to row: one closure for every Neighbors call
+}
+
+func newRowReader(src Source) *rowReader {
+	r := &rowReader{src: src, v: ^uint64(0)}
+	if m, ok := src.(mirrorSource); ok {
+		r.mirror = m.adj
+	}
+	r.add = func(dst uint64) { r.row = append(r.row, dst) }
+	return r
+}
+
+// of returns v's row. It panics if a Source's Neighbors disagrees with its
+// Degree, which pass 1 laid the pages out by.
+func (r *rowReader) of(v uint64) []uint64 {
+	if r.mirror != nil {
+		return r.mirror[v]
+	}
+	if r.v != v {
+		r.row, r.v = r.row[:0], v
+		r.src.Neighbors(v, r.add)
+		if d := r.src.Degree(v); len(r.row) != d {
+			panic(fmt.Sprintf("slottedpage: vertex %d yielded %d neighbors, expected %d", v, len(r.row), d))
+		}
+	}
+	return r.row
 }
 
 // Config returns the layout configuration the graph was built with.

@@ -12,8 +12,9 @@ import (
 // EdgeOp is one directed-edge mutation against a mutable graph: an insert
 // (Del false) or a delete (Del true) of Src -> Dst. Deletes remove every
 // occurrence of the edge (the store permits parallel edges); deleting an
-// absent edge is a no-op. Inserts may name vertices beyond the current
-// vertex count — the vertex space grows to cover them.
+// absent edge, one naming a vertex past the vertex count included, is a
+// no-op. Inserts may name vertices beyond the current vertex count — the
+// vertex space grows to cover them; deletes never grow it.
 type EdgeOp struct {
 	Del bool
 	Src uint64
@@ -25,8 +26,7 @@ type EdgeOp struct {
 // against a fully immutable Graph; ApplyBatch edits the adjacency mirror in
 // place under an undo log, builds the successor from it off to the side and
 // publishes it with a single atomic swap, adopting every page whose bytes
-// did not change under a per-page latch — the blink-tree discipline:
-// readers never block, writers never tear a page.
+// did not change: readers never block, and no published page is written.
 //
 // The successor is produced by re-packing the mutated adjacency mirror
 // through Build, so a mutated graph is byte-identical to a from-scratch
@@ -38,14 +38,14 @@ type EdgeOp struct {
 // Writers are serialized (one ApplyBatch at a time); reads are safe
 // concurrently with a write.
 type Mutable struct {
-	mu      sync.Mutex   // serializes writers
-	latches []sync.Mutex // one per page of the current graph, for swap adoption
-	cur     atomic.Pointer[Graph]
-	adj     [][]uint64 // adjacency mirror of the current graph
-	edges   uint64
+	mu    sync.Mutex // serializes writers
+	cur   atomic.Pointer[Graph]
+	adj   [][]uint64 // adjacency mirror of the current graph
+	edges uint64
 }
 
-// mirrorSource adapts an adjacency mirror to the Build Source contract.
+// mirrorSource adapts an adjacency mirror to the Build Source contract;
+// Build's pass 2 reads its rows as they are (rowReader).
 type mirrorSource struct {
 	adj   [][]uint64
 	edges uint64
@@ -65,7 +65,7 @@ func (s mirrorSource) Neighbors(v uint64, fn func(dst uint64)) {
 // mutated elsewhere; its page buffers may be adopted (shared) by successor
 // snapshots.
 func NewMutable(g *Graph) *Mutable {
-	m := &Mutable{adj: decodeRows(g), edges: g.NumEdges(), latches: make([]sync.Mutex, g.NumPages())}
+	m := &Mutable{adj: decodeRows(g), edges: g.NumEdges()}
 	m.cur.Store(g)
 	return m
 }
@@ -120,10 +120,11 @@ func (m *Mutable) NumEdges() uint64 {
 
 // ApplyBatch applies ops atomically: either the whole batch commits and the
 // returned Graph is the published successor snapshot, or no observable
-// state changes. The successor shares the byte buffers of every page the
-// batch did not disturb (adopted under that page's latch), so small batches
-// over big graphs copy only the pages they touch. If the predecessor's
-// reverse index is alive, the successor gets it patched by the batch.
+// state changes. The successor shares the byte buffers of every page whose
+// bytes the batch did not change — few: a batch moves page boundaries, and
+// every page naming a vertex whose home moved changes with them. If the
+// predecessor's reverse index is alive, the successor gets it patched by
+// the batch.
 func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -131,15 +132,18 @@ func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 	old := m.cur.Load()
 	cfg := old.Config()
 
-	// The vertex space grows once, to cover the batch's largest ID, and
-	// only if every ID is addressable: a batch that is not changes nothing.
+	// The vertex space grows once, to cover the batch's largest inserted
+	// ID, and only if every ID is addressable: a batch that is not changes
+	// nothing.
 	n := uint64(len(m.adj))
 	for _, op := range ops {
 		for _, v := range [2]uint64{op.Src, op.Dst} {
 			if v >= cfg.MaxAddressableVertices() {
 				return nil, fmt.Errorf("slottedpage: vertex %d exceeds addressable capacity %d", v, cfg.MaxAddressableVertices())
 			}
-			n = max(n, v+1)
+			if !op.Del {
+				n = max(n, v+1)
+			}
 		}
 	}
 
@@ -151,6 +155,9 @@ func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 	undo := make(map[uint64][]uint64)
 	edges := m.edges
 	for _, op := range ops {
+		if op.Src >= n {
+			continue // a delete from a vertex the graph does not have
+		}
 		row := m.adj[op.Src]
 		if _, ok := undo[op.Src]; !ok {
 			undo[op.Src] = row
@@ -177,20 +184,13 @@ func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 		return nil, err
 	}
 
-	// Adopt unchanged pages from the predecessor under their latches:
-	// where the rebuilt page is byte-equal to the old one, the successor
-	// points at the old buffer, so readers of either snapshot share one
-	// physical page and the swap never copies untouched topology.
+	// Adopt unchanged pages from the predecessor: where the rebuilt page is
+	// byte-equal to the old one, the successor points at the old buffer, so
+	// readers of either snapshot share one physical page.
 	for pid := 0; pid < len(next.pages) && pid < len(old.pages); pid++ {
-		m.latches[pid].Lock()
 		if next.sums[pid] == old.sums[pid] && bytes.Equal(next.pages[pid], old.pages[pid]) {
 			next.pages[pid] = old.pages[pid]
 		}
-		m.latches[pid].Unlock()
-	}
-	if len(next.pages) > len(m.latches) {
-		grown := make([]sync.Mutex, len(next.pages))
-		m.latches = grown
 	}
 
 	old.revMu.Lock()

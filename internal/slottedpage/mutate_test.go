@@ -52,7 +52,7 @@ func TestApplyBatchMatchesRebuild(t *testing.T) {
 		{{Src: 3, Dst: 0}, {Src: 0, Dst: 3}},
 		{{Del: true, Src: 0, Dst: 1}},
 		{{Src: 5, Dst: 1}, {Src: 1, Dst: 5}}, // grows the vertex space to 6
-		{{Del: true, Src: 9, Dst: 9}},        // delete of an absent edge: no-op (but grows to 10)
+		{{Del: true, Src: 9, Dst: 9}},        // delete of an absent edge: no-op, no growth
 	}
 	// The oracle mirrors the batches against a plain adjacency list and
 	// rebuilds from scratch after each batch.
@@ -70,8 +70,13 @@ func TestApplyBatchMatchesRebuild(t *testing.T) {
 			}
 		}
 		for _, op := range ops {
-			grow(op.Src)
-			grow(op.Dst)
+			if !op.Del {
+				grow(op.Src)
+				grow(op.Dst)
+			}
+			if op.Src >= uint64(len(oracle)) {
+				continue // a delete from a vertex the graph does not have
+			}
 			if op.Del {
 				kept := oracle[op.Src][:0]
 				for _, d := range oracle[op.Src] {
@@ -163,6 +168,29 @@ func TestApplyBatchFailureLeavesStateUntouched(t *testing.T) {
 	graphsIdentical(t, next, want, "after failed batch")
 }
 
+// TestDeleteNeverGrowsTheGraph: a delete naming a vertex past the vertex
+// count removes nothing, so it changes nothing — at RMAT27@16 the batch
+// below used to take the graph from 2 048 to 5 001 vertices and from 42 to
+// 52 pages. An insert in the same batch still grows it, to its own IDs.
+func TestDeleteNeverGrowsTheGraph(t *testing.T) {
+	_, sp := rmatPages(t, 16)
+	m := NewMutable(sp)
+	got, err := m.ApplyBatch([]EdgeOp{{Del: true, Src: 5000, Dst: 0}, {Del: true, Src: 0, Dst: 7000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsIdentical(t, got, sp, "after deletes past the vertex count")
+	n := sp.NumVertices()
+	grown, err := m.ApplyBatch([]EdgeOp{{Del: true, Src: n + 100, Dst: 1}, {Src: n, Dst: 0}, {Del: true, Src: n + 1, Dst: n + 200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.NumVertices() != n+1 || grown.NumEdges() != sp.NumEdges()+1 {
+		t.Fatalf("an insert from vertex %d and two deletes gave %d vertices, %d edges; want %d, %d",
+			n, grown.NumVertices(), grown.NumEdges(), n+1, sp.NumEdges()+1)
+	}
+}
+
 // TestApplyBatchFailureAfterGrowthRestoresMirror: a batch that touches
 // rows, grows the vertex space within capacity and then fails in Build
 // (5 001 vertices need more pages than a 1-byte page ID addresses) leaves
@@ -238,6 +266,25 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 		t.Fatal("the commit did not patch the held index")
 	}
 	runtime.KeepAlive(rev)
+}
+
+// BenchmarkApplyBatch prices one commit at RMAT27@11: a seeded 64-edge
+// insert batch, which re-packs every page through Build. `make bench` runs
+// it at -cpu 1,2.
+func BenchmarkApplyBatch(b *testing.B) {
+	_, sp := rmatPages(b, 11)
+	m, rng := NewMutable(sp), rand.New(rand.NewSource(1))
+	batches := make([][]EdgeOp, b.N)
+	for i := range batches {
+		batches[i] = randomInserts(rng, 64, sp.NumVertices())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, ops := range batches {
+		if _, err := m.ApplyBatch(ops); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func TestConcurrentSnapshotsDuringMutation(t *testing.T) {

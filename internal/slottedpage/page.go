@@ -155,54 +155,3 @@ func (a AdjView) At(i int) RID {
 	slot := getUint(a.buf[p+a.cfg.PIDBytes:], a.cfg.SlotBytes)
 	return RID{PID: PageID(pid), Slot: uint32(slot)}
 }
-
-// pageWriter builds one page in place.
-type pageWriter struct {
-	buf    []byte
-	cfg    *Config
-	recEnd int // next free byte for records (grows forward)
-	slots  int // slots written so far (grow backward)
-}
-
-func newPageWriter(cfg *Config, kind Kind) *pageWriter {
-	buf := make([]byte, cfg.PageSize)
-	buf[4] = byte(kind)
-	return &pageWriter{buf: buf, cfg: cfg, recEnd: headerSize}
-}
-
-// free reports the bytes left between the record area and the slot area.
-func (w *pageWriter) free() int {
-	return w.cfg.PageSize - (w.slots * w.cfg.SlotSize()) - w.recEnd
-}
-
-// fits reports whether a record with deg entries plus its slot fit.
-func (w *pageWriter) fits(deg int) bool {
-	return w.cfg.recordSize(deg)+w.cfg.SlotSize() <= w.free() &&
-		uint64(w.slots) < w.cfg.MaxSlotNumber()
-}
-
-// addVertex reserves a slot and record for vertex vid with deg adjacency
-// entries and returns the slot number and a byte slice to fill with entries.
-func (w *pageWriter) addVertex(vid uint64, deg int) (slot int, entries []byte) {
-	if !w.fits(deg) {
-		panic("slottedpage: addVertex called without room")
-	}
-	slot = w.slots
-	w.slots++
-	// Slot: VID || OFF.
-	sp := w.cfg.PageSize - w.slots*w.cfg.SlotSize()
-	putUint(w.buf[sp:], w.cfg.VIDBytes, vid)
-	putUint(w.buf[sp+w.cfg.VIDBytes:], w.cfg.OffBytes, uint64(w.recEnd))
-	// Record: ADJLIST_SZ || entries.
-	putUint(w.buf[w.recEnd:], w.cfg.SizeBytes, uint64(deg))
-	start := w.recEnd + w.cfg.SizeBytes
-	end := start + deg*w.cfg.RIDBytes()
-	w.recEnd = end
-	return slot, w.buf[start:end]
-}
-
-// finish stamps the slot count and returns the page bytes.
-func (w *pageWriter) finish() []byte {
-	putUint(w.buf[0:], 4, uint64(w.slots))
-	return w.buf
-}

@@ -10,7 +10,7 @@ import "encoding/binary"
 // is materialised between the page bytes and the kernel's write. Every
 // kernel and topology scan decodes through it; Page.Slot, AdjView.At and
 // Graph.VIDOf remain as the field-by-field form the tests compare it with.
-// Encoding (Build) is putRID.
+// Encoding (Build) is putRow.
 
 // Decoder reads records and adjacency entries out of one graph's page
 // bytes. A Graph builds its decoder once (Build, Read) and hands it out
@@ -118,17 +118,24 @@ func (d *Decoder) VID(buf []byte, pos int) (vid uint64, pid PageID) {
 	return d.startVID[p] + slot&d.slotMask, PageID(p)
 }
 
-// putRID writes one adjacency entry, ADJ_PID‖ADJ_OFF, at the start of b —
-// byte for byte what a putUint per field writes. A (2,2) entry is one 32-bit
-// store: Mutable.ApplyBatch rebuilds the graph for every batch, and two
-// putUint calls per entry were a fifth of that. Anything else, a (2,2) field
-// that overflows included, goes through putUint, which panics when a value
-// does not fit.
-func putRID(b []byte, cfg *Config, pid, slot uint64) {
-	if cfg.PIDBytes == 2 && cfg.SlotBytes == 2 && pid <= 0xffff && slot <= 0xffff {
-		binary.LittleEndian.PutUint32(b, uint32(pid)|uint32(slot)<<16)
+// putRow writes an adjacency entry for every vertex of row, from the start
+// of b: the vertex's home RID as ADJ_PID‖ADJ_OFF, byte for byte what a
+// putUint per field writes. Build has checked that every home fits its
+// fields (its pages are addressable, its slot counts capped), so a (2,2)
+// entry is one 32-bit store with no check: Mutable.ApplyBatch rebuilds
+// every page per commit, and this loop is most of that. Other widths go
+// through putUint.
+func putRow(b []byte, cfg *Config, row []uint64, homePID, homeSlot []uint32) {
+	if cfg.PIDBytes == 2 && cfg.SlotBytes == 2 {
+		b = b[:4*len(row)]
+		for i, d := range row {
+			binary.LittleEndian.PutUint32(b[4*i:], homePID[d]|homeSlot[d]<<16)
+		}
 		return
 	}
-	putUint(b, cfg.PIDBytes, pid)
-	putUint(b[cfg.PIDBytes:], cfg.SlotBytes, slot)
+	p, w := cfg.PIDBytes, cfg.RIDBytes()
+	for i, d := range row {
+		putUint(b[i*w:], p, uint64(homePID[d]))
+		putUint(b[i*w+p:], cfg.SlotBytes, uint64(homeSlot[d]))
+	}
 }
