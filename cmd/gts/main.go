@@ -26,8 +26,8 @@ import (
 
 func main() {
 	graphSpec := flag.String("graph", "RMAT27@12", "graph spec: store file or dataset[@shrink]")
-	algo := flag.String("algo", "bfs", "bfs | pagerank | sssp | cc | bc | rwr | degree | kcore | radius | ball")
-	source := flag.Uint64("source", 0, "start vertex for bfs/sssp/bc")
+	algo := flag.String("algo", "bfs", strings.Join(gts.Algorithms(), " | "))
+	source := flag.Uint64("source", 0, "start vertex for bfs/sssp/bc/rwr/ball")
 	iters := flag.Int("iters", 10, "PageRank/RWR iterations")
 	kParam := flag.Int("k", 3, "K for kcore, hop count for ball")
 	damping := flag.Float64("damping", 0.85, "PageRank damping factor")
@@ -53,15 +53,8 @@ func main() {
 		CacheBytes:  *cache,
 		ScaleFactor: *scaleHW,
 	}
-	switch strings.ToLower(*storage) {
-	case "ssd":
-		cfg.Storage = gts.SSDs
-	case "hdd":
-		cfg.Storage = gts.HDDs
-	case "mem":
-	default:
-		fail(fmt.Errorf("unknown storage %q", *storage))
-	}
+	cfg.Storage, err = gts.ParseStorage(*storage)
+	fail(err)
 	cfg.Strategy, err = gts.ParseStrategy(*strategy)
 	fail(err)
 	switch strings.ToLower(*tech) {
@@ -85,11 +78,15 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges, %d SP + %d LP pages\n",
 		g.NumVertices(), g.NumEdges(), g.NumSP(), g.NumLP())
 
+	// A request's zero parameters take the algorithm's defaults, and the ones
+	// it does not use are dropped.
+	out, err := sys.Run(strings.ToLower(*algo), gts.Params{
+		Source: *source, Damping: *damping, Iterations: *iters, K: *kParam, Hops: *kParam,
+	})
+	fail(err)
 	var m gts.Metrics
-	switch strings.ToLower(*algo) {
-	case "bfs":
-		res, err := sys.BFS(*source)
-		fail(err)
+	switch res := out.(type) {
+	case *gts.BFSResult:
 		m = res.Metrics
 		reached, depth := 0, int16(0)
 		for _, l := range res.Levels {
@@ -101,15 +98,11 @@ func main() {
 			}
 		}
 		fmt.Printf("BFS from %d: reached %d vertices, depth %d\n", *source, reached, depth)
-	case "pagerank":
-		res, err := sys.PageRank(*damping, *iters)
-		fail(err)
+	case *gts.PageRankResult:
 		m = res.Metrics
 		fmt.Printf("PageRank (%d iterations): top %d vertices:\n", *iters, *top)
 		printTop(res.Ranks, *top)
-	case "sssp":
-		res, err := sys.SSSP(*source)
-		fail(err)
+	case *gts.SSSPResult:
 		m = res.Metrics
 		reached := 0
 		for _, d := range res.Dist {
@@ -118,9 +111,7 @@ func main() {
 			}
 		}
 		fmt.Printf("SSSP from %d: reached %d vertices\n", *source, reached)
-	case "cc":
-		res, err := sys.CC()
-		fail(err)
+	case *gts.CCResult:
 		m = res.Metrics
 		comps := map[uint32]int{}
 		for _, l := range res.Labels {
@@ -133,27 +124,19 @@ func main() {
 			}
 		}
 		fmt.Printf("CC: %d components, largest has %d vertices\n", len(comps), largest)
-	case "bc":
-		res, err := sys.BC(*source)
-		fail(err)
+	case *gts.BCResult:
 		m = res.Metrics
 		fmt.Printf("BC from %d: top %d brokers:\n", *source, *top)
 		printTop(res.Scores, *top)
-	case "rwr":
-		res, err := sys.RWR(*source, 0.15, *iters)
-		fail(err)
+	case *gts.RWRResult:
 		m = res.Metrics
 		fmt.Printf("RWR from %d: top %d proximate vertices:\n", *source, *top)
 		printTop(res.Scores, *top)
-	case "degree":
-		res, err := sys.DegreeDistribution()
-		fail(err)
+	case *gts.DegreeResult:
 		m = res.Metrics
 		fmt.Printf("degree distribution: %d distinct degrees, max %d\n",
 			len(res.Histogram), len(res.Histogram)-1)
-	case "kcore":
-		res, err := sys.KCore(*kParam)
-		fail(err)
+	case *gts.KCoreResult:
 		m = res.Metrics
 		in := 0
 		for _, a := range res.InCore {
@@ -162,14 +145,10 @@ func main() {
 			}
 		}
 		fmt.Printf("%d-core: %d of %d vertices survive\n", *kParam, in, g.NumVertices())
-	case "radius":
-		res, err := sys.Radius(8, 256)
-		fail(err)
+	case *gts.RadiusResult:
 		m = res.Metrics
 		fmt.Printf("effective diameter (90%%): %d hops\n", res.EffectiveDiameter)
-	case "ball":
-		res, err := sys.Neighborhood(*source, *kParam)
-		fail(err)
+	case *gts.NeighborhoodResult:
 		m = res.Metrics
 		in := 0
 		for _, h := range res.Hops {
@@ -178,8 +157,6 @@ func main() {
 			}
 		}
 		fmt.Printf("%d-hop ball around %d: %d vertices\n", *kParam, *source, in)
-	default:
-		fail(fmt.Errorf("unknown algorithm %q", *algo))
 	}
 
 	fmt.Printf("\nelapsed (virtual):  %v\n", m.Elapsed)

@@ -18,18 +18,19 @@ import (
 	"path/filepath"
 	"strings"
 
+	gts "repro"
 	"repro/internal/experiments"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment ID or 'all' ("+strings.Join(experiments.IDs(), ", ")+")")
 	shrink := flag.Int("shrink", 13, "dataset down-scaling as a power of two")
-	iters := flag.Int("iters", 10, "PageRank iterations (paper: 10)")
+	iters := flag.Int("iters", 10, "PageRank (and -trace-algo rwr) iterations (paper: 10)")
 	csvDir := flag.String("csv", "", "directory to additionally write per-experiment CSV files to")
 	list := flag.Bool("list", false, "list experiments and exit")
 	benchDataset := flag.String("bench-dataset", "RMAT27", "dataset for -trace")
 	traceOut := flag.String("trace", "", "write one traced run to this file (Chrome trace JSON, or JSONL if it ends in .jsonl) and exit")
-	traceAlgo := flag.String("trace-algo", "bfs", "algorithm for -trace ("+strings.Join(traceAlgoNames, ", ")+")")
+	traceAlgo := flag.String("trace-algo", "bfs", "algorithm for -trace ("+strings.Join(gts.Algorithms(), ", ")+")")
 	flag.Parse()
 
 	if *traceOut != "" {

@@ -9,39 +9,13 @@ import (
 	"repro/internal/trace"
 )
 
-// traceAlgos maps -trace-algo names to runs through the public System API.
-var traceAlgos = map[string]func(sys *gts.System, iters int) error{
-	"bfs": func(sys *gts.System, _ int) error {
-		_, err := sys.BFS(0)
-		return err
-	},
-	"pagerank": func(sys *gts.System, iters int) error {
-		_, err := sys.PageRank(0.85, iters)
-		return err
-	},
-	"cc": func(sys *gts.System, _ int) error {
-		_, err := sys.CC()
-		return err
-	},
-	"bc": func(sys *gts.System, _ int) error {
-		_, err := sys.BC(0)
-		return err
-	},
-}
-
-// traceAlgoNames lists the -trace-algo choices in usage order.
-var traceAlgoNames = []string{"bfs", "pagerank", "cc", "bc"}
-
-// runTrace executes one traced run of an algorithm over a generated dataset
-// and writes the recorder to out — Chrome trace_event JSON (Perfetto /
-// chrome://tracing loadable), or span-per-line JSONL when out ends in
-// ".jsonl". The engine is deterministic, so the file is byte-identical across
-// reruns.
+// runTrace executes one traced run of any algorithm in the table (iters
+// bounds the iterative ones; the rest take their defaults) over a generated
+// dataset and writes the recorder to out — Chrome trace_event JSON
+// (Perfetto / chrome://tracing loadable), or span-per-line JSONL when out
+// ends in ".jsonl". The engine is deterministic, so the file is
+// byte-identical across reruns.
 func runTrace(dataset string, shrink int, algo string, iters int, out string) error {
-	run, ok := traceAlgos[algo]
-	if !ok {
-		return fmt.Errorf("unknown -trace-algo %q (want %s)", algo, strings.Join(traceAlgoNames, "|"))
-	}
 	g, err := gts.Generate(dataset, shrink)
 	if err != nil {
 		return err
@@ -51,7 +25,7 @@ func runTrace(dataset string, shrink int, algo string, iters int, out string) er
 	if err != nil {
 		return err
 	}
-	if err := run(sys, iters); err != nil {
+	if _, err := sys.Run(algo, gts.Params{Iterations: iters}); err != nil {
 		return err
 	}
 	f, err := os.Create(out)

@@ -42,6 +42,7 @@ import (
 	"syscall"
 	"time"
 
+	gts "repro"
 	"repro/internal/service"
 )
 
@@ -142,7 +143,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("gtsd: serving %d graphs, %d algorithms on %s", len(srv.Graphs()), len(service.Algorithms()), *listen)
+		log.Printf("gtsd: serving %d graphs, %d algorithms on %s", len(srv.Graphs()), len(gts.Algorithms()), *listen)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

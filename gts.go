@@ -18,6 +18,7 @@
 package gts
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -203,8 +204,8 @@ var ErrWontFit = core.ErrWontFit
 var ErrSourceOutOfRange = core.ErrSourceOutOfRange
 
 // ErrInvalid reports input the system cannot take: an Open spec that names
-// no dataset or shrink, a Config NewSystem rejects, an ingested edge beyond
-// the graph's addressable vertices.
+// no dataset or shrink, a Config NewSystem rejects, an algorithm parameter
+// the table refuses, an ingested edge beyond the addressable vertices.
 var ErrInvalid = errors.New("gts: invalid input")
 
 // CacheDisabled turns the device page cache off (Config.CacheBytes).
@@ -362,6 +363,216 @@ func (s *System) run(k kernels.Kernel, source uint64) (*core.Report, error) {
 	return s.eng.RunJob(core.SharedJob{Kernel: k, Source: source})
 }
 
+// Params carries one algorithm request's inputs. In a request (Run, gtsd)
+// a zero field takes its default, and normalization zeroes the fields the
+// algorithm does not use, so equivalent requests compare (and cache) equal.
+type Params struct {
+	// Source is the start vertex for bfs, sssp, bc, rwr, and ball.
+	Source uint64 `json:"source,omitempty"`
+	// Damping is PageRank's damping factor (default 0.85).
+	Damping float64 `json:"damping,omitempty"`
+	// Iterations bounds pagerank and rwr (default 10).
+	Iterations int `json:"iterations,omitempty"`
+	// K is the core number for kcore (default 3).
+	K int `json:"k,omitempty"`
+	// Hops is the ball radius for ball (default 2).
+	Hops int `json:"hops,omitempty"`
+	// Restart is rwr's restart probability (default 0.15).
+	Restart float64 `json:"restart,omitempty"`
+	// Sketches and MaxHops tune radius (defaults 8 and 256).
+	Sketches int `json:"sketches,omitempty"`
+	MaxHops  int `json:"maxhops,omitempty"`
+}
+
+// Algorithm is one entry of the algorithm table, the only place that names
+// an algorithm, fills its defaults, checks its parameters, builds its kernel
+// and decodes its result. Run, the typed methods, gtsd and the commands all
+// read it.
+type Algorithm struct {
+	// Normalize fills zero fields with defaults and zeroes the fields the
+	// algorithm does not use, returning the canonical Params, or an error
+	// wrapping ErrInvalid for a value the kernel cannot take.
+	Normalize func(Params) (Params, error)
+	// Kernel builds the kernel of a run over g with normalized p. The run
+	// starts from p.Source, which normalization zeroes where it means nothing.
+	Kernel func(g *Graph, p Params) Kernel
+	// Decode assembles the result struct (*BFSResult, ...) from the final
+	// state of k: the kernel Kernel built, or one that computes the same
+	// state (the service's incremental bfs and cc re-plans).
+	Decode func(k Kernel, st KernelState, p Params, m Metrics) any
+}
+
+// leveled and labeled are what the bfs, ball and cc decoders read, so any
+// kernel with the same output decodes through them.
+type leveled interface{ Levels(KernelState) []int16 }
+type labeled interface{ Components(KernelState) []uint32 }
+
+// maxSketches caps radius's state at 2 x 32 4-byte sketches per vertex.
+const maxSketches = 32
+
+var algorithms = map[string]Algorithm{
+	"bfs": {
+		Normalize: sourceOnly,
+		Kernel:    func(g *Graph, _ Params) Kernel { return kernels.NewDirBFS(g) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			return &BFSResult{Metrics: m, Levels: k.(leveled).Levels(st)}
+		},
+	},
+	"pagerank": {
+		Normalize: func(p Params) (Params, error) {
+			out := Params{Damping: cmp.Or(p.Damping, 0.85), Iterations: cmp.Or(p.Iterations, 10)}
+			return out, errors.Join(probability("damping", out.Damping), inRange("iterations", out.Iterations, math.MaxInt32))
+		},
+		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewPageRank(g, p.Damping, p.Iterations) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			return &PageRankResult{Metrics: m, Ranks: k.(*kernels.PageRank).Ranks(st)}
+		},
+	},
+	"sssp": {
+		Normalize: sourceOnly,
+		Kernel:    func(g *Graph, _ Params) Kernel { return kernels.NewSSSP(g) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			return &SSSPResult{Metrics: m, Dist: k.(*kernels.SSSP).Distances(st)}
+		},
+	},
+	"cc": {
+		Normalize: func(Params) (Params, error) { return Params{}, nil },
+		Kernel:    func(g *Graph, _ Params) Kernel { return kernels.NewCC(g) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			return &CCResult{Metrics: m, Labels: k.(labeled).Components(st)}
+		},
+	},
+	"bc": {
+		Normalize: sourceOnly,
+		Kernel:    func(g *Graph, _ Params) Kernel { return kernels.NewBC(g) },
+		Decode: func(k Kernel, st KernelState, p Params, m Metrics) any {
+			return &BCResult{Metrics: m, Scores: k.(*kernels.BC).Centrality(st, p.Source)}
+		},
+	},
+	"rwr": {
+		Normalize: func(p Params) (Params, error) {
+			out := Params{Source: p.Source, Restart: cmp.Or(p.Restart, 0.15), Iterations: cmp.Or(p.Iterations, 10)}
+			return out, errors.Join(probability("restart", out.Restart), inRange("iterations", out.Iterations, math.MaxInt32))
+		},
+		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewRWR(g, p.Restart, p.Iterations) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			return &RWRResult{Metrics: m, Scores: k.(*kernels.RWR).Scores(st)}
+		},
+	},
+	"degree": {
+		Normalize: func(Params) (Params, error) { return Params{}, nil },
+		Kernel:    func(g *Graph, _ Params) Kernel { return kernels.NewDegreeDist(g) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			d := k.(*kernels.DegreeDist)
+			return &DegreeResult{Metrics: m, Degrees: d.Degrees(st), Histogram: d.Histogram(st)}
+		},
+	},
+	"kcore": {
+		Normalize: func(p Params) (Params, error) {
+			out := Params{K: cmp.Or(p.K, 3)}
+			return out, inRange("k", out.K, math.MaxInt32)
+		},
+		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewKCore(g, p.K) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			return &KCoreResult{Metrics: m, InCore: k.(*kernels.KCore).InCore(st)}
+		},
+	},
+	"radius": {
+		Normalize: func(p Params) (Params, error) {
+			out := Params{Sketches: cmp.Or(p.Sketches, 8), MaxHops: cmp.Or(p.MaxHops, 256)}
+			return out, errors.Join(inRange("sketches", out.Sketches, maxSketches), inRange("maxhops", out.MaxHops, math.MaxInt32))
+		},
+		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewRadius(g, p.Sketches, p.MaxHops) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			r := k.(*kernels.Radius)
+			return &RadiusResult{Metrics: m, Radii: r.Radii(st), EffectiveDiameter: r.EffectiveDiameter(st, 0.9)}
+		},
+	},
+	"ball": {
+		Normalize: func(p Params) (Params, error) {
+			out := Params{Source: p.Source, Hops: cmp.Or(p.Hops, 2)}
+			return out, inRange("hops", out.Hops, math.MaxInt16)
+		},
+		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewNeighborhood(g, p.Hops) },
+		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
+			return &NeighborhoodResult{Metrics: m, Hops: k.(leveled).Levels(st)}
+		},
+	},
+}
+
+// sourceOnly normalizes the algorithms whose one parameter is the source.
+func sourceOnly(p Params) (Params, error) { return Params{Source: p.Source}, nil }
+
+// inRange checks a count parameter against [1, hi]; hi is what the kernel
+// field storing it can hold, or a cap on what it costs.
+func inRange(name string, v, hi int) error {
+	if v < 1 || v > hi {
+		return fmt.Errorf("%w: %s %d is outside [1, %d]", ErrInvalid, name, v, hi)
+	}
+	return nil
+}
+
+// probability checks a probability parameter against (0, 1).
+func probability(name string, v float64) error {
+	if !(v > 0 && v < 1) {
+		return fmt.Errorf("%w: %s %v is outside (0, 1)", ErrInvalid, name, v)
+	}
+	return nil
+}
+
+// Algorithms lists the algorithm table's names, sorted.
+func Algorithms() []string {
+	names := make([]string, 0, len(algorithms))
+	for name := range algorithms {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// LookupAlgorithm returns the algorithm table's entry for name.
+func LookupAlgorithm(name string) (Algorithm, bool) {
+	a, ok := algorithms[name]
+	return a, ok
+}
+
+// Run normalizes p for the named algorithm, runs it and returns its result
+// struct (*BFSResult for "bfs", ...). An unknown name or a parameter
+// normalization refuses is ErrInvalid.
+func (s *System) Run(algo string, p Params) (any, error) {
+	a, ok := algorithms[algo]
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown algorithm %q (have %v)", ErrInvalid, algo, Algorithms())
+	}
+	p, err := a.Normalize(p)
+	if err != nil {
+		return nil, err
+	}
+	k := a.Kernel(s.graph, p)
+	rep, err := s.run(k, p.Source)
+	if err != nil {
+		return nil, err
+	}
+	return a.Decode(k, rep.State, p, rep.Metrics), nil
+}
+
+// typed is a typed method's Run. Its parameters are explicit, so a zero
+// does not mean "default" here: the call is ErrInvalid unless normalization
+// leaves p unchanged.
+func typed[R any](s *System, algo string, p Params) (res R, err error) {
+	q, err := algorithms[algo].Normalize(p)
+	if err == nil && q != p {
+		err = fmt.Errorf("%w: %s with %+v: a zero takes the default only in a request", ErrInvalid, algo, p)
+	}
+	if err == nil {
+		var out any
+		if out, err = s.Run(algo, p); err == nil {
+			res = out.(R)
+		}
+	}
+	return res, err
+}
+
 // BFSResult holds per-vertex traversal levels (-1 = unreachable).
 type BFSResult struct {
 	Metrics
@@ -375,12 +586,7 @@ type BFSResult struct {
 // movement and MTEPS accounting are its own. Per-level directions surface
 // in Metrics.LevelDirs and on Superstep trace spans.
 func (s *System) BFS(source uint64) (*BFSResult, error) {
-	k := kernels.NewDirBFS(s.graph)
-	rep, err := s.run(k, source)
-	if err != nil {
-		return nil, err
-	}
-	return &BFSResult{Metrics: rep.Metrics, Levels: k.Levels(rep.State)}, nil
+	return typed[*BFSResult](s, "bfs", Params{Source: source})
 }
 
 // PageRankResult holds the final rank vector.
@@ -391,12 +597,7 @@ type PageRankResult struct {
 
 // PageRank runs the given number of iterations with damping factor df.
 func (s *System) PageRank(df float64, iterations int) (*PageRankResult, error) {
-	k := kernels.NewPageRank(s.graph, df, iterations)
-	rep, err := s.run(k, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &PageRankResult{Metrics: rep.Metrics, Ranks: k.Ranks(rep.State)}, nil
+	return typed[*PageRankResult](s, "pagerank", Params{Damping: df, Iterations: iterations})
 }
 
 // SSSPResult holds distances (math.MaxFloat32 = unreachable) under the
@@ -408,12 +609,7 @@ type SSSPResult struct {
 
 // SSSP runs single-source shortest paths from source.
 func (s *System) SSSP(source uint64) (*SSSPResult, error) {
-	k := kernels.NewSSSP(s.graph)
-	rep, err := s.run(k, source)
-	if err != nil {
-		return nil, err
-	}
-	return &SSSPResult{Metrics: rep.Metrics, Dist: k.Distances(rep.State)}, nil
+	return typed[*SSSPResult](s, "sssp", Params{Source: source})
 }
 
 // CCResult holds weakly-connected-component labels (minimum vertex ID per
@@ -424,14 +620,7 @@ type CCResult struct {
 }
 
 // CC runs connected components.
-func (s *System) CC() (*CCResult, error) {
-	k := kernels.NewCC(s.graph)
-	rep, err := s.run(k, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &CCResult{Metrics: rep.Metrics, Labels: k.Components(rep.State)}, nil
-}
+func (s *System) CC() (*CCResult, error) { return typed[*CCResult](s, "cc", Params{}) }
 
 // BCResult holds single-source betweenness scores.
 type BCResult struct {
@@ -441,12 +630,7 @@ type BCResult struct {
 
 // BC runs single-source betweenness centrality from source.
 func (s *System) BC(source uint64) (*BCResult, error) {
-	k := kernels.NewBC(s.graph)
-	rep, err := s.run(k, source)
-	if err != nil {
-		return nil, err
-	}
-	return &BCResult{Metrics: rep.Metrics, Scores: k.Centrality(rep.State, source)}, nil
+	return typed[*BCResult](s, "bc", Params{Source: source})
 }
 
 // RWRResult holds Random-Walk-with-Restart proximity scores.
@@ -458,12 +642,7 @@ type RWRResult struct {
 // RWR runs Random Walk with Restart from source with restart probability c
 // for the given iteration count.
 func (s *System) RWR(source uint64, c float64, iterations int) (*RWRResult, error) {
-	k := kernels.NewRWR(s.graph, c, iterations)
-	rep, err := s.run(k, source)
-	if err != nil {
-		return nil, err
-	}
-	return &RWRResult{Metrics: rep.Metrics, Scores: k.Scores(rep.State)}, nil
+	return typed[*RWRResult](s, "rwr", Params{Source: source, Restart: c, Iterations: iterations})
 }
 
 // DegreeResult holds per-vertex out-degrees and their histogram.
@@ -475,16 +654,7 @@ type DegreeResult struct {
 
 // DegreeDistribution computes out-degrees in one full topology scan.
 func (s *System) DegreeDistribution() (*DegreeResult, error) {
-	k := kernels.NewDegreeDist(s.graph)
-	rep, err := s.run(k, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &DegreeResult{
-		Metrics:   rep.Metrics,
-		Degrees:   k.Degrees(rep.State),
-		Histogram: k.Histogram(rep.State),
-	}, nil
+	return typed[*DegreeResult](s, "degree", Params{})
 }
 
 // KCoreResult holds K-core membership.
@@ -495,12 +665,7 @@ type KCoreResult struct {
 
 // KCore peels the graph to its K-core (multigraph undirected degree).
 func (s *System) KCore(k int) (*KCoreResult, error) {
-	kern := kernels.NewKCore(s.graph, k)
-	rep, err := s.run(kern, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &KCoreResult{Metrics: rep.Metrics, InCore: kern.InCore(rep.State)}, nil
+	return typed[*KCoreResult](s, "kcore", Params{K: k})
 }
 
 // RadiusResult holds per-vertex eccentricity estimates and the sketch state
@@ -518,16 +683,7 @@ type RadiusResult struct {
 // Radius estimates per-vertex radii and the graph's effective diameter with
 // ANF-style Flajolet-Martin sketches (the paper's 3.3 "radius estimations").
 func (s *System) Radius(sketches, maxHops int) (*RadiusResult, error) {
-	k := kernels.NewRadius(s.graph, sketches, maxHops)
-	rep, err := s.run(k, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &RadiusResult{
-		Metrics:           rep.Metrics,
-		Radii:             k.Radii(rep.State),
-		EffectiveDiameter: k.EffectiveDiameter(rep.State, 0.9),
-	}, nil
+	return typed[*RadiusResult](s, "radius", Params{Sketches: sketches, MaxHops: maxHops})
 }
 
 // NeighborhoodResult holds k-hop ball membership.
@@ -541,15 +697,7 @@ type NeighborhoodResult struct {
 // only the pages inside the ball (the paper's 3.3 neighborhood/egonet
 // family). hops outside [1, 32767] is ErrInvalid.
 func (s *System) Neighborhood(source uint64, hops int) (*NeighborhoodResult, error) {
-	if hops < 1 || hops > math.MaxInt16 {
-		return nil, fmt.Errorf("%w: %d hops is outside [1, %d]", ErrInvalid, hops, math.MaxInt16)
-	}
-	k := kernels.NewNeighborhood(s.graph, hops)
-	rep, err := s.run(k, source)
-	if err != nil {
-		return nil, err
-	}
-	return &NeighborhoodResult{Metrics: rep.Metrics, Hops: k.Levels(rep.State)}, nil
+	return typed[*NeighborhoodResult](s, "ball", Params{Source: source, Hops: hops})
 }
 
 // CrossEdgesResult holds a bipartition's crossing-edge count.

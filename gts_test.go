@@ -470,6 +470,45 @@ func TestNeighborhoodRefusesHopsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestTypedCallsRunWhatARequestWould: a typed method takes exactly the
+// parameters gtsd serves. One the table refuses (33 sketches, a restart or
+// damping outside (0, 1)) or would replace with its default (a zero count)
+// is ErrInvalid, where each of these used to run. Run, a request, fills the
+// same zeros with the defaults.
+func TestTypedCallsRunWhatARequestWould(t *testing.T) {
+	sys, err := NewSystem(smallGraph(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"Radius(33, 8)":     func() error { _, err := sys.Radius(33, 8); return err },
+		"Radius(8, 0)":      func() error { _, err := sys.Radius(8, 0); return err },
+		"RWR(0, 1.5, 10)":   func() error { _, err := sys.RWR(0, 1.5, 10); return err },
+		"RWR(0, 0, 10)":     func() error { _, err := sys.RWR(0, 0, 10); return err },
+		"PageRank(1, 10)":   func() error { _, err := sys.PageRank(1, 10); return err },
+		"PageRank(0.85, 0)": func() error { _, err := sys.PageRank(0.85, 0); return err },
+		"KCore(0)":          func() error { _, err := sys.KCore(0); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err = %v, want ErrInvalid", name, err)
+		}
+	}
+	if _, err := sys.Run("dfs", Params{}); !errors.Is(err, ErrInvalid) {
+		t.Errorf(`Run("dfs"): err = %v, want ErrInvalid`, err)
+	}
+	byDefault, err := sys.Run("kcore", Params{Source: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := sys.KCore(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(byDefault.(*KCoreResult).InCore, explicit.InCore) {
+		t.Error(`Run("kcore", {}) differs from KCore(3)`)
+	}
+}
+
 func TestBallAndCrossEdgesAndRadiusAPI(t *testing.T) {
 	g := smallGraph(t)
 	sys, err := NewSystem(g, Config{})

@@ -13,14 +13,12 @@ import (
 )
 
 // plan is one resolved execution: the scheduler job (kernel and source; the
-// pipeline adds the recorder) and the decoder that assembles the algorithm's
-// public result struct from the finished state (bound to that kernel
-// instance). The remaining fields are set only for jobs that retain state or
-// ask for incremental service (resolve, incremental.go and the replan hooks
-// of algos.go).
+// pipeline adds the recorder), whose finished state the algorithm's table
+// entry decodes. The remaining fields are set only for jobs that retain
+// state or ask for incremental service (resolve, incremental.go and the
+// replan hooks of algos.go).
 type plan struct {
-	job    sched.Job
-	decode func(gts.KernelState, gts.Metrics) any
+	job sched.Job
 	// capture, when non-nil, retains the completed run (its decoded output
 	// and metrics) for later incremental requests.
 	capture func(output any, m gts.Metrics)
@@ -110,7 +108,7 @@ func (s *Server) execute(job *Job) {
 		Algo:    job.req.Algo,
 		Params:  job.req.Params,
 		Metrics: m,
-		Output:  pl.decode(out.State, m),
+		Output:  job.algo.Decode(sj.Kernel, out.State, job.req.Params, m),
 		Wall:    wall,
 	}
 	if pl.capture != nil {
@@ -125,27 +123,26 @@ func (s *Server) execute(job *Job) {
 // graph with a retained-state store, goes through the incremental planner: it
 // may substitute a delta-expansion kernel seeded from retained state, and
 // otherwise runs the full kernel with a capture hook, so fresh state is
-// retained either way. Everything else gets the algorithm's own constructor,
-// and an "incremental": true request among it is a fallback like any other.
+// retained either way. Everything else gets the algorithm's own kernel, and
+// an "incremental": true request among it is a fallback like any other.
 func resolve(job *Job) plan {
-	entry, req := job.entry, job.req
-	g, cfg := entry.sys.Graph(), entry.sys.Config()
+	entry, p, g := job.entry, job.req.Params, job.entry.sys.Graph()
+	r, retains := retainers[job.req.Algo]
 	var reason string
 	switch {
-	case job.algo.retain == nil:
+	case !retains:
 		reason = "unsupported"
 	case entry.inc == nil:
 		reason = "not-retained"
-	case cfg.GPUs > 1:
+	case entry.sys.Config().GPUs > 1:
 		// Multi-GPU replicas merge state in ways the delta planners do not
 		// model: refuse, and retain nothing.
 		reason = "multi-gpu"
 	default:
-		return planIncremental(entry, g, job.algo, req)
+		return planIncremental(entry, g, job, r)
 	}
-	var pl plan
-	pl.job.Kernel, pl.job.Source, pl.decode = job.algo.kernel(g, req.Params)
-	if req.Incremental {
+	pl := plan{job: sched.Job{Kernel: job.algo.Kernel(g, p), Source: p.Source}}
+	if job.req.Incremental {
 		pl.fallback = reason
 	}
 	return pl

@@ -33,9 +33,9 @@ import (
 //
 // Typed service errors map to statuses: ErrOverloaded → 429, unknown
 // graph/algorithm/job → 404, ErrTimeout → 504, ErrShuttingDown and
-// ErrGraphNotReady → 503, ErrImmutableGraph → 409, ErrBadParams and
-// gts.ErrInvalid → 400, as is a body that does not parse; one longer than
-// maxBodyBytes is 413, refused unread.
+// ErrGraphNotReady → 503, ErrImmutableGraph → 409, gts.ErrInvalid (an
+// out-of-range parameter among it) → 400, as is a body that does not parse;
+// one longer than maxBodyBytes is 413, refused unread.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -55,7 +55,7 @@ func (s *Server) Handler() http.Handler {
 		s.met.write(w, s.Stats())
 	})
 	mux.HandleFunc("GET /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"graphs": s.Graphs(), "algorithms": Algorithms()})
+		writeJSON(w, http.StatusOK, map[string]any{"graphs": s.Graphs(), "algorithms": gts.Algorithms()})
 	})
 	mux.HandleFunc("PUT /v1/graphs/{name}", s.handleLoadGraph)
 	mux.HandleFunc("POST /v1/graphs/{name}/ingest", s.handleIngest)
@@ -244,7 +244,7 @@ func statusOf(err error) int {
 		// A hardware fault that survived the engine's retry budget, like a
 		// graph still recovering, is a transient failure: 503 + Retry-After.
 		return http.StatusServiceUnavailable
-	case errors.Is(err, gts.ErrSourceOutOfRange), errors.Is(err, ErrBadParams), errors.Is(err, gts.ErrInvalid):
+	case errors.Is(err, gts.ErrSourceOutOfRange), errors.Is(err, gts.ErrInvalid):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrImmutableGraph), errors.Is(err, ErrDuplicateGraph):
 		return http.StatusConflict

@@ -5,6 +5,7 @@ import (
 
 	gts "repro"
 	"repro/internal/incremental"
+	"repro/internal/sched"
 )
 
 // This file is the incremental planner: it resolves a job against the
@@ -24,29 +25,26 @@ func incKey(algo string, p Params) string {
 }
 
 // planIncremental resolves how to run a job whose algorithm retains state
-// (a.retain and a.replan are set): delta-expansion from a retained entry when
-// requested and safe, otherwise a full run; either way the completed run is
-// captured as the key's fresh entry.
-func planIncremental(entry *graphEntry, g *gts.Graph, a algorithm, req Request) plan {
-	p := req.Params
-	key := incKey(req.Algo, p)
-	fallback := ""
-	if req.Incremental {
-		if prior, delta, ok := entry.inc.Lookup(key); ok {
-			pl, reason := a.replan(g, prior, delta)
-			if reason == "" {
-				pl.job.Source, pl.hit, pl.priorFull = p.Source, true, prior.FullPages
-				pl.capture = retain(entry, key, a, prior.FullPages)
-				return pl
-			}
-			fallback = reason
+// (r): delta-expansion from a retained entry when requested and safe,
+// otherwise a full run; either way the completed run is captured as the
+// key's fresh entry.
+func planIncremental(entry *graphEntry, g *gts.Graph, job *Job, r retainer) plan {
+	p := job.req.Params
+	key := incKey(job.req.Algo, p)
+	pl := plan{job: sched.Job{Source: p.Source}}
+	if job.req.Incremental {
+		if prior, delta, ok := entry.inc.Lookup(key); !ok {
+			pl.fallback = "no-retained-state"
+		} else if k, seeds, reason := r.replan(g, prior, delta); reason != "" {
+			pl.fallback = reason
 		} else {
-			fallback = "no-retained-state"
+			pl.job.Kernel, pl.hit, pl.seeds, pl.priorFull = k, true, seeds, prior.FullPages
+			pl.capture = retain(entry, key, r, prior.FullPages)
+			return pl
 		}
 	}
-	pl := plan{fallback: fallback}
-	pl.job.Kernel, pl.job.Source, pl.decode = a.kernel(g, p)
-	pl.capture = retain(entry, key, a, -1)
+	pl.job.Kernel = job.algo.Kernel(g, p)
+	pl.capture = retain(entry, key, r, -1)
 	return pl
 }
 
@@ -54,13 +52,13 @@ func planIncremental(entry *graphEntry, g *gts.Graph, a algorithm, req Request) 
 // graph's retained entry for key, at the epoch the job ran on. fullPages is
 // the from-scratch page cost the entry remembers: a delta run inherits its
 // prior entry's, a full run (fullPages < 0) records its own.
-func retain(entry *graphEntry, key string, a algorithm, fullPages int64) func(any, gts.Metrics) {
+func retain(entry *graphEntry, key string, r retainer, fullPages int64) func(any, gts.Metrics) {
 	return func(output any, m gts.Metrics) {
 		e := &incremental.Entry{Epoch: entry.epoch, FullPages: fullPages}
 		if fullPages < 0 {
 			e.FullPages = m.PagesStreamed
 		}
-		a.retain(e, output)
+		r.retain(e, output)
 		entry.inc.Capture(key, e)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	gts "repro"
 )
 
 // JobState is a job's lifecycle position.
@@ -43,7 +45,7 @@ type Job struct {
 	req       Request // normalized params
 	key       string
 	entry     *graphEntry // what execute runs against; nil once finished
-	algo      algorithm
+	algo      gts.Algorithm
 	ctx       context.Context
 	cancel    context.CancelFunc
 	submitted time.Time

@@ -250,22 +250,21 @@ func (m *metrics) write(w io.Writer, s Stats) {
 			graphs = append(graphs, name)
 		}
 		sort.Strings(graphs)
-		walCounter := func(name, help string, v func(gts.WALStats) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		// The replay series describe the WAL's last open, which a reload
+		// replaces, so they are gauges.
+		walSeries := func(kind, name, help string, v func(g string) int64) {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 			for _, g := range graphs {
-				fmt.Fprintf(w, "%s{graph=%q} %d\n", name, g, v(s.WAL[g]))
+				fmt.Fprintf(w, "%s{graph=%q} %d\n", name, g, v(g))
 			}
 		}
-		walCounter("gtsd_wal_appends_total", "Batches appended to the write-ahead log.", func(ws gts.WALStats) int64 { return ws.Appends })
-		walCounter("gtsd_wal_appended_bytes_total", "Bytes appended to the write-ahead log.", func(ws gts.WALStats) int64 { return ws.AppendedBytes })
-		walCounter("gtsd_wal_fsyncs_total", "Physical fsyncs issued by the write-ahead log.", func(ws gts.WALStats) int64 { return ws.Fsyncs })
-		walCounter("gtsd_wal_group_commits_total", "Appends made durable by another waiter's fsync (group commit).", func(ws gts.WALStats) int64 { return ws.GroupCommits })
-		walCounter("gtsd_wal_replayed_batches", "Committed batches replayed at the last open.", func(ws gts.WALStats) int64 { return ws.ReplayedBatches })
-		walCounter("gtsd_wal_truncated_bytes_total", "Torn-tail bytes truncated at the last open.", func(ws gts.WALStats) int64 { return ws.TruncatedBytes })
-		fmt.Fprintf(w, "# HELP gtsd_graph_epoch Mutation epoch (last applied WAL LSN) per mutable graph.\n# TYPE gtsd_graph_epoch gauge\n")
-		for _, g := range graphs {
-			fmt.Fprintf(w, "gtsd_graph_epoch{graph=%q} %d\n", g, s.Epochs[g])
-		}
+		walSeries("counter", "gtsd_wal_appends_total", "Batches appended to the write-ahead log.", func(g string) int64 { return s.WAL[g].Appends })
+		walSeries("counter", "gtsd_wal_appended_bytes_total", "Bytes appended to the write-ahead log.", func(g string) int64 { return s.WAL[g].AppendedBytes })
+		walSeries("counter", "gtsd_wal_fsyncs_total", "Physical fsyncs issued by the write-ahead log.", func(g string) int64 { return s.WAL[g].Fsyncs })
+		walSeries("counter", "gtsd_wal_group_commits_total", "Appends made durable by another waiter's fsync (group commit).", func(g string) int64 { return s.WAL[g].GroupCommits })
+		walSeries("gauge", "gtsd_wal_replayed_batches", "Committed batches replayed at the last open.", func(g string) int64 { return s.WAL[g].ReplayedBatches })
+		walSeries("gauge", "gtsd_wal_truncated_bytes", "Torn-tail bytes truncated at the last open.", func(g string) int64 { return s.WAL[g].TruncatedBytes })
+		walSeries("gauge", "gtsd_graph_epoch", "Mutation epoch (last applied WAL LSN) per mutable graph.", func(g string) int64 { return int64(s.Epochs[g]) })
 	}
 
 	if len(s.Pool) > 0 {

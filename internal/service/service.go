@@ -8,8 +8,8 @@
 // equally usable in-process (see ServiceBench in the root package's
 // benchmarks).
 //
-// Lifecycle of a job: Submit validates the request, normalizes parameters,
-// and consults the cache — a hit completes the job immediately; a miss
+// Lifecycle of a job: Submit normalizes the request through gts's algorithm
+// table and consults the cache — a hit completes the job immediately; a miss
 // enqueues it or, if the queue is full, rejects it with ErrOverloaded.
 // A worker dequeues the job, re-checks its deadline (a job whose deadline
 // expired while queued times out without running), and takes it through
@@ -21,7 +21,7 @@
 // The package is laid out along that path: service.go (admission: Submit,
 // single-flight, the worker pool, Shutdown), job.go (the Job handle),
 // graphs.go (the graph registry: load, ingest, health), execute.go (the
-// pipeline), incremental.go and algos.go (kernel resolution), cache.go,
+// pipeline), incremental.go and algos.go (retained state), cache.go,
 // metrics.go, tracestore.go and http.go.
 package service
 
@@ -61,8 +61,6 @@ var (
 	// ErrImmutableGraph reports an ingest against a graph loaded without a
 	// WAL (HTTP 409).
 	ErrImmutableGraph = errors.New("service: graph is immutable (loaded without a WAL)")
-	// ErrBadParams reports an algorithm parameter out of its range (400).
-	ErrBadParams = errors.New("service: parameter out of range")
 )
 
 // jobHistory bounds how many finished jobs remain queryable by ID.
@@ -193,11 +191,12 @@ func New(cfg Config) *Server {
 // The returned Job is also queryable via Lookup until evicted from the
 // history.
 func (s *Server) Submit(req Request) (*Job, error) {
-	algo, err := lookupAlgo(req.Algo)
-	if err != nil {
-		return nil, err
+	algo, ok := gts.LookupAlgorithm(req.Algo)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownAlgo, req.Algo, gts.Algorithms())
 	}
-	if req.Params, err = algo.normalize(req.Params); err != nil {
+	var err error
+	if req.Params, err = algo.Normalize(req.Params); err != nil {
 		return nil, err
 	}
 

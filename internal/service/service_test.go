@@ -507,10 +507,10 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// TestAlgorithmsList pins the service's algorithm registry.
+// TestAlgorithmsList pins the algorithm table the service serves.
 func TestAlgorithmsList(t *testing.T) {
 	want := []string{"ball", "bc", "bfs", "cc", "degree", "kcore", "pagerank", "radius", "rwr", "sssp"}
-	got := service.Algorithms()
+	got := gts.Algorithms()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Algorithms() = %v, want %v", got, want)
 	}

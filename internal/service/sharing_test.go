@@ -237,9 +237,10 @@ func equalRanks(a, b []float32) bool {
 	return true
 }
 
-// TestSharedGraphServesSoloAlgorithms: every registered algorithm's kernel
-// constructor and decoder produce the payload the matching gts.System method
-// does, and the reference answer where internal/verify has one.
+// TestSharedGraphServesSoloAlgorithms: every algorithm in the table, served
+// with default parameters, produces the payload System.Run does with the
+// same (empty) Params, and the reference answer where internal/verify has
+// one.
 func TestSharedGraphServesSoloAlgorithms(t *testing.T) {
 	g, _ := testGraphPair(t)
 	srv := service.New(service.Config{Workers: 4})
@@ -256,7 +257,7 @@ func TestSharedGraphServesSoloAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range service.Algorithms() {
+	for _, algo := range gts.Algorithms() {
 		job, err := srv.Run(context.Background(), service.Request{Graph: "shared", Algo: algo})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -269,31 +270,7 @@ func TestSharedGraphServesSoloAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want any
-		switch algo {
-		case "bfs":
-			want, err = clean.BFS(0)
-		case "pagerank":
-			want, err = clean.PageRank(0.85, 10)
-		case "sssp":
-			want, err = clean.SSSP(0)
-		case "cc":
-			want, err = clean.CC()
-		case "bc":
-			want, err = clean.BC(0)
-		case "rwr":
-			want, err = clean.RWR(0, 0.15, 10)
-		case "degree":
-			want, err = clean.DegreeDistribution()
-		case "kcore":
-			want, err = clean.KCore(3)
-		case "radius":
-			want, err = clean.Radius(8, 256)
-		case "ball":
-			want, err = clean.Neighborhood(0, 2)
-		default:
-			t.Fatalf("no reference for %q", algo)
-		}
+		want, err := clean.Run(algo, gts.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,7 @@ import (
 //     the viewer nests copies under kernels under supersteps visually.
 //
 //   - Compact JSONL (WriteJSONL): one header line carrying the trace ID
-//     followed by one line per span. This is also the streaming-sink
-//     format (Recorder.StreamTo) and the cheapest form to grep or diff.
+//     followed by one line per span, the cheapest form to grep or diff.
 //
 // Both writers emit spans in insertion order with hand-formatted fields,
 // so a deterministic simulation exports byte-identical files across runs.
@@ -50,11 +49,6 @@ func usec(t sim.Time) string {
 		neg, t = "-", -t
 	}
 	return fmt.Sprintf("%s%d.%03d", neg, int64(t)/1000, int64(t)%1000)
-}
-
-func (r *Recorder) writeJSONLHeaderLocked(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "{\"format\":%s,\"trace_id\":%s}\n", jstr(jsonlHeaderFormat), jstr(r.id))
-	return err
 }
 
 // writeSpanLine appends one JSONL span record. The dir attribute appears

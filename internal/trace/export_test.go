@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"sync"
 	"testing"
 
@@ -153,75 +152,11 @@ func TestExportDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamingSink: spans added after StreamTo appear on the sink as
-// JSONL, and the result parses to the same trace as a batch export.
-func TestStreamingSink(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewWithID("streamed")
-	if err := r.StreamTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := sampleRecorder()
-	for _, s := range want.Spans() {
-		r.Add(s)
-	}
-	if err := r.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.StreamTo(nil); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID() != "streamed" {
-		t.Errorf("streamed trace ID = %q", back.ID())
-	}
-	if back.Len() != want.Len() {
-		t.Errorf("streamed %d spans, want %d", back.Len(), want.Len())
-	}
-}
-
-// failAfter fails on the nth write to exercise sink error latching.
-type failAfter struct{ n int }
-
-func (f *failAfter) Write(p []byte) (int, error) {
-	if f.n <= 0 {
-		return 0, errSink
-	}
-	f.n--
-	return len(p), nil
-}
-
-var errSink = &sinkError{}
-
-type sinkError struct{}
-
-func (*sinkError) Error() string { return "sink failed" }
-
-func TestStreamingSinkErrorLatches(t *testing.T) {
-	r := New()
-	if err := r.StreamTo(&failAfter{n: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		r.Add(Span{Kind: Kernel, Start: sim.Time(i), End: sim.Time(i + 1)})
-	}
-	if r.SinkErr() == nil {
-		t.Fatal("sink error did not latch")
-	}
-	if r.Len() != 5 {
-		t.Errorf("recorder dropped spans on sink failure: %d", r.Len())
-	}
-}
-
-// TestConcurrentExport runs exports and streaming against concurrent Adds —
-// the "export a trace mid-fault" guarantee, checked under -race by the
-// `make test-race` lane.
+// TestConcurrentExport runs exports against concurrent Adds — the "export a
+// trace mid-fault" guarantee, checked under -race by the `make test-race`
+// lane.
 func TestConcurrentExport(t *testing.T) {
 	r := NewWithID("race")
-	_ = r.StreamTo(io.Discard)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

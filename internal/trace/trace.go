@@ -164,11 +164,9 @@ func dirByName(s string) int8 {
 // may share one recorder across parallel runs, and exports may run while
 // spans are still being added.
 type Recorder struct {
-	mu      sync.Mutex
-	id      string
-	spans   []Span
-	sink    io.Writer
-	sinkErr error
+	mu    sync.Mutex
+	id    string
+	spans []Span
 }
 
 // New returns an empty recorder with no trace ID.
@@ -198,35 +196,6 @@ func (r *Recorder) SetID(id string) {
 	r.mu.Unlock()
 }
 
-// StreamTo attaches a streaming JSONL sink: the header line is written
-// immediately and every subsequent Add appends one span line under the
-// recorder's lock, so a trace survives even if the process dies mid-run.
-// Passing nil detaches the sink. The first write error latches into
-// SinkErr and stops further writes.
-func (r *Recorder) StreamTo(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sink = w
-	r.sinkErr = nil
-	if w == nil {
-		return nil
-	}
-	return r.writeJSONLHeaderLocked(w)
-}
-
-// SinkErr reports the first error a streaming sink write returned.
-func (r *Recorder) SinkErr() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkErr
-}
-
 // Add records one span.
 func (r *Recorder) Add(s Span) {
 	if r == nil {
@@ -234,9 +203,6 @@ func (r *Recorder) Add(s Span) {
 	}
 	r.mu.Lock()
 	r.spans = append(r.spans, s)
-	if r.sink != nil && r.sinkErr == nil {
-		r.sinkErr = writeSpanLine(r.sink, s)
-	}
 	r.mu.Unlock()
 }
 
