@@ -97,7 +97,6 @@ type Store struct {
 	mu       sync.Mutex
 	epoch    uint64
 	chain    []commit // ascending by epoch, contiguous
-	maxChain int
 	entries  map[string]*Entry
 	captures uint64 // entries ever captured; the next entry's seq
 }
@@ -116,7 +115,7 @@ const MaxEntries = 64
 
 // NewStore builds an empty store anchored at the graph's current epoch.
 func NewStore(epoch uint64) *Store {
-	return &Store{epoch: epoch, maxChain: DefaultMaxChain, entries: make(map[string]*Entry)}
+	return &Store{epoch: epoch, entries: make(map[string]*Entry)}
 }
 
 // Epoch returns the current (latest committed) epoch the store tracks.
@@ -137,8 +136,8 @@ func (s *Store) Commit(prev, epoch uint64, ops []EdgeOp) {
 		s.entries = make(map[string]*Entry)
 	}
 	s.chain = append(s.chain, commit{prev: prev, epoch: epoch, ops: append([]EdgeOp(nil), ops...)})
-	if len(s.chain) > s.maxChain {
-		s.chain = s.chain[len(s.chain)-s.maxChain:]
+	if len(s.chain) > DefaultMaxChain {
+		s.chain = s.chain[len(s.chain)-DefaultMaxChain:]
 	}
 	s.epoch = epoch
 	// Drop entries that fell off the replayable window.

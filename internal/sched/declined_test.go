@@ -34,7 +34,7 @@ func TestDeclinedMemberRunsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Scheduler{sys: sys, cfg: Config{MaxGroup: 2}.withDefaults()}
+	s := &Scheduler{cfg: Config{MaxGroup: 2}.withDefaults()}
 	s.cond = sync.NewCond(&s.mu)
 
 	wide := kernels.NewCC(g)
@@ -51,7 +51,7 @@ func TestDeclinedMemberRunsAlone(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reps[i], errs[i] = s.Run(context.Background(), jobs[i])
+			reps[i], errs[i] = s.Run(context.Background(), sys, jobs[i])
 		}()
 		for queued := 0; queued <= i; { // submit in order: wait for job i to queue
 			time.Sleep(100 * time.Microsecond)

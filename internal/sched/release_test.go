@@ -53,7 +53,7 @@ func TestShortMemberAnswersBeforeLongOne(t *testing.T) {
 	}
 	// Driven by hand, as in TestDeclinedMemberRunsAlone: both jobs queue
 	// before the one group forms.
-	s := &Scheduler{sys: sys, cfg: Config{}.withDefaults()}
+	s := &Scheduler{cfg: Config{}.withDefaults()}
 	s.cond = sync.NewCond(&s.mu)
 
 	type answer struct {
@@ -68,7 +68,7 @@ func TestShortMemberAnswersBeforeLongOne(t *testing.T) {
 		to  chan answer
 	}{{Job{Kernel: long, Source: 0}, longDone}, {Job{Kernel: short, Source: 11}, shortDone}} {
 		go func() {
-			rep, err := s.Run(context.Background(), job.job)
+			rep, err := s.Run(context.Background(), sys, job.job)
 			job.to <- answer{rep, err}
 		}()
 		for queued := 0; queued <= i; {

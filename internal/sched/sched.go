@@ -1,20 +1,24 @@
-// Package sched is the per-graph topology stream scheduler: it coalesces
-// concurrently submitted jobs against one graph into shared wave groups
+// Package sched is the topology stream scheduler: it coalesces concurrently
+// submitted jobs against one graph into shared wave groups
 // (gts.System.RunGroup) so each topology page streams to the GPUs once per
 // superstep and serves every member's kernels.
 //
-// One Scheduler fronts one graph (the service layer keeps one per
-// graphEntry, and runs every job through it; a job with no company is a
-// group of one). Submissions batch for a short hold window, then launch as a
-// wave group on the graph's System; jobs that arrive while a group is
-// running join it at the next wave boundary through the group's admit
-// callback, so a busy scheduler keeps one group open continuously instead
-// of queueing convoy-style behind it. A waiter is released when its job
-// leaves the group (its Done), not when the group ends; the job is counted
-// in GroupJobs just before, the group's own counters when it ends. There is
-// one run path: a member the shared machine cannot fit (its WA would not fit
-// even after dropping the page cache) goes back to the head of the queue
-// marked alone, and runs by itself on a whole machine next.
+// One Scheduler fronts one graph name for as long as the name is served (the
+// service layer makes it at the name's first load and hands it to every
+// later version of the graph, and runs every job through it; a job with no
+// company is a group of one). Each job carries the System it was built
+// against, and a group runs on its head job's System and takes only jobs of
+// that System, so a group never mixes two snapshots of the graph. Submissions
+// batch for a short hold window, then launch as a wave group; jobs that
+// arrive while a group is running join it at the next wave boundary through
+// the group's admit callback, so a busy scheduler keeps one group open
+// continuously instead of queueing convoy-style behind it. A waiter is
+// released when its job leaves the group (its Done), not when the group
+// ends; the job is counted in GroupJobs just before, the group's own
+// counters when it ends. There is one run path: a member the shared machine
+// cannot fit (its WA would not fit even after dropping the page cache) goes
+// back to the head of the queue marked alone, and runs by itself on a whole
+// machine next.
 //
 // Results do not depend on a job's company by construction — a wave's page
 // kernels run against each member's own state, and a page shared by several
@@ -25,6 +29,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -83,8 +88,6 @@ type Stats struct {
 	SharedPageCopies int64 `json:"shared_page_copies"`
 	BytesSaved       int64 `json:"bytes_saved"`
 	BytesToGPU       int64 `json:"bytes_to_gpu"`
-	// Fences counts mutation boundaries declared via Fence.
-	Fences int64 `json:"-"`
 }
 
 // Add accumulates o into s.
@@ -97,48 +100,37 @@ func (s *Stats) Add(o Stats) {
 	s.SharedPageCopies += o.SharedPageCopies
 	s.BytesSaved += o.BytesSaved
 	s.BytesToGPU += o.BytesToGPU
-	s.Fences += o.Fences
-}
-
-// AmortizedBytesPerJob is the mean host-to-device traffic per group-served
-// job.
-func (s Stats) AmortizedBytesPerJob() float64 {
-	if s.GroupJobs == 0 {
-		return 0
-	}
-	return float64(s.BytesToGPU) / float64(s.GroupJobs)
 }
 
 // pending is a submitted job waiting for (or riding in) a group. Its job's
 // Done is deliver.
 type pending struct {
 	job Job
+	sys *gts.System     // the System the job was built against
 	ctx context.Context // the waiter's; once done nobody reads the result
-	gen uint64          // fence generation at submission
 	// alone marks a member a group declined: it runs next, by itself.
 	alone bool
 	done  chan struct{}
 	out   gts.SharedOutcome
 }
 
-// Scheduler coalesces jobs for one graph into wave groups on its System.
+// Scheduler coalesces jobs for one graph into wave groups. It holds a System
+// only while a group runs on it.
 type Scheduler struct {
-	sys *gts.System
 	cfg Config
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*pending
-	gen    uint64 // current fence generation; groups never mix generations
 	closed bool
 	stats  Stats
 
 	dispatcher sync.WaitGroup // the dispatcher goroutine
 }
 
-// New starts a scheduler over sys. Close must be called to stop it.
-func New(sys *gts.System, cfg Config) *Scheduler {
-	s := &Scheduler{sys: sys, cfg: cfg.withDefaults()}
+// New starts a scheduler. Close must be called to stop it.
+func New(cfg Config) *Scheduler {
+	s := &Scheduler{cfg: cfg.withDefaults()}
 	s.cond = sync.NewCond(&s.mu)
 	s.dispatcher.Add(1)
 	go func() {
@@ -148,23 +140,22 @@ func New(sys *gts.System, cfg Config) *Scheduler {
 	return s
 }
 
-// Run submits job and blocks until it leaves its group or ctx is done. A
-// job whose context is done while it is still queued never runs; one
-// already riding in a group is only abandoned — the group keeps running its
-// remaining members and the abandoned job's result is discarded. The job's
-// Done is the scheduler's own.
-func (s *Scheduler) Run(ctx context.Context, job Job) (*core.Report, error) {
+// Run submits job, built against sys, and blocks until it leaves its group or
+// ctx is done. A job whose context is done while it is still queued never
+// runs; one already riding in a group is only abandoned — the group keeps
+// running its remaining members and the abandoned job's result is
+// discarded. The job's Done is the scheduler's own.
+func (s *Scheduler) Run(ctx context.Context, sys *gts.System, job Job) (*core.Report, error) {
 	if job.Kernel == nil {
 		return nil, errors.New("sched: job has no kernel")
 	}
-	p := &pending{job: job, ctx: ctx, done: make(chan struct{})}
+	p := &pending{job: job, sys: sys, ctx: ctx, done: make(chan struct{})}
 	p.job.Done = func(out gts.SharedOutcome) { s.deliver(p, out) }
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	p.gen = s.gen
 	s.queue = append(s.queue, p)
 	s.cond.Signal()
 	s.mu.Unlock()
@@ -200,7 +191,7 @@ func (s *Scheduler) Close() {
 // dispatch is the scheduler's single control loop. While a group runs, new
 // arrivals are admitted into it at wave boundaries, so back-to-back load is
 // served by one continuously open group. runGroup is synchronous, so one
-// System serves the graph.
+// group at a time runs for the graph.
 func (s *Scheduler) dispatch() {
 	for {
 		s.mu.Lock()
@@ -224,44 +215,32 @@ func (s *Scheduler) dispatch() {
 	}
 }
 
-// Fence declares a mutation boundary: jobs submitted after the fence never
-// share a wave group with jobs submitted before it, so a group formed over
-// one graph version is never joined by a job expecting the next version.
-// Queued and running groups are unaffected — they finish against the
-// snapshot they formed on.
-func (s *Scheduler) Fence() {
-	s.mu.Lock()
-	s.gen++
-	s.stats.Fences++
-	s.mu.Unlock()
-}
-
-// takeHead removes the next group's initial members from the queue: the
-// head job by itself when a group declined it, otherwise up to n jobs of the
-// head job's generation (a fence in the middle of the queue cuts the batch
-// short; the later-generation jobs form their own group next round).
-func (s *Scheduler) takeHead(n int) (batch []Job, gen uint64, alone bool) {
+// takeHead removes the next group's initial members from the queue and
+// returns the System they run on: the head job by itself when a group
+// declined it, otherwise up to n jobs of the head job's System (a job of
+// another System cuts the batch short and heads a group of its own later).
+func (s *Scheduler) takeHead(n int) (batch []Job, sys *gts.System, alone bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropAbandonedLocked()
 	if len(s.queue) == 0 {
-		return nil, 0, false
+		return nil, nil, false
 	}
 	head := s.queue[0]
 	if head.alone {
-		s.queue = s.queue[1:]
-		return []Job{head.job}, head.gen, true
+		s.queue = slices.Delete(s.queue, 0, 1) // the array keeps no pointer to its System
+		return []Job{head.job}, head.sys, true
 	}
-	return s.takeLocked(n, head.gen), head.gen, false
+	return s.takeLocked(n, head.sys), head.sys, false
 }
 
-// take removes up to n queued jobs matching generation gen — the admission
-// path: a running group only admits joiners from its own generation.
-func (s *Scheduler) take(n int, gen uint64) []Job {
+// take removes up to n queued jobs of System sys — the admission path: a
+// running group only admits joiners built against its own System.
+func (s *Scheduler) take(n int, sys *gts.System) []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropAbandonedLocked()
-	return s.takeLocked(n, gen)
+	return s.takeLocked(n, sys)
 }
 
 // dropAbandonedLocked removes the queued jobs whose waiter has gone: Run has
@@ -278,12 +257,12 @@ func (s *Scheduler) dropAbandonedLocked() {
 	s.queue = live
 }
 
-// takeLocked removes the longest prefix (≤ n) of the queue whose jobs all
-// carry generation gen and were not declined by a group (those take no
+// takeLocked removes the longest prefix (≤ n) of the queue whose jobs were
+// all built against sys and were not declined by a group (those take no
 // company), and returns their engine jobs. Callers hold s.mu.
-func (s *Scheduler) takeLocked(n int, gen uint64) []Job {
+func (s *Scheduler) takeLocked(n int, sys *gts.System) []Job {
 	k := 0
-	for k < len(s.queue) && k < n && s.queue[k].gen == gen && !s.queue[k].alone {
+	for k < len(s.queue) && k < n && s.queue[k].sys == sys && !s.queue[k].alone {
 		k++
 	}
 	batch := make([]Job, k)
@@ -294,10 +273,11 @@ func (s *Scheduler) takeLocked(n int, gen uint64) []Job {
 	return batch
 }
 
-// runGroup runs one wave group to completion on the System, admitting
-// late arrivals at wave boundaries; each member was answered as it left.
+// runGroup runs one wave group to completion on its head job's System,
+// admitting late arrivals at wave boundaries; each member was answered as it
+// left.
 func (s *Scheduler) runGroup() {
-	jobs, gen, alone := s.takeHead(s.cfg.MaxGroup)
+	jobs, sys, alone := s.takeHead(s.cfg.MaxGroup)
 	if len(jobs) == 0 {
 		return
 	}
@@ -307,12 +287,12 @@ func (s *Scheduler) runGroup() {
 	if !alone {
 		n := len(jobs)
 		admit = func() []Job {
-			joiners := s.take(s.cfg.MaxGroup-n, gen)
+			joiners := s.take(s.cfg.MaxGroup-n, sys)
 			n += len(joiners)
 			return joiners
 		}
 	}
-	g, _ := s.sys.RunGroup(jobs, admit)
+	g, _ := sys.RunGroup(jobs, admit)
 	s.mu.Lock()
 	s.stats.Add(Stats{WaveGroups: 1, Waves: g.Waves, PageCopies: g.PageCopies,
 		SharedPageCopies: g.SharedPageCopies, BytesSaved: g.BytesSaved, BytesToGPU: g.BytesToGPU})

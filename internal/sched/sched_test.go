@@ -26,15 +26,15 @@ func testGraph(t *testing.T) *gts.Graph {
 	return g
 }
 
-func newSched(t *testing.T, g *gts.Graph, cfg gts.Config, scfg sched.Config) *sched.Scheduler {
+func newSched(t *testing.T, g *gts.Graph, cfg gts.Config, scfg sched.Config) (*sched.Scheduler, *gts.System) {
 	t.Helper()
 	sys, err := gts.NewSystem(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.New(sys, scfg)
+	s := sched.New(scfg)
 	t.Cleanup(s.Close)
-	return s
+	return s, sys
 }
 
 // TestSchedulerGroupsConcurrentJobs: N concurrent submissions coalesce into
@@ -43,7 +43,7 @@ func newSched(t *testing.T, g *gts.Graph, cfg gts.Config, scfg sched.Config) *sc
 // of one).
 func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{}, sched.Config{Hold: 20 * time.Millisecond})
+	s, sys := newSched(t, g, gts.Config{}, sched.Config{Hold: 20 * time.Millisecond})
 
 	const n = 16
 	results := make([]*core.Report, n)
@@ -56,7 +56,7 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = s.Run(context.Background(), sched.Job{
+			results[i], errs[i] = s.Run(context.Background(), sys, sched.Job{
 				Kernel: kerns[i],
 				Source: uint64(i * 128),
 			})
@@ -84,8 +84,8 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 	if st.GroupJobs > 1 && st.SharedPageCopies == 0 {
 		t.Errorf("grouped %d jobs but shared no pages: %+v", st.GroupJobs, st)
 	}
-	if st.AmortizedBytesPerJob() <= 0 {
-		t.Errorf("AmortizedBytesPerJob = %v", st.AmortizedBytesPerJob())
+	if st.BytesToGPU <= 0 {
+		t.Errorf("BytesToGPU = %d", st.BytesToGPU)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 // complete (across several groups).
 func TestSchedulerMaxGroupSplits(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{}, sched.Config{MaxGroup: 3, Hold: 20 * time.Millisecond})
+	s, sys := newSched(t, g, gts.Config{}, sched.Config{MaxGroup: 3, Hold: 20 * time.Millisecond})
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -103,7 +103,7 @@ func TestSchedulerMaxGroupSplits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = s.Run(context.Background(), sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i)})
+			_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i)})
 		}()
 	}
 	wg.Wait()
@@ -120,10 +120,10 @@ func TestSchedulerMaxGroupSplits(t *testing.T) {
 // TestSchedulerPerJobTrace: a job's recorder receives its wave spans.
 func TestSchedulerPerJobTrace(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{}, sched.Config{})
+	s, sys := newSched(t, g, gts.Config{}, sched.Config{})
 
 	rec := trace.NewWithID("job-1")
-	if _, err := s.Run(context.Background(), sched.Job{Kernel: kernels.NewBFS(g), Source: 0, Trace: rec}); err != nil {
+	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0, Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	waves := 0
@@ -141,15 +141,15 @@ func TestSchedulerPerJobTrace(t *testing.T) {
 // sinking the scheduler, and a job abandoned while still queued never runs.
 func TestSchedulerContextCancel(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{}, sched.Config{Hold: 50 * time.Millisecond})
+	s, sys := newSched(t, g, gts.Config{}, sched.Config{Hold: 50 * time.Millisecond})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Run(ctx, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Run(ctx, sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The scheduler still serves later jobs.
-	if _, err := s.Run(context.Background(), sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); err != nil {
+	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); err != nil {
 		t.Fatal(err)
 	}
 	// Close drains the queue, so whatever was going to run has run.
@@ -167,7 +167,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.New(sys, sched.Config{Hold: 20 * time.Millisecond})
+	s := sched.New(sched.Config{Hold: 20 * time.Millisecond})
 
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -176,7 +176,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = s.Run(context.Background(), sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i)})
+			_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i)})
 		}()
 	}
 	time.Sleep(5 * time.Millisecond) // let submissions queue
@@ -187,7 +187,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 			t.Fatalf("queued job %d: %v", i, err)
 		}
 	}
-	if _, err := s.Run(context.Background(), sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); !errors.Is(err, sched.ErrClosed) {
+	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("post-close err = %v, want ErrClosed", err)
 	}
 }
@@ -195,8 +195,8 @@ func TestSchedulerCloseDrains(t *testing.T) {
 // TestSchedulerNoKernel: malformed jobs are rejected up front.
 func TestSchedulerNoKernel(t *testing.T) {
 	g := testGraph(t)
-	s := newSched(t, g, gts.Config{}, sched.Config{})
-	if _, err := s.Run(context.Background(), sched.Job{}); err == nil {
+	s, sys := newSched(t, g, gts.Config{}, sched.Config{})
+	if _, err := s.Run(context.Background(), sys, sched.Job{}); err == nil {
 		t.Fatal("nil kernel accepted")
 	}
 }

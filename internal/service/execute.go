@@ -71,7 +71,7 @@ func (s *Server) execute(job *Job) {
 	job.setRunning()
 	s.met.runStarted()
 	start := time.Now()
-	out, err := entry.sched.Run(job.ctx, sj)
+	out, err := entry.sched.Run(job.ctx, entry.sys, sj)
 	wall := time.Since(start)
 	s.met.runFinished()
 	s.met.observeRunWall(wall)

@@ -57,7 +57,8 @@ type graphEntry struct {
 	epoch uint64 // mutation epoch (last applied WAL LSN), part of the cache key
 	sys   *gts.System
 	// sched runs the graph's jobs, coalescing concurrent ones into shared
-	// wave groups (nil only on a placeholder entry that is still loading).
+	// wave groups: the name's one scheduler (nil only on a placeholder entry
+	// that is still loading).
 	sched *sched.Scheduler
 	// mg is the mutable backing (nil for immutable graphs). commit, carried
 	// with it from entry to entry, serializes ingest's commit + republish:
@@ -97,40 +98,27 @@ type GraphInfo struct {
 	Epoch   uint64 `json:"epoch,omitempty"`
 }
 
-// publish puts next, which must have its System, into service: it gets a
-// wave-group scheduler, becomes the entry under its name, and the entry it
-// replaces has its scheduler drained off the lock (jobs already inside it
-// finish against the old entry; Shutdown waits for the drain). With old
-// non-nil the swap happens only while old is still the registered entry.
+// publish puts next, which must have its System, into service: it gets its
+// name's wave-group scheduler, made at the name's first publish, and becomes
+// the entry under its name. Jobs holding the entry it replaces still run in
+// that scheduler, on their own System. With old non-nil the swap happens only
+// while old is still the registered entry.
 func (s *Server) publish(next, old *graphEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrShuttingDown
 	}
-	prev := s.graphs[next.name]
-	if old != nil && prev != old {
+	if old != nil && s.graphs[next.name] != old {
 		return fmt.Errorf("%w: %q was reloaded meanwhile", ErrGraphNotReady, next.name)
 	}
-	next.sched = sched.New(next.sys, sched.Config{})
+	if s.scheds[next.name] == nil {
+		s.scheds[next.name] = sched.New(sched.Config{})
+	}
+	next.sched = s.scheds[next.name]
 	next.state.store(GraphServing)
 	s.graphs[next.name] = next
-	s.retire(prev)
 	return nil
-}
-
-// retire drains a replaced entry's scheduler in the background. Callers hold
-// s.mu and have checked !s.closed, which is what lets Shutdown wait on
-// retiring without racing an Add.
-func (s *Server) retire(e *graphEntry) {
-	if e == nil || e.sched == nil {
-		return
-	}
-	s.retiring.Add(1)
-	go func() {
-		defer s.retiring.Done()
-		e.sched.Close()
-	}()
 }
 
 // AddGraph registers a pre-built System under name. The System's graph
@@ -174,7 +162,6 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 	} else {
 		placeholder.state.store(GraphLoading)
 	}
-	s.retire(s.graphs[name])
 	s.graphs[name] = placeholder
 	s.mu.Unlock()
 
@@ -217,9 +204,9 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 // Ingest commits one batch of edge mutations against a mutable graph:
 // WAL-append + fsync, apply, then republish the graph at its new epoch —
 // a fresh System over the new snapshot sharing the old host page pool
-// (stale frames invalidated via AdvanceEpoch), a fresh wave-group
-// scheduler (the old one is fenced and drained), and a new cache-key
-// epoch so no stale result or old-epoch leader can serve new-epoch jobs.
+// (stale frames invalidated via AdvanceEpoch) and a new cache-key epoch so
+// no stale result or old-epoch leader can serve new-epoch jobs. The graph's
+// scheduler stays; its groups never mix the two epochs' Systems.
 // Concurrent ingests on one graph take turns through commit + republish, so
 // every acknowledged batch is in the published snapshot.
 func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error) {
@@ -248,10 +235,8 @@ func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error)
 	}
 	s.met.addIngested(int64(len(ops)))
 
-	// Fence the running scheduler so no pre-mutation wave group admits a
-	// post-mutation job, invalidate the shared host pool's superseded
-	// frames, and publish a new entry over the new snapshot.
-	entry.sched.Fence()
+	// Invalidate the shared host pool's superseded frames and publish a new
+	// entry over the new snapshot.
 	cfg := entry.sys.Config() // carries the shared host pool, if any, across the rebuild
 	if cfg.HostPool != nil {
 		cfg.HostPool.AdvanceEpoch()

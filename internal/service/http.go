@@ -246,7 +246,7 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, gts.ErrSourceOutOfRange), errors.Is(err, gts.ErrInvalid):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrImmutableGraph), errors.Is(err, ErrDuplicateGraph):
+	case errors.Is(err, ErrImmutableGraph):
 		return http.StatusConflict
 	case errors.Is(err, gts.ErrCrashed):
 		// An injected ingest crash killed the mutable graph; reload (replay)

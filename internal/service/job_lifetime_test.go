@@ -41,7 +41,6 @@ func TestFinishedJobReleasesItsEpoch(t *testing.T) {
 		fetch("POST", "/v1/graphs/mut/ingest", fmt.Sprintf(`{"edges":[{"src":%d,"dst":%d}]}`, epoch, 100+epoch))
 		fetch("POST", "/v1/graphs/mut/bfs", `{"source":0}`)
 	}
-	srv.retiring.Wait() // the replaced entries' schedulers hold them until drained
 
 	deadline := time.After(10 * time.Second)
 	for done := false; !done; {

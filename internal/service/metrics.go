@@ -136,8 +136,8 @@ func summarize(h *obs.Histogram) LatencySummary {
 }
 
 // SharingStats aggregates the per-graph wave-group schedulers' lifetime
-// counters (every graph runs its jobs through one): the scheduler's own
-// tally type, summed.
+// counters (every graph name runs its jobs through one for the server's
+// life, so they only grow): the scheduler's own tally type, summed.
 type SharingStats = sched.Stats
 
 // Stats is a point-in-time snapshot of the server's counters, exposed both
@@ -236,7 +236,6 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	counter("gtsd_shared_page_copies_total", "Member page servings satisfied by a copy another member paid for.", uint64(s.Sharing.SharedPageCopies))
 	counter("gtsd_shared_bytes_saved_total", "Host-to-device bytes avoided by multi-query page sharing.", uint64(s.Sharing.BytesSaved))
 	counter("gtsd_shared_bytes_to_gpu_total", "Host-to-device bytes moved by shared groups.", uint64(s.Sharing.BytesToGPU))
-	gauge("gtsd_amortized_bytes_per_job", "Mean host-to-device bytes per wave-group job.", fmt.Sprintf("%.1f", s.Sharing.AmortizedBytesPerJob()))
 	counter("gtsd_ingest_batches_total", "Committed edge-mutation batches across mutable graphs.", s.IngestBatches)
 	counter("gtsd_ingest_edges_total", "Edge ops carried by committed ingest batches.", s.IngestEdges)
 	counter("gtsd_ingest_failures_total", "Ingest batches that errored, including injected crashes.", s.IngestFailures)
@@ -378,7 +377,9 @@ func (s *Server) Stats() Stats {
 			}
 			st.Pool[e.name] = hp.Stats()
 		}
-		st.Sharing.Add(e.sched.Stats())
+	}
+	for _, sc := range s.scheds {
+		st.Sharing.Add(sc.Stats())
 	}
 	s.mu.Unlock()
 	st.QueueWait = summarize(&m.queueWait)

@@ -52,9 +52,6 @@ var (
 	// ErrTimeout is the outcome of a job whose deadline expired before it
 	// could run (HTTP 504).
 	ErrTimeout = errors.New("service: job deadline expired")
-	// ErrDuplicateGraph reports AddGraph over an existing name without
-	// replace semantics (HTTP 409).
-	ErrDuplicateGraph = errors.New("service: graph already loaded")
 	// ErrGraphNotReady reports a job against a graph still loading or
 	// recovering, or one degraded by an ingest crash (HTTP 503).
 	ErrGraphNotReady = errors.New("service: graph not ready")
@@ -148,8 +145,11 @@ type Server struct {
 	met    *metrics
 	traces *traceStore // nil when Config.TraceJobs == 0
 
-	mu       sync.Mutex // graphs, jobs, inflight, nextID, nextGen, closed
-	graphs   map[string]*graphEntry
+	mu     sync.Mutex // graphs, scheds, jobs, inflight, nextID, nextGen, closed
+	graphs map[string]*graphEntry
+	// scheds holds each graph name's wave-group scheduler, made at the
+	// name's first publish and closed only by Shutdown.
+	scheds   map[string]*sched.Scheduler
 	jobs     map[string]*Job
 	jobOrder []*Job
 	// inflight maps a cache key to the queued or running job computing it;
@@ -161,7 +161,6 @@ type Server struct {
 
 	workers   sync.WaitGroup
 	followers sync.WaitGroup // coalesced-job mirror goroutines
-	retiring  sync.WaitGroup // replaced graphs' schedulers draining (see retire)
 }
 
 // New starts a Server with cfg's worker pool running.
@@ -173,6 +172,7 @@ func New(cfg Config) *Server {
 		cache:    newResultCache(cfg.CacheEntries),
 		met:      newMetrics(),
 		graphs:   make(map[string]*graphEntry),
+		scheds:   make(map[string]*sched.Scheduler),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 	}
@@ -389,20 +389,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.workers.Wait()
 		s.followers.Wait()
 		// Drain the per-graph wave-group schedulers after the workers: no
-		// worker is left to submit into them, and Close blocks until their
-		// in-flight groups finish.
-		s.mu.Lock()
-		scheds := make([]*sched.Scheduler, 0, len(s.graphs))
-		for _, e := range s.graphs {
-			if e.sched != nil {
-				scheds = append(scheds, e.sched)
-			}
-		}
-		s.mu.Unlock()
-		for _, sc := range scheds {
+		// worker is left to submit into them, no publish adds one once the
+		// server is closed, and Close blocks until their in-flight groups
+		// finish.
+		for _, sc := range s.scheds {
 			sc.Close()
 		}
-		s.retiring.Wait()
 		close(drained)
 	}()
 	select {

@@ -186,8 +186,8 @@ func TestChaosSharedWaveGroups(t *testing.T) {
 	if st.Sharing.GroupJobs > 1 && st.Sharing.SharedPageCopies == 0 {
 		t.Errorf("grouped %d jobs but shared no pages: %+v", st.Sharing.GroupJobs, st.Sharing)
 	}
-	if st.Sharing.AmortizedBytesPerJob() <= 0 {
-		t.Errorf("AmortizedBytesPerJob = %v", st.Sharing.AmortizedBytesPerJob())
+	if st.Sharing.BytesToGPU <= 0 {
+		t.Errorf("Sharing.BytesToGPU = %d", st.Sharing.BytesToGPU)
 	}
 	if st.Faults.Injected() == 0 {
 		t.Error("fault plan injected nothing through the shared path")
@@ -202,7 +202,7 @@ func TestChaosSharedWaveGroups(t *testing.T) {
 	for _, want := range []string{
 		"gtsd_jobs_coalesced_total", "gtsd_wave_groups_total",
 		"gtsd_shared_page_copies_total", "gtsd_shared_bytes_saved_total",
-		"gtsd_amortized_bytes_per_job",
+		"gtsd_shared_bytes_to_gpu_total",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %s", want)

@@ -133,16 +133,13 @@ func readUint32s(r io.Reader, count uint64) ([]uint32, error) {
 	return out, nil
 }
 
-// Read deserializes a graph written by WriteTo, validating its whole-file
-// checksum, per-page checksums, and full structural consistency
-// (Graph.Validate). It is safe on arbitrary input: malformed, truncated,
-// or hostile streams produce an error, never a panic or an unbounded
-// allocation.
-func Read(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	cr := &crcReader{r: br, crc: crc32.NewIEEE()}
+// readMeta reads a store's metadata — magic, header, RVT and kind table — for
+// Read and StreamPages alike. Every header field is checked against its
+// bound before anything is sized by it, and the tables grow chunk by chunk as
+// their bytes arrive, so a lying page count fails at the end of the input
+// instead of allocating for it.
+func readMeta(cr io.Reader) (*StreamInfo, error) {
 	read := func(v any) error { return binary.Read(cr, binary.LittleEndian, v) }
-
 	var magic [8]byte
 	if _, err := io.ReadFull(cr, magic[:]); err != nil {
 		return nil, fmt.Errorf("slottedpage: reading magic: %w", err)
@@ -161,23 +158,23 @@ func Read(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("slottedpage: header field %d out of range", w)
 		}
 	}
-	g := &Graph{
-		cfg: Config{
+	info := &StreamInfo{
+		Config: Config{
 			PageSize: int(hdr[0]), PIDBytes: int(hdr[1]), SlotBytes: int(hdr[2]),
 			VIDBytes: int(hdr[3]), OffBytes: int(hdr[4]), SizeBytes: int(hdr[5]),
 		},
-		numVertices: hdr[6],
-		numEdges:    hdr[7],
+		NumVertices: hdr[6],
+		NumEdges:    hdr[7],
 	}
-	if err := g.cfg.Validate(); err != nil {
+	if err := info.Config.Validate(); err != nil {
 		return nil, err
 	}
 	numPages := hdr[8]
-	if numPages > g.cfg.MaxPages() {
+	if numPages > info.Config.MaxPages() {
 		return nil, fmt.Errorf("slottedpage: %d pages exceed p=%d capacity %d",
-			numPages, g.cfg.PIDBytes, g.cfg.MaxPages())
+			numPages, info.Config.PIDBytes, info.Config.MaxPages())
 	}
-	g.rvt = make([]RVTEntry, 0, min(numPages, readChunk))
+	info.RVT = make([]RVTEntry, 0, min(numPages, readChunk))
 	for i := uint64(0); i < numPages; i++ {
 		var e RVTEntry
 		if err := read(&e.StartVID); err != nil {
@@ -186,9 +183,9 @@ func Read(r io.Reader) (*Graph, error) {
 		if err := read(&e.LPSeq); err != nil {
 			return nil, fmt.Errorf("slottedpage: reading RVT: %w", err)
 		}
-		g.rvt = append(g.rvt, e)
+		info.RVT = append(info.RVT, e)
 	}
-	g.kinds = make([]Kind, 0, min(numPages, readChunk))
+	info.Kinds = make([]Kind, 0, min(numPages, readChunk))
 	for rest := numPages; rest > 0; {
 		kb := make([]byte, min(rest, readChunk))
 		if err := read(kb); err != nil {
@@ -198,10 +195,28 @@ func Read(r io.Reader) (*Graph, error) {
 			if k := Kind(b); k != SmallPage && k != LargePage {
 				return nil, fmt.Errorf("%w: unknown page kind %d", ErrInvalidPage, b)
 			}
-			g.kinds = append(g.kinds, Kind(b))
+			info.Kinds = append(info.Kinds, Kind(b))
 		}
 		rest -= uint64(len(kb))
 	}
+	info.NumPages = len(info.RVT)
+	return info, nil
+}
+
+// Read deserializes a graph written by WriteTo, validating its whole-file
+// checksum, per-page checksums, and full structural consistency
+// (Graph.Validate). It is safe on arbitrary input: malformed, truncated,
+// or hostile streams produce an error, never a panic or an unbounded
+// allocation.
+func Read(r io.Reader) (*Graph, error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	cr := &crcReader{r: br, crc: crc32.NewIEEE()}
+	info, err := readMeta(cr)
+	if err != nil {
+		return nil, err
+	}
+	g := &Graph{cfg: info.Config, numVertices: info.NumVertices, numEdges: info.NumEdges,
+		rvt: info.RVT, kinds: info.Kinds}
 	for i, k := range g.kinds {
 		if k == SmallPage {
 			g.spIDs = append(g.spIDs, PageID(i))
@@ -209,15 +224,14 @@ func Read(r io.Reader) (*Graph, error) {
 			g.lpIDs = append(g.lpIDs, PageID(i))
 		}
 	}
-	var err error
 	if g.homePID, err = readUint32s(cr, g.numVertices); err != nil {
 		return nil, fmt.Errorf("slottedpage: reading home PIDs: %w", err)
 	}
 	if g.homeSlot, err = readUint32s(cr, g.numVertices); err != nil {
 		return nil, fmt.Errorf("slottedpage: reading home slots: %w", err)
 	}
-	g.pages = make([][]byte, 0, min(numPages, readChunk))
-	for i := uint64(0); i < numPages; i++ {
+	g.pages = make([][]byte, 0, info.NumPages)
+	for i := 0; i < info.NumPages; i++ {
 		pg := make([]byte, g.cfg.PageSize)
 		if _, err := io.ReadFull(cr, pg); err != nil {
 			return nil, fmt.Errorf("slottedpage: reading page %d: %w", i, err)

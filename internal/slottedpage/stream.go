@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 )
 
@@ -32,51 +33,14 @@ type StreamInfo struct {
 func StreamPages(r io.Reader, fn func(info *StreamInfo, pid PageID, pg Page) error) (*StreamInfo, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	cr := &crcReader{r: br, crc: crc32.NewIEEE()}
-	read := func(v any) error { return binary.Read(cr, binary.LittleEndian, v) }
-
-	var magic [8]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("slottedpage: reading magic: %w", err)
-	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("slottedpage: bad magic %q", magic[:])
-	}
-	var hdr [9]uint64
-	for i := range hdr {
-		if err := read(&hdr[i]); err != nil {
-			return nil, fmt.Errorf("slottedpage: reading header: %w", err)
-		}
-	}
-	info := &StreamInfo{
-		Config: Config{
-			PageSize: int(hdr[0]), PIDBytes: int(hdr[1]), SlotBytes: int(hdr[2]),
-			VIDBytes: int(hdr[3]), OffBytes: int(hdr[4]), SizeBytes: int(hdr[5]),
-		},
-		NumVertices: hdr[6],
-		NumEdges:    hdr[7],
-		NumPages:    int(hdr[8]),
-	}
-	if err := info.Config.Validate(); err != nil {
+	info, err := readMeta(cr)
+	if err != nil {
 		return nil, err
-	}
-	info.RVT = make([]RVTEntry, info.NumPages)
-	for i := range info.RVT {
-		if err := read(&info.RVT[i].StartVID); err != nil {
-			return nil, err
-		}
-		if err := read(&info.RVT[i].LPSeq); err != nil {
-			return nil, err
-		}
-	}
-	kb := make([]byte, info.NumPages)
-	if err := read(kb); err != nil {
-		return nil, err
-	}
-	info.Kinds = make([]Kind, info.NumPages)
-	for i, b := range kb {
-		info.Kinds[i] = Kind(b)
 	}
 	// Skip the home index (2 x uint32 per vertex).
+	if info.NumVertices > math.MaxInt64/8 {
+		return nil, fmt.Errorf("slottedpage: %d vertices overflow the home index", info.NumVertices)
+	}
 	if _, err := io.CopyN(io.Discard, cr, int64(info.NumVertices)*8); err != nil {
 		return nil, fmt.Errorf("slottedpage: skipping home index: %w", err)
 	}
