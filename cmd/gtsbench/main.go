@@ -8,7 +8,7 @@
 //	gtsbench -exp fig6 -shrink 13     # one experiment at a given scale
 //	gtsbench -exp fig9 -csv out/      # also write CSV files
 //	gtsbench -trace out.json          # one traced BFS run -> Chrome trace JSON
-//	gtsbench -trace pr.jsonl -trace-algo pagerank
+//	gtsbench -trace pr.json -trace-algo pagerank
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to additionally write per-experiment CSV files to")
 	list := flag.Bool("list", false, "list experiments and exit")
 	benchDataset := flag.String("bench-dataset", "RMAT27", "dataset for -trace")
-	traceOut := flag.String("trace", "", "write one traced run to this file (Chrome trace JSON, or JSONL if it ends in .jsonl) and exit")
+	traceOut := flag.String("trace", "", "write one traced run to this file as Chrome trace JSON and exit")
 	traceAlgo := flag.String("trace-algo", "bfs", "algorithm for -trace ("+strings.Join(gts.Algorithms(), ", ")+")")
 	flag.Parse()
 

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	gts "repro"
 	"repro/internal/trace"
@@ -11,10 +10,9 @@ import (
 
 // runTrace executes one traced run of any algorithm in the table (iters
 // bounds the iterative ones; the rest take their defaults) over a generated
-// dataset and writes the recorder to out — Chrome trace_event JSON
-// (Perfetto / chrome://tracing loadable), or span-per-line JSONL when out
-// ends in ".jsonl". The engine is deterministic, so the file is
-// byte-identical across reruns.
+// dataset and writes the recorder to out as Chrome trace_event JSON
+// (Perfetto / chrome://tracing loadable). The engine is deterministic, so
+// the file is byte-identical across reruns.
 func runTrace(dataset string, shrink int, algo string, iters int, out string) error {
 	g, err := gts.Generate(dataset, shrink)
 	if err != nil {
@@ -32,11 +30,7 @@ func runTrace(dataset string, shrink int, algo string, iters int, out string) er
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(out, ".jsonl") {
-		err = rec.WriteJSONL(f)
-	} else {
-		err = rec.WriteChrome(f)
-	}
+	err = rec.WriteChrome(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -11,7 +11,7 @@
 // /debug/trace/{id}) as an ASCII timeline:
 //
 //	gtsinspect trace run.json
-//	gtsinspect trace -width 120 run.jsonl
+//	gtsinspect trace -width 120 run.json
 package main
 
 import (

@@ -9,14 +9,14 @@ import (
 )
 
 // traceInspect implements `gtsinspect trace [-width N] <file>`: it parses an
-// exported trace (Chrome trace_event JSON or gts-trace JSONL, auto-detected),
-// prints per-kind busy time, and renders the ASCII stream timeline.
+// exported Chrome trace_event JSON trace, prints per-kind busy time, and
+// renders the ASCII stream timeline. Any other input is an error.
 func traceInspect(args []string) {
 	fs := flag.NewFlagSet("gtsinspect trace", flag.ExitOnError)
 	width := fs.Int("width", 80, "timeline width in character buckets")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: gtsinspect trace [-width N] <trace.json|trace.jsonl>")
+		fmt.Fprintln(os.Stderr, "usage: gtsinspect trace [-width N] <trace.json>")
 		os.Exit(2)
 	}
 	raw, err := os.ReadFile(fs.Arg(0))

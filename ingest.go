@@ -152,9 +152,9 @@ func (m *MutableGraph) OnCommitOps(fn func(prevEpoch, epoch uint64, ops []EdgeOp
 	m.onCommitOps = append(m.onCommitOps, fn)
 }
 
-// Ingest commits one batch of edge mutations: WAL append + group-commit
-// fsync first, then the in-memory apply and snapshot publish. It returns
-// the new epoch (the batch's LSN).
+// Ingest commits one batch of edge mutations: WAL append + fsync first,
+// then the in-memory apply and snapshot publish. It returns the new epoch
+// (the batch's LSN).
 //
 // Under fault injection the batch can die at four points, matching the
 // crash matrix the recovery tests sweep:

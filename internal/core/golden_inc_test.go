@@ -177,80 +177,59 @@ func TestGoldenIncremental(t *testing.T) {
 
 const incTraceName = "inc_bfs_clean"
 
-// incTraceExports runs the incremental BFS plan with the service-shaped
+// incTraceExport runs the incremental BFS plan with the service-shaped
 // recorder — the incseed marker span first, then the engine timeline on a
-// 1-GPU/1-SSD machine — and returns both export encodings.
-func incTraceExports(t *testing.T, g *slottedpage.Graph, st *incremental.Store) (chrome, jsonl []byte, seeds int) {
+// 1-GPU/1-SSD machine — and returns the recorder, its Chrome export and the
+// seed count.
+func incTraceExport(t *testing.T, g *slottedpage.Graph, st *incremental.Store) (*trace.Recorder, []byte, int) {
 	t.Helper()
 	k, _, seeds := incGoldenKernel(t, g, st, "bfs")
 	rec := trace.NewWithID(incTraceName)
 	rec.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncSeed, Page: int64(seeds), Level: -1})
 	mustRun(t, newEngine(t, g, Options{Source: 0, Trace: rec}, 1, 1), k)
-	var cb, jb bytes.Buffer
-	if err := rec.WriteChrome(&cb); err != nil {
+	var buf bytes.Buffer
+	if err := rec.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteJSONL(&jb); err != nil {
-		t.Fatal(err)
-	}
-	return cb.Bytes(), jb.Bytes(), seeds
+	return rec, buf.Bytes(), seeds
 }
 
 // TestGoldenIncrementalTrace pins a trace fixture for the incremental
 // path: an incseed marker followed by the delta-expansion BFS timeline.
-// Both exports must be byte-identical across reruns, must survive the
-// parser with the incseed span (and its seed count) intact, and the
-// pre-existing fixtures stay untouched — this case writes only its own pair
-// of files.
+// The export must be byte-identical across reruns and must parse back to
+// the recorder's spans exactly, the incseed span (and its seed count)
+// among them; the other fixtures stay untouched — this case writes only
+// its own file.
 func TestGoldenIncrementalTrace(t *testing.T) {
 	g, st := incGoldenSetup(t)
 
 	if *updateGolden {
-		chrome, jsonl, _ := incTraceExports(t, g, st)
-		if err := os.WriteFile(traceGoldenPath(incTraceName, "json"), chrome, 0o644); err != nil {
+		_, chrome, _ := incTraceExport(t, g, st)
+		if err := os.WriteFile(traceGoldenPath(incTraceName), chrome, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(traceGoldenPath(incTraceName, "jsonl"), jsonl, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (.json %d bytes, .jsonl %d bytes)", traceGoldenPath(incTraceName, "*"), len(chrome), len(jsonl))
+		t.Logf("rewrote %s (%d bytes)", traceGoldenPath(incTraceName), len(chrome))
 		return
 	}
 
-	wantChrome, err := os.ReadFile(traceGoldenPath(incTraceName, "json"))
+	want, err := os.ReadFile(traceGoldenPath(incTraceName))
 	if err != nil {
 		t.Fatalf("reading golden (run -update-golden to create): %v", err)
 	}
-	wantJSONL, err := os.ReadFile(traceGoldenPath(incTraceName, "jsonl"))
-	if err != nil {
-		t.Fatalf("reading golden (run -update-golden to create): %v", err)
+	live, chrome, wantSeeds := incTraceExport(t, g, st)
+	if !bytes.Equal(chrome, want) {
+		t.Errorf("Chrome export differs from golden (%d vs %d bytes)", len(chrome), len(want))
 	}
-	chrome, jsonl, wantSeeds := incTraceExports(t, g, st)
-	if !bytes.Equal(chrome, wantChrome) {
-		t.Errorf("Chrome export differs from golden (%d vs %d bytes)", len(chrome), len(wantChrome))
-	}
-	if !bytes.Equal(jsonl, wantJSONL) {
-		t.Errorf("JSONL export differs from golden (%d vs %d bytes)", len(jsonl), len(wantJSONL))
-	}
-	for _, enc := range [][]byte{wantChrome, wantJSONL} {
-		rec, err := trace.Parse(enc)
-		if err != nil {
-			t.Fatalf("golden export unparseable: %v", err)
-		}
-		var incSeeds int
-		for _, s := range rec.Spans() {
-			if s.Kind == trace.IncSeed {
-				incSeeds++
-				if s.Page != int64(wantSeeds) || s.Page <= 0 {
-					t.Errorf("incseed span carries seed count %d, want %d (> 0)", s.Page, wantSeeds)
-				}
+	var incSeeds int
+	for _, s := range parseGoldenTrace(t, want, live).Spans() {
+		if s.Kind == trace.IncSeed {
+			incSeeds++
+			if s.Page != int64(wantSeeds) || s.Page <= 0 {
+				t.Errorf("incseed span carries seed count %d, want %d (> 0)", s.Page, wantSeeds)
 			}
 		}
-		if incSeeds != 1 {
-			t.Errorf("parsed %d incseed spans, want exactly 1", incSeeds)
-		}
 	}
-	if !bytes.Contains(wantJSONL, []byte("incseed")) {
-		t.Error("JSONL fixture does not name the incseed span kind")
+	if incSeeds != 1 {
+		t.Errorf("parsed %d incseed spans, want exactly 1", incSeeds)
 	}
 }

@@ -38,9 +38,9 @@ func traceGoldenCases() []traceGoldenCase {
 	}
 }
 
-// traceExports runs one case and returns the two export encodings: Chrome
-// trace_event JSON and gts-trace JSONL.
-func traceExports(t *testing.T, sp *slottedpage.Graph, tc traceGoldenCase) (chrome, jsonl []byte) {
+// traceExport runs one case and returns its recorder and the recorder's
+// Chrome trace_event export.
+func traceExport(t *testing.T, sp *slottedpage.Graph, tc traceGoldenCase) (*trace.Recorder, []byte) {
 	t.Helper()
 	rec := trace.NewWithID(tc.name)
 	opts := Options{Source: 0, Trace: rec}
@@ -48,24 +48,45 @@ func traceExports(t *testing.T, sp *slottedpage.Graph, tc traceGoldenCase) (chro
 		opts.Faults = chaosPlan()
 	}
 	mustRun(t, newEngine(t, sp, opts, 1, 1), tc.make(sp))
-	var cb, jb bytes.Buffer
-	if err := rec.WriteChrome(&cb); err != nil {
+	var buf bytes.Buffer
+	if err := rec.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteJSONL(&jb); err != nil {
-		t.Fatal(err)
-	}
-	return cb.Bytes(), jb.Bytes()
+	return rec, buf.Bytes()
 }
 
-func traceGoldenPath(name, ext string) string {
-	return filepath.Join("testdata", "trace_"+name+"."+ext)
+func traceGoldenPath(name string) string {
+	return filepath.Join("testdata", "trace_"+name+".json")
+}
+
+// parseGoldenTrace parses a pinned fixture and requires it to hold exactly
+// the live recorder's trace ID and spans, span for span.
+func parseGoldenTrace(t *testing.T, fixture []byte, live *trace.Recorder) *trace.Recorder {
+	t.Helper()
+	rec, err := trace.Parse(fixture)
+	if err != nil {
+		t.Fatalf("golden export unparseable: %v", err)
+	}
+	if rec.ID() != live.ID() {
+		t.Errorf("parsed ID = %q, want %q", rec.ID(), live.ID())
+	}
+	got, want := rec.Spans(), live.Spans()
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d spans, the recorder holds %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("parsed span %d = %+v, the recorder's is %+v", i, got[i], want[i])
+		}
+	}
+	return rec
 }
 
 // TestGoldenTraces pins the exported timelines byte-for-byte: the virtual
-// machine is deterministic, so both the Chrome JSON and the JSONL exports
-// must be identical across reruns — clean and mid-fault alike. A diff means the
-// observable execution schedule changed; if intentional, re-pin with
+// machine is deterministic, so the Chrome JSON export must be identical
+// across reruns — clean and mid-fault alike — and must parse back to the
+// recorder's spans exactly. A diff means the observable execution schedule
+// changed; if intentional, re-pin with
 // `go test ./internal/core/ -run GoldenTraces -update-golden`.
 func TestGoldenTraces(t *testing.T) {
 	g := rmatGraph(t)
@@ -73,52 +94,29 @@ func TestGoldenTraces(t *testing.T) {
 
 	if *updateGolden {
 		for _, tc := range traceGoldenCases() {
-			chrome, jsonl := traceExports(t, sp, tc)
+			_, chrome := traceExport(t, sp, tc)
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(traceGoldenPath(tc.name, "json"), chrome, 0o644); err != nil {
+			if err := os.WriteFile(traceGoldenPath(tc.name), chrome, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(traceGoldenPath(tc.name, "jsonl"), jsonl, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("rewrote %s (.json %d bytes, .jsonl %d bytes)", traceGoldenPath(tc.name, "*"), len(chrome), len(jsonl))
+			t.Logf("rewrote %s (%d bytes)", traceGoldenPath(tc.name), len(chrome))
 		}
 		return
 	}
 
 	for _, tc := range traceGoldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			wantChrome, err := os.ReadFile(traceGoldenPath(tc.name, "json"))
+			want, err := os.ReadFile(traceGoldenPath(tc.name))
 			if err != nil {
 				t.Fatalf("reading golden (run -update-golden to create): %v", err)
 			}
-			wantJSONL, err := os.ReadFile(traceGoldenPath(tc.name, "jsonl"))
-			if err != nil {
-				t.Fatalf("reading golden (run -update-golden to create): %v", err)
+			live, chrome := traceExport(t, sp, tc)
+			if !bytes.Equal(chrome, want) {
+				t.Errorf("Chrome export differs from golden (%d vs %d bytes)", len(chrome), len(want))
 			}
-			chrome, jsonl := traceExports(t, sp, tc)
-			if !bytes.Equal(chrome, wantChrome) {
-				t.Errorf("Chrome export differs from golden (%d vs %d bytes)", len(chrome), len(wantChrome))
-			}
-			if !bytes.Equal(jsonl, wantJSONL) {
-				t.Errorf("JSONL export differs from golden (%d vs %d bytes)", len(jsonl), len(wantJSONL))
-			}
-			// The pinned bytes must round-trip through the parser: spans
-			// survive both encodings with identical kind/level structure.
-			recC, err := trace.Parse(wantChrome)
-			if err != nil {
-				t.Fatalf("golden Chrome export unparseable: %v", err)
-			}
-			recJ, err := trace.Parse(wantJSONL)
-			if err != nil {
-				t.Fatalf("golden JSONL export unparseable: %v", err)
-			}
-			if recC.ID() != tc.name || recJ.ID() != tc.name {
-				t.Errorf("parsed IDs = %q / %q, want %q", recC.ID(), recJ.ID(), tc.name)
-			}
-			assertTraceShape(t, tc, recJ)
+			assertTraceShape(t, tc, parseGoldenTrace(t, want, live))
 		})
 	}
 }
@@ -189,7 +187,7 @@ func TestTraceRenderDeterministic(t *testing.T) {
 	tc := traceGoldenCases()[0]
 	var first string
 	for i := 0; i < 2; i++ {
-		chrome, _ := traceExports(t, sp, tc)
+		_, chrome := traceExport(t, sp, tc)
 		rec, err := trace.Parse(chrome)
 		if err != nil {
 			t.Fatal(err)

@@ -1,16 +1,14 @@
-// Package obs holds the service-layer observability primitives: mergeable
-// log-bucketed latency histograms that answer p50/p90/p99 queries without
-// retaining samples. A histogram is a sparse map from log-spaced buckets to
+// Package obs holds the service-layer observability primitive: log-bucketed
+// latency histograms that answer p50/p90/p99 queries without retaining
+// samples. A histogram is a sparse map from log-spaced buckets to
 // counts — observations land in the bucket whose range covers them, and a
 // quantile query walks the buckets in order and reports the upper bound of
 // the bucket the target rank falls in. The relative error of any quantile
 // is therefore bounded by one bucket's width: with BucketsPerOctave = 8 the
 // bucket boundaries grow by 2^(1/8) ≈ 1.0905, so a reported quantile is at
 // most ~9.05% above the exact sample quantile and never below it.
-//
-// Merging two histograms adds their bucket counts, which is exact and
-// associative — shards can aggregate in any order, which is what lets the
-// service keep one histogram per worker and merge on scrape.
+// internal/service keeps one histogram per latency series, reads quantiles
+// from a Snapshot and renders the buckets on /metrics.
 package obs
 
 import (
@@ -32,7 +30,7 @@ const BucketsPerOctave = 8
 // exact sample quantile q (zero and +Inf observations aside).
 var Gamma = math.Pow(2, 1.0/BucketsPerOctave)
 
-// Histogram is a mergeable log-bucketed histogram of non-negative float64
+// Histogram is a log-bucketed histogram of non-negative float64
 // observations. The zero value is ready to use. All methods are safe for
 // concurrent use.
 type Histogram struct {
@@ -59,7 +57,7 @@ func bucketUpper(i int) float64 {
 
 // Observe records one observation. Values ≤ 0 count in a dedicated zero
 // bucket; NaN and +Inf count in an overflow bucket (both still contribute
-// to Count, and finite values to Sum).
+// to the snapshot's Count, and finite values to its Sum).
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -81,55 +79,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a wall-clock duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())
-}
-
-// Count reports the total number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum reports the sum of all finite observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Merge adds other's observations into h. Bucket counts add exactly, so
-// merging is associative and commutative; only the float sum accumulates
-// rounding in the usual IEEE way. Merging a histogram into itself is safe.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other == h {
-		if other == h && h != nil {
-			h.mu.Lock()
-			for i, c := range h.buckets {
-				h.buckets[i] = c * 2
-			}
-			h.zeros *= 2
-			h.infs *= 2
-			h.count *= 2
-			h.sum *= 2
-			h.mu.Unlock()
-		}
-		return
-	}
-	// Snapshot other first: locking both in a fixed order is not possible
-	// for arbitrary pairs, and a snapshot keeps Merge deadlock-free.
-	snap := other.Snapshot()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.buckets == nil && len(snap.Buckets) > 0 {
-		h.buckets = make(map[int]uint64, len(snap.Buckets))
-	}
-	for _, b := range snap.Buckets {
-		h.buckets[b.Index] += b.Count
-	}
-	h.zeros += snap.Zeros
-	h.infs += snap.Infs
-	h.count += snap.Count
-	h.sum += snap.Sum
 }
 
 // Bucket is one populated bucket in a Snapshot, covering (Lower, Upper].
@@ -164,14 +113,8 @@ func (h *Histogram) Snapshot() Snapshot {
 // Quantile reports an upper bound on the q-quantile (0 ≤ q ≤ 1) of the
 // observed values: the upper edge of the bucket holding the target rank.
 // The result never underestimates the exact sample quantile and
-// overestimates it by at most a factor of Gamma. An empty histogram
-// reports 0; a rank landing in the overflow bucket reports +Inf.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
-}
-
-// Quantile on a snapshot — same contract as Histogram.Quantile, usable on
-// merged or parsed snapshots without rebuilding a Histogram.
+// overestimates it by at most a factor of Gamma. An empty snapshot reports
+// 0; a rank landing in the overflow bucket reports +Inf.
 func (s Snapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0

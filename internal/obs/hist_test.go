@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -52,11 +53,12 @@ func checkBound(t *testing.T, got, exact, q float64) {
 
 func TestEmptyHistogram(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Sum() != 0 {
+	s := h.Snapshot()
+	if s.Count != 0 || s.Sum != 0 {
 		t.Error("zero histogram has nonzero count/sum")
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
+		if got := s.Quantile(q); got != 0 {
 			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
 		}
 	}
@@ -67,15 +69,16 @@ func TestObserveBasics(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
 		h.Observe(v)
 	}
-	if h.Count() != 10 {
-		t.Errorf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 10 {
+		t.Errorf("count = %d", s.Count)
 	}
-	if h.Sum() != 55 {
-		t.Errorf("sum = %v", h.Sum())
+	if s.Sum != 55 {
+		t.Errorf("sum = %v", s.Sum)
 	}
 	samples := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
-		checkBound(t, h.Quantile(q), exactQuantile(samples, q), q)
+		checkBound(t, s.Quantile(q), exactQuantile(samples, q), q)
 	}
 }
 
@@ -86,29 +89,30 @@ func TestObserveEdgeValues(t *testing.T) {
 	h.Observe(math.Inf(1))
 	h.Observe(math.NaN())
 	h.Observe(1)
-	if h.Count() != 5 {
-		t.Errorf("count = %d, want 5", h.Count())
+	s := h.Snapshot()
+	if s.Count != 5 {
+		t.Errorf("count = %d, want 5", s.Count)
 	}
 	// Two zeros sort first, so p0.4 is 0; 1 is rank 3 of 5 → p0.6 is in the
 	// value-1 bucket; the top ranks fall in the overflow bucket.
-	if got := h.Quantile(0.4); got != 0 {
+	if got := s.Quantile(0.4); got != 0 {
 		t.Errorf("p40 = %v, want 0", got)
 	}
-	if got := h.Quantile(0.6); got < 1 || got > Gamma*(1+1e-9) {
+	if got := s.Quantile(0.6); got < 1 || got > Gamma*(1+1e-9) {
 		t.Errorf("p60 = %v, want within [1, Gamma]", got)
 	}
-	if got := h.Quantile(1); !math.IsInf(got, 1) {
+	if got := s.Quantile(1); !math.IsInf(got, 1) {
 		t.Errorf("p100 = %v, want +Inf", got)
 	}
-	if s := h.Sum(); s != 1 {
-		t.Errorf("sum = %v, want 1 (only finite positives contribute)", s)
+	if s.Sum != 1 {
+		t.Errorf("sum = %v, want 1 (only finite positives contribute)", s.Sum)
 	}
 }
 
 func TestObserveDuration(t *testing.T) {
 	var h Histogram
 	h.ObserveDuration(250 * time.Millisecond)
-	if got := h.Quantile(1); got < 0.25 || got > 0.25*Gamma*(1+1e-9) {
+	if got := h.Snapshot().Quantile(1); got < 0.25 || got > 0.25*Gamma*(1+1e-9) {
 		t.Errorf("p100 = %v, want ≈0.25s within one bucket", got)
 	}
 }
@@ -122,110 +126,14 @@ func TestQuantileMonotonic(t *testing.T) {
 		h.Observe(math.Exp(rng.NormFloat64() * 3))
 	}
 	h.Observe(0) // include the zero bucket in the walk
+	s := h.Snapshot()
 	prev := math.Inf(-1)
 	for q := 0.0; q <= 1.0+1e-12; q += 0.01 {
-		got := h.Quantile(q)
+		got := s.Quantile(q)
 		if got < prev {
 			t.Fatalf("Quantile not monotone: q=%v gives %v after %v", q, got, prev)
 		}
 		prev = got
-	}
-}
-
-// TestMergeAssociative: (a ⊕ b) ⊕ c and a ⊕ (b ⊕ c) agree exactly on every
-// bucket count, and their quantiles coincide — bucket merge is integer
-// addition, so associativity is exact.
-func TestMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	mk := func(n int) *Histogram {
-		h := &Histogram{}
-		for i := 0; i < n; i++ {
-			h.Observe(rng.Float64() * 1000)
-		}
-		return h
-	}
-	fill := func(dst *Histogram, parts ...*Histogram) {
-		for _, p := range parts {
-			dst.Merge(p)
-		}
-	}
-	a, b, c := mk(100), mk(250), mk(57)
-
-	var left, right Histogram
-	var ab, bc Histogram
-	fill(&ab, a, b)
-	fill(&left, &ab, c)
-	fill(&bc, b, c)
-	fill(&right, a, &bc)
-
-	ls, rs := left.Snapshot(), right.Snapshot()
-	if ls.Count != rs.Count || ls.Zeros != rs.Zeros || ls.Infs != rs.Infs {
-		t.Fatalf("counts differ: %+v vs %+v", ls, rs)
-	}
-	if len(ls.Buckets) != len(rs.Buckets) {
-		t.Fatalf("bucket sets differ: %d vs %d", len(ls.Buckets), len(rs.Buckets))
-	}
-	for i := range ls.Buckets {
-		if ls.Buckets[i] != rs.Buckets[i] {
-			t.Errorf("bucket %d: %+v vs %+v", i, ls.Buckets[i], rs.Buckets[i])
-		}
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if left.Quantile(q) != right.Quantile(q) {
-			t.Errorf("q=%v: %v vs %v", q, left.Quantile(q), right.Quantile(q))
-		}
-	}
-	if math.Abs(ls.Sum-rs.Sum) > 1e-6*math.Abs(ls.Sum) {
-		t.Errorf("sums diverged beyond float tolerance: %v vs %v", ls.Sum, rs.Sum)
-	}
-}
-
-// TestMergeMatchesDirect: merging shards gives the same buckets as
-// observing everything into one histogram.
-func TestMergeMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	samples := make([]float64, 400)
-	for i := range samples {
-		samples[i] = math.Exp(rng.NormFloat64()*2 + 1)
-	}
-	var direct, merged Histogram
-	shards := make([]*Histogram, 4)
-	for i := range shards {
-		shards[i] = &Histogram{}
-	}
-	for i, v := range samples {
-		direct.Observe(v)
-		shards[i%len(shards)].Observe(v)
-	}
-	for _, sh := range shards {
-		merged.Merge(sh)
-	}
-	ds, ms := direct.Snapshot(), merged.Snapshot()
-	if ds.Count != ms.Count || len(ds.Buckets) != len(ms.Buckets) {
-		t.Fatalf("merged shape differs from direct: %d/%d buckets, %d/%d count",
-			len(ds.Buckets), len(ms.Buckets), ds.Count, ms.Count)
-	}
-	for i := range ds.Buckets {
-		if ds.Buckets[i] != ms.Buckets[i] {
-			t.Errorf("bucket %d: direct %+v merged %+v", i, ds.Buckets[i], ms.Buckets[i])
-		}
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		checkBound(t, merged.Quantile(q), exactQuantile(samples, q), q)
-	}
-}
-
-func TestMergeSelfAndNil(t *testing.T) {
-	var h Histogram
-	h.Observe(1)
-	h.Observe(2)
-	h.Merge(nil)
-	if h.Count() != 2 {
-		t.Errorf("merge(nil) changed count: %d", h.Count())
-	}
-	h.Merge(&h)
-	if h.Count() != 4 || h.Sum() != 6 {
-		t.Errorf("self-merge: count=%d sum=%v, want 4/6", h.Count(), h.Sum())
 	}
 }
 
@@ -249,11 +157,12 @@ func TestQuantileOracle(t *testing.T) {
 				samples[i] = gen()
 				h.Observe(samples[i])
 			}
+			s := h.Snapshot()
 			for q := 0.01; q < 1.0; q += 0.07 {
-				checkBound(t, h.Quantile(q), exactQuantile(samples, q), q)
+				checkBound(t, s.Quantile(q), exactQuantile(samples, q), q)
 			}
 			for _, q := range []float64{0.5, 0.9, 0.99, 1} {
-				checkBound(t, h.Quantile(q), exactQuantile(samples, q), q)
+				checkBound(t, s.Quantile(q), exactQuantile(samples, q), q)
 			}
 		})
 	}
@@ -279,12 +188,13 @@ func FuzzQuantileVsOracle(f *testing.F) {
 			samples = append(samples, v)
 			h.Observe(v)
 		}
-		if h.Count() != uint64(len(samples)) {
-			t.Fatalf("count = %d, want %d", h.Count(), len(samples))
+		s := h.Snapshot()
+		if s.Count != uint64(len(samples)) {
+			t.Fatalf("count = %d, want %d", s.Count, len(samples))
 		}
 		prev := math.Inf(-1)
 		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-			got := h.Quantile(q)
+			got := s.Quantile(q)
 			if got < prev {
 				t.Fatalf("quantiles not monotone at q=%v: %v < %v", q, got, prev)
 			}
@@ -294,9 +204,11 @@ func FuzzQuantileVsOracle(f *testing.F) {
 	})
 }
 
-func TestConcurrentObserveAndMerge(t *testing.T) {
+// TestConcurrentObserve: observations from many goroutines, interleaved
+// with snapshots and renders (what /metrics does mid-traffic), all land.
+// Run under -race via `make test-race`.
+func TestConcurrentObserve(t *testing.T) {
 	var h Histogram
-	var agg Histogram
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -305,15 +217,15 @@ func TestConcurrentObserveAndMerge(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				h.Observe(float64(g*500+i) + 0.5)
 				if i%100 == 0 {
-					_ = h.Quantile(0.5)
-					agg.Merge(&h)
+					_ = h.Snapshot().Quantile(0.5)
+					_ = h.WritePrometheus(io.Discard, "m", "")
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != 8*500 {
-		t.Errorf("lost observations: %d", h.Count())
+	if n := h.Snapshot().Count; n != 8*500 {
+		t.Errorf("lost observations: %d", n)
 	}
 }
 

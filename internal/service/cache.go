@@ -59,18 +59,6 @@ func (c *resultCache) get(key string) (*Result, bool) {
 	return nil, false
 }
 
-// peek returns the cached result without touching recency or the hit/miss
-// counters (used for the workers' second-chance lookup, which would
-// otherwise double-count each computed job as a miss).
-func (c *resultCache) peek(key string) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		return el.Value.(*cacheEntry).res, true
-	}
-	return nil, false
-}
-
 // put stores res under key, evicting the least recently used entry when
 // full. Results are shared across callers and must be treated as
 // immutable.

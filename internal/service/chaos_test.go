@@ -222,15 +222,14 @@ func TestChaosConcurrentClients(t *testing.T) {
 }
 
 // TestChaosTraceExportMidFault proves the recorder is race-free under
-// concurrent span emission: while a fault-injected engine is
-// mid-run (streams emitting copy/kernel/fault spans), a second goroutine
-// continuously exports the live recorder in both encodings and aggregates
-// it. Run under -race via `make test-race`. The final export must still be
-// a complete, parseable timeline containing the injected faults.
+// concurrent span emission: while a fault-injected engine is mid-run
+// (streams emitting copy/kernel/fault spans), a second goroutine
+// continuously exports the live recorder and aggregates it. Run under -race
+// via `make test-race`. The final export must still be a complete, parseable
+// timeline containing the injected faults.
 func TestChaosTraceExportMidFault(t *testing.T) {
 	g, _ := testGraphPair(t)
-	rec := trace.New()
-	rec.SetID("chaos-mid-fault")
+	rec := trace.NewWithID("chaos-mid-fault")
 	sys, err := gts.NewSystem(g, gts.Config{Trace: rec,
 		Faults: &gts.FaultPlan{Seed: 7, TransferErrorRate: 0.05, TransferStallRate: 0.05,
 			StorageErrorRate: 0.05, CorruptionRate: 0.05}})
@@ -255,9 +254,6 @@ func TestChaosTraceExportMidFault(t *testing.T) {
 			}
 			if err := rec.WriteChrome(io.Discard); err != nil {
 				t.Errorf("mid-run WriteChrome: %v", err)
-			}
-			if err := rec.WriteJSONL(io.Discard); err != nil {
-				t.Errorf("mid-run WriteJSONL: %v", err)
 			}
 			rec.Summary()
 			n++

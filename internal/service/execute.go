@@ -33,9 +33,11 @@ type plan struct {
 }
 
 // execute takes one dequeued job to a terminal state. Every job, whatever
-// its algorithm or graph, goes through the same five stages: deadline and
-// cache peek, kernel resolution, the run on the graph's wave-group
-// scheduler, error classification, and accounting.
+// its algorithm or graph, goes through the same stages: the deadline check,
+// kernel resolution, the run on the graph's wave-group scheduler, error
+// classification, and accounting. The result goes into the cache before the
+// deferred clearInflight drops the job from the single-flight table, which is
+// what lets Submit answer every identical request from one or the other.
 func (s *Server) execute(job *Job) {
 	defer job.cancel()
 	defer s.clearInflight(job)
@@ -43,13 +45,6 @@ func (s *Server) execute(job *Job) {
 	if job.ctx.Err() != nil {
 		s.met.addTimedOut()
 		job.fail(fmt.Errorf("%w (queued %v)", ErrTimeout, time.Since(job.submitted).Round(time.Microsecond)), JobTimedOut)
-		return
-	}
-	// Second chance: an identical job may have populated the cache while
-	// this one queued. Peek without touching the hit/miss counters — the
-	// admission-time lookup already counted this job's miss.
-	if res, ok := s.cache.peek(job.key); ok {
-		s.answer(job, res, true)
 		return
 	}
 

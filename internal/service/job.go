@@ -46,7 +46,7 @@ type Job struct {
 	key       string
 	entry     *graphEntry // what execute runs against; nil once finished
 	algo      gts.Algorithm
-	ctx       context.Context
+	ctx       context.Context // the deadline; nil (with cancel) on a cache hit at admission
 	cancel    context.CancelFunc
 	submitted time.Time
 

@@ -24,7 +24,7 @@ type algoMetrics struct {
 // metrics is the server's observability state. The counters live in one
 // Stats value — the same one a snapshot copies — guarded by one mutex
 // (observation paths are short and the contention is dwarfed by the runs
-// themselves); the latency distributions live in mergeable log-bucketed
+// themselves); the latency distributions live in log-bucketed
 // obs.Histograms, which carry their own locks.
 type metrics struct {
 	mu      sync.Mutex
@@ -221,7 +221,6 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	counter("gtsd_cache_hits_total", "Result-cache hits.", s.CacheHits)
 	counter("gtsd_cache_misses_total", "Result-cache misses.", s.CacheMisses)
 	gauge("gtsd_cache_entries", "Live result-cache entries.", s.CacheSize)
-	gauge("gtsd_cache_hit_rate", "Result-cache hit rate.", fmt.Sprintf("%.4f", s.CacheHitRate()))
 	counter("gtsd_faults_injected_total", "Hardware faults injected into engine runs.", uint64(s.Faults.Injected()))
 	counter("gtsd_fault_retries_total", "Engine retries of faulted operations.", uint64(s.Faults.Retries))
 	counter("gtsd_fault_recoveries_total", "Faulted operations that eventually succeeded.", uint64(s.Faults.Recoveries))
@@ -260,7 +259,6 @@ func (m *metrics) write(w io.Writer, s Stats) {
 		walSeries("counter", "gtsd_wal_appends_total", "Batches appended to the write-ahead log.", func(g string) int64 { return s.WAL[g].Appends })
 		walSeries("counter", "gtsd_wal_appended_bytes_total", "Bytes appended to the write-ahead log.", func(g string) int64 { return s.WAL[g].AppendedBytes })
 		walSeries("counter", "gtsd_wal_fsyncs_total", "Physical fsyncs issued by the write-ahead log.", func(g string) int64 { return s.WAL[g].Fsyncs })
-		walSeries("counter", "gtsd_wal_group_commits_total", "Appends made durable by another waiter's fsync (group commit).", func(g string) int64 { return s.WAL[g].GroupCommits })
 		walSeries("gauge", "gtsd_wal_replayed_batches", "Committed batches replayed at the last open.", func(g string) int64 { return s.WAL[g].ReplayedBatches })
 		walSeries("gauge", "gtsd_wal_truncated_bytes", "Torn-tail bytes truncated at the last open.", func(g string) int64 { return s.WAL[g].TruncatedBytes })
 		walSeries("gauge", "gtsd_graph_epoch", "Mutation epoch (last applied WAL LSN) per mutable graph.", func(g string) int64 { return int64(s.Epochs[g]) })

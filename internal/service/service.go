@@ -10,13 +10,14 @@
 //
 // Lifecycle of a job: Submit normalizes the request through gts's algorithm
 // table and consults the cache — a hit completes the job immediately; a miss
-// enqueues it or, if the queue is full, rejects it with ErrOverloaded.
-// A worker dequeues the job, re-checks its deadline (a job whose deadline
-// expired while queued times out without running), and takes it through
-// the one execute pipeline (execute.go): cache peek, kernel resolution,
-// the graph's wave-group scheduler, then error classification and
-// accounting. Runs are not preempted: a deadline that expires mid-run does
-// not cancel the engine, it only bounds queue and scheduler wait.
+// coalesces behind an identical job in flight, enqueues it or, if the queue
+// is full, rejects it with ErrOverloaded. A worker dequeues the job,
+// re-checks its deadline (a job whose deadline expired while queued times
+// out without running), and takes it through the one execute pipeline
+// (execute.go): kernel resolution, the graph's wave-group scheduler, then
+// error classification and accounting. Runs are not preempted: a deadline
+// that expires mid-run does not cancel the engine, it only bounds queue and
+// scheduler wait.
 //
 // The package is laid out along that path: service.go (admission: Submit,
 // single-flight, the worker pool, Shutdown), job.go (the Job handle),
@@ -187,9 +188,13 @@ func New(cfg Config) *Server {
 }
 
 // Submit validates req and either answers it from the cache (the returned
-// job is already done), enqueues it, or rejects it with ErrOverloaded.
-// The returned Job is also queryable via Lookup until evicted from the
-// history.
+// job is already done), coalesces it behind an identical job in flight,
+// enqueues it, or rejects it with ErrOverloaded. The graph lookup, the cache
+// lookup, the single-flight check and the queue send happen in one hold of
+// s.mu: a leader puts its result in the cache before it leaves the
+// single-flight table, so an identical request finds one or the other and
+// never queues behind an answer that already exists. The returned Job is
+// also queryable via Lookup until evicted from the history.
 func (s *Server) Submit(req Request) (*Job, error) {
 	algo, ok := gts.LookupAlgorithm(req.Algo)
 	if !ok {
@@ -200,66 +205,50 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		return nil, err
 	}
 
+	// The send happens under the lock too, so Shutdown cannot close the
+	// queue between the closed check and the send.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
 	entry, ok := s.graphs[req.Graph]
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownGraph, req.Graph)
 	}
 	if st := entry.state.load(); st != GraphServing {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q is %s", ErrGraphNotReady, req.Graph, st)
 	}
 	s.nextID++
-	id := fmt.Sprintf("job-%06d", s.nextID)
-	s.mu.Unlock()
+	job := &Job{
+		id:        fmt.Sprintf("job-%06d", s.nextID),
+		req:       req,
+		key:       cacheKey(entry.name, entry.gen, entry.epoch, req.Algo, req.Params),
+		entry:     entry,
+		algo:      algo,
+		submitted: time.Now(),
+		done:      make(chan struct{}),
+	}
+	if res, ok := s.cache.get(job.key); ok {
+		s.met.addSubmitted()
+		s.answer(job, res, true)
+		s.rememberLocked(job)
+		return job, nil
+	}
 
 	timeout := req.Timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	job.ctx, job.cancel = context.Background(), context.CancelFunc(func() {})
 	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), timeout)
-	}
-	job := &Job{
-		id:        id,
-		req:       req,
-		key:       cacheKey(entry.name, entry.gen, entry.epoch, req.Algo, req.Params),
-		entry:     entry,
-		algo:      algo,
-		ctx:       ctx,
-		cancel:    cancel,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-
-	if res, ok := s.cache.get(job.key); ok {
-		s.met.addSubmitted()
-		job.cancel()
-		s.answer(job, res, true)
-		s.remember(job)
-		return job, nil
-	}
-
-	// Admission control: the send must happen under the lock so Shutdown
-	// cannot close the queue between the closed check and the send.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		job.cancel()
-		return nil, ErrShuttingDown
+		job.ctx, job.cancel = context.WithTimeout(context.Background(), timeout)
 	}
 	// Single-flight: an identical request already queued or running becomes
 	// this job's leader; the follower never enters the queue, it mirrors the
 	// leader's outcome when it lands.
 	if leader, ok := s.inflight[job.key]; ok {
 		s.rememberLocked(job)
-		s.mu.Unlock()
 		s.met.addSubmitted()
 		s.met.addCoalesced()
 		s.followers.Add(1)
@@ -273,11 +262,9 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	case s.queue <- job:
 		s.inflight[job.key] = job
 		s.rememberLocked(job)
-		s.mu.Unlock()
 		s.met.addSubmitted()
 		return job, nil
 	default:
-		s.mu.Unlock()
 		s.met.addRejected()
 		job.cancel()
 		return nil, ErrOverloaded
@@ -341,12 +328,6 @@ func (s *Server) Lookup(id string) (*Job, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
 	return job, nil
-}
-
-func (s *Server) remember(job *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rememberLocked(job)
 }
 
 // rememberLocked registers a job in the history, evicting the oldest

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,24 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the trace export/import layer. Two interchangeable formats:
-//
-//   - Chrome trace_event JSON (WriteChrome): a single JSON object whose
-//     traceEvents array chrome://tracing and Perfetto load directly. The
-//     run/superstep hierarchy lands on pid 0 ("gts framework"), each GPU
-//     becomes a process (pid = gpu+1) and each stream a thread
-//     (tid = stream+1, tid 0 being the device-level "engine" track), so
-//     the viewer nests copies under kernels under supersteps visually.
-//
-//   - Compact JSONL (WriteJSONL): one header line carrying the trace ID
-//     followed by one line per span, the cheapest form to grep or diff.
-//
-// Both writers emit spans in insertion order with hand-formatted fields,
-// so a deterministic simulation exports byte-identical files across runs.
-// Parse reads either format back into a Recorder.
-
-// jsonlHeaderFormat identifies the JSONL flavor in the header line.
-const jsonlHeaderFormat = "gts-trace/1"
+// This file is the trace export/import layer, in one format: Chrome
+// trace_event JSON (WriteChrome), a single JSON object whose traceEvents
+// array chrome://tracing and Perfetto load directly. The run/superstep
+// hierarchy lands on pid 0 ("gts framework"), each GPU becomes a process
+// (pid = gpu+1) and each stream a thread (tid = stream+1, tid 0 being the
+// device-level "engine" track), so the viewer nests copies under kernels
+// under supersteps visually. The writer emits one event per line, in span
+// insertion order with hand-formatted fields, so a deterministic simulation
+// exports byte-identical files across runs. Parse reads it back into a
+// Recorder.
 
 // jstr renders s as a JSON string literal.
 func jstr(s string) string {
@@ -49,35 +40,6 @@ func usec(t sim.Time) string {
 		neg, t = "-", -t
 	}
 	return fmt.Sprintf("%s%d.%03d", neg, int64(t)/1000, int64(t)%1000)
-}
-
-// writeSpanLine appends one JSONL span record. The dir attribute appears
-// only on direction-optimized supersteps (Span.Dir != 0), so traces from
-// plain kernels stay byte-identical to the pre-direction format.
-func writeSpanLine(w io.Writer, s Span) error {
-	dir := ""
-	if d := dirName(s.Dir); d != "" {
-		dir = ",\"dir\":\"" + d + "\""
-	}
-	_, err := fmt.Fprintf(w, "{\"kind\":%s,\"gpu\":%d,\"stream\":%d,\"page\":%d,\"level\":%d,\"start\":%d,\"end\":%d%s}\n",
-		jstr(s.Kind.String()), s.GPU, s.Stream, s.Page, s.Level, int64(s.Start), int64(s.End), dir)
-	return err
-}
-
-// WriteJSONL writes the compact JSONL form: a header line, then one line
-// per span in insertion order.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	id, spans := r.snapshot()
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "{\"format\":%s,\"trace_id\":%s}\n", jstr(jsonlHeaderFormat), jstr(id)); err != nil {
-		return err
-	}
-	for _, s := range spans {
-		if err := writeSpanLine(bw, s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // snapshot copies the recorder state under the lock.
@@ -163,7 +125,9 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	for _, s := range spans {
 		pid, tid := track(s)
 		kind := s.Kind.String()
-		// Like the JSONL writer, the dir attribute is emitted only when set.
+		// The dir attribute appears only on direction-optimized supersteps
+		// (Span.Dir != 0), so plain kernels' traces keep their pre-direction
+		// bytes.
 		dir := ""
 		if d := dirName(s.Dir); d != "" {
 			dir = ",\"dir\":\"" + d + "\""
@@ -206,50 +170,16 @@ type chromeDoc struct {
 	} `json:"otherData"`
 }
 
-// jsonlSpan is one JSONL span line; jsonlHeader the leading line.
-type jsonlSpan struct {
-	Kind   string `json:"kind"`
-	GPU    int    `json:"gpu"`
-	Stream int    `json:"stream"`
-	Page   int64  `json:"page"`
-	Level  int32  `json:"level"`
-	Start  int64  `json:"start"`
-	End    int64  `json:"end"`
-	Dir    string `json:"dir"`
-}
-
-type jsonlHeader struct {
-	Format  string `json:"format"`
-	TraceID string `json:"trace_id"`
-}
-
-// FromSpans builds a recorder holding the given spans, for rendering
-// parsed traces with the usual Recorder machinery.
-func FromSpans(id string, spans []Span) *Recorder {
-	r := NewWithID(id)
-	for _, s := range spans {
-		r.Add(s)
-	}
-	return r
-}
-
-// Parse reads a trace exported in either format — Chrome trace_event JSON
-// or JSONL — back into a Recorder. The format is auto-detected.
+// Parse reads a Chrome trace_event document, as WriteChrome writes it, back
+// into a Recorder. Input that is not one — not JSON, or a JSON object with no
+// traceEvents array — is an error, not an empty timeline.
 func Parse(data []byte) (*Recorder, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	if bytes.Contains(trimmed[:min(len(trimmed), 256)], []byte("traceEvents")) {
-		return parseChrome(trimmed)
-	}
-	return parseJSONL(trimmed)
-}
-
-func parseChrome(data []byte) (*Recorder, error) {
 	var doc chromeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("trace: parsing Chrome trace JSON: %w", err)
+	}
+	if doc.TraceEvents == nil {
+		return nil, fmt.Errorf("trace: not a Chrome trace_event document (no traceEvents array)")
 	}
 	r := NewWithID(doc.OtherData.TraceID)
 	for _, ev := range doc.TraceEvents {
@@ -290,50 +220,4 @@ func argInt(args map[string]any, key string, def int64) int64 {
 		return def
 	}
 	return int64(f)
-}
-
-func parseJSONL(data []byte) (*Recorder, error) {
-	r := New()
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		lineNo++
-		if len(line) == 0 {
-			continue
-		}
-		if lineNo == 1 && bytes.Contains(line, []byte("\"format\"")) {
-			var hdr jsonlHeader
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return nil, fmt.Errorf("trace: parsing JSONL header: %w", err)
-			}
-			r.SetID(hdr.TraceID)
-			continue
-		}
-		var js jsonlSpan
-		if err := json.Unmarshal(line, &js); err != nil {
-			return nil, fmt.Errorf("trace: parsing JSONL line %d: %w", lineNo, err)
-		}
-		kind, ok := KindByName(js.Kind)
-		if !ok {
-			return nil, fmt.Errorf("trace: JSONL line %d: unknown kind %q", lineNo, js.Kind)
-		}
-		r.Add(Span{GPU: js.GPU, Stream: js.Stream, Kind: kind, Page: js.Page,
-			Level: js.Level, Dir: dirByName(js.Dir), Start: sim.Time(js.Start), End: sim.Time(js.End)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: reading JSONL: %w", err)
-	}
-	if r.Len() == 0 && r.ID() == "" {
-		return nil, fmt.Errorf("trace: input is neither a Chrome trace nor gts JSONL")
-	}
-	return r, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // sampleRecorder builds a small hierarchical trace covering every span
-// shape the exporters must handle: framework spans (GPU -1), device-level
+// shape the exporter must handle: framework spans (GPU -1), device-level
 // spans (stream -1), stream spans, and zero-duration markers.
 func sampleRecorder() *Recorder {
 	r := NewWithID("test-trace-01")
@@ -40,19 +40,6 @@ func sameSpans(t *testing.T, got, want *Recorder) {
 			t.Errorf("span %d = %+v, want %+v", i, gs[i], ws[i])
 		}
 	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	r := sampleRecorder()
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSpans(t, back, r)
 }
 
 func TestChromeRoundTrip(t *testing.T) {
@@ -130,7 +117,7 @@ func TestChromeIsValidJSON(t *testing.T) {
 // TestExportDeterminism: the same spans export to byte-identical files,
 // the property the golden-trace suite in internal/core leans on.
 func TestExportDeterminism(t *testing.T) {
-	var a, b, c, d bytes.Buffer
+	var a, b bytes.Buffer
 	r := sampleRecorder()
 	if err := r.WriteChrome(&a); err != nil {
 		t.Fatal(err)
@@ -138,17 +125,8 @@ func TestExportDeterminism(t *testing.T) {
 	if err := r.WriteChrome(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteJSONL(&c); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSONL(&d); err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("Chrome export is not deterministic")
-	}
-	if !bytes.Equal(c.Bytes(), d.Bytes()) {
-		t.Error("JSONL export is not deterministic")
 	}
 }
 
@@ -175,8 +153,6 @@ func TestConcurrentExport(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				buf.Reset()
 				_ = r.WriteChrome(&buf)
-				buf.Reset()
-				_ = r.WriteJSONL(&buf)
 			}
 		}()
 	}
@@ -186,8 +162,15 @@ func TestConcurrentExport(t *testing.T) {
 	}
 }
 
+// TestParseRejectsGarbage: Parse takes only a Chrome trace_event document.
+// An empty object and the retired one-span-per-line format are errors, not
+// empty timelines.
 func TestParseRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"", "not json", "{\"foo\": 1}\n{\"bar\": 2}"} {
+	for _, in := range []string{"", "not json", "{\"foo\": 1}\n{\"bar\": 2}", "{}",
+		"{\"format\":\"gts-trace/1\",\"trace_id\":\"t\"}\n" +
+			"{\"kind\":\"kernel\",\"gpu\":0,\"stream\":0,\"page\":3,\"level\":0,\"start\":5000,\"end\":9000}\n",
+		"{\"kind\":\"kernel\",\"gpu\":0,\"stream\":0,\"page\":3,\"level\":0,\"start\":5000,\"end\":9000}",
+	} {
 		if _, err := Parse([]byte(in)); err == nil {
 			t.Errorf("Parse(%q) succeeded", in)
 		}

@@ -4,9 +4,9 @@
 // behind Table 1. Spans nest run → superstep → (GPU, stream) →
 // copy/kernel/io/fault via the Level field and the Run/Superstep container
 // kinds; export.go turns a recorder into Chrome trace_event JSON (loadable
-// in chrome://tracing and Perfetto) or a compact JSONL stream, and parses
-// both back. Summary and MTEPS are the metric-export hooks the service
-// layer (internal/service) scrapes into its /metrics endpoint.
+// in chrome://tracing and Perfetto) and parses it back. Summary aggregates a
+// recorder for gtsbench -trace and gtsinspect trace; MTEPS is the engine's
+// throughput metric.
 package trace
 
 import (
@@ -39,7 +39,7 @@ const (
 	PoolLoad                // host buffer-pool pin that loaded the page from storage (marker)
 	PoolWait                // host buffer-pool pin denied (busy/no frame) — bypass read (marker)
 	WALAppend               // one ingest batch appended (framed + written) to the write-ahead log
-	WALFsync                // one WAL group-commit fsync
+	WALFsync                // the fsync that makes one appended WAL batch durable
 	WALReplay               // WAL recovery replay at graph-open time
 	IncSeed                 // incremental run seeded from retained state (marker; Page = seed count)
 	IncFallback             // incremental request fell back to a full recompute (marker)
@@ -120,8 +120,8 @@ type Span struct {
 	Level  int32 // superstep index, or -1
 	// Dir is the traversal direction a direction-optimized superstep
 	// executed in (1 = push, 2 = pull; see kernels.Direction). 0 for
-	// non-superstep spans and plain kernels, in which case the exporters
-	// omit the attribute entirely, keeping their output byte-identical to
+	// non-superstep spans and plain kernels, in which case the exporter
+	// omits the attribute entirely, keeping its output byte-identical to
 	// pre-direction traces.
 	Dir   int8
 	Start sim.Time
@@ -134,7 +134,7 @@ const (
 	DirPull int8 = 2
 )
 
-// dirName spells a Span.Dir value as the exporters emit it ("" = omit).
+// dirName spells a Span.Dir value as the exporter emits it ("" = omit).
 func dirName(d int8) string {
 	switch d {
 	case DirPush:
@@ -146,7 +146,7 @@ func dirName(d int8) string {
 	}
 }
 
-// dirByName inverts dirName for the parsers; unknown spellings map to 0.
+// dirByName inverts dirName for Parse; unknown spellings map to 0.
 func dirByName(s string) int8 {
 	switch s {
 	case "push":
@@ -184,16 +184,6 @@ func (r *Recorder) ID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.id
-}
-
-// SetID changes the trace ID carried by subsequent exports.
-func (r *Recorder) SetID(id string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.id = id
-	r.mu.Unlock()
 }
 
 // Add records one span.

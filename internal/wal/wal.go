@@ -1,9 +1,9 @@
 // Package wal is the write-ahead log behind mutable slotted-page graphs:
-// every edge-ingest batch is framed, CRC-32 protected, appended, and
-// group-committed to a log file BEFORE it is applied to the in-memory page
-// store, so a crash at any point during ingest — between two appends,
-// mid-record, during an fsync, or during the page swap — recovers to the
-// exact prefix of batches that reached the disk intact.
+// every edge-ingest batch is framed, CRC-32 protected, appended and
+// fsynced to a log file BEFORE it is applied to the in-memory page store,
+// one batch at a time, so a crash at any point during ingest — between two
+// appends, mid-record, during an fsync, or during the page swap — recovers
+// to the exact prefix of batches that reached the disk intact.
 //
 // Frame layout (little-endian):
 //
@@ -149,11 +149,8 @@ type Stats struct {
 	// Appends is committed Append calls; AppendedBytes their frame bytes.
 	Appends       int64 `json:"appends"`
 	AppendedBytes int64 `json:"appended_bytes"`
-	// Fsyncs counts physical fsync calls; GroupCommits the appends whose
-	// durability was covered by another append's fsync (the group-commit
-	// win: Appends - Fsyncs when every append rides a group).
-	Fsyncs       int64 `json:"fsyncs"`
-	GroupCommits int64 `json:"group_commits"`
+	// Fsyncs counts physical fsync calls: one per append that got as far.
+	Fsyncs int64 `json:"fsyncs"`
 	// ReplayedBatches and TruncatedBytes describe the last Open: committed
 	// batches recovered, and torn-tail bytes discarded.
 	ReplayedBatches int64 `json:"replayed_batches"`
@@ -172,23 +169,21 @@ type Options struct {
 }
 
 // Log is an append-only, CRC-framed write-ahead log. All methods are safe
-// for concurrent use; concurrent Appends group-commit onto one fsync.
+// for concurrent use; an Append writes and fsyncs its frame under the log's
+// lock, so concurrent Appends take turns, one fsync each, and the accessors
+// (Stats, LSN, ...) wait out an fsync in flight.
 type Log struct {
 	path string
 	inj  *fault.Injector
 	rec  *trace.Recorder
 
-	mu      sync.Mutex
-	cond    *sync.Cond // broadcast when a sync round completes
-	f       *os.File
-	lsn     uint64 // last written (not necessarily synced) LSN
-	size    int64  // valid bytes written
-	written uint64 // last written LSN (== lsn)
-	synced  uint64 // last durable LSN
-	syncing bool   // an fsync is in flight
-	dead    bool   // injected crash: the "process" is gone
-	closed  bool
-	stats   Stats
+	mu     sync.Mutex
+	f      *os.File
+	lsn    uint64 // last written LSN
+	size   int64  // valid bytes written
+	dead   bool   // injected crash: the "process" is gone
+	closed bool
+	stats  Stats
 }
 
 // Open opens (creating if absent) the log at path, replays its committed
@@ -217,11 +212,9 @@ func Open(path string, opts Options) (*Log, []Batch, error) {
 		return nil, nil, err
 	}
 	l := &Log{path: path, inj: opts.Faults, rec: opts.Trace, f: f, size: int64(validLen)}
-	l.cond = sync.NewCond(&l.mu)
 	if n := len(batches); n > 0 {
 		l.lsn = batches[n-1].LSN
 	}
-	l.written, l.synced = l.lsn, l.lsn
 	l.stats.ReplayedBatches = int64(len(batches))
 	l.stats.TruncatedBytes = int64(len(data) - validLen)
 	l.span(trace.WALReplay, start)
@@ -269,21 +262,19 @@ func (l *Log) Dead() bool {
 	return l.dead
 }
 
-// Append frames ops, writes the record, and group-commits: it returns once
-// the record is durable (its own fsync or a concurrent appender's). The
-// returned LSN is the batch's commit version. Under an injected crash the
-// log goes dead and Append returns an error wrapping fault.ErrCrash; bytes
-// already written (a torn prefix, or a full record whose fsync crashed)
-// stay in the file for recovery to judge.
+// Append frames ops, writes the record and fsyncs it: it returns once the
+// record is durable. The returned LSN is the batch's commit version. Under
+// an injected crash the log goes dead and Append returns an error wrapping
+// fault.ErrCrash; bytes already written (a torn prefix, or a full record
+// whose fsync crashed) stay in the file for recovery to judge.
 func (l *Log) Append(ops []Op) (uint64, error) {
 	start := time.Now()
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return 0, ErrClosed
 	}
 	if l.dead {
-		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: log is dead after a crash: %w", fault.ErrCrash)
 	}
 	frame := AppendFrame(nil, l.lsn+1, ops)
@@ -292,7 +283,6 @@ func (l *Log) Append(ops []Op) (uint64, error) {
 	case fault.CrashBefore:
 		l.dead = true
 		l.stats.Crashes++
-		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: crash before append: %w", fault.ErrCrash)
 	case fault.CrashTorn:
 		// A strict prefix of the frame reaches the file, then the process
@@ -306,84 +296,37 @@ func (l *Log) Append(ops []Op) (uint64, error) {
 			n = len(frame) - 1
 		}
 		if _, err := l.f.Write(frame[:n]); err != nil {
-			l.mu.Unlock()
 			return 0, err
 		}
 		l.f.Sync()
 		l.dead = true
 		l.stats.Crashes++
-		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: crash mid-record (%d/%d bytes): %w", n, len(frame), fault.ErrCrash)
 	}
 	if _, err := l.f.Write(frame); err != nil {
-		l.mu.Unlock()
 		return 0, err
 	}
+	// The frame is in the file: its LSN is taken whether or not the fsync
+	// below succeeds, so the next append never reuses it.
 	l.lsn++
-	l.written = l.lsn
 	l.size += int64(len(frame))
 	l.stats.Appends++
 	l.stats.AppendedBytes += int64(len(frame))
-	lsn := l.lsn
 	l.span(trace.WALAppend, start)
-	err := l.syncLocked(lsn)
-	l.mu.Unlock()
-	return lsn, err
-}
 
-// Sync forces durability of everything written so far.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	// An injected crash here models dying during the fsync: the bytes are
+	// durable (we fsync anyway, deterministically) but no ack returns.
+	crash := l.inj.WALSyncPoint()
+	start = time.Now()
+	err := l.f.Sync()
+	l.stats.Fsyncs++
+	l.span(trace.WALFsync, start)
+	if crash {
+		l.dead = true
+		l.stats.Crashes++
+		err = fmt.Errorf("wal: crash during fsync: %w", fault.ErrCrash)
 	}
-	return l.syncLocked(l.written)
-}
-
-// syncLocked blocks until LSN lsn is durable, performing the fsync itself
-// if no other appender is already flushing past it. Callers hold l.mu.
-func (l *Log) syncLocked(lsn uint64) error {
-	for {
-		if l.dead {
-			return fmt.Errorf("wal: crash during fsync: %w", fault.ErrCrash)
-		}
-		if l.synced >= lsn {
-			return nil
-		}
-		if l.syncing {
-			// Another appender's fsync will cover this record: group commit.
-			l.stats.GroupCommits++
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		target := l.written
-		crash := l.inj.WALSyncPoint()
-		start := time.Now()
-		var err error
-		l.mu.Unlock()
-		// The write already reached the file; fsync only orders it. An
-		// injected crash here models dying during the fsync: the bytes are
-		// durable (we fsync anyway, deterministically) but no ack returns.
-		syncErr := l.f.Sync()
-		l.mu.Lock()
-		l.syncing = false
-		l.stats.Fsyncs++
-		l.synced = target
-		l.span(trace.WALFsync, start)
-		if crash {
-			l.dead = true
-			l.stats.Crashes++
-			err = fmt.Errorf("wal: crash during fsync: %w", fault.ErrCrash)
-		} else if syncErr != nil {
-			err = syncErr
-		}
-		l.cond.Broadcast()
-		if err != nil {
-			return err
-		}
-	}
+	return l.lsn, err
 }
 
 // Close syncs and closes the file. A dead log closes without syncing (the
