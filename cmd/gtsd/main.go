@@ -4,10 +4,10 @@
 // cache.
 //
 // Its flags configure the daemon only. A graph's machine — GPUs, streams,
-// strategy, storage, host page pool, direction, faults — lives in its load
-// document (service.LoadRequest), the same JSON whether it is PUT at runtime
-// or named with -load name=@file.json at startup; -load name=spec is the
-// document with only its spec. Usage, with big.json holding
+// strategy, storage, host page pool, faults, write-ahead log — lives in its
+// load document (service.LoadRequest), the same JSON whether it is PUT at
+// runtime or named with -load name=@file.json at startup; -load name=spec is
+// the document with only its spec. Usage, with big.json holding
 // {"spec":"rmat30.gts","gpus":2,"storage":"ssd","pool_bytes":268435456}:
 //
 //	gtsd -listen :8090 -load social=Twitter@12 -load web=UK2007@12

@@ -3,10 +3,11 @@
 // engine — max-label propagation, which finds each weakly-connected
 // component's highest vertex ID — and runs it through gts.RunKernel.
 //
-// A kernel supplies a small-page and a large-page variant (slotted pages
-// store low-degree vertices many-per-page and high-degree vertices across
-// page runs), reports its simulated GPU cycles, and defines how per-GPU
-// state replicas merge under Strategy-P.
+// A kernel supplies one page kernel, reports its simulated GPU cycles, and
+// defines how per-GPU state replicas merge under Strategy-P. Slotted pages
+// store low-degree vertices many per small page and a high-degree vertex
+// across a run of large pages; a large page is a page with one slot, its
+// vertex, whose record holds the page's part of that vertex's adjacency.
 package main
 
 import (
@@ -30,7 +31,6 @@ type maxState struct {
 }
 
 func (s *maxState) WABytes() int64 { return int64(len(s.prev)) * 8 }
-func (s *maxState) RABytes() int64 { return 0 }
 func (s *maxState) Clone() gts.KernelState {
 	return &maxState{
 		prev: append([]uint32(nil), s.prev...),
@@ -38,7 +38,6 @@ func (s *maxState) Clone() gts.KernelState {
 	}
 }
 
-func (k *maxLabel) Name() string           { return "MaxLabel" }
 func (k *maxLabel) Class() gts.KernelClass { return gts.PageRankLike }
 func (k *maxLabel) RAPerVertex() int64     { return 0 }
 
@@ -57,10 +56,10 @@ func (k *maxLabel) Init(st gts.KernelState, _ uint64) {
 
 func (k *maxLabel) BeginLevel([]gts.KernelState, int32) {}
 
-// RunSP is the small-page kernel: one warp per slot, pushing labels along
-// the page's adjacency entries in both directions. Slot i of a small page
-// is vertex StartVID + i.
-func (k *maxLabel) RunSP(a *gts.KernelArgs) gts.KernelResult {
+// Run is the kernel's K_SP and K_LP, the paper's user-defined page kernel:
+// one warp per slot, pushing labels along the page's adjacency entries in
+// both directions. Slot i is vertex StartVID + i.
+func (k *maxLabel) Run(a *gts.KernelArgs) gts.KernelResult {
 	s := a.State.(*maxState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	var res gts.KernelResult
@@ -69,18 +68,6 @@ func (k *maxLabel) RunSP(a *gts.KernelArgs) gts.KernelResult {
 		pos, end, _ := dec.Record(buf, slot)
 		k.push(a, s, vid, pos, end, &res)
 	}
-	return res
-}
-
-// RunLP is the large-page kernel: the page holds one hub's partial
-// adjacency in its only slot.
-func (k *maxLabel) RunLP(a *gts.KernelArgs) gts.KernelResult {
-	s := a.State.(*maxState)
-	dec := a.Graph.Decoder()
-	var res gts.KernelResult
-	res.Cycles += 20
-	pos, end, _ := dec.Record(a.Page.Bytes(), 0)
-	k.push(a, s, dec.StartVID(a.PID), pos, end, &res)
 	return res
 }
 

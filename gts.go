@@ -718,11 +718,11 @@ func (s *System) CrossEdges(side func(v uint64) bool) (*CrossEdgesResult, error)
 }
 
 // Kernel is the user-defined algorithm interface of the paper's framework:
-// a pair of page kernels (small-page and large-page variants, Appendix B)
-// plus state management. Implement it to run custom algorithms on the GTS
-// machinery — see examples/customkernel. The five built-in algorithms and
-// the extension kernels in internal/kernels are implementations of this
-// same interface.
+// one page kernel, run on small and large pages alike (a large page is a
+// page with one slot, its vertex), plus state management. Implement it to
+// run custom algorithms on the GTS machinery — see examples/customkernel.
+// The five built-in algorithms and the extension kernels in
+// internal/kernels are implementations of this same interface.
 type Kernel = kernels.Kernel
 
 // KernelArgs carries one page-kernel invocation's inputs.

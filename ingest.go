@@ -136,9 +136,6 @@ func (m *MutableGraph) ReplayedBatches() int { return m.replayed }
 // WALStats snapshots the underlying log's counters.
 func (m *MutableGraph) WALStats() WALStats { return m.log.Stats() }
 
-// WALPath returns the log's file path.
-func (m *MutableGraph) WALPath() string { return m.log.Path() }
-
 // Dead reports whether an injected crash killed the ingest path.
 func (m *MutableGraph) Dead() bool { return m.dead.Load() }
 

@@ -219,14 +219,3 @@ func New(spec hw.MachineSpec, graph *slottedpage.Graph, opts Options) (*Engine, 
 
 // Graph returns the engine's graph.
 func (e *Engine) Graph() *slottedpage.Graph { return e.graph }
-
-// expandLPRun adds every page of the LP run starting at pid (kernels mark
-// only a large vertex's first page — its home RID).
-func (e *Engine) expandLPRun(set pidSet, pid slottedpage.PageID) {
-	owner := e.graph.RVT(pid).StartVID
-	for p := pid; int(p) < e.graph.NumPages() &&
-		e.graph.Kind(p) == slottedpage.LargePage &&
-		e.graph.RVT(p).StartVID == owner; p++ {
-		set.Set(int(p))
-	}
-}

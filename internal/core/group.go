@@ -400,11 +400,7 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 	m.backKernel, m.wantBackward = m.k.(kernels.BackwardKernel)
 	m.next = m.getPidSet()
 	if m.bfsLike {
-		home := g.HomeOf(m.eng.opts.Source)
-		m.next.Set(int(home.PID))
-		if g.Kind(home.PID) == slottedpage.LargePage {
-			m.eng.expandLPRun(m.next, home.PID)
-		}
+		kernels.MarkVertexPages(g, m.eng.opts.Source, m.next, true)
 		// A planning kernel owns its frontier: replace the seed with the
 		// level-0 plan (direction choice + exact page set).
 		m.planLevel(0, m.next)
@@ -560,7 +556,11 @@ func (d *driver) runPage(gpu int, pid slottedpage.PageID, dem []demand) {
 	for i := range dem {
 		if m := dem[i].m; !grouped || m.lane < 0 {
 			d.args.State, d.args.Level, d.args.NextPIDs = m.states[rep], m.curLevel, m.locals[gpu]
-			dem[i].res = runKernel(m.k, &d.args, m.backward)
+			if m.backward {
+				dem[i].res = m.backKernel.RunBack(&d.args)
+			} else {
+				dem[i].res = m.k.Run(&d.args)
+			}
 		}
 	}
 }
@@ -792,7 +792,7 @@ func (d *driver) endWave(p *sim.Proc, m *member) {
 		g := m.eng.graph
 		merged.ForEach(func(pid int) {
 			if g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage {
-				m.eng.expandLPRun(merged, slottedpage.PageID(pid))
+				kernels.MarkVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, merged, true)
 			}
 		})
 		// A planning kernel rebuilds the next frontier itself — this must

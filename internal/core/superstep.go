@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/hw"
-	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/slottedpage"
 	"repro/internal/trace"
@@ -69,24 +68,6 @@ func streamProcName(gpu, stream int) string {
 		return streamProcNames[gpu][stream]
 	}
 	return fmt.Sprintf("gpu%d/stream%d", gpu, stream)
-}
-
-// runKernel is the one dispatch of a page-kernel execution onto k's four
-// entry points, by a.Page's kind and the sweep direction. The kernel mutates
-// the GPU's attribute state and next-page set.
-func runKernel(k kernels.Kernel, a *kernels.Args, backward bool) kernels.Result {
-	isLP := a.Graph.Kind(a.PID) == slottedpage.LargePage
-	if backward {
-		bk := k.(kernels.BackwardKernel)
-		if isLP {
-			return bk.RunLPBack(a)
-		}
-		return bk.RunSPBack(a)
-	}
-	if isLP {
-		return k.RunLP(a)
-	}
-	return k.RunSP(a)
 }
 
 // streamCopy moves n bytes to the GPU in streaming mode with bounded

@@ -48,7 +48,6 @@ type IncBFS struct {
 type incBFSState struct{ lv []int16 }
 
 func (s *incBFSState) WABytes() int64 { return int64(len(s.lv)) * 2 }
-func (s *incBFSState) RABytes() int64 { return 0 }
 func (s *incBFSState) Clone() kernels.State {
 	c := &incBFSState{lv: make([]int16, len(s.lv))}
 	copy(c.lv, s.lv)
@@ -148,9 +147,6 @@ func PlanBFS(g *slottedpage.Graph, e *Entry, d Delta) (*IncBFS, string) {
 	return k, ""
 }
 
-// Name implements Kernel.
-func (k *IncBFS) Name() string { return "IncBFS" }
-
 // Class implements Kernel: incremental BFS streams only affected pages.
 func (k *IncBFS) Class() kernels.Class { return kernels.BFSLike }
 
@@ -209,8 +205,9 @@ func (k *IncBFS) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kerne
 	return kernels.DirNone
 }
 
-// RunSP implements the small-page kernel: expand pending frontier slots.
-func (k *IncBFS) RunSP(a *kernels.Args) kernels.Result {
+// Run implements the page kernel, K_BFS_SP and K_BFS_LP (Algorithms 2 and
+// 3) over the pending frontier: expand the page's frontier slots.
+func (k *IncBFS) Run(a *kernels.Args) kernels.Result {
 	s := a.State.(*incBFSState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -226,22 +223,6 @@ func (k *IncBFS) RunSP(a *kernels.Args) kernels.Result {
 	}
 	res.Edges = edges
 	res.Cycles = k.cost.cycles(int64(n), edges)
-	return res
-}
-
-// RunLP implements the large-page kernel.
-func (k *IncBFS) RunLP(a *kernels.Args) kernels.Result {
-	s := a.State.(*incBFSState)
-	dec := a.Graph.Decoder()
-	var res kernels.Result
-	var edges int64
-	if k.front.Get(int(dec.StartVID(a.PID))) {
-		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-		edges = int64(deg)
-		k.expand(a, s, pos, end, &res)
-	}
-	res.Edges = edges
-	res.Cycles = k.cost.cycles(1, edges)
 	return res
 }
 

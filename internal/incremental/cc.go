@@ -41,7 +41,6 @@ type incCCState struct {
 }
 
 func (s *incCCState) WABytes() int64 { return int64(len(s.prev)) * 8 }
-func (s *incCCState) RABytes() int64 { return 0 }
 func (s *incCCState) Clone() kernels.State {
 	c := &incCCState{prev: make([]uint32, len(s.prev)), next: make([]uint32, len(s.next))}
 	copy(c.prev, s.prev)
@@ -99,9 +98,6 @@ func PlanCC(g *slottedpage.Graph, e *Entry, d Delta) (*IncCC, string) {
 	}
 	return k, ""
 }
-
-// Name implements Kernel.
-func (k *IncCC) Name() string { return "IncCC" }
 
 // Class implements Kernel: frontier-driven, unlike the full-scan CC.
 func (k *IncCC) Class() kernels.Class { return kernels.BFSLike }
@@ -163,9 +159,9 @@ func (k *IncCC) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernel
 	return kernels.DirPush
 }
 
-// RunSP relaxes labels for scan-set slots, both directions, exactly as the
-// full CC's propagate does.
-func (k *IncCC) RunSP(a *kernels.Args) kernels.Result {
+// Run is IncCC's K_SP and K_LP: relax labels for the page's scan-set slots,
+// both directions, exactly as the full CC's page kernel does.
+func (k *IncCC) Run(a *kernels.Args) kernels.Result {
 	s := a.State.(*incCCState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -181,23 +177,6 @@ func (k *IncCC) RunSP(a *kernels.Args) kernels.Result {
 	}
 	res.Edges = edges
 	res.Cycles = k.cost.cycles(int64(n), edges)
-	return res
-}
-
-// RunLP relaxes one large vertex's page-local adjacency.
-func (k *IncCC) RunLP(a *kernels.Args) kernels.Result {
-	s := a.State.(*incCCState)
-	dec := a.Graph.Decoder()
-	vid := dec.StartVID(a.PID)
-	var res kernels.Result
-	var edges int64
-	if k.scan.Get(int(vid)) {
-		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-		edges = int64(deg)
-		k.propagate(a, s, vid, pos, end, &res)
-	}
-	res.Edges = edges
-	res.Cycles = k.cost.cycles(1, edges)
 	return res
 }
 

@@ -40,8 +40,7 @@ func buildLPSpec(t testing.TB) string {
 
 // TestLargePageDeltaExpansion runs the full differential check on a graph
 // with large-page vertices: a bridge insert pulls hub B onto every
-// kernel's frontier, so the LP streaming paths (RunLP) execute for both
-// algorithms.
+// kernel's frontier, so both page kernels run on large pages.
 func TestLargePageDeltaExpansion(t *testing.T) {
 	spec := buildLPSpec(t)
 	h := newHarness(t, spec)
@@ -113,22 +112,19 @@ func TestKernelSurface(t *testing.T) {
 	kb, kc := planFixpoint(t, g, o)
 
 	for _, k := range []gts.Kernel{kb, kc} {
-		if k.Name() == "" {
-			t.Fatal("empty kernel name")
-		}
 		if k.Class() != kernels.BFSLike {
-			t.Fatalf("%s: incremental kernels must be frontier-class", k.Name())
+			t.Fatalf("%T: incremental kernels must be frontier-class", k)
 		}
 		if k.RAPerVertex() != 0 {
-			t.Fatalf("%s: unexpected RA vector", k.Name())
+			t.Fatalf("%T: unexpected RA vector", k)
 		}
 		k.BeginLevel(nil, 0)
 		if k.EndIteration(nil, true) {
-			t.Fatalf("%s: EndIteration must defer termination to the planner", k.Name())
+			t.Fatalf("%T: EndIteration must defer termination to the planner", k)
 		}
 		st := k.NewState()
-		if st.RABytes() != 0 || st.WABytes() == 0 {
-			t.Fatalf("%s: state byte accounting (RA=%d WA=%d)", k.Name(), st.RABytes(), st.WABytes())
+		if st.WABytes() == 0 {
+			t.Fatalf("%T: state byte accounting (WA=%d)", k, st.WABytes())
 		}
 	}
 
@@ -236,13 +232,7 @@ func TestOwnershipBounds(t *testing.T) {
 			pid := slottedpage.PageID(i)
 			args := kernels.Args{Graph: g, PID: pid, Page: g.Page(pid), State: st,
 				OwnedLo: 0, OwnedHi: 0}
-			var res kernels.Result
-			if g.Kind(pid) == slottedpage.LargePage {
-				res = k.RunLP(&args)
-			} else {
-				res = k.RunSP(&args)
-			}
-			updates += res.Updates
+			updates += k.Run(&args).Updates
 		})
 		if updates != 0 {
 			t.Fatalf("%s: %d updates landed outside the owned range", name, updates)

@@ -30,7 +30,6 @@ type bcState struct {
 }
 
 func (s *bcState) WABytes() int64 { return int64(len(s.dist)) * (2 + 8 + 8) }
-func (s *bcState) RABytes() int64 { return 0 }
 func (s *bcState) Clone() State {
 	c := &bcState{
 		dist:      append([]int16(nil), s.dist...),
@@ -41,9 +40,6 @@ func (s *bcState) Clone() State {
 	}
 	return c
 }
-
-// Name implements Kernel.
-func (k *BC) Name() string { return "BC" }
 
 // Class implements Kernel.
 func (k *BC) Class() Class { return BFSLike }
@@ -90,9 +86,9 @@ func (k *BC) BeginLevel(sts []State, _ int32) {
 // level by BeginLevel; nothing else to prepare).
 func (k *BC) BeginBackward([]State, int32) {}
 
-// RunSP is the forward kernel: discover neighbors and accumulate shortest-
-// path counts across frontier edges.
-func (k *BC) RunSP(a *Args) Result {
+// Run is BC's forward K_SP and K_LP (Appendix D): discover neighbors and
+// accumulate shortest-path counts across frontier edges.
+func (k *BC) Run(a *Args) Result {
 	s := a.State.(*bcState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -110,23 +106,6 @@ func (k *BC) RunSP(a *Args) Result {
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
-}
-
-// RunLP is the forward kernel for a large vertex's page-local adjacency.
-func (k *BC) RunLP(a *Args) Result {
-	s := a.State.(*bcState)
-	dec := a.Graph.Decoder()
-	vid := dec.StartVID(a.PID)
-	var lanes laneAcc
-	var res Result
-	if s.dist[vid] == int16(a.Level) {
-		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-		lanes.add(deg)
-		k.forward(a, s, vid, pos, end, int16(a.Level), &res)
-	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
@@ -149,10 +128,10 @@ func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16,
 	}
 }
 
-// RunSPBack is the backward kernel: vertices at the current level pull
+// RunBack is BC's backward K_SP and K_LP: vertices at the current level pull
 // dependencies from their successors one level deeper (Brandes'
 // delta(v) = sum over successors w of sigma(v)/sigma(w) * (1 + delta(w))).
-func (k *BC) RunSPBack(a *Args) Result {
+func (k *BC) RunBack(a *Args) Result {
 	s := a.State.(*bcState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -171,24 +150,6 @@ func (k *BC) RunSPBack(a *Args) Result {
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
-}
-
-// RunLPBack is the backward kernel for a large vertex's page-local
-// adjacency.
-func (k *BC) RunLPBack(a *Args) Result {
-	s := a.State.(*bcState)
-	dec := a.Graph.Decoder()
-	vid := dec.StartVID(a.PID)
-	var lanes laneAcc
-	var res Result
-	if s.dist[vid] == int16(a.Level) && a.owns(vid) {
-		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-		lanes.add(deg)
-		k.backward(a, s, vid, pos, end, int16(a.Level), &res)
-	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 

@@ -35,20 +35,24 @@ func BenchmarkPageKernels(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
 	})
-	for _, mk := range []func() Kernel{
-		func() Kernel { return NewBFS(sp) },
-		func() Kernel { return NewSSSP(sp) },
-		func() Kernel { return NewDirBFS(sp) },
-		func() Kernel { return NewPageRank(sp, 0.85, 1) },
-		func() Kernel { return NewCC(sp) },
-		func() Kernel { return NewBC(sp) },
-		func() Kernel { return NewCrossEdges(sp, func(v uint64) bool { return v&1 == 0 }) },
-		func() Kernel { return NewRWR(sp, 0.15, 1) },
-		func() Kernel { return NewDegreeDist(sp) },
-		func() Kernel { return NewKCore(sp, 3) },
-		func() Kernel { return NewRadius(sp, 4, 3) },
+	for _, kc := range []struct {
+		name string
+		mk   func() Kernel
+	}{
+		{"BFS", func() Kernel { return NewBFS(sp) }},
+		{"SSSP", func() Kernel { return NewSSSP(sp) }},
+		{"BFS-diropt", func() Kernel { return NewDirBFS(sp) }},
+		{"PageRank", func() Kernel { return NewPageRank(sp, 0.85, 1) }},
+		{"CC", func() Kernel { return NewCC(sp) }},
+		{"BC", func() Kernel { return NewBC(sp) }},
+		{"CrossEdges", func() Kernel { return NewCrossEdges(sp, func(v uint64) bool { return v&1 == 0 }) }},
+		{"RWR", func() Kernel { return NewRWR(sp, 0.15, 1) }},
+		{"DegreeDist", func() Kernel { return NewDegreeDist(sp) }},
+		{"KCore", func() Kernel { return NewKCore(sp, 3) }},
+		{"Radius", func() Kernel { return NewRadius(sp, 4, 3) }},
 	} {
-		b.Run(mk().Name(), func(b *testing.B) {
+		mk := kc.mk
+		b.Run(kc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var edges int64
 			for i := 0; i < b.N; i++ {
@@ -131,11 +135,7 @@ func driveGroup(g *slottedpage.Graph, sources []uint64, grouped bool) (edges int
 			if !group.Run(&a, 0, lanes) {
 				for _, m := range dem {
 					a.State, a.Level, a.NextPIDs = m.st, m.level, m.local
-					if g.Kind(a.PID) == slottedpage.LargePage {
-						m.res = m.k.RunLP(&a)
-					} else {
-						m.res = m.k.RunSP(&a)
-					}
+					m.res = m.k.Run(&a)
 				}
 			}
 			for _, m := range dem {

@@ -40,15 +40,11 @@ type bfsState struct {
 }
 
 func (s *bfsState) WABytes() int64 { return int64(len(s.lv)) * 2 }
-func (s *bfsState) RABytes() int64 { return 0 }
 func (s *bfsState) Clone() State {
 	c := &bfsState{lv: make([]int16, len(s.lv))}
 	copy(c.lv, s.lv)
 	return c
 }
-
-// Name implements Kernel.
-func (k *BFS) Name() string { return "BFS" }
 
 // Class implements Kernel: BFS streams only frontier pages.
 func (k *BFS) Class() Class { return BFSLike }
@@ -73,10 +69,11 @@ func (k *BFS) Init(st State, source uint64) {
 // BeginLevel implements Kernel (no per-level preparation).
 func (k *BFS) BeginLevel([]State, int32) {}
 
-// RunSP implements K_BFS_SP (Algorithm 2): each warp takes one slot; if the
-// vertex is on the current frontier its adjacency expands, discovering
-// unvisited neighbors and marking their pages in the local nextPIDSet.
-func (k *BFS) RunSP(a *Args) Result {
+// Run implements K_BFS_SP and K_BFS_LP (Algorithms 2 and 3): each warp
+// takes one slot; if the vertex is on the current frontier its adjacency (on
+// a large page, the page's part of it) expands, discovering unvisited
+// neighbors and marking their pages in the local nextPIDSet.
+func (k *BFS) Run(a *Args) Result {
 	s := a.State.(*bfsState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -93,23 +90,6 @@ func (k *BFS) RunSP(a *Args) Result {
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
-}
-
-// RunLP implements K_BFS_LP (Algorithm 3): the page holds one frontier
-// vertex's partial adjacency, expanded by many warps together.
-func (k *BFS) RunLP(a *Args) Result {
-	s := a.State.(*bfsState)
-	dec := a.Graph.Decoder()
-	var res Result
-	var lanes laneAcc
-	if s.lv[dec.StartVID(a.PID)] == int16(a.Level) {
-		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-		lanes.add(deg)
-		k.expand(a, s, pos, end, int16(a.Level), &res)
-	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 

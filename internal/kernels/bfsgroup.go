@@ -16,7 +16,7 @@ import (
 // a filter, never the truth — a clear bit sends the lane to its own lv[v],
 // the solo kernel's test — so the one rule is that a lane's column is
 // cleared before the lane has a new owner. Each lane gets its own Result by
-// BFS.RunSP/RunLP's arithmetic in the same order, and marks pages as its
+// BFS.Run's arithmetic in the same order, and marks pages as its
 // own kernel does, so its virtual time is what it is alone. The zero value
 // is ready.
 type BFSGroup struct {

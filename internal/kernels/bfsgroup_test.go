@@ -118,19 +118,13 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 						return &Args{Graph: g, PID: slottedpage.PageID(pid), Page: g.Page(slottedpage.PageID(pid)),
 							State: st, Level: level, OwnedLo: sc.ownedLo, OwnedHi: sc.ownedHi, Tech: sc.tech, NextPIDs: loc}
 					}
-					run := func(k *BFS, a *Args) Result {
-						if kind == slottedpage.LargePage {
-							return k.RunLP(a)
-						}
-						return k.RunSP(a)
-					}
 					var lanes []BFSLane
 					for _, m := range dem {
-						m.sepRes = run(m.sep, args(m.sepSt[r], m.level, m.sepLoc[r]))
+						m.sepRes = m.sep.Run(args(m.sepSt[r], m.level, m.sepLoc[r]))
 						if len(dem) == 1 {
 							// A page with one demander runs the solo kernel and
 							// tells seen nothing.
-							m.grpRes = run(m.grp, args(m.grpSt[r], m.level, m.grpLoc[r]))
+							m.grpRes = m.grp.Run(args(m.grpSt[r], m.level, m.grpLoc[r]))
 						}
 						lanes = append(lanes, BFSLane{Lane: m.lane, State: m.grpSt[r], Level: m.level, NextPIDs: m.grpLoc[r], Res: &m.grpRes})
 					}

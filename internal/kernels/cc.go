@@ -26,16 +26,12 @@ type ccState struct {
 }
 
 func (s *ccState) WABytes() int64 { return int64(len(s.prev)) * 8 }
-func (s *ccState) RABytes() int64 { return 0 }
 func (s *ccState) Clone() State {
 	c := &ccState{prev: make([]uint32, len(s.prev)), next: make([]uint32, len(s.next))}
 	copy(c.prev, s.prev)
 	copy(c.next, s.next)
 	return c
 }
-
-// Name implements Kernel.
-func (k *CC) Name() string { return "CC" }
 
 // Class implements Kernel.
 func (k *CC) Class() Class { return PageRankLike }
@@ -61,10 +57,10 @@ func (k *CC) Init(st State, _ uint64) {
 // BeginLevel implements Kernel.
 func (k *CC) BeginLevel([]State, int32) {}
 
-// RunSP propagates labels across each edge in both directions: the
-// neighbor inherits the vertex's label and vice versa, whichever is
-// smaller.
-func (k *CC) RunSP(a *Args) Result {
+// Run is CC's K_SP and K_LP (Appendix D): propagate labels across each edge
+// in both directions — the neighbor inherits the vertex's label and vice
+// versa, whichever is smaller.
+func (k *CC) Run(a *Args) Result {
 	s := a.State.(*ccState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -77,20 +73,6 @@ func (k *CC) RunSP(a *Args) Result {
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
-}
-
-// RunLP propagates labels for one large vertex's page-local adjacency.
-func (k *CC) RunLP(a *Args) Result {
-	s := a.State.(*ccState)
-	dec := a.Graph.Decoder()
-	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-	var lanes laneAcc
-	lanes.add(deg)
-	var res Result
-	k.propagate(a, s, dec.StartVID(a.PID), pos, end, &res)
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 

@@ -24,13 +24,9 @@ type crossState struct {
 }
 
 func (s *crossState) WABytes() int64 { return int64(len(s.count)) * 8 }
-func (s *crossState) RABytes() int64 { return 0 }
 func (s *crossState) Clone() State {
 	return &crossState{count: append([]int64(nil), s.count...)}
 }
-
-// Name implements Kernel.
-func (k *CrossEdges) Name() string { return "CrossEdges" }
 
 // Class implements Kernel.
 func (k *CrossEdges) Class() Class { return PageRankLike }
@@ -54,8 +50,9 @@ func (k *CrossEdges) Init(st State, _ uint64) {
 // BeginLevel implements Kernel.
 func (k *CrossEdges) BeginLevel([]State, int32) {}
 
-// RunSP tallies crossing edges for the page's vertices.
-func (k *CrossEdges) RunSP(a *Args) Result {
+// Run is the cross-edge count's K_SP and K_LP (§3.3): tally crossing edges
+// for the page's vertices.
+func (k *CrossEdges) Run(a *Args) Result {
 	s := a.State.(*crossState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -68,21 +65,6 @@ func (k *CrossEdges) RunSP(a *Args) Result {
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
-	return res
-}
-
-// RunLP tallies one large vertex's page-local adjacency.
-func (k *CrossEdges) RunLP(a *Args) Result {
-	s := a.State.(*crossState)
-	dec := a.Graph.Decoder()
-	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-	var lanes laneAcc
-	lanes.add(deg)
-	var res Result
-	k.tally(a, s, dec.StartVID(a.PID), pos, end, &res)
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	res.Active = true
 	return res
 }

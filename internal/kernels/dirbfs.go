@@ -7,8 +7,8 @@ import (
 
 // DirBFS is the direction-optimizing variant of BFS, and the BFS gts.System
 // and the service run: a FrontierKernel that plans each level as either
-// sparse push (frontier vertices expand their out-edges, exactly
-// K_BFS_SP/LP) or dense pull (unvisited vertices scan their in-edges and
+// sparse push (frontier vertices expand their out-edges, as K_BFS_SP and
+// K_BFS_LP do) or dense pull (unvisited vertices scan their in-edges and
 // stop at the first frontier parent), switching on frontier-edge density
 // with the Beamer-style threshold the Ligra baseline uses
 // (internal/baselines/cpu/ligra.go): pull when the frontier's summed
@@ -66,9 +66,6 @@ func (k *DirBFS) SetMode(m DirMode) { k.mode = m }
 // Mode reports the planning mode.
 func (k *DirBFS) Mode() DirMode { return k.mode }
 
-// Name implements Kernel.
-func (k *DirBFS) Name() string { return "BFS-diropt" }
-
 // PlanLevel implements FrontierKernel: price the frontier (vertices at
 // `level`), pick a direction, and rebuild next as exactly the pages that
 // direction streams — frontier home pages (with LP runs) for push, the
@@ -118,25 +115,18 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 	return dir
 }
 
-// RunSP implements Kernel, dispatching on the planned direction.
-func (k *DirBFS) RunSP(a *Args) Result {
+// Run is DirBFS's K_SP and K_LP, dispatching on the planned direction: push
+// is K_BFS_SP and K_BFS_LP (Algorithms 2 and 3), pull its dense reverse.
+func (k *DirBFS) Run(a *Args) Result {
 	if k.dir == DirPull {
-		return k.pullSP(a)
+		return k.pull(a)
 	}
-	return k.pushSP(a)
+	return k.push(a)
 }
 
-// RunLP implements Kernel.
-func (k *DirBFS) RunLP(a *Args) Result {
-	if k.dir == DirPull {
-		return k.pullLP(a)
-	}
-	return k.pushLP(a)
-}
-
-// pushSP is K_BFS_SP with fused filtering: discoveries are committed
-// without marking NextPIDs.
-func (k *DirBFS) pushSP(a *Args) Result {
+// push is K_BFS_SP and K_BFS_LP with fused filtering: discoveries are
+// committed without marking NextPIDs.
+func (k *DirBFS) push(a *Args) Result {
 	s := a.State.(*bfsState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -152,21 +142,6 @@ func (k *DirBFS) pushSP(a *Args) Result {
 		k.expand(a, s, pos, end, level, &res)
 	}
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
-}
-
-// pushLP is K_BFS_LP with the same fused filtering.
-func (k *DirBFS) pushLP(a *Args) Result {
-	s := a.State.(*bfsState)
-	dec := a.Graph.Decoder()
-	var lanes laneAcc
-	var res Result
-	if s.lv[dec.StartVID(a.PID)] == int16(a.Level) {
-		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-		lanes.add(deg)
-		k.expand(a, s, pos, end, int16(a.Level), &res)
-	}
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 
@@ -187,11 +162,12 @@ func (k *DirBFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Re
 	}
 }
 
-// pullSP scans each unvisited owned vertex's in-edges, early-exiting at the
+// pull scans each unvisited owned vertex's in-edges, early-exiting at the
 // first parent on the frontier. Lane costs count only the scanned prefix.
 // It reads the level vector and the reverse CSR, never the page's bytes
-// beyond its slot count.
-func (k *DirBFS) pullSP(a *Args) Result {
+// beyond its slot count. A large vertex has only its home page planned in
+// pull mode, so its run's continuation pages never stream.
+func (k *DirBFS) pull(a *Args) Result {
 	s := a.State.(*bfsState)
 	n := a.Page.NumSlots()
 	start := a.Graph.Decoder().StartVID(a.PID)
@@ -204,21 +180,6 @@ func (k *DirBFS) pullSP(a *Args) Result {
 		}
 	}
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
-}
-
-// pullLP handles a large vertex: only its home page is planned in pull
-// mode (the scan reads the reverse CSR, not the page's out-edges), so the
-// LP run's continuation pages never stream.
-func (k *DirBFS) pullLP(a *Args) Result {
-	s := a.State.(*bfsState)
-	vid := a.Graph.Decoder().StartVID(a.PID)
-	var lanes laneAcc
-	var res Result
-	if s.lv[vid] == unvisited && a.owns(vid) {
-		k.pullVertex(a, s, vid, int16(a.Level), &lanes, &res)
-	}
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 

@@ -105,13 +105,13 @@ func TestMarkVertexPages(t *testing.T) {
 	}
 }
 
-// TestDirOptKernelMetadata pins the identity surface the engine and the
-// bench record key on.
+// TestDirOptKernelMetadata pins what the engine reads of DirBFS besides its
+// page kernel: its class and RA vector.
 func TestDirOptKernelMetadata(t *testing.T) {
 	_, sp := driverGraph(t)
 	bk := NewDirBFS(sp)
-	if bk.Name() != "BFS-diropt" || bk.Class() != BFSLike || bk.RAPerVertex() != 0 {
-		t.Errorf("DirBFS metadata: %q %v %d", bk.Name(), bk.Class(), bk.RAPerVertex())
+	if bk.Class() != BFSLike || bk.RAPerVertex() != 0 {
+		t.Errorf("DirBFS metadata: %v %d", bk.Class(), bk.RAPerVertex())
 	}
 	// Termination belongs to PlanLevel.
 	if bk.EndIteration(nil, true) {

@@ -34,12 +34,6 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 	numPages := g.NumPages()
 	bfsLike := k.Class() == BFSLike
 
-	expandLP := func(set *bitset.Set, pid slottedpage.PageID) {
-		owner := g.RVT(pid).StartVID
-		for p := pid; int(p) < numPages && g.Kind(p) == slottedpage.LargePage && g.RVT(p).StartVID == owner; p++ {
-			set.Set(int(p))
-		}
-	}
 	all := func() *bitset.Set {
 		s := bitset.New(numPages)
 		for i := 0; i < numPages; i++ {
@@ -49,11 +43,7 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 	}
 	next := bitset.New(numPages)
 	if bfsLike {
-		home := g.HomeOf(source)
-		next.Set(int(home.PID))
-		if g.Kind(home.PID) == slottedpage.LargePage {
-			expandLP(next, home.PID)
-		}
+		MarkVertexPages(g, source, next, true)
 	} else {
 		next = all()
 	}
@@ -73,30 +63,24 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 				NextPIDs: local,
 			}
 			var res Result
-			isLP := g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage
-			switch {
-			case backward && isLP:
-				res = k.(BackwardKernel).RunLPBack(a)
-			case backward:
-				res = k.(BackwardKernel).RunSPBack(a)
-			case isLP:
-				res = k.RunLP(a)
-			default:
-				res = k.RunSP(a)
+			if backward {
+				res = k.(BackwardKernel).RunBack(a)
+			} else {
+				res = k.Run(a)
 			}
 			if res.Active {
 				active = true
 			}
 			edges += res.Edges
 			if res.Cycles < 0 {
-				t.Fatalf("negative cycles from %s on page %d", k.Name(), pid)
+				t.Fatalf("negative cycles from %T on page %d", k, pid)
 			}
 		})
 		merged := bitset.New(numPages)
 		merged.Or(local)
 		merged.ForEach(func(pid int) {
 			if g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage {
-				expandLP(merged, slottedpage.PageID(pid))
+				MarkVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, merged, true)
 			}
 		})
 		return merged, active
@@ -339,7 +323,7 @@ func TestDriverTechniquesAgree(t *testing.T) {
 		home := sp.HomeOf(0)
 		a := &Args{Graph: sp, PID: home.PID, Page: sp.Page(home.PID), State: st,
 			OwnedLo: 0, OwnedHi: sp.NumVertices(), Tech: tech, NextPIDs: local}
-		res := k.RunSP(a)
+		res := k.Run(a)
 		if res.Cycles <= 0 {
 			t.Errorf("%v: no cycles", tech)
 		}

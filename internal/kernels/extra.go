@@ -38,7 +38,6 @@ type rwrState struct {
 }
 
 func (s *rwrState) WABytes() int64 { return int64(len(s.next)) * 4 }
-func (s *rwrState) RABytes() int64 { return int64(len(s.prev)) * 4 }
 func (s *rwrState) Clone() State {
 	c := &rwrState{
 		prev:   append([]float32(nil), s.prev...),
@@ -57,9 +56,6 @@ func (k *RWR) restartMass(v, src uint64) float32 {
 	}
 	return 0
 }
-
-// Name implements Kernel.
-func (k *RWR) Name() string { return "RWR" }
 
 // Class implements Kernel.
 func (k *RWR) Class() Class { return PageRankLike }
@@ -88,42 +84,31 @@ func (k *RWR) Init(st State, source uint64) {
 // BeginLevel implements Kernel.
 func (k *RWR) BeginLevel([]State, int32) {}
 
-// RunSP scatters (1-c) * prev[v]/deg(v) along out-edges.
-func (k *RWR) RunSP(a *Args) Result {
+// Run is RWR's K_SP and K_LP (§3.3): scatter (1-c) * prev[v]/deg(v) along
+// out-edges, dividing a large page's part by its vertex's total degree, as
+// PageRank's Run does.
+func (k *RWR) Run(a *Args) Result {
 	s := a.State.(*rwrState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
+	start := dec.StartVID(a.PID)
+	large := a.Graph.Kind(a.PID) == slottedpage.LargePage
 	var lanes laneAcc
 	var res Result
 	walk := float32(1 - k.restart)
-	for slot, pr := range s.prev[dec.StartVID(a.PID):][:n] {
+	for slot, pr := range s.prev[start:][:n] {
 		pos, end, deg := dec.Record(buf, slot)
 		lanes.add(deg)
 		if deg == 0 || pr == 0 {
 			continue
 		}
+		if large {
+			deg = k.lpDeg[start]
+		}
 		k.scatter(a, s, pos, end, walk*pr/float32(deg), &res)
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
-	return res
-}
-
-// RunLP scatters one large vertex's page-local portion.
-func (k *RWR) RunLP(a *Args) Result {
-	s := a.State.(*rwrState)
-	dec := a.Graph.Decoder()
-	vid := dec.StartVID(a.PID)
-	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-	var lanes laneAcc
-	lanes.add(deg)
-	var res Result
-	if s.prev[vid] != 0 {
-		k.scatter(a, s, pos, end, float32(1-k.restart)*s.prev[vid]/float32(k.lpDeg[vid]), &res)
-	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	res.Active = true
 	return res
 }
@@ -192,13 +177,9 @@ type degState struct {
 }
 
 func (s *degState) WABytes() int64 { return int64(len(s.deg)) * 4 }
-func (s *degState) RABytes() int64 { return 0 }
 func (s *degState) Clone() State {
 	return &degState{deg: append([]int32(nil), s.deg...)}
 }
-
-// Name implements Kernel.
-func (k *DegreeDist) Name() string { return "DegreeDist" }
 
 // Class implements Kernel.
 func (k *DegreeDist) Class() Class { return PageRankLike }
@@ -222,8 +203,10 @@ func (k *DegreeDist) Init(st State, _ uint64) {
 // BeginLevel implements Kernel.
 func (k *DegreeDist) BeginLevel([]State, int32) {}
 
-// RunSP records each slot's ADJLIST_SZ.
-func (k *DegreeDist) RunSP(a *Args) Result {
+// Run is the degree distribution's K_SP and K_LP (§3.3): add each slot's
+// ADJLIST_SZ to its vertex's degree, so the pages of a large vertex's run
+// sum to its total.
+func (k *DegreeDist) Run(a *Args) Result {
 	s := a.State.(*degState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -233,28 +216,11 @@ func (k *DegreeDist) RunSP(a *Args) Result {
 			continue
 		}
 		_, _, deg := dec.Record(buf, slot)
-		s.deg[vid] = int32(deg)
-		res.Updates++
-	}
-	var lanes laneAcc
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
-	return res
-}
-
-// RunLP accumulates an LP run's page-local counts.
-func (k *DegreeDist) RunLP(a *Args) Result {
-	s := a.State.(*degState)
-	dec := a.Graph.Decoder()
-	vid := dec.StartVID(a.PID)
-	var res Result
-	if a.owns(vid) {
-		_, _, deg := dec.Record(a.Page.Bytes(), 0)
 		s.deg[vid] += int32(deg)
 		res.Updates++
 	}
 	var lanes laneAcc
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
+	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
 	res.Active = true
 	return res
 }
@@ -330,16 +296,12 @@ type kcoreState struct {
 }
 
 func (s *kcoreState) WABytes() int64 { return int64(len(s.alive)) * (1 + 4) }
-func (s *kcoreState) RABytes() int64 { return 0 }
 func (s *kcoreState) Clone() State {
 	return &kcoreState{
 		alive: append([]bool(nil), s.alive...),
 		count: append([]int32(nil), s.count...),
 	}
 }
-
-// Name implements Kernel.
-func (k *KCore) Name() string { return "KCore" }
 
 // Class implements Kernel.
 func (k *KCore) Class() Class { return PageRankLike }
@@ -372,8 +334,9 @@ func (k *KCore) BeginLevel(sts []State, _ int32) {
 	}
 }
 
-// RunSP counts alive neighbors across each edge in both directions.
-func (k *KCore) RunSP(a *Args) Result {
+// Run is K-core's K_SP and K_LP (§3.3): count alive neighbors across each
+// edge in both directions.
+func (k *KCore) Run(a *Args) Result {
 	s := a.State.(*kcoreState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -386,21 +349,6 @@ func (k *KCore) RunSP(a *Args) Result {
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
-	return res
-}
-
-// RunLP counts one large vertex's page-local adjacency.
-func (k *KCore) RunLP(a *Args) Result {
-	s := a.State.(*kcoreState)
-	dec := a.Graph.Decoder()
-	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-	var lanes laneAcc
-	lanes.add(deg)
-	var res Result
-	k.tally(a, s, dec.StartVID(a.PID), pos, end, &res)
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	res.Active = true
 	return res
 }

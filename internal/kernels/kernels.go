@@ -1,7 +1,11 @@
 // Package kernels implements the GPU kernel functions of the paper's
-// Appendix B — K_BFS_SP/LP and K_PR_SP/LP — plus the additional algorithms
-// of Appendix D (SSSP, Connected Components, Betweenness Centrality), all
-// operating directly on slotted-page bytes.
+// Appendix B — BFS and PageRank — plus the additional algorithms of
+// Appendix D (SSSP, Connected Components, Betweenness Centrality), all
+// operating directly on slotted-page bytes. The paper writes each algorithm
+// as a small-page and a large-page kernel (K_SP and K_LP) because a GPU maps
+// the two page kinds to threads differently; this model prices both with the
+// same lane accounting, so each algorithm has one page kernel, and a large
+// page is a page with one slot, its vertex.
 //
 // Each kernel executes *functionally* (it really computes the algorithm, in
 // Go, against the attribute state) and *reports its cost* in model cycles,
@@ -140,9 +144,9 @@ func (c costParams) cycles(slots int64, l *laneAcc, tech Technique) float64 {
 // lines 16-26).
 //
 // A page kernel reads Page through Graph's decoder (slottedpage.Decoder) at
-// the point of use. A small page's slot i is vertex dec.StartVID(PID) + i —
-// the slot's VID field is never read — and a large page's only slot is
-// StartVID itself; dec.Record(buf, slot) gives the record's entries as
+// the point of use. Slot i is vertex dec.StartVID(PID) + i — the slot's VID
+// field is never read — and a large page has one slot, StartVID itself,
+// whose record is the page's part of that vertex's adjacency; dec.Record(buf, slot) gives the record's entries as
 // [pos, end) in steps of dec.Width(), and dec.VID(buf, pos) resolves one
 // entry to the neighbor's VID and home page inside the loop that uses them.
 // Nothing is decoded ahead of use, so a kernel call allocates nothing and a
@@ -187,17 +191,13 @@ type State interface {
 	// WABytes is the device-resident (read/write) attribute footprint —
 	// what the paper's Table 4 tabulates.
 	WABytes() int64
-	// RABytes is the streamed read-only attribute footprint (0 for
-	// algorithms without an RA vector).
-	RABytes() int64
 	// Clone returns an independent deep copy.
 	Clone() State
 }
 
-// Kernel is one graph algorithm's pair of page kernels plus its state
-// management, the unit the GTS framework (internal/core) schedules.
+// Kernel is one graph algorithm's page kernel plus its state management,
+// the unit the GTS framework (internal/core) schedules.
 type Kernel interface {
-	Name() string
 	Class() Class
 	// NewState allocates zeroed attribute state for the kernel's graph.
 	NewState() State
@@ -207,9 +207,8 @@ type Kernel interface {
 	// RAPerVertex is the per-vertex size of the streamed read-only
 	// attribute subvector accompanying each page (0 if none).
 	RAPerVertex() int64
-	// RunSP and RunLP are the small-page and large-page kernels.
-	RunSP(a *Args) Result
-	RunLP(a *Args) Result
+	// Run is the page kernel, for small and large pages alike.
+	Run(a *Args) Result
 	// BeginLevel runs on each GPU's replica set at the start of a
 	// level/iteration (before any page kernel).
 	BeginLevel(sts []State, level int32)
@@ -232,9 +231,8 @@ type Kernel interface {
 type BackwardKernel interface {
 	// BeginBackward runs once between the phases.
 	BeginBackward(sts []State, maxLevel int32)
-	// RunSPBack and RunLPBack are the backward-phase page kernels.
-	RunSPBack(a *Args) Result
-	RunLPBack(a *Args) Result
+	// RunBack is the backward-phase page kernel.
+	RunBack(a *Args) Result
 }
 
 // lpDegrees precomputes total out-degrees of large-page vertices: an LP

@@ -129,7 +129,7 @@ func TestWAFootprintsMatchTable4(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if got := tc.k.NewState().WABytes(); got != v*tc.perV {
-			t.Errorf("%s WABytes = %d, want %d", tc.k.Name(), got, v*tc.perV)
+			t.Errorf("%T WABytes = %d, want %d", tc.k, got, v*tc.perV)
 		}
 	}
 	// SSSP additionally keeps the activity vector (dist 4 B + level 4 B).
@@ -147,7 +147,7 @@ func TestStateCloneIndependent(t *testing.T) {
 		k.Init(st, 1) // mutate original
 		// Re-initializing from a different source must not affect the clone.
 		if clone.WABytes() != st.WABytes() {
-			t.Errorf("%s: clone size changed", k.Name())
+			t.Errorf("%T: clone size changed", k)
 		}
 	}
 }
@@ -202,5 +202,5 @@ func TestKernelPanicsOnBadPageID(t *testing.T) {
 			t.Fatal("BFS expanded an entry naming a page the graph does not have")
 		}
 	}()
-	k.RunSP(a)
+	k.Run(a)
 }

@@ -24,11 +24,7 @@ func splitDrive(t *testing.T, k Kernel, g *slottedpage.Graph, source uint64, n i
 				Graph: g, PID: pid, Page: g.Page(pid), State: st,
 				OwnedLo: 0, OwnedHi: g.NumVertices(), Tech: EdgeCentric, NextPIDs: local,
 			}
-			if g.Kind(pid) == slottedpage.LargePage {
-				k.RunLP(a)
-			} else {
-				k.RunSP(a)
-			}
+			k.Run(a)
 		}
 	}
 	var allPages []slottedpage.PageID

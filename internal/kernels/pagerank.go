@@ -35,7 +35,6 @@ type prState struct {
 }
 
 func (s *prState) WABytes() int64 { return int64(len(s.nextPR)) * 4 }
-func (s *prState) RABytes() int64 { return int64(len(s.prevPR)) * 4 }
 func (s *prState) Clone() State {
 	c := &prState{
 		prevPR: make([]float32, len(s.prevPR)),
@@ -47,9 +46,6 @@ func (s *prState) Clone() State {
 	copy(c.nextPR, s.nextPR)
 	return c
 }
-
-// Name implements Kernel.
-func (k *PageRank) Name() string { return "PageRank" }
 
 // Class implements Kernel: PageRank scans the whole topology per iteration.
 func (k *PageRank) Class() Class { return PageRankLike }
@@ -82,21 +78,28 @@ func (k *PageRank) Init(st State, _ uint64) {
 // BeginLevel implements Kernel (no per-iteration preparation).
 func (k *PageRank) BeginLevel([]State, int32) {}
 
-// RunSP implements K_PR_SP (Algorithm 4): each frontier-free full scan; a
-// warp takes one slot and atomically adds df*prevPR[v]/deg(v) to every
-// out-neighbor's nextPR.
-func (k *PageRank) RunSP(a *Args) Result {
+// Run implements K_PR_SP and K_PR_LP (Algorithms 4 and 5): a frontier-free
+// full scan; a warp takes one slot and atomically adds df*prevPR[v]/deg(v)
+// to every out-neighbor's nextPR. A large page holds part of one vertex's
+// adjacency, so its contribution divides by the vertex's *total* degree, not
+// the page-local count.
+func (k *PageRank) Run(a *Args) Result {
 	s := a.State.(*prState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
+	start := dec.StartVID(a.PID)
+	large := a.Graph.Kind(a.PID) == slottedpage.LargePage
 	var lanes laneAcc
 	var res Result
 	df := float32(k.damping)
-	for slot, pr := range s.prevPR[dec.StartVID(a.PID):][:n] {
+	for slot, pr := range s.prevPR[start:][:n] {
 		pos, end, deg := dec.Record(buf, slot)
 		lanes.add(deg)
 		if deg == 0 {
 			continue
+		}
+		if large {
+			deg = k.lpDeg[start]
 		}
 		k.scatter(a, s, pos, end, df*pr/float32(deg), &res)
 	}
@@ -106,26 +109,7 @@ func (k *PageRank) RunSP(a *Args) Result {
 	return res
 }
 
-// RunLP implements K_PR_LP (Algorithm 5): the page holds part of one
-// vertex's adjacency; the contribution divides by the vertex's *total*
-// degree, not the page-local count.
-func (k *PageRank) RunLP(a *Args) Result {
-	s := a.State.(*prState)
-	dec := a.Graph.Decoder()
-	vid := dec.StartVID(a.PID)
-	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-	var lanes laneAcc
-	lanes.add(deg)
-	var res Result
-	k.scatter(a, s, pos, end, float32(k.damping)*s.prevPR[vid]/float32(k.lpDeg[vid]), &res)
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
-	res.Active = true
-	return res
-}
-
-// scatter performs the atomicAdd loop shared by both kernels over the
-// record at [pos, end).
+// scatter performs the atomicAdd loop over the record at [pos, end).
 func (k *PageRank) scatter(a *Args, s *prState, pos, end int, contrib float32, res *Result) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {

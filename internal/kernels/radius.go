@@ -50,7 +50,6 @@ type radiusState struct {
 func (s *radiusState) WABytes() int64 {
 	return int64(len(s.next))*4 + int64(len(s.radius))*4
 }
-func (s *radiusState) RABytes() int64 { return 0 }
 func (s *radiusState) Clone() State {
 	return &radiusState{
 		prev:   append([]uint32(nil), s.prev...),
@@ -76,9 +75,6 @@ func fmBit(v uint64, j int) uint32 {
 	}
 	return 1 << uint(pos)
 }
-
-// Name implements Kernel.
-func (k *Radius) Name() string { return "Radius" }
 
 // Class implements Kernel.
 func (k *Radius) Class() Class { return PageRankLike }
@@ -114,8 +110,9 @@ func (k *Radius) Init(st State, _ uint64) {
 // BeginLevel implements Kernel.
 func (k *Radius) BeginLevel([]State, int32) {}
 
-// RunSP ORs each vertex's out-neighbors' sketches into its own.
-func (k *Radius) RunSP(a *Args) Result {
+// Run is radius estimation's K_SP and K_LP (§3.3): OR each vertex's
+// out-neighbors' sketches into its own.
+func (k *Radius) Run(a *Args) Result {
 	s := a.State.(*radiusState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -128,20 +125,6 @@ func (k *Radius) RunSP(a *Args) Result {
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
-}
-
-// RunLP handles one large vertex's page-local adjacency.
-func (k *Radius) RunLP(a *Args) Result {
-	s := a.State.(*radiusState)
-	dec := a.Graph.Decoder()
-	pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-	var lanes laneAcc
-	lanes.add(deg)
-	var res Result
-	k.absorb(a, s, dec.StartVID(a.PID), pos, end, &res)
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 

@@ -41,16 +41,12 @@ type ssspState struct {
 }
 
 func (s *ssspState) WABytes() int64 { return int64(len(s.dist)) * (4 + 4) }
-func (s *ssspState) RABytes() int64 { return 0 }
 func (s *ssspState) Clone() State {
 	c := &ssspState{dist: make([]float32, len(s.dist)), active: make([]int32, len(s.active))}
 	copy(c.dist, s.dist)
 	copy(c.active, s.active)
 	return c
 }
-
-// Name implements Kernel.
-func (k *SSSP) Name() string { return "SSSP" }
 
 // Class implements Kernel.
 func (k *SSSP) Class() Class { return BFSLike }
@@ -78,9 +74,10 @@ func (k *SSSP) Init(st State, source uint64) {
 // BeginLevel implements Kernel.
 func (k *SSSP) BeginLevel([]State, int32) {}
 
-// RunSP relaxes the out-edges of every vertex in the page that improved at
-// the current level.
-func (k *SSSP) RunSP(a *Args) Result {
+// Run is SSSP's K_SP and K_LP (Appendix D): relax the out-edges of every
+// vertex in the page that improved at the current level (on a large page,
+// the page's part of one vertex's out-edges).
+func (k *SSSP) Run(a *Args) Result {
 	s := a.State.(*ssspState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	n := a.Page.NumSlots()
@@ -97,23 +94,6 @@ func (k *SSSP) RunSP(a *Args) Result {
 	}
 	res.Edges = lanes.edges
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
-}
-
-// RunLP relaxes the page-local portion of one active vertex's adjacency.
-func (k *SSSP) RunLP(a *Args) Result {
-	s := a.State.(*ssspState)
-	dec := a.Graph.Decoder()
-	vid := dec.StartVID(a.PID)
-	var lanes laneAcc
-	var res Result
-	if s.active[vid] == a.Level {
-		pos, end, deg := dec.Record(a.Page.Bytes(), 0)
-		lanes.add(deg)
-		k.relax(a, s, vid, pos, end, &res)
-	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(1, &lanes, a.Tech)
 	return res
 }
 

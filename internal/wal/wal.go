@@ -173,9 +173,8 @@ type Options struct {
 // lock, so concurrent Appends take turns, one fsync each, and the accessors
 // (Stats, LSN, ...) wait out an fsync in flight.
 type Log struct {
-	path string
-	inj  *fault.Injector
-	rec  *trace.Recorder
+	inj *fault.Injector
+	rec *trace.Recorder
 
 	mu     sync.Mutex
 	f      *os.File
@@ -211,7 +210,7 @@ func Open(path string, opts Options) (*Log, []Batch, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	l := &Log{path: path, inj: opts.Faults, rec: opts.Trace, f: f, size: int64(validLen)}
+	l := &Log{inj: opts.Faults, rec: opts.Trace, f: f, size: int64(validLen)}
 	if n := len(batches); n > 0 {
 		l.lsn = batches[n-1].LSN
 	}
@@ -229,9 +228,6 @@ func (l *Log) span(kind trace.Kind, start time.Time) {
 	s, e := sim.Time(start.UnixNano()), sim.Time(time.Now().UnixNano())
 	l.rec.Add(trace.Span{GPU: -1, Stream: -1, Kind: kind, Page: -1, Level: -1, Start: s, End: e})
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // LSN returns the last written LSN (the next Append gets LSN()+1).
 func (l *Log) LSN() uint64 {

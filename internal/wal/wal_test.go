@@ -329,9 +329,6 @@ func TestTraceSpans(t *testing.T) {
 func TestAccessorsAndClose(t *testing.T) {
 	path := tmpWAL(t)
 	l, _ := mustOpen(t, path, Options{})
-	if l.Path() != path {
-		t.Errorf("Path() = %q, want %q", l.Path(), path)
-	}
 	if l.Size() != 0 || l.LSN() != 0 {
 		t.Errorf("fresh log: size %d lsn %d, want 0/0", l.Size(), l.LSN())
 	}
