@@ -39,7 +39,7 @@ vet:
 # few points under the measured baseline so real regressions fail while
 # small refactors don't.
 cover:
-	@set -e; for spec in ./internal/sim=90 ./internal/trace=85 ./internal/obs=90 ./internal/service=80 ./internal/sched=60 ./internal/bufpool=85 ./internal/kernels=85 ./internal/wal=85 ./internal/incremental=85; do \
+	@set -e; for spec in ./internal/sim=90 ./internal/trace=85 ./internal/obs=90 ./internal/service=80 ./internal/sched=60 ./internal/bufpool=85 ./internal/kernels=87 ./internal/wal=85 ./internal/incremental=85; do \
 		pkg=$${spec%=*}; floor=$${spec#*=}; \
 		$(GO) test -coverprofile=coverage.tmp.out $$pkg >/dev/null; \
 		pct=$$($(GO) tool cover -func=coverage.tmp.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
@@ -149,9 +149,9 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 19518
-LOC_MAX_ENGINE_AND_API = 5369
-LOC_MAX_ENGINE = 4386
+LOC_MAX_TOTAL = 19227
+LOC_MAX_ENGINE_AND_API = 5364
+LOC_MAX_ENGINE = 4385
 LOC_MAX_GTSD_FLAGS = 11
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:

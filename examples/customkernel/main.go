@@ -3,8 +3,11 @@
 // engine — max-label propagation, which finds each weakly-connected
 // component's highest vertex ID — and runs it through gts.RunKernel.
 //
-// A kernel supplies one page kernel, reports its simulated GPU cycles, and
-// defines how per-GPU state replicas merge under Strategy-P. Slotted pages
+// A kernel is four methods: NewState and Init make its attribute state, Run
+// is its one page kernel and reports the simulated GPU cycles, and
+// MergeStates defines how per-GPU state replicas merge under Strategy-P. An
+// EndIteration makes it a gts.ScanKernel, one that streams every page every
+// iteration; without one it is a traversal. Slotted pages
 // store low-degree vertices many per small page and a high-degree vertex
 // across a run of large pages; a large page is a page with one slot, its
 // vertex, whose record holds the page's part of that vertex's adjacency.
@@ -18,7 +21,7 @@ import (
 	"repro/internal/slottedpage"
 )
 
-// maxLabel is a PageRank-like (full scan) kernel: every iteration each
+// maxLabel is a PageRank-like (full-scan) kernel: every iteration each
 // vertex pushes its current label to its out-neighbors and adopts the
 // larger of what it had and what arrived, until a fixpoint.
 type maxLabel struct {
@@ -38,9 +41,6 @@ func (s *maxState) Clone() gts.KernelState {
 	}
 }
 
-func (k *maxLabel) Class() gts.KernelClass { return gts.PageRankLike }
-func (k *maxLabel) RAPerVertex() int64     { return 0 }
-
 func (k *maxLabel) NewState() gts.KernelState {
 	n := k.g.NumVertices()
 	return &maxState{prev: make([]uint32, n), next: make([]uint32, n)}
@@ -53,8 +53,6 @@ func (k *maxLabel) Init(st gts.KernelState, _ uint64) {
 		s.next[i] = uint32(i)
 	}
 }
-
-func (k *maxLabel) BeginLevel([]gts.KernelState, int32) {}
 
 // Run is the kernel's K_SP and K_LP, the paper's user-defined page kernel:
 // one warp per slot, pushing labels along the page's adjacency entries in
@@ -114,7 +112,8 @@ func (k *maxLabel) MergeStates(sts []gts.KernelState) {
 	}
 }
 
-// EndIteration advances the fixpoint loop.
+// EndIteration makes maxLabel a gts.ScanKernel: it advances the fixpoint
+// loop.
 func (k *maxLabel) EndIteration(sts []gts.KernelState, active bool) bool {
 	for _, st := range sts {
 		s := st.(*maxState)

@@ -668,8 +668,8 @@ func (s *System) KCore(k int) (*KCoreResult, error) {
 	return typed[*KCoreResult](s, "kcore", Params{K: k})
 }
 
-// RadiusResult holds per-vertex eccentricity estimates and the sketch state
-// needed for neighborhood-size queries.
+// RadiusResult holds per-vertex eccentricity estimates and the graph's
+// effective diameter.
 type RadiusResult struct {
 	Metrics
 	// Radii are per-vertex out-eccentricity estimates: the hop at which
@@ -719,11 +719,17 @@ func (s *System) CrossEdges(side func(v uint64) bool) (*CrossEdgesResult, error)
 
 // Kernel is the user-defined algorithm interface of the paper's framework:
 // one page kernel, run on small and large pages alike (a large page is a
-// page with one slot, its vertex), plus state management. Implement it to
-// run custom algorithms on the GTS machinery — see examples/customkernel.
-// The five built-in algorithms and the extension kernels in
-// internal/kernels are implementations of this same interface.
+// page with one slot, its vertex), plus state management — NewState, Init,
+// Run and MergeStates. A Kernel alone is a traversal (BFS-like): it streams
+// the pages holding its frontier. Implement it to run custom algorithms on
+// the GTS machinery — see examples/customkernel. The five built-in
+// algorithms and the extension kernels in internal/kernels are
+// implementations of this same interface.
 type Kernel = kernels.Kernel
+
+// ScanKernel is a Kernel that scans the whole topology every iteration
+// (PageRank-like); its EndIteration decides whether another one runs.
+type ScanKernel = kernels.ScanKernel
 
 // KernelArgs carries one page-kernel invocation's inputs.
 type KernelArgs = kernels.Args
@@ -733,16 +739,6 @@ type KernelResult = kernels.Result
 
 // KernelState is an algorithm's attribute data (the paper's WA).
 type KernelState = kernels.State
-
-// KernelClass separates traversal kernels, which stream only frontier pages,
-// from full-scan kernels, which stream everything per iteration.
-type KernelClass = kernels.Class
-
-// Kernel classes.
-const (
-	BFSLike      = kernels.BFSLike
-	PageRankLike = kernels.PageRankLike
-)
 
 // RunKernel executes a custom kernel on the system and returns its final
 // state along with the run metrics.

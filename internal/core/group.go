@@ -213,7 +213,7 @@ func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver,
 	}
 	for _, job := range jobs {
 		if job.Kernel != nil {
-			d.raPerV = max(d.raPerV, job.Kernel.RAPerVertex())
+			d.raPerV = max(d.raPerV, kernels.RAPerVertex(job.Kernel))
 		}
 	}
 	bufBytes := e.streamBufBytes(d.raPerV)
@@ -396,10 +396,10 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 		return
 	}
 	g := m.eng.graph
-	m.bfsLike = m.k.Class() == kernels.BFSLike
+	m.scan, _ = m.k.(kernels.ScanKernel)
 	m.backKernel, m.wantBackward = m.k.(kernels.BackwardKernel)
 	m.next = m.getPidSet()
-	if m.bfsLike {
+	if m.scan == nil {
 		kernels.MarkVertexPages(g, m.eng.opts.Source, m.next, true)
 		// A planning kernel owns its frontier: replace the seed with the
 		// level-0 plan (direction choice + exact page set).
@@ -434,7 +434,7 @@ func (d *driver) beginWave(m *member) {
 	if m.fk != nil && !m.backward {
 		m.dirs = append(m.dirs, m.curDir.String())
 	}
-	m.k.BeginLevel(m.states, lvl)
+	kernels.BeginLevel(m.k, m.states, lvl)
 	for i := range m.locals {
 		m.locals[i] = m.getPidSet()
 	}
@@ -755,7 +755,7 @@ func (d *driver) endWave(p *sim.Proc, m *member) {
 		return
 	}
 	lvl := m.waveLevel()
-	m.sync(p, lvl, m.bfsLike)
+	m.sync(p, lvl)
 	// The Superstep container span: one traversal level / iteration
 	// including its cross-GPU sync, on the framework track; Dir carries the
 	// planned traversal direction (0 for plain kernels). The Wave span
@@ -780,7 +780,7 @@ func (d *driver) endWave(p *sim.Proc, m *member) {
 		}
 		return
 	}
-	if m.bfsLike {
+	if m.scan == nil {
 		if m.wantBackward {
 			m.levelSets = append(m.levelSets, m.next.Clone())
 		}
@@ -822,7 +822,7 @@ func (d *driver) endWave(p *sim.Proc, m *member) {
 	m.level++
 	active := m.stepActive
 	release()
-	if !m.k.EndIteration(m.states, active) {
+	if !m.scan.EndIteration(m.states, active) {
 		d.finishMember(p, m)
 		return
 	}

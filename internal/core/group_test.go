@@ -459,7 +459,7 @@ func TestSharedDeclineWhenWAWontFit(t *testing.T) {
 	probe.Init(st, 0)
 	wa := st.WABytes()
 
-	raBuf := int64(sp.Config().MaxSlotsPerPage()) * probe.RAPerVertex()
+	raBuf := int64(sp.Config().MaxSlotsPerPage()) * kernels.RAPerVertex(probe)
 	bufBytes := 1 * (2*pageSize + raBuf) // Streams: 1 below
 	spec := hw.Workstation(1, 0)
 	spec.GPUs[0].DeviceMemory = bufBytes + 2*wa + wa/2 // room for two WAs, not three
@@ -489,11 +489,10 @@ type panicsAt struct {
 	level int32
 }
 
-func (k panicsAt) BeginLevel(sts []kernels.State, level int32) {
+func (k panicsAt) BeginLevel(_ []kernels.State, level int32) {
 	if level == k.level {
 		panic("kernel fault")
 	}
-	k.BFS.BeginLevel(sts, level)
 }
 
 // TestSharedDoneFiresOnce: however a job leaves its group — finished,

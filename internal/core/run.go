@@ -59,11 +59,11 @@ type member struct {
 	// owned[i] is GPU i's attribute ownership range [lo, hi).
 	owned [][2]uint64
 
-	// Traversal state: next is the current frontier (BFS-like) or the full
-	// set (scans), locals the per-GPU next-page accumulation for the running
+	// Traversal state: next is the current frontier (traversals) or the full
+	// set (scans: scan is the kernel's ScanKernel, nil on a traversal), locals the per-GPU next-page accumulation for the running
 	// wave, levelSets the recorded forward frontiers for the backward sweep.
 	// level counts the forward supersteps done (the report's Levels).
-	bfsLike      bool
+	scan         kernels.ScanKernel
 	wantBackward bool
 	backKernel   kernels.BackwardKernel
 	next         pidSet
@@ -167,7 +167,7 @@ func (m *member) setupStates() {
 	proto := k.NewState()
 	k.Init(proto, e.opts.Source)
 	waBytes := proto.WABytes()
-	m.raPerV = k.RAPerVertex()
+	m.raPerV = kernels.RAPerVertex(k)
 	if nV > 0 {
 		m.waPerVertex = waBytes / int64(nV)
 	}

@@ -169,7 +169,7 @@ func (m *member) copyWAOut(p *sim.Proc) {
 // sync performs the end-of-superstep attribute synchronization across GPUs
 // (Fig. 5 steps 3-4). With one GPU there is nothing to merge; full-scan
 // iteration sync to the host is handled by endWave.
-func (m *member) sync(p *sim.Proc, level int32, bfsLike bool) {
+func (m *member) sync(p *sim.Proc, level int32) {
 	nGPU := len(m.machine.GPUs)
 	if nGPU < 2 {
 		return
@@ -180,12 +180,11 @@ func (m *member) sync(p *sim.Proc, level int32, bfsLike bool) {
 		// move the whole WA; traversal algorithms move only the entries
 		// they touched, which is why the paper's Eq. 2 has no sync term.
 		bytes := m.perGPUWA
-		if bfsLike {
+		if m.scan == nil {
 			bytes = m.levelUpdates * m.waPerVertex
 		}
 		for i := 1; i < nGPU; i++ {
 			t0 := m.env.Now()
-			i := i
 			err := m.withRetry(p, i, -1, "peer WA merge", func() error {
 				return m.machine.GPUs[i].CopyPeer(p, m.machine.GPUs[0], bytes)
 			})
@@ -199,7 +198,7 @@ func (m *member) sync(p *sim.Proc, level int32, bfsLike bool) {
 	case StrategyS:
 		// WA chunks are disjoint; each GPU ships its local nextPIDSet (a
 		// page-count bit vector) back to the host for the global merge.
-		if bfsLike {
+		if m.scan == nil {
 			small := int64(m.eng.graph.NumPages()/8 + 1)
 			m.parallelGPUs(p, func(p *sim.Proc, i int) {
 				err := m.withRetry(p, i, -1, "nextPIDSet copy-out", func() error {

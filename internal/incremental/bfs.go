@@ -1,6 +1,8 @@
 package incremental
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/kernels"
 	"repro/internal/slottedpage"
@@ -47,12 +49,9 @@ type IncBFS struct {
 
 type incBFSState struct{ lv []int16 }
 
-func (s *incBFSState) WABytes() int64 { return int64(len(s.lv)) * 2 }
-func (s *incBFSState) Clone() kernels.State {
-	c := &incBFSState{lv: make([]int16, len(s.lv))}
-	copy(c.lv, s.lv)
-	return c
-}
+func (s *incBFSState) WABytes() int64       { return int64(len(s.lv)) * 2 }
+func (s *incBFSState) Clone() kernels.State { return &incBFSState{lv: slices.Clone(s.lv)} }
+func incLevels(st kernels.State) []int16    { return st.(*incBFSState).lv }
 
 // PlanBFS builds an incremental BFS kernel from a retained entry and the
 // delta to the current graph, or reports a fallback reason. The safety
@@ -147,12 +146,6 @@ func PlanBFS(g *slottedpage.Graph, e *Entry, d Delta) (*IncBFS, string) {
 	return k, ""
 }
 
-// Class implements Kernel: incremental BFS streams only affected pages.
-func (k *IncBFS) Class() kernels.Class { return kernels.BFSLike }
-
-// RAPerVertex implements Kernel.
-func (k *IncBFS) RAPerVertex() int64 { return 0 }
-
 // NewState implements Kernel.
 func (k *IncBFS) NewState() kernels.State {
 	return &incBFSState{lv: make([]int16, k.g.NumVertices())}
@@ -164,9 +157,6 @@ func (k *IncBFS) NewState() kernels.State {
 func (k *IncBFS) Init(st kernels.State, _ uint64) {
 	copy(st.(*incBFSState).lv, k.init)
 }
-
-// BeginLevel implements Kernel.
-func (k *IncBFS) BeginLevel([]kernels.State, int32) {}
 
 // PlanLevel implements FrontierKernel: fold newly lowered vertices into
 // the pending worklist, then expand the lowest pending level.
@@ -209,20 +199,17 @@ func (k *IncBFS) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kerne
 // 3) over the pending frontier: expand the page's frontier slots.
 func (k *IncBFS) Run(a *kernels.Args) kernels.Result {
 	s := a.State.(*incBFSState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
 	var res kernels.Result
-	var edges int64
-	for slot, vid := 0, int(dec.StartVID(a.PID)); slot < n; slot, vid = slot+1, vid+1 {
-		if !k.front.Get(vid) {
+	w := kernels.WalkPage(a)
+	for w.Next() {
+		if !k.front.Get(int(w.V)) {
 			continue
 		}
-		pos, end, deg := dec.Record(buf, slot)
-		edges += int64(deg)
+		pos, end, _ := w.Record()
 		k.expand(a, s, pos, end, &res)
 	}
-	res.Edges = edges
-	res.Cycles = k.cost.cycles(int64(n), edges)
+	res.Edges = w.Edges()
+	res.Cycles = k.cost.cycles(w.Slots(), w.Edges())
 	return res
 }
 
@@ -244,28 +231,9 @@ func (k *IncBFS) expand(a *kernels.Args, s *incBFSState, pos, end int, res *kern
 	}
 }
 
-// MergeStates implements Kernel: levels merge by minimum (unvisited is the
-// identity) — lowering is the only write this kernel performs.
-func (k *IncBFS) MergeStates(sts []kernels.State) {
-	if len(sts) < 2 {
-		return
-	}
-	base := sts[0].(*incBFSState)
-	for _, other := range sts[1:] {
-		o := other.(*incBFSState)
-		for v, l := range o.lv {
-			if l != unvisited && (base.lv[v] == unvisited || l < base.lv[v]) {
-				base.lv[v] = l
-			}
-		}
-	}
-	for _, other := range sts[1:] {
-		copy(other.(*incBFSState).lv, base.lv)
-	}
-}
-
-// EndIteration implements Kernel: termination is the planner's (empty pend).
-func (k *IncBFS) EndIteration([]kernels.State, bool) bool { return false }
+// MergeStates implements Kernel: levels merge by kernels.MinLevel —
+// lowering is the only write this kernel performs.
+func (k *IncBFS) MergeStates(sts []kernels.State) { kernels.Merge(sts, incLevels, kernels.MinLevel) }
 
 // Levels exposes the result vector of a finished run.
 func (k *IncBFS) Levels(st kernels.State) []int16 { return st.(*incBFSState).lv }

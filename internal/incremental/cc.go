@@ -1,6 +1,8 @@
 package incremental
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/kernels"
 	"repro/internal/slottedpage"
@@ -42,11 +44,9 @@ type incCCState struct {
 
 func (s *incCCState) WABytes() int64 { return int64(len(s.prev)) * 8 }
 func (s *incCCState) Clone() kernels.State {
-	c := &incCCState{prev: make([]uint32, len(s.prev)), next: make([]uint32, len(s.next))}
-	copy(c.prev, s.prev)
-	copy(c.next, s.next)
-	return c
+	return &incCCState{prev: slices.Clone(s.prev), next: slices.Clone(s.next)}
 }
+func incLabels(st kernels.State) []uint32 { return st.(*incCCState).next }
 
 // PlanCC builds an incremental CC kernel, or reports a fallback reason
 // (any delete in the chain).
@@ -99,12 +99,6 @@ func PlanCC(g *slottedpage.Graph, e *Entry, d Delta) (*IncCC, string) {
 	return k, ""
 }
 
-// Class implements Kernel: frontier-driven, unlike the full-scan CC.
-func (k *IncCC) Class() kernels.Class { return kernels.BFSLike }
-
-// RAPerVertex implements Kernel.
-func (k *IncCC) RAPerVertex() int64 { return 0 }
-
 // NewState implements Kernel.
 func (k *IncCC) NewState() kernels.State {
 	n := k.g.NumVertices()
@@ -117,9 +111,6 @@ func (k *IncCC) Init(st kernels.State, _ uint64) {
 	copy(s.prev, k.init)
 	copy(s.next, k.init)
 }
-
-// BeginLevel implements Kernel.
-func (k *IncCC) BeginLevel([]kernels.State, int32) {}
 
 // PlanLevel implements FrontierKernel: the round's scan set is every
 // vertex whose label changed since the last snapshot plus its
@@ -163,20 +154,17 @@ func (k *IncCC) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernel
 // both directions, exactly as the full CC's page kernel does.
 func (k *IncCC) Run(a *kernels.Args) kernels.Result {
 	s := a.State.(*incCCState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
 	var res kernels.Result
-	var edges int64
-	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
-		if !k.scan.Get(int(vid)) {
+	w := kernels.WalkPage(a)
+	for w.Next() {
+		if !k.scan.Get(int(w.V)) {
 			continue
 		}
-		pos, end, deg := dec.Record(buf, slot)
-		edges += int64(deg)
-		k.propagate(a, s, vid, pos, end, &res)
+		pos, end, _ := w.Record()
+		k.propagate(a, s, w.V, pos, end, &res)
 	}
-	res.Edges = edges
-	res.Cycles = k.cost.cycles(int64(n), edges)
+	res.Edges = w.Edges()
+	res.Cycles = k.cost.cycles(w.Slots(), w.Edges())
 	return res
 }
 
@@ -199,26 +187,7 @@ func (k *IncCC) propagate(a *kernels.Args, s *incCCState, vid uint64, pos, end i
 }
 
 // MergeStates implements Kernel: next merges by minimum.
-func (k *IncCC) MergeStates(sts []kernels.State) {
-	if len(sts) < 2 {
-		return
-	}
-	base := sts[0].(*incCCState)
-	for _, other := range sts[1:] {
-		o := other.(*incCCState)
-		for v, l := range o.next {
-			if l < base.next[v] {
-				base.next[v] = l
-			}
-		}
-	}
-	for _, other := range sts[1:] {
-		copy(other.(*incCCState).next, base.next)
-	}
-}
-
-// EndIteration implements Kernel: termination is the planner's.
-func (k *IncCC) EndIteration([]kernels.State, bool) bool { return false }
+func (k *IncCC) MergeStates(sts []kernels.State) { kernels.Merge(sts, incLabels, kernels.Min) }
 
 // Components exposes the final labels of a finished run.
 func (k *IncCC) Components(st kernels.State) []uint32 { return st.(*incCCState).next }

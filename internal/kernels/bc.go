@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/slottedpage"
+import (
+	"slices"
+
+	"repro/internal/slottedpage"
+)
 
 // BC implements single-source betweenness centrality (Brandes) as the paper
 // evaluates it in Appendix D ("the single node mode"): a forward
@@ -31,21 +35,17 @@ type bcState struct {
 
 func (s *bcState) WABytes() int64 { return int64(len(s.dist)) * (2 + 8 + 8) }
 func (s *bcState) Clone() State {
-	c := &bcState{
-		dist:      append([]int16(nil), s.dist...),
-		sigma:     append([]float64(nil), s.sigma...),
-		delta:     append([]float64(nil), s.delta...),
-		snapSigma: append([]float64(nil), s.snapSigma...),
-		snapDelta: append([]float64(nil), s.snapDelta...),
+	return &bcState{
+		dist:      slices.Clone(s.dist),
+		sigma:     slices.Clone(s.sigma),
+		delta:     slices.Clone(s.delta),
+		snapSigma: slices.Clone(s.snapSigma),
+		snapDelta: slices.Clone(s.snapDelta),
 	}
-	return c
 }
-
-// Class implements Kernel.
-func (k *BC) Class() Class { return BFSLike }
-
-// RAPerVertex implements Kernel.
-func (k *BC) RAPerVertex() int64 { return 0 }
+func bcDist(st State) []int16    { return st.(*bcState).dist }
+func bcSigma(st State) []float64 { return st.(*bcState).sigma }
+func bcDelta(st State) []float64 { return st.(*bcState).delta }
 
 // NewState implements Kernel.
 func (k *BC) NewState() State {
@@ -69,8 +69,9 @@ func (k *BC) Init(st State, source uint64) {
 	s.sigma[source] = 1
 }
 
-// BeginLevel implements Kernel: with multiple replicas, snapshot the
-// additive vectors so MergeStates can sum per-replica contributions.
+// BeginLevel is the optional hook kernels.BeginLevel runs: with multiple
+// replicas, snapshot the additive vectors so MergeStates can sum
+// per-replica contributions.
 func (k *BC) BeginLevel(sts []State, _ int32) {
 	if len(sts) < 2 {
 		return
@@ -90,23 +91,14 @@ func (k *BC) BeginBackward([]State, int32) {}
 // accumulate shortest-path counts across frontier edges.
 func (k *BC) Run(a *Args) Result {
 	s := a.State.(*bcState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	start := dec.StartVID(a.PID)
-	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot, l := range s.dist[start:][:n] {
-		if l != level {
-			continue
-		}
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
-		k.forward(a, s, start+uint64(slot), pos, end, level, &res)
+	w := WalkPage(a)
+	for Seek(&w, s.dist, level) {
+		pos, end, _ := w.Record()
+		k.forward(a, s, w.V, pos, end, level, &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
@@ -133,24 +125,17 @@ func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16,
 // delta(v) = sum over successors w of sigma(v)/sigma(w) * (1 + delta(w))).
 func (k *BC) RunBack(a *Args) Result {
 	s := a.State.(*bcState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	start := dec.StartVID(a.PID)
-	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot, l := range s.dist[start:][:n] {
-		vid := start + uint64(slot)
-		if l != level || !a.owns(vid) {
+	w := WalkPage(a)
+	for Seek(&w, s.dist, level) {
+		if !a.owns(w.V) {
 			continue
 		}
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
-		k.backward(a, s, vid, pos, end, level, &res)
+		pos, end, _ := w.Record()
+		k.backward(a, s, w.V, pos, end, level, &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 func (k *BC) backward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
@@ -165,33 +150,15 @@ func (k *BC) backward(a *Args, s *bcState, vid uint64, pos, end int, level int16
 	}
 }
 
-// MergeStates implements Kernel: distances merge by minimum; sigma and
-// delta merge additively relative to the BeginLevel snapshots.
+// MergeStates implements Kernel: distances merge by MinLevel; sigma and
+// delta additively, relative to the BeginLevel snapshots (the replicas
+// start a level identical, so replica 0's snapshot is every replica's).
 func (k *BC) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	base := sts[0].(*bcState)
-	for _, other := range sts[1:] {
-		o := other.(*bcState)
-		for v := range base.dist {
-			if o.dist[v] != unvisited && (base.dist[v] == unvisited || o.dist[v] < base.dist[v]) {
-				base.dist[v] = o.dist[v]
-			}
-			base.sigma[v] += o.sigma[v] - o.snapSigma[v]
-			base.delta[v] += o.delta[v] - o.snapDelta[v]
-		}
-	}
-	for _, other := range sts[1:] {
-		o := other.(*bcState)
-		copy(o.dist, base.dist)
-		copy(o.sigma, base.sigma)
-		copy(o.delta, base.delta)
-	}
+	snap := sts[0].(*bcState)
+	Merge(sts, bcDist, MinLevel)
+	Merge(sts, bcSigma, func(v int, b, o float64) float64 { return b + (o - snap.snapSigma[v]) })
+	Merge(sts, bcDelta, func(v int, b, o float64) float64 { return b + (o - snap.snapDelta[v]) })
 }
-
-// EndIteration implements Kernel.
-func (k *BC) EndIteration([]State, bool) bool { return false }
 
 // Centrality exposes the dependency scores; the source's own score is zero
 // by definition.

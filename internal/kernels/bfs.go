@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/slottedpage"
+import (
+	"slices"
+
+	"repro/internal/slottedpage"
+)
 
 // BFS implements the paper's K_BFS_SP and K_BFS_LP kernels (Algorithms 2
 // and 3): level-synchronous breadth-first search whose only attribute
@@ -40,17 +44,8 @@ type bfsState struct {
 }
 
 func (s *bfsState) WABytes() int64 { return int64(len(s.lv)) * 2 }
-func (s *bfsState) Clone() State {
-	c := &bfsState{lv: make([]int16, len(s.lv))}
-	copy(c.lv, s.lv)
-	return c
-}
-
-// Class implements Kernel: BFS streams only frontier pages.
-func (k *BFS) Class() Class { return BFSLike }
-
-// RAPerVertex implements Kernel: BFS has no read-only attribute vector.
-func (k *BFS) RAPerVertex() int64 { return 0 }
+func (s *bfsState) Clone() State   { return &bfsState{lv: slices.Clone(s.lv)} }
+func bfsLevels(st State) []int16   { return st.(*bfsState).lv }
 
 // NewState implements Kernel.
 func (k *BFS) NewState() State {
@@ -66,31 +61,20 @@ func (k *BFS) Init(st State, source uint64) {
 	s.lv[source] = 0
 }
 
-// BeginLevel implements Kernel (no per-level preparation).
-func (k *BFS) BeginLevel([]State, int32) {}
-
 // Run implements K_BFS_SP and K_BFS_LP (Algorithms 2 and 3): each warp
 // takes one slot; if the vertex is on the current frontier its adjacency (on
 // a large page, the page's part of it) expands, discovering unvisited
 // neighbors and marking their pages in the local nextPIDSet.
 func (k *BFS) Run(a *Args) Result {
 	s := a.State.(*bfsState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot, l := range s.lv[dec.StartVID(a.PID):][:n] {
-		if l != level {
-			continue
-		}
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
+	w := WalkPage(a)
+	for Seek(&w, s.lv, level) {
+		pos, end, _ := w.Record()
 		k.expand(a, s, pos, end, level, &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 // expand is the expand_warp device routine: visit every adjacency entry of
@@ -113,30 +97,8 @@ func (k *BFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Resul
 	}
 }
 
-// MergeStates implements Kernel: levels merge by minimum (an earlier
-// discovery wins; unvisited is the identity), and the replicas are made
-// identical again.
-func (k *BFS) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	base := sts[0].(*bfsState)
-	for _, other := range sts[1:] {
-		o := other.(*bfsState)
-		for v, l := range o.lv {
-			if l != unvisited && (base.lv[v] == unvisited || l < base.lv[v]) {
-				base.lv[v] = l
-			}
-		}
-	}
-	for _, other := range sts[1:] {
-		copy(other.(*bfsState).lv, base.lv)
-	}
-}
-
-// EndIteration implements Kernel: BFS terminates on an empty nextPIDSet,
-// not by iteration count.
-func (k *BFS) EndIteration([]State, bool) bool { return false }
+// MergeStates implements Kernel: levels merge by MinLevel.
+func (k *BFS) MergeStates(sts []State) { Merge(sts, bfsLevels, MinLevel) }
 
 // Levels exposes the result vector of a finished run (a capped run's hop
 // distances, -1 outside the ball).

@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/slottedpage"
+import (
+	"slices"
+
+	"repro/internal/slottedpage"
+)
 
 // CC implements connected components (weakly connected, since the slotted
 // page stores out-edges) by iterative label propagation, a PageRank-like
@@ -27,17 +31,9 @@ type ccState struct {
 
 func (s *ccState) WABytes() int64 { return int64(len(s.prev)) * 8 }
 func (s *ccState) Clone() State {
-	c := &ccState{prev: make([]uint32, len(s.prev)), next: make([]uint32, len(s.next))}
-	copy(c.prev, s.prev)
-	copy(c.next, s.next)
-	return c
+	return &ccState{prev: slices.Clone(s.prev), next: slices.Clone(s.next)}
 }
-
-// Class implements Kernel.
-func (k *CC) Class() Class { return PageRankLike }
-
-// RAPerVertex implements Kernel.
-func (k *CC) RAPerVertex() int64 { return 0 }
+func ccNext(st State) []uint32 { return st.(*ccState).next }
 
 // NewState implements Kernel.
 func (k *CC) NewState() State {
@@ -54,26 +50,18 @@ func (k *CC) Init(st State, _ uint64) {
 	}
 }
 
-// BeginLevel implements Kernel.
-func (k *CC) BeginLevel([]State, int32) {}
-
 // Run is CC's K_SP and K_LP (Appendix D): propagate labels across each edge
 // in both directions — the neighbor inherits the vertex's label and vice
 // versa, whichever is smaller.
 func (k *CC) Run(a *Args) Result {
 	s := a.State.(*ccState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	var lanes laneAcc
 	var res Result
-	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
-		k.propagate(a, s, vid, pos, end, &res)
+	w := WalkPage(a)
+	for w.Next() {
+		pos, end, _ := w.Record()
+		k.propagate(a, s, w.V, pos, end, &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 func (k *CC) propagate(a *Args, s *ccState, vid uint64, pos, end int, res *Result) {
@@ -95,25 +83,9 @@ func (k *CC) propagate(a *Args, s *ccState, vid uint64, pos, end int, res *Resul
 }
 
 // MergeStates implements Kernel: labels merge by minimum.
-func (k *CC) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	base := sts[0].(*ccState)
-	for _, other := range sts[1:] {
-		o := other.(*ccState)
-		for v, c := range o.next {
-			if c < base.next[v] {
-				base.next[v] = c
-			}
-		}
-	}
-	for _, other := range sts[1:] {
-		copy(other.(*ccState).next, base.next)
-	}
-}
+func (k *CC) MergeStates(sts []State) { Merge(sts, ccNext, Min) }
 
-// EndIteration implements Kernel: next becomes prev; the fixpoint is
+// EndIteration implements ScanKernel: next becomes prev; the fixpoint is
 // reached when an iteration applies no update.
 func (k *CC) EndIteration(sts []State, active bool) bool {
 	for _, st := range sts {

@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/slottedpage"
+import (
+	"slices"
+
+	"repro/internal/slottedpage"
+)
 
 // CrossEdges counts the edges crossing a bipartition of the vertices —
 // §3.3's "cross-edges" full-scan algorithm. Side is the partition
@@ -24,15 +28,8 @@ type crossState struct {
 }
 
 func (s *crossState) WABytes() int64 { return int64(len(s.count)) * 8 }
-func (s *crossState) Clone() State {
-	return &crossState{count: append([]int64(nil), s.count...)}
-}
-
-// Class implements Kernel.
-func (k *CrossEdges) Class() Class { return PageRankLike }
-
-// RAPerVertex implements Kernel.
-func (k *CrossEdges) RAPerVertex() int64 { return 0 }
+func (s *crossState) Clone() State   { return &crossState{count: slices.Clone(s.count)} }
+func crossCounts(st State) []int64   { return st.(*crossState).count }
 
 // NewState implements Kernel.
 func (k *CrossEdges) NewState() State {
@@ -41,32 +38,20 @@ func (k *CrossEdges) NewState() State {
 
 // Init implements Kernel.
 func (k *CrossEdges) Init(st State, _ uint64) {
-	s := st.(*crossState)
-	for i := range s.count {
-		s.count[i] = 0
-	}
+	clear(st.(*crossState).count)
 }
-
-// BeginLevel implements Kernel.
-func (k *CrossEdges) BeginLevel([]State, int32) {}
 
 // Run is the cross-edge count's K_SP and K_LP (§3.3): tally crossing edges
 // for the page's vertices.
 func (k *CrossEdges) Run(a *Args) Result {
 	s := a.State.(*crossState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	var lanes laneAcc
-	var res Result
-	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
-		k.tally(a, s, vid, pos, end, &res)
+	res := Result{Active: true}
+	w := WalkPage(a)
+	for w.Next() {
+		pos, end, _ := w.Record()
+		k.tally(a, s, w.V, pos, end, &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, pos, end int, res *Result) {
@@ -86,23 +71,9 @@ func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, pos, end int, res
 // MergeStates implements Kernel: per-vertex tallies are written by exactly
 // one replica (the one that processed the vertex's pages), merged by sum
 // (LP runs may split across replicas).
-func (k *CrossEdges) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	base := sts[0].(*crossState)
-	for _, other := range sts[1:] {
-		o := other.(*crossState)
-		for v := range base.count {
-			base.count[v] += o.count[v]
-		}
-	}
-	for _, other := range sts[1:] {
-		copy(other.(*crossState).count, base.count)
-	}
-}
+func (k *CrossEdges) MergeStates(sts []State) { Merge(sts, crossCounts, sumOf) }
 
-// EndIteration implements Kernel: one scan suffices.
+// EndIteration implements ScanKernel: one scan suffices.
 func (k *CrossEdges) EndIteration([]State, bool) bool { return false }
 
 // Total reports the crossing-edge count.

@@ -63,9 +63,6 @@ func NewDirBFS(g *slottedpage.Graph) *DirBFS {
 // restores density switching (DirAuto). Call before Run.
 func (k *DirBFS) SetMode(m DirMode) { k.mode = m }
 
-// Mode reports the planning mode.
-func (k *DirBFS) Mode() DirMode { return k.mode }
-
 // PlanLevel implements FrontierKernel: price the frontier (vertices at
 // `level`), pick a direction, and rebuild next as exactly the pages that
 // direction streams — frontier home pages (with LP runs) for push, the
@@ -125,23 +122,18 @@ func (k *DirBFS) Run(a *Args) Result {
 }
 
 // push is K_BFS_SP and K_BFS_LP with fused filtering: discoveries are
-// committed without marking NextPIDs.
+// committed without marking NextPIDs. Its Edges are expand's coverage, not
+// the walker's lanes.
 func (k *DirBFS) push(a *Args) Result {
 	s := a.State.(*bfsState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	var lanes laneAcc
 	var res Result
 	level := int16(a.Level)
-	for slot, l := range s.lv[dec.StartVID(a.PID):][:n] {
-		if l != level {
-			continue
-		}
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
+	w := WalkPage(a)
+	for Seek(&w, s.lv, level) {
+		pos, end, _ := w.Record()
 		k.expand(a, s, pos, end, level, &res)
 	}
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
+	res.Cycles = k.cost.cycles(w.Slots(), &w.lanes, a.Tech)
 	return res
 }
 

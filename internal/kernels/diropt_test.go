@@ -18,9 +18,6 @@ func TestDriverDirBFS(t *testing.T) {
 	for _, mode := range []DirMode{DirAuto, DirForcePush, DirForcePull} {
 		k := NewDirBFS(sp)
 		k.SetMode(mode)
-		if k.Mode() != mode {
-			t.Fatalf("Mode() = %v after SetMode(%v)", k.Mode(), mode)
-		}
 		if k.rev != nil {
 			t.Fatalf("mode=%v: NewDirBFS fetched the reverse index", mode)
 		}
@@ -103,19 +100,4 @@ func TestMarkVertexPages(t *testing.T) {
 	if got := homeOnly.Count(); got != 1 {
 		t.Errorf("home-only marking set %d pages, want 1", got)
 	}
-}
-
-// TestDirOptKernelMetadata pins what the engine reads of DirBFS besides its
-// page kernel: its class and RA vector.
-func TestDirOptKernelMetadata(t *testing.T) {
-	_, sp := driverGraph(t)
-	bk := NewDirBFS(sp)
-	if bk.Class() != BFSLike || bk.RAPerVertex() != 0 {
-		t.Errorf("DirBFS metadata: %v %d", bk.Class(), bk.RAPerVertex())
-	}
-	// Termination belongs to PlanLevel.
-	if bk.EndIteration(nil, true) {
-		t.Error("frontier kernels must not extend runs via EndIteration")
-	}
-	bk.BeginLevel(nil, 0)
 }

@@ -32,7 +32,7 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 	k.Init(st, source)
 	sts := []State{st}
 	numPages := g.NumPages()
-	bfsLike := k.Class() == BFSLike
+	scan, isScan := k.(ScanKernel)
 
 	all := func() *bitset.Set {
 		s := bitset.New(numPages)
@@ -42,7 +42,7 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 		return s
 	}
 	next := bitset.New(numPages)
-	if bfsLike {
+	if !isScan {
 		MarkVertexPages(g, source, next, true)
 	} else {
 		next = all()
@@ -87,16 +87,16 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 	}
 
 	fk, _ := k.(FrontierKernel)
-	if fk != nil && bfsLike {
+	if fk != nil && !isScan {
 		fk.PlanLevel(sts, 0, next)
 	}
 	back, wantBackward := k.(BackwardKernel)
 	var levelSets []*bitset.Set
 	var level int32
 	for {
-		k.BeginLevel(sts, level)
+		BeginLevel(k, sts, level)
 		merged, active := runSet(next, level, false)
-		if bfsLike {
+		if !isScan {
 			if wantBackward {
 				levelSets = append(levelSets, next.Clone())
 			}
@@ -110,7 +110,7 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 			}
 		} else {
 			level++
-			if !k.EndIteration(sts, active) {
+			if !scan.EndIteration(sts, active) {
 				break
 			}
 			next = all()
@@ -122,7 +122,7 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 	if wantBackward {
 		back.BeginBackward(sts, level-1)
 		for l := len(levelSets) - 1; l >= 0; l-- {
-			k.BeginLevel(sts, int32(l))
+			BeginLevel(k, sts, int32(l))
 			runSet(levelSets[l], int32(l), true)
 		}
 	}
@@ -306,9 +306,6 @@ func TestDriverRadiusInvariants(t *testing.T) {
 	}
 	if d := k.EffectiveDiameter(st, 0.9); d < 1 {
 		t.Errorf("effective diameter %d", d)
-	}
-	if est := k.NeighborhoodEstimate(st, 0); est < 1 {
-		t.Errorf("neighborhood estimate %v", est)
 	}
 }
 

@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/slottedpage"
+import (
+	"slices"
+
+	"repro/internal/slottedpage"
+)
 
 // This file implements the further algorithms the paper's §3.3 lists in its
 // two classes beyond the evaluated five: Random Walk with Restart and
@@ -39,14 +43,9 @@ type rwrState struct {
 
 func (s *rwrState) WABytes() int64 { return int64(len(s.next)) * 4 }
 func (s *rwrState) Clone() State {
-	c := &rwrState{
-		prev:   append([]float32(nil), s.prev...),
-		next:   append([]float32(nil), s.next...),
-		source: s.source,
-		iter:   s.iter,
-	}
-	return c
+	return &rwrState{prev: slices.Clone(s.prev), next: slices.Clone(s.next), source: s.source, iter: s.iter}
 }
+func rwrNext(st State) []float32 { return st.(*rwrState).next }
 
 // restartMass is the teleport value of vertex v for a walk restarting at
 // src.
@@ -57,10 +56,8 @@ func (k *RWR) restartMass(v, src uint64) float32 {
 	return 0
 }
 
-// Class implements Kernel.
-func (k *RWR) Class() Class { return PageRankLike }
-
-// RAPerVertex implements Kernel.
+// RAPerVertex is the optional hook kernels.RAPerVertex reads: 4 bytes of
+// prev accompany each vertex.
 func (k *RWR) RAPerVertex() int64 { return 4 }
 
 // NewState implements Kernel.
@@ -81,36 +78,27 @@ func (k *RWR) Init(st State, source uint64) {
 	s.iter = 0
 }
 
-// BeginLevel implements Kernel.
-func (k *RWR) BeginLevel([]State, int32) {}
-
 // Run is RWR's K_SP and K_LP (§3.3): scatter (1-c) * prev[v]/deg(v) along
 // out-edges, dividing a large page's part by its vertex's total degree, as
 // PageRank's Run does.
 func (k *RWR) Run(a *Args) Result {
 	s := a.State.(*rwrState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	start := dec.StartVID(a.PID)
 	large := a.Graph.Kind(a.PID) == slottedpage.LargePage
-	var lanes laneAcc
-	var res Result
+	res := Result{Active: true}
 	walk := float32(1 - k.restart)
-	for slot, pr := range s.prev[start:][:n] {
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
+	w := WalkPage(a)
+	for w.Next() {
+		pos, end, deg := w.Record()
+		pr := s.prev[w.V]
 		if deg == 0 || pr == 0 {
 			continue
 		}
 		if large {
-			deg = k.lpDeg[start]
+			deg = k.lpDeg[w.V]
 		}
 		k.scatter(a, s, pos, end, walk*pr/float32(deg), &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 func (k *RWR) scatter(a *Args, s *rwrState, pos, end int, contrib float32, res *Result) {
@@ -126,24 +114,13 @@ func (k *RWR) scatter(a *Args, s *rwrState, pos, end int, contrib float32, res *
 }
 
 // MergeStates implements Kernel: base-relative additive merge, like
-// PageRank's.
+// PageRank's, the base being each vertex's restart mass.
 func (k *RWR) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	merged := sts[0].(*rwrState)
-	for _, other := range sts[1:] {
-		o := other.(*rwrState)
-		for v := range merged.next {
-			merged.next[v] += o.next[v] - k.restartMass(uint64(v), o.source)
-		}
-	}
-	for _, other := range sts[1:] {
-		copy(other.(*rwrState).next, merged.next)
-	}
+	src := sts[0].(*rwrState).source
+	Merge(sts, rwrNext, func(v int, b, o float32) float32 { return b + (o - k.restartMass(uint64(v), src)) })
 }
 
-// EndIteration implements Kernel.
+// EndIteration implements ScanKernel.
 func (k *RWR) EndIteration(sts []State, _ bool) bool {
 	for _, st := range sts {
 		s := st.(*rwrState)
@@ -177,15 +154,8 @@ type degState struct {
 }
 
 func (s *degState) WABytes() int64 { return int64(len(s.deg)) * 4 }
-func (s *degState) Clone() State {
-	return &degState{deg: append([]int32(nil), s.deg...)}
-}
-
-// Class implements Kernel.
-func (k *DegreeDist) Class() Class { return PageRankLike }
-
-// RAPerVertex implements Kernel.
-func (k *DegreeDist) RAPerVertex() int64 { return 0 }
+func (s *degState) Clone() State   { return &degState{deg: slices.Clone(s.deg)} }
+func degrees(st State) []int32     { return st.(*degState).deg }
 
 // NewState implements Kernel.
 func (k *DegreeDist) NewState() State {
@@ -194,18 +164,13 @@ func (k *DegreeDist) NewState() State {
 
 // Init implements Kernel.
 func (k *DegreeDist) Init(st State, _ uint64) {
-	s := st.(*degState)
-	for i := range s.deg {
-		s.deg[i] = 0
-	}
+	clear(st.(*degState).deg)
 }
-
-// BeginLevel implements Kernel.
-func (k *DegreeDist) BeginLevel([]State, int32) {}
 
 // Run is the degree distribution's K_SP and K_LP (§3.3): add each slot's
 // ADJLIST_SZ to its vertex's degree, so the pages of a large vertex's run
-// sum to its total.
+// sum to its total. It reads no adjacency entry, so it prices slots alone
+// and counts no edges.
 func (k *DegreeDist) Run(a *Args) Result {
 	s := a.State.(*degState)
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
@@ -225,35 +190,13 @@ func (k *DegreeDist) Run(a *Args) Result {
 	return res
 }
 
-// MergeStates implements Kernel: each replica touched disjoint pages, so
-// degrees merge by maximum (unwritten entries are zero)... except LP runs,
-// whose partial sums land on different replicas — so merge by sum over
-// large vertices and by max elsewhere.
-func (k *DegreeDist) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	large := map[uint64]bool{}
-	for _, pid := range k.g.LPIDs() {
-		large[k.g.RVT(pid).StartVID] = true
-	}
-	base := sts[0].(*degState)
-	for _, other := range sts[1:] {
-		o := other.(*degState)
-		for v := range base.deg {
-			if large[uint64(v)] {
-				base.deg[v] += o.deg[v]
-			} else if o.deg[v] > base.deg[v] {
-				base.deg[v] = o.deg[v]
-			}
-		}
-	}
-	for _, other := range sts[1:] {
-		copy(other.(*degState).deg, base.deg)
-	}
-}
+// MergeStates implements Kernel: degrees merge by sum. Every replica starts
+// the scan at zero and only a vertex's own pages write its entry, so the sum
+// is the vertex's degree whether its pages (a large vertex's run) landed on
+// one replica or several.
+func (k *DegreeDist) MergeStates(sts []State) { Merge(sts, degrees, sumOf) }
 
-// EndIteration implements Kernel: one scan suffices.
+// EndIteration implements ScanKernel: one scan suffices.
 func (k *DegreeDist) EndIteration([]State, bool) bool { return false }
 
 // Degrees exposes the per-vertex out-degrees.
@@ -297,17 +240,9 @@ type kcoreState struct {
 
 func (s *kcoreState) WABytes() int64 { return int64(len(s.alive)) * (1 + 4) }
 func (s *kcoreState) Clone() State {
-	return &kcoreState{
-		alive: append([]bool(nil), s.alive...),
-		count: append([]int32(nil), s.count...),
-	}
+	return &kcoreState{alive: slices.Clone(s.alive), count: slices.Clone(s.count)}
 }
-
-// Class implements Kernel.
-func (k *KCore) Class() Class { return PageRankLike }
-
-// RAPerVertex implements Kernel.
-func (k *KCore) RAPerVertex() int64 { return 0 }
+func kcoreCounts(st State) []int32 { return st.(*kcoreState).count }
 
 // NewState implements Kernel.
 func (k *KCore) NewState() State {
@@ -324,13 +259,11 @@ func (k *KCore) Init(st State, _ uint64) {
 	}
 }
 
-// BeginLevel implements Kernel: reset this round's counts.
+// BeginLevel is the optional hook kernels.BeginLevel runs: reset this
+// round's counts.
 func (k *KCore) BeginLevel(sts []State, _ int32) {
 	for _, st := range sts {
-		s := st.(*kcoreState)
-		for i := range s.count {
-			s.count[i] = 0
-		}
+		clear(st.(*kcoreState).count)
 	}
 }
 
@@ -338,19 +271,13 @@ func (k *KCore) BeginLevel(sts []State, _ int32) {
 // edge in both directions.
 func (k *KCore) Run(a *Args) Result {
 	s := a.State.(*kcoreState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	var lanes laneAcc
-	var res Result
-	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
-		k.tally(a, s, vid, pos, end, &res)
+	res := Result{Active: true}
+	w := WalkPage(a)
+	for w.Next() {
+		pos, end, _ := w.Record()
+		k.tally(a, s, w.V, pos, end, &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, pos, end int, res *Result) {
@@ -371,24 +298,9 @@ func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, pos, end int, res *Res
 
 // MergeStates implements Kernel: counts are additive per superstep (each
 // replica saw disjoint pages); alive flags are identical going in.
-func (k *KCore) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	base := sts[0].(*kcoreState)
-	for _, other := range sts[1:] {
-		o := other.(*kcoreState)
-		for v := range base.count {
-			base.count[v] += o.count[v]
-		}
-	}
-	for _, other := range sts[1:] {
-		o := other.(*kcoreState)
-		copy(o.count, base.count)
-	}
-}
+func (k *KCore) MergeStates(sts []State) { Merge(sts, kcoreCounts, sumOf) }
 
-// EndIteration implements Kernel: peel under-degree vertices; another
+// EndIteration implements ScanKernel: peel under-degree vertices; another
 // round runs if anything was peeled.
 func (k *KCore) EndIteration(sts []State, _ bool) bool {
 	peeled := false

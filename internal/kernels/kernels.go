@@ -16,28 +16,11 @@
 package kernels
 
 import (
+	"cmp"
+
 	"repro/internal/bitset"
 	"repro/internal/slottedpage"
 )
-
-// Class separates the paper's two algorithm families (§3.3): traversal
-// algorithms stream only the pages on the frontier, level by level;
-// full-scan algorithms stream the whole topology once per iteration.
-type Class int
-
-// Algorithm classes.
-const (
-	BFSLike Class = iota
-	PageRankLike
-)
-
-// String names the class as the paper does.
-func (c Class) String() string {
-	if c == PageRankLike {
-		return "PageRank-like"
-	}
-	return "BFS-like"
-}
 
 // Technique selects the micro-level parallel processing scheme applied to
 // each page (paper §6.2 and Appendix E).
@@ -140,6 +123,81 @@ func (c costParams) cycles(slots int64, l *laneAcc, tech Technique) float64 {
 	return float64(slots)*c.slotCycles + c.laneCycles*l.effectiveLanes(tech)
 }
 
+// done closes a page the walker priced: Edges are the entries of the
+// records it read, Cycles their lanes' price under a.Tech.
+func (c costParams) done(a *Args, w *Walker, res Result) Result {
+	res.Edges = w.lanes.edges
+	res.Cycles = c.cycles(w.Slots(), &w.lanes, a.Tech)
+	return res
+}
+
+// Walker is a page kernel's cursor over its page's slots, the loop every
+// lane-priced kernel shares (SIMD-X's and Gunrock's split: the framework
+// owns the loop, the kernel says what happens per vertex and per edge):
+//
+//	w := WalkPage(a)
+//	for w.Next() { // a traversal: for Seek(&w, lv, level) {
+//		pos, end, deg := w.Record()
+//		<visit the entries at [pos, end)>
+//	}
+//	return k.cost.done(a, &w, res)
+//
+// Slot i is vertex StartVID+i; a large page has one slot. A kernel loops
+// over the cursor rather than handing the walker a callback: a callback per
+// vertex and per edge is an indirect call Go does not inline (EXPERIMENTS.md
+// "one page walk").
+type Walker struct {
+	V     uint64 // the current slot's vertex
+	dec   *slottedpage.Decoder
+	buf   []byte
+	slot  int
+	n     int
+	lanes laneAcc
+}
+
+// WalkPage returns a walker before a's first slot.
+func WalkPage(a *Args) Walker {
+	dec := a.Graph.Decoder()
+	return Walker{V: dec.StartVID(a.PID) - 1, dec: dec, buf: a.Page.Bytes(), slot: -1, n: a.Page.NumSlots()}
+}
+
+// Next steps to the next slot, reporting false past the last.
+func (w *Walker) Next() bool {
+	w.slot++
+	w.V++
+	return w.slot < w.n
+}
+
+// Record locates the current slot's record, its entries at [pos, end) in
+// steps of the decoder's Width, and counts its deg entries in the page's
+// lanes.
+func (w *Walker) Record() (pos, end, deg int) {
+	pos, end, deg = w.dec.Record(w.buf, w.slot)
+	w.lanes.add(deg)
+	return pos, end, deg
+}
+
+// Seek steps to the next slot whose vertex v has vec[v] == x — the
+// frontier test of a traversal — and reports false, leaving w spent, when
+// no slot is left. It scans vec in a loop of its own: a Next loop keeps the
+// cursor in memory, which cost SSSP's sparse frontier scans 10 %.
+func Seek[T comparable](w *Walker, vec []T, x T) bool {
+	for i, v := range vec[w.V+1:][:w.n-w.slot-1] {
+		if v == x {
+			w.slot += i + 1
+			w.V += uint64(i + 1)
+			return true
+		}
+	}
+	return false
+}
+
+// Slots is the page's slot count.
+func (w *Walker) Slots() int64 { return int64(w.n) }
+
+// Edges is how many entries the records read so far hold.
+func (w *Walker) Edges() int64 { return w.lanes.edges }
+
 // Args carries one page-kernel invocation's inputs (paper Algorithm 1
 // lines 16-26).
 //
@@ -196,32 +254,83 @@ type State interface {
 }
 
 // Kernel is one graph algorithm's page kernel plus its state management,
-// the unit the GTS framework (internal/core) schedules.
+// the unit the GTS framework (internal/core) schedules. A Kernel alone is a
+// traversal (BFS-like, §3.3): it streams the pages holding its frontier,
+// level by level, until no page is marked. ScanKernel makes it a full scan.
 type Kernel interface {
-	Class() Class
 	// NewState allocates zeroed attribute state for the kernel's graph.
 	NewState() State
-	// Init seeds st for a run from source (PageRank-like kernels ignore
-	// source).
+	// Init seeds st for a run from source (full scans may ignore it).
 	Init(st State, source uint64)
-	// RAPerVertex is the per-vertex size of the streamed read-only
-	// attribute subvector accompanying each page (0 if none).
-	RAPerVertex() int64
 	// Run is the page kernel, for small and large pages alike.
 	Run(a *Args) Result
-	// BeginLevel runs on each GPU's replica set at the start of a
-	// level/iteration (before any page kernel).
-	BeginLevel(sts []State, level int32)
 	// MergeStates combines the per-GPU replicas' superstep updates and
-	// makes every replica identical again (Strategy-P's steps 3-4).
+	// makes every replica identical again (Strategy-P's steps 3-4); Merge
+	// derives it vector by vector.
 	MergeStates(sts []State)
-	// EndIteration advances state between full-scan iterations
-	// (PageRank's prev/next swap); active reports whether any page kernel
-	// changed state this iteration. It returns whether another iteration
-	// is wanted. BFS-like kernels return false (the engine stops on an
-	// empty nextPIDSet instead).
+}
+
+// ScanKernel is a full-scan kernel (PageRank-like, §3.3): every iteration
+// streams the whole topology.
+type ScanKernel interface {
+	Kernel
+	// EndIteration advances state between iterations (PageRank's prev/next
+	// swap); active reports whether any page kernel changed state this
+	// iteration. It returns whether another iteration is wanted.
 	EndIteration(sts []State, active bool) bool
 }
+
+// BeginLevel runs k's BeginLevel(sts, level), if it has one, on each GPU's
+// replica set at the start of a level or iteration, before any page kernel.
+func BeginLevel(k Kernel, sts []State, level int32) {
+	if b, ok := k.(interface{ BeginLevel([]State, int32) }); ok {
+		b.BeginLevel(sts, level)
+	}
+}
+
+// RAPerVertex is k's RAPerVertex(), if it has one, else 0: the per-vertex
+// size of the read-only attribute subvector streamed with each page.
+func RAPerVertex(k Kernel) int64 {
+	if r, ok := k.(interface{ RAPerVertex() int64 }); ok {
+		return r.RAPerVertex()
+	}
+	return 0
+}
+
+// Merge is Strategy-P's merge of one attribute vector: it folds every
+// replica's vec into replica 0's, entry by entry and replica by replica, as
+// b = combine(v, b, o), then copies the result back to the others.
+func Merge[T any](sts []State, vec func(State) []T, combine func(v int, b, o T) T) {
+	if len(sts) < 2 {
+		return
+	}
+	base := vec(sts[0])
+	for _, st := range sts[1:] {
+		for v, o := range vec(st) {
+			base[v] = combine(v, base[v], o)
+		}
+	}
+	for _, st := range sts[1:] {
+		copy(vec(st), base)
+	}
+}
+
+// MinLevel is the combine of level vectors: the earlier level wins, and
+// unvisited is the identity.
+func MinLevel(_ int, b, o int16) int16 {
+	if o != unvisited && (b == unvisited || o < b) {
+		return o
+	}
+	return b
+}
+
+// Min is the combine of label vectors: the lower label wins.
+func Min[T cmp.Ordered](_ int, b, o T) T { return min(b, o) }
+
+// More combines for Merge.
+func maxOf[T cmp.Ordered](_ int, b, o T) T   { return max(b, o) }
+func sumOf[T int32 | int64](_ int, b, o T) T { return b + o }
+func orOf(_ int, b, o uint32) uint32         { return b | o }
 
 // BackwardKernel is implemented by BFS-like kernels that need a reverse
 // level sweep after the forward traversal finishes — Betweenness

@@ -10,9 +10,6 @@ import (
 )
 
 func TestClassAndTechniqueStrings(t *testing.T) {
-	if BFSLike.String() != "BFS-like" || PageRankLike.String() != "PageRank-like" {
-		t.Error("Class strings wrong")
-	}
 	if EdgeCentric.String() != "edge-centric" || VertexCentric.String() != "vertex-centric" || Hybrid.String() != "hybrid" {
 		t.Error("Technique strings wrong")
 	}
@@ -152,18 +149,26 @@ func TestStateCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestKernelClassesAndRA: a kernel's class (§3.3) is whether it is a
+// ScanKernel, and the engine runs a traversal that had an EndIteration as a
+// full scan; the RA vector is the optional RAPerVertex hook.
 func TestKernelClassesAndRA(t *testing.T) {
 	sp := buildTestGraph(t)
-	if NewBFS(sp).Class() != BFSLike || NewSSSP(sp).Class() != BFSLike || NewBC(sp).Class() != BFSLike {
-		t.Error("traversal kernels must be BFS-like")
+	side := func(v uint64) bool { return v%2 == 0 }
+	for _, k := range []Kernel{NewBFS(sp), NewNeighborhood(sp, 2), NewDirBFS(sp), NewSSSP(sp), NewBC(sp)} {
+		if _, ok := k.(ScanKernel); ok {
+			t.Errorf("%T: a traversal must not be a ScanKernel", k)
+		}
 	}
-	if NewPageRank(sp, 0.85, 1).Class() != PageRankLike || NewCC(sp).Class() != PageRankLike {
-		t.Error("full-scan kernels must be PageRank-like")
+	for _, k := range []Kernel{NewPageRank(sp, 0.85, 1), NewCC(sp), NewRWR(sp, 0.15, 1), NewKCore(sp, 3), NewRadius(sp, 4, 4), NewDegreeDist(sp), NewCrossEdges(sp, side)} {
+		if _, ok := k.(ScanKernel); !ok {
+			t.Errorf("%T: a full scan must be a ScanKernel", k)
+		}
 	}
-	if NewPageRank(sp, 0.85, 1).RAPerVertex() != 4 {
-		t.Error("PageRank streams 4 bytes of prevPR per vertex")
+	if RAPerVertex(NewPageRank(sp, 0.85, 1)) != 4 || RAPerVertex(NewRWR(sp, 0.15, 1)) != 4 {
+		t.Error("PageRank and RWR stream 4 bytes of their previous vector per vertex")
 	}
-	if NewBFS(sp).RAPerVertex() != 0 {
+	if RAPerVertex(NewBFS(sp)) != 0 {
 		t.Error("BFS has no RA vector")
 	}
 }

@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/slottedpage"
+import (
+	"slices"
+
+	"repro/internal/slottedpage"
+)
 
 // PageRank implements the paper's K_PR_SP and K_PR_LP kernels (Algorithms 4
 // and 5). Per the paper's split, nextPR is the read/write attribute vector
@@ -36,21 +40,12 @@ type prState struct {
 
 func (s *prState) WABytes() int64 { return int64(len(s.nextPR)) * 4 }
 func (s *prState) Clone() State {
-	c := &prState{
-		prevPR: make([]float32, len(s.prevPR)),
-		nextPR: make([]float32, len(s.nextPR)),
-		base:   s.base,
-		iter:   s.iter,
-	}
-	copy(c.prevPR, s.prevPR)
-	copy(c.nextPR, s.nextPR)
-	return c
+	return &prState{prevPR: slices.Clone(s.prevPR), nextPR: slices.Clone(s.nextPR), base: s.base, iter: s.iter}
 }
+func prNext(st State) []float32 { return st.(*prState).nextPR }
 
-// Class implements Kernel: PageRank scans the whole topology per iteration.
-func (k *PageRank) Class() Class { return PageRankLike }
-
-// RAPerVertex implements Kernel: 4 bytes of prevPR accompany each vertex.
+// RAPerVertex is the optional hook kernels.RAPerVertex reads: 4 bytes of
+// prevPR accompany each vertex.
 func (k *PageRank) RAPerVertex() int64 { return 4 }
 
 // NewState implements Kernel.
@@ -75,9 +70,6 @@ func (k *PageRank) Init(st State, _ uint64) {
 	s.iter = 0
 }
 
-// BeginLevel implements Kernel (no per-iteration preparation).
-func (k *PageRank) BeginLevel([]State, int32) {}
-
 // Run implements K_PR_SP and K_PR_LP (Algorithms 4 and 5): a frontier-free
 // full scan; a warp takes one slot and atomically adds df*prevPR[v]/deg(v)
 // to every out-neighbor's nextPR. A large page holds part of one vertex's
@@ -85,28 +77,21 @@ func (k *PageRank) BeginLevel([]State, int32) {}
 // the page-local count.
 func (k *PageRank) Run(a *Args) Result {
 	s := a.State.(*prState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	start := dec.StartVID(a.PID)
 	large := a.Graph.Kind(a.PID) == slottedpage.LargePage
-	var lanes laneAcc
-	var res Result
+	res := Result{Active: true}
 	df := float32(k.damping)
-	for slot, pr := range s.prevPR[start:][:n] {
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
+	w := WalkPage(a)
+	for w.Next() {
+		pos, end, deg := w.Record()
 		if deg == 0 {
 			continue
 		}
 		if large {
-			deg = k.lpDeg[start]
+			deg = k.lpDeg[w.V]
 		}
-		k.scatter(a, s, pos, end, df*pr/float32(deg), &res)
+		k.scatter(a, s, pos, end, df*s.prevPR[w.V]/float32(deg), &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 // scatter performs the atomicAdd loop over the record at [pos, end).
@@ -126,24 +111,12 @@ func (k *PageRank) scatter(a *Args, s *prState, pos, end int, contrib float32, r
 // same nextPR (the teleport base after EndIteration), so the merged value
 // is base plus the sum of each replica's accumulated contributions.
 func (k *PageRank) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	merged := sts[0].(*prState)
-	for _, other := range sts[1:] {
-		o := other.(*prState)
-		for v := range merged.nextPR {
-			merged.nextPR[v] += o.nextPR[v] - o.base
-		}
-	}
-	for _, other := range sts[1:] {
-		o := other.(*prState)
-		copy(o.nextPR, merged.nextPR)
-	}
+	base := sts[0].(*prState).base
+	Merge(sts, prNext, func(_ int, b, o float32) float32 { return b + (o - base) })
 }
 
-// EndIteration implements Kernel: nextPR becomes prevPR, nextPR resets to
-// the teleport base, and the run continues until the iteration budget is
+// EndIteration implements ScanKernel: nextPR becomes prevPR, nextPR resets
+// to the teleport base, and the run continues until the iteration budget is
 // spent (paper §3.4's note on repeating Lines 13-31).
 func (k *PageRank) EndIteration(sts []State, _ bool) bool {
 	for _, st := range sts {

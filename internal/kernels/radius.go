@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/slottedpage"
 )
@@ -11,8 +12,7 @@ import (
 // KDD'02): every vertex carries K Flajolet-Martin bitmask sketches of its
 // reachable set; each full scan ORs in the out-neighbors' sketches,
 // extending reach by one hop. A vertex's (out-)eccentricity estimate is the
-// iteration at which its sketches stop growing, and the neighborhood
-// function |N(v,h)| comes from the sketches' lowest-zero-bit positions.
+// iteration at which its sketches stop growing.
 //
 // Sketch updates are idempotent bitwise ORs, so replica merges and
 // ownership splitting work exactly like the other full-scan kernels.
@@ -51,14 +51,10 @@ func (s *radiusState) WABytes() int64 {
 	return int64(len(s.next))*4 + int64(len(s.radius))*4
 }
 func (s *radiusState) Clone() State {
-	return &radiusState{
-		prev:   append([]uint32(nil), s.prev...),
-		next:   append([]uint32(nil), s.next...),
-		radius: append([]int32(nil), s.radius...),
-		k:      s.k,
-		iter:   s.iter,
-	}
+	return &radiusState{prev: slices.Clone(s.prev), next: slices.Clone(s.next), radius: slices.Clone(s.radius), k: s.k, iter: s.iter}
 }
+func sketchNext(st State) []uint32 { return st.(*radiusState).next }
+func radii(st State) []int32       { return st.(*radiusState).radius }
 
 // fmBit returns the Flajolet-Martin bit for vertex v in sketch j: position
 // = number of trailing zeros of a per-sketch hash, geometrically
@@ -75,12 +71,6 @@ func fmBit(v uint64, j int) uint32 {
 	}
 	return 1 << uint(pos)
 }
-
-// Class implements Kernel.
-func (k *Radius) Class() Class { return PageRankLike }
-
-// RAPerVertex implements Kernel.
-func (k *Radius) RAPerVertex() int64 { return 0 }
 
 // NewState implements Kernel.
 func (k *Radius) NewState() State {
@@ -107,25 +97,17 @@ func (k *Radius) Init(st State, _ uint64) {
 	s.iter = 0
 }
 
-// BeginLevel implements Kernel.
-func (k *Radius) BeginLevel([]State, int32) {}
-
 // Run is radius estimation's K_SP and K_LP (§3.3): OR each vertex's
 // out-neighbors' sketches into its own.
 func (k *Radius) Run(a *Args) Result {
 	s := a.State.(*radiusState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	var lanes laneAcc
 	var res Result
-	for slot, vid := 0, dec.StartVID(a.PID); slot < n; slot, vid = slot+1, vid+1 {
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
-		k.absorb(a, s, vid, pos, end, &res)
+	w := WalkPage(a)
+	for w.Next() {
+		pos, end, _ := w.Record()
+		k.absorb(a, s, w.V, pos, end, &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, pos, end int, res *Result) {
@@ -151,30 +133,12 @@ func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, pos, end int, res *
 
 // MergeStates implements Kernel: sketches merge by OR; radii by maximum.
 func (k *Radius) MergeStates(sts []State) {
-	if len(sts) < 2 {
-		return
-	}
-	base := sts[0].(*radiusState)
-	for _, other := range sts[1:] {
-		o := other.(*radiusState)
-		for i := range base.next {
-			base.next[i] |= o.next[i]
-		}
-		for v := range base.radius {
-			if o.radius[v] > base.radius[v] {
-				base.radius[v] = o.radius[v]
-			}
-		}
-	}
-	for _, other := range sts[1:] {
-		o := other.(*radiusState)
-		copy(o.next, base.next)
-		copy(o.radius, base.radius)
-	}
+	Merge(sts, sketchNext, orOf)
+	Merge(sts, radii, maxOf)
 }
 
-// EndIteration implements Kernel: record which vertices grew this hop, swap
-// buffers, and continue until no sketch changes or the hop cap.
+// EndIteration implements ScanKernel: record which vertices grew this hop,
+// swap buffers, and continue until no sketch changes or the hop cap.
 func (k *Radius) EndIteration(sts []State, active bool) bool {
 	base := sts[0].(*radiusState)
 	base.iter++
@@ -200,18 +164,6 @@ func (k *Radius) EndIteration(sts []State, active bool) bool {
 // which each vertex's reachable-set sketch last grew.
 func (k *Radius) Radii(st State) []int32 { return st.(*radiusState).radius }
 
-// NeighborhoodEstimate reports the estimated size of v's reachable set
-// from the final sketches, using the Flajolet-Martin estimator
-// 2^E[b] / 0.77351 where b is each sketch's lowest unset bit.
-func (k *Radius) NeighborhoodEstimate(st State, v uint64) float64 {
-	s := st.(*radiusState)
-	sum := 0.0
-	for j := 0; j < s.k; j++ {
-		sum += float64(lowestZeroBit(s.prev[int(v)*s.k+j]))
-	}
-	return math.Pow(2, sum/float64(s.k)) / 0.77351
-}
-
 // EffectiveDiameter reports the smallest hop count within which the given
 // fraction (e.g. 0.9) of vertices' sketches had stabilized.
 func (k *Radius) EffectiveDiameter(st State, fraction float64) int32 {
@@ -232,13 +184,4 @@ func (k *Radius) EffectiveDiameter(st State, fraction float64) int32 {
 		}
 	}
 	return s.iter
-}
-
-func lowestZeroBit(m uint32) int {
-	for i := 0; i < 32; i++ {
-		if m&(1<<uint(i)) == 0 {
-			return i
-		}
-	}
-	return 32
 }

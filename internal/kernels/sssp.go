@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/slottedpage"
 )
@@ -42,17 +43,8 @@ type ssspState struct {
 
 func (s *ssspState) WABytes() int64 { return int64(len(s.dist)) * (4 + 4) }
 func (s *ssspState) Clone() State {
-	c := &ssspState{dist: make([]float32, len(s.dist)), active: make([]int32, len(s.active))}
-	copy(c.dist, s.dist)
-	copy(c.active, s.active)
-	return c
+	return &ssspState{dist: slices.Clone(s.dist), active: slices.Clone(s.active)}
 }
-
-// Class implements Kernel.
-func (k *SSSP) Class() Class { return BFSLike }
-
-// RAPerVertex implements Kernel.
-func (k *SSSP) RAPerVertex() int64 { return 0 }
 
 // NewState implements Kernel.
 func (k *SSSP) NewState() State {
@@ -71,30 +63,18 @@ func (k *SSSP) Init(st State, source uint64) {
 	s.active[source] = 0
 }
 
-// BeginLevel implements Kernel.
-func (k *SSSP) BeginLevel([]State, int32) {}
-
 // Run is SSSP's K_SP and K_LP (Appendix D): relax the out-edges of every
 // vertex in the page that improved at the current level (on a large page,
 // the page's part of one vertex's out-edges).
 func (k *SSSP) Run(a *Args) Result {
 	s := a.State.(*ssspState)
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	n := a.Page.NumSlots()
-	start := dec.StartVID(a.PID)
-	var lanes laneAcc
 	var res Result
-	for slot, at := range s.active[start:][:n] {
-		if at != a.Level {
-			continue
-		}
-		pos, end, deg := dec.Record(buf, slot)
-		lanes.add(deg)
-		k.relax(a, s, start+uint64(slot), pos, end, &res)
+	w := WalkPage(a)
+	for Seek(&w, s.active, a.Level) {
+		pos, end, _ := w.Record()
+		k.relax(a, s, w.V, pos, end, &res)
 	}
-	res.Edges = lanes.edges
-	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	return res
+	return k.cost.done(a, &w, res)
 }
 
 func (k *SSSP) relax(a *Args, s *ssspState, vid uint64, pos, end int, res *Result) {
@@ -141,9 +121,6 @@ func (k *SSSP) MergeStates(sts []State) {
 		copy(o.active, base.active)
 	}
 }
-
-// EndIteration implements Kernel.
-func (k *SSSP) EndIteration([]State, bool) bool { return false }
 
 // Distances exposes the result vector; unreachable vertices hold +Inf
 // (math.MaxFloat32).
