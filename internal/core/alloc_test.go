@@ -10,12 +10,11 @@ import (
 )
 
 // TestRunAllocBudget pins the objects a whole run allocates — PageRank(10)
-// on the test graph: 42 pages, up to 32 stream processes per phase per
-// wave. It measures 982; with a Proc, a channel, a completion
-// Signal, a Handle and a goroutine per process the parent commit's run
-// allocated 2217, and coroutines that exited with their bodies would cost
-// more than that (iter.Pull is several objects), so the bound fails if
-// internal/sim stops reusing them.
+// on the test graph: 42 pages, up to 32 stream processes per wave. It
+// measures 920; with a Proc, a channel, a completion Signal, a Handle and a
+// goroutine per process a run allocated 2217, and coroutines that exited
+// with their bodies would cost more than that (iter.Pull is several
+// objects), so the bound fails if internal/sim stops reusing them.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation perturbs allocation counts")
@@ -37,10 +36,10 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
-// TestComputeKernelsAllocBudget pins the host kernel loop, planPhase: the
-// demand merge and every page kernel of a phase. With the driver's tables at
-// the size the widest wave needs, a PageRank phase allocates 0 objects, and so
-// does every phase of a whole BFS and of a whole 8-member BFS group — a page
+// TestComputeKernelsAllocBudget pins the host kernel loop, planWave: the
+// demand table and every page kernel of a wave. With the driver's tables at
+// the size the widest wave needs, a PageRank wave allocates 0 objects, and so
+// does every wave of a whole BFS and of a whole 8-member BFS group — a page
 // kernel decodes at the point of use and owns no buffer — except that the
 // group's first shared page brings the BFSGroup's mask array (and the three
 // small slices around it) into being, once per run.
@@ -59,7 +58,7 @@ func TestComputeKernelsAllocBudget(t *testing.T) {
 		}
 		n := len(jobs) * sp.NumPages()
 		d.pids, d.off, d.dem = make([]slottedpage.PageID, 0, n), make([]int, 0, n+1), make([]demand, 0, n)
-		d.cur, d.gpuEnd, d.lanes = make([]int, 0, len(jobs)), make([]int, 0, 1), make([]kernels.BFSLane, 0, len(jobs))
+		d.gpuEnd, d.lanes = make([]int, 0, 1), make([]kernels.BFSLane, 0, len(jobs))
 		d.env.Process("alloc-budget", func(p *sim.Proc) {
 			for _, m := range d.active {
 				d.beginMember(p, m)
@@ -73,8 +72,8 @@ func TestComputeKernelsAllocBudget(t *testing.T) {
 
 	inDriver([]SharedJob{{Kernel: kernels.NewPageRank(sp, 0.85, 5)}}, func(p *sim.Proc, d *driver) {
 		d.beginWave(d.active[0])
-		if got := testing.AllocsPerRun(20, func() { d.planPhase(0) }); got > 0 {
-			t.Errorf("PageRank phase allocates %.1f objects/run, want 0", got)
+		if got := testing.AllocsPerRun(20, d.planWave); got > 0 {
+			t.Errorf("PageRank wave allocates %.1f objects/run, want 0", got)
 		}
 	})
 
@@ -89,14 +88,10 @@ func TestComputeKernelsAllocBudget(t *testing.T) {
 				for _, m := range d.active {
 					d.beginWave(m)
 				}
-				var n uint64
-				for phase := 0; phase < 2; phase++ {
-					before := mallocs()
-					d.planPhase(phase)
-					n += mallocs() - before
-					d.streamDemand(p)
-				}
-				perWave = append(perWave, n)
+				before := mallocs()
+				d.planWave()
+				perWave = append(perWave, mallocs()-before)
+				d.streamDemand(p)
 				for _, m := range d.active {
 					d.endWave(p, m)
 				}
@@ -115,7 +110,7 @@ func TestComputeKernelsAllocBudget(t *testing.T) {
 				budget = 5 // the mask array, the two slices that index it, the frontier mask, once
 			}
 			if len(perWave) < 3 || total > budget || allocating > 1 {
-				t.Errorf("%d BFS: %d waves allocate %v objects in planPhase, want 3+ waves and at most %d objects, all in one wave",
+				t.Errorf("%d BFS: %d waves allocate %v objects in planWave, want 3+ waves and at most %d objects, all in one wave",
 					members, len(perWave), perWave, budget)
 			}
 			if members > 1 && total == 0 {

@@ -160,7 +160,7 @@ type Metrics struct {
 	// unless a fault plan is set.
 	Faults fault.Stats
 	// HostKernelWall is the real (not virtual) time the host spent in
-	// functional kernel execution: each phase's compute is timed once and
+	// functional kernel execution: each wave's compute is timed once and
 	// divided among the group's live members by their kernel jobs in it, so
 	// the members' values sum to the wall actually spent. Not in the JSON.
 	HostKernelWall time.Duration `json:"-"`

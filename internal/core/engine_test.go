@@ -408,7 +408,7 @@ func TestReportMetricsSane(t *testing.T) {
 
 	// A group's kernels run page-major, so no member has a loop of its own to
 	// time: the members' HostKernelWall must still add up to the wall the
-	// group's phases took computing (planPhase).
+	// group's waves took computing (planWave).
 	ds, _ := graphgen.ByName("RMAT27")
 	big := buildPages(t, ds.MustGenerate(27-13))
 	jobs := []SharedJob{{Kernel: kernels.NewPageRank(big, 0.85, 3)}, {Kernel: kernels.NewSSSP(big), Source: 1}}
@@ -432,12 +432,10 @@ func TestReportMetricsSane(t *testing.T) {
 			for _, m := range d.active {
 				d.beginWave(m)
 			}
-			for phase := 0; phase < 2; phase++ {
-				t0 := time.Now()
-				d.planPhase(phase)
-				outer += time.Since(t0)
-				d.streamDemand(p)
-			}
+			t0 := time.Now()
+			d.planWave()
+			outer += time.Since(t0)
+			d.streamDemand(p)
 			for _, m := range d.active {
 				d.endWave(p, m)
 			}
@@ -458,7 +456,7 @@ func TestReportMetricsSane(t *testing.T) {
 		sum += o.HostKernelWall
 	}
 	if sum > outer || sum < outer-outer/20 {
-		t.Errorf("members' HostKernelWall sum to %v, the group's phases took %v: want within 5%% below", sum, outer)
+		t.Errorf("members' HostKernelWall sum to %v, the group's waves took %v: want within 5%% below", sum, outer)
 	}
 }
 

@@ -2,11 +2,11 @@ package core
 
 // The superstep engine. Every run is a "wave group": one or more kernels
 // over the same graph executing inside one simulation — Engine.Run is a
-// group of one. Every superstep the group runs one wave, in two phases (small
-// pages, then large): the members' page demands merge into one table, the
-// functional kernel work runs over it page by page — each member sees its
-// pages in the order it would alone, and a page's plain-BFS demanders share
-// one execution of it — and then the table streams to the GPUs once: the
+// group of one. Every superstep the group runs one wave, one pass in page
+// order: the members' page sets merge into one demand table, the functional
+// kernel work runs over it page by page — each member sees its pages in the
+// order it would alone, and a page's plain-BFS demanders share one
+// execution of it — and then the table streams to the GPUs once: the
 // first live demander of a page pays the PCI-E copy and every other
 // demander's kernel consumes the resident bytes for free. Member writes stay
 // separated because each member owns its attribute states and a page kernel
@@ -89,8 +89,8 @@ type SharedStats struct {
 	Elapsed        sim.Time
 }
 
-// demand is one member's claim on a (GPU, page) of the running phase: the
-// member and, once planPhase has run the page, its kernel's result.
+// demand is one member's claim on a (GPU, page) of the running wave: the
+// member and, once planWave has run the page, its kernel's result.
 type demand struct {
 	m   *member
 	res kernels.Result
@@ -113,15 +113,16 @@ type driver struct {
 	stats  SharedStats
 	wave   int64
 
-	// The running phase's union demand (see mergeDemand): pids lists each
-	// GPU's demanded pages back to back (GPU i's end at gpuEnd[i]), and
-	// dem[off[j]:off[j+1]] are the claims on pids[j]. cur is the merge's
-	// per-member cursor. All keep their backing arrays, so a wave allocates
-	// nothing here once they have grown to the sum of the members' lists.
+	// The running wave's demand table (see planWave): union is the live
+	// members' page sets ORed together, pids lists each GPU's demanded pages
+	// back to back (GPU i's end at gpuEnd[i]), and dem[off[j]:off[j+1]] are
+	// the claims on pids[j]. All keep their backing arrays, so a wave
+	// allocates nothing here once they have grown to the members' summed
+	// demand.
+	union  pidSet
 	pids   []slottedpage.PageID
 	off    []int
 	dem    []demand
-	cur    []int
 	gpuEnd []int
 
 	// bfs runs a page once for its plain-BFS demanders (lanes); args backs
@@ -197,7 +198,7 @@ func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) (SharedSt
 // error, for abandon.
 func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, error) {
 	env := sim.NewEnv()
-	d := &driver{eng: e, admit: admit, handed: jobs}
+	d := &driver{eng: e, admit: admit, handed: jobs, union: bitset.New(e.graph.NumPages())}
 	machine, err := hw.NewMachine(env, e.spec, int64(e.graph.Config().PageSize))
 	if err != nil {
 		return d, err
@@ -274,10 +275,8 @@ func (d *driver) loop(p *sim.Proc) {
 		for _, m := range d.active {
 			d.beginWave(m)
 		}
-		for phase := range 2 { // small pages, then large
-			d.planPhase(phase)
-			d.streamDemand(p)
-		}
+		d.planWave()
+		d.streamDemand(p)
 		for _, m := range d.active {
 			d.endWave(p, m)
 		}
@@ -415,7 +414,7 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 }
 
 // beginWave opens one member's superstep: level bookkeeping, BeginLevel, and
-// this wave's pages split by kind and GPU for planPhase to merge and run.
+// the page set planWave merges and runs for the member.
 func (d *driver) beginWave(m *member) {
 	if m.abort != nil {
 		return
@@ -438,15 +437,9 @@ func (d *driver) beginWave(m *member) {
 	for i := range m.locals {
 		m.locals[i] = m.getPidSet()
 	}
-
-	pages := m.next
+	m.pages = m.next
 	if m.backward {
-		pages = m.levelSets[m.backIdx]
-	}
-	nGPU := len(d.machine.GPUs)
-	m.lists[0], m.lists[1] = m.eng.splitByKind(pages, m.lists[0][:0], m.lists[1][:0])
-	for phase, list := range m.lists {
-		m.parts[phase] = m.eng.partition(m.parts[phase], list, nGPU)
+		m.pages = m.levelSets[m.backIdx]
 	}
 }
 
@@ -458,64 +451,48 @@ func sized[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// mergeDemand appends one GPU's union page demand for the phase to the
-// demand table: a k-way merge of the live members' sorted page lists, so
-// pages come out in ascending ID order with each page's demanders in join
-// order.
-func (d *driver) mergeDemand(phase, gpu int) {
-	d.cur = d.cur[:0]
-	for range d.active {
-		d.cur = append(d.cur, 0)
-	}
-	for {
-		var next slottedpage.PageID
-		found := false
-		for i, m := range d.active {
-			if m.abort != nil {
-				continue
-			}
-			list := m.parts[phase][gpu]
-			if c := d.cur[i]; c < len(list) && (!found || list[c] < next) {
-				next, found = list[c], true
-			}
-		}
-		if !found {
-			return
-		}
-		d.pids = append(d.pids, next)
-		for i, m := range d.active {
-			if m.abort != nil {
-				continue
-			}
-			list := m.parts[phase][gpu]
-			if c := d.cur[i]; c < len(list) && list[c] == next {
-				d.dem = append(d.dem, demand{m: m})
-				d.cur[i]++
-			}
-		}
-		d.off = append(d.off, len(d.dem))
-	}
-}
-
-// planPhase is the functional half of a phase: it builds the demand table and
-// runs every row's kernels, GPU by GPU and page by page. They execute between
-// sim events, so virtual time, traces and fault schedules do not depend on how
-// long they take; that wall-clock is measured once and divided among the live
-// members by their kernel jobs, so the members' hostKernelWall sum to it.
-func (d *driver) planPhase(phase int) {
+// planWave is the functional half of a wave: it builds the demand table and
+// runs every row's kernels, GPU by GPU and page by page. A GPU's rows walk
+// the union of the live members' page sets in ascending page ID — under
+// Strategy-P with several GPUs page j is GPU j mod N's (§4.1), otherwise
+// every GPU takes every page (§4.2) — and list each page's demanders in join
+// order. The kernels execute between sim events, so virtual time, traces and
+// fault schedules do not depend on how long they take; that wall-clock is
+// measured once and divided among the live members by their kernel jobs, so
+// the members' hostKernelWall sum to it.
+func (d *driver) planWave() {
 	t0 := time.Now()
-	// Size the table once, to the sum of the lists it merges.
+	nGPU := len(d.machine.GPUs)
+	split := d.eng.opts.Strategy == StrategyP && nGPU > 1
+	copies := nGPU // how many GPUs run each demanded page
+	if split {
+		copies = 1
+	}
+	// Size the table once, to the members' summed demand.
+	d.union.Reset()
 	n := 0
 	for _, m := range d.active {
-		for _, part := range m.parts[phase] {
-			n += len(part)
+		if m.abort == nil {
+			d.union.Or(m.pages)
+			n += m.pages.Count() * copies
 		}
 	}
 	d.pids, d.dem, d.gpuEnd = sized(d.pids, n), sized(d.dem, n), d.gpuEnd[:0]
 	d.off = append(sized(d.off, n+1), 0)
-	for i := range d.machine.GPUs {
+	for i := range nGPU {
 		j := len(d.pids)
-		d.mergeDemand(phase, i)
+		d.union.ForEach(func(pid int) {
+			if split && pid%nGPU != i {
+				return
+			}
+			d.pids = append(d.pids, slottedpage.PageID(pid))
+			for _, m := range d.active {
+				if m.abort == nil && m.pages.Get(pid) {
+					d.dem = append(d.dem, demand{m: m})
+				}
+			}
+			d.off = append(d.off, len(d.dem))
+		})
 		d.gpuEnd = append(d.gpuEnd, len(d.pids))
 		for ; j < len(d.pids); j++ {
 			d.runPage(i, d.pids[j], d.dem[d.off[j]:d.off[j+1]])
@@ -523,10 +500,8 @@ func (d *driver) planPhase(phase int) {
 	}
 	wall := time.Since(t0)
 	for _, m := range d.active {
-		for _, part := range m.parts[phase] {
-			if m.abort == nil && len(part) > 0 {
-				m.hostKernelWall += wall * time.Duration(len(part)) / time.Duration(len(d.dem))
-			}
+		if m.abort == nil && len(d.dem) > 0 {
+			m.hostKernelWall += wall * time.Duration(m.pages.Count()*copies) / time.Duration(len(d.dem))
 		}
 	}
 }
@@ -567,7 +542,7 @@ func (d *driver) runPage(gpu int, pid slottedpage.PageID, dem []demand) {
 
 // streamDemand streams the demand table to the GPUs: under Strategy-P with
 // several GPUs each streams its own share of the pages, otherwise every GPU
-// streams all of them (see partition), handed out in page order to the GPU's
+// streams all of them (see planWave), handed out in page order to the GPU's
 // stream processes.
 func (d *driver) streamDemand(p *sim.Proc) {
 	grp := sim.NewGroup(d.env)
@@ -665,7 +640,6 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 		if extra := len(live) - 1; extra > 0 {
 			d.stats.SharedPageCopies++
 			d.stats.BytesSaved += int64(extra) * pageSize
-			gpu.NoteSharedCopy(extra, int64(extra)*pageSize)
 		}
 		// Re-read the cache: a sibling's OOM degradation may have dropped it.
 		if cache := d.caches[gpuIdx]; cache != nil {
@@ -694,8 +668,8 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 				}
 			}
 		}
-		// The functional work already ran exactly once, before the phase's
-		// streams started (planPhase); here its memoized cycle count occupies
+		// The functional work already ran exactly once, before the wave's
+		// streams started (planWave); here its memoized cycle count occupies
 		// the simulated SM pool at whatever virtual time this stream reached
 		// the page, so a failed launch leaves the member's state consistent.
 		res := dm.res

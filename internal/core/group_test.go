@@ -676,9 +676,9 @@ func TestClosedRosterMemoryLayout(t *testing.T) {
 
 // TestWaveAllocBudget pins the cost of a wave past its first: once a warm-up
 // has grown the driver's demand table and the members' result slices (and,
-// for BFS members, met the first shared page), planning a phase — merging
-// the demand and running every kernel — and processing a page of it allocate
-// nothing: for a group of one, which is every Engine.Run, for eight scans,
+// for BFS members, met the first shared page), planning a wave — building
+// the demand table and running every kernel — and processing a page of it
+// allocate nothing: for a group of one, which is every Engine.Run, for eight scans,
 // and for eight BFS twins sharing every page through the group kernel.
 func TestWaveAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -713,10 +713,8 @@ func TestWaveAllocBudget(t *testing.T) {
 			for _, m := range d.active {
 				d.beginWave(m)
 			}
-			for phase := range 2 {
-				d.planPhase(phase)
-				d.streamDemand(p)
-			}
+			d.planWave()
+			d.streamDemand(p)
 			for _, m := range d.active {
 				d.endWave(p, m)
 			}
@@ -724,7 +722,7 @@ func TestWaveAllocBudget(t *testing.T) {
 				d.beginWave(m)
 			}
 			allocs = testing.AllocsPerRun(20, func() {
-				d.planPhase(0)
+				d.planWave()
 				d.processDemand(p, 0, 0, 0)
 			})
 		})
@@ -735,7 +733,69 @@ func TestWaveAllocBudget(t *testing.T) {
 			t.Fatalf("%s: %d active, %d claims on %d pages", tc.name, len(d.active), len(d.dem), len(d.pids))
 		}
 		if allocs > 0 {
-			t.Errorf("%s: planning a phase and processing a page allocate %.1f objects, want 0", tc.name, allocs)
+			t.Errorf("%s: planning a wave and processing a page allocate %.1f objects, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestWaveRunsPagesInPageOrder pins a wave as one pass in page order: on a
+// graph whose large-page runs sit between small pages, one GPU with one
+// stream launches each superstep's kernels in strictly ascending page ID —
+// a large page takes its place among the small ones rather than waiting for
+// them all.
+func TestWaveRunsPagesInPageOrder(t *testing.T) {
+	// Two hubs, each with an edge to every other vertex, in the middle of a
+	// ring whose every vertex also points at the first hub: BFS from 0 meets
+	// the first hub at level 1 and every other page, the second hub's
+	// included, at level 2.
+	const n, hubA, hubB = 2000, 500, 1500
+	var edges []csr.Edge
+	for v := uint32(0); v < n; v++ {
+		edges = append(edges, csr.Edge{Src: v, Dst: (v + 1) % n}, csr.Edge{Src: v, Dst: hubA})
+		if v != hubA {
+			edges = append(edges, csr.Edge{Src: hubA, Dst: v})
+		}
+		if v != hubB {
+			edges = append(edges, csr.Edge{Src: hubB, Dst: v})
+		}
+	}
+	g, err := csr.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := buildPages(t, g)
+	// The layout the test needs: small, large, small, in page order.
+	firstLP, lastSP := -1, -1
+	for pid := range sp.NumPages() {
+		switch kind := sp.Kind(slottedpage.PageID(pid)); {
+		case kind == slottedpage.LargePage && firstLP < 0:
+			firstLP = pid
+		case kind == slottedpage.SmallPage:
+			lastSP = pid
+		}
+	}
+	if firstLP <= 0 || lastSP < firstLP {
+		t.Fatalf("%d pages, first large page %d, last small page %d: want a large-page run between small pages",
+			sp.NumPages(), firstLP, lastSP)
+	}
+
+	for _, k := range []kernels.Kernel{kernels.NewPageRank(sp, 0.85, 3), kernels.NewBFS(sp)} {
+		rec := trace.New()
+		mustRun(t, newEngine(t, sp, Options{Streams: 1, Trace: rec}, 1, 0), k)
+		last := map[int32]int64{} // superstep -> last kernel's page
+		kernelsRun := 0
+		for _, s := range rec.Spans() {
+			if s.Kind != trace.Kernel {
+				continue
+			}
+			if prev, ok := last[s.Level]; ok && s.Page <= prev {
+				t.Fatalf("%T superstep %d: kernel on page %d after page %d, want ascending page IDs", k, s.Level, s.Page, prev)
+			}
+			last[s.Level] = s.Page
+			kernelsRun++
+		}
+		if len(last) < 2 || kernelsRun <= sp.NumPages() {
+			t.Errorf("%T: %d kernels over %d supersteps, want several supersteps covering the graph", k, kernelsRun, len(last))
 		}
 	}
 }

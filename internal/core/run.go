@@ -60,13 +60,17 @@ type member struct {
 	owned [][2]uint64
 
 	// Traversal state: next is the current frontier (traversals) or the full
-	// set (scans: scan is the kernel's ScanKernel, nil on a traversal), locals the per-GPU next-page accumulation for the running
-	// wave, levelSets the recorded forward frontiers for the backward sweep.
-	// level counts the forward supersteps done (the report's Levels).
+	// set (scans: scan is the kernel's ScanKernel, nil on a traversal), pages
+	// the running wave's page set (next, or the replayed level's in a
+	// backward sweep), locals the per-GPU next-page accumulation for the
+	// running wave, levelSets the recorded forward frontiers for the
+	// backward sweep. level counts the forward supersteps done (the report's
+	// Levels).
 	scan         kernels.ScanKernel
 	wantBackward bool
 	backKernel   kernels.BackwardKernel
 	next         pidSet
+	pages        pidSet
 	locals       []pidSet
 	levelSets    []pidSet
 	level        int32
@@ -79,17 +83,10 @@ type member struct {
 	stepActive  bool
 	beforePages int64
 	beforeBytes int64
-	// lists[phase] is this wave's page list (phase 0 = small pages, 1 =
-	// large pages: all small pages stream first, then all large ones, to
-	// avoid switching between the two kernel variants, paper §3.2) and
-	// parts[phase][gpu] its partition. Both keep their backing arrays across
-	// waves.
-	lists [2][]slottedpage.PageID
-	parts [2][][]slottedpage.PageID
 
 	// pidPool recycles page-ID bitsets (nextPIDSet locals and level
 	// frontiers). hostKernelWall accrues this member's share of the real time
-	// the group's page kernels took (planPhase). lane is the member's lane in
+	// the group's page kernels took (planWave). lane is the member's lane in
 	// driver.bfs; -1 unless its kernel is a plain *kernels.BFS.
 	pidPool        sync.Pool
 	hostKernelWall time.Duration

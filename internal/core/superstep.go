@@ -10,49 +10,9 @@ import (
 	"repro/internal/trace"
 )
 
-// splitByKind appends set's pages, in page-ID order, to sps or lps by page
-// kind and returns the grown slices.
-func (e *Engine) splitByKind(set pidSet, sps, lps []slottedpage.PageID) ([]slottedpage.PageID, []slottedpage.PageID) {
-	g := e.graph
-	set.ForEach(func(pid int) {
-		if g.Kind(slottedpage.PageID(pid)) == slottedpage.SmallPage {
-			sps = append(sps, slottedpage.PageID(pid))
-		} else {
-			lps = append(lps, slottedpage.PageID(pid))
-		}
-	})
-	return sps, lps
-}
-
-// partition splits one phase's page list across the GPUs into parts, whose
-// backing arrays are reused: under Strategy-P with multiple GPUs, page j
-// goes to GPU h(j) = j mod N (§4.1) and parts[i] is a list of its own;
-// under Strategy-S, or with one GPU, every page goes to every GPU (§4.2)
-// and parts[i] aliases pages. Which of the two applies is fixed for an
-// engine, so a reused parts[i] is never appended to while it aliases.
-func (e *Engine) partition(parts [][]slottedpage.PageID, pages []slottedpage.PageID, nGPU int) [][]slottedpage.PageID {
-	if parts == nil {
-		parts = make([][]slottedpage.PageID, nGPU)
-	}
-	split := e.opts.Strategy == StrategyP && nGPU > 1
-	for i := range parts {
-		if !split {
-			parts[i] = pages
-			continue
-		}
-		parts[i] = parts[i][:0]
-		for _, pid := range pages {
-			if int(pid)%nGPU == i {
-				parts[i] = append(parts[i], pid)
-			}
-		}
-	}
-	return parts
-}
-
 // streamProcNames holds the names of the per-(GPU, stream) processes every
-// wave phase starts. A name only ever surfaces in a panic message, so the common
-// ones are built once rather than formatted on every phase.
+// wave starts. A name only ever surfaces in a panic message, so the common
+// ones are built once rather than formatted on every wave.
 var streamProcNames [8][32]string
 
 func init() {

@@ -193,19 +193,6 @@ func (r *Runner) Run(id string) (*Table, error) {
 	return e.run(r)
 }
 
-// RunAll executes every experiment in paper order.
-func (r *Runner) RunAll() ([]*Table, error) {
-	var out []*Table
-	for _, id := range IDs() {
-		t, err := r.Run(id)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // dataset fetches metadata, panicking on registry bugs.
 func dataset(name string) graphgen.Dataset {
 	d, ok := graphgen.ByName(name)

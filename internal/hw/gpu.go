@@ -38,9 +38,6 @@ type GPU struct {
 	kernelTime  sim.Time
 	h2dBytes    int64
 	d2hBytes    int64
-
-	sharedServings   int64
-	sharedBytesSaved int64
 }
 
 // NewGPU binds a GPU spec to env with the given PCI-E link.
@@ -189,27 +186,15 @@ func (g *GPU) LaunchKernel(p *sim.Proc, cycles float64, fn func()) error {
 	return nil
 }
 
-// NoteSharedCopy records that one resident topology page copy was fanned
-// out to extra consumers beyond the stream that paid for it: extra is how
-// many additional kernels consumed the bytes, saved the host-to-device
-// bytes that fan-out avoided re-transferring. Shared (multi-query) runs
-// call this; solo runs never do.
-func (g *GPU) NoteSharedCopy(extra int, saved int64) {
-	g.sharedServings += int64(extra)
-	g.sharedBytesSaved += saved
-}
-
 // Stats reports cumulative activity for metrics and the Figure 4 timeline.
 func (g *GPU) Stats() GPUStats {
 	return GPUStats{
-		KernelCalls:      g.kernelCalls,
-		KernelTime:       g.kernelTime,
-		H2DBytes:         g.h2dBytes,
-		D2HBytes:         g.d2hBytes,
-		H2DBusy:          g.h2d.BusyTime(),
-		D2HBusy:          g.d2h.BusyTime(),
-		SharedServings:   g.sharedServings,
-		SharedBytesSaved: g.sharedBytesSaved,
+		KernelCalls: g.kernelCalls,
+		KernelTime:  g.kernelTime,
+		H2DBytes:    g.h2dBytes,
+		D2HBytes:    g.d2hBytes,
+		H2DBusy:     g.h2d.BusyTime(),
+		D2HBusy:     g.d2h.BusyTime(),
 	}
 }
 
@@ -223,9 +208,4 @@ type GPUStats struct {
 	// exactly the serialized copy spans of paper Fig. 3.
 	H2DBusy sim.Time
 	D2HBusy sim.Time
-	// SharedServings counts kernel consumptions of resident pages paid for
-	// by another job's stream; SharedBytesSaved is the host-to-device
-	// traffic that fan-out avoided. Both stay zero outside shared runs.
-	SharedServings   int64
-	SharedBytesSaved int64
 }
