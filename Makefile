@@ -149,10 +149,10 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 19125
-LOC_MAX_ENGINE_AND_API = 5295
-LOC_MAX_ENGINE = 4316
-LOC_MAX_GTSD_FLAGS = 11
+LOC_MAX_TOTAL = 19117
+LOC_MAX_ENGINE_AND_API = 5287
+LOC_MAX_ENGINE = 4310
+LOC_MAX_GTSD_FLAGS = 10
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:
 	@$(MAKE) -s loc | awk ' \

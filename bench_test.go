@@ -146,7 +146,7 @@ func BenchmarkService(b *testing.B) {
 	}
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			srv := service.New(service.Config{Workers: 8, QueueDepth: 1024, CacheEntries: -1})
+			srv := service.New(service.Config{QueueDepth: 1024, CacheEntries: -1})
 			sys, err := gts.NewSystem(g, gts.Config{})
 			if err != nil {
 				b.Fatal(err)

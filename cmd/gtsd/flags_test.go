@@ -16,7 +16,7 @@ import (
 // TestFlagSurface until it is listed here.
 var gtsdFlags = []string{
 	"cache", "draintimeout", "incremental", "listen", "load", "pprof",
-	"queue", "timeout", "trace-jobs", "wal-dir", "workers",
+	"queue", "timeout", "trace-jobs", "wal-dir",
 }
 
 var flagLine = regexp.MustCompile(`(?m)^  -([a-z-]+)`)
@@ -47,9 +47,10 @@ func TestFlagSurface(t *testing.T) {
 		t.Errorf("gtsd -h lists %d flags:\n  %v\nwant %d:\n  %v", len(got), got, len(gtsdFlags), gtsdFlags)
 	}
 	// A deleted knob is gone, not ignored: the graph settings that moved into
-	// the load document, and the pool whose width nothing used.
+	// the load document, the pool whose width nothing used, and the worker
+	// pool whose width capped each graph's wave groups.
 	for _, tc := range []struct{ flag, value string }{
-		{"-pool-policy", "lru"}, {"-pool", "2"}, {"-gpus", "2"}, {"-storage", "ssd"}, {"-fault-seed", "42"},
+		{"-pool-policy", "lru"}, {"-pool", "2"}, {"-gpus", "2"}, {"-storage", "ssd"}, {"-fault-seed", "42"}, {"-workers", "4"},
 	} {
 		out, err := exec.Command(bin, tc.flag, tc.value).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+tc.flag) {

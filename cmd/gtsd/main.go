@@ -1,7 +1,7 @@
 // Command gtsd serves GTS graph analytics over HTTP: it pre-loads named
 // slotted-page graphs, one System each, and answers concurrent algorithm
-// requests through internal/service's bounded queue, worker pool, and result
-// cache.
+// requests through internal/service's admission bound, each graph's wave-group
+// scheduler, and result cache.
 //
 // Its flags configure the daemon only. A graph's machine — GPUs, streams,
 // strategy, storage, host page pool, faults, write-ahead log — lives in its
@@ -11,7 +11,7 @@
 // {"spec":"rmat30.gts","gpus":2,"storage":"ssd","pool_bytes":268435456}:
 //
 //	gtsd -listen :8090 -load social=Twitter@12 -load web=UK2007@12
-//	gtsd -listen :8090 -load big=@big.json -workers 8
+//	gtsd -listen :8090 -load big=@big.json -queue 256
 //	gtsd -listen :8090 -load social=Twitter@12 -pprof -trace-jobs 16
 //
 //	curl -X POST localhost:8090/v1/graphs/social/pagerank -d '{"iterations":10}'
@@ -84,8 +84,7 @@ func main() {
 	var loads loadFlags
 	flag.Var(&loads, "load", "graph to pre-load as name=spec (spec: file.gts or dataset[@shrink]) or name=@file.json (a load document, the PUT /v1/graphs/{name} body); repeatable")
 	listen := flag.String("listen", ":8090", "HTTP listen address")
-	workers := flag.Int("workers", 4, "concurrent job executors")
-	queue := flag.Int("queue", 64, "admission queue depth (full queue returns 429)")
+	queue := flag.Int("queue", 64, "jobs admitted to compute and not yet answered, queued in their graph's wave-group scheduler or riding a group; past it a request returns 429")
 	cache := flag.Int("cache", 256, "result-cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
@@ -99,7 +98,6 @@ func main() {
 		log.Printf("gtsd: incremental recompute enabled on mutable graphs — retained epoch state serves delta-expansion queries")
 	}
 	srv := service.New(service.Config{
-		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheEntries:   *cache,
 		DefaultTimeout: *timeout,

@@ -51,7 +51,7 @@ func TestDeclinedMemberRunsAlone(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reps[i], errs[i] = s.Run(context.Background(), sys, jobs[i])
+			reps[i], errs[i] = s.Run(context.Background(), sys, jobs[i], nil)
 		}()
 		for queued := 0; queued <= i; { // submit in order: wait for job i to queue
 			time.Sleep(100 * time.Microsecond)

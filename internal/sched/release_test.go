@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/csr"
 	"repro/internal/kernels"
+	"repro/internal/trace"
 )
 
 // gatedBFS is a plain BFS that, at the start of its gate-th superstep, waits
@@ -67,7 +69,7 @@ func TestShortMemberAnswersBeforeLongOne(t *testing.T) {
 		to  chan answer
 	}{{Job{Kernel: long, Source: 0}, longDone}, {Job{Kernel: short, Source: 11}, shortDone}} {
 		go func() {
-			rep, err := s.Run(context.Background(), sys, job.job)
+			rep, err := s.Run(context.Background(), sys, job.job, nil)
 			job.to <- answer{rep, err}
 		}()
 		for queued := 0; queued <= i; {
@@ -109,5 +111,81 @@ func TestShortMemberAnswersBeforeLongOne(t *testing.T) {
 	}
 	if st := s.Stats(); st.WaveGroups != 1 || st.GroupJobs != 2 || st.Waves != n {
 		t.Errorf("after the group: %+v, want 1 group of 2 jobs over %d waves", st, n)
+	}
+}
+
+// TestMaxGroupCapsLiveMembers: with the System held, 2×MaxGroup jobs queue;
+// released, they ride one wave group. The group starts with at most MaxGroup
+// members, and each member that leaves frees its place for a queued job at
+// the next wave boundary, so no wave ever carries more than MaxGroup members.
+func TestMaxGroupCapsLiveMembers(t *testing.T) {
+	const maxGroup = 3
+	g, err := gts.Generate("RMAT27", 27-11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := gts.NewSystem(g, gts.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{MaxGroup: maxGroup})
+	defer s.Close()
+
+	// Hold the System in a wave group of no members whose first admit poll
+	// waits for release.
+	held, free := make(chan struct{}), make(chan struct{})
+	go sys.RunGroup(nil, func() []Job {
+		close(held)
+		<-free
+		return nil
+	})
+	<-held
+
+	recs := make([]*trace.Recorder, 2*maxGroup)
+	errs := make([]error, len(recs))
+	taken := 0 // under s.mu, where the scheduler calls each job's taken
+	var wg sync.WaitGroup
+	for i := range recs {
+		recs[i] = trace.NewWithID(fmt.Sprintf("job-%d", i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = s.Run(context.Background(), sys, Job{Kernel: kernels.NewBFS(g), Source: uint64(i), Trace: recs[i]}, func() { taken++ })
+		}()
+	}
+	// Every job is queued or in the batch the dispatcher took before it
+	// blocked on the held System.
+	for waiting := true; waiting; {
+		time.Sleep(100 * time.Microsecond)
+		s.mu.Lock()
+		waiting = taken == 0 || taken+len(s.queue) < len(recs)
+		s.mu.Unlock()
+	}
+	close(free)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	s.Close() // the group's counters are in once it has ended
+	if st := s.Stats(); st.WaveGroups != 1 || st.GroupJobs != 2*maxGroup {
+		t.Errorf("stats = %+v, want one wave group of %d jobs", st, 2*maxGroup)
+	}
+	members := map[int64]int{} // wave index -> members in that wave
+	for _, rec := range recs {
+		for _, sp := range rec.Spans() {
+			if sp.Kind == trace.Wave {
+				members[sp.Page]++
+			}
+		}
+	}
+	for wave, n := range members {
+		if n > maxGroup {
+			t.Errorf("wave %d carried %d members, MaxGroup is %d", wave, n, maxGroup)
+		}
+	}
+	if len(members) == 0 {
+		t.Error("no wave spans recorded")
 	}
 }

@@ -5,14 +5,16 @@
 //
 // One Scheduler fronts one graph name for as long as the name is served (the
 // service layer makes it at the name's first load and hands it to every
-// later version of the graph, and runs every job through it; a job with no
-// company is a group of one). Each job carries the System it was built
-// against, and a group runs on its head job's System and takes only jobs of
-// that System, so a group never mixes two snapshots of the graph. Submissions
-// batch for a short hold window, then launch as a wave group; jobs that
-// arrive while a group is running join it at the next wave boundary through
-// the group's admit callback, so a busy scheduler keeps one group open
-// continuously instead of queueing convoy-style behind it. A waiter is
+// later version of the graph, and hands every job straight to it: it is the
+// only queue a job waits in, and a job with no company is a group of one).
+// Each job carries the System it was built against, and a group runs on its
+// head job's System and takes only jobs of that System, so a group never
+// mixes two snapshots of the graph. Submissions batch for a short hold
+// window, then launch as a wave group of at most MaxGroup members; queued
+// jobs join a running group at a wave boundary through the group's admit
+// callback whenever it has fewer than MaxGroup live members, so a busy
+// scheduler keeps one group open, on a warm device page cache, continuously
+// instead of queueing convoy-style behind it. A waiter is
 // released when its job leaves the group (its Done), not when the group
 // ends; the job is counted in GroupJobs just before, the group's own
 // counters when it ends. There is one run path: a member the shared machine
@@ -47,7 +49,8 @@ type Job = gts.SharedJob
 
 // Config tunes a Scheduler.
 type Config struct {
-	// MaxGroup caps members per wave group. Default 64.
+	// MaxGroup caps a wave group's live members: a member that leaves frees
+	// its place for the next queued job at the next wave boundary. Default 4.
 	MaxGroup int
 	// Hold is the batch window: after the first pending job arrives, the
 	// dispatcher waits this long for companions before launching a group.
@@ -58,7 +61,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxGroup <= 0 {
-		c.MaxGroup = 64
+		c.MaxGroup = 4
 	}
 	if c.Hold == 0 {
 		c.Hold = 2 * time.Millisecond
@@ -105,9 +108,10 @@ func (s *Stats) Add(o Stats) {
 // pending is a submitted job waiting for (or riding in) a group. Its job's
 // Done is deliver.
 type pending struct {
-	job Job
-	sys *gts.System     // the System the job was built against
-	ctx context.Context // the waiter's; once done nobody reads the result
+	job   Job
+	sys   *gts.System     // the System the job was built against
+	ctx   context.Context // the waiter's; once done nobody reads the result
+	taken func()          // called under s.mu as a group takes the job, once
 	// alone marks a member a group declined: it runs next, by itself.
 	alone bool
 	done  chan struct{}
@@ -122,6 +126,7 @@ type Scheduler struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*pending
+	live   int // members of the running group that have not left it
 	closed bool
 	stats  Stats
 
@@ -141,15 +146,16 @@ func New(cfg Config) *Scheduler {
 }
 
 // Run submits job, built against sys, and blocks until it leaves its group or
-// ctx is done. A job whose context is done while it is still queued never
-// runs; one already riding in a group is only abandoned — the group keeps
-// running its remaining members and the abandoned job's result is
-// discarded. The job's Done is the scheduler's own.
-func (s *Scheduler) Run(ctx context.Context, sys *gts.System, job Job) (*core.Report, error) {
+// ctx is done. taken, if not nil, is called under the scheduler's lock as a
+// group takes the job, and not after Run returns. A job whose context is done
+// while it is still queued never runs; one already riding in a group is only
+// abandoned — the group keeps running its remaining members and the abandoned
+// job's result is discarded. The job's Done is the scheduler's own.
+func (s *Scheduler) Run(ctx context.Context, sys *gts.System, job Job, taken func()) (*core.Report, error) {
 	if job.Kernel == nil {
 		return nil, errors.New("sched: job has no kernel")
 	}
-	p := &pending{job: job, sys: sys, ctx: ctx, done: make(chan struct{})}
+	p := &pending{job: job, sys: sys, ctx: ctx, taken: taken, done: make(chan struct{})}
 	p.job.Done = func(out gts.SharedOutcome) { s.deliver(p, out) }
 	s.mu.Lock()
 	if s.closed {
@@ -167,6 +173,9 @@ func (s *Scheduler) Run(ctx context.Context, sys *gts.System, job Job) (*core.Re
 		}
 		return &p.out.Report, nil
 	case <-ctx.Done():
+		s.mu.Lock() // a group has taken the job already or never will
+		s.dropAbandonedLocked()
+		s.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
@@ -215,69 +224,62 @@ func (s *Scheduler) dispatch() {
 	}
 }
 
-// takeHead removes the next group's initial members from the queue and
-// returns the System they run on: the head job by itself when a group
-// declined it, otherwise up to n jobs of the head job's System (a job of
-// another System cuts the batch short and heads a group of its own later).
-func (s *Scheduler) takeHead(n int) (batch []Job, sys *gts.System, alone bool) {
+// take removes the jobs a group takes from the queue, calling each one's
+// taken. A new group (sys nil) takes the head job by itself when a group
+// declined it; otherwise a new group, and a running one's admit, take the
+// longest prefix of jobs of System sys (the head's, for a new group) that
+// fits MaxGroup less the live members. A job of another System, or one a
+// group declined, cuts the batch short: it heads a group of its own later.
+func (s *Scheduler) take(sys *gts.System) (batch []Job, _ *gts.System, alone bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropAbandonedLocked()
 	if len(s.queue) == 0 {
-		return nil, nil, false
+		return nil, sys, false
 	}
-	head := s.queue[0]
-	if head.alone {
-		s.queue = slices.Delete(s.queue, 0, 1) // the array keeps no pointer to its System
-		return []Job{head.job}, head.sys, true
-	}
-	return s.takeLocked(n, head.sys), head.sys, false
-}
-
-// take removes up to n queued jobs of System sys — the admission path: a
-// running group only admits joiners built against its own System.
-func (s *Scheduler) take(n int, sys *gts.System) []Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropAbandonedLocked()
-	return s.takeLocked(n, sys)
-}
-
-// dropAbandonedLocked removes the queued jobs whose waiter has gone: Run has
-// returned their context's error, so streaming a run for them would serve
-// nobody. Callers hold s.mu.
-func (s *Scheduler) dropAbandonedLocked() {
-	live := s.queue[:0]
-	for _, p := range s.queue {
-		if p.ctx.Err() == nil {
-			live = append(live, p)
+	if head := s.queue[0]; sys == nil {
+		sys = head.sys
+		if head.alone {
+			s.queue = slices.Delete(s.queue, 0, 1) // the array keeps no pointer to its System
+			s.live++
+			return []Job{head.job}, sys, true
 		}
 	}
-	clear(s.queue[len(live):])
-	s.queue = live
-}
-
-// takeLocked removes the longest prefix (≤ n) of the queue whose jobs were
-// all built against sys and were not declined by a group (those take no
-// company), and returns their engine jobs. Callers hold s.mu.
-func (s *Scheduler) takeLocked(n int, sys *gts.System) []Job {
 	k := 0
-	for k < len(s.queue) && k < n && s.queue[k].sys == sys && !s.queue[k].alone {
+	for k < len(s.queue) && s.live+k < s.cfg.MaxGroup && s.queue[k].sys == sys && !s.queue[k].alone {
 		k++
 	}
-	batch := make([]Job, k)
+	batch = make([]Job, k)
 	for i, p := range s.queue[:k] {
 		batch[i] = p.job
+		if p.taken != nil {
+			p.taken()
+		}
 	}
+	s.live += k
 	s.queue = append([]*pending(nil), s.queue[k:]...)
-	return batch
+	return batch, sys, false
+}
+
+// dropAbandonedLocked removes the queued jobs whose context is done: Run
+// returns (or has returned) its error, so streaming a run for them would
+// serve nobody. Callers hold s.mu.
+func (s *Scheduler) dropAbandonedLocked() {
+	kept := s.queue[:0]
+	for _, p := range s.queue {
+		if p.ctx.Err() == nil {
+			kept = append(kept, p)
+		}
+	}
+	clear(s.queue[len(kept):])
+	s.queue = kept
 }
 
 // runGroup runs one wave group to completion on its head job's System,
 // admitting late arrivals at wave boundaries; each member was answered as it
 // left.
 func (s *Scheduler) runGroup() {
-	jobs, sys, alone := s.takeHead(s.cfg.MaxGroup)
+	jobs, sys, alone := s.take(nil)
 	if len(jobs) == 0 {
 		return
 	}
@@ -285,12 +287,7 @@ func (s *Scheduler) runGroup() {
 	// no device memory back for joiners.
 	var admit func() []Job
 	if !alone {
-		n := len(jobs)
-		admit = func() []Job {
-			joiners := s.take(s.cfg.MaxGroup-n, sys)
-			n += len(joiners)
-			return joiners
-		}
+		admit = func() []Job { joiners, _, _ := s.take(sys); return joiners }
 	}
 	g, _ := sys.RunGroup(jobs, admit)
 	s.mu.Lock()
@@ -300,12 +297,14 @@ func (s *Scheduler) runGroup() {
 }
 
 // deliver is a pending job's Done, called on the group's goroutine as the job
-// leaves it. A declined job goes back to the head of the queue, alone, where
-// the running group cannot admit it; declined alone, it fails with
-// ErrWontFit. Any other outcome is counted, then its waiter released.
+// leaves it, freeing its place. A declined job goes back to the head of the
+// queue, alone, where the running group cannot admit it; declined alone, it
+// fails with ErrWontFit. Any other outcome is counted, then its waiter
+// released.
 func (s *Scheduler) deliver(p *pending, out gts.SharedOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.live--
 	if out.Declined && !p.alone {
 		p.alone = true
 		s.stats.SoloFallbacks++

@@ -59,7 +59,7 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 			results[i], errs[i] = s.Run(context.Background(), sys, sched.Job{
 				Kernel: kerns[i],
 				Source: uint64(i * 128),
-			})
+			}, nil)
 		}()
 	}
 	wg.Wait()
@@ -89,8 +89,9 @@ func TestSchedulerGroupsConcurrentJobs(t *testing.T) {
 	}
 }
 
-// TestSchedulerMaxGroupSplits: more concurrent jobs than MaxGroup still all
-// complete (across several groups).
+// TestSchedulerMaxGroupSplits: more concurrent jobs than MaxGroup all
+// complete, at most MaxGroup of them riding a group at a time (the rest wait
+// in the queue for a member to leave).
 func TestSchedulerMaxGroupSplits(t *testing.T) {
 	g := testGraph(t)
 	s, sys := newSched(t, g, gts.Config{}, sched.Config{MaxGroup: 3, Hold: 20 * time.Millisecond})
@@ -103,7 +104,7 @@ func TestSchedulerMaxGroupSplits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i)})
+			_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i)}, nil)
 		}()
 	}
 	wg.Wait()
@@ -123,7 +124,7 @@ func TestSchedulerPerJobTrace(t *testing.T) {
 	s, sys := newSched(t, g, gts.Config{}, sched.Config{})
 
 	rec := trace.NewWithID("job-1")
-	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0, Trace: rec}); err != nil {
+	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0, Trace: rec}, nil); err != nil {
 		t.Fatal(err)
 	}
 	waves := 0
@@ -145,11 +146,11 @@ func TestSchedulerContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Run(ctx, sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Run(ctx, sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The scheduler still serves later jobs.
-	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); err != nil {
+	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Close drains the queue, so whatever was going to run has run.
@@ -176,7 +177,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i)})
+			_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i)}, nil)
 		}()
 	}
 	time.Sleep(5 * time.Millisecond) // let submissions queue
@@ -187,7 +188,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 			t.Fatalf("queued job %d: %v", i, err)
 		}
 	}
-	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}); !errors.Is(err, sched.ErrClosed) {
+	if _, err := s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: 0}, nil); !errors.Is(err, sched.ErrClosed) {
 		t.Fatalf("post-close err = %v, want ErrClosed", err)
 	}
 }
@@ -196,7 +197,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 func TestSchedulerNoKernel(t *testing.T) {
 	g := testGraph(t)
 	s, sys := newSched(t, g, gts.Config{}, sched.Config{})
-	if _, err := s.Run(context.Background(), sys, sched.Job{}); err == nil {
+	if _, err := s.Run(context.Background(), sys, sched.Job{}, nil); err == nil {
 		t.Fatal("nil kernel accepted")
 	}
 }

@@ -32,7 +32,7 @@ func TestSchedulerNeverMixesSystems(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i % 8)})
+				_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i % 8)}, nil)
 			}(base + i)
 		}
 	}

@@ -21,7 +21,7 @@ import (
 func chaosServer(t *testing.T) (*httptest.Server, *gts.Graph) {
 	t.Helper()
 	g, _ := testGraphPair(t)
-	srv := service.New(service.Config{Workers: 4, QueueDepth: 32})
+	srv := service.New(service.Config{QueueDepth: 32})
 
 	absorb := &gts.FaultPlan{Seed: 7, TransferErrorRate: 0.05, TransferStallRate: 0.05,
 		StorageErrorRate: 0.05, CorruptionRate: 0.05}

@@ -32,22 +32,16 @@ type plan struct {
 	fallback string
 }
 
-// execute takes one dequeued job to a terminal state. Every job, whatever
-// its algorithm or graph, goes through the same stages: the deadline check,
-// kernel resolution, the run on the graph's wave-group scheduler, error
-// classification, and accounting. The result goes into the cache before the
-// deferred clearInflight drops the job from the single-flight table, which is
-// what lets Submit answer every identical request from one or the other.
+// execute takes one admitted job to a terminal state. Every job, whatever
+// its algorithm or graph, goes through the same stages: kernel resolution,
+// the run on the graph's wave-group scheduler (queued there until a group
+// takes it), error classification, and accounting. The result goes into the
+// cache before clearInflight drops the job from the single-flight table, so
+// Submit answers every identical request from one or the other, and the job
+// leaves the table before it answers, so an answered job no longer counts
+// against QueueDepth.
 func (s *Server) execute(job *Job) {
 	defer job.cancel()
-	defer s.clearInflight(job)
-	s.met.observeQueueWait(time.Since(job.submitted))
-	if job.ctx.Err() != nil {
-		s.met.addTimedOut()
-		job.fail(fmt.Errorf("%w (queued %v)", ErrTimeout, time.Since(job.submitted).Round(time.Microsecond)), JobTimedOut)
-		return
-	}
-
 	entry := job.entry
 	pl := resolve(job)
 
@@ -63,21 +57,27 @@ func (s *Server) execute(job *Job) {
 			sj.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncFallback, Page: -1, Level: -1})
 		}
 	}
-	job.setRunning()
-	s.met.runStarted()
-	start := time.Now()
-	out, err := entry.sched.Run(job.ctx, entry.sys, sj)
+	// The job runs from the moment a group takes it: the scheduler calls
+	// this under its lock, and Run returns after it or without it.
+	var start time.Time
+	out, err := entry.sched.Run(job.ctx, entry.sys, sj, func() {
+		start = time.Now()
+		s.met.observeQueueWait(start.Sub(job.submitted))
+		job.setRunning()
+	})
 	wall := time.Since(start)
-	s.met.runFinished()
-	s.met.observeRunWall(wall)
-	if sj.Trace != nil {
-		s.traces.put(job.id, sj.Trace)
+	if !start.IsZero() {
+		s.met.observeRunWall(wall)
+		if sj.Trace != nil {
+			s.traces.put(job.id, sj.Trace)
+		}
 	}
 
 	if err != nil {
+		s.clearInflight(job)
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.met.addTimedOut()
-			job.fail(fmt.Errorf("%w (in wave group)", ErrTimeout), JobTimedOut)
+			job.fail(fmt.Errorf("%w after %v", ErrTimeout, time.Since(job.submitted).Round(time.Microsecond)), JobTimedOut)
 			return
 		}
 		s.met.addFailed()
@@ -111,6 +111,7 @@ func (s *Server) execute(job *Job) {
 	}
 	s.met.addFaults(m.Faults)
 	s.cache.put(job.key, res)
+	s.clearInflight(job)
 	s.answer(job, res, false)
 }
 

@@ -13,18 +13,18 @@ import (
 	gts "repro"
 )
 
-// TestJobAdmittedBeforeNewVersionIsAnswered: on a server with one worker
-// whose graph's System is held, job A waits inside the graph's scheduler and
-// job B in the admission queue while the graph moves to a new version — by an
-// ingest, or by a reload of the same name. Both must answer without an error,
-// each from the version it was admitted at. (While every version had a
-// scheduler of its own, the replaced one was closed under B, which failed
+// TestJobAdmittedBeforeNewVersionIsAnswered: while the graph's System is
+// held, job A waits in the wave group the graph's scheduler took it into and
+// job B in the scheduler's queue while the graph moves to a new version — by
+// an ingest, or by a reload of the same name. Both must answer without an
+// error, each from the version it was admitted at. (While every version had
+// a scheduler of its own, the replaced one was closed under B, which failed
 // with "sched: scheduler closed".)
 func TestJobAdmittedBeforeNewVersionIsAnswered(t *testing.T) {
 	const spec = "RMAT26@15"
 	for _, change := range []string{"ingest", "reload"} {
 		t.Run(change, func(t *testing.T) {
-			srv := New(Config{Workers: 1})
+			srv := New(Config{})
 			defer srv.Close()
 			dir := t.TempDir()
 			if err := srv.LoadMutableGraph("mut", spec, filepath.Join(dir, "mut.wal"), gts.Config{}, 0); err != nil {
@@ -72,13 +72,13 @@ func TestJobAdmittedBeforeNewVersionIsAnswered(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			waitUntil(t, func() bool { return a.State() == JobRunning }, "the worker to take job A into the scheduler")
+			waitUntil(t, func() bool { return a.State() == JobRunning }, "a wave group to take job A")
 			b, err := srv.Submit(reqs[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := len(srv.queue); n != 1 {
-				t.Fatalf("%d jobs in the admission queue, want job B alone", n)
+			if st := srv.Stats(); b.State() != JobQueued || st.QueueDepth != 1 || st.InFlight != 1 {
+				t.Fatalf("job B %v, %d queued and %d in flight: want A in the held group and B queued behind it", b.State(), st.QueueDepth, st.InFlight)
 			}
 
 			switch change {

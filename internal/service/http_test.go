@@ -164,7 +164,7 @@ func TestHTTPGraphLoadAndList(t *testing.T) {
 }
 
 func TestHTTPErrorStatuses(t *testing.T) {
-	_, ts, sys := httpServer(t, service.Config{Workers: 1, QueueDepth: 1})
+	_, ts, sys := httpServer(t, service.Config{QueueDepth: 2})
 
 	cases := []struct {
 		method, path, body string
@@ -222,36 +222,43 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		t.Fatalf("radius with 32 sketches = %d (%v)", resp.StatusCode, doc)
 	}
 
-	// Deterministic 429 and 504: hold the graph's System so the single
-	// worker blocks, fill the queue, then overflow it.
+	// Deterministic 504 and 429 from the one admission bound (2 jobs): hold
+	// the graph's System so a wave group takes the first job and waits.
 	release := holdSystem(sys)
+	defer release()
 
-	// First async job occupies the worker.
 	resp, doc := postJSON(t, ts.URL+"/v1/graphs/social/bfs?mode=async", map[string]any{"source": 50})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async submit = %d (%v)", resp.StatusCode, doc)
 	}
+	id, _ := doc["id"].(string)
 	waitForHTTP(t, func() bool {
-		return metricsValue(t, ts.URL, "gtsd_queue_depth") == 0
-	}, "worker pickup")
+		r, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		var job map[string]any
+		return json.NewDecoder(r.Body).Decode(&job) == nil && job["state"] == "running"
+	}, "a wave group to take the first job")
 
-	// Fill the queue (depth 1), then overflow.
+	// A sync request with a short deadline takes the second place, waits in
+	// the scheduler's queue behind the held group, and answers 504; its
+	// place is free again once it has answered.
+	resp, doc = postJSON(t, ts.URL+"/v1/graphs/social/pagerank?timeout=40ms", nil)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("deadline run = %d (%v), want 504", resp.StatusCode, doc)
+	}
+
+	// Fill the bound, then overflow it.
 	resp, _ = postJSON(t, ts.URL+"/v1/graphs/social/bfs?mode=async", map[string]any{"source": 51})
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("queue fill = %d", resp.StatusCode)
+		t.Fatalf("second admission = %d", resp.StatusCode)
 	}
 	resp, doc = postJSON(t, ts.URL+"/v1/graphs/social/bfs?mode=async", map[string]any{"source": 52})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("overflow = %d (%v), want 429", resp.StatusCode, doc)
 	}
-
-	// Sync request with a short deadline while the System is held: 504.
-	resp, doc = postJSON(t, ts.URL+"/v1/graphs/social/pagerank?timeout=40ms", nil)
-	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("deadline run = %d (%v), want 504 (or 429 if the queue was still full)", resp.StatusCode, doc)
-	}
-
-	release()
 }
 
 // metricsValue scrapes one un-labeled numeric series from /metrics.
@@ -297,7 +304,7 @@ func waitForHTTP(t *testing.T, cond func() bool, what string) {
 // goroutine a kernel's unchecked index used to panic) keeps answering, and
 // the burst's other jobs succeed.
 func TestHTTPSourceOutOfRangeIs400(t *testing.T) {
-	_, ts, _ := httpServer(t, service.Config{Workers: 4})
+	_, ts, _ := httpServer(t, service.Config{})
 	resp, doc := postJSON(t, ts.URL+"/v1/graphs/social/bfs", map[string]any{"source": uint64(1) << 40})
 	if msg, _ := doc["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "2048 vertices") {
 		t.Fatalf("bfs from 2^40 = %d %v, want 400 naming 2048 vertices", resp.StatusCode, doc)

@@ -52,7 +52,7 @@ func FuzzHTTPRequests(f *testing.F) {
 		f.Add(uint8(2), "", "", "", []byte(body))
 	}
 
-	srv := New(Config{Workers: 2, QueueDepth: 8, Incremental: true})
+	srv := New(Config{QueueDepth: 8, Incremental: true})
 	f.Cleanup(func() { srv.Close() })
 	if err := srv.LoadMutableGraph("g", fuzzSpec, filepath.Join(f.TempDir(), "g.wal"), gts.Config{}, 0); err != nil {
 		f.Fatal(err)

@@ -264,7 +264,7 @@ poll:
 // cannot hand a post-ingest submission to a pre-ingest leader: the epoch is
 // part of the key, so the second job computes fresh.
 func TestIngestEpochNoCrossEpochCoalescing(t *testing.T) {
-	srv := service.New(service.Config{Workers: 2})
+	srv := service.New(service.Config{})
 	defer srv.Close()
 	walPath := filepath.Join(t.TempDir(), "coalesce.wal")
 	if err := srv.LoadMutableGraph("mut", mutSpec, walPath, gts.Config{}, 0); err != nil {
@@ -310,7 +310,7 @@ func TestIngestEpochNoCrossEpochCoalescing(t *testing.T) {
 // are gone once the server has closed.
 func TestConcurrentIngestPublishesEveryBatch(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
-	srv := service.New(service.Config{Workers: 2})
+	srv := service.New(service.Config{})
 	if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "race.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}

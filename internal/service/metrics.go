@@ -31,8 +31,8 @@ type metrics struct {
 	st      Stats // the counter fields only; Server.Stats fills in the gauges
 	perAlgo map[string]*algoMetrics
 
-	// queueWait is dequeue-time minus submission for every job that went
-	// through the queue; runWall the engine compute time of computed jobs.
+	// queueWait is the wait from admission until a wave group took the job,
+	// for every job a group took; runWall the time from there to its answer.
 	queueWait obs.Histogram
 	runWall   obs.Histogram
 }
@@ -55,9 +55,6 @@ func (m *metrics) addRejected()  { m.mu.Lock(); m.st.Rejected++; m.mu.Unlock() }
 func (m *metrics) addTimedOut()  { m.mu.Lock(); m.st.TimedOut++; m.mu.Unlock() }
 func (m *metrics) addFailed()    { m.mu.Lock(); m.st.Failed++; m.mu.Unlock() }
 func (m *metrics) addCoalesced() { m.mu.Lock(); m.st.Coalesced++; m.mu.Unlock() }
-
-func (m *metrics) runStarted()  { m.mu.Lock(); m.st.InFlight++; m.mu.Unlock() }
-func (m *metrics) runFinished() { m.mu.Lock(); m.st.InFlight--; m.mu.Unlock() }
 
 func (m *metrics) observeQueueWait(d time.Duration) { m.queueWait.ObserveDuration(d) }
 func (m *metrics) observeRunWall(d time.Duration)   { m.runWall.ObserveDuration(d) }
@@ -143,6 +140,9 @@ type SharingStats = sched.Stats
 // Stats is a point-in-time snapshot of the server's counters, exposed both
 // programmatically and (rendered) at /metrics.
 type Stats struct {
+	// QueueDepth counts admitted jobs still queued in their graph's
+	// scheduler, InFlight those a wave group has taken and not answered;
+	// QueueCap is Config.QueueDepth, which bounds their sum.
 	QueueDepth int    `json:"queue_depth"`
 	QueueCap   int    `json:"queue_cap"`
 	InFlight   int64  `json:"in_flight"`
@@ -209,14 +209,14 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	gauge("gtsd_queue_depth", "Jobs waiting in the admission queue.", s.QueueDepth)
-	gauge("gtsd_queue_capacity", "Admission queue capacity.", s.QueueCap)
-	gauge("gtsd_inflight_jobs", "Jobs currently executing on an engine.", s.InFlight)
+	gauge("gtsd_queue_depth", "Admitted jobs waiting in their graph's scheduler for a wave group.", s.QueueDepth)
+	gauge("gtsd_queue_capacity", "Admission bound: jobs admitted to compute and not yet answered.", s.QueueCap)
+	gauge("gtsd_inflight_jobs", "Jobs a wave group has taken and not yet answered.", s.InFlight)
 	gauge("gtsd_graphs_loaded", "Graphs in the registry.", s.Graphs)
-	counter("gtsd_jobs_submitted_total", "Jobs admitted to the queue or served from cache.", s.Submitted)
+	counter("gtsd_jobs_submitted_total", "Jobs admitted, coalesced or served from cache.", s.Submitted)
 	counter("gtsd_jobs_completed_total", "Jobs answered successfully (computed or cached).", s.Completed)
 	counter("gtsd_jobs_failed_total", "Jobs that errored during execution.", s.Failed)
-	counter("gtsd_jobs_rejected_total", "Submissions refused because the queue was full.", s.Rejected)
+	counter("gtsd_jobs_rejected_total", "Submissions refused because queue_capacity jobs were unanswered.", s.Rejected)
 	counter("gtsd_jobs_timedout_total", "Jobs whose deadline expired before execution.", s.TimedOut)
 	counter("gtsd_cache_hits_total", "Result-cache hits.", s.CacheHits)
 	counter("gtsd_cache_misses_total", "Result-cache misses.", s.CacheMisses)
@@ -286,7 +286,7 @@ func (m *metrics) write(w io.Writer, s Stats) {
 		series("gauge", "gtsd_pool_budget_bytes", "Configured host page-pool budget.", func(p gts.PoolStats) int64 { return p.BudgetBytes })
 	}
 
-	fmt.Fprintf(w, "# HELP gtsd_job_queue_wait_seconds Admission-queue wait per dequeued job.\n# TYPE gtsd_job_queue_wait_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP gtsd_job_queue_wait_seconds Wait from admission until a wave group took the job.\n# TYPE gtsd_job_queue_wait_seconds histogram\n")
 	_ = m.queueWait.WritePrometheus(w, "gtsd_job_queue_wait_seconds", "")
 	fmt.Fprintf(w, "# HELP gtsd_job_run_wall_seconds Engine compute wall time per computed job.\n# TYPE gtsd_job_run_wall_seconds histogram\n")
 	_ = m.runWall.WritePrometheus(w, "gtsd_job_run_wall_seconds", "")
@@ -347,9 +347,17 @@ func (s *Server) Stats() Stats {
 	m.mu.Lock()
 	st := m.st
 	m.mu.Unlock()
-	st.QueueDepth, st.QueueCap = len(s.queue), cap(s.queue)
+	st.QueueCap = s.cfg.QueueDepth
 	st.CacheHits, st.CacheMisses, st.CacheSize = s.cache.stats()
 	s.mu.Lock()
+	for _, job := range s.inflight {
+		switch job.State() {
+		case JobQueued:
+			st.QueueDepth++
+		case JobRunning:
+			st.InFlight++
+		}
+	}
 	st.Graphs = len(s.graphs)
 	for _, e := range s.graphs {
 		if e.inc != nil {

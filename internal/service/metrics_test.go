@@ -177,7 +177,7 @@ func scrapeConformant(t *testing.T, text string, declared map[string]bool) map[s
 // gtsd_wal_* and gtsd_pool_* series across the ingest among them). The
 // families declared over the whole run are exactly metricFamilies.
 func TestMetricsConformance(t *testing.T) {
-	srv := New(Config{Workers: 2})
+	srv := New(Config{})
 	defer srv.Close()
 	h := srv.Handler()
 	declared := map[string]bool{}

@@ -23,7 +23,7 @@ import (
 // sample quantiles within one log bucket (factor obs.Gamma) — the bound
 // internal/obs documents.
 func TestRunWallQuantilesAgainstOracle(t *testing.T) {
-	srv := twoGraphServer(t, service.Config{Workers: 2, CacheEntries: -1})
+	srv := twoGraphServer(t, service.Config{CacheEntries: -1})
 	const jobs = 12
 	var walls []float64
 	for i := 0; i < jobs; i++ {
@@ -68,7 +68,7 @@ func TestRunWallQuantilesAgainstOracle(t *testing.T) {
 // TestMetricsHistogramSeries asserts /metrics exposes the new histogram
 // families with coherent _count lines.
 func TestMetricsHistogramSeries(t *testing.T) {
-	srv, ts, _ := httpServer(t, service.Config{Workers: 2})
+	srv, ts, _ := httpServer(t, service.Config{})
 	for i := 0; i < 3; i++ {
 		if _, err := srv.Run(context.Background(), service.Request{
 			Graph: "social", Algo: "bfs", Params: service.Params{Source: uint64(i)},
@@ -179,7 +179,7 @@ func TestTraceDisabled404(t *testing.T) {
 // TestTraceStoreEviction: the store retains only the most recent TraceJobs
 // traces.
 func TestTraceStoreEviction(t *testing.T) {
-	srv := twoGraphServer(t, service.Config{Workers: 1, CacheEntries: -1, TraceJobs: 2})
+	srv := twoGraphServer(t, service.Config{CacheEntries: -1, TraceJobs: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
 		job, err := srv.Run(context.Background(), service.Request{
@@ -228,7 +228,7 @@ func TestWithPprof(t *testing.T) {
 // TestPerAlgoLatencyQuantiles: the Stats per-algo view carries monotone
 // latency quantiles covering every completed job.
 func TestPerAlgoLatencyQuantiles(t *testing.T) {
-	srv := twoGraphServer(t, service.Config{Workers: 2})
+	srv := twoGraphServer(t, service.Config{})
 	for i := 0; i < 4; i++ {
 		if _, err := srv.Run(context.Background(), service.Request{
 			Graph: "social", Algo: "pagerank", Params: service.Params{Damping: 0.85, Iterations: i + 2},

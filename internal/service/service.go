@@ -1,26 +1,26 @@
 // Package service is the concurrent analytics layer over the GTS engine:
 // a long-lived Server that holds named, pre-loaded slotted-page graphs
-// (each run by one gts.System), admits algorithm jobs through a
-// bounded FIFO queue, executes them on a worker pool with per-job
-// deadlines, memoizes completed answers in an LRU result cache — the
-// service-level analogue of the engine's cachedPIDMap — and exports
-// queue/cache/latency metrics. cmd/gtsd wraps it in an HTTP daemon; it is
-// equally usable in-process (see ServiceBench in the root package's
-// benchmarks).
+// (each run by one gts.System), admits a bounded number of algorithm jobs
+// with per-job deadlines and hands each to its graph's wave-group scheduler,
+// memoizes completed answers in an LRU result cache — the service-level
+// analogue of the engine's cachedPIDMap — and exports queue/cache/latency
+// metrics. cmd/gtsd wraps it in an HTTP daemon; it is equally usable
+// in-process (see ServiceBench in the root package's benchmarks).
 //
 // Lifecycle of a job: Submit normalizes the request through gts's algorithm
 // table and consults the cache — a hit completes the job immediately; a miss
-// coalesces behind an identical job in flight, enqueues it or, if the queue
-// is full, rejects it with ErrOverloaded. A worker dequeues the job,
-// re-checks its deadline (a job whose deadline expired while queued times
-// out without running), and takes it through the one execute pipeline
-// (execute.go): kernel resolution, the graph's wave-group scheduler, then
-// error classification and accounting. Runs are not preempted: a deadline
-// that expires mid-run does not cancel the engine, it only bounds queue and
-// scheduler wait.
+// coalesces behind an identical job in flight, is admitted or, if
+// QueueDepth admitted jobs are still unanswered, is rejected with
+// ErrOverloaded. An admitted job goes through the one execute pipeline
+// (execute.go) on a goroutine of its own: kernel resolution, the graph's
+// wave-group scheduler — the one queue, where the job waits until a group
+// takes it, and which drops a job whose deadline expires there — then error
+// classification and accounting. Runs are not preempted: a deadline that
+// expires mid-run does not cancel the engine, it only bounds the wait for a
+// group.
 //
 // The package is laid out along that path: service.go (admission: Submit,
-// single-flight, the worker pool, Shutdown), job.go (the Job handle),
+// single-flight, Shutdown), job.go (the Job handle),
 // graphs.go (the graph registry: load, ingest, health), execute.go (the
 // pipeline), incremental.go and algos.go (retained state), cache.go,
 // metrics.go, tracestore.go and http.go.
@@ -39,7 +39,8 @@ import (
 
 // Typed errors; the HTTP layer maps each to a status code.
 var (
-	// ErrOverloaded reports that the admission queue was full (HTTP 429).
+	// ErrOverloaded reports that QueueDepth admitted jobs were still
+	// unanswered (HTTP 429).
 	ErrOverloaded = errors.New("service: overloaded, queue full")
 	// ErrUnknownGraph reports a request against a graph name that was
 	// never loaded (HTTP 404).
@@ -64,13 +65,15 @@ var (
 // jobHistory bounds how many finished jobs remain queryable by ID.
 const jobHistory = 1024
 
-// Config sizes a Server. The zero value is serviceable: 4 workers, a
-// 64-deep queue, a 256-entry result cache, no default deadline.
+// Config sizes a Server. The zero value is serviceable: 64 jobs admitted at
+// a time, a 256-entry result cache, no default deadline. How many jobs run
+// at once is each graph's scheduler's: sched.Config's MaxGroup live members
+// of one wave group.
 type Config struct {
-	// Workers is the number of concurrent executors (default 4).
-	Workers int
-	// QueueDepth bounds the admission FIFO (default 64). Submissions
-	// beyond it fail fast with ErrOverloaded.
+	// QueueDepth bounds the jobs admitted to compute and not yet answered,
+	// queued in their graph's scheduler or riding a wave group (default
+	// 64). Submissions beyond it fail fast with ErrOverloaded; cache hits
+	// and coalesced followers do not count.
 	QueueDepth int
 	// CacheEntries bounds the result LRU (default 256; negative disables).
 	CacheEntries int
@@ -91,9 +94,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -108,7 +108,7 @@ type Request struct {
 	Graph  string `json:"graph"`
 	Algo   string `json:"algo"`
 	Params Params `json:"params"`
-	// Timeout bounds queueing + scheduler wait; 0 inherits
+	// Timeout bounds the wait for a wave group; 0 inherits
 	// Config.DefaultTimeout, negative means no deadline.
 	Timeout time.Duration `json:"timeout,omitempty"`
 	// Incremental asks the server to answer from retained epoch state via
@@ -141,7 +141,6 @@ type Result struct {
 // stop with Shutdown.
 type Server struct {
 	cfg    Config
-	queue  chan *Job
 	cache  *resultCache
 	met    *metrics
 	traces *traceStore // nil when Config.TraceJobs == 0
@@ -155,21 +154,20 @@ type Server struct {
 	jobOrder []*Job
 	// inflight maps a cache key to the queued or running job computing it;
 	// identical concurrent submissions coalesce behind it (single-flight).
+	// Its size is what QueueDepth bounds.
 	inflight map[string]*Job
 	nextID   uint64
 	nextGen  uint64
 	closed   bool
 
-	workers   sync.WaitGroup
-	followers sync.WaitGroup // coalesced-job mirror goroutines
+	running sync.WaitGroup // execute and coalesced-job mirror goroutines
 }
 
-// New starts a Server with cfg's worker pool running.
+// New makes a Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		queue:    make(chan *Job, cfg.QueueDepth),
 		cache:    newResultCache(cfg.CacheEntries),
 		met:      newMetrics(),
 		graphs:   make(map[string]*graphEntry),
@@ -180,21 +178,18 @@ func New(cfg Config) *Server {
 	if cfg.TraceJobs > 0 {
 		s.traces = newTraceStore(cfg.TraceJobs)
 	}
-	s.workers.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	return s
 }
 
 // Submit validates req and either answers it from the cache (the returned
 // job is already done), coalesces it behind an identical job in flight,
-// enqueues it, or rejects it with ErrOverloaded. The graph lookup, the cache
-// lookup, the single-flight check and the queue send happen in one hold of
-// s.mu: a leader puts its result in the cache before it leaves the
-// single-flight table, so an identical request finds one or the other and
-// never queues behind an answer that already exists. The returned Job is
-// also queryable via Lookup until evicted from the history.
+// admits it — starting its execute, which hands it to the graph's scheduler
+// — or rejects it with ErrOverloaded. The graph lookup, the cache lookup,
+// the single-flight check and the admission happen in one hold of s.mu: a
+// leader puts its result in the cache before it leaves the single-flight
+// table, so an identical request finds one or the other and never queues
+// behind an answer that already exists. The returned Job is also queryable
+// via Lookup until evicted from the history.
 func (s *Server) Submit(req Request) (*Job, error) {
 	algo, ok := gts.LookupAlgorithm(req.Algo)
 	if !ok {
@@ -205,8 +200,8 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		return nil, err
 	}
 
-	// The send happens under the lock too, so Shutdown cannot close the
-	// queue between the closed check and the send.
+	// Admission happens under the lock too, so Shutdown cannot start waiting
+	// between the closed check and the new goroutine.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -245,30 +240,33 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		job.ctx, job.cancel = context.WithTimeout(context.Background(), timeout)
 	}
 	// Single-flight: an identical request already queued or running becomes
-	// this job's leader; the follower never enters the queue, it mirrors the
+	// this job's leader; the follower is not admitted, it mirrors the
 	// leader's outcome when it lands.
 	if leader, ok := s.inflight[job.key]; ok {
 		s.rememberLocked(job)
 		s.met.addSubmitted()
 		s.met.addCoalesced()
-		s.followers.Add(1)
+		s.running.Add(1)
 		go func() {
-			defer s.followers.Done()
+			defer s.running.Done()
 			s.mirror(job, leader)
 		}()
 		return job, nil
 	}
-	select {
-	case s.queue <- job:
-		s.inflight[job.key] = job
-		s.rememberLocked(job)
-		s.met.addSubmitted()
-		return job, nil
-	default:
+	if len(s.inflight) >= s.cfg.QueueDepth {
 		s.met.addRejected()
 		job.cancel()
 		return nil, ErrOverloaded
 	}
+	s.inflight[job.key] = job
+	s.rememberLocked(job)
+	s.met.addSubmitted()
+	s.running.Add(1)
+	go func() {
+		defer s.running.Done()
+		s.execute(job)
+	}()
+	return job, nil
 }
 
 // mirror completes a coalesced follower with its leader's outcome (or a
@@ -332,7 +330,7 @@ func (s *Server) Lookup(id string) (*Job, error) {
 
 // rememberLocked registers a job in the history, evicting the oldest
 // finished jobs beyond the cap. Unfinished jobs are never evicted (their
-// count is bounded by queue depth + workers).
+// count is bounded by QueueDepth).
 func (s *Server) rememberLocked(job *Job) {
 	s.jobs[job.id] = job
 	s.jobOrder = append(s.jobOrder, job)
@@ -355,24 +353,20 @@ func (s *Server) rememberLocked(job *Job) {
 	}
 }
 
-// Shutdown stops admissions, drains queued and in-flight jobs, and waits
-// for the workers to exit or ctx to expire. Safe to call more than once.
+// Shutdown stops admissions, waits for the admitted jobs to finish or ctx
+// to expire, then closes the graphs' schedulers. Safe to call more than
+// once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
+	s.closed = true
 	s.mu.Unlock()
 
 	drained := make(chan struct{})
 	go func() {
-		s.workers.Wait()
-		s.followers.Wait()
-		// Drain the per-graph wave-group schedulers after the workers: no
-		// worker is left to submit into them, no publish adds one once the
-		// server is closed, and Close blocks until their in-flight groups
-		// finish.
+		s.running.Wait()
+		// Close the per-graph wave-group schedulers after the jobs: none is
+		// left to submit into them, and no publish adds one once the server
+		// is closed.
 		for _, sc := range s.scheds {
 			sc.Close()
 		}
@@ -388,11 +382,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close is Shutdown without a deadline.
 func (s *Server) Close() error { return s.Shutdown(context.Background()) }
-
-// worker drains the queue until Shutdown closes it.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for job := range s.queue {
-		s.execute(job)
-	}
-}

@@ -168,7 +168,7 @@ func directOutput(t *testing.T, req service.Request) []byte {
 // call (the metrics differ: concurrent jobs share wave groups), with the
 // cache serving repeats and consistent counters.
 func TestServiceEndToEnd(t *testing.T) {
-	srv := twoGraphServer(t, service.Config{Workers: 4, QueueDepth: 64})
+	srv := twoGraphServer(t, service.Config{QueueDepth: 64})
 
 	var reqs []service.Request
 	for _, graph := range []string{"social", "web"} {
@@ -298,10 +298,11 @@ func holdSystem(sys *gts.System) (release func()) {
 }
 
 // TestOverloadAndTimeout pins admission control and deadline outcomes
-// deterministically by holding the graph's System from the outside.
+// deterministically by holding the graph's System from the outside: QueueDepth
+// bounds the jobs admitted and not yet answered, wherever they wait.
 func TestOverloadAndTimeout(t *testing.T) {
 	g, _ := testGraphPair(t)
-	srv := service.New(service.Config{Workers: 1, QueueDepth: 2})
+	srv := service.New(service.Config{QueueDepth: 3})
 	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -311,17 +312,17 @@ func TestOverloadAndTimeout(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Hold the System so every dequeued job blocks in its scheduler.
+	// Hold the System so every admitted job blocks in its scheduler.
 	release := holdSystem(sys)
 
-	// Job A occupies the single worker once dequeued.
+	// A wave group takes job A and waits for the System.
 	jobA, err := srv.Submit(service.Request{Graph: "g", Algo: "bfs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return srv.Stats().QueueDepth == 0 }, "worker to dequeue job A")
+	waitFor(t, func() bool { return jobA.State() == service.JobRunning }, "a wave group to take job A")
 
-	// B and C fill the queue; D must be rejected.
+	// B and C queue behind it and fill the bound; D must be rejected.
 	for _, src := range []uint64{10, 11} {
 		if _, err := srv.Submit(service.Request{Graph: "g", Algo: "bfs", Params: service.Params{Source: src}}); err != nil {
 			t.Fatal(err)
@@ -337,7 +338,7 @@ func TestOverloadAndTimeout(t *testing.T) {
 	// A deadline that expires while the engine is unavailable times out.
 	jobT, err := srv.Submit(service.Request{Graph: "g", Algo: "pagerank", Timeout: 30 * time.Millisecond})
 	if err != service.ErrOverloaded {
-		// Queue is full (B, C): this submission must also be rejected.
+		// A, B and C are unanswered: this submission must also be rejected.
 		t.Errorf("submit into full queue = %v", err)
 	}
 	_ = jobT
@@ -424,7 +425,7 @@ func TestAsyncLifecycle(t *testing.T) {
 // TestShutdownDrains verifies queued jobs finish during Shutdown and new
 // submissions are refused.
 func TestShutdownDrains(t *testing.T) {
-	srv := twoGraphServer(t, service.Config{Workers: 2, QueueDepth: 32})
+	srv := twoGraphServer(t, service.Config{QueueDepth: 32})
 	var jobs []*service.Job
 	for i := 0; i < 8; i++ {
 		job, err := srv.Submit(service.Request{Graph: "social", Algo: "bfs", Params: service.Params{Source: uint64(100 + i)}})

@@ -19,7 +19,7 @@ import (
 // of recomputing, and the coalesced counter says so.
 func TestCoalesceIdenticalSubmissions(t *testing.T) {
 	g, _ := testGraphPair(t)
-	srv := service.New(service.Config{Workers: 1, QueueDepth: 8})
+	srv := service.New(service.Config{QueueDepth: 8})
 	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestCoalesceIdenticalSubmissions(t *testing.T) {
 // answer with the first copy's result.
 func TestIdenticalBurstComputesOnce(t *testing.T) {
 	g, _ := testGraphPair(t)
-	srv := service.New(service.Config{Workers: 4, QueueDepth: 128})
+	srv := service.New(service.Config{QueueDepth: 128})
 	defer srv.Close()
 	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
@@ -170,7 +170,7 @@ func TestIdenticalBurstComputesOnce(t *testing.T) {
 // Run under -race via `make test-race`.
 func TestChaosSharedWaveGroups(t *testing.T) {
 	g, _ := testGraphPair(t)
-	srv := service.New(service.Config{Workers: 32, QueueDepth: 64})
+	srv := service.New(service.Config{QueueDepth: 64})
 	plan := &gts.FaultPlan{Seed: 21, TransferErrorRate: 0.05, TransferStallRate: 0.05}
 	sys, err := gts.NewSystem(g, gts.Config{Faults: plan})
 	if err != nil {
@@ -307,7 +307,7 @@ func equalRanks(a, b []float32) bool {
 // one.
 func TestSharedGraphServesSoloAlgorithms(t *testing.T) {
 	g, _ := testGraphPair(t)
-	srv := service.New(service.Config{Workers: 4})
+	srv := service.New(service.Config{})
 	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -379,4 +379,65 @@ func sameOutput(a, b []byte) bool {
 		}
 	}
 	return true
+}
+
+// TestBurstRidesOneWaveGroup: 8 BFS jobs admitted while the graph's System is
+// held ride one wave group once it is released — at most four at a time
+// (sched's MaxGroup), each joiner taking the place of a member that left —
+// so the last four to answer ran on a device page cache the first ones had
+// warmed.
+func TestBurstRidesOneWaveGroup(t *testing.T) {
+	g, _ := testGraphPair(t)
+	srv := service.New(service.Config{CacheEntries: -1})
+	defer srv.Close()
+	sys, err := gts.NewSystem(g, gts.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddGraph("g", sys); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats().Sharing
+
+	release := holdSystem(sys)
+	jobs := make([]*service.Job, 8)
+	for i := range jobs {
+		if jobs[i], err = srv.Submit(service.Request{Graph: "g", Algo: "bfs", Params: service.Params{Source: uint64(i * 100)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return srv.Stats().InFlight > 0 }, "a wave group to take the first jobs")
+	var (
+		mu       sync.Mutex
+		answered []*service.Job
+		wg       sync.WaitGroup
+	)
+	for _, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-job.Done()
+			mu.Lock()
+			answered = append(answered, job)
+			mu.Unlock()
+		}()
+	}
+	release()
+	wg.Wait()
+	srv.Close() // the group's counters are in once it has ended
+
+	for i, job := range answered {
+		res, err := job.Result()
+		if err != nil {
+			t.Fatalf("job %s: %v", job.ID(), err)
+		}
+		t.Logf("answer %d: %s hit rate %.3f", i, job.ID(), res.Metrics.CacheHitRate)
+		if i >= 4 && res.Metrics.CacheHitRate == 0 {
+			t.Errorf("answer %d (%s) found the device page cache cold", i, job.ID())
+		}
+	}
+	after := srv.Stats().Sharing
+	if groups, served := after.WaveGroups-before.WaveGroups, after.GroupJobs-before.GroupJobs; groups != 1 || served != 8 {
+		t.Errorf("%d wave groups served %d jobs, want one group of 8", groups, served)
+	}
 }
