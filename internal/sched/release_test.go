@@ -54,7 +54,7 @@ func TestShortMemberAnswersBeforeLongOne(t *testing.T) {
 	}
 	// Driven by hand, as in TestDeclinedMemberRunsAlone: both jobs queue
 	// before the one group forms.
-	s := &Scheduler{cfg: Config{}.withDefaults()}
+	s := &Scheduler{}
 	s.cond = sync.NewCond(&s.mu)
 
 	type answer struct {
@@ -72,12 +72,7 @@ func TestShortMemberAnswersBeforeLongOne(t *testing.T) {
 			rep, err := s.Run(context.Background(), sys, job.job, nil)
 			job.to <- answer{rep, err}
 		}()
-		for queued := 0; queued <= i; {
-			time.Sleep(100 * time.Microsecond)
-			s.mu.Lock()
-			queued = len(s.queue)
-			s.mu.Unlock()
-		}
+		waitLocked(s, func() bool { return len(s.queue) > i })
 	}
 
 	ran := make(chan struct{})
@@ -114,12 +109,11 @@ func TestShortMemberAnswersBeforeLongOne(t *testing.T) {
 	}
 }
 
-// TestMaxGroupCapsLiveMembers: with the System held, 2×MaxGroup jobs queue;
-// released, they ride one wave group. The group starts with at most MaxGroup
+// TestMaxGroupCapsLiveMembers: with the System held, 2×maxGroup jobs queue;
+// released, they ride one wave group. The group starts with at most maxGroup
 // members, and each member that leaves frees its place for a queued job at
-// the next wave boundary, so no wave ever carries more than MaxGroup members.
+// the next wave boundary, so no wave ever carries more than maxGroup members.
 func TestMaxGroupCapsLiveMembers(t *testing.T) {
-	const maxGroup = 3
 	g, err := gts.Generate("RMAT27", 27-11)
 	if err != nil {
 		t.Fatal(err)
@@ -128,40 +122,25 @@ func TestMaxGroupCapsLiveMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{MaxGroup: maxGroup})
+	s := New()
 	defer s.Close()
-
-	// Hold the System in a wave group of no members whose first admit poll
-	// waits for release.
-	held, free := make(chan struct{}), make(chan struct{})
-	go sys.RunGroup(nil, func() []Job {
-		close(held)
-		<-free
-		return nil
-	})
-	<-held
+	release := holdSystem(sys)
 
 	recs := make([]*trace.Recorder, 2*maxGroup)
 	errs := make([]error, len(recs))
-	taken := 0 // under s.mu, where the scheduler calls each job's taken
 	var wg sync.WaitGroup
 	for i := range recs {
 		recs[i] = trace.NewWithID(fmt.Sprintf("job-%d", i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = s.Run(context.Background(), sys, Job{Kernel: kernels.NewBFS(g), Source: uint64(i), Trace: recs[i]}, func() { taken++ })
+			_, errs[i] = s.Run(context.Background(), sys, Job{Kernel: kernels.NewBFS(g), Source: uint64(i), Trace: recs[i]}, nil)
 		}()
 	}
 	// Every job is queued or in the batch the dispatcher took before it
 	// blocked on the held System.
-	for waiting := true; waiting; {
-		time.Sleep(100 * time.Microsecond)
-		s.mu.Lock()
-		waiting = taken == 0 || taken+len(s.queue) < len(recs)
-		s.mu.Unlock()
-	}
-	close(free)
+	waitLocked(s, func() bool { return s.live > 0 && s.live+len(s.queue) == len(recs) })
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -182,7 +161,7 @@ func TestMaxGroupCapsLiveMembers(t *testing.T) {
 	}
 	for wave, n := range members {
 		if n > maxGroup {
-			t.Errorf("wave %d carried %d members, MaxGroup is %d", wave, n, maxGroup)
+			t.Errorf("wave %d carried %d members, maxGroup is %d", wave, n, maxGroup)
 		}
 	}
 	if len(members) == 0 {

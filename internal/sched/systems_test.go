@@ -1,14 +1,12 @@
-package sched_test
+package sched
 
 import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	gts "repro"
 	"repro/internal/kernels"
-	"repro/internal/sched"
 )
 
 // TestSchedulerNeverMixesSystems: jobs built against two Systems over one
@@ -16,13 +14,14 @@ import (
 // formed on one snapshot is never joined by a job expecting the other.
 func TestSchedulerNeverMixesSystems(t *testing.T) {
 	g := testGraph(t)
-	// A long hold window so every job is queued before any group forms —
-	// jobs of one System would coalesce into a single group.
-	s, first := newSched(t, g, gts.Config{}, sched.Config{Hold: 60 * time.Millisecond})
+	s, first := newSched(t, g, gts.Config{})
 	second, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every job is queued before any group runs: the first System's jobs
+	// ahead of the second's, which a group on the first must not admit.
+	release := holdSystem(first)
 
 	const perSys = 4
 	var wg sync.WaitGroup
@@ -32,13 +31,14 @@ func TestSchedulerNeverMixesSystems(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				_, errs[i] = s.Run(context.Background(), sys, sched.Job{Kernel: kernels.NewBFS(g), Source: uint64(i % 8)}, nil)
+				_, errs[i] = s.Run(context.Background(), sys, Job{Kernel: kernels.NewBFS(g), Source: uint64(i % 8)}, nil)
 			}(base + i)
 		}
+		waitLocked(s, func() bool { return s.live+len(s.queue) == base+perSys })
 	}
 	submit(0, first)
-	time.Sleep(10 * time.Millisecond) // let the first System's jobs enqueue
 	submit(perSys, second)
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -47,8 +47,8 @@ func TestSchedulerNeverMixesSystems(t *testing.T) {
 	}
 	s.Close() // the last group's counters are in once it has ended
 	st := s.Stats()
-	if st.WaveGroups < 2 {
-		t.Fatalf("WaveGroups = %d, want >= 2 (jobs of two Systems must not share a group)", st.WaveGroups)
+	if st.WaveGroups != 2 {
+		t.Fatalf("WaveGroups = %d, want 2: one per System", st.WaveGroups)
 	}
 	if st.GroupJobs != 2*perSys {
 		t.Fatalf("served %d jobs, want %d", st.GroupJobs, 2*perSys)

@@ -56,16 +56,7 @@ func TestJobAdmittedBeforeNewVersionIsAnswered(t *testing.T) {
 				}
 			}
 
-			// Hold the System in a wave group of no members whose first admit
-			// poll waits for release.
-			held, free := make(chan struct{}), make(chan struct{})
-			go sys.RunGroup(nil, func() []gts.SharedJob {
-				close(held)
-				<-free
-				return nil
-			})
-			<-held
-			release := sync.OnceFunc(func() { close(free) })
+			release := sync.OnceFunc(HoldSystem(sys))
 			defer release()
 
 			a, err := srv.Submit(reqs[0])

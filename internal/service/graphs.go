@@ -113,7 +113,7 @@ func (s *Server) publish(next, old *graphEntry) error {
 		return fmt.Errorf("%w: %q was reloaded meanwhile", ErrGraphNotReady, next.name)
 	}
 	if s.scheds[next.name] == nil {
-		s.scheds[next.name] = sched.New(sched.Config{})
+		s.scheds[next.name] = sched.New()
 	}
 	next.sched = s.scheds[next.name]
 	next.state.store(GraphServing)

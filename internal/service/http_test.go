@@ -224,7 +224,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 
 	// Deterministic 504 and 429 from the one admission bound (2 jobs): hold
 	// the graph's System so a wave group takes the first job and waits.
-	release := holdSystem(sys)
+	release := service.HoldSystem(sys)
 	defer release()
 
 	resp, doc := postJSON(t, ts.URL+"/v1/graphs/social/bfs?mode=async", map[string]any{"source": 50})

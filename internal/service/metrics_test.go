@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	gts "repro"
 )
 
 // metricFamilies is every family /metrics declares, with its type. Adding or
@@ -216,13 +214,7 @@ func TestMetricsConformance(t *testing.T) {
 	srv.mu.Lock()
 	sys := srv.graphs["mut"].sys
 	srv.mu.Unlock()
-	held, free := make(chan struct{}), make(chan struct{})
-	go sys.RunGroup(nil, func() []gts.SharedJob {
-		close(held)
-		<-free
-		return nil
-	})
-	<-held
+	release := HoldSystem(sys)
 	req := Request{Graph: "mut", Algo: "bfs", Params: Params{Source: 1}}
 	a, err := srv.Submit(req)
 	if err != nil {
@@ -232,7 +224,7 @@ func TestMetricsConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(free)
+	release()
 	<-a.Done()
 	<-b.Done()
 	if got := scrape("coalesced pair")["gtsd_jobs_coalesced_total"]; got != 1 {

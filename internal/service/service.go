@@ -67,8 +67,8 @@ const jobHistory = 1024
 
 // Config sizes a Server. The zero value is serviceable: 64 jobs admitted at
 // a time, a 256-entry result cache, no default deadline. How many jobs run
-// at once is each graph's scheduler's: sched.Config's MaxGroup live members
-// of one wave group.
+// at once is each graph's scheduler's: at most four live members of one
+// wave group.
 type Config struct {
 	// QueueDepth bounds the jobs admitted to compute and not yet answered,
 	// queued in their graph's scheduler or riding a wave group (default

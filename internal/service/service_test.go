@@ -283,20 +283,6 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
-// holdSystem keeps sys from running anything until the returned release is
-// called: it holds the System's run lock in a wave group of no members whose
-// first admit poll waits for release.
-func holdSystem(sys *gts.System) (release func()) {
-	held, free := make(chan struct{}), make(chan struct{})
-	go sys.RunGroup(nil, func() []gts.SharedJob {
-		close(held)
-		<-free
-		return nil
-	})
-	<-held
-	return func() { close(free) }
-}
-
 // TestOverloadAndTimeout pins admission control and deadline outcomes
 // deterministically by holding the graph's System from the outside: QueueDepth
 // bounds the jobs admitted and not yet answered, wherever they wait.
@@ -313,7 +299,7 @@ func TestOverloadAndTimeout(t *testing.T) {
 	defer srv.Close()
 
 	// Hold the System so every admitted job blocks in its scheduler.
-	release := holdSystem(sys)
+	release := service.HoldSystem(sys)
 
 	// A wave group takes job A and waits for the System.
 	jobA, err := srv.Submit(service.Request{Graph: "g", Algo: "bfs"})
@@ -352,7 +338,7 @@ func TestOverloadAndTimeout(t *testing.T) {
 	waitFor(t, func() bool { return srv.Stats().Completed == 3 }, "queue to drain")
 
 	// Now hold it again for a deterministic timeout outcome.
-	release = holdSystem(sys)
+	release = service.HoldSystem(sys)
 	jobT, err = srv.Submit(service.Request{Graph: "g", Algo: "pagerank", Timeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func TestCoalesceIdenticalSubmissions(t *testing.T) {
 
 	// Hold the System so the leader cannot finish while the followers
 	// submit — the dedup window stays deterministically open.
-	release := holdSystem(sys)
+	release := service.HoldSystem(sys)
 
 	req := service.Request{Graph: "g", Algo: "bfs", Params: service.Params{Source: 7}}
 	leader, err := srv.Submit(req)
@@ -399,7 +399,7 @@ func TestBurstRidesOneWaveGroup(t *testing.T) {
 	}
 	before := srv.Stats().Sharing
 
-	release := holdSystem(sys)
+	release := service.HoldSystem(sys)
 	jobs := make([]*service.Job, 8)
 	for i := range jobs {
 		if jobs[i], err = srv.Submit(service.Request{Graph: "g", Algo: "bfs", Params: service.Params{Source: uint64(i * 100)}}); err != nil {
