@@ -149,9 +149,9 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 19099
-LOC_MAX_ENGINE_AND_API = 5269
-LOC_MAX_ENGINE = 4292
+LOC_MAX_TOTAL = 19169
+LOC_MAX_ENGINE_AND_API = 5316
+LOC_MAX_ENGINE = 4331
 LOC_MAX_GTSD_FLAGS = 10
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:

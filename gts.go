@@ -291,18 +291,26 @@ func LoadGraph(path string) (*Graph, error) { return slottedpage.ReadFile(path) 
 
 // System binds a graph to a configured machine and runs algorithms on it.
 //
+// The machine's device memory is System state: each GPU's topology page
+// cache (§3.3) keeps the pages one run left resident for the next, so a
+// repeated or related query starts warm. Result bytes never depend on that
+// history; a run's Elapsed and traffic counters depend on the device
+// contents at its start and the job. A new System (one per ingest epoch in
+// gtsd) starts cold.
+//
 // Concurrency: a System runs at most one algorithm at a time. Every
 // algorithm call (BFS, PageRank, RunKernel, ...) takes an internal mutex
 // for the duration of the run, so concurrent calls are safe but serialize
 // — the second caller blocks until the first run finishes. The serialized
-// section is the simulation, whose shared state (the Config.Trace recorder)
-// must not interleave between runs. Callers that need true parallelism
-// should run each concurrent request on its own System over the same *Graph
-// — a Graph is immutable after BuildGraph and safe to share.
+// section is the simulation, whose shared state (the device's page caches
+// and the Config.Trace recorder) must not interleave between runs. Callers
+// that need true parallelism should run each concurrent request on its own
+// System over the same *Graph — a Graph is immutable after BuildGraph and
+// safe to share.
 type System struct {
 	graph *Graph
 	cfg   Config
-	eng   *core.Engine // stateless between runs: each builds a fresh simulation
+	eng   *core.Engine // owns the device: its page caches outlive each run
 	runMu sync.Mutex   // serializes algorithm runs (see the type comment)
 }
 

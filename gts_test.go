@@ -299,11 +299,16 @@ func TestParseStorage(t *testing.T) {
 
 // TestSystemSerializesRuns exercises the System concurrency guard: many
 // goroutines hammering one System must produce exactly the sequential
-// results (run under -race via `make test-race`).
+// results (run under -race via `make test-race`). The first run warms the
+// device; every run after it starts from the same settled device, so the
+// concurrent runs must match the second, warm, sequential one.
 func TestSystemSerializesRuns(t *testing.T) {
 	g := smallGraph(t)
 	sys, err := NewSystem(g, Config{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.BFS(0); err != nil {
 		t.Fatal(err)
 	}
 	want, err := sys.BFS(0)

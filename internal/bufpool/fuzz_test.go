@@ -3,9 +3,9 @@ package bufpool
 import "testing"
 
 // decodeScript turns fuzz bytes into a (capacity, ops) pair: byte 2 is the
-// capacity in pages and the rest decode pairwise into ops. Bytes 0 and 1
-// once selected a policy and a tiebreak seed; they stay skipped so that the
-// corpus replays the op scripts it always did. Every byte string is a valid
+// capacity in pages and the rest decode pairwise into ops, the kind modulo
+// numOpKinds. Bytes 0 and 1 once selected a policy and a tiebreak seed; they
+// stay skipped. Every byte string is a valid
 // script — the harness interprets args modulo current state — so the fuzzer
 // can mutate freely.
 func decodeScript(data []byte) (capPages int, ops []scriptOp) {
@@ -21,10 +21,11 @@ func decodeScript(data []byte) (capPages int, ops []scriptOp) {
 // fuzzer-generated op scripts. Wired into `make fuzz`.
 func FuzzPoolOps(f *testing.F) {
 	// Seed corpus: scripts exercising pin/unpin/evict, loading holds,
-	// aborts, and resizes.
+	// aborts, resizes, and drops of an unpinned and a pinned page.
 	f.Add([]byte{0, 1, 2, 0, 1, 0, 2, 0, 3, 2, 0, 0, 4, 3, 1, 5, 2, 2, 0})
 	f.Add([]byte{1, 42, 1, 0, 7, 0, 8, 2, 0, 0, 9, 3, 0, 0, 7, 2, 1})
 	f.Add([]byte{2, 9, 3, 0, 1, 0, 2, 0, 3, 0, 4, 2, 0, 2, 0, 0, 1, 0, 2, 4, 5, 5, 1})
+	f.Add([]byte{0, 0, 3, 0, 1, 2, 0, 6, 1, 0, 1, 6, 1, 4, 2, 6, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

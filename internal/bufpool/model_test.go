@@ -82,6 +82,17 @@ func (m *model) unpin(pid uint64) {
 	m.pol.insert(pid)
 }
 
+func (m *model) drop(pid uint64) bool {
+	f, ok := m.frames[pid]
+	if !ok || f.refs > 0 || f.loading {
+		return false
+	}
+	m.pol.remove(pid)
+	delete(m.frames, pid)
+	m.evictions++
+	return true
+}
+
 func (m *model) resize(capPages int) {
 	if capPages < 1 {
 		capPages = 1
@@ -146,6 +157,7 @@ const (
 	opResize          // resize to (arg%8+1) pages
 	opPinHold         // pin pid; on Load: leave loading (tracked separately)
 	opResolve         // resolve one held loading frame: even arg Ready, odd Abort
+	opDrop            // drop pid (evicted only if resident and unpinned)
 	numOpKinds
 )
 
@@ -155,7 +167,7 @@ type scriptOp struct {
 }
 
 func (o scriptOp) String() string {
-	names := []string{"pin", "pin-abort", "unpin", "resize", "pin-hold", "resolve"}
+	names := []string{"pin", "pin-abort", "unpin", "resize", "pin-hold", "resolve", "drop"}
 	return fmt.Sprintf("%s(%d)", names[o.kind], o.arg)
 }
 
@@ -208,6 +220,10 @@ func runScript(capPages int, ops []scriptOp) error {
 			capPages := int(op.arg%8) + 1
 			pool.Resize(int64(capPages) * modelPageSize)
 			oracle.resize(capPages)
+		case opDrop:
+			if got, want := pool.Drop(op.arg), oracle.drop(op.arg); got != want {
+				return fmt.Errorf("op %d %v: pool returned %v, oracle %v", i, op, got, want)
+			}
 		case opResolve:
 			if len(held) == 0 {
 				continue
@@ -291,8 +307,10 @@ func genScript(r *rand.Rand, n, pidSpace int) []scriptOp {
 			op = scriptOp{opPinHold, uint64(r.Intn(pidSpace))}
 		case p < 72:
 			op = scriptOp{opResolve, uint64(r.Intn(64))}
-		case p < 94:
+		case p < 89:
 			op = scriptOp{opUnpin, uint64(r.Intn(64))}
+		case p < 94:
+			op = scriptOp{opDrop, uint64(r.Intn(pidSpace))}
 		default:
 			op = scriptOp{opResize, uint64(r.Intn(8))}
 		}

@@ -89,7 +89,7 @@ type Config struct {
 type Stats struct {
 	Hits          int64 // Pin calls answered from a resident page
 	Loads         int64 // Pin calls granted a Load frame (storage reads through the pool)
-	Evictions     int64 // pages evicted (victims to make room + over-budget unpins)
+	Evictions     int64 // pages evicted (victims to make room, over-budget unpins, Drop)
 	PinWaits      int64 // Pin calls denied (Busy or NoFrame) — bypass reads
 	Invalidations int64 // frames discarded because a graph mutation superseded their epoch
 	Resident      int   // resident pages (loading frames included)
@@ -253,6 +253,23 @@ func (p *Pool) Unpin(pid uint64) {
 		return
 	}
 	p.markEvictable(f)
+}
+
+// Drop evicts pid's frame if it is resident and unpinned, and reports
+// whether it did: a device carrying the page in its own cache frees the
+// frame for a page it lacks. Pinned and loading frames stay, and a
+// stale-epoch frame is always pinned (AdvanceEpoch and Unpin discard it).
+func (p *Pool) Drop(pid uint64) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[pid]
+	if !ok || f.refs > 0 || f.loading {
+		return false
+	}
+	p.unlink(f)
+	delete(p.frames, pid)
+	p.evictions++
+	return true
 }
 
 // AdvanceEpoch declares a new graph version: every resident frame from the

@@ -154,6 +154,49 @@ func TestResizeGrow(t *testing.T) {
 	}
 }
 
+// TestDrop: Drop evicts a resident, unpinned, current-epoch frame and counts
+// the eviction; it never evicts a pinned, loading or stale-epoch frame, and
+// an absent page is a no-op.
+func TestDrop(t *testing.T) {
+	p := mustPool(t, 4)
+	pinReady(t, p, 1) // stays pinned across the epoch change: stale
+	pinReady(t, p, 2) // pinned at the current epoch
+	p.AdvanceEpoch()
+	p.Unpin(2)
+	pinReady(t, p, 2) // pinned
+	pinReady(t, p, 3)
+	p.Unpin(3) // evictable
+	if s := p.Pin(4); s != Load {
+		t.Fatalf("Pin(4) = %v, want Load", s)
+	} // 4 is loading
+	before := p.Stats()
+	for _, pid := range []uint64{1, 2, 4, 9} {
+		if p.Drop(pid) {
+			t.Fatalf("Drop(%d) evicted a stale, pinned, loading or absent frame", pid)
+		}
+	}
+	if !p.Drop(3) {
+		t.Fatal("Drop(3) kept a resident, unpinned, current-epoch frame")
+	}
+	if p.Drop(3) {
+		t.Fatal("a second Drop(3) evicted again")
+	}
+	check(t, p)
+	if got, want := p.ResidentPIDs(), []uint64{1, 2, 4}; !equalPIDs(got, want) {
+		t.Fatalf("resident after Drop = %v, want %v", got, want)
+	}
+	if st := p.Stats(); st.Evictions != before.Evictions+1 || st.Invalidations != before.Invalidations {
+		t.Fatalf("Drop counted %d evictions and %d invalidations, want 1 and 0",
+			st.Evictions-before.Evictions, st.Invalidations-before.Invalidations)
+	}
+	// The frames Drop kept are released as usual.
+	p.Unpin(1)
+	p.Unpin(2)
+	p.Ready(4)
+	p.Unpin(4)
+	check(t, p)
+}
+
 func TestUnpinPanics(t *testing.T) {
 	for name, fn := range map[string]func(p *Pool){
 		"unpin-unknown":  func(p *Pool) { p.Unpin(9) },

@@ -182,6 +182,10 @@ type Report struct {
 	State kernels.State
 	// CacheHits counts pages served from the device-memory page cache.
 	CacheHits int64
+	// ResidentAtStart counts the device pages resident when the member
+	// joined, summed over GPUs: the device state its Elapsed depends on
+	// besides the job (0 on an Engine's first run).
+	ResidentAtStart int64
 	// EdgesTraversed counts adjacency entries the kernels scanned.
 	EdgesTraversed int64
 	// Updates counts attribute writes.
@@ -189,12 +193,22 @@ type Report struct {
 }
 
 // Engine runs kernels over one graph on one machine specification. Each Run
-// or RunShared builds a fresh simulation, so runs are independent and
-// deterministic.
+// or RunShared builds a fresh simulation, but the device outlives it: the
+// Engine keeps each GPU's topology page cache (§3.3), so a run starts with
+// the pages the runs before it left resident. Result bytes never depend on
+// that history; Elapsed and the traffic counters are a function of the
+// device contents at start (Report.ResidentAtStart) and the job, so runs
+// from the same start are deterministic. Runs on one Engine must not
+// overlap: gts.System serializes them on its run mutex.
 type Engine struct {
 	spec  hw.MachineSpec
 	graph *slottedpage.Graph
 	opts  Options
+	// device holds each GPU's page cache between runs: setup resizes it to
+	// the run's budget and RunShared takes back what the run left. A nil
+	// entry (never filled, disabled, or dropped by an OOM degradation or a
+	// WA-fit decline) starts that GPU cold.
+	device []*hw.PageCache
 }
 
 // New validates the configuration and returns an engine.
@@ -214,7 +228,7 @@ func New(spec hw.MachineSpec, graph *slottedpage.Graph, opts Options) (*Engine, 
 			return nil, fmt.Errorf("core: host pool page size %d does not match the graph's %d", got, want)
 		}
 	}
-	return &Engine{spec: spec, graph: graph, opts: opts}, nil
+	return &Engine{spec: spec, graph: graph, opts: opts, device: make([]*hw.PageCache, len(spec.GPUs))}, nil
 }
 
 // Graph returns the engine's graph.

@@ -243,15 +243,28 @@ func TestTechniquesAllCorrect(t *testing.T) {
 	}
 }
 
+// TestDeterministicElapsed: a run's Elapsed is a function of the device
+// contents at its start and the job. Two fresh Engines start cold and agree;
+// on one Engine the first run warms the device, and once it has settled the
+// second and third runs start from the same pages and agree too.
 func TestDeterministicElapsed(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	e := newEngine(t, sp, Options{Source: 0}, 2, 2)
 	k := kernels.NewBFS(sp)
+	e := newEngine(t, sp, Options{Source: 0}, 2, 2)
+	cold := mustRun(t, e, k)
+	fresh := mustRun(t, newEngine(t, sp, Options{Source: 0}, 2, 2), k)
+	if cold.Elapsed != fresh.Elapsed || cold.PagesStreamed != fresh.PagesStreamed {
+		t.Errorf("two fresh engines: %v/%d vs %v/%d", cold.Elapsed, cold.PagesStreamed, fresh.Elapsed, fresh.PagesStreamed)
+	}
 	a := mustRun(t, e, k)
 	b := mustRun(t, e, k)
-	if a.Elapsed != b.Elapsed || a.PagesStreamed != b.PagesStreamed {
-		t.Errorf("nondeterministic: %v/%d vs %v/%d", a.Elapsed, a.PagesStreamed, b.Elapsed, b.PagesStreamed)
+	if a.ResidentAtStart != b.ResidentAtStart || a.Elapsed != b.Elapsed || a.PagesStreamed != b.PagesStreamed {
+		t.Errorf("settled device, runs 2 and 3: %d resident, %v/%d vs %d resident, %v/%d",
+			a.ResidentAtStart, a.Elapsed, a.PagesStreamed, b.ResidentAtStart, b.Elapsed, b.PagesStreamed)
+	}
+	if a.Elapsed > cold.Elapsed {
+		t.Errorf("warm run %v slower than the cold one, %v", a.Elapsed, cold.Elapsed)
 	}
 }
 

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/kernels"
+	"repro/internal/verify"
 )
 
 // chaosPlan injects every fault kind: transfer errors and stalls, storage
@@ -173,5 +175,126 @@ func TestInvalidFaultPlanRejected(t *testing.T) {
 	bad := &fault.Plan{TransferErrorRate: 2}
 	if _, err := New(hw.Workstation(1, 0), sp, Options{Faults: bad}); err == nil {
 		t.Fatal("engine accepted an out-of-range fault plan")
+	}
+}
+
+// TestDeviceCarriesWhatOOMLeft: the device outlives a run that an injected
+// device OOM degraded. The OOM hits the run's last kernel launch, after
+// every page was admitted, and halves the cache; the next run starts with
+// the half that was left and re-grows the budget, so it ends holding every
+// page again. Recovered (one OOM, the relaunch succeeds) or not (the OOM
+// persists through the retry budget, shrinking the cache at each retry, and
+// the job fails), every successful run's ranks are the fault-free run's.
+func TestDeviceCarriesWhatOOMLeft(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	n := sp.NumPages()
+	opts := Options{CacheBytes: int64(n) * int64(sp.Config().PageSize)}
+	k := kernels.NewPageRank(sp, 0.85, 3)
+	clean := mustRun(t, newEngine(t, sp, opts, 1, 0), k)
+	want := append([]float32(nil), k.Ranks(clean.State)...)
+	last := clean.CacheHits + clean.PagesStreamed // every page launches one kernel
+	for _, tc := range []struct {
+		name  string
+		ooms  []int64
+		left  int // pages the degraded run leaves resident
+		fails bool
+	}{
+		{"recovered", []int64{last}, n / 2, false},
+		{"exhausted", []int64{last, last + 1, last + 2, last + 3, last + 4}, n / 16, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, sp, opts, 1, 0)
+			rep, err := e.RunJob(SharedJob{Kernel: k, Faults: &fault.Plan{OOMKernelLaunches: tc.ooms}})
+			if tc.fails != (err != nil) {
+				t.Fatalf("degraded run: err = %v, want failure %v", err, tc.fails)
+			}
+			if err == nil {
+				if rep.Faults.Degradations != 1 {
+					t.Fatalf("%d degradations, want 1", rep.Faults.Degradations)
+				}
+				if !slices.Equal(k.Ranks(rep.State), want) {
+					t.Fatal("the degraded run's ranks differ from the fault-free run's")
+				}
+			}
+			if got := e.device[0].Len(); got != tc.left {
+				t.Fatalf("the degraded run left %d pages resident, want %d", got, tc.left)
+			}
+			next := mustRun(t, e, k)
+			if next.ResidentAtStart != int64(tc.left) {
+				t.Errorf("the next run started with %d resident pages, want %d", next.ResidentAtStart, tc.left)
+			}
+			if got := e.device[0].Len(); got != n {
+				t.Errorf("the next run ended with %d of %d pages resident: its budget did not re-grow", got, n)
+			}
+			if !slices.Equal(k.Ranks(next.State), want) {
+				t.Error("the next run's ranks differ from the fault-free run's")
+			}
+		})
+	}
+}
+
+// TestDeviceColdAfterWADecline: a joiner whose WA does not fit beside the
+// page cache drops the cache, and is declined when it still does not fit.
+// The device comes back from that run cold, and the next run starts with no
+// resident page and builds its cache afresh. Every BFS gives the reference
+// levels.
+func TestDeviceColdAfterWADecline(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	want := verify.BFS(g, 0)
+	bfs, pr := kernels.NewBFS(sp), kernels.NewPageRank(sp, 0.85, 3)
+	waOf := func(k kernels.Kernel) int64 {
+		s := k.NewState()
+		k.Init(s, 0)
+		return s.WABytes()
+	}
+	// One GPU with room for the stream buffers, BFS's WA and free bytes F:
+	// a closed roster's cache takes F, a group's F/2. PageRank needs more
+	// than F, so it is declined even after the cache is dropped.
+	spec := hw.Workstation(1, 0)
+	probe, err := New(spec, sp, Options{Streams: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra := kernels.RAPerVertex(bfs)
+	need := waOf(pr) + probe.streamBufBytes(max(ra, kernels.RAPerVertex(pr))) - probe.streamBufBytes(ra)
+	spec.GPUs[0].DeviceMemory = probe.streamBufBytes(ra) + waOf(bfs) + need*3/4
+	e, err := New(spec, sp, Options{Streams: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	levelsOf := func(rep *Report) []int16 { return bfs.Levels(rep.State) }
+
+	if rep := mustRun(t, e, bfs); !slices.Equal(levelsOf(rep), want) || e.device[0] == nil {
+		t.Fatal("the warm-up run gave wrong levels or left no cache")
+	}
+	var outs []SharedOutcome
+	record := func(o SharedOutcome) { outs = append(outs, o) }
+	polls := 0
+	admit := func() []SharedJob { // PageRank joins at the first wave's end
+		if polls++; polls != 2 {
+			return nil
+		}
+		return []SharedJob{{Kernel: pr, Done: record}}
+	}
+	if _, err := e.RunShared([]SharedJob{{Kernel: bfs, Done: record}}, admit); err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 2 || !outs[0].Declined || outs[1].Err != nil {
+		t.Fatalf("outcomes %+v: want PageRank declined, then BFS answered", outs)
+	}
+	if outs[1].ResidentAtStart == 0 || !slices.Equal(levelsOf(&outs[1].Report), want) {
+		t.Fatalf("the group's BFS started with %d resident pages or gave wrong levels", outs[1].ResidentAtStart)
+	}
+	if e.device[0] != nil {
+		t.Fatal("the cache the decline dropped came back")
+	}
+	next := mustRun(t, e, bfs)
+	if next.ResidentAtStart != 0 || !slices.Equal(levelsOf(next), want) {
+		t.Fatalf("the next run started with %d resident pages or gave wrong levels", next.ResidentAtStart)
+	}
+	if e.device[0] == nil || e.device[0].Len() == 0 {
+		t.Fatal("the next run built no cache")
 	}
 }

@@ -182,6 +182,7 @@ func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) (SharedSt
 	if err == nil {
 		d.env.Process("gts-framework", d.loop)
 		d.stats.Elapsed, err = d.env.Run()
+		e.device = d.caches // what this run leaves resident, the next run starts with
 	}
 	if err != nil {
 		d.abandon(err)
@@ -194,8 +195,8 @@ func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) (SharedSt
 // simulated machine; one set of stream buffers, which serves every member
 // (the wave protocol streams each page once), with an RABuf as wide as the
 // roster's widest kernel needs; each initial member's WA; and the page cache
-// in whatever device memory is left (§3.3). The driver comes back even on
-// error, for abandon.
+// in whatever device memory is left (§3.3), starting from the pages the
+// engine's device carries. The driver comes back even on error, for abandon.
 func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, error) {
 	env := sim.NewEnv()
 	d := &driver{eng: e, admit: admit, handed: jobs, union: bitset.New(e.graph.NumPages())}
@@ -379,6 +380,11 @@ func (d *driver) freeMemberWA(m *member) {
 // is left aborted, for the retire that follows.
 func (d *driver) beginMember(p *sim.Proc, m *member) {
 	m.joinedAt = d.env.Now()
+	for _, c := range d.caches {
+		if c != nil {
+			m.residentAtStart += int64(c.Len())
+		}
+	}
 	m.parallelGPUs(p, func(p *sim.Proc, i int) {
 		t0 := d.env.Now()
 		err := m.withRetry(p, i, -1, "WA upload", func() error {
@@ -881,9 +887,10 @@ func (d *driver) memberReport(m *member) Report {
 			PoolLoads:      m.poolLoads,
 			PoolWaits:      m.poolWaits,
 		},
-		State:          m.states[0],
-		CacheHits:      m.cacheHits,
-		EdgesTraversed: m.edgesTraversed,
-		Updates:        m.updates,
+		State:           m.states[0],
+		CacheHits:       m.cacheHits,
+		ResidentAtStart: m.residentAtStart,
+		EdgesTraversed:  m.edgesTraversed,
+		Updates:         m.updates,
 	}
 }

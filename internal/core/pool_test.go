@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -279,5 +280,39 @@ func TestPoolPageSizeMismatchRejected(t *testing.T) {
 	}
 	if _, err := New(hw.Workstation(1, 1), sp, Options{HostPool: wrong}); err == nil {
 		t.Fatal("engine accepted a pool with mismatched page size")
+	}
+}
+
+// TestCarriedPagesLeaveThePool: a run on a warm device never asks the host
+// pool for the pages the device carries, so setup drops them from the pool
+// (while nothing pins them) and leaves the frames to the pages the device
+// lacks. Two PageRank scans through a pool that holds the whole topology
+// and a device that holds a quarter of it.
+func TestCarriedPagesLeaveThePool(t *testing.T) {
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
+	n := sp.NumPages()
+	pool := newTestPool(t, sp, 0)
+	e := newEngine(t, sp, Options{HostPool: pool, CacheBytes: int64(n/4) * int64(sp.Config().PageSize)}, 1, 1)
+	k := kernels.NewPageRank(sp, 0.85, 3)
+	mustRun(t, e, k)
+	if st := pool.Stats(); st.Resident != n || st.Evictions != 0 {
+		t.Fatalf("after the cold run the pool holds %d of %d pages, %d evicted", st.Resident, n, st.Evictions)
+	}
+	carried := slices.Clone(e.device[0].Pages())
+	warm := mustRun(t, e, k)
+	if warm.ResidentAtStart != int64(len(carried)) || len(carried) != n/4 {
+		t.Fatalf("the warm run started with %d resident pages, the device carried %d, want %d", warm.ResidentAtStart, len(carried), n/4)
+	}
+	if warm.PoolLoads != 0 {
+		t.Errorf("the warm run loaded %d pages from storage", warm.PoolLoads)
+	}
+	if st := pool.Stats(); st.Evictions != int64(len(carried)) || st.Resident != n-len(carried) {
+		t.Fatalf("pool after the warm run: %d evictions, %d resident; want %d and %d", st.Evictions, st.Resident, len(carried), n-len(carried))
+	}
+	for _, pid := range carried {
+		if slices.Contains(pool.ResidentPIDs(), pid) {
+			t.Fatalf("page %d is on the device and still in the pool", pid)
+		}
 	}
 }

@@ -78,11 +78,12 @@ type member struct {
 	backIdx      int
 	done         bool
 
-	joinedAt    sim.Time
-	stepStart   sim.Time
-	stepActive  bool
-	beforePages int64
-	beforeBytes int64
+	joinedAt        sim.Time
+	residentAtStart int64 // device pages resident at joinedAt
+	stepStart       sim.Time
+	stepActive      bool
+	beforePages     int64
+	beforeBytes     int64
 
 	// pidPool recycles page-ID bitsets (nextPIDSet locals and level
 	// frontiers). hostKernelWall accrues this member's share of the real time
@@ -191,7 +192,9 @@ func (m *member) setupStates() {
 // setup builds the shared half of Algorithm 1's initialization — the
 // per-GPU page caches and the host-side page residency — from the engine
 // options and the device memory that is free when it is called, of which
-// headroom leaves half unclaimed.
+// headroom leaves half unclaimed. Each GPU's cache is the one the engine
+// carries, resized to the budget (dropping its most recently admitted pages
+// past it), or a new one on a cold GPU.
 func (pl *plant) setup(e *Engine, headroom bool) error {
 	m := pl.machine
 	pageSize := int64(e.graph.Config().PageSize)
@@ -214,7 +217,10 @@ func (pl *plant) setup(e *Engine, headroom bool) error {
 			if err := g.Alloc(pages * pageSize); err != nil {
 				return err
 			}
-			pl.caches[i] = hw.NewPageCache(int(pages), e.graph.NumPages())
+			if pl.caches[i] = e.device[i]; pl.caches[i] == nil {
+				pl.caches[i] = hw.NewPageCache(int(pages), e.graph.NumPages())
+			}
+			pl.caches[i].Resize(int(pages))
 			pl.cacheBytes[i] = pages * pageSize
 			pl.cacheTarget[i] = pages * pageSize
 		}
@@ -240,7 +246,19 @@ func (pl *plant) setup(e *Engine, headroom bool) error {
 	// A shared pool's pages live in host memory once, however many machines
 	// share it; each machine still accounts the full budget so a
 	// configuration that could not actually hold the pool fails here.
-	return m.Host.Alloc(pl.pool.Budget())
+	if err := m.Host.Alloc(pl.pool.Budget()); err != nil {
+		return err
+	}
+	// The device never asks the pool for a page it carries, so a frame
+	// holding one would only keep out a page the device lacks.
+	for _, c := range pl.caches {
+		if c != nil {
+			for _, pid := range c.Pages() {
+				pl.pool.Drop(pid)
+			}
+		}
+	}
+	return nil
 }
 
 // planLevel asks a FrontierKernel to plan the coming level — rebuilding

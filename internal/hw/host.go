@@ -52,7 +52,9 @@ func (h *Host) Capacity() int64 { return h.capacity }
 // supersteps are, evicting by recency drops every page just before its reuse.
 // A miss on a full cache streams through the SPBuf/LPBuf instead, so k scans
 // of N pages through B slots hit (k-1)·B times — §3.3's B/(S+L). (The
-// host-side page buffer is internal/bufpool.)
+// host-side page buffer is internal/bufpool.) A cache outlives the run that
+// filled it: internal/core's Engine keeps one per GPU, and the next run
+// Resizes it to its own budget and starts with what it holds.
 type PageCache struct {
 	capacity int         // in pages
 	resident *bitset.Set // over the graph's page IDs, which are dense
@@ -95,6 +97,10 @@ func (c *PageCache) Resize(capacity int) {
 
 // Len reports the cached page count.
 func (c *PageCache) Len() int { return len(c.order) }
+
+// Pages lists the cached pages, oldest admission first. The slice is the
+// cache's own: read it before the next Insert or Resize, and do not modify it.
+func (c *PageCache) Pages() []uint64 { return c.order }
 
 // Machine assembles a full workstation bound to one simulation environment.
 type Machine struct {

@@ -11,7 +11,49 @@ import (
 	"time"
 
 	gts "repro"
+	"repro/internal/kernels"
 )
+
+// TestIngestRepublishStartsCold: a System's device keeps its page cache from
+// run to run, but the System an ingest publishes starts cold, so no page of
+// a superseded epoch can hit (carrying the device across epochs is future
+// work). The old System's second run finds its first run's pages.
+func TestIngestRepublishStartsCold(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	if err := srv.LoadMutableGraph("mut", "RMAT26@15", filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	published := func() *gts.System {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.graphs["mut"].sys
+	}
+	resident := func(sys *gts.System) int64 {
+		outs, _, err := sys.RunShared([]gts.SharedJob{{Kernel: kernels.NewBFS(sys.Graph()), Source: 0}}, nil)
+		if err != nil || outs[0].Err != nil {
+			t.Fatal(err, outs[0].Err)
+		}
+		return outs[0].ResidentAtStart
+	}
+	old := published()
+	if n := resident(old); n != 0 {
+		t.Fatalf("a fresh System's first run found %d resident pages", n)
+	}
+	if n := resident(old); n == 0 {
+		t.Fatal("the second run found the device cold")
+	}
+	if _, err := srv.Ingest("mut", []gts.EdgeOp{{Src: 1, Dst: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	next := published()
+	if next == old {
+		t.Fatal("the ingest published no new System")
+	}
+	if n := resident(next); n != 0 {
+		t.Fatalf("the republished System's first run found %d resident pages, want 0", n)
+	}
+}
 
 // TestJobAdmittedBeforeNewVersionIsAnswered: while the graph's System is
 // held, job A waits in the wave group the graph's scheduler took it into and
