@@ -1,7 +1,7 @@
 // Command gtsd serves GTS graph analytics over HTTP: it pre-loads named
 // slotted-page graphs, one System each, and answers concurrent algorithm
-// requests through internal/service's admission bound, each graph's wave-group
-// scheduler, and result cache.
+// requests through internal/service's admission bound and result cache, each
+// graph running one job at a time.
 //
 // Its flags configure the daemon only. A graph's machine — GPUs, streams,
 // strategy, storage, host page pool, faults, write-ahead log — lives in its
@@ -84,7 +84,7 @@ func main() {
 	var loads loadFlags
 	flag.Var(&loads, "load", "graph to pre-load as name=spec (spec: file.gts or dataset[@shrink]) or name=@file.json (a load document, the PUT /v1/graphs/{name} body); repeatable")
 	listen := flag.String("listen", ":8090", "HTTP listen address")
-	queue := flag.Int("queue", 64, "jobs admitted to compute and not yet answered, queued in their graph's wave-group scheduler or riding a group; past it a request returns 429")
+	queue := flag.Int("queue", 64, "jobs admitted to compute and not yet answered, queued for their graph or running on it; past it a request returns 429")
 	cache := flag.Int("cache", 256, "result-cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight jobs on shutdown")

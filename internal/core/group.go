@@ -22,10 +22,11 @@ package core
 // between waves, joiners upload their WA and enter the next wave, finished
 // members copy their WA out, retire and answer through their job's Done. A
 // member whose WA does not fit even after dropping the shared page cache is
-// declined (the caller re-runs it on a machine of its own); a member whose
-// fault budget is exhausted aborts alone — the next live demander of each
-// page it was serving takes over the copy with a fresh retry budget, so a
-// faulted member never stalls its group.
+// declined: its Done says so, and it can run only with fewer companions — a
+// member declined alone never fits this machine (RunJob's ErrWontFit). A
+// member whose fault budget is exhausted aborts alone — the next live
+// demander of each page it was serving takes over the copy with a fresh
+// retry budget, so a faulted member never stalls its group.
 
 import (
 	"errors"
@@ -57,7 +58,8 @@ type SharedJob struct {
 // SharedOutcome is one member's result. Exactly one of the Report, Err, or
 // Declined is meaningful: Declined means the member could not be admitted
 // (its WA did not fit the shared machine even after dropping the page
-// cache) and should be re-run alone.
+// cache); one declined in a group may fit alone, one declined alone never
+// fits.
 type SharedOutcome struct {
 	Report
 	Err      error

@@ -7,18 +7,17 @@ import (
 	"time"
 
 	gts "repro"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// plan is one resolved execution: the scheduler job (kernel and source; the
+// plan is one resolved execution: the engine job (kernel and source; the
 // pipeline adds the recorder), whose finished state the algorithm's table
 // entry decodes. The remaining fields are set only for jobs that retain
 // state or ask for incremental service (resolve, incremental.go and the
 // replan hooks of algos.go).
 type plan struct {
-	job sched.Job
+	job gts.SharedJob
 	// capture, when non-nil, retains the completed run (its decoded output
 	// and metrics) for later incremental requests.
 	capture func(output any, m gts.Metrics)
@@ -34,15 +33,14 @@ type plan struct {
 
 // execute takes one admitted job to a terminal state. Every job, whatever
 // its algorithm or graph, goes through the same stages: kernel resolution,
-// the run on the graph's wave-group scheduler (queued there until a group
-// takes it), error classification, and accounting. The result goes into the
-// cache before clearInflight drops the job from the single-flight table, so
-// Submit answers every identical request from one or the other, and the job
-// leaves the table before it answers, so an answered job no longer counts
-// against QueueDepth.
+// the run on the graph's System (see run: one job at a time per graph, in
+// arrival order), error classification, and accounting. The result goes
+// into the cache before clearInflight drops the job from the single-flight
+// table, so Submit answers every identical request from one or the other,
+// and the job leaves the table before it answers, so an answered job no
+// longer counts against QueueDepth.
 func (s *Server) execute(job *Job) {
 	defer job.cancel()
-	entry := job.entry
 	pl := resolve(job)
 
 	// Request-scoped tracing: the job's spans go to a recorder of its own,
@@ -57,14 +55,7 @@ func (s *Server) execute(job *Job) {
 			sj.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncFallback, Page: -1, Level: -1})
 		}
 	}
-	// The job runs from the moment a group takes it: the scheduler calls
-	// this under its lock, and Run returns after it or without it.
-	var start time.Time
-	out, err := entry.sched.Run(job.ctx, entry.sys, sj, func() {
-		start = time.Now()
-		s.met.observeQueueWait(start.Sub(job.submitted))
-		job.setRunning()
-	})
+	out, start, err := s.run(job, sj)
 	wall := time.Since(start)
 	if !start.IsZero() {
 		s.met.observeRunWall(wall)
@@ -115,6 +106,50 @@ func (s *Server) execute(job *Job) {
 	s.answer(job, res, false)
 }
 
+// run runs sj, job's engine job, alone on the System job was admitted
+// against, once the job holds its graph's run token: a graph name's jobs,
+// whatever version of the graph they run on, run one at a time in the order
+// they asked for the token, each on the device page cache the one before it
+// left warm. The job is running from the moment it takes the token, which
+// run returns as start (zero if the job never ran). A job whose deadline
+// passes while it waits never runs; one whose deadline passes mid-run
+// returns the context's error at once, and its run goes on and releases the
+// token as it ends. A job whose working attributes do not fit the device
+// fails with gts.ErrWontFit.
+func (s *Server) run(job *Job, sj gts.SharedJob) (out *gts.SharedOutcome, start time.Time, err error) {
+	entry, ctx := job.entry, job.ctx
+	select {
+	case entry.run <- struct{}{}:
+	case <-ctx.Done():
+		return nil, start, ctx.Err()
+	}
+	if err := ctx.Err(); err != nil { // the token and the deadline came together
+		<-entry.run
+		return nil, start, err
+	}
+	start = time.Now()
+	s.met.observeQueueWait(start.Sub(job.submitted))
+	job.setRunning()
+	done := make(chan gts.SharedOutcome, 1)
+	sj.Done = func(o gts.SharedOutcome) { done <- o }
+	s.running.Add(1)
+	go func() {
+		defer s.running.Done()
+		g, _ := entry.sys.RunGroup([]gts.SharedJob{sj}, nil) // a run's error reaches Done
+		s.met.addRun(g)
+		<-entry.run
+	}()
+	select {
+	case o := <-done:
+		if o.Declined {
+			return nil, start, gts.ErrWontFit
+		}
+		return &o, start, o.Err
+	case <-ctx.Done():
+		return nil, start, ctx.Err()
+	}
+}
+
 // resolve picks the kernel a job runs. An algorithm that retains state, on a
 // graph with a retained-state store, goes through the incremental planner: it
 // may substitute a delta-expansion kernel seeded from retained state, and
@@ -137,7 +172,7 @@ func resolve(job *Job) plan {
 	default:
 		return planIncremental(entry, g, job, r)
 	}
-	pl := plan{job: sched.Job{Kernel: job.algo.Kernel(g, p), Source: p.Source}}
+	pl := plan{job: gts.SharedJob{Kernel: job.algo.Kernel(g, p), Source: p.Source}}
 	if job.req.Incremental {
 		pl.fallback = reason
 	}

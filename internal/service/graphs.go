@@ -10,7 +10,6 @@ import (
 
 	gts "repro"
 	"repro/internal/incremental"
-	"repro/internal/sched"
 )
 
 // GraphState is a registered graph's serving condition, reported by
@@ -56,10 +55,10 @@ type graphEntry struct {
 	gen   uint64 // load generation, part of the cache key
 	epoch uint64 // mutation epoch (last applied WAL LSN), part of the cache key
 	sys   *gts.System
-	// sched runs the graph's jobs, coalescing concurrent ones into shared
-	// wave groups: the name's one scheduler (nil only on a placeholder entry
-	// that is still loading).
-	sched *sched.Scheduler
+	// run is the name's run token, which a job holds while it runs on sys
+	// (see Server.run), so the name's jobs run one at a time, in arrival
+	// order (nil only on a placeholder entry that is still loading).
+	run chan struct{}
 	// mg is the mutable backing (nil for immutable graphs). commit, carried
 	// with it from entry to entry, serializes ingest's commit + republish:
 	// the registry's epoch and the WAL's advance together.
@@ -99,10 +98,10 @@ type GraphInfo struct {
 }
 
 // publish puts next, which must have its System, into service: it gets its
-// name's wave-group scheduler, made at the name's first publish, and becomes
-// the entry under its name. Jobs holding the entry it replaces still run in
-// that scheduler, on their own System. With old non-nil the swap happens only
-// while old is still the registered entry.
+// name's run token, made at the name's first publish, and becomes the entry
+// under its name. Jobs holding the entry it replaces still take turns on that
+// token, on their own System. With old non-nil the swap happens only while
+// old is still the registered entry.
 func (s *Server) publish(next, old *graphEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,10 +111,10 @@ func (s *Server) publish(next, old *graphEntry) error {
 	if old != nil && s.graphs[next.name] != old {
 		return fmt.Errorf("%w: %q was reloaded meanwhile", ErrGraphNotReady, next.name)
 	}
-	if s.scheds[next.name] == nil {
-		s.scheds[next.name] = sched.New()
+	if s.runs[next.name] == nil {
+		s.runs[next.name] = make(chan struct{}, 1)
 	}
-	next.sched = s.scheds[next.name]
+	next.run = s.runs[next.name]
 	next.state.store(GraphServing)
 	s.graphs[next.name] = next
 	return nil
@@ -125,8 +124,6 @@ func (s *Server) publish(next, old *graphEntry) error {
 // must not be mutated afterwards (slotted-page graphs are immutable once
 // built). Re-registering a name replaces the previous graph and, via the
 // generation in the cache key, implicitly invalidates its cached results.
-// Every graph gets a wave-group scheduler: concurrent jobs on it coalesce
-// into shared topology streams.
 func (s *Server) AddGraph(name string, sys *gts.System) error {
 	if name == "" || sys == nil {
 		return fmt.Errorf("service: AddGraph needs a name and a System")
@@ -206,7 +203,7 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 // a fresh System over the new snapshot sharing the old host page pool
 // (stale frames invalidated via AdvanceEpoch) and a new cache-key epoch so
 // no stale result or old-epoch leader can serve new-epoch jobs. The graph's
-// scheduler stays; its groups never mix the two epochs' Systems.
+// run token stays, so jobs of the two epochs still run one at a time.
 // Concurrent ingests on one graph take turns through commit + republish, so
 // every acknowledged batch is in the published snapshot.
 func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error) {

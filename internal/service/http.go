@@ -33,9 +33,9 @@ import (
 //
 // Typed service errors map to statuses: ErrOverloaded → 429, unknown
 // graph/algorithm/job → 404, ErrTimeout → 504, ErrShuttingDown and
-// ErrGraphNotReady → 503, ErrImmutableGraph → 409, gts.ErrInvalid (an
-// out-of-range parameter among it) → 400, as is a body that does not parse;
-// one longer than maxBodyBytes is 413, refused unread.
+// ErrGraphNotReady → 503, ErrImmutableGraph → 409, gts.ErrWontFit → 422,
+// gts.ErrInvalid (an out-of-range parameter among it) → 400, as is a body
+// that does not parse; one longer than maxBodyBytes is 413, refused unread.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -248,6 +248,10 @@ func statusOf(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, ErrImmutableGraph):
 		return http.StatusConflict
+	case errors.Is(err, gts.ErrWontFit):
+		// The job's working attributes do not fit the graph's devices: the
+		// same request can never run on this graph's configuration.
+		return http.StatusUnprocessableEntity
 	case errors.Is(err, gts.ErrCrashed):
 		// An injected ingest crash killed the mutable graph; reload (replay)
 		// to recover.

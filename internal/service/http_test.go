@@ -188,8 +188,8 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT26@15","gpus":1048576}`, http.StatusBadRequest},
 		{"PUT", "/v1/graphs/bad", `{"spec":"RMAT26@15","storage":"ssd","pool_bytes":1099511627776}`, http.StatusBadRequest},
 		// Run parameters are checked before a kernel is built: a sketch count
-		// like this one used to panic the scheduler's goroutine while sizing
-		// the state, taking the process with it.
+		// like this one used to panic the goroutine running the engine while
+		// sizing the state, taking the process with it.
 		{"POST", "/v1/graphs/social/radius", `{"sketches":1099511627776}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/radius", `{"sketches":33}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/radius", `{"maxhops":-1}`, http.StatusBadRequest},
@@ -223,7 +223,8 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	}
 
 	// Deterministic 504 and 429 from the one admission bound (2 jobs): hold
-	// the graph's System so a wave group takes the first job and waits.
+	// the graph's System so the first job takes the graph's run token and
+	// waits.
 	release := service.HoldSystem(sys)
 	defer release()
 
@@ -240,11 +241,11 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		defer r.Body.Close()
 		var job map[string]any
 		return json.NewDecoder(r.Body).Decode(&job) == nil && job["state"] == "running"
-	}, "a wave group to take the first job")
+	}, "the first job to start")
 
-	// A sync request with a short deadline takes the second place, waits in
-	// the scheduler's queue behind the held group, and answers 504; its
-	// place is free again once it has answered.
+	// A sync request with a short deadline takes the second place, waits for
+	// the run token behind the held job, and answers 504; its place is free
+	// again once it has answered.
 	resp, doc = postJSON(t, ts.URL+"/v1/graphs/social/pagerank?timeout=40ms", nil)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("deadline run = %d (%v), want 504", resp.StatusCode, doc)
@@ -300,9 +301,8 @@ func waitForHTTP(t *testing.T, cond func() bool, what string) {
 // against the Stats snapshot after a known workload.
 // TestHTTPSourceOutOfRangeIs400: a source the graph does not have is the
 // caller's mistake — 400 naming the vertex count — whether it arrives alone
-// or inside a burst that forms a wave group; the daemon (whose scheduler
-// goroutine a kernel's unchecked index used to panic) keeps answering, and
-// the burst's other jobs succeed.
+// or inside a burst; the daemon (whose engine goroutine a kernel's unchecked
+// index used to panic) keeps answering, and the burst's other jobs succeed.
 func TestHTTPSourceOutOfRangeIs400(t *testing.T) {
 	_, ts, _ := httpServer(t, service.Config{})
 	resp, doc := postJSON(t, ts.URL+"/v1/graphs/social/bfs", map[string]any{"source": uint64(1) << 40})
@@ -377,5 +377,39 @@ func TestMetricsEndpointConsistency(t *testing.T) {
 	}
 	if !strings.Contains(text, `gtsd_job_virtual_seconds_total{algo="bfs"}`) {
 		t.Error("virtual seconds series missing")
+	}
+}
+
+// TestHTTPWontFitIs422: a job whose working attributes do not fit the graph's
+// device beside the stream buffers can never run on that graph's
+// configuration, so it answers 422, not 500, and counts as a failed job; a
+// job that fits still runs there.
+func TestHTTPWontFitIs422(t *testing.T) {
+	g, _ := testGraphPair(t)
+	// Device memory = stream buffers + 4 bytes per vertex: BFS's 2 B/vertex
+	// fits, CC's 8 B/vertex does not. (Neither kernel streams RA, so the
+	// buffers are two pages per stream.)
+	const streams = 4
+	want := int64(streams*2*g.Config().PageSize) + 4*int64(g.NumVertices())
+	sys, err := gts.NewSystem(g, gts.Config{Streams: streams, ScaleFactor: (12 << 30) / want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(service.Config{})
+	if err := srv.AddGraph("tight", sys); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	resp, doc := postJSON(t, ts.URL+"/v1/graphs/tight/cc", nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("cc on a device too small for its WA = %d (%v), want 422", resp.StatusCode, doc)
+	}
+	if got := metricsValue(t, ts.URL, "gtsd_jobs_failed_total"); got != 1 {
+		t.Errorf("gtsd_jobs_failed_total = %v, want 1", got)
+	}
+	if resp, doc := postJSON(t, ts.URL+"/v1/graphs/tight/bfs", map[string]any{"source": 1}); resp.StatusCode != http.StatusOK {
+		t.Errorf("bfs, whose WA fits, = %d (%v), want 200", resp.StatusCode, doc)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	gts "repro"
 	"repro/internal/incremental"
-	"repro/internal/sched"
 )
 
 // This file is the incremental planner: it resolves a job against the
@@ -31,7 +30,7 @@ func incKey(algo string, p Params) string {
 func planIncremental(entry *graphEntry, g *gts.Graph, job *Job, r retainer) plan {
 	p := job.req.Params
 	key := incKey(job.req.Algo, p)
-	pl := plan{job: sched.Job{Source: p.Source}}
+	pl := plan{job: gts.SharedJob{Source: p.Source}}
 	if job.req.Incremental {
 		if prior, delta, ok := entry.inc.Lookup(key); !ok {
 			pl.fallback = "no-retained-state"

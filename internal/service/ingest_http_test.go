@@ -306,8 +306,8 @@ func TestIngestEpochNoCrossEpochCoalescing(t *testing.T) {
 // TestConcurrentIngestPublishesEveryBatch: N ingests racing on one graph all
 // succeed, and every one of them is then in the snapshot queries run against
 // — the registry's epoch has advanced with the WAL's, each acknowledged edge
-// is one hop from its source — and the schedulers of the epochs they replaced
-// are gone once the server has closed.
+// is one hop from its source — and no goroutine the server started outlives
+// its close.
 func TestConcurrentIngestPublishesEveryBatch(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	srv := service.New(service.Config{})
@@ -362,7 +362,7 @@ func TestConcurrentIngestPublishesEveryBatch(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return runtime.NumGoroutine() <= goroutines }, "the replaced epochs' schedulers to stop")
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= goroutines }, "the server's goroutines to stop")
 }
 
 // TestHTTPOversizedBodyRejected: every handler that decodes a body stops

@@ -9,7 +9,6 @@ import (
 
 	gts "repro"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -31,8 +30,9 @@ type metrics struct {
 	st      Stats // the counter fields only; Server.Stats fills in the gauges
 	perAlgo map[string]*algoMetrics
 
-	// queueWait is the wait from admission until a wave group took the job,
-	// for every job a group took; runWall the time from there to its answer.
+	// queueWait is the wait from admission until the job took its graph's
+	// run token, for every job that took it; runWall the time from there to
+	// its answer.
 	queueWait obs.Histogram
 	runWall   obs.Histogram
 }
@@ -67,6 +67,18 @@ func (m *metrics) addFaults(fs gts.FaultStats) {
 }
 
 func (m *metrics) addHWFailure() { m.mu.Lock(); m.st.HWFailures++; m.mu.Unlock() }
+
+// addRun folds one job's engine run, a wave group of one, into the tally.
+func (m *metrics) addRun(g gts.SharedStats) {
+	m.mu.Lock()
+	sh := &m.st.Sharing
+	sh.WaveGroups++
+	sh.GroupJobs++
+	sh.Waves += g.Waves
+	sh.PageCopies += g.PageCopies
+	sh.BytesToGPU += g.BytesToGPU
+	m.mu.Unlock()
+}
 
 // addIngested records one committed ingest batch of edges edge ops.
 func (m *metrics) addIngested(edges int64) {
@@ -132,17 +144,29 @@ func summarize(h *obs.Histogram) LatencySummary {
 	return LatencySummary{Count: s.Count, P50: s.Quantile(0.5), P90: s.Quantile(0.9), P99: s.Quantile(0.99)}
 }
 
-// SharingStats aggregates the per-graph wave-group schedulers' lifetime
-// counters (every graph name runs its jobs through one for the server's
-// life, so they only grow): the scheduler's own tally type, summed.
-type SharingStats = sched.Stats
+// SharingStats tallies the engine runs of computed jobs over the server's
+// life, so its counters only grow. Each job runs as a wave group of one
+// (gts.System.RunGroup): WaveGroups and GroupJobs both count runs, and
+// SoloFallbacks and BytesSaved, which only a group of several members
+// moved, stay 0.
+type SharingStats struct {
+	WaveGroups    int64 `json:"wave_groups"`
+	GroupJobs     int64 `json:"group_jobs"`
+	SoloFallbacks int64 `json:"solo_fallbacks"`
+	// Waves counts superstep waves, PageCopies host-to-device topology page
+	// copies, and BytesToGPU every host-to-device byte the runs paid.
+	Waves      int64 `json:"waves"`
+	PageCopies int64 `json:"page_copies"`
+	BytesSaved int64 `json:"bytes_saved"`
+	BytesToGPU int64 `json:"bytes_to_gpu"`
+}
 
 // Stats is a point-in-time snapshot of the server's counters, exposed both
 // programmatically and (rendered) at /metrics.
 type Stats struct {
-	// QueueDepth counts admitted jobs still queued in their graph's
-	// scheduler, InFlight those a wave group has taken and not answered;
-	// QueueCap is Config.QueueDepth, which bounds their sum.
+	// QueueDepth counts admitted jobs still waiting for their graph's run
+	// token, InFlight those that took it and are not answered; QueueCap is
+	// Config.QueueDepth, which bounds their sum.
 	QueueDepth int    `json:"queue_depth"`
 	QueueCap   int    `json:"queue_cap"`
 	InFlight   int64  `json:"in_flight"`
@@ -160,7 +184,7 @@ type Stats struct {
 	Graphs      int            `json:"graphs"`
 	Faults      gts.FaultStats `json:"faults"`
 	HWFailures  uint64         `json:"hw_failures"`
-	// Sharing aggregates wave-group activity across the loaded graphs.
+	// Sharing tallies the engine runs across the loaded graphs.
 	Sharing SharingStats `json:"sharing"`
 	// Pool holds the snapshot of each graph's shared host page pool, keyed
 	// by graph name (nil when no graph has one).
@@ -209,9 +233,9 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	gauge("gtsd_queue_depth", "Admitted jobs waiting in their graph's scheduler for a wave group.", s.QueueDepth)
+	gauge("gtsd_queue_depth", "Admitted jobs waiting for their graph's previous job to finish.", s.QueueDepth)
 	gauge("gtsd_queue_capacity", "Admission bound: jobs admitted to compute and not yet answered.", s.QueueCap)
-	gauge("gtsd_inflight_jobs", "Jobs a wave group has taken and not yet answered.", s.InFlight)
+	gauge("gtsd_inflight_jobs", "Jobs running on their graph and not yet answered.", s.InFlight)
 	gauge("gtsd_graphs_loaded", "Graphs in the registry.", s.Graphs)
 	counter("gtsd_jobs_submitted_total", "Jobs admitted, coalesced or served from cache.", s.Submitted)
 	counter("gtsd_jobs_completed_total", "Jobs answered successfully (computed or cached).", s.Completed)
@@ -227,14 +251,9 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	counter("gtsd_fault_degradations_total", "Device-OOM spills from the cached to the streaming path.", uint64(s.Faults.Degradations))
 	counter("gtsd_hw_failures_total", "Jobs abandoned after the engine's retry budget was exhausted.", s.HWFailures)
 	counter("gtsd_jobs_coalesced_total", "Submissions deduplicated onto an identical in-flight job.", s.Coalesced)
-	counter("gtsd_wave_groups_total", "Wave groups run across the loaded graphs.", uint64(s.Sharing.WaveGroups))
-	counter("gtsd_wave_group_jobs_total", "Jobs served inside shared wave groups.", uint64(s.Sharing.GroupJobs))
-	counter("gtsd_solo_fallbacks_total", "Declined wave-group members re-run privately.", uint64(s.Sharing.SoloFallbacks))
-	counter("gtsd_waves_total", "Superstep waves across shared groups.", uint64(s.Sharing.Waves))
-	counter("gtsd_page_copies_total", "Topology pages streamed to GPUs by shared groups.", uint64(s.Sharing.PageCopies))
-	counter("gtsd_shared_page_copies_total", "Member page servings satisfied by a copy another member paid for.", uint64(s.Sharing.SharedPageCopies))
-	counter("gtsd_shared_bytes_saved_total", "Host-to-device bytes avoided by multi-query page sharing.", uint64(s.Sharing.BytesSaved))
-	counter("gtsd_shared_bytes_to_gpu_total", "Host-to-device bytes moved by shared groups.", uint64(s.Sharing.BytesToGPU))
+	counter("gtsd_waves_total", "Superstep waves across computed jobs' engine runs.", uint64(s.Sharing.Waves))
+	counter("gtsd_page_copies_total", "Topology pages copied to GPUs by computed jobs' engine runs.", uint64(s.Sharing.PageCopies))
+	counter("gtsd_shared_bytes_to_gpu_total", "Host-to-device bytes moved by computed jobs' engine runs.", uint64(s.Sharing.BytesToGPU))
 	counter("gtsd_ingest_batches_total", "Committed edge-mutation batches across mutable graphs.", s.IngestBatches)
 	counter("gtsd_ingest_edges_total", "Edge ops carried by committed ingest batches.", s.IngestEdges)
 	counter("gtsd_ingest_failures_total", "Ingest batches that errored, including injected crashes.", s.IngestFailures)
@@ -286,7 +305,7 @@ func (m *metrics) write(w io.Writer, s Stats) {
 		series("gauge", "gtsd_pool_budget_bytes", "Configured host page-pool budget.", func(p gts.PoolStats) int64 { return p.BudgetBytes })
 	}
 
-	fmt.Fprintf(w, "# HELP gtsd_job_queue_wait_seconds Wait from admission until a wave group took the job.\n# TYPE gtsd_job_queue_wait_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP gtsd_job_queue_wait_seconds Wait from admission until the job started to run.\n# TYPE gtsd_job_queue_wait_seconds histogram\n")
 	_ = m.queueWait.WritePrometheus(w, "gtsd_job_queue_wait_seconds", "")
 	fmt.Fprintf(w, "# HELP gtsd_job_run_wall_seconds Engine compute wall time per computed job.\n# TYPE gtsd_job_run_wall_seconds histogram\n")
 	_ = m.runWall.WritePrometheus(w, "gtsd_job_run_wall_seconds", "")
@@ -383,9 +402,6 @@ func (s *Server) Stats() Stats {
 			}
 			st.Pool[e.name] = hp.Stats()
 		}
-	}
-	for _, sc := range s.scheds {
-		st.Sharing.Add(sc.Stats())
 	}
 	s.mu.Unlock()
 	st.QueueWait = summarize(&m.queueWait)

@@ -31,13 +31,8 @@ var metricFamilies = map[string]string{
 	"gtsd_fault_degradations_total":           "counter",
 	"gtsd_hw_failures_total":                  "counter",
 	"gtsd_jobs_coalesced_total":               "counter",
-	"gtsd_wave_groups_total":                  "counter",
-	"gtsd_wave_group_jobs_total":              "counter",
-	"gtsd_solo_fallbacks_total":               "counter",
 	"gtsd_waves_total":                        "counter",
 	"gtsd_page_copies_total":                  "counter",
-	"gtsd_shared_page_copies_total":           "counter",
-	"gtsd_shared_bytes_saved_total":           "counter",
 	"gtsd_shared_bytes_to_gpu_total":          "counter",
 	"gtsd_ingest_batches_total":               "counter",
 	"gtsd_ingest_edges_total":                 "counter",

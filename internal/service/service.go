@@ -1,23 +1,24 @@
 // Package service is the concurrent analytics layer over the GTS engine:
 // a long-lived Server that holds named, pre-loaded slotted-page graphs
 // (each run by one gts.System), admits a bounded number of algorithm jobs
-// with per-job deadlines and hands each to its graph's wave-group scheduler,
-// memoizes completed answers in an LRU result cache — the service-level
-// analogue of the engine's cachedPIDMap — and exports queue/cache/latency
-// metrics. cmd/gtsd wraps it in an HTTP daemon; it is equally usable
-// in-process (see ServiceBench in the root package's benchmarks).
+// with per-job deadlines and runs each alone on its graph's System, one job
+// at a time per graph in arrival order, memoizes completed answers in an LRU
+// result cache — the service-level analogue of the engine's cachedPIDMap —
+// and exports queue/cache/latency metrics. cmd/gtsd wraps it in an HTTP
+// daemon; it is equally usable in-process (see ServiceBench in the root
+// package's benchmarks).
 //
 // Lifecycle of a job: Submit normalizes the request through gts's algorithm
 // table and consults the cache — a hit completes the job immediately; a miss
 // coalesces behind an identical job in flight, is admitted or, if
 // QueueDepth admitted jobs are still unanswered, is rejected with
 // ErrOverloaded. An admitted job goes through the one execute pipeline
-// (execute.go) on a goroutine of its own: kernel resolution, the graph's
-// wave-group scheduler — the one queue, where the job waits until a group
-// takes it, and which drops a job whose deadline expires there — then error
-// classification and accounting. Runs are not preempted: a deadline that
-// expires mid-run does not cancel the engine, it only bounds the wait for a
-// group.
+// (execute.go) on a goroutine of its own: kernel resolution, the wait for the
+// graph's run token — the one queue, where the job waits until the graph's
+// previous job has run, and which drops a job whose deadline expires there —
+// the run, then error classification and accounting. Runs are not
+// preempted: a deadline that expires mid-run does not cancel the engine, it
+// only stops the job's wait for it.
 //
 // The package is laid out along that path: service.go (admission: Submit,
 // single-flight, Shutdown), job.go (the Job handle),
@@ -34,7 +35,6 @@ import (
 	"time"
 
 	gts "repro"
-	"repro/internal/sched"
 )
 
 // Typed errors; the HTTP layer maps each to a status code.
@@ -66,14 +66,13 @@ var (
 const jobHistory = 1024
 
 // Config sizes a Server. The zero value is serviceable: 64 jobs admitted at
-// a time, a 256-entry result cache, no default deadline. How many jobs run
-// at once is each graph's scheduler's: at most four live members of one
-// wave group.
+// a time, a 256-entry result cache, no default deadline. Each graph runs one
+// job at a time.
 type Config struct {
 	// QueueDepth bounds the jobs admitted to compute and not yet answered,
-	// queued in their graph's scheduler or riding a wave group (default
-	// 64). Submissions beyond it fail fast with ErrOverloaded; cache hits
-	// and coalesced followers do not count.
+	// queued for their graph or running on it (default 64). Submissions
+	// beyond it fail fast with ErrOverloaded; cache hits and coalesced
+	// followers do not count.
 	QueueDepth int
 	// CacheEntries bounds the result LRU (default 256; negative disables).
 	CacheEntries int
@@ -108,7 +107,7 @@ type Request struct {
 	Graph  string `json:"graph"`
 	Algo   string `json:"algo"`
 	Params Params `json:"params"`
-	// Timeout bounds the wait for a wave group; 0 inherits
+	// Timeout bounds the wait for the job's answer; 0 inherits
 	// Config.DefaultTimeout, negative means no deadline.
 	Timeout time.Duration `json:"timeout,omitempty"`
 	// Incremental asks the server to answer from retained epoch state via
@@ -145,11 +144,11 @@ type Server struct {
 	met    *metrics
 	traces *traceStore // nil when Config.TraceJobs == 0
 
-	mu     sync.Mutex // graphs, scheds, jobs, inflight, nextID, nextGen, closed
+	mu     sync.Mutex // graphs, runs, jobs, inflight, nextID, nextGen, closed
 	graphs map[string]*graphEntry
-	// scheds holds each graph name's wave-group scheduler, made at the
-	// name's first publish and closed only by Shutdown.
-	scheds   map[string]*sched.Scheduler
+	// runs holds each graph name's run token (graphEntry.run), made at the
+	// name's first publish and kept for the server's life.
+	runs     map[string]chan struct{}
 	jobs     map[string]*Job
 	jobOrder []*Job
 	// inflight maps a cache key to the queued or running job computing it;
@@ -160,7 +159,7 @@ type Server struct {
 	nextGen  uint64
 	closed   bool
 
-	running sync.WaitGroup // execute and coalesced-job mirror goroutines
+	running sync.WaitGroup // execute, engine-run and coalesced-job mirror goroutines
 }
 
 // New makes a Server.
@@ -171,7 +170,7 @@ func New(cfg Config) *Server {
 		cache:    newResultCache(cfg.CacheEntries),
 		met:      newMetrics(),
 		graphs:   make(map[string]*graphEntry),
-		scheds:   make(map[string]*sched.Scheduler),
+		runs:     make(map[string]chan struct{}),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 	}
@@ -183,8 +182,8 @@ func New(cfg Config) *Server {
 
 // Submit validates req and either answers it from the cache (the returned
 // job is already done), coalesces it behind an identical job in flight,
-// admits it — starting its execute, which hands it to the graph's scheduler
-// — or rejects it with ErrOverloaded. The graph lookup, the cache lookup,
+// admits it — starting its execute, which queues it for the graph's run
+// token — or rejects it with ErrOverloaded. The graph lookup, the cache lookup,
 // the single-flight check and the admission happen in one hold of s.mu: a
 // leader puts its result in the cache before it leaves the single-flight
 // table, so an identical request finds one or the other and never queues
@@ -353,9 +352,8 @@ func (s *Server) rememberLocked(job *Job) {
 	}
 }
 
-// Shutdown stops admissions, waits for the admitted jobs to finish or ctx
-// to expire, then closes the graphs' schedulers. Safe to call more than
-// once.
+// Shutdown stops admissions and waits for the admitted jobs and their runs
+// to finish or ctx to expire. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -364,12 +362,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	drained := make(chan struct{})
 	go func() {
 		s.running.Wait()
-		// Close the per-graph wave-group schedulers after the jobs: none is
-		// left to submit into them, and no publish adds one once the server
-		// is closed.
-		for _, sc := range s.scheds {
-			sc.Close()
-		}
 		close(drained)
 	}()
 	select {

@@ -165,7 +165,8 @@ func directOutput(t *testing.T, req service.Request) []byte {
 // TestServiceEndToEnd is the acceptance test from ISSUE 1: ≥16 concurrent
 // jobs across 2 graphs and 5 algorithms, each answer equal to the
 // sequential reference and its payload byte-identical to a direct System
-// call (the metrics differ: concurrent jobs share wave groups), with the
+// call (the metrics differ: a job runs on the device the jobs before it
+// left warm), with the
 // cache serving repeats and consistent counters.
 func TestServiceEndToEnd(t *testing.T) {
 	srv := twoGraphServer(t, service.Config{QueueDepth: 64})
@@ -298,15 +299,16 @@ func TestOverloadAndTimeout(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Hold the System so every admitted job blocks in its scheduler.
+	// Hold the System so every admitted job waits: the first to run, the
+	// rest for the graph's run token.
 	release := service.HoldSystem(sys)
 
-	// A wave group takes job A and waits for the System.
+	// Job A takes the graph's run token and waits for the System.
 	jobA, err := srv.Submit(service.Request{Graph: "g", Algo: "bfs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return jobA.State() == service.JobRunning }, "a wave group to take job A")
+	waitFor(t, func() bool { return jobA.State() == service.JobRunning }, "job A to start")
 
 	// B and C queue behind it and fill the bound; D must be rejected.
 	for _, src := range []uint64{10, 11} {
