@@ -377,14 +377,15 @@ func TestTwoSSDsFasterThanOne(t *testing.T) {
 }
 
 func TestPageRankRAStreamsWithPages(t *testing.T) {
-	// PageRank streams 4 bytes of prevPR per vertex along with each page;
-	// BytesToGPU must exceed pure topology traffic.
+	// On two GPUs PageRank streams 4 bytes of prevPR per vertex along with
+	// each page (one GPU keeps RA resident; TestResidentRA): past both GPUs'
+	// WA uploads and the topology, BytesToGPU carries at least one whole RA.
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	rep := mustRun(t, newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 1, 0), kernels.NewPageRank(sp, 0.85, 1))
+	rep := mustRun(t, newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 2, 0), kernels.NewPageRank(sp, 0.85, 1))
 	topo := int64(rep.PagesStreamed) * int64(sp.Config().PageSize)
-	if rep.BytesToGPU <= topo {
-		t.Errorf("BytesToGPU %d does not include RA beyond topology %d", rep.BytesToGPU, topo)
+	if ra := rep.BytesToGPU - 2*rep.WABytes - topo; ra < int64(sp.NumVertices())*4 {
+		t.Errorf("BytesToGPU %d carries %d RA bytes beyond WA and topology %d, want at least %d", rep.BytesToGPU, ra, topo, sp.NumVertices()*4)
 	}
 }
 

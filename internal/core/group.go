@@ -103,7 +103,8 @@ type driver struct {
 	*plant
 	eng *Engine
 	// raPerV is the RABuf width per page slot: the widest RAPerVertex the
-	// group has admitted.
+	// group has admitted, whether that member's RA streams or turns out
+	// resident (the buffers are sized before newMember's RA test).
 	raPerV int64
 
 	// handed holds the jobs given to the group and not yet enrolled, active
@@ -163,7 +164,7 @@ func (e *Engine) RunJob(job SharedJob) (*Report, error) {
 
 // streamBufBytes is one GPU's streaming-buffer footprint: SPBuf + LPBuf per
 // stream plus an RABuf sized for the densest page's subvector at raPerV
-// bytes per slot.
+// bytes per slot, for the members whose RA streams with the pages.
 func (e *Engine) streamBufBytes(raPerV int64) int64 {
 	cfg := e.graph.Config()
 	return int64(e.opts.Streams) * (2*int64(cfg.PageSize) + int64(cfg.MaxSlotsPerPage())*raPerV)
@@ -196,9 +197,10 @@ func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) (SharedSt
 // newDriver performs Algorithm 1's initialization, roster first: a fresh
 // simulated machine; one set of stream buffers, which serves every member
 // (the wave protocol streams each page once), with an RABuf as wide as the
-// roster's widest kernel needs; each initial member's WA; and the page cache
-// in whatever device memory is left (§3.3), starting from the pages the
-// engine's device carries. The driver comes back even on error, for abandon.
+// roster's widest kernel needs; each initial member's WA, and its whole RA
+// where newMember keeps it resident; and the page cache in whatever device
+// memory is left (§3.3), starting from the pages the engine's device
+// carries. The driver comes back even on error, for abandon.
 func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, error) {
 	env := sim.NewEnv()
 	d := &driver{eng: e, admit: admit, handed: jobs, union: bitset.New(e.graph.NumPages())}
@@ -344,7 +346,8 @@ func (d *driver) newMember(job SharedJob) (*member, error) {
 	m.setupStates()
 
 	// Device allocation: the member's WA, plus the RABuf's growth when a
-	// joiner's RA is wider than any the group has seen. If it does not fit,
+	// joiner's RA is wider than any the group has seen (its RA may still turn
+	// out resident below; the RABuf is sized first). If it does not fit,
 	// drop that GPU's page cache (the same degradation an OOM launch
 	// performs) and retry; still no fit means decline.
 	need := m.perGPUWA + e.streamBufBytes(max(d.raPerV, m.raPerV)) - e.streamBufBytes(d.raPerV)
@@ -366,20 +369,35 @@ func (d *driver) newMember(job SharedJob) (*member, error) {
 		return nil, fmt.Errorf("%w: member WA %d on %s", ErrWontFit, m.perGPUWA, g.Spec.Name)
 	}
 	d.raPerV = max(d.raPerV, m.raPerV)
+
+	// A full scan keeps its whole RA beside its WA, and its page copies
+	// carry none, when the machine has one GPU whose free memory still holds
+	// the whole topology next to the RA: memory the page cache could never
+	// fill. With more GPUs the merged WA sits on GPU 0 (Strategy-P) or in
+	// chunks (Strategy-S), so RA streams per page (§3.1). Metrics.WABytes
+	// stays WA only.
+	_, scan := job.Kernel.(kernels.ScanKernel)
+	if ra := int64(e.graph.NumVertices()) * m.raPerV; scan && ra > 0 && len(d.machine.GPUs) == 1 {
+		if g := d.machine.GPUs[0]; g.MemFree() >= e.graph.TopologyBytes()+ra && g.Alloc(ra) == nil {
+			m.raResident, m.raPerV = ra, 0
+		}
+	}
 	return m, nil
 }
 
-// freeMemberWA releases a member's per-GPU WA reservation.
+// freeMemberWA releases a member's per-GPU WA reservation and its resident
+// RA, if it has one (only ever on a one-GPU machine).
 func (d *driver) freeMemberWA(m *member) {
 	for _, g := range d.machine.GPUs {
-		g.Free(m.perGPUWA)
+		g.Free(m.perGPUWA + m.raResident)
 	}
 }
 
 // beginMember uploads the member's WA to every GPU concurrently (Fig. 5
-// step 1) and seeds its frontier — the member's half of Algorithm 1's
-// initialization, at join time. A member that faults out during the upload
-// is left aborted, for the retire that follows.
+// step 1), with its resident RA in the same chunk, and seeds its frontier —
+// the member's half of Algorithm 1's initialization, at join time. A member
+// that faults out during the upload is left aborted, for the retire that
+// follows.
 func (d *driver) beginMember(p *sim.Proc, m *member) {
 	m.joinedAt = d.env.Now()
 	for _, c := range d.caches {
@@ -390,13 +408,13 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 	m.parallelGPUs(p, func(p *sim.Proc, i int) {
 		t0 := d.env.Now()
 		err := m.withRetry(p, i, -1, "WA upload", func() error {
-			return d.machine.GPUs[i].CopyChunkIn(p, m.perGPUWA)
+			return d.machine.GPUs[i].CopyChunkIn(p, m.perGPUWA+m.raResident)
 		})
 		if err != nil {
 			m.fail(err)
 			return
 		}
-		m.bytesToGPU += m.perGPUWA
+		m.bytesToGPU += m.perGPUWA + m.raResident
 		m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.CopyWA, Page: -1, Level: -1, Start: t0, End: d.env.Now()})
 	})
 	if m.abort != nil {
@@ -582,7 +600,8 @@ func (d *driver) streamDemand(p *sim.Proc) {
 // lines 16-26: resolve residency once, pay the topology copy once (the
 // first live demander is the issuer; if its fault budget exhausts, the next
 // takes over with a fresh budget), then serve every live member's RA copy
-// and kernel launch in join order. j indexes the demand table.
+// (none for a member whose RA is resident) and kernel launch in join order.
+// j indexes the demand table.
 func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	gpu := d.machine.GPUs[gpuIdx]
 	g := d.eng.graph
@@ -667,8 +686,8 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 				m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.SharedCopy,
 					Page: int64(pid), Level: m.curLevel, Start: copyStart, End: copyEnd})
 			}
-			// RA is member-specific attribute data and always streams per
-			// member — only the topology bytes are shared.
+			// RA is member-specific attribute data and streams per member
+			// unless it is resident — only the topology bytes are shared.
 			if raBytes := int64(count) * m.raPerV; raBytes > 0 {
 				if err := m.streamCopy(p, gpu, gpuIdx, stream, pid, raBytes); err != nil {
 					m.fail(err)
@@ -809,7 +828,8 @@ func (d *driver) endWave(p *sim.Proc, m *member) {
 		return
 	}
 	// Per-iteration WA sync: the updated vector streams back so the host
-	// can feed it as next iteration's RA (Eq. 1's 2|WA|).
+	// can feed it as next iteration's RA (Eq. 1's 2|WA|); a resident RA is
+	// the device's own copy of it, which the next iteration reads in place.
 	m.copyWAOut(p)
 }
 

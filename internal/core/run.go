@@ -103,7 +103,8 @@ type member struct {
 	abort  error
 
 	perGPUWA    int64
-	raPerV      int64
+	raPerV      int64 // RA bytes per vertex a page copy carries; 0 once RA is resident
+	raResident  int64 // device bytes of a whole RA kept beside the WA (newMember)
 	waPerVertex int64
 
 	// Direction-optimized traversal (kernels.FrontierKernel): fk is the

@@ -15,7 +15,9 @@ import (
 type Inputs struct {
 	// WABytes is |WA|: device-resident attribute bytes.
 	WABytes int64
-	// RABytes is |RA|: streamed read-only attribute bytes (whole graph).
+	// RABytes is |RA|: read-only attribute bytes (whole graph), which Eq. 1
+	// streams with the pages every iteration. The engine keeps RA resident
+	// on a one-GPU device with room for it and pays it once per run instead.
 	RABytes int64
 	// SPBytes and LPBytes are the small/large topology page totals.
 	SPBytes int64

@@ -34,6 +34,8 @@ func NewRWR(g *slottedpage.Graph, c float64, iterations int) *RWR {
 	}
 }
 
+// rwrState splits like PageRank's: next is WA, prev is RA (streamed per page,
+// or device-resident beside WA when the engine finds room).
 type rwrState struct {
 	prev   []float32
 	next   []float32

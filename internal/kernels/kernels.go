@@ -289,7 +289,8 @@ func BeginLevel(k Kernel, sts []State, level int32) {
 }
 
 // RAPerVertex is k's RAPerVertex(), if it has one, else 0: the per-vertex
-// size of the read-only attribute subvector streamed with each page.
+// size of the read-only attribute vector (RA), which the engine either
+// streams with each page or keeps resident beside WA.
 func RAPerVertex(k Kernel) int64 {
 	if r, ok := k.(interface{ RAPerVertex() int64 }); ok {
 		return r.RAPerVertex()

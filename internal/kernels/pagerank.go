@@ -8,9 +8,10 @@ import (
 
 // PageRank implements the paper's K_PR_SP and K_PR_LP kernels (Algorithms 4
 // and 5). Per the paper's split, nextPR is the read/write attribute vector
-// kept in device memory (WA) and prevPR is the read-only vector streamed
-// page-by-page alongside topology (RA). Both are float32, matching Table 4's
-// 4 bytes/vertex WA footprint.
+// kept in device memory (WA) and prevPR is the read-only vector (RA), which
+// streams page by page alongside topology, or stays resident beside WA on a
+// one-GPU device with room for it (the engine decides; see core.newMember).
+// Both are float32, matching Table 4's 4 bytes/vertex WA footprint.
 type PageRank struct {
 	g          *slottedpage.Graph
 	damping    float64
@@ -32,7 +33,7 @@ func NewPageRank(g *slottedpage.Graph, df float64, iterations int) *PageRank {
 }
 
 type prState struct {
-	prevPR []float32 // RA: streamed per page
+	prevPR []float32 // RA: streamed per page, or device-resident beside WA
 	nextPR []float32 // WA: device-resident, atomically accumulated
 	base   float32   // (1-df)/|V|, nextPR's per-iteration reset value
 	iter   int32

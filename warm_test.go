@@ -28,9 +28,11 @@ func resultBytes(t *testing.T, res any) (any, Metrics) {
 
 // TestSystemWarmRunNoSlowerThanCold: a System's device keeps its page cache
 // from run to run. The second run of a request starts warm: it answers with
-// the first run's bytes, and takes no more virtual time. Two GPUs, under
-// Strategy-P and Strategy-S, in memory and on SSDs with a shared host pool,
-// with the cache taking all spare device memory or a quarter of the topology.
+// the first run's bytes, and takes no more virtual time. Two GPUs and one
+// (where PageRank's RA stays on the device), under Strategy-P and
+// Strategy-S, in memory and on SSDs with a shared host pool, with the cache
+// taking all spare device memory or a quarter of the topology. The one-GPU
+// cases carry a /gpus1 suffix.
 func TestSystemWarmRunNoSlowerThanCold(t *testing.T) {
 	g := smallGraph(t)
 	storages := map[string]Config{
@@ -38,35 +40,41 @@ func TestSystemWarmRunNoSlowerThanCold(t *testing.T) {
 		"ssd":    {Storage: SSDs, PoolBytes: g.TopologyBytes() / 4},
 	}
 	for sname, base := range storages {
-		for _, strategy := range []Strategy{StrategyP, StrategyS} {
-			for _, cache := range []int64{0, g.TopologyBytes() / 4} {
-				for _, algo := range []string{"bfs", "pagerank", "sssp", "cc"} {
-					cfg := base
-					cfg.GPUs, cfg.Strategy, cfg.CacheBytes = 2, strategy, cache
-					t.Run(fmt.Sprintf("%s/%v/cache%d/%s", sname, strategy, cache, algo), func(t *testing.T) {
-						sys, err := NewSystem(g, cfg)
-						if err != nil {
-							t.Fatal(err)
+		for _, gpus := range []int{2, 1} {
+			for _, strategy := range []Strategy{StrategyP, StrategyS} {
+				for _, cache := range []int64{0, g.TopologyBytes() / 4} {
+					for _, algo := range []string{"bfs", "pagerank", "sssp", "cc"} {
+						cfg := base
+						cfg.GPUs, cfg.Strategy, cfg.CacheBytes = gpus, strategy, cache
+						name := fmt.Sprintf("%s/%v/cache%d/%s", sname, strategy, cache, algo)
+						if gpus == 1 {
+							name += "/gpus1"
 						}
-						run := func() (any, Metrics) {
-							res, err := sys.Run(algo, Params{})
+						t.Run(name, func(t *testing.T) {
+							sys, err := NewSystem(g, cfg)
 							if err != nil {
 								t.Fatal(err)
 							}
-							return resultBytes(t, res)
-						}
-						coldBytes, cold := run()
-						warmBytes, warm := run()
-						if !reflect.DeepEqual(coldBytes, warmBytes) {
-							t.Fatal("the warm run's answer differs from the cold run's")
-						}
-						if warm.Elapsed > cold.Elapsed {
-							t.Errorf("warm Elapsed %v > cold %v", warm.Elapsed, cold.Elapsed)
-						}
-						if warm.PagesStreamed > cold.PagesStreamed {
-							t.Errorf("warm run streamed %d pages, cold %d", warm.PagesStreamed, cold.PagesStreamed)
-						}
-					})
+							run := func() (any, Metrics) {
+								res, err := sys.Run(algo, Params{})
+								if err != nil {
+									t.Fatal(err)
+								}
+								return resultBytes(t, res)
+							}
+							coldBytes, cold := run()
+							warmBytes, warm := run()
+							if !reflect.DeepEqual(coldBytes, warmBytes) {
+								t.Fatal("the warm run's answer differs from the cold run's")
+							}
+							if warm.Elapsed > cold.Elapsed {
+								t.Errorf("warm Elapsed %v > cold %v", warm.Elapsed, cold.Elapsed)
+							}
+							if warm.PagesStreamed > cold.PagesStreamed {
+								t.Errorf("warm run streamed %d pages, cold %d", warm.PagesStreamed, cold.PagesStreamed)
+							}
+						})
+					}
 				}
 			}
 		}
