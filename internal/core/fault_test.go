@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
 	"repro/internal/verify"
@@ -185,15 +186,19 @@ func TestInvalidFaultPlanRejected(t *testing.T) {
 // page again. Recovered (one OOM, the relaunch succeeds) or not (the OOM
 // persists through the retry budget, shrinking the cache at each retry, and
 // the job fails), every successful run's ranks are the fault-free run's.
+//
+// The last launch's ordinal is the clean run's launch count. The graph has
+// fewer pages than the machine has streams, so a warm wave opens one launch
+// per page, all before any page is done, and no page the OOM evicts is
+// served again in that run.
 func TestDeviceCarriesWhatOOMLeft(t *testing.T) {
-	g := rmatGraph(t)
-	sp := buildPages(t, g)
+	ds, _ := graphgen.ByName("RMAT27")
+	sp := buildPages(t, ds.MustGenerate(27-10)) // 22 pages, 32 streams
 	n := sp.NumPages()
 	opts := Options{CacheBytes: int64(n) * int64(sp.Config().PageSize)}
 	k := kernels.NewPageRank(sp, 0.85, 3)
-	clean := mustRun(t, newEngine(t, sp, opts, 1, 0), k)
-	want := append([]float32(nil), k.Ranks(clean.State)...)
-	last := clean.CacheHits + clean.PagesStreamed // every page launches one kernel
+	clean, last := runCountingLaunches(t, newEngine(t, sp, opts, 1, 0), SharedJob{Kernel: k})
+	want := append([]float32(nil), k.Ranks(clean[0].State)...)
 	for _, tc := range []struct {
 		name  string
 		ooms  []int64

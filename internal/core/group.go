@@ -337,6 +337,7 @@ func (d *driver) newMember(job SharedJob) (*member, error) {
 		k:        job.Kernel,
 		reply:    job.Done,
 		locals:   make([]pidSet, len(d.machine.GPUs)),
+		launches: make([]uint32, len(d.machine.GPUs)),
 		inj:      fault.NewInjector(opts.Faults),
 		curLevel: -1,
 		lane:     -1,
@@ -460,6 +461,7 @@ func (d *driver) beginWave(m *member) {
 		m.dirs = append(m.dirs, m.curDir.String())
 	}
 	kernels.BeginLevel(m.k, m.states, lvl)
+	clear(m.launches)
 	for i := range m.locals {
 		m.locals[i] = m.getPidSet()
 	}
@@ -600,8 +602,11 @@ func (d *driver) streamDemand(p *sim.Proc) {
 // lines 16-26: resolve residency once, pay the topology copy once (the
 // first live demander is the issuer; if its fault budget exhausts, the next
 // takes over with a fresh budget), then serve every live member's RA copy
-// (none for a member whose RA is resident) and kernel launch in join order.
-// j indexes the demand table.
+// (none for a member whose RA is resident) and kernel in join order. A
+// kernel for a page that needed no copy for its member runs inside the
+// launch the stream already has open for that member in this wave, or opens
+// one; a copy for the member closes it, as a queued kernel cannot read bytes
+// a later copy on its stream brings in. j indexes the demand table.
 func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	gpu := d.machine.GPUs[gpuIdx]
 	g := d.eng.graph
@@ -675,11 +680,13 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	}
 	d.stats.Servings += int64(len(live))
 
+	bit := uint32(1) << stream
 	for _, dm := range live {
 		m := dm.m
 		if m.abort != nil {
 			continue
 		}
+		copied := !resident
 		if m != payer {
 			if !resident {
 				m.sharedPagesIn++
@@ -693,6 +700,7 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 					m.fail(err)
 					continue
 				}
+				copied = true
 			}
 		}
 		// The functional work already ran exactly once, before the wave's
@@ -701,9 +709,18 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 		// the page, so a failed launch leaves the member's state consistent.
 		res := dm.res
 		t0 := d.env.Now()
-		if err := m.launchKernel(p, gpuIdx, stream, pid, res.Cycles); err != nil {
-			m.fail(err)
-			continue
+		if open := &m.launches[gpuIdx]; copied || *open&bit == 0 {
+			if err := m.launchKernel(p, gpuIdx, stream, pid, res.Cycles); err != nil {
+				m.fail(err)
+				continue
+			}
+			if copied {
+				*open &^= bit
+			} else {
+				*open |= bit
+			}
+		} else {
+			gpu.ContinueKernel(p, res.Cycles)
 		}
 		m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.Kernel,
 			Page: int64(pid), Level: m.curLevel, Start: t0, End: d.env.Now()})

@@ -93,7 +93,7 @@ func (m *member) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() 
 func (m *member) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, cycles float64) error {
 	gpu := m.machine.GPUs[gpuIdx]
 	n, err := m.retry(p, gpuIdx, stream, int64(pid),
-		func() error { return gpu.LaunchKernel(p, cycles, nil) },
+		func() error { return gpu.LaunchKernel(p, cycles) },
 		func(err error) bool {
 			if !errors.Is(err, hw.ErrOutOfDeviceMemory) || m.caches[gpuIdx] == nil {
 				return false

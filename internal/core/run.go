@@ -116,6 +116,10 @@ type member struct {
 	curDir kernels.Direction
 	dirs   []string
 
+	// launches[i] has bit s set while GPU i's stream s has a launch open
+	// for this member in the running wave (see processDemand).
+	launches []uint32
+
 	// curLevel is the superstep currently executing, stamped onto every
 	// span the member emits; -1 outside any superstep (WA upload, final
 	// copy-back).

@@ -155,15 +155,13 @@ func (g *GPU) Throttled() bool {
 
 // LaunchKernel submits a kernel of the given cycle count from stream
 // context p and blocks until it completes. The launch overhead is paid
-// before entering the SM queue, so concurrent streams overlap it. fn, if
-// non-nil, runs at completion time (this is where the functional kernel
-// mutates attribute state).
+// before entering the SM queue, so concurrent streams overlap it.
 //
 // An injected device-OOM fails the launch-time scratch allocation: the
 // launch overhead is paid (the driver rejected it after queueing) but no
-// SM time elapses and fn does not run. The error wraps
-// ErrOutOfDeviceMemory so callers can free cache and relaunch.
-func (g *GPU) LaunchKernel(p *sim.Proc, cycles float64, fn func()) error {
+// SM time elapses. The error wraps ErrOutOfDeviceMemory so callers can
+// free cache and relaunch.
+func (g *GPU) LaunchKernel(p *sim.Proc, cycles float64) error {
 	// Capture the injector at entry: the launch belongs to whichever fault
 	// domain armed the GPU when it was submitted, even if a shared-run
 	// sibling re-arms the GPU while this launch sits in the overhead delay.
@@ -175,15 +173,27 @@ func (g *GPU) LaunchKernel(p *sim.Proc, cycles float64, fn func()) error {
 		return fmt.Errorf("%w: injected launch-time allocation failure on GPU%d",
 			ErrOutOfDeviceMemory, g.Index)
 	}
+	g.runKernel(p, cycles)
+	g.kernelCalls++
+	return nil
+}
+
+// ContinueKernel runs cycles more work inside a launch the caller already
+// has open on its stream: it takes a kernel slot and SM time as a launch
+// does, but pays no launch overhead and draws no launch-time OOM, and it is
+// not counted in KernelCalls.
+func (g *GPU) ContinueKernel(p *sim.Proc, cycles float64) {
+	g.kernels.Acquire(p)
+	g.runKernel(p, cycles)
+}
+
+// runKernel occupies the SM pool for cycles and releases the kernel slot
+// the caller holds.
+func (g *GPU) runKernel(p *sim.Proc, cycles float64) {
 	t := g.KernelTime(cycles)
 	g.smPool.Use(p, t)
 	g.kernels.Release()
-	g.kernelCalls++
 	g.kernelTime += t
-	if fn != nil {
-		fn()
-	}
-	return nil
 }
 
 // Stats reports cumulative activity for metrics and the Figure 4 timeline.
@@ -200,6 +210,8 @@ func (g *GPU) Stats() GPUStats {
 
 // GPUStats is a snapshot of one GPU's cumulative activity.
 type GPUStats struct {
+	// KernelCalls counts kernel launches; work ContinueKernel runs inside
+	// an open launch adds to KernelTime only.
 	KernelCalls int64
 	KernelTime  sim.Time
 	H2DBytes    int64

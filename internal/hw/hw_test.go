@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -133,8 +134,8 @@ func TestGPUTransfersSerializeButOverlapKernels(t *testing.T) {
 	perKernel := g.Spec.CyclesPerSec / float64(g.Spec.KernelConcurrency)
 	for i := 0; i < 2; i++ {
 		env.Process("stream", func(p *sim.Proc) {
-			g.CopyStreamIn(p, 6e9)            // 1 s on the shared engine
-			g.LaunchKernel(p, perKernel, nil) // 1 s of compute
+			g.CopyStreamIn(p, 6e9)       // 1 s on the shared engine
+			g.LaunchKernel(p, perKernel) // 1 s of compute
 			grp.Done()
 		})
 	}
@@ -198,7 +199,7 @@ func TestConcurrentKernelsScaleUntilSaturation(t *testing.T) {
 	grp.Add(kc + 1)
 	for i := 0; i < kc+1; i++ {
 		env.Process("k", func(p *sim.Proc) {
-			g.LaunchKernel(p, perKernel, nil)
+			g.LaunchKernel(p, perKernel)
 			grp.Done()
 		})
 	}
@@ -228,7 +229,7 @@ func TestKernelLaunchOverheadOverlapsAcrossStreams(t *testing.T) {
 			s := s
 			env.Process("stream", func(p *sim.Proc) {
 				for k := s; k < kernels; k += streams {
-					g.LaunchKernel(p, g.Spec.CyclesPerSec/float64(g.Spec.KernelConcurrency)*1e-5, nil) // 10 us kernels
+					g.LaunchKernel(p, g.Spec.CyclesPerSec/float64(g.Spec.KernelConcurrency)*1e-5) // 10 us kernels
 				}
 				grp.Done()
 			})
@@ -389,6 +390,39 @@ func TestNewMachineRequiresPageSizeWithStorage(t *testing.T) {
 	}
 }
 
+// TestContinueKernel: work run inside an open launch takes the SM time a
+// launch of the same cycles takes, but pays no launch overhead, draws no
+// launch-time OOM and is not counted in KernelCalls.
+func TestContinueKernel(t *testing.T) {
+	env := sim.NewEnv()
+	g := NewGPU(env, TitanX(), PCIe3x16(), 0)
+	inj := fault.NewInjector(&fault.Plan{OOMKernelLaunches: []int64{2}})
+	g.InjectFaults(inj)
+	cycles := g.Spec.CyclesPerSec / float64(g.Spec.KernelConcurrency) * 1e-3 // 1 ms
+	var launched, continued sim.Time
+	var errs [2]error
+	env.Process("stream", func(p *sim.Proc) {
+		t0 := env.Now()
+		errs[0] = g.LaunchKernel(p, cycles) // launch ordinal 1
+		launched = env.Now() - t0
+		t0 = env.Now()
+		g.ContinueKernel(p, cycles)
+		continued = env.Now() - t0
+		errs[1] = g.LaunchKernel(p, cycles) // ordinal 2: the injected OOM
+	})
+	env.MustRun()
+	run := g.KernelTime(cycles)
+	if launched != g.Spec.LaunchOverhead+run || continued != run {
+		t.Errorf("launch took %v, continuation %v; want %v + %v and %v", launched, continued, g.Spec.LaunchOverhead, run, run)
+	}
+	if errs[0] != nil || !errors.Is(errs[1], ErrOutOfDeviceMemory) || inj.Stats().DeviceOOMs != 1 {
+		t.Errorf("launch errors %v; want the second launch, not the continuation, to draw ordinal 2", errs)
+	}
+	if st := g.Stats(); st.KernelCalls != 1 || st.KernelTime != 2*run {
+		t.Errorf("KernelCalls %d, KernelTime %v; want 1 launch and %v", st.KernelCalls, st.KernelTime, 2*run)
+	}
+}
+
 func TestThermalThrottle(t *testing.T) {
 	env := sim.NewEnv()
 	spec := TitanX()
@@ -399,12 +433,12 @@ func TestThermalThrottle(t *testing.T) {
 	var first, late sim.Time
 	env.Process("p", func(p *sim.Proc) {
 		t0 := env.Now()
-		g.LaunchKernel(p, perKernel, nil)
+		g.LaunchKernel(p, perKernel)
 		first = env.Now() - t0
-		g.LaunchKernel(p, perKernel, nil)
-		g.LaunchKernel(p, perKernel, nil) // crosses the 2 s limit
+		g.LaunchKernel(p, perKernel)
+		g.LaunchKernel(p, perKernel) // crosses the 2 s limit
 		t0 = env.Now()
-		g.LaunchKernel(p, perKernel, nil)
+		g.LaunchKernel(p, perKernel)
 		late = env.Now() - t0
 	})
 	env.MustRun()
@@ -421,7 +455,7 @@ func TestThermalDisabledByDefault(t *testing.T) {
 	g := NewGPU(env, TitanX(), PCIe3x16(), 0)
 	env.Process("p", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
-			g.LaunchKernel(p, TitanX().CyclesPerSec, nil)
+			g.LaunchKernel(p, TitanX().CyclesPerSec)
 		}
 	})
 	env.MustRun()

@@ -35,7 +35,8 @@ type GPUSpec struct {
 	KernelConcurrency int
 	// LaunchOverhead is the driver-side latency of submitting one kernel;
 	// it is paid inside the submitting stream, so more streams overlap it
-	// (the effect behind the paper's Figure 10).
+	// (the effect behind the paper's Figure 10). Work a stream runs inside
+	// a launch it already has open (GPU.ContinueKernel) does not pay it.
 	LaunchOverhead sim.Time
 	// ThermalLimit, when positive, is the cumulative kernel busy time
 	// after which the GPU down-clocks to ThermalFactor of its throughput —
