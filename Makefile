@@ -6,8 +6,11 @@ FUZZTIME ?= 10s
 
 .PHONY: build test test-race vet cover fuzz bench bench-check results-check loc loc-check ci
 
+# build also compiles the bench/ module (see bench-check): it pins the root
+# API, which the root module's own build never checks against it.
 build:
 	$(GO) build ./...
+	cd bench && $(GO) build ./...
 
 test: build
 	$(GO) test ./...
@@ -148,9 +151,9 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18973
-LOC_MAX_ENGINE_AND_API = 5101
-LOC_MAX_ENGINE = 4116
+LOC_MAX_TOTAL = 18928
+LOC_MAX_ENGINE_AND_API = 5056
+LOC_MAX_ENGINE = 4101
 LOC_MAX_GTSD_FLAGS = 10
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:

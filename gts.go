@@ -759,8 +759,7 @@ func (s *System) RunKernel(k Kernel, source uint64) (KernelState, Metrics, error
 }
 
 // SharedJob is one member of a RunShared wave group. A nil Faults inherits
-// the system's Config.Faults; a nil Trace inherits Config.Trace. Done, when
-// set, receives the job's outcome as it leaves its group (see RunGroup).
+// the system's Config.Faults; a nil Trace inherits Config.Trace.
 type SharedJob = core.SharedJob
 
 // SharedOutcome is one member's result from RunShared: its State and
@@ -771,46 +770,17 @@ type SharedOutcome = core.SharedOutcome
 // bytes saved, traffic paid); see core.SharedStats.
 type SharedStats = core.SharedStats
 
-// RunGroup executes jobs as one wave group on a single simulated machine:
+// RunShared executes jobs as one wave group on a single simulated machine:
 // every superstep, the union of the members' page demands streams to the
 // GPUs once and each resident page serves every demanding member's kernel.
 // Each member's final state is byte-identical to what its solo run would
 // produce. admit, when non-nil, is polled at wave boundaries for late
-// joiners. Each job answers through its Done as it leaves the group, so one
-// that finishes early does not wait for the rest (core.Engine.RunShared).
-// Like all algorithm entry points it serializes on the System's run mutex.
-func (s *System) RunGroup(jobs []SharedJob, admit func() []SharedJob) (SharedStats, error) {
+// joiners. The outcomes come back in admission order (the initial jobs, then
+// each batch admit returned); a run that fails returns its error, which
+// every job it had not settled carries (core.Engine.RunShared). Like all
+// algorithm entry points it serializes on the System's run mutex.
+func (s *System) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	return s.eng.RunShared(jobs, admit)
-}
-
-// RunShared is RunGroup returning every outcome at the end, in admission
-// order (the initial jobs, then each batch admit returned); a Done a job
-// carries is still called as the job leaves. The jobs are not modified.
-func (s *System) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
-	var outs []SharedOutcome
-	enlist := func(batch []SharedJob) []SharedJob {
-		batch = slices.Clone(batch)
-		for i := range batch {
-			idx, done := len(outs), batch[i].Done
-			outs = append(outs, SharedOutcome{})
-			batch[i].Done = func(o SharedOutcome) {
-				outs[idx] = o
-				if done != nil {
-					done(o)
-				}
-			}
-		}
-		return batch
-	}
-	var enlisted func() []SharedJob
-	if admit != nil {
-		enlisted = func() []SharedJob { return enlist(admit()) }
-	}
-	stats, err := s.RunGroup(enlist(jobs), enlisted)
-	if err != nil {
-		return nil, SharedStats{}, err
-	}
-	return outs, stats, nil
 }

@@ -21,7 +21,7 @@ func TestRunAllocBudget(t *testing.T) {
 	}
 	sp := buildPages(t, rmatGraph(t))
 	e := newEngine(t, sp, Options{}, 1, 0)
-	run := func() { mustRun(t, e, kernels.NewPageRank(sp, 0.85, 10)) }
+	run := func() { mustRun(t, e, kernels.NewPageRank(sp, 0.85, 10), 0) }
 	run() // warm the engine's pools
 	if got := testing.AllocsPerRun(10, run); got > 1200 {
 		t.Errorf("a PageRank(10) run allocates %.0f objects, want <= 1200", got)

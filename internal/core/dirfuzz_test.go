@@ -89,13 +89,13 @@ func FuzzDirectionSwitch(f *testing.F) {
 		}
 
 		plain := kernels.NewBFS(sp)
-		rep := mustRun(t, newEngine(t, sp, Options{Source: source}, 1, 0), plain)
+		rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), plain, source)
 		want := encodeVec(plain.Levels(rep.State))
 
 		for _, mode := range []kernels.DirMode{kernels.DirAuto, kernels.DirForcePush, kernels.DirForcePull} {
 			k := kernels.NewDirBFS(sp)
 			k.SetMode(mode)
-			drep := mustRun(t, newEngine(t, sp, Options{Source: source}, 1, 0), k)
+			drep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), k, source)
 			if got := encodeVec(k.Levels(drep.State)); !bytes.Equal(got, want) {
 				t.Errorf("mode=%v: levels diverge from plain BFS (graph %d vertices, %d edges, source %d)",
 					mode, g.NumVertices(), g.NumEdges(), source)

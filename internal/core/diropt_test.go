@@ -13,10 +13,10 @@ func TestDirOptMatchesPlainKernels(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	cases := kernelCases()
-	want, _ := runDigest(t, sp, cases[0], Options{Source: 0}, 1, 0)
+	want, _ := runDigest(t, sp, cases[0], Options{}, 1, 0)
 	for _, kc := range cases[11:14] { // BFS-diropt, forced push, forced pull
 		t.Run(kc.name, func(t *testing.T) {
-			got, _ := runDigest(t, sp, kc, Options{Source: 0}, 1, 0)
+			got, _ := runDigest(t, sp, kc, Options{}, 1, 0)
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s state differs from BFS", kc.name)
 			}
@@ -33,8 +33,8 @@ func TestDirOptUnderChaos(t *testing.T) {
 	sp := buildPages(t, g)
 	kc := kernelCases()[11] // BFS-diropt
 	t.Run(kc.name, func(t *testing.T) {
-		cleanBytes, cleanRep := runDigest(t, sp, kc, Options{Source: 0}, 2, 2)
-		opts := Options{Source: 0, Faults: chaosPlan()}
+		cleanBytes, cleanRep := runDigest(t, sp, kc, Options{}, 2, 2)
+		opts := Options{Faults: chaosPlan()}
 		wantBytes, wantRep := runDigest(t, sp, kc, opts, 2, 2)
 		gotBytes, gotRep := runDigest(t, sp, kc, opts, 2, 2)
 		if !bytes.Equal(wantBytes, cleanBytes) || !bytes.Equal(gotBytes, wantBytes) {

@@ -74,8 +74,6 @@ type Options struct {
 	// Technique selects the micro-level parallel scheme (paper §6.2).
 	// Default EdgeCentric (the paper's default, VWC).
 	Technique kernels.Technique
-	// Source is the start vertex for BFS-like kernels.
-	Source uint64
 	// CacheBytes bounds the per-GPU topology page cache: 0 (the default)
 	// uses all free device memory as the paper's §3.3 does, CacheDisabled
 	// turns caching off, and a positive value sets the exact byte budget.
@@ -192,14 +190,14 @@ type Report struct {
 	Updates int64
 }
 
-// Engine runs kernels over one graph on one machine specification. Each Run
-// or RunShared builds a fresh simulation, but the device outlives it: the
-// Engine keeps each GPU's topology page cache (§3.3), so a run starts with
-// the pages the runs before it left resident. Result bytes never depend on
-// that history; Elapsed and the traffic counters are a function of the
-// device contents at start (Report.ResidentAtStart) and the job, so runs
-// from the same start are deterministic. Runs on one Engine must not
-// overlap: gts.System serializes them on its run mutex.
+// Engine runs kernels over one graph on one machine specification. Each
+// RunJob or RunShared builds a fresh simulation, but the device outlives
+// it: the Engine keeps each GPU's topology page cache (§3.3), so a run
+// starts with the pages the runs before it left resident. Result bytes
+// never depend on that history; Elapsed and the traffic counters are a
+// function of the device contents at start (Report.ResidentAtStart) and the
+// job, so runs from the same start are deterministic. Runs on one Engine
+// must not overlap: gts.System serializes them on its run mutex.
 type Engine struct {
 	spec  hw.MachineSpec
 	graph *slottedpage.Graph

@@ -45,9 +45,10 @@ func newEngine(t *testing.T, g *slottedpage.Graph, opts Options, gpus, ssds int)
 	return e
 }
 
-func mustRun(t *testing.T, e *Engine, k kernels.Kernel) *Report {
+// mustRun runs kernel k from source on e as a job of its own (RunJob).
+func mustRun(t *testing.T, e *Engine, k kernels.Kernel, source uint64) *Report {
 	t.Helper()
-	rep, err := e.Run(k)
+	rep, err := e.RunJob(SharedJob{Kernel: k, Source: source})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +81,9 @@ func TestBFSMatchesReferenceAcrossConfigs(t *testing.T) {
 	want := verify.BFS(g, 0)
 	for _, cfg := range configurations() {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newEngine(t, sp, Options{Strategy: cfg.strategy, Source: 0}, cfg.gpus, cfg.ssds)
+			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewBFS(sp)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 0)
 			got := k.Levels(rep.State)
 			for v := range want {
 				if got[v] != want[v] {
@@ -103,12 +104,12 @@ func TestBFSLevelBoundMatchesReference(t *testing.T) {
 	deepest := graphgen.Path(32001)
 	sp := buildPages(t, deepest)
 	k := kernels.NewBFS(sp)
-	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), k)
+	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), k, 0)
 	if got, want := k.Levels(rep.State)[32000], verify.BFS(deepest, 0)[32000]; got != want || got != 32000 {
 		t.Fatalf("tail at level %d, reference %d, want 32000", got, want)
 	}
 	sp = buildPages(t, graphgen.Path(32002))
-	if _, err := newEngine(t, sp, Options{}, 1, 0).Run(kernels.NewBFS(sp)); err == nil {
+	if _, err := newEngine(t, sp, Options{}, 1, 0).RunJob(SharedJob{Kernel: kernels.NewBFS(sp)}); err == nil {
 		t.Fatal("the engine answered a 32002-vertex chain")
 	}
 }
@@ -121,7 +122,7 @@ func TestPageRankMatchesReferenceAcrossConfigs(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewPageRank(sp, 0.85, 5)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 0)
 			got := k.Ranks(rep.State)
 			for v := range want {
 				if math.Abs(float64(got[v])-want[v]) > 1e-4*math.Max(want[v], 1e-9)+1e-7 {
@@ -141,9 +142,9 @@ func TestSSSPMatchesReferenceAcrossConfigs(t *testing.T) {
 	want := verify.SSSP(g, 0, kernels.Weight)
 	for _, cfg := range configurations() {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newEngine(t, sp, Options{Strategy: cfg.strategy, Source: 0}, cfg.gpus, cfg.ssds)
+			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewSSSP(sp)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 0)
 			got := k.Distances(rep.State)
 			for v := range want {
 				if math.IsInf(want[v], 1) {
@@ -168,7 +169,7 @@ func TestCCMatchesReferenceAcrossConfigs(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewCC(sp)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 0)
 			got := k.Components(rep.State)
 			for v := range want {
 				if got[v] != want[v] {
@@ -185,9 +186,9 @@ func TestBCMatchesReferenceAcrossConfigs(t *testing.T) {
 	want := verify.BC(g, 0)
 	for _, cfg := range configurations() {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newEngine(t, sp, Options{Strategy: cfg.strategy, Source: 0}, cfg.gpus, cfg.ssds)
+			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewBC(sp)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 0)
 			got := k.Centrality(rep.State, 0)
 			for v := range want {
 				if math.Abs(got[v]-want[v]) > 1e-6*math.Max(want[v], 1)+1e-9 {
@@ -212,9 +213,9 @@ func TestBFSOnStructuredGraphs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := buildPages(t, tc.g)
 			want := verify.BFS(tc.g, uint32(tc.src))
-			e := newEngine(t, sp, Options{Source: tc.src}, 1, 0)
+			e := newEngine(t, sp, Options{}, 1, 0)
 			k := kernels.NewBFS(sp)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, tc.src)
 			got := k.Levels(rep.State)
 			for v := range want {
 				if got[v] != want[v] {
@@ -231,9 +232,9 @@ func TestTechniquesAllCorrect(t *testing.T) {
 	sp := buildPages(t, g)
 	want := verify.BFS(g, 0)
 	for _, tech := range []kernels.Technique{kernels.EdgeCentric, kernels.VertexCentric, kernels.Hybrid} {
-		e := newEngine(t, sp, Options{Source: 0, Technique: tech}, 1, 0)
+		e := newEngine(t, sp, Options{Technique: tech}, 1, 0)
 		k := kernels.NewBFS(sp)
-		rep := mustRun(t, e, k)
+		rep := mustRun(t, e, k, 0)
 		got := k.Levels(rep.State)
 		for v := range want {
 			if got[v] != want[v] {
@@ -251,14 +252,14 @@ func TestDeterministicElapsed(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	k := kernels.NewBFS(sp)
-	e := newEngine(t, sp, Options{Source: 0}, 2, 2)
-	cold := mustRun(t, e, k)
-	fresh := mustRun(t, newEngine(t, sp, Options{Source: 0}, 2, 2), k)
+	e := newEngine(t, sp, Options{}, 2, 2)
+	cold := mustRun(t, e, k, 0)
+	fresh := mustRun(t, newEngine(t, sp, Options{}, 2, 2), k, 0)
 	if cold.Elapsed != fresh.Elapsed || cold.PagesStreamed != fresh.PagesStreamed {
 		t.Errorf("two fresh engines: %v/%d vs %v/%d", cold.Elapsed, cold.PagesStreamed, fresh.Elapsed, fresh.PagesStreamed)
 	}
-	a := mustRun(t, e, k)
-	b := mustRun(t, e, k)
+	a := mustRun(t, e, k, 0)
+	b := mustRun(t, e, k, 0)
 	if a.ResidentAtStart != b.ResidentAtStart || a.Elapsed != b.Elapsed || a.PagesStreamed != b.PagesStreamed {
 		t.Errorf("settled device, runs 2 and 3: %d resident, %v/%d vs %d resident, %v/%d",
 			a.ResidentAtStart, a.Elapsed, a.PagesStreamed, b.ResidentAtStart, b.Elapsed, b.PagesStreamed)
@@ -283,7 +284,7 @@ func TestStrategyPWontFitSuggestsS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eP.Run(kernels.NewCC(sp)); !errors.Is(err, ErrWontFit) {
+	if _, err := eP.RunJob(SharedJob{Kernel: kernels.NewCC(sp)}); !errors.Is(err, ErrWontFit) {
 		t.Fatalf("Strategy-P err = %v, want ErrWontFit", err)
 	}
 	eS, err := New(spec, sp, Options{Strategy: StrategyS, Streams: 4})
@@ -292,7 +293,7 @@ func TestStrategyPWontFitSuggestsS(t *testing.T) {
 	}
 	want := verify.WCC(g)
 	k := kernels.NewCC(sp)
-	rep, err := eS.Run(k)
+	rep, err := eS.RunJob(SharedJob{Kernel: k})
 	if err != nil {
 		t.Fatalf("Strategy-S failed: %v", err)
 	}
@@ -311,8 +312,8 @@ func TestCachingReducesStreaming(t *testing.T) {
 	sp := buildPages(t, g)
 	k := kernels.NewBFS(sp)
 
-	noCache := mustRun(t, newEngine(t, sp, Options{Source: 0, CacheBytes: CacheDisabled}, 1, 0), k)
-	bigCache := mustRun(t, newEngine(t, sp, Options{Source: 0, CacheBytes: 0}, 1, 0), k)
+	noCache := mustRun(t, newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 1, 0), k, 0)
+	bigCache := mustRun(t, newEngine(t, sp, Options{CacheBytes: 0}, 1, 0), k, 0)
 	if noCache.CacheHits != 0 {
 		t.Errorf("cache disabled but %d hits", noCache.CacheHits)
 	}
@@ -331,8 +332,8 @@ func TestMoreStreamsNotSlower(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	k := kernels.NewPageRank(sp, 0.85, 3)
-	t1 := mustRun(t, newEngine(t, sp, Options{Streams: 1}, 1, 0), k).Elapsed
-	t16 := mustRun(t, newEngine(t, sp, Options{Streams: 16}, 1, 0), k).Elapsed
+	t1 := mustRun(t, newEngine(t, sp, Options{Streams: 1}, 1, 0), k, 0).Elapsed
+	t16 := mustRun(t, newEngine(t, sp, Options{Streams: 16}, 1, 0), k, 0).Elapsed
 	if t16 > t1 {
 		t.Errorf("16 streams (%v) slower than 1 (%v)", t16, t1)
 	}
@@ -347,7 +348,7 @@ func TestStorageHierarchyOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mustRun(t, e, kernels.NewPageRank(sp, 0.85, 3))
+		return mustRun(t, e, kernels.NewPageRank(sp, 0.85, 3), 0)
 	}
 	mem := mk(hw.Workstation(1, 0))
 	ssd := mk(hw.Workstation(1, 1))
@@ -368,7 +369,7 @@ func TestTwoSSDsFasterThanOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mustRun(t, e, kernels.NewPageRank(sp, 0.85, 3))
+		return mustRun(t, e, kernels.NewPageRank(sp, 0.85, 3), 0)
 	}
 	one, two := mk(1), mk(2)
 	if two.Elapsed >= one.Elapsed {
@@ -382,7 +383,7 @@ func TestPageRankRAStreamsWithPages(t *testing.T) {
 	// WA uploads and the topology, BytesToGPU carries at least one whole RA.
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	rep := mustRun(t, newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 2, 0), kernels.NewPageRank(sp, 0.85, 1))
+	rep := mustRun(t, newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 2, 0), kernels.NewPageRank(sp, 0.85, 1), 0)
 	topo := int64(rep.PagesStreamed) * int64(sp.Config().PageSize)
 	if ra := rep.BytesToGPU - 2*rep.WABytes - topo; ra < int64(sp.NumVertices())*4 {
 		t.Errorf("BytesToGPU %d carries %d RA bytes beyond WA and topology %d, want at least %d", rep.BytesToGPU, ra, topo, sp.NumVertices()*4)
@@ -394,7 +395,7 @@ func TestTraceRecordsSpans(t *testing.T) {
 	sp := buildPages(t, g)
 	rec := trace.New()
 	e := newEngine(t, sp, Options{Trace: rec, Streams: 4}, 1, 0)
-	mustRun(t, e, kernels.NewPageRank(sp, 0.85, 1))
+	mustRun(t, e, kernels.NewPageRank(sp, 0.85, 1), 0)
 	if rec.Total(trace.Kernel) == 0 || rec.Total(trace.CopyPage) == 0 {
 		t.Error("trace missing kernel or copy spans")
 	}
@@ -403,7 +404,7 @@ func TestTraceRecordsSpans(t *testing.T) {
 func TestReportMetricsSane(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	rep := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 0), kernels.NewBFS(sp))
+	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), kernels.NewBFS(sp), 0)
 	if rep.MTEPS <= 0 {
 		t.Error("MTEPS not positive")
 	}
@@ -428,10 +429,6 @@ func TestReportMetricsSane(t *testing.T) {
 	jobs := []SharedJob{{Kernel: kernels.NewPageRank(big, 0.85, 3)}, {Kernel: kernels.NewSSSP(big), Source: 1}}
 	for _, src := range bfsSources(8, big.NumVertices()) {
 		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(big), Source: src})
-	}
-	var outs []SharedOutcome
-	for i := range jobs {
-		jobs[i].Done = func(o SharedOutcome) { outs = append(outs, o) }
 	}
 	d, err := newEngine(t, big, Options{}, 1, 0).newDriver(jobs, nil)
 	if err != nil {
@@ -460,10 +457,7 @@ func TestReportMetricsSane(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum time.Duration
-	if len(outs) != len(jobs) {
-		t.Fatalf("%d of %d jobs heard their outcome", len(outs), len(jobs))
-	}
-	for i, o := range outs {
+	for i, o := range d.outs {
 		if o.Err != nil || o.HostKernelWall <= 0 {
 			t.Fatalf("member %d: err %v, HostKernelWall %v", i, o.Err, o.HostKernelWall)
 		}
@@ -497,9 +491,9 @@ func TestRWRMatchesReferenceAcrossConfigs(t *testing.T) {
 	want := verify.RWR(g, 3, 0.15, 5)
 	for _, cfg := range configurations() {
 		t.Run(cfg.name, func(t *testing.T) {
-			e := newEngine(t, sp, Options{Strategy: cfg.strategy, Source: 3}, cfg.gpus, cfg.ssds)
+			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewRWR(sp, 0.15, 5)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 3)
 			got := k.Scores(rep.State)
 			for v := range want {
 				if math.Abs(float64(got[v])-want[v]) > 1e-4*math.Max(want[v], 1e-9)+1e-7 {
@@ -517,7 +511,7 @@ func TestDegreeDistMatchesGraph(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewDegreeDist(sp)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 0)
 			got := k.Degrees(rep.State)
 			for v := uint64(0); v < g.NumVertices(); v++ {
 				if int(got[v]) != g.Degree(v) {
@@ -544,7 +538,7 @@ func TestKCoreMatchesReferenceAcrossConfigs(t *testing.T) {
 		for _, cfg := range configurations()[:3] {
 			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			kern := kernels.NewKCore(sp, kk)
-			rep := mustRun(t, e, kern)
+			rep := mustRun(t, e, kern, 0)
 			got := kern.InCore(rep.State)
 			for v := range want {
 				if got[v] != want[v] {
@@ -558,7 +552,7 @@ func TestKCoreMatchesReferenceAcrossConfigs(t *testing.T) {
 func TestLevelStatsRecorded(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	rep := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 0), kernels.NewBFS(sp))
+	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), kernels.NewBFS(sp), 0)
 	if int32(len(rep.LevelPages)) != rep.Levels || len(rep.LevelBytes) != len(rep.LevelPages) {
 		t.Fatalf("level stats %d/%d vs %d levels", len(rep.LevelPages), len(rep.LevelBytes), rep.Levels)
 	}
@@ -595,9 +589,9 @@ func TestEngineMatchesReferenceOnRandomGraphs(t *testing.T) {
 		strat := Strategy(r.Intn(2))
 		gpus := 1 + r.Intn(2)
 		want := verify.BFS(g, uint32(src))
-		e := newEngine(t, sp, Options{Strategy: strat, Source: src, Streams: 1 + r.Intn(32)}, gpus, r.Intn(2))
+		e := newEngine(t, sp, Options{Strategy: strat, Streams: 1 + r.Intn(32)}, gpus, r.Intn(2))
 		k := kernels.NewBFS(sp)
-		rep := mustRun(t, e, k)
+		rep := mustRun(t, e, k, src)
 		got := k.Levels(rep.State)
 		for v := range want {
 			if got[v] != want[v] {
@@ -619,9 +613,9 @@ func TestSSSPOnRandomGraphsProperty(t *testing.T) {
 		sp := buildPages(t, g)
 		src := uint32(r.Intn(n))
 		want := verify.SSSP(g, src, kernels.Weight)
-		e := newEngine(t, sp, Options{Source: uint64(src), Strategy: Strategy(r.Intn(2))}, 1+r.Intn(2), 0)
+		e := newEngine(t, sp, Options{Strategy: Strategy(r.Intn(2))}, 1+r.Intn(2), 0)
 		k := kernels.NewSSSP(sp)
-		rep := mustRun(t, e, k)
+		rep := mustRun(t, e, k, uint64(src))
 		got := k.Distances(rep.State)
 		for v := range want {
 			if math.IsInf(want[v], 1) {
@@ -643,12 +637,12 @@ func TestIsolatedVerticesDontPerturbBFS(t *testing.T) {
 	base := rmatGraph(t)
 	spBase := buildPages(t, base)
 	kBase := kernels.NewBFS(spBase)
-	repBase := mustRun(t, newEngine(t, spBase, Options{Source: 0}, 1, 0), kBase)
+	repBase := mustRun(t, newEngine(t, spBase, Options{}, 1, 0), kBase, 0)
 
 	bigger := csr.MustFromEdges(int(base.NumVertices())+500, base.Edges())
 	spBig := buildPages(t, bigger)
 	kBig := kernels.NewBFS(spBig)
-	repBig := mustRun(t, newEngine(t, spBig, Options{Source: 0}, 1, 0), kBig)
+	repBig := mustRun(t, newEngine(t, spBig, Options{}, 1, 0), kBig, 0)
 
 	a, b := kBase.Levels(repBase.State), kBig.Levels(repBig.State)
 	for v := 0; v < int(base.NumVertices()); v++ {
@@ -671,7 +665,7 @@ func TestRadiusConsistentAcrossConfigs(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewRadius(sp, 8, 64)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 0)
 			radii := k.Radii(rep.State)
 			if baseline == nil {
 				baseline = append([]int32(nil), radii...)
@@ -692,7 +686,7 @@ func TestRadiusBoundedByEccentricity(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	k := kernels.NewRadius(sp, 8, 64)
-	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), k)
+	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), k, 0)
 	radii := k.Radii(rep.State)
 	for v := uint32(0); v < 64; v++ {
 		lv := verify.BFS(g, v)
@@ -715,7 +709,7 @@ func TestRadiusBoundedByEccentricity(t *testing.T) {
 func TestRadiusNeighborhoodEstimates(t *testing.T) {
 	sp := buildPages(t, graphgen.Star(512))
 	k := kernels.NewRadius(sp, 16, 8)
-	radii := k.Radii(mustRun(t, newEngine(t, sp, Options{}, 1, 0), k).State)
+	radii := k.Radii(mustRun(t, newEngine(t, sp, Options{}, 1, 0), k, 0).State)
 	if radii[0] != 1 {
 		t.Errorf("hub radius %d, want 1", radii[0])
 	}
@@ -726,7 +720,7 @@ func TestRadiusNeighborhoodEstimates(t *testing.T) {
 	}
 	spc := buildPages(t, graphgen.Cycle(256))
 	kc := kernels.NewRadius(spc, 8, 512)
-	repc := mustRun(t, newEngine(t, spc, Options{}, 1, 0), kc)
+	repc := mustRun(t, newEngine(t, spc, Options{}, 1, 0), kc, 0)
 	if d := kc.EffectiveDiameter(repc.State, 1.0); d < 1 {
 		t.Errorf("effective diameter = %d", d)
 	}
@@ -738,9 +732,9 @@ func TestNeighborhoodMatchesCappedBFS(t *testing.T) {
 	full := verify.BFS(g, 0)
 	for _, hops := range []int{1, 2, 3} {
 		for _, cfg := range configurations()[:3] {
-			e := newEngine(t, sp, Options{Strategy: cfg.strategy, Source: 0}, cfg.gpus, cfg.ssds)
+			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewNeighborhood(sp, hops)
-			rep := mustRun(t, e, k)
+			rep := mustRun(t, e, k, 0)
 			got := k.Levels(rep.State)
 			for v := range full {
 				want := full[v]
@@ -758,8 +752,8 @@ func TestNeighborhoodMatchesCappedBFS(t *testing.T) {
 func TestNeighborhoodStreamsFewerPagesThanBFS(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	bfs := mustRun(t, newEngine(t, sp, Options{Source: 0, CacheBytes: CacheDisabled}, 1, 0), kernels.NewBFS(sp))
-	ball := mustRun(t, newEngine(t, sp, Options{Source: 0, CacheBytes: CacheDisabled}, 1, 0), kernels.NewNeighborhood(sp, 1))
+	bfs := mustRun(t, newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 1, 0), kernels.NewBFS(sp), 0)
+	ball := mustRun(t, newEngine(t, sp, Options{CacheBytes: CacheDisabled}, 1, 0), kernels.NewNeighborhood(sp, 1), 0)
 	if ball.PagesStreamed >= bfs.PagesStreamed {
 		t.Errorf("1-hop ball streamed %d pages, full BFS %d", ball.PagesStreamed, bfs.PagesStreamed)
 	}
@@ -782,7 +776,7 @@ func TestCrossEdgesMatchesDirectCount(t *testing.T) {
 	for _, cfg := range configurations()[:3] {
 		e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 		k := kernels.NewCrossEdges(sp, side)
-		rep := mustRun(t, e, k)
+		rep := mustRun(t, e, k, 0)
 		if got := k.Total(rep.State); got != want {
 			t.Fatalf("%s: cross edges = %d, want %d", cfg.name, got, want)
 		}

@@ -35,14 +35,14 @@ func TestBFSByteIdenticalUnderFaults(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	k := kernels.NewBFS(sp)
-	clean := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 1), k)
+	clean := mustRun(t, newEngine(t, sp, Options{}, 1, 1), k, 0)
 	cleanLevels := append([]int16(nil), k.Levels(clean.State)...)
 	if clean.Faults.Injected() != 0 {
 		t.Fatalf("fault-free run reports injections: %+v", clean.Faults)
 	}
 
 	k2 := kernels.NewBFS(sp)
-	faulted := mustRun(t, newEngine(t, sp, Options{Source: 0, Faults: chaosPlan()}, 1, 1), k2)
+	faulted := mustRun(t, newEngine(t, sp, Options{Faults: chaosPlan()}, 1, 1), k2, 0)
 	got := k2.Levels(faulted.State)
 	for v := range cleanLevels {
 		if got[v] != cleanLevels[v] {
@@ -75,11 +75,11 @@ func TestPageRankByteIdenticalUnderFaults(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	k := kernels.NewPageRank(sp, 0.85, 5)
-	clean := mustRun(t, newEngine(t, sp, Options{}, 1, 1), k)
+	clean := mustRun(t, newEngine(t, sp, Options{}, 1, 1), k, 0)
 	cleanRanks := append([]float32(nil), k.Ranks(clean.State)...)
 
 	k2 := kernels.NewPageRank(sp, 0.85, 5)
-	faulted := mustRun(t, newEngine(t, sp, Options{Faults: chaosPlan()}, 1, 1), k2)
+	faulted := mustRun(t, newEngine(t, sp, Options{Faults: chaosPlan()}, 1, 1), k2, 0)
 	got := k2.Ranks(faulted.State)
 	for v := range cleanRanks {
 		if got[v] != cleanRanks[v] { // exact: recovery must not re-apply updates
@@ -98,7 +98,7 @@ func TestFaultReplayIsDeterministic(t *testing.T) {
 	sp := buildPages(t, g)
 	run := func() (*Report, []int16) {
 		k := kernels.NewBFS(sp)
-		rep := mustRun(t, newEngine(t, sp, Options{Source: 0, Faults: chaosPlan()}, 2, 2), k)
+		rep := mustRun(t, newEngine(t, sp, Options{Faults: chaosPlan()}, 2, 2), k, 0)
 		return rep, k.Levels(rep.State)
 	}
 	a, al := run()
@@ -122,8 +122,8 @@ func TestPersistentTransferFaultAborts(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	plan := &fault.Plan{Seed: 1, TransferErrorRate: 1}
-	e := newEngine(t, sp, Options{Source: 0, Faults: plan}, 1, 0)
-	_, err := e.Run(kernels.NewBFS(sp))
+	e := newEngine(t, sp, Options{Faults: plan}, 1, 0)
+	_, err := e.RunJob(SharedJob{Kernel: kernels.NewBFS(sp)})
 	if !errors.Is(err, ErrHardwareFault) {
 		t.Fatalf("persistent transfer fault: err = %v, want ErrHardwareFault", err)
 	}
@@ -135,8 +135,8 @@ func TestPersistentStorageFaultAborts(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	plan := &fault.Plan{Seed: 1, StorageErrorRate: 1}
-	e := newEngine(t, sp, Options{Source: 0, Faults: plan}, 1, 1)
-	_, err := e.Run(kernels.NewBFS(sp))
+	e := newEngine(t, sp, Options{Faults: plan}, 1, 1)
+	_, err := e.RunJob(SharedJob{Kernel: kernels.NewBFS(sp)})
 	if !errors.Is(err, ErrHardwareFault) {
 		t.Fatalf("persistent storage fault: err = %v, want ErrHardwareFault", err)
 	}
@@ -148,12 +148,12 @@ func TestBoundedFaultBurstRecovers(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	k := kernels.NewBFS(sp)
-	clean := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 0), k)
+	clean := mustRun(t, newEngine(t, sp, Options{}, 1, 0), k, 0)
 	cleanLevels := append([]int16(nil), k.Levels(clean.State)...)
 
 	plan := &fault.Plan{Seed: 3, TransferErrorRate: 1, MaxPerKind: 3}
 	k2 := kernels.NewBFS(sp)
-	rep := mustRun(t, newEngine(t, sp, Options{Source: 0, Faults: plan}, 1, 0), k2)
+	rep := mustRun(t, newEngine(t, sp, Options{Faults: plan}, 1, 0), k2, 0)
 	if rep.Faults.TransferErrors != 3 {
 		t.Errorf("TransferErrors = %d, want 3 (capped)", rep.Faults.TransferErrors)
 	}
@@ -225,7 +225,7 @@ func TestDeviceCarriesWhatOOMLeft(t *testing.T) {
 			if got := e.device[0].Len(); got != tc.left {
 				t.Fatalf("the degraded run left %d pages resident, want %d", got, tc.left)
 			}
-			next := mustRun(t, e, k)
+			next := mustRun(t, e, k, 0)
 			if next.ResidentAtStart != int64(tc.left) {
 				t.Errorf("the next run started with %d resident pages, want %d", next.ResidentAtStart, tc.left)
 			}
@@ -271,31 +271,30 @@ func TestDeviceColdAfterWADecline(t *testing.T) {
 	}
 	levelsOf := func(rep *Report) []int16 { return bfs.Levels(rep.State) }
 
-	if rep := mustRun(t, e, bfs); !slices.Equal(levelsOf(rep), want) || e.device[0] == nil {
+	if rep := mustRun(t, e, bfs, 0); !slices.Equal(levelsOf(rep), want) || e.device[0] == nil {
 		t.Fatal("the warm-up run gave wrong levels or left no cache")
 	}
-	var outs []SharedOutcome
-	record := func(o SharedOutcome) { outs = append(outs, o) }
 	polls := 0
 	admit := func() []SharedJob { // PageRank joins at the first wave's end
 		if polls++; polls != 2 {
 			return nil
 		}
-		return []SharedJob{{Kernel: pr, Done: record}}
+		return []SharedJob{{Kernel: pr}}
 	}
-	if _, err := e.RunShared([]SharedJob{{Kernel: bfs, Done: record}}, admit); err != nil {
+	outs, _, err := e.RunShared([]SharedJob{{Kernel: bfs}}, admit)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 2 || !outs[0].Declined || outs[1].Err != nil {
-		t.Fatalf("outcomes %+v: want PageRank declined, then BFS answered", outs)
+	if len(outs) != 2 || outs[0].Err != nil || !outs[1].Declined {
+		t.Fatalf("outcomes %+v: want BFS answered, then PageRank declined", outs)
 	}
-	if outs[1].ResidentAtStart == 0 || !slices.Equal(levelsOf(&outs[1].Report), want) {
-		t.Fatalf("the group's BFS started with %d resident pages or gave wrong levels", outs[1].ResidentAtStart)
+	if outs[0].ResidentAtStart == 0 || !slices.Equal(levelsOf(&outs[0].Report), want) {
+		t.Fatalf("the group's BFS started with %d resident pages or gave wrong levels", outs[0].ResidentAtStart)
 	}
 	if e.device[0] != nil {
 		t.Fatal("the cache the decline dropped came back")
 	}
-	next := mustRun(t, e, bfs)
+	next := mustRun(t, e, bfs, 0)
 	if next.ResidentAtStart != 0 || !slices.Equal(levelsOf(next), want) {
 		t.Fatalf("the next run started with %d resident pages or gave wrong levels", next.ResidentAtStart)
 	}

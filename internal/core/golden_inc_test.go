@@ -35,14 +35,14 @@ func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incremental.Store) {
 	st := incremental.NewStore(0)
 
 	bfs := kernels.NewBFS(sp)
-	rep := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 0), bfs)
+	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), bfs, 0)
 	st.Capture("bfs", &incremental.Entry{
 		Kind: incremental.KindBFS, Epoch: 0,
 		Levels:    append([]int16(nil), bfs.Levels(rep.State)...),
 		FullPages: rep.PagesStreamed,
 	})
 	cc := kernels.NewCC(sp)
-	rep = mustRun(t, newEngine(t, sp, Options{}, 1, 0), cc)
+	rep = mustRun(t, newEngine(t, sp, Options{}, 1, 0), cc, 0)
 	st.Capture("cc", &incremental.Entry{
 		Kind: incremental.KindCC, Epoch: 0,
 		Labels:    append([]uint32(nil), cc.Components(rep.State)...),
@@ -88,11 +88,11 @@ func incGoldenKernel(t *testing.T, g *slottedpage.Graph, st *incremental.Store, 
 func incGoldenDigest(t *testing.T, g *slottedpage.Graph, st *incremental.Store, algo string, faulted bool) string {
 	t.Helper()
 	k, enc, _ := incGoldenKernel(t, g, st, algo)
-	opts := Options{Source: 0}
+	opts := Options{}
 	if faulted {
 		opts.Faults = chaosPlan()
 	}
-	rep := mustRun(t, newEngine(t, g, opts, 1, 0), k)
+	rep := mustRun(t, newEngine(t, g, opts, 1, 0), k, 0)
 	sum := sha256.Sum256(enc(rep.State))
 	return hex.EncodeToString(sum[:])
 }
@@ -117,7 +117,7 @@ func TestGoldenIncremental(t *testing.T) {
 		}
 	}
 	fromScratch := func(algo string) string {
-		raw, _ := runDigest(t, g, full[algo], Options{Source: 0}, 1, 0)
+		raw, _ := runDigest(t, g, full[algo], Options{}, 1, 0)
 		sum := sha256.Sum256(raw)
 		return hex.EncodeToString(sum[:])
 	}
@@ -186,7 +186,7 @@ func incTraceExport(t *testing.T, g *slottedpage.Graph, st *incremental.Store) (
 	k, _, seeds := incGoldenKernel(t, g, st, "bfs")
 	rec := trace.NewWithID(incTraceName)
 	rec.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncSeed, Page: int64(seeds), Level: -1})
-	mustRun(t, newEngine(t, g, Options{Source: 0, Trace: rec}, 1, 1), k)
+	mustRun(t, newEngine(t, g, Options{Trace: rec}, 1, 1), k, 0)
 	var buf bytes.Buffer
 	if err := rec.WriteChrome(&buf); err != nil {
 		t.Fatal(err)

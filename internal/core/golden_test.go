@@ -32,7 +32,7 @@ func goldenDigest(t *testing.T, kc kernelCase, faulted bool) string {
 	t.Helper()
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
-	opts := Options{Source: 0}
+	opts := Options{}
 	if faulted {
 		opts.Faults = chaosPlan()
 	}

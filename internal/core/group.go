@@ -1,8 +1,8 @@
 package core
 
 // The superstep engine. Every run is a "wave group": one or more kernels
-// over the same graph executing inside one simulation — Engine.Run is a
-// group of one. Every superstep the group runs one wave, one pass in page
+// over the same graph executing inside one simulation — RunJob is a group
+// of one. Every superstep the group runs one wave, one pass in page
 // order: the members' page sets merge into one demand table, the functional
 // kernel work runs over it page by page — each member sees its pages in the
 // order it would alone, and a page's plain-BFS demanders share one
@@ -20,9 +20,9 @@ package core
 //
 // Membership changes at wave boundaries: the admit callback is polled
 // between waves, joiners upload their WA and enter the next wave, finished
-// members copy their WA out, retire and answer through their job's Done. A
-// member whose WA does not fit even after dropping the shared page cache is
-// declined: its Done says so, and it can run only with fewer companions — a
+// members copy their WA out and retire, their outcomes filled in. A member
+// whose WA does not fit even after dropping the shared page cache is
+// declined: its outcome says so, and it can run only with fewer companions — a
 // member declined alone never fits this machine (RunJob's ErrWontFit). A
 // member whose fault budget is exhausted aborts alone — the next live
 // demander of each page it was serving takes over the copy with a fresh
@@ -45,14 +45,12 @@ import (
 // SharedJob describes one member of a shared run — the one declaration of a
 // job every layer above aliases. Faults and Trace are per-member: each
 // member draws from its own injector and emits spans into its own recorder;
-// nil inherits the engine's Options.Faults or Options.Trace. Done, when
-// non-nil, is how the job's outcome leaves the group (see RunShared).
+// nil inherits the engine's Options.Faults or Options.Trace.
 type SharedJob struct {
 	Kernel kernels.Kernel
 	Source uint64
 	Faults *fault.Plan
 	Trace  *trace.Recorder
-	Done   func(SharedOutcome)
 }
 
 // SharedOutcome is one member's result. Exactly one of the Report, Err, or
@@ -101,17 +99,18 @@ type demand struct {
 // driver owns one run of the engine: the plant and the member roster.
 type driver struct {
 	*plant
-	eng *Engine
 	// raPerV is the RABuf width per page slot: the widest RAPerVertex the
 	// group has admitted, whether that member's RA streams or turns out
 	// resident (the buffers are sized before newMember's RA test).
 	raPerV int64
 
 	// handed holds the jobs given to the group and not yet enrolled, active
-	// the members from enrolment until they leave: a failed run answers
-	// every job still on either (abandon).
+	// the members from enrolment until they leave, and outs an outcome per
+	// enrolled job in admission order, filled as each leaves: a failed run
+	// fills the outcome of every job still on handed or active (abandon).
 	handed []SharedJob
 	active []*member
+	outs   []SharedOutcome
 	admit  func() []SharedJob
 	stats  SharedStats
 	wave   int64
@@ -135,20 +134,15 @@ type driver struct {
 	args  kernels.Args
 }
 
-// Run executes kernel k from Options.Source; see RunJob.
-func (e *Engine) Run(k kernels.Kernel) (*Report, error) {
-	return e.RunJob(SharedJob{Kernel: k, Source: e.opts.Source})
-}
-
 // RunJob executes one job to completion and reports timing and metrics: a
 // wave group of one, on a machine whose spare device memory is all page
-// cache. The job's Done is RunJob's own.
+// cache.
 func (e *Engine) RunJob(job SharedJob) (*Report, error) {
-	var out SharedOutcome
-	job.Done = func(o SharedOutcome) { out = o }
-	if _, err := e.RunShared([]SharedJob{job}, nil); err != nil {
+	outs, _, err := e.RunShared([]SharedJob{job}, nil)
+	if err != nil {
 		return nil, err
 	}
+	out := outs[0]
 	if out.Declined {
 		hint := "use Strategy-S to spread WA across GPUs or add GPUs"
 		if e.opts.Strategy == StrategyS {
@@ -170,16 +164,18 @@ func (e *Engine) streamBufBytes(raPerV int64) int64 {
 	return int64(e.opts.Streams) * (2*int64(cfg.PageSize) + int64(cfg.MaxSlotsPerPage())*raPerV)
 }
 
-// RunShared executes jobs as one wave group on a single simulated machine.
-// admit, when non-nil, is polled at every wave boundary for late joiners
-// (it must return quickly and never block on virtual time; return nil when
-// nothing is waiting). Each job's Done is called once, before RunShared
-// returns, on the goroutine running the simulation, as the job leaves the
-// group: declined or malformed at enrolment, aborted in its WA upload,
-// finished or aborted at the wave it retires, or with the run's own error.
-func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) (SharedStats, error) {
+// RunShared executes jobs as one wave group on a single simulated machine
+// and returns an outcome per job in admission order: the initial jobs, then
+// each batch admit returned. admit, when non-nil, is polled at every wave
+// boundary for late joiners (it must return quickly and never block on
+// virtual time; return nil when nothing is waiting). A job's outcome is
+// settled as it leaves the group — declined or malformed at enrolment,
+// aborted in its WA upload, finished or aborted at the wave it retires — and
+// a run that fails gives its error to every job it had not settled, and
+// returns it too.
+func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
 	if len(jobs) == 0 && admit == nil {
-		return SharedStats{}, fmt.Errorf("core: RunShared needs at least one job or an admit callback")
+		return nil, SharedStats{}, fmt.Errorf("core: RunShared needs at least one job or an admit callback")
 	}
 	d, err := e.newDriver(jobs, admit)
 	if err == nil {
@@ -189,9 +185,9 @@ func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) (SharedSt
 	}
 	if err != nil {
 		d.abandon(err)
-		return SharedStats{}, err
+		return d.outs, SharedStats{}, err
 	}
-	return d.stats, nil
+	return d.outs, d.stats, nil
 }
 
 // newDriver performs Algorithm 1's initialization, roster first: a fresh
@@ -203,13 +199,14 @@ func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) (SharedSt
 // carries. The driver comes back even on error, for abandon.
 func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, error) {
 	env := sim.NewEnv()
-	d := &driver{eng: e, admit: admit, handed: jobs, union: bitset.New(e.graph.NumPages())}
+	d := &driver{admit: admit, handed: jobs, union: bitset.New(e.graph.NumPages())}
 	machine, err := hw.NewMachine(env, e.spec, int64(e.graph.Config().PageSize))
 	if err != nil {
 		return d, err
 	}
 	nGPU := len(machine.GPUs)
 	d.plant = &plant{
+		eng:         e,
 		env:         env,
 		machine:     machine,
 		inflight:    map[slottedpage.PageID]*sim.Signal{},
@@ -236,28 +233,14 @@ func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver,
 	return d, d.setup(e, admit != nil)
 }
 
-// abandon gives err to every job a failed run still owes an outcome.
+// abandon gives err to every job a failed run has not settled.
 func (d *driver) abandon(err error) {
-	for _, job := range d.handed {
-		reply(job.Done, SharedOutcome{Err: err})
+	for range d.handed {
+		d.outs = append(d.outs, SharedOutcome{Err: err})
 	}
 	for _, m := range d.active {
-		m.deliver(SharedOutcome{Err: err})
+		d.outs[m.idx] = SharedOutcome{Err: err}
 	}
-}
-
-// reply hands a job its outcome, if the job asked for it.
-func reply(done func(SharedOutcome), out SharedOutcome) {
-	if done != nil {
-		done(out)
-	}
-}
-
-// deliver replies to m's job, once: abandon may meet m after a Done panics.
-func (m *member) deliver(out SharedOutcome) {
-	done := m.reply
-	m.reply = nil
-	reply(done, out)
 }
 
 // loop is Algorithm 1's repeat-until loop, run as the controlling CPU
@@ -290,27 +273,29 @@ func (d *driver) loop(p *sim.Proc) {
 }
 
 // enroll turns the handed jobs, in order, into members on active with
-// their WA allocated. A job whose WA cannot fit is declined and a malformed
-// one fails; either hears so at once.
+// their WA allocated, each with the next outcome slot. A job whose WA cannot
+// fit is declined and a malformed one fails; either is settled at once.
 func (d *driver) enroll() {
 	for len(d.handed) > 0 {
-		job := d.handed[0]
-		m, err := d.newMember(job)
+		m, err := d.newMember(d.handed[0])
 		d.handed = d.handed[1:]
+		var out SharedOutcome
 		switch {
 		case err == nil:
+			m.idx = len(d.outs)
 			d.active = append(d.active, m)
 		case errors.Is(err, ErrWontFit):
-			reply(job.Done, SharedOutcome{Declined: true})
+			out.Declined = true
 		default:
-			reply(job.Done, SharedOutcome{Err: err})
+			out.Err = err
 		}
+		d.outs = append(d.outs, out)
 	}
 }
 
 // newMember builds the member's run over the shared plant and allocates its
-// per-GPU WA. The member clones the engine options with its own source,
-// fault plan and recorder.
+// per-GPU WA. The member takes its source, and its fault plan and recorder or
+// the engine's.
 func (d *driver) newMember(job SharedJob) (*member, error) {
 	if job.Kernel == nil {
 		return nil, fmt.Errorf("core: shared job has no kernel")
@@ -323,22 +308,21 @@ func (d *driver) newMember(job SharedJob) (*member, error) {
 	if nV := e.graph.NumVertices(); job.Source >= nV {
 		return nil, fmt.Errorf("%w: source %d on a graph of %d vertices", ErrSourceOutOfRange, job.Source, nV)
 	}
-	opts := e.opts
-	opts.Source = job.Source
+	faults, rec := e.opts.Faults, e.opts.Trace
 	if job.Faults != nil {
-		opts.Faults = job.Faults
+		faults = job.Faults
 	}
 	if job.Trace != nil {
-		opts.Trace = job.Trace
+		rec = job.Trace
 	}
 	m := &member{
 		plant:    d.plant,
-		eng:      &Engine{spec: e.spec, graph: e.graph, opts: opts},
 		k:        job.Kernel,
-		reply:    job.Done,
+		source:   job.Source,
+		trace:    rec,
 		locals:   make([]pidSet, len(d.machine.GPUs)),
 		launches: make([]uint32, len(d.machine.GPUs)),
-		inj:      fault.NewInjector(opts.Faults),
+		inj:      fault.NewInjector(faults),
 		curLevel: -1,
 		lane:     -1,
 	}
@@ -416,7 +400,7 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 			return
 		}
 		m.bytesToGPU += m.perGPUWA + m.raResident
-		m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.CopyWA, Page: -1, Level: -1, Start: t0, End: d.env.Now()})
+		m.trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.CopyWA, Page: -1, Level: -1, Start: t0, End: d.env.Now()})
 	})
 	if m.abort != nil {
 		return
@@ -426,7 +410,7 @@ func (d *driver) beginMember(p *sim.Proc, m *member) {
 	m.backKernel, m.wantBackward = m.k.(kernels.BackwardKernel)
 	m.next = m.getPidSet()
 	if m.scan == nil {
-		kernels.MarkVertexPages(g, m.eng.opts.Source, m.next, true)
+		kernels.MarkVertexPages(g, m.source, m.next, true)
 		// A planning kernel owns its frontier: replace the seed with the
 		// level-0 plan (direction choice + exact page set).
 		m.planLevel(0, m.next)
@@ -690,7 +674,7 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 		if m != payer {
 			if !resident {
 				m.sharedPagesIn++
-				m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.SharedCopy,
+				m.trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.SharedCopy,
 					Page: int64(pid), Level: m.curLevel, Start: copyStart, End: copyEnd})
 			}
 			// RA is member-specific attribute data and streams per member
@@ -722,7 +706,7 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 		} else {
 			gpu.ContinueKernel(p, res.Cycles)
 		}
-		m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.Kernel,
+		m.trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.Kernel,
 			Page: int64(pid), Level: m.curLevel, Start: t0, End: d.env.Now()})
 		m.kernelBusy += gpu.KernelTime(res.Cycles)
 		m.edgesTraversed += res.Edges
@@ -779,8 +763,8 @@ func (d *driver) endWave(p *sim.Proc, m *member) {
 	// planned traversal direction (0 for plain kernels). The Wave span
 	// beside it names the group wave that carried the superstep.
 	now := d.env.Now()
-	m.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Superstep, Page: -1, Level: lvl, Dir: int8(m.curDir), Start: m.stepStart, End: now})
-	m.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: d.wave, Level: lvl, Start: m.stepStart, End: now})
+	m.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Superstep, Page: -1, Level: lvl, Dir: int8(m.curDir), Start: m.stepStart, End: now})
+	m.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: d.wave, Level: lvl, Start: m.stepStart, End: now})
 	if m.abort != nil {
 		release()
 		return
@@ -860,13 +844,13 @@ func (d *driver) finishMember(p *sim.Proc, m *member) {
 	if m.abort != nil {
 		return
 	}
-	m.eng.opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Run, Page: -1, Level: -1,
+	m.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Run, Page: -1, Level: -1,
 		Start: m.joinedAt, End: d.env.Now()})
 	m.done = true
 }
 
 // retireFinished removes finished and aborted members from the roster,
-// releasing their WA, and hands each its outcome.
+// releasing their WA, and settles each one's outcome.
 func (d *driver) retireFinished() {
 	alive := d.active[:0]
 	for _, m := range d.active {
@@ -882,9 +866,9 @@ func (d *driver) retireFinished() {
 		d.stats.StorageBytes += m.storageRead
 		d.stats.EdgesTraversed += m.edgesTraversed
 		if m.abort != nil {
-			m.deliver(SharedOutcome{Err: m.abort})
+			d.outs[m.idx] = SharedOutcome{Err: m.abort}
 		} else {
-			m.deliver(SharedOutcome{Report: d.memberReport(m)})
+			d.outs[m.idx] = SharedOutcome{Report: d.memberReport(m)}
 		}
 	}
 	clear(d.active[len(alive):])

@@ -5,8 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -21,58 +21,18 @@ import (
 	"repro/internal/verify"
 )
 
-// sharedEngine builds an engine for RunShared (the engine-level Source is
-// irrelevant; members carry their own).
-func sharedEngine(t *testing.T, sp *slottedpage.Graph, opts Options, gpus, ssds int) *Engine {
-	t.Helper()
-	return newEngine(t, sp, opts, gpus, ssds)
-}
-
-// runShared runs a group and collects each job's outcome from its Done, in
-// admission order (the initial jobs, then each admitted batch); heard[i]
-// counts how many times job i's Done was called. The caller's jobs are not
-// modified.
-func runShared(e *Engine, jobs []SharedJob, admit func() []SharedJob) (outs []SharedOutcome, heard []int, stats SharedStats, err error) {
-	enlist := func(batch []SharedJob) []SharedJob {
-		batch = slices.Clone(batch)
-		for i := range batch {
-			idx, done := len(outs), batch[i].Done
-			outs, heard = append(outs, SharedOutcome{}), append(heard, 0)
-			batch[i].Done = func(o SharedOutcome) {
-				outs[idx] = o
-				heard[idx]++
-				if done != nil {
-					done(o)
-				}
-			}
-		}
-		return batch
-	}
-	var enlisted func() []SharedJob
-	if admit != nil {
-		enlisted = func() []SharedJob { return enlist(admit()) }
-	}
-	stats, err = e.RunShared(enlist(jobs), enlisted)
-	return outs, heard, stats, err
-}
-
-// mustRunShared is runShared for a group that must run, and whose every job
-// must hear its outcome exactly once.
+// mustRunShared runs a group that must run and returns its outcomes, in
+// admission order.
 func mustRunShared(t *testing.T, e *Engine, jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats) {
 	t.Helper()
-	outs, heard, stats, err := runShared(e, jobs, admit)
+	outs, stats, err := e.RunShared(jobs, admit)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i, n := range heard {
-		if n != 1 {
-			t.Fatalf("job %d heard its outcome %d times, want once", i, n)
-		}
 	}
 	return outs, stats
 }
 
-// Engine.Run is itself a wave group of one, so "matches the solo run" would
+// RunJob is itself a wave group of one, so "matches the solo run" would
 // compare the engine with itself. The group tests below take their expected
 // results from oracles that share no code with the engine: the checked-in
 // golden.json digests (pinned before the engines were merged) and the
@@ -118,7 +78,7 @@ func TestSharedMatchesSoloAllKernels(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	cases := kernelCases()
-	opts := Options{Source: 0}
+	opts := Options{}
 
 	var jobs []SharedJob
 	made := make([]kernels.Kernel, len(cases))
@@ -126,7 +86,7 @@ func TestSharedMatchesSoloAllKernels(t *testing.T) {
 		made[i] = kc.make(sp)
 		jobs = append(jobs, SharedJob{Kernel: made[i], Source: 0})
 	}
-	outs, stats := mustRunShared(t, sharedEngine(t, sp, opts, 1, 0), jobs, nil)
+	outs, stats := mustRunShared(t, newEngine(t, sp, opts, 1, 0), jobs, nil)
 	if stats.Waves == 0 {
 		t.Fatal("no waves executed")
 	}
@@ -183,7 +143,7 @@ func TestShared32BFSAmortizesBytes(t *testing.T) {
 
 	var soloBytes int64
 	for _, s := range sources {
-		rep := mustRun(t, newEngine(t, sp, Options{Source: s}, 1, 0), kernels.NewBFS(sp))
+		rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), kernels.NewBFS(sp), s)
 		if b := rep.PagesStreamed * pageSize; b > soloBytes {
 			soloBytes = b
 		}
@@ -195,7 +155,7 @@ func TestShared32BFSAmortizesBytes(t *testing.T) {
 		made[i] = kernels.NewBFS(sp)
 		jobs = append(jobs, SharedJob{Kernel: made[i], Source: s})
 	}
-	outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0), jobs, nil)
+	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs, nil)
 
 	for i, s := range sources {
 		if outs[i].Err != nil || outs[i].Declined {
@@ -239,7 +199,7 @@ func TestSharedFaultedMatchesClean(t *testing.T) {
 			}
 			jobs = append(jobs, j)
 		}
-		outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 1), jobs, nil)
+		outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs, nil)
 		res := make([][]int16, len(sources))
 		for i := range sources {
 			if outs[i].Err != nil {
@@ -281,7 +241,7 @@ func TestSharedFaultedMemberDoesNotStallGroup(t *testing.T) {
 		{Kernel: kernels.NewBFS(sp), Source: 0},
 		{Kernel: kernels.NewBFS(sp), Source: 512},
 	}
-	outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 1), jobs, nil)
+	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs, nil)
 
 	if outs[0].Err == nil {
 		t.Fatal("poisoned member did not fail")
@@ -315,7 +275,7 @@ func TestSharedSourceOutOfRangeFailsOnlyItsJob(t *testing.T) {
 	for _, s := range sources {
 		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
 	}
-	outs, _ := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0), jobs, nil)
+	outs, _ := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs, nil)
 	if !errors.Is(outs[1].Err, ErrSourceOutOfRange) || outs[1].Declined {
 		t.Fatalf("out-of-range member: err=%v declined=%v, want ErrSourceOutOfRange", outs[1].Err, outs[1].Declined)
 	}
@@ -326,12 +286,12 @@ func TestSharedSourceOutOfRangeFailsOnlyItsJob(t *testing.T) {
 		got := jobs[i].Kernel.(*kernels.BFS).Levels(outs[i].State)
 		wantBFS(t, "neighbour of the bad job", g, sources[i], got)
 		alone := kernels.NewBFS(sp)
-		rep := mustRun(t, newEngine(t, sp, Options{Source: sources[i]}, 1, 0), alone)
+		rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), alone, sources[i])
 		if !bytes.Equal(encodeVec(got), encodeVec(alone.Levels(rep.State))) {
 			t.Errorf("member %d's levels differ from its solo run's", i)
 		}
 	}
-	if _, err := newEngine(t, sp, Options{Source: nV}, 1, 0).Run(kernels.NewSSSP(sp)); !errors.Is(err, ErrSourceOutOfRange) {
+	if _, err := newEngine(t, sp, Options{}, 1, 0).RunJob(SharedJob{Kernel: kernels.NewSSSP(sp), Source: nV}); !errors.Is(err, ErrSourceOutOfRange) {
 		t.Errorf("Run from vertex |V|: err = %v, want ErrSourceOutOfRange", err)
 	}
 }
@@ -353,7 +313,7 @@ func TestSharedAdmitJoinsAtWaveBoundary(t *testing.T) {
 		}
 		return nil
 	}
-	outs, _ := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0),
+	outs, _ := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0),
 		[]SharedJob{{Kernel: bfs, Source: 0}}, admit)
 
 	if len(outs) != 2 {
@@ -390,7 +350,7 @@ func TestSharedLateJoinerTakesOverALane(t *testing.T) {
 		}
 		return nil
 	}
-	outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0), jobs[:3], admit)
+	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs[:3], admit)
 	if len(outs) != len(sources) || stats.Waves < 9 {
 		t.Fatalf("%d outcomes over %d waves, want %d joined at wave 6 of a longer run", len(outs), stats.Waves, len(sources))
 	}
@@ -402,7 +362,7 @@ func TestSharedLateJoinerTakesOverALane(t *testing.T) {
 			t.Fatalf("member %d: err=%v declined=%v", i, outs[i].Err, outs[i].Declined)
 		}
 		wantBFS(t, "member", g, src, jobs[i].Kernel.(*kernels.BFS).Levels(outs[i].State))
-		solo := mustRun(t, newEngine(t, sp, Options{Source: src}, 1, 0), kernels.NewBFS(sp))
+		solo := mustRun(t, newEngine(t, sp, Options{}, 1, 0), kernels.NewBFS(sp), src)
 		if outs[i].Updates != solo.Updates || outs[i].EdgesTraversed != solo.EdgesTraversed || outs[i].KernelTime != solo.KernelTime {
 			t.Errorf("member %d (source %d): %d updates, %d edges, kernel time %d; alone %d, %d, %d", i, src,
 				outs[i].Updates, outs[i].EdgesTraversed, outs[i].KernelTime, solo.Updates, solo.EdgesTraversed, solo.KernelTime)
@@ -426,7 +386,7 @@ func TestSharedMultiGPUStrategies(t *testing.T) {
 			opts := Options{Strategy: cfg.strategy}
 			bfs := kernels.NewBFS(sp)
 			pr := kernels.NewPageRank(sp, 0.85, 5)
-			outs, _ := mustRunShared(t, sharedEngine(t, sp, opts, cfg.gpus, cfg.ssds), []SharedJob{
+			outs, _ := mustRunShared(t, newEngine(t, sp, opts, cfg.gpus, cfg.ssds), []SharedJob{
 				{Kernel: bfs, Source: 0},
 				{Kernel: pr, Source: 0},
 			}, nil)
@@ -438,7 +398,7 @@ func TestSharedMultiGPUStrategies(t *testing.T) {
 			wantBFS(t, "BFS member", g, 0, bfs.Levels(outs[0].Report.State))
 			wantPageRank(t, "PageRank member", g, 5, pr.Ranks(outs[1].Report.State))
 			alone := kernels.NewPageRank(sp, 0.85, 5)
-			rep := mustRun(t, newEngine(t, sp, opts, cfg.gpus, cfg.ssds), alone)
+			rep := mustRun(t, newEngine(t, sp, opts, cfg.gpus, cfg.ssds), alone, 0)
 			if !bytes.Equal(encodeVec(pr.Ranks(outs[1].Report.State)), encodeVec(alone.Ranks(rep.State))) {
 				t.Error("PageRank's bytes changed with the company it kept")
 			}
@@ -495,23 +455,15 @@ func (k panicsAt) BeginLevel(_ []kernels.State, level int32) {
 	}
 }
 
-// TestSharedDoneFiresOnce: however a job leaves its group — finished,
-// malformed at enrolment, aborted during its WA upload or on its fault budget
-// mid-run, declined, or still riding when the run itself fails — its Done is
-// called exactly once, and a run that fails tells only the jobs it had not
-// answered yet.
-func TestSharedDoneFiresOnce(t *testing.T) {
+// TestSharedOutcomes: RunShared returns one outcome per job in admission
+// order — the initial jobs, then each admitted batch — however the job left
+// its group: finished, malformed at enrolment, aborted during its WA upload
+// or on its fault budget mid-run, declined, or still riding when the run
+// itself fails, which gives its error to the jobs it had not settled.
+func TestSharedOutcomes(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
 	bfs := func(src uint64) SharedJob { return SharedJob{Kernel: kernels.NewBFS(sp), Source: src} }
-	heardOnce := func(t *testing.T, heard []int) {
-		t.Helper()
-		for i, n := range heard {
-			if n != 1 {
-				t.Errorf("job %d heard its outcome %d times, want once", i, n)
-			}
-		}
-	}
 
 	t.Run("finished-malformed-aborted", func(t *testing.T) {
 		// The mid-run abort joins first, so it pays for the pages it reads.
@@ -519,11 +471,10 @@ func TestSharedDoneFiresOnce(t *testing.T) {
 		midRun.Faults = &fault.Plan{Seed: 7, CorruptionRate: 1}
 		upload.Faults = &fault.Plan{Seed: 3, TransferErrorRate: 1}
 		jobs := []SharedJob{midRun, bfs(0), {Source: 1}, bfs(sp.NumVertices()), upload}
-		outs, heard, _, err := runShared(sharedEngine(t, sp, Options{}, 1, 1), jobs, nil)
-		if err != nil {
-			t.Fatal(err)
+		outs, _ := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs, nil)
+		if len(outs) != len(jobs) {
+			t.Fatalf("%d outcomes for %d jobs", len(outs), len(jobs))
 		}
-		heardOnce(t, heard)
 		if outs[1].Err != nil || outs[1].Levels == 0 {
 			t.Errorf("finished job: err %v after %d levels", outs[1].Err, outs[1].Levels)
 		}
@@ -545,13 +496,65 @@ func TestSharedDoneFiresOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, heard, _, err := runShared(e, []SharedJob{bfs(0), bfs(512)}, nil)
+		outs, _ := mustRunShared(t, e, []SharedJob{bfs(0), bfs(512)}, nil)
+		if outs[0].Err != nil || !outs[1].Declined {
+			t.Errorf("outcomes: err %v, declined %v", outs[0].Err, outs[1].Declined)
+		}
+	})
+
+	t.Run("admission-order", func(t *testing.T) {
+		// Room for the BFS stream buffers and four BFS WAs: PageRank, whose
+		// RA widens the RABuf past that, is declined whoever else is riding.
+		spec := hw.Workstation(1, 0)
+		spec.GPUs[0].DeviceMemory = 32*2*int64(sp.Config().PageSize) + 8*int64(sp.NumVertices())
+		e, err := New(spec, sp, Options{CacheBytes: CacheDisabled})
 		if err != nil {
 			t.Fatal(err)
 		}
-		heardOnce(t, heard)
-		if outs[0].Err != nil || !outs[1].Declined {
-			t.Errorf("outcomes: err %v, declined %v", outs[0].Err, outs[1].Declined)
+		batches := [][]SharedJob{
+			{{Kernel: kernels.NewPageRank(sp, 0.85, 5)}, bfs(1836)},
+			{{Source: 1}, bfs(7)},
+		}
+		polls := 0
+		admit := func() []SharedJob { // the batches join before waves 2 and 3
+			if polls++; polls == 2 || polls == 3 {
+				return batches[polls-2]
+			}
+			return nil
+		}
+		outs, _ := mustRunShared(t, e, []SharedJob{bfs(0), bfs(512)}, admit)
+		if len(outs) != 6 {
+			t.Fatalf("%d outcomes for 6 jobs", len(outs))
+		}
+		if !outs[2].Declined || outs[4].Err == nil || outs[4].Declined {
+			t.Errorf("PageRank declined %v; the kernel-less job's err %v", outs[2].Declined, outs[4].Err)
+		}
+		for i, src := range map[int]uint64{0: 0, 1: 512, 3: 1836, 5: 7} {
+			if outs[i].Err != nil || outs[i].Declined {
+				t.Fatalf("job %d: err %v, declined %v", i, outs[i].Err, outs[i].Declined)
+			}
+			wantBFS(t, fmt.Sprintf("job %d", i), g, src, kernels.NewBFS(sp).Levels(outs[i].State))
+		}
+	})
+
+	t.Run("no-machine", func(t *testing.T) {
+		// Stream buffers that cannot fit: the run fails before it enrolls
+		// anyone, and every job handed to it carries the error.
+		spec := hw.Workstation(1, 0)
+		spec.GPUs[0].DeviceMemory = int64(sp.Config().PageSize)
+		e, err := New(spec, sp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := []SharedJob{bfs(0), bfs(512), {Kernel: kernels.NewPageRank(sp, 0.85, 5)}}
+		outs, _, err := e.RunShared(jobs, nil)
+		if !errors.Is(err, ErrWontFit) || len(outs) != len(jobs) {
+			t.Fatalf("RunShared: %d outcomes for %d jobs, err %v; want one each and ErrWontFit", len(outs), len(jobs), err)
+		}
+		for i, o := range outs {
+			if o.Err != err {
+				t.Errorf("job %d: err %v, want the run's", i, o.Err)
+			}
 		}
 	})
 
@@ -559,26 +562,21 @@ func TestSharedDoneFiresOnce(t *testing.T) {
 		// Source 0 finishes within five levels; the members from 1836 run
 		// seven, and one's kernel panics at its sixth.
 		jobs := []SharedJob{bfs(0), {Kernel: panicsAt{kernels.NewBFS(sp), 6}, Source: 1836}, bfs(1836)}
-		var order []int
-		for i := range jobs {
-			jobs[i].Done = func(SharedOutcome) { order = append(order, i) }
-		}
-		outs, heard, _, err := runShared(sharedEngine(t, sp, Options{}, 1, 0), jobs, nil)
+		outs, _, err := newEngine(t, sp, Options{}, 1, 0).RunShared(jobs, nil)
 		if err == nil || !strings.Contains(err.Error(), "kernel fault") {
 			t.Fatalf("RunShared err = %v, want the kernel's panic", err)
 		}
-		heardOnce(t, heard)
+		if len(outs) != len(jobs) {
+			t.Fatalf("%d outcomes for %d jobs", len(outs), len(jobs))
+		}
 		if outs[0].Err != nil {
-			t.Errorf("the member that left before the failure heard %v", outs[0].Err)
+			t.Errorf("the member that left before the failure carries %v", outs[0].Err)
 		}
 		wantBFS(t, "early leaver", g, 0, jobs[0].Kernel.(*kernels.BFS).Levels(outs[0].State))
 		for i := 1; i < 3; i++ {
 			if outs[i].Err != err {
-				t.Errorf("job %d heard %v, want the run's error", i, outs[i].Err)
+				t.Errorf("job %d carries %v, want the run's error", i, outs[i].Err)
 			}
-		}
-		if !slices.Equal(order, []int{0, 1, 2}) {
-			t.Errorf("jobs heard in order %v", order)
 		}
 	})
 }
@@ -595,7 +593,7 @@ func TestSharedDeterminism(t *testing.T) {
 		for _, s := range sources {
 			jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
 		}
-		_, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 1), jobs, nil)
+		_, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs, nil)
 		return stats
 	}
 	a, b := run(), run()
@@ -615,7 +613,7 @@ func TestSharedEmitsWaveSpans(t *testing.T) {
 		{Kernel: kernels.NewBFS(sp), Source: 0, Trace: rec0},
 		{Kernel: kernels.NewBFS(sp), Source: 512, Trace: rec1},
 	}
-	outs, stats := mustRunShared(t, sharedEngine(t, sp, Options{}, 1, 0), jobs, nil)
+	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs, nil)
 	for i, o := range outs {
 		if o.Err != nil {
 			t.Fatalf("outcome %d: %v", i, o.Err)
@@ -662,11 +660,11 @@ func TestClosedRosterMemoryLayout(t *testing.T) {
 		{"PageRank", kernels.NewPageRank(sp, 0.85, 5), 42, 168},
 		{"BFS", kernels.NewBFS(sp), 42, 70},
 	} {
-		e, err := New(spec, sp, Options{Source: 7, Streams: 4})
+		e, err := New(spec, sp, Options{Streams: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := mustRun(t, e, tc.k)
+		rep := mustRun(t, e, tc.k, 7)
 		if rep.PagesStreamed != tc.streamed || rep.CacheHits != tc.hits {
 			t.Errorf("%s: streamed %d pages with %d cache hits, want %d and %d",
 				tc.name, rep.PagesStreamed, rep.CacheHits, tc.streamed, tc.hits)
@@ -678,7 +676,7 @@ func TestClosedRosterMemoryLayout(t *testing.T) {
 // has grown the driver's demand table and the members' result slices (and,
 // for BFS members, met the first shared page), planning a wave — building
 // the demand table and running every kernel — and processing a page of it
-// allocate nothing: for a group of one, which is every Engine.Run, for eight scans,
+// allocate nothing: for a group of one, which is every RunJob, for eight scans,
 // and for eight BFS twins sharing every page through the group kernel.
 func TestWaveAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -781,7 +779,7 @@ func TestWaveRunsPagesInPageOrder(t *testing.T) {
 
 	for _, k := range []kernels.Kernel{kernels.NewPageRank(sp, 0.85, 3), kernels.NewBFS(sp)} {
 		rec := trace.New()
-		mustRun(t, newEngine(t, sp, Options{Streams: 1, Trace: rec}, 1, 0), k)
+		mustRun(t, newEngine(t, sp, Options{Streams: 1, Trace: rec}, 1, 0), k, 0)
 		last := map[int32]int64{} // superstep -> last kernel's page
 		kernelsRun := 0
 		for _, s := range rec.Spans() {
@@ -817,8 +815,7 @@ func TestStreamsAskStorageInPageOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out SharedOutcome
-		job := SharedJob{Kernel: kc.make(sp), Done: func(o SharedOutcome) { out = o }}
+		job := SharedJob{Kernel: kc.make(sp)}
 		d, err := e.newDriver([]SharedJob{job}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -827,6 +824,7 @@ func TestStreamsAskStorageInPageOrder(t *testing.T) {
 		if _, err := d.env.Run(); err != nil {
 			t.Fatal(err)
 		}
+		out := d.outs[0]
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}

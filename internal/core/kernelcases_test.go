@@ -96,6 +96,6 @@ func kernelCases() []kernelCase {
 func runDigest(t *testing.T, sp *slottedpage.Graph, kc kernelCase, opts Options, gpus, ssds int) ([]byte, *Report) {
 	t.Helper()
 	k := kc.make(sp)
-	rep := mustRun(t, newEngine(t, sp, opts, gpus, ssds), k)
+	rep := mustRun(t, newEngine(t, sp, opts, gpus, ssds), k, 0)
 	return kc.enc(k, rep.State), rep
 }

@@ -15,10 +15,6 @@ import (
 // (hw.GPUStats.KernelCalls).
 func runCountingLaunches(t *testing.T, e *Engine, jobs ...SharedJob) ([]SharedOutcome, int64) {
 	t.Helper()
-	outs := make([]SharedOutcome, len(jobs))
-	for i := range jobs {
-		jobs[i].Done = func(o SharedOutcome) { outs[i] = o }
-	}
 	d, err := e.newDriver(jobs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -32,12 +28,12 @@ func runCountingLaunches(t *testing.T, e *Engine, jobs ...SharedJob) ([]SharedOu
 	for _, g := range d.machine.GPUs {
 		calls += g.Stats().KernelCalls
 	}
-	for i, o := range outs {
+	for i, o := range d.outs {
 		if o.Err != nil || o.Declined {
 			t.Fatalf("job %d: err %v, declined %v", i, o.Err, o.Declined)
 		}
 	}
-	return outs, calls
+	return d.outs, calls
 }
 
 // slowLaunchEngine is an engine on gpus GPUs whose every kernel launch

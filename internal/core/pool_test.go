@@ -69,7 +69,7 @@ func TestPooledRunByteIdentical(t *testing.T) {
 	sp := buildPages(t, g)
 	pool := newTestPool(t, sp, sp.TopologyBytes()/4)
 	k := kernels.NewBFS(sp)
-	rep := mustRun(t, newEngine(t, sp, Options{Source: 0, HostPool: pool}, 1, 1), k)
+	rep := mustRun(t, newEngine(t, sp, Options{HostPool: pool}, 1, 1), k, 0)
 	wantBFS(t, "pooled", g, 0, k.Levels(rep.State))
 	if rep.PoolLoads == 0 {
 		t.Fatal("pooled storage run reports zero pool loads")
@@ -166,13 +166,13 @@ func TestWarmPoolServesSecondRun(t *testing.T) {
 	pool := newTestPool(t, sp, 0) // whole topology fits
 
 	k1 := kernels.NewBFS(sp)
-	rep1 := mustRun(t, newEngine(t, sp, Options{Source: 0, HostPool: pool}, 1, 1), k1)
+	rep1 := mustRun(t, newEngine(t, sp, Options{HostPool: pool}, 1, 1), k1, 0)
 	if rep1.PoolLoads == 0 {
 		t.Fatal("cold run loaded nothing through the pool")
 	}
 
 	k2 := kernels.NewBFS(sp)
-	rep2 := mustRun(t, newEngine(t, sp, Options{Source: 0, HostPool: pool}, 1, 1), k2)
+	rep2 := mustRun(t, newEngine(t, sp, Options{HostPool: pool}, 1, 1), k2, 0)
 	if rep2.PoolLoads != 0 {
 		t.Fatalf("warm run re-read %d pages from storage, want 0", rep2.PoolLoads)
 	}
@@ -199,10 +199,10 @@ func TestPooledSharedGroup(t *testing.T) {
 	pool := newTestPool(t, sp, 0)
 
 	solo := kernels.NewBFS(sp)
-	soloRep := mustRun(t, newEngine(t, sp, Options{Source: 0}, 1, 1), solo)
+	soloRep := mustRun(t, newEngine(t, sp, Options{}, 1, 1), solo, 0)
 	want := append([]int16(nil), solo.Levels(soloRep.State)...)
 
-	e := newEngine(t, sp, Options{Source: 0, HostPool: pool}, 1, 1)
+	e := newEngine(t, sp, Options{HostPool: pool}, 1, 1)
 	jobs := []SharedJob{
 		{Kernel: kernels.NewBFS(sp), Source: 0},
 		{Kernel: kernels.NewBFS(sp), Source: 0},
@@ -244,7 +244,7 @@ func TestOOMRecoveryKeepsCaching(t *testing.T) {
 	sp := buildPages(t, g)
 
 	k := kernels.NewPageRank(sp, 0.85, 5)
-	clean := mustRun(t, newEngine(t, sp, Options{}, 1, 1), k)
+	clean := mustRun(t, newEngine(t, sp, Options{}, 1, 1), k, 0)
 	wantRanks := append([]float32(nil), k.Ranks(clean.State)...)
 	if clean.CacheHits == 0 {
 		t.Fatal("clean run has no cache hits — the regression check is vacuous")
@@ -252,7 +252,7 @@ func TestOOMRecoveryKeepsCaching(t *testing.T) {
 
 	plan := &fault.Plan{Seed: 7, OOMKernelLaunches: []int64{1}}
 	k2 := kernels.NewPageRank(sp, 0.85, 5)
-	rep := mustRun(t, newEngine(t, sp, Options{Faults: plan}, 1, 1), k2)
+	rep := mustRun(t, newEngine(t, sp, Options{Faults: plan}, 1, 1), k2, 0)
 	if rep.Faults.DeviceOOMs != 1 || rep.Faults.Degradations != 1 {
 		t.Fatalf("fault stats: %+v, want exactly one OOM and one degradation", rep.Faults)
 	}
@@ -295,12 +295,12 @@ func TestCarriedPagesLeaveThePool(t *testing.T) {
 	pool := newTestPool(t, sp, 0)
 	e := newEngine(t, sp, Options{HostPool: pool, CacheBytes: int64(n/4) * int64(sp.Config().PageSize)}, 1, 1)
 	k := kernels.NewPageRank(sp, 0.85, 3)
-	mustRun(t, e, k)
+	mustRun(t, e, k, 0)
 	if st := pool.Stats(); st.Resident != n || st.Evictions != 0 {
 		t.Fatalf("after the cold run the pool holds %d of %d pages, %d evicted", st.Resident, n, st.Evictions)
 	}
 	carried := slices.Clone(e.device[0].Pages())
-	warm := mustRun(t, e, k)
+	warm := mustRun(t, e, k, 0)
 	if warm.ResidentAtStart != int64(len(carried)) || len(carried) != n/4 {
 		t.Fatalf("the warm run started with %d resident pages, the device carried %d, want %d", warm.ResidentAtStart, len(carried), n/4)
 	}

@@ -34,7 +34,7 @@ func (m *member) fail(err error) {
 // traceMark records a zero-duration marker span (fault/retry instants).
 func (m *member) traceMark(kind trace.Kind, gpu, stream int, page int64) {
 	now := m.env.Now()
-	m.eng.opts.Trace.Add(trace.Span{GPU: gpu, Stream: stream, Kind: kind, Page: page, Level: m.curLevel, Start: now, End: now})
+	m.trace.Add(trace.Span{GPU: gpu, Stream: stream, Kind: kind, Page: page, Level: m.curLevel, Start: now, End: now})
 }
 
 // retry is the one recovery loop: it runs attempt until it succeeds or the
@@ -173,7 +173,7 @@ func (m *member) readPage(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream in
 	n, err := m.retry(p, gpuIdx, stream, int64(pid), func() error {
 		t0 := m.env.Now()
 		corrupt, err := m.machine.Storage.ReadPage(p, uint64(pid))
-		m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.StorageIO,
+		m.trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.StorageIO,
 			Page: int64(pid), Level: m.curLevel, Start: t0, End: m.env.Now()})
 		if err != nil {
 			return err

@@ -45,7 +45,7 @@ func TestResidentRA(t *testing.T) {
 			run := func(e *Engine) ([]byte, *Report) {
 				t.Helper()
 				k := kc.make(sp)
-				rep := mustRun(t, e, k)
+				rep := mustRun(t, e, k, 0)
 				return kc.enc(k, rep.State), rep
 			}
 			onSpec := func(spec hw.MachineSpec, strategy Strategy) *Engine {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/slottedpage"
+	"repro/internal/trace"
 )
 
 // pidSet is a set of page IDs (the paper's nextPIDSet).
@@ -23,6 +24,7 @@ type pidSet = *bitset.Set
 // so none of it needs locking; a cache dropped or shrunk on behalf of one
 // member is dropped for all.
 type plant struct {
+	eng     *Engine // the run's graph, machine spec and options
 	env     *sim.Env
 	machine *hw.Machine
 
@@ -49,9 +51,10 @@ type plant struct {
 // group with one member.
 type member struct {
 	*plant
-	eng   *Engine // the group's engine with this member's source, fault plan and recorder
-	k     kernels.Kernel
-	reply func(SharedOutcome) // the job's Done; nil once deliver has called it
+	k      kernels.Kernel
+	source uint64
+	trace  *trace.Recorder // the job's, or the engine's Options.Trace
+	idx    int             // the member's outcome in driver.outs
 
 	// states holds one replica per GPU under Strategy-P, or a single
 	// shared state under Strategy-S.
@@ -168,7 +171,7 @@ func (m *member) setupStates() {
 	m.fk, _ = k.(kernels.FrontierKernel)
 
 	proto := k.NewState()
-	k.Init(proto, e.opts.Source)
+	k.Init(proto, m.source)
 	waBytes := proto.WABytes()
 	m.raPerV = kernels.RAPerVertex(k)
 	if nV > 0 {

@@ -42,7 +42,7 @@ func (m *member) streamCopy(p *sim.Proc, gpu *hw.GPU, gpuIdx, stream int, pid sl
 		// failure needs the name.
 		return fmt.Errorf("page %d: %w", pid, err)
 	}
-	m.eng.opts.Trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.CopyPage, Page: int64(pid), Level: m.curLevel, Start: t0, End: m.env.Now()})
+	m.trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.CopyPage, Page: int64(pid), Level: m.curLevel, Start: t0, End: m.env.Now()})
 	m.bytesToGPU += n
 	m.transferTime += m.eng.spec.PCIe.Latency + sim.ByteTime(n, m.eng.spec.PCIe.StreamRate)
 	return nil
@@ -110,7 +110,7 @@ func (m *member) copyWAOut(p *sim.Proc) {
 			m.fail(err)
 			return
 		}
-		m.eng.opts.Trace.Add(trace.Span{GPU: 0, Stream: -1, Kind: trace.Sync, Page: -1, Level: m.curLevel, Start: t0, End: m.env.Now()})
+		m.trace.Add(trace.Span{GPU: 0, Stream: -1, Kind: trace.Sync, Page: -1, Level: m.curLevel, Start: t0, End: m.env.Now()})
 		return
 	}
 	m.parallelGPUs(p, func(p *sim.Proc, i int) {
@@ -122,7 +122,7 @@ func (m *member) copyWAOut(p *sim.Proc) {
 			m.fail(err)
 			return
 		}
-		m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: m.curLevel, Start: t0, End: m.env.Now()})
+		m.trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: m.curLevel, Start: t0, End: m.env.Now()})
 	})
 }
 
@@ -152,7 +152,7 @@ func (m *member) sync(p *sim.Proc, level int32) {
 				m.fail(err)
 				return
 			}
-			m.eng.opts.Trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: level, Start: t0, End: m.env.Now()})
+			m.trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: level, Start: t0, End: m.env.Now()})
 		}
 		m.k.MergeStates(m.states)
 	case StrategyS:

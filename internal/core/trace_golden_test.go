@@ -43,11 +43,11 @@ func traceGoldenCases() []traceGoldenCase {
 func traceExport(t *testing.T, sp *slottedpage.Graph, tc traceGoldenCase) (*trace.Recorder, []byte) {
 	t.Helper()
 	rec := trace.NewWithID(tc.name)
-	opts := Options{Source: 0, Trace: rec}
+	opts := Options{Trace: rec}
 	if tc.faulted {
 		opts.Faults = chaosPlan()
 	}
-	mustRun(t, newEngine(t, sp, opts, 1, 1), tc.make(sp))
+	mustRun(t, newEngine(t, sp, opts, 1, 1), tc.make(sp), 0)
 	var buf bytes.Buffer
 	if err := rec.WriteChrome(&buf); err != nil {
 		t.Fatal(err)

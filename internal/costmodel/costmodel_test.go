@@ -97,7 +97,7 @@ func TestModelTracksSimulationPageRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	iters := 10
-	rep, err := eng.Run(kernels.NewPageRank(sp, 0.85, iters))
+	rep, err := eng.RunJob(core.SharedJob{Kernel: kernels.NewPageRank(sp, 0.85, iters)})
 	if err != nil {
 		t.Fatal(err)
 	}

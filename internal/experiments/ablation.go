@@ -212,7 +212,7 @@ func (r *Runner) ablations() (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			rep, err := eng.Run(kernels.NewPageRank(g, 0.85, r.opts.PRIterations))
+			rep, err := eng.RunJob(core.SharedJob{Kernel: kernels.NewPageRank(g, 0.85, r.opts.PRIterations)})
 			if err != nil {
 				return 0, err
 			}

@@ -113,9 +113,9 @@ func (s *Server) execute(job *Job) {
 // left warm. The job is running from the moment it takes the token, which
 // run returns as start (zero if the job never ran). A job whose deadline
 // passes while it waits never runs; one whose deadline passes mid-run
-// returns the context's error at once, and its run goes on and releases the
-// token as it ends. A job whose working attributes do not fit the device
-// fails with gts.ErrWontFit.
+// returns the context's error at once, and its run goes on, lands its tally
+// and releases the token as it ends. A job whose working attributes do not
+// fit the device fails with gts.ErrWontFit.
 func (s *Server) run(job *Job, sj gts.SharedJob) (out *gts.SharedOutcome, start time.Time, err error) {
 	entry, ctx := job.entry, job.ctx
 	select {
@@ -131,12 +131,12 @@ func (s *Server) run(job *Job, sj gts.SharedJob) (out *gts.SharedOutcome, start 
 	s.met.observeQueueWait(start.Sub(job.submitted))
 	job.setRunning()
 	done := make(chan gts.SharedOutcome, 1)
-	sj.Done = func(o gts.SharedOutcome) { done <- o }
 	s.running.Add(1)
 	go func() {
 		defer s.running.Done()
-		g, _ := entry.sys.RunGroup([]gts.SharedJob{sj}, nil) // a run's error reaches Done
+		outs, g, _ := entry.sys.RunShared([]gts.SharedJob{sj}, nil) // a run's error is its job's
 		s.met.addRun(g)
+		done <- outs[0]
 		<-entry.run
 	}()
 	select {

@@ -8,7 +8,7 @@ import gts "repro"
 // package.
 func HoldSystem(sys *gts.System) (release func()) {
 	held, free := make(chan struct{}), make(chan struct{})
-	go sys.RunGroup(nil, func() []gts.SharedJob {
+	go sys.RunShared(nil, func() []gts.SharedJob {
 		close(held)
 		<-free
 		return nil

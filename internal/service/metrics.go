@@ -146,9 +146,9 @@ func summarize(h *obs.Histogram) LatencySummary {
 
 // SharingStats tallies the engine runs of computed jobs over the server's
 // life, so its counters only grow. Each job runs as a wave group of one
-// (gts.System.RunGroup): WaveGroups and GroupJobs both count runs, and
-// SoloFallbacks and BytesSaved, which only a group of several members
-// moved, stay 0.
+// (gts.System.RunShared), whose tally lands before the job answers:
+// WaveGroups and GroupJobs both count runs, and SoloFallbacks and
+// BytesSaved, which only a group of several members moved, stay 0.
 type SharingStats struct {
 	WaveGroups    int64 `json:"wave_groups"`
 	GroupJobs     int64 `json:"group_jobs"`
