@@ -151,7 +151,7 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18928
+LOC_MAX_TOTAL = 18887
 LOC_MAX_ENGINE_AND_API = 5056
 LOC_MAX_ENGINE = 4101
 LOC_MAX_GTSD_FLAGS = 10

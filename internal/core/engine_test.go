@@ -275,7 +275,7 @@ func TestStrategyPWontFitSuggestsS(t *testing.T) {
 	// Scale device memory down so a full CC WA replica does not fit but
 	// half (Strategy-S with 2 GPUs) does.
 	spec := hw.Workstation(2, 0)
-	waBytes := int64(g.NumVertices()) * 8 // CC keeps prev+next labels
+	waBytes := int64(g.NumVertices()) * 4 // CC keeps one label vector
 	bufBytes := int64(4) * (2 * 4096)     // 4 streams, SPBuf+LPBuf, no RA
 	for i := range spec.GPUs {
 		spec.GPUs[i].DeviceMemory = waBytes*3/4 + bufBytes // full WA won't fit; half will

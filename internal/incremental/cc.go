@@ -16,20 +16,21 @@ import (
 // Any delete can split a component — whose members would need their labels
 // *raised*, which min-propagation cannot do — so PlanCC falls back.
 //
-// Unlike the full CC (a full-scan PageRank-like kernel), IncCC is
-// frontier-driven: each round scans only vertices whose label changed last
-// round plus their in-neighbors (which might now pull the lowered label),
-// streaming just those vertices' pages.
+// Like the full CC, IncCC lowers one label vector in place (kernels.RelaxMin),
+// but it is frontier-driven where the full CC is a full scan: each round
+// scans only vertices whose label changed last round plus their
+// in-neighbors (which might now pull the lowered label), streaming just
+// those vertices' pages.
 type IncCC struct {
 	g *slottedpage.Graph
 	// rev is the graph's reverse index, fetched at the first changed
 	// vertex, so a plan that changes none never builds it.
 	rev  *slottedpage.Reverse
 	init []uint32 // retained labels, extended, with seed relaxations applied
-	base []uint32 // retained labels, extended, pre-seed (first diff baseline)
 	cost incCost
 
-	// plan state
+	// plan state: snap starts at the retained labels before the seeds, so
+	// the first plan scans every seeded vertex.
 	snap []uint32
 	scan *bitset.Set
 
@@ -37,16 +38,11 @@ type IncCC struct {
 	Seeds int
 }
 
-type incCCState struct {
-	prev []uint32
-	next []uint32
-}
+type incCCState struct{ labels []uint32 }
 
-func (s *incCCState) WABytes() int64 { return int64(len(s.prev)) * 8 }
-func (s *incCCState) Clone() kernels.State {
-	return &incCCState{prev: slices.Clone(s.prev), next: slices.Clone(s.next)}
-}
-func incLabels(st kernels.State) []uint32 { return st.(*incCCState).next }
+func (s *incCCState) WABytes() int64       { return int64(len(s.labels)) * 4 }
+func (s *incCCState) Clone() kernels.State { return &incCCState{labels: slices.Clone(s.labels)} }
+func incLabels(st kernels.State) []uint32  { return st.(*incCCState).labels }
 
 // PlanCC builds an incremental CC kernel, or reports a fallback reason
 // (any delete in the chain).
@@ -90,9 +86,8 @@ func PlanCC(g *slottedpage.Graph, e *Entry, d Delta) (*IncCC, string) {
 	k := &IncCC{
 		g:     g,
 		init:  init,
-		base:  base,
 		cost:  incCost{lane: 110, slot: 50},
-		snap:  append([]uint32(nil), base...),
+		snap:  base,
 		scan:  bitset.New(int(n)),
 		Seeds: seeds,
 	}
@@ -101,28 +96,22 @@ func PlanCC(g *slottedpage.Graph, e *Entry, d Delta) (*IncCC, string) {
 
 // NewState implements Kernel.
 func (k *IncCC) NewState() kernels.State {
-	n := k.g.NumVertices()
-	return &incCCState{prev: make([]uint32, n), next: make([]uint32, n)}
+	return &incCCState{labels: make([]uint32, k.g.NumVertices())}
 }
 
-// Init implements Kernel: both vectors start at the seeded retained labels.
-func (k *IncCC) Init(st kernels.State, _ uint64) {
-	s := st.(*incCCState)
-	copy(s.prev, k.init)
-	copy(s.next, k.init)
-}
+// Init implements Kernel: labels start at the seeded retained labels.
+func (k *IncCC) Init(st kernels.State, _ uint64) { copy(incLabels(st), k.init) }
 
 // PlanLevel implements FrontierKernel: the round's scan set is every
 // vertex whose label changed since the last snapshot plus its
 // in-neighbors (which may pull the lowered label across an edge the
-// changed vertex cannot see from its own slot). prev catches up to next
-// here — the plan step is the inter-round label publish.
+// changed vertex cannot see from its own slot). The merge has already made
+// every replica's labels identical.
 func (k *IncCC) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernels.Direction {
-	s := sts[0].(*incCCState)
 	next.Reset()
 	k.scan.Reset()
 	changed := false
-	for v, l := range s.next {
+	for v, l := range incLabels(sts[0]) {
 		if l != k.snap[v] {
 			if k.rev == nil {
 				k.rev = k.g.Reverse()
@@ -138,12 +127,6 @@ func (k *IncCC) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernel
 			}
 		}
 	}
-	// Publish: every replica's prev catches up to the merged next.
-	for _, st := range sts {
-		r := st.(*incCCState)
-		copy(r.prev, s.next)
-		copy(r.next, s.next)
-	}
 	if !changed {
 		return kernels.DirNone
 	}
@@ -153,7 +136,7 @@ func (k *IncCC) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernel
 // Run is IncCC's K_SP and K_LP: relax labels for the page's scan-set slots,
 // both directions, exactly as the full CC's page kernel does.
 func (k *IncCC) Run(a *kernels.Args) kernels.Result {
-	s := a.State.(*incCCState)
+	labels := incLabels(a.State)
 	var res kernels.Result
 	w := kernels.WalkPage(a)
 	for w.Next() {
@@ -161,33 +144,15 @@ func (k *IncCC) Run(a *kernels.Args) kernels.Result {
 			continue
 		}
 		pos, end, _ := w.Record()
-		k.propagate(a, s, w.V, pos, end, &res)
+		kernels.RelaxMin(a, labels, w.V, pos, end, &res)
 	}
 	res.Edges = w.Edges()
 	res.Cycles = k.cost.cycles(w.Slots(), w.Edges())
 	return res
 }
 
-func (k *IncCC) propagate(a *kernels.Args, s *incCCState, vid uint64, pos, end int, res *kernels.Result) {
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	cv, ownsV := s.prev[vid], vid >= a.OwnedLo && vid < a.OwnedHi
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
-		if nvid >= a.OwnedLo && nvid < a.OwnedHi && cv < s.next[nvid] {
-			s.next[nvid] = cv
-			res.Updates++
-			res.Active = true
-		}
-		if cn := s.prev[nvid]; ownsV && cn < s.next[vid] {
-			s.next[vid] = cn
-			res.Updates++
-			res.Active = true
-		}
-	}
-}
-
-// MergeStates implements Kernel: next merges by minimum.
+// MergeStates implements Kernel: labels merge by minimum.
 func (k *IncCC) MergeStates(sts []kernels.State) { kernels.Merge(sts, incLabels, kernels.Min) }
 
 // Components exposes the final labels of a finished run.
-func (k *IncCC) Components(st kernels.State) []uint32 { return st.(*incCCState).next }
+func (k *IncCC) Components(st kernels.State) []uint32 { return incLabels(st) }

@@ -113,7 +113,9 @@ func buildTestGraph(t *testing.T) *slottedpage.Graph {
 }
 
 func TestWAFootprintsMatchTable4(t *testing.T) {
-	// Paper Table 4's per-vertex WA: BFS 2 B, PageRank 4 B, CC 8 B.
+	// Paper Table 4's per-vertex WA: BFS 2 B, PageRank 4 B, CC 8 B. CC
+	// keeps 4 B here, one label vector lowered in place (EXPERIMENTS.md,
+	// Known divergence 12).
 	sp := buildTestGraph(t)
 	v := int64(sp.NumVertices())
 	cases := []struct {
@@ -122,7 +124,7 @@ func TestWAFootprintsMatchTable4(t *testing.T) {
 	}{
 		{NewBFS(sp), 2},
 		{NewPageRank(sp, 0.85, 10), 4},
-		{NewCC(sp), 8},
+		{NewCC(sp), 4},
 	}
 	for _, tc := range cases {
 		if got := tc.k.NewState().WABytes(); got != v*tc.perV {

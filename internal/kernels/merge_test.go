@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -16,6 +17,12 @@ import (
 // exactly the state one replica reaches running them all, and every replica
 // holds it after the merge. Traversals run their first level; a planning
 // kernel plans it first. A lone replica's merge changes nothing.
+//
+// CC lowers its labels in place, so what one superstep reaches depends on
+// the order its pages run in, and a split superstep differs from a whole
+// one. Its case runs both superstep by superstep to the fixpoint: the
+// replicas are identical after every merge, and the final labels are the
+// whole run's.
 func TestMergeAlgebra(t *testing.T) {
 	_, sp := driverGraph(t)
 	if !hasSplitLargeVertex(sp) {
@@ -37,7 +44,6 @@ func TestMergeAlgebra(t *testing.T) {
 		{"BC", NewBC(sp), 3, func(st State) []any { s := st.(*bcState); return []any{s.dist, s.sigma, s.delta} }},
 		{"PageRank", NewPageRank(sp, 0.85, 1), 3, func(st State) []any { return []any{st.(*prState).nextPR} }},
 		{"RWR", NewRWR(sp, 0.15, 1), 3, func(st State) []any { return []any{st.(*rwrState).next} }},
-		{"CC", NewCC(sp), 4, func(st State) []any { return []any{st.(*ccState).next} }},
 		{"KCore", NewKCore(sp, 4), 2, func(st State) []any { return []any{st.(*kcoreState).count} }},
 		{"Radius", NewRadius(sp, 4, 8), 3, func(st State) []any { s := st.(*radiusState); return []any{s.next, s.radius} }},
 		{"DegreeDist", NewDegreeDist(sp), 3, func(st State) []any { return []any{st.(*degState).deg} }},
@@ -56,14 +62,16 @@ func TestMergeAlgebra(t *testing.T) {
 		BeginLevel(k, sts, 0)
 		return sts
 	}
-	run := func(k Kernel, st State, n, share int) {
+	run := func(k Kernel, st State, n, share int) (active bool) {
 		for pid := 0; pid < sp.NumPages(); pid++ {
 			if pid%n == share {
 				id := slottedpage.PageID(pid)
-				k.Run(&Args{Graph: sp, PID: id, Page: sp.Page(id), State: st,
+				res := k.Run(&Args{Graph: sp, PID: id, Page: sp.Page(id), State: st,
 					OwnedHi: sp.NumVertices(), Tech: EdgeCentric, NextPIDs: bitset.New(sp.NumPages())})
+				active = active || res.Active
 			}
 		}
+		return active
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,6 +91,35 @@ func TestMergeAlgebra(t *testing.T) {
 			}
 		})
 	}
+	t.Run("CC", func(t *testing.T) {
+		const n = 4
+		k := NewCC(sp)
+		whole, split := start(k, 1), start(k, n)
+		for step := 0; ; step++ {
+			wholeActive := run(k, whole[0], 1, 0)
+			alone := whole[0].Clone()
+			k.MergeStates(whole)
+			if !slices.Equal(ccLabels(whole[0]), ccLabels(alone)) {
+				t.Fatalf("superstep %d: a lone replica's merge changed it", step)
+			}
+			splitActive := false
+			for i, st := range split {
+				splitActive = run(k, st, n, i) || splitActive
+			}
+			k.MergeStates(split)
+			for i, st := range split[1:] {
+				if !slices.Equal(ccLabels(st), ccLabels(split[0])) {
+					t.Fatalf("superstep %d: replica %d differs from replica 0 after the merge", step, i+1)
+				}
+			}
+			if !wholeActive && !splitActive {
+				break
+			}
+		}
+		if !slices.Equal(ccLabels(split[0]), ccLabels(whole[0])) {
+			t.Fatal("the split run's fixpoint differs from the whole run's")
+		}
+	})
 }
 
 // sameVecs fails t unless got's vectors equal want's: float32 ones (the

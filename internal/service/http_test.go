@@ -386,11 +386,11 @@ func TestMetricsEndpointConsistency(t *testing.T) {
 // job that fits still runs there.
 func TestHTTPWontFitIs422(t *testing.T) {
 	g, _ := testGraphPair(t)
-	// Device memory = stream buffers + 4 bytes per vertex: BFS's 2 B/vertex
-	// fits, CC's 8 B/vertex does not. (Neither kernel streams RA, so the
+	// Device memory = stream buffers + 3 bytes per vertex: BFS's 2 B/vertex
+	// fits, CC's 4 B/vertex does not. (Neither kernel streams RA, so the
 	// buffers are two pages per stream.)
 	const streams = 4
-	want := int64(streams*2*g.Config().PageSize) + 4*int64(g.NumVertices())
+	want := int64(streams*2*g.Config().PageSize) + 3*int64(g.NumVertices())
 	sys, err := gts.NewSystem(g, gts.Config{Streams: streams, ScaleFactor: (12 << 30) / want})
 	if err != nil {
 		t.Fatal(err)
