@@ -74,7 +74,8 @@ cover:
 # derives a graph, a group of 2-20 plain-BFS members (about half of them k-hop
 # balls, hop-capped BFS), their sources and join waves from a seed and runs
 # them in lock step through the group page kernel and through one solo kernel
-# each: every (wave, lane, page) Result and next-page set equal.
+# each: every (wave, lane, page) Result and next-page set equal. A member that
+# joins late takes a fresh lane, and a finished member keeps its lane.
 # FuzzHTTPRequests sends gtsd's handler runs (any algorithm segment, timeout
 # and mode), ingest batches and graph loads with arbitrary bodies: no panic,
 # no 5xx but an expired deadline's 504, and every 2xx body valid JSON.
@@ -151,9 +152,9 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18887
-LOC_MAX_ENGINE_AND_API = 5056
-LOC_MAX_ENGINE = 4101
+LOC_MAX_TOTAL = 18828
+LOC_MAX_ENGINE_AND_API = 5012
+LOC_MAX_ENGINE = 4053
 LOC_MAX_GTSD_FLAGS = 10
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:

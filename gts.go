@@ -774,13 +774,17 @@ type SharedStats = core.SharedStats
 // every superstep, the union of the members' page demands streams to the
 // GPUs once and each resident page serves every demanding member's kernel.
 // Each member's final state is byte-identical to what its solo run would
-// produce. admit, when non-nil, is polled at wave boundaries for late
-// joiners. The outcomes come back in admission order (the initial jobs, then
-// each batch admit returned); a run that fails returns its error, which
-// every job it had not settled carries (core.Engine.RunShared). Like all
-// algorithm entry points it serializes on the System's run mutex.
+// produce. The roster is closed when the run starts: admit, when non-nil,
+// is called once with the System's run mutex held (on which, like all
+// algorithm entry points, RunShared serializes), and the jobs it returns
+// follow jobs. The outcomes come back in that order; a run that fails
+// returns its error, which every job it had not settled carries
+// (core.Engine.RunShared). A roster of no jobs is an error and runs nothing.
 func (s *System) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	return s.eng.RunShared(jobs, admit)
+	if admit != nil {
+		jobs = append(jobs[:len(jobs):len(jobs)], admit()...)
+	}
+	return s.eng.RunShared(jobs)
 }

@@ -52,7 +52,7 @@ func TestComputeKernelsAllocBudget(t *testing.T) {
 	// inDriver runs body as the framework process of a group of jobs that has
 	// begun its members and grown its demand tables.
 	inDriver := func(jobs []SharedJob, body func(p *sim.Proc, d *driver)) {
-		d, err := newEngine(t, sp, Options{}, 1, 0).newDriver(jobs, nil)
+		d, err := newEngine(t, sp, Options{}, 1, 0).newDriver(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -204,8 +204,8 @@ type Engine struct {
 	opts  Options
 	// device holds each GPU's page cache between runs: setup resizes it to
 	// the run's budget and RunShared takes back what the run left. A nil
-	// entry (never filled, disabled, or dropped by an OOM degradation or a
-	// WA-fit decline) starts that GPU cold.
+	// entry (never filled, disabled, or dropped by an OOM degradation)
+	// starts that GPU cold.
 	device []*hw.PageCache
 }
 

@@ -430,7 +430,7 @@ func TestReportMetricsSane(t *testing.T) {
 	for _, src := range bfsSources(8, big.NumVertices()) {
 		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(big), Source: src})
 	}
-	d, err := newEngine(t, big, Options{}, 1, 0).newDriver(jobs, nil)
+	d, err := newEngine(t, big, Options{}, 1, 0).newDriver(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

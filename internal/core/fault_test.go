@@ -9,7 +9,6 @@ import (
 	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
-	"repro/internal/verify"
 )
 
 // chaosPlan injects every fault kind: transfer errors and stalls, storage
@@ -236,69 +235,5 @@ func TestDeviceCarriesWhatOOMLeft(t *testing.T) {
 				t.Error("the next run's ranks differ from the fault-free run's")
 			}
 		})
-	}
-}
-
-// TestDeviceColdAfterWADecline: a joiner whose WA does not fit beside the
-// page cache drops the cache, and is declined when it still does not fit.
-// The device comes back from that run cold, and the next run starts with no
-// resident page and builds its cache afresh. Every BFS gives the reference
-// levels.
-func TestDeviceColdAfterWADecline(t *testing.T) {
-	g := rmatGraph(t)
-	sp := buildPages(t, g)
-	want := verify.BFS(g, 0)
-	bfs, pr := kernels.NewBFS(sp), kernels.NewPageRank(sp, 0.85, 3)
-	waOf := func(k kernels.Kernel) int64 {
-		s := k.NewState()
-		k.Init(s, 0)
-		return s.WABytes()
-	}
-	// One GPU with room for the stream buffers, BFS's WA and free bytes F:
-	// a closed roster's cache takes F, a group's F/2. PageRank needs more
-	// than F, so it is declined even after the cache is dropped.
-	spec := hw.Workstation(1, 0)
-	probe, err := New(spec, sp, Options{Streams: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := kernels.RAPerVertex(bfs)
-	need := waOf(pr) + probe.streamBufBytes(max(ra, kernels.RAPerVertex(pr))) - probe.streamBufBytes(ra)
-	spec.GPUs[0].DeviceMemory = probe.streamBufBytes(ra) + waOf(bfs) + need*3/4
-	e, err := New(spec, sp, Options{Streams: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	levelsOf := func(rep *Report) []int16 { return bfs.Levels(rep.State) }
-
-	if rep := mustRun(t, e, bfs, 0); !slices.Equal(levelsOf(rep), want) || e.device[0] == nil {
-		t.Fatal("the warm-up run gave wrong levels or left no cache")
-	}
-	polls := 0
-	admit := func() []SharedJob { // PageRank joins at the first wave's end
-		if polls++; polls != 2 {
-			return nil
-		}
-		return []SharedJob{{Kernel: pr}}
-	}
-	outs, _, err := e.RunShared([]SharedJob{{Kernel: bfs}}, admit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 || outs[0].Err != nil || !outs[1].Declined {
-		t.Fatalf("outcomes %+v: want BFS answered, then PageRank declined", outs)
-	}
-	if outs[0].ResidentAtStart == 0 || !slices.Equal(levelsOf(&outs[0].Report), want) {
-		t.Fatalf("the group's BFS started with %d resident pages or gave wrong levels", outs[0].ResidentAtStart)
-	}
-	if e.device[0] != nil {
-		t.Fatal("the cache the decline dropped came back")
-	}
-	next := mustRun(t, e, bfs, 0)
-	if next.ResidentAtStart != 0 || !slices.Equal(levelsOf(next), want) {
-		t.Fatalf("the next run started with %d resident pages or gave wrong levels", next.ResidentAtStart)
-	}
-	if e.device[0] == nil || e.device[0].Len() == 0 {
-		t.Fatal("the next run built no cache")
 	}
 }

@@ -46,17 +46,14 @@ type groupPin struct {
 	Members    []memberPin `json:"members"`
 }
 
-// groupCase is one pinned group: its machine, its jobs (kc[i] encodes job
-// i's state) and its late joiners.
+// groupCase is one pinned group: its machine and its jobs (kc[i] encodes
+// job i's state).
 type groupCase struct {
 	name       string
 	opts       Options
 	gpus, ssds int
 	jobs       []SharedJob
 	kc         []kernelCase
-	// admitAt > 0 hands late to the group at the admitAt-th admit poll.
-	admitAt int
-	late    []SharedJob
 	// pulls asserts every member planned at least one pull level.
 	pulls bool
 }
@@ -91,9 +88,6 @@ func groupCases(sp *slottedpage.Graph) []groupCase {
 	}
 	out = append(out, groupCase{name: "mixed-bfs2-pr-sssp-dirbfs", gpus: 1, jobs: jobs, kc: kc})
 
-	jobs, kc = bfsJobs([]uint64{0, 512, 1024, 9, 1300})
-	out = append(out, groupCase{name: "bfs3-admit2-at-wave2", gpus: 1, jobs: jobs[:3], kc: kc, admitAt: 2, late: jobs[3:]})
-
 	// Four direction-optimizing members from sources whose frontiers all
 	// cross the pull threshold, so they read one graph's reverse index.
 	jobs, kc = nil, nil
@@ -115,25 +109,14 @@ func groupCases(sp *slottedpage.Graph) []groupCase {
 
 func runGroupCase(t *testing.T, sp *slottedpage.Graph, gc groupCase) groupPin {
 	t.Helper()
-	recs := make([]*trace.Recorder, len(gc.kc))
-	all := append(append([]SharedJob(nil), gc.jobs...), gc.late...)
-	for i := range all {
+	recs := make([]*trace.Recorder, len(gc.jobs))
+	for i := range gc.jobs {
 		recs[i] = trace.NewWithID(gc.name)
-		all[i].Trace = recs[i]
+		gc.jobs[i].Trace = recs[i]
 	}
-	var admit func() []SharedJob
-	if gc.admitAt > 0 {
-		polls := 0
-		admit = func() []SharedJob {
-			if polls++; polls == gc.admitAt {
-				return all[len(gc.jobs):]
-			}
-			return nil
-		}
-	}
-	outs, stats := mustRunShared(t, newEngine(t, sp, gc.opts, gc.gpus, gc.ssds), all[:len(gc.jobs)], admit)
-	if len(outs) != len(all) {
-		t.Fatalf("%s: %d outcomes for %d jobs", gc.name, len(outs), len(all))
+	outs, stats := mustRunShared(t, newEngine(t, sp, gc.opts, gc.gpus, gc.ssds), gc.jobs)
+	if len(outs) != len(gc.jobs) {
+		t.Fatalf("%s: %d outcomes for %d jobs", gc.name, len(outs), len(gc.jobs))
 	}
 	pin := groupPin{Elapsed: stats.Elapsed, PageCopies: stats.PageCopies, Servings: stats.Servings}
 	for i, o := range outs {
@@ -153,7 +136,7 @@ func runGroupCase(t *testing.T, sp *slottedpage.Graph, gc groupCase) groupPin {
 		if gc.pulls && !slices.Contains(o.LevelDirs, kernels.DirPull.String()) {
 			t.Fatalf("%s: member %d never pulled: %v", gc.name, i, o.LevelDirs)
 		}
-		sum := sha256.Sum256(gc.kc[i].enc(all[i].Kernel, o.State))
+		sum := sha256.Sum256(gc.kc[i].enc(gc.jobs[i].Kernel, o.State))
 		pin.Members = append(pin.Members, memberPin{
 			Digest:         hex.EncodeToString(sum[:]),
 			Levels:         o.Levels,

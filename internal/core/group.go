@@ -18,15 +18,16 @@ package core
 // whoever else shares the waves: streaming, caching and faults only perturb
 // virtual timing, never functional results.
 //
-// Membership changes at wave boundaries: the admit callback is polled
-// between waves, joiners upload their WA and enter the next wave, finished
-// members copy their WA out and retire, their outcomes filled in. A member
-// whose WA does not fit even after dropping the shared page cache is
-// declined: its outcome says so, and it can run only with fewer companions — a
-// member declined alone never fits this machine (RunJob's ErrWontFit). A
-// member whose fault budget is exhausted aborts alone — the next live
-// demander of each page it was serving takes over the copy with a fresh
-// retry budget, so a faulted member never stalls its group.
+// The roster is closed when the run starts, as in Algorithm 1: every member
+// enrols and uploads its WA before the first wave, and none joins later.
+// Finished members copy their WA out and retire at a wave boundary, their
+// outcomes filled in. A member whose WA does not fit beside the stream
+// buffers and the members enrolled before it is declined: its outcome says
+// so, and it can run only with fewer companions — a member declined alone
+// never fits this machine (RunJob's ErrWontFit). A member whose fault budget
+// is exhausted aborts alone — the next live demander of each page it was
+// serving takes over the copy with a fresh retry budget, so a faulted member
+// never stalls its group.
 
 import (
 	"errors"
@@ -54,10 +55,9 @@ type SharedJob struct {
 }
 
 // SharedOutcome is one member's result. Exactly one of the Report, Err, or
-// Declined is meaningful: Declined means the member could not be admitted
-// (its WA did not fit the shared machine even after dropping the page
-// cache); one declined in a group may fit alone, one declined alone never
-// fits.
+// Declined is meaningful: Declined means the member could not be enrolled
+// (its WA did not fit beside the members enrolled before it); one declined
+// in a group may fit alone, one declined alone never fits.
 type SharedOutcome struct {
 	Report
 	Err      error
@@ -68,21 +68,17 @@ type SharedOutcome struct {
 type SharedStats struct {
 	// Waves is how many shared supersteps the group executed.
 	Waves int64
-	// PageCopies counts topology page copies paid over PCI-E;
-	// SharedPageCopies is how many of those served more than one member;
-	// Servings counts member-kernel consumptions of streamed pages (the
-	// fan-out total; Servings/PageCopies is the amortization factor).
-	PageCopies       int64
-	SharedPageCopies int64
-	Servings         int64
-	// PageBytesStreamed is topology bytes paid once; BytesSaved is the
-	// host-to-device traffic fan-out avoided ((n-1) x pageSize per shared
-	// copy); BytesToGPU sums every member's actual paid traffic (WA + RA +
-	// topology); StorageBytes sums member storage reads.
-	PageBytesStreamed int64
-	BytesSaved        int64
-	BytesToGPU        int64
-	StorageBytes      int64
+	// PageCopies counts topology page copies paid over PCI-E; Servings
+	// counts member-kernel consumptions of streamed pages (the fan-out total;
+	// Servings/PageCopies is the amortization factor).
+	PageCopies int64
+	Servings   int64
+	// BytesSaved is the host-to-device traffic fan-out avoided ((n-1) x
+	// pageSize per shared copy); BytesToGPU sums every member's actual paid
+	// traffic (WA + RA + topology); StorageBytes sums member storage reads.
+	BytesSaved   int64
+	BytesToGPU   int64
+	StorageBytes int64
 	// EdgesTraversed sums member edge work; Elapsed is the group's virtual
 	// makespan.
 	EdgesTraversed int64
@@ -99,21 +95,13 @@ type demand struct {
 // driver owns one run of the engine: the plant and the member roster.
 type driver struct {
 	*plant
-	// raPerV is the RABuf width per page slot: the widest RAPerVertex the
-	// group has admitted, whether that member's RA streams or turns out
-	// resident (the buffers are sized before newMember's RA test).
-	raPerV int64
-
-	// handed holds the jobs given to the group and not yet enrolled, active
-	// the members from enrolment until they leave, and outs an outcome per
-	// enrolled job in admission order, filled as each leaves: a failed run
-	// fills the outcome of every job still on handed or active (abandon).
-	handed []SharedJob
+	// active holds the members from enrolment until they leave, and outs an
+	// outcome per enrolled job in job order, filled as each leaves: a failed
+	// run fills the outcome of every job not enrolled or still on active
+	// (abandon).
 	active []*member
 	outs   []SharedOutcome
-	admit  func() []SharedJob
 	stats  SharedStats
-	wave   int64
 
 	// The running wave's demand table (see planWave): union is the live
 	// members' page sets ORed together, pids lists each GPU's demanded pages
@@ -138,7 +126,7 @@ type driver struct {
 // wave group of one, on a machine whose spare device memory is all page
 // cache.
 func (e *Engine) RunJob(job SharedJob) (*Report, error) {
-	outs, _, err := e.RunShared([]SharedJob{job}, nil)
+	outs, _, err := e.RunShared([]SharedJob{job})
 	if err != nil {
 		return nil, err
 	}
@@ -165,26 +153,23 @@ func (e *Engine) streamBufBytes(raPerV int64) int64 {
 }
 
 // RunShared executes jobs as one wave group on a single simulated machine
-// and returns an outcome per job in admission order: the initial jobs, then
-// each batch admit returned. admit, when non-nil, is polled at every wave
-// boundary for late joiners (it must return quickly and never block on
-// virtual time; return nil when nothing is waiting). A job's outcome is
-// settled as it leaves the group — declined or malformed at enrolment,
-// aborted in its WA upload, finished or aborted at the wave it retires — and
-// a run that fails gives its error to every job it had not settled, and
-// returns it too.
-func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
-	if len(jobs) == 0 && admit == nil {
-		return nil, SharedStats{}, fmt.Errorf("core: RunShared needs at least one job or an admit callback")
+// and returns an outcome per job, in job order. The roster is closed: every
+// job enrols before the first wave. A job's outcome is settled as it leaves
+// the group — declined or malformed at enrolment, aborted in its WA upload,
+// finished or aborted at the wave it retires — and a run that fails gives
+// its error to every job it had not settled, and returns it too.
+func (e *Engine) RunShared(jobs []SharedJob) ([]SharedOutcome, SharedStats, error) {
+	if len(jobs) == 0 {
+		return nil, SharedStats{}, fmt.Errorf("core: RunShared needs at least one job")
 	}
-	d, err := e.newDriver(jobs, admit)
+	d, err := e.newDriver(jobs)
 	if err == nil {
 		d.env.Process("gts-framework", d.loop)
 		d.stats.Elapsed, err = d.env.Run()
 		e.device = d.caches // what this run leaves resident, the next run starts with
 	}
 	if err != nil {
-		d.abandon(err)
+		d.abandon(jobs, err)
 		return d.outs, SharedStats{}, err
 	}
 	return d.outs, d.stats, nil
@@ -193,13 +178,13 @@ func (e *Engine) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]Shared
 // newDriver performs Algorithm 1's initialization, roster first: a fresh
 // simulated machine; one set of stream buffers, which serves every member
 // (the wave protocol streams each page once), with an RABuf as wide as the
-// roster's widest kernel needs; each initial member's WA, and its whole RA
-// where newMember keeps it resident; and the page cache in whatever device
-// memory is left (§3.3), starting from the pages the engine's device
-// carries. The driver comes back even on error, for abandon.
-func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver, error) {
+// roster's widest kernel needs; each member's WA, and its whole RA where
+// newMember keeps it resident; and the page cache in all the device memory
+// that is left (§3.3), starting from the pages the engine's device carries.
+// The driver comes back even on error, for abandon.
+func (e *Engine) newDriver(jobs []SharedJob) (*driver, error) {
 	env := sim.NewEnv()
-	d := &driver{admit: admit, handed: jobs, union: bitset.New(e.graph.NumPages())}
+	d := &driver{union: bitset.New(e.graph.NumPages())}
 	machine, err := hw.NewMachine(env, e.spec, int64(e.graph.Config().PageSize))
 	if err != nil {
 		return d, err
@@ -214,28 +199,25 @@ func (e *Engine) newDriver(jobs []SharedJob, admit func() []SharedJob) (*driver,
 		cacheBytes:  make([]int64, nGPU),
 		cacheTarget: make([]int64, nGPU),
 	}
+	var raPerV int64 // the RABuf's width: the roster's widest RA, resident or not
 	for _, job := range jobs {
 		if job.Kernel != nil {
-			d.raPerV = max(d.raPerV, kernels.RAPerVertex(job.Kernel))
+			raPerV = max(raPerV, kernels.RAPerVertex(job.Kernel))
 		}
 	}
-	bufBytes := e.streamBufBytes(d.raPerV)
+	bufBytes := e.streamBufBytes(raPerV)
 	for _, g := range machine.GPUs {
 		if err := g.Alloc(bufBytes); err != nil {
 			return d, fmt.Errorf("%w: stream buffers %d on %s: %v", ErrWontFit, bufBytes, g.Spec.Name, err)
 		}
 	}
-	d.enroll()
-	// A closed roster's cache takes all of the remaining memory. When admit
-	// can bring joiners whose WA needs are unknown, half of it stays free as
-	// WA headroom; a joiner that outgrows the headroom still falls back to
-	// dropping the cache (see newMember).
-	return d, d.setup(e, admit != nil)
+	d.enroll(jobs)
+	return d, d.setup(e)
 }
 
-// abandon gives err to every job a failed run has not settled.
-func (d *driver) abandon(err error) {
-	for range d.handed {
+// abandon gives err to every job of a failed run that it has not settled.
+func (d *driver) abandon(jobs []SharedJob, err error) {
+	for range jobs[len(d.outs):] {
 		d.outs = append(d.outs, SharedOutcome{Err: err})
 	}
 	for _, m := range d.active {
@@ -244,21 +226,14 @@ func (d *driver) abandon(err error) {
 }
 
 // loop is Algorithm 1's repeat-until loop, run as the controlling CPU
-// thread: admit at every wave boundary, run waves until the roster empties.
+// thread: every member uploads its WA, then waves run until the roster
+// empties.
 func (d *driver) loop(p *sim.Proc) {
-	for begun := 0; ; begun = len(d.active) { // active[begun:] are new members
-		if d.admit != nil {
-			d.handed = d.admit()
-			d.enroll()
-		}
-		for _, m := range d.active[begun:] {
-			d.beginMember(p, m)
-		}
-		d.retireFinished() // members whose upload faulted out
-		if len(d.active) == 0 {
-			return
-		}
-		d.wave++
+	for _, m := range d.active {
+		d.beginMember(p, m)
+	}
+	d.retireFinished() // members whose upload faulted out
+	for len(d.active) > 0 {
 		d.stats.Waves++
 		for _, m := range d.active {
 			d.beginWave(m)
@@ -272,13 +247,12 @@ func (d *driver) loop(p *sim.Proc) {
 	}
 }
 
-// enroll turns the handed jobs, in order, into members on active with
-// their WA allocated, each with the next outcome slot. A job whose WA cannot
-// fit is declined and a malformed one fails; either is settled at once.
-func (d *driver) enroll() {
-	for len(d.handed) > 0 {
-		m, err := d.newMember(d.handed[0])
-		d.handed = d.handed[1:]
+// enroll turns jobs, in order, into members on active with their WA
+// allocated, each with the next outcome slot. A job whose WA cannot fit is
+// declined and a malformed one fails; either is settled at once.
+func (d *driver) enroll(jobs []SharedJob) {
+	for _, job := range jobs {
+		m, err := d.newMember(job)
 		var out SharedOutcome
 		switch {
 		case err == nil:
@@ -330,30 +304,17 @@ func (d *driver) newMember(job SharedJob) (*member, error) {
 	m.pidPool.New = func() any { return bitset.New(numPages) }
 	m.setupStates()
 
-	// Device allocation: the member's WA, plus the RABuf's growth when a
-	// joiner's RA is wider than any the group has seen (its RA may still turn
-	// out resident below; the RABuf is sized first). If it does not fit,
-	// drop that GPU's page cache (the same degradation an OOM launch
-	// performs) and retry; still no fit means decline.
-	need := m.perGPUWA + e.streamBufBytes(max(d.raPerV, m.raPerV)) - e.streamBufBytes(d.raPerV)
+	// Device allocation: the member's WA on every GPU, or a decline. The
+	// page cache is not built yet (setup follows enrolment), so a WA that
+	// does not fit now never will on this run.
 	for i, g := range d.machine.GPUs {
-		if g.Alloc(need) == nil {
-			continue
-		}
-		if d.caches[i] != nil {
-			g.Free(d.cacheBytes[i])
-			d.caches[i] = nil
-			d.cacheBytes[i] = 0
-			if g.Alloc(need) == nil {
-				continue
+		if g.Alloc(m.perGPUWA) != nil {
+			for _, prev := range d.machine.GPUs[:i] {
+				prev.Free(m.perGPUWA)
 			}
+			return nil, fmt.Errorf("%w: member WA %d on %s", ErrWontFit, m.perGPUWA, g.Spec.Name)
 		}
-		for j := 0; j < i; j++ {
-			d.machine.GPUs[j].Free(need)
-		}
-		return nil, fmt.Errorf("%w: member WA %d on %s", ErrWontFit, m.perGPUWA, g.Spec.Name)
 	}
-	d.raPerV = max(d.raPerV, m.raPerV)
 
 	// A full scan keeps its whole RA beside its WA, and its page copies
 	// carry none, when the machine has one GPU whose free memory still holds
@@ -380,7 +341,7 @@ func (d *driver) freeMemberWA(m *member) {
 
 // beginMember uploads the member's WA to every GPU concurrently (Fig. 5
 // step 1), with its resident RA in the same chunk, and seeds its frontier —
-// the member's half of Algorithm 1's initialization, at join time. A member
+// the member's half of Algorithm 1's initialization. A member
 // that faults out during the upload is left aborted, for the retire that
 // follows.
 func (d *driver) beginMember(p *sim.Proc, m *member) {
@@ -467,7 +428,7 @@ func sized[T any](s []T, n int) []T {
 // runs every row's kernels, GPU by GPU and page by page. A GPU's rows walk
 // the union of the live members' page sets in ascending page ID — under
 // Strategy-P with several GPUs page j is GPU j mod N's (§4.1), otherwise
-// every GPU takes every page (§4.2) — and list each page's demanders in join
+// every GPU takes every page (§4.2) — and list each page's demanders in job
 // order. The kernels execute between sim events, so virtual time, traces and
 // fault schedules do not depend on how long they take; that wall-clock is
 // measured once and divided among the live members by their kernel jobs, so
@@ -586,7 +547,7 @@ func (d *driver) streamDemand(p *sim.Proc) {
 // lines 16-26: resolve residency once, pay the topology copy once (the
 // first live demander is the issuer; if its fault budget exhausts, the next
 // takes over with a fresh budget), then serve every live member's RA copy
-// (none for a member whose RA is resident) and kernel in join order. A
+// (none for a member whose RA is resident) and kernel in job order. A
 // kernel for a page that needed no copy for its member runs inside the
 // launch the stream already has open for that member in this wave, or opens
 // one; a copy for the member closes it, as a queued kernel cannot read bytes
@@ -645,7 +606,6 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 			return // every demander's budget exhausted on this page
 		}
 		d.stats.PageCopies++
-		d.stats.PageBytesStreamed += pageSize
 		alive := live[:0]
 		for _, dm := range live {
 			if dm.m.abort == nil {
@@ -654,7 +614,6 @@ func (d *driver) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 		}
 		live = alive
 		if extra := len(live) - 1; extra > 0 {
-			d.stats.SharedPageCopies++
 			d.stats.BytesSaved += int64(extra) * pageSize
 		}
 		// Re-read the cache: a sibling's OOM degradation may have dropped it.
@@ -764,7 +723,7 @@ func (d *driver) endWave(p *sim.Proc, m *member) {
 	// beside it names the group wave that carried the superstep.
 	now := d.env.Now()
 	m.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Superstep, Page: -1, Level: lvl, Dir: int8(m.curDir), Start: m.stepStart, End: now})
-	m.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: d.wave, Level: lvl, Start: m.stepStart, End: now})
+	m.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: d.stats.Waves, Level: lvl, Start: m.stepStart, End: now})
 	if m.abort != nil {
 		release()
 		return
@@ -859,9 +818,6 @@ func (d *driver) retireFinished() {
 			continue
 		}
 		d.freeMemberWA(m)
-		if m.lane >= 0 {
-			d.bfs.Leave(m.lane)
-		}
 		d.stats.BytesToGPU += m.bytesToGPU
 		d.stats.StorageBytes += m.storageRead
 		d.stats.EdgesTraversed += m.edgesTraversed

@@ -22,10 +22,10 @@ import (
 )
 
 // mustRunShared runs a group that must run and returns its outcomes, in
-// admission order.
-func mustRunShared(t *testing.T, e *Engine, jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats) {
+// job order.
+func mustRunShared(t *testing.T, e *Engine, jobs []SharedJob) ([]SharedOutcome, SharedStats) {
 	t.Helper()
-	outs, stats, err := e.RunShared(jobs, admit)
+	outs, stats, err := e.RunShared(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSharedMatchesSoloAllKernels(t *testing.T) {
 		made[i] = kc.make(sp)
 		jobs = append(jobs, SharedJob{Kernel: made[i], Source: 0})
 	}
-	outs, stats := mustRunShared(t, newEngine(t, sp, opts, 1, 0), jobs, nil)
+	outs, stats := mustRunShared(t, newEngine(t, sp, opts, 1, 0), jobs)
 	if stats.Waves == 0 {
 		t.Fatal("no waves executed")
 	}
@@ -106,13 +106,11 @@ func TestSharedMatchesSoloAllKernels(t *testing.T) {
 			t.Errorf("%s: Updates = %d, solo %d", kc.name, outs[i].Report.Updates, soloRep.Updates)
 		}
 	}
-	// Mixed algorithms still share: at least some pages must have been
-	// served to more than one member.
-	if stats.SharedPageCopies == 0 {
-		t.Error("mixed group recorded no shared page copies")
-	}
-	if stats.BytesSaved <= 0 {
-		t.Error("BytesSaved not accounted")
+	// Mixed algorithms still share: at least some page copies must have
+	// served more than one member.
+	if stats.BytesSaved <= 0 || stats.Servings <= stats.PageCopies {
+		t.Errorf("mixed group recorded no shared page copies: %d bytes saved, %d servings of %d copies",
+			stats.BytesSaved, stats.Servings, stats.PageCopies)
 	}
 }
 
@@ -155,7 +153,7 @@ func TestShared32BFSAmortizesBytes(t *testing.T) {
 		made[i] = kernels.NewBFS(sp)
 		jobs = append(jobs, SharedJob{Kernel: made[i], Source: s})
 	}
-	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs, nil)
+	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs)
 
 	for i, s := range sources {
 		if outs[i].Err != nil || outs[i].Declined {
@@ -163,18 +161,15 @@ func TestShared32BFSAmortizesBytes(t *testing.T) {
 		}
 		wantBFS(t, "group member", g, s, made[i].Levels(outs[i].Report.State))
 	}
-	if stats.SharedPageCopies == 0 {
-		t.Error("32-way BFS group recorded no shared page copies")
-	}
-	if stats.PageBytesStreamed > 2*soloBytes {
-		t.Errorf("group streamed %d topology bytes, want <= 2x solo (%d)", stats.PageBytesStreamed, 2*soloBytes)
+	if stats.PageCopies*pageSize > 2*soloBytes {
+		t.Errorf("group streamed %d topology bytes, want <= 2x solo (%d)", stats.PageCopies*pageSize, 2*soloBytes)
 	}
 	if stats.BytesToGPU <= 0 {
 		t.Errorf("BytesToGPU = %v", stats.BytesToGPU)
 	}
 	// The whole point: each member paid far less than a solo run's traffic.
-	if stats.BytesSaved == 0 {
-		t.Error("no bytes saved across 32 members")
+	if stats.BytesSaved == 0 || stats.Servings <= stats.PageCopies {
+		t.Errorf("no bytes saved across 32 members: %d servings of %d copies", stats.Servings, stats.PageCopies)
 	}
 }
 
@@ -199,7 +194,7 @@ func TestSharedFaultedMatchesClean(t *testing.T) {
 			}
 			jobs = append(jobs, j)
 		}
-		outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs, nil)
+		outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs)
 		res := make([][]int16, len(sources))
 		for i := range sources {
 			if outs[i].Err != nil {
@@ -241,7 +236,7 @@ func TestSharedFaultedMemberDoesNotStallGroup(t *testing.T) {
 		{Kernel: kernels.NewBFS(sp), Source: 0},
 		{Kernel: kernels.NewBFS(sp), Source: 512},
 	}
-	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs, nil)
+	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs)
 
 	if outs[0].Err == nil {
 		t.Fatal("poisoned member did not fail")
@@ -275,7 +270,7 @@ func TestSharedSourceOutOfRangeFailsOnlyItsJob(t *testing.T) {
 	for _, s := range sources {
 		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
 	}
-	outs, _ := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs, nil)
+	outs, _ := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs)
 	if !errors.Is(outs[1].Err, ErrSourceOutOfRange) || outs[1].Declined {
 		t.Fatalf("out-of-range member: err=%v declined=%v, want ErrSourceOutOfRange", outs[1].Err, outs[1].Declined)
 	}
@@ -293,80 +288,6 @@ func TestSharedSourceOutOfRangeFailsOnlyItsJob(t *testing.T) {
 	}
 	if _, err := newEngine(t, sp, Options{}, 1, 0).RunJob(SharedJob{Kernel: kernels.NewSSSP(sp), Source: nV}); !errors.Is(err, ErrSourceOutOfRange) {
 		t.Errorf("Run from vertex |V|: err = %v, want ErrSourceOutOfRange", err)
-	}
-}
-
-// TestSharedAdmitJoinsAtWaveBoundary: a job handed to the admit callback
-// mid-run joins at the next wave boundary and still lands on its pinned
-// result.
-func TestSharedAdmitJoinsAtWaveBoundary(t *testing.T) {
-	g := rmatGraph(t)
-	sp := buildPages(t, g)
-
-	bfs := kernels.NewBFS(sp)
-	pr := kernels.NewPageRank(sp, 0.85, 5)
-	polls := 0
-	admit := func() []SharedJob {
-		polls++
-		if polls == 2 {
-			return []SharedJob{{Kernel: pr, Source: 0}}
-		}
-		return nil
-	}
-	outs, _ := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0),
-		[]SharedJob{{Kernel: bfs, Source: 0}}, admit)
-
-	if len(outs) != 2 {
-		t.Fatalf("outcomes = %d, want 2", len(outs))
-	}
-	for i, o := range outs {
-		if o.Err != nil || o.Declined {
-			t.Fatalf("outcome %d: err=%v declined=%v", i, o.Err, o.Declined)
-		}
-	}
-	cases := kernelCases()
-	wantGolden(t, cases[0], bfs, outs[0].Report.State) // BFS
-	wantGolden(t, cases[2], pr, outs[1].Report.State)  // PageRank(0.85, 5), the late joiner
-}
-
-// TestSharedLateJoinerTakesOverALane: the member from vertex 0 finishes in
-// four waves having reached most of the graph, and the joiners admitted before
-// wave 6 take over its lane in the group BFS kernel (and a fresh one) while
-// the seven-level member from 1836 is still running. They must land on the
-// reference levels with the work they do alone — they would skip every vertex
-// the lane's last owner reached if a lane kept its mask column across owners.
-func TestSharedLateJoinerTakesOverALane(t *testing.T) {
-	g := rmatGraph(t)
-	sp := buildPages(t, g)
-	sources := []uint64{0, 1836, 1734, 102, 204}
-	var jobs []SharedJob
-	for _, s := range sources {
-		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
-	}
-	polls := 0
-	admit := func() []SharedJob {
-		if polls++; polls == 6 {
-			return jobs[3:]
-		}
-		return nil
-	}
-	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs[:3], admit)
-	if len(outs) != len(sources) || stats.Waves < 9 {
-		t.Fatalf("%d outcomes over %d waves, want %d joined at wave 6 of a longer run", len(outs), stats.Waves, len(sources))
-	}
-	if outs[0].Levels > 5 || outs[1].Levels < 6 {
-		t.Fatalf("members 0 and 1 ran %d and %d levels: the joiners would not find a freed lane beside a live member", outs[0].Levels, outs[1].Levels)
-	}
-	for i, src := range sources {
-		if outs[i].Err != nil || outs[i].Declined {
-			t.Fatalf("member %d: err=%v declined=%v", i, outs[i].Err, outs[i].Declined)
-		}
-		wantBFS(t, "member", g, src, jobs[i].Kernel.(*kernels.BFS).Levels(outs[i].State))
-		solo := mustRun(t, newEngine(t, sp, Options{}, 1, 0), kernels.NewBFS(sp), src)
-		if outs[i].Updates != solo.Updates || outs[i].EdgesTraversed != solo.EdgesTraversed || outs[i].KernelTime != solo.KernelTime {
-			t.Errorf("member %d (source %d): %d updates, %d edges, kernel time %d; alone %d, %d, %d", i, src,
-				outs[i].Updates, outs[i].EdgesTraversed, outs[i].KernelTime, solo.Updates, solo.EdgesTraversed, solo.KernelTime)
-		}
 	}
 }
 
@@ -389,7 +310,7 @@ func TestSharedMultiGPUStrategies(t *testing.T) {
 			outs, _ := mustRunShared(t, newEngine(t, sp, opts, cfg.gpus, cfg.ssds), []SharedJob{
 				{Kernel: bfs, Source: 0},
 				{Kernel: pr, Source: 0},
-			}, nil)
+			})
 			for i, o := range outs {
 				if o.Err != nil || o.Declined {
 					t.Fatalf("outcome %d: err=%v declined=%v", i, o.Err, o.Declined)
@@ -406,9 +327,9 @@ func TestSharedMultiGPUStrategies(t *testing.T) {
 	}
 }
 
-// TestSharedDeclineWhenWAWontFit: when a member's WA cannot fit even after
-// the cache is gone, it is declined (to be re-run on a machine of its own)
-// rather than sinking the group.
+// TestSharedDeclineWhenWAWontFit: when a member's WA cannot fit beside the
+// members enrolled before it, it is declined (to be re-run on a machine of
+// its own) rather than sinking the group.
 func TestSharedDeclineWhenWAWontFit(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
@@ -433,7 +354,7 @@ func TestSharedDeclineWhenWAWontFit(t *testing.T) {
 		{Kernel: kernels.NewPageRank(sp, 0.85, 5), Source: 0},
 		{Kernel: kernels.NewPageRank(sp, 0.85, 5), Source: 0},
 	}
-	outs, _ := mustRunShared(t, e, jobs, nil)
+	outs, _ := mustRunShared(t, e, jobs)
 	if outs[0].Err != nil || outs[1].Err != nil {
 		t.Fatalf("fitting members failed: %v / %v", outs[0].Err, outs[1].Err)
 	}
@@ -455,9 +376,8 @@ func (k panicsAt) BeginLevel(_ []kernels.State, level int32) {
 	}
 }
 
-// TestSharedOutcomes: RunShared returns one outcome per job in admission
-// order — the initial jobs, then each admitted batch — however the job left
-// its group: finished, malformed at enrolment, aborted during its WA upload
+// TestSharedOutcomes: RunShared returns one outcome per job in job order,
+// however the job left its group: finished, malformed at enrolment, aborted during its WA upload
 // or on its fault budget mid-run, declined, or still riding when the run
 // itself fails, which gives its error to the jobs it had not settled.
 func TestSharedOutcomes(t *testing.T) {
@@ -471,7 +391,7 @@ func TestSharedOutcomes(t *testing.T) {
 		midRun.Faults = &fault.Plan{Seed: 7, CorruptionRate: 1}
 		upload.Faults = &fault.Plan{Seed: 3, TransferErrorRate: 1}
 		jobs := []SharedJob{midRun, bfs(0), {Source: 1}, bfs(sp.NumVertices()), upload}
-		outs, _ := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs, nil)
+		outs, _ := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs)
 		if len(outs) != len(jobs) {
 			t.Fatalf("%d outcomes for %d jobs", len(outs), len(jobs))
 		}
@@ -496,44 +416,39 @@ func TestSharedOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, _ := mustRunShared(t, e, []SharedJob{bfs(0), bfs(512)}, nil)
+		outs, _ := mustRunShared(t, e, []SharedJob{bfs(0), bfs(512)})
 		if outs[0].Err != nil || !outs[1].Declined {
 			t.Errorf("outcomes: err %v, declined %v", outs[0].Err, outs[1].Declined)
 		}
 	})
 
 	t.Run("admission-order", func(t *testing.T) {
-		// Room for the BFS stream buffers and four BFS WAs: PageRank, whose
-		// RA widens the RABuf past that, is declined whoever else is riding.
+		// A closed roster admits its jobs in job order. Room for the BFS
+		// stream buffers and four BFS WAs: SSSP, whose WA is four BFS WAs,
+		// is declined behind the first two BFS, and the two BFS after it
+		// still enrol.
 		spec := hw.Workstation(1, 0)
 		spec.GPUs[0].DeviceMemory = 32*2*int64(sp.Config().PageSize) + 8*int64(sp.NumVertices())
 		e, err := New(spec, sp, Options{CacheBytes: CacheDisabled})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches := [][]SharedJob{
-			{{Kernel: kernels.NewPageRank(sp, 0.85, 5)}, bfs(1836)},
-			{{Source: 1}, bfs(7)},
+		jobs := []SharedJob{bfs(0), bfs(512), {Kernel: kernels.NewSSSP(sp)}, {Source: 1}, bfs(1836), bfs(7)}
+		outs, _ := mustRunShared(t, e, jobs)
+		if len(outs) != len(jobs) {
+			t.Fatalf("%d outcomes for %d jobs", len(outs), len(jobs))
 		}
-		polls := 0
-		admit := func() []SharedJob { // the batches join before waves 2 and 3
-			if polls++; polls == 2 || polls == 3 {
-				return batches[polls-2]
-			}
-			return nil
+		if !outs[2].Declined || outs[2].Err != nil {
+			t.Errorf("SSSP: declined %v, err %v; want declined", outs[2].Declined, outs[2].Err)
 		}
-		outs, _ := mustRunShared(t, e, []SharedJob{bfs(0), bfs(512)}, admit)
-		if len(outs) != 6 {
-			t.Fatalf("%d outcomes for 6 jobs", len(outs))
+		if outs[3].Err == nil || outs[3].Declined {
+			t.Errorf("the kernel-less job: err %v, declined %v; want an error", outs[3].Err, outs[3].Declined)
 		}
-		if !outs[2].Declined || outs[4].Err == nil || outs[4].Declined {
-			t.Errorf("PageRank declined %v; the kernel-less job's err %v", outs[2].Declined, outs[4].Err)
-		}
-		for i, src := range map[int]uint64{0: 0, 1: 512, 3: 1836, 5: 7} {
+		for _, i := range []int{0, 1, 4, 5} {
 			if outs[i].Err != nil || outs[i].Declined {
 				t.Fatalf("job %d: err %v, declined %v", i, outs[i].Err, outs[i].Declined)
 			}
-			wantBFS(t, fmt.Sprintf("job %d", i), g, src, kernels.NewBFS(sp).Levels(outs[i].State))
+			wantBFS(t, fmt.Sprintf("job %d", i), g, jobs[i].Source, jobs[i].Kernel.(*kernels.BFS).Levels(outs[i].State))
 		}
 	})
 
@@ -547,7 +462,7 @@ func TestSharedOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		jobs := []SharedJob{bfs(0), bfs(512), {Kernel: kernels.NewPageRank(sp, 0.85, 5)}}
-		outs, _, err := e.RunShared(jobs, nil)
+		outs, _, err := e.RunShared(jobs)
 		if !errors.Is(err, ErrWontFit) || len(outs) != len(jobs) {
 			t.Fatalf("RunShared: %d outcomes for %d jobs, err %v; want one each and ErrWontFit", len(outs), len(jobs), err)
 		}
@@ -562,7 +477,7 @@ func TestSharedOutcomes(t *testing.T) {
 		// Source 0 finishes within five levels; the members from 1836 run
 		// seven, and one's kernel panics at its sixth.
 		jobs := []SharedJob{bfs(0), {Kernel: panicsAt{kernels.NewBFS(sp), 6}, Source: 1836}, bfs(1836)}
-		outs, _, err := newEngine(t, sp, Options{}, 1, 0).RunShared(jobs, nil)
+		outs, _, err := newEngine(t, sp, Options{}, 1, 0).RunShared(jobs)
 		if err == nil || !strings.Contains(err.Error(), "kernel fault") {
 			t.Fatalf("RunShared err = %v, want the kernel's panic", err)
 		}
@@ -593,7 +508,7 @@ func TestSharedDeterminism(t *testing.T) {
 		for _, s := range sources {
 			jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
 		}
-		_, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs, nil)
+		_, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 1), jobs)
 		return stats
 	}
 	a, b := run(), run()
@@ -613,7 +528,7 @@ func TestSharedEmitsWaveSpans(t *testing.T) {
 		{Kernel: kernels.NewBFS(sp), Source: 0, Trace: rec0},
 		{Kernel: kernels.NewBFS(sp), Source: 512, Trace: rec1},
 	}
-	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs, nil)
+	outs, stats := mustRunShared(t, newEngine(t, sp, Options{}, 1, 0), jobs)
 	for i, o := range outs {
 		if o.Err != nil {
 			t.Fatalf("outcome %d: %v", i, o.Err)
@@ -631,7 +546,7 @@ func TestSharedEmitsWaveSpans(t *testing.T) {
 	if count(rec0, trace.Wave) == 0 {
 		t.Error("member 0 recorded no wave spans")
 	}
-	if stats.SharedPageCopies > 0 && count(rec0, trace.SharedCopy)+count(rec1, trace.SharedCopy) == 0 {
+	if stats.BytesSaved > 0 && count(rec0, trace.SharedCopy)+count(rec1, trace.SharedCopy) == 0 {
 		t.Error("shared copies happened but no SharedCopy spans recorded")
 	}
 	if count(rec0, trace.Run) != 1 {
@@ -640,13 +555,11 @@ func TestSharedEmitsWaveSpans(t *testing.T) {
 }
 
 // TestClosedRosterMemoryLayout pins the roster-first device-memory layout: a
-// run whose roster is closed (no admit callback) allocates its WA and stream
-// buffers first and gives all the rest to the page cache. With device memory
-// of half the topology plus 256 KB that cache holds the graph's 42 pages, so
-// each streams once and every revisit hits; holding back half of the free
-// memory as joiner headroom — right only when admit can bring joiners —
-// would leave PageRank a cache too small for its cyclic scan (210 streamed,
-// 0 hits).
+// run allocates its stream buffers and every member's WA first and gives all
+// the rest to the page cache. With device memory of half the topology plus
+// 256 KB that cache holds the graph's 42 pages, so each streams once and
+// every revisit hits; a cache of half that memory would be too small for
+// PageRank's cyclic scan (210 streamed, 0 hits).
 func TestClosedRosterMemoryLayout(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)
@@ -699,7 +612,7 @@ func TestWaveAllocBudget(t *testing.T) {
 		for i := 0; i < tc.members; i++ {
 			jobs = append(jobs, SharedJob{Kernel: tc.kernel()})
 		}
-		d, err := e.newDriver(jobs, nil)
+		d, err := e.newDriver(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -816,7 +729,7 @@ func TestStreamsAskStorageInPageOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := SharedJob{Kernel: kc.make(sp)}
-		d, err := e.newDriver([]SharedJob{job}, nil)
+		d, err := e.newDriver([]SharedJob{job})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 // (hw.GPUStats.KernelCalls).
 func runCountingLaunches(t *testing.T, e *Engine, jobs ...SharedJob) ([]SharedOutcome, int64) {
 	t.Helper()
-	d, err := e.newDriver(jobs, nil)
+	d, err := e.newDriver(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

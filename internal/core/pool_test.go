@@ -109,7 +109,7 @@ func TestPrivatePoolMatchesExplicitPool(t *testing.T) {
 			}
 			jobs = append(jobs, job)
 		}
-		outs, _ := mustRunShared(t, e, jobs, nil)
+		outs, _ := mustRunShared(t, e, jobs)
 		var res []outcome
 		for i, o := range outs {
 			if o.Err != nil || o.Declined {
@@ -208,7 +208,7 @@ func TestPooledSharedGroup(t *testing.T) {
 		{Kernel: kernels.NewBFS(sp), Source: 0},
 		{Kernel: kernels.NewBFS(sp), Source: 0},
 	}
-	outs, _ := mustRunShared(t, e, jobs, nil)
+	outs, _ := mustRunShared(t, e, jobs)
 	for i, out := range outs {
 		if out.Err != nil || out.Declined {
 			t.Fatalf("member %d: err=%v declined=%v", i, out.Err, out.Declined)

@@ -199,20 +199,16 @@ func (m *member) setupStates() {
 
 // setup builds the shared half of Algorithm 1's initialization — the
 // per-GPU page caches and the host-side page residency — from the engine
-// options and the device memory that is free when it is called, of which
-// headroom leaves half unclaimed. Each GPU's cache is the one the engine
-// carries, resized to the budget (dropping its most recently admitted pages
-// past it), or a new one on a cold GPU.
-func (pl *plant) setup(e *Engine, headroom bool) error {
+// options and the device memory that is free when it is called. Each GPU's
+// cache is the one the engine carries, resized to the budget (dropping its
+// most recently admitted pages past it), or a new one on a cold GPU.
+func (pl *plant) setup(e *Engine) error {
 	m := pl.machine
 	pageSize := int64(e.graph.Config().PageSize)
 
 	// Page cache in the remaining device memory (paper §3.3).
 	for i, g := range m.GPUs {
 		free := g.MemFree()
-		if headroom {
-			free -= free / 2
-		}
 		budget := e.opts.CacheBytes
 		if budget < 0 { // CacheDisabled
 			continue

@@ -70,7 +70,7 @@ func BenchmarkBFSGroupVsInTurn(b *testing.B) {
 			b.StopTimer()
 			e := warmEngine(b)
 			b.StartTimer()
-			outs, stats, err := e.RunShared(jobs(), nil)
+			outs, stats, err := e.RunShared(jobs())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"math/bits"
-	"slices"
 
 	"repro/internal/bitset"
 )
@@ -11,16 +10,17 @@ import (
 // once, hop-capped ones included (MS-BFS; DESIGN §8 "One visit per edge per
 // wave"): records and entries are decoded once, and an entry whose neighbor
 // every interested member has reached costs one byte load, not a random
-// level load per member. A member holds a lane from Join to Leave; seen[v]
-// has lane i's bit only if lane i's level vector holds a level for v. It is
-// a filter, never the truth — a clear bit sends the lane to its own lv[v],
-// the solo kernel's test — so the one rule is that a lane's column is
-// cleared before the lane has a new owner. Each lane gets its own Result by
+// level load per member. A member holds the lane Join gives it for the
+// group's life, and a lane never has a second owner; seen[v] has lane i's bit
+// only if lane i's level vector holds a level for v. It is a filter, never
+// the truth — a clear bit sends the lane to its own lv[v], the solo kernel's
+// test — so a lane that joins late, at a fresh column, is as exact as one
+// that joins first. Each lane gets its own Result by
 // BFS.Run's arithmetic in the same order, and marks pages as its
 // own kernel does, so its virtual time is what it is alone. The zero value
 // is ready.
 type BFSGroup struct {
-	owner []*BFS // lane -> the kernel holding it; nil = free
+	owner []*BFS // lane -> the kernel holding it
 	// seen[{block, gpu}] masks a block of laneBits lanes on one GPU (under
 	// Strategy-P each has its own replica of a lane's state and counts its own
 	// discoveries), allocated at its first grouped page.
@@ -54,26 +54,11 @@ type BFSLane struct {
 	Res      *Result
 }
 
-// Join gives k the lowest free lane, its bit column cleared: without that
-// the new owner inherits "visited" for every vertex the last one reached.
+// Join gives k a fresh lane, whose bit column no one has set.
 func (g *BFSGroup) Join(k *BFS) int {
-	lane := slices.Index(g.owner, nil)
-	if lane < 0 {
-		lane, g.owner = len(g.owner), append(g.owner, nil)
-	}
-	g.owner[lane] = k
-	for key, seen := range g.seen {
-		if key[0] == lane/laneBits {
-			for v := range seen {
-				seen[v] &^= 1 << (lane % laneBits)
-			}
-		}
-	}
-	return lane
+	g.owner = append(g.owner, k)
+	return len(g.owner) - 1
 }
-
-// Leave frees a lane obtained from Join.
-func (g *BFSGroup) Leave(lane int) { g.owner[lane] = nil }
 
 // Run executes a's page on GPU gpu for lanes, each lane's Result going
 // through its Res, or reports false having done nothing when they are too few

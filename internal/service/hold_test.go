@@ -3,9 +3,9 @@ package service
 import gts "repro"
 
 // HoldSystem keeps sys from running anything until the returned release is
-// called: it holds the System's run lock in a wave group of no members whose
-// first admit poll waits for release. It is exported for the external test
-// package.
+// called: it holds the System's run lock in a RunShared whose admit call
+// waits for release and returns no job, so the run ends without touching the
+// device. It is exported for the external test package.
 func HoldSystem(sys *gts.System) (release func()) {
 	held, free := make(chan struct{}), make(chan struct{})
 	go sys.RunShared(nil, func() []gts.SharedJob {

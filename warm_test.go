@@ -104,3 +104,43 @@ func TestSystemResidentAtStart(t *testing.T) {
 		t.Fatalf("the second run found %d resident pages, want the first run's", n)
 	}
 }
+
+// TestSystemHoldKeepsDevice: a RunShared whose roster is empty — what a
+// caller holding the System's run mutex through admit, with nothing to run,
+// does — leaves the device as it found it. The PageRank after the hold finds
+// the pages the PageRank before it found, and takes the same virtual time.
+func TestSystemHoldKeepsDevice(t *testing.T) {
+	g := smallGraph(t)
+	sys, err := NewSystem(g, Config{ScaleFactor: 1 << 16, Streams: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() SharedOutcome {
+		outs, _, err := sys.RunShared([]SharedJob{{Kernel: kernels.NewPageRank(g, 0.85, 2)}}, nil)
+		if err != nil || outs[0].Err != nil {
+			t.Fatal(err, outs[0].Err)
+		}
+		return outs[0]
+	}
+	run()
+	before := run()
+	if before.ResidentAtStart == 0 {
+		t.Fatal("the second PageRank found no resident page")
+	}
+	held, free, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		sys.RunShared(nil, func() []SharedJob {
+			close(held)
+			<-free
+			return nil
+		})
+		close(done)
+	}()
+	<-held
+	close(free)
+	<-done
+	if after := run(); after.ResidentAtStart != before.ResidentAtStart || after.Elapsed != before.Elapsed {
+		t.Errorf("after the hold: %d resident pages at start, Elapsed %d ns; before it %d, %d ns",
+			after.ResidentAtStart, after.Elapsed, before.ResidentAtStart, before.Elapsed)
+	}
+}
