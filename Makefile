@@ -60,7 +60,9 @@ cover:
 # into pool op scripts and replays them against the reference-model
 # oracle; FuzzDirectionSwitch builds adversarial frontier densities and
 # checks push-only, pull-only, and adaptive BFS agree with the plain
-# kernel; FuzzDeltaExpand replays adversarial (delete-heavy) ingest batches
+# kernel; FuzzSSSPStrategies runs SSSP over arbitrary graphs on 1-3 GPUs
+# under Strategy-P or -S against the reference distances (the replica merge
+# of distances and frontier bits); FuzzDeltaExpand replays adversarial (delete-heavy) ingest batches
 # through the retained-state planners against the full-recompute oracle.
 # FuzzAdjDecode hands arbitrary page bytes under arbitrary field widths to
 # the page Decoder (Record + VID, what every kernel reads pages through) and
@@ -89,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/bufpool -run '^$$' -fuzz '^FuzzPoolOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kernels -run '^$$' -fuzz '^FuzzBFSGroup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDirectionSwitch$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSSSPStrategies$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/incremental -run '^$$' -fuzz '^FuzzDeltaExpand$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzVectorJSON$$' -fuzztime $(FUZZTIME)
@@ -152,7 +155,7 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18828
+LOC_MAX_TOTAL = 18891
 LOC_MAX_ENGINE_AND_API = 5012
 LOC_MAX_ENGINE = 4053
 LOC_MAX_GTSD_FLAGS = 10

@@ -379,7 +379,7 @@ type Params struct {
 	Source uint64 `json:"source,omitempty"`
 	// Damping is PageRank's damping factor (default 0.85).
 	Damping float64 `json:"damping,omitempty"`
-	// Iterations bounds pagerank and rwr (default 10).
+	// Iterations bounds pagerank and rwr (default 10, at most 32 000).
 	Iterations int `json:"iterations,omitempty"`
 	// K is the core number for kcore (default 3).
 	K int `json:"k,omitempty"`
@@ -429,7 +429,7 @@ var algorithms = map[string]Algorithm{
 	"pagerank": {
 		Normalize: func(p Params) (Params, error) {
 			out := Params{Damping: cmp.Or(p.Damping, 0.85), Iterations: cmp.Or(p.Iterations, 10)}
-			return out, errors.Join(probability("damping", out.Damping), inRange("iterations", out.Iterations, math.MaxInt32))
+			return out, errors.Join(probability("damping", out.Damping), inRange("iterations", out.Iterations, kernels.MaxLevels))
 		},
 		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewPageRank(g, p.Damping, p.Iterations) },
 		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
@@ -460,7 +460,7 @@ var algorithms = map[string]Algorithm{
 	"rwr": {
 		Normalize: func(p Params) (Params, error) {
 			out := Params{Source: p.Source, Restart: cmp.Or(p.Restart, 0.15), Iterations: cmp.Or(p.Iterations, 10)}
-			return out, errors.Join(probability("restart", out.Restart), inRange("iterations", out.Iterations, math.MaxInt32))
+			return out, errors.Join(probability("restart", out.Restart), inRange("iterations", out.Iterations, kernels.MaxLevels))
 		},
 		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewRWR(g, p.Restart, p.Iterations) },
 		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {

@@ -475,6 +475,38 @@ func TestNeighborhoodRefusesHopsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestIterationsBoundedByMaxLevels: pagerank and rwr take at most
+// kernels.MaxLevels iterations, the superstep bound the engine enforces. One
+// more is ErrInvalid at normalization, before any work; it used to run until
+// the engine's depth guard failed it. A scan of exactly MaxLevels iterations
+// finishes.
+func TestIterationsBoundedByMaxLevels(t *testing.T) {
+	for _, name := range []string{"pagerank", "rwr"} {
+		a, _ := LookupAlgorithm(name)
+		if _, err := a.Normalize(Params{Iterations: kernels.MaxLevels}); err != nil {
+			t.Errorf("%s with %d iterations: %v", name, kernels.MaxLevels, err)
+		}
+		if _, err := a.Normalize(Params{Iterations: kernels.MaxLevels + 1}); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s with %d iterations: err = %v, want ErrInvalid", name, kernels.MaxLevels+1, err)
+		}
+	}
+	g, err := BuildGraph(graphgen.Path(4), ScaledPageConfig(2, 2, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.PageRank(0.85, kernels.MaxLevels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Levels != kernels.MaxLevels {
+		t.Errorf("PageRank(0.85, %d) ran %d iterations", kernels.MaxLevels, res.Levels)
+	}
+}
+
 // TestTypedCallsRunWhatARequestWould: a typed method takes exactly the
 // parameters gtsd serves. One the table refuses (33 sketches, a restart or
 // damping outside (0, 1)) or would replace with its default (a zero count)

@@ -1,6 +1,6 @@
 // Package bitset provides a dense bit vector used for the GTS framework's
-// nextPIDSet page sets (paper §3.3) and for the baseline engines' vertex
-// frontiers.
+// nextPIDSet page sets (paper §3.3), for SSSP's two frontier sets, and for
+// the baseline engines' vertex frontiers.
 package bitset
 
 import "math/bits"
@@ -27,6 +27,28 @@ func (s *Set) Clear(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Get reports bit i.
 func (s *Set) Get(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// Bytes is the set's footprint: its words, eight bytes each.
+func (s *Set) Bytes() int64 { return int64(len(s.words)) * 8 }
+
+// NextSet returns the first set bit in [from, to), or to when there is
+// none. A clear word skips 64 bits at once.
+func (s *Set) NextSet(from, to int) int {
+	if from >= to {
+		return to
+	}
+	wi := from >> 6
+	if w := s.words[wi] >> (uint(from) & 63); w != 0 {
+		return min(from+bits.TrailingZeros64(w), to)
+	}
+	for last := (to - 1) >> 6; wi < last; {
+		wi++
+		if w := s.words[wi]; w != 0 {
+			return min(wi<<6+bits.TrailingZeros64(w), to)
+		}
+	}
+	return to
+}
 
 // Count reports the number of set bits.
 func (s *Set) Count() int {

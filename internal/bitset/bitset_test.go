@@ -84,3 +84,41 @@ func TestCountMatchesForEach(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNextSetMatchesScan: NextSet over any window agrees with a bit-by-bit
+// scan of the same window, across word boundaries and empty words.
+func TestNextSetMatchesScan(t *testing.T) {
+	f := func(idxs []uint8, from, width uint8) bool {
+		s := New(320)
+		for _, i := range idxs {
+			s.Set(int(i) + int(i)/4) // spread over five words
+		}
+		lo := int(from)
+		hi := min(lo+int(width), s.Len())
+		want := hi
+		for i := lo; i < hi; i++ {
+			if s.Get(i) {
+				want = i
+				break
+			}
+		}
+		return s.NextSet(lo, hi) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	s := New(256)
+	s.Set(255)
+	if got := s.NextSet(0, 256); got != 255 {
+		t.Errorf("NextSet over three clear words = %d, want 255", got)
+	}
+	if got := s.NextSet(0, 255); got != 255 {
+		t.Errorf("NextSet short of the set bit = %d, want the window's end", got)
+	}
+}
+
+func TestBytes(t *testing.T) {
+	if got := New(130).Bytes(); got != 24 {
+		t.Errorf("Bytes = %d, want 3 words", got)
+	}
+}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/csr"
 	"repro/internal/kernels"
 	"repro/internal/slottedpage"
+	"repro/internal/verify"
 )
 
 // fuzzGraph decodes arbitrary fuzz bytes into a small directed graph: the
@@ -105,6 +107,45 @@ func FuzzDirectionSwitch(f *testing.F) {
 			// skip the trailing no-op superstep push executes, so depth
 			// may come in one under the plain kernel's. Only the level
 			// vector is pinned.
+		}
+	})
+}
+
+// FuzzSSSPStrategies runs SSSP over arbitrary graphs on 1-3 GPUs under
+// Strategy-P or Strategy-S and asserts the distances equal the reference's.
+// Strategy-P merges each superstep's replicas (distance and frontier bits
+// together) and Strategy-S shares one state whose updates are bounded by
+// ownership: a frontier encoding that loses a vertex in either shows up as
+// a wrong or missing distance. Pages are 256 bytes, so even a small graph
+// spans pages that Strategy-P deals out to different GPUs, and a hub's
+// out-edges span a run of large pages.
+func FuzzSSSPStrategies(f *testing.F) {
+	f.Add(chainBytes(64), uint16(0), uint8(1), false)
+	f.Add(starBytes(120), uint16(0), uint8(2), true)
+	f.Add(oscillatingBytes(6, 30), uint16(0), uint8(3), false)
+	f.Add(oscillatingBytes(4, 40), uint16(1), uint8(2), true)
+
+	f.Fuzz(func(t *testing.T, data []byte, src uint16, gpus uint8, shared bool) {
+		g := fuzzGraph(data)
+		source := uint64(src) % g.NumVertices()
+		sp, err := slottedpage.Build(g, slottedpage.ScaledConfig(2, 2, 256))
+		if err != nil {
+			t.Skip("unpageable fuzz graph")
+		}
+		opts := Options{Strategy: StrategyP}
+		if shared {
+			opts.Strategy = StrategyS
+		}
+		n := 1 + int(gpus)%3
+		k := kernels.NewSSSP(sp)
+		rep := mustRun(t, newEngine(t, sp, opts, n, 0), k, source)
+		got := k.Distances(rep.State)
+		for v, want := range verify.SSSP(g, uint32(source), kernels.Weight) {
+			if math.IsInf(want, 1) && got[v] == math.MaxFloat32 || float64(got[v]) == want {
+				continue
+			}
+			t.Fatalf("%d GPUs, %v: vertex %d dist %v, want %v (graph %d vertices, %d edges, source %d)",
+				n, opts.Strategy, v, got[v], want, g.NumVertices(), g.NumEdges(), source)
 		}
 	})
 }

@@ -98,17 +98,19 @@ func TestBFSMatchesReferenceAcrossConfigs(t *testing.T) {
 }
 
 // TestBFSLevelBoundMatchesReference: the engine and verify.BFS share one
-// depth bound. Both answer a chain whose tail lies at level 32000, and the
-// engine refuses one vertex more (verify's own test pins its refusal).
+// depth bound, kernels.MaxLevels. Both answer a chain whose tail lies at
+// that level, and the engine refuses one vertex more (verify's own test pins
+// its refusal).
 func TestBFSLevelBoundMatchesReference(t *testing.T) {
-	deepest := graphgen.Path(32001)
-	sp := buildPages(t, deepest)
+	const deepest = kernels.MaxLevels
+	chain := graphgen.Path(deepest + 1)
+	sp := buildPages(t, chain)
 	k := kernels.NewBFS(sp)
 	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), k, 0)
-	if got, want := k.Levels(rep.State)[32000], verify.BFS(deepest, 0)[32000]; got != want || got != 32000 {
-		t.Fatalf("tail at level %d, reference %d, want 32000", got, want)
+	if got, want := k.Levels(rep.State)[deepest], verify.BFS(chain, 0)[deepest]; got != want || got != deepest {
+		t.Fatalf("tail at level %d, reference %d, want %d", got, want, deepest)
 	}
-	sp = buildPages(t, graphgen.Path(32002))
+	sp = buildPages(t, graphgen.Path(deepest+2))
 	if _, err := newEngine(t, sp, Options{}, 1, 0).RunJob(SharedJob{Kernel: kernels.NewBFS(sp)}); err == nil {
 		t.Fatal("the engine answered a 32002-vertex chain")
 	}

@@ -391,8 +391,8 @@ func (d *driver) beginWave(m *member) {
 	if m.abort != nil {
 		return
 	}
-	if !m.backward && m.level > 32000 {
-		m.fail(fmt.Errorf("core: traversal exceeded 32000 levels (level vectors are int16)"))
+	if !m.backward && m.level > kernels.MaxLevels {
+		m.fail(fmt.Errorf("core: run exceeded kernels.MaxLevels (%d levels)", kernels.MaxLevels))
 		return
 	}
 	lvl := m.waveLevel()

@@ -141,14 +141,15 @@ func (r *Runner) table4() (*Table, error) {
 		pr := kernels.NewPageRank(g, 0.85, 1).NewState().WABytes()
 		sssp := kernels.NewSSSP(g).NewState().WABytes()
 		cc := kernels.NewCC(g).NewState().WABytes()
-		topo := g.TopologyBytes()
+		topo := float64(g.TopologyBytes())
 		t.Rows = append(t.Rows, []string{
-			ds, fmtBytes(topo), fmtBytes(bfs), fmtBytes(pr), fmtBytes(sssp), fmtBytes(cc),
-			fmt.Sprintf("%.1f%%-%.1f%%", 100*float64(bfs)/float64(topo), 100*float64(cc)/float64(topo)),
+			ds, fmtBytes(g.TopologyBytes()), fmtBytes(bfs), fmtBytes(pr), fmtBytes(sssp), fmtBytes(cc),
+			fmt.Sprintf("%.1f%%-%.1f%%", 100*float64(min(bfs, pr, sssp, cc))/topo, 100*float64(max(bfs, pr, sssp, cc))/topo),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"paper shape: WA is 1.7%-10% of topology; per-vertex WA is 2B (BFS), 4B (PageRank), 8B (CC); our SSSP carries an extra 4B activity vector")
+		"paper shape: WA is 1.7%-10% of topology; the paper's per-vertex WA is 2B (BFS), 4B (PageRank, SSSP), 8B (CC); "+
+			"ours is 2B, 4B, 4B + 2 frontier bits (SSSP), and 4B (CC lowers one label vector in place)")
 	return t, nil
 }
 

@@ -39,6 +39,11 @@ func (k *BFS) marks(level int16) bool { return k.hops == 0 || level+1 < k.hops }
 // unvisited marks a vertex not yet reached (the paper's NULL level).
 const unvisited = -1
 
+// MaxLevels bounds a run's supersteps, traversal levels and scan iterations
+// alike, because level vectors are int16: the engine fails a run past level
+// MaxLevels, and a request for more iterations is refused before any work.
+const MaxLevels = 32000
+
 type bfsState struct {
 	lv []int16
 }

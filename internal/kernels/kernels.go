@@ -192,6 +192,15 @@ func Seek[T comparable](w *Walker, vec []T, x T) bool {
 	return false
 }
 
+// SeekSet is Seek over a frontier kept as a bit set, skipping 64 vertices
+// per clear word.
+func SeekSet(w *Walker, set *bitset.Set) bool {
+	v := set.NextSet(int(w.V)+1, int(w.V)+w.n-w.slot)
+	w.slot += v - int(w.V)
+	w.V = uint64(v)
+	return w.slot < w.n
+}
+
 // Slots is the page's slot count.
 func (w *Walker) Slots() int64 { return int64(w.n) }
 
@@ -361,9 +370,11 @@ func lpDegrees(g *slottedpage.Graph) map[uint64]int {
 // Weight is the deterministic synthetic edge weight used by SSSP: the
 // slotted page format carries no edge values (the paper's SSSP runs store
 // them likewise out of band), so weights derive from the endpoint IDs.
-// The range is [1, 16].
+// The range is [1, 16]. The low four bits convert through int32, which is
+// one instruction whether or not the compiler proves the value's range (a
+// uint64 needs that proof to skip its high-bit branch).
 func Weight(u, v uint64) float32 {
 	h := u*0x9E3779B97F4A7C15 + v*0xBF58476D1CE4E5B9
 	h ^= h >> 31
-	return float32(h%16 + 1)
+	return float32(int32(h&15) + 1)
 }

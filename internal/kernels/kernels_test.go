@@ -100,6 +100,31 @@ func TestWeightDeterministicAndInRange(t *testing.T) {
 	}
 }
 
+// TestWeightMatchesUnsignedConversion pins Weight to the expression it
+// replaced, float32(h%16 + 1) over the uint64 hash, on a sweep of small
+// and large (u, v) pairs: the weights, and every SSSP distance, are the same.
+func TestWeightMatchesUnsignedConversion(t *testing.T) {
+	old := func(u, v uint64) float32 {
+		h := u*0x9E3779B97F4A7C15 + v*0xBF58476D1CE4E5B9
+		h ^= h >> 31
+		return float32(h%16 + 1)
+	}
+	check := func(u, v uint64) {
+		if got, want := Weight(u, v), old(u, v); got != want {
+			t.Fatalf("Weight(%d, %d) = %v, want %v", u, v, got, want)
+		}
+	}
+	for u := uint64(0); u < 512; u++ {
+		for v := uint64(0); v < 512; v++ {
+			check(u, v)
+			check(u<<32|v, v<<40|u)
+		}
+	}
+	if err := quick.Check(func(u, v uint64) bool { return Weight(u, v) == old(u, v) }, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // buildTestGraph packs a small RMAT graph into pages for state-size tests.
 func buildTestGraph(t *testing.T) *slottedpage.Graph {
 	t.Helper()
@@ -131,9 +156,10 @@ func TestWAFootprintsMatchTable4(t *testing.T) {
 			t.Errorf("%T WABytes = %d, want %d", tc.k, got, v*tc.perV)
 		}
 	}
-	// SSSP additionally keeps the activity vector (dist 4 B + level 4 B).
-	if got := NewSSSP(sp).NewState().WABytes(); got != v*8 {
-		t.Errorf("SSSP WABytes = %d, want %d", got, v*8)
+	// SSSP keeps two frontier bits beside dist: 4 B + 2 bits, each set
+	// rounded up to whole 64-bit words.
+	if got, want := NewSSSP(sp).NewState().WABytes(), v*4+2*((v+63)/64)*8; got != want {
+		t.Errorf("SSSP WABytes = %d, want %d", got, want)
 	}
 }
 

@@ -40,7 +40,7 @@ func TestMergeAlgebra(t *testing.T) {
 		{"BFS", NewBFS(sp), 2, levels},
 		{"DirBFS", NewDirBFS(sp), 3, levels},
 		{"DirBFS-pull", pull, 3, levels},
-		{"SSSP", NewSSSP(sp), 3, func(st State) []any { s := st.(*ssspState); return []any{s.dist, s.active} }},
+		{"SSSP", NewSSSP(sp), 3, func(st State) []any { s := st.(*ssspState); return []any{s.dist, s.front[0], s.front[1]} }},
 		{"BC", NewBC(sp), 3, func(st State) []any { s := st.(*bcState); return []any{s.dist, s.sigma, s.delta} }},
 		{"PageRank", NewPageRank(sp, 0.85, 1), 3, func(st State) []any { return []any{st.(*prState).nextPR} }},
 		{"RWR", NewRWR(sp, 0.15, 1), 3, func(st State) []any { return []any{st.(*rwrState).next} }},

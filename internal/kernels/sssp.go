@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/bitset"
 	"repro/internal/slottedpage"
 )
 
@@ -15,12 +16,13 @@ import (
 // Edge weights come from kernels.Weight (deterministic, derived from the
 // endpoints) because the slotted page format carries topology only.
 //
-// A relaxation can improve a vertex that is *on the current frontier*
-// (re-marking it active for this very level via active[nvid] = Level+1
-// while dist keeps improving), so a later page's frontier check — and with
-// it the page's simulated cycle/edge counts — depends on earlier pages'
-// same-phase writes. It is the one SSSP: the served kernel and the
-// reference oracle. Freezing each
+// The frontier is two bit sets: front[L&1] holds level L's, and
+// front[(L+1)&1] collects the vertices that improve during level L. A
+// relaxation can improve a vertex that is *on the current frontier*: it
+// moves the vertex to the next set (dist keeps improving), so a later
+// page's frontier check — and with it the page's simulated cycle/edge
+// counts — depends on earlier pages' same-phase writes. It is the one
+// SSSP: the served kernel and the reference oracle. Freezing each
 // level's frontier to the lowest delta-stepping distance bucket reaches the
 // same distances over the same pages in 1.8× the levels, at 1.2–1.5× the
 // host wall (EXPERIMENTS.md, "sssp").
@@ -37,19 +39,19 @@ func NewSSSP(g *slottedpage.Graph) *SSSP {
 const inf = float32(math.MaxFloat32)
 
 type ssspState struct {
-	dist   []float32
-	active []int32 // level at which the vertex last improved
+	dist  []float32
+	front [2]*bitset.Set // front[L&1]: level L's frontier; front[(L+1)&1]: its improvements
 }
 
-func (s *ssspState) WABytes() int64 { return int64(len(s.dist)) * (4 + 4) }
+func (s *ssspState) WABytes() int64 { return int64(len(s.dist))*4 + 2*s.front[0].Bytes() }
 func (s *ssspState) Clone() State {
-	return &ssspState{dist: slices.Clone(s.dist), active: slices.Clone(s.active)}
+	return &ssspState{dist: slices.Clone(s.dist), front: [2]*bitset.Set{s.front[0].Clone(), s.front[1].Clone()}}
 }
 
 // NewState implements Kernel.
 func (k *SSSP) NewState() State {
-	n := k.g.NumVertices()
-	return &ssspState{dist: make([]float32, n), active: make([]int32, n)}
+	n := int(k.g.NumVertices())
+	return &ssspState{dist: make([]float32, n), front: [2]*bitset.Set{bitset.New(n), bitset.New(n)}}
 }
 
 // Init implements Kernel.
@@ -57,10 +59,19 @@ func (k *SSSP) Init(st State, source uint64) {
 	s := st.(*ssspState)
 	for i := range s.dist {
 		s.dist[i] = inf
-		s.active[i] = -1
 	}
+	s.front[0].Reset()
+	s.front[1].Reset()
 	s.dist[source] = 0
-	s.active[source] = 0
+	s.front[0].Set(int(source))
+}
+
+// BeginLevel is the optional hook kernels.BeginLevel runs: empty the set
+// that collects the level's improvements.
+func (k *SSSP) BeginLevel(sts []State, level int32) {
+	for _, st := range sts {
+		st.(*ssspState).front[(level+1)&1].Reset()
+	}
 }
 
 // Run is SSSP's K_SP and K_LP (Appendix D): relax the out-edges of every
@@ -68,27 +79,29 @@ func (k *SSSP) Init(st State, source uint64) {
 // the page's part of one vertex's out-edges).
 func (k *SSSP) Run(a *Args) Result {
 	s := a.State.(*ssspState)
+	cur, next := s.front[a.Level&1], s.front[(a.Level+1)&1]
 	var res Result
 	w := WalkPage(a)
-	for Seek(&w, s.active, a.Level) {
+	for SeekSet(&w, cur) {
 		pos, end, _ := w.Record()
-		k.relax(a, s, w.V, pos, end, &res)
+		k.relax(a, s.dist, cur, next, w.V, pos, end, &res)
 	}
 	return k.cost.done(a, &w, res)
 }
 
-func (k *SSSP) relax(a *Args, s *ssspState, vid uint64, pos, end int, res *Result) {
+func (k *SSSP) relax(a *Args, dist []float32, cur, next *bitset.Set, vid uint64, pos, end int, res *Result) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	base := s.dist[vid]
+	base := dist[vid]
 	for w := dec.Width(); pos < end; pos += w {
 		nvid, npid := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
 		nd := base + Weight(vid, nvid)
-		if nd < s.dist[nvid] {
-			s.dist[nvid] = nd
-			s.active[nvid] = a.Level + 1
+		if nd < dist[nvid] {
+			dist[nvid] = nd
+			next.Set(int(nvid))
+			cur.Clear(int(nvid))
 			a.NextPIDs.Set(int(npid))
 			res.Updates++
 			res.Active = true
@@ -96,8 +109,10 @@ func (k *SSSP) relax(a *Args, s *ssspState, vid uint64, pos, end int, res *Resul
 	}
 }
 
-// MergeStates implements Kernel: the shorter distance wins; its activity
-// mark comes along so the owning replica's frontier survives the merge.
+// MergeStates implements Kernel: the shorter distance wins and brings its
+// frontier bits along, so the owning replica's frontier survives the merge;
+// on a tie the bits OR. Only the next set outlives BeginLevel, but both
+// merge, so the replicas are identical again.
 func (k *SSSP) MergeStates(sts []State) {
 	if len(sts) < 2 {
 		return
@@ -105,20 +120,29 @@ func (k *SSSP) MergeStates(sts []State) {
 	base := sts[0].(*ssspState)
 	for _, other := range sts[1:] {
 		o := other.(*ssspState)
-		for v := range base.dist {
-			switch {
-			case o.dist[v] < base.dist[v]:
-				base.dist[v] = o.dist[v]
-				base.active[v] = o.active[v]
-			case o.dist[v] == base.dist[v] && o.active[v] > base.active[v]:
-				base.active[v] = o.active[v]
+		for v, od := range o.dist {
+			bd := base.dist[v]
+			if od > bd {
+				continue
+			}
+			base.dist[v] = od
+			for i, f := range base.front {
+				if od < bd {
+					f.Clear(v)
+				}
+				if o.front[i].Get(v) {
+					f.Set(v)
+				}
 			}
 		}
 	}
 	for _, other := range sts[1:] {
 		o := other.(*ssspState)
 		copy(o.dist, base.dist)
-		copy(o.active, base.active)
+		for i, f := range o.front {
+			f.Reset()
+			f.Or(base.front[i])
+		}
 	}
 }
 

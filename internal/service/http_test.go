@@ -198,6 +198,10 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		{"POST", "/v1/graphs/social/pagerank", `{"damping":1}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/pagerank", `{"iterations":-3}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/pagerank", `{"iterations":2147483648}`, http.StatusBadRequest},
+		// Past kernels.MaxLevels a scan used to run until the engine's depth
+		// guard failed it, and answered 500.
+		{"POST", "/v1/graphs/social/pagerank", `{"iterations":32001}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/rwr", `{"iterations":32001}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/rwr", `{"restart":-0.5}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/rwr", `{"iterations":-1}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/kcore", `{"k":-2}`, http.StatusBadRequest},
