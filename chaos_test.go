@@ -24,7 +24,7 @@ func chaosFaultPlan() *FaultPlan {
 
 // TestChaosSharedPoolConcurrent is the shared-pool torture test (run under
 // -race by `make test-race`): two Systems over one graph and one
-// BufferPool — one serving a 16-job RunShared wave group, the other
+// BufferPool — one running 16 BFS jobs as one multi-source BFS, the other
 // hammering solo BFS/PageRank — while storage faults, page corruption,
 // PCI-E errors and a device OOM fire on every run. The OS-level
 // interleaving of the two simulation environments is nondeterministic, so
@@ -71,20 +71,12 @@ func TestChaosSharedPoolConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 16-job wave group on sysA: 8 BFS (alternating sources) + 8
-	// PageRank, all inheriting the system's fault plan.
+	// 16 BFS jobs on sysA, alternating sources, as one multi-source BFS under
+	// the system's fault plan.
 	jobs := make([]SharedJob, 16)
 	bfsK := kernels.NewBFS(g)
-	prK := kernels.NewPageRank(g, 0.85, 5)
 	for i := range jobs {
-		switch {
-		case i < 8 && i%2 == 0:
-			jobs[i] = SharedJob{Kernel: bfsK, Source: 0}
-		case i < 8:
-			jobs[i] = SharedJob{Kernel: bfsK, Source: 512}
-		default:
-			jobs[i] = SharedJob{Kernel: prK}
-		}
+		jobs[i] = SharedJob{Kernel: bfsK, Source: uint64(i % 2 * 512)}
 	}
 
 	var wg sync.WaitGroup
@@ -114,21 +106,14 @@ func TestChaosSharedPoolConcurrent(t *testing.T) {
 	}
 	for i, o := range outs {
 		if o.Err != nil || o.Declined {
-			t.Fatalf("member %d: err=%v declined=%v", i, o.Err, o.Declined)
+			t.Fatalf("job %d: err=%v declined=%v", i, o.Err, o.Declined)
 		}
-		switch {
-		case i < 8 && i%2 == 0:
-			if !reflect.DeepEqual(bfsK.Levels(o.State), bfs0.Levels) {
-				t.Fatalf("member %d (BFS from 0) diverged under the shared pool + faults", i)
-			}
-		case i < 8:
-			if !reflect.DeepEqual(bfsK.Levels(o.State), bfs512.Levels) {
-				t.Fatalf("member %d (BFS from 512) diverged under the shared pool + faults", i)
-			}
-		default:
-			if !reflect.DeepEqual(prK.Ranks(o.State), pr.Ranks) {
-				t.Fatalf("member %d (PageRank) diverged under the shared pool + faults", i)
-			}
+		want := bfs0.Levels
+		if i%2 == 1 {
+			want = bfs512.Levels
+		}
+		if !reflect.DeepEqual(bfsK.Levels(o.State), want) {
+			t.Fatalf("job %d (BFS from %d) diverged under the shared pool + faults", i, jobs[i].Source)
 		}
 	}
 	if !reflect.DeepEqual(soloBFS.Levels, bfs0.Levels) {

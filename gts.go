@@ -488,7 +488,7 @@ var algorithms = map[string]Algorithm{
 	"radius": {
 		Normalize: func(p Params) (Params, error) {
 			out := Params{Sketches: cmp.Or(p.Sketches, 8), MaxHops: cmp.Or(p.MaxHops, 256)}
-			return out, errors.Join(inRange("sketches", out.Sketches, maxSketches), inRange("maxhops", out.MaxHops, math.MaxInt32))
+			return out, errors.Join(inRange("sketches", out.Sketches, maxSketches), inRange("maxhops", out.MaxHops, kernels.MaxLevels))
 		},
 		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewRadius(g, p.Sketches, p.MaxHops) },
 		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
@@ -499,7 +499,7 @@ var algorithms = map[string]Algorithm{
 	"ball": {
 		Normalize: func(p Params) (Params, error) {
 			out := Params{Source: p.Source, Hops: cmp.Or(p.Hops, 2)}
-			return out, inRange("hops", out.Hops, math.MaxInt16)
+			return out, inRange("hops", out.Hops, kernels.MaxLevels)
 		},
 		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewNeighborhood(g, p.Hops) },
 		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
@@ -703,7 +703,7 @@ type NeighborhoodResult struct {
 
 // Neighborhood computes the k-hop out-neighborhood of source, streaming
 // only the pages inside the ball (the paper's 3.3 neighborhood/egonet
-// family). hops outside [1, 32767] is ErrInvalid.
+// family). hops outside [1, kernels.MaxLevels] is ErrInvalid.
 func (s *System) Neighborhood(source uint64, hops int) (*NeighborhoodResult, error) {
 	return typed[*NeighborhoodResult](s, "ball", Params{Source: source, Hops: hops})
 }
@@ -758,28 +758,29 @@ func (s *System) RunKernel(k Kernel, source uint64) (KernelState, Metrics, error
 	return rep.State, rep.Metrics, nil
 }
 
-// SharedJob is one member of a RunShared wave group. A nil Faults inherits
-// the system's Config.Faults; a nil Trace inherits Config.Trace.
+// SharedJob is one job of a RunShared roster. A nil Trace records into
+// Config.Trace; every run draws its faults from Config.Faults.
 type SharedJob = core.SharedJob
 
-// SharedOutcome is one member's result from RunShared: its State and
-// Metrics, or an Err, or Declined (see core.SharedOutcome).
+// SharedOutcome is one job's result from RunShared: its State and Metrics,
+// or an Err, or Declined (see core.SharedOutcome).
 type SharedOutcome = core.SharedOutcome
 
-// SharedStats aggregates a wave group's accounting (shared page copies,
-// bytes saved, traffic paid); see core.SharedStats.
+// SharedStats is a RunShared run's accounting (page copies, the lanes
+// sharing them, traffic paid); see core.SharedStats.
 type SharedStats = core.SharedStats
 
-// RunShared executes jobs as one wave group on a single simulated machine:
-// every superstep, the union of the members' page demands streams to the
-// GPUs once and each resident page serves every demanding member's kernel.
-// Each member's final state is byte-identical to what its solo run would
-// produce. The roster is closed when the run starts: admit, when non-nil,
-// is called once with the System's run mutex held (on which, like all
-// algorithm entry points, RunShared serializes), and the jobs it returns
-// follow jobs. The outcomes come back in that order; a run that fails
-// returns its error, which every job it had not settled carries
-// (core.Engine.RunShared). A roster of no jobs is an error and runs nothing.
+// RunShared runs a roster of jobs as one kernel on one simulated machine
+// (core.Engine.RunShared): a roster of one runs that job as it is, and
+// several plain-BFS jobs (*kernels.BFS, hop-capped or not) run as one
+// multi-source BFS, a lane per job, each page streaming once for every lane
+// that needs it. Each job's final state is byte-identical to what its solo
+// run would produce, and decodes with its own kernel. Any other roster, or
+// one of none, is an error that runs nothing. admit, when non-nil, is called
+// once with the System's run mutex held (on which, like all algorithm entry
+// points, RunShared serializes), and the jobs it returns follow jobs. The
+// outcomes come back in that order; a run that fails returns its error,
+// which every job carries.
 func (s *System) RunShared(jobs []SharedJob, admit func() []SharedJob) ([]SharedOutcome, SharedStats, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()

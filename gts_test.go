@@ -449,20 +449,20 @@ func TestExtensionAlgorithmsThroughAPI(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodRefusesHopsOutOfRange: a hop count below 1, or past what
-// the kernel's int16 cap holds, is ErrInvalid rather than a 1-hop ball; the
-// largest cap, 32767, gives the BFS levels.
+// TestNeighborhoodRefusesHopsOutOfRange: a hop count below 1, or past the
+// engine's kernels.MaxLevels depth bound, is ErrInvalid rather than a 1-hop
+// ball; the largest cap, 32000, gives the BFS levels.
 func TestNeighborhoodRefusesHopsOutOfRange(t *testing.T) {
 	sys, err := NewSystem(smallGraph(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, hops := range []int{0, -1, 32768, 40000} {
+	for _, hops := range []int{0, -1, kernels.MaxLevels + 1, 40000} {
 		if res, err := sys.Neighborhood(0, hops); !errors.Is(err, ErrInvalid) {
 			t.Errorf("Neighborhood(0, %d) = %v, %v; want ErrInvalid", hops, res != nil, err)
 		}
 	}
-	capped, err := sys.Neighborhood(0, 32767)
+	capped, err := sys.Neighborhood(0, kernels.MaxLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,23 +471,29 @@ func TestNeighborhoodRefusesHopsOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(capped.Hops, bfs.Levels) {
-		t.Error("a 32767-hop ball differs from the BFS levels")
+		t.Error("a 32000-hop ball differs from the BFS levels")
 	}
 }
 
 // TestIterationsBoundedByMaxLevels: pagerank and rwr take at most
-// kernels.MaxLevels iterations, the superstep bound the engine enforces. One
-// more is ErrInvalid at normalization, before any work; it used to run until
-// the engine's depth guard failed it. A scan of exactly MaxLevels iterations
+// kernels.MaxLevels iterations, ball that many hops and radius that maxhops,
+// the superstep bound the engine enforces. One more is ErrInvalid at
+// normalization, before any work; it used to run until the engine's depth
+// guard failed it. A scan of exactly MaxLevels iterations
 // finishes.
 func TestIterationsBoundedByMaxLevels(t *testing.T) {
-	for _, name := range []string{"pagerank", "rwr"} {
+	for name, at := range map[string]func(n int) Params{
+		"pagerank": func(n int) Params { return Params{Iterations: n} },
+		"rwr":      func(n int) Params { return Params{Iterations: n} },
+		"ball":     func(n int) Params { return Params{Hops: n} },
+		"radius":   func(n int) Params { return Params{MaxHops: n} },
+	} {
 		a, _ := LookupAlgorithm(name)
-		if _, err := a.Normalize(Params{Iterations: kernels.MaxLevels}); err != nil {
-			t.Errorf("%s with %d iterations: %v", name, kernels.MaxLevels, err)
+		if _, err := a.Normalize(at(kernels.MaxLevels)); err != nil {
+			t.Errorf("%s at %d: %v", name, kernels.MaxLevels, err)
 		}
-		if _, err := a.Normalize(Params{Iterations: kernels.MaxLevels + 1}); !errors.Is(err, ErrInvalid) {
-			t.Errorf("%s with %d iterations: err = %v, want ErrInvalid", name, kernels.MaxLevels+1, err)
+		if _, err := a.Normalize(at(kernels.MaxLevels + 1)); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s at %d: err = %v, want ErrInvalid", name, kernels.MaxLevels+1, err)
 		}
 	}
 	g, err := BuildGraph(graphgen.Path(4), ScaledPageConfig(2, 2, 4096))

@@ -1,7 +1,7 @@
 // Package bufpool provides the shared host page buffer pool: one
 // pinned/ref-counted pool per registered graph, shared by every System
-// built over it and by RunShared wave groups, so concurrent queries over
-// the same graph keep at most one host copy of each hot topology page.
+// built over it, so concurrent queries over the same graph keep at most one
+// host copy of each hot topology page.
 //
 // The pool mirrors the paper's main-memory buffer (GTS §3.3, Algorithm 1
 // lines 18–26) but is reference-counted so concurrent runs can hold pages

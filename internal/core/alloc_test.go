@@ -36,85 +36,68 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
-// TestComputeKernelsAllocBudget pins the host kernel loop, planWave: the
-// demand table and every page kernel of a wave. With the driver's tables at
-// the size the widest wave needs, a PageRank wave allocates 0 objects, and so
-// does every wave of a whole BFS and of a whole 8-member BFS group — a page
-// kernel decodes at the point of use and owns no buffer — except that the
-// group's first shared page brings the BFSGroup's mask array (and the three
-// small slices around it) into being, once per run.
+// TestComputeKernelsAllocBudget pins the host kernel loop, planWave: every
+// page kernel of a wave. With the run's table at the size the widest wave
+// needs, a PageRank wave allocates 0 objects, and so does every wave of a
+// whole BFS and of a whole 8-lane multi-source BFS — a page kernel decodes
+// at the point of use and owns no buffer, and MultiBFS's seen masks come
+// with its state.
 func TestComputeKernelsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation perturbs allocation counts")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sp := buildPages(t, rmatGraph(t))
-	// inDriver runs body as the framework process of a group of jobs that has
-	// begun its members and grown its demand tables.
-	inDriver := func(jobs []SharedJob, body func(p *sim.Proc, d *driver)) {
-		d, err := newEngine(t, sp, Options{}, 1, 0).newDriver(jobs)
+	// inRun runs body as the framework process of a run of job that has
+	// uploaded its WA and grown its wave table.
+	inRun := func(job SharedJob, body func(p *sim.Proc, r *run)) {
+		r, err := newEngine(t, sp, Options{}, 1, 0).newRun(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(jobs) * sp.NumPages()
-		d.pids, d.off, d.dem = make([]slottedpage.PageID, 0, n), make([]int, 0, n+1), make([]demand, 0, n)
-		d.gpuEnd, d.lanes = make([]int, 0, 1), make([]kernels.BFSLane, 0, len(jobs))
-		d.env.Process("alloc-budget", func(p *sim.Proc) {
-			for _, m := range d.active {
-				d.beginMember(p, m)
-			}
-			body(p, d)
+		n := sp.NumPages()
+		r.pids, r.res, r.gpuEnd = make([]slottedpage.PageID, 0, n), make([]kernels.Result, 0, n), make([]int, 0, 1)
+		r.env.Process("alloc-budget", func(p *sim.Proc) {
+			r.begin(p)
+			body(p, r)
 		})
-		if _, err := d.env.Run(); err != nil {
+		if _, err := r.env.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	inDriver([]SharedJob{{Kernel: kernels.NewPageRank(sp, 0.85, 5)}}, func(p *sim.Proc, d *driver) {
-		d.beginWave(d.active[0])
-		if got := testing.AllocsPerRun(20, d.planWave); got > 0 {
+	inRun(SharedJob{Kernel: kernels.NewPageRank(sp, 0.85, 5)}, func(p *sim.Proc, r *run) {
+		r.beginWave()
+		if got := testing.AllocsPerRun(20, r.planWave); got > 0 {
 			t.Errorf("PageRank wave allocates %.1f objects/run, want 0", got)
 		}
 	})
 
-	for _, members := range []int{1, 8} {
-		var jobs []SharedJob
-		for _, src := range bfsSources(members, sp.NumVertices()) {
-			jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: src})
-		}
-		inDriver(jobs, func(p *sim.Proc, d *driver) {
+	sources := bfsSources(8, sp.NumVertices())
+	lanes := make([]*kernels.BFS, len(sources))
+	for i := range lanes {
+		lanes[i] = kernels.NewBFS(sp)
+	}
+	for _, job := range []SharedJob{
+		{Kernel: kernels.NewBFS(sp), Source: sources[0]},
+		{Kernel: kernels.NewMultiBFS(sp, lanes, sources), Source: sources[0]},
+	} {
+		inRun(job, func(p *sim.Proc, r *run) {
 			var perWave []uint64
-			for len(d.active) > 0 {
-				for _, m := range d.active {
-					d.beginWave(m)
-				}
+			for r.abort == nil && !r.done {
+				r.beginWave()
 				before := mallocs()
-				d.planWave()
+				r.planWave()
 				perWave = append(perWave, mallocs()-before)
-				d.streamDemand(p)
-				for _, m := range d.active {
-					d.endWave(p, m)
-				}
-				d.retireFinished()
+				r.streamDemand(p)
+				r.endWave(p)
 			}
 			var total uint64
-			allocating := 0
 			for _, n := range perWave {
 				total += n
-				if n > 0 {
-					allocating++
-				}
 			}
-			budget := uint64(0)
-			if members > 1 {
-				budget = 5 // the mask array, the two slices that index it, the frontier mask, once
-			}
-			if len(perWave) < 3 || total > budget || allocating > 1 {
-				t.Errorf("%d BFS: %d waves allocate %v objects in planWave, want 3+ waves and at most %d objects, all in one wave",
-					members, len(perWave), perWave, budget)
-			}
-			if members > 1 && total == 0 {
-				t.Error("8 BFS: no wave met a shared page")
+			if len(perWave) < 3 || total > 0 {
+				t.Errorf("%T: %d waves allocate %v objects in planWave, want 3+ waves and none", job.Kernel, len(perWave), perWave)
 			}
 		})
 	}

@@ -55,7 +55,7 @@ const CacheDisabled int64 = -1
 var ErrWontFit = errors.New("core: working set exceeds device memory")
 
 // ErrSourceOutOfRange reports a job whose source is not a vertex of the
-// graph. It is the job's error alone: the rest of its group carries on.
+// graph. It is the job's error alone: the rest of its roster carries on.
 var ErrSourceOutOfRange = errors.New("core: source vertex out of range")
 
 // ErrHardwareFault reports that an injected (or modeled) hardware fault
@@ -80,21 +80,21 @@ type Options struct {
 	CacheBytes int64
 	// Trace, when non-nil, records per-stream spans for Figure 4.
 	Trace *trace.Recorder
-	// Faults, when non-nil, injects hardware failures from a seeded plan:
-	// PCI-E transfer errors/stalls, device OOM at kernel launch, storage
-	// read errors, and page corruption. The engine retries, re-reads, and
-	// degrades as needed; since kernels run functionally and faults only
-	// perturb the simulated hardware, a recovered run's results are
-	// byte-identical to a fault-free run's.
+	// Faults, when non-nil, injects hardware failures from a seeded plan,
+	// a fresh injector per run: PCI-E transfer errors/stalls, device OOM at
+	// kernel launch, storage read errors, and page corruption. The engine
+	// retries, re-reads, and degrades as needed; since kernels run
+	// functionally and faults only perturb the simulated hardware, a
+	// recovered run's results are byte-identical to a fault-free run's.
 	Faults *fault.Plan
 	// HostPool is the host page buffer of a storage-backed run (the paper's
 	// MMBuf, Algorithm 1 lines 18-26). Nil gives every run a fresh private
 	// pool of 20% of the topology (the paper's RMAT31/32 setting); a pool
-	// handed to several engines or wave groups is shared by them, so they
-	// keep at most one host copy of each hot page. Its page size must match
-	// the graph's. Ignored for fully in-memory runs. The pool only decides
-	// which reads hit host memory — never what a kernel computes — so
-	// results are byte-identical whichever pool serves a run.
+	// handed to several engines is shared by them, so they keep at most one
+	// host copy of each hot page. Its page size must match the graph's.
+	// Ignored for fully in-memory runs. The pool only decides which reads
+	// hit host memory — never what a kernel computes — so results are
+	// byte-identical whichever pool serves a run.
 	HostPool *bufpool.Pool
 }
 
@@ -158,9 +158,8 @@ type Metrics struct {
 	// unless a fault plan is set.
 	Faults fault.Stats
 	// HostKernelWall is the real (not virtual) time the host spent in
-	// functional kernel execution: each wave's compute is timed once and
-	// divided among the group's live members by their kernel jobs in it, so
-	// the members' values sum to the wall actually spent. Not in the JSON.
+	// functional kernel execution, each wave's compute timed once. Not in
+	// the JSON.
 	HostKernelWall time.Duration `json:"-"`
 	// PoolHits, PoolLoads and PoolWaits are this run's host page buffer
 	// traffic (all zero for an in-memory run): pins served from a resident
@@ -180,8 +179,8 @@ type Report struct {
 	State kernels.State
 	// CacheHits counts pages served from the device-memory page cache.
 	CacheHits int64
-	// ResidentAtStart counts the device pages resident when the member
-	// joined, summed over GPUs: the device state its Elapsed depends on
+	// ResidentAtStart counts the device pages resident when the run
+	// began, summed over GPUs: the device state its Elapsed depends on
 	// besides the job (0 on an Engine's first run).
 	ResidentAtStart int64
 	// EdgesTraversed counts adjacency entries the kernels scanned.
@@ -228,6 +227,3 @@ func New(spec hw.MachineSpec, graph *slottedpage.Graph, opts Options) (*Engine, 
 	}
 	return &Engine{spec: spec, graph: graph, opts: opts, device: make([]*hw.PageCache, len(spec.GPUs))}, nil
 }
-
-// Graph returns the engine's graph.
-func (e *Engine) Graph() *slottedpage.Graph { return e.graph }

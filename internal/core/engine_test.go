@@ -4,14 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/csr"
 	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
-	"repro/internal/sim"
 	"repro/internal/slottedpage"
 	"repro/internal/trace"
 	"repro/internal/verify"
@@ -423,52 +422,52 @@ func TestReportMetricsSane(t *testing.T) {
 		t.Errorf("HostKernelWall = %v, want > 0", rep.HostKernelWall)
 	}
 
-	// A group's kernels run page-major, so no member has a loop of its own to
-	// time: the members' HostKernelWall must still add up to the wall the
-	// group's waves took computing (planWave).
+	// A multi-source BFS's report splits among its jobs (laneReport): the
+	// parts of every additive counter sum to the run's, HostKernelWall
+	// included, and RunShared hands out exactly those parts.
 	ds, _ := graphgen.ByName("RMAT27")
 	big := buildPages(t, ds.MustGenerate(27-13))
-	jobs := []SharedJob{{Kernel: kernels.NewPageRank(big, 0.85, 3)}, {Kernel: kernels.NewSSSP(big), Source: 1}}
-	for _, src := range bfsSources(8, big.NumVertices()) {
-		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(big), Source: src})
+	sources := bfsSources(8, big.NumVertices())
+	var jobs []SharedJob
+	lanes := make([]*kernels.BFS, len(sources))
+	for j, src := range sources {
+		lanes[j] = kernels.NewBFS(big)
+		jobs = append(jobs, SharedJob{Kernel: lanes[j], Source: src})
 	}
-	d, err := newEngine(t, big, Options{}, 1, 0).newDriver(jobs)
-	if err != nil {
-		t.Fatal(err)
+	ms := kernels.NewMultiBFS(big, lanes, sources)
+	whole := mustRun(t, newEngine(t, big, Options{}, 1, 0), ms, sources[0])
+	outs, stats := mustRunShared(t, newEngine(t, big, Options{}, 1, 0), jobs)
+	var total, before int64
+	for j := range lanes {
+		_, ls := ms.Lane(whole.State, j)
+		total += ls.Pages
 	}
-	var outer time.Duration
-	d.env.Process("timed-waves", func(p *sim.Proc) {
-		for _, m := range d.active {
-			d.beginMember(p, m)
+	var sum, shared Report
+	for j := range lanes {
+		st, ls := ms.Lane(whole.State, j)
+		for _, r := range []struct{ into, from *Report }{{&sum, ptr(laneReport(whole, st, ls, before, total))}, {&shared, &outs[j].Report}} {
+			r.into.HostKernelWall += r.from.HostKernelWall
+			r.into.TransferTime += r.from.TransferTime
+			r.into.KernelTime += r.from.KernelTime
+			r.into.PagesStreamed += r.from.PagesStreamed
+			r.into.BytesToGPU += r.from.BytesToGPU
+			r.into.CacheHits += r.from.CacheHits
+			r.into.EdgesTraversed += r.from.EdgesTraversed
 		}
-		for len(d.active) > 0 {
-			for _, m := range d.active {
-				d.beginWave(m)
-			}
-			t0 := time.Now()
-			d.planWave()
-			outer += time.Since(t0)
-			d.streamDemand(p)
-			for _, m := range d.active {
-				d.endWave(p, m)
-			}
-			d.retireFinished()
-		}
-	})
-	if _, err := d.env.Run(); err != nil {
-		t.Fatal(err)
+		before += ls.Pages
 	}
-	var sum time.Duration
-	for i, o := range d.outs {
-		if o.Err != nil || o.HostKernelWall <= 0 {
-			t.Fatalf("member %d: err %v, HostKernelWall %v", i, o.Err, o.HostKernelWall)
-		}
-		sum += o.HostKernelWall
+	want := Report{Metrics: Metrics{HostKernelWall: whole.HostKernelWall, TransferTime: whole.TransferTime, KernelTime: whole.KernelTime,
+		PagesStreamed: whole.PagesStreamed, BytesToGPU: whole.BytesToGPU}, CacheHits: whole.CacheHits, EdgesTraversed: whole.EdgesTraversed}
+	if !reflect.DeepEqual(sum, want) {
+		t.Errorf("the lanes' parts sum to %+v, the run's %+v", sum, want)
 	}
-	if sum > outer || sum < outer-outer/20 {
-		t.Errorf("members' HostKernelWall sum to %v, the group's waves took %v: want within 5%% below", sum, outer)
+	shared.HostKernelWall, want.HostKernelWall = 0, 0 // host time: another run's
+	if !reflect.DeepEqual(shared, want) || stats.EdgesTraversed != whole.EdgesTraversed || stats.Elapsed != whole.Elapsed {
+		t.Errorf("RunShared's outcomes sum to %+v, the run's %+v (stats %+v)", shared, want, stats)
 	}
 }
+
+func ptr[T any](v T) *T { return &v }
 
 func TestOptionsValidation(t *testing.T) {
 	g := rmatGraph(t)

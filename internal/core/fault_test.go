@@ -197,7 +197,7 @@ func TestDeviceCarriesWhatOOMLeft(t *testing.T) {
 	opts := Options{CacheBytes: int64(n) * int64(sp.Config().PageSize)}
 	k := kernels.NewPageRank(sp, 0.85, 3)
 	clean, last := runCountingLaunches(t, newEngine(t, sp, opts, 1, 0), SharedJob{Kernel: k})
-	want := append([]float32(nil), k.Ranks(clean[0].State)...)
+	want := append([]float32(nil), k.Ranks(clean.State)...)
 	for _, tc := range []struct {
 		name  string
 		ooms  []int64
@@ -208,8 +208,10 @@ func TestDeviceCarriesWhatOOMLeft(t *testing.T) {
 		{"exhausted", []int64{last, last + 1, last + 2, last + 3, last + 4}, n / 16, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine(t, sp, opts, 1, 0)
-			rep, err := e.RunJob(SharedJob{Kernel: k, Faults: &fault.Plan{OOMKernelLaunches: tc.ooms}})
+			faulted := opts
+			faulted.Faults = &fault.Plan{OOMKernelLaunches: tc.ooms}
+			e := newEngine(t, sp, faulted, 1, 0)
+			rep, err := e.RunJob(SharedJob{Kernel: k})
 			if tc.fails != (err != nil) {
 				t.Fatalf("degraded run: err = %v, want failure %v", err, tc.fails)
 			}
@@ -224,6 +226,10 @@ func TestDeviceCarriesWhatOOMLeft(t *testing.T) {
 			if got := e.device[0].Len(); got != tc.left {
 				t.Fatalf("the degraded run left %d pages resident, want %d", got, tc.left)
 			}
+			// The next run is fault-free, on the device the degraded run left.
+			clean := newEngine(t, sp, opts, 1, 0)
+			clean.device = e.device
+			e = clean
 			next := mustRun(t, e, k, 0)
 			if next.ResidentAtStart != int64(tc.left) {
 				t.Errorf("the next run started with %d resident pages, want %d", next.ResidentAtStart, tc.left)

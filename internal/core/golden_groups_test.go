@@ -6,37 +6,28 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
-	"slices"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/slottedpage"
-	"repro/internal/trace"
 )
 
-// The group pins: whole wave groups — virtual makespan, sharing counters and
-// every member's bytes and accounting — recorded from the engine as it was
-// when each member ran its own page kernel over every page (PR 22), so a
-// change to how a wave computes (page-major order, a kernel shared between
-// members) has to reproduce them exactly. They live in their own file:
+// The group pins: whole multi-BFS rosters — virtual makespan, sharing
+// counters and every job's bytes and accounting. The jobs' digests, levels,
+// edges and updates were recorded from the engine as it was when each job
+// ran its own page kernel over every page (PR 22), so a change to how a wave
+// computes has to reproduce them exactly. They live in their own file:
 // golden.json counts its entries against kernelCases.
 
 const goldenGroupsPath = "testdata/golden_groups.json"
 
-// memberPin is one member's outcome. Err is set instead of the rest for a
-// member that aborted; Waves is how many supersteps it finished first.
+// memberPin is one job's outcome: its lane's bytes and counters.
 type memberPin struct {
-	Err            string  `json:"err,omitempty"`
-	Waves          int     `json:"waves,omitempty"`
-	Digest         string  `json:"digest,omitempty"`
-	Levels         int32   `json:"levels,omitempty"`
-	EdgesTraversed int64   `json:"edges_traversed,omitempty"`
-	Updates        int64   `json:"updates,omitempty"`
-	KernelTime     int64   `json:"kernel_time,omitempty"`
-	LevelPages     []int64 `json:"level_pages,omitempty"`
-	LevelBytes     []int64 `json:"level_bytes,omitempty"`
+	Digest         string `json:"digest"`
+	Levels         int32  `json:"levels"`
+	EdgesTraversed int64  `json:"edges_traversed"`
+	Updates        int64  `json:"updates"`
 }
 
 type groupPin struct {
@@ -46,105 +37,44 @@ type groupPin struct {
 	Members    []memberPin `json:"members"`
 }
 
-// groupCase is one pinned group: its machine and its jobs (kc[i] encodes
-// job i's state).
+// groupCase is one pinned roster: its machine and its BFS jobs' sources.
 type groupCase struct {
 	name       string
 	opts       Options
 	gpus, ssds int
-	jobs       []SharedJob
-	kc         []kernelCase
-	// pulls asserts every member planned at least one pull level.
-	pulls bool
+	sources    []uint64
 }
 
 func groupCases(sp *slottedpage.Graph) []groupCase {
-	cases := kernelCases()
-	bfsCase, ssspCase, prCase, dirCase := cases[0], cases[1], cases[2], cases[11]
-	bfsJobs := func(sources []uint64) (jobs []SharedJob, kc []kernelCase) {
-		for _, s := range sources {
-			jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
-			kc = append(kc, bfsCase)
-		}
-		return jobs, kc
-	}
 	nV := sp.NumVertices()
-	var out []groupCase
-
-	jobs, kc := bfsJobs(bfsSources(8, nV))
 	// A device cache of 16 of the graph's 42 pages, so every wave streams.
 	partCache := Options{CacheBytes: 16 * int64(sp.Config().PageSize)}
-	out = append(out, groupCase{name: "bfs8-1gpu-ssd", opts: partCache, gpus: 1, ssds: 1, jobs: jobs, kc: kc})
-
+	out := []groupCase{{name: "bfs8-1gpu-ssd", opts: partCache, gpus: 1, ssds: 1, sources: bfsSources(8, nV)}}
 	for _, st := range []Strategy{StrategyP, StrategyS} {
-		jobs, kc = bfsJobs(bfsSources(20, nV))
-		out = append(out, groupCase{name: "bfs20-2gpu-" + st.String(), opts: Options{Strategy: st}, gpus: 2, jobs: jobs, kc: kc})
+		out = append(out, groupCase{name: "bfs20-2gpu-" + st.String(), opts: Options{Strategy: st}, gpus: 2, sources: bfsSources(20, nV)})
 	}
-
-	jobs, kc = bfsJobs([]uint64{0, 700})
-	for _, c := range []kernelCase{prCase, ssspCase, dirCase} {
-		jobs = append(jobs, SharedJob{Kernel: c.make(sp), Source: 3})
-		kc = append(kc, c)
-	}
-	out = append(out, groupCase{name: "mixed-bfs2-pr-sssp-dirbfs", gpus: 1, jobs: jobs, kc: kc})
-
-	// Four direction-optimizing members from sources whose frontiers all
-	// cross the pull threshold, so they read one graph's reverse index.
-	jobs, kc = nil, nil
-	for _, s := range []uint64{0, 3, 700, 1300} {
-		jobs = append(jobs, SharedJob{Kernel: dirCase.make(sp), Source: s})
-		kc = append(kc, dirCase)
-	}
-	out = append(out, groupCase{name: "dirbfs4-1gpu", opts: partCache, gpus: 1, jobs: jobs, kc: kc, pulls: true})
-
-	// The 8-BFS group again, with its first member — the payer of every copy
-	// it demands — under transfer errors heavy enough to exhaust its retry
-	// budget mid-wave (the recorded Waves says how many supersteps it finished
-	// first): the other seven take over its copies and finish.
-	jobs, kc = bfsJobs(bfsSources(8, nV))
-	jobs[0].Faults = &fault.Plan{Seed: 7, TransferErrorRate: 0.5}
-	out = append(out, groupCase{name: "bfs8-1gpu-ssd-member0-aborts", opts: partCache, gpus: 1, ssds: 1, jobs: jobs, kc: kc})
 	return out
 }
 
 func runGroupCase(t *testing.T, sp *slottedpage.Graph, gc groupCase) groupPin {
 	t.Helper()
-	recs := make([]*trace.Recorder, len(gc.jobs))
-	for i := range gc.jobs {
-		recs[i] = trace.NewWithID(gc.name)
-		gc.jobs[i].Trace = recs[i]
+	var jobs []SharedJob
+	for _, s := range gc.sources {
+		jobs = append(jobs, SharedJob{Kernel: kernels.NewBFS(sp), Source: s})
 	}
-	outs, stats := mustRunShared(t, newEngine(t, sp, gc.opts, gc.gpus, gc.ssds), gc.jobs)
-	if len(outs) != len(gc.jobs) {
-		t.Fatalf("%s: %d outcomes for %d jobs", gc.name, len(outs), len(gc.jobs))
-	}
+	outs, stats := mustRunShared(t, newEngine(t, sp, gc.opts, gc.gpus, gc.ssds), jobs)
 	pin := groupPin{Elapsed: stats.Elapsed, PageCopies: stats.PageCopies, Servings: stats.Servings}
+	bfsCase := kernelCases()[0]
 	for i, o := range outs {
-		if o.Declined {
-			t.Fatalf("%s: member %d declined", gc.name, i)
+		if o.Err != nil || o.Declined {
+			t.Fatalf("%s: job %d: err %v, declined %v", gc.name, i, o.Err, o.Declined)
 		}
-		if o.Err != nil {
-			waves := 0
-			for _, s := range recs[i].Spans() {
-				if s.Kind == trace.Superstep {
-					waves++
-				}
-			}
-			pin.Members = append(pin.Members, memberPin{Err: o.Err.Error(), Waves: waves})
-			continue
-		}
-		if gc.pulls && !slices.Contains(o.LevelDirs, kernels.DirPull.String()) {
-			t.Fatalf("%s: member %d never pulled: %v", gc.name, i, o.LevelDirs)
-		}
-		sum := sha256.Sum256(gc.kc[i].enc(gc.jobs[i].Kernel, o.State))
+		sum := sha256.Sum256(bfsCase.enc(jobs[i].Kernel, o.State))
 		pin.Members = append(pin.Members, memberPin{
 			Digest:         hex.EncodeToString(sum[:]),
 			Levels:         o.Levels,
 			EdgesTraversed: o.EdgesTraversed,
 			Updates:        o.Updates,
-			KernelTime:     int64(o.KernelTime),
-			LevelPages:     o.LevelPages,
-			LevelBytes:     o.LevelBytes,
 		})
 	}
 	return pin

@@ -5,35 +5,35 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/kernels"
 	"repro/internal/sim"
 	"repro/internal/slottedpage"
 )
 
-// runCountingLaunches runs jobs as one group on e as RunShared does — the
-// device it leaves carries over to e's next run — and returns each job's
-// outcome with the kernel launches the machine's GPUs made between them
-// (hw.GPUStats.KernelCalls).
-func runCountingLaunches(t *testing.T, e *Engine, jobs ...SharedJob) ([]SharedOutcome, int64) {
+// runCountingLaunches runs job on e as RunJob does — the device it leaves
+// carries over to e's next run — and returns its report with the kernel
+// launches the machine's GPUs made (hw.GPUStats.KernelCalls).
+func runCountingLaunches(t *testing.T, e *Engine, job SharedJob) (*Report, int64) {
 	t.Helper()
-	d, err := e.newDriver(jobs)
+	r, err := e.newRun(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.env.Process("gts-framework", d.loop)
-	if _, err := d.env.Run(); err != nil {
+	r.env.Process("gts-framework", r.loop)
+	elapsed, err := r.env.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.device = d.caches
+	e.device = r.caches
+	if r.abort != nil {
+		t.Fatal(r.abort)
+	}
 	var calls int64
-	for _, g := range d.machine.GPUs {
+	for _, g := range r.machine.GPUs {
 		calls += g.Stats().KernelCalls
 	}
-	for i, o := range d.outs {
-		if o.Err != nil || o.Declined {
-			t.Fatalf("job %d: err %v, declined %v", i, o.Err, o.Declined)
-		}
-	}
-	return d.outs, calls
+	rep := r.report(elapsed)
+	return &rep, calls
 }
 
 // slowLaunchEngine is an engine on gpus GPUs whose every kernel launch
@@ -52,8 +52,8 @@ func slowLaunchEngine(t *testing.T, sp *slottedpage.Graph, gpus int, opts Option
 }
 
 // TestResidentPagesShareALaunch pins processDemand's launch rule: within a
-// wave, a stream's kernels for a member's resident pages run inside one
-// launch, and every page copied for the member launches on its own.
+// wave, a stream's kernels for resident pages run inside one launch, and
+// every copied page launches on its own.
 // Launch overhead here is 1 ms, so a launch too many shows in Elapsed as
 // well as in the GPU's launch count.
 func TestResidentPagesShareALaunch(t *testing.T) {
@@ -61,72 +61,59 @@ func TestResidentPagesShareALaunch(t *testing.T) {
 	n := int64(sp.NumPages())
 	pr := kernelCases()[2] // PageRank, 5 iterations: 5 waves
 	const waves, streams = 5, 4
-	run := func(e *Engine, jobs ...SharedJob) ([]SharedOutcome, int64) {
+	run := func(e *Engine) (*Report, []byte, int64) {
 		t.Helper()
-		for i := range jobs {
-			jobs[i].Kernel = pr.make(sp)
-		}
-		return runCountingLaunches(t, e, jobs...)
+		k := pr.make(sp)
+		rep, calls := runCountingLaunches(t, e, SharedJob{Kernel: k})
+		return rep, pr.enc(k, rep.State), calls
 	}
-	enc := func(j SharedJob, o SharedOutcome) []byte { return pr.enc(j.Kernel, o.State) }
 
 	// Without a cache every page streams in every wave and launches alone.
-	off := slowLaunchEngine(t, sp, 1, Options{Streams: streams, CacheBytes: CacheDisabled})
-	job := []SharedJob{{}}
-	outs, calls := run(off, job...)
-	want := enc(job[0], outs[0])
-	if off := outs[0]; calls != waves*n || off.PagesStreamed != calls {
+	off, want, calls := run(slowLaunchEngine(t, sp, 1, Options{Streams: streams, CacheBytes: CacheDisabled}))
+	if calls != waves*n || off.PagesStreamed != calls {
 		t.Errorf("cache disabled: %d launches for %d pages streamed, want one per page (%d)", calls, off.PagesStreamed, waves*n)
 	}
 
 	// Cold: the first wave copies every page and launches per page; each
 	// later wave finds every page resident and opens one launch per stream.
 	e := slowLaunchEngine(t, sp, 1, Options{Streams: streams})
-	job = []SharedJob{{}}
-	outs, calls = run(e, job...)
-	cold := outs[0]
+	cold, got, calls := run(e)
 	if cold.PagesStreamed != n || calls != n+(waves-1)*streams {
 		t.Errorf("cold: %d launches, %d pages streamed; want %d + %d waves x %d streams", calls, cold.PagesStreamed, n, waves-1, streams)
 	}
-	if !bytes.Equal(enc(job[0], cold), want) {
+	if !bytes.Equal(got, want) {
 		t.Error("cold: ranks differ from the cache-disabled run's")
 	}
 
 	// Warm and fully resident: one launch per stream per wave, so Elapsed
 	// is about one overhead per wave, where a launch per page would cost
 	// n/streams overheads per wave.
-	job = []SharedJob{{}}
-	outs, calls = run(e, job...)
-	warm := outs[0]
+	warm, got, calls := run(e)
 	if warm.PagesStreamed != 0 || calls != waves*streams {
 		t.Errorf("warm: %d launches, %d pages streamed; want %d waves x %d streams, 0", calls, warm.PagesStreamed, waves, streams)
 	}
 	if warm.Elapsed < waves*sim.Millisecond || warm.Elapsed > 2*waves*sim.Millisecond {
 		t.Errorf("warm: Elapsed %v, want about one 1 ms launch per wave (%d waves)", warm.Elapsed, waves)
 	}
-	if !bytes.Equal(enc(job[0], warm), want) {
+	if !bytes.Equal(got, want) {
 		t.Error("warm: ranks differ from the cache-disabled run's")
 	}
 
-	// A launch is a member's own: two warm members each open one per stream
-	// per wave, with the same ranks as alone.
-	jobs := []SharedJob{{}, {}}
-	outs, calls = run(e, jobs...)
-	if calls != 2*waves*streams {
-		t.Errorf("two warm members: %d launches, want 2 x %d waves x %d streams", calls, waves, streams)
-	}
-	for i, o := range outs {
-		if !bytes.Equal(enc(jobs[i], o), want) {
-			t.Errorf("two warm members: member %d's ranks differ from the cache-disabled run's", i)
-		}
+	// A multi-source BFS's page is one launch however many lanes run it:
+	// two warm lanes from one source launch as often as one BFS from it.
+	_, solo := runCountingLaunches(t, e, SharedJob{Kernel: kernels.NewBFS(sp), Source: 7})
+	lanes := []*kernels.BFS{kernels.NewBFS(sp), kernels.NewBFS(sp)}
+	_, twin := runCountingLaunches(t, e, SharedJob{Kernel: kernels.NewMultiBFS(sp, lanes, []uint64{7, 7}), Source: 7})
+	if twin != solo {
+		t.Errorf("two warm lanes: %d launches, one BFS %d", twin, solo)
 	}
 
 	// Two GPUs under Strategy-P stream each page's RA with it, even when the
 	// page is resident: that copy closes the launch as a page copy does.
 	two := slowLaunchEngine(t, sp, 2, Options{Streams: streams})
-	run(two, SharedJob{})
-	outs, calls = run(two, SharedJob{})
-	if w := outs[0]; w.PagesStreamed != 0 || calls != w.CacheHits {
+	run(two)
+	w, _, calls := run(two)
+	if w.PagesStreamed != 0 || calls != w.CacheHits {
 		t.Errorf("two GPUs, warm: %d launches for %d resident pages with streamed RA, want one each", calls, w.CacheHits)
 	}
 }
@@ -158,12 +145,12 @@ func TestCopyClosesTheOpenLaunch(t *testing.T) {
 		t.Fatalf("the BFS left %d of %d pages resident in %d runs: no copy falls between resident pages", n-int(copied), n, runs)
 	}
 	k := pr.make(sp)
-	outs, calls := runCountingLaunches(t, e, SharedJob{Kernel: k})
-	if got := outs[0]; got.PagesStreamed != waves*copied || calls != waves*(copied+runs) {
+	got, calls := runCountingLaunches(t, e, SharedJob{Kernel: k})
+	if got.PagesStreamed != waves*copied || calls != waves*(copied+runs) {
 		t.Errorf("%d launches, %d pages streamed; want %d waves x (%d copied + %d resident runs), %d",
 			calls, got.PagesStreamed, waves, copied, runs, waves*copied)
 	}
-	if want, _ := runDigest(t, sp, pr, Options{CacheBytes: CacheDisabled}, 1, 0); !bytes.Equal(pr.enc(k, outs[0].State), want) {
+	if want, _ := runDigest(t, sp, pr, Options{CacheBytes: CacheDisabled}, 1, 0); !bytes.Equal(pr.enc(k, got.State), want) {
 		t.Error("ranks differ from the cache-disabled run's")
 	}
 }

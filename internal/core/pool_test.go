@@ -97,17 +97,17 @@ func TestPrivatePoolMatchesExplicitPool(t *testing.T) {
 	}
 	// run executes the workload once and returns every member's outcome.
 	run := func(t *testing.T, spec hw.MachineSpec, kcs []kernelCase, faulted bool, pool *bufpool.Pool) []outcome {
-		e, err := New(spec, sp, Options{HostPool: pool})
+		opts := Options{HostPool: pool}
+		if faulted {
+			opts.Faults = chaosPlan()
+		}
+		e, err := New(spec, sp, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var jobs []SharedJob
 		for i, kc := range kcs {
-			job := SharedJob{Kernel: kc.make(sp), Source: uint64(i * 7)}
-			if faulted {
-				job.Faults = chaosPlan()
-			}
-			jobs = append(jobs, job)
+			jobs = append(jobs, SharedJob{Kernel: kc.make(sp), Source: uint64(i * 7)})
 		}
 		outs, _ := mustRunShared(t, e, jobs)
 		var res []outcome
@@ -190,9 +190,9 @@ func TestWarmPoolServesSecondRun(t *testing.T) {
 	}
 }
 
-// TestPooledSharedGroup: a wave group over the shared pool matches solo
-// results, and the group's members share one pin per demanded page (the
-// pool sees at most one load per page, however many members demand it).
+// TestPooledSharedGroup: a multi-BFS roster over the shared pool matches
+// solo results, and its lanes share one pin per page (the pool sees at most
+// one load per page, however many lanes run it).
 func TestPooledSharedGroup(t *testing.T) {
 	g := rmatGraph(t)
 	sp := buildPages(t, g)

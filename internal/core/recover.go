@@ -22,19 +22,19 @@ const (
 	retryBackoff = 100 * sim.Microsecond
 )
 
-// fail latches the member's first unrecoverable error. The streams skip an
-// aborted member's demands and the group retires it at the wave boundary
-// with the error as its outcome.
-func (m *member) fail(err error) {
-	if m.abort == nil {
-		m.abort = err
+// fail latches the run's first unrecoverable error. The streams skip the
+// rest of the wave's pages and the run ends at the wave boundary with the
+// error as its outcome.
+func (r *run) fail(err error) {
+	if r.abort == nil {
+		r.abort = err
 	}
 }
 
 // traceMark records a zero-duration marker span (fault/retry instants).
-func (m *member) traceMark(kind trace.Kind, gpu, stream int, page int64) {
-	now := m.env.Now()
-	m.trace.Add(trace.Span{GPU: gpu, Stream: stream, Kind: kind, Page: page, Level: m.curLevel, Start: now, End: now})
+func (r *run) traceMark(kind trace.Kind, gpu, stream int, page int64) {
+	now := r.env.Now()
+	r.trace.Add(trace.Span{GPU: gpu, Stream: stream, Kind: kind, Page: page, Level: r.curLevel, Start: now, End: now})
 }
 
 // retry is the one recovery loop: it runs attempt until it succeeds or the
@@ -43,28 +43,22 @@ func (m *member) traceMark(kind trace.Kind, gpu, stream int, page int64) {
 // between, and returns the attempts made and the last one's error. onErr,
 // when non-nil, sees every error that will be retried; true means it has
 // removed the cause, so the next attempt starts at once.
-//
-// Each attempt first arms the machine's fault injectors with this member's.
-// The sim scheduler runs one process at a time and the hw models read their
-// injector synchronously at call entry, so arming here cannot race a sibling
-// member's operation.
-func (m *member) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() error, onErr func(error) bool) (int, error) {
+func (r *run) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() error, onErr func(error) bool) (int, error) {
 	backoff := retryBackoff
 	for n := 1; ; n++ {
-		m.machine.InjectFaults(m.inj)
 		err := attempt()
 		if err == nil {
 			if n > 1 {
-				m.fstats.Recoveries++
+				r.fstats.Recoveries++
 			}
 			return n, nil
 		}
-		m.traceMark(trace.Fault, gpu, stream, page)
+		r.traceMark(trace.Fault, gpu, stream, page)
 		if n >= maxAttempts {
 			return n, err
 		}
-		m.fstats.Retries++
-		m.traceMark(trace.Retry, gpu, stream, page)
+		r.fstats.Retries++
+		r.traceMark(trace.Retry, gpu, stream, page)
 		if onErr != nil && onErr(err) {
 			continue
 		}
@@ -75,8 +69,8 @@ func (m *member) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() 
 
 // withRetry runs a transfer under the recovery loop. Exhaustion wraps the
 // last error in ErrHardwareFault.
-func (m *member) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() error) error {
-	if n, err := m.retry(p, gpu, stream, -1, fn, nil); err != nil {
+func (r *run) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() error) error {
+	if n, err := r.retry(p, gpu, stream, -1, fn, nil); err != nil {
 		return fmt.Errorf("%w: %s failed %d times: %v", ErrHardwareFault, what, n, err)
 	}
 	return nil
@@ -90,16 +84,16 @@ func (m *member) withRetry(p *sim.Proc, gpu, stream int, what string, fn func() 
 // its configured target — the run gets slower, not wrong, and caching
 // survives the fault. Only when the cache is already at its one-page
 // floor is it dropped entirely. Other failures retry with backoff.
-func (m *member) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, cycles float64) error {
-	gpu := m.machine.GPUs[gpuIdx]
-	n, err := m.retry(p, gpuIdx, stream, int64(pid),
+func (r *run) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.PageID, cycles float64) error {
+	gpu := r.machine.GPUs[gpuIdx]
+	n, err := r.retry(p, gpuIdx, stream, int64(pid),
 		func() error { return gpu.LaunchKernel(p, cycles) },
 		func(err error) bool {
-			if !errors.Is(err, hw.ErrOutOfDeviceMemory) || m.caches[gpuIdx] == nil {
+			if !errors.Is(err, hw.ErrOutOfDeviceMemory) || r.caches[gpuIdx] == nil {
 				return false
 			}
-			m.shrinkCache(gpuIdx)
-			m.fstats.Degradations++
+			r.shrinkCache(gpuIdx)
+			r.fstats.Degradations++
 			return true // relaunch immediately with the freed memory
 		})
 	if err != nil {
@@ -107,7 +101,7 @@ func (m *member) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.P
 			ErrHardwareFault, pid, gpuIdx, n, err)
 	}
 	if n > 1 {
-		m.regrowCache(gpuIdx)
+		r.regrowCache(gpuIdx)
 	}
 	return nil
 }
@@ -115,20 +109,20 @@ func (m *member) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.P
 // shrinkCache halves GPU gpuIdx's page-cache byte budget, dropping the most
 // recently admitted pages beyond the new capacity and freeing the device
 // memory for the failed launch. A cache already at one page is dropped entirely.
-func (m *member) shrinkCache(gpuIdx int) {
-	gpu := m.machine.GPUs[gpuIdx]
-	pageSize := int64(m.eng.graph.Config().PageSize)
-	cur := m.cacheBytes[gpuIdx]
+func (r *run) shrinkCache(gpuIdx int) {
+	gpu := r.machine.GPUs[gpuIdx]
+	pageSize := int64(r.eng.graph.Config().PageSize)
+	cur := r.cacheBytes[gpuIdx]
 	newPages := cur / 2 / pageSize
 	if newPages < 1 {
 		gpu.Free(cur)
-		m.caches[gpuIdx] = nil
-		m.cacheBytes[gpuIdx] = 0
+		r.caches[gpuIdx] = nil
+		r.cacheBytes[gpuIdx] = 0
 		return
 	}
-	m.caches[gpuIdx].Resize(int(newPages))
+	r.caches[gpuIdx].Resize(int(newPages))
 	gpu.Free(cur - newPages*pageSize)
-	m.cacheBytes[gpuIdx] = newPages * pageSize
+	r.cacheBytes[gpuIdx] = newPages * pageSize
 }
 
 // regrowCache re-allocates device memory toward the cache's configured
@@ -136,49 +130,45 @@ func (m *member) shrinkCache(gpuIdx int) {
 // OOM has passed, so the budget an earlier shrinkCache surrendered comes
 // back (as far as free device memory allows). Evicted pages are not
 // restored — they re-enter through normal streaming.
-func (m *member) regrowCache(gpuIdx int) {
-	if m.caches[gpuIdx] == nil {
+func (r *run) regrowCache(gpuIdx int) {
+	if r.caches[gpuIdx] == nil {
 		return
 	}
-	target := m.cacheTarget[gpuIdx]
-	cur := m.cacheBytes[gpuIdx]
+	target := r.cacheTarget[gpuIdx]
+	cur := r.cacheBytes[gpuIdx]
 	if cur >= target {
 		return
 	}
-	gpu := m.machine.GPUs[gpuIdx]
-	pageSize := int64(m.eng.graph.Config().PageSize)
-	want := target - cur
-	if free := gpu.MemFree(); want > free {
-		want = free
-	}
-	pages := want / pageSize
+	gpu := r.machine.GPUs[gpuIdx]
+	pageSize := int64(r.eng.graph.Config().PageSize)
+	pages := min(target-cur, gpu.MemFree()) / pageSize
 	if pages < 1 {
 		return
 	}
 	if gpu.Alloc(pages*pageSize) != nil {
 		return
 	}
-	m.cacheBytes[gpuIdx] = cur + pages*pageSize
-	m.caches[gpuIdx].Resize(int(m.cacheBytes[gpuIdx] / pageSize))
+	r.cacheBytes[gpuIdx] = cur + pages*pageSize
+	r.caches[gpuIdx].Resize(int(r.cacheBytes[gpuIdx] / pageSize))
 }
 
 // readPage reads pid from the storage array with recovery: failed reads
 // retry with backoff, and pages that arrive corrupt are caught by the
 // per-page CRC (slottedpage.VerifyPageBytes) and re-read. The caller
 // readies the page's pool frame on success. Every page the devices serve —
-// a corrupt one that is then re-read included — counts toward the member's
+// a corrupt one that is then re-read included — counts toward the run's
 // Report.StorageBytes.
-func (m *member) readPage(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) error {
-	g := m.eng.graph
-	n, err := m.retry(p, gpuIdx, stream, int64(pid), func() error {
-		t0 := m.env.Now()
-		corrupt, err := m.machine.Storage.ReadPage(p, uint64(pid))
-		m.trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.StorageIO,
-			Page: int64(pid), Level: m.curLevel, Start: t0, End: m.env.Now()})
+func (r *run) readPage(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) error {
+	g := r.eng.graph
+	n, err := r.retry(p, gpuIdx, stream, int64(pid), func() error {
+		t0 := r.env.Now()
+		corrupt, err := r.machine.Storage.ReadPage(p, uint64(pid))
+		r.trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.StorageIO,
+			Page: int64(pid), Level: r.curLevel, Start: t0, End: r.env.Now()})
 		if err != nil {
 			return err
 		}
-		m.storageRead += int64(g.Config().PageSize)
+		r.storageRead += int64(g.Config().PageSize)
 		if !corrupt {
 			return nil
 		}

@@ -22,12 +22,12 @@ import (
 func TestResidentRA(t *testing.T) {
 	sp := buildPages(t, rmatGraph(t))
 	pageSize, topo := int64(sp.Config().PageSize), sp.TopologyBytes()
-	probe := newEngine(t, sp, Options{Streams: 4}, 1, 0)
 	// oneGPU is a one-GPU machine with free bytes beside the stream
-	// buffers and a WA of wa bytes.
+	// buffers — 4 streams of SPBuf, LPBuf and an RABuf of 4 bytes per slot —
+	// and a WA of wa bytes.
 	oneGPU := func(wa, free int64) hw.MachineSpec {
 		spec := hw.Workstation(1, 0)
-		spec.GPUs[0].DeviceMemory = probe.streamBufBytes(4) + wa + free
+		spec.GPUs[0].DeviceMemory = 4*(2*pageSize+int64(sp.Config().MaxSlotsPerPage())*4) + wa + free
 		return spec
 	}
 	// Elapsed and LevelBytes on the device of half the topology, and on

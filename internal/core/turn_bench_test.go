@@ -15,9 +15,10 @@ import (
 // sources (RMAT27@11, 4 KiB pages, two GPUs and two SSDs scaled until
 // device memory is half the topology, a host pool of a quarter of it) on an
 // engine a PageRank(3) has warmed, as that workload's round does: once as
-// one wave group, once one after another. An op is one such run; the warm-up
-// is untimed. virt_ms is the virtual makespan and virt_job_sum_ms the
-// members' Elapsed summed (equal in turn, where the jobs do not overlap).
+// one multi-source BFS, once one after another. An op is one such run; the
+// warm-up is untimed. virt_ms is the virtual makespan and virt_job_sum_ms
+// the jobs' Elapsed summed (equal in turn, where the jobs do not overlap;
+// every lane's Elapsed is the whole run's).
 //
 //	go test ./internal/core -run '^$' -bench BFSGroupVsInTurn -benchtime 1x -count 5
 func BenchmarkBFSGroupVsInTurn(b *testing.B) {
@@ -77,7 +78,7 @@ func BenchmarkBFSGroupVsInTurn(b *testing.B) {
 			var sum sim.Time
 			for _, o := range outs {
 				if o.Err != nil || o.Declined {
-					b.Fatalf("member: err %v, declined %v", o.Err, o.Declined)
+					b.Fatalf("job: err %v, declined %v", o.Err, o.Declined)
 				}
 				sum += o.Elapsed
 			}

@@ -162,13 +162,9 @@ func (g *GPU) Throttled() bool {
 // SM time elapses. The error wraps ErrOutOfDeviceMemory so callers can
 // free cache and relaunch.
 func (g *GPU) LaunchKernel(p *sim.Proc, cycles float64) error {
-	// Capture the injector at entry: the launch belongs to whichever fault
-	// domain armed the GPU when it was submitted, even if a shared-run
-	// sibling re-arms the GPU while this launch sits in the overhead delay.
-	inj := g.inj
 	g.kernels.Acquire(p)
 	p.Delay(g.Spec.LaunchOverhead)
-	if inj.KernelOOM() {
+	if g.inj.KernelOOM() {
 		g.kernels.Release()
 		return fmt.Errorf("%w: injected launch-time allocation failure on GPU%d",
 			ErrOutOfDeviceMemory, g.Index)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/graphgen"
 	"repro/internal/slottedpage"
 )
@@ -16,8 +15,7 @@ import (
 // record lookup, entry decode, lane accounting — and nothing of the
 // engine's. ns/edge divides by the adjacency entries the run reported
 // traversing (Result.Edges); DegreeDist decodes none and reports ns/vertex.
-// BFSx8 is eight plain-BFS members in lock step through the BFSGroup page
-// kernel, per member-edge: compare it with BFS.
+// BFSx8 is an eight-lane MultiBFS, per lane-edge: compare it with BFS.
 func BenchmarkPageKernels(b *testing.B) {
 	d, _ := graphgen.ByName("RMAT27")
 	sp, err := slottedpage.Build(d.MustGenerate(11), slottedpage.ScaledConfig(2, 2, 4096))
@@ -31,7 +29,7 @@ func BenchmarkPageKernels(b *testing.B) {
 		b.ReportAllocs()
 		var edges int64
 		for i := 0; i < b.N; i++ {
-			edges += driveGroup(sp, groupSources(sp, 8), true)
+			edges += driveGroup(b, sp, groupSources(sp, 8), true)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
 	})
@@ -87,83 +85,27 @@ func groupSources(g *slottedpage.Graph, k int) []uint64 {
 	return src
 }
 
-// driveGroup runs one plain BFS per source in lock step, one wave per level,
-// each wave page-major the way core's driver runs it: a page's demanders are
-// offered to the BFSGroup when grouped is set, and run one solo execution
-// per member when it declines or is not asked. It returns the members'
-// summed edges.
-func driveGroup(g *slottedpage.Graph, sources []uint64, grouped bool) (edges int64) {
-	type member struct {
-		k           *BFS
-		st          State
-		next, local *bitset.Set
-		level       int32
-		lane        int
-		res         Result
+// driveGroup runs one plain BFS per source, as one MultiBFS when grouped is
+// set and one after another otherwise, through the package's sequential
+// driver, and returns their summed edges.
+func driveGroup(tb testing.TB, g *slottedpage.Graph, sources []uint64, grouped bool) (edges int64) {
+	if grouped {
+		lanes := make([]*BFS, len(sources))
+		for i := range lanes {
+			lanes[i] = NewBFS(g)
+		}
+		_, edges = driveCount(tb, NewMultiBFS(g, lanes, sources), g, sources[0])
+		return edges
 	}
-	numPages := g.NumPages()
-	var group BFSGroup
-	var active []*member
 	for _, src := range sources {
-		m := &member{k: NewBFS(g), next: bitset.New(numPages), local: bitset.New(numPages)}
-		m.st = m.k.NewState()
-		m.k.Init(m.st, src)
-		MarkVertexPages(g, src, m.next, true)
-		m.lane = group.Join(m.k)
-		active = append(active, m)
-	}
-	var lanes []BFSLane
-	var dem []*member
-	for len(active) > 0 {
-		for pid := 0; pid < numPages; pid++ {
-			dem = dem[:0]
-			for _, m := range active {
-				if m.next.Get(pid) {
-					dem = append(dem, m)
-				}
-			}
-			if len(dem) == 0 {
-				continue
-			}
-			a := Args{Graph: g, PID: slottedpage.PageID(pid), Page: g.Page(slottedpage.PageID(pid)), OwnedHi: g.NumVertices()}
-			lanes = lanes[:0]
-			if grouped {
-				for _, m := range dem {
-					lanes = append(lanes, BFSLane{Lane: m.lane, State: m.st, Level: m.level, NextPIDs: m.local, Res: &m.res})
-				}
-			}
-			if !group.Run(&a, 0, lanes) {
-				for _, m := range dem {
-					a.State, a.Level, a.NextPIDs = m.st, m.level, m.local
-					m.res = m.k.Run(&a)
-				}
-			}
-			for _, m := range dem {
-				edges += m.res.Edges
-			}
-		}
-		alive := active[:0]
-		for _, m := range active {
-			m.next.Reset()
-			m.local.ForEach(func(pid int) {
-				// A page kernel marks a large vertex's first page only; this
-				// adds the rest of its run (a small page is its StartVID's home).
-				MarkVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, m.next, true)
-			})
-			m.local.Reset()
-			m.level++
-			if m.next.Any() {
-				alive = append(alive, m)
-			}
-		}
-		active = alive
+		_, n := driveCount(tb, NewBFS(g), g, src)
+		edges += n
 	}
 	return edges
 }
 
-// BenchmarkBFSGroupSizes is the comparison bfsGroupMin is read from: ms per
-// k-member BFS group, members run separately against members sharing the
-// group kernel.
+// BenchmarkBFSGroupSizes prices the lanes: ms per k BFS, run separately
+// against run as one k-lane MultiBFS.
 func BenchmarkBFSGroupSizes(b *testing.B) {
 	d, _ := graphgen.ByName("RMAT27")
 	sp, err := slottedpage.Build(d.MustGenerate(11), slottedpage.ScaledConfig(2, 2, 4096))
@@ -174,7 +116,7 @@ func BenchmarkBFSGroupSizes(b *testing.B) {
 		for _, mode := range []string{"separate", "grouped"} {
 			b.Run(fmt.Sprintf("k%d/%s", k, mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					driveGroup(sp, groupSources(sp, k), mode == "grouped")
+					driveGroup(b, sp, groupSources(sp, k), mode == "grouped")
 				}
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/group")
 			})

@@ -24,7 +24,7 @@ func NewBFS(g *slottedpage.Graph) *BFS {
 }
 
 // NewNeighborhood returns a BFS kernel over g capped at hops, which must be
-// in [1, 32767]: its levels are the hop distances inside the ball, -1
+// in [1, MaxLevels]: its levels are the hop distances inside the ball, -1
 // outside.
 func NewNeighborhood(g *slottedpage.Graph, hops int) *BFS {
 	k := NewBFS(g)

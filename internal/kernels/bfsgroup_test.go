@@ -12,168 +12,164 @@ import (
 	"repro/internal/slottedpage"
 )
 
-// groupScript is one lock-step comparison: member i starts from sources[i]
-// at wave joinWave[i], capped at hops[i] when hops is set and hops[i] > 0
-// (a k-hop ball); every page runs under tech with the ownership range
-// [ownedLo, ownedHi) on one of replicas GPUs, each with its own replica of
-// every member's state (page p on GPU p mod replicas, the replicas merged
-// after every wave, as Strategy-P does).
+// groupScript is one lock-step comparison: lane i starts from sources[i],
+// capped at hops[i] when hops is set and hops[i] > 0 (a k-hop ball); every
+// page runs under tech with the ownership range [ownedLo, ownedHi) on one of
+// replicas GPUs, each with its own replica of the state (page p on GPU p mod
+// replicas, the replicas merged after every level, as Strategy-P does).
 type groupScript struct {
 	sources          []uint64
-	joinWave         []int
 	hops             []int
 	tech             Technique
 	ownedLo, ownedHi uint64
 	replicas         int
 }
 
-// scriptMember is one member, twice: sep runs the solo kernel on every page,
-// grp goes through the BFSGroup whenever it shares a page.
-type scriptMember struct {
-	sep, grp         *BFS
-	sepSt, grpSt     []State
-	sepNext, grpNext *bitset.Set
-	sepLoc, grpLoc   []*bitset.Set
-	sepRes, grpRes   Result
-	level            int32
-	lane             int
+// soloLane is one lane's solo BFS, run beside the MultiBFS.
+type soloLane struct {
+	k     *BFS
+	st    []State
+	next  *bitset.Set   // the solo run's page set at the running level
+	loc   []*bitset.Set // its per-replica marks
+	stats LaneStats
 }
 
-// runGroupScript drives sc wave by wave the way core's driver does — small
-// pages then large, replica by replica, pages ascending — and fails on the
-// first (wave, member, page) whose grouped Result differs from the solo
-// kernel's, and on any level vector or next-page set that differs at a
-// wave's end. It returns how many pages ran grouped.
+// runGroupScript drives a MultiBFS of sc's lanes level by level the way
+// core's engine runs a kernel — replica by replica, pages ascending — beside
+// one solo BFS per lane, and fails on the first (level, lane, page) whose
+// lane Result or next-page set differs from the solo kernel's, on any lane
+// page set or level vector that differs at a level's end, and on lane stats
+// that differ from the solo runs'. It returns how many page runs had more
+// than one lane.
 func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped int) {
 	t.Helper()
 	numPages := g.NumPages()
 	expandLPs := func(set *bitset.Set) {
 		set.ForEach(func(pid int) {
-			if g.Kind(slottedpage.PageID(pid)) != slottedpage.LargePage {
-				return
-			}
-			owner := g.RVT(slottedpage.PageID(pid)).StartVID
-			for p := pid; p < numPages && g.Kind(slottedpage.PageID(p)) == slottedpage.LargePage && g.RVT(slottedpage.PageID(p)).StartVID == owner; p++ {
-				set.Set(p)
+			if g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage {
+				MarkVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, set, true)
 			}
 		})
 	}
-	var group BFSGroup
-	var active []*scriptMember
-	joined := 0
-	for wave := 0; ; wave++ {
-		for i, src := range sc.sources {
-			if sc.joinWave[i] != wave {
+	lanes := make([]*BFS, len(sc.sources))
+	solos := make([]*soloLane, len(sc.sources))
+	for i, src := range sc.sources {
+		lanes[i] = NewBFS(g)
+		m := &soloLane{k: NewBFS(g), next: bitset.New(numPages)}
+		if i < len(sc.hops) && sc.hops[i] > 0 {
+			lanes[i], m.k = NewNeighborhood(g, sc.hops[i]), NewNeighborhood(g, sc.hops[i])
+		}
+		proto := m.k.NewState()
+		m.k.Init(proto, src)
+		MarkVertexPages(g, src, m.next, true)
+		for r := range sc.replicas {
+			if r == 0 {
+				m.st = append(m.st, proto)
+			} else {
+				m.st = append(m.st, proto.Clone())
+			}
+			m.loc = append(m.loc, bitset.New(numPages))
+		}
+		solos[i] = m
+	}
+	ms := NewMultiBFS(g, lanes, sc.sources)
+	proto := ms.NewState()
+	ms.Init(proto, 0)
+	sts := []State{proto}
+	for len(sts) < sc.replicas {
+		sts = append(sts, proto.Clone())
+	}
+	union, marks := bitset.New(numPages), bitset.New(numPages)
+	ms.PlanLevel(sts, 0, union)
+	for level := int32(0); union.Any(); level++ {
+		for r := range sc.replicas {
+			for pid := r; pid < numPages; pid += sc.replicas {
+				if !union.Get(pid) {
+					continue
+				}
+				args := func(st State, loc *bitset.Set) *Args {
+					return &Args{Graph: g, PID: slottedpage.PageID(pid), Page: g.Page(slottedpage.PageID(pid)),
+						State: st, Level: level, OwnedLo: sc.ownedLo, OwnedHi: sc.ownedHi, Tech: sc.tech, NextPIDs: loc}
+				}
+				got := ms.Run(args(sts[r], nil))
+				var sum Result
+				ran := 0
+				for i, m := range solos {
+					want := Result{}
+					if m.next.Get(pid) {
+						want = m.k.Run(args(m.st[r], m.loc[r]))
+						sum.Cycles += want.Cycles
+						sum.Edges += want.Edges
+						sum.Updates += want.Updates
+						sum.Active = sum.Active || want.Active
+						m.stats.Edges += want.Edges
+						m.stats.Updates += want.Updates
+						m.stats.Pages++
+						ran++
+					}
+					if ms.res[i] != want {
+						t.Fatalf("level %d, lane %d, page %d on replica %d with %d lanes:\n  lane %+v\n  solo %+v",
+							level, i, pid, r, ran, ms.res[i], want)
+					}
+					marks.Reset()
+					for _, loc := range m.loc {
+						marks.Or(loc)
+					}
+					if !sameSet(marks, ms.next[i]) {
+						t.Fatalf("level %d, lane %d, page %d: the lane's next-page marks differ from the solo run's", level, i, pid)
+					}
+				}
+				if got != sum {
+					t.Fatalf("level %d, page %d: Result %+v, the lanes' sum %+v", level, pid, got, sum)
+				}
+				if ran > 1 {
+					grouped++
+				}
+			}
+		}
+		ms.MergeStates(sts)
+		ms.PlanLevel(sts, level+1, union)
+		for i, m := range solos {
+			m.k.MergeStates(m.st)
+			if !m.next.Any() {
 				continue
 			}
-			m := &scriptMember{sep: NewBFS(g), grp: NewBFS(g)}
-			if i < len(sc.hops) && sc.hops[i] > 0 {
-				m.sep, m.grp = NewNeighborhood(g, sc.hops[i]), NewNeighborhood(g, sc.hops[i])
+			m.next.Reset()
+			for _, loc := range m.loc {
+				m.next.Or(loc)
+				loc.Reset()
 			}
-			for _, side := range []struct {
-				k    *BFS
-				st   *[]State
-				next **bitset.Set
-				loc  *[]*bitset.Set
-			}{{m.sep, &m.sepSt, &m.sepNext, &m.sepLoc}, {m.grp, &m.grpSt, &m.grpNext, &m.grpLoc}} {
-				proto := side.k.NewState()
-				side.k.Init(proto, src)
-				*side.st = []State{proto}
-				*side.next = bitset.New(numPages)
-				(*side.next).Set(int(g.HomeOf(src).PID))
-				expandLPs(*side.next)
-				for r := 0; r < sc.replicas; r++ {
-					if r > 0 {
-						*side.st = append(*side.st, proto.Clone())
-					}
-					*side.loc = append(*side.loc, bitset.New(numPages))
-				}
+			expandLPs(m.next)
+			if !m.next.Any() {
+				m.stats.Levels = level + 1
 			}
-			m.lane = group.Join(m.grp)
-			active = append(active, m)
-			joined++
-		}
-		if len(active) == 0 {
-			if joined == len(sc.sources) {
-				return grouped
+			if !sameSet(m.next, ms.cur[i]) {
+				t.Fatalf("level %d: lane %d's page set differs from the solo run's", level, i)
 			}
-			continue
-		}
-		for _, kind := range []slottedpage.Kind{slottedpage.SmallPage, slottedpage.LargePage} {
-			for r := 0; r < sc.replicas; r++ {
-				for pid := 0; pid < numPages; pid++ {
-					if g.Kind(slottedpage.PageID(pid)) != kind || pid%sc.replicas != r {
-						continue
-					}
-					var dem []*scriptMember
-					for _, m := range active {
-						if m.sepNext.Get(pid) {
-							dem = append(dem, m)
-						}
-					}
-					if len(dem) == 0 {
-						continue
-					}
-					args := func(st State, level int32, loc *bitset.Set) *Args {
-						return &Args{Graph: g, PID: slottedpage.PageID(pid), Page: g.Page(slottedpage.PageID(pid)),
-							State: st, Level: level, OwnedLo: sc.ownedLo, OwnedHi: sc.ownedHi, Tech: sc.tech, NextPIDs: loc}
-					}
-					var lanes []BFSLane
-					for _, m := range dem {
-						m.sepRes = m.sep.Run(args(m.sepSt[r], m.level, m.sepLoc[r]))
-						if len(dem) == 1 {
-							// A page with one demander runs the solo kernel and
-							// tells seen nothing.
-							m.grpRes = m.grp.Run(args(m.grpSt[r], m.level, m.grpLoc[r]))
-						}
-						lanes = append(lanes, BFSLane{Lane: m.lane, State: m.grpSt[r], Level: m.level, NextPIDs: m.grpLoc[r], Res: &m.grpRes})
-					}
-					if len(dem) > 1 {
-						if !group.Run(args(nil, -1, nil), r, lanes) {
-							t.Fatalf("wave %d, page %d: the group kernel declined %d lanes", wave, pid, len(lanes))
-						}
-						grouped++
-					}
-					for _, m := range dem {
-						if m.grpRes != m.sepRes {
-							t.Fatalf("wave %d, lane %d (level %d), page %d on replica %d with %d demanders:\n  grouped %+v\n  solo    %+v",
-								wave, m.lane, m.level, pid, r, len(dem), m.grpRes, m.sepRes)
-						}
-					}
+			for r := range sc.replicas {
+				if !slices.Equal(sts[r].(*multiState).lv[i], m.k.Levels(m.st[r])) {
+					t.Fatalf("level %d: lane %d's level vector (replica %d) differs from the solo run's", level, i, r)
 				}
 			}
 		}
-		alive := active[:0]
-		for _, m := range active {
-			m.sep.MergeStates(m.sepSt)
-			m.grp.MergeStates(m.grpSt)
-			m.sepNext.Reset()
-			m.grpNext.Reset()
-			for r := 0; r < sc.replicas; r++ {
-				m.sepNext.Or(m.sepLoc[r])
-				m.grpNext.Or(m.grpLoc[r])
-				m.sepLoc[r].Reset()
-				m.grpLoc[r].Reset()
-			}
-			expandLPs(m.sepNext)
-			expandLPs(m.grpNext)
-			for pid := 0; pid < numPages; pid++ {
-				if m.sepNext.Get(pid) != m.grpNext.Get(pid) {
-					t.Fatalf("wave %d: lane %d's next-page sets disagree on page %d", wave, m.lane, pid)
-				}
-			}
-			for r := 0; r < sc.replicas; r++ {
-				if !slices.Equal(m.grp.Levels(m.grpSt[r]), m.sep.Levels(m.sepSt[r])) {
-					t.Fatalf("wave %d: lane %d's level vector (replica %d) differs from the solo run's", wave, m.lane, r)
-				}
-			}
-			m.level++
-			if m.sepNext.Any() {
-				alive = append(alive, m)
-			}
-		}
-		active = alive
 	}
+	for i, m := range solos {
+		st, stats := ms.Lane(sts[0], i)
+		if stats != m.stats || !slices.Equal(lanes[i].Levels(st), m.k.Levels(m.st[0])) {
+			t.Fatalf("lane %d: stats %+v, solo %+v (or its levels differ)", i, stats, m.stats)
+		}
+	}
+	return grouped
+}
+
+// sameSet reports whether a and b hold the same pages.
+func sameSet(a, b *bitset.Set) bool {
+	for pid := range a.Len() {
+		if a.Get(pid) != b.Get(pid) {
+			return false
+		}
+	}
+	return true
 }
 
 // lpSources returns up to n vertices whose home page is a large page.
@@ -201,11 +197,11 @@ func spread(g *slottedpage.Graph, k int) []uint64 {
 	return src
 }
 
-// TestBFSGroupMatchesSeparate runs groups of k plain-BFS members in lock
-// step against k independent BFS kernels: per (wave, lane, page) Result
-// equality — cycles to the bit —, level vectors and next-page sets, under
-// every technique, an owned sub-range, two replicas, sources on large pages,
-// twins, late joiners at other depths, and joiners after members have left.
+// TestBFSGroupMatchesSeparate runs MultiBFS kernels of k lanes in lock step
+// against k independent BFS kernels: per (level, lane, page) Result
+// equality — cycles to the bit —, next-page sets, page sets, level vectors
+// and lane stats, under every technique, an owned sub-range, two replicas,
+// sources on large pages, twins, and lanes done before others.
 func TestBFSGroupMatchesSeparate(t *testing.T) {
 	d, _ := graphgen.ByName("RMAT27")
 	g, err := slottedpage.Build(d.MustGenerate(27-11), slottedpage.ScaledConfig(2, 2, 4096))
@@ -216,12 +212,10 @@ func TestBFSGroupMatchesSeparate(t *testing.T) {
 		t.Fatal("test graph has no large pages")
 	}
 	nV := g.NumVertices()
-	zeros := func(k int) []int { return make([]int, k) }
-
 	for _, k := range []int{2, 3, 8, 9, 20} {
 		for _, tech := range []Technique{EdgeCentric, VertexCentric, Hybrid} {
 			t.Run(fmt.Sprintf("k%d/%v", k, tech), func(t *testing.T) {
-				if n := runGroupScript(t, g, groupScript{sources: spread(g, k), joinWave: zeros(k), tech: tech, ownedHi: nV, replicas: 1}); n == 0 {
+				if n := runGroupScript(t, g, groupScript{sources: spread(g, k), tech: tech, ownedHi: nV, replicas: 1}); n == 0 {
 					t.Error("no page ran grouped")
 				}
 			})
@@ -229,34 +223,27 @@ func TestBFSGroupMatchesSeparate(t *testing.T) {
 	}
 	t.Run("owned-subrange", func(t *testing.T) {
 		// Strategy-S's second GPU of two: it owns the upper half only.
-		runGroupScript(t, g, groupScript{sources: spread(g, 8), joinWave: zeros(8), ownedLo: nV / 2, ownedHi: nV, replicas: 1})
+		runGroupScript(t, g, groupScript{sources: spread(g, 8), ownedLo: nV / 2, ownedHi: nV, replicas: 1})
 	})
 	t.Run("two-replicas", func(t *testing.T) {
 		// Strategy-P on two GPUs: a vertex replica 0 reached this wave is still
 		// unvisited on replica 1, which must discover and count it too. Fails
 		// with one mask array for both (key seen by the block alone).
-		runGroupScript(t, g, groupScript{sources: spread(g, 9), joinWave: zeros(9), ownedHi: nV, replicas: 2})
+		runGroupScript(t, g, groupScript{sources: spread(g, 9), ownedHi: nV, replicas: 2})
 	})
 	t.Run("lp-sources-and-twins", func(t *testing.T) {
 		src := append(lpSources(g, 3), 5, 5, 900)
-		runGroupScript(t, g, groupScript{sources: src, joinWave: zeros(len(src)), ownedHi: nV, replicas: 1})
-	})
-	t.Run("late-joiners", func(t *testing.T) {
-		// Members at different depths share pages: a lane's level is its own.
-		runGroupScript(t, g, groupScript{sources: []uint64{0, 37, 74, 111, 148}, joinWave: []int{0, 0, 1, 2, 3}, ownedHi: nV, replicas: 1})
+		runGroupScript(t, g, groupScript{sources: src, ownedHi: nV, replicas: 1})
 	})
 	t.Run("lane-reuse", func(t *testing.T) {
-		// No lane is reused. Vertex 1 has no out-edges here, so its member
-		// leaves after wave 0 having marked nothing; the members from 0 and
-		// 37 finish later, and the joiners at waves 8 and 9 take fresh lanes
-		// beside the columns that say "visited" for most of the graph.
-		levels := NewBFS(g)
-		st := drive(t, levels, g, 0)
-		depth := int(slices.Max(levels.Levels(st)))
-		if depth+2 > 8 {
-			t.Fatalf("source 0 reaches depth %d: the late joiners below would not follow its leaving", depth)
+		// No lane is reused: a lane whose page set empties stays done. The
+		// lane from a vertex without out-edges is done after level 0 having
+		// marked nothing, and the k-hop ball from 74 after two levels, while
+		// the lanes from 0 and 37 run on.
+		sink := uint64(0)
+		for deg := g.OutDegrees(); deg.Of(sink) > 0; sink++ {
 		}
-		runGroupScript(t, g, groupScript{sources: []uint64{0, 37, 1, 74, 111}, joinWave: []int{0, 0, 0, 8, 9}, ownedHi: nV, replicas: 1})
+		runGroupScript(t, g, groupScript{sources: []uint64{0, 37, sink, 74}, hops: []int{0, 0, 0, 2}, ownedHi: nV, replicas: 1})
 	})
 }
 
@@ -279,11 +266,10 @@ func fuzzGraph(t testing.TB, r *rand.Rand) *slottedpage.Graph {
 	return g
 }
 
-// FuzzBFSGroup derives a graph, a group size, sources, join waves, a
-// technique, an ownership range, a replica count and hop caps (about half
-// the members are k-hop balls, k in 1-4) from the seed and runs the
-// lock-step comparison on them. The caps are drawn last, so a seed's graph,
-// sources and join waves are what they were before members had caps.
+// FuzzBFSGroup derives a graph, a lane count, sources, a technique, an
+// ownership range, a replica count and hop caps (about half the lanes are
+// k-hop balls, k in 1-4) from the seed and runs the lock-step comparison
+// on them.
 func FuzzBFSGroup(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed)
@@ -299,7 +285,6 @@ func FuzzBFSGroup(f *testing.F) {
 		}
 		for i := 0; i < k; i++ {
 			sc.sources = append(sc.sources, uint64(r.Int63n(int64(nV))))
-			sc.joinWave = append(sc.joinWave, r.Intn(3)*r.Intn(5))
 		}
 		for range sc.sources {
 			sc.hops = append(sc.hops, r.Intn(2)*(1+r.Intn(4)))

@@ -307,6 +307,15 @@ func RAPerVertex(k Kernel) int64 {
 	return 0
 }
 
+// UpdateBytes is k's UpdateBytes(), if it has one, else waPerVertex: the
+// bytes one attribute update moves in a traversal's Strategy-P peer merge.
+func UpdateBytes(k Kernel, waPerVertex int64) int64 {
+	if u, ok := k.(interface{ UpdateBytes() int64 }); ok {
+		return u.UpdateBytes()
+	}
+	return waPerVertex
+}
+
 // Merge is Strategy-P's merge of one attribute vector: it folds every
 // replica's vec into replica 0's, entry by entry and replica by replica, as
 // b = combine(v, b, o), then copies the result back to the others.

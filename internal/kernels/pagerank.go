@@ -10,7 +10,7 @@ import (
 // and 5). Per the paper's split, nextPR is the read/write attribute vector
 // kept in device memory (WA) and prevPR is the read-only vector (RA), which
 // streams page by page alongside topology, or stays resident beside WA on a
-// one-GPU device with room for it (the engine decides; see core.newMember).
+// one-GPU device with room for it (the engine decides; see core.Engine.newRun).
 // Both are float32, matching Table 4's 4 bytes/vertex WA footprint.
 type PageRank struct {
 	g          *slottedpage.Graph

@@ -202,6 +202,8 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		// guard failed it, and answered 500.
 		{"POST", "/v1/graphs/social/pagerank", `{"iterations":32001}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/rwr", `{"iterations":32001}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/ball", `{"hops":32001}`, http.StatusBadRequest},
+		{"POST", "/v1/graphs/social/radius", `{"maxhops":32001}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/rwr", `{"restart":-0.5}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/rwr", `{"iterations":-1}`, http.StatusBadRequest},
 		{"POST", "/v1/graphs/social/kcore", `{"k":-2}`, http.StatusBadRequest},

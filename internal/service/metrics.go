@@ -68,7 +68,7 @@ func (m *metrics) addFaults(fs gts.FaultStats) {
 
 func (m *metrics) addHWFailure() { m.mu.Lock(); m.st.HWFailures++; m.mu.Unlock() }
 
-// addRun folds one job's engine run, a wave group of one, into the tally.
+// addRun folds one job's engine run into the tally.
 func (m *metrics) addRun(g gts.SharedStats) {
 	m.mu.Lock()
 	sh := &m.st.Sharing
@@ -145,10 +145,10 @@ func summarize(h *obs.Histogram) LatencySummary {
 }
 
 // SharingStats tallies the engine runs of computed jobs over the server's
-// life, so its counters only grow. Each job runs as a wave group of one
-// (gts.System.RunShared), whose tally lands before the job answers:
-// WaveGroups and GroupJobs both count runs, and SoloFallbacks and
-// BytesSaved, which only a group of several members moved, stay 0.
+// life, so its counters only grow. Each job runs alone
+// (gts.System.RunShared with a roster of one), whose tally lands before the
+// job answers: WaveGroups and GroupJobs both count runs, and SoloFallbacks
+// and BytesSaved, which only a multi-job roster could move, stay 0.
 type SharingStats struct {
 	WaveGroups    int64 `json:"wave_groups"`
 	GroupJobs     int64 `json:"group_jobs"`

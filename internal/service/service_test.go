@@ -61,8 +61,7 @@ func rawGraph(t *testing.T, name string) *csr.Graph {
 
 // wantReference checks a result's payload against internal/verify — an
 // oracle that shares no code with the engine. (A direct gts.System call is
-// not one: it runs the same wave-group engine the service does, as a group
-// of one.) p is the job's normalized Params. Algorithms without a check here
+// not one: it runs the same engine the service does.) p is the job's normalized Params. Algorithms without a check here
 // are compared against gts.System only.
 func wantReference(t *testing.T, raw *csr.Graph, p service.Params, output any) {
 	t.Helper()

@@ -162,8 +162,8 @@ func TestIdenticalBurstComputesOnce(t *testing.T) {
 }
 
 // TestChaosSharedWaveGroups is the service-level acceptance test for the
-// engine's shared-run path, which gtsd runs every job through as a wave group
-// of one: 32 concurrent jobs (16 BFS sources + 16 PageRank iteration counts)
+// engine's RunShared path, which gtsd runs every job through as a roster of
+// one: 32 concurrent jobs (16 BFS sources + 16 PageRank iteration counts)
 // on one graph under an absorbable fault plan, each on a device the jobs
 // before it left warm. Every answer must equal the sequential reference and
 // be byte-identical to the same job run alone on a fault-free System, the

@@ -33,8 +33,7 @@ const (
 	Retry                   // recovery re-attempt (zero-duration marker)
 	Run                     // the whole run, emitted once at completion
 	Superstep               // one traversal level / iteration, superstep + sync
-	Wave                    // one shared superstep wave of a multi-query group
-	SharedCopy              // a page copy served to a member by another member's stream
+	Wave                    // one superstep's wave, numbered in the run
 	PoolHit                 // host buffer-pool pin served from a resident page (marker)
 	PoolLoad                // host buffer-pool pin that loaded the page from storage (marker)
 	PoolWait                // host buffer-pool pin denied (busy/no frame) — bypass read (marker)
@@ -72,8 +71,6 @@ func (k Kind) String() string {
 		return "superstep"
 	case Wave:
 		return "wave"
-	case SharedCopy:
-		return "sharedcopy"
 	case PoolHit:
 		return "poolhit"
 	case PoolLoad:

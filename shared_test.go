@@ -10,10 +10,11 @@ import (
 	"repro/internal/verify"
 )
 
-// TestSystemRunShared exercises the public wave-group entry point: a mixed
-// BFS + PageRank group must match the sequential references (System.BFS is
-// itself a wave group of one, so it is no independent oracle) and report
-// group-level sharing stats.
+// TestSystemRunShared exercises the public roster entry point: BFS jobs run
+// as one multi-source BFS whose outcomes must match the sequential
+// references (System.BFS runs the same engine, so it is no independent
+// oracle) and report the run's sharing stats; a roster that mixes kernels is
+// an error that runs nothing.
 func TestSystemRunShared(t *testing.T) {
 	g := smallGraph(t)
 	sys, err := NewSystem(g, Config{})
@@ -21,63 +22,53 @@ func TestSystemRunShared(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The kernel instance is shared between the two BFS jobs on purpose:
+	// kernels are stateless decoders, all per-job data lives in the
+	// outcome's State.
 	bfsK := kernels.NewBFS(g)
-	prK := kernels.NewPageRank(g, 0.85, 5)
 	outs, stats, err := sys.RunShared([]SharedJob{
 		{Kernel: bfsK, Source: 0},
 		{Kernel: bfsK, Source: 512},
-		{Kernel: prK, Source: 0},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 3 {
-		t.Fatalf("%d outcomes, want 3", len(outs))
+	if len(outs) != 2 {
+		t.Fatalf("%d outcomes, want 2", len(outs))
 	}
-	for i, o := range outs {
-		if o.Err != nil || o.Declined {
-			t.Fatalf("outcome %d: err=%v declined=%v", i, o.Err, o.Declined)
-		}
-		if o.Metrics.Elapsed <= 0 {
-			t.Errorf("outcome %d: Elapsed = %v", i, o.Metrics.Elapsed)
-		}
-	}
-	if stats.BytesSaved == 0 || stats.Servings <= stats.PageCopies {
-		t.Errorf("no sharing recorded: %+v", stats)
-	}
-	if stats.BytesToGPU <= 0 {
-		t.Errorf("BytesToGPU = %v", stats.BytesToGPU)
-	}
-
-	// The kernel instance is shared between the two BFS jobs on purpose:
-	// kernels are stateless decoders, all per-job data lives in the
-	// outcome's State.
 	d, _ := graphgen.ByName("RMAT27")
 	raw := d.MustGenerate(27 - 11) // smallGraph's edge list
 	for i, src := range []uint64{0, 512} {
+		if o := outs[i]; o.Err != nil || o.Declined || o.Metrics.Elapsed != stats.Elapsed {
+			t.Fatalf("outcome %d: err=%v declined=%v, Elapsed %v of the run's %v", i, o.Err, o.Declined, o.Metrics.Elapsed, stats.Elapsed)
+		}
 		if !reflect.DeepEqual(bfsK.Levels(outs[i].State), verify.BFS(raw, uint32(src))) {
-			t.Errorf("BFS member %d (source %d) differs from the reference", i, src)
+			t.Errorf("BFS job %d (source %d) differs from the reference", i, src)
 		}
 	}
-	ranks := prK.Ranks(outs[2].State)
-	for v, want := range verify.PageRank(raw, 0.85, 5) {
-		if math.Abs(float64(ranks[v])-want) > 1e-5 {
-			t.Fatalf("PageRank member: vertex %d rank = %v, reference %v", v, ranks[v], want)
-		}
+	if stats.BytesSaved == 0 || stats.Servings <= stats.PageCopies || stats.BytesToGPU <= 0 {
+		t.Errorf("no sharing recorded: %+v", stats)
 	}
-	// Company must not move a byte: the same kernel alone gives the same
-	// ranks.
-	alone, err := sys.PageRank(0.85, 5)
+
+	prK := kernels.NewPageRank(g, 0.85, 5)
+	outs, _, err = sys.RunShared([]SharedJob{{Kernel: bfsK, Source: 0}, {Kernel: prK}}, nil)
+	if err == nil || len(outs) != 2 || outs[1].Err != err {
+		t.Fatalf("BFS + PageRank: %d outcomes, err %v; want the roster refused", len(outs), err)
+	}
+	ranks, err := sys.PageRank(0.85, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ranks, alone.Ranks) {
-		t.Error("PageRank member's ranks changed with the company it kept")
+	for v, want := range verify.PageRank(raw, 0.85, 5) {
+		if math.Abs(float64(ranks.Ranks[v])-want) > 1e-5 {
+			t.Fatalf("PageRank: vertex %d rank = %v, reference %v", v, ranks.Ranks[v], want)
+		}
 	}
 }
 
-// TestSystemRunSharedInheritsFaults: a nil per-job fault plan inherits the
-// system's, and results stay identical to the fault-free group.
+// TestSystemRunSharedInheritsFaults: a run draws its faults from the
+// system's plan, and results stay identical to the references, for a job
+// alone and for a multi-source BFS.
 func TestSystemRunSharedInheritsFaults(t *testing.T) {
 	g := smallGraph(t)
 	plan := &FaultPlan{Seed: 11, TransferErrorRate: 0.05, TransferStallRate: 0.05}
@@ -98,7 +89,17 @@ func TestSystemRunSharedInheritsFaults(t *testing.T) {
 	}
 
 	d, _ := graphgen.ByName("RMAT27")
-	if !reflect.DeepEqual(k.Levels(outs[0].State), verify.BFS(d.MustGenerate(27-11), 0)) {
-		t.Error("faulted shared run differs from the reference traversal")
+	raw := d.MustGenerate(27 - 11)
+	if !reflect.DeepEqual(k.Levels(outs[0].State), verify.BFS(raw, 0)) {
+		t.Error("faulted run differs from the reference traversal")
+	}
+	outs, _, err = sys.RunShared([]SharedJob{{Kernel: k, Source: 512}, {Kernel: k, Source: 0}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range []uint32{512, 0} {
+		if outs[i].Err != nil || !reflect.DeepEqual(k.Levels(outs[i].State), verify.BFS(raw, src)) {
+			t.Errorf("faulted multi-source job %d: err %v, or its levels differ from the reference", i, outs[i].Err)
+		}
 	}
 }
