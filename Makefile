@@ -53,10 +53,9 @@ cover:
 
 # Short fuzz smoke over the slotted-page codec, the host page pool, and
 # the direction switch: each target gets FUZZTIME of coverage-guided input
-# on top of the checked-in corpora. FuzzStoreRead hands each input to the
-# store decoder and to the page streamer gtsinspect -stream uses: neither
-# panics, and on a store the decoder accepts the streamer delivers the same
-# pages in the same order. FuzzPoolOps decodes arbitrary bytes
+# on top of the checked-in corpora. FuzzStoreRead hands each input to
+# slottedpage.Read, the store format's one decoder: it never panics, and a
+# store it accepts validates and re-encodes. FuzzPoolOps decodes arbitrary bytes
 # into pool op scripts and replays them against the reference-model
 # oracle; FuzzDirectionSwitch builds adversarial frontier densities and
 # checks push-only, pull-only, and adaptive BFS agree with the plain
@@ -156,7 +155,7 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18739
+LOC_MAX_TOTAL = 18567
 LOC_MAX_ENGINE_AND_API = 4769
 LOC_MAX_ENGINE = 3809
 LOC_MAX_GTSD_FLAGS = 10

@@ -11,6 +11,11 @@
 //	gts -graph RMAT27@12 -algo pagerank -gpus 2
 //	gts -graph web.gts -algo bfs -source 0 -storage ssd -devices 2
 //	gts -graph web.gts -algo cc -strategy s -streams 8 -timeline
+//	gts -graph RMAT27@15 -algo sssp -trace sssp.json
+//
+// -trace writes the run's recorder as Chrome trace_event JSON (Perfetto /
+// chrome://tracing loadable; gtsinspect trace renders it). The engine is
+// deterministic, so the file is byte-identical across reruns.
 package main
 
 import (
@@ -40,6 +45,7 @@ func main() {
 	cache := flag.Int64("cache", 0, "page cache bytes per GPU (0 = all free device memory, -1 = off)")
 	scaleHW := flag.Int64("scalehw", 0, "divide memory capacities by this factor (0 = full size)")
 	timeline := flag.Bool("timeline", false, "print the per-stream copy/kernel timeline")
+	traceOut := flag.String("trace", "", "write the run's trace to this file as Chrome trace JSON")
 	top := flag.Int("top", 5, "result entries to print")
 	flag.Parse()
 
@@ -67,8 +73,8 @@ func main() {
 		fail(fmt.Errorf("unknown technique %q", *tech))
 	}
 	var rec *trace.Recorder
-	if *timeline {
-		rec = trace.New()
+	if *timeline || *traceOut != "" {
+		rec = trace.NewWithID(*algo + "-" + *graphSpec)
 		cfg.Trace = rec
 	}
 
@@ -167,10 +173,26 @@ func main() {
 	fmt.Printf("transfer vs kernel: %v vs %v\n", m.TransferTime, m.KernelTime)
 	fmt.Printf("WA footprint:       %d bytes\n", m.WABytes)
 	fmt.Printf("throughput:         %.0f MTEPS\n", m.MTEPS)
-	if rec != nil {
+	if *timeline {
 		fmt.Println()
 		fail(rec.RenderTimeline(os.Stdout, 100))
 	}
+	if *traceOut != "" {
+		fail(writeTrace(rec, *traceOut))
+	}
+}
+
+// writeTrace writes rec to path as Chrome trace_event JSON.
+func writeTrace(rec *trace.Recorder, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = rec.WriteChrome(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // printTop prints the k highest entries of a score vector.

@@ -7,8 +7,8 @@
 //	gtsbench -exp all                 # every experiment, paper order
 //	gtsbench -exp fig6 -shrink 13     # one experiment at a given scale
 //	gtsbench -exp fig9 -csv out/      # also write CSV files
-//	gtsbench -trace out.json          # one traced BFS run -> Chrome trace JSON
-//	gtsbench -trace pr.json -trace-algo pagerank
+//
+// One traced run of any algorithm is gts -trace.
 package main
 
 import (
@@ -18,28 +18,16 @@ import (
 	"path/filepath"
 	"strings"
 
-	gts "repro"
 	"repro/internal/experiments"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment ID or 'all' ("+strings.Join(experiments.IDs(), ", ")+")")
 	shrink := flag.Int("shrink", 13, "dataset down-scaling as a power of two")
-	iters := flag.Int("iters", 10, "PageRank (and -trace-algo rwr) iterations (paper: 10)")
+	iters := flag.Int("iters", 10, "PageRank iterations (paper: 10)")
 	csvDir := flag.String("csv", "", "directory to additionally write per-experiment CSV files to")
 	list := flag.Bool("list", false, "list experiments and exit")
-	benchDataset := flag.String("bench-dataset", "RMAT27", "dataset for -trace")
-	traceOut := flag.String("trace", "", "write one traced run to this file as Chrome trace JSON and exit")
-	traceAlgo := flag.String("trace-algo", "bfs", "algorithm for -trace ("+strings.Join(gts.Algorithms(), ", ")+")")
 	flag.Parse()
-
-	if *traceOut != "" {
-		if err := runTrace(*benchDataset, *shrink, *traceAlgo, *iters, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "gtsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, id := range experiments.IDs() {

@@ -5,9 +5,8 @@
 // Usage:
 //
 //	gtsinspect graph.gts
-//	gtsinspect -stream graph.gts   # constant-memory scan of a huge store
 //
-// It also renders exported run traces (see gtsbench -trace and gtsd's
+// It also renders exported run traces (see gts -trace and gtsd's
 // /debug/trace/{id}) as an ASCII timeline:
 //
 //	gtsinspect trace run.json
@@ -20,7 +19,6 @@ import (
 	"os"
 
 	gts "repro"
-	"repro/internal/slottedpage"
 )
 
 func main() {
@@ -28,15 +26,10 @@ func main() {
 		traceInspect(os.Args[2:])
 		return
 	}
-	stream := flag.Bool("stream", false, "scan the store page-by-page in constant memory")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: gtsinspect [-stream] <file.gts> | gtsinspect trace <trace.json>")
+		fmt.Fprintln(os.Stderr, "usage: gtsinspect <file.gts> | gtsinspect trace <trace.json>")
 		os.Exit(2)
-	}
-	if *stream {
-		streamInspect(flag.Arg(0))
-		return
 	}
 	g, err := gts.LoadGraph(flag.Arg(0))
 	if err != nil {
@@ -85,38 +78,6 @@ func main() {
 			owner, longest, g.DegreeOf(owner))
 	} else {
 		fmt.Printf("max degree: %d (vertex %d)\n", maxDeg, maxVid)
-	}
-}
-
-// streamInspect scans the store with slottedpage.StreamFile, touching one
-// page at a time — how a tool audits a store larger than memory.
-func streamInspect(path string) {
-	var pages, slots int
-	var edges uint64
-	kinds := map[slottedpage.Kind]int{}
-	info, err := slottedpage.StreamFile(path, func(info *slottedpage.StreamInfo, pid slottedpage.PageID, pg slottedpage.Page) error {
-		pages++
-		kinds[pg.Kind()]++
-		n := pg.NumSlots()
-		slots += n
-		for s := 0; s < n; s++ {
-			edges += uint64(pg.Adj(s).Len())
-		}
-		return nil
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gtsinspect:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("store:     %s (streamed, checksum verified)\n", path)
-	fmt.Printf("layout:    (p=%d,q=%d), %d-byte pages\n",
-		info.Config.PIDBytes, info.Config.SlotBytes, info.Config.PageSize)
-	fmt.Printf("vertices:  %d (header) / %d slots scanned\n", info.NumVertices, slots)
-	fmt.Printf("edges:     %d (header) / %d entries scanned\n", info.NumEdges, edges)
-	fmt.Printf("pages:     %d = %d SP + %d LP\n", pages, kinds[slottedpage.SmallPage], kinds[slottedpage.LargePage])
-	if edges != info.NumEdges {
-		fmt.Fprintln(os.Stderr, "gtsinspect: WARNING: scanned edges differ from header")
-		os.Exit(1)
 	}
 }
 

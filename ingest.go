@@ -44,8 +44,6 @@ type MutableGraph struct {
 	epoch    atomic.Uint64 // last applied LSN
 	dead     atomic.Bool   // an injected crash killed the ingest path
 	replayed int           // batches replayed at open
-
-	onCommitOps []func(prevEpoch, epoch uint64, ops []EdgeOp)
 }
 
 // MutableOptions tunes OpenMutable.
@@ -139,16 +137,6 @@ func (m *MutableGraph) WALStats() WALStats { return m.log.Stats() }
 // Dead reports whether an injected crash killed the ingest path.
 func (m *MutableGraph) Dead() bool { return m.dead.Load() }
 
-// OnCommitOps registers fn to run (under the ingest lock, in commit order)
-// after every successfully applied batch, with the epoch edge it spans and
-// the applied ops. The incremental-recompute layer uses this to migrate
-// retained state across the epoch fence.
-func (m *MutableGraph) OnCommitOps(fn func(prevEpoch, epoch uint64, ops []EdgeOp)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onCommitOps = append(m.onCommitOps, fn)
-}
-
 // Ingest commits one batch of edge mutations: WAL append + fsync first,
 // then the in-memory apply and snapshot publish. It returns the new epoch
 // (the batch's LSN).
@@ -196,7 +184,6 @@ func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 		m.dead.Store(true)
 		return 0, fmt.Errorf("gts: crash during page swap (batch %d durable, not applied): %w", lsn, ErrCrashed)
 	}
-	prevEpoch := m.epoch.Load()
 	if _, err := m.mut.ApplyBatch(ops); err != nil {
 		// Unreachable for batches the pre-check admitted; if it happens the
 		// log holds a durable batch the apply path rejects, so fail loudly
@@ -205,9 +192,6 @@ func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 		return 0, fmt.Errorf("gts: batch %d durable but unappliable: %w", lsn, err)
 	}
 	m.epoch.Store(lsn)
-	for _, fn := range m.onCommitOps {
-		fn(prevEpoch, lsn, ops)
-	}
 	return lsn, nil
 }
 

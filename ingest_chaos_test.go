@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	gts "repro"
+	"repro/internal/incremental"
 )
 
 // digestBFSPR hashes BFS levels and PageRank ranks — the cheap digest the
@@ -94,8 +95,8 @@ func TestChaosIngestRecovery(t *testing.T) {
 		}
 		// Fresh-per-open retained state, the service rule: nothing survives
 		// a recovery, so no stale-epoch entry can be consulted this round.
-		incSt := incAttach(m)
-		if _, _, ok := incSt.Lookup("bfs"); ok {
+		incSt := incremental.NewStore(m.Epoch())
+		if _, _, reason := incSt.Lookup("bfs", m.Epoch()); reason == "" {
 			t.Fatalf("round %d: fresh store served a retained entry", round)
 		}
 		incCapture(t, incSt, m)
@@ -137,7 +138,7 @@ func TestChaosIngestRecovery(t *testing.T) {
 
 		crashed := false
 		for i := applied; i < nBatches; i++ {
-			if _, err := m.Ingest(batches[i]); err != nil {
+			if err := incIngest(incSt, m, batches[i]); err != nil {
 				if !errors.Is(err, gts.ErrCrashed) {
 					t.Fatalf("round %d batch %d: %v", round, i, err)
 				}
@@ -152,13 +153,13 @@ func TestChaosIngestRecovery(t *testing.T) {
 				t.Fatalf("round %d: dead graph accepted ingest: %v", round, err)
 			}
 		}
-		// Live incremental is safe even after a crash: the commit hook fires
-		// only for successful commits, so the in-process delta chain is always
+		// Live incremental is safe even after a crash: the store records only
+		// successful commits, so the in-process delta chain is always
 		// consistent with the published snapshot. (Reusing this store after
 		// reopening would NOT be — a during-fsync crash can leave a durable
-		// batch the hook never saw — which is why recovery gets a fresh store
+		// batch the store never saw — which is why recovery gets a fresh store
 		// at the top of the next round.)
-		incCheck(t, fmt.Sprintf("round %d live", round), incSt, m.Snapshot())
+		incCheck(t, fmt.Sprintf("round %d live", round), incSt, m)
 		m.Close()
 
 		// Recover and verify against the synchronous-replay oracle.

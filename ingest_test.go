@@ -17,20 +17,21 @@ import (
 	"repro/internal/wal"
 )
 
-// incAttach wires a fresh retained-state store to mg exactly as the
-// service does on every (re)load: the store starts at the graph's current
-// epoch and observes each committed batch through the ingest hook. A
-// recovery therefore always starts with an EMPTY store — pre-crash
-// retained state is never carried across, because a durable-but-unhooked
-// batch (e.g. a crash during the fsync) would leave the old store's delta
-// chain one batch behind the recovered snapshot, and serving from it could
-// silently miss that batch's effects.
-func incAttach(mg *gts.MutableGraph) *incremental.Store {
-	st := incremental.NewStore(mg.Epoch())
-	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp) {
+// incIngest commits ops to mg and, once the batch is applied, to st's
+// chain, as the service's Ingest does under the graph's commit lock. Like
+// the service, the tests build a fresh store (incremental.NewStore at the
+// graph's epoch) on every open: pre-crash retained state is never carried
+// across a recovery, because a durable-but-unacknowledged batch (e.g. a
+// crash during the fsync) would leave the old store's delta chain one batch
+// behind the recovered snapshot, and serving from it could silently miss
+// that batch's effects.
+func incIngest(st *incremental.Store, mg *gts.MutableGraph, ops []gts.EdgeOp) error {
+	prev := mg.Epoch()
+	epoch, err := mg.Ingest(ops)
+	if err == nil {
 		st.Commit(prev, epoch, ops)
-	})
-	return st
+	}
+	return err
 }
 
 // incCapture retains BFS levels for the graph's current snapshot, as a
@@ -51,18 +52,19 @@ func incCapture(t *testing.T, st *incremental.Store, mg *gts.MutableGraph) {
 	}
 }
 
-// incCheck resolves the retained entry in st against g: an accepted
-// delta-expansion plan must produce results byte-identical to a full run
-// (a refusal with a reason is a legal fallback). Returns how many plans
-// were accepted.
-func incCheck(t *testing.T, label string, st *incremental.Store, g *gts.Graph) int {
+// incCheck resolves the retained entry in st against mg's snapshot: an
+// accepted delta-expansion plan must produce results byte-identical to a
+// full run (a refusal with a reason is a legal fallback). Returns how many
+// plans were accepted.
+func incCheck(t *testing.T, label string, st *incremental.Store, mg *gts.MutableGraph) int {
 	t.Helper()
+	g := mg.Snapshot()
 	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits := 0
-	if e, d, ok := st.Lookup("bfs"); ok {
+	if e, d, reason := st.Lookup("bfs", mg.Epoch()); reason == "" {
 		if k, reason := incremental.PlanBFS(g, e, d); reason == "" {
 			out, _, err := sys.RunKernel(k, 0)
 			if err != nil {
@@ -361,13 +363,12 @@ func TestIngestCrashMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Retained state rides along exactly as the service wires it:
-				// captured before the mutation history, chained by the hook.
-				preSt := incAttach(m)
+				// captured before the mutation history, chained by each commit.
+				preSt := incremental.NewStore(m.Epoch())
 				incCapture(t, preSt, m)
 				var crashed bool
 				for i, ops := range batches {
-					_, err := m.Ingest(ops)
-					if err != nil {
+					if err := incIngest(preSt, m, ops); err != nil {
 						if !errors.Is(err, gts.ErrCrashed) {
 							t.Fatalf("batch %d: %v, want an injected crash", i, err)
 						}
@@ -413,8 +414,8 @@ func TestIngestCrashMatrix(t *testing.T) {
 				// crashes the WAL is one durable batch ahead of its hook
 				// chain, so its deltas no longer describe the recovered
 				// snapshot.
-				recSt := incAttach(r)
-				if _, _, ok := recSt.Lookup("bfs"); ok {
+				recSt := incremental.NewStore(r.Epoch())
+				if _, _, reason := recSt.Lookup("bfs", r.Epoch()); reason == "" {
 					t.Fatal("fresh post-recovery store served a retained entry")
 				}
 				if preSt.Epoch() > r.Epoch() {
@@ -429,7 +430,7 @@ func TestIngestCrashMatrix(t *testing.T) {
 				// The recovered graph accepts new ingest and lands where the
 				// uncrashed history would.
 				for i := want; i < len(batches); i++ {
-					if _, err := r.Ingest(batches[i]); err != nil {
+					if err := incIngest(recSt, r, batches[i]); err != nil {
 						t.Fatalf("post-recovery batch %d: %v", i, err)
 					}
 				}
@@ -440,7 +441,7 @@ func TestIngestCrashMatrix(t *testing.T) {
 				// accepted plan must match a full run byte-for-byte; an empty
 				// suffix (recovery already held the whole history) must serve
 				// BFS incrementally.
-				hits := incCheck(t, "post-recovery", recSt, r.Snapshot())
+				hits := incCheck(t, "post-recovery", recSt, r)
 				if want == len(batches) && hits != 1 {
 					t.Fatalf("empty-suffix recovery served %d/1 incremental plans", hits)
 				}

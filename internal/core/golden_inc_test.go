@@ -63,9 +63,9 @@ func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incremental.Store) {
 // built for every execution.
 func incGoldenKernel(t *testing.T, g *slottedpage.Graph, st *incremental.Store, algo string) (kernels.Kernel, func(kernels.State) []byte, int) {
 	t.Helper()
-	e, d, ok := st.Lookup(algo)
-	if !ok {
-		t.Fatalf("%s: no retained entry", algo)
+	e, d, reason := st.Lookup(algo, 1)
+	if reason != "" {
+		t.Fatalf("%s lookup: %s", algo, reason)
 	}
 	switch algo {
 	case "bfs":

@@ -34,10 +34,11 @@ func (c incCost) cycles(slots, edges int64) float64 {
 type IncBFS struct {
 	g    *slottedpage.Graph
 	init []int16 // retained levels, extended, with verified seeds applied
-	base []int16 // retained levels, extended, pre-seed (first diff baseline)
 	cost incCost
 
-	// plan state (mutated only inside PlanLevel, read-only during phases)
+	// plan state (mutated only inside PlanLevel, read-only during phases);
+	// lvPrev starts at the retained levels before the seeds, so the first
+	// plan pends every seeded vertex.
 	lvPrev []int16
 	pend   map[int16][]uint64
 	front  *bitset.Set
@@ -133,17 +134,15 @@ func PlanBFS(g *slottedpage.Graph, e *Entry, d Delta) (*IncBFS, string) {
 			seeds++
 		}
 	}
-	k := &IncBFS{
-		g:     g,
-		init:  init,
-		base:  base,
-		cost:  incCost{lane: 40, slot: 10},
-		pend:  make(map[int16][]uint64),
-		Seeds: seeds,
-	}
-	k.lvPrev = append([]int16(nil), base...)
-	k.front = bitset.New(int(n))
-	return k, ""
+	return &IncBFS{
+		g:      g,
+		init:   init,
+		cost:   incCost{lane: 40, slot: 10},
+		lvPrev: base,
+		pend:   make(map[int16][]uint64),
+		front:  bitset.New(int(n)),
+		Seeds:  seeds,
+	}, ""
 }
 
 // NewState implements Kernel.

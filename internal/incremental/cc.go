@@ -45,7 +45,9 @@ func (s *incCCState) Clone() kernels.State { return &incCCState{labels: slices.C
 func incLabels(st kernels.State) []uint32  { return st.(*incCCState).labels }
 
 // PlanCC builds an incremental CC kernel, or reports a fallback reason
-// (any delete in the chain).
+// (any delete in the chain). It seeds from every insert in d without looking
+// for the edge in g, so d must end at g's snapshot: the delta Store.Lookup
+// returns for g's epoch.
 func PlanCC(g *slottedpage.Graph, e *Entry, d Delta) (*IncCC, string) {
 	if e.Kind != KindCC {
 		return nil, "wrong-kind"
@@ -83,15 +85,14 @@ func PlanCC(g *slottedpage.Graph, e *Entry, d Delta) (*IncCC, string) {
 			seeds++
 		}
 	}
-	k := &IncCC{
+	return &IncCC{
 		g:     g,
 		init:  init,
 		cost:  incCost{lane: 110, slot: 50},
 		snap:  base,
 		scan:  bitset.New(int(n)),
 		Seeds: seeds,
-	}
-	return k, ""
+	}, ""
 }
 
 // NewState implements Kernel.

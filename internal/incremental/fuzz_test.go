@@ -71,7 +71,7 @@ func FuzzDeltaExpand(f *testing.F) {
 		g := mut.Snapshot()
 		want := computeOracle(t, g, nil)
 
-		if prior, delta, ok := st.Lookup("bfs"); ok {
+		if prior, delta, reason := st.Lookup("bfs", epoch); reason == "" {
 			if k, reason := incremental.PlanBFS(g, prior, delta); reason == "" {
 				res, _ := runKernel(t, g, k, bfsSource, nil)
 				if i := cmpLevels(want.levels, k.Levels(res)); i >= 0 {
@@ -79,7 +79,7 @@ func FuzzDeltaExpand(f *testing.F) {
 				}
 			}
 		}
-		if prior, delta, ok := st.Lookup("cc"); ok {
+		if prior, delta, reason := st.Lookup("cc", epoch); reason == "" {
 			if k, reason := incremental.PlanCC(g, prior, delta); reason == "" {
 				res, _ := runKernel(t, g, k, 0, nil)
 				if i := cmpLabels(want.labels, k.Components(res)); i >= 0 {

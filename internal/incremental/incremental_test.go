@@ -24,7 +24,7 @@ func chaosPlan() *gts.FaultPlan {
 
 // harness couples a mutable graph with a retained-state store wired the
 // way the service wires them: every ingest commit extends the store's
-// chain with the batch.
+// chain with the batch (harness.ingest).
 type harness struct {
 	mg *gts.MutableGraph
 	st *incremental.Store
@@ -37,11 +37,19 @@ func newHarness(t testing.TB, spec string) *harness {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mg.Close() })
-	st := incremental.NewStore(mg.Epoch())
-	mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp) {
-		st.Commit(prev, epoch, ops)
-	})
-	return &harness{mg: mg, st: st}
+	return &harness{mg: mg, st: incremental.NewStore(mg.Epoch())}
+}
+
+// ingest commits ops to the graph and then to the store's chain, as the
+// service's Ingest does under the graph's commit lock.
+func (h *harness) ingest(t testing.TB, ops []gts.EdgeOp) {
+	t.Helper()
+	prev := h.mg.Epoch()
+	epoch, err := h.mg.Ingest(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.st.Commit(prev, epoch, ops)
 }
 
 func runKernel(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64, faults *gts.FaultPlan) (gts.KernelState, gts.Metrics) {
@@ -145,13 +153,11 @@ func replayCheck(t testing.TB, sc script, faults *gts.FaultPlan, captureEvery in
 	h.capture(t, o)
 
 	for bi, ops := range sc.batches {
-		if _, err := h.mg.Ingest(ops); err != nil {
-			t.Fatalf("batch %d: %v", bi, err)
-		}
+		h.ingest(t, ops)
 		snap := h.mg.Snapshot()
 		o = computeOracle(t, snap, faults)
 
-		if prior, delta, ok := h.st.Lookup("bfs"); ok {
+		if prior, delta, reason := h.st.Lookup("bfs", h.mg.Epoch()); reason == "" {
 			if _, reason := incremental.PlanBFS(snap, prior, delta); reason != "" {
 				tl.fallbacks["bfs"]++
 			} else {
@@ -164,7 +170,7 @@ func replayCheck(t testing.TB, sc script, faults *gts.FaultPlan, captureEvery in
 				}
 			}
 		}
-		if prior, delta, ok := h.st.Lookup("cc"); ok {
+		if prior, delta, reason := h.st.Lookup("cc", h.mg.Epoch()); reason == "" {
 			if _, reason := incremental.PlanCC(snap, prior, delta); reason != "" {
 				tl.fallbacks["cc"]++
 			} else {
@@ -311,16 +317,14 @@ func TestDifferentialRandomScripts(t *testing.T) {
 // reproduces the retained answer bitwise.
 func TestSameEpochRequery(t *testing.T) {
 	h := newHarness(t, testSpec)
-	if _, err := h.mg.Ingest([]gts.EdgeOp{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}}); err != nil {
-		t.Fatal(err)
-	}
+	h.ingest(t, []gts.EdgeOp{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
 	snap := h.mg.Snapshot()
 	o := computeOracle(t, snap, nil)
 	h.capture(t, o)
 
-	prior, delta, ok := h.st.Lookup("bfs")
-	if !ok {
-		t.Fatal("bfs entry missing")
+	prior, delta, reason := h.st.Lookup("bfs", h.mg.Epoch())
+	if reason != "" {
+		t.Fatalf("bfs lookup: %s", reason)
 	}
 	k, reason := incremental.PlanBFS(snap, prior, delta)
 	if reason != "" {
@@ -334,7 +338,7 @@ func TestSameEpochRequery(t *testing.T) {
 		t.Fatalf("empty-delta bfs streamed %d pages, want 0", m.PagesStreamed)
 	}
 
-	cprior, cdelta, _ := h.st.Lookup("cc")
+	cprior, cdelta, _ := h.st.Lookup("cc", h.mg.Epoch())
 	ck, reason := incremental.PlanCC(snap, cprior, cdelta)
 	if reason != "" {
 		t.Fatalf("empty-delta cc fell back: %s", reason)

@@ -53,15 +53,13 @@ func TestLargePageDeltaExpansion(t *testing.T) {
 	o := computeOracle(t, g0, nil)
 	h.capture(t, o)
 
-	if _, err := h.mg.Ingest([]gts.EdgeOp{{Src: 1, Dst: 1600}}); err != nil {
-		t.Fatal(err)
-	}
+	h.ingest(t, []gts.EdgeOp{{Src: 1, Dst: 1600}})
 	g := h.mg.Snapshot()
 	want := computeOracle(t, g, nil)
 
-	prior, delta, ok := h.st.Lookup("bfs")
-	if !ok {
-		t.Fatal("bfs entry not replayable")
+	prior, delta, reason := h.st.Lookup("bfs", h.mg.Epoch())
+	if reason != "" {
+		t.Fatalf("bfs lookup: %s", reason)
 	}
 	kb, reason := incremental.PlanBFS(g, prior, delta)
 	if reason != "" {
@@ -72,9 +70,9 @@ func TestLargePageDeltaExpansion(t *testing.T) {
 		t.Fatalf("bfs diverges at vertex %d", i)
 	}
 
-	prior, delta, ok = h.st.Lookup("cc")
-	if !ok {
-		t.Fatal("cc entry not replayable")
+	prior, delta, reason = h.st.Lookup("cc", h.mg.Epoch())
+	if reason != "" {
+		t.Fatalf("cc lookup: %s", reason)
 	}
 	kc, reason := incremental.PlanCC(g, prior, delta)
 	if reason != "" {

@@ -16,9 +16,9 @@
 //   - Store: a bounded set of retained entries from completed runs, keyed
 //     by (algo, params) and stamped with the epoch they were computed at,
 //     plus the chain of ingest commits needed to replay any retained epoch
-//     forward to the current one.
+//     forward to a later one.
 //   - Delta: the flattened difference between a retained entry's epoch and
-//     the current epoch, handed to a planner.
+//     the snapshot a caller plans against, handed to a planner.
 //   - Planners (PlanBFS, PlanCC): decide safe vs fallback and build a
 //     FrontierKernel seeded from the delta.
 package incremental
@@ -74,8 +74,8 @@ type Entry struct {
 }
 
 // Delta is the flattened edge difference between a retained entry's epoch
-// and the store's current epoch: every op of every intervening commit, in
-// commit order.
+// and a later snapshot's: every op of every intervening commit, in commit
+// order.
 type Delta struct {
 	FromEpoch uint64
 	ToEpoch   uint64
@@ -176,44 +176,42 @@ func (s *Store) Capture(key string, e *Entry) bool {
 }
 
 // Lookup returns the retained entry for key and the flattened delta from
-// its epoch to the current one. ok is false when no entry exists or the
-// chain cannot replay it forward. An entry already at the current epoch
-// returns an empty delta (zero ops) — a valid, trivially convergent plan.
-func (s *Store) Lookup(key string) (*Entry, Delta, bool) {
+// its epoch to epoch at, the snapshot the caller plans against, or the
+// reason it cannot. A store that commits ahead of a caller still admitted at
+// an older snapshot must hand it no op past that snapshot, and no entry
+// computed after it. An entry already at `at` returns an empty delta (zero
+// ops) — a valid, trivially convergent plan.
+func (s *Store) Lookup(key string, at uint64) (*Entry, Delta, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entries[key]
 	if e == nil {
-		return nil, Delta{}, false
+		return nil, Delta{}, "no-retained-state"
 	}
-	d := Delta{FromEpoch: e.Epoch, ToEpoch: s.epoch}
-	if e.Epoch == s.epoch {
-		return e, d, true // empty delta: entry is current
+	if e.Epoch > at {
+		return nil, Delta{}, "entry-after-snapshot"
 	}
-	// Find the chain suffix starting at the entry's epoch and check it is
-	// contiguous up to the current epoch.
-	i := 0
-	for ; i < len(s.chain); i++ {
-		if s.chain[i].prev == e.Epoch {
+	d := Delta{FromEpoch: e.Epoch, ToEpoch: at}
+	// Replay the chain from the entry's epoch: each commit must extend the
+	// last, up to exactly `at`.
+	epoch := e.Epoch
+	for _, c := range s.chain {
+		if epoch == at {
 			break
 		}
-	}
-	if i == len(s.chain) {
-		return nil, Delta{}, false
-	}
-	at := e.Epoch
-	for ; i < len(s.chain); i++ {
-		c := s.chain[i]
-		if c.prev != at {
-			return nil, Delta{}, false
+		if c.prev < epoch {
+			continue
+		}
+		if c.prev != epoch {
+			break
 		}
 		d.Ops = append(d.Ops, c.ops...)
-		at = c.epoch
+		epoch = c.epoch
 	}
-	if at != s.epoch {
-		return nil, Delta{}, false
+	if epoch != at {
+		return nil, Delta{}, "no-retained-state"
 	}
-	return e, d, true
+	return e, d, ""
 }
 
 // Len reports how many entries are retained.

@@ -25,9 +25,9 @@ func TestStoreCommitAndLookup(t *testing.T) {
 	s.Commit(0, 1, []incremental.EdgeOp{{Src: 1, Dst: 2}})
 	s.Commit(1, 2, []incremental.EdgeOp{{Del: true, Src: 3, Dst: 4}, {Src: 1, Dst: 5}})
 
-	e, d, ok := s.Lookup("bfs")
-	if !ok {
-		t.Fatal("entry not replayable")
+	e, d, reason := s.Lookup("bfs", 2)
+	if reason != "" {
+		t.Fatalf("lookup: %s", reason)
 	}
 	if e.Epoch != 0 || d.FromEpoch != 0 || d.ToEpoch != 2 {
 		t.Fatalf("delta spans %d..%d from entry epoch %d", d.FromEpoch, d.ToEpoch, e.Epoch)
@@ -47,7 +47,7 @@ func TestStoreLineageBreakDropsEverything(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("entries survived a lineage break: %d", s.Len())
 	}
-	if _, _, ok := s.Lookup("bfs"); ok {
+	if _, _, reason := s.Lookup("bfs", 6); reason == "" {
 		t.Fatal("lookup served across a lineage break")
 	}
 	if s.Epoch() != 6 {
@@ -74,7 +74,7 @@ func TestStoreChainTrimDropsUnreplayableEntries(t *testing.T) {
 	for i := 0; i < incremental.DefaultMaxChain+5; i++ {
 		s.Commit(uint64(i), uint64(i+1), nil)
 	}
-	if _, _, ok := s.Lookup("old"); ok {
+	if _, _, reason := s.Lookup("old", s.Epoch()); reason == "" {
 		t.Fatal("entry older than the chain window still served")
 	}
 	if s.Len() != 0 {
@@ -85,8 +85,62 @@ func TestStoreChainTrimDropsUnreplayableEntries(t *testing.T) {
 	if !s.Capture("new", &incremental.Entry{Kind: incremental.KindCC, Epoch: cur}) {
 		t.Fatal("current-epoch capture rejected after trim")
 	}
-	if _, d, ok := s.Lookup("new"); !ok || len(d.Ops) != 0 {
+	if _, d, reason := s.Lookup("new", cur); reason != "" || len(d.Ops) != 0 {
 		t.Fatal("current-epoch entry should yield an empty delta")
+	}
+}
+
+// TestStoreLookupStopsAtSnapshot: a job admitted at epoch 0 can plan after
+// the store has committed epoch 1. Its lookup must hand it the delta up to
+// epoch 0 only — each of epoch 1's inserts joins two components the job's
+// snapshot keeps apart — and must refuse an entry captured at epoch 1.
+func TestStoreLookupStopsAtSnapshot(t *testing.T) {
+	h := newHarness(t, testSpec)
+	g0 := h.mg.Snapshot()
+	o0 := computeOracle(t, g0, nil)
+	h.capture(t, o0)
+	var reps []uint64 // one vertex per epoch-0 component
+	seen := make(map[uint32]bool)
+	for v, l := range o0.labels {
+		if !seen[l] {
+			seen[l] = true
+			reps = append(reps, uint64(v))
+		}
+	}
+	if len(reps) < 2 {
+		t.Fatalf("%s is one component", testSpec)
+	}
+	var ops []gts.EdgeOp
+	for i := 0; i < 8; i++ {
+		ops = append(ops, gts.EdgeOp{Src: reps[i%len(reps)], Dst: reps[(i+1)%len(reps)]})
+	}
+	h.ingest(t, ops)
+
+	for at, g := range []*gts.Graph{g0, h.mg.Snapshot()} {
+		prior, d, reason := h.st.Lookup("cc", uint64(at))
+		if reason != "" {
+			t.Fatalf("cc lookup at epoch %d: %s", at, reason)
+		}
+		if d.ToEpoch != uint64(at) || len(d.Ops) != 8*at {
+			t.Fatalf("cc delta at epoch %d ends at %d with %d ops", at, d.ToEpoch, len(d.Ops))
+		}
+		k, reason := incremental.PlanCC(g, prior, d)
+		if reason != "" {
+			t.Fatalf("cc plan at epoch %d: %s", at, reason)
+		}
+		st, _ := runKernel(t, g, k, 0, nil)
+		want := computeOracle(t, g, nil)
+		if i := cmpLabels(want.labels, k.Components(st)); i >= 0 {
+			t.Fatalf("cc at epoch %d diverges at vertex %d: full=%d inc=%d",
+				at, i, want.labels[i], k.Components(st)[i])
+		}
+	}
+
+	h.capture(t, computeOracle(t, h.mg.Snapshot(), nil))
+	for _, key := range []string{"bfs", "cc"} {
+		if _, _, reason := h.st.Lookup(key, 0); reason != "entry-after-snapshot" {
+			t.Errorf("%s lookup at epoch 0 of an epoch-1 entry: reason %q", key, reason)
+		}
 	}
 }
 
@@ -105,7 +159,8 @@ func TestStoreBoundsEntries(t *testing.T) {
 		t.Fatalf("Len() = %d after %d captures, want the bound %d", s.Len(), total, incremental.MaxEntries)
 	}
 	for i := 0; i < total; i++ {
-		e, _, ok := s.Lookup(fmt.Sprint("bfs?", i))
+		e, _, reason := s.Lookup(fmt.Sprint("bfs?", i), 0)
+		ok := reason == ""
 		if want := i >= 8; ok != want {
 			t.Fatalf("key %d retained = %v, want %v (the 8 oldest go)", i, ok, want)
 		}
@@ -117,10 +172,10 @@ func TestStoreBoundsEntries(t *testing.T) {
 	// nothing is evicted for it, and the next new key evicts key 9, not key 8.
 	s.Capture("bfs?8", &incremental.Entry{Kind: incremental.KindBFS, FullPages: 8})
 	s.Capture("bfs?new", &incremental.Entry{Kind: incremental.KindBFS})
-	if _, _, ok := s.Lookup("bfs?8"); !ok || s.Len() != incremental.MaxEntries {
-		t.Fatalf("re-captured key evicted (held %v, Len %d)", ok, s.Len())
+	if _, _, reason := s.Lookup("bfs?8", 0); reason != "" || s.Len() != incremental.MaxEntries {
+		t.Fatalf("re-captured key evicted (%q, Len %d)", reason, s.Len())
 	}
-	if _, _, ok := s.Lookup("bfs?9"); ok {
+	if _, _, reason := s.Lookup("bfs?9", 0); reason == "" {
 		t.Fatal("the oldest capture survived a new key at the bound")
 	}
 }

@@ -17,7 +17,7 @@ type Params = gts.Params
 // algorithm's own table entry.
 type retainer struct {
 	// retain fills e with what a later delta-expansion needs from a finished
-	// run's output.
+	// run's output, keeping its slices: a served output is never written.
 	retain func(e *incremental.Entry, output any)
 	// replan plans the delta-expansion of prior across d on g (its kernel and
 	// seed count), or reports why that cannot be exact. prior was retained
@@ -30,7 +30,7 @@ var retainers = map[string]retainer{
 	"bfs": {
 		retain: func(e *incremental.Entry, output any) {
 			e.Kind = incremental.KindBFS
-			e.Levels = append([]int16(nil), output.(*gts.BFSResult).Levels...)
+			e.Levels = output.(*gts.BFSResult).Levels
 		},
 		replan: func(g *gts.Graph, prior *incremental.Entry, d incremental.Delta) (gts.Kernel, int, string) {
 			k, reason := incremental.PlanBFS(g, prior, d)
@@ -43,7 +43,7 @@ var retainers = map[string]retainer{
 	"cc": {
 		retain: func(e *incremental.Entry, output any) {
 			e.Kind = incremental.KindCC
-			e.Labels = append([]uint32(nil), output.(*gts.CCResult).Labels...)
+			e.Labels = output.(*gts.CCResult).Labels
 		},
 		replan: func(g *gts.Graph, prior *incremental.Entry, d incremental.Delta) (gts.Kernel, int, string) {
 			k, reason := incremental.PlanCC(g, prior, d)

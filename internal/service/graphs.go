@@ -66,7 +66,7 @@ type graphEntry struct {
 	commit *sync.Mutex
 	// inc is the retained-state store for incremental recompute (nil
 	// unless Config.Incremental and the graph is mutable). It is carried
-	// across ingest republishes — the commit hook migrates its chain — and
+	// across ingest republishes — Ingest commits each batch to its chain — and
 	// rebuilt from scratch on graph reload, so crash recovery can never
 	// resurrect pre-crash state.
 	inc   *incremental.Store
@@ -183,13 +183,9 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 	if s.cfg.Incremental {
 		// A fresh store per load: recovery discards every pre-crash entry
 		// by construction (epoch-mismatch safety without trusting the
-		// recovered LSN counter). The commit hook runs under the ingest
-		// lock, so the chain records commits in order.
-		inc := incremental.NewStore(mg.Epoch())
-		mg.OnCommitOps(func(prev, epoch uint64, ops []gts.EdgeOp) {
-			inc.Commit(prev, epoch, ops)
-		})
-		entry.inc = inc
+		// recovered LSN counter). Ingest commits to it under the graph's
+		// commit lock, so the chain records commits in order.
+		entry.inc = incremental.NewStore(mg.Epoch())
 	}
 	if err := s.publish(entry, placeholder); err != nil {
 		mg.Close()
@@ -231,6 +227,9 @@ func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error)
 		return 0, err
 	}
 	s.met.addIngested(int64(len(ops)))
+	if entry.inc != nil {
+		entry.inc.Commit(entry.epoch, epoch, ops)
+	}
 
 	// Invalidate the shared host pool's superseded frames and publish a new
 	// entry over the new snapshot.

@@ -32,8 +32,9 @@ func planIncremental(entry *graphEntry, g *gts.Graph, job *Job, r retainer) plan
 	key := incKey(job.req.Algo, p)
 	pl := plan{job: gts.SharedJob{Source: p.Source}}
 	if job.req.Incremental {
-		if prior, delta, ok := entry.inc.Lookup(key); !ok {
-			pl.fallback = "no-retained-state"
+		// The store may have committed past the job's snapshot: stop there.
+		if prior, delta, reason := entry.inc.Lookup(key, entry.epoch); reason != "" {
+			pl.fallback = reason
 		} else if k, seeds, reason := r.replan(g, prior, delta); reason != "" {
 			pl.fallback = reason
 		} else {

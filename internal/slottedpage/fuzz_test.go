@@ -27,11 +27,10 @@ func encodeGraph(t interface{ Fatalf(string, ...any) }, g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// FuzzStoreRead feeds arbitrary bytes to the store decoder and to the page
-// streamer. Their contract on hostile input: return an error — never panic,
-// never read out of bounds, never allocate unboundedly from lying header
-// fields. A graph Read accepts must pass full structural validation, and
-// StreamPages must deliver its pages, in order, byte for byte.
+// FuzzStoreRead feeds arbitrary bytes to the store decoder. Its contract on
+// hostile input: return an error — never panic, never read out of bounds,
+// never allocate unboundedly from lying header fields. A graph Read accepts
+// must pass full structural validation and re-encode.
 func FuzzStoreRead(f *testing.F) {
 	valid := encodeGraph(f, fuzzGraph(f))
 	f.Add(valid)
@@ -43,14 +42,6 @@ func FuzzStoreRead(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var streamed [][]byte
-		_, serr := StreamPages(bytes.NewReader(data), func(_ *StreamInfo, pid PageID, pg Page) error {
-			if int(pid) != len(streamed) {
-				t.Fatalf("StreamPages delivered page %d after %d pages", pid, len(streamed))
-			}
-			streamed = append(streamed, bytes.Clone(pg.buf))
-			return nil
-		})
 		g, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -62,33 +53,18 @@ func FuzzStoreRead(f *testing.F) {
 		if _, err := g.WriteTo(io.Discard); err != nil {
 			t.Fatalf("re-encoding accepted graph: %v", err)
 		}
-		if serr != nil {
-			t.Fatalf("StreamPages refused a store Read accepts: %v", serr)
-		}
-		if len(streamed) != g.NumPages() {
-			t.Fatalf("StreamPages delivered %d pages, Read %d", len(streamed), g.NumPages())
-		}
-		for pid, pg := range streamed {
-			if !bytes.Equal(pg, g.PageBytes(PageID(pid))) {
-				t.Fatalf("StreamPages delivered page %d with other bytes than Read", pid)
-			}
-		}
 	})
 }
 
-// TestStreamPagesRefusesHugePageCount: a page count no input could back is an
-// error from StreamPages, as it is from Read, not an allocation sized by it
-// (with 2^40 + 3 pages StreamPages once ran the process out of memory, and
-// with 2^63 it panicked in make).
-func TestStreamPagesRefusesHugePageCount(t *testing.T) {
+// TestReadRefusesHugePageCount: a page count no input could back is an error
+// from Read, not an allocation sized by it (with 2^63 pages a decoder that
+// sized its tables by the header panicked in make).
+func TestReadRefusesHugePageCount(t *testing.T) {
 	for _, n := range []uint64{1<<40 + 3, 1 << 63} {
 		data := encodeGraph(t, fuzzGraph(t))
 		binary.LittleEndian.PutUint64(data[len(fileMagic)+8*8:], n) // the ninth header word
 		if _, err := Read(bytes.NewReader(data)); err == nil {
 			t.Errorf("Read accepted a header of %d pages", n)
-		}
-		if _, err := StreamPages(bytes.NewReader(data), nil); err == nil {
-			t.Errorf("StreamPages accepted a header of %d pages", n)
 		}
 	}
 }

@@ -399,95 +399,3 @@ func TestLPRunSequence(t *testing.T) {
 		}
 	}
 }
-
-func TestStreamPagesMatchesLoadedStore(t *testing.T) {
-	src := randomGraph(rand.New(rand.NewSource(11)), 250, 8, 70)
-	g, err := Build(src, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var seen int
-	var edges uint64
-	info, err := StreamPages(bytes.NewReader(buf.Bytes()), func(info *StreamInfo, pid PageID, pg Page) error {
-		if pg.Kind() != g.Kind(pid) {
-			t.Fatalf("page %d kind mismatch", pid)
-		}
-		if info.RVT[pid] != g.RVT(pid) {
-			t.Fatalf("page %d RVT mismatch", pid)
-		}
-		for s := 0; s < pg.NumSlots(); s++ {
-			edges += uint64(pg.Adj(s).Len())
-		}
-		seen++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != g.NumPages() || info.NumPages != g.NumPages() {
-		t.Errorf("streamed %d pages, want %d", seen, g.NumPages())
-	}
-	if edges != g.NumEdges() {
-		t.Errorf("streamed %d edges, want %d", edges, g.NumEdges())
-	}
-	if info.NumVertices != g.NumVertices() || info.Config != g.Config() {
-		t.Error("stream metadata mismatch")
-	}
-}
-
-func TestStreamPagesDetectsCorruption(t *testing.T) {
-	src := figure1Graph(100)
-	g, err := Build(src, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)-10] ^= 0x55 // corrupt the last page
-	_, err = StreamPages(bytes.NewReader(data), nil)
-	if !errors.Is(err, ErrChecksum) {
-		t.Errorf("err = %v, want ErrChecksum", err)
-	}
-}
-
-func TestStreamPagesCallbackError(t *testing.T) {
-	src := figure1Graph(30)
-	g, _ := Build(src, tinyConfig())
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sentinel := errors.New("stop")
-	_, err := StreamPages(bytes.NewReader(buf.Bytes()), func(*StreamInfo, PageID, Page) error {
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want sentinel", err)
-	}
-}
-
-func TestStreamFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s.gts")
-	g, err := Build(figure1Graph(100), tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if _, err := StreamFile(path, func(*StreamInfo, PageID, Page) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != g.NumPages() {
-		t.Errorf("streamed %d pages", n)
-	}
-}

@@ -133,12 +133,12 @@ func readUint32s(r io.Reader, count uint64) ([]uint32, error) {
 	return out, nil
 }
 
-// readMeta reads a store's metadata — magic, header, RVT and kind table — for
-// Read and StreamPages alike. Every header field is checked against its
-// bound before anything is sized by it, and the tables grow chunk by chunk as
-// their bytes arrive, so a lying page count fails at the end of the input
-// instead of allocating for it.
-func readMeta(cr io.Reader) (*StreamInfo, error) {
+// readMeta reads a store's metadata — magic, header, RVT and kind table —
+// into a Graph that Read goes on to fill. Every header field is checked
+// against its bound before anything is sized by it, and the tables grow
+// chunk by chunk as their bytes arrive, so a lying page count fails at the
+// end of the input instead of allocating for it.
+func readMeta(cr io.Reader) (*Graph, error) {
 	read := func(v any) error { return binary.Read(cr, binary.LittleEndian, v) }
 	var magic [8]byte
 	if _, err := io.ReadFull(cr, magic[:]); err != nil {
@@ -158,23 +158,23 @@ func readMeta(cr io.Reader) (*StreamInfo, error) {
 			return nil, fmt.Errorf("slottedpage: header field %d out of range", w)
 		}
 	}
-	info := &StreamInfo{
-		Config: Config{
+	g := &Graph{
+		cfg: Config{
 			PageSize: int(hdr[0]), PIDBytes: int(hdr[1]), SlotBytes: int(hdr[2]),
 			VIDBytes: int(hdr[3]), OffBytes: int(hdr[4]), SizeBytes: int(hdr[5]),
 		},
-		NumVertices: hdr[6],
-		NumEdges:    hdr[7],
+		numVertices: hdr[6],
+		numEdges:    hdr[7],
 	}
-	if err := info.Config.Validate(); err != nil {
+	if err := g.cfg.Validate(); err != nil {
 		return nil, err
 	}
 	numPages := hdr[8]
-	if numPages > info.Config.MaxPages() {
+	if numPages > g.cfg.MaxPages() {
 		return nil, fmt.Errorf("slottedpage: %d pages exceed p=%d capacity %d",
-			numPages, info.Config.PIDBytes, info.Config.MaxPages())
+			numPages, g.cfg.PIDBytes, g.cfg.MaxPages())
 	}
-	info.RVT = make([]RVTEntry, 0, min(numPages, readChunk))
+	g.rvt = make([]RVTEntry, 0, min(numPages, readChunk))
 	for i := uint64(0); i < numPages; i++ {
 		var e RVTEntry
 		if err := read(&e.StartVID); err != nil {
@@ -183,9 +183,9 @@ func readMeta(cr io.Reader) (*StreamInfo, error) {
 		if err := read(&e.LPSeq); err != nil {
 			return nil, fmt.Errorf("slottedpage: reading RVT: %w", err)
 		}
-		info.RVT = append(info.RVT, e)
+		g.rvt = append(g.rvt, e)
 	}
-	info.Kinds = make([]Kind, 0, min(numPages, readChunk))
+	g.kinds = make([]Kind, 0, min(numPages, readChunk))
 	for rest := numPages; rest > 0; {
 		kb := make([]byte, min(rest, readChunk))
 		if err := read(kb); err != nil {
@@ -195,12 +195,11 @@ func readMeta(cr io.Reader) (*StreamInfo, error) {
 			if k := Kind(b); k != SmallPage && k != LargePage {
 				return nil, fmt.Errorf("%w: unknown page kind %d", ErrInvalidPage, b)
 			}
-			info.Kinds = append(info.Kinds, Kind(b))
+			g.kinds = append(g.kinds, Kind(b))
 		}
 		rest -= uint64(len(kb))
 	}
-	info.NumPages = len(info.RVT)
-	return info, nil
+	return g, nil
 }
 
 // Read deserializes a graph written by WriteTo, validating its whole-file
@@ -211,12 +210,10 @@ func readMeta(cr io.Reader) (*StreamInfo, error) {
 func Read(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	cr := &crcReader{r: br, crc: crc32.NewIEEE()}
-	info, err := readMeta(cr)
+	g, err := readMeta(cr)
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{cfg: info.Config, numVertices: info.NumVertices, numEdges: info.NumEdges,
-		rvt: info.RVT, kinds: info.Kinds}
 	for i, k := range g.kinds {
 		if k == SmallPage {
 			g.spIDs = append(g.spIDs, PageID(i))
@@ -230,8 +227,8 @@ func Read(r io.Reader) (*Graph, error) {
 	if g.homeSlot, err = readUint32s(cr, g.numVertices); err != nil {
 		return nil, fmt.Errorf("slottedpage: reading home slots: %w", err)
 	}
-	g.pages = make([][]byte, 0, info.NumPages)
-	for i := 0; i < info.NumPages; i++ {
+	g.pages = make([][]byte, 0, len(g.rvt))
+	for i := range g.rvt {
 		pg := make([]byte, g.cfg.PageSize)
 		if _, err := io.ReadFull(cr, pg); err != nil {
 			return nil, fmt.Errorf("slottedpage: reading page %d: %w", i, err)

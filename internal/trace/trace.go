@@ -5,7 +5,7 @@
 // copy/kernel/io/fault via the Level field and the Run/Superstep container
 // kinds; export.go turns a recorder into Chrome trace_event JSON (loadable
 // in chrome://tracing and Perfetto) and parses it back. Summary aggregates a
-// recorder for gtsbench -trace and gtsinspect trace; MTEPS is the engine's
+// recorder for gts -trace and gtsinspect trace; MTEPS is the engine's
 // throughput metric.
 package trace
 
