@@ -464,7 +464,7 @@ var algorithms = map[string]Algorithm{
 		},
 		Kernel: func(g *Graph, p Params) Kernel { return kernels.NewRWR(g, p.Restart, p.Iterations) },
 		Decode: func(k Kernel, st KernelState, _ Params, m Metrics) any {
-			return &RWRResult{Metrics: m, Scores: k.(*kernels.RWR).Scores(st)}
+			return &RWRResult{Metrics: m, Scores: k.(*kernels.PageRank).Ranks(st)}
 		},
 	},
 	"degree": {

@@ -495,10 +495,31 @@ func TestRWRMatchesReferenceAcrossConfigs(t *testing.T) {
 			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
 			k := kernels.NewRWR(sp, 0.15, 5)
 			rep := mustRun(t, e, k, 3)
-			got := k.Scores(rep.State)
+			got := k.Ranks(rep.State)
 			for v := range want {
 				if math.Abs(float64(got[v])-want[v]) > 1e-4*math.Max(want[v], 1e-9)+1e-7 {
 					t.Fatalf("vertex %d score = %v, want %v", v, got[v], want[v])
+				}
+			}
+		})
+	}
+}
+
+// TestScanKernelUpdates pins the scatter kernel's Updates: one iteration of
+// PageRank writes along every edge, while RWR's first iteration writes only
+// along its source's out-edges, because the kernel skips a vertex with no
+// rank to give.
+func TestScanKernelUpdates(t *testing.T) {
+	sp := buildPages(t, rmatGraph(t))
+	for _, cfg := range configurations() {
+		t.Run(cfg.name, func(t *testing.T) {
+			e := newEngine(t, sp, Options{Strategy: cfg.strategy}, cfg.gpus, cfg.ssds)
+			if rep := mustRun(t, e, kernels.NewPageRank(sp, 0.85, 1), 0); rep.Updates != int64(sp.NumEdges()) {
+				t.Errorf("PageRank Updates = %d, want %d edges", rep.Updates, sp.NumEdges())
+			}
+			for _, src := range []uint64{0, 3, 77} {
+				if rep := mustRun(t, e, kernels.NewRWR(sp, 0.15, 1), src); rep.Updates != int64(sp.DegreeOf(src)) {
+					t.Errorf("RWR from %d: Updates = %d, want its degree %d", src, rep.Updates, sp.DegreeOf(src))
 				}
 			}
 		})

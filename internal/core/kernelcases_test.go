@@ -58,7 +58,7 @@ func kernelCases() []kernelCase {
 			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.CrossEdges).Total(st)) }},
 		{"RWR",
 			func(sp *slottedpage.Graph) kernels.Kernel { return kernels.NewRWR(sp, 0.15, 5) },
-			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.RWR).Scores(st)) }},
+			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.PageRank).Ranks(st)) }},
 		{"DegreeDist",
 			func(sp *slottedpage.Graph) kernels.Kernel { return kernels.NewDegreeDist(sp) },
 			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.DegreeDist).Degrees(st)) }},

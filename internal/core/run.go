@@ -78,18 +78,17 @@ type run struct {
 	owned [][2]uint64
 
 	// Traversal state: next is the current frontier (traversals) or the full
-	// set (scans: scan is the kernel's ScanKernel, nil on a traversal) and
-	// spare the set the frontier after it is merged into, pages the running
-	// wave's page set (next, or the replayed level's in a backward sweep),
-	// locals the per-GPU next-page accumulation for the running wave,
-	// levelSets the recorded forward frontiers for the backward sweep. level
-	// counts the forward supersteps done (the report's Levels).
+	// set (scans: scan is the kernel's ScanKernel, nil on a traversal),
+	// spare the set every GPU's page kernels mark the next frontier's pages
+	// in (one set: planWave runs the GPUs one after another), pages the
+	// running wave's page set (next, or the replayed level's in a backward
+	// sweep), levelSets the recorded forward frontiers for the backward
+	// sweep. level counts the forward supersteps done (the report's Levels).
 	scan         kernels.ScanKernel
 	wantBackward bool
 	backKernel   kernels.BackwardKernel
 	next, spare  pidSet
 	pages        pidSet
-	locals       []pidSet
 	levelSets    []pidSet
 	level        int32
 	backward     bool
@@ -258,9 +257,6 @@ func (e *Engine) newRun(job SharedJob) (*run, error) {
 		curLevel:    -1,
 	}
 	machine.InjectFaults(r.inj)
-	for range nGPU {
-		r.locals = append(r.locals, bitset.New(e.graph.NumPages()))
-	}
 	r.setupStates()
 
 	// Each GPU's stream buffers: SPBuf + LPBuf per stream plus an RABuf
@@ -472,9 +468,7 @@ func (r *run) beginWave() {
 	}
 	kernels.BeginLevel(r.k, r.states, lvl)
 	clear(r.launches)
-	for _, l := range r.locals {
-		l.Reset()
-	}
+	r.spare.Reset()
 	r.pages = r.next
 	if r.backward {
 		r.pages = r.levelSets[r.backIdx]
@@ -509,7 +503,7 @@ func (r *run) planWave() {
 			rep = i
 		}
 		r.args = kernels.Args{Graph: g, State: r.states[rep], Level: r.curLevel, OwnedLo: r.owned[i][0], OwnedHi: r.owned[i][1],
-			Tech: r.eng.opts.Technique, NextPIDs: r.locals[i]}
+			Tech: r.eng.opts.Technique, NextPIDs: r.spare}
 		r.pages.ForEach(func(pid int) {
 			if split && pid%nGPU != i {
 				return
@@ -682,10 +676,6 @@ func (r *run) endWave(p *sim.Proc) {
 			r.levelSets = append(r.levelSets, r.next.Clone())
 		}
 		merged := r.spare
-		merged.Reset()
-		for _, l := range r.locals {
-			merged.Or(l)
-		}
 		// Expand LP runs: kernels mark a large vertex's first page.
 		g := r.eng.graph
 		merged.ForEach(func(pid int) {

@@ -200,10 +200,7 @@ func (k *IncBFS) Run(a *kernels.Args) kernels.Result {
 	s := a.State.(*incBFSState)
 	var res kernels.Result
 	w := kernels.WalkPage(a)
-	for w.Next() {
-		if !k.front.Get(int(w.V)) {
-			continue
-		}
+	for kernels.SeekSet(&w, k.front) {
 		pos, end, _ := w.Record()
 		k.expand(a, s, pos, end, &res)
 	}

@@ -140,10 +140,7 @@ func (k *IncCC) Run(a *kernels.Args) kernels.Result {
 	labels := incLabels(a.State)
 	var res kernels.Result
 	w := kernels.WalkPage(a)
-	for w.Next() {
-		if !k.scan.Get(int(w.V)) {
-			continue
-		}
+	for kernels.SeekSet(&w, k.scan) {
 		pos, end, _ := w.Record()
 		kernels.RelaxMin(a, labels, w.V, pos, end, &res)
 	}

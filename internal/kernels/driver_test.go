@@ -216,7 +216,7 @@ func TestDriverRWR(t *testing.T) {
 	k := NewRWR(sp, 0.15, 5)
 	st := drive(t, k, sp, 9)
 	want := verify.RWR(g, 9, 0.15, 5)
-	got := k.Scores(st)
+	got := k.Ranks(st)
 	for v := range want {
 		if math.Abs(float64(got[v])-want[v]) > 1e-5 {
 			t.Fatalf("vertex %d score = %v, want %v", v, got[v], want[v])

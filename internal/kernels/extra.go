@@ -7,136 +7,10 @@ import (
 )
 
 // This file implements the further algorithms the paper's §3.3 lists in its
-// two classes beyond the evaluated five: Random Walk with Restart and
-// degree distribution (PageRank-like full scans) and K-core decomposition
-// (iterative full scans).
-
-// RWR implements Random Walk with Restart: PageRank's iteration with the
-// teleport mass concentrated on a single query vertex. It reuses the
-// K_PR-style scatter kernels; only the restart vector differs.
-type RWR struct {
-	g          *slottedpage.Graph
-	restart    float64
-	iterations int32
-	lpDeg      map[uint64]int
-	cost       costParams
-}
-
-// NewRWR returns an RWR kernel with restart probability c (typically 0.15)
-// running the given iteration count.
-func NewRWR(g *slottedpage.Graph, c float64, iterations int) *RWR {
-	return &RWR{
-		g:          g,
-		restart:    c,
-		iterations: int32(iterations),
-		lpDeg:      lpDegrees(g),
-		cost:       costParams{laneCycles: 160, slotCycles: 50},
-	}
-}
-
-// rwrState splits like PageRank's: next is WA, prev is RA (streamed per page,
-// or device-resident beside WA when the engine finds room).
-type rwrState struct {
-	prev   []float32
-	next   []float32
-	source uint64
-	iter   int32
-}
-
-func (s *rwrState) WABytes() int64 { return int64(len(s.next)) * 4 }
-func (s *rwrState) Clone() State {
-	return &rwrState{prev: slices.Clone(s.prev), next: slices.Clone(s.next), source: s.source, iter: s.iter}
-}
-func rwrNext(st State) []float32 { return st.(*rwrState).next }
-
-// restartMass is the teleport value of vertex v for a walk restarting at
-// src.
-func (k *RWR) restartMass(v, src uint64) float32 {
-	if v == src {
-		return float32(k.restart)
-	}
-	return 0
-}
-
-// RAPerVertex is the optional hook kernels.RAPerVertex reads: 4 bytes of
-// prev accompany each vertex.
-func (k *RWR) RAPerVertex() int64 { return 4 }
-
-// NewState implements Kernel.
-func (k *RWR) NewState() State {
-	n := k.g.NumVertices()
-	return &rwrState{prev: make([]float32, n), next: make([]float32, n)}
-}
-
-// Init implements Kernel: all mass starts at the query vertex.
-func (k *RWR) Init(st State, source uint64) {
-	s := st.(*rwrState)
-	s.source = source
-	for i := range s.prev {
-		s.prev[i] = 0
-		s.next[i] = k.restartMass(uint64(i), source)
-	}
-	s.prev[source] = 1
-	s.iter = 0
-}
-
-// Run is RWR's K_SP and K_LP (§3.3): scatter (1-c) * prev[v]/deg(v) along
-// out-edges, dividing a large page's part by its vertex's total degree, as
-// PageRank's Run does.
-func (k *RWR) Run(a *Args) Result {
-	s := a.State.(*rwrState)
-	large := a.Graph.Kind(a.PID) == slottedpage.LargePage
-	res := Result{Active: true}
-	walk := float32(1 - k.restart)
-	w := WalkPage(a)
-	for w.Next() {
-		pos, end, deg := w.Record()
-		pr := s.prev[w.V]
-		if deg == 0 || pr == 0 {
-			continue
-		}
-		if large {
-			deg = k.lpDeg[w.V]
-		}
-		k.scatter(a, s, pos, end, walk*pr/float32(deg), &res)
-	}
-	return k.cost.done(a, &w, res)
-}
-
-func (k *RWR) scatter(a *Args, s *rwrState, pos, end int, contrib float32, res *Result) {
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
-		if !a.owns(nvid) {
-			continue
-		}
-		s.next[nvid] += contrib
-		res.Updates++
-	}
-}
-
-// MergeStates implements Kernel: base-relative additive merge, like
-// PageRank's, the base being each vertex's restart mass.
-func (k *RWR) MergeStates(sts []State) {
-	src := sts[0].(*rwrState).source
-	Merge(sts, rwrNext, func(v int, b, o float32) float32 { return b + (o - k.restartMass(uint64(v), src)) })
-}
-
-// EndIteration implements ScanKernel.
-func (k *RWR) EndIteration(sts []State, _ bool) bool {
-	for _, st := range sts {
-		s := st.(*rwrState)
-		copy(s.prev, s.next)
-		for i := range s.next {
-			s.next[i] = k.restartMass(uint64(i), s.source)
-		}
-		s.iter++
-	}
-	return sts[0].(*rwrState).iter < k.iterations
-}
-
-// Scores exposes the final proximity vector.
-func (k *RWR) Scores(st State) []float32 { return st.(*rwrState).prev }
+// two classes beyond the evaluated five: degree distribution (a
+// PageRank-like full scan) and K-core decomposition (iterative full scans).
+// Random Walk with Restart, the class's other member, runs on PageRank's
+// kernel with a restart vertex (NewRWR in pagerank.go).
 
 // DegreeDist computes per-vertex out-degrees in one full scan — the
 // simplest PageRank-like algorithm the paper lists. Degrees come straight

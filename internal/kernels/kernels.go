@@ -5,7 +5,9 @@
 // as a small-page and a large-page kernel (K_SP and K_LP) because a GPU maps
 // the two page kinds to threads differently; this model prices both with the
 // same lane accounting, so each algorithm has one page kernel, and a large
-// page is a page with one slot, its vertex.
+// page is a page with one slot, its vertex. Variants of an algorithm share
+// its kernel: Random Walk with Restart is PageRank's with a restart vertex
+// (NewRWR), and the k-hop ball is BFS's with a hop cap (NewNeighborhood).
 //
 // Each kernel executes *functionally* (it really computes the algorithm, in
 // Go, against the attribute state) and *reports its cost* in model cycles,
@@ -230,8 +232,9 @@ type Args struct {
 	// range covers all vertices.
 	OwnedLo, OwnedHi uint64
 	Tech             Technique
-	// NextPIDs is this GPU's local nextPIDSet; BFS-like kernels set bits
-	// for pages to visit at the next level. Nil for PageRank-like runs.
+	// NextPIDs is the run's nextPIDSet, shared by every GPU's page
+	// kernels; BFS-like kernels set bits for pages to visit at the next
+	// level, PageRank-like ones leave it alone.
 	NextPIDs *bitset.Set
 }
 

@@ -43,7 +43,7 @@ func TestMergeAlgebra(t *testing.T) {
 		{"SSSP", NewSSSP(sp), 3, func(st State) []any { s := st.(*ssspState); return []any{s.dist, s.front[0], s.front[1]} }},
 		{"BC", NewBC(sp), 3, func(st State) []any { s := st.(*bcState); return []any{s.dist, s.sigma, s.delta} }},
 		{"PageRank", NewPageRank(sp, 0.85, 1), 3, func(st State) []any { return []any{st.(*prState).nextPR} }},
-		{"RWR", NewRWR(sp, 0.15, 1), 3, func(st State) []any { return []any{st.(*rwrState).next} }},
+		{"RWR", NewRWR(sp, 0.15, 1), 3, func(st State) []any { return []any{st.(*prState).nextPR} }},
 		{"KCore", NewKCore(sp, 4), 2, func(st State) []any { return []any{st.(*kcoreState).count} }},
 		{"Radius", NewRadius(sp, 4, 8), 3, func(st State) []any { s := st.(*radiusState); return []any{s.next, s.radius} }},
 		{"DegreeDist", NewDegreeDist(sp), 3, func(st State) []any { return []any{st.(*degState).deg} }},
