@@ -155,9 +155,9 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18465
-LOC_MAX_ENGINE_AND_API = 4759
-LOC_MAX_ENGINE = 3799
+LOC_MAX_TOTAL = 18419
+LOC_MAX_ENGINE_AND_API = 4686
+LOC_MAX_ENGINE = 3722
 LOC_MAX_GTSD_FLAGS = 10
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:

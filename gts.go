@@ -728,18 +728,22 @@ func (s *System) CrossEdges(side func(v uint64) bool) (*CrossEdgesResult, error)
 // Kernel is the user-defined algorithm interface of the paper's framework:
 // one page kernel, run on small and large pages alike (a large page is a
 // page with one slot, its vertex), plus state management — NewState, Init,
-// Run and MergeStates. A Kernel alone is a traversal (BFS-like): it streams
-// the pages holding its frontier. Implement it to run custom algorithms on
-// the GTS machinery — see examples/customkernel. The five built-in
-// algorithms and the extension kernels in internal/kernels are
-// implementations of this same interface.
+// Run and MergeStates. A custom kernel is a ScanKernel: it adds
+// EndIteration and streams the whole topology every iteration — see
+// examples/customkernel. The built-in traversals (BFS, SSSP, BC, ...) are
+// Kernels that also plan each level's pages from their own state
+// (internal/kernels.FrontierKernel); RunKernel refuses a Kernel that does
+// neither, before any work.
 type Kernel = kernels.Kernel
 
 // ScanKernel is a Kernel that scans the whole topology every iteration
 // (PageRank-like); its EndIteration decides whether another one runs.
 type ScanKernel = kernels.ScanKernel
 
-// KernelArgs carries one page-kernel invocation's inputs.
+// KernelArgs carries one page-kernel invocation's inputs: the page, the
+// state, the level or iteration and the owned vertex range. A page kernel
+// marks no pages; which pages run is the engine's (a scan) or the
+// traversal's own plan.
 type KernelArgs = kernels.Args
 
 // KernelResult reports one page-kernel execution.

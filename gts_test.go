@@ -73,6 +73,32 @@ func TestSourceOutOfRangeIsAnError(t *testing.T) {
 	}
 }
 
+// TestRunKernelRefusesAKernelThatNeitherScansNorPlans: a Kernel that is
+// neither a ScanKernel nor a traversal planning its own levels names no
+// pages to run, so RunKernel refuses it before any work — not one of its
+// methods is called.
+func TestRunKernelRefusesAKernelThatNeitherScansNorPlans(t *testing.T) {
+	sys, err := NewSystem(smallGraph(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &unplannedKernel{}
+	if _, _, err := sys.RunKernel(k, 0); err == nil || !strings.Contains(err.Error(), "neither scans") {
+		t.Errorf("err = %v, want a refusal naming a kernel that neither scans nor plans", err)
+	}
+	if k.calls != 0 {
+		t.Errorf("the refused kernel was called %d times, want none", k.calls)
+	}
+}
+
+// unplannedKernel is a bare Kernel that counts the calls made into it.
+type unplannedKernel struct{ calls int }
+
+func (k *unplannedKernel) NewState() KernelState        { k.calls++; return nil }
+func (k *unplannedKernel) Init(KernelState, uint64)     { k.calls++ }
+func (k *unplannedKernel) Run(*KernelArgs) KernelResult { k.calls++; return KernelResult{} }
+func (k *unplannedKernel) MergeStates([]KernelState)    { k.calls++ }
+
 func TestEndToEndAllAlgorithms(t *testing.T) {
 	d, _ := graphgen.ByName("RMAT27")
 	raw := d.MustGenerate(27 - 11)

@@ -83,11 +83,8 @@ func OpenMutable(spec, walPath string, opts MutableOptions) (*MutableGraph, erro
 	m := &MutableGraph{mut: mut, log: log, inj: inj, rec: opts.Trace, replayed: len(batches)}
 	var ops []EdgeOp
 	for _, b := range batches {
-		from := len(ops)
-		for _, op := range b.Ops {
-			ops = append(ops, EdgeOp{Del: op.Del, Src: op.Src, Dst: op.Dst})
-		}
-		if err := addressable(ops[from:], base.Config()); err != nil {
+		ops = append(ops, b.Ops...)
+		if err := addressable(b.Ops, base.Config()); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("gts: replaying WAL batch %d: %w", b.LSN, err)
 		}
@@ -166,11 +163,7 @@ func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 	if err := addressable(ops, m.mut.Snapshot().Config()); err != nil {
 		return 0, err
 	}
-	wops := make([]wal.Op, len(ops))
-	for i, op := range ops {
-		wops[i] = wal.Op{Del: op.Del, Src: op.Src, Dst: op.Dst}
-	}
-	lsn, err := m.log.Append(wops)
+	lsn, err := m.log.Append(ops)
 	if err != nil {
 		if errors.Is(err, fault.ErrCrash) {
 			m.dead.Store(true)

@@ -1,6 +1,7 @@
-// Package bitset provides a dense bit vector used for the GTS framework's
-// nextPIDSet page sets (paper §3.3), for SSSP's two frontier sets, and for
-// the baseline engines' vertex frontiers.
+// Package bitset provides a dense bit vector: the GTS engine's one page set
+// per run (the paper's nextPIDSet, §3.3, which a traversal's plan rebuilds
+// each level), SSSP's two frontier sets, the multi-source BFS's per-lane
+// page sets, and the baseline engines' vertex frontiers.
 package bitset
 
 import "math/bits"

@@ -49,7 +49,7 @@ func (r *run) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() err
 		err := attempt()
 		if err == nil {
 			if n > 1 {
-				r.fstats.Recoveries++
+				r.rep.Faults.Recoveries++
 			}
 			return n, nil
 		}
@@ -57,7 +57,7 @@ func (r *run) retry(p *sim.Proc, gpu, stream int, page int64, attempt func() err
 		if n >= maxAttempts {
 			return n, err
 		}
-		r.fstats.Retries++
+		r.rep.Faults.Retries++
 		r.traceMark(trace.Retry, gpu, stream, page)
 		if onErr != nil && onErr(err) {
 			continue
@@ -93,7 +93,7 @@ func (r *run) launchKernel(p *sim.Proc, gpuIdx, stream int, pid slottedpage.Page
 				return false
 			}
 			r.shrinkCache(gpuIdx)
-			r.fstats.Degradations++
+			r.rep.Faults.Degradations++
 			return true // relaunch immediately with the freed memory
 		})
 	if err != nil {
@@ -168,7 +168,7 @@ func (r *run) readPage(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 		if err != nil {
 			return err
 		}
-		r.storageRead += int64(g.Config().PageSize)
+		r.rep.StorageBytes += int64(g.Config().PageSize)
 		if !corrupt {
 			return nil
 		}

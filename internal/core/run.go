@@ -28,9 +28,6 @@ import (
 	"repro/internal/trace"
 )
 
-// pidSet is a set of page IDs (the paper's nextPIDSet).
-type pidSet = *bitset.Set
-
 // errDeclined marks a job whose WA does not fit beside the stream buffers.
 var errDeclined = fmt.Errorf("%w: WA does not fit beside the stream buffers", ErrWontFit)
 
@@ -42,8 +39,8 @@ var errDeclined = fmt.Errorf("%w: WA does not fit beside the stream buffers", Er
 var finished sync.Pool
 
 // run is one execution of a job: the simulated machine and what is resident
-// on it, the job's kernel, attribute states and traversal, and its
-// accounting. The sim scheduler runs one process at a time, so none of it
+// on it, the job's kernel, attribute states and traversal, and the Report it
+// counts into. The sim scheduler runs one process at a time, so none of it
 // needs locking.
 type run struct {
 	eng     *Engine // the run's graph, machine spec and options
@@ -77,54 +74,37 @@ type run struct {
 	// owned[i] is GPU i's attribute ownership range [lo, hi).
 	owned [][2]uint64
 
-	// Traversal state: next is the current frontier (traversals) or the full
-	// set (scans: scan is the kernel's ScanKernel, nil on a traversal),
-	// spare the set every GPU's page kernels mark the next frontier's pages
-	// in (one set: planWave runs the GPUs one after another), pages the
-	// running wave's page set (next, or the replayed level's in a backward
-	// sweep), levelSets the recorded forward frontiers for the backward
-	// sweep. level counts the forward supersteps done (the report's Levels).
-	scan         kernels.ScanKernel
-	wantBackward bool
-	backKernel   kernels.BackwardKernel
-	next, spare  pidSet
-	pages        pidSet
-	levelSets    []pidSet
-	level        int32
-	backward     bool
-	backIdx      int
-	done         bool
+	// Traversal state: next is the running wave's page set — the full set
+	// on a scan (scan is the kernel's ScanKernel), otherwise the level the
+	// kernel planned (fk is its FrontierKernel). back is its BackwardKernel
+	// (nil without a backward sweep), and backIdx the level the sweep is at.
+	scan     kernels.ScanKernel
+	fk       kernels.FrontierKernel
+	back     kernels.BackwardKernel
+	next     *bitset.Set
+	backward bool
+	backIdx  int32
+	done     bool
 
-	residentAtStart int64 // device pages resident when the run began
-	stepStart       sim.Time
-	stepActive      bool
-	beforePages     int64
-	beforeBytes     int64
-
-	// hostKernelWall accrues the real time the page kernels took
-	// (planWave).
-	hostKernelWall time.Duration
+	stepStart   sim.Time
+	stepActive  bool
+	beforePages int64
+	beforeBytes int64
 
 	// Fault injection and recovery: inj is armed on the machine once, for
 	// the whole run. abort latches the first unrecoverable error; the run
 	// ends at the next wave boundary.
-	inj    *fault.Injector
-	fstats fault.Stats // recovery counters (injection counts live in inj)
-	abort  error
+	inj   *fault.Injector
+	abort error
 
 	perGPUWA    int64
 	raPerV      int64 // RA bytes per vertex a page copy carries; 0 once RA is resident
 	raResident  int64 // device bytes of a whole RA kept beside the WA (newRun)
 	updateBytes int64 // bytes a traversal's Strategy-P peer merge moves per update
 
-	// Direction-optimized traversal (kernels.FrontierKernel): fk is the
-	// kernel's planning interface (nil otherwise), curDir the direction the
-	// executing superstep was planned in (stamped onto its Superstep span),
-	// and dirs the per-level record for the report. PlanLevel runs between
-	// waves on the framework process, so none of this needs locking.
-	fk     kernels.FrontierKernel
+	// curDir is the direction the executing superstep was planned in,
+	// stamped onto its Superstep span.
 	curDir kernels.Direction
-	dirs   []string
 
 	// launches[i] has bit s set while GPU i's stream s has a launch open in
 	// the running wave (see processDemand).
@@ -135,24 +115,13 @@ type run struct {
 	// copy-back).
 	curLevel int32
 
-	// Accumulators for the report: storageRead counts the bytes storage
-	// served, kernelBusy the kernels' summed service time.
-	waves          int64
-	levelPages     []int64
-	levelBytes     []int64
-	pagesStreamed  int64
-	cacheHits      int64
-	bytesToGPU     int64
-	edgesTraversed int64
-	levelUpdates   int64
-	updates        int64
-	transferTime   sim.Time
-	storageRead    int64
-	kernelBusy     sim.Time
-	// Host page buffer accounting (zero when the run has no pool).
-	poolHits  int64
-	poolLoads int64
-	poolWaits int64
+	// rep is the Report the run counts into as it goes (its Levels are the
+	// forward supersteps done, its Faults the recovery work; report adds
+	// what only the end knows). waves counts supersteps for SharedStats,
+	// levelUpdates the running superstep's attribute writes.
+	rep          Report
+	waves        int64
+	levelUpdates int64
 
 	// The running wave's table (see planWave): pids lists each GPU's pages
 	// back to back (GPU i's end at gpuEnd[i]) and res[j] is pids[j]'s kernel
@@ -185,12 +154,17 @@ func (e *Engine) RunJob(job SharedJob) (*Report, error) {
 }
 
 // run executes job and returns its outcome and the run's accounting. A
-// malformed job fails and a job whose WA does not fit is declined, both
-// before anything runs; err is a failure of the run itself, which the
-// outcome carries too.
+// malformed job — no kernel, one that neither scans nor plans its levels,
+// or a source that is not a vertex — fails and a job whose WA does not fit
+// is declined, both before anything runs; err is a failure of the run
+// itself, which the outcome carries too.
 func (e *Engine) run(job SharedJob) (SharedOutcome, SharedStats, error) {
-	if job.Kernel == nil {
+	switch job.Kernel.(type) {
+	case nil:
 		return SharedOutcome{Err: fmt.Errorf("core: job has no kernel")}, SharedStats{}, nil
+	case kernels.ScanKernel, kernels.FrontierKernel:
+	default:
+		return SharedOutcome{Err: fmt.Errorf("core: %T neither scans (kernels.ScanKernel) nor plans its levels (kernels.FrontierKernel)", job.Kernel)}, SharedStats{}, nil
 	}
 	if err := e.checkSource(job.Source); err != nil {
 		return SharedOutcome{Err: err}, SharedStats{}, nil
@@ -209,12 +183,13 @@ func (e *Engine) run(job SharedJob) (SharedOutcome, SharedStats, error) {
 	if err != nil {
 		return SharedOutcome{Err: err}, SharedStats{}, err
 	}
-	stats := SharedStats{Waves: r.waves, PageCopies: r.pagesStreamed, Servings: r.pagesStreamed + r.cacheHits,
-		BytesToGPU: r.bytesToGPU, StorageBytes: r.storageRead, EdgesTraversed: r.edgesTraversed, Elapsed: elapsed}
+	rep := r.report(elapsed)
+	stats := SharedStats{Waves: r.waves, PageCopies: rep.PagesStreamed, Servings: rep.PagesStreamed + rep.CacheHits,
+		BytesToGPU: rep.BytesToGPU, StorageBytes: rep.StorageBytes, EdgesTraversed: rep.EdgesTraversed, Elapsed: elapsed}
 	if r.abort != nil {
 		return SharedOutcome{Err: r.abort}, stats, nil
 	}
-	return SharedOutcome{Report: r.report(elapsed)}, stats, nil
+	return SharedOutcome{Report: rep}, stats, nil
 }
 
 // checkSource refuses a source that is not a vertex: kernels index their
@@ -251,7 +226,6 @@ func (e *Engine) newRun(job SharedJob) (*run, error) {
 		source:      job.Source,
 		trace:       cmp.Or(job.Trace, e.opts.Trace),
 		next:        bitset.New(e.graph.NumPages()),
-		spare:       bitset.New(e.graph.NumPages()),
 		launches:    make([]uint32, nGPU),
 		inj:         fault.NewInjector(e.opts.Faults),
 		curLevel:    -1,
@@ -299,7 +273,7 @@ func (r *run) setupStates() {
 	nV := e.graph.NumVertices()
 	r.scan, _ = k.(kernels.ScanKernel)
 	r.fk, _ = k.(kernels.FrontierKernel)
-	r.backKernel, r.wantBackward = k.(kernels.BackwardKernel)
+	r.back, _ = k.(kernels.BackwardKernel)
 
 	proto := k.NewState()
 	k.Init(proto, r.source)
@@ -413,12 +387,13 @@ func (r *run) loop(p *sim.Proc) {
 }
 
 // begin uploads the WA to every GPU concurrently (Fig. 5 step 1), with a
-// resident RA in the same chunk, and seeds the frontier. A fault that
-// outlasts its retries during the upload aborts the run.
+// resident RA in the same chunk, and sets the first wave's pages: the whole
+// topology for a scan, the kernel's level-0 plan for a traversal. A fault
+// that outlasts its retries during the upload aborts the run.
 func (r *run) begin(p *sim.Proc) {
 	for _, c := range r.caches {
 		if c != nil {
-			r.residentAtStart += int64(c.Len())
+			r.rep.ResidentAtStart += int64(c.Len())
 		}
 	}
 	r.parallelGPUs(p, len(r.machine.GPUs), func(p *sim.Proc, i int) {
@@ -430,58 +405,48 @@ func (r *run) begin(p *sim.Proc) {
 			r.fail(err)
 			return
 		}
-		r.bytesToGPU += r.perGPUWA + r.raResident
+		r.rep.BytesToGPU += r.perGPUWA + r.raResident
 		r.trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.CopyWA, Page: -1, Level: -1, Start: t0, End: r.env.Now()})
 	})
 	if r.abort != nil {
 		return
 	}
-	g := r.eng.graph
 	if r.scan == nil {
-		kernels.MarkVertexPages(g, r.source, r.next, true)
-		// A planning kernel owns its frontier: replace the seed with the
-		// level-0 plan (direction choice + exact page set).
-		r.planLevel(0, r.next)
-	} else {
-		for pid := 0; pid < g.NumPages(); pid++ {
-			r.next.Set(pid)
-		}
+		r.planLevel(0)
+		return
+	}
+	for pid := range r.eng.graph.NumPages() {
+		r.next.Set(pid)
 	}
 }
 
-// beginWave opens a superstep: level bookkeeping, BeginLevel, and the page
-// set planWave runs.
+// beginWave opens a superstep: level bookkeeping and BeginLevel.
 func (r *run) beginWave() {
-	if !r.backward && r.level > kernels.MaxLevels {
+	if !r.backward && r.rep.Levels > kernels.MaxLevels {
 		r.fail(fmt.Errorf("core: run exceeded kernels.MaxLevels (%d levels)", kernels.MaxLevels))
 		return
 	}
 	lvl := r.waveLevel()
 	r.curLevel = lvl
 	r.stepStart = r.env.Now()
-	r.beforePages = r.pagesStreamed
-	r.beforeBytes = r.bytesToGPU
+	r.beforePages = r.rep.PagesStreamed
+	r.beforeBytes = r.rep.BytesToGPU
 	r.stepActive = false
 	r.levelUpdates = 0
-	if r.fk != nil && !r.backward {
-		r.dirs = append(r.dirs, r.curDir.String())
+	if r.curDir != kernels.DirNone && !r.backward {
+		r.rep.LevelDirs = append(r.rep.LevelDirs, r.curDir.String())
 	}
 	kernels.BeginLevel(r.k, r.states, lvl)
 	clear(r.launches)
-	r.spare.Reset()
-	r.pages = r.next
-	if r.backward {
-		r.pages = r.levelSets[r.backIdx]
-	}
 }
 
 // waveLevel is the superstep index the current wave runs at: the traversal
-// level forward, the replayed level backward.
+// level forward, the re-planned level backward.
 func (r *run) waveLevel() int32 {
 	if r.backward {
-		return int32(r.backIdx)
+		return r.backIdx
 	}
-	return r.level
+	return r.rep.Levels
 }
 
 // planWave is the functional half of a wave: it lists each GPU's pages and
@@ -490,12 +455,12 @@ func (r *run) waveLevel() int32 {
 // GPU j mod N's (§4.1), otherwise every GPU takes every page (§4.2). The
 // kernels execute between sim events, so virtual time, traces and fault
 // schedules do not depend on how long they take; that wall-clock is measured
-// into hostKernelWall.
+// into the report's HostKernelWall.
 func (r *run) planWave() {
 	t0 := time.Now()
 	g, nGPU := r.eng.graph, len(r.machine.GPUs)
 	split := r.eng.opts.Strategy == StrategyP && nGPU > 1
-	n := r.pages.Count() * nGPU
+	n := r.next.Count() * nGPU
 	r.pids, r.res, r.gpuEnd = sized(r.pids, n), sized(r.res, n), r.gpuEnd[:0]
 	for i := range nGPU {
 		rep := 0 // the state replica this GPU works on: its own under Strategy-P
@@ -503,22 +468,22 @@ func (r *run) planWave() {
 			rep = i
 		}
 		r.args = kernels.Args{Graph: g, State: r.states[rep], Level: r.curLevel, OwnedLo: r.owned[i][0], OwnedHi: r.owned[i][1],
-			Tech: r.eng.opts.Technique, NextPIDs: r.spare}
-		r.pages.ForEach(func(pid int) {
+			Tech: r.eng.opts.Technique}
+		r.next.ForEach(func(pid int) {
 			if split && pid%nGPU != i {
 				return
 			}
 			r.args.PID, r.args.Page = slottedpage.PageID(pid), g.Page(slottedpage.PageID(pid))
 			r.pids = append(r.pids, r.args.PID)
 			if r.backward {
-				r.res = append(r.res, r.backKernel.RunBack(&r.args))
+				r.res = append(r.res, r.back.RunBack(&r.args))
 			} else {
 				r.res = append(r.res, r.k.Run(&r.args))
 			}
 		})
 		r.gpuEnd = append(r.gpuEnd, len(r.pids))
 	}
-	r.hostKernelWall += time.Since(t0)
+	r.rep.HostKernelWall += time.Since(t0)
 }
 
 // sized returns s emptied, with room for at least n elements: a table
@@ -591,13 +556,13 @@ func (r *run) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 			r.fail(err)
 			return
 		}
-		r.pagesStreamed++
+		r.rep.PagesStreamed++
 		// Re-read the cache: another stream's OOM degradation may have dropped it.
 		if cache := r.caches[gpuIdx]; cache != nil {
 			cache.Insert(uint64(pid))
 		}
 	} else {
-		r.cacheHits++
+		r.rep.CacheHits++
 		if ra > 0 {
 			if err := r.streamCopy(p, gpu, gpuIdx, stream, pid, ra); err != nil {
 				r.fail(err)
@@ -632,17 +597,18 @@ func (r *run) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	}
 	r.trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.Kernel,
 		Page: int64(pid), Level: r.curLevel, Start: t0, End: r.env.Now()})
-	r.kernelBusy += gpu.KernelTime(res.Cycles)
-	r.edgesTraversed += res.Edges
-	r.updates += res.Updates
+	r.rep.KernelTime += gpu.KernelTime(res.Cycles)
+	r.rep.EdgesTraversed += res.Edges
+	r.rep.Updates += res.Updates
 	r.levelUpdates += res.Updates
 	if res.Active {
 		r.stepActive = true
 	}
 }
 
-// endWave finishes a superstep: cross-GPU sync, frontier merge (BFS-like) or
-// iteration bookkeeping (scans), backward-sweep stepping, and completion.
+// endWave finishes a superstep: cross-GPU sync, the kernel's plan of the
+// coming level (a traversal) or iteration bookkeeping (a scan),
+// backward-sweep stepping, and completion.
 func (r *run) endWave(p *sim.Proc) {
 	if r.abort != nil {
 		return
@@ -651,8 +617,8 @@ func (r *run) endWave(p *sim.Proc) {
 	r.sync(p, lvl)
 	// The Superstep container span: one traversal level / iteration
 	// including its cross-GPU sync, on the framework track; Dir carries the
-	// planned traversal direction (0 for plain kernels). The Wave span
-	// beside it numbers the wave that carried the superstep.
+	// planned traversal direction (0 without direction optimization). The
+	// Wave span beside it numbers the wave that carried the superstep.
 	now := r.env.Now()
 	r.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Superstep, Page: -1, Level: lvl, Dir: int8(r.curDir), Start: r.stepStart, End: now})
 	r.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: r.waves, Level: lvl, Start: r.stepStart, End: now})
@@ -660,60 +626,42 @@ func (r *run) endWave(p *sim.Proc) {
 		return
 	}
 	if !r.backward {
-		r.levelPages = append(r.levelPages, r.pagesStreamed-r.beforePages)
-		r.levelBytes = append(r.levelBytes, r.bytesToGPU-r.beforeBytes)
+		r.rep.LevelPages = append(r.rep.LevelPages, r.rep.PagesStreamed-r.beforePages)
+		r.rep.LevelBytes = append(r.rep.LevelBytes, r.rep.BytesToGPU-r.beforeBytes)
+		r.rep.Levels++
 	}
-
-	if r.backward {
-		r.backIdx--
-		if r.backIdx < 0 {
+	if r.scan != nil {
+		// Scan-like: every iteration revisits the full set, which r.next
+		// already holds.
+		if !r.scan.EndIteration(r.states, r.stepActive) {
 			r.finish(p)
+			return
 		}
+		// Per-iteration WA sync: the updated vector streams back so the host
+		// can feed it as next iteration's RA (Eq. 1's 2|WA|); a resident RA is
+		// the device's own copy of it, which the next iteration reads in place.
+		r.copyWAOut(p)
 		return
 	}
-	if r.scan == nil {
-		if r.wantBackward {
-			r.levelSets = append(r.levelSets, r.next.Clone())
+	// A traversal: the kernel plans the coming level, and an empty plan ends
+	// the forward phase. A backward sweep (Betweenness Centrality) then
+	// re-plans the forward levels deepest first; a vertex's level is final
+	// once set, so each plan is the forward one's.
+	if !r.backward {
+		if r.planLevel(r.rep.Levels) {
+			return
 		}
-		merged := r.spare
-		// Expand LP runs: kernels mark a large vertex's first page.
-		g := r.eng.graph
-		merged.ForEach(func(pid int) {
-			if g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage {
-				kernels.MarkVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, merged, true)
-			}
-		})
-		// A planning kernel rebuilds the next frontier itself — this must
-		// run before the emptiness test, because a kernel with pending work
-		// of its own (incremental.IncBFS's level buckets) can have some
-		// even when no page kernel marked a next page.
-		r.planLevel(r.level+1, merged)
-		r.next, r.spare = merged, r.next
-		r.level++
-		if !r.next.Any() {
-			if r.wantBackward && len(r.levelSets) > 0 {
-				// Backward sweep (Betweenness Centrality): replay the
-				// recorded levels in reverse, deepest first.
-				r.backKernel.BeginBackward(r.states, r.level-1)
-				r.backward = true
-				r.backIdx = len(r.levelSets) - 1
-			} else {
-				r.finish(p)
-			}
+		if r.back == nil {
+			r.finish(p)
+			return
 		}
-		return
+		r.backward, r.backIdx = true, r.rep.Levels
 	}
-	// Scan-like: every iteration revisits the full set, which r.next
-	// already holds.
-	r.level++
-	if !r.scan.EndIteration(r.states, r.stepActive) {
+	if r.backIdx--; r.backIdx < 0 {
 		r.finish(p)
 		return
 	}
-	// Per-iteration WA sync: the updated vector streams back so the host
-	// can feed it as next iteration's RA (Eq. 1's 2|WA|); a resident RA is
-	// the device's own copy of it, which the next iteration reads in place.
-	r.copyWAOut(p)
+	r.planLevel(r.backIdx)
 }
 
 // finish performs the final WA copy-back (data synchronization, Fig. 2 step
@@ -729,56 +677,29 @@ func (r *run) finish(p *sim.Proc) {
 	r.done = true
 }
 
-// report assembles the finished run's Report.
+// report completes the Report the run counted into with what only the end
+// knows: Elapsed, the rates, the final state and the injection counts (the
+// injector keeps those; the run counted the recovery work).
 func (r *run) report(elapsed sim.Time) Report {
-	cacheRate := 0.0
-	if lookups := r.cacheHits + r.pagesStreamed; lookups > 0 {
-		cacheRate = float64(r.cacheHits) / float64(lookups)
+	rep := r.rep
+	rep.Elapsed = elapsed
+	if lookups := rep.CacheHits + rep.PagesStreamed; lookups > 0 {
+		rep.CacheHitRate = float64(rep.CacheHits) / float64(lookups)
 	}
-	// Injection counts come from the injector, recovery counts from the
-	// run's policy; fstats' injection fields are zero, so Add merges
-	// cleanly.
-	faults := r.inj.Stats()
-	faults.Add(r.fstats)
-	return Report{
-		Metrics: Metrics{
-			Elapsed:        elapsed,
-			Levels:         r.level,
-			PagesStreamed:  r.pagesStreamed,
-			CacheHitRate:   cacheRate,
-			BufferHitRate:  r.bufferHitRate(),
-			BytesToGPU:     r.bytesToGPU,
-			StorageBytes:   r.storageRead,
-			TransferTime:   r.transferTime,
-			KernelTime:     r.kernelBusy,
-			WABytes:        r.states[0].WABytes(),
-			MTEPS:          trace.MTEPS(r.edgesTraversed, elapsed),
-			LevelPages:     r.levelPages,
-			LevelBytes:     r.levelBytes,
-			LevelDirs:      r.dirs,
-			Faults:         faults,
-			HostKernelWall: r.hostKernelWall,
-			PoolHits:       r.poolHits,
-			PoolLoads:      r.poolLoads,
-			PoolWaits:      r.poolWaits,
-		},
-		State:           r.states[0],
-		CacheHits:       r.cacheHits,
-		ResidentAtStart: r.residentAtStart,
-		EdgesTraversed:  r.edgesTraversed,
-		Updates:         r.updates,
-	}
+	rep.BufferHitRate = r.bufferHitRate()
+	rep.WABytes = r.states[0].WABytes()
+	rep.MTEPS = trace.MTEPS(rep.EdgesTraversed, elapsed)
+	rep.Faults.Add(r.inj.Stats())
+	rep.State = r.states[0]
+	return rep
 }
 
-// planLevel asks a FrontierKernel to plan the coming level — rebuilding
-// next as the exact page set its chosen direction streams — and records
-// the direction for the superstep's span and the report. No-op for plain
-// kernels, whose page kernels marked next themselves.
-func (r *run) planLevel(level int32, next pidSet) {
-	if r.fk == nil {
-		return
-	}
-	r.curDir = r.fk.PlanLevel(r.states, level, next)
+// planLevel has the kernel rebuild next as the page set of the coming level
+// and keeps the direction it planned for the superstep's span and the
+// report. It reports whether the level has any page.
+func (r *run) planLevel(level int32) bool {
+	r.curDir = r.fk.PlanLevel(r.states, level, r.next)
+	return r.next.Any()
 }
 
 // bufferHitRate is the host-side page residency hit fraction: 1 for an
@@ -791,11 +712,11 @@ func (r *run) bufferHitRate() float64 {
 		}
 		return 1
 	}
-	total := r.poolHits + r.poolLoads + r.poolWaits
+	total := r.rep.PoolHits + r.rep.PoolLoads + r.rep.PoolWaits
 	if total == 0 {
 		return 0
 	}
-	return float64(r.poolHits) / float64(total)
+	return float64(r.rep.PoolHits) / float64(total)
 }
 
 // parallelGPUs runs fn once for each of the first n GPUs concurrently and

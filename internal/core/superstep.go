@@ -43,8 +43,8 @@ func (r *run) streamCopy(p *sim.Proc, gpu *hw.GPU, gpuIdx, stream int, pid slott
 		return fmt.Errorf("page %d: %w", pid, err)
 	}
 	r.trace.Add(trace.Span{GPU: gpuIdx, Stream: stream, Kind: trace.CopyPage, Page: int64(pid), Level: r.curLevel, Start: t0, End: r.env.Now()})
-	r.bytesToGPU += n
-	r.transferTime += r.eng.spec.PCIe.Latency + sim.ByteTime(n, r.eng.spec.PCIe.StreamRate)
+	r.rep.BytesToGPU += n
+	r.rep.TransferTime += r.eng.spec.PCIe.Latency + sim.ByteTime(n, r.eng.spec.PCIe.StreamRate)
 	return nil
 }
 
@@ -69,7 +69,7 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 		}
 		switch r.pool.Pin(uint64(pid)) {
 		case bufpool.Hit:
-			r.poolHits++
+			r.rep.PoolHits++
 			r.traceMark(trace.PoolHit, gpuIdx, stream, int64(pid))
 			return true, nil
 		case bufpool.Load:
@@ -83,11 +83,11 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 				return false, err
 			}
 			r.pool.Ready(uint64(pid))
-			r.poolLoads++
+			r.rep.PoolLoads++
 			r.traceMark(trace.PoolLoad, gpuIdx, stream, int64(pid))
 			return true, nil
 		default: // Busy in another env, or no evictable frame: bypass.
-			r.poolWaits++
+			r.rep.PoolWaits++
 			r.traceMark(trace.PoolWait, gpuIdx, stream, int64(pid))
 			return false, r.readPage(p, pid, gpuIdx, stream)
 		}
@@ -148,7 +148,9 @@ func (r *run) sync(p *sim.Proc, level int32) {
 		r.k.MergeStates(r.states)
 	case StrategyS:
 		// WA chunks are disjoint; each GPU ships its local nextPIDSet (a
-		// page-count bit vector) back to the host for the global merge.
+		// page-count bit vector) back to the host for the global merge, as
+		// §4.2 prices it. The engine holds no such set: the kernel's plan
+		// of the next level stands for the merged one.
 		if r.scan == nil {
 			small := int64(r.eng.graph.NumPages()/8 + 1)
 			r.parallelGPUs(p, nGPU, func(p *sim.Proc, i int) {

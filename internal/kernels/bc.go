@@ -3,15 +3,16 @@ package kernels
 import (
 	"slices"
 
+	"repro/internal/bitset"
 	"repro/internal/slottedpage"
 )
 
 // BC implements single-source betweenness centrality (Brandes) as the paper
 // evaluates it in Appendix D ("the single node mode"): a forward
 // level-synchronous traversal counting shortest paths (sigma), then a
-// backward sweep over the recorded levels accumulating dependencies
-// (delta). Both phases are BFS-like: only pages holding the level's
-// vertices stream.
+// backward sweep over the forward levels, deepest first, accumulating
+// dependencies (delta). Both phases are BFS-like: only pages holding the
+// level's vertices stream, and PlanLevel plans a level for either phase.
 type BC struct {
 	g    *slottedpage.Graph
 	cost costParams
@@ -83,9 +84,12 @@ func (k *BC) BeginLevel(sts []State, _ int32) {
 	}
 }
 
-// BeginBackward implements BackwardKernel (snapshots are refreshed per
-// level by BeginLevel; nothing else to prepare).
-func (k *BC) BeginBackward([]State, int32) {}
+// PlanLevel implements FrontierKernel: a level of either sweep streams the
+// pages holding a vertex at that distance (final once set).
+func (k *BC) PlanLevel(sts []State, level int32, next *bitset.Set) Direction {
+	pagesAtLevel(k.g, bcDist(sts[0]), int16(level), next)
+	return DirNone
+}
 
 // Run is BC's forward K_SP and K_LP (Appendix D): discover neighbors and
 // accumulate shortest-path counts across frontier edges.
@@ -104,13 +108,12 @@ func (k *BC) Run(a *Args) Result {
 func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	for w := dec.Width(); pos < end; pos += w {
-		nvid, npid := dec.VID(buf, pos)
+		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
 		if s.dist[nvid] == unvisited {
 			s.dist[nvid] = level + 1
-			a.NextPIDs.Set(int(npid))
 			res.Active = true
 		}
 		if s.dist[nvid] == level+1 {

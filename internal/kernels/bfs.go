@@ -3,6 +3,7 @@ package kernels
 import (
 	"slices"
 
+	"repro/internal/bitset"
 	"repro/internal/slottedpage"
 )
 
@@ -32,8 +33,9 @@ func NewNeighborhood(g *slottedpage.Graph, hops int) *BFS {
 	return k
 }
 
-// marks reports whether discoveries at level+1 mark their pages for the next
-// level: always, but at a capped run's last level.
+// marks reports whether discoveries at level+1 are explored at the next
+// level: always, but at a capped run's last level. A MultiBFS lane marks
+// their pages only when they are.
 func (k *BFS) marks(level int16) bool { return k.hops == 0 || level+1 < k.hops }
 
 // unvisited marks a vertex not yet reached (the paper's NULL level).
@@ -66,10 +68,21 @@ func (k *BFS) Init(st State, source uint64) {
 	s.lv[source] = 0
 }
 
+// PlanLevel implements FrontierKernel: the level streams the pages holding
+// a vertex at that level, none past a hop cap.
+func (k *BFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction {
+	if k.hops != 0 && level >= int32(k.hops) {
+		next.Reset()
+		return DirNone
+	}
+	pagesAtLevel(k.g, bfsLevels(sts[0]), int16(level), next)
+	return DirNone
+}
+
 // Run implements K_BFS_SP and K_BFS_LP (Algorithms 2 and 3): each warp
 // takes one slot; if the vertex is on the current frontier its adjacency (on
 // a large page, the page's part of it) expands, discovering unvisited
-// neighbors and marking their pages in the local nextPIDSet.
+// neighbors, whose pages the next level's plan streams.
 func (k *BFS) Run(a *Args) Result {
 	s := a.State.(*bfsState)
 	var res Result
@@ -83,20 +96,15 @@ func (k *BFS) Run(a *Args) Result {
 }
 
 // expand is the expand_warp device routine: visit every adjacency entry of
-// the record at [pos, end), set LV and, inside the hop cap, the next page
-// set for undiscovered neighbors.
+// the record at [pos, end) and set LV for undiscovered neighbors.
 func (k *BFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	marks := k.marks(level)
 	for w := dec.Width(); pos < end; pos += w {
-		nvid, npid := dec.VID(buf, pos)
+		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) || s.lv[nvid] != unvisited {
 			continue
 		}
 		s.lv[nvid] = level + 1
-		if marks {
-			a.NextPIDs.Set(int(npid))
-		}
 		res.Updates++
 		res.Active = true
 	}

@@ -29,28 +29,20 @@ type groupScript struct {
 type soloLane struct {
 	k     *BFS
 	st    []State
-	next  *bitset.Set   // the solo run's page set at the running level
-	loc   []*bitset.Set // its per-replica marks
+	next  *bitset.Set // the solo run's plan of the running level
 	stats LaneStats
 }
 
 // runGroupScript drives a MultiBFS of sc's lanes level by level the way
 // core's engine runs a kernel — replica by replica, pages ascending — beside
 // one solo BFS per lane, and fails on the first (level, lane, page) whose
-// lane Result or next-page set differs from the solo kernel's, on any lane
-// page set or level vector that differs at a level's end, and on lane stats
-// that differ from the solo runs'. It returns how many page runs had more
-// than one lane.
+// lane Result differs from the solo kernel's, on any lane page set that
+// differs from the solo kernel's plan of the next level or level vector that
+// differs at a level's end, and on lane stats that differ from the solo
+// runs'. It returns how many page runs had more than one lane.
 func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped int) {
 	t.Helper()
 	numPages := g.NumPages()
-	expandLPs := func(set *bitset.Set) {
-		set.ForEach(func(pid int) {
-			if g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage {
-				MarkVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, set, true)
-			}
-		})
-	}
 	lanes := make([]*BFS, len(sc.sources))
 	solos := make([]*soloLane, len(sc.sources))
 	for i, src := range sc.sources {
@@ -61,15 +53,14 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 		}
 		proto := m.k.NewState()
 		m.k.Init(proto, src)
-		MarkVertexPages(g, src, m.next, true)
 		for r := range sc.replicas {
 			if r == 0 {
 				m.st = append(m.st, proto)
 			} else {
 				m.st = append(m.st, proto.Clone())
 			}
-			m.loc = append(m.loc, bitset.New(numPages))
 		}
+		m.k.PlanLevel(m.st, 0, m.next)
 		solos[i] = m
 	}
 	ms := NewMultiBFS(g, lanes, sc.sources)
@@ -79,7 +70,7 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 	for len(sts) < sc.replicas {
 		sts = append(sts, proto.Clone())
 	}
-	union, marks := bitset.New(numPages), bitset.New(numPages)
+	union := bitset.New(numPages)
 	ms.PlanLevel(sts, 0, union)
 	for level := int32(0); union.Any(); level++ {
 		for r := range sc.replicas {
@@ -87,17 +78,17 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 				if !union.Get(pid) {
 					continue
 				}
-				args := func(st State, loc *bitset.Set) *Args {
+				args := func(st State) *Args {
 					return &Args{Graph: g, PID: slottedpage.PageID(pid), Page: g.Page(slottedpage.PageID(pid)),
-						State: st, Level: level, OwnedLo: sc.ownedLo, OwnedHi: sc.ownedHi, Tech: sc.tech, NextPIDs: loc}
+						State: st, Level: level, OwnedLo: sc.ownedLo, OwnedHi: sc.ownedHi, Tech: sc.tech}
 				}
-				got := ms.Run(args(sts[r], nil))
+				got := ms.Run(args(sts[r]))
 				var sum Result
 				ran := 0
 				for i, m := range solos {
 					want := Result{}
 					if m.next.Get(pid) {
-						want = m.k.Run(args(m.st[r], m.loc[r]))
+						want = m.k.Run(args(m.st[r]))
 						sum.Cycles += want.Cycles
 						sum.Edges += want.Edges
 						sum.Updates += want.Updates
@@ -110,13 +101,6 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 					if ms.res[i] != want {
 						t.Fatalf("level %d, lane %d, page %d on replica %d with %d lanes:\n  lane %+v\n  solo %+v",
 							level, i, pid, r, ran, ms.res[i], want)
-					}
-					marks.Reset()
-					for _, loc := range m.loc {
-						marks.Or(loc)
-					}
-					if !sameSet(marks, ms.next[i]) {
-						t.Fatalf("level %d, lane %d, page %d: the lane's next-page marks differ from the solo run's", level, i, pid)
 					}
 				}
 				if got != sum {
@@ -134,12 +118,7 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 			if !m.next.Any() {
 				continue
 			}
-			m.next.Reset()
-			for _, loc := range m.loc {
-				m.next.Or(loc)
-				loc.Reset()
-			}
-			expandLPs(m.next)
+			m.k.PlanLevel(m.st, level+1, m.next)
 			if !m.next.Any() {
 				m.stats.Levels = level + 1
 			}

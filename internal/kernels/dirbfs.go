@@ -16,9 +16,10 @@ import (
 // edges push would, because most scans early-exit after a handful of
 // in-neighbors. The plain BFS kernel is the paper's, and DirBFS's oracle.
 //
-// The advance+filter step is fused: page kernels never mark NextPIDs — the
-// plan rebuilds the exact page frontier from the level vector, so no dense
-// candidate bitset is materialized and filtered. Discovered levels are
+// The advance+filter step is fused, as for every FrontierKernel: the plan
+// rebuilds the exact page frontier from the level vector — push levels
+// with pagesAtLevel, as BFS plans — so no dense candidate bitset is
+// materialized and filtered. Discovered levels are
 // byte-identical to plain BFS in every mode (a vertex's BFS level does not
 // depend on which direction found it), which the differential and fuzz
 // suites pin.
@@ -97,16 +98,12 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 		k.rev = k.g.Reverse()
 	}
 	if dir == DirPush {
-		for v, l := range s.lv {
-			if l == lv {
-				MarkVertexPages(k.g, uint64(v), next, true)
-			}
-		}
-	} else {
-		for v, l := range s.lv {
-			if l == unvisited {
-				MarkVertexPages(k.g, uint64(v), next, false)
-			}
+		pagesAtLevel(k.g, s.lv, lv, next)
+		return dir
+	}
+	for v, l := range s.lv {
+		if l == unvisited {
+			MarkVertexPages(k.g, uint64(v), next, false)
 		}
 	}
 	return dir
@@ -121,9 +118,8 @@ func (k *DirBFS) Run(a *Args) Result {
 	return k.push(a)
 }
 
-// push is K_BFS_SP and K_BFS_LP with fused filtering: discoveries are
-// committed without marking NextPIDs. Its Edges are expand's coverage, not
-// the walker's lanes.
+// push is K_BFS_SP and K_BFS_LP. Its Edges are expand's coverage, not the
+// walker's lanes.
 func (k *DirBFS) push(a *Args) Result {
 	s := a.State.(*bfsState)
 	var res Result

@@ -16,9 +16,10 @@ import (
 // independently of internal/core — two separate drivers agreeing with the
 // references pins both.
 //
-// FrontierKernels get their PlanLevel hook called exactly where the engine
-// calls it: after seeding and after each level's merge, before the
-// emptiness test.
+// A traversal plans every level where the engine does: level 0 after Init,
+// each later one after the level before it, an empty plan ending the
+// forward phase; a backward sweep re-plans each forward level, deepest
+// first.
 func drive(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) State {
 	st, _ := driveCount(t, k, g, source)
 	return st
@@ -33,25 +34,27 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 	sts := []State{st}
 	numPages := g.NumPages()
 	scan, isScan := k.(ScanKernel)
-
-	all := func() *bitset.Set {
-		s := bitset.New(numPages)
-		for i := 0; i < numPages; i++ {
-			s.Set(i)
-		}
-		return s
+	fk, isTraversal := k.(FrontierKernel)
+	if !isScan && !isTraversal {
+		t.Fatalf("%T neither scans nor plans its levels", k)
 	}
+
 	next := bitset.New(numPages)
-	if !isScan {
-		MarkVertexPages(g, source, next, true)
+	plan := func(level int32) bool {
+		fk.PlanLevel(sts, level, next)
+		return next.Any()
+	}
+	if isScan {
+		for i := 0; i < numPages; i++ {
+			next.Set(i)
+		}
 	} else {
-		next = all()
+		plan(0)
 	}
 
-	runSet := func(set *bitset.Set, level int32, backward bool) (*bitset.Set, bool) {
-		local := bitset.New(numPages)
+	runLevel := func(level int32, backward bool) bool {
 		active := false
-		set.ForEach(func(pid int) {
+		next.ForEach(func(pid int) {
 			a := &Args{
 				Graph:   g,
 				PID:     slottedpage.PageID(pid),
@@ -59,8 +62,7 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 				State:   st,
 				Level:   level,
 				OwnedLo: 0, OwnedHi: g.NumVertices(),
-				Tech:     EdgeCentric,
-				NextPIDs: local,
+				Tech: EdgeCentric,
 			}
 			var res Result
 			if backward {
@@ -76,54 +78,26 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 				t.Fatalf("negative cycles from %T on page %d", k, pid)
 			}
 		})
-		merged := bitset.New(numPages)
-		merged.Or(local)
-		merged.ForEach(func(pid int) {
-			if g.Kind(slottedpage.PageID(pid)) == slottedpage.LargePage {
-				MarkVertexPages(g, g.RVT(slottedpage.PageID(pid)).StartVID, merged, true)
-			}
-		})
-		return merged, active
+		return active
 	}
 
-	fk, _ := k.(FrontierKernel)
-	if fk != nil && !isScan {
-		fk.PlanLevel(sts, 0, next)
-	}
-	back, wantBackward := k.(BackwardKernel)
-	var levelSets []*bitset.Set
 	var level int32
 	for {
 		BeginLevel(k, sts, level)
-		merged, active := runSet(next, level, false)
-		if !isScan {
-			if wantBackward {
-				levelSets = append(levelSets, next.Clone())
-			}
-			if fk != nil {
-				fk.PlanLevel(sts, level+1, merged)
-			}
-			next = merged
-			level++
-			if !next.Any() {
-				break
-			}
-		} else {
-			level++
-			if !scan.EndIteration(sts, active) {
-				break
-			}
-			next = all()
+		active := runLevel(level, false)
+		level++
+		if isScan && !scan.EndIteration(sts, active) || !isScan && !plan(level) {
+			break
 		}
 		if level > 30000 {
 			t.Fatal("driver did not converge")
 		}
 	}
-	if wantBackward {
-		back.BeginBackward(sts, level-1)
-		for l := len(levelSets) - 1; l >= 0; l-- {
-			BeginLevel(k, sts, int32(l))
-			runSet(levelSets[l], int32(l), true)
+	if _, ok := k.(BackwardKernel); ok {
+		for l := level - 1; l >= 0; l-- {
+			plan(l)
+			BeginLevel(k, sts, l)
+			runLevel(l, true)
 		}
 	}
 	return st, edges
@@ -316,10 +290,9 @@ func TestDriverTechniquesAgree(t *testing.T) {
 		k := NewBFS(sp)
 		st := k.NewState()
 		k.Init(st, 0)
-		local := bitset.New(sp.NumPages())
 		home := sp.HomeOf(0)
 		a := &Args{Graph: sp, PID: home.PID, Page: sp.Page(home.PID), State: st,
-			OwnedLo: 0, OwnedHi: sp.NumVertices(), Tech: tech, NextPIDs: local}
+			OwnedLo: 0, OwnedHi: sp.NumVertices(), Tech: tech}
 		res := k.Run(a)
 		if res.Cycles <= 0 {
 			t.Errorf("%v: no cycles", tech)

@@ -232,10 +232,6 @@ type Args struct {
 	// range covers all vertices.
 	OwnedLo, OwnedHi uint64
 	Tech             Technique
-	// NextPIDs is the run's nextPIDSet, shared by every GPU's page
-	// kernels; BFS-like kernels set bits for pages to visit at the next
-	// level, PageRank-like ones leave it alone.
-	NextPIDs *bitset.Set
 }
 
 // owns reports whether vertex v's attribute entry belongs to this GPU.
@@ -266,9 +262,9 @@ type State interface {
 }
 
 // Kernel is one graph algorithm's page kernel plus its state management,
-// the unit the GTS framework (internal/core) schedules. A Kernel alone is a
-// traversal (BFS-like, §3.3): it streams the pages holding its frontier,
-// level by level, until no page is marked. ScanKernel makes it a full scan.
+// the unit the GTS framework (internal/core) schedules. The engine runs a
+// ScanKernel (PageRank-like, §3.3) or a FrontierKernel (BFS-like: it plans
+// the pages of each level itself) and refuses a Kernel that is neither.
 type Kernel interface {
 	// NewState allocates zeroed attribute state for the kernel's graph.
 	NewState() State
@@ -354,15 +350,12 @@ func maxOf[T cmp.Ordered](_ int, b, o T) T   { return max(b, o) }
 func sumOf[T int32 | int64](_ int, b, o T) T { return b + o }
 func orOf(_ int, b, o uint32) uint32         { return b | o }
 
-// BackwardKernel is implemented by BFS-like kernels that need a reverse
+// BackwardKernel is implemented by FrontierKernels that need a reverse
 // level sweep after the forward traversal finishes — Betweenness
-// Centrality's dependency accumulation. The engine replays the per-level
-// page sets it recorded during the forward phase, in descending level
-// order.
+// Centrality's dependency accumulation. The engine re-plans each forward
+// level with PlanLevel, in descending level order, and runs RunBack, the
+// backward-phase page kernel, over it.
 type BackwardKernel interface {
-	// BeginBackward runs once between the phases.
-	BeginBackward(sts []State, maxLevel int32)
-	// RunBack is the backward-phase page kernel.
 	RunBack(a *Args) Result
 }
 

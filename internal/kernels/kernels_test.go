@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bitset"
 	"repro/internal/graphgen"
 	"repro/internal/slottedpage"
 )
@@ -228,8 +227,7 @@ func TestKernelPanicsOnBadPageID(t *testing.T) {
 	k := NewBFS(sp)
 	st := k.NewState()
 	k.Init(st, source)
-	a := &Args{Graph: sp, PID: pid, Page: slottedpage.NewPage(buf, &cfg), State: st,
-		OwnedHi: sp.NumVertices(), NextPIDs: bitset.New(sp.NumPages())}
+	a := &Args{Graph: sp, PID: pid, Page: slottedpage.NewPage(buf, &cfg), State: st, OwnedHi: sp.NumVertices()}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("BFS expanded an entry naming a page the graph does not have")

@@ -67,7 +67,7 @@ func TestMergeAlgebra(t *testing.T) {
 			if pid%n == share {
 				id := slottedpage.PageID(pid)
 				res := k.Run(&Args{Graph: sp, PID: id, Page: sp.Page(id), State: st,
-					OwnedHi: sp.NumVertices(), Tech: EdgeCentric, NextPIDs: bitset.New(sp.NumPages())})
+					OwnedHi: sp.NumVertices(), Tech: EdgeCentric})
 				active = active || res.Active
 			}
 		}

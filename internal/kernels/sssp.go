@@ -74,6 +74,13 @@ func (k *SSSP) BeginLevel(sts []State, level int32) {
 	}
 }
 
+// PlanLevel implements FrontierKernel: level L streams the pages holding a
+// vertex of front[L&1].
+func (k *SSSP) PlanLevel(sts []State, level int32, next *bitset.Set) Direction {
+	pagesInSet(k.g, sts[0].(*ssspState).front[level&1], next)
+	return DirNone
+}
+
 // Run is SSSP's K_SP and K_LP (Appendix D): relax the out-edges of every
 // vertex in the page that improved at the current level (on a large page,
 // the page's part of one vertex's out-edges).
@@ -93,7 +100,7 @@ func (k *SSSP) relax(a *Args, dist []float32, cur, next *bitset.Set, vid uint64,
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	base := dist[vid]
 	for w := dec.Width(); pos < end; pos += w {
-		nvid, npid := dec.VID(buf, pos)
+		nvid, _ := dec.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
@@ -102,7 +109,6 @@ func (k *SSSP) relax(a *Args, dist []float32, cur, next *bitset.Set, vid uint64,
 			dist[nvid] = nd
 			next.Set(int(nvid))
 			cur.Clear(int(nvid))
-			a.NextPIDs.Set(int(npid))
 			res.Updates++
 			res.Active = true
 		}

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/slottedpage"
 	"repro/internal/trace"
 )
 
@@ -54,13 +55,9 @@ const (
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
-// Op is one edge mutation: an insert (Del false) or a delete (Del true)
-// of the directed edge Src -> Dst.
-type Op struct {
-	Del bool   `json:"del,omitempty"`
-	Src uint64 `json:"src"`
-	Dst uint64 `json:"dst"`
-}
+// Op is one edge mutation, the one the graph applies: an insert (Del false)
+// or a delete (Del true) of the directed edge Src -> Dst.
+type Op = slottedpage.EdgeOp
 
 // Batch is one committed record: a batch of ops with its log sequence
 // number. LSNs are 1-based and dense; the LSN doubles as the graph's
