@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/slottedpage"
 )
@@ -17,9 +19,9 @@ import (
 // in-neighbors. The plain BFS kernel is the paper's, and DirBFS's oracle.
 //
 // The advance+filter step is fused, as for every FrontierKernel: the plan
-// rebuilds the exact page frontier from the level vector — push levels
-// with pagesAtLevel, as BFS plans — so no dense candidate bitset is
-// materialized and filtered. Discovered levels are
+// rebuilds the exact page frontier from the level vector, pricing the
+// frontier and planning both directions in one pass over the pages, so no
+// dense candidate bitset is materialized and filtered. Discovered levels are
 // byte-identical to plain BFS in every mode (a vertex's BFS level does not
 // depend on which direction found it), which the differential and fuzz
 // suites pin.
@@ -40,7 +42,9 @@ type DirBFS struct {
 	// level that plans pull.
 	outDeg *slottedpage.OutDegrees
 	rev    *slottedpage.Reverse
-	mode   DirMode
+	// pullPlan is PlanLevel's pull plan, kept when the level pulls.
+	pullPlan *bitset.Set
+	mode     DirMode
 	// dir is the current level's planned direction. PlanLevel writes it
 	// between supersteps; page kernels only read it.
 	dir Direction
@@ -56,6 +60,7 @@ func NewDirBFS(g *slottedpage.Graph) *DirBFS {
 	return &DirBFS{
 		BFS:            *NewBFS(g),
 		outDeg:         g.OutDegrees(),
+		pullPlan:       bitset.New(g.NumPages()),
 		denseThreshold: int64(g.NumEdges() / 20),
 	}
 }
@@ -64,21 +69,45 @@ func NewDirBFS(g *slottedpage.Graph) *DirBFS {
 // restores density switching (DirAuto). Call before Run.
 func (k *DirBFS) SetMode(m DirMode) { k.mode = m }
 
-// PlanLevel implements FrontierKernel: price the frontier (vertices at
-// `level`), pick a direction, and rebuild next as exactly the pages that
-// direction streams — frontier home pages (with LP runs) for push, the
-// home pages of every unvisited vertex for pull.
+// PlanLevel implements FrontierKernel in one pass over the pages, in vertex
+// order. It prices the frontier (vertices at `level`) and plans both
+// directions as it goes: next gets the push plan, the pages of every
+// frontier vertex (with a large vertex's whole run), and pullPlan the pull
+// plan, the home page of every unvisited vertex (never a run's
+// continuation pages). Then it picks the direction and keeps its plan.
 func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction {
 	s := sts[0].(*bfsState)
+	g, lv := k.g, int16(level)
 	next.Reset()
-	lv := int16(level)
+	k.pullPlan.Reset()
 	var frontierEdges int64
 	empty := true
-	for v, l := range s.lv {
-		if l == lv {
-			empty = false
-			frontierEdges += int64(k.outDeg.Of(uint64(v)))
+	for v, n := uint64(0), g.NumVertices(); v < n; {
+		// Pages hold consecutive vertices in page order, so a small page's
+		// vertices end where the next page's begin: the RVT bounds them
+		// without reading the page's header.
+		pid, end := g.HomeOf(v).PID, v+1
+		if g.Kind(pid) == slottedpage.SmallPage {
+			end = n
+			if int(pid)+1 < g.NumPages() {
+				end = g.RVT(pid + 1).StartVID
+			}
 		}
+		push, vs := false, s.lv[v:end]
+		for i, l := range vs {
+			if l == lv {
+				push = true
+				frontierEdges += int64(k.outDeg.Of(v + uint64(i)))
+			}
+		}
+		if push {
+			MarkVertexPages(g, v, next, true)
+		}
+		if slices.Contains(vs, unvisited) {
+			k.pullPlan.Set(int(pid))
+		}
+		empty = empty && !push
+		v = end
 	}
 	if empty {
 		k.dir = DirNone
@@ -94,17 +123,12 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 		}
 	}
 	k.dir = dir
-	if dir == DirPull && k.rev == nil {
-		k.rev = k.g.Reverse()
-	}
-	if dir == DirPush {
-		pagesAtLevel(k.g, s.lv, lv, next)
-		return dir
-	}
-	for v, l := range s.lv {
-		if l == unvisited {
-			MarkVertexPages(k.g, uint64(v), next, false)
+	if dir == DirPull {
+		if k.rev == nil {
+			k.rev = g.Reverse()
 		}
+		next.Reset()
+		next.Or(k.pullPlan)
 	}
 	return dir
 }

@@ -7,8 +7,8 @@ package kernels
 // stream) with the filter (which vertices are live): Gunrock's fused
 // advance+filter over the frontier as the algorithm's own vector, as
 // GraphBLAST keeps it. Most plans go page by page: pagesAtLevel over a level
-// vector (BFS, its ball, BC, DirBFS's push levels), pagesInSet over a bit set
-// (SSSP). SSSP plans no distance buckets: delta-stepping streamed the same
+// vector (BFS, its ball, BC), pagesInSet over a bit set (SSSP), and DirBFS's
+// one pass that prices its frontier and plans both directions. SSSP plans no distance buckets: delta-stepping streamed the same
 // pages over 1.8× the levels (EXPERIMENTS.md, "sssp").
 //
 // Kernels that read in-neighbors (DirBFS's pull levels, IncCC's rescans)
@@ -122,8 +122,8 @@ func markPage(g *slottedpage.Graph, v uint64, next *bitset.Set) int {
 // page, plus — when expandLP is set and v is a large vertex — the whole LP
 // run, since push kernels expand the full adjacency. Pull kernels pass
 // false: they read v's record only to test it, never its page-resident
-// out-edges, so one page per vertex suffices. The per-vertex plans (DirBFS's
-// pull levels, MultiBFS, the incremental kernels) mark with it.
+// out-edges, so one page per vertex suffices. The per-vertex plans
+// (MultiBFS, the incremental kernels) mark with it.
 func MarkVertexPages(g *slottedpage.Graph, v uint64, next *bitset.Set, expandLP bool) {
 	home := g.HomeOf(v)
 	next.Set(int(home.PID))
