@@ -70,14 +70,16 @@ func (k *maxLabel) Run(a *gts.KernelArgs) gts.KernelResult {
 }
 
 // push visits one record's neighbors: its entries lie at [pos, end) of the
-// page bytes, dec.Width() apart, and dec.VID resolves each physical ID to
-// the neighbor's vertex ID right where the loop uses it — nothing is
-// decoded ahead, so the kernel allocates nothing.
+// page bytes, dec.Width() apart, and the decoder's entry reader, taken once
+// before the loop, resolves each physical ID to the neighbor's vertex ID
+// right where the loop uses it — nothing is decoded ahead, so the kernel
+// allocates nothing.
 func (k *maxLabel) push(a *gts.KernelArgs, s *maxState, vid uint64, pos, end int, res *gts.KernelResult) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	ents, w := dec.Entries(), dec.Width()
 	cv := s.prev[vid]
-	for ; pos < end; pos += dec.Width() {
-		nvid, _ := dec.VID(buf, pos)
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
 		res.Edges++
 		res.Cycles += 40
 		if nvid >= a.OwnedLo && nvid < a.OwnedHi && cv > s.next[nvid] {

@@ -258,15 +258,25 @@ func BuildGraph(src Source, cfg PageConfig) (*Graph, error) {
 // Twitter, UK2007, YahooWeb) shrunk by 2^shrink and packs it into slotted
 // pages with a proportionally scaled page size.
 func Generate(dataset string, shrink int) (*Graph, error) {
-	d, ok := graphgen.ByName(dataset)
-	if !ok {
-		return nil, fmt.Errorf("gts: unknown dataset %q (see graphgen registry)", dataset)
-	}
-	g, err := d.Generate(shrink)
+	src, cfg, err := generate(dataset, shrink)
 	if err != nil {
 		return nil, err
 	}
-	return BuildGraph(g, PageConfigFor(dataset, shrink))
+	return BuildGraph(src, cfg)
+}
+
+// generate is Generate short of packing the pages: the dataset's edges and
+// the layout they pack into.
+func generate(dataset string, shrink int) (Source, PageConfig, error) {
+	d, ok := graphgen.ByName(dataset)
+	if !ok {
+		return nil, PageConfig{}, fmt.Errorf("gts: unknown dataset %q (see graphgen registry)", dataset)
+	}
+	g, err := d.Generate(shrink)
+	if err != nil {
+		return nil, PageConfig{}, err
+	}
+	return g, PageConfigFor(dataset, shrink), nil
 }
 
 // PageConfigFor returns the layout the paper uses for the dataset — (3,3)

@@ -57,18 +57,23 @@ type MutableOptions struct {
 // OpenMutable opens spec (any gts.Open spec: a .gts file or a registry
 // dataset) as a mutable graph whose mutation history lives in the WAL at
 // walPath. A fresh walPath starts an empty history; an existing one is
-// replayed — every committed batch's ops are applied to the freshly loaded
-// base graph in LSN order, in one commit. A graph's bytes are a function of
-// its edge list alone (the rebuild-equivalence of the mutation path), so
-// the one commit recovers the snapshot the batches' own commits published,
-// byte for byte, at the last batch's epoch.
+// replayed — every committed batch's ops are applied to the base graph's
+// edges in LSN order, in one commit. A graph's bytes are a function of its
+// edge list alone (the rebuild-equivalence of the mutation path), so the
+// one commit recovers the snapshot the batches' own commits published,
+// byte for byte, at the last batch's epoch. A dataset's pages are packed
+// once, from its generated edges with the ops applied; a store file is
+// read, decoded and packed again by the commit.
 //
 // The base spec must be stable across reopens (same file or same
 // deterministic generator spec); the WAL records only the deltas.
 func OpenMutable(spec, walPath string, opts MutableOptions) (*MutableGraph, error) {
-	base, err := Open(spec)
+	base, src, cfg, err := openSpec(spec)
 	if err != nil {
 		return nil, err
+	}
+	if base != nil {
+		cfg = base.Config()
 	}
 	var inj *fault.Injector
 	if opts.Faults != nil {
@@ -78,24 +83,34 @@ func OpenMutable(spec, walPath string, opts MutableOptions) (*MutableGraph, erro
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	mut := slottedpage.NewMutable(base)
-	m := &MutableGraph{mut: mut, log: log, inj: inj, rec: opts.Trace, replayed: len(batches)}
 	var ops []EdgeOp
 	for _, b := range batches {
 		ops = append(ops, b.Ops...)
-		if err := addressable(b.Ops, base.Config()); err != nil {
+		if err := addressable(b.Ops, cfg); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("gts: replaying WAL batch %d: %w", b.LSN, err)
 		}
 	}
-	if len(batches) > 0 {
-		last := batches[len(batches)-1].LSN
-		if _, err := mut.ApplyBatch(ops); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("gts: replaying WAL batches 1-%d: %w", last, err)
+	start := time.Now()
+	var mut *slottedpage.Mutable
+	if base != nil {
+		mut = slottedpage.NewMutable(base)
+		if len(ops) > 0 {
+			_, err = mut.ApplyBatch(ops)
 		}
-		m.epoch.Store(last)
+	} else {
+		mut, err = slottedpage.NewMutableFrom(src, cfg, ops)
+	}
+	if err != nil {
+		log.Close()
+		if len(batches) == 0 {
+			return nil, fmt.Errorf("%w: opening spec %q: %w", ErrInvalid, spec, err)
+		}
+		return nil, fmt.Errorf("gts: replaying WAL batches 1-%d: %w", batches[len(batches)-1].LSN, err)
+	}
+	m := &MutableGraph{mut: mut, log: log, inj: inj, rec: opts.Trace, replayed: len(batches)}
+	if len(batches) > 0 {
+		m.epoch.Store(batches[len(batches)-1].LSN)
 		if opts.Trace != nil {
 			s, e := sim.Time(start.UnixNano()), sim.Time(time.Now().UnixNano())
 			opts.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.WALReplay, Page: -1, Level: -1, Start: s, End: e})

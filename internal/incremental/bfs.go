@@ -202,7 +202,7 @@ func (k *IncBFS) Run(a *kernels.Args) kernels.Result {
 	w := kernels.WalkPage(a)
 	for kernels.SeekSet(&w, k.front) {
 		pos, end, _ := w.Record()
-		k.expand(a, s, pos, end, &res)
+		res.Add(k.expand(a, s.lv, pos, end))
 	}
 	res.Edges = w.Edges()
 	res.Cycles = k.cost.cycles(w.Slots(), w.Edges())
@@ -211,20 +211,22 @@ func (k *IncBFS) Run(a *kernels.Args) kernels.Result {
 
 // expand relaxes one frontier vertex's adjacency, the record at [pos, end):
 // neighbors improve to cur+1 when that lowers (or first sets) their level.
-func (k *IncBFS) expand(a *kernels.Args, s *incBFSState, pos, end int, res *kernels.Result) {
+// It returns how many improved.
+func (k *IncBFS) expand(a *kernels.Args, lv []int16, pos, end int) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	ents, w := dec.Entries(), dec.Width()
 	nl := k.cur + 1
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
 		if nvid < a.OwnedLo || nvid >= a.OwnedHi {
 			continue
 		}
-		if s.lv[nvid] == unvisited || s.lv[nvid] > nl {
-			s.lv[nvid] = nl
-			res.Updates++
-			res.Active = true
+		if lv[nvid] == unvisited || lv[nvid] > nl {
+			lv[nvid] = nl
+			updates++
 		}
 	}
+	return updates
 }
 
 // MergeStates implements Kernel: levels merge by kernels.MinLevel —

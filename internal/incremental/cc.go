@@ -142,7 +142,7 @@ func (k *IncCC) Run(a *kernels.Args) kernels.Result {
 	w := kernels.WalkPage(a)
 	for kernels.SeekSet(&w, k.scan) {
 		pos, end, _ := w.Record()
-		kernels.RelaxMin(a, labels, w.V, pos, end, &res)
+		res.Add(kernels.RelaxMin(a, labels, w.V, pos, end))
 	}
 	res.Edges = w.Edges()
 	res.Cycles = k.cost.cycles(w.Slots(), w.Edges())

@@ -100,27 +100,34 @@ func (k *BC) Run(a *Args) Result {
 	w := WalkPage(a)
 	for Seek(&w, s.dist, level) {
 		pos, end, _ := w.Record()
-		k.forward(a, s, w.V, pos, end, level, &res)
+		updates, found := k.forward(a, s, w.V, pos, end, level)
+		res.Updates += updates
+		res.Active = res.Active || found
 	}
 	return k.cost.done(a, &w, res)
 }
 
-func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
+// forward discovers vid's unvisited neighbors in the record at [pos, end)
+// and adds vid's path count to each one a level deeper. It returns how
+// many counts it added and whether it discovered any neighbor.
+func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16) (updates int64, found bool) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
+	ents, w := dec.Entries(), dec.Width()
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
 		if s.dist[nvid] == unvisited {
 			s.dist[nvid] = level + 1
-			res.Active = true
+			found = true
 		}
 		if s.dist[nvid] == level+1 {
 			s.sigma[nvid] += s.sigma[vid]
-			res.Updates++
+			updates++
 		}
 	}
+	return updates, found
 }
 
 // RunBack is BC's backward K_SP and K_LP: vertices at the current level pull
@@ -136,21 +143,24 @@ func (k *BC) RunBack(a *Args) Result {
 			continue
 		}
 		pos, end, _ := w.Record()
-		k.backward(a, s, w.V, pos, end, level, &res)
+		res.Add(k.backward(a, s, w.V, pos, end, level))
 	}
 	return k.cost.done(a, &w, res)
 }
 
-func (k *BC) backward(a *Args, s *bcState, vid uint64, pos, end int, level int16, res *Result) {
+// backward pulls vid's dependency from its successors in the record at
+// [pos, end) and returns how many it pulled from.
+func (k *BC) backward(a *Args, s *bcState, vid uint64, pos, end int, level int16) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
+	ents, w := dec.Entries(), dec.Width()
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
 		if s.dist[nvid] == level+1 && s.sigma[nvid] > 0 {
 			s.delta[vid] += s.sigma[vid] / s.sigma[nvid] * (1 + s.delta[nvid])
-			res.Updates++
-			res.Active = true
+			updates++
 		}
 	}
+	return updates
 }
 
 // MergeStates implements Kernel: distances merge by MinLevel; sigma and

@@ -90,24 +90,26 @@ func (k *BFS) Run(a *Args) Result {
 	w := WalkPage(a)
 	for Seek(&w, s.lv, level) {
 		pos, end, _ := w.Record()
-		k.expand(a, s, pos, end, level, &res)
+		res.Add(k.expand(a, s.lv, pos, end, level))
 	}
 	return k.cost.done(a, &w, res)
 }
 
 // expand is the expand_warp device routine: visit every adjacency entry of
-// the record at [pos, end) and set LV for undiscovered neighbors.
-func (k *BFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
+// the record at [pos, end) and set LV for undiscovered neighbors, returning
+// how many it discovered.
+func (k *BFS) expand(a *Args, lv []int16, pos, end int, level int16) (found int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
-		if !a.owns(nvid) || s.lv[nvid] != unvisited {
+	ents, w := dec.Entries(), dec.Width()
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
+		if !a.owns(nvid) || lv[nvid] != unvisited {
 			continue
 		}
-		s.lv[nvid] = level + 1
-		res.Updates++
-		res.Active = true
+		lv[nvid] = level + 1
+		found++
 	}
+	return found
 }
 
 // MergeStates implements Kernel: levels merge by MinLevel.

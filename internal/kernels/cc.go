@@ -54,7 +54,7 @@ func (k *CC) Run(a *Args) Result {
 	w := WalkPage(a)
 	for w.Next() {
 		pos, end, _ := w.Record()
-		RelaxMin(a, labels, w.V, pos, end, &res)
+		res.Add(RelaxMin(a, labels, w.V, pos, end))
 	}
 	return k.cost.done(a, &w, res)
 }
@@ -63,23 +63,25 @@ func (k *CC) Run(a *Args) Result {
 // a's page, both ways: the neighbor takes vid's label and vid the
 // neighbor's, whichever is smaller, each only where a's GPU owns the entry.
 // It reads the labels it writes, so a label lowered earlier in the scan
-// travels on at once. CC and incremental CC share it.
-func RelaxMin(a *Args, labels []uint32, vid uint64, pos, end int, res *Result) {
+// travels on at once, and returns how many it lowered. vid's own label is
+// held in cv: only this loop writes it, and an entry naming vid itself
+// finds it equal. CC and incremental CC share it.
+func RelaxMin(a *Args, labels []uint32, vid uint64, pos, end int) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	ownsV := a.owns(vid)
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
-		cv, cn := labels[vid], labels[nvid]
+	ents, w := dec.Entries(), dec.Width()
+	ownsV, cv := a.owns(vid), labels[vid]
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
+		cn := labels[nvid]
 		if cv < cn && a.owns(nvid) {
 			labels[nvid] = cv
-			res.Updates++
-			res.Active = true
+			updates++
 		} else if cn < cv && ownsV {
-			labels[vid] = cn
-			res.Updates++
-			res.Active = true
+			labels[vid], cv = cn, cn
+			updates++
 		}
 	}
+	return updates
 }
 
 // MergeStates implements Kernel: labels merge by minimum.

@@ -49,23 +49,27 @@ func (k *CrossEdges) Run(a *Args) Result {
 	w := WalkPage(a)
 	for w.Next() {
 		pos, end, _ := w.Record()
-		k.tally(a, s, w.V, pos, end, &res)
+		res.Updates += k.tally(a, s, w.V, pos, end)
 	}
 	return k.cost.done(a, &w, res)
 }
 
-func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, pos, end int, res *Result) {
+// tally counts vid's edges in the record at [pos, end) that cross the cut,
+// if vid is owned, and returns the count.
+func (k *CrossEdges) tally(a *Args, s *crossState, vid uint64, pos, end int) (crossing int64) {
 	if !a.owns(vid) {
-		return
+		return 0
 	}
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	ents, w := dec.Entries(), dec.Width()
 	vs := k.side(vid)
-	for w := dec.Width(); pos < end; pos += w {
-		if nvid, _ := dec.VID(buf, pos); k.side(nvid) != vs {
-			s.count[vid]++
-			res.Updates++
+	for ; pos < end; pos += w {
+		if nvid, _ := ents.VID(buf, pos); k.side(nvid) != vs {
+			crossing++
 		}
 	}
+	s.count[vid] += crossing
+	return crossing
 }
 
 // MergeStates implements Kernel: per-vertex tallies are written by exactly

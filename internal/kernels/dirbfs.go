@@ -151,7 +151,9 @@ func (k *DirBFS) push(a *Args) Result {
 	w := WalkPage(a)
 	for Seek(&w, s.lv, level) {
 		pos, end, _ := w.Record()
-		k.expand(a, s, pos, end, level, &res)
+		found, edges := k.expand(a, s.lv, pos, end, level)
+		res.Add(found)
+		res.Edges += edges
 	}
 	res.Cycles = k.cost.cycles(w.Slots(), &w.lanes, a.Tech)
 	return res
@@ -160,18 +162,19 @@ func (k *DirBFS) push(a *Args) Result {
 // expand visits one frontier vertex's adjacency, the record at [pos, end),
 // discovering unvisited owned neighbors. Coverage (out-degree of the
 // discovery) accrues with each discovery.
-func (k *DirBFS) expand(a *Args, s *bfsState, pos, end int, level int16, res *Result) {
+func (k *DirBFS) expand(a *Args, lv []int16, pos, end int, level int16) (found, edges int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
-		if !a.owns(nvid) || s.lv[nvid] != unvisited {
+	ents, w := dec.Entries(), dec.Width()
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
+		if !a.owns(nvid) || lv[nvid] != unvisited {
 			continue
 		}
-		s.lv[nvid] = level + 1
-		res.Edges += int64(k.outDeg.Of(nvid))
-		res.Updates++
-		res.Active = true
+		lv[nvid] = level + 1
+		edges += int64(k.outDeg.Of(nvid))
+		found++
 	}
+	return found, edges
 }
 
 // pull scans each unvisited owned vertex's in-edges, early-exiting at the

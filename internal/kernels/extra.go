@@ -151,25 +151,29 @@ func (k *KCore) Run(a *Args) Result {
 	w := WalkPage(a)
 	for w.Next() {
 		pos, end, _ := w.Record()
-		k.tally(a, s, w.V, pos, end, &res)
+		res.Updates += k.tally(a, s, w.V, pos, end)
 	}
 	return k.cost.done(a, &w, res)
 }
 
-func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, pos, end int, res *Result) {
+// tally counts alive neighbors across each edge of vid's record at [pos,
+// end), both ways, and returns how many counts it added.
+func (k *KCore) tally(a *Args, s *kcoreState, vid uint64, pos, end int) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	ents, w := dec.Entries(), dec.Width()
 	aliveV, ownsV := s.alive[vid], a.owns(vid)
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
 		if aliveV && a.owns(nvid) {
 			s.count[nvid]++
-			res.Updates++
+			updates++
 		}
 		if s.alive[nvid] && ownsV {
 			s.count[vid]++
-			res.Updates++
+			updates++
 		}
 	}
+	return updates
 }
 
 // MergeStates implements Kernel: counts are additive per superstep (each

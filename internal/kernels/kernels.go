@@ -150,7 +150,7 @@ func (c costParams) done(a *Args, w *Walker, res Result) Result {
 // "one page walk").
 type Walker struct {
 	V     uint64 // the current slot's vertex
-	dec   *slottedpage.Decoder
+	rec   slottedpage.Records
 	buf   []byte
 	slot  int
 	n     int
@@ -160,7 +160,7 @@ type Walker struct {
 // WalkPage returns a walker before a's first slot.
 func WalkPage(a *Args) Walker {
 	dec := a.Graph.Decoder()
-	return Walker{V: dec.StartVID(a.PID) - 1, dec: dec, buf: a.Page.Bytes(), slot: -1, n: a.Page.NumSlots()}
+	return Walker{V: dec.StartVID(a.PID) - 1, rec: dec.Records, buf: a.Page.Bytes(), slot: -1, n: a.Page.NumSlots()}
 }
 
 // Next steps to the next slot, reporting false past the last.
@@ -172,9 +172,9 @@ func (w *Walker) Next() bool {
 
 // Record locates the current slot's record, its entries at [pos, end) in
 // steps of the decoder's Width, and counts its deg entries in the page's
-// lanes.
+// lanes. The record geometry is the walker's own copy of the decoder's.
 func (w *Walker) Record() (pos, end, deg int) {
-	pos, end, deg = w.dec.Record(w.buf, w.slot)
+	pos, end, deg = w.rec.Record(w.buf, w.slot)
 	w.lanes.add(deg)
 	return pos, end, deg
 }
@@ -215,11 +215,15 @@ func (w *Walker) Edges() int64 { return w.lanes.edges }
 // A page kernel reads Page through Graph's decoder (slottedpage.Decoder) at
 // the point of use. Slot i is vertex dec.StartVID(PID) + i — the slot's VID
 // field is never read — and a large page has one slot, StartVID itself,
-// whose record is the page's part of that vertex's adjacency; dec.Record(buf, slot) gives the record's entries as
-// [pos, end) in steps of dec.Width(), and dec.VID(buf, pos) resolves one
-// entry to the neighbor's VID and home page inside the loop that uses them.
-// Nothing is decoded ahead of use, so a kernel call allocates nothing and a
-// frontier kernel touches page bytes only for frontier vertices.
+// whose record is the page's part of that vertex's adjacency.
+// dec.Record(buf, slot) gives the record's entries as [pos, end) in steps
+// of dec.Width(), and the entry reader ents := dec.Entries(), taken before
+// the entry loop, resolves one entry with ents.VID(buf, pos) to the
+// neighbor's VID and home page inside the loop that uses them. The loop
+// counts its writes in a local and adds them to the Result once per record
+// (Result.Add). Nothing is decoded ahead of use, so a kernel call allocates
+// nothing and a frontier kernel touches page bytes only for frontier
+// vertices.
 type Args struct {
 	Graph *slottedpage.Graph
 	PID   slottedpage.PageID
@@ -248,6 +252,14 @@ type Result struct {
 	// Active reports whether the kernel changed any state (the paper's
 	// inverted `finished` flag).
 	Active bool
+}
+
+// Add counts n attribute writes into r, marking it active when there were
+// any: how a page kernel folds in the writes one record's entry loop
+// counted in a local.
+func (r *Result) Add(n int64) {
+	r.Updates += n
+	r.Active = r.Active || n > 0
 }
 
 // State is an algorithm's attribute data. Strategy-P clones one replica per

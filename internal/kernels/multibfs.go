@@ -168,6 +168,7 @@ func (k *MultiBFS) Run(a *Args) Result {
 // pass runs the lanes of mask over a's page.
 func (k *MultiBFS) pass(a *Args, seen []uint8, mask uint8) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	ents, w := dec.Entries(), dec.Width()
 	start, slots := dec.StartVID(a.PID), a.Page.NumSlots() // a large page has one slot: its vertex
 	level := int16(a.Level)
 	// Which lanes have each slot's vertex on their frontier. (x-1)>>31 is 1
@@ -194,8 +195,8 @@ func (k *MultiBFS) pass(a *Args, seen []uint8, mask uint8) {
 		for m := f; m != 0; m &= m - 1 {
 			k.acc[bits.TrailingZeros8(m)].add(deg)
 		}
-		for w := dec.Width(); pos < end; pos += w {
-			nvid, npid := dec.VID(buf, pos)
+		for ; pos < end; pos += w {
+			nvid, npid := ents.VID(buf, pos)
 			d := f &^ seen[nvid]
 			if d == 0 || !a.owns(nvid) {
 				continue

@@ -125,22 +125,25 @@ func (k *PageRank) Run(a *Args) Result {
 		if large {
 			deg = k.lpDeg[w.V]
 		}
-		k.scatter(a, s, pos, end, walk*pr/float32(deg), &res)
+		res.Updates += k.scatter(a, s.nextPR, pos, end, walk*pr/float32(deg))
 	}
 	return k.cost.done(a, &w, res)
 }
 
-// scatter performs the atomicAdd loop over the record at [pos, end).
-func (k *PageRank) scatter(a *Args, s *prState, pos, end int, contrib float32, res *Result) {
+// scatter performs the atomicAdd loop over the record at [pos, end),
+// returning how many owned neighbors it added contrib to.
+func (k *PageRank) scatter(a *Args, next []float32, pos, end int, contrib float32) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
+	ents, w := dec.Entries(), dec.Width()
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
-		s.nextPR[nvid] += contrib
-		res.Updates++
+		next[nvid] += contrib
+		updates++
 	}
+	return updates
 }
 
 // MergeStates implements Kernel: every replica started the superstep at the

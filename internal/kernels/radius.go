@@ -105,30 +105,33 @@ func (k *Radius) Run(a *Args) Result {
 	w := WalkPage(a)
 	for w.Next() {
 		pos, end, _ := w.Record()
-		k.absorb(a, s, w.V, pos, end, &res)
+		res.Add(k.absorb(a, s, w.V, pos, end))
 	}
 	return k.cost.done(a, &w, res)
 }
 
-func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, pos, end int, res *Result) {
+// absorb ORs the sketches of vid's neighbors in the record at [pos, end)
+// into vid's, if vid is owned, and returns how many words changed.
+func (k *Radius) absorb(a *Args, s *radiusState, vid uint64, pos, end int) (updates int64) {
 	if !a.owns(vid) {
-		return
+		return 0
 	}
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	ents, w := dec.Entries(), dec.Width()
 	base := int(vid) * s.k
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
 		nb := int(nvid) * s.k
 		for j := 0; j < s.k; j++ {
 			old := s.next[base+j]
 			merged := old | s.prev[nb+j]
 			if merged != old {
 				s.next[base+j] = merged
-				res.Updates++
-				res.Active = true
+				updates++
 			}
 		}
 	}
+	return updates
 }
 
 // MergeStates implements Kernel: sketches merge by OR; radii by maximum.

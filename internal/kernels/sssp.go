@@ -91,16 +91,20 @@ func (k *SSSP) Run(a *Args) Result {
 	w := WalkPage(a)
 	for SeekSet(&w, cur) {
 		pos, end, _ := w.Record()
-		k.relax(a, s.dist, cur, next, w.V, pos, end, &res)
+		res.Add(k.relax(a, s.dist, cur, next, w.V, pos, end))
 	}
 	return k.cost.done(a, &w, res)
 }
 
-func (k *SSSP) relax(a *Args, dist []float32, cur, next *bitset.Set, vid uint64, pos, end int, res *Result) {
+// relax lowers the distances of vid's neighbors in the record at [pos,
+// end), moving each lowered one from cur to next, and returns how many it
+// lowered.
+func (k *SSSP) relax(a *Args, dist []float32, cur, next *bitset.Set, vid uint64, pos, end int) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
+	ents, w := dec.Entries(), dec.Width()
 	base := dist[vid]
-	for w := dec.Width(); pos < end; pos += w {
-		nvid, _ := dec.VID(buf, pos)
+	for ; pos < end; pos += w {
+		nvid, _ := ents.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
@@ -109,10 +113,10 @@ func (k *SSSP) relax(a *Args, dist []float32, cur, next *bitset.Set, vid uint64,
 			dist[nvid] = nd
 			next.Set(int(nvid))
 			cur.Clear(int(nvid))
-			res.Updates++
-			res.Active = true
+			updates++
 		}
 	}
+	return updates
 }
 
 // MergeStates implements Kernel: the shorter distance wins and brings its

@@ -256,9 +256,9 @@ func (g *Graph) NeighborsOf(v uint64, fn func(dst uint64)) {
 
 // eachNeighbor calls fn with the VID of every entry of one record.
 func (g *Graph) eachNeighbor(pid PageID, slot int, fn func(dst uint64)) {
-	buf := g.pages[pid]
+	buf, ents := g.pages[pid], g.dec.Entries()
 	for pos, end, _ := g.dec.Record(buf, slot); pos < end; pos += g.dec.w {
-		dst, _ := g.dec.VID(buf, pos)
+		dst, _ := ents.VID(buf, pos)
 		fn(dst)
 	}
 }

@@ -70,6 +70,33 @@ func NewMutable(g *Graph) *Mutable {
 	return m
 }
 
+// NewMutableFrom builds the mutable graph whose edges are src's with ops
+// applied in order, packing its pages once: byte for byte the snapshot
+// NewMutable over Build(src, cfg) publishes after ApplyBatch(ops), without
+// the base graph's own pages or their decode. ops may be empty.
+func NewMutableFrom(src Source, cfg Config, ops []EdgeOp) (*Mutable, error) {
+	m := &Mutable{adj: make([][]uint64, src.NumVertices()), edges: src.NumEdges()}
+	// The rows share one array, each capped at its length: edit and
+	// ApplyBatch copy a row before they change it.
+	all := make([]uint64, 0, src.NumEdges())
+	add := func(dst uint64) { all = append(all, dst) }
+	for v := range m.adj {
+		start := len(all)
+		if src.Neighbors(uint64(v), add); len(all) > start {
+			m.adj[v] = all[start:len(all):len(all)]
+		}
+	}
+	if _, err := m.edit(ops, cfg); err != nil {
+		return nil, err
+	}
+	g, err := Build(mirrorSource{adj: m.adj, edges: m.edges}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.cur.Store(g)
+	return m, nil
+}
+
 // decodeRows decodes g's adjacency into one row per vertex, walking the
 // pages in order and each record once. A small page's record is decoded
 // straight into its row; a large vertex's row is sized from its records'
@@ -78,6 +105,7 @@ func NewMutable(g *Graph) *Mutable {
 func decodeRows(g *Graph) [][]uint64 {
 	rows := make([][]uint64, g.NumVertices())
 	dec := &g.dec
+	ents := dec.Entries()
 	for pid, buf := range g.pages {
 		v := dec.startVID[pid]
 		if g.kinds[pid] == LargePage {
@@ -85,7 +113,7 @@ func decodeRows(g *Graph) [][]uint64 {
 				rows[v] = make([]uint64, 0, g.DegreeOf(v))
 			}
 			for pos, end, _ := dec.Record(buf, 0); pos < end; pos += dec.w {
-				dst, _ := dec.VID(buf, pos)
+				dst, _ := ents.VID(buf, pos)
 				rows[v] = append(rows[v], dst)
 			}
 			continue
@@ -97,7 +125,7 @@ func decodeRows(g *Graph) [][]uint64 {
 			}
 			row := make([]uint64, deg)
 			for i := range row {
-				row[i], _ = dec.VID(buf, pos)
+				row[i], _ = ents.VID(buf, pos)
 				pos += dec.w
 			}
 			rows[v] = row
@@ -131,56 +159,18 @@ func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 
 	old := m.cur.Load()
 	cfg := old.Config()
-
-	// The vertex space grows once, to cover the batch's largest inserted
-	// ID, and only if every ID is addressable: a batch that is not changes
-	// nothing.
-	n := uint64(len(m.adj))
-	for _, op := range ops {
-		for _, v := range [2]uint64{op.Src, op.Dst} {
-			if v >= cfg.MaxAddressableVertices() {
-				return nil, fmt.Errorf("slottedpage: vertex %d exceeds addressable capacity %d", v, cfg.MaxAddressableVertices())
-			}
-			if !op.Del {
-				n = max(n, v+1)
-			}
-		}
+	oldN, oldEdges := len(m.adj), m.edges
+	undo, err := m.edit(ops, cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	// The mirror changes in place. A row is copied the first time the batch
-	// touches it and undo keeps the old one, so a failed build can put back
-	// every row and the table's old length.
-	oldN := len(m.adj)
-	m.adj = append(m.adj, make([][]uint64, n-uint64(oldN))...)
-	undo := make(map[uint64][]uint64)
-	edges := m.edges
-	for _, op := range ops {
-		if op.Src >= n {
-			continue // a delete from a vertex the graph does not have
-		}
-		row := m.adj[op.Src]
-		if _, ok := undo[op.Src]; !ok {
-			undo[op.Src] = row
-			row = append(make([]uint64, 0, len(row)+1), row...)
-		}
-		if op.Del {
-			kept := slices.DeleteFunc(row, func(d uint64) bool { return d == op.Dst })
-			edges -= uint64(len(row) - len(kept))
-			row = kept
-		} else {
-			row = append(row, op.Dst)
-			edges++
-		}
-		m.adj[op.Src] = row
-	}
-
-	next, err := Build(mirrorSource{adj: m.adj, edges: edges}, cfg)
+	next, err := Build(mirrorSource{adj: m.adj, edges: m.edges}, cfg)
 	if err != nil {
 		for v, row := range undo {
 			m.adj[v] = row
 		}
 		clear(m.adj[oldN:])
-		m.adj = m.adj[:oldN]
+		m.adj, m.edges = m.adj[:oldN], oldEdges
 		return nil, err
 	}
 
@@ -197,10 +187,51 @@ func (m *Mutable) ApplyBatch(ops []EdgeOp) (*Graph, error) {
 	rev := old.rev.Value()
 	old.revMu.Unlock()
 	if rev != nil {
-		next.rev = weak.Make(rev.patched(n, ops))
+		next.rev = weak.Make(rev.patched(uint64(len(m.adj)), ops))
 	}
 
-	m.edges = edges
 	m.cur.Store(next)
 	return next, nil
+}
+
+// edit applies ops to the adjacency mirror and its edge count in place and
+// returns, for every row it changed, the row it replaced. The vertex space
+// grows once, to cover the batch's largest inserted ID, and only if every
+// ID is addressable under cfg: a batch that is not changes nothing. A row
+// is copied the first time the batch touches it, so the undo rows and the
+// table's old length put back the mirror as it was.
+func (m *Mutable) edit(ops []EdgeOp, cfg Config) (undo map[uint64][]uint64, err error) {
+	n := uint64(len(m.adj))
+	for _, op := range ops {
+		for _, v := range [2]uint64{op.Src, op.Dst} {
+			if v >= cfg.MaxAddressableVertices() {
+				return nil, fmt.Errorf("slottedpage: vertex %d exceeds addressable capacity %d", v, cfg.MaxAddressableVertices())
+			}
+			if !op.Del {
+				n = max(n, v+1)
+			}
+		}
+	}
+	m.adj = append(m.adj, make([][]uint64, n-uint64(len(m.adj)))...)
+	undo = make(map[uint64][]uint64)
+	for _, op := range ops {
+		if op.Src >= n {
+			continue // a delete from a vertex the graph does not have
+		}
+		row := m.adj[op.Src]
+		if _, ok := undo[op.Src]; !ok {
+			undo[op.Src] = row
+			row = append(make([]uint64, 0, len(row)+1), row...)
+		}
+		if op.Del {
+			kept := slices.DeleteFunc(row, func(d uint64) bool { return d == op.Dst })
+			m.edges -= uint64(len(row) - len(kept))
+			row = kept
+		} else {
+			row = append(row, op.Dst)
+			m.edges++
+		}
+		m.adj[op.Src] = row
+	}
+	return undo, nil
 }

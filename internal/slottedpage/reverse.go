@@ -63,12 +63,13 @@ func revBlocks(n uint64) uint64 { return (n + revBlockSize - 1) / revBlockSize }
 func buildReverse(g *Graph) *Reverse {
 	n, nb := g.NumVertices(), revBlocks(g.NumVertices())
 	offs, total := make([]uint32, n+nb), 0
-	dec, w := g.Decoder(), g.Decoder().Width()
+	dec := g.Decoder()
+	ents, w := dec.Entries(), dec.Width()
 	for pid := PageID(0); int(pid) < g.NumPages(); pid++ {
 		buf := g.PageBytes(pid)
 		for slot, slots := 0, g.Page(pid).NumSlots(); slot < slots; slot++ {
 			for pos, end, _ := dec.Record(buf, slot); pos < end; pos, total = pos+w, total+1 {
-				dst, _ := dec.VID(buf, pos)
+				dst, _ := ents.VID(buf, pos)
 				offs[dst+dst/revBlockSize+1]++
 			}
 		}
@@ -89,7 +90,7 @@ func buildReverse(g *Graph) *Reverse {
 		src := uint32(dec.StartVID(pid))
 		for slot, slots := 0, g.Page(pid).NumSlots(); slot < slots; slot, src = slot+1, src+1 {
 			for pos, end, _ := dec.Record(buf, slot); pos < end; pos += w {
-				dst, _ := dec.VID(buf, pos)
+				dst, _ := ents.VID(buf, pos)
 				b, i := &r.blocks[dst/revBlockSize], dst%revBlockSize
 				b.srcs[b.offs[i]] = src
 				b.offs[i]++

@@ -5,69 +5,77 @@ import "encoding/binary"
 // This file is the adjacency codec at machine width. Decoding happens where
 // the result is used: a page kernel asks the graph's Decoder where slot i's
 // record lies (Record) and resolves each entry through the RVT as its loop
-// reaches it (VID = RVT[ADJ_PID].StartVID + ADJ_OFF, paper Appendix A) —
-// one fixed-width load and one RVT add, as a warp lane does it — so nothing
-// is materialised between the page bytes and the kernel's write. Every
-// kernel and topology scan decodes through it; Page.Slot, AdjView.At and
-// Graph.VIDOf remain as the field-by-field form the tests compare it with.
-// Encoding (Build) is putRow.
+// reaches it (Entries.VID = RVT[ADJ_PID].StartVID + ADJ_OFF, paper Appendix
+// A) — fixed-width loads and one RVT add, as a warp lane does it — so
+// nothing is materialised between the page bytes and the kernel's write.
+// Every kernel and topology scan decodes through it; Page.Slot, AdjView.At
+// and Graph.VIDOf remain as the field-by-field form the tests compare it
+// with. Encoding (Build) is putRow.
 
 // Decoder reads records and adjacency entries out of one graph's page
 // bytes. A Graph builds its decoder once (Build, Read) and hands it out
-// through Graph.Decoder; it is immutable and safe for concurrent use.
+// through Graph.Decoder; it is immutable and safe for concurrent use. Its
+// per-entry half is Entries, a value an entry loop takes once and keeps in
+// registers.
 //
 // It leans on three facts Graph.Validate enforces. A small page's slot i
 // holds vertex StartVID + i, so callers take a slot's vertex from StartVID
 // and never read the slot's VID field. Every record ends at or before the
-// page's slot directory, which holds at least one slot, so the SlotSize
-// bytes behind any record belong to the page: when an entry is at most 8
-// bytes wide and w + SlotSize >= 8, an 8-byte load at the entry's first
-// byte stays inside the page whichever entry it is, and the entry is that
-// word masked and shifted. And every record starts behind the 8-byte page
-// header, so the 8 bytes that END at any field's last byte are in the page
-// too: every other field — a wider entry's ADJ_PID and ADJ_OFF, OFF and
-// ADJLIST_SZ at any width — is one such load, shifted right until only the
-// field is left. Which of the two an entry takes is decided here, once.
+// page's slot directory, which holds at least one slot of at least 3
+// bytes, so the 4 bytes that START at any entry field are in the page: a
+// (2,2) entry is one such 32-bit load, and any other ADJ_OFF is the one at
+// its own first byte, masked to the field (RID.Slot is 32 bits wide, so a
+// wider ADJ_OFF is cut to its low 4 bytes). And every record starts behind
+// the 8-byte page header, so the 8 bytes that END at any field's last byte
+// are in the page too: any other ADJ_PID, and OFF and ADJLIST_SZ at any
+// width, is one such load, shifted right until only the field is left.
+// Which form an entry takes is decided here, once.
 type Decoder struct {
+	Records           // where slot i's record lies
 	startVID []uint64 // RVT[pid].StartVID, flat
 
-	w        int    // entry width p+q: ADJ_PID at [pos, pos+p), ADJ_OFF behind it
-	word     bool   // w <= 8 && w+SlotSize >= 8: the entry is one load at pos
-	pidMask  uint64 // word: low p bytes
-	slotAt   uint   // word: 8p, ADJ_OFF's bit position
-	slotMask uint64 // low min(q,4) bytes — RID.Slot is 32 bits wide
-	// Otherwise two loads, of the 8 bytes ending with each field.
-	pidAt               int  // p-8
-	pidShift, slotShift uint // 64-8p, 64-8q
+	pq22 bool // p = q = 2: an entry is one 32-bit word, ADJ_PID its low half
+	// Otherwise ADJ_PID is the 8 bytes ending with it and ADJ_OFF the 4
+	// bytes starting with it.
+	pidAt    int    // p-8
+	pidShift uint   // 64-8p
+	slotAt   int    // p
+	slotMask uint32 // low min(q,4) bytes
+}
 
+// Records locates records in one graph's page bytes. It is the record half
+// of the graph's Decoder, a value a page walker copies once per page so
+// that each slot's lookup reads its geometry from the walker itself.
+type Records struct {
 	// Slot i's OFF field ends i*slotSize bytes before the page's end; the
 	// record at OFF opens with ADJLIST_SZ and may reach as far as slot 0.
 	offAt, slotSize     int // offAt = PageSize-8
 	sizeBytes           int
 	offShift, sizeShift uint // 64-8*OffBytes, 64-8*SizeBytes
+	w                   int  // entry width p+q
 	limit               int  // PageSize-SlotSize
 }
 
 // newDecoder builds the decoder for pages laid out by cfg and resolved
 // through rvt.
 func newDecoder(cfg *Config, rvt []RVTEntry) Decoder {
-	p, q, w := cfg.PIDBytes, cfg.SlotBytes, cfg.RIDBytes()
+	p, q := cfg.PIDBytes, cfg.SlotBytes
 	d := Decoder{
-		startVID:  make([]uint64, len(rvt)),
-		w:         w,
-		word:      w <= 8 && w+cfg.SlotSize() >= 8,
-		pidMask:   maxUint(p),
-		slotAt:    uint(8 * p),
-		slotMask:  maxUint(min(q, 4)),
-		pidAt:     p - 8,
-		pidShift:  uint(64 - 8*p),
-		slotShift: uint(64 - 8*q),
-		offAt:     cfg.PageSize - 8,
-		slotSize:  cfg.SlotSize(),
-		sizeBytes: cfg.SizeBytes,
-		offShift:  uint(64 - 8*cfg.OffBytes),
-		sizeShift: uint(64 - 8*cfg.SizeBytes),
-		limit:     cfg.PageSize - cfg.SlotSize(),
+		Records: Records{
+			offAt:     cfg.PageSize - 8,
+			slotSize:  cfg.SlotSize(),
+			sizeBytes: cfg.SizeBytes,
+			offShift:  uint(64 - 8*cfg.OffBytes),
+			sizeShift: uint(64 - 8*cfg.SizeBytes),
+			w:         p + q,
+			limit:     cfg.PageSize - cfg.SlotSize(),
+		},
+		startVID: make([]uint64, len(rvt)),
+		pq22:     p == 2 && q == 2,
+		pidAt:    p - 8,
+		pidShift: uint(64 - 8*p),
+		slotAt:   p,
+		slotMask: uint32(maxUint(min(q, 4))),
 	}
 	for i, e := range rvt {
 		d.startVID[i] = e.StartVID
@@ -77,7 +85,7 @@ func newDecoder(cfg *Config, rvt []RVTEntry) Decoder {
 
 // Width is the byte width of one adjacency entry: the step of a loop over
 // a record's [pos, end).
-func (d *Decoder) Width() int { return d.w }
+func (r *Records) Width() int { return r.w }
 
 // StartVID is RVT[pid].StartVID: the vertex in slot 0 of page pid. Slot i
 // of a small page holds vertex StartVID + i; a large page's only slot
@@ -87,18 +95,47 @@ func (d *Decoder) StartVID(pid PageID) uint64 { return d.startVID[pid] }
 // Record locates the record of slot `slot` in the page bytes buf: its
 // entries occupy buf[pos:end] in steps of Width, deg of them. It panics if
 // the record starts inside the page header or reaches into the page's last
-// SlotSize bytes — slot 0's own — so every pos in [pos, end) may go to VID.
-func (d *Decoder) Record(buf []byte, slot int) (pos, end, deg int) {
-	off := int(binary.LittleEndian.Uint64(buf[d.offAt-slot*d.slotSize:]) >> (d.offShift & 63))
-	deg = int(binary.LittleEndian.Uint64(buf[off+d.sizeBytes-8:]) >> (d.sizeShift & 63))
-	pos = off + d.sizeBytes
-	end = pos + deg*d.w
+// SlotSize bytes — slot 0's own — so every pos in [pos, end) may go to
+// Entries.VID.
+func (r *Records) Record(buf []byte, slot int) (pos, end, deg int) {
+	off := int(binary.LittleEndian.Uint64(buf[r.offAt-slot*r.slotSize:]) >> (r.offShift & 63))
+	deg = int(binary.LittleEndian.Uint64(buf[off+r.sizeBytes-8:]) >> (r.sizeShift & 63))
+	pos = off + r.sizeBytes
+	end = pos + deg*r.w
 	// deg is tested by itself first: an 8-byte ADJLIST_SZ can make it
 	// negative, or large enough that deg*w wraps.
-	if off < headerSize || uint(deg) > uint(d.limit) || end > d.limit {
+	if off < headerSize || uint(deg) > uint(r.limit) || end > r.limit {
 		panic("slottedpage: record outside its page's record area")
 	}
 	return pos, end, deg
+}
+
+// Entries resolves one graph's adjacency entries. An entry loop takes it
+// once from the graph's Decoder, before the loop, and calls VID per entry:
+//
+//	ents, w := dec.Entries(), dec.Width()
+//	for ; pos < end; pos += w {
+//		nvid, npid := ents.VID(buf, pos)
+//		...
+//	}
+//
+// It is two words of state the compiler keeps in registers across the
+// loop — the RVT's StartVID column and, for any layout but (2,2), the
+// decoder whose two-load geometry VID reads — so a (2,2) entry, the
+// default layout's, costs one 32-bit load and one RVT add, with no field of
+// the decoder reloaded per entry. A struct of more than four fields or 32
+// bytes would not stay in registers: it is copied for every inlined call.
+type Entries struct {
+	startVID []uint64
+	two      *Decoder // nil: p = q = 2
+}
+
+// Entries returns the graph's entry reader.
+func (d *Decoder) Entries() Entries {
+	if d.pq22 {
+		return Entries{startVID: d.startVID}
+	}
+	return Entries{startVID: d.startVID, two: d}
 }
 
 // VID resolves the adjacency entry at buf[pos:] — pos from Record — to the
@@ -106,16 +143,16 @@ func (d *Decoder) Record(buf []byte, slot int) (pos, end, deg int) {
 // a traversal kernel proposes in its nextPIDSet). ADJ_OFF is cut to
 // RID.Slot's 32 bits, as AdjView.At cuts it. An entry naming a page the
 // graph does not have panics on the StartVID table's bounds check.
-func (d *Decoder) VID(buf []byte, pos int) (vid uint64, pid PageID) {
+func (e Entries) VID(buf []byte, pos int) (vid uint64, pid PageID) {
 	var p, slot uint64
-	if d.word {
-		e := binary.LittleEndian.Uint64(buf[pos:])
-		p, slot = e&d.pidMask, e>>(d.slotAt&63)
+	if e.two == nil {
+		x := binary.LittleEndian.Uint32(buf[pos:])
+		p, slot = uint64(x&0xffff), uint64(x>>16)
 	} else {
-		p = binary.LittleEndian.Uint64(buf[pos+d.pidAt:]) >> (d.pidShift & 63)
-		slot = binary.LittleEndian.Uint64(buf[pos+d.w-8:]) >> (d.slotShift & 63)
+		p = binary.LittleEndian.Uint64(buf[pos+e.two.pidAt:]) >> (e.two.pidShift & 63)
+		slot = uint64(binary.LittleEndian.Uint32(buf[pos+e.two.slotAt:]) & e.two.slotMask)
 	}
-	return d.startVID[p] + slot&d.slotMask, PageID(p)
+	return e.startVID[p] + slot, PageID(p)
 }
 
 // putRow writes an adjacency entry for every vertex of row, from the start

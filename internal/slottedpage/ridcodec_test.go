@@ -43,12 +43,13 @@ func oracleRecord(g *Graph, pg Page, s int) (vid uint64, vids []uint64, pids []P
 // kernel drives it. The Decoder never reads a slot's VID field.
 func decoderRecord(g *Graph, pg Page, s int) (vids []uint64, pids []PageID) {
 	dec, buf := g.Decoder(), pg.Bytes()
+	ents := dec.Entries()
 	pos, end, deg := dec.Record(buf, s)
 	if end-pos != deg*dec.Width() {
 		panic(fmt.Sprintf("Record: [%d,%d) is not %d entries of %d bytes", pos, end, deg, dec.Width()))
 	}
 	for ; pos < end; pos += dec.Width() {
-		vid, pid := dec.VID(buf, pos)
+		vid, pid := ents.VID(buf, pos)
 		vids, pids = append(vids, vid), append(pids, pid)
 	}
 	return vids, pids
@@ -111,10 +112,11 @@ func codecConfigs() []Config {
 }
 
 // tinyFields is the narrowest layout Config.Validate admits: 2-byte
-// entries before 3-byte slots, w + SlotSize < 8. An 8-byte load at a
-// record's last entry can run off the page's end here — a page's last
-// record may end 3 bytes before it — so the Decoder must have chosen its
-// other path, as it must for an entry wider than 8 bytes.
+// entries before 3-byte slots, w + SlotSize < 8. An 8-byte load forward
+// from a record's last entry would run off the page's end here — a page's
+// last record may end 3 bytes before it — so every load the Decoder makes
+// must end at or before the bytes it reads, as it must for an entry wider
+// than 8 bytes.
 var tinyFields = Config{PageSize: 512, PIDBytes: 1, SlotBytes: 1, VIDBytes: 1, OffBytes: 2, SizeBytes: 2}
 
 // codecSource has what the decoder must get right at the edges: empty
@@ -170,8 +172,8 @@ func TestAdjDecodeDifferential(t *testing.T) {
 		// entry would leave the page.
 		var empty, atHeader, full, offPage int
 		dec := g.Decoder()
-		if want := cfg.RIDBytes() <= 8 && cfg.RIDBytes()+cfg.SlotSize() >= 8; dec.word != want {
-			t.Fatalf("%s: decoder reads an entry as one word: %v, want %v", label, dec.word, want)
+		if want := cfg.PIDBytes == 2 && cfg.SlotBytes == 2; (dec.Entries().two == nil) != want {
+			t.Fatalf("%s: entry reader reads an entry as one 32-bit word: %v, want %v", label, dec.Entries().two == nil, want)
 		}
 		for pid := 0; pid < g.NumPages(); pid++ {
 			pg := g.Page(PageID(pid))
@@ -256,6 +258,69 @@ func TestAdjDecodeDifferential(t *testing.T) {
 	}
 }
 
+// TestEntriesMatchFieldOracle holds the entry reader to the field-by-field
+// form on every entry of every page: a kernel's loop — Record, then VID at
+// steps of Width — must visit exactly the record's AdjView entries and
+// resolve each to AdjView.At's page and VIDOf's vertex. The graphs are
+// random, with heavy vertices that spill into large-page runs; the layouts
+// are the four presets' widths, which take the (2,2) word and the two-load
+// form, and (5,5), whose 10-byte entry no single load holds. An entry
+// naming a page past the graph's last must panic, not wrap.
+func TestEntriesMatchFieldOracle(t *testing.T) {
+	for _, cfg := range []Config{Config22(), Config33(), Config24(), Config42(), ScaledConfig(5, 5, 0)} {
+		cfg.PageSize = 1024
+		label := fmt.Sprintf("(p=%d,q=%d)", cfg.PIDBytes, cfg.SlotBytes)
+		g, err := Build(randomGraph(rand.New(rand.NewSource(int64(cfg.RIDBytes()))), 3000, 12, 400), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		runs := 0
+		for _, pid := range g.LPIDs() {
+			if g.RVT(pid).LPSeq == 1 {
+				runs++
+			}
+		}
+		if runs == 0 {
+			t.Fatalf("%s: no large-page run of two pages or more", label)
+		}
+		dec := g.Decoder()
+		ents, entries := dec.Entries(), 0
+		for pid := PageID(0); int(pid) < g.NumPages(); pid++ {
+			pg := g.Page(pid)
+			buf := pg.Bytes()
+			for s := 0; s < pg.NumSlots(); s++ {
+				adj, i := pg.Adj(s), 0
+				for pos, end, _ := dec.Record(buf, s); pos < end; pos, i = pos+dec.Width(), i+1 {
+					if i >= adj.Len() {
+						t.Fatalf("%s page %d slot %d: the loop visits more than the record's %d entries", label, pid, s, adj.Len())
+					}
+					vid, npid := ents.VID(buf, pos)
+					if r := adj.At(i); npid != r.PID || vid != g.VIDOf(r) {
+						t.Fatalf("%s page %d slot %d entry %d: reader says page %d VID %d, At+VIDOf page %d VID %d",
+							label, pid, s, i, npid, vid, r.PID, g.VIDOf(r))
+					}
+				}
+				if i != adj.Len() {
+					t.Fatalf("%s page %d slot %d: the loop visits %d of the record's %d entries", label, pid, s, i, adj.Len())
+				}
+				entries += i
+			}
+		}
+		if uint64(entries) != g.NumEdges() {
+			t.Fatalf("%s: %d entries read, the graph has %d edges", label, entries, g.NumEdges())
+		}
+		buf := append([]byte(nil), g.PageBytes(g.SPIDs()[0])...)
+		pos, _, deg := dec.Record(buf, 0)
+		for s := 1; deg == 0; s++ {
+			pos, _, deg = dec.Record(buf, s)
+		}
+		putUint(buf[pos:], cfg.PIDBytes, uint64(g.NumPages()))
+		if panics(func() { ents.VID(buf, pos) }) == nil {
+			t.Errorf("%s: VID resolved an entry naming page %d of %d", label, g.NumPages(), g.NumPages())
+		}
+	}
+}
+
 // TestDecoderRefusesBadPage: the failures kernels rely on. An entry naming
 // a page the graph does not have panics in VID; a record that overruns its
 // page panics in Record, before any entry is handed out.
@@ -273,7 +338,7 @@ func TestDecoderRefusesBadPage(t *testing.T) {
 		}
 		if uint64(g.NumPages()) <= maxUint(cfg.PIDBytes) {
 			putUint(buf[pos:], cfg.PIDBytes, uint64(g.NumPages()))
-			if panics(func() { dec.VID(buf, pos) }) == nil {
+			if panics(func() { dec.Entries().VID(buf, pos) }) == nil {
 				t.Errorf("(p=%d,q=%d): VID resolved an entry naming page %d of %d", cfg.PIDBytes, cfg.SlotBytes, g.NumPages(), g.NumPages())
 			}
 		}
@@ -436,10 +501,11 @@ func BenchmarkAdjDecode(b *testing.B) {
 		})
 		b.Run(name+"/decoder", func(b *testing.B) {
 			dec := g.Decoder()
+			ents := dec.Entries()
 			scan(b, g, func(pg Page, s int) (sum uint64) {
 				buf := pg.Bytes()
 				for pos, end, _ := dec.Record(buf, s); pos < end; pos += dec.Width() {
-					vid, _ := dec.VID(buf, pos)
+					vid, _ := ents.VID(buf, pos)
 					sum += vid
 				}
 				return sum

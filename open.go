@@ -26,26 +26,37 @@ const DefaultShrink = 12
 //
 // A spec that cannot be generated is ErrInvalid.
 func Open(spec string) (*Graph, error) {
+	g, src, cfg, err := openSpec(spec)
+	if err != nil || g != nil {
+		return g, err
+	}
+	if g, err = BuildGraph(src, cfg); err != nil {
+		return nil, fmt.Errorf("%w: opening spec %q: %w", ErrInvalid, spec, err)
+	}
+	return g, nil
+}
+
+// openSpec resolves spec as Open does, short of packing a dataset into
+// pages: a store file comes back loaded (g), a dataset as its generated
+// edges and the page layout Open would build them with (src, cfg).
+func openSpec(spec string) (g *Graph, src Source, cfg PageConfig, err error) {
 	if spec == "" {
-		return nil, fmt.Errorf("%w: empty graph spec", ErrInvalid)
+		return nil, nil, cfg, fmt.Errorf("%w: empty graph spec", ErrInvalid)
 	}
-	if strings.HasSuffix(spec, ".gts") {
-		return LoadGraph(spec)
-	}
-	if _, err := os.Stat(spec); err == nil {
-		return LoadGraph(spec)
+	if _, statErr := os.Stat(spec); statErr == nil || strings.HasSuffix(spec, ".gts") {
+		g, err = LoadGraph(spec)
+		return g, nil, cfg, err
 	}
 	dataset, shrink := spec, DefaultShrink
 	if at := strings.LastIndexByte(spec, '@'); at >= 0 {
 		n, err := strconv.Atoi(spec[at+1:])
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("%w: bad shrink in graph spec %q (want dataset@N)", ErrInvalid, spec)
+			return nil, nil, cfg, fmt.Errorf("%w: bad shrink in graph spec %q (want dataset@N)", ErrInvalid, spec)
 		}
 		dataset, shrink = spec[:at], n
 	}
-	g, err := Generate(dataset, shrink)
-	if err != nil {
-		return nil, fmt.Errorf("%w: opening spec %q: %w", ErrInvalid, spec, err)
+	if src, cfg, err = generate(dataset, shrink); err != nil {
+		return nil, nil, cfg, fmt.Errorf("%w: opening spec %q: %w", ErrInvalid, spec, err)
 	}
-	return g, nil
+	return nil, src, cfg, nil
 }
