@@ -33,7 +33,7 @@ vet:
 	$(GO) vet ./...
 
 # Coverage gate over the simulation core (dispatcher, primitives and
-# their failure paths; measures ~94), the observability stack, the shared
+# their failure paths; measures ~98), the observability stack, the shared
 # host page pool, and the kernel operator layer: the trace recorder and
 # exporters, the histogram math, the service job path, the bufpool
 # pin/eviction machinery, and the kernels package (direction-optimizing BFS
@@ -162,7 +162,7 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18784
+LOC_MAX_TOTAL = 18671
 LOC_MAX_ENGINE_AND_API = 4696
 LOC_MAX_ENGINE = 3722
 LOC_MAX_GTSD_FLAGS = 10

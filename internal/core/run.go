@@ -500,7 +500,7 @@ func sized[T any](s []T, n int) []T {
 // streams all of them (see planWave), handed out in page order to the GPU's
 // stream processes.
 func (r *run) streamDemand(p *sim.Proc) {
-	grp := sim.NewGroup(r.env)
+	grp := new(sim.Group)
 	lo := 0
 	for i, hi := range r.gpuEnd {
 		// The GPU's streams share one cursor and each takes the next page when
@@ -722,7 +722,7 @@ func (r *run) bufferHitRate() float64 {
 // parallelGPUs runs fn once for each of the first n GPUs concurrently and
 // joins.
 func (r *run) parallelGPUs(p *sim.Proc, n int, fn func(p *sim.Proc, i int)) {
-	grp := sim.NewGroup(r.env)
+	grp := new(sim.Group)
 	grp.Add(n)
 	for i := range n {
 		r.env.Process(fmt.Sprintf("gpu%d", i), func(p *sim.Proc) {

@@ -73,7 +73,7 @@ func (r *run) fetchPin(p *sim.Proc, pid slottedpage.PageID, gpuIdx, stream int) 
 			r.traceMark(trace.PoolHit, gpuIdx, stream, int64(pid))
 			return true, nil
 		case bufpool.Load:
-			sig := sim.NewSignal(r.env)
+			sig := new(sim.Signal)
 			r.inflight[pid] = sig
 			err := r.readPage(p, pid, gpuIdx, stream)
 			delete(r.inflight, pid)

@@ -25,7 +25,6 @@ type GPU struct {
 	Spec  GPUSpec
 	Index int
 
-	env     *sim.Env
 	pcie    PCIeSpec
 	h2d     *sim.Resource // host-to-device DMA engine
 	d2h     *sim.Resource // device-to-host DMA engine
@@ -45,7 +44,6 @@ func NewGPU(env *sim.Env, spec GPUSpec, pcie PCIeSpec, index int) *GPU {
 	return &GPU{
 		Spec:    spec,
 		Index:   index,
-		env:     env,
 		pcie:    pcie,
 		h2d:     sim.NewResource(env, 1),
 		d2h:     sim.NewResource(env, 1),
@@ -71,9 +69,6 @@ func (g *GPU) Free(n int64) {
 		panic("hw: GPU.Free released more than allocated")
 	}
 }
-
-// MemUsed reports allocated device memory.
-func (g *GPU) MemUsed() int64 { return g.memUsed }
 
 // MemFree reports unallocated device memory — what GTS turns into page
 // cache (paper §3.3).

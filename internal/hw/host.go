@@ -40,10 +40,6 @@ func (h *Host) Free(n int64) {
 	}
 }
 
-// Used reports allocated bytes; Capacity the total.
-func (h *Host) Used() int64     { return h.used }
-func (h *Host) Capacity() int64 { return h.capacity }
-
 // PageCache is the device-memory topology page cache (paper §3.3, Algorithm
 // 1 line 16): pages streamed to a GPU are admitted into its spare memory
 // while there is room, so re-accessed pages skip the PCI-E copy. A full cache

@@ -18,6 +18,15 @@ func testMachine(t *testing.T, gpus, ssds int) (*Machine, *sim.Env) {
 	return m, env
 }
 
+// mustRun runs env until its queue drains, failing the test on a simulation
+// error.
+func mustRun(t *testing.T, env *sim.Env) {
+	t.Helper()
+	if _, err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSpecPresets(t *testing.T) {
 	spec := Workstation(2, 2)
 	if err := spec.Validate(); err != nil {
@@ -93,8 +102,8 @@ func TestGPUMemoryAccounting(t *testing.T) {
 		t.Errorf("overalloc err = %v", err)
 	}
 	g.Free(10 << 30)
-	if g.MemUsed() != 0 {
-		t.Errorf("MemUsed = %d", g.MemUsed())
+	if g.MemFree() != g.Spec.DeviceMemory {
+		t.Errorf("MemFree = %d after freeing everything", g.MemFree())
 	}
 }
 
@@ -110,7 +119,7 @@ func TestGPUCopyRates(t *testing.T) {
 		g.CopyStreamIn(p, 6e9) // 1 s at c2
 		streamT = env.Now() - t0
 	})
-	env.MustRun()
+	mustRun(t, env)
 	want := sim.Second + 10*sim.Microsecond
 	if chunkT != want {
 		t.Errorf("chunk copy took %v, want %v", chunkT, want)
@@ -129,7 +138,7 @@ func TestGPUTransfersSerializeButOverlapKernels(t *testing.T) {
 	m, env := testMachine(t, 1, 0)
 	g := m.GPUs[0]
 	var end sim.Time
-	grp := sim.NewGroup(env)
+	grp := new(sim.Group)
 	grp.Add(2)
 	perKernel := g.Spec.CyclesPerSec / float64(g.Spec.KernelConcurrency)
 	for i := 0; i < 2; i++ {
@@ -143,7 +152,7 @@ func TestGPUTransfersSerializeButOverlapKernels(t *testing.T) {
 		grp.Wait(p)
 		end = env.Now()
 	})
-	env.MustRun()
+	mustRun(t, env)
 	// Copies at [0,1] and [1,2]; kernels at [1,2] and [2,3] (+epsilons).
 	lo, hi := 3*sim.Second, 3*sim.Second+sim.Millisecond
 	if end < lo || end > hi {
@@ -179,7 +188,7 @@ func TestGPUPeerCopyFasterThanHostPath(t *testing.T) {
 		m.GPUs[0].CopyOut(p, 20e9)
 		hostT = env.Now() - t0
 	})
-	env.MustRun()
+	mustRun(t, env)
 	if peerT >= hostT {
 		t.Errorf("peer copy %v not faster than host copy %v", peerT, hostT)
 	}
@@ -195,7 +204,7 @@ func TestConcurrentKernelsScaleUntilSaturation(t *testing.T) {
 	g := m.GPUs[0]
 	kc := g.Spec.KernelConcurrency
 	perKernel := g.Spec.CyclesPerSec / float64(kc) // 1 s each
-	grp := sim.NewGroup(env)
+	grp := new(sim.Group)
 	grp.Add(kc + 1)
 	for i := 0; i < kc+1; i++ {
 		env.Process("k", func(p *sim.Proc) {
@@ -205,7 +214,7 @@ func TestConcurrentKernelsScaleUntilSaturation(t *testing.T) {
 	}
 	var end sim.Time
 	env.Process("join", func(p *sim.Proc) { grp.Wait(p); end = env.Now() })
-	env.MustRun()
+	mustRun(t, env)
 	// kc kernels in [0,1], the extra one in [1,2] (+launch overheads).
 	if end < 2*sim.Second || end > 2*sim.Second+sim.Millisecond {
 		t.Errorf("end = %v, want ~2s", end)
@@ -223,7 +232,7 @@ func TestKernelLaunchOverheadOverlapsAcrossStreams(t *testing.T) {
 		}
 		g := m.GPUs[0]
 		const kernels = 64
-		grp := sim.NewGroup(env)
+		grp := new(sim.Group)
 		grp.Add(streams)
 		for s := 0; s < streams; s++ {
 			s := s
@@ -236,7 +245,7 @@ func TestKernelLaunchOverheadOverlapsAcrossStreams(t *testing.T) {
 		}
 		var end sim.Time
 		env.Process("join", func(p *sim.Proc) { grp.Wait(p); end = env.Now() })
-		env.MustRun()
+		mustRun(t, env)
 		return end
 	}
 	t1, t4 := elapsed(1), elapsed(4)
@@ -258,7 +267,7 @@ func TestDeviceSequentialVsRandom(t *testing.T) {
 		d.Read(p, 0, 165e6) // seek back: random
 		randT = env.Now() - t0
 	})
-	env.MustRun()
+	mustRun(t, env)
 	if seqT >= randT {
 		t.Errorf("sequential %v not faster than random %v", seqT, randT)
 	}
@@ -271,20 +280,24 @@ func TestDeviceSequentialVsRandom(t *testing.T) {
 func TestArrayStriping(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, []StorageSpec{FusionIOSSD(), FusionIOSSD()}, 1<<20)
-	if a.DeviceFor(0) != a.Devices[0] || a.DeviceFor(1) != a.Devices[1] || a.DeviceFor(2) != a.Devices[0] {
-		t.Error("g(j) = j mod N striping broken")
-	}
-	if a.AggregateSeqRate() != 5e9 {
-		t.Errorf("aggregate rate = %v", a.AggregateSeqRate())
-	}
 	env.Process("p", func(p *sim.Proc) {
 		for pid := uint64(0); pid < 8; pid++ {
+			d := a.Devices[pid%2]
+			before, _ := d.Reads()
 			a.ReadPage(p, pid)
+			if after, _ := d.Reads(); after != before+1 {
+				t.Errorf("page %d not read from device %d: g(j) = j mod N striping broken", pid, pid%2)
+			}
 		}
 	})
-	env.MustRun()
+	mustRun(t, env)
 	if a.BytesRead() != 8<<20 {
 		t.Errorf("BytesRead = %d", a.BytesRead())
+	}
+	for i, d := range a.Devices {
+		if total, _ := d.Reads(); total != 4 {
+			t.Errorf("device %d served %d reads, want 4", i, total)
+		}
 	}
 	// Consecutive pids on one device are laid out sequentially.
 	_, seq := a.Devices[0].Reads()
@@ -302,7 +315,7 @@ func TestArrayParallelism(t *testing.T) {
 			specs[i] = FusionIOSSD()
 		}
 		a := NewArray(env, specs, 1<<26)
-		grp := sim.NewGroup(env)
+		grp := new(sim.Group)
 		grp.Add(8)
 		for pid := uint64(0); pid < 8; pid++ {
 			pid := pid
@@ -313,7 +326,7 @@ func TestArrayParallelism(t *testing.T) {
 		}
 		var end sim.Time
 		env.Process("join", func(p *sim.Proc) { grp.Wait(p); end = env.Now() })
-		env.MustRun()
+		mustRun(t, env)
 		return end
 	}
 	t1, t2 := read(1), read(2)
@@ -331,8 +344,8 @@ func TestHostAccounting(t *testing.T) {
 		t.Error("overalloc accepted")
 	}
 	h.Free(900)
-	if h.Used() != 0 || h.Capacity() != 1000 {
-		t.Error("accounting broken")
+	if err := h.Alloc(1000); err != nil {
+		t.Errorf("full capacity not allocatable after Free: %v", err)
 	}
 }
 
@@ -410,7 +423,7 @@ func TestContinueKernel(t *testing.T) {
 		continued = env.Now() - t0
 		errs[1] = g.LaunchKernel(p, cycles) // ordinal 2: the injected OOM
 	})
-	env.MustRun()
+	mustRun(t, env)
 	run := g.KernelTime(cycles)
 	if launched != g.Spec.LaunchOverhead+run || continued != run {
 		t.Errorf("launch took %v, continuation %v; want %v + %v and %v", launched, continued, g.Spec.LaunchOverhead, run, run)
@@ -441,7 +454,7 @@ func TestThermalThrottle(t *testing.T) {
 		g.LaunchKernel(p, perKernel)
 		late = env.Now() - t0
 	})
-	env.MustRun()
+	mustRun(t, env)
 	if !g.Throttled() {
 		t.Fatal("GPU never throttled")
 	}
@@ -458,7 +471,7 @@ func TestThermalDisabledByDefault(t *testing.T) {
 			g.LaunchKernel(p, TitanX().CyclesPerSec)
 		}
 	})
-	env.MustRun()
+	mustRun(t, env)
 	if g.Throttled() {
 		t.Error("throttle engaged with zero limit")
 	}

@@ -16,7 +16,6 @@ type Device struct {
 	Spec  StorageSpec
 	Index int
 
-	env       *sim.Env
 	queue     *sim.Resource
 	inj       *fault.Injector
 	lastEnd   int64 // byte offset where the previous read ended
@@ -27,7 +26,7 @@ type Device struct {
 
 // NewDevice binds a storage spec to env.
 func NewDevice(env *sim.Env, spec StorageSpec, index int) *Device {
-	return &Device{Spec: spec, Index: index, env: env, queue: sim.NewResource(env, 1), lastEnd: -1}
+	return &Device{Spec: spec, Index: index, queue: sim.NewResource(env, 1), lastEnd: -1}
 }
 
 // InjectFaults arms the device with a fault injector. A nil injector
@@ -82,11 +81,6 @@ func NewArray(env *sim.Env, specs []StorageSpec, pageSize int64) *Array {
 	return a
 }
 
-// DeviceFor returns g(pid): the device holding page pid.
-func (a *Array) DeviceFor(pid uint64) *Device {
-	return a.Devices[pid%uint64(len(a.Devices))]
-}
-
 // InjectFaults arms every device in the array with the same injector.
 func (a *Array) InjectFaults(inj *fault.Injector) {
 	for _, d := range a.Devices {
@@ -103,16 +97,6 @@ func (a *Array) ReadPage(p *sim.Proc, pid uint64) (corrupt bool, err error) {
 	d := a.Devices[pid%n]
 	off := int64(pid/n) * a.pageSize
 	return d.Read(p, off, a.pageSize)
-}
-
-// AggregateSeqRate reports the combined sequential bandwidth, the bound the
-// paper's §7.5 back-of-envelope checks use.
-func (a *Array) AggregateSeqRate() float64 {
-	var r float64
-	for _, d := range a.Devices {
-		r += d.Spec.SeqRead
-	}
-	return r
 }
 
 // BytesRead reports cumulative bytes served across all devices.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // resumeRec is one line of a script's resume log: who got control, when,
@@ -22,9 +23,9 @@ type resumeRec struct {
 // draws from its own generator, seeded by (script seed, spawn number), so
 // two worlds make the same choices for as long as they behave the same —
 // and the first difference in behaviour shows up as a difference in the log.
-// Scripts are deadlock-free by construction: every signal gets a scheduled
-// Fire when it is made, every group's Done calls come from processes the
-// waiter spawned, and resources are held one at a time.
+// Scripts are deadlock-free by construction: every signal gets a process
+// that fires it when it is made, every group's Done calls come from processes
+// the waiter spawned, and resources are held one at a time.
 type script struct {
 	w      world
 	seed   int64
@@ -32,7 +33,6 @@ type script struct {
 	nprocs int
 	sigs   []signal
 	res    []resource
-	link   pipe
 }
 
 const scriptMaxProcs = 120
@@ -40,7 +40,6 @@ const scriptMaxProcs = 120
 func runScript(w world, seed int64) ([]resumeRec, Time, error) {
 	s := &script{w: w, seed: seed}
 	s.res = []resource{w.resource(1), w.resource(2)}
-	s.link = w.pipe(1e9, 2, 1)
 	for i := 0; i < 3; i++ {
 		s.spawn(0, nil)
 	}
@@ -78,14 +77,19 @@ func (s *script) start(body func(p proc, name string, rng *rand.Rand)) waiter {
 func (s *script) body(p proc, name string, rng *rand.Rand, depth int) {
 	canSpawn := func() bool { return depth < 3 && s.nprocs < scriptMaxProcs }
 	for step, steps := 0, 2+rng.Intn(6); step < steps; step++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(8) {
 		case 0: // Delay, often of zero: ties at one instant are the hard case
 			p.delay(Time(rng.Intn(4)))
 		case 1: // a Delay of zero: to the back of this instant's queue
 			p.delay(0)
-		case 2: // a fresh signal, fired by a callback, published for others
+		case 2: // a fresh signal, fired by a process after a delay, published for others
 			sig := s.w.signal()
-			s.w.schedule(s.w.now()+Time(rng.Intn(4)), sig.fire)
+			d := Time(rng.Intn(4))
+			s.w.spawn("firer", func(p proc) {
+				p.delay(d)
+				s.note("firer")
+				sig.fire()
+			})
 			s.sigs = append(s.sigs, sig)
 			sig.wait(p)
 		case 3: // somebody else's signal, fired already or not
@@ -98,9 +102,7 @@ func (s *script) body(p proc, name string, rng *rand.Rand, depth int) {
 			s.note(name)
 			p.delay(Time(rng.Intn(3)))
 			r.release()
-		case 5: // Pipe
-			s.link.transfer(p, int64(rng.Intn(4000)))
-		case 6: // Group fan-out and join
+		case 5: // Group fan-out and join
 			if canSpawn() {
 				g := s.w.group()
 				n := 1 + rng.Intn(3)
@@ -110,21 +112,13 @@ func (s *script) body(p proc, name string, rng *rand.Rand, depth int) {
 				}
 				g.wait(p)
 			}
-		case 7: // nested Process, joined through its handle or left running
+		case 6: // nested Process, joined through its handle or left running
 			if canSpawn() {
 				h := s.spawn(depth+1, nil)
 				if rng.Intn(2) == 0 {
 					h.wait(p)
 				}
 			}
-		case 8: // Schedule callback, which may itself start a process
-			start := canSpawn() && rng.Intn(2) == 0
-			s.w.schedule(s.w.now()+Time(rng.Intn(4)), func() {
-				s.note("callback")
-				if start && s.nprocs < scriptMaxProcs {
-					s.spawn(depth+1, nil)
-				}
-			})
 		}
 		s.note(name)
 	}
@@ -167,7 +161,7 @@ func TestDispatchMatchesOracle(t *testing.T) {
 
 func TestDeadlockCountsBlockedProcesses(t *testing.T) {
 	env := NewEnv()
-	never := NewSignal(env)
+	var never Signal
 	for i := 0; i < 3; i++ {
 		env.Process("stuck", func(p *Proc) {
 			p.Delay(Time(i) * Second)
@@ -181,28 +175,6 @@ func TestDeadlockCountsBlockedProcesses(t *testing.T) {
 	}
 	if end != 5*Second {
 		t.Errorf("end = %v, want 5s (the queue ran dry there)", end)
-	}
-}
-
-// A callback runs on whichever goroutine is dispatching, so its panic has to
-// come back as Run's error whether that goroutine is Run's own (no process
-// has started yet) or a blocking process's.
-func TestCallbackPanicIsRunError(t *testing.T) {
-	for _, withProc := range []bool{false, true} {
-		env := NewEnv()
-		if withProc {
-			env.Process("sleeper", func(p *Proc) { p.Delay(2 * Second) })
-		}
-		env.Schedule(Second, func() { panic("cb-boom") })
-		ran := false
-		env.Schedule(3*Second, func() { ran = true })
-		end, err := env.Run()
-		if err == nil || !strings.Contains(err.Error(), "cb-boom") {
-			t.Errorf("withProc=%v: err = %v, want the callback's panic", withProc, err)
-		}
-		if end != Second || ran {
-			t.Errorf("withProc=%v: simulation went on after the failure (end %v, later callback ran: %v)", withProc, end, ran)
-		}
 	}
 }
 
@@ -228,16 +200,14 @@ func goroutineID() string {
 	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
 }
 
-// TestBlockedProcessDispatches pins who runs what: while a process sleeps
-// alone, the callbacks that fall inside its Delay run on its own goroutine,
-// and it then takes its own wake-up without ever switching away — Run's
-// goroutine is not involved until the queue drains, and runs no body.
+// TestBlockedProcessDispatches pins who runs what: a process that sleeps
+// alone takes its own wake-up without ever switching away — Run's goroutine
+// is not involved until the queue drains, and runs no body.
 func TestBlockedProcessDispatches(t *testing.T) {
 	env := NewEnv()
-	var procID, callbackID string
+	var procID string
 	env.Process("p", func(p *Proc) {
 		procID = goroutineID()
-		env.After(Second, func() { callbackID = goroutineID() })
 		p.Delay(2 * Second)
 		if got := goroutineID(); got != procID {
 			t.Errorf("process resumed on goroutine %s, started on %s", got, procID)
@@ -245,9 +215,6 @@ func TestBlockedProcessDispatches(t *testing.T) {
 	})
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if callbackID == "" || callbackID != procID {
-		t.Errorf("callback ran on goroutine %q, want the blocked process's %q", callbackID, procID)
 	}
 	if procID == goroutineID() {
 		t.Error("process ran on Run's goroutine")
@@ -279,7 +246,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}{
 		{"clean", func(env *Env, _ *int) {
 			r := NewResource(env, 2)
-			g := NewGroup(env)
+			g := new(Group)
 			g.Add(40)
 			for i := 0; i < 40; i++ {
 				env.Process("w", func(p *Proc) {
@@ -292,7 +259,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			env.Process("join", func(p *Proc) { g.Wait(p) })
 		}, "", 0},
 		{"deadlock", func(env *Env, unwound *int) {
-			queued(env, unwound, func(p *Proc) { NewSignal(env).Wait(p) })
+			queued(env, unwound, func(p *Proc) { new(Signal).Wait(p) })
 		}, "deadlock: 16 process(es) still blocked", 16},
 		{"process panic", func(env *Env, unwound *int) {
 			queued(env, unwound, func(p *Proc) {
@@ -300,10 +267,6 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				panic("kaboom")
 			})
 		}, `process "peer" panicked: kaboom`, 16},
-		{"callback panic", func(env *Env, unwound *int) {
-			queued(env, unwound, func(p *Proc) { p.Delay(2 * Second) })
-			env.Schedule(Second, func() { panic("cb-boom") })
-		}, "scheduled callback panicked: cb-boom", 16},
 	}
 	for _, tc := range cases {
 		before := runtime.NumGoroutine()
@@ -331,10 +294,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 
 // TestProcessReusesCoroutines: a coroutine outlives its body, so ten
 // back-to-back phases of 16 processes cost 16 coroutines, not 160, and a warm
-// phase allocates next to nothing. Each phase is started by a callback the
-// last process to finish leaves behind, which runs inside that process's
-// final dispatch — so all 16 parked coroutines are taken again, the
-// dispatching one included (it finds its own restart in the queue).
+// phase allocates next to nothing. Each phase is led by a process the last
+// one to finish starts: the leader takes a parked coroutine, and once that
+// last body has returned, starts its 15 peers on the 15 parked then — the
+// one that started it included.
 func TestProcessReusesCoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv()
@@ -345,22 +308,23 @@ func TestProcessReusesCoroutines(t *testing.T) {
 		}
 	}
 	peak, left, phases := 0, 0, 0
-	var phase func()
+	var lead func(p *Proc)
 	body := func(p *Proc) {
 		work(p)
 		peak = max(peak, runtime.NumGoroutine()-before)
 		if left--; left == 0 && phases < 10 {
-			env.After(0, phase)
+			env.Process("lead", lead)
 		}
 	}
-	phase = func() {
+	lead = func(p *Proc) {
 		phases++
 		left = 16
-		for i := 0; i < 16; i++ {
+		for i := 0; i < 15; i++ {
 			env.Process("w", body)
 		}
+		body(p)
 	}
-	phase()
+	env.Process("lead", lead)
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +337,7 @@ func TestProcessReusesCoroutines(t *testing.T) {
 	// (0.06 objects per process); the Process this replaced allocated a
 	// Proc, a channel, a Signal and a Handle and started a goroutine: 5.06.
 	env = NewEnv()
-	g := NewGroup(env)
+	g := new(Group)
 	joined := func(p *Proc) {
 		work(p)
 		g.Done()
@@ -425,6 +389,15 @@ func TestDelayDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestEventIsThreeWords: the queue element is (at, seq, p) and nothing
+// else. Every wake-up is pushed and popped through the heap by value, so a
+// field added here makes every heap move on the hot path wider.
+func TestEventIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("event is %d bytes, want 24: (at, seq, p)", got)
+	}
+}
+
 // TestResourceQueueDoesNotAllocate: Release pops the wait queue in place, so
 // a contended resource in steady state allocates nothing. (Popping by
 // re-slicing from the front loses a slot of capacity per hand-over and made
@@ -445,8 +418,8 @@ func TestResourceQueueDoesNotAllocate(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			r.Use(p, 1)
 		}
-		if r.QueueLen() != 2 { // one contender holds the server, two wait
-			t.Errorf("queue length %d, want 2 (the resource is not contended)", r.QueueLen())
+		if len(r.queue) != 2 { // one contender holds the server, two wait
+			t.Errorf("queue length %d, want 2 (the resource is not contended)", len(r.queue))
 		}
 		allocs = testing.AllocsPerRun(500, func() { r.Use(p, 1) })
 		stop = true

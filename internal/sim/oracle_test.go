@@ -198,13 +198,11 @@ func (r *oResource) Release() {
 // over the oracle.
 type world interface {
 	now() Time
-	stamp() uint64 // insertion sequence numbers consumed so far
-	schedule(at Time, fn func())
+	stamp() uint64                             // insertion sequence numbers consumed so far
 	spawn(name string, fn func(p proc)) waiter // the waiter is the process's completion
 	signal() signal
 	group() group
 	resource(capacity int) resource
-	pipe(bytesPerSec float64, latency Time, channels int) pipe
 	run() (Time, error)
 }
 
@@ -223,7 +221,6 @@ type resource interface {
 	acquire(p proc)
 	release()
 }
-type pipe interface{ transfer(p proc, n int64) }
 
 // The real package.
 
@@ -232,70 +229,54 @@ type realProc struct{ p *Proc }
 type realSignal struct{ s *Signal }
 type realGroup struct{ g *Group }
 type realResource struct{ r *Resource }
-type realPipe struct{ pp *Pipe }
 
 func newRealWorld() world { return realWorld{NewEnv()} }
 
-func (w realWorld) now() Time                   { return w.e.now }
-func (w realWorld) stamp() uint64               { return w.e.seq }
-func (w realWorld) schedule(at Time, fn func()) { w.e.Schedule(at, fn) }
+func (w realWorld) now() Time     { return w.e.now }
+func (w realWorld) stamp() uint64 { return w.e.seq }
 func (w realWorld) spawn(name string, fn func(p proc)) waiter {
 	// Process returns nothing to join on: the completion is a signal the
 	// wrapped body fires last, where the oracle's Process fires its own.
-	done := NewSignal(w.e)
+	done := new(Signal)
 	w.e.Process(name, func(p *Proc) {
 		fn(realProc{p})
 		done.Fire()
 	})
 	return realSignal{done}
 }
-func (w realWorld) signal() signal          { return realSignal{NewSignal(w.e)} }
-func (w realWorld) group() group            { return realGroup{NewGroup(w.e)} }
+func (w realWorld) signal() signal          { return realSignal{new(Signal)} }
+func (w realWorld) group() group            { return realGroup{new(Group)} }
 func (w realWorld) resource(n int) resource { return realResource{NewResource(w.e, n)} }
-func (w realWorld) pipe(bps float64, lat Time, ch int) pipe {
-	return realPipe{NewPipe(w.e, bps, lat, ch)}
-}
-func (w realWorld) run() (Time, error) { return w.e.Run() }
+func (w realWorld) run() (Time, error)      { return w.e.Run() }
 
-func (p realProc) delay(d Time)              { p.p.Delay(d) }
-func (s realSignal) wait(p proc)             { s.s.Wait(p.(realProc).p) }
-func (s realSignal) fire()                   { s.s.Fire() }
-func (g realGroup) wait(p proc)              { g.g.Wait(p.(realProc).p) }
-func (g realGroup) add(n int)                { g.g.Add(n) }
-func (g realGroup) done()                    { g.g.Done() }
-func (r realResource) acquire(p proc)        { r.r.Acquire(p.(realProc).p) }
-func (r realResource) release()              { r.r.Release() }
-func (pp realPipe) transfer(p proc, n int64) { pp.pp.Transfer(p.(realProc).p, n) }
+func (p realProc) delay(d Time)       { p.p.Delay(d) }
+func (s realSignal) wait(p proc)      { s.s.Wait(p.(realProc).p) }
+func (s realSignal) fire()            { s.s.Fire() }
+func (g realGroup) wait(p proc)       { g.g.Wait(p.(realProc).p) }
+func (g realGroup) add(n int)         { g.g.Add(n) }
+func (g realGroup) done()             { g.g.Done() }
+func (r realResource) acquire(p proc) { r.r.Acquire(p.(realProc).p) }
+func (r realResource) release()       { r.r.Release() }
 
-// The oracle. Its pipe is the real Pipe's definition spelled out: one
-// channel resource held for latency + n/bandwidth.
+// The oracle.
 
 type oracleWorld struct{ e *oEnv }
 type oracleProc struct{ p *oProc }
 type oracleSignal struct{ s *oSignal }
 type oracleGroup struct{ g *oGroup }
 type oracleResource struct{ r *oResource }
-type oraclePipe struct {
-	res         *oResource
-	bytesPerSec float64
-	latency     Time
-}
 
 func newOracleWorld() world { return oracleWorld{newOracleEnv()} }
 
-func (w oracleWorld) now() Time                   { return w.e.now }
-func (w oracleWorld) stamp() uint64               { return w.e.seq }
-func (w oracleWorld) schedule(at Time, fn func()) { w.e.Schedule(at, fn) }
+func (w oracleWorld) now() Time     { return w.e.now }
+func (w oracleWorld) stamp() uint64 { return w.e.seq }
 func (w oracleWorld) spawn(name string, fn func(p proc)) waiter {
 	return oracleSignal{w.e.Process(name, func(p *oProc) { fn(oracleProc{p}) })}
 }
 func (w oracleWorld) signal() signal          { return oracleSignal{&oSignal{}} }
 func (w oracleWorld) group() group            { return oracleGroup{&oGroup{}} }
 func (w oracleWorld) resource(n int) resource { return oracleResource{&oResource{capacity: n}} }
-func (w oracleWorld) pipe(bps float64, lat Time, ch int) pipe {
-	return oraclePipe{&oResource{capacity: ch}, bps, lat}
-}
-func (w oracleWorld) run() (Time, error) { return w.e.Run() }
+func (w oracleWorld) run() (Time, error)      { return w.e.Run() }
 
 func (p oracleProc) delay(d Time)       { p.p.Delay(d) }
 func (s oracleSignal) wait(p proc)      { s.s.Wait(p.(oracleProc).p) }
@@ -305,9 +286,3 @@ func (g oracleGroup) add(n int)         { g.g.Add(n) }
 func (g oracleGroup) done()             { g.g.Done() }
 func (r oracleResource) acquire(p proc) { r.r.Acquire(p.(oracleProc).p) }
 func (r oracleResource) release()       { r.r.Release() }
-func (pp oraclePipe) transfer(p proc, n int64) {
-	op := p.(oracleProc).p
-	pp.res.Acquire(op)
-	op.Delay(pp.latency + ByteTime(n, pp.bytesPerSec))
-	pp.res.Release()
-}

@@ -8,17 +8,19 @@
 // insertion sequence) order, so a simulation is reproducible bit-for-bit
 // regardless of host scheduling.
 //
-// A process is a coroutine (iter.Pull) and Run's goroutine the one dispatcher:
-// it resumes whichever process the next event names, a direct switch that
-// never enters the Go scheduler. A blocking process first drains the queue
-// itself (Proc.block): callbacks run inline on it and its own wake-up costs no
-// switch. A coroutine outlives its body — it parks on the Env's idle list for
-// Process to hand it the next one — and Run stops them all before it returns.
-// (The build constraint selects nothing: iter is newer than go.mod's go line,
-// and that line is what lets vet accept the import.)
+// Every queued event starts or wakes one process. A process is a coroutine
+// (iter.Pull) and Run's goroutine the one dispatcher: it resumes whichever
+// process the next event names, a direct switch that never enters the Go
+// scheduler. A blocking process pops the next event itself (Proc.block), so
+// its own wake-up costs no switch. A coroutine outlives its body — it parks
+// on the Env's idle list for Process to hand it the next one — and Run stops
+// them all before it returns. (The build constraint selects nothing: iter is
+// newer than go.mod's go line, and that line is what lets vet accept the
+// import.)
 //
-// All of the hardware models in internal/hw (GPUs, PCI-E links, SSDs) and the
-// cluster interconnect model in internal/cluster are built on this package.
+// The hardware models in internal/hw (GPUs, PCI-E links, SSDs) are built on
+// this package; internal/cluster's interconnect model uses only its Time and
+// ByteTime.
 package sim
 
 import (
@@ -56,14 +58,13 @@ func ByteTime(n int64, bytesPerSec float64) Time {
 	return Seconds(float64(n) / bytesPerSec)
 }
 
-// event is one entry of the queue: a Schedule callback (fn) or a process
-// start/wake-up (p). Events with equal time fire in insertion order (seq),
+// event is one entry of the queue: the start or wake-up of process p (the
+// two look the same). Events with equal time fire in insertion order (seq),
 // which is what makes the simulation deterministic. Events live by value in
 // the heap, so queueing a wake-up allocates nothing.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
 	p   *Proc
 }
 
@@ -96,7 +97,7 @@ func (h *eventHeap) pop() event {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{} // drop the vacated slot's fn/p references
+	q[n] = event{} // drop the vacated slot's process reference
 	q = q[:n]
 	for i := 0; ; {
 		least := i
@@ -123,7 +124,7 @@ type Env struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	failure error   // first panic captured from a process or callback
+	failure error   // first panic captured from a process
 	nprocs  int     // processes whose body has not returned, for deadlock detection
 	procs   []*Proc // every coroutine Run has started, for it to stop
 	idle    []*Proc // processes whose body has returned, for Process to reuse
@@ -135,27 +136,12 @@ func NewEnv() *Env { return &Env{} }
 // Now reports the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// enqueue adds ev at absolute virtual time at, stamped with the next
-// insertion sequence number.
-func (e *Env) enqueue(at Time, ev event) {
+// enqueue queues the start or wake-up of p at absolute virtual time at,
+// stamped with the next insertion sequence number.
+func (e *Env) enqueue(at Time, p *Proc) {
 	e.seq++
-	ev.at, ev.seq = at, e.seq
-	e.events.push(ev)
+	e.events.push(event{at: at, seq: e.seq, p: p})
 }
-
-// Schedule registers fn to run at absolute virtual time at. Scheduling in the
-// past (at < Now) panics: it would make the clock run backwards. fn runs
-// inline on whichever goroutine is dispatching at that instant and must not
-// block on virtual time; a panic in fn ends the simulation as Run's error.
-func (e *Env) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
-	}
-	e.enqueue(at, event{fn: fn})
-}
-
-// After registers fn to run d from now.
-func (e *Env) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 
 // Proc is the handle a process uses to interact with virtual time. A Proc is
 // only valid inside the function passed to Process: once that returns, the
@@ -182,7 +168,7 @@ func (e *Env) Process(name string, fn func(p *Proc)) {
 	}
 	p.name, p.fn = name, fn
 	e.nprocs++
-	e.enqueue(e.now, event{p: p})
+	e.enqueue(e.now, p)
 }
 
 // stopped is what unwinds a blocked process's body when Run stops it.
@@ -220,35 +206,20 @@ func (p *Proc) run(fn func(p *Proc)) (wasStopped bool) {
 	return false
 }
 
-// dispatch runs the event loop on the calling goroutine, which must be the
-// one allowed to run: it pops events in (at, seq) order, callbacks inline,
-// up to the first that starts or wakes a process (the two look the same) and
-// returns that process, or nil when the queue drained or something failed.
+// dispatch pops the next event, advancing the clock to it, and returns the
+// process it starts or wakes, or nil when the queue drained or a process
+// failed. The calling goroutine must be the one allowed to run.
 func (e *Env) dispatch() *Proc {
-	for len(e.events) > 0 && e.failure == nil {
-		ev := e.events.pop()
-		e.now = ev.at
-		if ev.p != nil {
-			return ev.p
-		}
-		e.call(ev.fn)
+	if len(e.events) == 0 || e.failure != nil {
+		return nil
 	}
-	return nil
-}
-
-// call runs a Schedule callback, turning a panic into the simulation's
-// failure rather than unwinding whichever process happens to be dispatching.
-func (e *Env) call(fn func()) {
-	defer func() {
-		if r := recover(); r != nil && e.failure == nil {
-			e.failure = fmt.Errorf("sim: scheduled callback panicked: %v", r)
-		}
-	}()
-	fn()
+	ev := e.events.pop()
+	e.now = ev.at
+	return ev.p
 }
 
 // block suspends the calling process until its wake-up event fires. It
-// dispatches the queue itself and only switches away — to Run, naming who is
+// pops the next event itself and only switches away — to Run, naming who is
 // next — if that is somebody else. yield is false once Run has stopped the
 // coroutine, and the body unwinds.
 func (p *Proc) block() {
@@ -258,7 +229,7 @@ func (p *Proc) block() {
 }
 
 // wakeAt schedules the process to resume at absolute time at.
-func (p *Proc) wakeAt(at Time) { p.env.enqueue(at, event{p: p}) }
+func (p *Proc) wakeAt(at Time) { p.env.enqueue(at, p) }
 
 // wakeNow schedules the process to resume at the current time, after events
 // already queued for this instant.
@@ -267,17 +238,14 @@ func (p *Proc) wakeNow() { p.wakeAt(p.env.now) }
 // Delay suspends the process for d of virtual time. Negative delays are
 // treated as zero.
 func (p *Proc) Delay(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	p.wakeAt(p.env.now + d)
+	p.wakeAt(p.env.now + max(d, 0))
 	p.block()
 }
 
 // Run executes events until the queue drains, then returns the final virtual
-// time. It returns an error if any process or callback panicked or if
-// processes are still blocked when the queue empties (a deadlock). No
-// goroutine outlives it either way: a body still blocked unwinds.
+// time. It returns an error if any process panicked or if processes are
+// still blocked when the queue empties (a deadlock). No goroutine outlives it
+// either way: a body still blocked unwinds.
 func (e *Env) Run() (Time, error) {
 	for p := e.dispatch(); p != nil; {
 		if p.next == nil {
@@ -297,28 +265,13 @@ func (e *Env) Run() (Time, error) {
 	return e.now, err
 }
 
-// MustRun is Run for simulations that are bugs-only-fail: it panics on error.
-func (e *Env) MustRun() Time {
-	t, err := e.Run()
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Signal is a one-shot broadcast event. Processes that Wait before Fire are
-// resumed when it fires; waits after Fire return immediately.
+// resumed when it fires; waits after Fire return immediately. The zero value
+// is an unfired signal.
 type Signal struct {
-	env     *Env
 	fired   bool
 	waiters []*Proc
 }
-
-// NewSignal returns an unfired signal bound to env.
-func NewSignal(env *Env) *Signal { return &Signal{env: env} }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Fire fires the signal, waking all current waiters. Firing twice is a no-op.
 func (s *Signal) Fire() {
@@ -342,14 +295,11 @@ func (s *Signal) Wait(p *Proc) {
 }
 
 // Group counts outstanding work, like sync.WaitGroup but in virtual time.
+// The zero value has no outstanding work.
 type Group struct {
-	env     *Env
 	count   int
 	waiters []*Proc
 }
-
-// NewGroup returns a group with zero outstanding work.
-func NewGroup(env *Env) *Group { return &Group{env: env} }
 
 // Add increases the outstanding count by n.
 func (g *Group) Add(n int) { g.count += n }
@@ -441,46 +391,8 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
-// QueueLen reports the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // BusyTime reports accumulated server-seconds of utilization.
 func (r *Resource) BusyTime() Time {
 	r.account()
 	return r.busy
 }
-
-// Pipe models a bandwidth-limited link with a fixed number of channels.
-// Each transfer claims one channel for bytes/rate seconds, so concurrent
-// transfers beyond the channel count serialize FIFO — exactly how a DMA
-// copy engine behaves.
-type Pipe struct {
-	res         *Resource
-	bytesPerSec float64
-	latency     Time
-	transferred int64
-}
-
-// NewPipe returns a pipe with the given per-channel bandwidth, a fixed
-// per-transfer latency, and the given channel count.
-func NewPipe(env *Env, bytesPerSec float64, latency Time, channels int) *Pipe {
-	return &Pipe{res: NewResource(env, channels), bytesPerSec: bytesPerSec, latency: latency}
-}
-
-// Transfer moves n bytes through the pipe, blocking p for queueing plus
-// latency plus n/bandwidth.
-func (pp *Pipe) Transfer(p *Proc, n int64) {
-	pp.res.Acquire(p)
-	p.Delay(pp.latency + ByteTime(n, pp.bytesPerSec))
-	pp.res.Release()
-	pp.transferred += n
-}
-
-// TransferTime reports the service time (excluding queueing) for n bytes.
-func (pp *Pipe) TransferTime(n int64) Time { return pp.latency + ByteTime(n, pp.bytesPerSec) }
-
-// Transferred reports total bytes moved through the pipe.
-func (pp *Pipe) Transferred() int64 { return pp.transferred }
-
-// BusyTime reports accumulated channel-seconds of utilization.
-func (pp *Pipe) BusyTime() Time { return pp.res.BusyTime() }

@@ -52,12 +52,32 @@ func TestByteTimeMonotonic(t *testing.T) {
 	}
 }
 
+// TestScheduleOrdering: wake-ups due at one instant resume
+// in the order they were queued, not the order their processes started. "c"
+// starts before "b" but queues its 1 s wake-up after b's, and the wake-up b's
+// Fire queues at 1 s comes after both.
 func TestScheduleOrdering(t *testing.T) {
 	env := NewEnv()
-	var order []int
-	env.Schedule(2*Second, func() { order = append(order, 3) })
-	env.Schedule(1*Second, func() { order = append(order, 1) })
-	env.Schedule(1*Second, func() { order = append(order, 2) }) // same time: insertion order
+	var order []string
+	var s Signal
+	env.Process("a", func(p *Proc) {
+		p.Delay(2 * Second)
+		order = append(order, "a")
+	})
+	env.Process("c", func(p *Proc) {
+		p.Delay(0)
+		p.Delay(Second)
+		order = append(order, "c")
+	})
+	env.Process("b", func(p *Proc) {
+		p.Delay(Second)
+		order = append(order, "b")
+		s.Fire()
+	})
+	env.Process("d", func(p *Proc) {
+		s.Wait(p)
+		order = append(order, "d")
+	})
 	end, err := env.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -65,23 +85,8 @@ func TestScheduleOrdering(t *testing.T) {
 	if end != 2*Second {
 		t.Errorf("end = %v, want 2s", end)
 	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v, want [1 2 3]", order)
-	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	env := NewEnv()
-	env.Schedule(Second, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		env.Schedule(0, func() {})
-	})
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
+	if got := strings.Join(order, " "); got != "b c d a" {
+		t.Errorf("order = %q, want \"b c d a\"", got)
 	}
 }
 
@@ -139,7 +144,7 @@ func TestProcessPanicPropagates(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	env := NewEnv()
-	s := NewSignal(env)
+	var s Signal
 	env.Process("stuck", func(p *Proc) { s.Wait(p) })
 	_, err := env.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
@@ -149,7 +154,7 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestSignalBroadcast(t *testing.T) {
 	env := NewEnv()
-	s := NewSignal(env)
+	var s Signal // the zero value is an unfired signal
 	woke := 0
 	for i := 0; i < 3; i++ {
 		env.Process("w", func(p *Proc) {
@@ -177,14 +182,11 @@ func TestSignalBroadcast(t *testing.T) {
 	if woke != 4 {
 		t.Errorf("woke = %d, want 4", woke)
 	}
-	if !s.Fired() {
-		t.Error("signal not marked fired")
-	}
 }
 
 func TestGroupJoin(t *testing.T) {
 	env := NewEnv()
-	g := NewGroup(env)
+	var g Group
 	g.Add(3)
 	for i := 1; i <= 3; i++ {
 		d := Time(i) * Second
@@ -208,7 +210,7 @@ func TestGroupJoin(t *testing.T) {
 
 func TestGroupWaitOnZeroReturnsImmediately(t *testing.T) {
 	env := NewEnv()
-	g := NewGroup(env)
+	var g Group // the zero value has nothing outstanding
 	ran := false
 	env.Process("p", func(p *Proc) {
 		g.Wait(p)
@@ -298,58 +300,6 @@ func TestResourceInvalidCapacityPanics(t *testing.T) {
 	NewResource(NewEnv(), 0)
 }
 
-func TestPipeSerializesTransfers(t *testing.T) {
-	env := NewEnv()
-	// 1 GB/s, no latency, one channel: two 1 GB transfers take 2 s total.
-	pipe := NewPipe(env, 1e9, 0, 1)
-	var last Time
-	for i := 0; i < 2; i++ {
-		env.Process("t", func(p *Proc) {
-			pipe.Transfer(p, 1e9)
-			last = env.Now()
-		})
-	}
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if last != 2*Second {
-		t.Errorf("last transfer finished at %v, want 2s", last)
-	}
-	if pipe.Transferred() != 2e9 {
-		t.Errorf("Transferred = %d, want 2e9", pipe.Transferred())
-	}
-}
-
-func TestPipeLatency(t *testing.T) {
-	env := NewEnv()
-	pipe := NewPipe(env, 1e9, 100*Microsecond, 1)
-	if got, want := pipe.TransferTime(1e9), Second+100*Microsecond; got != want {
-		t.Errorf("TransferTime = %v, want %v", got, want)
-	}
-	var done Time
-	env.Process("t", func(p *Proc) {
-		pipe.Transfer(p, 5e8)
-		done = env.Now()
-	})
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := 500*Millisecond + 100*Microsecond; done != want {
-		t.Errorf("done = %v, want %v", done, want)
-	}
-}
-
-func TestMustRunPanicsOnError(t *testing.T) {
-	env := NewEnv()
-	env.Process("boom", func(p *Proc) { panic("x") })
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRun did not panic")
-		}
-	}()
-	env.MustRun()
-}
-
 // TestPipelineOverlap models the paper's Figure 3: k streams each doing
 // (copy SP, copy RA, kernel) where copies share one engine but kernels run
 // concurrently. With kernel time = 2x copy time and 2 streams, copies hide
@@ -362,7 +312,7 @@ func TestPipelineOverlap(t *testing.T) {
 		kernelT   = Time(2 * Second)
 		perStream = 2 // pages per stream
 	)
-	g := NewGroup(env)
+	var g Group
 	g.Add(2)
 	for s := 0; s < 2; s++ {
 		env.Process("stream", func(p *Proc) {
