@@ -122,15 +122,18 @@ bench:
 # root `go build ./...` and `go test ./...` never compile it, yet it imports
 # repro/internal/..., so a change to an internal API can break the
 # repository's benchmark without any lane above noticing. This lane vets and
-# tests that module and runs two workloads end to end at smoke scale (the
-# run verifies every result it times and exits non-zero on a mismatch):
-# scan-mem, and stream-ssd for its eight BFS, which run as one multi-source
-# BFS (kernels.MultiBFS) — the only place a CI lane runs it through storage
-# and the host pool.
+# tests that module and runs three workloads end to end at smoke scale (the
+# run verifies every result it times and exits non-zero on a mismatch or a
+# failed operation): scan-mem; stream-ssd for its eight BFS, which run as
+# one multi-source BFS (kernels.MultiBFS) — the only place a CI lane runs it
+# through storage and the host pool; and serve-live, the only workload that
+# goes through internal/service (its async burst polls every job it
+# submitted, so a retention change that loses an answer fails here).
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke -workload scan-mem
 	bash bench/run.sh -smoke -workload stream-ssd
+	bash bench/run.sh -smoke -workload serve-live
 
 # results-check regenerates results/ (deterministic, ~40 s) into a temporary
 # directory and fails on any difference from the committed files, so a PR
@@ -162,10 +165,10 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18671
-LOC_MAX_ENGINE_AND_API = 4696
-LOC_MAX_ENGINE = 3722
-LOC_MAX_GTSD_FLAGS = 10
+LOC_MAX_TOTAL = 18578
+LOC_MAX_ENGINE_AND_API = 4630
+LOC_MAX_ENGINE = 3657
+LOC_MAX_GTSD_FLAGS = 9
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:
 	@$(MAKE) -s loc | awk ' \

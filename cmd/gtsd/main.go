@@ -1,7 +1,8 @@
 // Command gtsd serves GTS graph analytics over HTTP: it pre-loads named
 // slotted-page graphs, one System each, and answers concurrent algorithm
-// requests through internal/service's admission bound and result cache, each
-// graph running one job at a time.
+// requests through internal/service's admission bound and job table, whose
+// finished jobs answer repeated requests, each graph running one job at a
+// time.
 //
 // Its flags configure the daemon only. A graph's machine — GPUs, streams,
 // strategy, storage, host page pool, faults, write-ahead log — lives in its
@@ -12,7 +13,7 @@
 //
 //	gtsd -listen :8090 -load social=Twitter@12 -load web=UK2007@12
 //	gtsd -listen :8090 -load big=@big.json -queue 256
-//	gtsd -listen :8090 -load social=Twitter@12 -pprof -trace-jobs 16
+//	gtsd -listen :8090 -load social=Twitter@12 -pprof -trace
 //
 //	curl -X POST localhost:8090/v1/graphs/social/pagerank -d '{"iterations":10}'
 //	curl -X POST 'localhost:8090/v1/graphs/web/bfs?mode=async' -d '{"source":0}'
@@ -85,13 +86,12 @@ func main() {
 	flag.Var(&loads, "load", "graph to pre-load as name=spec (spec: file.gts or dataset[@shrink]) or name=@file.json (a load document, the PUT /v1/graphs/{name} body); repeatable")
 	listen := flag.String("listen", ":8090", "HTTP listen address")
 	queue := flag.Int("queue", 64, "jobs admitted to compute and not yet answered, queued for their graph or running on it; past it a request returns 429")
-	cache := flag.Int("cache", 256, "result-cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	walDir := flag.String("wal-dir", "", "directory for per-graph write-ahead logs; when set, every -load graph whose document names no wal becomes mutable: its WAL at <wal-dir>/<name>.wal is replayed on startup (crash recovery) and POST /v1/graphs/{name}/ingest commits edge mutations")
 	incrementalFlag := flag.Bool("incremental", false, "retain completed bfs/cc state on mutable graphs and serve `incremental: true` requests by delta-expansion across ingest epochs (results byte-identical to full recompute; unsafe deltas fall back automatically)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (exposes stacks and heap contents)")
-	traceJobs := flag.Int("trace-jobs", 0, "retain Chrome trace JSON for the N most recent computed jobs at /debug/trace/{id} (0 = off)")
+	traceFlag := flag.Bool("trace", false, "record a Chrome trace of each computed job, served at /debug/trace/{id} while the job stays in the job table")
 	flag.Parse()
 
 	if *incrementalFlag {
@@ -99,9 +99,8 @@ func main() {
 	}
 	srv := service.New(service.Config{
 		QueueDepth:     *queue,
-		CacheEntries:   *cache,
 		DefaultTimeout: *timeout,
-		TraceJobs:      *traceJobs,
+		Trace:          *traceFlag,
 		Incremental:    *incrementalFlag,
 	})
 	if *walDir != "" {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/csr"
@@ -477,6 +478,42 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := New(hw.MachineSpec{}, sp, Options{}); err == nil {
 		t.Error("empty machine accepted")
+	}
+}
+
+// TestRunRefusesWhatMainMemoryCannotHold: main memory holds the topology of
+// an in-memory run or the host page pool of a storage-backed one; one byte
+// short of either fails the run with hw.ErrOutOfMemory, and an exact fit
+// runs.
+func TestRunRefusesWhatMainMemoryCannotHold(t *testing.T) {
+	sp := buildPages(t, rmatGraph(t))
+	for _, tc := range []struct {
+		name string
+		ssds int
+		want string
+	}{
+		{"topology", 0, "core: graph does not fit in main memory and no storage is configured: hw: out of main memory: need "},
+		{"host pool", 1, "hw: out of main memory: need "},
+	} {
+		for _, spare := range []int64{-1, 0} {
+			spec := hw.Workstation(1, tc.ssds)
+			spec.MainMemory = sp.TopologyBytes() + spare
+			opts := Options{}
+			if tc.ssds > 0 {
+				opts.HostPool = newTestPool(t, sp, sp.TopologyBytes())
+			}
+			e, err := New(spec, sp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = e.RunJob(SharedJob{Kernel: kernels.NewBFS(sp)})
+			switch {
+			case spare < 0 && (!errors.Is(err, hw.ErrOutOfMemory) || !strings.HasPrefix(err.Error(), tc.want)):
+				t.Errorf("%s one byte over main memory: %v, want %q...", tc.name, err, tc.want)
+			case spare == 0 && err != nil:
+				t.Errorf("%s that fits main memory exactly: %v", tc.name, err)
+			}
+		}
 	}
 }
 

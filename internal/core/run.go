@@ -340,8 +340,8 @@ func (r *run) setup() error {
 	// or one private to this run.
 	if m.Storage == nil {
 		r.inMemory = true
-		if err := m.Host.Alloc(e.graph.TopologyBytes()); err != nil {
-			return fmt.Errorf("core: graph does not fit in main memory and no storage is configured: %w", err)
+		if n := e.graph.TopologyBytes(); n > m.Spec.MainMemory {
+			return fmt.Errorf("core: graph does not fit in main memory and no storage is configured: %w: need %d, %d free", hw.ErrOutOfMemory, n, m.Spec.MainMemory)
 		}
 		return nil
 	}
@@ -353,10 +353,10 @@ func (r *run) setup() error {
 		}
 	}
 	// A shared pool's pages live in host memory once, however many machines
-	// share it; each machine still accounts the full budget so a
+	// share it; each machine still checks the full budget, so a
 	// configuration that could not actually hold the pool fails here.
-	if err := m.Host.Alloc(r.pool.Budget()); err != nil {
-		return err
+	if n := r.pool.Budget(); n > m.Spec.MainMemory {
+		return fmt.Errorf("%w: need %d, %d free", hw.ErrOutOfMemory, n, m.Spec.MainMemory)
 	}
 	// The device never asks the pool for a page it carries, so a frame
 	// holding one would only keep out a page the device lacks.

@@ -14,32 +14,6 @@ import (
 // the baseline systems (Fig. 6, Fig. 7).
 var ErrOutOfMemory = errors.New("hw: out of main memory")
 
-// Host accounts main-memory usage for one machine.
-type Host struct {
-	capacity int64
-	used     int64
-}
-
-// NewHost returns a host-memory accountant with the given capacity.
-func NewHost(capacity int64) *Host { return &Host{capacity: capacity} }
-
-// Alloc reserves n bytes of main memory.
-func (h *Host) Alloc(n int64) error {
-	if h.used+n > h.capacity {
-		return fmt.Errorf("%w: need %d, %d free", ErrOutOfMemory, n, h.capacity-h.used)
-	}
-	h.used += n
-	return nil
-}
-
-// Free releases n bytes.
-func (h *Host) Free(n int64) {
-	h.used -= n
-	if h.used < 0 {
-		panic("hw: Host.Free released more than allocated")
-	}
-}
-
 // PageCache is the device-memory topology page cache (paper §3.3, Algorithm
 // 1 line 16): pages streamed to a GPU are admitted into its spare memory
 // while there is room, so re-accessed pages skip the PCI-E copy. A full cache
@@ -103,7 +77,6 @@ type Machine struct {
 	Env     *sim.Env
 	Spec    MachineSpec
 	GPUs    []*GPU
-	Host    *Host
 	Storage *Array // nil when the graph is served from main memory
 }
 
@@ -113,7 +86,7 @@ func NewMachine(env *sim.Env, spec MachineSpec, pageSize int64) (*Machine, error
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Env: env, Spec: spec, Host: NewHost(spec.MainMemory)}
+	m := &Machine{Env: env, Spec: spec}
 	for i, g := range spec.GPUs {
 		m.GPUs = append(m.GPUs, NewGPU(env, g, spec.PCIe, i))
 	}

@@ -335,20 +335,6 @@ func TestArrayParallelism(t *testing.T) {
 	}
 }
 
-func TestHostAccounting(t *testing.T) {
-	h := NewHost(1000)
-	if err := h.Alloc(900); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(h.Alloc(200), ErrOutOfMemory) {
-		t.Error("overalloc accepted")
-	}
-	h.Free(900)
-	if err := h.Alloc(1000); err != nil {
-		t.Errorf("full capacity not allocatable after Free: %v", err)
-	}
-}
-
 // TestPageCacheKeepsWhatItHolds pins the cache's policy: it admits while
 // there is room, a full cache turns newcomers away instead of evicting, a
 // lookup does not reorder anything, and Resize drops the most recently

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -34,20 +35,19 @@ type plan struct {
 // execute takes one admitted job to a terminal state. Every job, whatever
 // its algorithm or graph, goes through the same stages: kernel resolution,
 // the run on the graph's System (see run: one job at a time per graph, in
-// arrival order), error classification, and accounting. The result goes
-// into the cache before clearInflight drops the job from the single-flight
-// table, so Submit answers every identical request from one or the other,
-// and the job leaves the table before it answers, so an answered job no
-// longer counts against QueueDepth.
+// arrival order), error classification, and accounting. The job finishes in
+// one hold of the server's lock (finish): it turns from single-flight leader
+// into cached answer at once, so Submit answers every identical request from
+// one or the other, and an answered job no longer counts against QueueDepth.
 func (s *Server) execute(job *Job) {
 	defer job.cancel()
 	pl := resolve(job)
 
 	// Request-scoped tracing: the job's spans go to a recorder of its own,
-	// which is stored even for failed runs — a timeline that ends mid-fault
+	// which is kept even for failed runs — a timeline that ends mid-fault
 	// is the one worth looking at.
 	sj := pl.job
-	if s.traces != nil {
+	if s.cfg.Trace {
 		sj.Trace = trace.NewWithID(job.id)
 		if pl.hit {
 			sj.Trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncSeed, Page: int64(pl.seeds), Level: -1})
@@ -57,25 +57,29 @@ func (s *Server) execute(job *Job) {
 	}
 	out, start, err := s.run(job, sj)
 	wall := time.Since(start)
+	var chrome []byte
 	if !start.IsZero() {
 		s.met.observeRunWall(wall)
 		if sj.Trace != nil {
-			s.traces.put(job.id, sj.Trace)
+			var buf bytes.Buffer
+			if sj.Trace.WriteChrome(&buf) == nil {
+				chrome = buf.Bytes()
+			}
 		}
 	}
 
 	if err != nil {
-		s.clearInflight(job)
+		state := JobFailed
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.met.addTimedOut()
-			job.fail(fmt.Errorf("%w after %v", ErrTimeout, time.Since(job.submitted).Round(time.Microsecond)), JobTimedOut)
-			return
+			state, err = JobTimedOut, fmt.Errorf("%w after %v", ErrTimeout, time.Since(job.submitted).Round(time.Microsecond))
+		} else {
+			s.met.addFailed()
+			if errors.Is(err, gts.ErrHardwareFault) {
+				s.met.addHWFailure()
+			}
 		}
-		s.met.addFailed()
-		if errors.Is(err, gts.ErrHardwareFault) {
-			s.met.addHWFailure()
-		}
-		job.fail(err, JobFailed)
+		s.finish(job, func() { job.trace = chrome; job.fail(err, state) })
 		return
 	}
 
@@ -101,9 +105,7 @@ func (s *Server) execute(job *Job) {
 		pl.capture(res.Output, m)
 	}
 	s.met.addFaults(m.Faults)
-	s.cache.put(job.key, res)
-	s.clearInflight(job)
-	s.answer(job, res, false)
+	s.finish(job, func() { job.trace = chrome; s.answer(job, res, false) })
 }
 
 // run runs sj, job's engine job, alone on the System job was admitted

@@ -222,7 +222,7 @@ func TestSharingCountersNeverDecrease(t *testing.T) {
 // after an ingest republished the graph on a System nothing holds. Released,
 // they all answer.
 func TestGraphRunsOneJobAtATime(t *testing.T) {
-	srv := New(Config{CacheEntries: -1})
+	srv := NewUncached(Config{})
 	defer srv.Close()
 	if err := srv.LoadMutableGraph("mut", "RMAT26@15", filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestBurstRunsOneAtATimeOnWarmDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{CacheEntries: -1})
+	srv := NewUncached(Config{})
 	defer srv.Close()
 	if err := srv.AddGraph("g", sys); err != nil {
 		t.Fatal(err)
@@ -388,7 +388,7 @@ func TestPerJobTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{TraceJobs: 4})
+	srv := New(Config{Trace: true})
 	defer srv.Close()
 	if err := srv.AddGraph("g", sys); err != nil {
 		t.Fatal(err)

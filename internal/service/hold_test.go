@@ -16,3 +16,12 @@ func HoldSystem(sys *gts.System) (release func()) {
 	<-held
 	return func() { close(free) }
 }
+
+// NewUncached is New with the cached answers switched off: a finished job
+// never answers by key, so every request that does not coalesce behind an
+// identical one in flight runs. It is exported for the external test package.
+func NewUncached(cfg Config) *Server {
+	s := New(cfg)
+	s.uncached = true
+	return s
+}

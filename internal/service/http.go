@@ -29,7 +29,7 @@ import (
 //	                                   ?timeout=500ms bounds the deadline)
 //	GET  /v1/jobs/{id}                 job status / result
 //	GET  /debug/trace/{id}             per-job Chrome trace JSON
-//	                                   (404 unless Config.TraceJobs > 0)
+//	                                   (404 unless Config.Trace)
 //
 // Typed service errors map to statuses: ErrOverloaded → 429, unknown
 // graph/algorithm/job → 404, ErrTimeout → 504, ErrShuttingDown and

@@ -19,8 +19,14 @@ import (
 
 func httpServer(t *testing.T, cfg service.Config) (*service.Server, *httptest.Server, *gts.System) {
 	t.Helper()
+	return serveSocial(t, service.New(cfg))
+}
+
+// serveSocial registers the "social" test graph on srv and serves srv's
+// handler.
+func serveSocial(t *testing.T, srv *service.Server) (*service.Server, *httptest.Server, *gts.System) {
+	t.Helper()
 	g, _ := testGraphPair(t)
-	srv := service.New(cfg)
 	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -36,8 +36,8 @@ type incVsFull struct {
 // delta-expansion hit: a cell that falls back would time a full run twice.
 func measureIncVsFull(tb testing.TB, algo string, epochs int, batch func(epoch int) []gts.EdgeOp) incVsFull {
 	tb.Helper()
-	inc := service.New(service.Config{Incremental: true, CacheEntries: -1})
-	orc := service.New(service.Config{CacheEntries: -1})
+	inc := service.NewUncached(service.Config{Incremental: true})
+	orc := service.NewUncached(service.Config{})
 	defer inc.Close()
 	defer orc.Close()
 	dir := tb.TempDir()
@@ -129,7 +129,7 @@ func randomInserts(n int) func(epoch int) []gts.EdgeOp {
 // and of the full run's own wall.
 func measureBesideFull(tb testing.TB, epochs int) (aloneMs, besideMs, fullMs float64) {
 	tb.Helper()
-	srv := service.New(service.Config{Incremental: true, CacheEntries: -1})
+	srv := service.NewUncached(service.Config{Incremental: true})
 	defer srv.Close()
 	if err := srv.LoadMutableGraph("g", incBenchSpec, filepath.Join(tb.TempDir(), "g.wal"), gts.Config{}, 0); err != nil {
 		tb.Fatal(err)

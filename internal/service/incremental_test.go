@@ -22,8 +22,8 @@ import (
 // nor count against the incremental path).
 func incServerPair(t *testing.T) (inc, orc *service.Server) {
 	t.Helper()
-	inc = service.New(service.Config{Incremental: true, CacheEntries: -1, TraceJobs: 16})
-	orc = service.New(service.Config{CacheEntries: -1})
+	inc = service.NewUncached(service.Config{Incremental: true, Trace: true})
+	orc = service.NewUncached(service.Config{})
 	t.Cleanup(func() { inc.Close(); orc.Close() })
 	if err := inc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "inc.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestIncrementalRequestIsAHitOrACountedFallback(t *testing.T) {
 // the params but never enters the cache key), fallbacks and hits must
 // show in /metrics, and /healthz must report the retained entries.
 func TestHTTPIncremental(t *testing.T) {
-	_, ts, _ := httpServer(t, service.Config{Incremental: true, CacheEntries: -1, TraceJobs: 8})
+	_, ts, _ := serveSocial(t, service.NewUncached(service.Config{Incremental: true, Trace: true}))
 	walPath := filepath.Join(t.TempDir(), "mut.wal")
 	if resp, doc := putJSON(t, ts.URL+"/v1/graphs/mut", map[string]any{"spec": mutSpec, "wal": walPath, "pool": 2}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("mutable load status = %d (%v)", resp.StatusCode, doc)
@@ -309,8 +309,8 @@ func TestHTTPIncremental(t *testing.T) {
 // in ways the delta planners do not model, so incremental requests must be
 // refused (counted as fallbacks) and answered by the normal full path.
 func TestServiceIncrementalMultiGPUGate(t *testing.T) {
-	inc := service.New(service.Config{Incremental: true, CacheEntries: -1})
-	orc := service.New(service.Config{CacheEntries: -1})
+	inc := service.NewUncached(service.Config{Incremental: true})
+	orc := service.NewUncached(service.Config{})
 	t.Cleanup(func() { inc.Close(); orc.Close() })
 	cfg := gts.Config{GPUs: 2}
 	if err := inc.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "inc.wal"), cfg, 0); err != nil {

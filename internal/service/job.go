@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"context"
 	"sync"
 	"time"
@@ -38,7 +39,7 @@ func (s JobState) String() string {
 
 // Job tracks one submission through the queue. All accessors are safe for
 // concurrent use. A finished job owns its result, not its graph: the job
-// history outlives many ingest epochs, and an entry kept here would keep its
+// table outlives many ingest epochs, and an entry kept here would keep its
 // whole snapshot alive with it.
 type Job struct {
 	id        string
@@ -57,6 +58,12 @@ type Job struct {
 	err      error
 	finished time.Time
 	done     chan struct{}
+
+	// Set under the Server's mu as the job finishes: its Chrome trace (if it
+	// ran traced), its job-table recency slot and charge.
+	trace  []byte
+	lru    *list.Element
+	charge int64
 }
 
 // ID returns the job's server-unique identifier.

@@ -50,11 +50,20 @@ func (m *metrics) algo(name string) *algoMetrics {
 	return a
 }
 
-func (m *metrics) addSubmitted() { m.mu.Lock(); m.st.Submitted++; m.mu.Unlock() }
 func (m *metrics) addRejected()  { m.mu.Lock(); m.st.Rejected++; m.mu.Unlock() }
 func (m *metrics) addTimedOut()  { m.mu.Lock(); m.st.TimedOut++; m.mu.Unlock() }
 func (m *metrics) addFailed()    { m.mu.Lock(); m.st.Failed++; m.mu.Unlock() }
 func (m *metrics) addCoalesced() { m.mu.Lock(); m.st.Coalesced++; m.mu.Unlock() }
+
+// addSubmitted counts an accepted submission, and the cache hit if it was.
+func (m *metrics) addSubmitted(hit bool) {
+	m.mu.Lock()
+	m.st.Submitted++
+	if hit {
+		m.st.CacheHits++
+	}
+	m.mu.Unlock()
+}
 
 func (m *metrics) observeQueueWait(d time.Duration) { m.queueWait.ObserveDuration(d) }
 func (m *metrics) observeRunWall(d time.Duration)   { m.runWall.ObserveDuration(d) }
@@ -177,13 +186,17 @@ type Stats struct {
 	TimedOut   uint64 `json:"timed_out"`
 	// Coalesced counts submissions deduplicated onto an identical in-flight
 	// job (single-flight).
-	Coalesced   uint64         `json:"coalesced"`
-	CacheHits   uint64         `json:"cache_hits"`
-	CacheMisses uint64         `json:"cache_misses"`
-	CacheSize   int            `json:"cache_size"`
-	Graphs      int            `json:"graphs"`
-	Faults      gts.FaultStats `json:"faults"`
-	HWFailures  uint64         `json:"hw_failures"`
+	Coalesced   uint64 `json:"coalesced"`
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
+	// CacheSize counts the finished jobs that answer their request by key;
+	// JobTableBytes is what the job table charges its finished jobs against
+	// its byte budget (outputs, traces and a fixed cost per job).
+	CacheSize     int            `json:"cache_size"`
+	JobTableBytes int64          `json:"job_table_bytes"`
+	Graphs        int            `json:"graphs"`
+	Faults        gts.FaultStats `json:"faults"`
+	HWFailures    uint64         `json:"hw_failures"`
 	// Sharing tallies the engine runs across the loaded graphs.
 	Sharing SharingStats `json:"sharing"`
 	// Pool holds the snapshot of each graph's shared host page pool, keyed
@@ -244,7 +257,8 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	counter("gtsd_jobs_timedout_total", "Jobs whose deadline expired before execution.", s.TimedOut)
 	counter("gtsd_cache_hits_total", "Result-cache hits.", s.CacheHits)
 	counter("gtsd_cache_misses_total", "Result-cache misses.", s.CacheMisses)
-	gauge("gtsd_cache_entries", "Live result-cache entries.", s.CacheSize)
+	gauge("gtsd_cache_entries", "Finished jobs that answer their request by key.", s.CacheSize)
+	gauge("gtsd_job_table_bytes", "Bytes the job table charges its finished jobs: outputs, traces and a fixed cost per job.", s.JobTableBytes)
 	counter("gtsd_faults_injected_total", "Hardware faults injected into engine runs.", uint64(s.Faults.Injected()))
 	counter("gtsd_fault_retries_total", "Engine retries of faulted operations.", uint64(s.Faults.Retries))
 	counter("gtsd_fault_recoveries_total", "Faulted operations that eventually succeeded.", uint64(s.Faults.Recoveries))
@@ -367,16 +381,21 @@ func (s *Server) Stats() Stats {
 	st := m.st
 	m.mu.Unlock()
 	st.QueueCap = s.cfg.QueueDepth
-	st.CacheHits, st.CacheMisses, st.CacheSize = s.cache.stats()
+	// Every submission that was accepted or rejected looked its key up, and
+	// each lookup that did not hit missed (a coalesced follower among them).
+	st.CacheMisses = st.Submitted + st.Rejected - st.CacheHits
 	s.mu.Lock()
-	for _, job := range s.inflight {
+	for _, job := range s.byKey {
 		switch job.State() {
 		case JobQueued:
 			st.QueueDepth++
 		case JobRunning:
 			st.InFlight++
+		default:
+			st.CacheSize++
 		}
 	}
+	st.JobTableBytes = s.charge
 	st.Graphs = len(s.graphs)
 	for _, e := range s.graphs {
 		if e.inc != nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"regexp"
@@ -8,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	gts "repro"
 )
 
 // metricFamilies is every family /metrics declares, with its type. Adding or
@@ -25,6 +28,7 @@ var metricFamilies = map[string]string{
 	"gtsd_cache_hits_total":                   "counter",
 	"gtsd_cache_misses_total":                 "counter",
 	"gtsd_cache_entries":                      "gauge",
+	"gtsd_job_table_bytes":                    "gauge",
 	"gtsd_faults_injected_total":              "counter",
 	"gtsd_fault_retries_total":                "counter",
 	"gtsd_fault_recoveries_total":             "counter",
@@ -168,16 +172,20 @@ func scrapeConformant(t *testing.T, text string, declared map[string]bool) map[s
 // counter ends in _total, histogram buckets are cumulative in le with +Inf
 // equal to _count, and no counter sample falls between scrapes (the per-graph
 // gtsd_wal_* and gtsd_pool_* series across the ingest among them). The
-// families declared over the whole run are exactly metricFamilies.
+// families declared over the whole run are exactly metricFamilies. The two
+// job-table gauges read what the table holds after each query: the finished
+// jobs that answer by key, and the bytes charged for every finished BFS job.
 func TestMetricsConformance(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
 	h := srv.Handler()
 	declared := map[string]bool{}
 	var last map[string]float64
+	var text string
 	scrape := func(after string) map[string]float64 {
 		t.Helper()
-		got := scrapeConformant(t, string(serveOK(t, h, "GET", "/metrics", "")), declared)
+		text = string(serveOK(t, h, "GET", "/metrics", ""))
+		got := scrapeConformant(t, text, declared)
 		for series, v := range last {
 			if now, ok := got[series]; !ok || now < v {
 				t.Errorf("after the %s: counter %s went from %v to %v (present %v)", after, series, v, now, ok)
@@ -187,6 +195,31 @@ func TestMetricsConformance(t *testing.T) {
 		return got
 	}
 	bfs := func(source string) { serveOK(t, h, "POST", "/v1/graphs/mut/bfs", `{"source":`+source+`}`) }
+	// table checks the job-table gauges: cached answers, and the bytes of the
+	// finished BFS jobs ids, each charged its levels, its metrics' per-level
+	// slices and the fixed per-job cost.
+	table := func(after string, cached int, ids ...string) {
+		t.Helper()
+		var charged int64
+		for _, id := range ids {
+			job, err := srv.Lookup(id)
+			if err != nil {
+				t.Fatalf("after the %s: %v", after, err)
+			}
+			res, _ := job.Result()
+			m := res.Metrics
+			charged += jobEntryBytes + 2*int64(len(res.Output.(*gts.BFSResult).Levels)) +
+				int64(8*cap(m.LevelPages)+8*cap(m.LevelBytes)+16*cap(m.LevelDirs))
+		}
+		for _, want := range []string{
+			fmt.Sprintf("\ngtsd_cache_entries %d\n", cached),
+			fmt.Sprintf("\ngtsd_job_table_bytes %d\n", charged),
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("after the %s: no %q in /metrics", after, strings.TrimSpace(want))
+			}
+		}
+	}
 
 	if err := srv.Load("imm", LoadRequest{Spec: "RMAT27@16"}); err != nil {
 		t.Fatal(err)
@@ -199,10 +232,12 @@ func TestMetricsConformance(t *testing.T) {
 	scrape("mutable load")
 	bfs("0")
 	scrape("computed query")
+	table("computed query", 1, "job-000001")
 	bfs("0")
 	if got := scrape("cache hit")["gtsd_cache_hits_total"]; got != 1 {
 		t.Errorf("gtsd_cache_hits_total = %v after one cache hit", got)
 	}
+	table("cache hit", 1, "job-000001", "job-000002")
 
 	// Hold the System so the second of an identical pair finds the first in
 	// flight.
@@ -225,6 +260,7 @@ func TestMetricsConformance(t *testing.T) {
 	if got := scrape("coalesced pair")["gtsd_jobs_coalesced_total"]; got != 1 {
 		t.Errorf("gtsd_jobs_coalesced_total = %v after one coalesced pair", got)
 	}
+	table("coalesced pair", 2, "job-000001", "job-000002", a.ID(), b.ID())
 
 	serveOK(t, h, "POST", "/v1/graphs/mut/ingest", `{"edges":[{"src":1,"dst":2}]}`)
 	if got := scrape("ingest")[`gtsd_wal_appends_total{graph="mut"}`]; got != 1 {
@@ -232,6 +268,7 @@ func TestMetricsConformance(t *testing.T) {
 	}
 	bfs("0")
 	scrape("second query")
+	table("second query", 3, "job-000001", "job-000002", a.ID(), b.ID(), "job-000005")
 
 	var missing []string
 	for family := range metricFamilies {

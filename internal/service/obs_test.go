@@ -23,7 +23,7 @@ import (
 // sample quantiles within one log bucket (factor obs.Gamma) — the bound
 // internal/obs documents.
 func TestRunWallQuantilesAgainstOracle(t *testing.T) {
-	srv := twoGraphServer(t, service.Config{CacheEntries: -1})
+	srv := addTwoGraphs(t, service.NewUncached(service.Config{}))
 	const jobs = 12
 	var walls []float64
 	for i := 0; i < jobs; i++ {
@@ -98,11 +98,11 @@ func TestMetricsHistogramSeries(t *testing.T) {
 	}
 }
 
-// TestJobTraceEndpoint: with TraceJobs enabled, a computed job's trace is
+// TestJobTraceEndpoint: with tracing enabled, a computed job's trace is
 // retrievable as valid Chrome trace JSON carrying the job's ID and the
 // run → superstep → kernel hierarchy; cache hits and unknown jobs 404.
 func TestJobTraceEndpoint(t *testing.T) {
-	_, ts, _ := httpServer(t, service.Config{TraceJobs: 4})
+	_, ts, _ := httpServer(t, service.Config{Trace: true})
 	resp, doc := postJSON(t, ts.URL+"/v1/graphs/social/bfs", map[string]any{"source": 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run status %d", resp.StatusCode)
@@ -163,7 +163,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled404: without TraceJobs the endpoint answers 404 even
+// TestTraceDisabled404: without tracing the endpoint answers 404 even
 // for real jobs.
 func TestTraceDisabled404(t *testing.T) {
 	_, ts, _ := httpServer(t, service.Config{})
@@ -173,31 +173,6 @@ func TestTraceDisabled404(t *testing.T) {
 	}
 	if tr, _ := http.Get(fmt.Sprintf("%s/debug/trace/%s", ts.URL, doc["id"])); tr.StatusCode != http.StatusNotFound {
 		t.Errorf("trace status %d with tracing disabled, want 404", tr.StatusCode)
-	}
-}
-
-// TestTraceStoreEviction: the store retains only the most recent TraceJobs
-// traces.
-func TestTraceStoreEviction(t *testing.T) {
-	srv := twoGraphServer(t, service.Config{CacheEntries: -1, TraceJobs: 2})
-	var ids []string
-	for i := 0; i < 4; i++ {
-		job, err := srv.Run(context.Background(), service.Request{
-			Graph: "social", Algo: "bfs", Params: service.Params{Source: uint64(i)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, job.ID())
-	}
-	for i, id := range ids {
-		_, err := srv.JobTrace(id)
-		if i < 2 && err == nil {
-			t.Errorf("trace %d (%s) should have been evicted", i, id)
-		}
-		if i >= 2 && err != nil {
-			t.Errorf("trace %d (%s) missing: %v", i, id, err)
-		}
 	}
 }
 

@@ -43,6 +43,19 @@ func liftVectors(out any) (any, []vector) {
 	return cp.Interface(), vecs
 }
 
+// resultBytes is what res keeps alive beyond jobEntryBytes: its output's
+// vectors, the fields liftVectors lifts, and its metrics' per-level slices.
+func resultBytes(res *Result) int64 {
+	m := res.Metrics
+	n := int64(8*cap(m.LevelPages) + 8*cap(m.LevelBytes) + 16*cap(m.LevelDirs))
+	_, vecs := liftVectors(res.Output)
+	for _, v := range vecs {
+		rv := reflect.ValueOf(v.values)
+		n += int64(rv.Len()) * int64(rv.Type().Elem().Size())
+	}
+	return n
+}
+
 // Where a result vector sits in the indented job document: the job's fields
 // are at depth 1, "result"'s at depth 2, a vector's elements at depth 3.
 const (

@@ -2,17 +2,19 @@
 // a long-lived Server that holds named, pre-loaded slotted-page graphs
 // (each run by one gts.System), admits a bounded number of algorithm jobs
 // with per-job deadlines and runs each alone on its graph's System, one job
-// at a time per graph in arrival order, memoizes completed answers in an LRU
-// result cache — the service-level analogue of the engine's cachedPIDMap —
-// and exports queue/cache/latency metrics. cmd/gtsd wraps it in an HTTP
-// daemon; it is equally usable in-process (see ServiceBench in the root
-// package's benchmarks).
+// at a time per graph in arrival order, keeps finished jobs and their
+// answers in one job table bounded in bytes — the service-level analogue of
+// the engine's cachedPIDMap, whose pages live in spare device memory as
+// answers live here in spare host memory — and exports queue/cache/latency
+// metrics. cmd/gtsd wraps it in an HTTP daemon; it is equally usable
+// in-process (see ServiceBench in the root package's benchmarks).
 //
 // Lifecycle of a job: Submit normalizes the request through gts's algorithm
-// table and consults the cache — a hit completes the job immediately; a miss
-// coalesces behind an identical job in flight, is admitted or, if
-// QueueDepth admitted jobs are still unanswered, is rejected with
-// ErrOverloaded. An admitted job goes through the one execute pipeline
+// table and looks its key up in the job table — a finished entry completes
+// the job immediately (a cache hit); an unfinished one is an identical job
+// in flight, which the new job coalesces behind; otherwise the job is
+// admitted or, if QueueDepth admitted jobs are still unanswered, rejected
+// with ErrOverloaded. An admitted job goes through the one execute pipeline
 // (execute.go) on a goroutine of its own: kernel resolution, the wait for the
 // graph's run token — the one queue, where the job waits until the graph's
 // previous job has run, and which drops a job whose deadline expires there —
@@ -20,15 +22,25 @@
 // preempted: a deadline that expires mid-run does not cancel the engine, it
 // only stops the job's wait for it.
 //
+// Retention: every job stays in the job table, queryable by ID (and, once
+// answered, by key as the cached answer), until evicted. Each finished job
+// is charged for its output's vectors and per-level metrics, its trace and a
+// fixed per-entry cost; when a job finishes, the least recently used
+// finished jobs go while the charge exceeds jobTableBytes, except the
+// QueueDepth most recently used. An evicted job is forgotten whole: GET
+// /v1/jobs/{id} and /debug/trace/{id} answer 404 and its request is
+// recomputed.
+//
 // The package is laid out along that path: service.go (admission: Submit,
-// single-flight, Shutdown), job.go (the Job handle),
-// graphs.go (the graph registry: load, ingest, health), execute.go (the
-// pipeline), incremental.go and algos.go (retained state), cache.go,
-// metrics.go, tracestore.go and http.go.
+// the job table, Shutdown), job.go (the Job handle), graphs.go (the graph
+// registry: load, ingest, health), execute.go (the pipeline), incremental.go
+// and algos.go (retained state), metrics.go and http.go.
 package service
 
 import (
+	"container/list"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -62,44 +74,40 @@ var (
 	ErrImmutableGraph = errors.New("service: graph is immutable (loaded without a WAL)")
 )
 
-// jobHistory bounds how many finished jobs remain queryable by ID.
-const jobHistory = 1024
+// jobTableBytes bounds what the job table charges its finished jobs (see
+// finishLocked). 16 MiB holds 128 of the 128 KB BFS outputs of the serve-live
+// benchmark's RMAT27@11 graph: about eight rounds of its traffic, and twice
+// the default QueueDepth, so an async burst is polled before it ages out.
+const jobTableBytes = 16 << 20
+
+// jobEntryBytes is the fixed charge of a finished job: what it keeps beyond
+// resultBytes, measured (TestJobEntryCost) at ≈ 1.7 KB computed with a
+// deadline and ≈ 0.6 KB as a cache hit, with room for longer keys and errors.
+const jobEntryBytes = 4 << 10
 
 // Config sizes a Server. The zero value is serviceable: 64 jobs admitted at
-// a time, a 256-entry result cache, no default deadline. Each graph runs one
-// job at a time.
+// a time, no default deadline, no tracing. Each graph runs one job at a
+// time.
 type Config struct {
 	// QueueDepth bounds the jobs admitted to compute and not yet answered,
 	// queued for their graph or running on it (default 64). Submissions
 	// beyond it fail fast with ErrOverloaded; cache hits and coalesced
-	// followers do not count.
+	// followers do not count. The job table also never evicts one of the
+	// QueueDepth most recently used finished jobs.
 	QueueDepth int
-	// CacheEntries bounds the result LRU (default 256; negative disables).
-	CacheEntries int
 	// DefaultTimeout applies to requests without an explicit deadline;
 	// 0 means no deadline.
 	DefaultTimeout time.Duration
-	// TraceJobs, when positive, records a request-scoped engine trace for
-	// each computed job and retains the Chrome trace_event JSON of the most
-	// recent TraceJobs jobs, served at /debug/trace/{id}. 0 disables
-	// tracing.
-	TraceJobs int
+	// Trace, when true, records a request-scoped engine trace for each
+	// computed job and keeps its Chrome trace_event JSON on the job, served
+	// at /debug/trace/{id} while the job stays in the job table.
+	Trace bool
 	// Incremental, when true, retains completed BFS/CC state on mutable
 	// graphs and serves `incremental: true` requests by delta-expansion
 	// from it (falling back to a full run, and counting it, whenever
 	// exactness cannot be guaranteed or the algorithm retains nothing).
 	// Results are byte-identical to from-scratch recompute either way.
 	Incremental bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
-	}
-	return c
 }
 
 // Request names one algorithm invocation.
@@ -139,56 +147,70 @@ type Result struct {
 // with AddGraph/LoadGraph, submit with Submit (async) or Run (sync), and
 // stop with Shutdown.
 type Server struct {
-	cfg    Config
-	cache  *resultCache
-	met    *metrics
-	traces *traceStore // nil when Config.TraceJobs == 0
+	cfg Config
+	met *metrics
 
-	mu     sync.Mutex // graphs, runs, jobs, inflight, nextID, nextGen, closed
+	mu     sync.Mutex // graphs, runs, the job table, nextID, nextGen, closed
 	graphs map[string]*graphEntry
 	// runs holds each graph name's run token (graphEntry.run), made at the
 	// name's first publish and kept for the server's life.
-	runs     map[string]chan struct{}
-	jobs     map[string]*Job
-	jobOrder []*Job
-	// inflight maps a cache key to the queued or running job computing it;
-	// identical concurrent submissions coalesce behind it (single-flight).
-	// Its size is what QueueDepth bounds.
-	inflight map[string]*Job
-	nextID   uint64
-	nextGen  uint64
-	closed   bool
+	runs map[string]chan struct{}
+
+	// The job table. byID holds every job until it is evicted; byKey each
+	// cache key's leader: unfinished, the single-flight leader identical
+	// submissions coalesce behind; finished, the cached answer. lru orders
+	// the finished jobs, most recently used first; charge is what they are
+	// charged against budget. leaders counts the unfinished leaders.
+	byID     map[string]*Job
+	byKey    map[string]*Job
+	lru      list.List
+	charge   int64
+	budget   int64 // jobTableBytes; tests shrink it
+	leaders  int
+	uncached bool // tests: finished leaders leave byKey, so nothing hits
+
+	nextID  uint64
+	nextGen uint64
+	closed  bool
 
 	running sync.WaitGroup // execute, engine-run and coalesced-job mirror goroutines
 }
 
 // New makes a Server.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:      cfg,
-		cache:    newResultCache(cfg.CacheEntries),
-		met:      newMetrics(),
-		graphs:   make(map[string]*graphEntry),
-		runs:     make(map[string]chan struct{}),
-		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 64
 	}
-	if cfg.TraceJobs > 0 {
-		s.traces = newTraceStore(cfg.TraceJobs)
+	return &Server{
+		cfg:    cfg,
+		met:    newMetrics(),
+		graphs: make(map[string]*graphEntry),
+		runs:   make(map[string]chan struct{}),
+		byID:   make(map[string]*Job),
+		byKey:  make(map[string]*Job),
+		budget: jobTableBytes,
 	}
-	return s
 }
 
-// Submit validates req and either answers it from the cache (the returned
-// job is already done), coalesces it behind an identical job in flight,
-// admits it — starting its execute, which queues it for the graph's run
-// token — or rejects it with ErrOverloaded. The graph lookup, the cache lookup,
-// the single-flight check and the admission happen in one hold of s.mu: a
-// leader puts its result in the cache before it leaves the single-flight
-// table, so an identical request finds one or the other and never queues
-// behind an answer that already exists. The returned Job is also queryable
-// via Lookup until evicted from the history.
+// cacheKey canonicalizes a request into the string that keys the job table's
+// byKey index, the cached answers and single-flight both: graph name, the
+// graph's load generation (re-loading a name invalidates stale entries), the
+// graph's mutation epoch (an ingested batch invalidates stale entries and
+// prevents a new-epoch job from coalescing behind an old-epoch leader),
+// algorithm, and the normalized parameters.
+func cacheKey(graph string, gen, epoch uint64, algo string, p Params) string {
+	buf, _ := json.Marshal(p) // Params marshals deterministically (fixed field order)
+	return fmt.Sprintf("%s#%d@%d/%s?%s", graph, gen, epoch, algo, buf)
+}
+
+// Submit validates req and looks its key up in the job table: a finished
+// leader answers it at once (the returned job is already done), an
+// unfinished one is an identical job in flight it coalesces behind;
+// otherwise it is admitted — starting its execute, which queues it for the
+// graph's run token — or rejected with ErrOverloaded. All of that happens in
+// one hold of s.mu, and a leader turns into the cached answer in one hold of
+// it too, so an identical request never queues behind an answer that
+// already exists. The job is queryable via Lookup until evicted.
 func (s *Server) Submit(req Request) (*Job, error) {
 	algo, ok := gts.LookupAlgorithm(req.Algo)
 	if !ok {
@@ -223,10 +245,18 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	if res, ok := s.cache.get(job.key); ok {
-		s.met.addSubmitted()
+	leader := s.byKey[job.key]
+	hit := leader != nil && leader.lru != nil // a finished leader: the cached answer
+	if leader == nil && s.leaders >= s.cfg.QueueDepth {
+		s.met.addRejected()
+		return nil, ErrOverloaded
+	}
+	s.byID[job.id] = job
+	s.met.addSubmitted(hit)
+	if hit {
+		res, _ := leader.Result()
 		s.answer(job, res, true)
-		s.rememberLocked(job)
+		s.finishLocked(job)
 		return job, nil
 	}
 
@@ -241,9 +271,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	// Single-flight: an identical request already queued or running becomes
 	// this job's leader; the follower is not admitted, it mirrors the
 	// leader's outcome when it lands.
-	if leader, ok := s.inflight[job.key]; ok {
-		s.rememberLocked(job)
-		s.met.addSubmitted()
+	if leader != nil {
 		s.met.addCoalesced()
 		s.running.Add(1)
 		go func() {
@@ -252,14 +280,8 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		}()
 		return job, nil
 	}
-	if len(s.inflight) >= s.cfg.QueueDepth {
-		s.met.addRejected()
-		job.cancel()
-		return nil, ErrOverloaded
-	}
-	s.inflight[job.key] = job
-	s.rememberLocked(job)
-	s.met.addSubmitted()
+	s.leaders++
+	s.byKey[job.key] = job
 	s.running.Add(1)
 	go func() {
 		defer s.running.Done()
@@ -276,27 +298,62 @@ func (s *Server) mirror(job, leader *Job) {
 	case <-leader.Done():
 	case <-job.ctx.Done():
 		s.met.addTimedOut()
-		job.fail(fmt.Errorf("%w (coalesced behind %s)", ErrTimeout, leader.id), JobTimedOut)
+		s.finish(job, func() { job.fail(fmt.Errorf("%w (coalesced behind %s)", ErrTimeout, leader.id), JobTimedOut) })
 		return
 	}
 	res, err := leader.Result()
 	if err != nil {
 		s.met.addFailed()
-		job.fail(fmt.Errorf("coalesced behind %s: %w", leader.id, err), JobFailed)
+		s.finish(job, func() { job.fail(fmt.Errorf("coalesced behind %s: %w", leader.id, err), JobFailed) })
 		return
 	}
-	s.answer(job, res, true)
+	s.finish(job, func() { s.answer(job, res, true) })
 }
 
-// clearInflight drops the single-flight registration once the leader
-// reaches a terminal state, so later identical submissions go through the
-// cache (or recompute) instead of chaining onto a finished job.
-func (s *Server) clearInflight(job *Job) {
+// finish takes job to its terminal state with end and enters it in the table
+// as finished, in one hold of s.mu.
+func (s *Server) finish(job *Job, end func()) {
 	s.mu.Lock()
-	if s.inflight[job.key] == job {
-		delete(s.inflight, job.key)
+	defer s.mu.Unlock()
+	end()
+	s.finishLocked(job)
+}
+
+// finishLocked puts job, just finished, at the front of the recency list. A
+// leader stops leading: it stays in byKey as the cached answer if it has one.
+// A job answered from a finished leader (a cache hit, or a follower) uses the
+// leader's entry, which moves to the front ahead of it. The job is charged
+// for its result (a hit or a follower again for the one it shares, an
+// over-count), its trace and jobEntryBytes. Then the least recently used
+// finished jobs go while the charge exceeds the budget, but never one of the
+// QueueDepth most recently used, so a full queue of async jobs can still be
+// polled. An evicted job is forgotten whole (its ID, trace and key), and
+// nothing on the Job changes: a handler that holds it writes its whole answer.
+func (s *Server) finishLocked(job *Job) {
+	res, _ := job.Result()
+	if s.byKey[job.key] == job {
+		s.leaders--
+		if res == nil || s.uncached {
+			delete(s.byKey, job.key)
+		}
 	}
-	s.mu.Unlock()
+	job.charge = jobEntryBytes + int64(len(job.trace))
+	if res != nil {
+		job.charge += resultBytes(res)
+	}
+	job.lru = s.lru.PushFront(job)
+	if leader := s.byKey[job.key]; leader != nil && leader != job && leader.lru != nil {
+		s.lru.MoveToFront(leader.lru)
+	}
+	s.charge += job.charge
+	for s.charge > s.budget && s.lru.Len() > s.cfg.QueueDepth {
+		old := s.lru.Remove(s.lru.Back()).(*Job)
+		s.charge -= old.charge
+		delete(s.byID, old.id)
+		if s.byKey[old.key] == old {
+			delete(s.byKey, old.key)
+		}
+	}
 }
 
 // Run submits req and waits for the job to finish or ctx to expire. On
@@ -315,41 +372,34 @@ func (s *Server) Run(ctx context.Context, req Request) (*Job, error) {
 	}
 }
 
-// Lookup returns a submitted job by ID while it remains in the bounded
-// history.
+// Lookup returns a submitted job by ID while it remains in the job table.
 func (s *Server) Lookup(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
+	job, ok := s.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
 	return job, nil
 }
 
-// rememberLocked registers a job in the history, evicting the oldest
-// finished jobs beyond the cap. Unfinished jobs are never evicted (their
-// count is bounded by QueueDepth).
-func (s *Server) rememberLocked(job *Job) {
-	s.jobs[job.id] = job
-	s.jobOrder = append(s.jobOrder, job)
-	for len(s.jobs) > jobHistory {
-		evicted := false
-		for i, old := range s.jobOrder {
-			select {
-			case <-old.Done():
-				delete(s.jobs, old.id)
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				evicted = true
-			default:
-				continue
-			}
-			break
-		}
-		if !evicted {
-			break
-		}
+// ErrNoTrace reports a trace query the server cannot answer: tracing is
+// disabled, the job was never traced (cache hit, timed out in queue), or it
+// was evicted from the job table.
+var ErrNoTrace = fmt.Errorf("service: no trace for job")
+
+// JobTrace returns the Chrome trace_event JSON recorded for a computed
+// job, if tracing is enabled and the job is still in the job table.
+func (s *Server) JobTrace(id string) ([]byte, error) {
+	if !s.cfg.Trace {
+		return nil, fmt.Errorf("%w: tracing disabled (Config.Trace)", ErrNoTrace)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if job, ok := s.byID[id]; ok && job.trace != nil {
+		return job.trace, nil
+	}
+	return nil, fmt.Errorf("%w %q", ErrNoTrace, id)
 }
 
 // Shutdown stops admissions and waits for the admitted jobs and their runs

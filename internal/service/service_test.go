@@ -103,8 +103,13 @@ func wantReference(t *testing.T, raw *csr.Graph, p service.Params, output any) {
 // over fresh Systems.
 func twoGraphServer(t *testing.T, cfg service.Config) *service.Server {
 	t.Helper()
+	return addTwoGraphs(t, service.New(cfg))
+}
+
+// addTwoGraphs registers the "social" and "web" test graphs on srv.
+func addTwoGraphs(t *testing.T, srv *service.Server) *service.Server {
+	t.Helper()
 	ga, gb := testGraphPair(t)
-	srv := service.New(cfg)
 	sysA, err := gts.NewSystem(ga, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
