@@ -122,9 +122,11 @@ bench:
 # root `go build ./...` and `go test ./...` never compile it, yet it imports
 # repro/internal/..., so a change to an internal API can break the
 # repository's benchmark without any lane above noticing. This lane vets and
-# tests that module and runs three workloads end to end at smoke scale (the
+# tests that module and runs all four workloads end to end at smoke scale (the
 # run verifies every result it times and exits non-zero on a mismatch or a
-# failed operation): scan-mem; stream-ssd for its eight BFS, which run as
+# failed operation): scan-mem; traverse-mem, the only workload that drives
+# SSSP and direction-optimizing BFS's push levels end to end; stream-ssd for
+# its eight BFS, which run as
 # one multi-source BFS (kernels.MultiBFS) — the only place a CI lane runs it
 # through storage and the host pool; and serve-live, the only workload that
 # goes through internal/service (its async burst polls every job it
@@ -132,6 +134,7 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke -workload scan-mem
+	bash bench/run.sh -smoke -workload traverse-mem
 	bash bench/run.sh -smoke -workload stream-ssd
 	bash bench/run.sh -smoke -workload serve-live
 
@@ -165,7 +168,7 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18578
+LOC_MAX_TOTAL = 18686
 LOC_MAX_ENGINE_AND_API = 4630
 LOC_MAX_ENGINE = 3657
 LOC_MAX_GTSD_FLAGS = 9

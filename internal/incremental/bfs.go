@@ -216,6 +216,19 @@ func (k *IncBFS) expand(a *kernels.Args, lv []int16, pos, end int) (updates int6
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	ents, w := dec.Entries(), dec.Width()
 	nl := k.cur + 1
+	if sv, ok := ents.Words(); ok {
+		for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
+			nvid, _ := slottedpage.WordVID(sv, b)
+			if nvid < a.OwnedLo || nvid >= a.OwnedHi {
+				continue
+			}
+			if lv[nvid] == unvisited || lv[nvid] > nl {
+				lv[nvid] = nl
+				updates++
+			}
+		}
+		return updates
+	}
 	for ; pos < end; pos += w {
 		nvid, _ := ents.VID(buf, pos)
 		if nvid < a.OwnedLo || nvid >= a.OwnedHi {

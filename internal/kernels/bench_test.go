@@ -16,15 +16,25 @@ import (
 // engine's. ns/edge divides by the adjacency entries the run reported
 // traversing (Result.Edges); DegreeDist decodes none and reports ns/vertex.
 // BFSx8 is an eight-lane MultiBFS, per lane-edge: compare it with BFS.
+//
+// Every kernel runs at the benchmark's (2,2) layout, where PageRank, CC,
+// SSSP, DirBFS and MultiBFS take their (2,2) entry loops. pq33 and pq24
+// run PageRank, CC and SSSP again on the same graph at (3,3) and (2,4),
+// whose entries go through the general VID loop.
 func BenchmarkPageKernels(b *testing.B) {
 	d, _ := graphgen.ByName("RMAT27")
-	sp, err := slottedpage.Build(d.MustGenerate(11), slottedpage.ScaledConfig(2, 2, 4096))
-	if err != nil {
-		b.Fatal(err)
+	g := d.MustGenerate(11)
+	build := func(p, q int) *slottedpage.Graph {
+		sp, err := slottedpage.Build(g, slottedpage.ScaledConfig(p, q, 4096))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sp.NumSP() == 0 || sp.NumLP() == 0 {
+			b.Fatalf("(%d,%d): %d small and %d large pages, want both kinds", p, q, sp.NumSP(), sp.NumLP())
+		}
+		return sp
 	}
-	if sp.NumSP() == 0 || sp.NumLP() == 0 {
-		b.Fatalf("%d small and %d large pages, want both kinds", sp.NumSP(), sp.NumLP())
-	}
+	sp := build(2, 2)
 	b.Run("BFSx8", func(b *testing.B) {
 		b.ReportAllocs()
 		var edges int64
@@ -35,37 +45,53 @@ func BenchmarkPageKernels(b *testing.B) {
 	})
 	for _, kc := range []struct {
 		name string
-		mk   func() Kernel
+		mk   func(*slottedpage.Graph) Kernel
 	}{
-		{"BFS", func() Kernel { return NewBFS(sp) }},
-		{"SSSP", func() Kernel { return NewSSSP(sp) }},
-		{"BFS-diropt", func() Kernel { return NewDirBFS(sp) }},
-		{"PageRank", func() Kernel { return NewPageRank(sp, 0.85, 1) }},
-		{"CC", func() Kernel { return NewCC(sp) }},
-		{"BC", func() Kernel { return NewBC(sp) }},
-		{"CrossEdges", func() Kernel { return NewCrossEdges(sp, func(v uint64) bool { return v&1 == 0 }) }},
-		{"RWR", func() Kernel { return NewRWR(sp, 0.15, 1) }},
-		{"DegreeDist", func() Kernel { return NewDegreeDist(sp) }},
-		{"KCore", func() Kernel { return NewKCore(sp, 3) }},
-		{"Radius", func() Kernel { return NewRadius(sp, 4, 3) }},
+		{"BFS", func(g *slottedpage.Graph) Kernel { return NewBFS(g) }},
+		{"SSSP", func(g *slottedpage.Graph) Kernel { return NewSSSP(g) }},
+		{"BFS-diropt", func(g *slottedpage.Graph) Kernel { return NewDirBFS(g) }},
+		{"PageRank", func(g *slottedpage.Graph) Kernel { return NewPageRank(g, 0.85, 1) }},
+		{"CC", func(g *slottedpage.Graph) Kernel { return NewCC(g) }},
+		{"BC", func(g *slottedpage.Graph) Kernel { return NewBC(g) }},
+		{"CrossEdges", func(g *slottedpage.Graph) Kernel { return NewCrossEdges(g, func(v uint64) bool { return v&1 == 0 }) }},
+		{"RWR", func(g *slottedpage.Graph) Kernel { return NewRWR(g, 0.15, 1) }},
+		{"DegreeDist", func(g *slottedpage.Graph) Kernel { return NewDegreeDist(g) }},
+		{"KCore", func(g *slottedpage.Graph) Kernel { return NewKCore(g, 3) }},
+		{"Radius", func(g *slottedpage.Graph) Kernel { return NewRadius(g, 4, 3) }},
 	} {
-		mk := kc.mk
-		b.Run(kc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var edges int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				k := mk()
-				b.StartTimer()
-				_, n := driveCount(b, k, sp, 0)
-				edges += n
-			}
-			if edges > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
-			} else {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sp.NumVertices()), "ns/vertex")
-			}
+		b.Run(kc.name, func(b *testing.B) { benchKernel(b, sp, kc.mk) })
+	}
+	for _, l := range []struct {
+		name string
+		p, q int
+	}{{"pq33", 3, 3}, {"pq24", 2, 4}} {
+		b.Run(l.name, func(b *testing.B) {
+			sp := build(l.p, l.q)
+			b.Run("PageRank", func(b *testing.B) {
+				benchKernel(b, sp, func(g *slottedpage.Graph) Kernel { return NewPageRank(g, 0.85, 1) })
+			})
+			b.Run("CC", func(b *testing.B) { benchKernel(b, sp, func(g *slottedpage.Graph) Kernel { return NewCC(g) }) })
+			b.Run("SSSP", func(b *testing.B) { benchKernel(b, sp, func(g *slottedpage.Graph) Kernel { return NewSSSP(g) }) })
 		})
+	}
+}
+
+// benchKernel times one whole run of a fresh mk(sp) per iteration, in
+// ns/edge, or ns/vertex for a kernel that reports no edges.
+func benchKernel(b *testing.B, sp *slottedpage.Graph, mk func(*slottedpage.Graph) Kernel) {
+	b.ReportAllocs()
+	var edges int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		k := mk(sp)
+		b.StartTimer()
+		_, n := driveCount(b, k, sp, 0)
+		edges += n
+	}
+	if edges > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
+	} else {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sp.NumVertices()), "ns/vertex")
 	}
 }
 

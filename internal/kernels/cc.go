@@ -70,6 +70,20 @@ func RelaxMin(a *Args, labels []uint32, vid uint64, pos, end int) (updates int64
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	ents, w := dec.Entries(), dec.Width()
 	ownsV, cv := a.owns(vid), labels[vid]
+	if sv, ok := ents.Words(); ok {
+		for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
+			nvid, _ := slottedpage.WordVID(sv, b)
+			cn := labels[nvid]
+			if cv < cn && a.owns(nvid) {
+				labels[nvid] = cv
+				updates++
+			} else if cn < cv && ownsV {
+				labels[vid], cv = cn, cn
+				updates++
+			}
+		}
+		return updates
+	}
 	for ; pos < end; pos += w {
 		nvid, _ := ents.VID(buf, pos)
 		cn := labels[nvid]

@@ -165,6 +165,18 @@ func (k *DirBFS) push(a *Args) Result {
 func (k *DirBFS) expand(a *Args, lv []int16, pos, end int, level int16) (found, edges int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	ents, w := dec.Entries(), dec.Width()
+	if sv, ok := ents.Words(); ok {
+		for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
+			nvid, _ := slottedpage.WordVID(sv, b)
+			if !a.owns(nvid) || lv[nvid] != unvisited {
+				continue
+			}
+			lv[nvid] = level + 1
+			edges += int64(k.outDeg.Of(nvid))
+			found++
+		}
+		return found, edges
+	}
 	for ; pos < end; pos += w {
 		nvid, _ := ents.VID(buf, pos)
 		if !a.owns(nvid) || lv[nvid] != unvisited {

@@ -224,6 +224,13 @@ func (w *Walker) Edges() int64 { return w.lanes.edges }
 // (Result.Add). Nothing is decoded ahead of use, so a kernel call allocates
 // nothing and a frontier kernel touches page bytes only for frontier
 // vertices.
+//
+// The entry loops the benchmark's workloads run (PageRank.scatter,
+// RelaxMin, SSSP.relax, DirBFS.expand, MultiBFS.pass and IncBFS.expand)
+// take a second form when ents.Words() reports the (2,2) layout: they walk
+// buf[pos:end] four bytes at a time through slottedpage.WordVID, with no
+// layout branch and no call per entry, and keep the VID loop for every
+// other layout. Other kernels, and custom ones, need only the VID loop.
 type Args struct {
 	Graph *slottedpage.Graph
 	PID   slottedpage.PageID
@@ -390,8 +397,14 @@ func lpDegrees(g *slottedpage.Graph) map[uint64]int {
 // The range is [1, 16]. The low four bits convert through int32, which is
 // one instruction whether or not the compiler proves the value's range (a
 // uint64 needs that proof to skip its high-bit branch).
-func Weight(u, v uint64) float32 {
-	h := u*0x9E3779B97F4A7C15 + v*0xBF58476D1CE4E5B9
+func Weight(u, v uint64) float32 { return weightTo(weightSrc(u), v) }
+
+// weightSrc and weightTo are Weight's two halves, bit for bit: an entry loop
+// over u's record takes u's half once, before the loop.
+func weightSrc(u uint64) uint64 { return u * 0x9E3779B97F4A7C15 }
+
+func weightTo(hu, v uint64) float32 {
+	h := hu + v*0xBF58476D1CE4E5B9
 	h ^= h >> 31
 	return float32(int32(h&15) + 1)
 }

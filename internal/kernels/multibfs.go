@@ -195,24 +195,23 @@ func (k *MultiBFS) pass(a *Args, seen []uint8, mask uint8) {
 		for m := f; m != 0; m &= m - 1 {
 			k.acc[bits.TrailingZeros8(m)].add(deg)
 		}
+		// Every lane of d holds a level for nvid after the entry: the one it
+		// had (its bit was merely unset) or the one discover gives it.
+		if sv, ok := ents.Words(); ok {
+			for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
+				nvid, npid := slottedpage.WordVID(sv, b)
+				if d := f &^ seen[nvid]; d != 0 && a.owns(nvid) {
+					seen[nvid] |= d
+					k.discover(nvid, npid, d, marks, level)
+				}
+			}
+			continue
+		}
 		for ; pos < end; pos += w {
 			nvid, npid := ents.VID(buf, pos)
-			d := f &^ seen[nvid]
-			if d == 0 || !a.owns(nvid) {
-				continue
-			}
-			// Every lane of d holds a level for nvid after this entry: the one
-			// it had (its bit was merely unset) or the one its own lv gets now.
-			seen[nvid] |= d
-			for ; d != 0; d &= d - 1 {
-				b := bits.TrailingZeros8(d)
-				if k.lv[b][nvid] == unvisited {
-					k.lv[b][nvid] = level + 1
-					if marks&(1<<b) != 0 {
-						k.next[k.in[b]].Set(int(npid))
-					}
-					k.res[k.in[b]].Updates++
-				}
+			if d := f &^ seen[nvid]; d != 0 && a.owns(nvid) {
+				seen[nvid] |= d
+				k.discover(nvid, npid, d, marks, level)
 			}
 		}
 	}
@@ -222,6 +221,21 @@ func (k *MultiBFS) pass(a *Args, seen []uint8, mask uint8) {
 		res := &k.res[j]
 		res.Edges, res.Active = k.acc[b].edges, res.Updates > 0
 		res.Cycles = k.lanes[j].cost.cycles(int64(slots), &k.acc[b], a.Tech)
+	}
+}
+
+// discover gives nvid, on page npid, level+1 in every lane of d that has not
+// visited it, marking npid for the next level in the lanes of marks.
+func (k *MultiBFS) discover(nvid uint64, npid slottedpage.PageID, d, marks uint8, level int16) {
+	for ; d != 0; d &= d - 1 {
+		b := bits.TrailingZeros8(d)
+		if k.lv[b][nvid] == unvisited {
+			k.lv[b][nvid] = level + 1
+			if marks&(1<<b) != 0 {
+				k.next[k.in[b]].Set(int(npid))
+			}
+			k.res[k.in[b]].Updates++
+		}
 	}
 }
 

@@ -135,6 +135,17 @@ func (k *PageRank) Run(a *Args) Result {
 func (k *PageRank) scatter(a *Args, next []float32, pos, end int, contrib float32) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	ents, w := dec.Entries(), dec.Width()
+	if sv, ok := ents.Words(); ok {
+		for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
+			nvid, _ := slottedpage.WordVID(sv, b)
+			if !a.owns(nvid) {
+				continue
+			}
+			next[nvid] += contrib
+			updates++
+		}
+		return updates
+	}
 	for ; pos < end; pos += w {
 		nvid, _ := ents.VID(buf, pos)
 		if !a.owns(nvid) {

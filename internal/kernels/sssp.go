@@ -102,13 +102,29 @@ func (k *SSSP) Run(a *Args) Result {
 func (k *SSSP) relax(a *Args, dist []float32, cur, next *bitset.Set, vid uint64, pos, end int) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	ents, w := dec.Entries(), dec.Width()
-	base := dist[vid]
+	base, hu := dist[vid], weightSrc(vid)
+	if sv, ok := ents.Words(); ok {
+		for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
+			nvid, _ := slottedpage.WordVID(sv, b)
+			if !a.owns(nvid) {
+				continue
+			}
+			nd := base + weightTo(hu, nvid)
+			if nd < dist[nvid] {
+				dist[nvid] = nd
+				next.Set(int(nvid))
+				cur.Clear(int(nvid))
+				updates++
+			}
+		}
+		return updates
+	}
 	for ; pos < end; pos += w {
 		nvid, _ := ents.VID(buf, pos)
 		if !a.owns(nvid) {
 			continue
 		}
-		nd := base + Weight(vid, nvid)
+		nd := base + weightTo(hu, nvid)
 		if nd < dist[nvid] {
 			dist[nvid] = nd
 			next.Set(int(nvid))

@@ -155,6 +155,21 @@ func (e Entries) VID(buf []byte, pos int) (vid uint64, pid PageID) {
 	return e.startVID[p] + slot, PageID(p)
 }
 
+// Words returns the RVT's StartVID column and true when an entry is one
+// 32-bit word, the (2,2) layout. The kernels' hot entry loops (the six that
+// kernels.TestHotCallsInline names) ask once per record and then walk
+// b := buf[pos:end] four bytes at a time, resolving each entry with
+// WordVID: the loop holds no layout branch and makes no call. Every other
+// layout answers false and keeps the VID loop.
+func (e Entries) Words() (startVID []uint64, ok bool) { return e.startVID, e.two == nil }
+
+// WordVID is VID for a (2,2) entry, the first 4 bytes of b: ADJ_PID is the
+// word's low half and ADJ_OFF its high half.
+func WordVID(startVID []uint64, b []byte) (vid uint64, pid PageID) {
+	x := binary.LittleEndian.Uint32(b)
+	return startVID[x&0xffff] + uint64(x>>16), PageID(x & 0xffff)
+}
+
 // putRow writes an adjacency entry for every vertex of row, from the start
 // of b: the vertex's home RID as ADJ_PID‖ADJ_OFF, byte for byte what a
 // putUint per field writes. Build has checked that every home fits its
