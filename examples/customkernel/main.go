@@ -85,12 +85,10 @@ func (k *maxLabel) push(a *gts.KernelArgs, s *maxState, vid uint64, pos, end int
 		if nvid >= a.OwnedLo && nvid < a.OwnedHi && cv > s.next[nvid] {
 			s.next[nvid] = cv
 			res.Updates++
-			res.Active = true
 		}
 		if cn := s.prev[nvid]; vid >= a.OwnedLo && vid < a.OwnedHi && cn > s.next[vid] {
 			s.next[vid] = cn
 			res.Updates++
-			res.Active = true
 		}
 	}
 }

@@ -598,10 +598,10 @@ type BFSResult struct {
 }
 
 // BFS runs breadth-first search from source on the direction-optimizing
-// kernel (kernels.DirBFS), which switches per level between sparse push and
-// dense pull on frontier-edge density. Its levels are the paper's kernel's
-// (kernels.BFS, which RunKernel runs); its traversal schedule, data
-// movement and MTEPS accounting are its own. Per-level directions surface
+// kernel (kernels.NewDirBFS), which switches per level between sparse push
+// and dense pull on frontier-edge density. Its levels are the paper's
+// kernel's (kernels.NewBFS, which RunKernel runs); its traversal schedule,
+// data movement and MTEPS accounting are its own. Per-level directions surface
 // in Metrics.LevelDirs and on Superstep trace spans.
 func (s *System) BFS(source uint64) (*BFSResult, error) {
 	return typed[*BFSResult](s, "bfs", Params{Source: source})
@@ -786,7 +786,7 @@ type SharedStats = core.SharedStats
 
 // RunShared runs a roster of jobs as one kernel on one simulated machine
 // (core.Engine.RunShared): a roster of one runs that job as it is, and
-// several plain-BFS jobs (*kernels.BFS, hop-capped or not) run as one
+// several plain-BFS jobs (kernels.NewBFS or NewNeighborhood) run as one
 // multi-source BFS, a lane per job, each page streaming once for every lane
 // that needs it. Each job's final state is byte-identical to what its solo
 // run would produce, and decodes with its own kernel. Any other roster, or

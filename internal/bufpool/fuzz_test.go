@@ -21,11 +21,11 @@ func decodeScript(data []byte) (capPages int, ops []scriptOp) {
 // fuzzer-generated op scripts. Wired into `make fuzz`.
 func FuzzPoolOps(f *testing.F) {
 	// Seed corpus: scripts exercising pin/unpin/evict, loading holds,
-	// aborts, resizes, and drops of an unpinned and a pinned page.
-	f.Add([]byte{0, 1, 2, 0, 1, 0, 2, 0, 3, 2, 0, 0, 4, 3, 1, 5, 2, 2, 0})
-	f.Add([]byte{1, 42, 1, 0, 7, 0, 8, 2, 0, 0, 9, 3, 0, 0, 7, 2, 1})
-	f.Add([]byte{2, 9, 3, 0, 1, 0, 2, 0, 3, 0, 4, 2, 0, 2, 0, 0, 1, 0, 2, 4, 5, 5, 1})
-	f.Add([]byte{0, 0, 3, 0, 1, 2, 0, 6, 1, 0, 1, 6, 1, 4, 2, 6, 2})
+	// aborts, and drops of an unpinned and a pinned page.
+	f.Add([]byte{0, 1, 2, 0, 1, 0, 2, 0, 3, 2, 0, 0, 4, 4, 2, 2, 0})
+	f.Add([]byte{1, 42, 1, 0, 7, 0, 8, 2, 0, 0, 9, 0, 7, 2, 1})
+	f.Add([]byte{2, 9, 3, 0, 1, 0, 2, 0, 3, 0, 4, 2, 0, 2, 0, 0, 1, 0, 2, 3, 5, 4, 1})
+	f.Add([]byte{0, 0, 3, 0, 1, 2, 0, 5, 1, 0, 1, 5, 1, 3, 2, 5, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return

@@ -74,11 +74,6 @@ func (m *model) unpin(pid uint64) {
 	if f.refs > 0 {
 		return
 	}
-	if len(m.frames) > m.capacity {
-		delete(m.frames, pid)
-		m.evictions++
-		return
-	}
 	m.pol.insert(pid)
 }
 
@@ -91,21 +86,6 @@ func (m *model) drop(pid uint64) bool {
 	delete(m.frames, pid)
 	m.evictions++
 	return true
-}
-
-func (m *model) resize(capPages int) {
-	if capPages < 1 {
-		capPages = 1
-	}
-	m.capacity = capPages
-	for len(m.frames) > m.capacity {
-		v, ok := m.pol.victim()
-		if !ok {
-			break
-		}
-		delete(m.frames, v)
-		m.evictions++
-	}
 }
 
 func (m *model) resident() []uint64 {
@@ -154,7 +134,6 @@ const (
 	opPinReady = iota // pin pid; on Load: read + Ready (pin kept, tracked)
 	opPinAbort        // pin pid; on Load: Abort (load failure path)
 	opUnpin           // unpin one tracked pin, chosen by arg
-	opResize          // resize to (arg%8+1) pages
 	opPinHold         // pin pid; on Load: leave loading (tracked separately)
 	opResolve         // resolve one held loading frame: even arg Ready, odd Abort
 	opDrop            // drop pid (evicted only if resident and unpinned)
@@ -167,7 +146,7 @@ type scriptOp struct {
 }
 
 func (o scriptOp) String() string {
-	names := []string{"pin", "pin-abort", "unpin", "resize", "pin-hold", "resolve", "drop"}
+	names := []string{"pin", "pin-abort", "unpin", "pin-hold", "resolve", "drop"}
 	return fmt.Sprintf("%s(%d)", names[o.kind], o.arg)
 }
 
@@ -216,10 +195,6 @@ func runScript(capPages int, ops []scriptOp) error {
 			outstanding = append(outstanding[:idx], outstanding[idx+1:]...)
 			pool.Unpin(pid)
 			oracle.unpin(pid)
-		case opResize:
-			capPages := int(op.arg%8) + 1
-			pool.Resize(int64(capPages) * modelPageSize)
-			oracle.resize(capPages)
 		case opDrop:
 			if got, want := pool.Drop(op.arg), oracle.drop(op.arg); got != want {
 				return fmt.Errorf("op %d %v: pool returned %v, oracle %v", i, op, got, want)
@@ -309,10 +284,8 @@ func genScript(r *rand.Rand, n, pidSpace int) []scriptOp {
 			op = scriptOp{opResolve, uint64(r.Intn(64))}
 		case p < 89:
 			op = scriptOp{opUnpin, uint64(r.Intn(64))}
-		case p < 94:
-			op = scriptOp{opDrop, uint64(r.Intn(pidSpace))}
 		default:
-			op = scriptOp{opResize, uint64(r.Intn(8))}
+			op = scriptOp{opDrop, uint64(r.Intn(pidSpace))}
 		}
 		ops[i] = op
 	}

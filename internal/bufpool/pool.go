@@ -89,13 +89,13 @@ type Config struct {
 type Stats struct {
 	Hits          int64 // Pin calls answered from a resident page
 	Loads         int64 // Pin calls granted a Load frame (storage reads through the pool)
-	Evictions     int64 // pages evicted (victims to make room, over-budget unpins, Drop)
+	Evictions     int64 // pages evicted (victims to make room, Drop)
 	PinWaits      int64 // Pin calls denied (Busy or NoFrame) — bypass reads
 	Invalidations int64 // frames discarded because a graph mutation superseded their epoch
 	Resident      int   // resident pages (loading frames included)
 	Pinned        int   // resident pages with refcount > 0 or loading
 	ResidentBytes int64 // Resident * PageSize
-	BudgetBytes   int64 // current budget (Capacity * PageSize)
+	BudgetBytes   int64 // the budget: capacity * PageSize
 	Epoch         uint64
 }
 
@@ -117,7 +117,7 @@ type frame struct {
 type Pool struct {
 	mu       sync.Mutex
 	pageSize int64
-	capacity int // page budget; resident may exceed it transiently when pins outlive a shrink
+	capacity int // page budget; Pin never takes a frame past it
 	frames   map[uint64]*frame
 	// evictable is the sentinel of the circular list of evictable frames,
 	// ordered by when each was last unpinned: evictable.next is the most
@@ -226,8 +226,7 @@ func (p *Pool) Abort(pid uint64) {
 }
 
 // Unpin drops one reference. When the count reaches zero the page becomes
-// evictable — or is evicted immediately if a shrink left the pool over
-// budget.
+// evictable.
 func (p *Pool) Unpin(pid uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -245,11 +244,6 @@ func (p *Pool) Unpin(pid uint64) {
 		delete(p.frames, pid)
 		p.evictions++
 		p.invalidations++
-		return
-	}
-	if len(p.frames) > p.capacity {
-		delete(p.frames, pid)
-		p.evictions++
 		return
 	}
 	p.markEvictable(f)
@@ -296,48 +290,11 @@ func (p *Pool) AdvanceEpoch() int {
 	return evicted
 }
 
-// Epoch reports the pool's current graph version.
-func (p *Pool) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
-
-// Resize sets a new byte budget (minimum one page) and evicts unpinned
-// pages until the pool fits, returning how many it evicted. Pinned pages
-// are never evicted; a pool shrunk below its pinned set stays over budget
-// until those pins drop, at which point Unpin evicts immediately.
-func (p *Pool) Resize(bytes int64) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	capacity := int(bytes / p.pageSize)
-	if capacity < 1 {
-		capacity = 1
-	}
-	p.capacity = capacity
-	evicted := 0
-	for len(p.frames) > p.capacity && p.evict() {
-		evicted++
-	}
-	return evicted
-}
-
 // PageSize reports the configured page size in bytes.
 func (p *Pool) PageSize() int64 { return p.pageSize }
 
-// Capacity reports the current page budget.
-func (p *Pool) Capacity() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacity
-}
-
-// Budget reports the current byte budget.
-func (p *Pool) Budget() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int64(p.capacity) * p.pageSize
-}
+// Budget reports the byte budget.
+func (p *Pool) Budget() int64 { return int64(p.capacity) * p.pageSize }
 
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
@@ -379,9 +336,8 @@ func (p *Pool) ResidentPIDs() []uint64 {
 // CheckInvariants verifies the pool's structural invariants:
 // every refcount is non-negative, loading frames are exclusively pinned,
 // the evictable list is well linked and holds exactly the resident unpinned set
-// (pinned ∉ evictable), and the pool is only over budget when the excess
-// is entirely pinned (resident ≤ budget modulo pins). Stress tests call
-// it after every operation.
+// (pinned ∉ evictable), and resident ≤ budget. Stress tests call it after
+// every operation.
 func (p *Pool) CheckInvariants() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -429,9 +385,8 @@ func (p *Pool) CheckInvariants() error {
 	if evictable != listed {
 		return fmt.Errorf("evictable set size %d, want %d", listed, evictable)
 	}
-	if len(p.frames) > p.capacity && evictable > 0 {
-		return fmt.Errorf("pool over budget (%d resident, capacity %d) with %d evictable pages",
-			len(p.frames), p.capacity, evictable)
+	if len(p.frames) > p.capacity {
+		return fmt.Errorf("pool over budget: %d resident, capacity %d", len(p.frames), p.capacity)
 	}
 	return nil
 }

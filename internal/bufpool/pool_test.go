@@ -35,8 +35,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Capacity() != 1 {
-		t.Fatalf("Capacity() = %d, want clamp to 1", p.Capacity())
+	if p.Budget() != 64 {
+		t.Fatalf("Budget() = %d, want clamp to one page", p.Budget())
 	}
 }
 
@@ -74,7 +74,7 @@ func TestVictimOrder(t *testing.T) {
 }
 
 // TestPinnedNeverEvicted: with every frame pinned, new pins get NoFrame
-// and the pinned set survives a shrink to one page.
+// and the pinned set stays resident, unpinned pages included.
 func TestPinnedNeverEvicted(t *testing.T) {
 	p := mustPool(t, 3)
 	for pid := uint64(1); pid <= 3; pid++ {
@@ -83,23 +83,16 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	if s := p.Pin(4); s != NoFrame {
 		t.Fatalf("Pin over a fully pinned pool = %v, want NoFrame", s)
 	}
-	if n := p.Resize(modelPageSize); n != 0 {
-		t.Fatalf("Resize evicted %d pinned pages", n)
-	}
-	if got := p.ResidentPIDs(); !equalPIDs(got, []uint64{1, 2, 3}) {
-		t.Fatalf("pinned pages evicted: resident %v", got)
-	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// As pins drop while over budget, pages are evicted immediately.
 	p.Unpin(2)
 	p.Unpin(3)
-	if got := p.ResidentPIDs(); !equalPIDs(got, []uint64{1}) {
-		t.Fatalf("over-budget unpin kept %v, want [1]", got)
+	if got := p.ResidentPIDs(); !equalPIDs(got, []uint64{1, 2, 3}) {
+		t.Fatalf("pinned pages evicted: resident %v", got)
 	}
 	st := p.Stats()
-	if st.Evictions != 2 || st.PinWaits != 1 {
+	if st.Evictions != 0 || st.PinWaits != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -129,28 +122,6 @@ func TestBusyAndAbort(t *testing.T) {
 	st := p.Stats()
 	if st.Hits != 1 || st.Loads != 2 || st.PinWaits != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestResizeGrow: growing the budget stops evictions.
-func TestResizeGrow(t *testing.T) {
-	p := mustPool(t, 2)
-	p.Resize(8 * modelPageSize)
-	if p.Capacity() != 8 || p.Budget() != 8*modelPageSize {
-		t.Fatalf("Capacity/Budget after grow: %d/%d", p.Capacity(), p.Budget())
-	}
-	for pid := uint64(1); pid <= 8; pid++ {
-		pinReady(t, p, pid)
-		p.Unpin(pid)
-	}
-	if st := p.Stats(); st.Evictions != 0 || st.Resident != 8 {
-		t.Fatalf("stats after grow: %+v", st)
-	}
-	if n := p.Resize(2 * modelPageSize); n != 6 {
-		t.Fatalf("shrink evicted %d, want 6", n)
-	}
-	if st := p.Stats(); st.Resident != 2 || st.ResidentBytes != 2*modelPageSize {
-		t.Fatalf("stats after shrink: %+v", st)
 	}
 }
 

@@ -73,21 +73,21 @@ func kernelCases() []kernelCase {
 		// plain BFS above (TestDirOptMatchesPlainKernels).
 		{"BFS-diropt",
 			func(sp *slottedpage.Graph) kernels.Kernel { return kernels.NewDirBFS(sp) },
-			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.DirBFS).Levels(st)) }},
+			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.BFS).Levels(st)) }},
 		{"BFS-diropt-push",
 			func(sp *slottedpage.Graph) kernels.Kernel {
 				k := kernels.NewDirBFS(sp)
 				k.SetMode(kernels.DirForcePush)
 				return k
 			},
-			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.DirBFS).Levels(st)) }},
+			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.BFS).Levels(st)) }},
 		{"BFS-diropt-pull",
 			func(sp *slottedpage.Graph) kernels.Kernel {
 				k := kernels.NewDirBFS(sp)
 				k.SetMode(kernels.DirForcePull)
 				return k
 			},
-			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.DirBFS).Levels(st)) }},
+			func(k kernels.Kernel, st kernels.State) []byte { return encodeVec(k.(*kernels.BFS).Levels(st)) }},
 	}
 }
 

@@ -87,7 +87,6 @@ type run struct {
 	done     bool
 
 	stepStart   sim.Time
-	stepActive  bool
 	beforePages int64
 	beforeBytes int64
 
@@ -118,7 +117,8 @@ type run struct {
 	// rep is the Report the run counts into as it goes (its Levels are the
 	// forward supersteps done, its Faults the recovery work; report adds
 	// what only the end knows). waves counts supersteps for SharedStats,
-	// levelUpdates the running superstep's attribute writes.
+	// levelUpdates the running superstep's attribute writes (a scan's
+	// iteration is active when there were any).
 	rep          Report
 	waves        int64
 	levelUpdates int64
@@ -431,7 +431,6 @@ func (r *run) beginWave() {
 	r.stepStart = r.env.Now()
 	r.beforePages = r.rep.PagesStreamed
 	r.beforeBytes = r.rep.BytesToGPU
-	r.stepActive = false
 	r.levelUpdates = 0
 	if r.curDir != kernels.DirNone && !r.backward {
 		r.rep.LevelDirs = append(r.rep.LevelDirs, r.curDir.String())
@@ -601,9 +600,6 @@ func (r *run) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	r.rep.EdgesTraversed += res.Edges
 	r.rep.Updates += res.Updates
 	r.levelUpdates += res.Updates
-	if res.Active {
-		r.stepActive = true
-	}
 }
 
 // endWave finishes a superstep: cross-GPU sync, the kernel's plan of the
@@ -633,7 +629,7 @@ func (r *run) endWave(p *sim.Proc) {
 	if r.scan != nil {
 		// Scan-like: every iteration revisits the full set, which r.next
 		// already holds.
-		if !r.scan.EndIteration(r.states, r.stepActive) {
+		if !r.scan.EndIteration(r.states, r.levelUpdates > 0) {
 			r.finish(p)
 			return
 		}

@@ -51,9 +51,9 @@ type SharedStats struct {
 
 // RunShared runs jobs on one simulated machine and returns an outcome per
 // job, in job order, with the run's accounting. A roster of one job runs it
-// as it is. Several jobs must all be plain BFS (*kernels.BFS, hop-capped or
-// not) without a Trace of their own: they run as one multi-source BFS
-// (kernels.MultiBFS), a lane per job, whose report splits back into theirs
+// as it is. Several jobs must all be plain BFS (kernels.BFS.Plain: NewBFS or
+// NewNeighborhood) without a Trace of their own: they run as one
+// multi-source BFS (kernels.MultiBFS), a lane per job, whose report splits back into theirs
 // (laneReport) — a job whose source is not a vertex fails alone and takes no
 // lane. Any other roster is an error that runs nothing. A run that fails
 // gives its error to every job and returns it.
@@ -77,7 +77,7 @@ func (e *Engine) RunShared(jobs []SharedJob) ([]SharedOutcome, SharedStats, erro
 	var sources []uint64
 	for j, job := range jobs {
 		bfs, ok := job.Kernel.(*kernels.BFS)
-		if !ok || job.Trace != nil {
+		if !ok || !bfs.Plain() || job.Trace != nil {
 			return fail(fmt.Errorf("core: a roster of %d jobs runs only plain BFS jobs without a trace of their own; job %d runs %T", len(jobs), j, job.Kernel))
 		}
 		if outs[j].Err = e.checkSource(job.Source); outs[j].Err != nil {

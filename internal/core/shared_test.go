@@ -71,8 +71,9 @@ func wantPageRank(t *testing.T, label string, g *csr.Graph, iterations int, got 
 // TestSharedMatchesSoloAllKernels is the engine's acceptance test: every
 // built-in kernel run through RunShared as a roster of one leaves its state
 // byte-identical to the kernel's pinned digest. A roster of several jobs
-// runs only plain BFS: one that mixes kernels is refused, every job carrying
-// the error, and runs nothing — the device stays cold.
+// runs only plain BFS: one that mixes kernels, or holds direction-optimizing
+// BFS, is refused, every job carrying the error, and runs nothing — the
+// device stays cold.
 func TestSharedMatchesSoloAllKernels(t *testing.T) {
 	sp := buildPages(t, rmatGraph(t))
 	var mixed []SharedJob
@@ -85,18 +86,21 @@ func TestSharedMatchesSoloAllKernels(t *testing.T) {
 		wantGolden(t, kc, k, outs[0].State)
 		mixed = append(mixed, SharedJob{Kernel: kc.make(sp)})
 	}
-	e := newEngine(t, sp, Options{}, 1, 0)
-	outs, _, err := e.RunShared(mixed)
-	if err == nil || len(outs) != len(mixed) {
-		t.Fatalf("a mixed roster: %d outcomes for %d jobs, err %v; want one each and an error", len(outs), len(mixed), err)
-	}
-	for i, o := range outs {
-		if o.Err != err {
-			t.Errorf("job %d carries %v, want the roster's error", i, o.Err)
+	dirOpt := []SharedJob{{Kernel: kernels.NewDirBFS(sp)}, {Kernel: kernels.NewDirBFS(sp), Source: 1}}
+	for name, roster := range map[string][]SharedJob{"mixed": mixed, "direction-optimizing": dirOpt} {
+		e := newEngine(t, sp, Options{}, 1, 0)
+		outs, _, err := e.RunShared(roster)
+		if err == nil || len(outs) != len(roster) {
+			t.Fatalf("a %s roster: %d outcomes for %d jobs, err %v; want one each and an error", name, len(outs), len(roster), err)
 		}
-	}
-	if e.device[0] != nil {
-		t.Error("a refused roster left pages on the device")
+		for i, o := range outs {
+			if o.Err != err {
+				t.Errorf("%s: job %d carries %v, want the roster's error", name, i, o.Err)
+			}
+		}
+		if e.device[0] != nil {
+			t.Errorf("a refused %s roster left pages on the device", name)
+		}
 	}
 }
 

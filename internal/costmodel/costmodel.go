@@ -86,19 +86,6 @@ func BFSLike(waBytes int64, levels []LevelInputs, gpus int, dskew, rhit float64,
 	return t
 }
 
-// NaiveCacheHitRate is the paper's B/(S+L) approximation of the page-cache
-// hit rate for a cache of cachePages pages over a graph of totalPages.
-func NaiveCacheHitRate(cachePages, totalPages int64) float64 {
-	if totalPages <= 0 {
-		return 0
-	}
-	r := float64(cachePages) / float64(totalPages)
-	if r > 1 {
-		return 1
-	}
-	return r
-}
-
 // SuggestStreams applies the paper's §3.2 rule for the stream count k: with
 // a kernel-to-transfer time ratio r per page, k = ceil(r) + 1 streams keep
 // the copy engine busy while kernels execute. The paper notes practice

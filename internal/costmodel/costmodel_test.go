@@ -69,18 +69,6 @@ func TestBFSLikeCachingAndSkew(t *testing.T) {
 	}
 }
 
-func TestNaiveCacheHitRate(t *testing.T) {
-	if got := NaiveCacheHitRate(50, 100); got != 0.5 {
-		t.Errorf("hit rate = %v", got)
-	}
-	if got := NaiveCacheHitRate(200, 100); got != 1 {
-		t.Errorf("clamped rate = %v", got)
-	}
-	if got := NaiveCacheHitRate(5, 0); got != 0 {
-		t.Errorf("empty graph rate = %v", got)
-	}
-}
-
 // TestModelTracksSimulationPageRank cross-checks Eq. 1 against the event
 // simulation for an in-memory PageRank iteration: the model must land
 // within a factor band of the measured time (the paper's own check shows

@@ -195,51 +195,20 @@ func (k *IncBFS) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kerne
 }
 
 // Run implements the page kernel, K_BFS_SP and K_BFS_LP (Algorithms 2 and
-// 3) over the pending frontier: expand the page's frontier slots.
+// 3) over the pending frontier: expand the page's frontier slots, whose
+// neighbors improve to cur+1 when that lowers (or first sets) their level.
 func (k *IncBFS) Run(a *kernels.Args) kernels.Result {
 	s := a.State.(*incBFSState)
 	var res kernels.Result
 	w := kernels.WalkPage(a)
 	for kernels.SeekSet(&w, k.front) {
 		pos, end, _ := w.Record()
-		res.Add(k.expand(a, s.lv, pos, end))
+		found, _ := kernels.Discover(a, s.lv, pos, end, k.cur+1, nil)
+		res.Add(found)
 	}
 	res.Edges = w.Edges()
 	res.Cycles = k.cost.cycles(w.Slots(), w.Edges())
 	return res
-}
-
-// expand relaxes one frontier vertex's adjacency, the record at [pos, end):
-// neighbors improve to cur+1 when that lowers (or first sets) their level.
-// It returns how many improved.
-func (k *IncBFS) expand(a *kernels.Args, lv []int16, pos, end int) (updates int64) {
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	ents, w := dec.Entries(), dec.Width()
-	nl := k.cur + 1
-	if sv, ok := ents.Words(); ok {
-		for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
-			nvid, _ := slottedpage.WordVID(sv, b)
-			if nvid < a.OwnedLo || nvid >= a.OwnedHi {
-				continue
-			}
-			if lv[nvid] == unvisited || lv[nvid] > nl {
-				lv[nvid] = nl
-				updates++
-			}
-		}
-		return updates
-	}
-	for ; pos < end; pos += w {
-		nvid, _ := ents.VID(buf, pos)
-		if nvid < a.OwnedLo || nvid >= a.OwnedHi {
-			continue
-		}
-		if lv[nvid] == unvisited || lv[nvid] > nl {
-			lv[nvid] = nl
-			updates++
-		}
-	}
-	return updates
 }
 
 // MergeStates implements Kernel: levels merge by kernels.MinLevel —

@@ -18,15 +18,15 @@ import (
 // TestLayoutsAgree is the oracle for the entry loops that come in two
 // forms: a (2,2) loop over 32-bit words and the general VID loop beside
 // it. It builds one graph, with large-page runs, at (2,2), (2,4), (3,3) and
-// (5,5), runs every kernel that owns such a loop — PageRank, CC, SSSP,
-// DirBFS, MultiBFS and, from a prior epoch missing every 16th edge, IncBFS
-// and IncCC — and requires each output to be byte-identical in every layout
+// (5,5), runs every kernel that owns or shares such a loop — PageRank, CC,
+// SSSP, BFS, a 3-hop ball, direction-optimizing BFS, MultiBFS and, from a
+// prior epoch missing every 16th edge, IncBFS and IncCC — and requires each output to be byte-identical in every layout
 // (PageRank bit for bit) and to agree with internal/verify. A two-GPU
 // Strategy-S run at (2,2), the one configuration whose owned range is not
 // every vertex, must agree too.
 func TestLayoutsAgree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs seven kernels in five configurations")
+		t.Skip("runs nine kernels in five configurations")
 	}
 	d, _ := graphgen.ByName("RMAT27")
 	g1 := d.MustGenerate(13)
@@ -51,6 +51,14 @@ func TestLayoutsAgree(t *testing.T) {
 	}
 	src := sources[0]
 	wantLv := verify.BFS(g1, uint32(src))
+	const hops = 3
+	wantBall := make([]int16, len(wantLv))
+	for v, l := range wantLv {
+		wantBall[v] = l
+		if l > hops {
+			wantBall[v] = -1
+		}
+	}
 	wantCC := verify.WCC(g1)
 	wantPR := verify.PageRank(g1, 0.85, 5)
 	wantSSSP := verify.SSSP(g1, uint32(src), kernels.Weight)
@@ -120,6 +128,10 @@ func TestLayoutsAgree(t *testing.T) {
 				break
 			}
 		}
+		bfs := kernels.NewBFS(g)
+		levels("bfs", bfs.Levels(run(bfs, src)), wantLv)
+		ball := kernels.NewNeighborhood(g, hops)
+		levels("ball", ball.Levels(run(ball, src)), wantBall)
 		dir := kernels.NewDirBFS(g)
 		levels("dirbfs", dir.Levels(run(dir, src)), wantLv)
 		lanes := make([]*kernels.BFS, len(sources))

@@ -100,17 +100,15 @@ func (k *BC) Run(a *Args) Result {
 	w := WalkPage(a)
 	for Seek(&w, s.dist, level) {
 		pos, end, _ := w.Record()
-		updates, found := k.forward(a, s, w.V, pos, end, level)
-		res.Updates += updates
-		res.Active = res.Active || found
+		res.Add(k.forward(a, s, w.V, pos, end, level))
 	}
 	return k.cost.done(a, &w, res)
 }
 
 // forward discovers vid's unvisited neighbors in the record at [pos, end)
 // and adds vid's path count to each one a level deeper. It returns how
-// many counts it added and whether it discovered any neighbor.
-func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16) (updates int64, found bool) {
+// many counts it added.
+func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16) (updates int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	ents, w := dec.Entries(), dec.Width()
 	for ; pos < end; pos += w {
@@ -120,14 +118,13 @@ func (k *BC) forward(a *Args, s *bcState, vid uint64, pos, end int, level int16)
 		}
 		if s.dist[nvid] == unvisited {
 			s.dist[nvid] = level + 1
-			found = true
 		}
 		if s.dist[nvid] == level+1 {
 			s.sigma[nvid] += s.sigma[vid]
 			updates++
 		}
 	}
-	return updates, found
+	return updates
 }
 
 // RunBack is BC's backward K_SP and K_LP: vertices at the current level pull

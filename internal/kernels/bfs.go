@@ -12,11 +12,28 @@ import (
 // vector is LV, the per-vertex traversal level. With a hop cap it is the
 // k-hop out-neighborhood of the source (the "neighborhood / egonet" family
 // of the paper's §3.3 BFS-like class): levels past the cap are not
-// explored, so only the pages within the ball stream.
+// explored, so only the pages within the ball stream. Built by NewDirBFS it
+// is direction-optimizing (dirbfs.go): each level pushes, as the paper's
+// kernels do, or pulls.
 type BFS struct {
 	g    *slottedpage.Graph
 	hops int16 // the hop cap; 0 means none
 	cost costParams
+
+	// A direction-optimizing BFS's plan state; outDeg is nil in a plain
+	// BFS. outDeg (the graph's table) prices frontiers and coverage in both
+	// directions; rev serves pull scans only and is fetched at the first
+	// level that plans pull.
+	outDeg *slottedpage.OutDegrees
+	rev    *slottedpage.Reverse
+	// pullPlan is PlanLevel's pull plan, kept when the level pulls.
+	pullPlan *bitset.Set
+	mode     DirMode
+	// dir is the current level's planned direction. PlanLevel writes it
+	// between supersteps; page kernels only read it.
+	dir Direction
+	// denseThreshold is Ligra's |E|/20 switch point.
+	denseThreshold int64
 }
 
 // NewBFS returns a BFS kernel over g.
@@ -32,6 +49,10 @@ func NewNeighborhood(g *slottedpage.Graph, hops int) *BFS {
 	k.hops = int16(hops)
 	return k
 }
+
+// Plain reports whether k is the paper's BFS or a ball, not a
+// direction-optimizing BFS: what a MultiBFS lane runs.
+func (k *BFS) Plain() bool { return k.outDeg == nil }
 
 // marks reports whether discoveries at level+1 are explored at the next
 // level: always, but at a capped run's last level. A MultiBFS lane marks
@@ -69,8 +90,12 @@ func (k *BFS) Init(st State, source uint64) {
 }
 
 // PlanLevel implements FrontierKernel: the level streams the pages holding
-// a vertex at that level, none past a hop cap.
+// a vertex at that level, none past a hop cap. A direction-optimizing BFS
+// plans push or pull in one pass (planDir).
 func (k *BFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction {
+	if k.outDeg != nil {
+		return k.planDir(bfsLevels(sts[0]), int16(level), next)
+	}
 	if k.hops != 0 && level >= int32(k.hops) {
 		next.Reset()
 		return DirNone
@@ -82,34 +107,67 @@ func (k *BFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction {
 // Run implements K_BFS_SP and K_BFS_LP (Algorithms 2 and 3): each warp
 // takes one slot; if the vertex is on the current frontier its adjacency (on
 // a large page, the page's part of it) expands, discovering unvisited
-// neighbors, whose pages the next level's plan streams.
+// neighbors, whose pages the next level's plan streams. A pull level runs
+// pull instead. A direction-optimizing BFS reports coverage Edges (dirbfs.go).
 func (k *BFS) Run(a *Args) Result {
+	if k.dir == DirPull {
+		return k.pull(a)
+	}
 	s := a.State.(*bfsState)
 	var res Result
+	var cover int64
 	level := int16(a.Level)
 	w := WalkPage(a)
 	for Seek(&w, s.lv, level) {
 		pos, end, _ := w.Record()
-		res.Add(k.expand(a, s.lv, pos, end, level))
+		found, c := Discover(a, s.lv, pos, end, level+1, k.outDeg)
+		res.Add(found)
+		cover += c
 	}
-	return k.cost.done(a, &w, res)
+	res = k.cost.done(a, &w, res)
+	if k.outDeg != nil {
+		res.Edges = cover
+	}
+	return res
 }
 
-// expand is the expand_warp device routine: visit every adjacency entry of
-// the record at [pos, end) and set LV for undiscovered neighbors, returning
-// how many it discovered.
-func (k *BFS) expand(a *Args, lv []int16, pos, end int, level int16) (found int64) {
+// Discover is the expand_warp device routine every level-vector traversal
+// shares (BFS, its ball, a direction-optimizing BFS's push levels and the
+// incremental BFS): it visits the entries of the record at [pos, end) in
+// a's page and gives level nl to each owned neighbor whose level is later,
+// returning how many it set and, when deg is not nil, their summed
+// out-degrees. Read as unsigned, unvisited (-1) is later than any level; a
+// level-synchronous BFS has no vertex past nl, so there the test is the
+// paper's "unvisited".
+func Discover(a *Args, lv []int16, pos, end int, nl int16, deg *slottedpage.OutDegrees) (found, cover int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	ents, w := dec.Entries(), dec.Width()
+	if sv, ok := ents.Words(); ok {
+		for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
+			nvid, _ := slottedpage.WordVID(sv, b)
+			if uint16(lv[nvid]) <= uint16(nl) || !a.owns(nvid) {
+				continue
+			}
+			lv[nvid] = nl
+			found++
+			if deg != nil {
+				cover += int64(deg.Of(nvid))
+			}
+		}
+		return found, cover
+	}
 	for ; pos < end; pos += w {
 		nvid, _ := ents.VID(buf, pos)
-		if !a.owns(nvid) || lv[nvid] != unvisited {
+		if uint16(lv[nvid]) <= uint16(nl) || !a.owns(nvid) {
 			continue
 		}
-		lv[nvid] = level + 1
+		lv[nvid] = nl
 		found++
+		if deg != nil {
+			cover += int64(deg.Of(nvid))
+		}
 	}
-	return found
+	return found, cover
 }
 
 // MergeStates implements Kernel: levels merge by MinLevel.

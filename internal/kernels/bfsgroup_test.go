@@ -92,7 +92,6 @@ func runGroupScript(t testing.TB, g *slottedpage.Graph, sc groupScript) (grouped
 						sum.Cycles += want.Cycles
 						sum.Edges += want.Edges
 						sum.Updates += want.Updates
-						sum.Active = sum.Active || want.Active
 						m.stats.Edges += want.Edges
 						m.stats.Updates += want.Updates
 						m.stats.Pages++
@@ -179,8 +178,9 @@ func spread(g *slottedpage.Graph, k int) []uint64 {
 // TestBFSGroupMatchesSeparate runs MultiBFS kernels of k lanes in lock step
 // against k independent BFS kernels: per (level, lane, page) Result
 // equality — cycles to the bit —, next-page sets, page sets, level vectors
-// and lane stats, under every technique, an owned sub-range, two replicas,
-// sources on large pages, twins, and lanes done before others.
+// and lane stats, under every technique, an owned sub-range (at (2,2) and
+// (3,3)), two replicas, sources on large pages, twins, and lanes done
+// before others.
 func TestBFSGroupMatchesSeparate(t *testing.T) {
 	d, _ := graphgen.ByName("RMAT27")
 	g, err := slottedpage.Build(d.MustGenerate(27-11), slottedpage.ScaledConfig(2, 2, 4096))
@@ -203,6 +203,15 @@ func TestBFSGroupMatchesSeparate(t *testing.T) {
 	t.Run("owned-subrange", func(t *testing.T) {
 		// Strategy-S's second GPU of two: it owns the upper half only.
 		runGroupScript(t, g, groupScript{sources: spread(g, 8), ownedLo: nV / 2, ownedHi: nV, replicas: 1})
+	})
+	t.Run("owned-subrange-3-3", func(t *testing.T) {
+		// The same at (3,3), where the solo BFS and MultiBFS take their
+		// general entry loops, not the (2,2) ones: their ownership tests.
+		g33, err := slottedpage.Build(d.MustGenerate(27-11), slottedpage.ScaledConfig(3, 3, 4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runGroupScript(t, g33, groupScript{sources: spread(g33, 8), ownedLo: nV / 2, ownedHi: nV, replicas: 1})
 	})
 	t.Run("two-replicas", func(t *testing.T) {
 		// Strategy-P on two GPUs: a vertex replica 0 reached this wave is still

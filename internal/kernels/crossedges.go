@@ -45,7 +45,7 @@ func (k *CrossEdges) Init(st State, _ uint64) {
 // for the page's vertices.
 func (k *CrossEdges) Run(a *Args) Result {
 	s := a.State.(*crossState)
-	res := Result{Active: true}
+	var res Result
 	w := WalkPage(a)
 	for w.Next() {
 		pos, end, _ := w.Record()

@@ -7,16 +7,16 @@ import (
 	"repro/internal/slottedpage"
 )
 
-// DirBFS is the direction-optimizing variant of BFS, and the BFS gts.System
-// and the service run: a FrontierKernel that plans each level as either
-// sparse push (frontier vertices expand their out-edges, as K_BFS_SP and
-// K_BFS_LP do) or dense pull (unvisited vertices scan their in-edges and
-// stop at the first frontier parent), switching on frontier-edge density
-// with the Beamer-style threshold the Ligra baseline uses
+// NewDirBFS returns a direction-optimizing BFS kernel over g, the BFS
+// gts.System and the service run. It plans each level as either sparse
+// push (frontier vertices expand their out-edges, as K_BFS_SP and K_BFS_LP
+// do) or dense pull (unvisited vertices scan their in-edges and stop at the
+// first frontier parent), switching on frontier-edge density with the
+// Beamer-style threshold the Ligra baseline uses
 // (internal/baselines/cpu/ligra.go): pull when the frontier's summed
 // out-degree exceeds |E|/20. Dense levels touch a small fraction of the
 // edges push would, because most scans early-exit after a handful of
-// in-neighbors. The plain BFS kernel is the paper's, and DirBFS's oracle.
+// in-neighbors. The plain BFS is the paper's kernel, and its oracle.
 //
 // The advance+filter step is fused, as for every FrontierKernel: the plan
 // rebuilds the exact page frontier from the level vector, pricing the
@@ -32,52 +32,31 @@ import (
 // scanned-edge count would undercount the traversal it performs).
 // Result.Cycles still prices the work actually executed: early-exiting
 // pull scans cost only the lanes they touched.
-type DirBFS struct {
-	// BFS supplies the level vector, its seeding and merge, the cost
-	// parameters and Levels; DirBFS's page kernels are its own and it runs
-	// no hop cap.
-	BFS
-	// outDeg (the graph's table) prices frontiers and coverage in both
-	// directions; rev serves pull scans only and is fetched at the first
-	// level that plans pull.
-	outDeg *slottedpage.OutDegrees
-	rev    *slottedpage.Reverse
-	// pullPlan is PlanLevel's pull plan, kept when the level pulls.
-	pullPlan *bitset.Set
-	mode     DirMode
-	// dir is the current level's planned direction. PlanLevel writes it
-	// between supersteps; page kernels only read it.
-	dir Direction
-	// denseThreshold is Ligra's |E|/20 switch point.
-	denseThreshold int64
-}
-
-// NewDirBFS returns a direction-optimizing BFS kernel over g, planning in
-// DirAuto mode. Construction takes the graph's out-degree table; the
-// graph's reverse index is fetched at the first pull level, so a traversal
-// that only ever pushes never builds it.
-func NewDirBFS(g *slottedpage.Graph) *DirBFS {
-	return &DirBFS{
-		BFS:            *NewBFS(g),
-		outDeg:         g.OutDegrees(),
-		pullPlan:       bitset.New(g.NumPages()),
-		denseThreshold: int64(g.NumEdges() / 20),
-	}
+//
+// It plans in DirAuto mode. Construction takes the graph's out-degree
+// table; the graph's reverse index is fetched at the first pull level, so a
+// traversal that only ever pushes never builds it.
+func NewDirBFS(g *slottedpage.Graph) *BFS {
+	k := NewBFS(g)
+	k.outDeg = g.OutDegrees()
+	k.pullPlan = bitset.New(g.NumPages())
+	k.denseThreshold = int64(g.NumEdges() / 20)
+	return k
 }
 
 // SetMode forces every level's direction (DirForcePush/DirForcePull) or
-// restores density switching (DirAuto). Call before Run.
-func (k *DirBFS) SetMode(m DirMode) { k.mode = m }
+// restores density switching (DirAuto) of a direction-optimizing BFS. Call
+// before Run.
+func (k *BFS) SetMode(m DirMode) { k.mode = m }
 
-// PlanLevel implements FrontierKernel in one pass over the pages, in vertex
-// order. It prices the frontier (vertices at `level`) and plans both
-// directions as it goes: next gets the push plan, the pages of every
+// planDir is a direction-optimizing BFS's PlanLevel, in one pass over the
+// pages, in vertex order. It prices the frontier (vertices at lv) and plans
+// both directions as it goes: next gets the push plan, the pages of every
 // frontier vertex (with a large vertex's whole run), and pullPlan the pull
 // plan, the home page of every unvisited vertex (never a run's
 // continuation pages). Then it picks the direction and keeps its plan.
-func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction {
-	s := sts[0].(*bfsState)
-	g, lv := k.g, int16(level)
+func (k *BFS) planDir(levels []int16, lv int16, next *bitset.Set) Direction {
+	g := k.g
 	next.Reset()
 	k.pullPlan.Reset()
 	var frontierEdges int64
@@ -93,7 +72,7 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 				end = g.RVT(pid + 1).StartVID
 			}
 		}
-		push, vs := false, s.lv[v:end]
+		push, vs := false, levels[v:end]
 		for i, l := range vs {
 			if l == lv {
 				push = true
@@ -133,68 +112,12 @@ func (k *DirBFS) PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 	return dir
 }
 
-// Run is DirBFS's K_SP and K_LP, dispatching on the planned direction: push
-// is K_BFS_SP and K_BFS_LP (Algorithms 2 and 3), pull its dense reverse.
-func (k *DirBFS) Run(a *Args) Result {
-	if k.dir == DirPull {
-		return k.pull(a)
-	}
-	return k.push(a)
-}
-
-// push is K_BFS_SP and K_BFS_LP. Its Edges are expand's coverage, not the
-// walker's lanes.
-func (k *DirBFS) push(a *Args) Result {
-	s := a.State.(*bfsState)
-	var res Result
-	level := int16(a.Level)
-	w := WalkPage(a)
-	for Seek(&w, s.lv, level) {
-		pos, end, _ := w.Record()
-		found, edges := k.expand(a, s.lv, pos, end, level)
-		res.Add(found)
-		res.Edges += edges
-	}
-	res.Cycles = k.cost.cycles(w.Slots(), &w.lanes, a.Tech)
-	return res
-}
-
-// expand visits one frontier vertex's adjacency, the record at [pos, end),
-// discovering unvisited owned neighbors. Coverage (out-degree of the
-// discovery) accrues with each discovery.
-func (k *DirBFS) expand(a *Args, lv []int16, pos, end int, level int16) (found, edges int64) {
-	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
-	ents, w := dec.Entries(), dec.Width()
-	if sv, ok := ents.Words(); ok {
-		for b := buf[pos:end]; len(b) >= 4; b = b[4:] {
-			nvid, _ := slottedpage.WordVID(sv, b)
-			if !a.owns(nvid) || lv[nvid] != unvisited {
-				continue
-			}
-			lv[nvid] = level + 1
-			edges += int64(k.outDeg.Of(nvid))
-			found++
-		}
-		return found, edges
-	}
-	for ; pos < end; pos += w {
-		nvid, _ := ents.VID(buf, pos)
-		if !a.owns(nvid) || lv[nvid] != unvisited {
-			continue
-		}
-		lv[nvid] = level + 1
-		edges += int64(k.outDeg.Of(nvid))
-		found++
-	}
-	return found, edges
-}
-
 // pull scans each unvisited owned vertex's in-edges, early-exiting at the
 // first parent on the frontier. Lane costs count only the scanned prefix.
 // It reads the level vector and the reverse CSR, never the page's bytes
 // beyond its slot count. A large vertex has only its home page planned in
 // pull mode, so its run's continuation pages never stream.
-func (k *DirBFS) pull(a *Args) Result {
+func (k *BFS) pull(a *Args) Result {
 	s := a.State.(*bfsState)
 	n := a.Page.NumSlots()
 	start := a.Graph.Decoder().StartVID(a.PID)
@@ -213,7 +136,7 @@ func (k *DirBFS) pull(a *Args) Result {
 // pullVertex scans vid's in-neighbors for a frontier parent. The frontier
 // test (lv == level) does not depend on page order: a phase only moves
 // vertices from unvisited to level+1, never onto the current frontier.
-func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes *laneAcc, res *Result) {
+func (k *BFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes *laneAcc, res *Result) {
 	scanned := 0
 	found := false
 	for _, u := range k.rev.In(vid) {
@@ -230,5 +153,4 @@ func (k *DirBFS) pullVertex(a *Args, s *bfsState, vid uint64, level int16, lanes
 	s.lv[vid] = level + 1
 	res.Edges += int64(k.outDeg.Of(vid))
 	res.Updates++
-	res.Active = true
 }

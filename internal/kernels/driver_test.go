@@ -70,7 +70,7 @@ func driveCount(t testing.TB, k Kernel, g *slottedpage.Graph, source uint64) (St
 			} else {
 				res = k.Run(a)
 			}
-			if res.Active {
+			if res.Updates > 0 {
 				active = true
 			}
 			edges += res.Edges

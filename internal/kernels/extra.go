@@ -62,7 +62,6 @@ func (k *DegreeDist) Run(a *Args) Result {
 	}
 	var lanes laneAcc
 	res.Cycles = k.cost.cycles(int64(n), &lanes, a.Tech)
-	res.Active = true
 	return res
 }
 
@@ -147,7 +146,7 @@ func (k *KCore) BeginLevel(sts []State, _ int32) {
 // edge in both directions.
 func (k *KCore) Run(a *Args) Result {
 	s := a.State.(*kcoreState)
-	res := Result{Active: true}
+	var res Result
 	w := WalkPage(a)
 	for w.Next() {
 		pos, end, _ := w.Record()

@@ -7,15 +7,22 @@ package kernels
 // stream) with the filter (which vertices are live): Gunrock's fused
 // advance+filter over the frontier as the algorithm's own vector, as
 // GraphBLAST keeps it. Most plans go page by page: pagesAtLevel over a level
-// vector (BFS, its ball, BC), pagesInSet over a bit set (SSSP), and DirBFS's
-// one pass that prices its frontier and plans both directions. SSSP plans no distance buckets: delta-stepping streamed the same
-// pages over 1.8× the levels (EXPERIMENTS.md, "sssp").
+// vector (BFS, its ball, BC), pagesInSet over a bit set (SSSP), and a
+// direction-optimizing BFS's one pass that prices its frontier and plans
+// both directions. SSSP plans no distance buckets: delta-stepping streamed
+// the same pages over 1.8× the levels (EXPERIMENTS.md, "sssp").
 //
-// Kernels that read in-neighbors (DirBFS's pull levels, IncCC's rescans)
-// do not own a reverse index: they fetch the graph's (Graph.Reverse) when
-// they first need it and hold it for the run, so every run on one graph
-// epoch shares one index while any of them holds it. DirBFS's out-degree
-// table is the graph's too (Graph.OutDegrees).
+// The level-vector traversals' push levels discover through one entry
+// loop, Discover (BFS, its ball, a direction-optimizing BFS's push levels
+// and the incremental BFS), as CC and the incremental CC relax through one,
+// RelaxMin; MultiBFS's pass is the one discovery loop of its own.
+//
+// Kernels that read in-neighbors (a direction-optimizing BFS's pull levels,
+// IncCC's rescans) do not own a reverse index: they fetch the graph's
+// (Graph.Reverse) when they first need it and hold it for the run, so every
+// run on one graph epoch shares one index while any of them holds it. The
+// out-degree table a direction-optimizing BFS prices with is the graph's too
+// (Graph.OutDegrees).
 
 import (
 	"slices"
@@ -86,7 +93,7 @@ type FrontierKernel interface {
 	PlanLevel(sts []State, level int32, next *bitset.Set) Direction
 }
 
-var _ = []FrontierKernel{(*BFS)(nil), (*SSSP)(nil), (*BC)(nil), (*DirBFS)(nil)}
+var _ = []FrontierKernel{(*BFS)(nil), (*SSSP)(nil), (*BC)(nil)}
 
 // pagesAtLevel rebuilds next as the pages holding a vertex v with lv[v] ==
 // level, page by page: a page joins at its first such vertex, with a large

@@ -226,8 +226,7 @@ func (w *Walker) Edges() int64 { return w.lanes.edges }
 // vertices.
 //
 // The entry loops the benchmark's workloads run (PageRank.scatter,
-// RelaxMin, SSSP.relax, DirBFS.expand, MultiBFS.pass and IncBFS.expand)
-// take a second form when ents.Words() reports the (2,2) layout: they walk
+// RelaxMin, SSSP.relax, Discover and MultiBFS.pass) take a second form when ents.Words() reports the (2,2) layout: they walk
 // buf[pos:end] four bytes at a time through slottedpage.WordVID, with no
 // layout branch and no call per entry, and keep the VID loop for every
 // other layout. Other kernels, and custom ones, need only the VID loop.
@@ -254,20 +253,15 @@ type Result struct {
 	Cycles float64
 	// Edges counts adjacency entries traversed (for MTEPS metrics).
 	Edges int64
-	// Updates counts attribute writes (for metrics).
+	// Updates counts attribute writes (for metrics). A scan's iteration
+	// changed state (the paper's inverted `finished` flag) when its pages
+	// counted any.
 	Updates int64
-	// Active reports whether the kernel changed any state (the paper's
-	// inverted `finished` flag).
-	Active bool
 }
 
-// Add counts n attribute writes into r, marking it active when there were
-// any: how a page kernel folds in the writes one record's entry loop
-// counted in a local.
-func (r *Result) Add(n int64) {
-	r.Updates += n
-	r.Active = r.Active || n > 0
-}
+// Add counts n attribute writes into r: how a page kernel folds in the
+// writes one record's entry loop counted in a local.
+func (r *Result) Add(n int64) { r.Updates += n }
 
 // State is an algorithm's attribute data. Strategy-P clones one replica per
 // GPU and merges them after each superstep; Strategy-S shares one state and
@@ -302,8 +296,8 @@ type Kernel interface {
 type ScanKernel interface {
 	Kernel
 	// EndIteration advances state between iterations (PageRank's prev/next
-	// swap); active reports whether any page kernel changed state this
-	// iteration. It returns whether another iteration is wanted.
+	// swap); active reports whether the iteration's page kernels counted
+	// any update. It returns whether another iteration is wanted.
 	EndIteration(sts []State, active bool) bool
 }
 

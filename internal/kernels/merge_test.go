@@ -68,7 +68,7 @@ func TestMergeAlgebra(t *testing.T) {
 				id := slottedpage.PageID(pid)
 				res := k.Run(&Args{Graph: sp, PID: id, Page: sp.Page(id), State: st,
 					OwnedHi: sp.NumVertices(), Tech: EdgeCentric})
-				active = active || res.Active
+				active = active || res.Updates > 0
 			}
 		}
 		return active

@@ -156,7 +156,6 @@ func (k *MultiBFS) Run(a *Args) Result {
 			sum.Cycles += res.Cycles
 			sum.Edges += res.Edges
 			sum.Updates += res.Updates
-			sum.Active = sum.Active || res.Active
 			st.Edges += res.Edges
 			st.Updates += res.Updates
 			st.Pages++
@@ -219,7 +218,7 @@ func (k *MultiBFS) pass(a *Args, seen []uint8, mask uint8) {
 		b := bits.TrailingZeros8(m)
 		j := k.in[b]
 		res := &k.res[j]
-		res.Edges, res.Active = k.acc[b].edges, res.Updates > 0
+		res.Edges = k.acc[b].edges
 		res.Cycles = k.lanes[j].cost.cycles(int64(slots), &k.acc[b], a.Tech)
 	}
 }

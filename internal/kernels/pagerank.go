@@ -113,7 +113,7 @@ func (k *PageRank) Init(st State, source uint64) {
 func (k *PageRank) Run(a *Args) Result {
 	s := a.State.(*prState)
 	large := a.Graph.Kind(a.PID) == slottedpage.LargePage
-	res := Result{Active: true}
+	var res Result
 	walk := k.walk
 	w := WalkPage(a)
 	for w.Next() {
