@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	gts "repro"
-	"repro/internal/incremental"
 )
 
 // digestBFSPR hashes BFS levels and PageRank ranks — the cheap digest the
@@ -93,11 +92,12 @@ func TestChaosIngestRecovery(t *testing.T) {
 		if m.ReplayedBatches() != applied {
 			t.Fatalf("round %d: replayed %d, want %d", round, m.ReplayedBatches(), applied)
 		}
-		// Fresh-per-open retained state, the service rule: nothing survives
-		// a recovery, so no stale-epoch entry can be consulted this round.
-		incSt := incremental.NewStore(m.Epoch())
-		if _, _, reason := incSt.Lookup("bfs", m.Epoch()); reason == "" {
-			t.Fatalf("round %d: fresh store served a retained entry", round)
+		// Fresh-per-open incremental state, the service rule: nothing
+		// survives a recovery, so no stale-epoch prior can be replayed this
+		// round.
+		incSt := newIncState(m)
+		if _, ok := incSt.st.Delta(0, m.Epoch()); ok && m.Epoch() > 0 {
+			t.Fatalf("round %d: fresh chain replays pre-crash commits", round)
 		}
 		incCapture(t, incSt, m)
 
@@ -153,12 +153,11 @@ func TestChaosIngestRecovery(t *testing.T) {
 				t.Fatalf("round %d: dead graph accepted ingest: %v", round, err)
 			}
 		}
-		// Live incremental is safe even after a crash: the store records only
-		// successful commits, so the in-process delta chain is always
-		// consistent with the published snapshot. (Reusing this store after
-		// reopening would NOT be — a during-fsync crash can leave a durable
-		// batch the store never saw — which is why recovery gets a fresh store
-		// at the top of the next round.)
+		// Live incremental is safe even after a crash: the chain records only
+		// successful commits, so it is always consistent with the published
+		// snapshot. (Reusing it after reopening would NOT be — a during-fsync
+		// crash can leave a durable batch the chain never saw — which is why
+		// recovery gets fresh state at the top of the next round.)
 		incCheck(t, fmt.Sprintf("round %d live", round), incSt, m)
 		m.Close()
 

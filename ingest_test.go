@@ -17,26 +17,37 @@ import (
 	"repro/internal/wal"
 )
 
-// incIngest commits ops to mg and, once the batch is applied, to st's
-// chain, as the service's Ingest does under the graph's commit lock. Like
-// the service, the tests build a fresh store (incremental.NewStore at the
-// graph's epoch) on every open: pre-crash retained state is never carried
-// across a recovery, because a durable-but-unacknowledged batch (e.g. a
-// crash during the fsync) would leave the old store's delta chain one batch
-// behind the recovered snapshot, and serving from it could silently miss
-// that batch's effects.
-func incIngest(st *incremental.Store, mg *gts.MutableGraph, ops []gts.EdgeOp) error {
+// incState is incremental state as the service wires it: the graph load's
+// commit chain and the prior, a full BFS(0) run's levels and the epoch it ran
+// on. Like the service, the tests build a fresh one (newIncState) on every
+// open: pre-crash state is never carried across a recovery, because a
+// durable-but-unacknowledged batch (e.g. a crash during the fsync) would
+// leave the old chain one batch behind the recovered snapshot, and serving
+// from it could silently miss that batch's effects.
+type incState struct {
+	st     *incremental.Store
+	levels []int16
+	at     uint64
+}
+
+func newIncState(mg *gts.MutableGraph) *incState {
+	return &incState{st: incremental.NewStore(mg.Epoch())}
+}
+
+// incIngest commits ops to mg and, once the batch is applied, to the chain,
+// as the service's Ingest does under the graph's commit lock.
+func incIngest(s *incState, mg *gts.MutableGraph, ops []gts.EdgeOp) error {
 	prev := mg.Epoch()
 	epoch, err := mg.Ingest(ops)
 	if err == nil {
-		st.Commit(prev, epoch, ops)
+		s.st.Commit(prev, epoch, ops)
 	}
 	return err
 }
 
-// incCapture retains BFS levels for the graph's current snapshot, as a
-// completed full run would.
-func incCapture(t *testing.T, st *incremental.Store, mg *gts.MutableGraph) {
+// incCapture holds BFS levels for the graph's current snapshot as the prior,
+// as a completed full run would.
+func incCapture(t *testing.T, s *incState, mg *gts.MutableGraph) {
 	t.Helper()
 	sys, err := gts.NewSystem(mg.Snapshot(), gts.Config{})
 	if err != nil {
@@ -46,17 +57,14 @@ func incCapture(t *testing.T, st *incremental.Store, mg *gts.MutableGraph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: mg.Epoch(),
-		Levels: bfs.Levels}) {
-		t.Fatalf("bfs capture rejected at epoch %d", mg.Epoch())
-	}
+	s.levels, s.at = bfs.Levels, mg.Epoch()
 }
 
-// incCheck resolves the retained entry in st against mg's snapshot: an
-// accepted delta-expansion plan must produce results byte-identical to a
-// full run (a refusal with a reason is a legal fallback). Returns how many
-// plans were accepted.
-func incCheck(t *testing.T, label string, st *incremental.Store, mg *gts.MutableGraph) int {
+// incCheck plans from the prior against mg's snapshot: an accepted
+// delta-expansion plan must produce results byte-identical to a full run (a
+// refusal with a reason is a legal fallback). Returns how many plans were
+// accepted.
+func incCheck(t *testing.T, label string, s *incState, mg *gts.MutableGraph) int {
 	t.Helper()
 	g := mg.Snapshot()
 	sys, err := gts.NewSystem(g, gts.Config{})
@@ -64,8 +72,8 @@ func incCheck(t *testing.T, label string, st *incremental.Store, mg *gts.Mutable
 		t.Fatal(err)
 	}
 	hits := 0
-	if e, d, reason := st.Lookup("bfs", mg.Epoch()); reason == "" {
-		if k, reason := incremental.PlanBFS(g, e, d); reason == "" {
+	if ops, ok := s.st.Delta(s.at, mg.Epoch()); ok {
+		if k, reason := incremental.PlanBFS(g, s.levels, ops); reason == "" {
 			out, _, err := sys.RunKernel(k, 0)
 			if err != nil {
 				t.Fatalf("%s: incremental bfs: %v", label, err)
@@ -362,9 +370,10 @@ func TestIngestCrashMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Retained state rides along exactly as the service wires it:
-				// captured before the mutation history, chained by each commit.
-				preSt := incremental.NewStore(m.Epoch())
+				// Incremental state rides along exactly as the service wires
+				// it: captured before the mutation history, chained by each
+				// commit.
+				preSt := newIncState(m)
 				incCapture(t, preSt, m)
 				var crashed bool
 				for i, ops := range batches {
@@ -408,19 +417,18 @@ func TestIngestCrashMatrix(t *testing.T) {
 				if err := snap.Validate(); err != nil {
 					t.Fatalf("recovered graph invalid: %v", err)
 				}
-				// Recovery discards retained state: the fresh store holds no
-				// entries, so no stale-epoch state can be consulted. The
-				// pre-crash store must NOT be reused — for fsync/apply
-				// crashes the WAL is one durable batch ahead of its hook
-				// chain, so its deltas no longer describe the recovered
+				// Recovery discards incremental state: the fresh chain holds
+				// no pre-crash commit, so no stale-epoch prior can be
+				// replayed. The pre-crash state must NOT be reused — for
+				// fsync/apply crashes the WAL is one durable batch ahead of
+				// its chain, so its deltas no longer describe the recovered
 				// snapshot.
-				recSt := incremental.NewStore(r.Epoch())
-				if _, _, reason := recSt.Lookup("bfs", r.Epoch()); reason == "" {
-					t.Fatal("fresh post-recovery store served a retained entry")
+				recSt := newIncState(r)
+				if _, ok := recSt.st.Delta(0, r.Epoch()); ok && r.Epoch() > 0 {
+					t.Fatal("fresh post-recovery chain replays pre-crash commits")
 				}
-				if preSt.Epoch() > r.Epoch() {
-					t.Fatalf("pre-crash store at epoch %d ahead of recovered epoch %d",
-						preSt.Epoch(), r.Epoch())
+				if _, ok := preSt.st.Delta(r.Epoch(), r.Epoch()+1); ok {
+					t.Fatalf("pre-crash chain committed past the recovered epoch %d", r.Epoch())
 				}
 				incCapture(t, recSt, r)
 				graphsEqual(t, "recovered vs oracle", snap, oracleGraph(t, spec, batches, want))

@@ -26,56 +26,56 @@ func incGoldenBatch() []slottedpage.EdgeOp {
 	}
 }
 
-// incGoldenSetup captures retained entries from serial clean full runs at
-// epoch 0, applies the fixed batch, and returns the post-commit graph
-// plus a store whose Lookup yields a one-commit delta for every algo.
-func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incremental.Store) {
+// incPrior is what the golden runs plan from: the outputs of serial clean
+// full runs at epoch 0 and the chain that replays them to epoch 1.
+type incPrior struct {
+	st     *incremental.Store
+	levels []int16
+	labels []uint32
+}
+
+// incGoldenSetup runs both algorithms at epoch 0, applies the fixed batch,
+// and returns the post-commit graph plus the prior, whose chain yields a
+// one-commit delta.
+func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incPrior) {
 	t.Helper()
 	sp := buildPages(t, rmatGraph(t))
-	st := incremental.NewStore(0)
+	p := &incPrior{st: incremental.NewStore(0)}
 
 	bfs := kernels.NewBFS(sp)
 	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), bfs, 0)
-	st.Capture("bfs", &incremental.Entry{
-		Kind: incremental.KindBFS, Epoch: 0,
-		Levels:    append([]int16(nil), bfs.Levels(rep.State)...),
-		FullPages: rep.PagesStreamed,
-	})
+	p.levels = append([]int16(nil), bfs.Levels(rep.State)...)
 	cc := kernels.NewCC(sp)
 	rep = mustRun(t, newEngine(t, sp, Options{}, 1, 0), cc, 0)
-	st.Capture("cc", &incremental.Entry{
-		Kind: incremental.KindCC, Epoch: 0,
-		Labels:    append([]uint32(nil), cc.Components(rep.State)...),
-		FullPages: rep.PagesStreamed,
-	})
+	p.labels = append([]uint32(nil), cc.Components(rep.State)...)
 
 	mut := slottedpage.NewMutable(sp)
 	g2, err := mut.ApplyBatch(incGoldenBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Commit(0, 1, incGoldenBatch())
-	return g2, st
+	p.st.Commit(0, 1, incGoldenBatch())
+	return g2, p
 }
 
 // incGoldenKernel plans one algorithm's delta-expansion kernel against the
 // post-commit graph. Kernels accumulate run state, so a fresh plan is
 // built for every execution.
-func incGoldenKernel(t *testing.T, g *slottedpage.Graph, st *incremental.Store, algo string) (kernels.Kernel, func(kernels.State) []byte, int) {
+func incGoldenKernel(t *testing.T, g *slottedpage.Graph, p *incPrior, algo string) (kernels.Kernel, func(kernels.State) []byte, int) {
 	t.Helper()
-	e, d, reason := st.Lookup(algo, 1)
-	if reason != "" {
-		t.Fatalf("%s lookup: %s", algo, reason)
+	ops, ok := p.st.Delta(0, 1)
+	if !ok {
+		t.Fatal("the chain cannot replay epoch 0 to 1")
 	}
 	switch algo {
 	case "bfs":
-		k, reason := incremental.PlanBFS(g, e, d)
+		k, reason := incremental.PlanBFS(g, p.levels, ops)
 		if reason != "" {
 			t.Fatalf("bfs plan refused: %s", reason)
 		}
 		return k, func(s kernels.State) []byte { return encodeVec(k.Levels(s)) }, k.Seeds
 	case "cc":
-		k, reason := incremental.PlanCC(g, e, d)
+		k, reason := incremental.PlanCC(g, p.labels, ops)
 		if reason != "" {
 			t.Fatalf("cc plan refused: %s", reason)
 		}
@@ -85,9 +85,9 @@ func incGoldenKernel(t *testing.T, g *slottedpage.Graph, st *incremental.Store, 
 	return nil, nil, 0
 }
 
-func incGoldenDigest(t *testing.T, g *slottedpage.Graph, st *incremental.Store, algo string, faulted bool) string {
+func incGoldenDigest(t *testing.T, g *slottedpage.Graph, p *incPrior, algo string, faulted bool) string {
 	t.Helper()
-	k, enc, _ := incGoldenKernel(t, g, st, algo)
+	k, enc, _ := incGoldenKernel(t, g, p, algo)
 	opts := Options{}
 	if faulted {
 		opts.Faults = chaosPlan()
@@ -105,7 +105,7 @@ func incGoldenDigest(t *testing.T, g *slottedpage.Graph, st *incremental.Store, 
 // asserted directly, so a drift in either path is caught even when the
 // golden file is being rewritten.
 func TestGoldenIncremental(t *testing.T) {
-	g, st := incGoldenSetup(t)
+	g, p := incGoldenSetup(t)
 	algos := []string{"bfs", "cc"}
 	full := map[string]kernelCase{}
 	for _, kc := range kernelCases() {
@@ -130,13 +130,13 @@ func TestGoldenIncremental(t *testing.T) {
 			}
 		}
 		for _, algo := range algos {
-			clean := incGoldenDigest(t, g, st, algo, false)
+			clean := incGoldenDigest(t, g, p, algo, false)
 			if clean != fromScratch(algo) {
 				t.Fatalf("%s: incremental digest being pinned differs from from-scratch recompute", algo)
 			}
 			m["inc-"+algo] = goldenEntry{
 				Clean:   clean,
-				Faulted: incGoldenDigest(t, g, st, algo, true),
+				Faulted: incGoldenDigest(t, g, p, algo, true),
 			}
 		}
 		raw, err := json.MarshalIndent(m, "", "  ")
@@ -161,14 +161,14 @@ func TestGoldenIncremental(t *testing.T) {
 			if want.Clean != fromScratch(algo) {
 				t.Errorf("pinned clean digest differs from a from-scratch recompute on the post-commit graph")
 			}
-			_, _, seeds := incGoldenKernel(t, g, st, algo)
+			_, _, seeds := incGoldenKernel(t, g, p, algo)
 			if seeds == 0 {
 				t.Errorf("delta plan has no seeds — the batch did not exercise delta expansion")
 			}
-			if got := incGoldenDigest(t, g, st, algo, false); got != want.Clean {
+			if got := incGoldenDigest(t, g, p, algo, false); got != want.Clean {
 				t.Errorf("clean digest = %s, want %s", got, want.Clean)
 			}
-			if got := incGoldenDigest(t, g, st, algo, true); got != want.Faulted {
+			if got := incGoldenDigest(t, g, p, algo, true); got != want.Faulted {
 				t.Errorf("faulted digest = %s, want %s", got, want.Faulted)
 			}
 		})
@@ -181,9 +181,9 @@ const incTraceName = "inc_bfs_clean"
 // recorder — the incseed marker span first, then the engine timeline on a
 // 1-GPU/1-SSD machine — and returns the recorder, its Chrome export and the
 // seed count.
-func incTraceExport(t *testing.T, g *slottedpage.Graph, st *incremental.Store) (*trace.Recorder, []byte, int) {
+func incTraceExport(t *testing.T, g *slottedpage.Graph, p *incPrior) (*trace.Recorder, []byte, int) {
 	t.Helper()
-	k, _, seeds := incGoldenKernel(t, g, st, "bfs")
+	k, _, seeds := incGoldenKernel(t, g, p, "bfs")
 	rec := trace.NewWithID(incTraceName)
 	rec.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.IncSeed, Page: int64(seeds), Level: -1})
 	mustRun(t, newEngine(t, g, Options{Trace: rec}, 1, 1), k, 0)
@@ -201,10 +201,10 @@ func incTraceExport(t *testing.T, g *slottedpage.Graph, st *incremental.Store) (
 // among them; the other fixtures stay untouched — this case writes only
 // its own file.
 func TestGoldenIncrementalTrace(t *testing.T) {
-	g, st := incGoldenSetup(t)
+	g, p := incGoldenSetup(t)
 
 	if *updateGolden {
-		_, chrome, _ := incTraceExport(t, g, st)
+		_, chrome, _ := incTraceExport(t, g, p)
 		if err := os.WriteFile(traceGoldenPath(incTraceName), chrome, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestGoldenIncrementalTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden (run -update-golden to create): %v", err)
 	}
-	live, chrome, wantSeeds := incTraceExport(t, g, st)
+	live, chrome, wantSeeds := incTraceExport(t, g, p)
 	if !bytes.Equal(chrome, want) {
 		t.Errorf("Chrome export differs from golden (%d vs %d bytes)", len(chrome), len(want))
 	}

@@ -54,9 +54,9 @@ func (s *incBFSState) WABytes() int64       { return int64(len(s.lv)) * 2 }
 func (s *incBFSState) Clone() kernels.State { return &incBFSState{lv: slices.Clone(s.lv)} }
 func incLevels(st kernels.State) []int16    { return st.(*incBFSState).lv }
 
-// PlanBFS builds an incremental BFS kernel from a retained entry and the
-// delta to the current graph, or reports a fallback reason. The safety
-// argument:
+// PlanBFS builds an incremental BFS kernel from a prior run's levels and the
+// ops committed since (Store.Delta to g's snapshot), or reports a fallback
+// reason. The safety argument:
 //
 //   - Deletes: removing an edge (u,v) that is non-tight w.r.t. the
 //     retained levels (lv[v] != lv[u]+1 or u unreached) cannot change any
@@ -71,22 +71,19 @@ func incLevels(st kernels.State) []int16    { return st.(*incBFSState).lv }
 //     exact new levels.
 //   - Vertex growth: new vertices start unreached, exactly as a full run
 //     would initialize them.
-func PlanBFS(g *slottedpage.Graph, e *Entry, d Delta) (*IncBFS, string) {
-	if e.Kind != KindBFS {
-		return nil, "wrong-kind"
-	}
+func PlanBFS(g *slottedpage.Graph, levels []int16, ops []EdgeOp) (*IncBFS, string) {
 	n := g.NumVertices()
-	if uint64(len(e.Levels)) > n {
+	if uint64(len(levels)) > n {
 		return nil, "vertex-shrink"
 	}
 	// Tight-delete check against the retained levels.
 	lvAt := func(v uint64) int16 {
-		if v < uint64(len(e.Levels)) {
-			return e.Levels[v]
+		if v < uint64(len(levels)) {
+			return levels[v]
 		}
 		return unvisited
 	}
-	for _, op := range d.Ops {
+	for _, op := range ops {
 		if !op.Del {
 			continue
 		}
@@ -96,8 +93,8 @@ func PlanBFS(g *slottedpage.Graph, e *Entry, d Delta) (*IncBFS, string) {
 		}
 	}
 	base := make([]int16, n)
-	copy(base, e.Levels)
-	for i := len(e.Levels); i < int(n); i++ {
+	copy(base, levels)
+	for i := len(levels); i < int(n); i++ {
 		base[i] = unvisited
 	}
 	init := append([]int16(nil), base...)
@@ -121,7 +118,7 @@ func PlanBFS(g *slottedpage.Graph, e *Entry, d Delta) (*IncBFS, string) {
 		return set[v]
 	}
 	seeds := 0
-	for _, op := range d.Ops {
+	for _, op := range ops {
 		if op.Del || op.Src >= n || op.Dst >= n || !hasEdge(op.Src, op.Dst) {
 			continue
 		}

@@ -44,31 +44,28 @@ func (s *incCCState) WABytes() int64       { return int64(len(s.labels)) * 4 }
 func (s *incCCState) Clone() kernels.State { return &incCCState{labels: slices.Clone(s.labels)} }
 func incLabels(st kernels.State) []uint32  { return st.(*incCCState).labels }
 
-// PlanCC builds an incremental CC kernel, or reports a fallback reason
-// (any delete in the chain). It seeds from every insert in d without looking
-// for the edge in g, so d must end at g's snapshot: the delta Store.Lookup
-// returns for g's epoch.
-func PlanCC(g *slottedpage.Graph, e *Entry, d Delta) (*IncCC, string) {
-	if e.Kind != KindCC {
-		return nil, "wrong-kind"
-	}
+// PlanCC builds an incremental CC kernel from a prior run's labels and the
+// ops committed since, or reports a fallback reason (any delete among them).
+// It seeds from every insert in ops without looking for the edge in g, so
+// ops must end at g's snapshot: what Store.Delta returns for g's epoch.
+func PlanCC(g *slottedpage.Graph, labels []uint32, ops []EdgeOp) (*IncCC, string) {
 	n := g.NumVertices()
-	if uint64(len(e.Labels)) > n {
+	if uint64(len(labels)) > n {
 		return nil, "vertex-shrink"
 	}
-	for _, op := range d.Ops {
+	for _, op := range ops {
 		if op.Del {
 			return nil, "delete"
 		}
 	}
 	base := make([]uint32, n)
-	copy(base, e.Labels)
-	for i := uint64(len(e.Labels)); i < n; i++ {
+	copy(base, labels)
+	for i := uint64(len(labels)); i < n; i++ {
 		base[i] = uint32(i) // new vertices: own component, as a full run inits
 	}
 	init := append([]uint32(nil), base...)
 	seeds := 0
-	for _, op := range d.Ops {
+	for _, op := range ops {
 		if op.Src >= n || op.Dst >= n {
 			continue
 		}

@@ -30,8 +30,8 @@ func decodeFuzzOps(data []byte, n uint64) []gts.EdgeOp {
 	return ops
 }
 
-// FuzzDeltaExpand feeds adversarial edge batches through the retained-state
-// store and the delta-expansion planners, holding every accepted plan to
+// FuzzDeltaExpand feeds adversarial edge batches through the commit chain
+// and the delta-expansion planners, holding every accepted plan to
 // the byte-identical-to-full-recompute contract. Delete-heavy inputs drive
 // the fallback matrix (any CC delete, tight BFS deletes); the planner must
 // either refuse with a reason or match the oracle exactly.
@@ -49,11 +49,7 @@ func FuzzDeltaExpand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzOps(data, n)
 		mut := slottedpage.NewMutable(base)
-		st := incremental.NewStore(0)
-		st.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0,
-			Levels: o.levels})
-		st.Capture("cc", &incremental.Entry{Kind: incremental.KindCC, Epoch: 0,
-			Labels: o.labels})
+		st := incremental.NewStore(0) // o, computed at epoch 0, is the prior
 
 		epoch := uint64(0)
 		for len(ops) > 0 {
@@ -71,20 +67,20 @@ func FuzzDeltaExpand(f *testing.F) {
 		g := mut.Snapshot()
 		want := computeOracle(t, g, nil)
 
-		if prior, delta, reason := st.Lookup("bfs", epoch); reason == "" {
-			if k, reason := incremental.PlanBFS(g, prior, delta); reason == "" {
-				res, _ := runKernel(t, g, k, bfsSource, nil)
-				if i := cmpLevels(want.levels, k.Levels(res)); i >= 0 {
-					t.Fatalf("bfs diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
-				}
+		delta, ok := st.Delta(0, epoch)
+		if !ok {
+			t.Fatalf("the chain cannot replay epoch 0 to %d", epoch)
+		}
+		if k, reason := incremental.PlanBFS(g, o.levels, delta); reason == "" {
+			res, _ := runKernel(t, g, k, bfsSource, nil)
+			if i := cmpLevels(want.levels, k.Levels(res)); i >= 0 {
+				t.Fatalf("bfs diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
 			}
 		}
-		if prior, delta, reason := st.Lookup("cc", epoch); reason == "" {
-			if k, reason := incremental.PlanCC(g, prior, delta); reason == "" {
-				res, _ := runKernel(t, g, k, 0, nil)
-				if i := cmpLabels(want.labels, k.Components(res)); i >= 0 {
-					t.Fatalf("cc diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
-				}
+		if k, reason := incremental.PlanCC(g, o.labels, delta); reason == "" {
+			res, _ := runKernel(t, g, k, 0, nil)
+			if i := cmpLabels(want.labels, k.Components(res)); i >= 0 {
+				t.Fatalf("cc diverges at vertex %d for ops %v", i, decodeFuzzOps(data, n))
 			}
 		}
 	})

@@ -22,12 +22,15 @@ func chaosPlan() *gts.FaultPlan {
 		StorageErrorRate: 0.05, CorruptionRate: 0.05}
 }
 
-// harness couples a mutable graph with a retained-state store wired the
-// way the service wires them: every ingest commit extends the store's
-// chain with the batch (harness.ingest).
+// harness couples a mutable graph with a commit chain wired the way the
+// service wires them — every ingest commit extends the chain with the batch
+// (harness.ingest) — and holds the prior a service's job table would: the
+// outputs of the last captured full runs and the epoch they ran on.
 type harness struct {
-	mg *gts.MutableGraph
-	st *incremental.Store
+	mg    *gts.MutableGraph
+	st    *incremental.Store
+	prior *oracle
+	at    uint64
 }
 
 func newHarness(t testing.TB, spec string) *harness {
@@ -67,39 +70,34 @@ func runKernel(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64, faults *
 
 // oracle is one epoch's from-scratch truth for both algorithms.
 type oracle struct {
-	levels   []int16
-	labels   []uint32
-	bfsPages int64
-	ccPages  int64
+	levels []int16
+	labels []uint32
 }
 
 func computeOracle(t testing.TB, g *gts.Graph, faults *gts.FaultPlan) *oracle {
 	t.Helper()
 	var o oracle
 	bk := kernels.NewBFS(g)
-	st, m := runKernel(t, g, bk, bfsSource, faults)
+	st, _ := runKernel(t, g, bk, bfsSource, faults)
 	o.levels = append([]int16(nil), bk.Levels(st)...)
-	o.bfsPages = m.PagesStreamed
 	ck := kernels.NewCC(g)
-	st, m = runKernel(t, g, ck, 0, faults)
+	st, _ = runKernel(t, g, ck, 0, faults)
 	o.labels = append([]uint32(nil), ck.Components(st)...)
-	o.ccPages = m.PagesStreamed
 	return &o
 }
 
-// capture retains the oracle's state in the store at the current epoch,
-// exactly what the service does after a full run.
-func (h *harness) capture(t testing.TB, o *oracle) {
+// capture holds the oracle's outputs, computed at the current epoch, as the
+// prior, exactly what the service does after a full run.
+func (h *harness) capture(o *oracle) { h.prior, h.at = o, h.mg.Epoch() }
+
+// delta returns the ops that replay the prior to epoch at.
+func (h *harness) delta(t testing.TB, at uint64) []gts.EdgeOp {
 	t.Helper()
-	epoch := h.mg.Epoch()
-	if !h.st.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: epoch,
-		Levels: o.levels, FullPages: o.bfsPages}) {
-		t.Fatalf("bfs capture rejected at epoch %d", epoch)
+	ops, ok := h.st.Delta(h.at, at)
+	if !ok {
+		t.Fatalf("the chain cannot replay epoch %d to %d", h.at, at)
 	}
-	if !h.st.Capture("cc", &incremental.Entry{Kind: incremental.KindCC, Epoch: epoch,
-		Labels: o.labels, FullPages: o.ccPages}) {
-		t.Fatalf("cc capture rejected at epoch %d", epoch)
-	}
+	return ops
 }
 
 func cmpLevels(a, b []int16) int {
@@ -150,41 +148,36 @@ func replayCheck(t testing.TB, sc script, faults *gts.FaultPlan, captureEvery in
 	}
 	h := newHarness(t, sc.spec)
 	o := computeOracle(t, h.mg.Snapshot(), faults)
-	h.capture(t, o)
+	h.capture(o)
 
 	for bi, ops := range sc.batches {
 		h.ingest(t, ops)
 		snap := h.mg.Snapshot()
 		o = computeOracle(t, snap, faults)
+		delta := h.delta(t, h.mg.Epoch())
 
-		if prior, delta, reason := h.st.Lookup("bfs", h.mg.Epoch()); reason == "" {
-			if _, reason := incremental.PlanBFS(snap, prior, delta); reason != "" {
-				tl.fallbacks["bfs"]++
-			} else {
-				tl.hits["bfs"]++
-				k, _ := incremental.PlanBFS(snap, prior, delta)
-				st, _ := runKernel(t, snap, k, bfsSource, faults)
-				if i := cmpLevels(o.levels, k.Levels(st)); i >= 0 {
-					return fmt.Sprintf("batch %d: bfs diverges at vertex %d: full=%d inc=%d",
-						bi, i, o.levels[i], k.Levels(st)[i])
-				}
+		if k, reason := incremental.PlanBFS(snap, h.prior.levels, delta); reason != "" {
+			tl.fallbacks["bfs"]++
+		} else {
+			tl.hits["bfs"]++
+			st, _ := runKernel(t, snap, k, bfsSource, faults)
+			if i := cmpLevels(o.levels, k.Levels(st)); i >= 0 {
+				return fmt.Sprintf("batch %d: bfs diverges at vertex %d: full=%d inc=%d",
+					bi, i, o.levels[i], k.Levels(st)[i])
 			}
 		}
-		if prior, delta, reason := h.st.Lookup("cc", h.mg.Epoch()); reason == "" {
-			if _, reason := incremental.PlanCC(snap, prior, delta); reason != "" {
-				tl.fallbacks["cc"]++
-			} else {
-				tl.hits["cc"]++
-				k, _ := incremental.PlanCC(snap, prior, delta)
-				st, _ := runKernel(t, snap, k, 0, faults)
-				if i := cmpLabels(o.labels, k.Components(st)); i >= 0 {
-					return fmt.Sprintf("batch %d: cc diverges at vertex %d: full=%d inc=%d",
-						bi, i, o.labels[i], k.Components(st)[i])
-				}
+		if k, reason := incremental.PlanCC(snap, h.prior.labels, delta); reason != "" {
+			tl.fallbacks["cc"]++
+		} else {
+			tl.hits["cc"]++
+			st, _ := runKernel(t, snap, k, 0, faults)
+			if i := cmpLabels(o.labels, k.Components(st)); i >= 0 {
+				return fmt.Sprintf("batch %d: cc diverges at vertex %d: full=%d inc=%d",
+					bi, i, o.labels[i], k.Components(st)[i])
 			}
 		}
 		if (bi+1)%captureEvery == 0 {
-			h.capture(t, o)
+			h.capture(o)
 		}
 	}
 	return ""
@@ -312,21 +305,21 @@ func TestDifferentialRandomScripts(t *testing.T) {
 	}
 }
 
-// TestSameEpochRequery proves the trivial delta: a retained entry at the
-// current epoch replans to a run that streams zero topology pages and
-// reproduces the retained answer bitwise.
+// TestSameEpochRequery proves the trivial delta: a prior at the current
+// epoch replans to a run that streams zero topology pages and reproduces the
+// prior answer bitwise.
 func TestSameEpochRequery(t *testing.T) {
 	h := newHarness(t, testSpec)
 	h.ingest(t, []gts.EdgeOp{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
 	snap := h.mg.Snapshot()
 	o := computeOracle(t, snap, nil)
-	h.capture(t, o)
+	h.capture(o)
 
-	prior, delta, reason := h.st.Lookup("bfs", h.mg.Epoch())
-	if reason != "" {
-		t.Fatalf("bfs lookup: %s", reason)
+	delta := h.delta(t, h.mg.Epoch())
+	if len(delta) != 0 {
+		t.Fatalf("same-epoch delta has %d ops", len(delta))
 	}
-	k, reason := incremental.PlanBFS(snap, prior, delta)
+	k, reason := incremental.PlanBFS(snap, o.levels, delta)
 	if reason != "" {
 		t.Fatalf("empty-delta bfs fell back: %s", reason)
 	}
@@ -338,8 +331,7 @@ func TestSameEpochRequery(t *testing.T) {
 		t.Fatalf("empty-delta bfs streamed %d pages, want 0", m.PagesStreamed)
 	}
 
-	cprior, cdelta, _ := h.st.Lookup("cc", h.mg.Epoch())
-	ck, reason := incremental.PlanCC(snap, cprior, cdelta)
+	ck, reason := incremental.PlanCC(snap, o.labels, delta)
 	if reason != "" {
 		t.Fatalf("empty-delta cc fell back: %s", reason)
 	}

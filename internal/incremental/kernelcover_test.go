@@ -51,17 +51,13 @@ func TestLargePageDeltaExpansion(t *testing.T) {
 		}
 	}
 	o := computeOracle(t, g0, nil)
-	h.capture(t, o)
+	h.capture(o)
 
 	h.ingest(t, []gts.EdgeOp{{Src: 1, Dst: 1600}})
 	g := h.mg.Snapshot()
 	want := computeOracle(t, g, nil)
 
-	prior, delta, reason := h.st.Lookup("bfs", h.mg.Epoch())
-	if reason != "" {
-		t.Fatalf("bfs lookup: %s", reason)
-	}
-	kb, reason := incremental.PlanBFS(g, prior, delta)
+	kb, reason := incremental.PlanBFS(g, h.prior.levels, h.delta(t, h.mg.Epoch()))
 	if reason != "" {
 		t.Fatalf("bfs fallback %q on insert-only bridge", reason)
 	}
@@ -70,11 +66,7 @@ func TestLargePageDeltaExpansion(t *testing.T) {
 		t.Fatalf("bfs diverges at vertex %d", i)
 	}
 
-	prior, delta, reason = h.st.Lookup("cc", h.mg.Epoch())
-	if reason != "" {
-		t.Fatalf("cc lookup: %s", reason)
-	}
-	kc, reason := incremental.PlanCC(g, prior, delta)
+	kc, reason := incremental.PlanCC(g, h.prior.labels, h.delta(t, h.mg.Epoch()))
 	if reason != "" {
 		t.Fatalf("cc fallback %q on insert-only bridge", reason)
 	}
@@ -88,13 +80,11 @@ func TestLargePageDeltaExpansion(t *testing.T) {
 // delta, failing the test on any fallback.
 func planFixpoint(t testing.TB, g *gts.Graph, o *oracle) (*incremental.IncBFS, *incremental.IncCC) {
 	t.Helper()
-	kb, r := incremental.PlanBFS(g, &incremental.Entry{Kind: incremental.KindBFS,
-		Levels: o.levels}, incremental.Delta{})
+	kb, r := incremental.PlanBFS(g, o.levels, nil)
 	if r != "" {
 		t.Fatalf("bfs plan: %q", r)
 	}
-	kc, r := incremental.PlanCC(g, &incremental.Entry{Kind: incremental.KindCC,
-		Labels: o.labels}, incremental.Delta{})
+	kc, r := incremental.PlanCC(g, o.labels, nil)
 	if r != "" {
 		t.Fatalf("cc plan: %q", r)
 	}
@@ -188,12 +178,11 @@ func TestOwnershipBounds(t *testing.T) {
 		t.Skip("vertex 0 has no out-edges in the test graph")
 	}
 	op := gts.EdgeOp{Src: 0, Dst: dst}
-	delta := incremental.Delta{Ops: []gts.EdgeOp{op}}
+	ops := []gts.EdgeOp{op}
 
 	staleLv := append([]int16(nil), o.levels...)
 	staleLv[dst] = unvisitedLevel
-	kb, r := incremental.PlanBFS(g, &incremental.Entry{Kind: incremental.KindBFS,
-		Levels: staleLv}, delta)
+	kb, r := incremental.PlanBFS(g, staleLv, ops)
 	if r != "" || kb.Seeds == 0 {
 		t.Fatalf("bfs plan: reason %q, %d seeds", r, kb.Seeds)
 	}
@@ -202,8 +191,7 @@ func TestOwnershipBounds(t *testing.T) {
 	if staleLb[0] >= staleLb[dst] {
 		t.Fatalf("label fixture needs labels[0] < %d", dst)
 	}
-	kc, r := incremental.PlanCC(g, &incremental.Entry{Kind: incremental.KindCC,
-		Labels: staleLb}, delta)
+	kc, r := incremental.PlanCC(g, staleLb, ops)
 	if r != "" || kc.Seeds == 0 {
 		t.Fatalf("cc plan: reason %q, %d seeds", r, kc.Seeds)
 	}
@@ -236,13 +224,11 @@ func TestPlannerShapeFallbacks(t *testing.T) {
 	g := openBase(t)
 	n := g.NumVertices()
 	longLv := make([]int16, n+1)
-	if _, r := incremental.PlanBFS(g, &incremental.Entry{Kind: incremental.KindBFS,
-		Levels: longLv}, incremental.Delta{}); r != "vertex-shrink" {
+	if _, r := incremental.PlanBFS(g, longLv, nil); r != "vertex-shrink" {
 		t.Fatalf("bfs shrink reason = %q", r)
 	}
 	longLb := make([]uint32, n+1)
-	if _, r := incremental.PlanCC(g, &incremental.Entry{Kind: incremental.KindCC,
-		Labels: longLb}, incremental.Delta{}); r != "vertex-shrink" {
+	if _, r := incremental.PlanCC(g, longLb, nil); r != "vertex-shrink" {
 		t.Fatalf("cc shrink reason = %q", r)
 	}
 }

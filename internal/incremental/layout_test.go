@@ -144,14 +144,12 @@ func TestLayoutsAgree(t *testing.T) {
 			lst, _ := multi.Lane(st, j)
 			levels(fmt.Sprintf("multibfs lane %d", j), lane.Levels(lst), verify.BFS(g1, uint32(sources[j])))
 		}
-		kb, reason := incremental.PlanBFS(g, &incremental.Entry{Kind: incremental.KindBFS,
-			Levels: verify.BFS(g0, uint32(src))}, incremental.Delta{Ops: ops})
+		kb, reason := incremental.PlanBFS(g, verify.BFS(g0, uint32(src)), ops)
 		if reason != "" || kb.Seeds == 0 {
 			t.Fatalf("%s: incremental bfs plan: reason %q, %d seeds", name, reason, kb.Seeds)
 		}
 		levels("incbfs", kb.Levels(run(kb, src)), wantLv)
-		kc, reason := incremental.PlanCC(g, &incremental.Entry{Kind: incremental.KindCC,
-			Labels: verify.WCC(g0)}, incremental.Delta{Ops: ops})
+		kc, reason := incremental.PlanCC(g, verify.WCC(g0), ops)
 		if reason != "" || kc.Seeds == 0 {
 			t.Fatalf("%s: incremental cc plan: reason %q, %d seeds", name, reason, kc.Seeds)
 		}

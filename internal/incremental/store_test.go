@@ -1,7 +1,6 @@
 package incremental_test
 
 import (
-	"fmt"
 	"testing"
 
 	gts "repro"
@@ -17,88 +16,81 @@ func openBase(t testing.TB) *gts.Graph {
 	return g
 }
 
+// TestStoreCommitAndLookup: Delta flattens the commits between two epochs,
+// in commit order, and replays from any epoch the chain still spans.
 func TestStoreCommitAndLookup(t *testing.T) {
 	s := incremental.NewStore(0)
-	if !s.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0, Levels: []int16{0}}) {
-		t.Fatal("capture at current epoch rejected")
-	}
 	s.Commit(0, 1, []incremental.EdgeOp{{Src: 1, Dst: 2}})
 	s.Commit(1, 2, []incremental.EdgeOp{{Del: true, Src: 3, Dst: 4}, {Src: 1, Dst: 5}})
 
-	e, d, reason := s.Lookup("bfs", 2)
-	if reason != "" {
-		t.Fatalf("lookup: %s", reason)
+	ops, ok := s.Delta(0, 2)
+	if !ok || len(ops) != 3 || ops[0] != (incremental.EdgeOp{Src: 1, Dst: 2}) {
+		t.Fatalf("Delta(0, 2) = %v, %v; want the 3 ops in commit order", ops, ok)
 	}
-	if e.Epoch != 0 || d.FromEpoch != 0 || d.ToEpoch != 2 {
-		t.Fatalf("delta spans %d..%d from entry epoch %d", d.FromEpoch, d.ToEpoch, e.Epoch)
+	if ops, ok := s.Delta(1, 2); !ok || len(ops) != 2 {
+		t.Fatalf("Delta(1, 2) = %v, %v; want epoch 2's 2 ops", ops, ok)
 	}
-	if len(d.Ops) != 3 {
-		t.Fatalf("flattened ops = %d, want 3", len(d.Ops))
+	if ops, ok := s.Delta(2, 2); !ok || len(ops) != 0 {
+		t.Fatalf("Delta(2, 2) = %v, %v; want no ops", ops, ok)
 	}
 }
 
 func TestStoreLineageBreakDropsEverything(t *testing.T) {
 	s := incremental.NewStore(0)
-	s.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0})
 	s.Commit(0, 1, nil)
 	// A commit whose prev does not extend the lineage (missed commit, or a
-	// recovered graph reusing LSNs) must wipe chain and entries.
+	// recovered graph reusing LSNs) must drop the chain.
 	s.Commit(5, 6, nil)
-	if s.Len() != 0 {
-		t.Fatalf("entries survived a lineage break: %d", s.Len())
+	for _, from := range []uint64{0, 1} {
+		if _, ok := s.Delta(from, 6); ok {
+			t.Fatalf("Delta(%d, 6) replayed across a lineage break", from)
+		}
 	}
-	if _, _, reason := s.Lookup("bfs", 6); reason == "" {
-		t.Fatal("lookup served across a lineage break")
+	if _, ok := s.Delta(5, 6); !ok {
+		t.Fatal("the commit after the break cannot be replayed")
 	}
-	if s.Epoch() != 6 {
-		t.Fatalf("epoch = %d, want 6", s.Epoch())
-	}
-}
 
-func TestStoreCaptureRejectsStaleEpoch(t *testing.T) {
-	s := incremental.NewStore(0)
+	// A break that reuses epochs: the commits before it must not be
+	// replayed as if they led to the new ones.
+	s = incremental.NewStore(0)
 	s.Commit(0, 1, nil)
-	// A run that raced an ingest commit carries the pre-commit epoch and
-	// must be discarded.
-	if s.Capture("bfs", &incremental.Entry{Kind: incremental.KindBFS, Epoch: 0}) {
-		t.Fatal("stale-epoch capture accepted")
+	s.Commit(1, 2, []incremental.EdgeOp{{Src: 1, Dst: 2}})
+	s.Commit(1, 2, []incremental.EdgeOp{{Src: 3, Dst: 4}})
+	if _, ok := s.Delta(0, 2); ok {
+		t.Fatal("Delta(0, 2) replayed across a break that reused epoch 2")
 	}
-	if s.Len() != 0 {
-		t.Fatal("stale entry stored")
+	if ops, ok := s.Delta(1, 2); !ok || len(ops) != 1 || ops[0].Src != 3 {
+		t.Fatalf("Delta(1, 2) = %v, %v; want the commit after the break", ops, ok)
 	}
 }
 
 func TestStoreChainTrimDropsUnreplayableEntries(t *testing.T) {
 	s := incremental.NewStore(0)
-	s.Capture("old", &incremental.Entry{Kind: incremental.KindCC, Epoch: 0})
-	for i := 0; i < incremental.DefaultMaxChain+5; i++ {
-		s.Commit(uint64(i), uint64(i+1), nil)
+	for i := 0; i < incremental.MaxChain+5; i++ {
+		s.Commit(uint64(i), uint64(i+1), []incremental.EdgeOp{{Src: uint64(i), Dst: uint64(i + 1)}})
 	}
-	if _, _, reason := s.Lookup("old", s.Epoch()); reason == "" {
-		t.Fatal("entry older than the chain window still served")
+	cur := uint64(incremental.MaxChain + 5)
+	if _, ok := s.Delta(0, cur); ok {
+		t.Fatal("an epoch older than the chain window still replays")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("unreplayable entry retained: %d", s.Len())
+	if ops, ok := s.Delta(5, cur); !ok || len(ops) != incremental.MaxChain {
+		t.Fatalf("Delta(5, %d) = %d ops, %v; want the whole %d-commit window", cur, len(ops), ok, incremental.MaxChain)
 	}
-	// A fresh capture at the current epoch still works.
-	cur := s.Epoch()
-	if !s.Capture("new", &incremental.Entry{Kind: incremental.KindCC, Epoch: cur}) {
-		t.Fatal("current-epoch capture rejected after trim")
-	}
-	if _, d, reason := s.Lookup("new", cur); reason != "" || len(d.Ops) != 0 {
-		t.Fatal("current-epoch entry should yield an empty delta")
+	// A prior at the current epoch needs nothing from the chain.
+	if ops, ok := s.Delta(cur, cur); !ok || len(ops) != 0 {
+		t.Fatal("a current-epoch prior should yield an empty delta")
 	}
 }
 
 // TestStoreLookupStopsAtSnapshot: a job admitted at epoch 0 can plan after
-// the store has committed epoch 1. Its lookup must hand it the delta up to
-// epoch 0 only — each of epoch 1's inserts joins two components the job's
-// snapshot keeps apart — and must refuse an entry captured at epoch 1.
+// the store has committed epoch 1. Its delta must stop at epoch 0 — each of
+// epoch 1's inserts joins two components the job's snapshot keeps apart —
+// and a prior computed at epoch 1 cannot be replayed back to epoch 0.
 func TestStoreLookupStopsAtSnapshot(t *testing.T) {
 	h := newHarness(t, testSpec)
 	g0 := h.mg.Snapshot()
 	o0 := computeOracle(t, g0, nil)
-	h.capture(t, o0)
+	h.capture(o0)
 	var reps []uint64 // one vertex per epoch-0 component
 	seen := make(map[uint32]bool)
 	for v, l := range o0.labels {
@@ -117,14 +109,11 @@ func TestStoreLookupStopsAtSnapshot(t *testing.T) {
 	h.ingest(t, ops)
 
 	for at, g := range []*gts.Graph{g0, h.mg.Snapshot()} {
-		prior, d, reason := h.st.Lookup("cc", uint64(at))
-		if reason != "" {
-			t.Fatalf("cc lookup at epoch %d: %s", at, reason)
+		d := h.delta(t, uint64(at))
+		if len(d) != 8*at {
+			t.Fatalf("cc delta at epoch %d has %d ops", at, len(d))
 		}
-		if d.ToEpoch != uint64(at) || len(d.Ops) != 8*at {
-			t.Fatalf("cc delta at epoch %d ends at %d with %d ops", at, d.ToEpoch, len(d.Ops))
-		}
-		k, reason := incremental.PlanCC(g, prior, d)
+		k, reason := incremental.PlanCC(g, o0.labels, d)
 		if reason != "" {
 			t.Fatalf("cc plan at epoch %d: %s", at, reason)
 		}
@@ -136,60 +125,8 @@ func TestStoreLookupStopsAtSnapshot(t *testing.T) {
 		}
 	}
 
-	h.capture(t, computeOracle(t, h.mg.Snapshot(), nil))
-	for _, key := range []string{"bfs", "cc"} {
-		if _, _, reason := h.st.Lookup(key, 0); reason != "entry-after-snapshot" {
-			t.Errorf("%s lookup at epoch 0 of an epoch-1 entry: reason %q", key, reason)
-		}
-	}
-}
-
-// TestStoreBoundsEntries: the store holds at most MaxEntries keys. Capturing
-// more without a commit in between (a BFS from every source of a graph nobody
-// ingests into) evicts the entries captured longest ago and keeps the newest.
-func TestStoreBoundsEntries(t *testing.T) {
-	s := incremental.NewStore(0)
-	total := incremental.MaxEntries + 8
-	for i := 0; i < total; i++ {
-		if !s.Capture(fmt.Sprint("bfs?", i), &incremental.Entry{Kind: incremental.KindBFS, FullPages: int64(i)}) {
-			t.Fatalf("capture %d rejected", i)
-		}
-	}
-	if s.Len() != incremental.MaxEntries {
-		t.Fatalf("Len() = %d after %d captures, want the bound %d", s.Len(), total, incremental.MaxEntries)
-	}
-	for i := 0; i < total; i++ {
-		e, _, reason := s.Lookup(fmt.Sprint("bfs?", i), 0)
-		ok := reason == ""
-		if want := i >= 8; ok != want {
-			t.Fatalf("key %d retained = %v, want %v (the 8 oldest go)", i, ok, want)
-		}
-		if ok && e.FullPages != int64(i) {
-			t.Fatalf("key %d holds entry %d", i, e.FullPages)
-		}
-	}
-	// Re-capturing a held key replaces it in place and makes it the newest:
-	// nothing is evicted for it, and the next new key evicts key 9, not key 8.
-	s.Capture("bfs?8", &incremental.Entry{Kind: incremental.KindBFS, FullPages: 8})
-	s.Capture("bfs?new", &incremental.Entry{Kind: incremental.KindBFS})
-	if _, _, reason := s.Lookup("bfs?8", 0); reason != "" || s.Len() != incremental.MaxEntries {
-		t.Fatalf("re-captured key evicted (%q, Len %d)", reason, s.Len())
-	}
-	if _, _, reason := s.Lookup("bfs?9", 0); reason == "" {
-		t.Fatal("the oldest capture survived a new key at the bound")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	for k, want := range map[incremental.Kind]string{
-		incremental.KindBFS: "bfs", incremental.KindCC: "cc",
-	} {
-		if k.String() != want {
-			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), want)
-		}
-	}
-	if incremental.Kind(99).String() != "unknown" {
-		t.Fatal("unknown kind not reported")
+	if _, ok := h.st.Delta(1, 0); ok {
+		t.Error("an epoch-1 prior replays back to epoch 0")
 	}
 }
 
@@ -209,9 +146,6 @@ func TestPlannerFallbackReasons(t *testing.T) {
 		labels[i] = uint32(i)
 	}
 
-	bfsEntry := &incremental.Entry{Kind: incremental.KindBFS, Levels: lv}
-	ccEntry := &incremental.Entry{Kind: incremental.KindCC, Labels: labels}
-
 	var tight gts.EdgeOp
 	found := false
 	g.NeighborsOf(0, func(dst uint64) {
@@ -226,26 +160,22 @@ func TestPlannerFallbackReasons(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		plan   func(d incremental.Delta) string
-		delta  incremental.Delta
+		plan   func(ops []gts.EdgeOp) string
+		ops    []gts.EdgeOp
 		reason string
 	}{
-		{"bfs-wrong-kind", func(d incremental.Delta) string {
-			_, r := incremental.PlanBFS(g, ccEntry, d)
+		{"bfs-tight-delete", func(ops []gts.EdgeOp) string {
+			_, r := incremental.PlanBFS(g, lv, ops)
 			return r
-		}, incremental.Delta{}, "wrong-kind"},
-		{"bfs-tight-delete", func(d incremental.Delta) string {
-			_, r := incremental.PlanBFS(g, bfsEntry, d)
+		}, []gts.EdgeOp{tight}, "tight-delete"},
+		{"cc-any-delete", func(ops []gts.EdgeOp) string {
+			_, r := incremental.PlanCC(g, labels, ops)
 			return r
-		}, incremental.Delta{Ops: []gts.EdgeOp{tight}}, "tight-delete"},
-		{"cc-any-delete", func(d incremental.Delta) string {
-			_, r := incremental.PlanCC(g, ccEntry, d)
-			return r
-		}, incremental.Delta{Ops: []gts.EdgeOp{{Del: true, Src: 1, Dst: 2}}}, "delete"},
+		}, []gts.EdgeOp{{Del: true, Src: 1, Dst: 2}}, "delete"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if r := tc.plan(tc.delta); r != tc.reason {
+			if r := tc.plan(tc.ops); r != tc.reason {
 				t.Fatalf("reason = %q, want %q", r, tc.reason)
 			}
 		})

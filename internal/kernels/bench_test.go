@@ -18,9 +18,10 @@ import (
 // BFSx8 is an eight-lane MultiBFS, per lane-edge: compare it with BFS.
 //
 // Every kernel runs at the benchmark's (2,2) layout, where PageRank, CC,
-// SSSP, DirBFS and MultiBFS take their (2,2) entry loops. pq33 and pq24
-// run PageRank, CC and SSSP again on the same graph at (3,3) and (2,4),
-// whose entries go through the general VID loop.
+// SSSP, BFS (plain and NewDirBFS's direction-optimizing one) and MultiBFS
+// take their (2,2) entry loops. pq33 and pq24 run PageRank, CC and SSSP
+// again on the same graph at (3,3) and (2,4), whose entries go through the
+// general VID loop.
 func BenchmarkPageKernels(b *testing.B) {
 	d, _ := graphgen.ByName("RMAT27")
 	g := d.MustGenerate(11)

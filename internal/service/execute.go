@@ -16,14 +16,13 @@ import (
 // pipeline adds the recorder), whose finished state the algorithm's table
 // entry decodes. The remaining fields are set only for jobs that retain
 // state or ask for incremental service (resolve, incremental.go and the
-// replan hooks of algos.go).
+// replans of algos.go).
 type plan struct {
 	job gts.SharedJob
-	// capture, when non-nil, retains the completed run (its decoded output
-	// and metrics) for later incremental requests.
-	capture func(output any, m gts.Metrics)
+	// retain marks a run that becomes its request's prior when it finishes.
+	retain bool
 	// hit marks a delta-expansion run; seeds is its seed count (for the
-	// incseed span) and priorFull the retained from-scratch page cost.
+	// incseed span) and priorFull its prior's from-scratch page cost.
 	hit       bool
 	seeds     int
 	priorFull int64
@@ -41,7 +40,7 @@ type plan struct {
 // one or the other, and an answered job no longer counts against QueueDepth.
 func (s *Server) execute(job *Job) {
 	defer job.cancel()
-	pl := resolve(job)
+	pl := s.resolve(job)
 
 	// Request-scoped tracing: the job's spans go to a recorder of its own,
 	// which is kept even for failed runs — a timeline that ends mid-fault
@@ -83,13 +82,15 @@ func (s *Server) execute(job *Job) {
 		return
 	}
 
-	// Incremental accounting: a hit saved (from-scratch pages - streamed
-	// pages); a fallback on an explicit incremental request counts against
-	// it.
+	// Incremental accounting: a hit saved (from-scratch pages - its pages); a
+	// fallback on an explicit incremental request counts against it. A run's
+	// pages are those it touched, streamed or found in the device cache, so
+	// the count does not depend on what the device held warm.
 	m := out.Metrics
+	pages := m.PagesStreamed + out.CacheHits
 	if pl.hit {
-		saved := pl.priorFull - m.PagesStreamed
-		s.met.addIncHit(saved)
+		s.met.addIncHit(pl.priorFull - pages)
+		pages = pl.priorFull
 	} else if pl.fallback != "" {
 		s.met.addIncFallback()
 	}
@@ -101,11 +102,15 @@ func (s *Server) execute(job *Job) {
 		Output:  job.algo.Decode(sj.Kernel, out.State, job.req.Params, m),
 		Wall:    wall,
 	}
-	if pl.capture != nil {
-		pl.capture(res.Output, m)
-	}
 	s.met.addFaults(m.Faults)
-	s.finish(job, func() { job.trace = chrome; s.answer(job, res, false) })
+	s.finish(job, func() {
+		job.trace, job.fullPages = chrome, pages
+		s.answer(job, res, false)
+		// A retaining run becomes its request's prior unless that prior ran on a later epoch.
+		if old := s.priors[job.prior]; pl.retain && (old == nil || old.epoch <= job.epoch) {
+			s.priors[job.prior] = job
+		}
+	})
 }
 
 // run runs sj, job's engine job, alone on the System job was admitted
@@ -153,14 +158,14 @@ func (s *Server) run(job *Job, sj gts.SharedJob) (out *gts.SharedOutcome, start 
 }
 
 // resolve picks the kernel a job runs. An algorithm that retains state, on a
-// graph with a retained-state store, goes through the incremental planner: it
-// may substitute a delta-expansion kernel seeded from retained state, and
-// otherwise runs the full kernel with a capture hook, so fresh state is
-// retained either way. Everything else gets the algorithm's own kernel, and
-// an "incremental": true request among it is a fallback like any other.
-func resolve(job *Job) plan {
+// graph with a commit chain, goes through the incremental planner: it may
+// substitute a delta-expansion kernel seeded from the request's prior, and
+// otherwise runs the full kernel; either way the run becomes the next prior.
+// Everything else gets the algorithm's own kernel, and an "incremental": true
+// request among it is a fallback like any other.
+func (s *Server) resolve(job *Job) plan {
 	entry, p, g := job.entry, job.req.Params, job.entry.sys.Graph()
-	r, retains := retainers[job.req.Algo]
+	r, retains := replans[job.req.Algo]
 	var reason string
 	switch {
 	case !retains:
@@ -172,7 +177,7 @@ func resolve(job *Job) plan {
 		// model: refuse, and retain nothing.
 		reason = "multi-gpu"
 	default:
-		return planIncremental(entry, g, job, r)
+		return s.planIncremental(job, g, r)
 	}
 	pl := plan{job: gts.SharedJob{Kernel: job.algo.Kernel(g, p), Source: p.Source}}
 	if job.req.Incremental {

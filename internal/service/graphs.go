@@ -64,11 +64,11 @@ type graphEntry struct {
 	// the registry's epoch and the WAL's advance together.
 	mg     *gts.MutableGraph
 	commit *sync.Mutex
-	// inc is the retained-state store for incremental recompute (nil
-	// unless Config.Incremental and the graph is mutable). It is carried
-	// across ingest republishes — Ingest commits each batch to its chain — and
+	// inc is the commit chain incremental recompute replays priors along
+	// (nil unless Config.Incremental and the graph is mutable). It is carried
+	// across ingest republishes — Ingest commits each batch to it — and
 	// rebuilt from scratch on graph reload, so crash recovery can never
-	// resurrect pre-crash state.
+	// replay pre-crash commits.
 	inc   *incremental.Store
 	state atomicState
 }
@@ -181,10 +181,11 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 	}
 	entry := &graphEntry{name: name, gen: placeholder.gen, epoch: mg.Epoch(), sys: sys, mg: mg, commit: new(sync.Mutex)}
 	if s.cfg.Incremental {
-		// A fresh store per load: recovery discards every pre-crash entry
-		// by construction (epoch-mismatch safety without trusting the
-		// recovered LSN counter). Ingest commits to it under the graph's
-		// commit lock, so the chain records commits in order.
+		// A fresh chain per load, and a new generation in every prior key:
+		// recovery discards every pre-crash prior by construction
+		// (epoch-mismatch safety without trusting the recovered LSN
+		// counter). Ingest commits to it under the graph's commit lock, so
+		// the chain records commits in order.
 		entry.inc = incremental.NewStore(mg.Epoch())
 	}
 	if err := s.publish(entry, placeholder); err != nil {
@@ -278,7 +279,7 @@ type GraphHealth struct {
 	// ReplayedBatches is how many committed WAL batches the load replayed.
 	ReplayedBatches int `json:"replayed_batches,omitempty"`
 	// Incremental reports whether the graph retains state for incremental
-	// recompute; RetainedEntries is the live retained-entry count.
+	// recompute; RetainedEntries counts its load's priors in the job table.
 	Incremental     bool `json:"incremental,omitempty"`
 	RetainedEntries int  `json:"retained_entries,omitempty"`
 }
@@ -296,7 +297,7 @@ func (s *Server) Health() []GraphHealth {
 		}
 		if e.inc != nil {
 			h.Incremental = true
-			h.RetainedEntries = e.inc.Len()
+			h.RetainedEntries = s.retained(e)
 		}
 		out = append(out, h)
 	}

@@ -1,64 +1,77 @@
 package service
 
 import (
-	"encoding/json"
-
 	gts "repro"
 	"repro/internal/incremental"
 )
 
-// This file is the incremental planner: it resolves a job against the
-// graph's retained-state store into a plan (delta-expansion hit, fallback,
-// or plain full run) whose capture hook retains fresh state on completion.
-// The plan runs through the same pipeline as every other job (execute.go).
-// Results are byte-identical to the normal path by the incremental
-// package's exactness contract, so they share the same result cache and
-// single-flight keys.
+// This file is the incremental planner: it resolves a job against its
+// request's prior — the newest answered run of the same request on the same
+// graph load, which the job table still holds — and the graph's commit chain
+// into a plan (delta-expansion hit, fallback, or plain full run). The plan
+// runs through the same pipeline as every other job (execute.go), and the
+// finished run becomes the request's next prior. Results are byte-identical
+// to the normal path by the incremental package's exactness contract, so
+// they share the same result cache and single-flight keys.
 
-// incKey keys retained entries by (algo, normalized params); the epoch is
-// carried on the entry, not the key, so a stale entry is found (and
-// migrated) rather than orphaned.
-func incKey(algo string, p Params) string {
-	buf, _ := json.Marshal(p)
-	return algo + "?" + string(buf)
+// priorKey names one request's runs across the epochs of one graph load: its
+// load generation, algorithm and normalized params, but no epoch, so a
+// request finds its newest run whatever epoch that ran on, and a reload (a
+// new generation) finds none from before it.
+type priorKey struct {
+	gen  uint64
+	algo string
+	p    Params
 }
 
-// planIncremental resolves how to run a job whose algorithm retains state
-// (r): delta-expansion from a retained entry when requested and safe,
-// otherwise a full run; either way the completed run is captured as the
-// key's fresh entry.
-func planIncremental(entry *graphEntry, g *gts.Graph, job *Job, r retainer) plan {
+// planIncremental resolves how to run a job whose algorithm retains state:
+// delta-expansion from the request's prior when requested and safe,
+// otherwise a full run; either way the run becomes the request's prior when
+// it finishes (execute).
+func (s *Server) planIncremental(job *Job, g *gts.Graph, r replan) plan {
 	p := job.req.Params
-	key := incKey(job.req.Algo, p)
-	pl := plan{job: gts.SharedJob{Source: p.Source}}
+	pl := plan{job: gts.SharedJob{Source: p.Source}, retain: true}
 	if job.req.Incremental {
-		// The store may have committed past the job's snapshot: stop there.
-		if prior, delta, reason := entry.inc.Lookup(key, entry.epoch); reason != "" {
+		if prior, ops, reason := s.lookupPrior(job); reason != "" {
 			pl.fallback = reason
-		} else if k, seeds, reason := r.replan(g, prior, delta); reason != "" {
+		} else if k, seeds, reason := r(g, prior.result.Output, ops); reason != "" {
 			pl.fallback = reason
 		} else {
-			pl.job.Kernel, pl.hit, pl.seeds, pl.priorFull = k, true, seeds, prior.FullPages
-			pl.capture = retain(entry, key, r, prior.FullPages)
+			pl.job.Kernel, pl.hit, pl.seeds, pl.priorFull = k, true, seeds, prior.fullPages
 			return pl
 		}
 	}
 	pl.job.Kernel = job.algo.Kernel(g, p)
-	pl.capture = retain(entry, key, r, -1)
 	return pl
 }
 
-// retain returns the capture hook that stores a completed run as the
-// graph's retained entry for key, at the epoch the job ran on. fullPages is
-// the from-scratch page cost the entry remembers: a delta run inherits its
-// prior entry's, a full run (fullPages < 0) records its own.
-func retain(entry *graphEntry, key string, r retainer, fullPages int64) func(any, gts.Metrics) {
-	return func(output any, m gts.Metrics) {
-		e := &incremental.Entry{Epoch: entry.epoch, FullPages: fullPages}
-		if fullPages < 0 {
-			e.FullPages = m.PagesStreamed
-		}
-		r.retain(e, output)
-		entry.inc.Capture(key, e)
+// lookupPrior returns job's prior and the ops that replay it to job's
+// snapshot, or why there is none. The chain may have committed past that
+// snapshot: the ops stop there, and a prior that ran past it is refused.
+func (s *Server) lookupPrior(job *Job) (*Job, []incremental.EdgeOp, string) {
+	s.mu.Lock()
+	prior := s.priors[job.prior]
+	s.mu.Unlock()
+	if prior == nil {
+		return nil, nil, "no-retained-state"
 	}
+	if prior.epoch > job.epoch {
+		return nil, nil, "entry-after-snapshot"
+	}
+	ops, ok := job.entry.inc.Delta(prior.epoch, job.epoch)
+	if !ok {
+		return nil, nil, "no-retained-state"
+	}
+	return prior, ops, ""
+}
+
+// retained counts e's graph load's priors. s.mu held.
+func (s *Server) retained(e *graphEntry) int {
+	n := 0
+	for k := range s.priors {
+		if k.gen == e.gen {
+			n++
+		}
+	}
+	return n
 }

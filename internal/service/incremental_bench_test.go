@@ -51,7 +51,7 @@ func measureIncVsFull(tb testing.TB, algo string, epochs int, batch func(epoch i
 		res, _ := runSync(tb, srv, service.Request{Graph: "g", Algo: algo, Incremental: incremental})
 		return res, float64(time.Since(start)) / float64(time.Millisecond)
 	}
-	run(inc, true) // cold: captures the state epoch 1 expands from
+	run(inc, true) // cold: the prior epoch 1 expands from
 
 	var cols [6][]float64
 	for e := 0; e < epochs; e++ {
@@ -141,7 +141,7 @@ func measureBesideFull(tb testing.TB, epochs int) (aloneMs, besideMs, fullMs flo
 		runSync(tb, srv, inc)
 		return since(start)
 	}
-	timed() // cold: captures the state the first epoch expands from
+	timed() // cold: the prior the first epoch expands from
 	batch := randomInserts(8)
 	ingest := func(e int) {
 		if _, err := srv.Ingest("g", batch(e)); err != nil {

@@ -18,8 +18,8 @@ import (
 // incServerPair starts two servers over the same deterministic mutable
 // spec: one with retained-state incremental recompute, one plain server
 // acting as the from-scratch oracle. Both disable the result cache so
-// every request actually executes (a cached answer would neither capture
-// nor count against the incremental path).
+// every request actually executes (a cached answer would neither become a
+// prior nor count against the incremental path).
 func incServerPair(t *testing.T) (inc, orc *service.Server) {
 	t.Helper()
 	inc = service.NewUncached(service.Config{Incremental: true, Trace: true})
@@ -103,15 +103,15 @@ func checkIncEpoch(t *testing.T, inc, orc *service.Server, tag string) map[strin
 }
 
 // TestServiceIncrementalDifferential drives the whole service-level
-// incremental path across ingest epochs: first queries capture (and count
-// as fallbacks), post-ingest queries are served by delta-expansion
+// incremental path across ingest epochs: first queries become priors (and
+// count as fallbacks), post-ingest queries are served by delta-expansion
 // byte-identically to a from-scratch oracle server, unsafe deltas fall
 // back, and the counters, health fields, and trace spans all report it.
 func TestServiceIncrementalDifferential(t *testing.T) {
 	inc, orc := incServerPair(t)
 
 	// Epoch 0: no retained state yet — every incremental request must fall
-	// back to (and capture) a full run.
+	// back to a full run, which becomes the prior.
 	ids0 := checkIncEpoch(t, inc, orc, "epoch0")
 
 	// An insert-only batch keeps BFS and CC on the delta-expansion path.
@@ -148,7 +148,7 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 		t.Errorf("hits %d + fallbacks %d != the 9 incremental requests sent", st.IncrementalHits, st.IncrementalFallbacks)
 	}
 	if st.Retained["mut"] != 2 {
-		t.Errorf("retained entries = %d, want 2", st.Retained["mut"])
+		t.Errorf("priors = %d, want 2", st.Retained["mut"])
 	}
 
 	found := false
@@ -222,7 +222,7 @@ func TestIncrementalRequestIsAHitOrACountedFallback(t *testing.T) {
 		t.Errorf("hits +%d, fallbacks +%d; want +0, +2", hits, falls)
 	}
 	if after.Retained["mut"] != before.Retained["mut"] {
-		t.Errorf("retained entries %d -> %d: an unsupported algorithm captured state", before.Retained["mut"], after.Retained["mut"])
+		t.Errorf("priors %d -> %d: an unsupported algorithm became a prior", before.Retained["mut"], after.Retained["mut"])
 	}
 
 	// A server without Config.Incremental: the flag is still a fallback.
@@ -235,7 +235,7 @@ func TestIncrementalRequestIsAHitOrACountedFallback(t *testing.T) {
 // TestHTTPIncremental drives the incremental path over the wire: the
 // `"incremental": true` body field must reach the job (it rides beside
 // the params but never enters the cache key), fallbacks and hits must
-// show in /metrics, and /healthz must report the retained entries.
+// show in /metrics, and /healthz must report the priors.
 func TestHTTPIncremental(t *testing.T) {
 	_, ts, _ := serveSocial(t, service.NewUncached(service.Config{Incremental: true, Trace: true}))
 	walPath := filepath.Join(t.TempDir(), "mut.wal")
@@ -243,7 +243,7 @@ func TestHTTPIncremental(t *testing.T) {
 		t.Fatalf("mutable load status = %d (%v)", resp.StatusCode, doc)
 	}
 
-	// Cold: captures state, counts as a fallback.
+	// Cold: becomes the prior, counts as a fallback.
 	if resp, doc := postJSON(t, ts.URL+"/v1/graphs/mut/bfs", map[string]any{"source": 0, "incremental": true}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold bfs status = %d (%v)", resp.StatusCode, doc)
 	}
@@ -328,6 +328,41 @@ func TestServiceIncrementalMultiGPUGate(t *testing.T) {
 		t.Error("multi-GPU incremental requests not counted as fallbacks")
 	}
 	if st.Retained["mut"] != 0 {
-		t.Errorf("multi-GPU pool captured %d retained entries", st.Retained["mut"])
+		t.Errorf("multi-GPU pool holds %d priors", st.Retained["mut"])
+	}
+}
+
+// TestSavedPagesIgnoreDeviceWarmth: a hit saves the pages a full run of its
+// request touched minus the pages it touched, streamed or found in the
+// device cache. So the same requests count the same saving whether each run
+// found the device cold or the graph already resident.
+func TestSavedPagesIgnoreDeviceWarmth(t *testing.T) {
+	saved := func(warm bool) uint64 {
+		srv := service.NewUncached(service.Config{Incremental: true})
+		defer srv.Close()
+		if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		bfs := service.Request{Graph: "mut", Algo: "bfs", Incremental: true}
+		run := func(req service.Request) {
+			if warm { // every page of the graph, resident before req runs
+				runSync(t, srv, service.Request{Graph: "mut", Algo: "pagerank"})
+			}
+			runSync(t, srv, req)
+		}
+		run(bfs) // the full run: the prior
+		if _, err := srv.Ingest("mut", []gts.EdgeOp{{Src: 5, Dst: 9}, {Src: 9, Dst: 5}}); err != nil {
+			t.Fatal(err)
+		}
+		run(bfs) // the delta run
+		st := srv.Stats()
+		if st.IncrementalHits != 1 {
+			t.Fatalf("warm=%v: %d hits, want 1", warm, st.IncrementalHits)
+		}
+		return st.IncrementalSavedSupersteps
+	}
+	cold, warm := saved(false), saved(true)
+	if cold == 0 || warm != cold {
+		t.Fatalf("saved pages: %d on a cold device, %d on a warm one; want the same, above 0", cold, warm)
 	}
 }

@@ -64,6 +64,12 @@ type Job struct {
 	trace  []byte
 	lru    *list.Element
 	charge int64
+
+	// The job's snapshot epoch and prior key (incremental.go) and, once its
+	// own run answers it, the pages a full run of its request touched.
+	epoch     uint64
+	prior     priorKey
+	fullPages int64
 }
 
 // ID returns the job's server-unique identifier.

@@ -15,9 +15,16 @@ import (
 // still in the history and still answers GET /v1/jobs/{id} with the same
 // bytes. Before Job.complete dropped the entry, every finished job pinned
 // its graphEntry, System and snapshot for as long as the 1 024-entry
-// history remembered it.
+// history remembered it. On an incremental graph the bfs jobs are their
+// request's priors too, and hold no more of their epoch.
 func TestFinishedJobReleasesItsEpoch(t *testing.T) {
-	srv := New(Config{})
+	for name, cfg := range map[string]Config{"plain": {}, "incremental": {Incremental: true}} {
+		t.Run(name, func(t *testing.T) { finishedJobReleasesItsEpoch(t, cfg) })
+	}
+}
+
+func finishedJobReleasesItsEpoch(t *testing.T, cfg Config) {
+	srv := New(cfg)
 	defer srv.Close()
 	if err := srv.LoadMutableGraph("mut", "RMAT26@15", filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 0); err != nil {
 		t.Fatal(err)

@@ -214,7 +214,8 @@ type Stats struct {
 	IncrementalHits            uint64 `json:"incremental_hits"`
 	IncrementalFallbacks       uint64 `json:"incremental_fallbacks"`
 	IncrementalSavedSupersteps uint64 `json:"incremental_saved_supersteps"`
-	// Retained holds each incremental graph's live retained-entry count.
+	// Retained holds each incremental graph's count of priors in the job
+	// table.
 	Retained map[string]int `json:"retained,omitempty"`
 	// WAL holds each mutable graph's write-ahead-log counters, keyed by
 	// graph name (nil when no graph is mutable).
@@ -402,7 +403,7 @@ func (s *Server) Stats() Stats {
 			if st.Retained == nil {
 				st.Retained = make(map[string]int)
 			}
-			st.Retained[e.name] = e.inc.Len()
+			st.Retained[e.name] = s.retained(e)
 		}
 		if e.mg != nil {
 			if st.WAL == nil {

@@ -28,8 +28,8 @@
 // fixed per-entry cost; when a job finishes, the least recently used
 // finished jobs go while the charge exceeds jobTableBytes, except the
 // QueueDepth most recently used. An evicted job is forgotten whole: GET
-// /v1/jobs/{id} and /debug/trace/{id} answer 404 and its request is
-// recomputed.
+// /v1/jobs/{id} and /debug/trace/{id} answer 404, its request is
+// recomputed, and the incremental prior it was (incremental.go) is gone.
 //
 // The package is laid out along that path: service.go (admission: Submit,
 // the job table, Shutdown), job.go (the Job handle), graphs.go (the graph
@@ -168,6 +168,9 @@ type Server struct {
 	budget   int64 // jobTableBytes; tests shrink it
 	leaders  int
 	uncached bool // tests: finished leaders leave byKey, so nothing hits
+	// priors indexes each retaining request's newest answered run (see
+	// incremental.go). It owns nothing: a job leaves it as the table evicts it.
+	priors map[priorKey]*Job
 
 	nextID  uint64
 	nextGen uint64
@@ -188,6 +191,7 @@ func New(cfg Config) *Server {
 		runs:   make(map[string]chan struct{}),
 		byID:   make(map[string]*Job),
 		byKey:  make(map[string]*Job),
+		priors: make(map[priorKey]*Job),
 		budget: jobTableBytes,
 	}
 }
@@ -241,6 +245,8 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		req:       req,
 		key:       cacheKey(entry.name, entry.gen, entry.epoch, req.Algo, req.Params),
 		entry:     entry,
+		epoch:     entry.epoch,
+		prior:     priorKey{entry.gen, req.Algo, req.Params},
 		algo:      algo,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
@@ -352,6 +358,9 @@ func (s *Server) finishLocked(job *Job) {
 		delete(s.byID, old.id)
 		if s.byKey[old.key] == old {
 			delete(s.byKey, old.key)
+		}
+		if s.priors[old.prior] == old {
+			delete(s.priors, old.prior)
 		}
 	}
 }

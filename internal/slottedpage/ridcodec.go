@@ -156,7 +156,7 @@ func (e Entries) VID(buf []byte, pos int) (vid uint64, pid PageID) {
 }
 
 // Words returns the RVT's StartVID column and true when an entry is one
-// 32-bit word, the (2,2) layout. The kernels' hot entry loops (the six that
+// 32-bit word, the (2,2) layout. The kernels' hot entry loops (the five that
 // kernels.TestHotCallsInline names) ask once per record and then walk
 // b := buf[pos:end] four bytes at a time, resolving each entry with
 // WordVID: the loop holds no layout branch and makes no call. Every other
