@@ -168,9 +168,9 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18452
-LOC_MAX_ENGINE_AND_API = 4642
-LOC_MAX_ENGINE = 3669
+LOC_MAX_TOTAL = 18446
+LOC_MAX_ENGINE_AND_API = 4616
+LOC_MAX_ENGINE = 3643
 LOC_MAX_GTSD_FLAGS = 9
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:

@@ -21,28 +21,32 @@ func (c incCost) cycles(slots, edges int64) float64 {
 	return float64(slots)*c.slot + float64(edges)*c.lane
 }
 
-// IncBFS re-executes BFS from a retained level vector: only vertices whose
-// level an edge batch can lower are re-expanded. It is a monotone
-// level-lowering relaxation — levels only ever decrease from the retained
+// IncBFS re-executes BFS from a prior run's level vector: only vertices
+// whose level an edge batch can lower are re-expanded. It is a monotone
+// level-lowering relaxation — levels only ever decrease from the prior
 // values — which is exact when every deleted edge was non-tight in the
-// retained run (PlanBFS checks; tight deletes fall back to a full run).
+// prior run (PlanBFS checks; tight deletes fall back to a full run).
 //
-// Plan state: PlanLevel diffs the merged level vector against its last
-// snapshot, pends every lowered vertex at its new level, and expands the
-// pending vertices level by level in ascending order — the standard
-// dynamic-BFS worklist, expressed through the FrontierKernel contract.
+// The kernel keeps the prior read-only and its verified seeds beside it, so
+// the run's own state is its only copy of the level vector. Plan state:
+// every vertex the run lowers is marked (Init marks the seeds, Run's
+// Discover each lowering); PlanLevel pends the marked vertices at their new
+// levels and expands the pending vertices level by level in ascending order
+// — the standard dynamic-BFS worklist, expressed through the FrontierKernel
+// contract.
 type IncBFS struct {
-	g    *slottedpage.Graph
-	init []int16 // retained levels, extended, with verified seeds applied
-	cost incCost
+	g     *slottedpage.Graph
+	prior []int16          // the prior run's levels, never written
+	seeds map[uint64]int16 // verified seeds: vertex -> its lowered level
+	cost  incCost
 
-	// plan state (mutated only inside PlanLevel, read-only during phases);
-	// lvPrev starts at the retained levels before the seeds, so the first
-	// plan pends every seeded vertex.
-	lvPrev []int16
-	pend   map[int16][]uint64
-	front  *bitset.Set
-	cur    int16
+	// plan state (mutated only inside PlanLevel, read-only during phases,
+	// but for Discover's marks): lowered.Mark holds the vertices lowered
+	// since the last plan.
+	lowered kernels.Discovery
+	pend    map[int16][]uint64
+	front   *bitset.Set
+	cur     int16
 
 	// Seeds is how many vertices the delta directly lowered (trace/metrics).
 	Seeds int
@@ -59,16 +63,16 @@ func incLevels(st kernels.State) []int16    { return st.(*incBFSState).lv }
 // reason. The safety argument:
 //
 //   - Deletes: removing an edge (u,v) that is non-tight w.r.t. the
-//     retained levels (lv[v] != lv[u]+1 or u unreached) cannot change any
-//     shortest distance — the retained BFS tree uses only tight edges, and
+//     prior levels (lv[v] != lv[u]+1 or u unreached) cannot change any
+//     shortest distance — the prior BFS tree uses only tight edges, and
 //     deleting non-tight edges leaves every tree path intact. Any tight
 //     delete may disconnect or lengthen paths, so it falls back.
 //   - Inserts: an edge (u,v) present in the *final* graph with
 //     lv[u]+1 < lv[v] (or v unreached) seeds v at lv[u]+1; relaxation then
 //     propagates. Ops whose edge did not survive the whole chain (inserted
-//     then deleted) seed nothing. New distances are always <= retained
-//     ones, so monotone lowering from the retained vector converges to the
-//     exact new levels.
+//     then deleted) seed nothing. New distances are always <= prior ones,
+//     so monotone lowering from the prior vector converges to the exact new
+//     levels.
 //   - Vertex growth: new vertices start unreached, exactly as a full run
 //     would initialize them.
 func PlanBFS(g *slottedpage.Graph, levels []int16, ops []EdgeOp) (*IncBFS, string) {
@@ -76,70 +80,62 @@ func PlanBFS(g *slottedpage.Graph, levels []int16, ops []EdgeOp) (*IncBFS, strin
 	if uint64(len(levels)) > n {
 		return nil, "vertex-shrink"
 	}
-	// Tight-delete check against the retained levels.
-	lvAt := func(v uint64) int16 {
-		if v < uint64(len(levels)) {
-			return levels[v]
-		}
-		return unvisited
+	k := &IncBFS{
+		g:       g,
+		prior:   levels,
+		seeds:   make(map[uint64]int16),
+		cost:    incCost{lane: 40, slot: 10},
+		lowered: kernels.Discovery{Mark: bitset.New(int(n))},
+		pend:    make(map[int16][]uint64),
+		front:   bitset.New(int(n)),
 	}
+	// Tight-delete check against the prior levels (no seed is set yet).
 	for _, op := range ops {
 		if !op.Del {
 			continue
 		}
-		lu, lv := lvAt(op.Src), lvAt(op.Dst)
+		lu, lv := k.level(op.Src), k.level(op.Dst)
 		if lu != unvisited && lv == lu+1 {
 			return nil, "tight-delete"
 		}
 	}
-	base := make([]int16, n)
-	copy(base, levels)
-	for i := len(levels); i < int(n); i++ {
-		base[i] = unvisited
-	}
-	init := append([]int16(nil), base...)
 	// Verify insert seeds against the final adjacency, applying them in op
 	// order so chained inserts compound (any ordering converges — the
 	// relaxation re-expands every lowered vertex — but op order is the
 	// deterministic choice).
-	var adjCache map[uint64]map[uint64]bool
-	hasEdge := func(u, v uint64) bool {
-		if adjCache == nil {
-			adjCache = make(map[uint64]map[uint64]bool)
-		}
-		set, ok := adjCache[u]
-		if !ok {
-			set = make(map[uint64]bool)
-			if u < n {
-				g.NeighborsOf(u, func(dst uint64) { set[dst] = true })
-			}
-			adjCache[u] = set
-		}
-		return set[v]
-	}
-	seeds := 0
 	for _, op := range ops {
-		if op.Del || op.Src >= n || op.Dst >= n || !hasEdge(op.Src, op.Dst) {
+		if op.Del || op.Src >= n || op.Dst >= n || !hasEdge(g, op.Src, op.Dst) {
 			continue
 		}
-		lu := init[op.Src]
+		lu := k.level(op.Src)
 		if lu == unvisited {
 			continue
 		}
-		if init[op.Dst] == unvisited || init[op.Dst] > lu+1 {
-			init[op.Dst] = lu + 1
-			seeds++
+		if lv := k.level(op.Dst); lv == unvisited || lv > lu+1 {
+			k.seeds[op.Dst] = lu + 1
+			k.Seeds++
 		}
 	}
-	return &IncBFS{
-		g:      g,
-		init:   init,
-		cost:   incCost{lane: 40, slot: 10},
-		lvPrev: base,
-		pend:   make(map[int16][]uint64),
-		front:  bitset.New(int(n)),
-		Seeds:  seeds,
-	}, ""
+	return k, ""
+}
+
+// level is v's level before the run: its seed, else its prior level, else
+// unvisited (a vertex the prior run did not have).
+func (k *IncBFS) level(v uint64) int16 {
+	if l, ok := k.seeds[v]; ok {
+		return l
+	}
+	if v < uint64(len(k.prior)) {
+		return k.prior[v]
+	}
+	return unvisited
+}
+
+// hasEdge reports whether g has the edge (u, v).
+func hasEdge(g *slottedpage.Graph, u, v uint64) bool {
+	found := false
+	g.NeighborsOf(u, func(dst uint64) { found = found || dst == v })
+	return found
 }
 
 // NewState implements Kernel.
@@ -147,23 +143,27 @@ func (k *IncBFS) NewState() kernels.State {
 	return &incBFSState{lv: make([]int16, k.g.NumVertices())}
 }
 
-// Init implements Kernel: the run starts from the retained levels with the
-// delta's verified seeds already applied (source is ignored — it is baked
-// into the retained vector).
+// Init implements Kernel: the run starts from the prior levels, extended
+// with unvisited vertices, with the delta's verified seeds applied and
+// marked (source is ignored — it is baked into the prior vector).
 func (k *IncBFS) Init(st kernels.State, _ uint64) {
-	copy(st.(*incBFSState).lv, k.init)
+	lv := st.(*incBFSState).lv
+	copy(lv, k.prior)
+	for i := len(k.prior); i < len(lv); i++ {
+		lv[i] = unvisited
+	}
+	for v, l := range k.seeds {
+		lv[v] = l
+		k.lowered.Mark.Set(int(v))
+	}
 }
 
-// PlanLevel implements FrontierKernel: fold newly lowered vertices into
-// the pending worklist, then expand the lowest pending level.
+// PlanLevel implements FrontierKernel: fold the vertices lowered since the
+// last plan into the pending worklist, then expand the lowest pending level.
 func (k *IncBFS) PlanLevel(sts []kernels.State, _ int32, next *bitset.Set) kernels.Direction {
 	lv := sts[0].(*incBFSState).lv
-	for v := range lv {
-		if lv[v] != k.lvPrev[v] {
-			k.pend[lv[v]] = append(k.pend[lv[v]], uint64(v))
-			k.lvPrev[v] = lv[v]
-		}
-	}
+	k.lowered.Mark.ForEach(func(v int) { k.pend[lv[v]] = append(k.pend[lv[v]], uint64(v)) })
+	k.lowered.Mark.Reset()
 	next.Reset()
 	k.front.Reset()
 	for len(k.pend) > 0 {
@@ -200,8 +200,7 @@ func (k *IncBFS) Run(a *kernels.Args) kernels.Result {
 	w := kernels.WalkPage(a)
 	for kernels.SeekSet(&w, k.front) {
 		pos, end, _ := w.Record()
-		found, _ := kernels.Discover(a, s.lv, pos, end, k.cur+1, nil)
-		res.Add(found)
+		res.Add(kernels.Discover(a, s.lv, pos, end, k.cur+1, &k.lowered))
 	}
 	res.Edges = w.Edges()
 	res.Cycles = k.cost.cycles(w.Slots(), w.Edges())

@@ -115,31 +115,42 @@ func (k *BFS) Run(a *Args) Result {
 	}
 	s := a.State.(*bfsState)
 	var res Result
-	var cover int64
+	var d *Discovery
+	if k.outDeg != nil {
+		d = &Discovery{Deg: k.outDeg}
+	}
 	level := int16(a.Level)
 	w := WalkPage(a)
 	for Seek(&w, s.lv, level) {
 		pos, end, _ := w.Record()
-		found, c := Discover(a, s.lv, pos, end, level+1, k.outDeg)
-		res.Add(found)
-		cover += c
+		res.Add(Discover(a, s.lv, pos, end, level+1, d))
 	}
 	res = k.cost.done(a, &w, res)
-	if k.outDeg != nil {
-		res.Edges = cover
+	if d != nil {
+		res.Edges = d.Cover
 	}
 	return res
+}
+
+// Discovery is what a traversal asks of each vertex Discover sets, beyond
+// the count: the summed out-degrees of the discovered vertices (Cover, when
+// Deg is not nil) and a mark per discovered vertex (when Mark is not nil).
+// One pointer carries both, so the entry loop keeps its registers.
+type Discovery struct {
+	Deg   *slottedpage.OutDegrees
+	Cover int64
+	Mark  *bitset.Set
 }
 
 // Discover is the expand_warp device routine every level-vector traversal
 // shares (BFS, its ball, a direction-optimizing BFS's push levels and the
 // incremental BFS): it visits the entries of the record at [pos, end) in
 // a's page and gives level nl to each owned neighbor whose level is later,
-// returning how many it set and, when deg is not nil, their summed
-// out-degrees. Read as unsigned, unvisited (-1) is later than any level; a
+// returning how many it set; d, when not nil, collects its Discovery of
+// each. Read as unsigned, unvisited (-1) is later than any level; a
 // level-synchronous BFS has no vertex past nl, so there the test is the
 // paper's "unvisited".
-func Discover(a *Args, lv []int16, pos, end int, nl int16, deg *slottedpage.OutDegrees) (found, cover int64) {
+func Discover(a *Args, lv []int16, pos, end int, nl int16, d *Discovery) (found int64) {
 	dec, buf := a.Graph.Decoder(), a.Page.Bytes()
 	ents, w := dec.Entries(), dec.Width()
 	if sv, ok := ents.Words(); ok {
@@ -150,11 +161,11 @@ func Discover(a *Args, lv []int16, pos, end int, nl int16, deg *slottedpage.OutD
 			}
 			lv[nvid] = nl
 			found++
-			if deg != nil {
-				cover += int64(deg.Of(nvid))
+			if d != nil {
+				d.discovered(nvid)
 			}
 		}
-		return found, cover
+		return found
 	}
 	for ; pos < end; pos += w {
 		nvid, _ := ents.VID(buf, pos)
@@ -163,11 +174,21 @@ func Discover(a *Args, lv []int16, pos, end int, nl int16, deg *slottedpage.OutD
 		}
 		lv[nvid] = nl
 		found++
-		if deg != nil {
-			cover += int64(deg.Of(nvid))
+		if d != nil {
+			d.discovered(nvid)
 		}
 	}
-	return found, cover
+	return found
+}
+
+// discovered records one vertex Discover set.
+func (d *Discovery) discovered(v uint64) {
+	if d.Deg != nil {
+		d.Cover += int64(d.Deg.Of(v))
+	}
+	if d.Mark != nil {
+		d.Mark.Set(int(v))
+	}
 }
 
 // MergeStates implements Kernel: levels merge by MinLevel.

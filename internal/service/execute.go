@@ -14,9 +14,8 @@ import (
 
 // plan is one resolved execution: the engine job (kernel and source; the
 // pipeline adds the recorder), whose finished state the algorithm's table
-// entry decodes. The remaining fields are set only for jobs that retain
-// state or ask for incremental service (resolve, incremental.go and the
-// replans of algos.go).
+// entry decodes. The remaining fields are set only for retaining requests
+// (resolve, incremental.go and the replans of algos.go).
 type plan struct {
 	job gts.SharedJob
 	// retain marks a run that becomes its request's prior when it finishes.
@@ -26,8 +25,8 @@ type plan struct {
 	hit       bool
 	seeds     int
 	priorFull int64
-	// fallback carries the reason an incremental request could not be
-	// served from retained state ("" when not requested or when hit).
+	// fallback carries the reason a retaining request could not be served
+	// from its prior ("" for every other request, and for a hit).
 	fallback string
 }
 
@@ -83,7 +82,7 @@ func (s *Server) execute(job *Job) {
 	}
 
 	// Incremental accounting: a hit saved (from-scratch pages - its pages); a
-	// fallback on an explicit incremental request counts against it. A run's
+	// retaining request's fallback counts against it. A run's
 	// pages are those it touched, streamed or found in the device cache, so
 	// the count does not depend on what the device held warm.
 	m := out.Metrics
@@ -157,33 +156,17 @@ func (s *Server) run(job *Job, sj gts.SharedJob) (out *gts.SharedOutcome, start 
 	}
 }
 
-// resolve picks the kernel a job runs. An algorithm that retains state, on a
-// graph with a commit chain, goes through the incremental planner: it may
-// substitute a delta-expansion kernel seeded from the request's prior, and
-// otherwise runs the full kernel; either way the run becomes the next prior.
-// Everything else gets the algorithm's own kernel, and an "incremental": true
-// request among it is a fallback like any other.
+// resolve picks the kernel a job runs. A retaining request — an algorithm
+// that retains state (replans), on a graph with a commit chain — goes
+// through the incremental planner: it is a delta-expansion hit or a full run
+// counted as one fallback. Everything else gets the algorithm's own kernel
+// and counts neither.
 func (s *Server) resolve(job *Job) plan {
-	entry, p, g := job.entry, job.req.Params, job.entry.sys.Graph()
-	r, retains := replans[job.req.Algo]
-	var reason string
-	switch {
-	case !retains:
-		reason = "unsupported"
-	case entry.inc == nil:
-		reason = "not-retained"
-	case entry.sys.Config().GPUs > 1:
-		// Multi-GPU replicas merge state in ways the delta planners do not
-		// model: refuse, and retain nothing.
-		reason = "multi-gpu"
-	default:
+	p, g := job.req.Params, job.entry.sys.Graph()
+	if r, retains := replans[job.req.Algo]; retains && job.entry.inc != nil {
 		return s.planIncremental(job, g, r)
 	}
-	pl := plan{job: gts.SharedJob{Kernel: job.algo.Kernel(g, p), Source: p.Source}}
-	if job.req.Incremental {
-		pl.fallback = reason
-	}
-	return pl
+	return plan{job: gts.SharedJob{Kernel: job.algo.Kernel(g, p), Source: p.Source}}
 }
 
 // answer records a successfully answered job in the metrics and then

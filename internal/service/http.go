@@ -161,20 +161,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req := Request{Graph: r.PathValue("name"), Algo: r.PathValue("algo")}
-	// An absent or empty body means default parameters. The incremental
-	// flag rides beside the params in the body but lands on the Request:
-	// it selects an execution strategy, not a different result, so it must
-	// stay out of the cache key Params become.
-	var body struct {
-		Params
-		Incremental bool `json:"incremental,omitempty"`
-	}
-	if status, err := decodeBody(w, r, &body); err != nil && !errors.Is(err, io.EOF) {
+	// An absent or empty body means default parameters; an unknown key is
+	// ignored.
+	if status, err := decodeBody(w, r, &req.Params); err != nil && !errors.Is(err, io.EOF) {
 		httpError(w, status, fmt.Errorf("bad params: %w", err))
 		return
 	}
-	req.Params = body.Params
-	req.Incremental = body.Incremental
 	if t := r.URL.Query().Get("timeout"); t != "" {
 		d, err := time.ParseDuration(t)
 		if err != nil {

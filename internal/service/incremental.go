@@ -5,10 +5,11 @@ import (
 	"repro/internal/incremental"
 )
 
-// This file is the incremental planner: it resolves a job against its
-// request's prior — the newest answered run of the same request on the same
-// graph load, which the job table still holds — and the graph's commit chain
-// into a plan (delta-expansion hit, fallback, or plain full run). The plan
+// This file is the incremental planner: it resolves a retaining request (a
+// bfs or cc job on a graph with a commit chain) against its prior — the
+// newest answered run of the same request on the same graph load, which the
+// job table still holds — and the chain into a plan: a delta-expansion hit,
+// or a full run counted as a fallback. The plan
 // runs through the same pipeline as every other job (execute.go), and the
 // finished run becomes the request's next prior. Results are byte-identical
 // to the normal path by the incremental package's exactness contract, so
@@ -24,22 +25,24 @@ type priorKey struct {
 	p    Params
 }
 
-// planIncremental resolves how to run a job whose algorithm retains state:
-// delta-expansion from the request's prior when requested and safe,
-// otherwise a full run; either way the run becomes the request's prior when
-// it finishes (execute).
+// planIncremental resolves how to run a retaining request: delta-expansion
+// from its prior when safe, otherwise a full run counted as a fallback;
+// either way the run becomes the request's prior when it finishes
+// (execute), except on a multi-GPU graph, whose replicas merge state in
+// ways the delta planners do not model: there it is refused, and nothing
+// becomes a prior.
 func (s *Server) planIncremental(job *Job, g *gts.Graph, r replan) plan {
 	p := job.req.Params
 	pl := plan{job: gts.SharedJob{Source: p.Source}, retain: true}
-	if job.req.Incremental {
-		if prior, ops, reason := s.lookupPrior(job); reason != "" {
-			pl.fallback = reason
-		} else if k, seeds, reason := r(g, prior.result.Output, ops); reason != "" {
-			pl.fallback = reason
-		} else {
-			pl.job.Kernel, pl.hit, pl.seeds, pl.priorFull = k, true, seeds, prior.fullPages
-			return pl
-		}
+	if job.entry.sys.Config().GPUs > 1 {
+		pl.fallback, pl.retain = "multi-gpu", false
+	} else if prior, ops, reason := s.lookupPrior(job); reason != "" {
+		pl.fallback = reason
+	} else if k, seeds, reason := r(g, prior.result.Output, ops); reason != "" {
+		pl.fallback = reason
+	} else {
+		pl.job.Kernel, pl.hit, pl.seeds, pl.priorFull = k, true, seeds, prior.fullPages
+		return pl
 	}
 	pl.job.Kernel = job.algo.Kernel(g, p)
 	return pl

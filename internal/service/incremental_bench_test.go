@@ -30,8 +30,8 @@ type incVsFull struct {
 
 // measureIncVsFull loads incBenchSpec on a retained-state server
 // and on a plain one, both without a result cache, and for each of epochs
-// commits batch(epoch) to both, runs algo with "incremental": true on the
-// first and plainly on the second (alternating which goes first), and checks
+// commits batch(epoch) to both, runs algo on each — planned from its prior
+// on the first, from scratch on the second (alternating which goes first) — and checks
 // the two answers equal. Every timed incremental run must be a
 // delta-expansion hit: a cell that falls back would time a full run twice.
 func measureIncVsFull(tb testing.TB, algo string, epochs int, batch func(epoch int) []gts.EdgeOp) incVsFull {
@@ -46,12 +46,12 @@ func measureIncVsFull(tb testing.TB, algo string, epochs int, batch func(epoch i
 			tb.Fatal(err)
 		}
 	}
-	run := func(srv *service.Server, incremental bool) (*service.Result, float64) {
+	run := func(srv *service.Server) (*service.Result, float64) {
 		start := time.Now()
-		res, _ := runSync(tb, srv, service.Request{Graph: "g", Algo: algo, Incremental: incremental})
+		res, _ := runSync(tb, srv, service.Request{Graph: "g", Algo: algo})
 		return res, float64(time.Since(start)) / float64(time.Millisecond)
 	}
-	run(inc, true) // cold: the prior epoch 1 expands from
+	run(inc) // cold: the prior epoch 1 expands from
 
 	var cols [6][]float64
 	for e := 0; e < epochs; e++ {
@@ -65,11 +65,11 @@ func measureIncVsFull(tb testing.TB, algo string, epochs int, batch func(epoch i
 		var got, want *service.Result
 		var incMs, fullMs float64
 		if e%2 == 0 {
-			got, incMs = run(inc, true)
-			want, fullMs = run(orc, false)
+			got, incMs = run(inc)
+			want, fullMs = run(orc)
 		} else {
-			want, fullMs = run(orc, false)
-			got, incMs = run(inc, true)
+			want, fullMs = run(orc)
+			got, incMs = run(inc)
 		}
 		if inc.Stats().IncrementalHits != hits+1 {
 			tb.Fatalf("%s epoch %d: the incremental request was not a delta-expansion hit", algo, e+1)
@@ -134,7 +134,7 @@ func measureBesideFull(tb testing.TB, epochs int) (aloneMs, besideMs, fullMs flo
 	if err := srv.LoadMutableGraph("g", incBenchSpec, filepath.Join(tb.TempDir(), "g.wal"), gts.Config{}, 0); err != nil {
 		tb.Fatal(err)
 	}
-	inc := service.Request{Graph: "g", Algo: "bfs", Incremental: true}
+	inc := service.Request{Graph: "g", Algo: "bfs"}
 	since := func(start time.Time) float64 { return float64(time.Since(start)) / float64(time.Millisecond) }
 	timed := func() float64 {
 		start := time.Now()

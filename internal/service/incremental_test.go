@@ -72,17 +72,17 @@ func bitEqualRanks(a, b []float32) bool {
 }
 
 // checkIncEpoch runs the two retained algorithms, and pagerank (which retains
-// nothing: its incremental request is a counted full run), on both servers at
-// the current epoch — incremental on inc, from-scratch on orc — and requires
-// byte-identical outputs. It returns the inc-side job IDs keyed by algo.
+// nothing, so its request counts neither a hit nor a fallback), on both
+// servers at the current epoch — planned from priors on inc, from scratch on
+// orc — and requires byte-identical outputs. It returns the inc-side job IDs
+// keyed by algo.
 func checkIncEpoch(t *testing.T, inc, orc *service.Server, tag string) map[string]string {
 	t.Helper()
 	ids := make(map[string]string)
 	for _, algo := range []string{"bfs", "cc", "pagerank"} {
-		req := service.Request{Graph: "mut", Algo: algo, Incremental: true}
+		req := service.Request{Graph: "mut", Algo: algo}
 		got, id := runSync(t, inc, req)
 		ids[algo] = id
-		req.Incremental = false
 		want, _ := runSync(t, orc, req)
 		switch algo {
 		case "bfs":
@@ -103,15 +103,16 @@ func checkIncEpoch(t *testing.T, inc, orc *service.Server, tag string) map[strin
 }
 
 // TestServiceIncrementalDifferential drives the whole service-level
-// incremental path across ingest epochs: first queries become priors (and
-// count as fallbacks), post-ingest queries are served by delta-expansion
-// byte-identically to a from-scratch oracle server, unsafe deltas fall
-// back, and the counters, health fields, and trace spans all report it.
+// incremental path across ingest epochs: first bfs/cc queries become priors
+// (and count as fallbacks), post-ingest queries are served by
+// delta-expansion byte-identically to a from-scratch oracle server, unsafe
+// deltas fall back, pagerank counts neither, and the counters, health
+// fields, and trace spans all report it.
 func TestServiceIncrementalDifferential(t *testing.T) {
 	inc, orc := incServerPair(t)
 
-	// Epoch 0: no retained state yet — every incremental request must fall
-	// back to a full run, which becomes the prior.
+	// Epoch 0: no prior yet — every bfs/cc request must fall back to a full
+	// run, which becomes the prior.
 	ids0 := checkIncEpoch(t, inc, orc, "epoch0")
 
 	// An insert-only batch keeps BFS and CC on the delta-expansion path.
@@ -139,13 +140,13 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 	if st.IncrementalHits < 2 {
 		t.Errorf("incremental hits = %d, want >= 2 (the insert-only epoch)", st.IncrementalHits)
 	}
-	// 2 cold-start fallbacks at epoch 0, pagerank's in all three epochs, plus
-	// at least CC's delete fallback.
-	if st.IncrementalFallbacks < 6 {
-		t.Errorf("incremental fallbacks = %d, want >= 6", st.IncrementalFallbacks)
+	// 2 cold-start fallbacks at epoch 0 plus at least CC's delete fallback;
+	// pagerank counts in no epoch.
+	if st.IncrementalFallbacks < 3 {
+		t.Errorf("incremental fallbacks = %d, want >= 3", st.IncrementalFallbacks)
 	}
-	if st.IncrementalHits+st.IncrementalFallbacks != 9 {
-		t.Errorf("hits %d + fallbacks %d != the 9 incremental requests sent", st.IncrementalHits, st.IncrementalFallbacks)
+	if st.IncrementalHits+st.IncrementalFallbacks != 6 {
+		t.Errorf("hits %d + fallbacks %d != the 6 bfs/cc requests sent", st.IncrementalHits, st.IncrementalFallbacks)
 	}
 	if st.Retained["mut"] != 2 {
 		t.Errorf("priors = %d, want 2", st.Retained["mut"])
@@ -172,6 +173,9 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 	if b, err := inc.JobTrace(ids1["bfs"]); err != nil || !strings.Contains(string(b), "incseed") {
 		t.Errorf("epoch-1 bfs trace missing incseed span (err=%v)", err)
 	}
+	if b, err := inc.JobTrace(ids1["pagerank"]); err != nil || strings.Contains(string(b), "incfallback") || strings.Contains(string(b), "incseed") {
+		t.Errorf("pagerank trace carries an incremental span (err=%v)", err)
+	}
 
 	// The oracle server never touched the incremental machinery.
 	ost := orc.Stats()
@@ -180,11 +184,12 @@ func TestServiceIncrementalDifferential(t *testing.T) {
 	}
 }
 
-// TestIncrementalRequestIsAHitOrACountedFallback: an "incremental": true
-// request the server cannot serve by delta-expansion — an algorithm with no
-// retained representation, or a server that retains nothing — is a full run
-// with one counted fallback and an incfallback span, never a silent one, and
-// it retains nothing.
+// TestIncrementalRequestIsAHitOrACountedFallback: on an incremental server
+// only a bfs or cc request on a graph with a commit chain is a retaining
+// request, a hit or one counted fallback. Every other request — an algorithm
+// with no retained representation, or any request on a server that retains
+// nothing — is a plain full run that counts neither, carries no incremental
+// span and becomes no prior.
 func TestIncrementalRequestIsAHitOrACountedFallback(t *testing.T) {
 	inc, orc := incServerPair(t)
 	// Warm, then ingest: were pagerank or sssp retained, this is where a
@@ -198,44 +203,86 @@ func TestIncrementalRequestIsAHitOrACountedFallback(t *testing.T) {
 	}
 	before := inc.Stats()
 	for _, algo := range []string{"pagerank", "sssp"} {
-		got, id := runSync(t, inc, service.Request{Graph: "mut", Algo: algo, Incremental: true})
+		got, id := runSync(t, inc, service.Request{Graph: "mut", Algo: algo})
 		want, _ := runSync(t, orc, service.Request{Graph: "mut", Algo: algo})
 		switch out := got.Output.(type) {
 		case *gts.PageRankResult:
 			if !bitEqualRanks(want.Output.(*gts.PageRankResult).Ranks, out.Ranks) {
-				t.Errorf("pagerank with the flag differs from a plain server's")
+				t.Errorf("pagerank on the incremental server differs from a plain server's")
 			}
 		case *gts.SSSPResult:
 			if !bitEqualRanks(want.Output.(*gts.SSSPResult).Dist, out.Dist) {
-				t.Errorf("sssp with the flag differs from a plain server's")
+				t.Errorf("sssp on the incremental server differs from a plain server's")
 			}
 		}
 		if got.Metrics.PagesStreamed != want.Metrics.PagesStreamed {
-			t.Errorf("%s with the flag streamed %d pages, the plain kernel %d", algo, got.Metrics.PagesStreamed, want.Metrics.PagesStreamed)
+			t.Errorf("%s on the incremental server streamed %d pages, the plain kernel %d", algo, got.Metrics.PagesStreamed, want.Metrics.PagesStreamed)
 		}
-		if b, err := inc.JobTrace(id); err != nil || !strings.Contains(string(b), "incfallback") {
-			t.Errorf("%s trace missing the incfallback span (err=%v)", algo, err)
+		if b, err := inc.JobTrace(id); err != nil || strings.Contains(string(b), "incfallback") {
+			t.Errorf("%s trace carries an incfallback span (err=%v)", algo, err)
 		}
 	}
 	after := inc.Stats()
-	if hits, falls := after.IncrementalHits-before.IncrementalHits, after.IncrementalFallbacks-before.IncrementalFallbacks; hits != 0 || falls != 2 {
-		t.Errorf("hits +%d, fallbacks +%d; want +0, +2", hits, falls)
+	if hits, falls := after.IncrementalHits-before.IncrementalHits, after.IncrementalFallbacks-before.IncrementalFallbacks; hits != 0 || falls != 0 {
+		t.Errorf("hits +%d, fallbacks +%d; want +0, +0", hits, falls)
 	}
 	if after.Retained["mut"] != before.Retained["mut"] {
 		t.Errorf("priors %d -> %d: an unsupported algorithm became a prior", before.Retained["mut"], after.Retained["mut"])
 	}
 
-	// A server without Config.Incremental: the flag is still a fallback.
-	runSync(t, orc, service.Request{Graph: "mut", Algo: "bfs", Incremental: true})
-	if ost := orc.Stats(); ost.IncrementalHits != 0 || ost.IncrementalFallbacks != 1 || len(ost.Retained) != 0 {
-		t.Errorf("plain server: hits %d, fallbacks %d, retained %v; want 0, 1, none", ost.IncrementalHits, ost.IncrementalFallbacks, ost.Retained)
+	// The retaining requests of the same epoch: each a hit or one fallback.
+	checkIncEpoch(t, inc, orc, "epoch1")
+	last := inc.Stats()
+	if hits, falls := last.IncrementalHits-after.IncrementalHits, last.IncrementalFallbacks-after.IncrementalFallbacks; hits+falls != 2 {
+		t.Errorf("bfs and cc: hits +%d, fallbacks +%d; want 2 between them", hits, falls)
+	}
+
+	// A server without Config.Incremental retains nothing and counts nothing.
+	if ost := orc.Stats(); ost.IncrementalHits != 0 || ost.IncrementalFallbacks != 0 || len(ost.Retained) != 0 {
+		t.Errorf("plain server: hits %d, fallbacks %d, retained %v; want 0, 0, none", ost.IncrementalHits, ost.IncrementalFallbacks, ost.Retained)
 	}
 }
 
-// TestHTTPIncremental drives the incremental path over the wire: the
-// `"incremental": true` body field must reach the job (it rides beside
-// the params but never enters the cache key), fallbacks and hits must
-// show in /metrics, and /healthz must report the priors.
+// TestUnflaggedRequestIsADeltaHit: after a commit, a plain bfs request on an
+// incremental server — it names no strategy — plans from its prior: a delta
+// hit with an incseed span, whose levels are byte-identical to a
+// non-incremental server's answer (its metrics are its own run's).
+func TestUnflaggedRequestIsADeltaHit(t *testing.T) {
+	inc, orc := incServerPair(t)
+	req := service.Request{Graph: "mut", Algo: "bfs", Params: service.Params{Source: 3}}
+	runSync(t, inc, req) // the prior
+	batch := []gts.EdgeOp{{Src: 3, Dst: 40}, {Src: 40, Dst: 41}, {Src: 7, Dst: 11}}
+	for _, srv := range []*service.Server{inc, orc} {
+		if _, err := srv.Ingest("mut", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := inc.Stats()
+	got, id := runSync(t, inc, req)
+	if st := inc.Stats(); st.IncrementalHits != before.IncrementalHits+1 || st.IncrementalFallbacks != before.IncrementalFallbacks {
+		t.Fatalf("hits +%d, fallbacks +%d; want a delta hit", st.IncrementalHits-before.IncrementalHits, st.IncrementalFallbacks-before.IncrementalFallbacks)
+	}
+	if b, err := inc.JobTrace(id); err != nil || !strings.Contains(string(b), "incseed") {
+		t.Errorf("the delta run's trace has no incseed span (err=%v)", err)
+	}
+	want, _ := runSync(t, orc, req)
+	gotJSON, err := json.Marshal(got.Output.(*gts.BFSResult).Levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want.Output.(*gts.BFSResult).Levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("the delta hit's levels differ from a non-incremental server's")
+	}
+}
+
+// TestHTTPIncremental drives the incremental path over the wire: a plain bfs
+// body plans from its prior, a body still carrying the retired
+// `"incremental"` key is accepted and answered the same, fallbacks and hits
+// show in /metrics, and /healthz reports the priors.
 func TestHTTPIncremental(t *testing.T) {
 	_, ts, _ := serveSocial(t, service.NewUncached(service.Config{Incremental: true, Trace: true}))
 	walPath := filepath.Join(t.TempDir(), "mut.wal")
@@ -244,7 +291,7 @@ func TestHTTPIncremental(t *testing.T) {
 	}
 
 	// Cold: becomes the prior, counts as a fallback.
-	if resp, doc := postJSON(t, ts.URL+"/v1/graphs/mut/bfs", map[string]any{"source": 0, "incremental": true}); resp.StatusCode != http.StatusOK {
+	if resp, doc := postJSON(t, ts.URL+"/v1/graphs/mut/bfs", map[string]any{"source": 0}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold bfs status = %d (%v)", resp.StatusCode, doc)
 	}
 	if resp, doc := postJSON(t, ts.URL+"/v1/graphs/mut/ingest", map[string]any{
@@ -252,19 +299,19 @@ func TestHTTPIncremental(t *testing.T) {
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status = %d (%v)", resp.StatusCode, doc)
 	}
-	// Warm: served by delta expansion, byte-identical to a plain run.
-	respInc, docInc := postJSON(t, ts.URL+"/v1/graphs/mut/bfs", map[string]any{"source": 0, "incremental": true})
-	if respInc.StatusCode != http.StatusOK {
-		t.Fatalf("warm bfs status = %d (%v)", respInc.StatusCode, docInc)
+	// Warm: both served by delta expansion, the retired key ignored.
+	respOld, docOld := postJSON(t, ts.URL+"/v1/graphs/mut/bfs", map[string]any{"source": 0, "incremental": true})
+	if respOld.StatusCode != http.StatusOK {
+		t.Fatalf("bfs with the retired key: status = %d (%v)", respOld.StatusCode, docOld)
 	}
-	respFull, docFull := postJSON(t, ts.URL+"/v1/graphs/mut/bfs", map[string]any{"source": 0})
-	if respFull.StatusCode != http.StatusOK {
-		t.Fatalf("full bfs status = %d (%v)", respFull.StatusCode, docFull)
+	respNew, docNew := postJSON(t, ts.URL+"/v1/graphs/mut/bfs", map[string]any{"source": 0})
+	if respNew.StatusCode != http.StatusOK {
+		t.Fatalf("warm bfs status = %d (%v)", respNew.StatusCode, docNew)
 	}
-	incOut, _ := json.Marshal(docInc["output"])
-	fullOut, _ := json.Marshal(docFull["output"])
-	if !bytes.Equal(incOut, fullOut) {
-		t.Error("incremental HTTP result differs from full recompute")
+	oldOut, _ := json.Marshal(docOld["output"])
+	newOut, _ := json.Marshal(docNew["output"])
+	if !bytes.Equal(oldOut, newOut) {
+		t.Error("the retired incremental key changed the answer")
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -274,7 +321,7 @@ func TestHTTPIncremental(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		"gtsd_incremental_hits_total 1",
+		"gtsd_incremental_hits_total 2",
 		"gtsd_incremental_fallbacks_total 1",
 		"gtsd_incremental_saved_supersteps_total",
 	} {
@@ -343,7 +390,7 @@ func TestSavedPagesIgnoreDeviceWarmth(t *testing.T) {
 		if err := srv.LoadMutableGraph("mut", mutSpec, filepath.Join(t.TempDir(), "mut.wal"), gts.Config{}, 0); err != nil {
 			t.Fatal(err)
 		}
-		bfs := service.Request{Graph: "mut", Algo: "bfs", Incremental: true}
+		bfs := service.Request{Graph: "mut", Algo: "bfs"}
 		run := func(req service.Request) {
 			if warm { // every page of the graph, resident before req runs
 				runSync(t, srv, service.Request{Graph: "mut", Algo: "pagerank"})

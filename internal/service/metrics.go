@@ -110,8 +110,8 @@ func (m *metrics) addIncHit(savedPages int64) {
 	m.mu.Unlock()
 }
 
-// addIncFallback records one incremental request that fell back to a full
-// recompute.
+// addIncFallback records one retaining request that ran in full instead of
+// from its prior.
 func (m *metrics) addIncFallback() { m.mu.Lock(); m.st.IncrementalFallbacks++; m.mu.Unlock() }
 
 // jobCompleted records one successfully answered job. For computed jobs,
@@ -208,8 +208,8 @@ type Stats struct {
 	IngestEdges    uint64 `json:"ingest_edges"`
 	IngestFailures uint64 `json:"ingest_failures"`
 	// IncrementalHits counts jobs served from retained epoch state;
-	// IncrementalFallbacks counts incremental requests that fell back to a
-	// full recompute; IncrementalSavedSupersteps accumulates the page-scans
+	// IncrementalFallbacks counts retaining requests (bfs and cc on an
+	// incremental graph) that ran in full; IncrementalSavedSupersteps accumulates the page-scans
 	// those hits avoided relative to from-scratch cost.
 	IncrementalHits            uint64 `json:"incremental_hits"`
 	IncrementalFallbacks       uint64 `json:"incremental_fallbacks"`
@@ -273,7 +273,7 @@ func (m *metrics) write(w io.Writer, s Stats) {
 	counter("gtsd_ingest_edges_total", "Edge ops carried by committed ingest batches.", s.IngestEdges)
 	counter("gtsd_ingest_failures_total", "Ingest batches that errored, including injected crashes.", s.IngestFailures)
 	counter("gtsd_incremental_hits_total", "Jobs served by delta-expansion from retained epoch state.", s.IncrementalHits)
-	counter("gtsd_incremental_fallbacks_total", "Incremental requests that fell back to a full recompute.", s.IncrementalFallbacks)
+	counter("gtsd_incremental_fallbacks_total", "Retaining bfs/cc requests that ran in full instead of from their prior.", s.IncrementalFallbacks)
 	counter("gtsd_incremental_saved_supersteps_total", "Page-scan supersteps avoided by incremental runs vs from-scratch cost.", s.IncrementalSavedSupersteps)
 
 	if len(s.WAL) > 0 {

@@ -39,7 +39,9 @@ func incDelta(before, after Stats) (hits, fallbacks uint64) {
 	return after.IncrementalHits - before.IncrementalHits, after.IncrementalFallbacks - before.IncrementalFallbacks
 }
 
-var incBFS = Request{Graph: "mut", Algo: "bfs", Incremental: true}
+// bfs0 is a retaining request: every run of it on an incremental server
+// plans from its prior.
+var bfs0 = Request{Graph: "mut", Algo: "bfs"}
 
 // TestEvictedPriorFallsBackOnce: a prior is a job in the job table, so the
 // table's byte bound is the priors' bound. A prior the table evicts makes
@@ -47,7 +49,7 @@ var incBFS = Request{Graph: "mut", Algo: "bfs", Incremental: true}
 // the prior the request after it hits.
 func TestEvictedPriorFallsBackOnce(t *testing.T) {
 	srv := priorServer(t, Config{QueueDepth: 1})
-	runOK(t, srv, incBFS) // cold: a fallback, and the prior
+	runOK(t, srv, bfs0) // cold: a fallback, and the prior
 	if _, err := srv.Ingest("mut", []gts.EdgeOp{{Src: 5, Dst: 9}}); err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +65,12 @@ func TestEvictedPriorFallsBackOnce(t *testing.T) {
 	}
 
 	before := srv.Stats()
-	runOK(t, srv, incBFS)
+	runOK(t, srv, bfs0)
 	if hits, falls := incDelta(before, srv.Stats()); hits != 0 || falls != 1 {
 		t.Fatalf("after the eviction: hits +%d, fallbacks +%d; want +0, +1", hits, falls)
 	}
 	before = srv.Stats()
-	runOK(t, srv, incBFS)
+	runOK(t, srv, bfs0)
 	if hits, falls := incDelta(before, srv.Stats()); hits != 1 || falls != 0 {
 		t.Fatalf("after the fallback: hits +%d, fallbacks +%d; want +1, +0", hits, falls)
 	}
@@ -77,7 +79,7 @@ func TestEvictedPriorFallsBackOnce(t *testing.T) {
 // TestPriorFromBeforeACommitReplaysForward: a run admitted before an ingest
 // that finishes after it is a valid prior, and the chain replays it forward:
 // two commits later its request is a hit that answers byte-identically to a
-// full run. A newer run then replaces it as the prior.
+// full run, and that hit replaces it as the prior.
 func TestPriorFromBeforeACommitReplaysForward(t *testing.T) {
 	srv := priorServer(t, Config{})
 	srv.mu.Lock()
@@ -85,7 +87,7 @@ func TestPriorFromBeforeACommitReplaysForward(t *testing.T) {
 	srv.mu.Unlock()
 	release := sync.OnceFunc(HoldSystem(sys))
 	defer release()
-	job, err := srv.Submit(Request{Graph: "mut", Algo: "bfs"})
+	job, err := srv.Submit(bfs0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +104,21 @@ func TestPriorFromBeforeACommitReplaysForward(t *testing.T) {
 	}
 
 	before := srv.Stats()
-	got := runOK(t, srv, incBFS)
+	got := runOK(t, srv, bfs0)
 	if hits, falls := incDelta(before, srv.Stats()); hits != 1 || falls != 0 {
 		t.Fatalf("hits +%d, fallbacks +%d; want a hit from the epoch-0 prior", hits, falls)
 	}
-	want := runOK(t, srv, Request{Graph: "mut", Algo: "bfs"})
-	if !slices.Equal(got.Output.(*gts.BFSResult).Levels, want.Output.(*gts.BFSResult).Levels) {
-		t.Fatal("the replayed prior answers differently from a full run")
+	srv.mu.Lock()
+	cur := srv.graphs["mut"].sys
+	srv.mu.Unlock()
+	if full, err := cur.BFS(0); err != nil || !slices.Equal(got.Output.(*gts.BFSResult).Levels, full.Levels) {
+		t.Fatalf("the replayed prior answers differently from a full run (err %v)", err)
 	}
 	srv.mu.Lock()
 	prior := srv.priors[job.prior]
 	srv.mu.Unlock()
-	if prior == nil || prior.result != want {
-		t.Fatal("the epoch-2 full run did not replace the epoch-0 prior")
+	if prior == nil || prior.result != got {
+		t.Fatal("the epoch-2 hit did not replace the epoch-0 prior")
 	}
 }
 
@@ -134,11 +138,11 @@ func TestPriorAfterSnapshotFallsBack(t *testing.T) {
 	if _, err := srv.Ingest("mut", []gts.EdgeOp{{Src: 5, Dst: 9}}); err != nil {
 		t.Fatal(err)
 	}
-	newer := runOK(t, srv, Request{Graph: "mut", Algo: "bfs"}) // the prior, at epoch 1
+	newer := runOK(t, srv, bfs0) // the prior, at epoch 1
 
 	// The job as Submit would have admitted it at epoch 0, planned only now.
 	algo, _ := gts.LookupAlgorithm("bfs")
-	req := incBFS
+	req := bfs0
 	req.Params, _ = algo.Normalize(req.Params)
 	job := &Job{id: "job-epoch0", req: req, key: cacheKey(old.name, old.gen, old.epoch, req.Algo, req.Params),
 		entry: old, epoch: old.epoch, prior: priorKey{old.gen, req.Algo, req.Params}, algo: algo,

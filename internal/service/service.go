@@ -15,10 +15,12 @@
 // in flight, which the new job coalesces behind; otherwise the job is
 // admitted or, if QueueDepth admitted jobs are still unanswered, rejected
 // with ErrOverloaded. An admitted job goes through the one execute pipeline
-// (execute.go) on a goroutine of its own: kernel resolution, the wait for the
-// graph's run token — the one queue, where the job waits until the graph's
-// previous job has run, and which drops a job whose deadline expires there —
-// the run, then error classification and accounting. Runs are not
+// (execute.go) on a goroutine of its own: kernel resolution (on a
+// Config.Incremental server a bfs or cc job on a mutable graph plans from
+// its request's prior, incremental.go; no request setting selects it), the
+// wait for the graph's run token — the one queue, where the job waits until
+// the graph's previous job has run, and which drops a job whose deadline
+// expires there — the run, then error classification and accounting. Runs are not
 // preempted: a deadline that expires mid-run does not cancel the engine, it
 // only stops the job's wait for it.
 //
@@ -102,11 +104,11 @@ type Config struct {
 	// computed job and keeps its Chrome trace_event JSON on the job, served
 	// at /debug/trace/{id} while the job stays in the job table.
 	Trace bool
-	// Incremental, when true, retains completed BFS/CC state on mutable
-	// graphs and serves `incremental: true` requests by delta-expansion
-	// from it (falling back to a full run, and counting it, whenever
-	// exactness cannot be guaranteed or the algorithm retains nothing).
-	// Results are byte-identical to from-scratch recompute either way.
+	// Incremental, when true, keeps a commit chain on every mutable graph,
+	// so each bfs or cc request on one plans from its prior: it runs by
+	// delta-expansion from the request's newest answered run, or in full,
+	// counted as a fallback, when exactness cannot be guaranteed. Results
+	// are byte-identical to from-scratch recompute either way.
 	Incremental bool
 }
 
@@ -118,12 +120,6 @@ type Request struct {
 	// Timeout bounds the wait for the job's answer; 0 inherits
 	// Config.DefaultTimeout, negative means no deadline.
 	Timeout time.Duration `json:"timeout,omitempty"`
-	// Incremental asks the server to answer from retained epoch state via
-	// delta-expansion when it can (bfs and cc on Config.Incremental graphs);
-	// a request it cannot serve that way is a full run counted as a
-	// fallback. The result is byte-identical to a full recompute; the flag
-	// only changes how much of the graph is re-streamed.
-	Incremental bool `json:"incremental,omitempty"`
 }
 
 // Result is a completed job's immutable answer. Cached results are shared
