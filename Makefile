@@ -106,7 +106,7 @@ fuzz:
 # kernel), the slotted pages (BenchmarkAdjDecode: the page decoder;
 # BenchmarkBuildReverse and BenchmarkPatchReverse: the graph's reverse index,
 # built fresh and patched by a 64-edge commit; BenchmarkApplyBatch: the
-# commit itself, at -cpu 1 and 2, where a parallel Build would show), the
+# commit itself, at -cpu 1 and 2, where Build's parallel pass 2 shows), the
 # R-MAT generator every load regenerates a graph with (BenchmarkEdges: ns
 # per edge at RMAT27@11's parameters, at -cpu 1 and 2, since it runs on
 # every core) and the simulator's turn-taking (BenchmarkSimHandoff: ns per
@@ -168,9 +168,9 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18446
-LOC_MAX_ENGINE_AND_API = 4616
-LOC_MAX_ENGINE = 3643
+LOC_MAX_TOTAL = 18530
+LOC_MAX_ENGINE_AND_API = 4656
+LOC_MAX_ENGINE = 3681
 LOC_MAX_GTSD_FLAGS = 9
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:

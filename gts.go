@@ -46,6 +46,8 @@ type PageConfig = slottedpage.Config
 type PageID = slottedpage.PageID
 
 // Source supplies topology to BuildGraph (internal/csr.Graph implements it).
+// BuildGraph may call its Degree and Neighbors from several goroutines at
+// once.
 type Source = slottedpage.Source
 
 // Strategy selects the multi-GPU scheme of the paper's §4.

@@ -71,12 +71,11 @@ func allocated(fn func()) uint64 {
 	return least
 }
 
-// TestDeltaBFSAllocatesNoMoreThanAFullRun: PlanBFS plus one IncBFS run after
-// a 64-edge insert batch allocate no more heap bytes than the full BFS it
-// replaces (the algorithm table's bfs kernel) on the same snapshot: the plan
-// keeps the prior read-only and its seeds in a sparse overlay, so the run's
-// level vector is its only |V|-sized vector of int16s.
-func TestDeltaBFSAllocatesNoMoreThanAFullRun(t *testing.T) {
+// afterInserts captures a prior on allocSpec, commits a seeded batch of 64
+// random inserts, and returns the harness, the new snapshot, the ops since
+// the prior and a System over the snapshot.
+func afterInserts(t *testing.T) (*harness, *gts.Graph, []gts.EdgeOp, *gts.System) {
+	t.Helper()
 	h := newHarness(t, allocSpec)
 	g := h.mg.Snapshot()
 	h.capture(computeOracle(t, g, nil))
@@ -88,11 +87,20 @@ func TestDeltaBFSAllocatesNoMoreThanAFullRun(t *testing.T) {
 	}
 	h.ingest(t, ops)
 	g = h.mg.Snapshot()
-	delta := h.delta(t, h.mg.Epoch())
 	sys, err := gts.NewSystem(g, gts.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return h, g, h.delta(t, h.mg.Epoch()), sys
+}
+
+// TestDeltaBFSAllocatesNoMoreThanAFullRun: PlanBFS plus one IncBFS run after
+// a 64-edge insert batch allocate no more heap bytes than the full BFS it
+// replaces (the algorithm table's bfs kernel) on the same snapshot: the plan
+// keeps the prior read-only and its seeds in a sparse overlay, so the run's
+// level vector is its only |V|-sized vector of int16s.
+func TestDeltaBFSAllocatesNoMoreThanAFullRun(t *testing.T) {
+	h, g, delta, sys := afterInserts(t)
 	bfs, _ := gts.LookupAlgorithm("bfs")
 	p, err := bfs.Normalize(gts.Params{Source: bfsSource})
 	if err != nil {
@@ -121,5 +129,46 @@ func TestDeltaBFSAllocatesNoMoreThanAFullRun(t *testing.T) {
 	t.Logf("delta BFS %d B (%d seeds), full BFS %d B", inc, seeds, full)
 	if inc > full {
 		t.Errorf("delta BFS allocated %d B, more than a full BFS's %d B", inc, full)
+	}
+}
+
+// ccAllocBudget is what PlanCC plus one IncCC run may allocate at allocSpec
+// after a 64-edge insert batch: the run's label vector, snap and the scan
+// set (2 × 4 B and 1 bit per vertex, 532 480 B at 2^16 vertices), and under
+// 28 KB besides. Before the plan kept its seeds as a sparse list it also
+// allocated a third label vector and measured 818 872 B.
+const ccAllocBudget = 560_000
+
+// TestDeltaCCAllocationBudget: PlanCC plus one IncCC run after a 64-edge
+// insert batch stay within ccAllocBudget on the serve-live graph.
+func TestDeltaCCAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation adds to the engine's allocations")
+	}
+	h, g, delta, sys := afterInserts(t)
+	want := computeOracle(t, g, nil).labels
+
+	var seeds int
+	var got []uint32
+	inc := allocated(func() {
+		k, reason := incremental.PlanCC(g, h.prior.labels, delta)
+		if reason != "" {
+			t.Fatalf("cc fallback %q on an insert-only batch", reason)
+		}
+		st, _, err := sys.RunKernel(k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds, got = k.Seeds, k.Components(st)
+	})
+	if seeds == 0 {
+		t.Fatal("the batch seeded nothing: the delta run relabeled no vertex")
+	}
+	if i := cmpLabels(want, got); i >= 0 {
+		t.Fatalf("cc diverges at vertex %d: full=%d inc=%d", i, want[i], got[i])
+	}
+	t.Logf("delta CC %d B (%d seeds)", inc, seeds)
+	if inc > ccAllocBudget {
+		t.Errorf("delta CC allocated %d B, over its budget of %d B", inc, ccAllocBudget)
 	}
 }

@@ -21,13 +21,17 @@ import (
 // scans only vertices whose label changed last round plus their
 // in-neighbors (which might now pull the lowered label), streaming just
 // those vertices' pages.
+//
+// The kernel keeps the prior read-only and its seeds in a list beside it, so
+// the run's own state and snap are its only |V|-sized label vectors.
 type IncCC struct {
 	g *slottedpage.Graph
 	// rev is the graph's reverse index, fetched at the first changed
 	// vertex, so a plan that changes none never builds it.
-	rev  *slottedpage.Reverse
-	init []uint32 // retained labels, extended, with seed relaxations applied
-	cost incCost
+	rev   *slottedpage.Reverse
+	prior []uint32 // the prior run's labels, never written
+	seeds []ccSeed // relabelings in op order; a later one for a vertex wins
+	cost  incCost
 
 	// plan state: snap starts at the retained labels before the seeds, so
 	// the first plan scans every seeded vertex.
@@ -36,6 +40,13 @@ type IncCC struct {
 
 	// Seeds is how many vertices the delta directly relabeled.
 	Seeds int
+}
+
+// ccSeed is one relabeling the delta applies before the run: vertex v from
+// label old to label new.
+type ccSeed struct {
+	v        uint64
+	old, new uint32
 }
 
 type incCCState struct{ labels []uint32 }
@@ -58,38 +69,43 @@ func PlanCC(g *slottedpage.Graph, labels []uint32, ops []EdgeOp) (*IncCC, string
 			return nil, "delete"
 		}
 	}
-	base := make([]uint32, n)
-	copy(base, labels)
-	for i := uint64(len(labels)); i < n; i++ {
-		base[i] = uint32(i) // new vertices: own component, as a full run inits
+	k := &IncCC{
+		g:     g,
+		prior: labels,
+		cost:  incCost{lane: 110, slot: 50},
+		snap:  make([]uint32, n),
+		scan:  bitset.New(int(n)),
 	}
-	init := append([]uint32(nil), base...)
-	seeds := 0
+	initLabels(k.snap, labels)
+	// Seed in op order so chained inserts compound: each insert lowers both
+	// endpoints to the lower of their labels, applied to snap as it goes
+	// and undone below, so snap ends at the retained labels again.
 	for _, op := range ops {
 		if op.Src >= n || op.Dst >= n {
 			continue
 		}
-		lo := init[op.Src]
-		if init[op.Dst] < lo {
-			lo = init[op.Dst]
-		}
-		if init[op.Src] != lo {
-			init[op.Src] = lo
-			seeds++
-		}
-		if init[op.Dst] != lo {
-			init[op.Dst] = lo
-			seeds++
+		lo := min(k.snap[op.Src], k.snap[op.Dst])
+		for _, v := range [2]uint64{op.Src, op.Dst} {
+			if k.snap[v] != lo {
+				k.seeds = append(k.seeds, ccSeed{v: v, old: k.snap[v], new: lo})
+				k.snap[v] = lo
+			}
 		}
 	}
-	return &IncCC{
-		g:     g,
-		init:  init,
-		cost:  incCost{lane: 110, slot: 50},
-		snap:  base,
-		scan:  bitset.New(int(n)),
-		Seeds: seeds,
-	}, ""
+	for i := len(k.seeds) - 1; i >= 0; i-- {
+		k.snap[k.seeds[i].v] = k.seeds[i].old
+	}
+	k.Seeds = len(k.seeds)
+	return k, ""
+}
+
+// initLabels sets labels to the prior labels, with every vertex the prior
+// run did not have in its own component, as a full run inits it.
+func initLabels(labels, prior []uint32) {
+	copy(labels, prior)
+	for i := len(prior); i < len(labels); i++ {
+		labels[i] = uint32(i)
+	}
 }
 
 // NewState implements Kernel.
@@ -97,8 +113,15 @@ func (k *IncCC) NewState() kernels.State {
 	return &incCCState{labels: make([]uint32, k.g.NumVertices())}
 }
 
-// Init implements Kernel: labels start at the seeded retained labels.
-func (k *IncCC) Init(st kernels.State, _ uint64) { copy(incLabels(st), k.init) }
+// Init implements Kernel: labels start at the retained labels, extended,
+// with the seeds applied.
+func (k *IncCC) Init(st kernels.State, _ uint64) {
+	labels := incLabels(st)
+	initLabels(labels, k.prior)
+	for _, s := range k.seeds {
+		labels[s.v] = s.new
+	}
+}
 
 // PlanLevel implements FrontierKernel: the round's scan set is every
 // vertex whose label changed since the last snapshot plus its

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync"
 	"time"
 
@@ -262,13 +263,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeBody answers with an encoded document. The status is committed only
 // once there is a body for it: a document that failed to encode is a 500
-// with the error, never a 200 cut short.
+// with the error, never a 200 cut short. The whole body is at hand, so it
+// goes out with its Content-Length rather than in chunks.
 func writeBody(w http.ResponseWriter, status int, body []byte, err error) {
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // a client that went away is not the server's error
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 )
 
@@ -122,13 +123,13 @@ func appendJobJSON(dst []byte, job *Job) ([]byte, error) {
 func appendVector(dst []byte, values any) ([]byte, error) {
 	switch v := values.(type) {
 	case []int16:
-		return appendElems(dst, v, appendInt[int16]), nil
+		return appendInts(dst, v, len("-32768")), nil
 	case []int32:
-		return appendElems(dst, v, appendInt[int32]), nil
+		return appendInts(dst, v, len("-2147483648")), nil
 	case []int64:
-		return appendElems(dst, v, appendInt[int64]), nil
+		return appendInts(dst, v, len("-9223372036854775808")), nil
 	case []uint32:
-		return appendElems(dst, v, appendInt[uint32]), nil
+		return appendInts(dst, v, len("4294967295")), nil
 	case []bool:
 		return appendElems(dst, v, strconv.AppendBool), nil
 	case []float32:
@@ -155,8 +156,42 @@ func appendElems[T any](dst []byte, v []T, one func([]byte, T) []byte) []byte {
 	return append(append(dst, fieldSep...), ']')
 }
 
-func appendInt[T int16 | int32 | int64 | uint32](b []byte, x T) []byte {
-	return strconv.AppendInt(b, int64(x), 10)
+// intCells holds, for each x in [-1, 99] at index x+1, the bytes one
+// element x adds inside a vector — a separator and its digits — in its first
+// cell[15] bytes. BFS levels, hop counts and the labels of components whose
+// least vertex ID is under 100 live in that range.
+var intCells = func() (cells [101][16]byte) {
+	for i := range cells {
+		b := strconv.AppendInt([]byte(","+elemSep), int64(i-1), 10)
+		cells[i][15] = byte(copy(cells[i][:], b))
+	}
+	return cells
+}()
+
+// appendInts is appendElems for integers that print in at most widest
+// bytes. It grows dst once, as if every element were that wide; then an
+// element in intCells' range is one 16-byte store of its cell and an advance
+// by the cell's length, any other goes through strconv. Every element is
+// written with a leading comma; the first one's becomes the '['.
+func appendInts[T int16 | int32 | int64 | uint32](dst []byte, v []T, widest int) []byte {
+	if len(v) == 0 {
+		return append(dst, "[]"...)
+	}
+	start := len(dst)
+	// The last cell store reaches 16 bytes past its element's start.
+	dst = slices.Grow(dst, len(v)*(len(","+elemSep)+widest)+16)
+	buf, n := dst[:cap(dst)], start
+	for _, x := range v {
+		if i := uint64(int64(x) + 1); i < uint64(len(intCells)) {
+			c := &intCells[i]
+			*(*[16]byte)(buf[n:]) = *c
+			n += int(c[15])
+		} else {
+			n = len(strconv.AppendInt(append(buf[:n], ","+elemSep...), int64(x), 10))
+		}
+	}
+	buf[start] = '['
+	return append(append(buf[:n], fieldSep...), ']')
 }
 
 // finite returns encoding/json's own error for the first NaN or ±Inf in v.

@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -248,6 +250,34 @@ func TestHTTPJobBodyGolden(t *testing.T) {
 	}
 }
 
+// TestDocumentsCarryContentLength: a job answer and an error document go out
+// whole, with a Content-Length equal to the body and no chunked framing.
+func TestDocumentsCarryContentLength(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/job" {
+			writeJob(w, servedBFSJob(1<<16))
+			return
+		}
+		httpError(w, http.StatusNotFound, ErrUnknownJob)
+	}))
+	defer ts.Close()
+	for _, path := range []string{"/job", "/missing"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body; want the body's length and no chunking",
+				path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
 // vectorOf builds the two-element vector of element kind kind%7 whose
 // elements carry bits, truncated to the element's width.
 func vectorOf(kind uint8, bits uint64) any {
@@ -278,6 +308,27 @@ func FuzzVectorJSON(f *testing.F) {
 	for kind := uint8(0); kind < 5; kind++ {
 		for _, bits := range []uint64{0, 1, 1<<15 - 1, 1 << 15, 1<<31 - 1, 1 << 31, 1<<63 - 1, 1 << 63, math.MaxUint64} {
 			f.Add(kind, bits)
+		}
+	}
+	// The edges of appendInts' cell table and of each integer type, paired
+	// with their neighbours on the list.
+	pack := func(kind uint8, a, b int64) uint64 {
+		switch kind {
+		case 0:
+			return uint64(uint16(a)) | uint64(uint16(b))<<16
+		case 2:
+			return uint64(a)
+		}
+		return uint64(uint32(a)) | uint64(uint32(b))<<32
+	}
+	for kind, edges := range [][]int64{
+		{math.MinInt16, -2, -1, 0, 9, 10, 99, 100, math.MaxInt16},
+		{math.MinInt32, -2, -1, 0, 9, 10, 99, 100, math.MaxInt32},
+		{math.MinInt64, -2, -1, 0, 9, 10, 99, 100, math.MaxInt64},
+		{0, 9, 10, 99, 100, math.MaxUint32},
+	} {
+		for i := range edges {
+			f.Add(uint8(kind), pack(uint8(kind), edges[i], edges[(i+1)%len(edges)]))
 		}
 	}
 	negZero := float32(math.Copysign(0, -1))
@@ -385,18 +436,63 @@ func TestJobResponseAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkJobResponse times one finished-job answer (a miss, a hit and a
-// poll all take this path) for a 65 536-vertex BFS.
-func BenchmarkJobResponse(b *testing.B) {
-	job, w := bfsJob(1<<16), discard{http.Header{}}
-	doc, err := appendJobJSON(nil, job)
-	if err != nil {
-		b.Fatal(err)
+// servedBFSJob is a finished BFS job over n vertices shaped like what gtsd
+// serves on an R-MAT graph: half the vertices unreached, the rest at levels
+// 1-6, in no order a branch predictor could learn.
+func servedBFSJob(n int) *Job {
+	r := rand.New(rand.NewSource(1))
+	levels := make([]int16, n)
+	for i := range levels {
+		levels[i] = -1
+		if r.Intn(2) == 0 {
+			levels[i] = int16(1 + r.Intn(6))
+		}
 	}
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		writeJob(w, job)
+	levels[0] = 0
+	out := &gts.BFSResult{Levels: levels}
+	return doneJob(&Result{Graph: "g", Algo: "bfs", Output: out, Wall: 3 * time.Millisecond}, false)
+}
+
+// ccJob is a finished CC job over n vertices shaped like gtsd's answer on an
+// R-MAT graph: one giant component labeled 0 and, at random, half the
+// vertices isolated, each keeping its own ID as its label.
+func ccJob(n int) *Job {
+	r := rand.New(rand.NewSource(1))
+	labels := make([]uint32, n)
+	for i := range labels {
+		if r.Intn(2) == 0 {
+			labels[i] = uint32(i)
+		}
+	}
+	out := &gts.CCResult{Labels: labels}
+	return doneJob(&Result{Graph: "g", Algo: "cc", Output: out, Wall: 3 * time.Millisecond}, false)
+}
+
+// BenchmarkJobResponse times one finished-job answer (a miss, a hit and a
+// poll all take this path) over 65 536 vertices: the served shapes of a BFS
+// and a CC answer, and bfsJob's periodic levels, whose pattern a branch
+// predictor learns.
+func BenchmarkJobResponse(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		job  *Job
+	}{
+		{"bfs", servedBFSJob(1 << 16)},
+		{"cc", ccJob(1 << 16)},
+		{"periodic", bfsJob(1 << 16)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := discard{http.Header{}}
+			doc, err := appendJobJSON(nil, bc.job)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(doc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				writeJob(w, bc.job)
+			}
+		})
 	}
 }

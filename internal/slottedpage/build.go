@@ -3,12 +3,14 @@ package slottedpage
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"weak"
 )
 
 // Source supplies a graph's topology in vertex-ID order. Vertex IDs must be
-// dense in [0, NumVertices).
+// dense in [0, NumVertices). Build may call Degree and Neighbors from several
+// goroutines at once, so neither may write state the other calls read.
 type Source interface {
 	NumVertices() uint64
 	NumEdges() uint64
@@ -48,8 +50,14 @@ type Graph struct {
 
 // Build packs src into slotted pages under cfg. Vertices are placed in VID
 // order so that VIDs are consecutive within every small page — the property
-// the RVT's O(1) physical-to-logical translation depends on.
+// the RVT's O(1) physical-to-logical translation depends on. Pages are
+// written on up to GOMAXPROCS goroutines; the bytes do not depend on how many.
 func Build(src Source, cfg Config) (*Graph, error) {
+	return build(src, cfg, runtime.GOMAXPROCS(0))
+}
+
+// build is Build with pass 2 split across at most workers goroutines.
+func build(src Source, cfg Config, workers int) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -101,22 +109,35 @@ func Build(src Source, cfg Config) (*Graph, error) {
 			len(g.rvt), cfg.PIDBytes, cfg.MaxPages())
 	}
 
-	// Pass 2: write the pages, each checksummed as it is finished.
+	// Pass 2: write the pages. Pass 1 fixed every page's vertices and every
+	// home RID, so no page's bytes depend on another's: each worker writes
+	// an even share of the pages, the caller's goroutine the last.
 	g.pages, g.sums = make([][]byte, len(g.rvt)), make([]uint32, len(g.rvt))
-	g.writePages(src)
+	workers = max(1, min(workers, len(g.rvt)))
+	var wg sync.WaitGroup
+	for w := range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.writePages(src, w*len(g.rvt)/workers, (w+1)*len(g.rvt)/workers)
+		}()
+	}
+	g.writePages(src, (workers-1)*len(g.rvt)/workers, len(g.rvt))
+	wg.Wait()
 	g.dec = newDecoder(&g.cfg, g.rvt)
 	return g, nil
 }
 
-// writePages is Build's pass 2. Pass 1 fixed every page's vertices and
-// every home RID, so a page is plain stores: per vertex its slot (VID,
-// OFF), its record's ADJLIST_SZ and its row's home RIDs; a large page holds
-// its run's share of its vertex's row.
-func (g *Graph) writePages(src Source) {
+// writePages writes pages [lo, hi) through a row reader of its own, each
+// page checksummed as it is finished: per vertex its slot (VID, OFF), its
+// record's ADJLIST_SZ and its row's home RIDs; a large page holds its run's
+// share of its vertex's row.
+func (g *Graph) writePages(src Source, lo, hi int) {
 	c := &g.cfg
 	rows := newRowReader(src)
 	perLP, w := c.lpEntriesPerPage(), c.RIDBytes()
-	for pid, e := range g.rvt {
+	for pid := lo; pid < hi; pid++ {
+		e := g.rvt[pid]
 		end := g.numVertices
 		if e.LPSeq >= 0 {
 			end = e.StartVID + 1

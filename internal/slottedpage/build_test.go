@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -137,6 +138,58 @@ func TestBuildSameBytesAtAnyWorkerCount(t *testing.T) {
 				}
 				graphsIdentical(t, got, want, fmt.Sprintf("seed %d, %d workers, %T", seed, procs, src))
 			}
+		}
+	}
+}
+
+// TestBuildSameBytesOnAnySplit: the driver graph (RMAT27@11 in 4 KB pages),
+// and a Mutable's mirror after several commits, build to the same pages,
+// checksums, RVT and home RIDs on 1, 2 and 7 workers, and on the fewest
+// workers whose page ranges split a large-page run if none of those does:
+// two workers then write pages of one vertex's run.
+func TestBuildSameBytesOnAnySplit(t *testing.T) {
+	raw, sp := rmatPages(t, 11)
+	splitsRun := func(workers int) bool {
+		for w := 1; w < workers; w++ {
+			pid := w * sp.NumPages() / workers
+			if sp.Kind(PageID(pid)) == LargePage && sp.RVT(PageID(pid)).LPSeq > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	counts := []int{1, 2, 7}
+	if !slices.ContainsFunc(counts, splitsRun) {
+		w := 3
+		for w <= 64 && !splitsRun(w) {
+			w++
+		}
+		if w > 64 {
+			t.Fatal("no worker count up to 64 splits a large-page run")
+		}
+		counts = append(counts, w)
+	}
+
+	m := NewMutable(sp)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 4; i++ {
+		if _, err := m.ApplyBatch(randomInserts(rng, 64, sp.NumVertices()+16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, tc := range map[string]struct {
+		src  Source
+		want *Graph
+	}{
+		"driver graph":           {raw, sp},
+		"mirror after 4 commits": {mirrorSource{adj: m.adj, edges: m.edges}, m.Snapshot()},
+	} {
+		for _, workers := range counts {
+			got, err := build(tc.src, sp.Config(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphsIdentical(t, got, tc.want, fmt.Sprintf("%s, %d workers", name, workers))
 		}
 	}
 }
