@@ -158,7 +158,8 @@ type Metrics struct {
 	// unless a fault plan is set.
 	Faults fault.Stats
 	// HostKernelWall is the real (not virtual) time the host spent in
-	// functional kernel execution, each wave's compute timed once. Not in
+	// functional kernel execution, each wave's compute timed once on the
+	// run's functional goroutine, concurrently with the simulation. Not in
 	// the JSON.
 	HostKernelWall time.Duration `json:"-"`
 	// PoolHits, PoolLoads and PoolWaits are this run's host page buffer

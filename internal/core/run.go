@@ -6,6 +6,17 @@ package core
 // GPU — and then streams to the GPUs: each page pays its PCI-E copy unless
 // the device caches it, and its kernel consumes the resident bytes.
 //
+// A run is two halves of one loop. The functional half (planner) owns the
+// kernel, its states and the level state machine, and computes each wave
+// into a table of page IDs and kernel results on a goroutine of its own; the
+// simulated half (run, the "gts-framework" process and its streams) owns the
+// machine, the caches, the pool, the trace and the Report, and plays each
+// table in virtual time. They meet at a one-slot channel, so the kernels of
+// wave L+1 execute while the streams play wave L. Neither half reads what
+// the other writes, and the simulation consumes the same tables in the same
+// order whenever they arrive, so virtual time, traces and fault schedules
+// are those of a serial loop.
+//
 // Decoupling "what the kernels compute" from "when the simulation schedules
 // them" makes results bit-identical across stream interleavings — including
 // interleavings perturbed by injected faults and their retries: streaming,
@@ -39,9 +50,8 @@ var errDeclined = fmt.Errorf("%w: WA does not fit beside the stream buffers", Er
 var finished sync.Pool
 
 // run is one execution of a job: the simulated machine and what is resident
-// on it, the job's kernel, attribute states and traversal, and the Report it
-// counts into. The sim scheduler runs one process at a time, so none of it
-// needs locking.
+// on it, its functional half (pl), and the Report it counts into. The sim
+// scheduler runs one process at a time, so none of it needs locking.
 type run struct {
 	eng     *Engine // the run's graph, machine spec and options
 	env     *sim.Env
@@ -64,27 +74,9 @@ type run struct {
 	hostLookups int64
 	inflight    map[slottedpage.PageID]*sim.Signal
 
-	k      kernels.Kernel
-	source uint64
-	trace  *trace.Recorder // the job's, or the engine's Options.Trace
-
-	// states holds one replica per GPU under Strategy-P, or a single
-	// shared state under Strategy-S.
-	states []kernels.State
-	// owned[i] is GPU i's attribute ownership range [lo, hi).
-	owned [][2]uint64
-
-	// Traversal state: next is the running wave's page set — the full set
-	// on a scan (scan is the kernel's ScanKernel), otherwise the level the
-	// kernel planned (fk is its FrontierKernel). back is its BackwardKernel
-	// (nil without a backward sweep), and backIdx the level the sweep is at.
-	scan     kernels.ScanKernel
-	fk       kernels.FrontierKernel
-	back     kernels.BackwardKernel
-	next     *bitset.Set
-	backward bool
-	backIdx  int32
-	done     bool
+	pl    *planner
+	trace *trace.Recorder // the job's, or the engine's Options.Trace
+	done  bool
 
 	stepStart   sim.Time
 	beforePages int64
@@ -101,9 +93,8 @@ type run struct {
 	raResident  int64 // device bytes of a whole RA kept beside the WA (newRun)
 	updateBytes int64 // bytes a traversal's Strategy-P peer merge moves per update
 
-	// curDir is the direction the executing superstep was planned in,
-	// stamped onto its Superstep span.
-	curDir kernels.Direction
+	// wave is the table the streams are playing (see processDemand).
+	wave *wave
 
 	// launches[i] has bit s set while GPU i's stream s has a launch open in
 	// the running wave (see processDemand).
@@ -116,22 +107,77 @@ type run struct {
 
 	// rep is the Report the run counts into as it goes (its Levels are the
 	// forward supersteps done, its Faults the recovery work; report adds
-	// what only the end knows). waves counts supersteps for SharedStats,
-	// levelUpdates the running superstep's attribute writes (a scan's
-	// iteration is active when there were any).
-	rep          Report
-	waves        int64
-	levelUpdates int64
-
-	// The running wave's table (see planWave): pids lists each GPU's pages
-	// back to back (GPU i's end at gpuEnd[i]) and res[j] is pids[j]'s kernel
-	// result. They keep their backing arrays, so a wave allocates nothing
-	// here once they have grown; args backs every kernel call.
-	pids   []slottedpage.PageID
-	res    []kernels.Result
-	gpuEnd []int
-	args   kernels.Args
+	// what only the end knows). waves counts supersteps for SharedStats.
+	rep   Report
+	waves int64
 }
+
+// planner is a run's functional half: the job's kernel, its attribute
+// states and the level state machine. It computes one wave after another
+// into wave tables on a goroutine of its own (run), at most one wave ahead
+// of the simulation, which hands each table back once its streams have
+// played it. Nothing here is touched by the simulation while that goroutine
+// lives.
+type planner struct {
+	eng *Engine
+	k   kernels.Kernel
+
+	// states holds one replica per GPU under Strategy-P, or a single
+	// shared state under Strategy-S.
+	states []kernels.State
+	// owned[i] is GPU i's attribute ownership range [lo, hi).
+	owned [][2]uint64
+
+	// Traversal state: next is the coming wave's page set — the full set
+	// on a scan (scan is the kernel's ScanKernel), otherwise the level the
+	// kernel planned (fk is its FrontierKernel) in direction dir. back is
+	// its BackwardKernel (nil without a backward sweep), and backIdx the
+	// level the sweep is at. levels counts the forward supersteps computed.
+	scan     kernels.ScanKernel
+	fk       kernels.FrontierKernel
+	back     kernels.BackwardKernel
+	next     *bitset.Set
+	dir      kernels.Direction
+	levels   int32
+	backward bool
+	backIdx  int32
+
+	args kernels.Args  // backs every kernel call
+	wall time.Duration // the kernels' host wall-clock (Report.HostKernelWall)
+
+	// The two tables and the channels they travel on: ready carries a
+	// computed table to the simulation (one slot), free carries it back
+	// (room for both, so handing one back never blocks). quit tells the
+	// goroutine the run is over; exited closes when it has returned.
+	tables [2]*wave
+	ready  chan *wave
+	free   chan *wave
+	quit   chan struct{}
+	exited chan struct{}
+}
+
+// wave is one superstep's table: pids lists each GPU's pages back to back
+// (GPU i's end at gpuEnd[i]) and res[j] is pids[j]'s kernel result; level,
+// backward and dir say which superstep it is, updates sums its attribute
+// writes, and final marks the run's last. err or panicked, when set, is how
+// the run ends instead: the simulation fails the run at this wave, or
+// re-raises the kernel's panic in its own process.
+type wave struct {
+	pids     []slottedpage.PageID
+	res      []kernels.Result
+	gpuEnd   []int
+	level    int32
+	backward bool
+	dir      kernels.Direction
+	updates  int64
+	final    bool
+	err      error
+	panicked any
+}
+
+// waveTables keeps wave tables between runs: they keep their backing
+// arrays, so a wave allocates nothing for its table once they have grown.
+var waveTables = sync.Pool{New: func() any { return new(wave) }}
 
 // RunJob executes one job to completion and reports timing and metrics, on
 // a machine whose spare device memory is all page cache.
@@ -178,7 +224,7 @@ func (e *Engine) run(job SharedJob) (SharedOutcome, SharedStats, error) {
 		r.env.Process("gts-framework", r.loop)
 		elapsed, err = r.env.Run()
 		e.device = r.caches // what this run leaves resident, the next run starts with
-		finished.Put(r.k)
+		finished.Put(r.pl.k)
 	}
 	if err != nil {
 		return SharedOutcome{Err: err}, SharedStats{}, err
@@ -222,16 +268,14 @@ func (e *Engine) newRun(job SharedJob) (*run, error) {
 		caches:      make([]*hw.PageCache, nGPU),
 		cacheBytes:  make([]int64, nGPU),
 		cacheTarget: make([]int64, nGPU),
-		k:           job.Kernel,
-		source:      job.Source,
+		pl:          &planner{eng: e, k: job.Kernel, next: bitset.New(e.graph.NumPages())},
 		trace:       cmp.Or(job.Trace, e.opts.Trace),
-		next:        bitset.New(e.graph.NumPages()),
 		launches:    make([]uint32, nGPU),
 		inj:         fault.NewInjector(e.opts.Faults),
 		curLevel:    -1,
 	}
 	machine.InjectFaults(r.inj)
-	r.setupStates()
+	r.setupStates(job.Source)
 
 	// Each GPU's stream buffers: SPBuf + LPBuf per stream plus an RABuf
 	// sized for the densest page's subvector.
@@ -255,7 +299,7 @@ func (e *Engine) newRun(job SharedJob) (*run, error) {
 	// fill. With more GPUs the merged WA sits on GPU 0 (Strategy-P) or in
 	// chunks (Strategy-S), so RA streams per page (§3.1). Metrics.WABytes
 	// stays WA only.
-	if ra := int64(e.graph.NumVertices()) * r.raPerV; r.scan != nil && ra > 0 && nGPU == 1 {
+	if ra := int64(e.graph.NumVertices()) * r.raPerV; r.pl.scan != nil && ra > 0 && nGPU == 1 {
 		if g := machine.GPUs[0]; g.MemFree() >= e.graph.TopologyBytes()+ra && g.Alloc(ra) == nil {
 			r.raResident, r.raPerV = ra, 0
 		}
@@ -264,41 +308,43 @@ func (e *Engine) newRun(job SharedJob) (*run, error) {
 }
 
 // setupStates derives the kernel's half of Algorithm 1's initialization
-// from the strategy: the attribute states (one replica per GPU under
-// Strategy-P, a single shared state under Strategy-S), the per-GPU
-// ownership ranges, and the WA/RA sizing. It performs no device allocation.
-func (r *run) setupStates() {
-	e, k := r.eng, r.k
+// from the strategy: the planner's attribute states, initialized from
+// source (one replica per GPU under Strategy-P, a single shared state under
+// Strategy-S) and per-GPU ownership ranges, and the run's WA/RA sizing. It
+// performs no device allocation.
+func (r *run) setupStates(source uint64) {
+	e, pl := r.eng, r.pl
+	k := pl.k
 	nGPU := len(r.machine.GPUs)
 	nV := e.graph.NumVertices()
-	r.scan, _ = k.(kernels.ScanKernel)
-	r.fk, _ = k.(kernels.FrontierKernel)
-	r.back, _ = k.(kernels.BackwardKernel)
+	pl.scan, _ = k.(kernels.ScanKernel)
+	pl.fk, _ = k.(kernels.FrontierKernel)
+	pl.back, _ = k.(kernels.BackwardKernel)
 
 	proto := k.NewState()
-	k.Init(proto, r.source)
+	k.Init(proto, source)
 	waBytes := proto.WABytes()
 	r.raPerV = kernels.RAPerVertex(k)
 	if nV > 0 {
 		r.updateBytes = kernels.UpdateBytes(k, waBytes/int64(nV))
 	}
 
-	r.states = []kernels.State{proto}
+	pl.states = []kernels.State{proto}
 	if e.opts.Strategy == StrategyS {
 		r.perGPUWA = (waBytes + int64(nGPU) - 1) / int64(nGPU)
 		chunk := (nV + uint64(nGPU) - 1) / uint64(nGPU)
 		for i := 0; i < nGPU; i++ {
 			lo := min(uint64(i)*chunk, nV)
-			r.owned = append(r.owned, [2]uint64{lo, min(lo+chunk, nV)})
+			pl.owned = append(pl.owned, [2]uint64{lo, min(lo+chunk, nV)})
 		}
 		return
 	}
 	r.perGPUWA = waBytes
 	for i := 0; i < nGPU; i++ {
 		if i > 0 {
-			r.states = append(r.states, proto.Clone())
+			pl.states = append(pl.states, proto.Clone())
 		}
-		r.owned = append(r.owned, [2]uint64{0, nV})
+		pl.owned = append(pl.owned, [2]uint64{0, nV})
 	}
 }
 
@@ -371,25 +417,32 @@ func (r *run) setup() error {
 }
 
 // loop is Algorithm 1's repeat-until loop, run as the controlling CPU
-// thread: the WA upload, then waves until the kernel finishes or the run
-// aborts.
+// thread: it starts the functional half, uploads the WA, and then plays the
+// waves the functional half computes until the kernel finishes or the run
+// aborts. However the loop ends — a stream's panic unwinds it too — the
+// functional half's goroutine has returned before it does.
 func (r *run) loop(p *sim.Proc) {
+	r.pl.start()
+	defer r.pl.stop()
 	r.begin(p)
 	for r.abort == nil && !r.done {
+		w := <-r.pl.ready
+		if w.panicked != nil {
+			panic(w.panicked) // the kernel's panic is this process's, as if it ran here
+		}
 		r.waves++
-		if r.beginWave(); r.abort != nil {
+		if r.beginWave(w); r.abort != nil {
 			return
 		}
-		r.planWave()
 		r.streamDemand(p)
 		r.endWave(p)
+		r.pl.free <- w
 	}
 }
 
 // begin uploads the WA to every GPU concurrently (Fig. 5 step 1), with a
-// resident RA in the same chunk, and sets the first wave's pages: the whole
-// topology for a scan, the kernel's level-0 plan for a traversal. A fault
-// that outlasts its retries during the upload aborts the run.
+// resident RA in the same chunk. A fault that outlasts its retries during
+// the upload aborts the run.
 func (r *run) begin(p *sim.Proc) {
 	for _, c := range r.caches {
 		if c != nil {
@@ -408,81 +461,195 @@ func (r *run) begin(p *sim.Proc) {
 		r.rep.BytesToGPU += r.perGPUWA + r.raResident
 		r.trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.CopyWA, Page: -1, Level: -1, Start: t0, End: r.env.Now()})
 	})
-	if r.abort != nil {
-		return
-	}
-	if r.scan == nil {
-		r.planLevel(0)
-		return
-	}
-	for pid := range r.eng.graph.NumPages() {
-		r.next.Set(pid)
-	}
 }
 
-// beginWave opens a superstep: level bookkeeping and BeginLevel.
-func (r *run) beginWave() {
-	if !r.backward && r.rep.Levels > kernels.MaxLevels {
-		r.fail(fmt.Errorf("core: run exceeded kernels.MaxLevels (%d levels)", kernels.MaxLevels))
+// beginWave opens the superstep w carries, or fails the run with w's error.
+func (r *run) beginWave(w *wave) {
+	if w.err != nil {
+		r.fail(w.err)
 		return
 	}
-	lvl := r.waveLevel()
-	r.curLevel = lvl
+	r.wave = w
+	r.curLevel = w.level
 	r.stepStart = r.env.Now()
 	r.beforePages = r.rep.PagesStreamed
 	r.beforeBytes = r.rep.BytesToGPU
-	r.levelUpdates = 0
-	if r.curDir != kernels.DirNone && !r.backward {
-		r.rep.LevelDirs = append(r.rep.LevelDirs, r.curDir.String())
+	if w.dir != kernels.DirNone && !w.backward {
+		r.rep.LevelDirs = append(r.rep.LevelDirs, w.dir.String())
 	}
-	kernels.BeginLevel(r.k, r.states, lvl)
 	clear(r.launches)
 }
 
-// waveLevel is the superstep index the current wave runs at: the traversal
-// level forward, the re-planned level backward.
-func (r *run) waveLevel() int32 {
-	if r.backward {
-		return r.backIdx
+// start takes the run's two wave tables and starts the functional half's
+// goroutine.
+func (pl *planner) start() {
+	pl.ready, pl.free = make(chan *wave, 1), make(chan *wave, len(pl.tables))
+	pl.quit, pl.exited = make(chan struct{}), make(chan struct{})
+	for i := range pl.tables {
+		pl.tables[i] = waveTables.Get().(*wave)
+		pl.free <- pl.tables[i]
 	}
-	return r.rep.Levels
+	go pl.run()
 }
 
-// planWave is the functional half of a wave: it lists each GPU's pages and
-// runs their kernels, GPU by GPU and page by page. A GPU takes the wave's
-// pages in ascending page ID — under Strategy-P with several GPUs page j is
-// GPU j mod N's (§4.1), otherwise every GPU takes every page (§4.2). The
-// kernels execute between sim events, so virtual time, traces and fault
-// schedules do not depend on how long they take; that wall-clock is measured
-// into the report's HostKernelWall.
-func (r *run) planWave() {
+// stop ends the functional half — at once if it waits on a table, after the
+// wave it is computing otherwise — and returns the tables to the pool.
+func (pl *planner) stop() {
+	close(pl.quit)
+	<-pl.exited
+	for i, w := range pl.tables {
+		w.err, w.panicked = nil, nil
+		waveTables.Put(w)
+		pl.tables[i] = nil
+	}
+}
+
+// run is the functional half's goroutine: it plans the first wave and then
+// computes wave after wave, each into a free table that it hands to the
+// simulation, until the last or the simulation's stop. A kernel's panic
+// travels in the table it was computing.
+func (pl *planner) run() {
+	defer close(pl.exited)
+	w := <-pl.free // both tables are free at the start
+	defer func() {
+		if v := recover(); v != nil {
+			w.panicked = v
+			select {
+			case pl.ready <- w:
+			case <-pl.quit:
+			}
+		}
+	}()
+	pl.begin()
+	for {
+		pl.step(w)
+		select {
+		case pl.ready <- w:
+		case <-pl.quit:
+			return
+		}
+		if w.final || w.err != nil {
+			return
+		}
+		select {
+		case w = <-pl.free:
+		case <-pl.quit:
+			return
+		}
+	}
+}
+
+// begin sets the first wave's pages: the whole topology for a scan, the
+// kernel's level-0 plan for a traversal.
+func (pl *planner) begin() {
+	if pl.scan == nil {
+		pl.planLevel(0)
+		return
+	}
+	for pid := range pl.eng.graph.NumPages() {
+		pl.next.Set(pid)
+	}
+}
+
+// step computes the coming superstep into w: BeginLevel, every page kernel
+// (planWave), the Strategy-P replicas' merge, and the plan of the superstep
+// after it, which w.final says there is none of. A traversal past
+// kernels.MaxLevels computes nothing and sets w.err.
+func (pl *planner) step(w *wave) {
+	w.err, w.final = nil, false
+	if !pl.backward && pl.levels > kernels.MaxLevels {
+		w.err = fmt.Errorf("core: run exceeded kernels.MaxLevels (%d levels)", kernels.MaxLevels)
+		return
+	}
+	w.level, w.backward, w.dir = pl.levels, pl.backward, pl.dir
+	if pl.backward {
+		w.level = pl.backIdx
+	}
+	kernels.BeginLevel(pl.k, pl.states, w.level)
+	pl.planWave(w)
+	if pl.eng.opts.Strategy == StrategyP && len(pl.states) > 1 {
+		pl.k.MergeStates(pl.states)
+	}
+	w.final = !pl.advance(w.updates > 0)
+}
+
+// planWave runs the wave's kernels, GPU by GPU and page by page, into w's
+// table. A GPU takes the wave's pages in ascending page ID — under
+// Strategy-P with several GPUs page j is GPU j mod N's (§4.1), otherwise
+// every GPU takes every page (§4.2). The kernels execute apart from the
+// simulation, so virtual time, traces and fault schedules do not depend on
+// how long they take; that wall-clock is measured into the report's
+// HostKernelWall.
+func (pl *planner) planWave(w *wave) {
 	t0 := time.Now()
-	g, nGPU := r.eng.graph, len(r.machine.GPUs)
-	split := r.eng.opts.Strategy == StrategyP && nGPU > 1
-	n := r.next.Count() * nGPU
-	r.pids, r.res, r.gpuEnd = sized(r.pids, n), sized(r.res, n), r.gpuEnd[:0]
+	g, nGPU := pl.eng.graph, len(pl.owned)
+	strategyP := pl.eng.opts.Strategy == StrategyP
+	split := strategyP && nGPU > 1
+	n := pl.next.Count() * nGPU
+	w.pids, w.res, w.gpuEnd, w.updates = sized(w.pids, n), sized(w.res, n), w.gpuEnd[:0], 0
 	for i := range nGPU {
 		rep := 0 // the state replica this GPU works on: its own under Strategy-P
-		if r.eng.opts.Strategy == StrategyP {
+		if strategyP {
 			rep = i
 		}
-		r.args = kernels.Args{Graph: g, State: r.states[rep], Level: r.curLevel, OwnedLo: r.owned[i][0], OwnedHi: r.owned[i][1],
-			Tech: r.eng.opts.Technique}
-		r.next.ForEach(func(pid int) {
+		pl.args = kernels.Args{Graph: g, State: pl.states[rep], Level: w.level, OwnedLo: pl.owned[i][0], OwnedHi: pl.owned[i][1],
+			Tech: pl.eng.opts.Technique}
+		pl.next.ForEach(func(pid int) {
 			if split && pid%nGPU != i {
 				return
 			}
-			r.args.PID, r.args.Page = slottedpage.PageID(pid), g.Page(slottedpage.PageID(pid))
-			r.pids = append(r.pids, r.args.PID)
-			if r.backward {
-				r.res = append(r.res, r.back.RunBack(&r.args))
+			pl.args.PID, pl.args.Page = slottedpage.PageID(pid), g.Page(slottedpage.PageID(pid))
+			w.pids = append(w.pids, pl.args.PID)
+			var res kernels.Result
+			if w.backward {
+				res = pl.back.RunBack(&pl.args)
 			} else {
-				r.res = append(r.res, r.k.Run(&r.args))
+				res = pl.k.Run(&pl.args)
 			}
+			w.res = append(w.res, res)
+			w.updates += res.Updates
 		})
-		r.gpuEnd = append(r.gpuEnd, len(r.pids))
+		w.gpuEnd = append(w.gpuEnd, len(w.pids))
 	}
-	r.rep.HostKernelWall += time.Since(t0)
+	pl.wall += time.Since(t0)
+}
+
+// advance steps the level state machine past the superstep just computed
+// and reports whether another follows: a scan's next iteration (active when
+// the superstep wrote any attribute), or the kernel's plan of the coming
+// level. An empty plan ends the forward phase; a backward sweep (Betweenness
+// Centrality) then re-plans the forward levels deepest first — a vertex's
+// level is final once set, so each plan is the forward one's.
+func (pl *planner) advance(active bool) bool {
+	if !pl.backward {
+		pl.levels++
+	}
+	if pl.scan != nil {
+		// Every iteration revisits the full set, which next already holds.
+		return pl.scan.EndIteration(pl.states, active)
+	}
+	if !pl.backward {
+		if pl.planLevel(pl.levels) {
+			return true
+		}
+		if pl.back == nil {
+			return false
+		}
+		pl.backward, pl.backIdx = true, pl.levels
+	}
+	if pl.backIdx--; pl.backIdx < 0 {
+		return false
+	}
+	pl.planLevel(pl.backIdx)
+	return true
+}
+
+// planLevel has the kernel rebuild next as the page set of the coming level
+// and keeps the direction it planned for the superstep's table. It reports
+// whether the level has any page.
+func (pl *planner) planLevel(level int32) bool {
+	pl.dir = pl.fk.PlanLevel(pl.states, level, pl.next)
+	return pl.next.Any()
 }
 
 // sized returns s emptied, with room for at least n elements: a table
@@ -501,7 +668,7 @@ func sized[T any](s []T, n int) []T {
 func (r *run) streamDemand(p *sim.Proc) {
 	grp := new(sim.Group)
 	lo := 0
-	for i, hi := range r.gpuEnd {
+	for i, hi := range r.wave.gpuEnd {
 		// The GPU's streams share one cursor and each takes the next page when
 		// it goes idle (one process runs at a time, so no lock): requests reach
 		// each storage device's FIFO in page order, where a fixed stride per
@@ -536,7 +703,7 @@ func (r *run) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	if r.abort != nil {
 		return
 	}
-	gpu, g, pid := r.machine.GPUs[gpuIdx], r.eng.graph, r.pids[j]
+	gpu, g, pid := r.machine.GPUs[gpuIdx], r.eng.graph, r.wave.pids[j]
 	_, count := g.VertexRange(pid)
 	ra := int64(count) * r.raPerV
 	// Algorithm 1 line 16: is the page already in device memory?
@@ -578,7 +745,7 @@ func (r *run) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	// (planWave); here its memoized cycle count occupies the simulated SM
 	// pool at whatever virtual time this stream reached the page, so a
 	// failed launch leaves the state consistent.
-	res := r.res[j]
+	res := r.wave.res[j]
 	t0 := r.env.Now()
 	bit := uint32(1) << stream
 	if open := &r.launches[gpuIdx]; copied || *open&bit == 0 {
@@ -599,65 +766,41 @@ func (r *run) processDemand(p *sim.Proc, gpuIdx, stream, j int) {
 	r.rep.KernelTime += gpu.KernelTime(res.Cycles)
 	r.rep.EdgesTraversed += res.Edges
 	r.rep.Updates += res.Updates
-	r.levelUpdates += res.Updates
 }
 
-// endWave finishes a superstep: cross-GPU sync, the kernel's plan of the
-// coming level (a traversal) or iteration bookkeeping (a scan),
-// backward-sweep stepping, and completion.
+// endWave finishes a superstep: cross-GPU sync, iteration bookkeeping, the
+// per-iteration WA sync of a scan, and completion after the final wave.
 func (r *run) endWave(p *sim.Proc) {
 	if r.abort != nil {
 		return
 	}
-	lvl := r.waveLevel()
-	r.sync(p, lvl)
+	w := r.wave
+	r.sync(p, w)
 	// The Superstep container span: one traversal level / iteration
 	// including its cross-GPU sync, on the framework track; Dir carries the
 	// planned traversal direction (0 without direction optimization). The
 	// Wave span beside it numbers the wave that carried the superstep.
 	now := r.env.Now()
-	r.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Superstep, Page: -1, Level: lvl, Dir: int8(r.curDir), Start: r.stepStart, End: now})
-	r.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: r.waves, Level: lvl, Start: r.stepStart, End: now})
+	r.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Superstep, Page: -1, Level: w.level, Dir: int8(w.dir), Start: r.stepStart, End: now})
+	r.trace.Add(trace.Span{GPU: -1, Stream: -1, Kind: trace.Wave, Page: r.waves, Level: w.level, Start: r.stepStart, End: now})
 	if r.abort != nil {
 		return
 	}
-	if !r.backward {
+	if !w.backward {
 		r.rep.LevelPages = append(r.rep.LevelPages, r.rep.PagesStreamed-r.beforePages)
 		r.rep.LevelBytes = append(r.rep.LevelBytes, r.rep.BytesToGPU-r.beforeBytes)
 		r.rep.Levels++
 	}
-	if r.scan != nil {
-		// Scan-like: every iteration revisits the full set, which r.next
-		// already holds.
-		if !r.scan.EndIteration(r.states, r.levelUpdates > 0) {
-			r.finish(p)
-			return
-		}
+	if w.final {
+		r.finish(p)
+		return
+	}
+	if r.pl.scan != nil {
 		// Per-iteration WA sync: the updated vector streams back so the host
 		// can feed it as next iteration's RA (Eq. 1's 2|WA|); a resident RA is
 		// the device's own copy of it, which the next iteration reads in place.
 		r.copyWAOut(p)
-		return
 	}
-	// A traversal: the kernel plans the coming level, and an empty plan ends
-	// the forward phase. A backward sweep (Betweenness Centrality) then
-	// re-plans the forward levels deepest first; a vertex's level is final
-	// once set, so each plan is the forward one's.
-	if !r.backward {
-		if r.planLevel(r.rep.Levels) {
-			return
-		}
-		if r.back == nil {
-			r.finish(p)
-			return
-		}
-		r.backward, r.backIdx = true, r.rep.Levels
-	}
-	if r.backIdx--; r.backIdx < 0 {
-		r.finish(p)
-		return
-	}
-	r.planLevel(r.backIdx)
 }
 
 // finish performs the final WA copy-back (data synchronization, Fig. 2 step
@@ -683,19 +826,12 @@ func (r *run) report(elapsed sim.Time) Report {
 		rep.CacheHitRate = float64(rep.CacheHits) / float64(lookups)
 	}
 	rep.BufferHitRate = r.bufferHitRate()
-	rep.WABytes = r.states[0].WABytes()
+	rep.WABytes = r.pl.states[0].WABytes()
 	rep.MTEPS = trace.MTEPS(rep.EdgesTraversed, elapsed)
 	rep.Faults.Add(r.inj.Stats())
-	rep.State = r.states[0]
+	rep.State = r.pl.states[0]
+	rep.HostKernelWall = r.pl.wall
 	return rep
-}
-
-// planLevel has the kernel rebuild next as the page set of the coming level
-// and keeps the direction it planned for the superstep's span and the
-// report. It reports whether the level has any page.
-func (r *run) planLevel(level int32) bool {
-	r.curDir = r.fk.PlanLevel(r.states, level, r.next)
-	return r.next.Any()
 }
 
 // bufferHitRate is the host-side page residency hit fraction: 1 for an

@@ -512,10 +512,11 @@ func TestClosedRosterMemoryLayout(t *testing.T) {
 	}
 }
 
-// TestWaveAllocBudget pins the cost of a wave past its first: once a warm-up
-// has grown the run's wave table, planning a wave — listing its pages and
-// running every kernel — and processing a page of it allocate nothing: for
-// PageRank, for a BFS, and for an 8-lane multi-source BFS.
+// TestWaveAllocBudget pins the cost of a wave past its first, in both halves
+// of a run: once a warm-up has grown the wave table, planning a wave —
+// listing its pages and running every kernel — and processing a page of it
+// in the simulation allocate nothing: for PageRank, for a BFS, and for an
+// 8-lane multi-source BFS.
 func TestWaveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation perturbs allocation counts")
@@ -538,24 +539,29 @@ func TestWaveAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The functional half steps on this goroutine, between the
+		// simulation's turns: the two halves of one serial loop.
+		w := new(wave)
 		var allocs float64
 		r.env.Process("alloc-budget", func(p *sim.Proc) {
 			r.begin(p)
-			r.beginWave()
-			r.planWave()
+			r.pl.begin()
+			r.pl.step(w)
+			r.beginWave(w)
 			r.streamDemand(p)
 			r.endWave(p)
-			r.beginWave()
+			r.pl.step(w)
+			r.beginWave(w)
 			allocs = testing.AllocsPerRun(20, func() {
-				r.planWave()
+				r.pl.planWave(w)
 				r.processDemand(p, 0, 0, 0)
 			})
 		})
 		if _, err := r.env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(r.pids) == 0 || r.abort != nil {
-			t.Fatalf("%s: %d pages in the wave, abort %v", tc.name, len(r.pids), r.abort)
+		if len(w.pids) == 0 || r.abort != nil {
+			t.Fatalf("%s: %d pages in the wave, abort %v", tc.name, len(w.pids), r.abort)
 		}
 		if allocs > 0 {
 			t.Errorf("%s: planning a wave and processing a page allocate %.1f objects, want 0", tc.name, allocs)
@@ -662,7 +668,7 @@ func TestStreamsAskStorageInPageOrder(t *testing.T) {
 		if reads == 0 || seq*10 < reads*7 {
 			t.Errorf("streams=%d: %d of %d storage reads sequential, want >= 70%%", opts.Streams, seq, reads)
 		}
-		return kc.enc(job.Kernel, r.states[0])
+		return kc.enc(job.Kernel, r.pl.states[0])
 	}
 	if want, got := run(Options{Streams: 32}), run(Options{Streams: 1}); !bytes.Equal(got, want) {
 		t.Error("streams=1: state differs from the 32-stream run")

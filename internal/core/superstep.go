@@ -120,19 +120,21 @@ func (r *run) copyWAOut(p *sim.Proc) {
 // sync performs the end-of-superstep attribute synchronization across GPUs
 // (Fig. 5 steps 3-4). With one GPU there is nothing to merge; full-scan
 // iteration sync to the host is handled by endWave.
-func (r *run) sync(p *sim.Proc, level int32) {
+func (r *run) sync(p *sim.Proc, w *wave) {
 	nGPU := len(r.machine.GPUs)
 	if nGPU < 2 {
 		return
 	}
 	switch r.eng.opts.Strategy {
 	case StrategyP:
-		// Peer-to-peer merge into the master GPU. Full-scan algorithms
-		// move the whole WA; traversal algorithms move only the entries
-		// they touched, which is why the paper's Eq. 2 has no sync term.
+		// Peer-to-peer merge into the master GPU (the functional half
+		// merged the replicas when it computed the wave). Full-scan
+		// algorithms move the whole WA; traversal algorithms move only the
+		// entries they touched, which is why the paper's Eq. 2 has no sync
+		// term.
 		bytes := r.perGPUWA
-		if r.scan == nil {
-			bytes = r.levelUpdates * r.updateBytes
+		if r.pl.scan == nil {
+			bytes = w.updates * r.updateBytes
 		}
 		for i := 1; i < nGPU; i++ {
 			t0 := r.env.Now()
@@ -143,15 +145,14 @@ func (r *run) sync(p *sim.Proc, level int32) {
 				r.fail(err)
 				return
 			}
-			r.trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: level, Start: t0, End: r.env.Now()})
+			r.trace.Add(trace.Span{GPU: i, Stream: -1, Kind: trace.Sync, Page: -1, Level: w.level, Start: t0, End: r.env.Now()})
 		}
-		r.k.MergeStates(r.states)
 	case StrategyS:
 		// WA chunks are disjoint; each GPU ships its local nextPIDSet (a
 		// page-count bit vector) back to the host for the global merge, as
 		// §4.2 prices it. The engine holds no such set: the kernel's plan
 		// of the next level stands for the merged one.
-		if r.scan == nil {
+		if r.pl.scan == nil {
 			small := int64(r.eng.graph.NumPages()/8 + 1)
 			r.parallelGPUs(p, nGPU, func(p *sim.Proc, i int) {
 				err := r.withRetry(p, i, -1, "nextPIDSet copy-out", func() error {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bufpool"
+	"repro/internal/csr"
 	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
@@ -22,16 +23,7 @@ import (
 //
 //	go test ./internal/core -run '^$' -bench BFSGroupVsInTurn -benchtime 1x -count 5
 func BenchmarkBFSGroupVsInTurn(b *testing.B) {
-	ds, _ := graphgen.ByName("RMAT27")
-	raw := ds.MustGenerate(11)
-	sp, err := slottedpage.Build(raw, slottedpage.ScaledConfig(2, 2, 4096))
-	if err != nil {
-		b.Fatal(err)
-	}
-	scale := int64(1)
-	for hw.TitanX().DeviceMemory/(scale*2) >= max(sp.TopologyBytes()/2, 2<<20) {
-		scale *= 2
-	}
+	raw, sp, scale := benchGraph(b)
 	var sources []uint64
 	for j := range uint64(8) {
 		for v := j*raw.NumVertices()/8 + 1; v < raw.NumVertices(); v++ {
@@ -101,4 +93,83 @@ func BenchmarkBFSGroupVsInTurn(b *testing.B) {
 			report(b, sum, sum)
 		}
 	})
+}
+
+// benchGraph is the benchmark's graph, RMAT27@11 in 4 KiB pages, and the
+// factor its stream-ssd workload scales the machine by: the largest power
+// of two that leaves device memory no smaller than half the topology.
+func benchGraph(b *testing.B) (*csr.Graph, *slottedpage.Graph, int64) {
+	ds, _ := graphgen.ByName("RMAT27")
+	raw := ds.MustGenerate(11)
+	sp, err := slottedpage.Build(raw, slottedpage.ScaledConfig(2, 2, 4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	scale := int64(1)
+	for hw.TitanX().DeviceMemory/(scale*2) >= max(sp.TopologyBytes()/2, 2<<20) {
+		scale *= 2
+	}
+	return raw, sp, scale
+}
+
+// BenchmarkRun times whole runs on the host clock — the functional half
+// computing each wave's kernels and the simulation playing it, overlapped —
+// in two of the benchmark's shapes on its graph:
+//
+//   - stream-ssd: one GPU and two SSDs on the scaled machine, a host pool of
+//     a quarter of the topology; an op is a PageRank(3) and then a BFS;
+//   - traverse: in memory; an op is an SSSP from vertex 0.
+//
+// host_ms is one op's wall. make bench runs it at -cpu 1,2: the -cpu 1 row is
+// what a run costs when its two halves share one core.
+//
+//	go test ./internal/core -run '^$' -bench '^BenchmarkRun$' -cpu 1,2
+func BenchmarkRun(b *testing.B) {
+	raw, sp, scale := benchGraph(b)
+	src := uint64(1)
+	for raw.Degree(src) < 8 {
+		src++
+	}
+	engine := func(b *testing.B, spec hw.MachineSpec, opts Options) *Engine {
+		e, err := New(spec, sp, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	run := func(b *testing.B, e *Engine, k kernels.Kernel, source uint64) {
+		if _, err := e.RunJob(SharedJob{Kernel: k, Source: source}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		op   func(b *testing.B) func()
+	}{
+		{"stream-ssd", func(b *testing.B) func() {
+			pool, err := bufpool.New(bufpool.Config{PageSize: int64(sp.Config().PageSize), Bytes: sp.TopologyBytes() / 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := engine(b, hw.Workstation(1, 2).Scale(scale), Options{HostPool: pool})
+			return func() {
+				run(b, e, kernels.NewPageRank(sp, 0.85, 3), 0)
+				run(b, e, kernels.NewBFS(sp), src)
+			}
+		}},
+		{"traverse", func(b *testing.B) func() {
+			e := engine(b, hw.Workstation(1, 0), Options{})
+			return func() { run(b, e, kernels.NewSSSP(sp), 0) }
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			op := bc.op(b)
+			op() // warm the device cache, the pool and the wave tables
+			b.ResetTimer()
+			for range b.N {
+				op()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "host_ms")
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -168,11 +169,22 @@ var intCells = func() (cells [101][16]byte) {
 	return cells
 }()
 
+// digitPairs is "00" through "99": the two digits of each value below 100
+// at twice its index.
+var digitPairs = func() (b [200]byte) {
+	for i := range 100 {
+		b[2*i], b[2*i+1] = '0'+byte(i/10), '0'+byte(i%10)
+	}
+	return b
+}()
+
 // appendInts is appendElems for integers that print in at most widest
 // bytes. It grows dst once, as if every element were that wide; then an
 // element in intCells' range is one 16-byte store of its cell and an advance
-// by the cell's length, any other goes through strconv. Every element is
-// written with a leading comma; the first one's becomes the '['.
+// by the cell's length, and any other is written in place: one store of
+// sepCell, the sign, and its digits two at a time from digitPairs, last
+// pair first. Every element is written with a leading comma; the first
+// one's becomes the '['.
 func appendInts[T int16 | int32 | int64 | uint32](dst []byte, v []T, widest int) []byte {
 	if len(v) == 0 {
 		return append(dst, "[]"...)
@@ -186,12 +198,49 @@ func appendInts[T int16 | int32 | int64 | uint32](dst []byte, v []T, widest int)
 			c := &intCells[i]
 			*(*[16]byte)(buf[n:]) = *c
 			n += int(c[15])
-		} else {
-			n = len(strconv.AppendInt(append(buf[:n], ","+elemSep...), int64(x), 10))
+			continue
 		}
+		*(*[len(sepCell)]byte)(buf[n:]) = sepCell
+		n += len(sepCell)
+		u := uint64(x)
+		if x < 0 {
+			buf[n] = '-'
+			n++
+			u = -uint64(int64(x)) // the magnitude, math.MinInt64's too
+		}
+		end := n + decimalLen(u)
+		i := end
+		for ; u >= 100; u /= 100 {
+			d := u % 100 * 2
+			i -= 2
+			buf[i], buf[i+1] = digitPairs[d], digitPairs[d+1]
+		}
+		if u >= 10 {
+			buf[n], buf[n+1] = digitPairs[u*2], digitPairs[u*2+1]
+		} else {
+			buf[n] = byte('0' + u)
+		}
+		n = end
 	}
 	buf[start] = '['
 	return append(append(buf[:n], fieldSep...), ']')
+}
+
+// sepCell is the separator every element but intCells' starts with.
+var sepCell = [len("," + elemSep)]byte([]byte("," + elemSep))
+
+// pow10[i] is 10^i, up to the largest a uint64 holds.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// decimalLen is the count of the decimal digits of u > 0: log10 from the
+// bit length (1233/4096 is just under log10 2), corrected by one power of
+// ten.
+func decimalLen(u uint64) int {
+	n := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[n] {
+		n++
+	}
+	return n
 }
 
 // finite returns encoding/json's own error for the first NaN or ±Inf in v.

@@ -310,8 +310,8 @@ func FuzzVectorJSON(f *testing.F) {
 			f.Add(kind, bits)
 		}
 	}
-	// The edges of appendInts' cell table and of each integer type, paired
-	// with their neighbours on the list.
+	// The edges of appendInts' cell table, of its digit count and pairs, and
+	// of each integer type, paired with their neighbours on the list.
 	pack := func(kind uint8, a, b int64) uint64 {
 		switch kind {
 		case 0:
@@ -322,10 +322,10 @@ func FuzzVectorJSON(f *testing.F) {
 		return uint64(uint32(a)) | uint64(uint32(b))<<32
 	}
 	for kind, edges := range [][]int64{
-		{math.MinInt16, -2, -1, 0, 9, 10, 99, 100, math.MaxInt16},
-		{math.MinInt32, -2, -1, 0, 9, 10, 99, 100, math.MaxInt32},
-		{math.MinInt64, -2, -1, 0, 9, 10, 99, 100, math.MaxInt64},
-		{0, 9, 10, 99, 100, math.MaxUint32},
+		{math.MinInt16, -1000, -101, -100, -2, -1, 0, 9, 10, 99, 100, 101, 999, 1000, 9999, 10000, math.MaxInt16},
+		{math.MinInt32, -2, -1, 0, 9, 10, 99, 100, 12345, 999999999, 1000000000, math.MaxInt32},
+		{math.MinInt64, -2, -1, 0, 9, 10, 99, 100, 1e18 - 1, 1e18, math.MaxInt64},
+		{0, 9, 10, 99, 100, 1000, 65535, 65536, math.MaxUint32},
 	} {
 		for i := range edges {
 			f.Add(uint8(kind), pack(uint8(kind), edges[i], edges[(i+1)%len(edges)]))
