@@ -15,8 +15,8 @@ import (
 // adding one is a decision, not a side effect: a new (or re-added) name fails
 // TestFlagSurface until it is listed here.
 var gtsdFlags = []string{
-	"draintimeout", "incremental", "listen", "load", "pprof", "queue",
-	"timeout", "trace", "wal-dir",
+	"draintimeout", "listen", "load", "pprof", "queue", "timeout", "trace",
+	"wal-dir",
 }
 
 var flagLine = regexp.MustCompile(`(?m)^  -([a-z-]+)`)
@@ -48,12 +48,12 @@ func TestFlagSurface(t *testing.T) {
 	}
 	// A deleted knob is gone, not ignored: the graph settings that moved into
 	// the load document, the pool whose width nothing used, and the worker
-	// pool whose width capped each graph's wave groups, and the result cache's
+	// pool whose width capped each graph's wave groups, the result cache's
 	// and trace store's entry counts, which one byte-bounded job table
-	// replaced.
+	// replaced, and the incremental switch, which is always on.
 	for _, tc := range []struct{ flag, value string }{
 		{"-pool-policy", "lru"}, {"-pool", "2"}, {"-gpus", "2"}, {"-storage", "ssd"}, {"-fault-seed", "42"}, {"-workers", "4"},
-		{"-cache", "256"}, {"-trace-jobs", "4"},
+		{"-cache", "256"}, {"-trace-jobs", "4"}, {"-incremental", "true"},
 	} {
 		out, err := exec.Command(bin, tc.flag, tc.value).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+tc.flag) {

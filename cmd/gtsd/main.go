@@ -89,19 +89,18 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	walDir := flag.String("wal-dir", "", "directory for per-graph write-ahead logs; when set, every -load graph whose document names no wal becomes mutable: its WAL at <wal-dir>/<name>.wal is replayed on startup (crash recovery) and POST /v1/graphs/{name}/ingest commits edge mutations")
-	incrementalFlag := flag.Bool("incremental", false, "keep a commit chain on mutable graphs, so each bfs/cc request plans from its prior, the request's newest answered run: a delta-expansion across the ingest epochs since, or a full run where that cannot be exact (results byte-identical to full recompute either way)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (exposes stacks and heap contents)")
 	traceFlag := flag.Bool("trace", false, "record a Chrome trace of each computed job, served at /debug/trace/{id} while the job stays in the job table")
 	flag.Parse()
 
-	if *incrementalFlag {
-		log.Printf("gtsd: incremental recompute enabled on mutable graphs — bfs/cc requests plan from their priors")
-	}
+	// Mutable graphs keep a commit chain, so each bfs/cc request plans from
+	// its prior (README, *Incremental recompute*): results are byte-identical
+	// to a full recompute either way.
 	srv := service.New(service.Config{
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		Trace:          *traceFlag,
-		Incremental:    *incrementalFlag,
+		Incremental:    true,
 	})
 	if *walDir != "" {
 		if err := os.MkdirAll(*walDir, 0o755); err != nil {

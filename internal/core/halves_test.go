@@ -3,25 +3,31 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/fault"
 	"repro/internal/graphgen"
 	"repro/internal/hw"
 	"repro/internal/kernels"
 	"repro/internal/sim"
+	"repro/internal/verify"
 )
 
 // TestRunEndsItsFunctionalHalf pins the functional half's lifetime: however
-// a run ends — finished, declined, aborted on a hardware fault, past
-// kernels.MaxLevels, on a kernel's panic or on a stream process's panic — the
-// goroutine that computed its waves has returned when the run does, and the
-// run's error is the one a serial loop gave.
+// a run ends — finished, finished on its first wave, declined, aborted on a
+// hardware fault, past kernels.MaxLevels, on a kernel's panic in a wave or
+// in the first wave's plan, or on a stream process's panic — the goroutine
+// that computed its waves has returned when the run does, and the run's
+// error is the one a serial loop gave.
 func TestRunEndsItsFunctionalHalf(t *testing.T) {
-	sp := buildPages(t, rmatGraph(t))
+	g := rmatGraph(t)
+	sp := buildPages(t, g)
 	deep := buildPages(t, graphgen.Path(kernels.MaxLevels+2))
 	small := hw.Workstation(1, 0)
 	small.GPUs[0].DeviceMemory = int64(sp.Config().PageSize)
@@ -38,6 +44,22 @@ func TestRunEndsItsFunctionalHalf(t *testing.T) {
 			_, _, err := newEngine(t, sp, Options{}, 2, 1).RunShared([]SharedJob{
 				{Kernel: kernels.NewBFS(sp), Source: 1}, {Kernel: kernels.NewBFS(sp), Source: 7}})
 			return err
+		}, func(err error) bool { return err == nil }},
+		{"first-wave-last", func() error {
+			// The goroutine returns after the one wave with the second table
+			// still in todo; it computes nothing past it.
+			k := kernels.NewPageRank(sp, 0.85, 1)
+			rep, err := newEngine(t, sp, Options{}, 1, 1).RunJob(SharedJob{Kernel: k})
+			if err != nil {
+				return err
+			}
+			want := verify.PageRank(g, 0.85, 1)
+			for v, got := range k.Ranks(rep.State) {
+				if math.Abs(float64(got)-want[v]) > 1e-4*math.Max(want[v], 1e-9)+1e-7 {
+					return fmt.Errorf("vertex %d rank = %v after %d waves, want %v", v, got, rep.Levels, want[v])
+				}
+			}
+			return nil
 		}, func(err error) bool { return err == nil }},
 		{"declined", func() error {
 			e, err := New(small, sp, Options{})
@@ -57,6 +79,13 @@ func TestRunEndsItsFunctionalHalf(t *testing.T) {
 			return bfs(newEngine(t, sp, Options{}, 1, 0), panicsAt{kernels.NewBFS(sp), 2})
 		}, func(err error) bool {
 			return err != nil && strings.Contains(err.Error(), `process "gts-framework" panicked: kernel fault`)
+		}},
+		{"first-plan-panics", func() error {
+			// The first wave's plan runs on the gts-framework process, before
+			// the goroutine starts.
+			return bfs(newEngine(t, sp, Options{}, 1, 0), panicsPlanning{kernels.NewBFS(sp)})
+		}, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), `process "gts-framework" panicked: plan fault`)
 		}},
 		{"stream-panics", func() error {
 			// No job makes a stream process panic, so one joins the run's
@@ -82,8 +111,8 @@ func TestRunEndsItsFunctionalHalf(t *testing.T) {
 		if err := tc.run(); !tc.want(err) {
 			t.Errorf("%s: err = %v", tc.name, err)
 		}
-		// The goroutine has closed its exited channel when the run returns;
-		// give it the moment it takes to return from there.
+		// The goroutine has closed done when the run returns; give it the
+		// moment it takes to return from there.
 		n := runtime.NumGoroutine()
 		for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
 			time.Sleep(time.Millisecond)
@@ -92,6 +121,16 @@ func TestRunEndsItsFunctionalHalf(t *testing.T) {
 			t.Errorf("%s: %d goroutines after the run, %d before", tc.name, n, base)
 		}
 	}
+}
+
+// panicsPlanning is a plain BFS whose kernel panics when it plans level 0.
+type panicsPlanning struct{ *kernels.BFS }
+
+func (k panicsPlanning) PlanLevel(sts []kernels.State, level int32, next *bitset.Set) kernels.Direction {
+	if level == 0 {
+		panic("plan fault")
+	}
+	return k.BFS.PlanLevel(sts, level, next)
 }
 
 // TestStrategyPMergeUnderFaults pins the Strategy-P replica merge in the

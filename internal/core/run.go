@@ -11,11 +11,13 @@ package core
 // into a table of page IDs and kernel results on a goroutine of its own; the
 // simulated half (run, the "gts-framework" process and its streams) owns the
 // machine, the caches, the pool, the trace and the Report, and plays each
-// table in virtual time. They meet at a one-slot channel, so the kernels of
-// wave L+1 execute while the streams play wave L. Neither half reads what
-// the other writes, and the simulation consumes the same tables in the same
-// order whenever they arrive, so virtual time, traces and fault schedules
-// are those of a serial loop.
+// table in virtual time. A run has two tables, and both are handed to the
+// functional half at the start; the simulation hands each back once its
+// streams have played it, so the kernels of wave L+1 execute while the
+// streams play wave L. Neither half reads what the other writes, and the
+// simulation consumes the same tables in the same order whenever they
+// arrive, so virtual time, traces and fault schedules are those of a serial
+// loop.
 //
 // Decoupling "what the kernels compute" from "when the simulation schedules
 // them" makes results bit-identical across stream interleavings — including
@@ -113,11 +115,11 @@ type run struct {
 }
 
 // planner is a run's functional half: the job's kernel, its attribute
-// states and the level state machine. It computes one wave after another
-// into wave tables on a goroutine of its own (run), at most one wave ahead
-// of the simulation, which hands each table back once its streams have
-// played it. Nothing here is touched by the simulation while that goroutine
-// lives.
+// states and the level state machine. It computes one wave after another on
+// a goroutine of its own (run), each into the table it is handed, so it is
+// at most one wave ahead of the simulation, which hands each table back once
+// its streams have played it. Nothing here is touched by the simulation
+// while that goroutine lives.
 type planner struct {
 	eng *Engine
 	k   kernels.Kernel
@@ -145,15 +147,13 @@ type planner struct {
 	args kernels.Args  // backs every kernel call
 	wall time.Duration // the kernels' host wall-clock (Report.HostKernelWall)
 
-	// The two tables and the channels they travel on: ready carries a
-	// computed table to the simulation (one slot), free carries it back
-	// (room for both, so handing one back never blocks). quit tells the
-	// goroutine the run is over; exited closes when it has returned.
+	// The two tables and the channels they travel on, each with room for
+	// both, so no send blocks: todo carries a table to the goroutine to
+	// compute into, done carries it computed to the simulation. Closing todo
+	// ends the goroutine, which closes done when it returns.
 	tables [2]*wave
-	ready  chan *wave
-	free   chan *wave
-	quit   chan struct{}
-	exited chan struct{}
+	todo   chan *wave
+	done   chan *wave
 }
 
 // wave is one superstep's table: pids lists each GPU's pages back to back
@@ -161,7 +161,8 @@ type planner struct {
 // backward and dir say which superstep it is, updates sums its attribute
 // writes, and final marks the run's last. err or panicked, when set, is how
 // the run ends instead: the simulation fails the run at this wave, or
-// re-raises the kernel's panic in its own process.
+// re-raises the kernel's panic in its own process. A table is in one place
+// at a time: todo, the goroutine computing into it, done, or the streams.
 type wave struct {
 	pids     []slottedpage.PageID
 	res      []kernels.Result
@@ -418,15 +419,16 @@ func (r *run) setup() error {
 
 // loop is Algorithm 1's repeat-until loop, run as the controlling CPU
 // thread: it starts the functional half, uploads the WA, and then plays the
-// waves the functional half computes until the kernel finishes or the run
-// aborts. However the loop ends — a stream's panic unwinds it too — the
-// functional half's goroutine has returned before it does.
+// waves the functional half computes, handing each table back to be
+// computed into again, until the kernel finishes or the run aborts. However
+// the loop ends — a stream's panic unwinds it too — the functional half's
+// goroutine has returned before it does.
 func (r *run) loop(p *sim.Proc) {
 	r.pl.start()
 	defer r.pl.stop()
 	r.begin(p)
 	for r.abort == nil && !r.done {
-		w := <-r.pl.ready
+		w := <-r.pl.done
 		if w.panicked != nil {
 			panic(w.panicked) // the kernel's panic is this process's, as if it ran here
 		}
@@ -436,7 +438,7 @@ func (r *run) loop(p *sim.Proc) {
 		}
 		r.streamDemand(p)
 		r.endWave(p)
-		r.pl.free <- w
+		r.pl.todo <- w
 	}
 }
 
@@ -480,23 +482,28 @@ func (r *run) beginWave(w *wave) {
 	clear(r.launches)
 }
 
-// start takes the run's two wave tables and starts the functional half's
+// start plans the first wave's pages, here on the calling process, hands
+// the run's two wave tables to todo and starts the functional half's
 // goroutine.
 func (pl *planner) start() {
-	pl.ready, pl.free = make(chan *wave, 1), make(chan *wave, len(pl.tables))
-	pl.quit, pl.exited = make(chan struct{}), make(chan struct{})
+	pl.begin()
+	pl.todo, pl.done = make(chan *wave, len(pl.tables)), make(chan *wave, len(pl.tables))
 	for i := range pl.tables {
 		pl.tables[i] = waveTables.Get().(*wave)
-		pl.free <- pl.tables[i]
+		pl.todo <- pl.tables[i]
 	}
 	go pl.run()
 }
 
-// stop ends the functional half — at once if it waits on a table, after the
-// wave it is computing otherwise — and returns the tables to the pool.
+// stop ends the functional half after the wave it is computing, if any: it
+// takes back the tables todo still holds, so the goroutine computes none of
+// them, waits for done to close and returns the tables to the pool.
 func (pl *planner) stop() {
-	close(pl.quit)
-	<-pl.exited
+	close(pl.todo)
+	for range pl.todo {
+	}
+	for range pl.done {
+	}
 	for i, w := range pl.tables {
 		w.err, w.panicked = nil, nil
 		waveTables.Put(w)
@@ -504,36 +511,23 @@ func (pl *planner) stop() {
 	}
 }
 
-// run is the functional half's goroutine: it plans the first wave and then
-// computes wave after wave, each into a free table that it hands to the
-// simulation, until the last or the simulation's stop. A kernel's panic
-// travels in the table it was computing.
+// run is the functional half's goroutine: it computes wave after wave, each
+// into the table todo hands it, and passes each to done, until the last or
+// the simulation's stop. A kernel's panic travels in the table it was
+// computing.
 func (pl *planner) run() {
-	defer close(pl.exited)
-	w := <-pl.free // both tables are free at the start
+	defer close(pl.done)
+	var w *wave
 	defer func() {
 		if v := recover(); v != nil {
 			w.panicked = v
-			select {
-			case pl.ready <- w:
-			case <-pl.quit:
-			}
+			pl.done <- w
 		}
 	}()
-	pl.begin()
-	for {
+	for w = range pl.todo {
 		pl.step(w)
-		select {
-		case pl.ready <- w:
-		case <-pl.quit:
-			return
-		}
+		pl.done <- w
 		if w.final || w.err != nil {
-			return
-		}
-		select {
-		case w = <-pl.free:
-		case <-pl.quit:
 			return
 		}
 	}
