@@ -172,9 +172,9 @@ loc:
 # here. The ceilings are the counts of the last change that moved them, so a
 # count can only go down, and a change that has to raise one says so by
 # editing the number beside it and naming the lines in CHANGES.md.
-LOC_MAX_TOTAL = 18710
-LOC_MAX_ENGINE_AND_API = 4836
-LOC_MAX_ENGINE = 3862
+LOC_MAX_TOTAL = 18626
+LOC_MAX_ENGINE_AND_API = 4822
+LOC_MAX_ENGINE = 3848
 LOC_MAX_GTSD_FLAGS = 8
 LOC_MAX_CONFIG_FIELDS = 12
 loc-check:

@@ -93,9 +93,9 @@ func main() {
 	traceFlag := flag.Bool("trace", false, "record a Chrome trace of each computed job, served at /debug/trace/{id} while the job stays in the job table")
 	flag.Parse()
 
-	// Mutable graphs keep a commit chain, so each bfs/cc request plans from
-	// its prior (README, *Incremental recompute*): results are byte-identical
-	// to a full recompute either way.
+	// Each bfs/cc request on a mutable graph plans from its prior along the
+	// graph's own commit chain (README, *Incremental recompute*): results are
+	// byte-identical to a full recompute either way.
 	srv := service.New(service.Config{
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,

@@ -34,6 +34,9 @@ type WALStats = wal.Stats
 // committed batches deterministically, so a crash at any point — before an
 // append, mid-record, during the fsync, or during the page swap — recovers
 // the exact committed prefix.
+//
+// The graph also keeps the ops of the batches it applied since the open
+// (Delta): the chain an incremental run replays its prior output along.
 type MutableGraph struct {
 	mu  sync.Mutex
 	mut *slottedpage.Mutable
@@ -44,7 +47,22 @@ type MutableGraph struct {
 	epoch    atomic.Uint64 // last applied LSN
 	dead     atomic.Bool   // an injected crash killed the ingest path
 	replayed int           // batches replayed at open
+
+	// chainMu guards chain apart from mu, which Ingest holds through the
+	// append, the fsync and the apply: Delta never waits on a commit.
+	chainMu sync.Mutex
+	chain   []commit // applied batches since open, ascending, at most maxChain
 }
+
+// commit is one applied batch and the epochs it leads from and to.
+type commit struct {
+	prev, epoch uint64
+	ops         []EdgeOp
+}
+
+// maxChain bounds how many applied batches Delta can replay: a prior run
+// older than the chain falls back to a full run.
+const maxChain = 64
 
 // MutableOptions tunes OpenMutable.
 type MutableOptions struct {
@@ -167,6 +185,8 @@ func (m *MutableGraph) Dead() bool { return m.dead.Load() }
 //
 // Every crash marks the MutableGraph dead (ErrCrashed); reopening via
 // OpenMutable is the recovery path, exactly as for a real process death.
+// A batch enters Delta's chain only once it is applied, so a crashed batch
+// is never in it.
 func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -199,8 +219,44 @@ func (m *MutableGraph) Ingest(ops []EdgeOp) (uint64, error) {
 		m.dead.Store(true)
 		return 0, fmt.Errorf("gts: batch %d durable but unappliable: %w", lsn, err)
 	}
+	// Record before the epoch moves, so Delta reaches every epoch Epoch
+	// reports.
+	m.chainMu.Lock()
+	m.chain = append(m.chain, commit{prev: m.epoch.Load(), epoch: lsn, ops: append([]EdgeOp(nil), ops...)})
+	if len(m.chain) > maxChain {
+		m.chain = m.chain[len(m.chain)-maxChain:]
+	}
+	m.chainMu.Unlock()
 	m.epoch.Store(lsn)
 	return lsn, nil
+}
+
+// Delta returns the ops of every batch applied after epoch from, up to and
+// including epoch at, in commit order, or false when the chain cannot reach
+// back to from. at is the snapshot the caller plans against: a graph that
+// committed past it hands back no op beyond it. from == at returns no ops
+// and true. The chain starts empty at OpenMutable — replayed batches are not
+// in it, so a reopened graph never replays a commit from before the reopen —
+// and keeps the last 64 batches.
+func (m *MutableGraph) Delta(from, at uint64) ([]EdgeOp, bool) {
+	m.chainMu.Lock()
+	defer m.chainMu.Unlock()
+	var ops []EdgeOp
+	epoch := from
+	for _, c := range m.chain {
+		if epoch == at {
+			break
+		}
+		if c.prev < epoch {
+			continue
+		}
+		if c.prev != epoch {
+			break
+		}
+		ops = append(ops, c.ops...)
+		epoch = c.epoch
+	}
+	return ops, epoch == at
 }
 
 // FaultStats reports the injected-fault counters (zero-value if no plan).

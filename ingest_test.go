@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,37 +18,20 @@ import (
 	"repro/internal/wal"
 )
 
-// incState is incremental state as the service wires it: the graph load's
-// commit chain and the prior, a full BFS(0) run's levels and the epoch it ran
-// on. Like the service, the tests build a fresh one (newIncState) on every
-// open: pre-crash state is never carried across a recovery, because a
-// durable-but-unacknowledged batch (e.g. a crash during the fsync) would
-// leave the old chain one batch behind the recovered snapshot, and serving
-// from it could silently miss that batch's effects.
+// incState is the prior a service's job table would hold: a full BFS(0)
+// run's levels and the epoch it ran on. The ops since are the graph's own
+// (MutableGraph.Delta), whose chain starts empty at every open: a
+// durable-but-unacknowledged batch (a crash during the fsync) is in the
+// recovered snapshot but was never applied before the crash, so a chain
+// carried across the recovery could silently miss its effects.
 type incState struct {
-	st     *incremental.Store
 	levels []int16
 	at     uint64
 }
 
-func newIncState(mg *gts.MutableGraph) *incState {
-	return &incState{st: incremental.NewStore(mg.Epoch())}
-}
-
-// incIngest commits ops to mg and, once the batch is applied, to the chain,
-// as the service's Ingest does under the graph's commit lock.
-func incIngest(s *incState, mg *gts.MutableGraph, ops []gts.EdgeOp) error {
-	prev := mg.Epoch()
-	epoch, err := mg.Ingest(ops)
-	if err == nil {
-		s.st.Commit(prev, epoch, ops)
-	}
-	return err
-}
-
-// incCapture holds BFS levels for the graph's current snapshot as the prior,
-// as a completed full run would.
-func incCapture(t *testing.T, s *incState, mg *gts.MutableGraph) {
+// incCapture returns BFS levels for the graph's current snapshot as the
+// prior, as a completed full run would.
+func incCapture(t *testing.T, mg *gts.MutableGraph) *incState {
 	t.Helper()
 	sys, err := gts.NewSystem(mg.Snapshot(), gts.Config{})
 	if err != nil {
@@ -57,7 +41,7 @@ func incCapture(t *testing.T, s *incState, mg *gts.MutableGraph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.levels, s.at = bfs.Levels, mg.Epoch()
+	return &incState{levels: bfs.Levels, at: mg.Epoch()}
 }
 
 // incCheck plans from the prior against mg's snapshot: an accepted
@@ -72,7 +56,7 @@ func incCheck(t *testing.T, label string, s *incState, mg *gts.MutableGraph) int
 		t.Fatal(err)
 	}
 	hits := 0
-	if ops, ok := s.st.Delta(s.at, mg.Epoch()); ok {
+	if ops, ok := mg.Delta(s.at, mg.Epoch()); ok {
 		if k, reason := incremental.PlanBFS(g, s.levels, ops); reason == "" {
 			out, _, err := sys.RunKernel(k, 0)
 			if err != nil {
@@ -370,14 +354,9 @@ func TestIngestCrashMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Incremental state rides along exactly as the service wires
-				// it: captured before the mutation history, chained by each
-				// commit.
-				preSt := newIncState(m)
-				incCapture(t, preSt, m)
 				var crashed bool
 				for i, ops := range batches {
-					if err := incIngest(preSt, m, ops); err != nil {
+					if _, err := m.Ingest(ops); err != nil {
 						if !errors.Is(err, gts.ErrCrashed) {
 							t.Fatalf("batch %d: %v, want an injected crash", i, err)
 						}
@@ -393,6 +372,19 @@ func TestIngestCrashMatrix(t *testing.T) {
 				}
 				if !m.Dead() {
 					t.Fatal("graph not dead after crash")
+				}
+				// The dead graph's chain holds the batches it applied and not
+				// the crashed one, even where that batch is durable (during
+				// the fsync or the page swap).
+				var applied []gts.EdgeOp
+				for _, ops := range batches[:k-1] {
+					applied = append(applied, ops...)
+				}
+				if ops, ok := m.Delta(0, uint64(k-1)); !ok || !slices.Equal(ops, applied) {
+					t.Fatalf("dead graph's Delta(0, %d) = %d ops, %v; want the %d applied ops", k-1, len(ops), ok, len(applied))
+				}
+				if _, ok := m.Delta(0, uint64(k)); ok {
+					t.Fatal("the crashed batch is in the dead graph's chain")
 				}
 				// A dead graph refuses further ingest.
 				if _, err := m.Ingest(batches[0]); !errors.Is(err, gts.ErrCrashed) {
@@ -417,20 +409,16 @@ func TestIngestCrashMatrix(t *testing.T) {
 				if err := snap.Validate(); err != nil {
 					t.Fatalf("recovered graph invalid: %v", err)
 				}
-				// Recovery discards incremental state: the fresh chain holds
-				// no pre-crash commit, so no stale-epoch prior can be
-				// replayed. The pre-crash state must NOT be reused — for
-				// fsync/apply crashes the WAL is one durable batch ahead of
-				// its chain, so its deltas no longer describe the recovered
+				// The reopened graph's chain starts empty: the batches it
+				// replayed are not in it, so no prior from before the crash
+				// can be replayed forward. For fsync and page-swap crashes the
+				// WAL holds a durable batch the dead graph never applied, so
+				// the dead graph's chain no longer describes the recovered
 				// snapshot.
-				recSt := newIncState(r)
-				if _, ok := recSt.st.Delta(0, r.Epoch()); ok && r.Epoch() > 0 {
-					t.Fatal("fresh post-recovery chain replays pre-crash commits")
+				if _, ok := r.Delta(0, r.Epoch()); ok && r.Epoch() > 0 {
+					t.Fatal("the reopened graph's chain replays pre-crash commits")
 				}
-				if _, ok := preSt.st.Delta(r.Epoch(), r.Epoch()+1); ok {
-					t.Fatalf("pre-crash chain committed past the recovered epoch %d", r.Epoch())
-				}
-				incCapture(t, recSt, r)
+				recSt := incCapture(t, r)
 				graphsEqual(t, "recovered vs oracle", snap, oracleGraph(t, spec, batches, want))
 				if got := digestAll(t, snap); got != oracleDigest[want] {
 					t.Fatalf("recovered algorithm digests diverge from the %d-batch oracle", want)
@@ -438,7 +426,7 @@ func TestIngestCrashMatrix(t *testing.T) {
 				// The recovered graph accepts new ingest and lands where the
 				// uncrashed history would.
 				for i := want; i < len(batches); i++ {
-					if err := incIngest(recSt, r, batches[i]); err != nil {
+					if _, err := r.Ingest(batches[i]); err != nil {
 						t.Fatalf("post-recovery batch %d: %v", i, err)
 					}
 				}

@@ -27,20 +27,19 @@ func incGoldenBatch() []slottedpage.EdgeOp {
 }
 
 // incPrior is what the golden runs plan from: the outputs of serial clean
-// full runs at epoch 0 and the chain that replays them to epoch 1.
+// full runs at epoch 0. The ops that replay them to epoch 1 are the fixed
+// batch.
 type incPrior struct {
-	st     *incremental.Store
 	levels []int16
 	labels []uint32
 }
 
 // incGoldenSetup runs both algorithms at epoch 0, applies the fixed batch,
-// and returns the post-commit graph plus the prior, whose chain yields a
-// one-commit delta.
+// and returns the post-commit graph plus the prior.
 func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incPrior) {
 	t.Helper()
 	sp := buildPages(t, rmatGraph(t))
-	p := &incPrior{st: incremental.NewStore(0)}
+	p := &incPrior{}
 
 	bfs := kernels.NewBFS(sp)
 	rep := mustRun(t, newEngine(t, sp, Options{}, 1, 0), bfs, 0)
@@ -54,7 +53,6 @@ func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incPrior) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.st.Commit(0, 1, incGoldenBatch())
 	return g2, p
 }
 
@@ -63,10 +61,7 @@ func incGoldenSetup(t *testing.T) (*slottedpage.Graph, *incPrior) {
 // built for every execution.
 func incGoldenKernel(t *testing.T, g *slottedpage.Graph, p *incPrior, algo string) (kernels.Kernel, func(kernels.State) []byte, int) {
 	t.Helper()
-	ops, ok := p.st.Delta(0, 1)
-	if !ok {
-		t.Fatal("the chain cannot replay epoch 0 to 1")
-	}
+	ops := incGoldenBatch()
 	switch algo {
 	case "bfs":
 		k, reason := incremental.PlanBFS(g, p.levels, ops)

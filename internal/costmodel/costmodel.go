@@ -85,22 +85,3 @@ func BFSLike(waBytes int64, levels []LevelInputs, gpus int, dskew, rhit float64,
 	}
 	return t
 }
-
-// SuggestStreams applies the paper's §3.2 rule for the stream count k: with
-// a kernel-to-transfer time ratio r per page, k = ceil(r) + 1 streams keep
-// the copy engine busy while kernels execute. The paper notes practice
-// rewards up to the CUDA maximum of 32 because queued pages also speed the
-// kernels themselves, so callers may treat this as a lower bound.
-func SuggestStreams(transferPerPage, kernelPerPage sim.Time) int {
-	if transferPerPage <= 0 {
-		return 32
-	}
-	k := int((kernelPerPage+transferPerPage-1)/transferPerPage) + 1
-	if k < 1 {
-		k = 1
-	}
-	if k > 32 {
-		k = 32
-	}
-	return k
-}

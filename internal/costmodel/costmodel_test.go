@@ -113,23 +113,3 @@ func TestModelTracksSimulationPageRank(t *testing.T) {
 		t.Errorf("simulated %v vs Eq.1 %v (ratio %.2f) — model diverged", rep.Elapsed, predicted, ratio)
 	}
 }
-
-func TestSuggestStreams(t *testing.T) {
-	// Paper Table 1 ratios: BFS on Twitter is 1:3 (kernel 3x transfer), so
-	// ~4 streams keep the engine fed; PageRank's 1:20 wants the maximum.
-	if got := SuggestStreams(sim.Millisecond, 3*sim.Millisecond); got != 4 {
-		t.Errorf("1:3 ratio -> %d streams, want 4", got)
-	}
-	if got := SuggestStreams(sim.Millisecond, 20*sim.Millisecond); got != 21 {
-		t.Errorf("1:20 ratio -> %d streams, want 21", got)
-	}
-	if got := SuggestStreams(sim.Millisecond, 100*sim.Millisecond); got != 32 {
-		t.Errorf("huge ratio must clamp to 32, got %d", got)
-	}
-	if got := SuggestStreams(0, sim.Millisecond); got != 32 {
-		t.Errorf("zero transfer -> %d, want 32", got)
-	}
-	if got := SuggestStreams(4*sim.Millisecond, sim.Millisecond); got != 2 {
-		t.Errorf("transfer-bound -> %d streams, want 2", got)
-	}
-}

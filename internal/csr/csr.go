@@ -100,17 +100,6 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(g.NumEdges()) / float64(g.NumVertices())
 }
 
-// DegreeHistogram returns counts[d] = number of vertices with out-degree d,
-// up to the maximum degree — the paper lists "degree distribution" among the
-// PageRank-like full-scan algorithms.
-func (g *Graph) DegreeHistogram() []int64 {
-	h := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < int(g.NumVertices()); v++ {
-		h[g.Degree(uint64(v))]++
-	}
-	return h
-}
-
 // Transpose returns the reverse graph in CSR form (i.e. the CSC view of g):
 // an edge u->v in g becomes v->u. Pull-style engines (Ligra's pull phase,
 // PageRank gather) use this.

@@ -109,36 +109,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := sample()
-	h := g.DegreeHistogram()
-	// Degrees: v0=2 v1=1 v2=2 v3=2 v4=0.
-	want := []int64{1, 1, 3}
-	if !reflect.DeepEqual(h, want) {
-		t.Errorf("histogram = %v, want %v", h, want)
-	}
-}
-
-func TestHistogramSumsToVertices(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(50)
-		var edges []Edge
-		for i := 0; i < r.Intn(300); i++ {
-			edges = append(edges, Edge{uint32(r.Intn(n)), uint32(r.Intn(n))})
-		}
-		g := MustFromEdges(n, edges)
-		var sum int64
-		for _, c := range g.DegreeHistogram() {
-			sum += c
-		}
-		return sum == int64(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestUndirectedSymmetricAndDeduped(t *testing.T) {
 	g := MustFromEdges(4, []Edge{{0, 1}, {1, 0}, {0, 1}, {2, 3}})
 	u := g.Undirected()

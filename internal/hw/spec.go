@@ -91,22 +91,11 @@ type StorageSpec struct {
 	Latency sim.Time
 }
 
-// CPUSpec describes the host CPUs, used by the CPU-resident baselines.
-type CPUSpec struct {
-	Sockets int
-	Cores   int // total physical cores across sockets
-	// CyclesPerSec is per-core throughput in model cycles/second.
-	CyclesPerSec float64
-	// MemBandwidth is the aggregate main-memory bandwidth in bytes/second.
-	MemBandwidth float64
-}
-
 // MachineSpec is a full single-machine configuration.
 type MachineSpec struct {
 	GPUs       []GPUSpec
 	PCIe       PCIeSpec
 	Storage    []StorageSpec
-	CPU        CPUSpec
 	MainMemory int64
 }
 
@@ -145,17 +134,11 @@ func SATAHDD() StorageSpec {
 	return StorageSpec{Kind: HDD, SeqRead: 165e6, RandRead: 30e6, Latency: 8 * sim.Millisecond}
 }
 
-// XeonE5 returns the paper's dual-socket Xeon E5-2687W (8 cores each).
-func XeonE5() CPUSpec {
-	return CPUSpec{Sockets: 2, Cores: 16, CyclesPerSec: 6e9, MemBandwidth: 50e9}
-}
-
 // Workstation returns the paper's single-machine testbed with the given GPU
 // and SSD counts (up to 2 of each, as in the paper).
 func Workstation(gpus, ssds int) MachineSpec {
 	spec := MachineSpec{
 		PCIe:       PCIe3x16(),
-		CPU:        XeonE5(),
 		MainMemory: 128 << 30,
 	}
 	for i := 0; i < gpus; i++ {

@@ -1,3 +1,21 @@
+// Package incremental re-executes BFS and CC from a prior run's output and
+// the ingest ops since, instead of from scratch. The contract is exactness,
+// not approximation: every incremental run must produce output
+// byte-identical to a from-scratch recompute on the new snapshot, clean or
+// faulted. Where that cannot be guaranteed (tight deletes under BFS, any
+// delete under CC) the planner refuses and the caller falls back to a full
+// run.
+//
+// Only plans that beat a full run on the clock a caller waits on live here:
+// BFS and CC delta-expansion cost 0.25-0.45 of a full run's wall; PageRank
+// trajectory patching cost 3.5x one at every random batch and was deleted
+// (EXPERIMENTS.md, incremental).
+//
+// The package is the planners alone (PlanBFS, PlanCC): each decides safe vs
+// fallback for a prior output and the ops since, and builds a
+// FrontierKernel seeded from them. The prior is the caller's (the service
+// keeps it in its job table), and so are the ops: a mutable graph keeps its
+// own commit chain (gts.MutableGraph.Delta).
 package incremental
 
 import (
@@ -75,7 +93,7 @@ func incLevels(st kernels.State) []int16    { return st.(*incBFSState).lv }
 //     levels.
 //   - Vertex growth: new vertices start unreached, exactly as a full run
 //     would initialize them.
-func PlanBFS(g *slottedpage.Graph, levels []int16, ops []EdgeOp) (*IncBFS, string) {
+func PlanBFS(g *slottedpage.Graph, levels []int16, ops []slottedpage.EdgeOp) (*IncBFS, string) {
 	n := g.NumVertices()
 	if uint64(len(levels)) > n {
 		return nil, "vertex-shrink"

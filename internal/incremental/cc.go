@@ -59,7 +59,7 @@ func incLabels(st kernels.State) []uint32  { return st.(*incCCState).labels }
 // ops committed since, or reports a fallback reason (any delete among them).
 // It seeds from every insert in ops without looking for the edge in g, so
 // ops must end at g's snapshot: what Store.Delta returns for g's epoch.
-func PlanCC(g *slottedpage.Graph, labels []uint32, ops []EdgeOp) (*IncCC, string) {
+func PlanCC(g *slottedpage.Graph, labels []uint32, ops []slottedpage.EdgeOp) (*IncCC, string) {
 	n := g.NumVertices()
 	if uint64(len(labels)) > n {
 		return nil, "vertex-shrink"

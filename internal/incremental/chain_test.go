@@ -1,6 +1,7 @@
 package incremental_test
 
 import (
+	"slices"
 	"testing"
 
 	gts "repro"
@@ -16,74 +17,61 @@ func openBase(t testing.TB) *gts.Graph {
 	return g
 }
 
-// TestStoreCommitAndLookup: Delta flattens the commits between two epochs,
-// in commit order, and replays from any epoch the chain still spans.
+// TestStoreCommitAndLookup: a mutable graph's Delta flattens the batches it
+// applied between two epochs, in commit order, and never hands back an op
+// past the epoch asked for.
 func TestStoreCommitAndLookup(t *testing.T) {
-	s := incremental.NewStore(0)
-	s.Commit(0, 1, []incremental.EdgeOp{{Src: 1, Dst: 2}})
-	s.Commit(1, 2, []incremental.EdgeOp{{Del: true, Src: 3, Dst: 4}, {Src: 1, Dst: 5}})
+	h := newHarness(t, testSpec)
+	first := []gts.EdgeOp{{Src: 1, Dst: 2}}
+	second := []gts.EdgeOp{{Del: true, Src: 3, Dst: 4}, {Src: 1, Dst: 5}}
+	h.ingest(t, first)
+	h.ingest(t, second)
 
-	ops, ok := s.Delta(0, 2)
-	if !ok || len(ops) != 3 || ops[0] != (incremental.EdgeOp{Src: 1, Dst: 2}) {
-		t.Fatalf("Delta(0, 2) = %v, %v; want the 3 ops in commit order", ops, ok)
-	}
-	if ops, ok := s.Delta(1, 2); !ok || len(ops) != 2 {
-		t.Fatalf("Delta(1, 2) = %v, %v; want epoch 2's 2 ops", ops, ok)
-	}
-	if ops, ok := s.Delta(2, 2); !ok || len(ops) != 0 {
-		t.Fatalf("Delta(2, 2) = %v, %v; want no ops", ops, ok)
-	}
-}
-
-func TestStoreLineageBreakDropsEverything(t *testing.T) {
-	s := incremental.NewStore(0)
-	s.Commit(0, 1, nil)
-	// A commit whose prev does not extend the lineage (missed commit, or a
-	// recovered graph reusing LSNs) must drop the chain.
-	s.Commit(5, 6, nil)
-	for _, from := range []uint64{0, 1} {
-		if _, ok := s.Delta(from, 6); ok {
-			t.Fatalf("Delta(%d, 6) replayed across a lineage break", from)
+	for _, c := range []struct {
+		from, at uint64
+		want     []gts.EdgeOp
+	}{
+		{0, 2, append(slices.Clone(first), second...)},
+		{0, 1, first},
+		{1, 2, second},
+		{2, 2, nil},
+	} {
+		if ops, ok := h.mg.Delta(c.from, c.at); !ok || !slices.Equal(ops, c.want) {
+			t.Fatalf("Delta(%d, %d) = %v, %v; want %v", c.from, c.at, ops, ok, c.want)
 		}
 	}
-	if _, ok := s.Delta(5, 6); !ok {
-		t.Fatal("the commit after the break cannot be replayed")
-	}
-
-	// A break that reuses epochs: the commits before it must not be
-	// replayed as if they led to the new ones.
-	s = incremental.NewStore(0)
-	s.Commit(0, 1, nil)
-	s.Commit(1, 2, []incremental.EdgeOp{{Src: 1, Dst: 2}})
-	s.Commit(1, 2, []incremental.EdgeOp{{Src: 3, Dst: 4}})
-	if _, ok := s.Delta(0, 2); ok {
-		t.Fatal("Delta(0, 2) replayed across a break that reused epoch 2")
-	}
-	if ops, ok := s.Delta(1, 2); !ok || len(ops) != 1 || ops[0].Src != 3 {
-		t.Fatalf("Delta(1, 2) = %v, %v; want the commit after the break", ops, ok)
+	if _, ok := h.mg.Delta(0, 3); ok {
+		t.Fatal("Delta replays to an epoch the graph never reached")
 	}
 }
 
+// TestStoreChainTrimDropsUnreplayableEntries: the chain keeps the last 64
+// batches, so after 65 a prior at epoch 0 is refused and one at epoch 1
+// replays the whole window.
 func TestStoreChainTrimDropsUnreplayableEntries(t *testing.T) {
-	s := incremental.NewStore(0)
-	for i := 0; i < incremental.MaxChain+5; i++ {
-		s.Commit(uint64(i), uint64(i+1), []incremental.EdgeOp{{Src: uint64(i), Dst: uint64(i + 1)}})
+	const window = 64
+	h := newHarness(t, testSpec)
+	for i := uint64(0); i <= window; i++ {
+		h.ingest(t, []gts.EdgeOp{{Src: i, Dst: i + 1}})
 	}
-	cur := uint64(incremental.MaxChain + 5)
-	if _, ok := s.Delta(0, cur); ok {
+	cur := h.mg.Epoch()
+	if cur != window+1 {
+		t.Fatalf("epoch %d after %d ingests", cur, window+1)
+	}
+	if _, ok := h.mg.Delta(0, cur); ok {
 		t.Fatal("an epoch older than the chain window still replays")
 	}
-	if ops, ok := s.Delta(5, cur); !ok || len(ops) != incremental.MaxChain {
-		t.Fatalf("Delta(5, %d) = %d ops, %v; want the whole %d-commit window", cur, len(ops), ok, incremental.MaxChain)
+	if ops, ok := h.mg.Delta(1, cur); !ok || len(ops) != window || ops[0].Src != 1 {
+		t.Fatalf("Delta(1, %d) = %d ops, %v; want the whole %d-batch window", cur, len(ops), ok, window)
 	}
 	// A prior at the current epoch needs nothing from the chain.
-	if ops, ok := s.Delta(cur, cur); !ok || len(ops) != 0 {
+	if ops, ok := h.mg.Delta(cur, cur); !ok || len(ops) != 0 {
 		t.Fatal("a current-epoch prior should yield an empty delta")
 	}
 }
 
 // TestStoreLookupStopsAtSnapshot: a job admitted at epoch 0 can plan after
-// the store has committed epoch 1. Its delta must stop at epoch 0 — each of
+// the graph has committed epoch 1. Its delta must stop at epoch 0 — each of
 // epoch 1's inserts joins two components the job's snapshot keeps apart —
 // and a prior computed at epoch 1 cannot be replayed back to epoch 0.
 func TestStoreLookupStopsAtSnapshot(t *testing.T) {
@@ -125,7 +113,7 @@ func TestStoreLookupStopsAtSnapshot(t *testing.T) {
 		}
 	}
 
-	if _, ok := h.st.Delta(1, 0); ok {
+	if _, ok := h.mg.Delta(1, 0); ok {
 		t.Error("an epoch-1 prior replays back to epoch 0")
 	}
 }

@@ -30,8 +30,8 @@ func decodeFuzzOps(data []byte, n uint64) []gts.EdgeOp {
 	return ops
 }
 
-// FuzzDeltaExpand feeds adversarial edge batches through the commit chain
-// and the delta-expansion planners, holding every accepted plan to
+// FuzzDeltaExpand feeds adversarial edge batches through the
+// delta-expansion planners, holding every accepted plan to
 // the byte-identical-to-full-recompute contract. Delete-heavy inputs drive
 // the fallback matrix (any CC delete, tight BFS deletes); the planner must
 // either refuse with a reason or match the oracle exactly.
@@ -47,30 +47,20 @@ func FuzzDeltaExpand(f *testing.F) {
 	f.Add([]byte{2, 200, 10, 2, 10, 250, 0, 0, 7})    // growth past the base vertex count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := decodeFuzzOps(data, n)
+		// o, computed on base, is the prior, and every op since is the
+		// delta, committed in batches of up to 8.
+		delta := decodeFuzzOps(data, n)
 		mut := slottedpage.NewMutable(base)
-		st := incremental.NewStore(0) // o, computed at epoch 0, is the prior
-
-		epoch := uint64(0)
-		for len(ops) > 0 {
-			batch := ops
-			if len(batch) > 8 {
-				batch = batch[:8]
-			}
+		for ops := delta; len(ops) > 0; {
+			batch := ops[:min(len(ops), 8)]
 			ops = ops[len(batch):]
 			if _, err := mut.ApplyBatch(batch); err != nil {
 				t.Fatalf("batch rejected: %v", err)
 			}
-			st.Commit(epoch, epoch+1, batch)
-			epoch++
 		}
 		g := mut.Snapshot()
 		want := computeOracle(t, g, nil)
 
-		delta, ok := st.Delta(0, epoch)
-		if !ok {
-			t.Fatalf("the chain cannot replay epoch 0 to %d", epoch)
-		}
 		if k, reason := incremental.PlanBFS(g, o.levels, delta); reason == "" {
 			res, _ := runKernel(t, g, k, bfsSource, nil)
 			if i := cmpLevels(want.levels, k.Levels(res)); i >= 0 {

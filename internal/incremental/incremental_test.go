@@ -22,13 +22,11 @@ func chaosPlan() *gts.FaultPlan {
 		StorageErrorRate: 0.05, CorruptionRate: 0.05}
 }
 
-// harness couples a mutable graph with a commit chain wired the way the
-// service wires them — every ingest commit extends the chain with the batch
-// (harness.ingest) — and holds the prior a service's job table would: the
-// outputs of the last captured full runs and the epoch they ran on.
+// harness is a mutable graph, whose Delta is the commit chain a prior
+// replays along, and the prior a service's job table would hold: the outputs
+// of the last captured full runs and the epoch they ran on.
 type harness struct {
 	mg    *gts.MutableGraph
-	st    *incremental.Store
 	prior *oracle
 	at    uint64
 }
@@ -40,19 +38,15 @@ func newHarness(t testing.TB, spec string) *harness {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mg.Close() })
-	return &harness{mg: mg, st: incremental.NewStore(mg.Epoch())}
+	return &harness{mg: mg}
 }
 
-// ingest commits ops to the graph and then to the store's chain, as the
-// service's Ingest does under the graph's commit lock.
+// ingest commits ops to the graph.
 func (h *harness) ingest(t testing.TB, ops []gts.EdgeOp) {
 	t.Helper()
-	prev := h.mg.Epoch()
-	epoch, err := h.mg.Ingest(ops)
-	if err != nil {
+	if _, err := h.mg.Ingest(ops); err != nil {
 		t.Fatal(err)
 	}
-	h.st.Commit(prev, epoch, ops)
 }
 
 func runKernel(t testing.TB, g *gts.Graph, k gts.Kernel, source uint64, faults *gts.FaultPlan) (gts.KernelState, gts.Metrics) {
@@ -93,7 +87,7 @@ func (h *harness) capture(o *oracle) { h.prior, h.at = o, h.mg.Epoch() }
 // delta returns the ops that replay the prior to epoch at.
 func (h *harness) delta(t testing.TB, at uint64) []gts.EdgeOp {
 	t.Helper()
-	ops, ok := h.st.Delta(h.at, at)
+	ops, ok := h.mg.Delta(h.at, at)
 	if !ok {
 		t.Fatalf("the chain cannot replay epoch %d to %d", h.at, at)
 	}

@@ -157,13 +157,13 @@ func (s *Server) run(job *Job, sj gts.SharedJob) (out *gts.SharedOutcome, start 
 }
 
 // resolve picks the kernel a job runs. A retaining request — an algorithm
-// that retains state (replans), on a graph with a commit chain — goes
+// that retains state (replans), on a graph that retains (Server.retains) — goes
 // through the incremental planner: it is a delta-expansion hit or a full run
 // counted as one fallback. Everything else gets the algorithm's own kernel
 // and counts neither.
 func (s *Server) resolve(job *Job) plan {
 	p, g := job.req.Params, job.entry.sys.Graph()
-	if r, retains := replans[job.req.Algo]; retains && job.entry.inc != nil {
+	if r, ok := replans[job.req.Algo]; ok && s.retains(job.entry) {
 		return s.planIncremental(job, g, r)
 	}
 	return plan{job: gts.SharedJob{Kernel: job.algo.Kernel(g, p), Source: p.Source}}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	gts "repro"
-	"repro/internal/incremental"
 )
 
 // GraphState is a registered graph's serving condition, reported by
@@ -59,19 +58,19 @@ type graphEntry struct {
 	// (see Server.run), so the name's jobs run one at a time, in arrival
 	// order (nil only on a placeholder entry that is still loading).
 	run chan struct{}
-	// mg is the mutable backing (nil for immutable graphs). commit, carried
-	// with it from entry to entry, serializes ingest's commit + republish:
-	// the registry's epoch and the WAL's advance together.
+	// mg is the mutable backing (nil for immutable graphs); its Delta is
+	// the commit chain incremental recompute replays priors along, and a
+	// reload opens a new one whose chain starts empty. commit, carried with
+	// mg from entry to entry, serializes ingest's commit + republish: the
+	// registry's epoch and the WAL's advance together.
 	mg     *gts.MutableGraph
 	commit *sync.Mutex
-	// inc is the commit chain incremental recompute replays priors along
-	// (nil unless Config.Incremental and the graph is mutable). It is carried
-	// across ingest republishes — Ingest commits each batch to it — and
-	// rebuilt from scratch on graph reload, so crash recovery can never
-	// replay pre-crash commits.
-	inc   *incremental.Store
-	state atomicState
+	state  atomicState
 }
+
+// retains reports whether e's bfs and cc jobs plan from their priors: the
+// server is incremental and the graph is mutable.
+func (s *Server) retains(e *graphEntry) bool { return s.cfg.Incremental && e.mg != nil }
 
 // atomicState is a small typed wrapper over the entry's state word.
 type atomicState struct{ v int32 }
@@ -180,14 +179,6 @@ func (s *Server) LoadMutableGraph(name, spec, walPath string, engineCfg gts.Conf
 		return fail(err)
 	}
 	entry := &graphEntry{name: name, gen: placeholder.gen, epoch: mg.Epoch(), sys: sys, mg: mg, commit: new(sync.Mutex)}
-	if s.cfg.Incremental {
-		// A fresh chain per load, and a new generation in every prior key:
-		// recovery discards every pre-crash prior by construction
-		// (epoch-mismatch safety without trusting the recovered LSN
-		// counter). Ingest commits to it under the graph's commit lock, so
-		// the chain records commits in order.
-		entry.inc = incremental.NewStore(mg.Epoch())
-	}
 	if err := s.publish(entry, placeholder); err != nil {
 		mg.Close()
 		return fail(err)
@@ -228,9 +219,6 @@ func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error)
 		return 0, err
 	}
 	s.met.addIngested(int64(len(ops)))
-	if entry.inc != nil {
-		entry.inc.Commit(entry.epoch, epoch, ops)
-	}
 
 	// Invalidate the shared host pool's superseded frames and publish a new
 	// entry over the new snapshot.
@@ -243,7 +231,7 @@ func (s *Server) Ingest(name string, ops []gts.EdgeOp) (epoch uint64, err error)
 		entry.state.store(GraphDegraded)
 		return epoch, fmt.Errorf("service: batch %d committed but System rebuild failed: %w", epoch, serr)
 	}
-	next := &graphEntry{name: name, gen: entry.gen, epoch: epoch, sys: sys, mg: entry.mg, commit: commit, inc: entry.inc}
+	next := &graphEntry{name: name, gen: entry.gen, epoch: epoch, sys: sys, mg: entry.mg, commit: commit}
 	// A server that closed meanwhile serves no more queries; the batch is
 	// durable all the same, so the ingest still succeeded.
 	if err := s.publish(next, entry); err != nil && !errors.Is(err, ErrShuttingDown) {
@@ -295,7 +283,7 @@ func (s *Server) Health() []GraphHealth {
 			h.Epoch = e.mg.Epoch()
 			h.ReplayedBatches = e.mg.ReplayedBatches()
 		}
-		if e.inc != nil {
+		if s.retains(e) {
 			h.Incremental = true
 			h.RetainedEntries = s.retained(e)
 		}

@@ -1,19 +1,16 @@
 package service
 
-import (
-	gts "repro"
-	"repro/internal/incremental"
-)
+import gts "repro"
 
 // This file is the incremental planner: it resolves a retaining request (a
-// bfs or cc job on a graph with a commit chain) against its prior — the
-// newest answered run of the same request on the same graph load, which the
-// job table still holds — and the chain into a plan: a delta-expansion hit,
-// or a full run counted as a fallback. The plan
-// runs through the same pipeline as every other job (execute.go), and the
-// finished run becomes the request's next prior. Results are byte-identical
-// to the normal path by the incremental package's exactness contract, so
-// they share the same result cache and single-flight keys.
+// bfs or cc job on a retaining graph) against its prior — the newest
+// answered run of the same request on the same graph load, which the job
+// table still holds — and the graph's commit chain (MutableGraph.Delta) into
+// a plan: a delta-expansion hit, or a full run counted as a fallback. The
+// plan runs through the same pipeline as every other job (execute.go), and
+// the finished run becomes the request's next prior. Results are
+// byte-identical to the normal path by the incremental package's exactness
+// contract, so they share the same result cache and single-flight keys.
 
 // priorKey names one request's runs across the epochs of one graph load: its
 // load generation, algorithm and normalized params, but no epoch, so a
@@ -51,7 +48,7 @@ func (s *Server) planIncremental(job *Job, g *gts.Graph, r replan) plan {
 // lookupPrior returns job's prior and the ops that replay it to job's
 // snapshot, or why there is none. The chain may have committed past that
 // snapshot: the ops stop there, and a prior that ran past it is refused.
-func (s *Server) lookupPrior(job *Job) (*Job, []incremental.EdgeOp, string) {
+func (s *Server) lookupPrior(job *Job) (*Job, []gts.EdgeOp, string) {
 	s.mu.Lock()
 	prior := s.priors[job.prior]
 	s.mu.Unlock()
@@ -61,7 +58,7 @@ func (s *Server) lookupPrior(job *Job) (*Job, []incremental.EdgeOp, string) {
 	if prior.epoch > job.epoch {
 		return nil, nil, "entry-after-snapshot"
 	}
-	ops, ok := job.entry.inc.Delta(prior.epoch, job.epoch)
+	ops, ok := job.entry.mg.Delta(prior.epoch, job.epoch)
 	if !ok {
 		return nil, nil, "no-retained-state"
 	}

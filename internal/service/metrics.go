@@ -399,7 +399,7 @@ func (s *Server) Stats() Stats {
 	st.JobTableBytes = s.charge
 	st.Graphs = len(s.graphs)
 	for _, e := range s.graphs {
-		if e.inc != nil {
+		if s.retains(e) {
 			if st.Retained == nil {
 				st.Retained = make(map[string]int)
 			}

@@ -104,8 +104,9 @@ type Config struct {
 	// computed job and keeps its Chrome trace_event JSON on the job, served
 	// at /debug/trace/{id} while the job stays in the job table.
 	Trace bool
-	// Incremental, when true, keeps a commit chain on every mutable graph,
-	// so each bfs or cc request on one plans from its prior: it runs by
+	// Incremental, when true, makes each bfs or cc request on a mutable
+	// graph plan from its prior along the graph's commit chain
+	// (gts.MutableGraph.Delta): it runs by
 	// delta-expansion from the request's newest answered run, or in full,
 	// counted as a fallback, when exactness cannot be guaranteed. Results
 	// are byte-identical to from-scratch recompute either way.
